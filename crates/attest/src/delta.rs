@@ -5,14 +5,15 @@
 //! [`AttestedRegistry`](crate::AttestedRegistry) accumulates, alongside its
 //! incremental buckets, the *net* effect of every mutation since the delta
 //! was last drained — dirty measurement buckets with signed power and
-//! member-count deltas, the final roster state of every touched device, and
-//! the signed opaque-power delta. A sealer drains each shard's delta at the
+//! member-count deltas, the final roster state of every touched device, the
+//! net change to the roster's row-digest aggregate, and the signed
+//! opaque-power delta. A sealer drains each shard's delta at the
 //! epoch cut ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta)),
 //! merges them ([`ChurnDelta::merge`] — shards own disjoint devices, and
 //! integer bucket deltas commute), and patches the previous canonical
 //! snapshot instead of rebuilding it.
 //!
-//! Two properties make the patch exact:
+//! Three properties make the patch exact:
 //!
 //! * **Integer bucket algebra.** Bucket power and member counts are integer
 //!   sums, so `previous + delta` is bit-identical to a from-scratch merge of
@@ -21,10 +22,17 @@
 //!   *state at the cut* (last write wins), never an edit script, so
 //!   re-registrations and register→deregister churn within one epoch
 //!   collapse to a single roster patch.
+//! * **Row digests travel with the delta.** The registry hashes each roster
+//!   row once, when it writes it
+//!   ([`device_row_digest`](crate::device_row_digest)), and records here the
+//!   sum of digests written minus digests overwritten or removed, modulo
+//!   2²⁵⁶. The sealer adds that one 256-bit value to the previous snapshot's
+//!   device aggregate; it never hashes a roster row itself.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use fi_types::hash::SetDigest;
 use fi_types::{Digest, ReplicaId, VotingPower};
 
 use crate::registry::RegisteredDevice;
@@ -117,6 +125,9 @@ pub struct ChurnDelta {
     roster: UniformKeyMap<ReplicaId, Option<RegisteredDevice>>,
     /// Signed change in total unattested-tier effective power.
     opaque: i128,
+    /// Net change to the roster's row-digest aggregate: digests of rows
+    /// written minus digests of rows overwritten or removed, mod 2²⁵⁶.
+    rows: SetDigest,
 }
 
 impl ChurnDelta {
@@ -137,6 +148,18 @@ impl ChurnDelta {
     /// wins).
     pub(crate) fn record_roster(&mut self, replica: ReplicaId, state: Option<RegisteredDevice>) {
         self.roster.insert(replica, state);
+    }
+
+    /// Records one roster row leaving the registry (deregistered, or
+    /// about to be overwritten) by its write-time digest.
+    pub(crate) fn record_row_out(&mut self, row_digest: &Digest) {
+        self.rows.remove(row_digest);
+    }
+
+    /// Records one roster row entering the registry by its write-time
+    /// digest.
+    pub(crate) fn record_row_in(&mut self, row_digest: &Digest) {
+        self.rows.insert(row_digest);
     }
 
     /// Whether no net change has been recorded. Buckets whose power and
@@ -165,10 +188,20 @@ impl ChurnDelta {
         self.opaque
     }
 
-    /// Folds `other` into `self`. Bucket and opaque deltas are integer sums
-    /// (commutative, so shard merge order is irrelevant); roster entries
-    /// come from disjoint device sets when merging shard deltas, and
-    /// otherwise last write wins.
+    /// The net change to the roster's row-digest aggregate since the last
+    /// drain: `aggregate_now = aggregate_at_last_drain + this`, as
+    /// [`SetDigest::add`]. It is exactly the change
+    /// [`sorted_roster`](Self::sorted_roster) describes — a device whose
+    /// row was rewritten to identical content contributes zero.
+    #[must_use]
+    pub fn row_digest_change(&self) -> SetDigest {
+        self.rows
+    }
+
+    /// Folds `other` into `self`. Bucket, opaque, and row-digest deltas are
+    /// modular/integer sums (commutative, so shard merge order is
+    /// irrelevant); roster entries come from disjoint device sets when
+    /// merging shard deltas, and otherwise last write wins.
     pub fn merge(&mut self, other: ChurnDelta) {
         for (m, d) in other.buckets {
             let entry = self.buckets.entry(m).or_default();
@@ -177,6 +210,7 @@ impl ChurnDelta {
         }
         self.roster.extend(other.roster);
         self.opaque += other.opaque;
+        self.rows.add(other.rows);
     }
 
     /// The dirty buckets in canonical (sorted-by-digest) order, with

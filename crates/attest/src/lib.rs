@@ -78,7 +78,9 @@ pub use delta::{BucketDelta, ChurnDelta};
 pub use device::{AttestationKey, DeviceKind, TrustedDevice};
 pub use error::AttestError;
 pub use quote::Quote;
-pub use registry::{AttestedRegistry, RegisteredDevice, ReplicaTier, TwoTierWeights};
+pub use registry::{
+    device_row_digest, AttestedRegistry, RegisteredDevice, ReplicaTier, TwoTierWeights,
+};
 pub use verifier::{AttestationPolicy, Verifier};
 
 /// Convenient glob import.

@@ -10,7 +10,8 @@
 use std::collections::HashMap;
 
 use fi_entropy::{Distribution, EntropyAccumulator};
-use fi_types::{Digest, PublicKey, ReplicaId, SimTime, VotingPower};
+use fi_types::hash::SetDigest;
+use fi_types::{sha256, Digest, PublicKey, ReplicaId, SimTime, VotingPower};
 use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnOp;
@@ -109,6 +110,9 @@ struct RegistryEntry {
     measurement: Option<Digest>,
     vote_key: Option<PublicKey>,
     power: VotingPower,
+    /// [`device_row_digest`] of this row, computed once when the row was
+    /// written so removing or overwriting it never re-hashes.
+    row_digest: Digest,
 }
 
 /// The registry of replicas known to the diversity monitor: attested
@@ -121,6 +125,11 @@ struct RegistryEntry {
 /// path — [`entropy_bits`](Self::entropy_bits),
 /// [`total_effective_power`](Self::total_effective_power) — no longer
 /// rescans all entries per query.
+///
+/// It also owns the roster's contribution to a sealed epoch's content
+/// hash: each row is hashed once, when it is written
+/// ([`device_row_digest`]), and [`roster_digest`](Self::roster_digest) is
+/// the running [`SetDigest`] sum over the rows currently registered.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AttestedRegistry {
     entries: HashMap<ReplicaId, RegistryEntry>,
@@ -144,6 +153,9 @@ pub struct AttestedRegistry {
     acc: EntropyAccumulator,
     /// Total effective power of the unattested tier (the opaque bucket).
     opaque: VotingPower,
+    /// Sum of `row_digest` over `entries` — absolute, so it survives
+    /// [`take_delta`](Self::take_delta) drains.
+    roster_digest: SetDigest,
     /// Net churn since [`take_delta`](Self::take_delta) last drained it —
     /// the O(churn) feed for differential epoch sealing. Every mutation
     /// path maintains it alongside the incremental buckets.
@@ -164,6 +176,28 @@ pub struct RegisteredDevice {
     pub measurement: Option<Digest>,
     /// Its raw (un-weighted) registered power.
     pub power: VotingPower,
+}
+
+/// The canonical digest of one device-roster row: SHA-256 over
+/// `"D" ‖ replica (u64 BE) ‖ raw power (u64 BE) ‖ 1 ‖ measurement` for an
+/// attested device, `… ‖ 0` for an unattested one. These bytes are part of
+/// `fi-fleet`'s `epoch-snapshot-v2` content-hash format and must not
+/// change. The registry calls this once per row it writes; everything
+/// downstream adds and subtracts the results.
+#[must_use]
+pub fn device_row_digest(d: &RegisteredDevice) -> Digest {
+    let mut row = [0u8; 50];
+    row[0] = b'D';
+    row[1..9].copy_from_slice(&d.replica.as_u64().to_be_bytes());
+    row[9..17].copy_from_slice(&d.power.as_units().to_be_bytes());
+    match d.measurement {
+        Some(m) => {
+            row[17] = 1;
+            row[18..].copy_from_slice(m.as_bytes());
+            sha256(row)
+        }
+        None => sha256(&row[..18]),
+    }
 }
 
 /// Registries compare by their entries and weights; the bucket index and
@@ -188,6 +222,7 @@ impl AttestedRegistry {
             free_slots: Vec::new(),
             acc: EntropyAccumulator::new(0),
             opaque: VotingPower::ZERO,
+            roster_digest: SetDigest::EMPTY,
             delta: ChurnDelta::default(),
         }
     }
@@ -196,6 +231,8 @@ impl AttestedRegistry {
     /// registered) ahead of a re-registration.
     fn unindex(&mut self, replica: ReplicaId) {
         if let Some(old) = self.entries.remove(&replica) {
+            self.roster_digest.remove(&old.row_digest);
+            self.delta.record_row_out(&old.row_digest);
             let effective = old.power.scaled(self.weights.for_tier(old.tier));
             match old.measurement {
                 Some(m) => {
@@ -252,16 +289,26 @@ impl AttestedRegistry {
             .record_bucket(measurement, i128::from(effective.as_units()), 1);
     }
 
-    /// Records `replica`'s current roster state (its final state for this
-    /// epoch, last write wins) in the pending churn delta.
-    fn record_roster_state(&mut self, replica: ReplicaId) {
-        let state = self.entries.get(&replica).map(|e| RegisteredDevice {
-            replica,
-            tier: e.tier,
-            measurement: e.measurement,
-            power: e.power,
-        });
-        self.delta.record_roster(replica, state);
+    /// Writes `device`'s new row (its old one already un-indexed, its
+    /// bucket already indexed): hashes it — the one SHA-256 the row ever
+    /// costs — folds the digest into the running aggregate and the pending
+    /// delta, stores the entry, and records the row as the device's final
+    /// state for this epoch (last write wins).
+    fn write_row(&mut self, device: RegisteredDevice, vote_key: Option<PublicKey>) {
+        let row_digest = device_row_digest(&device);
+        self.roster_digest.insert(&row_digest);
+        self.delta.record_row_in(&row_digest);
+        self.entries.insert(
+            device.replica,
+            RegistryEntry {
+                tier: device.tier,
+                measurement: device.measurement,
+                vote_key,
+                power: device.power,
+                row_digest,
+            },
+        );
+        self.delta.record_roster(device.replica, Some(device));
     }
 
     /// The tier weights in force.
@@ -287,19 +334,12 @@ impl AttestedRegistry {
         power: VotingPower,
     ) -> Result<(), AttestError> {
         verifier.verify(quote, now, expected_nonce)?;
-        self.unindex(replica);
-        let measurement = quote.measurement();
-        self.index_attested(measurement, power.scaled(self.weights.attested()));
-        self.entries.insert(
+        self.register_attested_preverified(
             replica,
-            RegistryEntry {
-                tier: ReplicaTier::Attested,
-                measurement: Some(measurement),
-                vote_key: Some(quote.vote_key()),
-                power,
-            },
+            quote.measurement(),
+            Some(quote.vote_key()),
+            power,
         );
-        self.record_roster_state(replica);
         Ok(())
     }
 
@@ -318,16 +358,15 @@ impl AttestedRegistry {
     ) {
         self.unindex(replica);
         self.index_attested(measurement, power.scaled(self.weights.attested()));
-        self.entries.insert(
-            replica,
-            RegistryEntry {
+        self.write_row(
+            RegisteredDevice {
+                replica,
                 tier: ReplicaTier::Attested,
                 measurement: Some(measurement),
-                vote_key,
                 power,
             },
+            vote_key,
         );
-        self.record_roster_state(replica);
     }
 
     /// Applies one churn operation.
@@ -363,7 +402,7 @@ impl AttestedRegistry {
         let present = self.entries.contains_key(&replica);
         self.unindex(replica);
         if present {
-            self.record_roster_state(replica);
+            self.delta.record_roster(replica, None);
         }
         present
     }
@@ -374,16 +413,15 @@ impl AttestedRegistry {
         let effective = power.scaled(self.weights.unattested());
         self.opaque += effective;
         self.delta.record_opaque(i128::from(effective.as_units()));
-        self.entries.insert(
-            replica,
-            RegistryEntry {
+        self.write_row(
+            RegisteredDevice {
+                replica,
                 tier: ReplicaTier::Unattested,
                 measurement: None,
-                vote_key: None,
                 power,
             },
+            None,
         );
-        self.record_roster_state(replica);
     }
 
     /// Number of registered replicas.
@@ -472,6 +510,14 @@ impl AttestedRegistry {
     #[must_use]
     pub fn unattested_power(&self) -> VotingPower {
         self.opaque
+    }
+
+    /// The [`SetDigest`] sum of [`device_row_digest`] over every registered
+    /// device, maintained at write time. O(1). Shards own disjoint devices,
+    /// so a fleet's aggregate is the sum of its shards'.
+    #[must_use]
+    pub fn roster_digest(&self) -> SetDigest {
+        self.roster_digest
     }
 
     /// Iterates over every registered device. Order is the entry map's —
@@ -1018,6 +1064,40 @@ mod tests {
         assert_eq!(devices[3].measurement, None);
         // Raw power, not tier-weighted.
         assert_eq!(devices[3].power, VotingPower::new(40));
+    }
+
+    #[test]
+    fn device_row_digest_keeps_the_epoch_snapshot_v2_byte_layout() {
+        // The field-by-field stream `fi-fleet` hashed before the digest
+        // moved here; sealed content hashes depend on these exact bytes.
+        let streamed = |d: &RegisteredDevice| {
+            let mut h = fi_types::hash::Sha256::new();
+            h.update(b"D");
+            h.update(d.replica.as_u64().to_be_bytes());
+            h.update(d.power.as_units().to_be_bytes());
+            match d.measurement {
+                Some(m) => {
+                    h.update([1]);
+                    h.update(m.as_bytes());
+                }
+                None => h.update([0]),
+            }
+            h.finalize()
+        };
+        let attested = RegisteredDevice {
+            replica: ReplicaId::new(0x0102_0304_0506_0708),
+            tier: ReplicaTier::Attested,
+            measurement: Some(sha256(b"cfg-a")),
+            power: VotingPower::new(0x1112_1314_1516_1718),
+        };
+        let unattested = RegisteredDevice {
+            tier: ReplicaTier::Unattested,
+            measurement: None,
+            ..attested
+        };
+        assert_eq!(device_row_digest(&attested), streamed(&attested));
+        assert_eq!(device_row_digest(&unattested), streamed(&unattested));
+        assert_ne!(device_row_digest(&attested), device_row_digest(&unattested));
     }
 
     #[test]

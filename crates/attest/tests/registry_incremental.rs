@@ -10,11 +10,13 @@
 
 use fi_attest::device::{DeviceKind, TrustedDevice};
 use fi_attest::{
-    AttestationPolicy, AttestedRegistry, ChurnDelta, ChurnOp, Quote, ReplicaTier, TwoTierWeights,
-    Verifier,
+    device_row_digest, AttestationPolicy, AttestedRegistry, ChurnDelta, ChurnOp, Quote,
+    ReplicaTier, TwoTierWeights, Verifier,
 };
 use fi_entropy::incremental::weighted_entropy_bits;
+use fi_types::hash::SetDigest;
 use fi_types::{sha256, KeyPair, ReplicaId, SimTime, VotingPower};
+use proptest::prelude::*;
 
 /// A verifiable quote over `measurement`, with a verifier that trusts it.
 fn verified_quote(seed: u64, measurement: &[u8]) -> (Quote, Verifier) {
@@ -362,4 +364,150 @@ fn quote_and_preverified_paths_record_identical_deltas() {
     assert_eq!(a.sorted_buckets(), b.sorted_buckets());
     assert_eq!(a.sorted_roster(), b.sorted_roster());
     assert_eq!(a.opaque_delta(), b.opaque_delta());
+}
+
+/// The roster aggregate re-derived from scratch: every row `devices()`
+/// yields, hashed here. `devices()` iterates a `HashMap`, which is fine —
+/// the aggregate is a commutative sum.
+fn refold(reg: &AttestedRegistry) -> SetDigest {
+    let mut agg = SetDigest::EMPTY;
+    for d in reg.devices() {
+        agg.insert(&device_row_digest(&d));
+    }
+    agg
+}
+
+/// Churn over a deliberately tiny id / measurement / power space, so
+/// random interleavings keep hitting the collapsing cases: re-registration
+/// with an identical row, deregister of an absent device,
+/// register→deregister inside one epoch, and attested↔unattested flips.
+fn churn_op() -> impl Strategy<Value = ChurnOp> {
+    (0u8..3, 0u64..6, 0u8..3, 1u64..4).prop_map(|(kind, id, cfg, power)| {
+        let replica = ReplicaId::new(id);
+        match kind {
+            0 => ChurnOp::attest(
+                replica,
+                sha256(format!("cfg-{cfg}").as_bytes()),
+                VotingPower::new(power * 10),
+            ),
+            1 => ChurnOp::Unattested {
+                replica,
+                power: VotingPower::new(power * 10),
+            },
+            _ => ChurnOp::Deregister { replica },
+        }
+    })
+}
+
+proptest! {
+    // Pinned case count: the vendored proptest runner derives every case
+    // seed from the test name, so this suite is reproducible bit-for-bit.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The write-time aggregate never drifts from a from-scratch fold, and
+    /// the drained deltas' row changes account for every move it makes —
+    /// per shard, and summed across shards merged in either order.
+    #[test]
+    fn roster_digest_equals_refold_and_drained_row_changes(
+        epochs in proptest::collection::vec(
+            proptest::collection::vec(churn_op(), 0..12),
+            1..6,
+        ),
+        merge_reversed in any::<bool>(),
+    ) {
+        const SHARDS: usize = 3;
+        let weights = TwoTierWeights::new(1.0, 0.5);
+        let mut whole = AttestedRegistry::new(weights);
+        let mut shards: Vec<AttestedRegistry> =
+            (0..SHARDS).map(|_| AttestedRegistry::new(weights)).collect();
+        // What a sealer would hold: the aggregate as of the last cut.
+        let mut sealed_whole = SetDigest::EMPTY;
+        let mut sealed_fleet = SetDigest::EMPTY;
+
+        for ops in &epochs {
+            for op in ops {
+                whole.apply(op);
+                shards[(op.replica().as_u64() % SHARDS as u64) as usize].apply(op);
+                prop_assert_eq!(whole.roster_digest(), refold(&whole));
+            }
+
+            // Undrained: the pending delta already explains the move.
+            let mut pending = sealed_whole;
+            pending.add(whole.pending_delta().row_digest_change());
+            prop_assert_eq!(pending, whole.roster_digest());
+
+            sealed_whole.add(whole.take_delta().row_digest_change());
+            prop_assert_eq!(sealed_whole, whole.roster_digest());
+            prop_assert_eq!(whole.roster_digest(), refold(&whole), "draining moved the aggregate");
+
+            let mut drained: Vec<ChurnDelta> =
+                shards.iter_mut().map(AttestedRegistry::take_delta).collect();
+            if merge_reversed {
+                drained.reverse();
+            }
+            let mut merged = ChurnDelta::default();
+            for delta in drained {
+                merged.merge(delta);
+            }
+            sealed_fleet.add(merged.row_digest_change());
+            let mut shard_sum = SetDigest::EMPTY;
+            for shard in &shards {
+                prop_assert_eq!(shard.roster_digest(), refold(shard));
+                shard_sum.add(shard.roster_digest());
+            }
+            prop_assert_eq!(sealed_fleet, shard_sum);
+            prop_assert_eq!(shard_sum, whole.roster_digest());
+        }
+    }
+}
+
+#[test]
+fn collapsing_churn_leaves_no_row_digest_residue() {
+    let m = sha256(b"cfg-a");
+    let r = ReplicaId::new(4);
+    let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+    reg.apply(&ChurnOp::attest(r, m, VotingPower::new(10)));
+    let _ = reg.take_delta();
+
+    // Identical re-registration: a touched device, a zero row change.
+    reg.apply(&ChurnOp::attest(r, m, VotingPower::new(10)));
+    let delta = reg.take_delta();
+    assert_eq!(delta.touched_devices(), 1);
+    assert_eq!(delta.row_digest_change(), SetDigest::EMPTY);
+
+    // Deregistering an absent device touches nothing at all.
+    reg.apply(&ChurnOp::Deregister {
+        replica: ReplicaId::new(99),
+    });
+    assert!(reg.take_delta().is_empty());
+
+    // Register → deregister inside one epoch nets to zero.
+    let visitor = ReplicaId::new(5);
+    reg.apply(&ChurnOp::Unattested {
+        replica: visitor,
+        power: VotingPower::new(7),
+    });
+    reg.apply(&ChurnOp::Deregister { replica: visitor });
+    assert_eq!(reg.take_delta().row_digest_change(), SetDigest::EMPTY);
+
+    // A tier flip swaps one row digest for another.
+    reg.apply(&ChurnOp::Unattested {
+        replica: r,
+        power: VotingPower::new(10),
+    });
+    let mut expected = SetDigest::EMPTY;
+    expected.remove(&device_row_digest(&fi_attest::RegisteredDevice {
+        replica: r,
+        tier: ReplicaTier::Attested,
+        measurement: Some(m),
+        power: VotingPower::new(10),
+    }));
+    expected.insert(&device_row_digest(&fi_attest::RegisteredDevice {
+        replica: r,
+        tier: ReplicaTier::Unattested,
+        measurement: None,
+        power: VotingPower::new(10),
+    }));
+    assert_eq!(reg.take_delta().row_digest_change(), expected);
+    assert_eq!(reg.roster_digest(), refold(&reg));
 }

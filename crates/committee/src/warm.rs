@@ -25,21 +25,15 @@
 //! winner differs (the previous member was churned away or genuinely
 //! displaced), the remaining rounds are pruned-engine repairs seeded with
 //! the verified prefix — never a cold re-sort. When churn is so heavy that
-//! replay cannot pay for itself, [`warm_greedy`] skips straight to the
-//! cold pruned selection (see [`WarmReport::fell_back`]).
+//! replay cannot pay for itself — more churned rows than the
+//! `k · configs` bands a cold selection walks — [`warm_greedy`] skips
+//! straight to the cold pruned selection (see [`WarmReport::fell_back`]).
 
 use fi_types::ReplicaId;
 use serde::{Deserialize, Serialize};
 
 use crate::candidate::{Candidate, Committee};
 use crate::pruned::{ChallengerSet, PrunedRoster, SelectionRun};
-
-/// Churn threshold for attempting a replay at all: verification costs
-/// O(k · churn), so once the churned set approaches a meaningful fraction
-/// of the roster the cold pruned path is cheaper *and* has no divergence
-/// risk to pay for. `churned · 8 > roster` (≈ 12.5%) is far above any
-/// steady-state epoch.
-const FALLBACK_CHURN_DENOMINATOR: usize = 8;
 
 /// How a warm-start selection was produced — the serving bench and the
 /// differential suites use this to assert the fast path actually ran.
@@ -93,7 +87,14 @@ pub fn warm_greedy(
         churned.windows(2).all(|w| w[0] < w[1]),
         "churned replicas must be sorted"
     );
-    if churned.len() * FALLBACK_CHURN_DENOMINATOR > roster.len() {
+    // Replay-or-not is decided by the two engines' own costs, not by a
+    // share of the roster: resolving and grouping the churned rows is
+    // O(churned · log n) before the first round, while the pruned engine
+    // selects cold in O(k · configs · log L) band walks regardless of
+    // churn. Once the churned set outnumbers the rows a cold selection
+    // would even look at, replay cannot pay for itself — and the cold path
+    // has no divergence to repair.
+    if churned.len() > k.saturating_mul(roster.num_configs()) {
         return (
             roster.select(k),
             WarmReport {
@@ -238,14 +239,26 @@ mod tests {
     fn heavy_churn_falls_back_to_cold_selection() {
         let candidates = sorted_roster(pool(40));
         let roster = PrunedRoster::build(&candidates);
-        let previous = greedy_diverse(&candidates, 8);
-        // 10 of 40 replicas churned (untouched rows are a legal, if
-        // pessimistic, churn report) → over the 1/8 threshold.
-        let churned: Vec<ReplicaId> = (0..10u64).map(ReplicaId::new).collect();
-        let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &churned, 8);
+        let previous = greedy_diverse(&candidates, 2);
+        // 11 configurations × k = 2 is 22 band walks for a cold selection;
+        // 23 churned replicas (untouched rows are a legal, if pessimistic,
+        // churn report) cost more than that just to resolve.
+        let threshold = 2 * roster.num_configs();
+        let churned: Vec<ReplicaId> = (0..=threshold as u64).map(ReplicaId::new).collect();
+        let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &churned, 2);
         assert!(report.fell_back);
         assert_eq!(report.replayed, 0);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 8).members());
+        assert_eq!(warm.members(), greedy_diverse(&candidates, 2).members());
+        // One fewer churned row is still worth replaying.
+        let (warm, report) = warm_greedy(
+            &roster,
+            &candidates,
+            previous.members(),
+            &churned[..threshold],
+            2,
+        );
+        assert!(!report.fell_back);
+        assert_eq!(warm.members(), greedy_diverse(&candidates, 2).members());
     }
 
     #[test]

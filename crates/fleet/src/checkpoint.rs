@@ -41,7 +41,7 @@ use fi_types::codec::{read_header, write_header, Decode, Encode, Reader};
 use fi_types::{crc32, Digest, VotingPower};
 
 use crate::error::CheckpointError;
-use crate::snapshot::EpochSnapshot;
+use crate::snapshot::{roster_aggregate, EpochSnapshot};
 
 /// Magic prefix of every checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FICKPT01";
@@ -105,12 +105,16 @@ impl Checkpoint {
                 }
             }
         }
+        // Re-hashed from the stored rows, never read from a live registry:
+        // the content-hash check below is only a check if it is independent
+        // of the write-time aggregates that produced the recorded hash.
         let snapshot = EpochSnapshot::build(
             self.epoch,
             self.weights,
             rows,
             self.opaque,
             self.devices.clone(),
+            roster_aggregate(&self.devices),
         );
         if snapshot.content_hash() != self.content_hash {
             return Err(CheckpointError::HashMismatch {

@@ -20,7 +20,11 @@
 //! remains the cold-start path (epoch 1) and the periodic re-anchor — every
 //! `R` seals ([`ShardedFleet::with_reanchor_interval`]) — which re-zeroes
 //! the entropy accumulator's floating-point drift. Both paths produce the
-//! byte-identical canonical form (buckets, rosters, content hash).
+//! byte-identical canonical form (buckets, rosters, content hash). Neither
+//! hashes a roster row: each shard's registry hashes a row when it writes
+//! it, so the differential seal adds the drained deltas' net row-digest
+//! change and the re-anchor adds up the shards' running aggregates (see
+//! [`crate::snapshot`]).
 //!
 //! The cut itself is brief: the sealer waits for in-flight batches (a batch
 //! gate makes whole batches atomic with respect to the cut, even when their
@@ -46,13 +50,14 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use fi_attest::{AttestedRegistry, ChurnDelta, ChurnOp, RegisteredDevice, TwoTierWeights};
+use fi_types::hash::SetDigest;
 use fi_types::{Digest, ReplicaId, VotingPower};
 
 use crate::cache::SelectionCache;
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::{FleetConfigError, IngestError, SealError};
 use crate::publish::{SnapshotCell, SnapshotHandle};
-use crate::snapshot::EpochSnapshot;
+use crate::snapshot::{roster_aggregate, EpochSnapshot};
 use crate::wal::{ChurnLog, WalRecord};
 
 /// The default re-anchor cadence: one full (from-scratch) snapshot rebuild
@@ -62,11 +67,13 @@ use crate::wal::{ChurnLog, WalRecord};
 pub const DEFAULT_REANCHOR_INTERVAL: u64 = 32;
 
 /// One shard's complete state as copied at a re-anchor cut: its bucket
-/// rows, opaque power, and device roster.
+/// rows, opaque power, device roster, and the roster's write-time
+/// row-digest aggregate.
 type ShardRows = (
     Vec<(Digest, VotingPower)>,
     VotingPower,
     Vec<RegisteredDevice>,
+    SetDigest,
 );
 
 /// What the epoch cut captured for one seal, decided under the seal lock
@@ -332,6 +339,17 @@ impl ShardedFleet {
             .store(snapshot.device_count() as i64, Ordering::Relaxed);
         self.current.publish(&snapshot);
         lock_recover(&self.publish_state).published = epoch;
+    }
+
+    /// The sum of the shards' write-time roster aggregates — what the next
+    /// re-anchor would seal over.
+    #[cfg(test)]
+    pub(crate) fn shard_roster_digest_sum(&self) -> SetDigest {
+        let mut sum = SetDigest::EMPTY;
+        for shard in &self.shards {
+            sum.add(lock_recover(shard).roster_digest());
+        }
+        sum
     }
 
     /// Appends one record to the write-ahead log of a durable fleet.
@@ -758,6 +776,7 @@ impl ShardedFleet {
                             shard.bucket_rows().collect(),
                             shard.unattested_power(),
                             shard.devices().collect(),
+                            shard.roster_digest(),
                         )
                     })
                     .collect();
@@ -779,19 +798,30 @@ impl ShardedFleet {
                 let mut rows = BTreeMap::new();
                 let mut opaque = VotingPower::ZERO;
                 let mut devices = Vec::new();
-                for (shard_rows, shard_opaque, shard_devices) in per_shard {
+                // Shards own disjoint devices, so the fleet's roster
+                // aggregate is the sum of theirs: the re-anchor hashes no
+                // roster row.
+                let mut device_agg = SetDigest::EMPTY;
+                for (shard_rows, shard_opaque, shard_devices, shard_agg) in per_shard {
                     for (m, p) in shard_rows {
                         *rows.entry(m).or_insert(VotingPower::ZERO) += p;
                     }
                     opaque += shard_opaque;
                     devices.extend(shard_devices);
+                    device_agg.add(shard_agg);
                 }
+                debug_assert_eq!(
+                    device_agg,
+                    roster_aggregate(&devices),
+                    "shard write-time aggregates diverged from a from-scratch fold"
+                );
                 Arc::new(EpochSnapshot::build(
                     epoch,
                     self.weights,
                     rows,
                     opaque,
                     devices,
+                    device_agg,
                 ))
             }
             SealWork::Differential(delta) => {

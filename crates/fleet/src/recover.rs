@@ -418,6 +418,63 @@ mod tests {
     }
 
     #[test]
+    fn shard_roster_aggregates_survive_checkpoint_restore() {
+        // Restore re-ingests the checkpointed roster (hashing each row as
+        // it is written) and then `restore_published` throws the replay
+        // deltas away. The shards' *absolute* aggregates must come through
+        // that: the next differential seal adds onto the checkpointed
+        // snapshot's aggregate, and the next re-anchor seals over the
+        // shard sums with no roster hashing to fall back on.
+        use crate::snapshot::{roster_aggregate, EpochSnapshot};
+        use fi_attest::AttestedRegistry;
+
+        let dir = tmpdir("aggregate");
+        let trace = churn_trace(&ChurnTraceConfig::new(300, 900));
+        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(4);
+        let mut oracle = AttestedRegistry::new(TwoTierWeights::flat());
+        let (sealed, rest) = trace.split_at(800);
+        {
+            let (fleet, _) =
+                ShardedFleet::open_durable(4, TwoTierWeights::flat(), 3, config.clone()).unwrap();
+            for batch in sealed.chunks(200) {
+                fleet.ingest_batch(batch);
+                oracle.apply_batch(batch);
+                fleet.seal_epoch();
+            }
+        }
+
+        let (fleet, report) =
+            ShardedFleet::open_durable(4, TwoTierWeights::flat(), 3, config).unwrap();
+        assert_eq!(report.checkpoint_epoch, Some(4));
+        assert_eq!(
+            report.replayed_epochs, 0,
+            "the checkpoint is the newest epoch"
+        );
+        assert_eq!(
+            fleet.shard_roster_digest_sum(),
+            roster_aggregate(fleet.snapshot().devices()),
+            "restored shards must carry the checkpointed roster's aggregate"
+        );
+
+        // Epoch 5 seals differentially onto the restored snapshot; epoch 6
+        // is a re-anchor over the shard aggregates.
+        for (batch, full) in rest.chunks(200).zip([false, true]) {
+            fleet.ingest_batch(batch);
+            oracle.apply_batch(batch);
+            let snap = fleet.seal_epoch();
+            assert_eq!(snap.parent_hash().is_none(), full, "epoch {}", snap.epoch());
+            assert_eq!(
+                snap.content_hash(),
+                EpochSnapshot::from_registry(&oracle, snap.epoch()).content_hash(),
+                "first post-recovery {} seal diverged from the oracle",
+                if full { "re-anchor" } else { "differential" }
+            );
+        }
+        assert_eq!(fleet.published_epoch(), 6);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn pending_tail_ops_land_in_the_next_epoch() {
         let dir = tmpdir("pending");
         let config = DurabilityConfig::new(&dir);

@@ -24,16 +24,35 @@
 //! re-anchor path. The **differential patch**
 //! ([`EpochSnapshot::apply_delta`]) applies one epoch's merged
 //! [`ChurnDelta`] to the previous snapshot in O(changed · log n): integer
-//! bucket/roster/opaque content (and therefore the content hash, whose
-//! per-row digests aggregate through an invertible
-//! [`SetDigest`](fi_types::hash::SetDigest) sum) comes out byte-identical
-//! to the full build; only the spliced accumulator's float state may
-//! differ, within the engine's `1e-9` envelope, until the next re-anchor
-//! re-zeroes it.
+//! bucket/roster/opaque content (and therefore the content hash) comes out
+//! byte-identical to the full build; only the spliced accumulator's float
+//! state may differ, within the engine's `1e-9` envelope, until the next
+//! re-anchor re-zeroes it.
+//!
+//! **Who hashes what, and when.** The content hash folds two
+//! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
+//! over bucket rows, one over device-roster rows. The device row digest is
+//! defined in `fi-attest` ([`device_row_digest`]) and computed by the
+//! [`AttestedRegistry`] exactly once per row, when a shard worker writes
+//! it; the registry keeps a running sum over its rows
+//! ([`AttestedRegistry::roster_digest`]) and records the net change since
+//! the last cut in its [`ChurnDelta`]. Sealing is then arithmetic: a
+//! differential seal adds the merged delta's
+//! [`row_digest_change`](ChurnDelta::row_digest_change) to the previous
+//! device aggregate, and a fleet re-anchor hands [`build`](EpochSnapshot::build)
+//! the sum of the shards' running sums. The only hashing left at a seal is
+//! the bucket rows (dozens, and only the dirty ones on the differential
+//! path) and the final fold. The oracle paths deliberately do *not* trust
+//! that bookkeeping: [`EpochSnapshot::from_registry`] and checkpoint
+//! rebuilds (`roster_aggregate`) re-hash every row from scratch, so the
+//! differential suites and the self-verifying checkpoint stay independent
+//! of the incremental path they check.
 
 use std::collections::BTreeMap;
 
-use fi_attest::{AttestedRegistry, ChurnDelta, RegisteredDevice, TwoTierWeights};
+use fi_attest::{
+    device_row_digest, AttestedRegistry, ChurnDelta, RegisteredDevice, TwoTierWeights,
+};
 use fi_committee::{
     two_tier_weighted, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport,
 };
@@ -124,32 +143,31 @@ fn bucket_row_digest(measurement: &Digest, power: VotingPower) -> Digest {
     h.finalize()
 }
 
-/// The canonical digest of one device-roster row.
-fn device_row_digest(d: &RegisteredDevice) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"D");
-    h.update(d.replica.as_u64().to_be_bytes());
-    h.update(d.power.as_units().to_be_bytes());
-    match d.measurement {
-        Some(m) => {
-            h.update([1]);
-            h.update(m.as_bytes());
-        }
-        None => h.update([0]),
+/// The device-roster aggregate computed from scratch: one
+/// [`device_row_digest`] per row. This is the oracle's half of the
+/// bargain — [`EpochSnapshot::from_registry`] and checkpoint rebuilds call
+/// it so they never depend on aggregates maintained at write time.
+pub(crate) fn roster_aggregate(devices: &[RegisteredDevice]) -> SetDigest {
+    let mut agg = SetDigest::EMPTY;
+    for d in devices {
+        agg.insert(&device_row_digest(d));
     }
-    h.finalize()
+    agg
 }
 
 impl EpochSnapshot {
     /// The canonical builder all sealing paths share: merged bucket rows
-    /// (keyed — hence sorted — by digest), the summed opaque power, and the
-    /// collected device roster (sorted here).
+    /// (keyed — hence sorted — by digest), the summed opaque power, the
+    /// collected device roster (sorted here), and the roster's row-digest
+    /// aggregate — summed from the shards' write-time aggregates by the
+    /// fleet, recomputed with [`roster_aggregate`] by the oracle paths.
     pub(crate) fn build(
         epoch: u64,
         weights: TwoTierWeights,
         rows: BTreeMap<Digest, VotingPower>,
         opaque: VotingPower,
         mut devices: Vec<RegisteredDevice>,
+        device_agg: SetDigest,
     ) -> EpochSnapshot {
         let buckets: Vec<(Digest, VotingPower)> = rows.into_iter().collect();
         devices.sort_unstable_by_key(|d| d.replica);
@@ -187,10 +205,6 @@ impl EpochSnapshot {
         for &(m, p) in &buckets {
             bucket_agg.insert(&bucket_row_digest(&m, p));
         }
-        let mut device_agg = SetDigest::EMPTY;
-        for d in &devices {
-            device_agg.insert(&device_row_digest(d));
-        }
         let content_hash =
             Self::finalize_content(buckets.len(), bucket_agg, opaque, devices.len(), device_agg);
         EpochSnapshot {
@@ -218,10 +232,9 @@ impl EpochSnapshot {
     ///
     /// Each row set enters through an order-independent, invertible
     /// [`SetDigest`] aggregate of per-row SHA-256 digests (row counts are
-    /// bound separately), so the differential sealer maintains the hash in
-    /// O(changed rows) — subtract departed rows, add arrived ones — while a
-    /// from-scratch build over the same rows produces the byte-identical
-    /// digest.
+    /// bound separately), so the hash is maintainable by addition —
+    /// departed rows subtract, arrived rows add — while a from-scratch
+    /// fold over the same rows produces the byte-identical digest.
     fn finalize_content(
         bucket_count: usize,
         bucket_agg: SetDigest,
@@ -240,19 +253,27 @@ impl EpochSnapshot {
     }
 
     /// Seals a single, un-sharded registry — the differential oracle's path
-    /// into snapshot space, and the degenerate one-shard fleet's.
+    /// into snapshot space. It re-hashes every roster row rather than
+    /// reading [`AttestedRegistry::roster_digest`], so it stays an
+    /// independent check on the write-time aggregates the fleet seals from.
     #[must_use]
     pub fn from_registry(registry: &AttestedRegistry, epoch: u64) -> EpochSnapshot {
         let mut rows: BTreeMap<Digest, VotingPower> = BTreeMap::new();
         for (m, p) in registry.bucket_rows() {
             *rows.entry(m).or_insert(VotingPower::ZERO) += p;
         }
+        let devices: Vec<RegisteredDevice> = registry.devices().collect();
+        // `devices()` yields the registry's `HashMap` order; the aggregate
+        // is a commutative sum, so folding it before `build` sorts the
+        // roster is order-independent.
+        let device_agg = roster_aggregate(&devices);
         EpochSnapshot::build(
             epoch,
             registry.weights(),
             rows,
             registry.unattested_power(),
-            registry.devices().collect(),
+            devices,
+            device_agg,
         )
     }
 
@@ -260,22 +281,34 @@ impl EpochSnapshot {
     /// first seal).
     #[must_use]
     pub fn empty(weights: TwoTierWeights) -> EpochSnapshot {
-        EpochSnapshot::build(0, weights, BTreeMap::new(), VotingPower::ZERO, Vec::new())
+        EpochSnapshot::build(
+            0,
+            weights,
+            BTreeMap::new(),
+            VotingPower::ZERO,
+            Vec::new(),
+            SetDigest::EMPTY,
+        )
     }
 
     /// Patches this snapshot with one epoch's merged [`ChurnDelta`],
     /// producing the `epoch` snapshot in O(changed · log n) structural work
     /// — dirty buckets and touched devices are located by binary search /
-    /// sorted merge walk — plus the unavoidable O(n) canonical re-hash and
-    /// vector copies, instead of the O(fleet) shard re-merge a full
-    /// [`build`](Self::build) pays.
+    /// sorted merge walk — plus O(n) vector copies, instead of the O(fleet)
+    /// shard re-merge and index rebuild a full [`build`](Self::build) pays.
+    /// No roster row is hashed here: the registry hashed each touched row
+    /// when it wrote it, and the delta carries the net of those digests
+    /// ([`ChurnDelta::row_digest_change`]), which is added to this
+    /// snapshot's device aggregate. Only dirty bucket rows are hashed.
     ///
     /// **Bit-identity invariant.** Bucket powers, member counts, the
-    /// roster, and the opaque power are integer sums, so the patched
-    /// canonical form — and therefore [`content_hash`](Self::content_hash)
-    /// — is *byte-identical* to a from-scratch build over the same fleet
-    /// content; `fleet_differential.rs` enforces this at every intermediate
-    /// epoch. Only the [`EntropyAccumulator`]'s `Σ w·log2 w` term is
+    /// roster, and the opaque power are integer sums and the row aggregates
+    /// are modular sums, so the patched canonical form — and therefore
+    /// [`content_hash`](Self::content_hash) — is *byte-identical* to a
+    /// from-scratch build over the same fleet content;
+    /// `fleet_differential.rs` enforces this at every intermediate epoch
+    /// against [`from_registry`](Self::from_registry), which re-hashes
+    /// every row. Only the [`EntropyAccumulator`]'s `Σ w·log2 w` term is
     /// floating-point: it is spliced incrementally (equal to the canonical
     /// rebuild within the engine's `1e-9` drift envelope) and re-zeroed
     /// whenever the sealer re-anchors with a full rebuild.
@@ -323,7 +356,10 @@ impl EpochSnapshot {
         let mut removals: Vec<usize> = Vec::new();
         let mut insertions: Vec<(usize, u64)> = Vec::new();
         let mut bucket_agg = self.bucket_agg;
+        // The roster rows were hashed where they were written; their net
+        // change is the delta's to report.
         let mut device_agg = self.device_agg;
+        device_agg.add(delta.row_digest_change());
 
         let (mut i, mut j) = (0, 0);
         while i < old_buckets.len() || j < dirty.len() {
@@ -507,12 +543,10 @@ impl EpochSnapshot {
                     let c = patched_candidate(&d)?;
                     candidates.push(c);
                     arrivals.push(c);
-                    device_agg.insert(&device_row_digest(&d));
                 }
                 // A `None` state for an absent device is a tolerated no-op
                 // (a deregister of a never-registered replica).
                 if di < self.devices.len() && self.devices[di].replica == replica {
-                    device_agg.remove(&device_row_digest(&self.devices[di]));
                     departed.push(self.candidates[di]);
                     di += 1;
                 }
@@ -536,8 +570,7 @@ impl EpochSnapshot {
         // 4. Opaque power (integer-exact, range-checked here rather than
         //    through `patched_opaque`, which panics on an unchained delta)
         //    and the content hash finalised over the patched row
-        //    aggregates — byte-identical to a full rebuild's, in
-        //    O(changed rows) instead of O(fleet).
+        //    aggregates — byte-identical to a full rebuild's.
         let opaque_units = i128::from(self.opaque.as_units()) + delta.opaque_delta();
         if opaque_units < 0 {
             return Err(corrupt(

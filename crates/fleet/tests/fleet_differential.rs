@@ -26,7 +26,7 @@
 
 use fi_attest::{AttestedRegistry, ChurnOp, TwoTierWeights};
 use fi_committee::greedy::greedy_diverse_naive;
-use fi_fleet::{EpochSnapshot, SelectionCache, ShardedFleet};
+use fi_fleet::{churn_trace, ChurnTraceConfig, EpochSnapshot, SelectionCache, ShardedFleet};
 use fi_types::{sha256, ReplicaId, VotingPower};
 use proptest::prelude::*;
 
@@ -368,5 +368,44 @@ proptest! {
                 previous[i] = Some((snap.content_hash(), (*cached).clone()));
             }
         }
+    }
+}
+
+/// A fleet re-anchor no longer hashes the roster: it sums the shards'
+/// write-time row-digest aggregates, which by then have lived through
+/// differential epochs of in/out moves and delta drains. The oracle
+/// ([`EpochSnapshot::from_registry`]) still hashes every row from scratch,
+/// so equal content hashes here mean the summed aggregates are right —
+/// checked with plain `assert!`s so a `--release` run checks it too (the
+/// fleet's own cross-check is a `debug_assert`).
+#[test]
+fn reanchors_over_shard_aggregates_hash_like_the_rehashing_oracle() {
+    const REANCHOR_EVERY: u64 = 4;
+    let trace = churn_trace(&ChurnTraceConfig::new(400, 2_000));
+    for shards in SHARD_COUNTS {
+        let fleet = ShardedFleet::with_reanchor_interval(shards, weights(), REANCHOR_EVERY);
+        let mut oracle = AttestedRegistry::new(weights());
+        let mut full_seals = 0;
+        for batch in trace.chunks(200) {
+            fleet.ingest_batch(batch);
+            oracle.apply_batch(batch);
+            let snap = fleet.seal_epoch();
+            let full = snap.epoch() == 1 || snap.epoch().is_multiple_of(REANCHOR_EVERY);
+            assert_eq!(
+                snap.parent_hash().is_none(),
+                full,
+                "epoch {} took the wrong sealing path",
+                snap.epoch()
+            );
+            full_seals += usize::from(full);
+            assert_eq!(
+                snap.content_hash(),
+                EpochSnapshot::from_registry(&oracle, snap.epoch()).content_hash(),
+                "{} seal at epoch {} diverged from the oracle at {shards} shards",
+                if full { "full" } else { "differential" },
+                snap.epoch()
+            );
+        }
+        assert_eq!(full_seals, 4, "epochs 1, 4, 8 and 12 re-anchor");
     }
 }

@@ -127,8 +127,22 @@ impl SetDigest {
 
     /// Folds `digest` into the aggregate (mod-2²⁵⁶ addition).
     pub fn insert(&mut self, digest: &Digest) {
+        self.add_limbs(Self::limbs_of(digest));
+    }
+
+    /// Adds another aggregate into this one — the group operation itself.
+    /// The aggregate of a disjoint union is the sum of the parts'
+    /// aggregates, and a *net change* (rows in − rows out, built with
+    /// [`insert`](Self::insert)/[`remove`](Self::remove) from
+    /// [`EMPTY`](Self::EMPTY)) adds onto the aggregate it was recorded
+    /// against; both are how `fi-fleet` seals without re-hashing rows.
+    pub fn add(&mut self, other: SetDigest) {
+        self.add_limbs(other.limbs);
+    }
+
+    fn add_limbs(&mut self, addend: [u64; 4]) {
         let mut carry = 0u64;
-        for (limb, add) in self.limbs.iter_mut().zip(Self::limbs_of(digest)) {
+        for (limb, add) in self.limbs.iter_mut().zip(addend) {
             let (sum, c1) = limb.overflowing_add(add);
             let (sum, c2) = sum.overflowing_add(carry);
             *limb = sum;
@@ -267,15 +281,17 @@ impl Sha256 {
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.length_bytes.wrapping_mul(8);
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update([0x80u8]);
-        // `update` tracks length; rewind the padding's contribution.
-        self.length_bytes -= 1;
-        while self.buffered != 56 {
-            self.update([0u8]);
-            self.length_bytes -= 1;
-        }
+        // `update` compresses a block the moment it fills, so
+        // `buffered < 64` and the 0x80 byte always fits.
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            self.compress(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; 32];
@@ -405,6 +421,41 @@ mod tests {
     }
 
     #[test]
+    fn set_digest_add_sums_disjoint_parts_and_net_changes() {
+        let rows: Vec<Digest> = (0..5).map(|i| sha256(format!("r{i}").as_bytes())).collect();
+        let fold = |rows: &[Digest]| {
+            let mut agg = SetDigest::EMPTY;
+            for r in rows {
+                agg.insert(r);
+            }
+            agg
+        };
+        // Disjoint union: parts add up in either order.
+        let (left, right) = rows.split_at(2);
+        let mut sum = fold(left);
+        sum.add(fold(right));
+        assert_eq!(sum, fold(&rows));
+        let mut flipped = fold(right);
+        flipped.add(fold(left));
+        assert_eq!(flipped, sum);
+        // A net change recorded from EMPTY (one row out, one in) wraps
+        // below zero and still lands exactly when added onto its base.
+        let mut change = SetDigest::EMPTY;
+        change.remove(&rows[1]);
+        change.insert(&rows[4]);
+        let mut patched = fold(&rows[..4]);
+        patched.add(change);
+        assert_eq!(patched, fold(&[rows[0], rows[2], rows[3], rows[4]]));
+        // Carries cross every limb.
+        let mut ones = SetDigest::EMPTY;
+        ones.insert(&Digest([0xFF; 32]));
+        let mut twice = ones;
+        twice.add(ones);
+        twice.remove(&Digest([0xFF; 32]));
+        assert_eq!(twice, ones);
+    }
+
+    #[test]
     fn set_digest_carry_propagates_across_limbs() {
         // An all-ones digest added twice forces carries through every limb;
         // the subtraction must undo it exactly.
@@ -462,6 +513,38 @@ mod tests {
             sha256(&data).to_string(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn padding_boundary_vectors() {
+        // Message lengths around the padding edges: 55 is the longest
+        // message whose pad and length share its block, 56..=63 spill the
+        // length into a second block, 64 pads an empty buffer, and 119 is
+        // the 55 case one block later.
+        for (len, expect) in [
+            (
+                55usize,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+        ] {
+            assert_eq!(sha256(vec![b'a'; len]).to_string(), expect, "len {len}");
+        }
     }
 
     #[test]
