@@ -73,16 +73,17 @@ impl From<WalError> for IngestError {
 /// Why an epoch seal failed.
 ///
 /// Returned by [`ShardedFleet::try_seal_epoch`](crate::ShardedFleet::try_seal_epoch).
-/// A failed seal does **not** advance the epoch: the fleet keeps serving
-/// the last published snapshot, ingest keeps working, and the next seal
-/// re-anchors with a full rebuild from the authoritative shard state.
+/// A seal that fails before publication does **not** commit its epoch: the
+/// fleet keeps serving the last published snapshot, ingest keeps working,
+/// and if a delta was already drained the next seal re-anchors with a full
+/// rebuild from the authoritative shard state.
 #[derive(Debug)]
 pub enum SealError {
     /// The accumulated churn delta does not chain onto the previous
     /// published snapshot — a corrupt or misdirected delta. The message
     /// carries the first inconsistency found.
     CorruptDelta {
-        /// The epoch whose seal was rejected (the epoch counter rolled back).
+        /// The epoch whose seal was rejected (the epoch was not committed).
         epoch: u64,
         /// Which chain invariant the delta violated.
         detail: String,

@@ -26,28 +26,28 @@
 //! change and the re-anchor adds up the shards' running aggregates (see
 //! [`crate::snapshot`]).
 //!
-//! The cut itself is brief: the sealer waits for in-flight batches (a batch
-//! gate makes whole batches atomic with respect to the cut, even when their
-//! sub-batches touch different shards), locks all shards, drains the deltas
-//! (or copies the full rows on re-anchor epochs), and assigns the epoch
-//! number — all under a dedicated seal mutex. The expensive snapshot
-//! construction happens *outside* every lock, so a slow rebuild stalls
-//! neither ingest nor later sealers' cuts; publication then re-serialises
-//! through an epoch-ordered handoff, so the served snapshot never moves
-//! backwards even under concurrent sealers. The handoff lands in the
+//! A seal has one owner. It takes the seal mutex and holds it through five
+//! phases: **cut** (wait out in-flight batches behind the batch gate, which
+//! makes whole batches atomic with respect to the cut even when their
+//! sub-batches touch different shards; lock all shards; frame the cut
+//! marker; drain the deltas, or copy the full rows on re-anchor epochs),
+//! **build** (with the gate and the shard guards already dropped, so a slow
+//! rebuild never stalls ingest), **publish**, **record** and
+//! **checkpoint**. Concurrent callers serialise on that mutex, and the
+//! epoch is committed only at publication, so a seal that fails or panics
+//! before it leaves no hole: the next seal takes the same epoch number and
+//! rebuilds from the authoritative shards. Publication lands in the
 //! wait-free [`SnapshotCell`] (see [`crate::publish`]): readers clone the
 //! current `Arc<EpochSnapshot>` without taking any lock the sealer
 //! contends on, per-reader [`SnapshotHandle`]s serve steady-state
 //! monitoring queries without touching a shared cache line at all, and
 //! every query then runs entirely lock-free on the immutable snapshot
-//! while ingest continues on the shards. The seal-handoff locks recover
-//! explicitly from poisoning, so a panicking sealer degrades into the
-//! modelled chain-poison fail-fast instead of bricking the fleet.
+//! while ingest continues on the shards.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use fi_attest::{AttestedRegistry, ChurnDelta, ChurnOp, RegisteredDevice, TwoTierWeights};
 use fi_types::hash::SetDigest;
@@ -76,8 +76,8 @@ type ShardRows = (
     SetDigest,
 );
 
-/// What the epoch cut captured for one seal, decided under the seal lock
-/// and built into a snapshot outside it.
+/// What the epoch cut captured for one seal under the batch gate and the
+/// shard guards, built into a snapshot after they are dropped.
 enum SealWork {
     /// Re-anchor epochs: a complete copy of every shard's rows.
     Full { per_shard: Vec<ShardRows> },
@@ -116,7 +116,6 @@ pub struct ShardedFleet {
     /// Full-rebuild cadence: epoch 1 and every `reanchor_interval`-th epoch
     /// rebuild from scratch; `0` means "re-anchor never" (cold start only).
     reanchor_interval: u64,
-    epoch: AtomicU64,
     /// The wait-free publication point: an epoch-stamped double buffer
     /// readers clone from without taking any lock the sealer contends on.
     /// See [`crate::publish`] for the scheme and its monotonicity proof.
@@ -126,17 +125,10 @@ pub struct ShardedFleet {
     /// a batch whose sub-batches land on different shards is atomic with
     /// respect to both the epoch cut and the count sweep.
     batch_gate: RwLock<()>,
-    /// Serialises epoch cuts: delta draining / row copying and epoch
-    /// assignment happen as one unit per seal, so deltas chain onto the
-    /// right predecessor. Deliberately *not* held through snapshot
-    /// construction.
-    seal_lock: Mutex<()>,
-    /// The highest epoch whose snapshot has been published, plus the chain
-    /// poison flag. Sealers build outside the seal lock and then wait here
-    /// for their predecessor, so snapshots are published in strict epoch
-    /// order.
-    publish_state: Mutex<PublishState>,
-    publish_cv: Condvar,
+    /// Held by the one sealer at a time from its cut to its checkpoint, so
+    /// every delta is built onto the snapshot it was cut against and
+    /// snapshots are published in epoch order.
+    seal: Mutex<SealState>,
     /// Memoized committee selections keyed by fleet content — repeated
     /// quorum queries against one published epoch are O(1) `Arc` lookups,
     /// and epoch advances warm-chain through the differential parent. See
@@ -147,12 +139,6 @@ pub struct ShardedFleet {
     /// every batch tees into, plus the checkpoint cadence. `None` for
     /// in-memory fleets — every durability hook below is a no-op then.
     durability: Option<DurabilityState>,
-    /// Set when a seal was rejected ([`SealError::CorruptDelta`]) after
-    /// its delta had already been drained: the published chain no longer
-    /// reflects the drained churn, so the *next* seal must re-anchor with
-    /// a full rebuild from the authoritative shard state regardless of the
-    /// cadence.
-    force_reanchor: AtomicBool,
     /// Running registered-device total, maintained with **one** atomic add
     /// of the batch's net roster delta after the batch has fully applied
     /// (still inside its gate hold). Readers therefore only ever observe
@@ -182,55 +168,28 @@ pub(crate) struct DurabilityState {
     pub(crate) retain_checkpoints: usize,
 }
 
-/// Epoch-ordered publication state.
+/// What the seal mutex guards.
 #[derive(Debug)]
-struct PublishState {
-    /// The highest epoch whose snapshot readers can see.
-    published: u64,
-    /// Set when a sealer unwound between its cut and its publication: the
-    /// epoch it was assigned is a hole no later sealer can publish past,
-    /// so waiters fail fast instead of blocking forever.
-    poisoned: bool,
+struct SealState {
+    /// The epoch of the published snapshot. A seal works on `epoch + 1`
+    /// and commits it here only at publication, so a seal that fails
+    /// earlier consumes no epoch number.
+    epoch: u64,
+    /// Set before a seal drains the first shard delta, cleared at
+    /// publication. While set, the drained churn is in no published
+    /// snapshot — the seal was rejected ([`SealError::CorruptDelta`]) or
+    /// its thread died mid-build — so the next seal rebuilds in full from
+    /// the authoritative shard state regardless of the cadence.
+    reanchor_due: bool,
 }
 
-/// Poisons the publish chain if a sealer unwinds between its cut (epoch
-/// assigned) and its publication; disarmed on the success path.
-struct PublishChainGuard<'a> {
-    fleet: &'a ShardedFleet,
-    armed: bool,
-}
-
-impl PublishChainGuard<'_> {
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for PublishChainGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            // Never panic here: this runs during an unwind. Recover a
-            // poisoned state mutex too — the logical `poisoned` flag is
-            // the real protocol state, and setting it is exactly what
-            // lets waiters fail fast.
-            lock_recover(&self.fleet.publish_state).poisoned = true;
-            self.fleet.publish_cv.notify_all();
-        }
-    }
-}
-
-/// Seal-handoff lock acquisition with explicit poison recovery.
+/// Lock acquisition with explicit poison recovery.
 ///
-/// The seal/publish coordination locks guard *protocol* state (an empty
-/// seal token, the batch gate's `()`, the published-epoch counter + its
-/// logical poison flag) — none of which a panicking holder can leave
-/// half-written in a way the protocol does not already account for: chain
-/// holes are tracked by [`PublishState::poisoned`], which an unwinding
-/// sealer sets via its [`PublishChainGuard`]. Inheriting the `Mutex`'s
-/// *memory* poisoning on top of that turned one panicking sealer into a
-/// permanent brick for every later seal — and, before the wait-free read
-/// path, for every read. Recovery keeps the explicitly modelled failure
-/// semantics and drops the accidental ones. (The per-shard registry locks
+/// A panicking sealer cannot leave [`SealState`] in a state the seal path
+/// does not account for: the epoch moves only at publication, and
+/// `reanchor_due` is already set whenever a delta has been drained, so the
+/// seal after a sealer's panic is a full rebuild rather than a permanent
+/// failure. (The per-shard registry locks
 /// deliberately keep their `expect`s: those guard real data a panicking
 /// ingest worker *can* leave mid-batch.)
 fn lock_recover<'a, T>(lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -292,18 +251,14 @@ impl ShardedFleet {
                 .collect(),
             weights,
             reanchor_interval,
-            epoch: AtomicU64::new(0),
             current: SnapshotCell::new(Arc::new(EpochSnapshot::empty(weights))),
             batch_gate: RwLock::new(()),
-            seal_lock: Mutex::new(()),
-            publish_state: Mutex::new(PublishState {
-                published: 0,
-                poisoned: false,
+            seal: Mutex::new(SealState {
+                epoch: 0,
+                reanchor_due: false,
             }),
-            publish_cv: Condvar::new(),
             selection_cache: SelectionCache::default(),
             durability: None,
-            force_reanchor: AtomicBool::new(false),
             device_total: AtomicI64::new(0),
         }
     }
@@ -327,18 +282,16 @@ impl ShardedFleet {
     /// the epoch counter, and publishes the verified `snapshot` so the
     /// next differential seal chains onto it.
     pub(crate) fn restore_published(&self, snapshot: Arc<EpochSnapshot>) {
-        let epoch = snapshot.epoch();
+        let mut st = lock_recover(&self.seal);
         for shard in &self.shards {
             let _ = lock_recover(shard).take_delta();
         }
         // relaxed: recovery runs single-threaded, before the fleet is
-        // handed to any ingest or seal thread; nothing races these stores.
-        self.epoch.store(epoch, Ordering::Relaxed);
-        // relaxed: as above — recovery is pre-concurrency.
+        // handed to any ingest or seal thread; nothing races this store.
         self.device_total
             .store(snapshot.device_count() as i64, Ordering::Relaxed);
         self.current.publish(&snapshot);
-        lock_recover(&self.publish_state).published = epoch;
+        st.epoch = snapshot.epoch();
     }
 
     /// The sum of the shards' write-time roster aggregates — what the next
@@ -352,17 +305,31 @@ impl ShardedFleet {
         sum
     }
 
-    /// Appends one record to the write-ahead log of a durable fleet.
+    /// Frames one batch into the write-ahead log of a durable fleet.
     ///
-    /// Called *before* the record's batch touches any shard, so an `Err`
-    /// means the batch can be rejected cleanly: durability is decided
-    /// first, and the in-memory state only moves once the log accepted
-    /// the bytes. No-op on in-memory fleets.
-    fn wal_append(&self, record: &WalRecord) -> Result<(), IngestError> {
+    /// Called *before* the batch touches any shard, so an `Err` means the
+    /// batch can be rejected cleanly: durability is decided first, and the
+    /// in-memory state only moves once the log accepted the bytes. No-op
+    /// on in-memory fleets and for empty batches.
+    fn wal_append_batch(&self, ops: &[ChurnOp]) -> Result<(), IngestError> {
         if let Some(dur) = &self.durability {
-            lock_recover(&dur.log).append(record)?;
+            if !ops.is_empty() {
+                lock_recover(&dur.log).append(&WalRecord::Batch(ops.to_vec()))?;
+            }
         }
         Ok(())
+    }
+
+    /// Applies `ops` (all routed to `shard`) under that shard's lock and
+    /// returns the shard's net roster change. The caller holds the batch
+    /// gate shared and folds the change into `device_total`.
+    fn apply_to_shard(&self, shard: usize, ops: &[ChurnOp]) -> i64 {
+        let mut guard = self.shards[shard]
+            .lock()
+            .expect("no ingest worker panicked holding a shard lock");
+        let before = guard.len() as i64;
+        guard.apply_batch(ops);
+        guard.len() as i64 - before
     }
 
     /// Number of registry shards.
@@ -442,99 +409,35 @@ impl ShardedFleet {
         // on any shard, inside the same gate hold — so the epoch-cut
         // marker (written gate-exclusive) partitions the log into epochs
         // exactly as the shards observed them.
-        if !ops.is_empty() {
-            self.wal_append(&WalRecord::Batch(ops.to_vec()))?;
-        }
-        if self.shards.len() == 1 {
-            let mut shard = self.shards[0]
-                .lock()
-                .expect("no ingest worker panicked holding a shard lock");
-            let before = shard.len() as i64;
-            shard.apply_batch(ops);
-            let delta = shard.len() as i64 - before;
-            drop(shard);
-            // relaxed: batch-boundary monitoring counter; the batch gate
-            // (held shared here) orders it relative to seals, and readers
-            // tolerate a stale count by design.
-            self.device_total.fetch_add(delta, Ordering::Relaxed);
-            return Ok(());
-        }
-        let per_shard = self.split_by_shard(ops);
-        // Each worker measures its shard's net roster change; the sum is
-        // folded into the fleet counter as ONE atomic add after the whole
-        // batch applied (and before the gate is released), so monitoring
-        // reads only ever see batch-boundary counts.
-        let batch_delta = AtomicI64::new(0);
-        std::thread::scope(|scope| {
-            for (shard, shard_ops) in self.shards.iter().zip(&per_shard) {
-                if shard_ops.is_empty() {
-                    continue;
+        self.wal_append_batch(ops)?;
+        let batch_delta = if self.shards.len() == 1 {
+            self.apply_to_shard(0, ops)
+        } else {
+            // Each worker measures its shard's net roster change; the sum
+            // is folded into the fleet counter as ONE atomic add after the
+            // whole batch applied (and before the gate is released), so
+            // monitoring reads only ever see batch-boundary counts.
+            let per_shard = self.split_by_shard(ops);
+            let batch_delta = AtomicI64::new(0);
+            std::thread::scope(|scope| {
+                for (shard, shard_ops) in per_shard.iter().enumerate() {
+                    if shard_ops.is_empty() {
+                        continue;
+                    }
+                    let batch_delta = &batch_delta;
+                    scope.spawn(move || {
+                        // relaxed: scoped-thread accumulator; scope join is
+                        // the ordering edge before the fold below reads it.
+                        batch_delta
+                            .fetch_add(self.apply_to_shard(shard, shard_ops), Ordering::Relaxed);
+                    });
                 }
-                let batch_delta = &batch_delta;
-                scope.spawn(move || {
-                    let mut guard = shard
-                        .lock()
-                        .expect("no ingest worker panicked holding a shard lock");
-                    let before = guard.len() as i64;
-                    guard.apply_batch(shard_ops);
-                    let delta = guard.len() as i64 - before;
-                    drop(guard);
-                    // relaxed: scoped-thread accumulator; scope join is the
-                    // ordering edge before the fold below reads it.
-                    batch_delta.fetch_add(delta, Ordering::Relaxed);
-                });
-            }
-        });
-        // relaxed: batch-boundary monitoring counter (see above); the
-        // one add per batch happens before the gate is released.
-        self.device_total
-            .fetch_add(batch_delta.into_inner(), Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Ingests one churn batch on the calling thread only (no worker
-    /// fan-out), still through the shard structure and still atomic with
-    /// respect to the epoch cut. The perf harness uses this as the
-    /// like-for-like single-thread baseline.
-    ///
-    /// # Panics
-    ///
-    /// As [`ingest_batch`](Self::ingest_batch): only on a durable fleet
-    /// whose log fails; [`try_ingest_batch_serial`](Self::try_ingest_batch_serial)
-    /// is the typed-error form.
-    pub fn ingest_batch_serial(&self, ops: &[ChurnOp]) {
-        self.try_ingest_batch_serial(ops)
-            // lint: allow(panic) documented panicking wrapper for tests and
-            // doc examples; serving paths call try_ingest_batch_serial.
-            .expect("write-ahead churn log append failed; durability contract broken");
-    }
-
-    /// [`ingest_batch_serial`](Self::ingest_batch_serial) with the typed
-    /// [`IngestError`] instead of a panic on log failure; same clean-
-    /// rejection contract as [`try_ingest_batch`](Self::try_ingest_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IngestError::WalAppend`] when the write-ahead log could
-    /// not persist the batch (durable fleets only).
-    pub fn try_ingest_batch_serial(&self, ops: &[ChurnOp]) -> Result<(), IngestError> {
-        let _gate = self
-            .batch_gate
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !ops.is_empty() {
-            self.wal_append(&WalRecord::Batch(ops.to_vec()))?;
-        }
-        let mut batch_delta = 0i64;
-        for op in ops {
-            let mut shard = self.shards[self.shard_of(op.replica())]
-                .lock()
-                .expect("no ingest worker panicked holding a shard lock");
-            let before = shard.len() as i64;
-            shard.apply(op);
-            batch_delta += shard.len() as i64 - before;
-        }
-        // relaxed: batch-boundary monitoring counter (see ingest_batch).
+            });
+            batch_delta.into_inner()
+        };
+        // relaxed: batch-boundary monitoring counter; the batch gate (held
+        // shared here) orders it relative to seals, and readers tolerate a
+        // stale count by design.
         self.device_total.fetch_add(batch_delta, Ordering::Relaxed);
         Ok(())
     }
@@ -580,10 +483,7 @@ impl ShardedFleet {
             .batch_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        if !ops.is_empty() {
-            self.wal_append(&WalRecord::Batch(ops.to_vec()))?;
-        }
-        Ok(())
+        self.wal_append_batch(ops)
     }
 
     /// Serving hook: applies one shard's sub-batch (as produced by
@@ -604,15 +504,9 @@ impl ShardedFleet {
             .batch_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut guard = self.shards[shard]
-            .lock()
-            .expect("no ingest worker panicked holding a shard lock");
-        let before = guard.len() as i64;
-        guard.apply_batch(ops);
-        let delta = guard.len() as i64 - before;
-        drop(guard);
-        // relaxed: batch-boundary monitoring counter (see ingest_batch).
-        self.device_total.fetch_add(delta, Ordering::Relaxed);
+        // relaxed: batch-boundary monitoring counter (see try_ingest_batch).
+        self.device_total
+            .fetch_add(self.apply_to_shard(shard, ops), Ordering::Relaxed);
     }
 
     /// Number of registered devices across all shards, batch-atomic and
@@ -649,17 +543,14 @@ impl ShardedFleet {
     /// rebuild from a complete shard merge instead, re-zeroing the entropy
     /// accumulator's floating-point drift.
     ///
-    /// Only the cut (drain/copy + epoch assignment) holds the seal lock;
-    /// snapshot construction runs outside it, so a slow rebuild stalls
-    /// neither ingest nor later sealers' cuts. Publication is handed off in
-    /// strict epoch order: `current` never moves backwards under concurrent
-    /// sealers (asserted), and each differential sealer patches exactly its
-    /// predecessor's published snapshot.
+    /// One seal runs at a time, holding the seal mutex from its cut to its
+    /// checkpoint; the batch gate and the shard guards are dropped right
+    /// after the cut, so snapshot construction stalls neither ingest nor
+    /// reads. Concurrent callers serialise and seal consecutive epochs.
     ///
     /// **Test-only convenience.** This wrapper turns every [`SealError`]
-    /// back into a panic, undoing the rollback story
-    /// [`try_seal_epoch`](Self::try_seal_epoch) provides (a rejected seal
-    /// rolls the epoch back and the fleet keeps serving). It exists so
+    /// back into a panic, where [`try_seal_epoch`](Self::try_seal_epoch)
+    /// lets the fleet keep serving after a rejected seal. It exists so
     /// unit tests and doc examples can seal without `Result` plumbing;
     /// production callers — the bench harness, the `fi-serve` seal
     /// driver, recovery replay — use `try_seal_epoch` and handle the
@@ -680,39 +571,32 @@ impl ShardedFleet {
     /// The failure the fleet is designed to survive is
     /// [`SealError::CorruptDelta`]: a drained churn delta that does not
     /// chain onto the published snapshot (a corruption bug, not a usage
-    /// error). The rejected seal then **does not advance the epoch** —
-    /// the epoch counter rolls back, the previous snapshot keeps serving,
-    /// ingest and reads continue untouched — and the next seal re-anchors
-    /// with a full rebuild from the authoritative shard state, restoring
-    /// the chain. (Only if a concurrent sealer already cut the *next*
-    /// epoch on top of the rejected one is the rollback impossible; the
-    /// publish chain is then poisoned exactly as a panicking sealer would
-    /// have left it, and later seals fail fast.)
+    /// error). The rejected seal **does not commit its epoch**: the
+    /// previous snapshot keeps serving, ingest and reads continue
+    /// untouched, and the next seal takes the same epoch number and
+    /// re-anchors with a full rebuild from the authoritative shard state.
+    /// A sealer thread that dies between its cut and its publication
+    /// leaves the fleet in that same state.
     ///
-    /// On a durable fleet, [`SealError::Wal`] before the cut completes
-    /// also rolls the epoch back cleanly; a WAL or checkpoint error
-    /// *after* publication returns `Err` with the snapshot already
-    /// serving (the in-memory fleet is consistent; only durability of
-    /// that epoch is in doubt).
+    /// On a durable fleet, a [`SealError::Wal`] from the cut marker
+    /// returns before anything is drained: shards, log position and epoch
+    /// are as before the call. A WAL or checkpoint error *after*
+    /// publication returns `Err` with the snapshot already serving (the
+    /// in-memory fleet is consistent; only durability of that epoch is in
+    /// doubt).
     pub fn try_seal_epoch(&self) -> Result<Arc<EpochSnapshot>, SealError> {
-        // Phase 1 — the cut, under the seal lock: exclude in-flight
-        // batches (so a batch whose sub-batches land on different shards
-        // is observed either fully or not at all), sweep the shard locks,
-        // drain the deltas or copy the full rows, and assign the epoch.
-        // Ingest holds the gate shared and then locks one shard per
-        // worker; the sealer takes the gate exclusively *before* any shard
-        // lock, so the orderings cannot deadlock.
-        // Armed the instant an epoch number is assigned: from then on this
-        // sealer *owes* the chain that epoch's publication, and a panic
-        // anywhere before the publication (a drain panic, an overflow
-        // expect, a chaining assert) must poison the chain so later
-        // sealers fail fast instead of waiting forever on the hole.
-        let mut chain = PublishChainGuard {
-            fleet: self,
-            armed: false,
-        };
-        let (epoch, work) = {
-            let _seal = lock_recover(&self.seal_lock);
+        // One sealer at a time, from here to the checkpoint.
+        let mut st = lock_recover(&self.seal);
+        let epoch = st.epoch + 1;
+
+        // Phase 1 — the cut: exclude in-flight batches (so a batch whose
+        // sub-batches land on different shards is observed either fully or
+        // not at all), sweep the shard locks, frame the cut marker, and
+        // drain the deltas or copy the full rows. Ingest holds the gate
+        // shared and then locks one shard per worker; the sealer takes the
+        // gate exclusively *before* any shard lock, so the orderings
+        // cannot deadlock.
+        let work = {
             // Held exclusively through the cut-marker write *and* the
             // drain: ingest appends its batch to the log and applies it to
             // the shards under one shared hold, so with the gate held
@@ -731,39 +615,22 @@ impl ShardedFleet {
                         .expect("no ingest worker panicked holding a shard lock")
                 })
                 .collect();
-            // relaxed: epoch only ever moves under seal_lock (held); the
-            // mutex, not the atomic, is the ordering edge between sealers.
-            let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            chain.armed = true;
             // Durability point: frame the cut marker after every batch of
             // this epoch and fsync. On failure nothing has been drained
-            // yet, so the epoch rolls straight back (no other sealer can
-            // have cut — we hold the seal lock) and the fleet is exactly
-            // as before the call.
+            // and no epoch committed, so the fleet is exactly as before
+            // the call.
             if let Some(dur) = &self.durability {
                 let mut log = lock_recover(&dur.log);
-                let wrote = log
-                    .append(&WalRecord::EpochCut { epoch })
-                    .and_then(|()| log.sync());
-                if let Err(e) = wrote {
-                    // relaxed: rollback under the same seal_lock that
-                    // ordered the fetch_add above; nothing raced between.
-                    self.epoch
-                        .compare_exchange(epoch, epoch - 1, Ordering::Relaxed, Ordering::Relaxed)
-                        // lint: allow(panic) the seal lock is held: no other
-                        // sealer can have moved the epoch since our cut, so
-                        // this CAS is infallible by construction.
-                        .expect("seal lock held: no concurrent epoch cut");
-                    chain.disarm();
-                    return Err(e.into());
-                }
+                log.append(&WalRecord::EpochCut { epoch })?;
+                log.sync()?;
             }
             let full = epoch == 1
                 || (self.reanchor_interval > 0 && epoch.is_multiple_of(self.reanchor_interval))
-                // relaxed: written and consumed under seal_lock (held);
-                // the mutex provides the cross-variable ordering.
-                || self.force_reanchor.swap(false, Ordering::Relaxed);
-            let work = if full {
+                || st.reanchor_due;
+            // From the first drain until publication the drained churn
+            // lives only in this call's locals.
+            st.reanchor_due = true;
+            if full {
                 let per_shard = guards
                     .iter_mut()
                     .map(|shard| {
@@ -787,13 +654,12 @@ impl ShardedFleet {
                     merged.merge(shard.take_delta());
                 }
                 SealWork::Differential(merged)
-            };
-            (epoch, work)
+            }
         };
 
-        // Phase 2 — construction, outside every lock. Ingest proceeds on
-        // the shards and later sealers take their cuts concurrently.
-        let snapshot = match work {
+        // Phase 2 — construction, with the gate and the shard guards
+        // dropped: ingest proceeds on the shards while this builds.
+        let snapshot = Arc::new(match work {
             SealWork::Full { per_shard } => {
                 let mut rows = BTreeMap::new();
                 let mut opaque = VotingPower::ZERO;
@@ -815,79 +681,28 @@ impl ShardedFleet {
                     roster_aggregate(&devices),
                     "shard write-time aggregates diverged from a from-scratch fold"
                 );
-                Arc::new(EpochSnapshot::build(
-                    epoch,
-                    self.weights,
-                    rows,
-                    opaque,
-                    devices,
-                    device_agg,
-                ))
+                EpochSnapshot::build(epoch, self.weights, rows, opaque, devices, device_agg)
             }
             SealWork::Differential(delta) => {
-                // The delta was cut on top of epoch-1's content; wait for
-                // that snapshot to exist, then patch it.
-                let prev = self.wait_for_published(epoch - 1);
-                match prev.try_apply_delta(epoch, &delta) {
-                    Ok(patched) => Arc::new(patched),
-                    Err(e) => {
-                        // The drained delta is unusable, but the
-                        // authoritative state still lives in the shards:
-                        // flag the next seal to re-anchor with a full
-                        // rebuild, and give the epoch number back if no
-                        // later sealer has already cut on top — the chain
-                        // then has no hole and the fleet keeps serving.
-                        //
-                        // Both writes happen back under the seal lock: the
-                        // next sealer's cut phase reads `force_reanchor`
-                        // and advances `epoch` under the same lock, and
-                        // with relaxed atomics *only the mutex* orders the
-                        // flag store against the epoch rollback. Without
-                        // it, a concurrent sealer could observe the rolled-
-                        // back epoch, miss the flag, and seal an (empty)
-                        // differential over the lost delta — serving a
-                        // wrong roster. No guard is held here (phase 1's
-                        // all died at the cut-block boundary), so the
-                        // acquisition cannot deadlock and respects the
-                        // LOCK_ORDER hierarchy.
-                        let _seal = lock_recover(&self.seal_lock);
-                        // relaxed: written and consumed under seal_lock;
-                        // the mutex provides the cross-variable ordering.
-                        self.force_reanchor.store(true, Ordering::Relaxed);
-                        // relaxed: epoch moves only under seal_lock (held
-                        // here); the CAS guards against a later sealer
-                        // having cut before this error path re-took it.
-                        if self
-                            .epoch
-                            .compare_exchange(
-                                epoch,
-                                epoch - 1,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            chain.disarm();
-                        }
-                        // On CAS failure a later sealer is already waiting
-                        // on this epoch's publication; dropping the still-
-                        // armed guard poisons the chain so it fails fast
-                        // instead of blocking forever.
-                        return Err(e);
-                    }
-                }
+                // The delta was cut on top of the published snapshot, and
+                // only a sealer (this one) can replace that. A delta that
+                // does not chain returns here with `reanchor_due` set.
+                let prev = self.current.load();
+                debug_assert_eq!(prev.epoch(), st.epoch);
+                prev.try_apply_delta(epoch, &delta)?
             }
-        };
+        });
 
-        // Phase 3 — publication, re-serialised into epoch order.
-        self.publish(epoch, &snapshot);
-        chain.disarm();
+        // Phase 3 — publication, and with it the epoch commit.
+        self.current.publish(&snapshot);
+        st.epoch = epoch;
+        st.reanchor_due = false;
 
-        // Post-publish durability: log the content hash the seal served
-        // (the recovery oracle for this epoch), then cut a checkpoint if
-        // one is due. Failures here leave the published fleet consistent;
-        // only this epoch's on-disk record is in doubt, which the caller
-        // learns through the `Err`.
+        // Phases 4 and 5 — record and checkpoint: log the content hash
+        // the seal served (the recovery oracle for this epoch), then cut a
+        // checkpoint if one is due. Failures here leave the published
+        // fleet consistent; only this epoch's on-disk record is in doubt,
+        // which the caller learns through the `Err`.
         if let Some(dur) = &self.durability {
             {
                 let mut log = lock_recover(&dur.log);
@@ -903,58 +718,6 @@ impl ShardedFleet {
             }
         }
         Ok(snapshot)
-    }
-
-    /// Blocks until the snapshot for `epoch` has been published, then
-    /// returns it. Only called by the sealer of `epoch + 1`, so the
-    /// published counter cannot advance past `epoch` while we read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the publish chain was poisoned by a sealer that unwound
-    /// mid-seal — `epoch` can then never be published.
-    fn wait_for_published(&self, epoch: u64) -> Arc<EpochSnapshot> {
-        let mut state = lock_recover(&self.publish_state);
-        while state.published < epoch {
-            assert!(
-                !state.poisoned,
-                "a sealer panicked mid-seal; the epoch publish chain is poisoned"
-            );
-            state = self
-                .publish_cv
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(state);
-        let snap = self.snapshot();
-        debug_assert_eq!(snap.epoch(), epoch, "publish chain skipped an epoch");
-        snap
-    }
-
-    /// Publishes `snapshot` as epoch `epoch`, waiting for its predecessor
-    /// first so `current` only ever advances.
-    ///
-    /// # Panics
-    ///
-    /// As [`wait_for_published`](Self::wait_for_published) on a poisoned
-    /// chain.
-    fn publish(&self, epoch: u64, snapshot: &Arc<EpochSnapshot>) {
-        let mut state = lock_recover(&self.publish_state);
-        while state.published + 1 != epoch {
-            assert!(
-                !state.poisoned,
-                "a sealer panicked mid-seal; the epoch publish chain is poisoned"
-            );
-            state = self
-                .publish_cv
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        // Wait-free hand-over to the readers: the cell itself re-asserts
-        // that publication never moves backwards.
-        self.current.publish(snapshot);
-        state.published = epoch;
-        self.publish_cv.notify_all();
     }
 
     /// The currently served snapshot, cloned off the wait-free publication
@@ -978,9 +741,8 @@ impl ShardedFleet {
     }
 
     /// The epoch of the most recently *published* snapshot (what
-    /// [`snapshot`](Self::snapshot) serves) — trails
-    /// [`seal_epoch`](Self::seal_epoch)'s return only while a seal is
-    /// mid-construction.
+    /// [`snapshot`](Self::snapshot) serves). A seal commits its epoch at
+    /// publication, so this is also the last epoch the fleet sealed.
     #[must_use]
     pub fn published_epoch(&self) -> u64 {
         self.current.stamp()
@@ -1055,19 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_ingest_agree() {
-        let trace = ops(40);
-        let parallel = ShardedFleet::new(4, TwoTierWeights::flat());
-        parallel.ingest_batch(&trace);
-        let serial = ShardedFleet::new(4, TwoTierWeights::flat());
-        serial.ingest_batch_serial(&trace);
-        assert_eq!(
-            parallel.seal_epoch().content_hash(),
-            serial.seal_epoch().content_hash()
-        );
-    }
-
-    #[test]
     fn seal_publishes_and_increments_epochs() {
         let fleet = ShardedFleet::new(2, TwoTierWeights::flat());
         fleet.ingest_batch(&ops(8));
@@ -1116,15 +865,6 @@ mod tests {
                 (x, y) => assert_eq!(x, y),
             }
         }
-    }
-
-    #[test]
-    fn seal_publishes_in_epoch_order() {
-        let fleet = ShardedFleet::new(2, TwoTierWeights::flat());
-        fleet.ingest_batch(&ops(8));
-        let first = fleet.seal_epoch();
-        assert_eq!(first.epoch(), 1);
-        assert_eq!(fleet.snapshot().epoch(), 1);
     }
 
     #[test]
@@ -1297,30 +1037,25 @@ mod tests {
     #[test]
     fn reads_and_seals_survive_poisoned_handoff_locks() {
         // Regression: `snapshot()` used to `.read().unwrap()` a single
-        // `RwLock` publication point, and the seal handoff `.expect`ed its
-        // `Mutex`/`Condvar` state — one thread panicking while holding any
-        // of them bricked every future read and seal. The wait-free read
-        // path takes no such lock, and the remaining handoff locks recover
-        // from poisoning explicitly.
+        // `RwLock` publication point, and the seal path `.expect`ed its
+        // locks — one thread panicking while holding any of them bricked
+        // every future read and seal. The wait-free read path takes no
+        // such lock, and the seal mutex and the batch gate recover from
+        // poisoning explicitly.
         let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
         fleet.ingest_batch(&ops(16));
         assert_eq!(fleet.seal_epoch().epoch(), 1);
 
-        poison_by_panic(|| fleet.seal_lock.lock().unwrap());
+        poison_by_panic(|| fleet.seal.lock().unwrap());
         poison_by_panic(|| fleet.batch_gate.write().unwrap());
-        poison_by_panic(|| fleet.publish_state.lock().unwrap());
+        assert!(fleet.seal.lock().is_err(), "seal mutex must be poisoned");
         assert!(
-            fleet.seal_lock.lock().is_err(),
-            "seal lock must be poisoned"
-        );
-        assert!(
-            fleet.publish_state.lock().is_err(),
-            "publish state must be poisoned"
+            fleet.batch_gate.write().is_err(),
+            "batch gate must be poisoned"
         );
 
-        // Reads, ingest, counting, and sealing all still work; the chain
-        // was never logically poisoned (no epoch hole), only the lock
-        // memory was.
+        // Reads, ingest, counting, and sealing all still work: no seal
+        // was in progress, only the lock memory was poisoned.
         assert_eq!(fleet.snapshot().epoch(), 1);
         let mut reader = fleet.reader();
         assert_eq!(reader.get().epoch(), 1);
@@ -1333,6 +1068,53 @@ mod tests {
         assert_eq!(sealed.device_count(), 15);
         assert_eq!(reader.get().epoch(), 2);
         assert_eq!(fleet.published_epoch(), 2);
+    }
+
+    #[test]
+    fn a_sealer_dying_between_cut_and_publish_leaves_the_next_seal_a_reanchor() {
+        // The dying sealer does what `try_seal_epoch` does up to its first
+        // drain — take the seal mutex, flag the re-anchor, drain a shard —
+        // and then unwinds, so that shard's churn is in no snapshot and in
+        // no pending delta. Cadence 0: only the flag can make epoch 2 a
+        // full rebuild.
+        let fleet = ShardedFleet::with_reanchor_interval(4, TwoTierWeights::flat(), 0);
+        fleet.ingest_batch(&ops(16));
+        assert_eq!(fleet.seal_epoch().epoch(), 1);
+        let late = [
+            ChurnOp::attest(
+                ReplicaId::new(9000),
+                sha256(b"late-config"),
+                VotingPower::new(30),
+            ),
+            ChurnOp::Deregister {
+                replica: ReplicaId::new(3),
+            },
+        ];
+        fleet.ingest_batch(&late);
+
+        poison_by_panic(|| {
+            let mut st = fleet.seal.lock().unwrap();
+            st.reanchor_due = true;
+            let _lost = fleet.shards[fleet.shard_of(ReplicaId::new(9000))]
+                .lock()
+                .unwrap()
+                .take_delta();
+            st
+        });
+        assert_eq!(fleet.published_epoch(), 1, "no epoch was committed");
+
+        let sealed = fleet.try_seal_epoch().expect("the next seal recovers");
+        assert_eq!(sealed.epoch(), 2);
+        assert_eq!(fleet.published_epoch(), 2);
+        let oracle = ShardedFleet::new(1, TwoTierWeights::flat());
+        oracle.ingest_batch(&ops(16));
+        oracle.seal_epoch();
+        oracle.ingest_batch(&late);
+        assert_eq!(
+            sealed.content_hash(),
+            oracle.seal_epoch().content_hash(),
+            "the drained churn must come back from the shards"
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * a **double buffer**: two slots, where the snapshot published at epoch
 //!   `e` lives in slot `e & 1`.
 //!
-//! Publication (already serialised by the fleet's epoch-ordered handoff,
-//! which keeps its never-moves-backwards guarantee) writes the new `Arc`
+//! Publication (already serialised by the fleet's seal mutex, whose one
+//! holder publishes epoch `e + 1` over epoch `e`) writes the new `Arc`
 //! into the *other* slot — the one no current-stamp reader is looking at —
 //! and then advances the stamp. A reader loads the stamp, clones the `Arc`
 //! out of the corresponding slot, and **revalidates** the stamp after the
@@ -87,7 +87,7 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// fast path) never wait on snapshot construction and never observe the
 /// published epoch moving backwards; publishers ([`publish`](Self::publish))
 /// must already be serialised in strictly increasing epoch order, which is
-/// exactly what the fleet's epoch-ordered seal handoff provides.
+/// exactly what the fleet's seal mutex, held from cut to publish, provides.
 #[derive(Debug)]
 pub struct SnapshotCell {
     /// Epoch of the most recently published snapshot. Only (serialised)
@@ -151,8 +151,8 @@ impl SnapshotCell {
 
     /// Publishes `next`, making it what subsequent [`load`](Self::load)s
     /// return. Callers must be serialised in strictly increasing epoch
-    /// order (the fleet's epoch-ordered handoff); the never-moves-backwards
-    /// guarantee is asserted, not assumed.
+    /// order (the fleet's seal mutex); the never-moves-backwards guarantee
+    /// is asserted, not assumed.
     ///
     /// # Panics
     ///

@@ -20,8 +20,8 @@
 //! ## Superseded cut markers
 //!
 //! A seal rejected as [`SealError::CorruptDelta`](crate::SealError) has
-//! already framed its cut marker when the rejection rolls the epoch back;
-//! the next successful seal then frames a cut for the *same* epoch.
+//! already framed its cut marker when it returns without committing the
+//! epoch; the next successful seal then frames a cut for the *same* epoch.
 //! Successful epochs are strictly increasing, so replay keeps only the
 //! **last** cut per epoch: walking the log backwards, a cut whose epoch is
 //! `>=` a later cut's epoch was superseded and is skipped. The batches

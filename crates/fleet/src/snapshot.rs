@@ -320,7 +320,7 @@ impl EpochSnapshot {
     /// wrapper over [`try_apply_delta`](Self::try_apply_delta) for callers
     /// that treat an unchained delta as a programming error; the fleet's
     /// seal path uses the fallible form so a corrupt delta rejects the
-    /// seal instead of unwinding while the publish chain is armed.
+    /// seal instead of unwinding out of the sealer.
     #[must_use]
     pub fn apply_delta(&self, epoch: u64, delta: &ChurnDelta) -> EpochSnapshot {
         self.try_apply_delta(epoch, delta)

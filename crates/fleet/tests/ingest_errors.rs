@@ -87,7 +87,7 @@ fn wal_io_error_fails_the_batch_cleanly_and_reads_keep_serving() {
     assert_eq!(fleet.select_greedy_cached(3).len(), 3);
 
     // A seal attempt hits the same disk fault, reports it typed, and
-    // rolls the epoch back — the fleet keeps serving epoch 1.
+    // commits no epoch — the fleet keeps serving epoch 1.
     let seal_err = fleet
         .try_seal_epoch()
         .expect_err("cut marker cannot be logged without a directory");
@@ -95,14 +95,11 @@ fn wal_io_error_fails_the_batch_cleanly_and_reads_keep_serving() {
     assert_eq!(fleet.published_epoch(), 1);
     assert_eq!(fleet.snapshot().content_hash(), served_hash);
 
-    // The serial path reports the same typed failure.
-    let serial_err = fleet
-        .try_ingest_batch_serial(&batch_b)
-        .expect_err("serial ingest shares the WAL");
-    assert!(matches!(
-        serial_err,
-        IngestError::WalAppend(WalError::Io(_))
-    ));
+    // The serving hook reports the same typed failure.
+    let hook_err = fleet
+        .log_batch(&batch_b)
+        .expect_err("log_batch shares the WAL");
+    assert!(matches!(hook_err, IngestError::WalAppend(WalError::Io(_))));
     assert_eq!(fleet.device_count(), 8);
 
     // Repair the disk: the gate was never poisoned, so the same batch now

@@ -123,8 +123,8 @@ pub enum ServeError {
     /// A flush could not be write-ahead logged; its ops were dropped
     /// before touching any shard.
     Ingest(IngestError),
-    /// A tick-driven seal failed; the epoch rolled back and the previous
-    /// snapshot keeps serving.
+    /// A tick-driven seal failed; its epoch was not committed and the
+    /// previous snapshot keeps serving.
     Seal(SealError),
 }
 
@@ -182,7 +182,7 @@ pub struct ServeStats {
     pub wal_rejected_flushes: u64,
     /// Epochs sealed by the tick driver.
     pub epochs_sealed: u64,
-    /// Tick-driven seals that failed (epoch rolled back).
+    /// Tick-driven seals that failed (epoch not committed).
     pub seal_failures: u64,
 }
 
@@ -452,7 +452,7 @@ impl FleetServer {
     /// # Errors
     ///
     /// [`ServeError::Ingest`] from the drain, or [`ServeError::Seal`]
-    /// when the cut failed — the epoch rolled back, the previous snapshot
+    /// when the cut failed — no epoch was committed, the previous snapshot
     /// keeps serving, and the growing seal lag will engage the admission
     /// gate.
     pub fn tick(&self) -> Result<Option<Arc<EpochSnapshot>>, ServeError> {
