@@ -5,11 +5,9 @@
 //! epoch-snapshot layer at shard counts {1, 2, 4, 8} and appends a
 //! `fleet` section to `BENCH_perf.json` at the repo root:
 //!
-//! * **ingest** — ops/sec per shard count, both measured wall-clock with
-//!   real worker threads and the per-shard *critical path* (each shard's
-//!   independent work timed serially, total ops divided by the slowest
-//!   shard — what an `N`-core box observes; the JSON records the host's
-//!   parallelism so the two are read together);
+//! * **ingest** — ops/sec per shard count, measured wall-clock on the one
+//!   thread that calls `ingest_batch` (the fleet spawns none; the JSON
+//!   records the host's parallelism);
 //! * **mixed 90/10** and **read-heavy 99/1** — interleaved monitor reads
 //!   and churn writes with periodic epoch seals. Reads go through a
 //!   per-reader [`fi_fleet::SnapshotHandle`] (the wait-free cached fast
@@ -89,7 +87,6 @@ fn weights() -> TwoTierWeights {
 struct IngestRow {
     shards: usize,
     measured_ops_per_sec: f64,
-    critical_path_ops_per_sec: f64,
 }
 
 struct MixedRow {
@@ -198,8 +195,8 @@ struct Gates {
     durable_overhead_ok: bool,
 }
 
-/// Wall-clock parallel ingest of the whole trace.
-fn measure_parallel_ingest(trace: &[ChurnOp], shards: usize) -> (f64, Digest) {
+/// Wall-clock ingest of the whole trace.
+fn measure_ingest(trace: &[ChurnOp], shards: usize) -> (f64, Digest) {
     let fleet = ShardedFleet::new(shards, weights());
     let start = Instant::now();
     for batch in trace.chunks(INGEST_BATCH) {
@@ -208,25 +205,6 @@ fn measure_parallel_ingest(trace: &[ChurnOp], shards: usize) -> (f64, Digest) {
     let secs = start.elapsed().as_secs_f64();
     let snap = fleet.try_seal_epoch().expect("bench fleet seal");
     (trace.len() as f64 / secs, snap.content_hash())
-}
-
-/// The data-parallel critical path: each shard's sub-trace is independent
-/// (that is the sharding invariant), so the slowest shard's serial time is
-/// the floor an `N`-core machine ingests the whole trace in.
-fn measure_critical_path(trace: &[ChurnOp], shards: usize) -> f64 {
-    let mut per_shard: Vec<Vec<ChurnOp>> = vec![Vec::new(); shards];
-    for op in trace {
-        per_shard[(op.replica().as_u64() % shards as u64) as usize].push(*op);
-    }
-    let mut slowest = 0.0f64;
-    for shard_ops in &per_shard {
-        let mut registry = AttestedRegistry::new(weights());
-        let start = Instant::now();
-        registry.apply_batch(shard_ops);
-        slowest = slowest.max(start.elapsed().as_secs_f64());
-        black_box(registry.total_effective_power());
-    }
-    trace.len() as f64 / slowest
 }
 
 /// Mixed read/write serving loop at `reads_per_write` monitor reads per
@@ -614,10 +592,10 @@ fn render_fleet_json(mode: &str, cfg: &ChurnTraceConfig, sections: &Sections<'_>
     } = *sections;
     // The 8-vs-1 scaling summary only exists when the sweep ran both ends
     // (a `--shards N` run restricts the sweep to one count).
-    let scaling = |f: fn(&IngestRow) -> f64| {
+    let scaling_8v1 = || {
         let one = ingest.iter().find(|r| r.shards == 1)?;
         let eight = ingest.iter().find(|r| r.shards == 8)?;
-        Some(f(eight) / f(one))
+        Some(eight.measured_ops_per_sec / one.measured_ops_per_sec)
     };
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -634,21 +612,13 @@ fn render_fleet_json(mode: &str, cfg: &ChurnTraceConfig, sections: &Sections<'_>
         let comma = if i + 1 < ingest.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "      {{\"shards\": {}, \"measured_ops_per_sec\": {:.0}, \
-             \"critical_path_ops_per_sec\": {:.0}}}{comma}",
-            r.shards, r.measured_ops_per_sec, r.critical_path_ops_per_sec
+            "      {{\"shards\": {}, \"measured_ops_per_sec\": {:.0}}}{comma}",
+            r.shards, r.measured_ops_per_sec
         );
     }
     let _ = writeln!(out, "    ],");
-    if let (Some(measured), Some(critical)) = (
-        scaling(|r| r.measured_ops_per_sec),
-        scaling(|r| r.critical_path_ops_per_sec),
-    ) {
+    if let Some(measured) = scaling_8v1() {
         let _ = writeln!(out, "    \"ingest_scaling_8v1_measured\": {measured:.2},");
-        let _ = writeln!(
-            out,
-            "    \"ingest_scaling_8v1_critical_path\": {critical:.2},"
-        );
     }
     for (key, rows) in [("mixed_90_10", mixed), ("read_heavy_99_1", read_heavy)] {
         let _ = writeln!(out, "    \"{key}\": [");
@@ -920,16 +890,12 @@ fn main() -> ExitCode {
     let mut ingest = Vec::new();
     let mut hashes = Vec::new();
     for &shards in &shard_counts {
-        let (measured, hash) = measure_parallel_ingest(&trace, shards);
-        let critical = measure_critical_path(&trace, shards);
-        println!(
-            "  shards={shards}: measured {measured:>12.0} ops/s | critical path {critical:>12.0} ops/s"
-        );
+        let (measured, hash) = measure_ingest(&trace, shards);
+        println!("  shards={shards}: measured {measured:>12.0} ops/s");
         hashes.push(hash);
         ingest.push(IngestRow {
             shards,
             measured_ops_per_sec: measured,
-            critical_path_ops_per_sec: critical,
         });
     }
     let hash_invariant = hashes.windows(2).all(|w| w[0] == w[1]);

@@ -1,14 +1,23 @@
-//! The sharded write side: parallel churn ingest and the epoch barrier.
+//! The sharded write side: churn ingest and the epoch barrier.
 //!
 //! A [`ShardedFleet`] owns `N` [`AttestedRegistry`] shards, each behind its
 //! own mutex. Devices are assigned to shards by id, so a batch of
-//! [`ChurnOp`]s splits into `N` independent sub-batches that workers apply
-//! concurrently — shards share no state, and since every op touches exactly
-//! one device (and integer bucket sums commute across devices), the fleet's
-//! end state depends only on each device's own op order, which sharding
-//! preserves. That is the thread-count-invariance guarantee the
-//! differential suite pins down: **any** shard count in any thread schedule
-//! seals to a bit-identical [`EpochSnapshot`].
+//! [`ChurnOp`]s splits into `N` independent sub-batches — shards share no
+//! state, and since every op touches exactly one device (and integer bucket
+//! sums commute across devices), the fleet's end state depends only on each
+//! device's own op order, which sharding preserves. That is the
+//! thread-count-invariance guarantee the differential suite pins down:
+//! **any** shard count in any thread schedule seals to a bit-identical
+//! [`EpochSnapshot`].
+//!
+//! The fleet spawns no thread. Every call runs on its caller's thread:
+//! [`try_ingest_batch`](ShardedFleet::try_ingest_batch) logs, routes and
+//! applies a batch shard after shard, and the shard mutexes are what lets
+//! several callers do so at once — other ingest threads, or `fi-serve`'s
+//! per-shard mailbox workers, which drive the same three steps one at a
+//! time through [`log_batch`](ShardedFleet::log_batch),
+//! [`split_by_shard`](ShardedFleet::split_by_shard) and
+//! [`apply_shard_batch`](ShardedFleet::apply_shard_batch).
 //!
 //! [`seal_epoch`](ShardedFleet::seal_epoch) is the write→read barrier, and
 //! it is **differential**: each shard accumulates a
@@ -190,8 +199,8 @@ struct SealState {
 /// `reanchor_due` is already set whenever a delta has been drained, so the
 /// seal after a sealer's panic is a full rebuild rather than a permanent
 /// failure. (The per-shard registry locks
-/// deliberately keep their `expect`s: those guard real data a panicking
-/// ingest worker *can* leave mid-batch.)
+/// deliberately keep their `expect`s: those guard real data a thread that
+/// panics inside `apply_batch` *can* leave mid-batch.)
 fn lock_recover<'a, T>(lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -326,7 +335,7 @@ impl ShardedFleet {
     fn apply_to_shard(&self, shard: usize, ops: &[ChurnOp]) -> i64 {
         let mut guard = self.shards[shard]
             .lock()
-            .expect("no ingest worker panicked holding a shard lock");
+            .expect("no thread panicked applying a batch under a shard lock");
         let before = guard.len() as i64;
         guard.apply_batch(ops);
         guard.len() as i64 - before
@@ -365,12 +374,12 @@ impl ShardedFleet {
         (replica.as_u64() % self.shards.len() as u64) as usize
     }
 
-    /// Ingests one churn batch, fanned out across the shards in parallel
-    /// (one worker per shard with work; the single-shard fleet applies
-    /// inline). Relative op order *per device* is preserved, which is the
-    /// only order the end state depends on. The whole batch is atomic with
-    /// respect to [`seal_epoch`](Self::seal_epoch): a concurrent seal
-    /// observes either none or all of it.
+    /// Ingests one churn batch on the caller's thread: logged, split by
+    /// shard, and applied one shard after another. Relative op order *per
+    /// device* is preserved, which is the only order the end state depends
+    /// on. The whole batch is atomic with respect to
+    /// [`seal_epoch`](Self::seal_epoch): a concurrent seal observes either
+    /// none or all of it.
     ///
     /// # Panics
     ///
@@ -410,31 +419,16 @@ impl ShardedFleet {
         // marker (written gate-exclusive) partitions the log into epochs
         // exactly as the shards observed them.
         self.wal_append_batch(ops)?;
-        let batch_delta = if self.shards.len() == 1 {
-            self.apply_to_shard(0, ops)
-        } else {
-            // Each worker measures its shard's net roster change; the sum
-            // is folded into the fleet counter as ONE atomic add after the
-            // whole batch applied (and before the gate is released), so
-            // monitoring reads only ever see batch-boundary counts.
-            let per_shard = self.split_by_shard(ops);
-            let batch_delta = AtomicI64::new(0);
-            std::thread::scope(|scope| {
-                for (shard, shard_ops) in per_shard.iter().enumerate() {
-                    if shard_ops.is_empty() {
-                        continue;
-                    }
-                    let batch_delta = &batch_delta;
-                    scope.spawn(move || {
-                        // relaxed: scoped-thread accumulator; scope join is
-                        // the ordering edge before the fold below reads it.
-                        batch_delta
-                            .fetch_add(self.apply_to_shard(shard, shard_ops), Ordering::Relaxed);
-                    });
-                }
-            });
-            batch_delta.into_inner()
-        };
+        // The shards' net roster changes are folded into the fleet counter
+        // as ONE atomic add after the whole batch applied (and before the
+        // gate is released), so monitoring reads only ever see
+        // batch-boundary counts.
+        let mut batch_delta = 0;
+        for (shard, shard_ops) in self.split_by_shard(ops).iter().enumerate() {
+            if !shard_ops.is_empty() {
+                batch_delta += self.apply_to_shard(shard, shard_ops);
+            }
+        }
         // relaxed: batch-boundary monitoring counter; the batch gate (held
         // shared here) orders it relative to seals, and readers tolerate a
         // stale count by design.
@@ -463,10 +457,11 @@ impl ShardedFleet {
     /// write-ahead log without touching any shard. No-op `Ok` on
     /// in-memory fleets and for empty batches.
     ///
-    /// Together with [`apply_shard_batch`](Self::apply_shard_batch) this
-    /// decomposes [`try_ingest_batch`](Self::try_ingest_batch) for
-    /// serving layers that apply sub-batches from per-shard worker
-    /// threads instead of a fan-out-per-batch. **Contract:** the caller
+    /// [`try_ingest_batch`](Self::try_ingest_batch) is this, then
+    /// [`split_by_shard`](Self::split_by_shard), then
+    /// [`apply_shard_batch`](Self::apply_shard_batch) per shard, under one
+    /// gate hold; the three are public so a serving layer can run the
+    /// apply step on per-shard worker threads. **Contract:** the caller
     /// must guarantee no epoch cut happens between a batch's `log_batch`
     /// and the completion of its last `apply_shard_batch` — `fi-serve`
     /// does this by draining in-flight flushes before driving a seal —
@@ -513,7 +508,7 @@ impl ShardedFleet {
     /// non-blocking for ingest: the count is a fleet-level counter updated
     /// with one atomic add per fully-applied batch, so this read never
     /// observes a half-applied multi-shard batch — and it takes the batch
-    /// gate **shared**, so concurrent ingest workers (also shared holders)
+    /// gate **shared**, so concurrent ingest threads (also shared holders)
     /// are never stalled by monitoring traffic. (An earlier revision took
     /// the gate exclusively and swept the shard locks, which made every
     /// monitoring read a fleet-wide ingest stall; the per-batch counter is
@@ -593,7 +588,7 @@ impl ShardedFleet {
         // sub-batches land on different shards is observed either fully or
         // not at all), sweep the shard locks, frame the cut marker, and
         // drain the deltas or copy the full rows. Ingest holds the gate
-        // shared and then locks one shard per worker; the sealer takes the
+        // shared and then locks one shard at a time; the sealer takes the
         // gate exclusively *before* any shard lock, so the orderings
         // cannot deadlock.
         let work = {
@@ -612,7 +607,7 @@ impl ShardedFleet {
                 .iter()
                 .map(|s| {
                     s.lock()
-                        .expect("no ingest worker panicked holding a shard lock")
+                        .expect("no thread panicked applying a batch under a shard lock")
                 })
                 .collect();
             // Durability point: frame the cut marker after every batch of

@@ -4,10 +4,12 @@
 //! committee selection) is, as library calls, single-threaded. This crate
 //! is the concurrency architecture that serves it at fleet scale: device
 //! churn — register, re-attest, rotate, deregister — arrives as batches of
-//! [`ChurnOp`]s (`fi_attest`) and is ingested in parallel across `N`
-//! registry shards keyed by device id, while committee selection and
-//! diversity monitoring read from immutable [`EpochSnapshot`]s published at
-//! [`seal_epoch`](ShardedFleet::seal_epoch) barriers.
+//! [`ChurnOp`]s (`fi_attest`) and is ingested into `N` registry shards
+//! keyed by device id, while committee selection and diversity monitoring
+//! read from immutable [`EpochSnapshot`]s published at
+//! [`seal_epoch`](ShardedFleet::seal_epoch) barriers. The crate spawns no
+//! thread: ingest runs on its caller's, and the per-shard locks are what
+//! lets many callers (or `fi-serve`'s shard workers) ingest at once.
 //!
 //! ## Model
 //!
@@ -15,7 +17,7 @@
 //!   each maintaining its incremental entropy buckets
 //!   ([`fi_entropy::EntropyAccumulator`]) in O(1) per op.
 //! * [`ShardedFleet::ingest_batch`] splits a batch by `device id mod N` and
-//!   applies the sub-batches concurrently. Shards share nothing; each
+//!   applies the sub-batches shard after shard. Shards share nothing; each
 //!   device's op order is preserved, and that is the only order the end
 //!   state depends on.
 //! * [`ShardedFleet::seal_epoch`] takes a consistent cut across all

@@ -33,8 +33,8 @@
 //! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
 //! over bucket rows, one over device-roster rows. The device row digest is
 //! defined in `fi-attest` ([`device_row_digest`]) and computed by the
-//! [`AttestedRegistry`] exactly once per row, when a shard worker writes
-//! it; the registry keeps a running sum over its rows
+//! [`AttestedRegistry`] exactly once per row, when the row is written;
+//! the registry keeps a running sum over its rows
 //! ([`AttestedRegistry::roster_digest`]) and records the net change since
 //! the last cut in its [`ChurnDelta`]. Sealing is then arithmetic: a
 //! differential seal adds the merged delta's

@@ -196,11 +196,14 @@ impl ChurnLog {
         if self.active_len >= self.segment_bytes {
             self.rotate()?;
         }
-        let payload = record.to_bytes();
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
-        (payload.len() as u32).encode(&mut frame);
-        frame.extend_from_slice(&payload);
-        crc32(&payload).encode(&mut frame);
+        // Framed in one buffer: a length placeholder, the payload encoded
+        // behind it, the length patched in, the payload's CRC appended.
+        let mut frame = vec![0u8; 4];
+        record.encode(&mut frame);
+        let (len, payload) = frame.split_at_mut(4);
+        len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = crc32(payload);
+        crc.encode(&mut frame);
         self.active.write_all(&frame)?;
         self.active_len += frame.len() as u64;
         Ok(())

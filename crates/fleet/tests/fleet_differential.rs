@@ -20,13 +20,15 @@
 //!    digest order) drive the same float ops in the same order.
 //!
 //! These properties drive randomly generated traces through shard counts
-//! {1, 2, 4, 8} (real worker threads, real locks) and through re-anchor
-//! cadences {every epoch, never, every 3rd}, diffing the two sealing paths
-//! per intermediate epoch.
+//! {1, 2, 4, 8} (real locks; the fleet applies on the calling thread) and
+//! through re-anchor cadences {every epoch, never, every 3rd}, diffing the
+//! two sealing paths per intermediate epoch.
 
 use fi_attest::{AttestedRegistry, ChurnOp, TwoTierWeights};
 use fi_committee::greedy::greedy_diverse_naive;
-use fi_fleet::{churn_trace, ChurnTraceConfig, EpochSnapshot, SelectionCache, ShardedFleet};
+use fi_fleet::{
+    churn_trace, ChurnTraceConfig, DurabilityConfig, EpochSnapshot, SelectionCache, ShardedFleet,
+};
 use fi_types::{sha256, ReplicaId, VotingPower};
 use proptest::prelude::*;
 
@@ -408,4 +410,66 @@ fn reanchors_over_shard_aggregates_hash_like_the_rehashing_oracle() {
         }
         assert_eq!(full_seals, 4, "epochs 1, 4, 8 and 12 re-anchor");
     }
+}
+
+/// [`ShardedFleet::try_ingest_batch`] is `log_batch` → `split_by_shard` →
+/// `apply_shard_batch` per non-empty shard, under one gate hold instead of
+/// one per step. Driven step by step from one thread, the public pieces
+/// must therefore leave exactly what the whole leaves: the same count after
+/// every batch, the same `(epoch, content_hash)` at every seal (cadence 4,
+/// so both sealing paths), and — both fleets being durable — the same
+/// bytes in the same WAL segments.
+#[test]
+fn try_ingest_batch_equals_its_public_steps_run_one_by_one() {
+    let trace = churn_trace(&ChurnTraceConfig::new(400, 2_000));
+    let base = std::env::temp_dir().join(format!("fi-fleet-composition-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let wal_segments = |dir: &std::path::Path| {
+        let mut segments: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("durability dir exists")
+            .map(|entry| entry.expect("dir entry"))
+            .filter(|entry| entry.file_name().to_string_lossy().starts_with("wal-"))
+            .map(|entry| {
+                let bytes = std::fs::read(entry.path()).expect("segment readable");
+                (entry.file_name(), bytes)
+            })
+            .collect();
+        segments.sort();
+        segments
+    };
+    for shards in SHARD_COUNTS {
+        let open = |tag: &str| {
+            let dir = base.join(format!("{tag}-{shards}"));
+            // Small segments, so the comparison spans rotations.
+            let config = DurabilityConfig::new(&dir)
+                .with_segment_bytes(4096)
+                .with_checkpoint_interval(0);
+            let (fleet, _) =
+                ShardedFleet::open_durable(shards, weights(), 4, config).expect("cold start");
+            (fleet, dir)
+        };
+        let (whole, whole_dir) = open("whole");
+        let (stepped, stepped_dir) = open("stepped");
+        for batch in trace.chunks(200) {
+            whole.try_ingest_batch(batch).expect("healthy disk");
+            stepped.log_batch(batch).expect("healthy disk");
+            for (shard, ops) in stepped.split_by_shard(batch).iter().enumerate() {
+                if !ops.is_empty() {
+                    stepped.apply_shard_batch(shard, ops);
+                }
+            }
+            assert_eq!(stepped.device_count(), whole.device_count());
+            let sealed = whole.try_seal_epoch().expect("healthy disk");
+            let sealed_stepped = stepped.try_seal_epoch().expect("healthy disk");
+            assert_eq!(
+                (sealed_stepped.epoch(), sealed_stepped.content_hash()),
+                (sealed.epoch(), sealed.content_hash()),
+                "the stepped fleet sealed a different chain at {shards} shards"
+            );
+        }
+        let segments = wal_segments(&whole_dir);
+        assert!(segments.len() > 1, "the trace must rotate the log");
+        assert_eq!(wal_segments(&stepped_dir), segments);
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -2,12 +2,14 @@
 //! mailboxes → tick-driven seals.
 //!
 //! ```text
-//!  clients ──try_push──▶ ingress (bounded) ──pump──▶ Coalescer
-//!                │ full?                                 │ flush
+//!  clients ──try_push──▶ ingress (bounded) ══pump══▶ Coalescer
+//!                │ full?                                 ║ flush
 //!                ▼                                       ▼ log_batch (WAL)
-//!          Overloaded::QueueFull              split_by_shard ─▶ mailbox[0] ─▶ worker 0
-//!                                                             ─▶ mailbox[1] ─▶ worker 1
+//!          Overloaded::QueueFull              split_by_shard ═▶ mailbox[0] ─▶ worker 0
+//!                                                             ═▶ mailbox[1] ─▶ worker 1
 //!                                                             …   (apply_shard_batch)
+//!  ══ under the dispatch lock, one thread at a time; a sealing tick holds
+//!     it on through wait-for-workers and `try_seal_epoch`
 //! ```
 //!
 //! * **Admission** happens at [`FleetServer::submit`]: a full ingress
@@ -19,21 +21,30 @@
 //!   once ([`ShardedFleet::log_batch`]) and mails each shard its
 //!   sub-batch. Mailboxes are bounded with *blocking* pushes, so a slow
 //!   shard backpressures dispatch instead of buffering unboundedly.
+//!   Every step — pop, window, log, mail — happens under the one
+//!   **dispatch lock**, taken before the pop, so however many threads
+//!   call `pump`, `flush` and `tick`, requests enter windows in queue
+//!   order and windows reach the log and the mailboxes in window order.
 //! * **Application** runs on one persistent worker thread per shard
-//!   ([`ShardedFleet::apply_shard_batch`]); a shard's mailbox is FIFO, so
+//!   ([`ShardedFleet::apply_shard_batch`]) — the only threads in the
+//!   stack; `fi-fleet` spawns none. A shard's mailbox is FIFO, so
 //!   per-device op order is preserved end to end and the fleet's end
 //!   state is independent of worker scheduling.
 //! * **Sealing** is tick-driven: [`FleetServer::tick`] advances logical
-//!   time and, every `epoch_ticks`, drains in-flight flushes and cuts the
-//!   epoch via [`ShardedFleet::try_seal_epoch`] — the drain barrier is
-//!   what keeps the WAL's epoch partition identical to what the shards
-//!   observed (see `log_batch`'s contract). A failed seal (e.g. the WAL
-//!   disk fault the ingest path also surfaces) leaves the fleet serving
-//!   and shows up as growing seal lag, which the admission gate turns
-//!   into [`Overloaded::SealLag`] sheds.
+//!   time and, every `epoch_ticks`, takes the dispatch lock, flushes the
+//!   window, waits for the in-flight sub-batches and cuts the epoch via
+//!   [`ShardedFleet::try_seal_epoch`] without letting go of it — that
+//!   hold is what keeps the WAL's epoch partition identical to what the
+//!   shards observed (see `log_batch`'s contract). A failed seal (e.g.
+//!   the WAL disk fault the ingest path also surfaces) leaves the fleet
+//!   serving and shows up as growing seal lag, which the admission gate
+//!   turns into [`Overloaded::SealLag`] sheds.
+//!
+//! Lock order, outermost first: dispatch → (in `fi-fleet`) seal → batch
+//! gate → shard registries → WAL; `LOCK_ORDER` declares it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -192,6 +203,7 @@ struct Counters {
     admitted_ops: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_seal_lag: AtomicU64,
+    coalesced_away: AtomicU64,
     flushes: AtomicU64,
     flushed_ops: AtomicU64,
     applied_ops: AtomicU64,
@@ -224,13 +236,15 @@ pub struct FleetServer {
     ingress: Bounded<Vec<ChurnOp>>,
     mailboxes: Vec<Arc<Bounded<ShardJob>>>,
     workers: Vec<JoinHandle<()>>,
-    /// Dispatch state (coalescer + oldest-pending stamp): one flush is
-    /// assembled at a time.
+    /// The dispatch lock, over the coalescing window. `pump` takes it
+    /// before popping a request and holds it through extend → take →
+    /// `log_batch` → mail, so requests and windows keep their order across
+    /// dispatching threads; the seal barrier holds it from its flush to
+    /// the end of `try_seal_epoch`, so no batch is logged between a
+    /// flush's WAL record and the cut (the `log_batch` contract). Poison
+    /// is recovered: the window is only mutated through complete
+    /// operations, so a panicked dispatcher leaves it coherent.
     dispatch: Mutex<DispatchState>,
-    /// Held across one flush's log→enqueue and by the seal barrier, so a
-    /// seal never lands between a flush's WAL record and its sub-batches'
-    /// application (the `log_batch` contract).
-    dispatch_gate: Mutex<()>,
     /// Sub-batches enqueued but not yet applied, shared with the workers;
     /// the seal barrier waits for zero.
     shared_barrier: Arc<(Mutex<u64>, Condvar)>,
@@ -265,7 +279,8 @@ impl FleetServer {
     /// [`submit`](Self::submit) from any thread,
     /// [`pump`](Self::pump)/[`tick`](Self::tick) from a driver loop (the
     /// load scenarios run this in deterministic lockstep; a wall-clock
-    /// deployment runs them from dispatcher/timer threads).
+    /// deployment runs them from dispatcher/timer threads, which the
+    /// dispatch lock keeps in one order).
     #[must_use]
     pub fn new(fleet: Arc<ShardedFleet>, config: ServeConfig) -> Self {
         let latencies_us = Arc::new(Mutex::new(Vec::new()));
@@ -325,7 +340,6 @@ impl FleetServer {
                 coalescer: Coalescer::new(),
                 window_opened: None,
             }),
-            dispatch_gate: Mutex::new(()),
             shared_barrier: barrier,
             tick: AtomicU64::new(0),
             last_sealed_tick: AtomicU64::new(0),
@@ -392,24 +406,23 @@ impl FleetServer {
     /// requests stay queued, and the server keeps serving.
     pub fn pump(&self) -> Result<(), ServeError> {
         loop {
+            // Locked before the pop: whichever thread pops a request also
+            // windows it before any other thread can pop the next one.
+            let mut dispatch = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
             let Some(request) = self.ingress.try_pop() else {
                 return Ok(());
             };
-            let flush = {
-                let mut dispatch = self.lock_dispatch();
-                if dispatch.window_opened.is_none() {
-                    dispatch.window_opened = Some(Instant::now());
-                }
-                dispatch.coalescer.extend(request);
-                if dispatch.coalescer.len() >= self.config.flush_ops.max(1) {
-                    let opened = dispatch.window_opened.take();
-                    Some((dispatch.coalescer.take(), opened))
-                } else {
-                    None
-                }
-            };
-            if let Some((ops, opened)) = flush {
-                self.dispatch_flush(ops, opened)?;
+            if dispatch.window_opened.is_none() {
+                dispatch.window_opened = Some(Instant::now());
+            }
+            dispatch.coalescer.extend(request);
+            // relaxed: monotonic stat counter with one writer at a time
+            // (the dispatch lock is held), read only by monitoring.
+            self.counters
+                .coalesced_away
+                .store(dispatch.coalescer.absorbed(), Ordering::Relaxed);
+            if dispatch.coalescer.len() >= self.config.flush_ops.max(1) {
+                self.flush_locked(&mut dispatch)?;
             }
         }
     }
@@ -421,14 +434,7 @@ impl FleetServer {
     ///
     /// As [`pump`](Self::pump).
     pub fn flush(&self) -> Result<(), ServeError> {
-        let (ops, opened) = {
-            let mut dispatch = self.lock_dispatch();
-            (dispatch.coalescer.take(), dispatch.window_opened.take())
-        };
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.dispatch_flush(ops, opened)
+        self.flush_locked(&mut self.dispatch.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Blocks until everything admitted so far has been applied to the
@@ -472,19 +478,14 @@ impl FleetServer {
     }
 
     /// The seal barrier: quiesce dispatch, drain in-flight sub-batches,
-    /// cut the epoch. Holding the dispatch gate keeps any concurrent
-    /// pump/flush from logging a new batch while the cut is in progress,
-    /// which is what keeps the WAL's epoch partition identical to the
-    /// shards' observed partition.
+    /// cut the epoch. Holding the dispatch lock from the flush to the end
+    /// of the cut keeps any concurrent pump/flush from logging a new batch
+    /// in between, which is what keeps the WAL's epoch partition identical
+    /// to the shards' observed partition.
     fn seal_barrier(&self) -> Result<Arc<EpochSnapshot>, ServeError> {
         self.pump()?;
-        self.flush()?;
-        // The gate guards no data (`Mutex<()>`): recovery is trivially
-        // sound, and serving must outlive a panicked dispatcher.
-        let _gate = self
-            .dispatch_gate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut dispatch = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
+        self.flush_locked(&mut dispatch)?;
         self.wait_applied();
         match self.fleet.try_seal_epoch() {
             Ok(snapshot) => {
@@ -500,17 +501,14 @@ impl FleetServer {
         }
     }
 
-    /// Logs one coalesced batch and mails the per-shard sub-batches.
-    fn dispatch_flush(&self, ops: Vec<ChurnOp>, opened: Option<Instant>) -> Result<(), ServeError> {
+    /// Closes the current window: logs the coalesced batch and mails the
+    /// per-shard sub-batches. The caller holds the dispatch lock.
+    fn flush_locked(&self, dispatch: &mut DispatchState) -> Result<(), ServeError> {
+        let ops = dispatch.coalescer.take();
+        let opened = dispatch.window_opened.take();
         if ops.is_empty() {
             return Ok(());
         }
-        // The gate guards no data (`Mutex<()>`): recovery is trivially
-        // sound, and serving must outlive a panicked dispatcher.
-        let _gate = self
-            .dispatch_gate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
         if let Err(e) = self.fleet.log_batch(&ops) {
             // relaxed: monotonic stat counter, read only by monitoring.
             self.counters
@@ -534,7 +532,7 @@ impl FleetServer {
             enqueued: opened.unwrap_or_else(Instant::now),
             latencies_us: Arc::clone(&self.latencies_us),
         });
-        let barrier = self.barrier();
+        let barrier = &self.shared_barrier;
         {
             // The barrier count is adjusted in single `+=`/`-=` steps under
             // the guard, so an inherited poisoned count is still coherent.
@@ -565,7 +563,7 @@ impl FleetServer {
 
     /// Waits until no sub-batch is enqueued-but-unapplied.
     fn wait_applied(&self) {
-        let barrier = self.barrier();
+        let barrier = &self.shared_barrier;
         let mut inflight = barrier.0.lock().unwrap_or_else(PoisonError::into_inner);
         while *inflight > 0 {
             inflight = barrier
@@ -599,8 +597,8 @@ impl FleetServer {
         self.ingress.len()
     }
 
-    /// A point-in-time copy of the counters (coalesced-away is read off
-    /// the live coalescer).
+    /// A point-in-time copy of the counters. Takes no lock, so it answers
+    /// while a seal holds the dispatch lock.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
         let c = &self.counters;
@@ -609,7 +607,7 @@ impl FleetServer {
             admitted_ops: c.admitted_ops.load(Ordering::Relaxed),
             shed_queue_full: c.shed_queue_full.load(Ordering::Relaxed),
             shed_seal_lag: c.shed_seal_lag.load(Ordering::Relaxed),
-            coalesced_away: self.lock_dispatch().coalescer.absorbed(),
+            coalesced_away: c.coalesced_away.load(Ordering::Relaxed),
             flushes: c.flushes.load(Ordering::Relaxed),
             flushed_ops: c.flushed_ops.load(Ordering::Relaxed),
             applied_ops: c.applied_ops.load(Ordering::Relaxed),
@@ -651,18 +649,6 @@ impl FleetServer {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-
-    /// Takes the dispatch-state lock, recovering from poisoning: the
-    /// coalescer and window stamp are only ever mutated through complete
-    /// operations under the guard, so a panicked dispatcher leaves them
-    /// coherent — and the monitoring path (`stats`) must keep answering.
-    fn lock_dispatch(&self) -> MutexGuard<'_, DispatchState> {
-        self.dispatch.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn barrier(&self) -> &Arc<(Mutex<u64>, Condvar)> {
-        &self.shared_barrier
     }
 }
 
