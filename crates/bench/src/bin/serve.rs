@@ -3,8 +3,8 @@
 //!
 //! Drives synthetic client populations ([`fi_simnet::ClientPopulation`])
 //! through the backpressured serving pipeline (bounded ingress queue,
-//! last-op-wins coalescing, per-shard mailbox workers, drain-then-seal
-//! barriers) and appends a `serve` section to `BENCH_perf.json` at the
+//! last-op-wins coalescing, one `try_ingest_batch` per flush on the
+//! driver's thread, flush-then-seal barriers) and appends a `serve` section to `BENCH_perf.json` at the
 //! repo root:
 //!
 //! * **headline** — the sustained serving rate of a large population
@@ -101,7 +101,6 @@ const SMOKE: Workload = Workload {
 fn overload_serve() -> ServeConfig {
     ServeConfig {
         queue_capacity: 8,
-        mailbox_capacity: 8,
         flush_ops: 256,
         epoch_ticks: 10,
         max_seal_lag_epochs: 3,

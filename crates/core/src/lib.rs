@@ -31,8 +31,8 @@
 //! ([`DiversityReport::from_snapshot`] and
 //! [`Recommender::plan_for_snapshot`] are its monitoring/management
 //! read paths). [`fi_serve`] fronts that fleet with a backpressured
-//! request pipeline — bounded ingress, edge coalescing, per-shard
-//! mailbox workers, watermark admission control — plus the
+//! request pipeline — bounded ingress, edge coalescing, one ingest call
+//! per flush, watermark admission control — plus the
 //! deterministic simnet load scenarios that prove the pipeline
 //! semantically invisible at million-device scale.
 //!

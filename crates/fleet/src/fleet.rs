@@ -10,14 +10,19 @@
 //! **any** shard count in any thread schedule seals to a bit-identical
 //! [`EpochSnapshot`].
 //!
-//! The fleet spawns no thread. Every call runs on its caller's thread:
-//! [`try_ingest_batch`](ShardedFleet::try_ingest_batch) logs, routes and
-//! applies a batch shard after shard, and the shard mutexes are what lets
-//! several callers do so at once — other ingest threads, or `fi-serve`'s
-//! per-shard mailbox workers, which drive the same three steps one at a
-//! time through [`log_batch`](ShardedFleet::log_batch),
-//! [`split_by_shard`](ShardedFleet::split_by_shard) and
-//! [`apply_shard_batch`](ShardedFleet::apply_shard_batch).
+//! The fleet spawns no thread, and neither does `fi-serve` above it. Every
+//! call runs on its caller's thread:
+//! [`try_ingest_batch`](ShardedFleet::try_ingest_batch) — the one
+//! production ingest path, which `fi-serve` calls once per flush — logs,
+//! routes and applies a batch shard after shard under one hold of the
+//! batch gate, and the shard mutexes are what lets several callers do so
+//! at once. Its three steps are also public one by one
+//! ([`log_batch`](ShardedFleet::log_batch),
+//! [`split_by_shard`](ShardedFleet::split_by_shard),
+//! [`apply_shard_batch`](ShardedFleet::apply_shard_batch)), only as
+//! measurement and test seams: the benchmark's stage replay times each of
+//! them, and the differential suite pins their composition to
+//! `try_ingest_batch`.
 //!
 //! [`seal_epoch`](ShardedFleet::seal_epoch) is the write→read barrier, and
 //! it is **differential**: each shard accumulates a
@@ -323,7 +328,7 @@ impl ShardedFleet {
     fn wal_append_batch(&self, ops: &[ChurnOp]) -> Result<(), IngestError> {
         if let Some(dur) = &self.durability {
             if !ops.is_empty() {
-                lock_recover(&dur.log).append(&WalRecord::Batch(ops.to_vec()))?;
+                lock_recover(&dur.log).append_batch(ops)?;
             }
         }
         Ok(())
@@ -438,10 +443,12 @@ impl ShardedFleet {
 
     /// Splits `ops` into per-shard sub-batches by [`shard_of`](Self::shard_of),
     /// preserving per-device op order (all of one device's ops land on one
-    /// shard, in their original relative order). The serving layer uses
-    /// this to route coalesced flushes into per-shard mailboxes; the
-    /// returned vector always has exactly [`shard_count`](Self::shard_count)
-    /// entries.
+    /// shard, in their original relative order). The returned vector always
+    /// has exactly [`shard_count`](Self::shard_count) entries.
+    ///
+    /// The route step of [`try_ingest_batch`](Self::try_ingest_batch);
+    /// public as a measurement and test seam (see
+    /// [`log_batch`](Self::log_batch)).
     #[must_use]
     pub fn split_by_shard(&self, ops: &[ChurnOp]) -> Vec<Vec<ChurnOp>> {
         let mut per_shard: Vec<Vec<ChurnOp>> = vec![Vec::new(); self.shards.len()];
@@ -453,26 +460,29 @@ impl ShardedFleet {
         per_shard
     }
 
-    /// Serving hook: frames one (already coalesced) batch into the
-    /// write-ahead log without touching any shard. No-op `Ok` on
-    /// in-memory fleets and for empty batches.
+    /// Measurement and test seam: the log step of
+    /// [`try_ingest_batch`](Self::try_ingest_batch) alone — frames one
+    /// batch into the write-ahead log without touching any shard. No-op
+    /// `Ok` on in-memory fleets and for empty batches.
     ///
-    /// [`try_ingest_batch`](Self::try_ingest_batch) is this, then
-    /// [`split_by_shard`](Self::split_by_shard), then
-    /// [`apply_shard_batch`](Self::apply_shard_batch) per shard, under one
-    /// gate hold; the three are public so a serving layer can run the
-    /// apply step on per-shard worker threads. **Contract:** the caller
-    /// must guarantee no epoch cut happens between a batch's `log_batch`
-    /// and the completion of its last `apply_shard_batch` — `fi-serve`
-    /// does this by draining in-flight flushes before driving a seal —
-    /// otherwise the log's epoch partition and the shards' observed
-    /// partition disagree and recovery replay will refuse the hash.
+    /// `try_ingest_batch` is the production path: it is this, then
+    /// [`split_by_shard`](Self::split_by_shard), then the apply of
+    /// [`apply_shard_batch`](Self::apply_shard_batch) per shard, under
+    /// **one** gate hold, so no epoch cut can separate a batch's log record
+    /// from its application. The three steps stay public only because the
+    /// benchmark's stage replay (`crates/bench/src/bin/fibench`, "Pinned
+    /// API surface") times them one by one and `fleet_differential.rs`
+    /// pins their composition to `try_ingest_batch`. A caller that does
+    /// run them separately takes a gate hold per step, and must itself
+    /// keep a seal from cutting between a batch's `log_batch` and its last
+    /// `apply_shard_batch` — otherwise the log's epoch partition and the
+    /// shards' observed partition disagree and recovery replay will refuse
+    /// the hash.
     ///
     /// # Errors
     ///
     /// Returns [`IngestError::WalAppend`] when the log rejects the bytes;
-    /// nothing was applied, and the caller must **not** enqueue the
-    /// batch's sub-batches.
+    /// nothing was applied, and the caller must **not** apply the batch.
     pub fn log_batch(&self, ops: &[ChurnOp]) -> Result<(), IngestError> {
         let _gate = self
             .batch_gate
@@ -481,13 +491,14 @@ impl ShardedFleet {
         self.wal_append_batch(ops)
     }
 
-    /// Serving hook: applies one shard's sub-batch (as produced by
-    /// [`split_by_shard`](Self::split_by_shard)) under a shared gate hold.
-    /// The counterpart of [`log_batch`](Self::log_batch); see there for
-    /// the cut-ordering contract. The device counter moves once per
-    /// sub-batch, so monitoring counts observed mid-flush are sub-batch
-    /// granular (whole-batch granularity is restored at the serving
-    /// layer's drain barriers).
+    /// Measurement and test seam: the apply step of
+    /// [`try_ingest_batch`](Self::try_ingest_batch) for one shard's
+    /// sub-batch (as produced by [`split_by_shard`](Self::split_by_shard)),
+    /// under its own shared gate hold. The counterpart of
+    /// [`log_batch`](Self::log_batch); see there for why it is public and
+    /// for the cut-ordering caveat. Called this way the device counter
+    /// moves once per sub-batch; through `try_ingest_batch` it moves once
+    /// per batch.
     ///
     /// # Panics
     ///

@@ -9,7 +9,7 @@
 //! read from immutable [`EpochSnapshot`]s published at
 //! [`seal_epoch`](ShardedFleet::seal_epoch) barriers. The crate spawns no
 //! thread: ingest runs on its caller's, and the per-shard locks are what
-//! lets many callers (or `fi-serve`'s shard workers) ingest at once.
+//! lets many callers ingest at once (`fi-serve`, also threadless, is one).
 //!
 //! ## Model
 //!

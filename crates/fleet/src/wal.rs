@@ -78,13 +78,17 @@ pub enum WalRecord {
     },
 }
 
+/// The payload of a [`WalRecord::Batch`] over `ops`, encoded from the
+/// borrowed slice.
+fn encode_batch(ops: &[ChurnOp], out: &mut Vec<u8>) {
+    out.push(1);
+    ops.encode(out);
+}
+
 impl Encode for WalRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::Batch(ops) => {
-                out.push(1);
-                ops.encode(out);
-            }
+            WalRecord::Batch(ops) => encode_batch(ops, out),
             WalRecord::EpochCut { epoch } => {
                 out.push(2);
                 epoch.encode(out);
@@ -193,13 +197,26 @@ impl ChurnLog {
     /// make it durable). Rotates to a fresh segment first if the active one
     /// has reached the configured size.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+        self.append_frame(|out| record.encode(out))
+    }
+
+    /// [`append`](Self::append) of `WalRecord::Batch(ops.to_vec())`,
+    /// byte for byte, without the copy: the ingest path logs every batch
+    /// through here under the log mutex.
+    pub fn append_batch(&mut self, ops: &[ChurnOp]) -> Result<(), WalError> {
+        self.append_frame(|out| encode_batch(ops, out))
+    }
+
+    /// The one frame writer: rotates if due, then writes `payload`'s
+    /// bytes as a length-prefixed, CRC-suffixed frame.
+    fn append_frame(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> Result<(), WalError> {
         if self.active_len >= self.segment_bytes {
             self.rotate()?;
         }
         // Framed in one buffer: a length placeholder, the payload encoded
         // behind it, the length patched in, the payload's CRC appended.
         let mut frame = vec![0u8; 4];
-        record.encode(&mut frame);
+        payload(&mut frame);
         let (len, payload) = frame.split_at_mut(4);
         len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
         let crc = crc32(payload);
@@ -455,6 +472,51 @@ mod tests {
             WalRecord::EpochCut { epoch: 99 }
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_batch_writes_the_bytes_append_writes_for_a_batch_record() {
+        // One op, a two-op batch, and a multi-KiB one; the empty batch is
+        // the edge next to them (the fleet never logs it, the codec can).
+        let op = |i: u64| {
+            ChurnOp::attest(
+                ReplicaId::new(i),
+                sha256(i.to_le_bytes()),
+                VotingPower::new(i + 1),
+            )
+        };
+        let batches: Vec<Vec<ChurnOp>> = vec![
+            Vec::new(),
+            vec![op(7)],
+            vec![
+                op(1),
+                ChurnOp::Deregister {
+                    replica: ReplicaId::new(9),
+                },
+            ],
+            (0..200).map(op).collect(),
+        ];
+        let segment = |tag: &str, write: &dyn Fn(&mut ChurnLog, &[ChurnOp])| {
+            let dir = tmpdir(tag);
+            let (mut log, _) = ChurnLog::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+            for ops in &batches {
+                write(&mut log, ops);
+            }
+            log.sync().unwrap();
+            let bytes = fs::read(log.active_segment()).unwrap();
+            let records = read_records(&dir).unwrap().records;
+            let _ = fs::remove_dir_all(&dir);
+            (bytes, records)
+        };
+        let (borrowed, decoded) =
+            segment("batch-borrowed", &|log, ops| log.append_batch(ops).unwrap());
+        let (owned, _) = segment("batch-owned", &|log, ops| {
+            log.append(&WalRecord::Batch(ops.to_vec())).unwrap();
+        });
+        assert!(borrowed.len() > 4096, "the large batch spans multiple KiB");
+        assert_eq!(borrowed, owned);
+        let expected: Vec<WalRecord> = batches.into_iter().map(WalRecord::Batch).collect();
+        assert_eq!(decoded, expected);
     }
 
     #[test]

@@ -14,8 +14,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Stable rule id (`panic`, `poison`, `lock-order`, `determinism`,
-    /// `relaxed`, `hygiene`, `stale-allow`).
+    /// Stable rule id (`panic`, `thread`, `poison`, `lock-order`,
+    /// `determinism`, `relaxed`, `hygiene`, `stale-allow`).
     pub rule: String,
     /// What was found.
     pub message: String,

@@ -1,4 +1,4 @@
-//! The six invariant rules, plus the suppression machinery that keeps
+//! The seven invariant rules, plus the suppression machinery that keeps
 //! every exception written down.
 //!
 //! Suppressions come in two shapes, and *both* are audited:
@@ -29,6 +29,9 @@ const PANIC_TOKENS: &[&str] = &[
     "todo!",
     "unimplemented!",
 ];
+
+/// Ways to start a thread, denied on serving paths.
+const THREAD_TOKENS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
 
 /// Type/value names that make hashing or reporting nondeterministic.
 const DETERMINISM_TOKENS: &[&str] = &[
@@ -75,6 +78,7 @@ pub fn check(files: &[ScannedFile], manifest: &Manifest) -> Report {
         };
         ctx.hygiene();
         ctx.panic_rule();
+        ctx.thread_rule();
         ctx.poison_rule();
         ctx.lock_order_rule();
         ctx.determinism_rule();
@@ -212,6 +216,33 @@ impl RuleCtx<'_> {
                 idx + 1,
                 "panic",
                 format!("{} on a serving path can panic", hits.join(", ")),
+            );
+        }
+    }
+
+    /// Rule `thread`: serving modules run on their callers' threads and
+    /// start none of their own — no `thread::spawn`, `thread::scope` or
+    /// `thread::Builder` outside test code.
+    fn thread_rule(&mut self) {
+        if !Manifest::covers(&self.manifest.serving, &self.file.path) {
+            return;
+        }
+        for (idx, line) in self.file.lines.iter().enumerate() {
+            if line.in_test {
+                continue;
+            }
+            let hits: Vec<&str> = THREAD_TOKENS
+                .iter()
+                .filter(|tok| token_match(&line.code, tok))
+                .copied()
+                .collect();
+            if hits.is_empty() || self.suppressed("thread", self.file.statement_of[idx]) {
+                continue;
+            }
+            self.emit(
+                idx + 1,
+                "thread",
+                format!("{} starts a thread in a serving module", hits.join(", ")),
             );
         }
     }
@@ -508,6 +539,30 @@ mod tests {
             "#[derive(Clone)]\nstruct S { b: [u8; 4] }\nfn g() -> Vec<u8> { vec![1, 2] }\n",
         );
         assert!(ok.is_clean(), "{:?}", ok.findings);
+    }
+
+    #[test]
+    fn thread_rule_fires_in_serving_modules_only() {
+        let spawn = "fn f() { std::thread::spawn(|| ()); }\n";
+        let bad = run("crates/x/src/a.rs", spawn);
+        assert_eq!(bad.findings.len(), 1, "{:?}", bad.findings);
+        assert_eq!(bad.findings[0].rule, "thread");
+        let builder = run(
+            "crates/x/src/a.rs",
+            "fn f() {\n    let _ = std::thread::Builder::new()\n        .spawn(|| ());\n}\n",
+        );
+        assert_eq!(builder.findings.len(), 1, "{:?}", builder.findings);
+        assert_eq!(
+            (builder.findings[0].rule.as_str(), builder.findings[0].line),
+            ("thread", 2)
+        );
+        let scoped = run("crates/x/src/a.rs", "fn f() { thread::scope(|_| ()); }\n");
+        assert_eq!(scoped.findings.len(), 1, "{:?}", scoped.findings);
+        // Outside [serving], in test code, or merely naming a handle: fine.
+        assert!(run("crates/y/src/a.rs", spawn).is_clean());
+        let in_test = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::spawn(|| ()); }\n}\n";
+        assert!(run("crates/x/src/a.rs", in_test).is_clean());
+        assert!(run("crates/x/src/a.rs", "use std::thread::JoinHandle;\n").is_clean());
     }
 
     #[test]

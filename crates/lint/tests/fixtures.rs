@@ -30,9 +30,10 @@ fn rule_count(report: &Report, rule: &str) -> usize {
 fn dirty_fixture_reports_every_rule() {
     let report = run_lint(&fixture("dirty")).expect("dirty fixture lints");
 
-    assert_eq!(report.findings.len(), 12, "report:\n{}", report.to_text());
+    assert_eq!(report.findings.len(), 13, "report:\n{}", report.to_text());
     assert_eq!(rule_count(&report, "hygiene"), 1);
     assert_eq!(rule_count(&report, "panic"), 2);
+    assert_eq!(rule_count(&report, "thread"), 1);
     assert_eq!(rule_count(&report, "poison"), 1);
     assert_eq!(rule_count(&report, "lock-order"), 1);
     assert_eq!(rule_count(&report, "determinism"), 4);
@@ -70,6 +71,7 @@ fn dirty_fixture_findings_anchor_to_exact_lines() {
     assert!(has("crates/app/src/lib.rs", 20, "stale-allow"));
     assert!(has("crates/app/src/serve.rs", 4, "panic"));
     assert!(has("crates/app/src/serve.rs", 8, "panic"));
+    assert!(has("crates/app/src/serve.rs", 12, "thread"));
     assert!(has("crates/app/src/hash.rs", 7, "determinism"));
 }
 

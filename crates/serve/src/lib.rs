@@ -12,12 +12,13 @@
 //!   churn within a flush window (every [`ChurnOp`](fi_attest::ChurnOp)
 //!   fully determines the device's post-state, so only the newest op per
 //!   device needs to reach a shard);
-//! * **per-shard mailbox workers**: one persistent thread per fleet
-//!   shard, fed FIFO sub-batches, applying via the fleet's serving hooks
-//!   (`log_batch` / `apply_shard_batch`) — a slow shard backpressures the
-//!   dispatcher, not the world;
+//! * **one ingest call per flush**: the dispatcher hands each coalesced
+//!   window to `ShardedFleet::try_ingest_batch` on its own thread, under
+//!   the dispatch lock, and pops the next request only once the window
+//!   has applied — the crate spawns no thread, and the ingress bound is
+//!   its only queue;
 //! * a **tick-driven seal cadence** ([`FleetServer::tick`]): epochs are
-//!   cut every `epoch_ticks` behind a drain barrier, and a fleet that
+//!   cut every `epoch_ticks` under the same dispatch lock, and a fleet that
 //!   falls behind its cadence sheds new load ([`Overloaded::SealLag`])
 //!   instead of growing an unseable backlog;
 //! * **deterministic load scenarios** ([`run_scenario`]): an

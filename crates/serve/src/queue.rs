@@ -1,33 +1,20 @@
-//! A small bounded MPSC queue: `Mutex<VecDeque>` + condvars.
+//! A small bounded MPMC queue: `Mutex<VecDeque>`, non-blocking at both
+//! ends.
 //!
-//! This is the backpressure primitive the front-end is built on, in two
-//! roles: the **ingress** queue (producers use [`Bounded::try_push`], so a
-//! full queue is an *admission decision* surfaced to the client as
-//! [`Overloaded`](crate::Overloaded), never a block) and the per-shard
-//! **mailboxes** (the dispatcher uses [`Bounded::push_wait`], so a slow
-//! shard propagates backpressure up to the ingress bound instead of
-//! buffering unboundedly).
-//!
-//! Closing wakes every waiter: poppers drain what remains and then see
-//! `None`; pushers get their item back.
+//! This is the front-end's one queue, the **ingress**: producers use
+//! [`Bounded::try_push`], so a full queue is an *admission decision*
+//! surfaced to the client as [`Overloaded`](crate::Overloaded), never a
+//! block, and the dispatcher takes requests off with
+//! [`Bounded::try_pop`]. No caller ever waits on it.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// A bounded FIFO queue shared between threads. See the module docs for
-/// the push-policy split between admission (try) and backpressure (wait).
+/// A bounded FIFO queue shared between threads; see the module docs.
 #[derive(Debug)]
 pub struct Bounded<T> {
-    state: Mutex<State<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    items: Mutex<VecDeque<T>>,
     capacity: usize,
-}
-
-#[derive(Debug)]
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
 }
 
 impl<T> Bounded<T> {
@@ -36,12 +23,7 @@ impl<T> Bounded<T> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Bounded {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity.min(1024)),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            items: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             capacity,
         }
     }
@@ -55,102 +37,44 @@ impl<T> Bounded<T> {
     /// Items currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock_recover().items.len()
+        self.lock_recover().len()
     }
 
     /// Whether the queue is currently empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lock_recover().items.is_empty()
+        self.lock_recover().is_empty()
     }
 
     /// Non-blocking push: `Err(item)` back to the caller when the queue
-    /// is at capacity or closed. This is the admission-control edge — the
-    /// caller turns the `Err` into a typed shed, it never waits.
+    /// is at capacity. This is the admission-control edge — the caller
+    /// turns the `Err` into a typed shed, it never waits.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock_recover();
-        if state.closed || state.items.len() >= self.capacity {
+        let mut items = self.lock_recover();
+        if items.len() >= self.capacity {
             return Err(item);
         }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocking push: waits for space, `Err(item)` only if the queue is
-    /// closed. The dispatcher uses this into the shard mailboxes, so a
-    /// slow shard stalls dispatch (bounded memory) rather than dropping.
-    pub fn push_wait(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock_recover();
-        while !state.closed && state.items.len() >= self.capacity {
-            // A waiter inheriting a poisoned guard sees a structurally
-            // intact queue: the queue's own mutations cannot unwind
-            // mid-operation, so serving continues past a panicked user.
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
+        items.push_back(item);
         Ok(())
     }
 
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
-        let item = self.lock_recover().items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
+        self.lock_recover().pop_front()
     }
 
-    /// Blocking pop: waits for an item; `None` once the queue is closed
-    /// **and** drained — the worker-thread shutdown signal.
-    pub fn pop_wait(&self) -> Option<T> {
-        let mut state = self.lock_recover();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue: pending items remain poppable, new pushes fail,
-    /// and every waiter wakes.
-    pub fn close(&self) {
-        self.lock_recover().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Takes the state lock, recovering from poisoning: a producer or
+    /// Takes the queue lock, recovering from poisoning: a producer or
     /// consumer that panicked between queue calls must not take the whole
     /// ingress path down with it, and the queue's own operations never
     /// unwind while mutating, so the inherited state is always coherent.
-    fn lock_recover(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_recover(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.items.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn try_push_sheds_at_capacity() {
@@ -161,30 +85,5 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.try_pop(), Some(1));
         assert!(q.try_push(3).is_ok());
-    }
-
-    #[test]
-    fn close_drains_then_signals_workers() {
-        let q = Bounded::new(4);
-        q.try_push(7).unwrap();
-        q.close();
-        assert_eq!(q.try_push(8), Err(8));
-        assert_eq!(q.pop_wait(), Some(7));
-        assert_eq!(q.pop_wait(), None);
-    }
-
-    #[test]
-    fn push_wait_applies_backpressure_until_a_pop() {
-        let q = Arc::new(Bounded::new(1));
-        q.try_push(1u32).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_wait(2).is_ok())
-        };
-        // The producer is blocked on the full queue until this pop.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.try_pop(), Some(1));
-        assert!(producer.join().unwrap());
-        assert_eq!(q.pop_wait(), Some(2));
     }
 }

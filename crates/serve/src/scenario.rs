@@ -6,19 +6,17 @@
 //! per tick it submits the tick's generated requests (admission decisions
 //! depend only on logical queue state — burst size vs. the ingress bound
 //! — so sheds are deterministic), pumps the dispatcher, and advances the
-//! server clock; on seal ticks the server drains in-flight flushes and
-//! cuts the epoch. Worker threads still apply sub-batches concurrently —
-//! the end state is schedule-invariant because shards share no state —
-//! so the same config yields the byte-identical [`ScenarioReport`] on
-//! every run, any thread schedule, and **any shard count**.
+//! server clock; on seal ticks the server flushes its window and cuts
+//! the epoch. Every step runs on this one thread, and shards share no
+//! state, so the same config yields the byte-identical
+//! [`ScenarioReport`] on every run and at **any shard count**.
 //!
 //! The oracle ([`direct_ingest_report`]) replays the recorded *admitted*
 //! requests straight into a plain [`ShardedFleet`] via `ingest_batch` —
-//! no queue, no coalescing, no mailboxes — sealing at the same ticks.
-//! Matching epoch hashes prove the whole serving pipeline (bounded
-//! ingress + last-op-wins coalescing + per-shard mailboxes + drain-then-
-//! seal barriers) is semantically invisible: it reorders and collapses
-//! work, never changes what an epoch means.
+//! no queue, no coalescing — sealing at the same ticks. Matching epoch
+//! hashes prove the whole serving pipeline (bounded ingress + last-op-wins
+//! coalescing + flush-then-seal barriers) is semantically invisible: it
+//! collapses work, never changes what an epoch means.
 
 use std::sync::Arc;
 

@@ -1,51 +1,52 @@
-//! The serving front-end: bounded ingress → coalescer → per-shard
-//! mailboxes → tick-driven seals.
+//! The serving front-end: bounded ingress → coalescer → one
+//! `try_ingest_batch` per flush → tick-driven seals.
 //!
 //! ```text
 //!  clients ──try_push──▶ ingress (bounded) ══pump══▶ Coalescer
 //!                │ full?                                 ║ flush
-//!                ▼                                       ▼ log_batch (WAL)
-//!          Overloaded::QueueFull              split_by_shard ═▶ mailbox[0] ─▶ worker 0
-//!                                                             ═▶ mailbox[1] ─▶ worker 1
-//!                                                             …   (apply_shard_batch)
-//!  ══ under the dispatch lock, one thread at a time; a sealing tick holds
-//!     it on through wait-for-workers and `try_seal_epoch`
+//!                ▼                                       ▼
+//!          Overloaded::QueueFull          fleet.try_ingest_batch(&window)
+//!                                          (WAL record → route → apply)
+//!  ══ under the dispatch lock, on the calling thread; a sealing tick holds
+//!     it on through `try_seal_epoch`
 //! ```
+//!
+//! The server spawns no thread, and neither does `fi-fleet` beneath it:
+//! every step runs on the thread that called [`FleetServer::pump`],
+//! [`flush`](FleetServer::flush) or [`tick`](FleetServer::tick).
+//! Concurrency is the caller's — any number of threads may submit, pump
+//! and tick — and the one dispatch lock puts them in one order.
 //!
 //! * **Admission** happens at [`FleetServer::submit`]: a full ingress
 //!   queue or a seal-lag watermark breach sheds the request with a typed
 //!   [`Overloaded`] — the server never blocks a client and never drops
 //!   silently.
 //! * **Dispatch** ([`FleetServer::pump`]) drains the ingress into the
-//!   [`Coalescer`] and, at the flush watermark, logs the coalesced batch
-//!   once ([`ShardedFleet::log_batch`]) and mails each shard its
-//!   sub-batch. Mailboxes are bounded with *blocking* pushes, so a slow
-//!   shard backpressures dispatch instead of buffering unboundedly.
-//!   Every step — pop, window, log, mail — happens under the one
-//!   **dispatch lock**, taken before the pop, so however many threads
-//!   call `pump`, `flush` and `tick`, requests enter windows in queue
-//!   order and windows reach the log and the mailboxes in window order.
-//! * **Application** runs on one persistent worker thread per shard
-//!   ([`ShardedFleet::apply_shard_batch`]) — the only threads in the
-//!   stack; `fi-fleet` spawns none. A shard's mailbox is FIFO, so
-//!   per-device op order is preserved end to end and the fleet's end
-//!   state is independent of worker scheduling.
+//!   [`Coalescer`] and, at the flush watermark, hands the coalesced window
+//!   to [`ShardedFleet::try_ingest_batch`], which write-ahead logs it once
+//!   and applies it shard after shard before returning. Every step — pop,
+//!   window, ingest — happens under the one **dispatch lock**, taken
+//!   before the pop, so however many threads call `pump`, `flush` and
+//!   `tick`, requests enter windows in queue order and windows reach the
+//!   log and the shards in window order.
+//! * **Backpressure** is that same hold: dispatch does not pop the next
+//!   request until the current flush has applied, so nothing queues
+//!   behind the coalescing window and the ingress bound is the only queue
+//!   in the server.
 //! * **Sealing** is tick-driven: [`FleetServer::tick`] advances logical
-//!   time and, every `epoch_ticks`, takes the dispatch lock, flushes the
-//!   window, waits for the in-flight sub-batches and cuts the epoch via
-//!   [`ShardedFleet::try_seal_epoch`] without letting go of it — that
-//!   hold is what keeps the WAL's epoch partition identical to what the
-//!   shards observed (see `log_batch`'s contract). A failed seal (e.g.
-//!   the WAL disk fault the ingest path also surfaces) leaves the fleet
-//!   serving and shows up as growing seal lag, which the admission gate
-//!   turns into [`Overloaded::SealLag`] sheds.
+//!   time and, every `epoch_ticks`, pumps the ingress dry, takes the
+//!   dispatch lock, flushes the window and cuts the epoch via
+//!   [`ShardedFleet::try_seal_epoch`] without letting go of it. A failed
+//!   seal (e.g. the WAL disk fault the ingest path also surfaces) leaves
+//!   the fleet serving and shows up as growing seal lag, which the
+//!   admission gate turns into [`Overloaded::SealLag`] sheds.
 //!
 //! Lock order, outermost first: dispatch → (in `fi-fleet`) seal → batch
 //! gate → shard registries → WAL; `LOCK_ORDER` declares it.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use fi_attest::ChurnOp;
@@ -62,9 +63,6 @@ pub struct ServeConfig {
     /// Ingress bound: requests queued beyond this are shed with
     /// [`Overloaded::QueueFull`].
     pub queue_capacity: usize,
-    /// Per-shard mailbox bound (sub-batches); full mailboxes backpressure
-    /// the dispatcher, never drop.
-    pub mailbox_capacity: usize,
     /// Coalescer flush watermark: a pump flushes once this many
     /// (post-coalescing) ops are pending. Seals always flush regardless.
     pub flush_ops: usize,
@@ -80,7 +78,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 4096,
-            mailbox_capacity: 64,
             flush_ops: 1024,
             epoch_ticks: 10,
             max_seal_lag_epochs: 3,
@@ -183,11 +180,12 @@ pub struct ServeStats {
     /// Ops collapsed away by the coalescer (admitted but never shipped —
     /// a newer same-device op superseded them within the flush window).
     pub coalesced_away: u64,
-    /// Flushes dispatched to the shards.
+    /// Flushes applied to the shards.
     pub flushes: u64,
     /// Post-coalescing ops those flushes carried.
     pub flushed_ops: u64,
-    /// Ops the shard workers have applied.
+    /// Always equal to `flushed_ops`: a flush returns only once its ops
+    /// are applied. Kept because the benchmark's output check reads it.
     pub applied_ops: u64,
     /// Flushes rejected by the write-ahead log (dropped cleanly).
     pub wal_rejected_flushes: u64,
@@ -206,54 +204,38 @@ struct Counters {
     coalesced_away: AtomicU64,
     flushes: AtomicU64,
     flushed_ops: AtomicU64,
-    applied_ops: AtomicU64,
     wal_rejected_flushes: AtomicU64,
     epochs_sealed: AtomicU64,
     seal_failures: AtomicU64,
 }
 
-/// Tracks one flush until its last sub-batch applies, for the
-/// enqueue-to-applied latency metric.
-#[derive(Debug)]
-struct FlushTracker {
-    remaining: AtomicUsize,
-    enqueued: Instant,
-    latencies_us: Arc<Mutex<Vec<u64>>>,
-}
-
-/// One shard worker's unit of work.
-struct ShardJob {
-    ops: Vec<ChurnOp>,
-    tracker: Arc<FlushTracker>,
-}
+/// How many flush-latency samples the server keeps: the most recent
+/// ones, oldest evicted first.
+const LATENCY_SAMPLES: usize = 65_536;
 
 /// The backpressured serving front-end over a [`ShardedFleet`]. See the
-/// module docs for the pipeline; construction spawns one worker thread
-/// per shard, and dropping the server shuts them down cleanly.
+/// module docs for the pipeline. It owns no thread: dropping it drops the
+/// queue and the window, nothing more.
 pub struct FleetServer {
     fleet: Arc<ShardedFleet>,
     config: ServeConfig,
     ingress: Bounded<Vec<ChurnOp>>,
-    mailboxes: Vec<Arc<Bounded<ShardJob>>>,
-    workers: Vec<JoinHandle<()>>,
     /// The dispatch lock, over the coalescing window. `pump` takes it
     /// before popping a request and holds it through extend → take →
-    /// `log_batch` → mail, so requests and windows keep their order across
+    /// `try_ingest_batch`, so requests and windows keep their order across
     /// dispatching threads; the seal barrier holds it from its flush to
-    /// the end of `try_seal_epoch`, so no batch is logged between a
-    /// flush's WAL record and the cut (the `log_batch` contract). Poison
-    /// is recovered: the window is only mutated through complete
-    /// operations, so a panicked dispatcher leaves it coherent.
+    /// the end of `try_seal_epoch`, so an epoch is cut over exactly the
+    /// windows dispatched before the tick. Poison is recovered: the window
+    /// is only mutated through complete operations, so a panicked
+    /// dispatcher leaves it coherent.
     dispatch: Mutex<DispatchState>,
-    /// Sub-batches enqueued but not yet applied, shared with the workers;
-    /// the seal barrier waits for zero.
-    shared_barrier: Arc<(Mutex<u64>, Condvar)>,
     /// Logical clock, advanced by [`tick`](Self::tick).
     tick: AtomicU64,
     /// Tick of the last *successful* seal — the seal-lag reference point.
     last_sealed_tick: AtomicU64,
-    counters: Arc<Counters>,
-    latencies_us: Arc<Mutex<Vec<u64>>>,
+    counters: Counters,
+    /// The last [`LATENCY_SAMPLES`] flush latencies, oldest first.
+    latencies_us: Mutex<VecDeque<u64>>,
 }
 
 #[derive(Debug)]
@@ -267,85 +249,31 @@ impl std::fmt::Debug for FleetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetServer")
             .field("config", &self.config)
-            .field("shards", &self.mailboxes.len())
+            .field("shards", &self.fleet.shard_count())
             .field("tick", &self.tick.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
 impl FleetServer {
-    /// Stands the front-end up over `fleet`, spawning one mailbox worker
-    /// thread per fleet shard. The caller drives the pipeline:
-    /// [`submit`](Self::submit) from any thread,
+    /// Stands the front-end up over `fleet`. The caller drives the
+    /// pipeline: [`submit`](Self::submit) from any thread,
     /// [`pump`](Self::pump)/[`tick`](Self::tick) from a driver loop (the
     /// load scenarios run this in deterministic lockstep; a wall-clock
     /// deployment runs them from dispatcher/timer threads, which the
     /// dispatch lock keeps in one order).
     #[must_use]
     pub fn new(fleet: Arc<ShardedFleet>, config: ServeConfig) -> Self {
-        let latencies_us = Arc::new(Mutex::new(Vec::new()));
-        let mailboxes: Vec<Arc<Bounded<ShardJob>>> = (0..fleet.shard_count())
-            .map(|_| Arc::new(Bounded::new(config.mailbox_capacity)))
-            .collect();
-        let counters = Arc::new(Counters::default());
-        let barrier = Arc::new((Mutex::new(0u64), Condvar::new()));
-        // Workers own Arc clones of everything they touch (fleet, their
-        // mailbox, the counters, the in-flight barrier), so the server
-        // struct itself stays movable; completion flows back through the
-        // flush tracker (latency) and the barrier (drain/seal).
-        let workers = mailboxes
-            .iter()
-            .enumerate()
-            .map(|(shard, mailbox)| {
-                let mailbox = Arc::clone(mailbox);
-                let fleet = Arc::clone(&fleet);
-                let counters = Arc::clone(&counters);
-                let barrier = Arc::clone(&barrier);
-                std::thread::Builder::new()
-                    .name(format!("fi-serve-shard-{shard}"))
-                    .spawn(move || {
-                        while let Some(job) = mailbox.pop_wait() {
-                            fleet.apply_shard_batch(shard, &job.ops);
-                            // relaxed: monotonic stat counter; the
-                            // flush tracker's AcqRel decrement below is
-                            // what orders completion.
-                            counters
-                                .applied_ops
-                                .fetch_add(job.ops.len() as u64, Ordering::Relaxed);
-                            if job.tracker.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let us = job.tracker.enqueued.elapsed().as_micros() as u64;
-                                // A panicked recorder leaves a fully
-                                // pushed (or fully absent) sample; the
-                                // latency log stays coherent, so recover.
-                                job.tracker
-                                    .latencies_us
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .push(us);
-                            }
-                            let mut inflight =
-                                barrier.0.lock().unwrap_or_else(PoisonError::into_inner);
-                            *inflight -= 1;
-                            drop(inflight);
-                            barrier.1.notify_all();
-                        }
-                    })
-                    .expect("spawning a shard worker thread")
-            })
-            .collect();
         FleetServer {
             ingress: Bounded::new(config.queue_capacity),
-            workers,
             dispatch: Mutex::new(DispatchState {
                 coalescer: Coalescer::new(),
                 window_opened: None,
             }),
-            shared_barrier: barrier,
             tick: AtomicU64::new(0),
             last_sealed_tick: AtomicU64::new(0),
-            counters,
-            latencies_us,
-            mailboxes,
+            counters: Counters::default(),
+            latencies_us: Mutex::new(VecDeque::new()),
             config,
             fleet,
         }
@@ -437,22 +365,19 @@ impl FleetServer {
         self.flush_locked(&mut self.dispatch.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Blocks until everything admitted so far has been applied to the
-    /// shards: pumps the ingress dry, flushes the coalescer, and waits
-    /// for the in-flight sub-batches to hit zero.
+    /// Applies everything admitted so far to the shards: pumps the
+    /// ingress dry, then flushes the coalescer.
     ///
     /// # Errors
     ///
     /// As [`pump`](Self::pump).
     pub fn drain(&self) -> Result<(), ServeError> {
         self.pump()?;
-        self.flush()?;
-        self.wait_applied();
-        Ok(())
+        self.flush()
     }
 
     /// Advances the logical clock one tick; on every `epoch_ticks`-th
-    /// tick, drains in-flight work and seals the epoch. Returns the
+    /// tick, dispatches what is queued and seals the epoch. Returns the
     /// sealed snapshot when this tick cut one.
     ///
     /// # Errors
@@ -477,16 +402,14 @@ impl FleetServer {
         Ok(Some(snapshot))
     }
 
-    /// The seal barrier: quiesce dispatch, drain in-flight sub-batches,
-    /// cut the epoch. Holding the dispatch lock from the flush to the end
-    /// of the cut keeps any concurrent pump/flush from logging a new batch
-    /// in between, which is what keeps the WAL's epoch partition identical
-    /// to the shards' observed partition.
+    /// The seal barrier: pump the ingress dry, then flush the window and
+    /// cut the epoch under one hold of the dispatch lock, so no other
+    /// thread's pump or flush lands a window between this one's and the
+    /// cut.
     fn seal_barrier(&self) -> Result<Arc<EpochSnapshot>, ServeError> {
         self.pump()?;
         let mut dispatch = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
         self.flush_locked(&mut dispatch)?;
-        self.wait_applied();
         match self.fleet.try_seal_epoch() {
             Ok(snapshot) => {
                 // relaxed: monotonic stat counter, read only by monitoring.
@@ -501,76 +424,40 @@ impl FleetServer {
         }
     }
 
-    /// Closes the current window: logs the coalesced batch and mails the
-    /// per-shard sub-batches. The caller holds the dispatch lock.
+    /// Closes the current window: ingests the coalesced batch (logged,
+    /// routed and applied before this returns) and records one latency
+    /// sample. The caller holds the dispatch lock.
     fn flush_locked(&self, dispatch: &mut DispatchState) -> Result<(), ServeError> {
         let ops = dispatch.coalescer.take();
         let opened = dispatch.window_opened.take();
         if ops.is_empty() {
             return Ok(());
         }
-        if let Err(e) = self.fleet.log_batch(&ops) {
+        if let Err(e) = self.fleet.try_ingest_batch(&ops) {
             // relaxed: monotonic stat counter, read only by monitoring.
             self.counters
                 .wal_rejected_flushes
                 .fetch_add(1, Ordering::Relaxed);
             return Err(e.into());
         }
-        let per_shard = self.fleet.split_by_shard(&ops);
-        let sub_batches = per_shard.iter().filter(|s| !s.is_empty()).count();
-        // relaxed: monotonic stat counters, read only by monitoring.
+        // relaxed: monotonic stat counter, read only by monitoring.
         self.counters.flushes.fetch_add(1, Ordering::Relaxed);
         // relaxed: monotonic stat counter, read only by monitoring.
         self.counters
             .flushed_ops
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
-        if sub_batches == 0 {
-            return Ok(());
+        let us = opened.map_or(0, |t| t.elapsed().as_micros() as u64);
+        // A panicked recorder leaves a fully pushed (or fully absent)
+        // sample; the latency log stays coherent, so recover.
+        let mut log = self
+            .latencies_us
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if log.len() == LATENCY_SAMPLES {
+            log.pop_front();
         }
-        let tracker = Arc::new(FlushTracker {
-            remaining: AtomicUsize::new(sub_batches),
-            enqueued: opened.unwrap_or_else(Instant::now),
-            latencies_us: Arc::clone(&self.latencies_us),
-        });
-        let barrier = &self.shared_barrier;
-        {
-            // The barrier count is adjusted in single `+=`/`-=` steps under
-            // the guard, so an inherited poisoned count is still coherent.
-            let mut inflight = barrier.0.lock().unwrap_or_else(PoisonError::into_inner);
-            *inflight += sub_batches as u64;
-        }
-        for (shard, shard_ops) in per_shard.into_iter().enumerate() {
-            if shard_ops.is_empty() {
-                continue;
-            }
-            let job = ShardJob {
-                ops: shard_ops,
-                tracker: Arc::clone(&tracker),
-            };
-            // lint: allow(panic) `shard` enumerates `split_by_shard`, whose
-            // length is the fleet's shard count == `mailboxes.len()`.
-            if self.mailboxes[shard].push_wait(job).is_err() {
-                // Closed mailbox: shutdown is in progress; account the
-                // sub-batch as done so the barrier cannot hang.
-                let mut inflight = barrier.0.lock().unwrap_or_else(PoisonError::into_inner);
-                *inflight -= 1;
-                drop(inflight);
-                barrier.1.notify_all();
-            }
-        }
+        log.push_back(us);
         Ok(())
-    }
-
-    /// Waits until no sub-batch is enqueued-but-unapplied.
-    fn wait_applied(&self) {
-        let barrier = &self.shared_barrier;
-        let mut inflight = barrier.0.lock().unwrap_or_else(PoisonError::into_inner);
-        while *inflight > 0 {
-            inflight = barrier
-                .1
-                .wait(inflight)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// The fleet this server fronts.
@@ -602,6 +489,7 @@ impl FleetServer {
     #[must_use]
     pub fn stats(&self) -> ServeStats {
         let c = &self.counters;
+        let flushed_ops = c.flushed_ops.load(Ordering::Relaxed);
         ServeStats {
             submitted_requests: c.submitted_requests.load(Ordering::Relaxed),
             admitted_ops: c.admitted_ops.load(Ordering::Relaxed),
@@ -609,51 +497,71 @@ impl FleetServer {
             shed_seal_lag: c.shed_seal_lag.load(Ordering::Relaxed),
             coalesced_away: c.coalesced_away.load(Ordering::Relaxed),
             flushes: c.flushes.load(Ordering::Relaxed),
-            flushed_ops: c.flushed_ops.load(Ordering::Relaxed),
-            applied_ops: c.applied_ops.load(Ordering::Relaxed),
+            flushed_ops,
+            applied_ops: flushed_ops,
             wal_rejected_flushes: c.wal_rejected_flushes.load(Ordering::Relaxed),
             epochs_sealed: c.epochs_sealed.load(Ordering::Relaxed),
             seal_failures: c.seal_failures.load(Ordering::Relaxed),
         }
     }
 
-    /// Flush enqueue-to-applied latencies recorded so far, in
-    /// microseconds (one sample per flush: oldest admitted op in the
-    /// window → last sub-batch applied).
+    /// The most recent flush latencies (at most 65 536 of them), oldest
+    /// first, in microseconds — one sample per flush: oldest admitted op
+    /// in the window popped → whole window applied.
     #[must_use]
     pub fn flush_latencies_us(&self) -> Vec<u64> {
         self.latencies_us
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+            .iter()
+            .copied()
+            .collect()
     }
 
-    /// Shuts the pipeline down: drains what was admitted, closes the
-    /// queues, joins the workers. Called by `Drop` if not called
-    /// explicitly; explicit callers get the drain errors.
+    /// Consumes the server after a last [`drain`](Self::drain). There is
+    /// nothing else to shut down.
     ///
     /// # Errors
     ///
-    /// As [`drain`](Self::drain); shutdown proceeds regardless.
-    pub fn shutdown(mut self) -> Result<(), ServeError> {
-        let result = self.drain();
-        self.close_and_join();
-        result
-    }
-
-    fn close_and_join(&mut self) {
-        self.ingress.close();
-        for mailbox in &self.mailboxes {
-            mailbox.close();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    /// As [`drain`](Self::drain).
+    pub fn shutdown(self) -> Result<(), ServeError> {
+        self.drain()
     }
 }
 
-impl Drop for FleetServer {
-    fn drop(&mut self) {
-        self.close_and_join();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fi_attest::TwoTierWeights;
+    use fi_types::{sha256, ReplicaId, VotingPower};
+
+    #[test]
+    fn the_latency_log_keeps_only_the_most_recent_samples() {
+        let fleet = Arc::new(ShardedFleet::new(2, TwoTierWeights::flat()));
+        let server = FleetServer::new(
+            fleet,
+            ServeConfig {
+                flush_ops: 1,
+                epoch_ticks: 0,
+                ..ServeConfig::default()
+            },
+        );
+        let measurement = sha256(b"cfg");
+        let one_op_flush = |i: u64| {
+            let op = ChurnOp::attest(ReplicaId::new(i % 64), measurement, VotingPower::new(1 + i));
+            server.submit(vec![op]).expect("the queue is pumped dry");
+            server.pump().expect("in-memory flush");
+        };
+        let over = LATENCY_SAMPLES as u64 + 10;
+        (0..over).for_each(one_op_flush);
+        assert_eq!(server.stats().flushes, over);
+        let before = server.flush_latencies_us();
+        assert_eq!(before.len(), LATENCY_SAMPLES);
+        // One more flush: its sample is the newest entry, the oldest is
+        // evicted, everything between shifts down by one.
+        one_op_flush(over);
+        let after = server.flush_latencies_us();
+        assert_eq!(after.len(), LATENCY_SAMPLES);
+        assert_eq!(after[..LATENCY_SAMPLES - 1], before[1..]);
     }
 }

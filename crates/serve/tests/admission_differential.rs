@@ -103,7 +103,6 @@ proptest! {
         let fleet = Arc::new(durable(&serve_dir, shards));
         let server = FleetServer::new(Arc::clone(&fleet), ServeConfig {
             queue_capacity,
-            mailbox_capacity: 4,
             flush_ops: usize::MAX,
             epoch_ticks: 1,
             max_seal_lag_epochs: 0,

@@ -37,7 +37,6 @@ fn pump_and_tick_threads_keep_submit_order() {
             Arc::clone(&fleet),
             ServeConfig {
                 queue_capacity: 256,
-                mailbox_capacity: 4,
                 // Odd against the pairs: a device's two requests share a
                 // window or straddle two adjacent ones, alternately.
                 flush_ops: 3,

@@ -77,7 +77,6 @@ fn wal_fault_surfaces_typed_grows_seal_lag_and_heals_on_repair() {
         Arc::clone(&fleet),
         ServeConfig {
             queue_capacity: 64,
-            mailbox_capacity: 8,
             flush_ops: usize::MAX,
             epoch_ticks: 1,
             max_seal_lag_epochs: 2,

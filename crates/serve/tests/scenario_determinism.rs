@@ -23,7 +23,6 @@ fn scenario() -> ScenarioConfig {
 fn overloaded_scenario() -> ScenarioConfig {
     scenario().with_serve(ServeConfig {
         queue_capacity: 8,
-        mailbox_capacity: 8,
         flush_ops: 256,
         epoch_ticks: 10,
         max_seal_lag_epochs: 3,
