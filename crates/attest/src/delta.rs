@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use fi_types::hash::SetDigest;
-use fi_types::{Digest, ReplicaId, VotingPower};
+use fi_types::{Digest, ReplicaId};
 
 use crate::registry::RegisteredDevice;
 
@@ -145,8 +145,9 @@ impl ChurnDelta {
     }
 
     /// Records the final roster state of a touched device (last write
-    /// wins).
-    pub(crate) fn record_roster(&mut self, replica: ReplicaId, state: Option<RegisteredDevice>) {
+    /// wins). The registry is the only production caller; it is public so a
+    /// sealer's tests can forge a delta no registry would produce.
+    pub fn record_roster(&mut self, replica: ReplicaId, state: Option<RegisteredDevice>) {
         self.roster.insert(replica, state);
     }
 
@@ -249,27 +250,12 @@ impl ChurnDelta {
         rows.sort_unstable();
         rows
     }
-
-    /// Applies this delta's opaque change to a power total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result would be negative or overflow `u64` — either is
-    /// a chaining error (the delta was not produced on top of `base`).
-    #[must_use]
-    pub fn patched_opaque(&self, base: VotingPower) -> VotingPower {
-        let patched = i128::from(base.as_units()) + self.opaque;
-        VotingPower::new(
-            u64::try_from(patched)
-                .expect("opaque power delta applied to a base it was not produced on"),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_types::sha256;
+    use fi_types::{sha256, VotingPower};
 
     #[test]
     fn merge_sums_buckets_and_opaque() {
@@ -328,23 +314,5 @@ mod tests {
             vec![ReplicaId::new(2), ReplicaId::new(9)],
             "the churn set matches the roster keys, deregistrations included"
         );
-    }
-
-    #[test]
-    fn patched_opaque_applies_signed_delta() {
-        let mut d = ChurnDelta::default();
-        d.record_opaque(-30);
-        assert_eq!(
-            d.patched_opaque(VotingPower::new(100)),
-            VotingPower::new(70)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not produced on")]
-    fn patched_opaque_rejects_negative_result() {
-        let mut d = ChurnDelta::default();
-        d.record_opaque(-1);
-        let _ = d.patched_opaque(VotingPower::ZERO);
     }
 }

@@ -35,11 +35,13 @@
 //! to the max-preferred unselected entry: the tail of the power-sorted
 //! list.
 //!
-//! The roster is also the warm-start substrate: it is maintained
-//! differentially (entry insert/remove in O(log L + L), bucket slot splices
-//! in O(C)), so an epoch snapshot can carry it forward through churn
-//! patches instead of re-sorting the fleet per selection. See
-//! [`crate::warm`] for the replay layer on top.
+//! The roster is also the warm-start substrate: an epoch snapshot carries
+//! it forward through churn instead of re-sorting the fleet per selection.
+//! [`PrunedRoster::patch_dense`] writes the next epoch's roster from this
+//! one in a single pass — departures, arrivals and bucket births and
+//! deaths merged list by list, untouched runs copied as slices; single-row
+//! [`insert`](PrunedRoster::insert)/[`remove`](PrunedRoster::remove) cost
+//! O(log L + L). See [`crate::warm`] for the replay layer on top.
 
 use std::cmp::Reverse;
 
@@ -83,12 +85,91 @@ struct PrunedEntry {
     attested: bool,
 }
 
+impl PrunedEntry {
+    fn of(c: &Candidate) -> Self {
+        PrunedEntry {
+            power: c.power().as_units(),
+            replica: c.replica(),
+            attested: c.attested(),
+        }
+    }
+}
+
+/// What a bucket list is sorted by — see [`entry_key`].
+type EntryKey = (u64, Reverse<ReplicaId>);
+
 /// Ascending sort key: power, then *descending* replica id — so the list
 /// tail is always the max-preferred entry (highest power, lowest replica),
 /// mirroring [`preferred`].
 #[inline]
-fn entry_key(e: &PrunedEntry) -> (u64, Reverse<ReplicaId>) {
+fn entry_key(e: &PrunedEntry) -> EntryKey {
     (e.power, Reverse(e.replica))
+}
+
+/// [`slice::partition_point`] for a boundary expected near the front: a
+/// probe doubles outward from index 0 until it brackets the boundary, then
+/// a binary search finishes inside the bracket — O(log boundary) rather
+/// than O(log len), reading only rows the caller is about to copy. The
+/// merge walks that copy untouched runs between churned rows use it to
+/// find where each run ends.
+pub fn gallop_partition_point<T>(sorted: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    let mut hi = 1;
+    while hi <= sorted.len() && pred(&sorted[hi - 1]) {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    lo + sorted[lo..hi.min(sorted.len())].partition_point(pred)
+}
+
+/// Splits off the leading rows of `rows` (sorted by slot, every slot in
+/// front of `slot` already taken) that belong to `slot`.
+fn take_slot<'a, T>(rows: &mut &'a [(usize, T)], slot: usize) -> &'a [(usize, T)] {
+    let (group, rest) = rows.split_at(rows.partition_point(|&(s, _)| s <= slot));
+    *rows = rest;
+    group
+}
+
+/// One list of [`PrunedRoster::patch_dense`]: `old − leaving + landing`,
+/// all three sorted by [`entry_key`], written once into an exactly-sized
+/// `Vec`. Each churned row gallops to its position and the untouched run
+/// in front of it is copied as a slice, so an untouched list costs one
+/// `memcpy`. A departure whose key equals an arrival's is applied first
+/// (a replica that leaves and re-enters with the same key is replaced); an
+/// arrival lands after an equal-keyed surviving entry; a departure that
+/// matches no entry is ignored.
+fn merge_list(
+    mut old: &[PrunedEntry],
+    mut leaving: &[(usize, EntryKey)],
+    mut landing: &[(usize, PrunedEntry)],
+) -> Vec<PrunedEntry> {
+    let mut out = Vec::with_capacity((old.len() + landing.len()).saturating_sub(leaving.len()));
+    loop {
+        let departs = match (leaving.first(), landing.first()) {
+            (None, None) => break,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some((_, gone)), Some((_, e))) => *gone <= entry_key(e),
+        };
+        if departs {
+            let key = leaving[0].1;
+            leaving = &leaving[1..];
+            let run = gallop_partition_point(old, |e| entry_key(e) < key);
+            out.extend_from_slice(&old[..run]);
+            old = &old[run..];
+            if old.first().is_some_and(|e| entry_key(e) == key) {
+                old = &old[1..];
+            }
+        } else {
+            let e = landing[0].1;
+            landing = &landing[1..];
+            let run = gallop_partition_point(old, |x| entry_key(x) <= entry_key(&e));
+            out.extend_from_slice(&old[..run]);
+            old = &old[run..];
+            out.push(e);
+        }
+    }
+    out.extend_from_slice(old);
+    out
 }
 
 /// A candidate roster indexed for pruned greedy selection: per-configuration
@@ -98,9 +179,8 @@ fn entry_key(e: &PrunedEntry) -> (u64, Reverse<ReplicaId>) {
 /// greedy policies skip them), and a configuration whose candidates all
 /// left keeps its (empty) list so *dense* rosters — where configuration
 /// values are bucket positions `0..num_configs`, the epoch-snapshot layout
-/// — stay positionally aligned until [`splice_dense_slots`] renumbers them.
-///
-/// [`splice_dense_slots`]: Self::splice_dense_slots
+/// — stay positionally aligned until [`patch_dense`](Self::patch_dense)
+/// renumbers them.
 ///
 /// # Example
 ///
@@ -164,7 +244,7 @@ impl PrunedRoster {
     /// measurement bucket plus the trailing unattested pseudo-slot). Slots
     /// without positive-power candidates keep empty lists, so list position
     /// equals configuration value — the precondition for
-    /// [`splice_dense_slots`](Self::splice_dense_slots).
+    /// [`patch_dense`](Self::patch_dense).
     ///
     /// # Panics
     ///
@@ -188,11 +268,7 @@ impl PrunedRoster {
                 continue;
             }
             let li = slot_of(self, c);
-            self.lists[li].push(PrunedEntry {
-                power: c.power().as_units(),
-                replica: c.replica(),
-                attested: c.attested(),
-            });
+            self.lists[li].push(PrunedEntry::of(c));
             self.len += 1;
         }
         for list in &mut self.lists {
@@ -233,11 +309,7 @@ impl PrunedRoster {
                 pos
             }
         };
-        let e = PrunedEntry {
-            power: c.power().as_units(),
-            replica: c.replica(),
-            attested: c.attested(),
-        };
+        let e = PrunedEntry::of(c);
         let list = &mut self.lists[li];
         let pos = list.partition_point(|x| entry_key(x) < entry_key(&e));
         list.insert(pos, e);
@@ -267,156 +339,90 @@ impl PrunedRoster {
         }
     }
 
-    /// Removes a batch of candidates by their exact `(config, power,
-    /// replica)` rows in **one merge pass per touched list** — O(R log R +
-    /// Σ touched-list lengths) — instead of the O(R · L) worst case of R
-    /// [`remove`](Self::remove) calls, each of which memmoves its list's
-    /// tail. The difference is decisive when configurations are few and
-    /// lists are long (a large fleet attests a handful of measurements):
-    /// the differential epoch seal retires every churned device through
-    /// this path. Rows that are not present are ignored, mirroring a
-    /// `remove` that returns `false`.
-    pub fn remove_batch(&mut self, rows: &[Candidate]) {
-        let mut keyed: Vec<(usize, (u64, Reverse<ReplicaId>))> = rows
-            .iter()
-            .filter(|c| !c.power().is_zero())
-            .filter_map(|c| {
-                self.configs
-                    .binary_search(&c.config())
-                    .ok()
-                    .map(|li| (li, (c.power().as_units(), Reverse(c.replica()))))
-            })
-            .collect();
-        keyed.sort_unstable();
-        let mut k = 0;
-        while k < keyed.len() {
-            let li = keyed[k].0;
-            let end = keyed[k..]
-                .iter()
-                .position(|&(l, _)| l != li)
-                .map_or(keyed.len(), |p| k + p);
-            let keys = &keyed[k..end];
-            let list = &mut self.lists[li];
-            let before = list.len();
-            // Both sides are sorted ascending by the entry key, so one
-            // forward walk pairs every to-remove key with its entry.
-            let mut ki = 0;
-            list.retain(|e| {
-                let key = entry_key(e);
-                while ki < keys.len() && keys[ki].1 < key {
-                    ki += 1;
-                }
-                if ki < keys.len() && keys[ki].1 == key {
-                    ki += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            self.len -= before - list.len();
-            k = end;
-        }
-    }
-
-    /// Inserts a batch of candidates in **one merge pass per touched
-    /// list** — O(A log A + Σ touched-list lengths) — instead of the
-    /// O(A · L) worst case of A [`insert`](Self::insert) calls. Missing
-    /// configuration lists are created (sparse rosters); zero-power
-    /// candidates are ignored, mirroring [`build`](Self::build).
-    pub fn insert_batch(&mut self, rows: &[Candidate]) {
-        // Create any missing configuration lists first, so list indices
-        // are stable while grouping.
-        let mut new_configs: Vec<usize> = rows
-            .iter()
-            .filter(|c| !c.power().is_zero())
-            .map(Candidate::config)
-            .filter(|config| self.configs.binary_search(config).is_err())
-            .collect();
-        new_configs.sort_unstable();
-        new_configs.dedup();
-        for &config in &new_configs {
-            let pos = self
-                .configs
-                .binary_search(&config)
-                .expect_err("deduplicated missing config");
-            self.configs.insert(pos, config);
-            self.lists.insert(pos, Vec::new());
-        }
-        let mut keyed: Vec<(usize, PrunedEntry)> = rows
-            .iter()
-            .filter(|c| !c.power().is_zero())
-            .map(|c| {
-                let li = self
-                    .configs
-                    .binary_search(&c.config())
-                    .expect("every config list exists now");
-                (
-                    li,
-                    PrunedEntry {
-                        power: c.power().as_units(),
-                        replica: c.replica(),
-                        attested: c.attested(),
-                    },
-                )
-            })
-            .collect();
-        keyed.sort_unstable_by_key(|&(li, ref e)| (li, entry_key(e)));
-        self.len += keyed.len();
-        let mut k = 0;
-        while k < keyed.len() {
-            let li = keyed[k].0;
-            let end = keyed[k..]
-                .iter()
-                .position(|&(l, _)| l != li)
-                .map_or(keyed.len(), |p| k + p);
-            let additions = &keyed[k..end];
-            let list = &mut self.lists[li];
-            let mut merged = Vec::with_capacity(list.len() + additions.len());
-            let (mut i, mut j) = (0, 0);
-            while i < list.len() || j < additions.len() {
-                let take_old = j >= additions.len()
-                    || (i < list.len() && entry_key(&list[i]) <= entry_key(&additions[j].1));
-                if take_old {
-                    merged.push(list[i]);
-                    i += 1;
-                } else {
-                    merged.push(additions[j].1);
-                    j += 1;
-                }
-            }
-            *list = merged;
-            k = end;
-        }
-    }
-
-    /// Splices configuration *slots* of a dense roster (one whose
-    /// configuration values are list positions, as built by
-    /// [`from_dense`](Self::from_dense)): drops the lists at `removals`
-    /// (ascending old positions — they must already be empty), inserts
-    /// empty lists at `insertions` (ascending final positions), then
-    /// renumbers configurations to `0..num_configs`. O(C). This mirrors the
-    /// epoch snapshot's accumulator splice on bucket birth/death.
+    /// Builds the dense roster that one epoch's churn turns this one into,
+    /// in **one pass**: every list is written once, straight from the old
+    /// one, into an exactly-sized `Vec`, untouched runs copied as slices —
+    /// nothing is cloned first and patched after. O(R log R) to group the
+    /// R churned rows, then one merge walk over the slots, mirroring the
+    /// epoch snapshot's bucket walk and its births and deaths.
+    ///
+    /// * `departed` — rows leaving, by their exact *old-layout* `(config,
+    ///   power, replica)`. Rows that are not present are ignored, mirroring
+    ///   a [`remove`](Self::remove) that returns `false`.
+    /// * `arrivals` — rows entering, with *new-layout* configs. An arrival
+    ///   whose key equals a surviving old entry's lands after it.
+    /// * `removals` — ascending *old* positions of the slots to drop; each
+    ///   must be empty once its departures are applied.
+    /// * `insertions` — ascending *final* positions of fresh, empty slots
+    ///   (which `arrivals` may then populate).
+    ///
+    /// Zero-power rows are ignored on both sides, so the result equals
+    /// [`from_dense`](Self::from_dense) over the patched candidates.
     ///
     /// # Panics
     ///
-    /// Panics if a removed slot still holds entries (its members were not
-    /// removed first) or an index is out of range.
-    pub fn splice_dense_slots(&mut self, removals: &[usize], insertions: &[usize]) {
+    /// Panics if a removed slot still holds entries after its departures,
+    /// or if a slot position or an arrival's config is out of range.
+    #[must_use]
+    pub fn patch_dense(
+        &self,
+        departed: &[Candidate],
+        arrivals: &[Candidate],
+        mut removals: &[usize],
+        mut insertions: &[usize],
+    ) -> PrunedRoster {
         debug_assert!(
             self.configs.iter().enumerate().all(|(i, &c)| i == c),
             "slot splicing requires a dense roster"
         );
-        for &at in removals.iter().rev() {
-            assert!(
-                self.lists[at].is_empty(),
-                "removing config slot {at} that still has entries"
-            );
-            self.lists.remove(at);
+        let mut leaving: Vec<(usize, EntryKey)> = departed
+            .iter()
+            .filter(|c| !c.power().is_zero())
+            .map(|c| (c.config(), entry_key(&PrunedEntry::of(c))))
+            .collect();
+        leaving.sort_unstable();
+        let mut landing: Vec<(usize, PrunedEntry)> = arrivals
+            .iter()
+            .filter(|c| !c.power().is_zero())
+            .map(|c| (c.config(), PrunedEntry::of(c)))
+            .collect();
+        landing.sort_unstable_by_key(|&(slot, ref e)| (slot, entry_key(e)));
+        let (mut leaving, mut landing) = (leaving.as_slice(), landing.as_slice());
+
+        let slots = self.lists.len() + insertions.len() - removals.len();
+        let mut lists: Vec<Vec<PrunedEntry>> = Vec::with_capacity(slots);
+        let mut old_at = 0;
+        while lists.len() < slots || old_at < self.lists.len() {
+            let at = lists.len();
+            if removals.first() == Some(&old_at) {
+                removals = &removals[1..];
+                let left = merge_list(&self.lists[old_at], take_slot(&mut leaving, old_at), &[]);
+                assert!(
+                    left.is_empty(),
+                    "removing config slot {old_at} that still has entries"
+                );
+                old_at += 1;
+            } else if insertions.first() == Some(&at) {
+                insertions = &insertions[1..];
+                lists.push(merge_list(&[], &[], take_slot(&mut landing, at)));
+            } else {
+                lists.push(merge_list(
+                    &self.lists[old_at],
+                    take_slot(&mut leaving, old_at),
+                    take_slot(&mut landing, at),
+                ));
+                old_at += 1;
+            }
         }
-        for &at in insertions {
-            self.lists.insert(at, Vec::new());
+        assert!(
+            lists.len() == slots && landing.is_empty(),
+            "slot positions and arrival configs stay within the patched roster"
+        );
+        PrunedRoster {
+            configs: (0..slots).collect(),
+            len: lists.iter().map(Vec::len).sum(),
+            lists,
         }
-        self.configs = (0..self.lists.len()).collect();
     }
 
     /// Greedy entropy-maximising selection of `k` members — the
@@ -446,16 +452,7 @@ impl ChallengerSet {
         let mut entries: Vec<(usize, PrunedEntry)> = rows
             .into_iter()
             .filter(|c| !c.power().is_zero())
-            .map(|c| {
-                (
-                    c.config(),
-                    PrunedEntry {
-                        power: c.power().as_units(),
-                        replica: c.replica(),
-                        attested: c.attested(),
-                    },
-                )
-            })
+            .map(|c| (c.config(), PrunedEntry::of(&c)))
             .collect();
         entries.sort_unstable_by_key(|(config, e)| (*config, entry_key(e)));
         let mut groups: Vec<(usize, Vec<PrunedEntry>)> = Vec::new();
@@ -741,6 +738,8 @@ impl<'a> SelectionRun<'a> {
 mod tests {
     use super::*;
     use crate::greedy::{greedy_diverse, greedy_diverse_naive};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn pool(n: u64, m: usize) -> Vec<Candidate> {
         (0..n)
@@ -866,25 +865,24 @@ mod tests {
 
     #[test]
     fn dense_slot_splices_track_bucket_birth_and_death() {
-        // Dense roster over 4 slots; empty slot 2's bucket dies, a new
-        // bucket is born at position 1.
+        // Dense roster over 4 slots; slot 2's only member departs and its
+        // bucket dies, a new bucket is born at position 1 with a newcomer.
         let candidates: Vec<Candidate> = vec![
             Candidate::new(ReplicaId::new(0), VotingPower::new(50), 0, true),
             Candidate::new(ReplicaId::new(1), VotingPower::new(30), 1, true),
             Candidate::new(ReplicaId::new(2), VotingPower::new(20), 2, true),
             Candidate::new(ReplicaId::new(3), VotingPower::new(10), 3, true),
         ];
-        let mut roster = PrunedRoster::from_dense(4, &candidates);
-        // Slot 2's only member departs, then the slot is spliced out and a
-        // fresh slot inserted at position 1; surviving entries keep their
-        // *new* positional configs.
-        assert!(roster.remove(&candidates[2]));
-        roster.splice_dense_slots(&[2], &[1]);
-        assert_eq!(roster.num_configs(), 4);
         let newcomer = Candidate::new(ReplicaId::new(9), VotingPower::new(40), 1, true);
-        roster.insert(&newcomer);
+        let roster = PrunedRoster::from_dense(4, &candidates).patch_dense(
+            &[candidates[2]],
+            &[newcomer],
+            &[2],
+            &[1],
+        );
+        assert_eq!(roster.num_configs(), 4);
         // Expected final layout: old slots 0,1,3 → 0,2,3 plus the newcomer
-        // at slot 1.
+        // at slot 1; surviving entries take their *new* positional configs.
         let patched: Vec<Candidate> = vec![
             Candidate::new(ReplicaId::new(0), VotingPower::new(50), 0, true),
             newcomer,
@@ -909,8 +907,7 @@ mod tests {
             0,
             true,
         )];
-        let mut roster = PrunedRoster::from_dense(1, &candidates);
-        roster.splice_dense_slots(&[0], &[]);
+        let _ = PrunedRoster::from_dense(1, &candidates).patch_dense(&[], &[], &[0], &[]);
     }
 
     #[test]
@@ -924,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_batch_equals_one_by_one_removes() {
+    fn patch_departures_equal_one_by_one_removes() {
         let candidates = pool(120, 5);
         // Every third candidate departs, plus rows that were never
         // present (a zero-power row and an unknown config) — both must be
@@ -942,22 +939,22 @@ mod tests {
             4_000,
             true,
         ));
-        let mut batched = PrunedRoster::build(&candidates);
-        batched.remove_batch(&departing);
-        let mut serial = PrunedRoster::build(&candidates);
+        let patched =
+            PrunedRoster::from_dense(5, &candidates).patch_dense(&departing, &[], &[], &[]);
+        let mut serial = PrunedRoster::from_dense(5, &candidates);
         for c in &departing {
             serial.remove(c);
         }
-        assert_eq!(batched, serial);
-        assert_eq!(batched.len(), serial.len());
-        assert_eq!(batched.select(9).members(), serial.select(9).members());
+        assert_eq!(patched, serial);
+        assert_eq!(patched.len(), serial.len());
+        assert_eq!(patched.select(9).members(), serial.select(9).members());
     }
 
     #[test]
-    fn insert_batch_equals_one_by_one_inserts() {
+    fn patch_arrivals_equal_one_by_one_inserts() {
         let base = pool(80, 5);
-        // Arrivals include rows for existing configs, a brand-new config
-        // (list creation), and a zero-power row (ignored).
+        // Arrivals include rows for populated slots, for slots the base
+        // leaves empty, and a zero-power row (ignored).
         let mut arriving = pool(40, 9)
             .into_iter()
             .map(|c| {
@@ -975,21 +972,19 @@ mod tests {
             2,
             false,
         ));
-        let mut batched = PrunedRoster::build(&base);
-        batched.insert_batch(&arriving);
-        let mut serial = PrunedRoster::build(&base);
+        let patched = PrunedRoster::from_dense(9, &base).patch_dense(&[], &arriving, &[], &[]);
+        let mut serial = PrunedRoster::from_dense(9, &base);
         for c in &arriving {
             serial.insert(c);
         }
-        assert_eq!(batched, serial);
-        assert_eq!(batched.len(), serial.len());
-        assert_eq!(batched.select(9).members(), serial.select(9).members());
+        assert_eq!(patched, serial);
+        assert_eq!(patched.len(), serial.len());
+        assert_eq!(patched.select(9).members(), serial.select(9).members());
     }
 
     #[test]
     fn batch_churn_matches_full_rebuild() {
         let candidates = pool(150, 6);
-        let mut roster = PrunedRoster::build(&candidates);
         let departing: Vec<Candidate> = candidates.iter().copied().step_by(4).collect();
         let arriving: Vec<Candidate> = (300..340u64)
             .map(|i| {
@@ -1001,14 +996,135 @@ mod tests {
                 )
             })
             .collect();
-        roster.remove_batch(&departing);
-        roster.insert_batch(&arriving);
+        let roster =
+            PrunedRoster::from_dense(6, &candidates).patch_dense(&departing, &arriving, &[], &[]);
         let survivors: Vec<Candidate> = candidates
             .iter()
             .filter(|c| !departing.iter().any(|d| d.replica() == c.replica()))
             .chain(arriving.iter())
             .copied()
             .collect();
-        assert_eq!(roster, PrunedRoster::build(&survivors));
+        assert_eq!(roster, PrunedRoster::from_dense(6, &survivors));
+    }
+
+    #[test]
+    fn equal_keyed_rows_replace_or_land_behind() {
+        let old = Candidate::new(ReplicaId::new(4), VotingPower::new(10), 0, true);
+        let again = Candidate::new(ReplicaId::new(4), VotingPower::new(10), 0, false);
+        let roster = PrunedRoster::from_dense(1, &[old]);
+        // Departing and re-arriving under the same key replaces the entry…
+        let replaced = roster.patch_dense(&[old], &[again], &[], &[]);
+        assert_eq!(replaced, PrunedRoster::from_dense(1, &[again]));
+        // …and an arrival lands behind an equal-keyed entry that stays.
+        let both = roster.patch_dense(&[], &[again], &[], &[]);
+        assert_eq!(
+            both.lists,
+            vec![vec![PrunedEntry::of(&old), PrunedEntry::of(&again)]]
+        );
+        assert_eq!(both.len(), 2);
+    }
+
+    #[test]
+    fn gallop_agrees_with_partition_point_at_every_boundary() {
+        for len in 0..40usize {
+            let sorted: Vec<usize> = (0..len).collect();
+            for boundary in 0..=len {
+                assert_eq!(
+                    gallop_partition_point(&sorted, |&x| x < boundary),
+                    sorted.partition_point(|&x| x < boundary),
+                    "len {len}, boundary {boundary}"
+                );
+            }
+        }
+    }
+
+    /// A fleet in miniature — replica → (power, measurement label), label
+    /// [`OPAQUE`] for the unattested tier — laid out the way the epoch
+    /// snapshot lays it out: one slot per label with a member (zero-power
+    /// members count), in label order, the unattested pseudo-slot last.
+    type Rows = BTreeMap<u64, (u64, usize)>;
+    const OPAQUE: usize = 6;
+
+    fn live_labels(rows: &Rows) -> Vec<usize> {
+        let mut labels: Vec<usize> = rows.values().map(|&(_, label)| label).collect();
+        labels.retain(|&label| label != OPAQUE);
+        labels.sort_unstable();
+        labels.dedup();
+        labels
+    }
+
+    fn candidate(labels: &[usize], id: u64, (power, label): (u64, usize)) -> Candidate {
+        let slot = labels.binary_search(&label).unwrap_or(labels.len());
+        Candidate::new(
+            ReplicaId::new(id),
+            VotingPower::new(power),
+            slot,
+            label != OPAQUE,
+        )
+    }
+
+    fn row() -> impl Strategy<Value = (u64, usize)> {
+        // Powers 0..=3: zero-power rows on both sides and heavy ties.
+        (0..=3u64, 0..=OPAQUE)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass patch against a rebuild: random dense rosters and
+        /// random churn — departures, arrivals, rows rewritten to the same
+        /// key, buckets dying (at any position, last zero-power member
+        /// included) and being born (front, middle, end), empty deltas.
+        #[test]
+        fn patch_dense_equals_rebuild_and_selects_like_greedy(
+            initial in proptest::collection::vec((0..24u64, row()), 0..30),
+            churn in proptest::collection::vec(
+                (0..24u64, prop_oneof![row().prop_map(Some), row().prop_map(Some), Just(None)]),
+                0..14,
+            ),
+        ) {
+            let old: Rows = initial.into_iter().collect();
+            let mut new = old.clone();
+            let mut touched: Vec<u64> = Vec::new();
+            for (id, state) in churn {
+                touched.push(id);
+                match state {
+                    Some(r) => new.insert(id, r),
+                    None => new.remove(&id),
+                };
+            }
+            touched.sort_unstable();
+            touched.dedup();
+
+            let (old_labels, new_labels) = (live_labels(&old), live_labels(&new));
+            let all: Vec<u64> = (0..24).collect();
+            let rows_of = |rows: &Rows, labels: &[usize], ids: &[u64]| -> Vec<Candidate> {
+                ids.iter()
+                    .filter_map(|id| rows.get(id).map(|&r| candidate(labels, *id, r)))
+                    .collect()
+            };
+            let old_roster = rows_of(&old, &old_labels, &all);
+            let new_roster = rows_of(&new, &new_labels, &all);
+            let departed = rows_of(&old, &old_labels, &touched);
+            let arrivals = rows_of(&new, &new_labels, &touched);
+            let died: Vec<usize> = (0..old_labels.len())
+                .filter(|&at| !new_labels.contains(&old_labels[at]))
+                .collect();
+            let born: Vec<usize> = (0..new_labels.len())
+                .filter(|&at| !old_labels.contains(&new_labels[at]))
+                .collect();
+
+            let patched = PrunedRoster::from_dense(old_labels.len() + 1, &old_roster)
+                .patch_dense(&departed, &arrivals, &died, &born);
+            let rebuilt = PrunedRoster::from_dense(new_labels.len() + 1, &new_roster);
+            prop_assert_eq!(patched.len(), rebuilt.len());
+            prop_assert_eq!(&patched, &rebuilt);
+            for k in [1, 4, 30] {
+                prop_assert_eq!(
+                    patched.select(k).members(),
+                    greedy_diverse(&new_roster, k).members()
+                );
+            }
+        }
     }
 }

@@ -41,7 +41,7 @@ use fi_types::codec::{read_header, write_header, Decode, Encode, Reader};
 use fi_types::{crc32, Digest, VotingPower};
 
 use crate::error::CheckpointError;
-use crate::snapshot::{roster_aggregate, EpochSnapshot};
+use crate::snapshot::{roster_aggregate, tier_matches_measurement, EpochSnapshot};
 
 /// Magic prefix of every checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FICKPT01";
@@ -75,7 +75,7 @@ impl Checkpoint {
             weights: snapshot.weights(),
             buckets: snapshot.buckets().to_vec(),
             opaque: snapshot.unattested_power(),
-            devices: snapshot.devices().to_vec(),
+            devices: snapshot.devices().collect(),
             content_hash: snapshot.content_hash(),
         }
     }
@@ -93,6 +93,15 @@ impl Checkpoint {
             }
         }
         for d in &self.devices {
+            if !tier_matches_measurement(d) {
+                return Err(CheckpointError::Inconsistent {
+                    epoch: self.epoch,
+                    detail: format!(
+                        "device {} is on the {:?} tier with measurement {:?}",
+                        d.replica, d.tier, d.measurement
+                    ),
+                });
+            }
             if let Some(m) = d.measurement {
                 if !rows.contains_key(&m) {
                     return Err(CheckpointError::Inconsistent {
@@ -373,5 +382,26 @@ mod tests {
             ckpt.rebuild(),
             Err(CheckpointError::Inconsistent { .. })
         ));
+    }
+
+    #[test]
+    fn a_tier_that_contradicts_the_measurement_is_rejected() {
+        // The rebuilt snapshot derives the tier from the measurement, so a
+        // stored row where they disagree would silently change on reload.
+        let snapshot = sealed_snapshot();
+        let mut ckpt = Checkpoint::from_snapshot(&snapshot);
+        assert!(ckpt.rebuild().is_ok());
+        let row = ckpt
+            .devices
+            .iter_mut()
+            .find(|d| d.measurement.is_some())
+            .expect("the trace attests devices");
+        row.tier = fi_attest::ReplicaTier::Unattested;
+        match ckpt.rebuild() {
+            Err(CheckpointError::Inconsistent { detail, .. }) => {
+                assert!(detail.contains("Unattested tier"), "got {detail}");
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
     }
 }

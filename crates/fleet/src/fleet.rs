@@ -29,7 +29,7 @@
 //! [`ChurnDelta`](fi_attest::ChurnDelta) of the net churn since the last
 //! cut, so sealing an epoch that saw little churn drains and merges O(churn)
 //! deltas and patches the previous snapshot
-//! ([`EpochSnapshot::apply_delta`]) instead of re-merging every shard.
+//! ([`EpochSnapshot::try_apply_delta`]) instead of re-merging every shard.
 //! A full rebuild ([`EpochSnapshot::build`] over a complete shard merge)
 //! remains the cold-start path (epoch 1) and the periodic re-anchor — every
 //! `R` seals ([`ShardedFleet::with_reanchor_interval`]) — which re-zeroes
@@ -543,7 +543,7 @@ impl ShardedFleet {
     ///
     /// Ordinary epochs are **differential**: the cut drains each shard's
     /// [`ChurnDelta`], merges them, and patches the previous snapshot in
-    /// O(churn · log n) ([`EpochSnapshot::apply_delta`]) — bit-identical
+    /// O(churn · log n) ([`EpochSnapshot::try_apply_delta`]) — bit-identical
     /// buckets, rosters, and content hash to a full rebuild. Epoch 1 and
     /// every [`reanchor_interval`](Self::reanchor_interval)-th epoch
     /// rebuild from a complete shard merge instead, re-zeroing the entropy
@@ -864,7 +864,7 @@ mod tests {
             assert_eq!(a.content_hash(), b.content_hash());
             assert_eq!(a.content_hash(), c.content_hash());
             assert_eq!(a.buckets(), b.buckets());
-            assert_eq!(a.devices(), b.devices());
+            assert!(a.devices().eq(b.devices()));
             let (ha, hb) = (a.entropy_bits(true), b.entropy_bits(true));
             match (ha, hb) {
                 (Ok(x), Ok(y)) => assert!((x - y).abs() < 1e-9, "{x} vs {y}"),

@@ -27,7 +27,7 @@
 //!   Sealing is **differential**: each shard accumulates a
 //!   [`fi_attest::ChurnDelta`] since the last cut, and ordinary epochs
 //!   patch the previous snapshot in O(churn · log n)
-//!   ([`EpochSnapshot::apply_delta`]) — byte-identical to the full rebuild
+//!   ([`EpochSnapshot::try_apply_delta`]) — byte-identical to the full rebuild
 //!   that epoch 1 and every R-th epoch
 //!   ([`ShardedFleet::with_reanchor_interval`]) still perform to re-zero
 //!   floating-point entropy drift.

@@ -246,7 +246,9 @@ mod tests {
         // Distinct epochs over identical (empty) content: exactly what the
         // publication layer must distinguish by stamp, not by content.
         Arc::new(
-            EpochSnapshot::empty(TwoTierWeights::flat()).apply_delta(epoch, &Default::default()),
+            EpochSnapshot::empty(TwoTierWeights::flat())
+                .try_apply_delta(epoch, &Default::default())
+                .expect("an empty delta chains on any snapshot"),
         )
     }
 

@@ -452,7 +452,7 @@ mod tests {
         );
         assert_eq!(
             fleet.shard_roster_digest_sum(),
-            roster_aggregate(fleet.snapshot().devices()),
+            roster_aggregate(&fleet.snapshot().devices().collect::<Vec<_>>()),
             "restored shards must carry the checkpointed roster's aggregate"
         );
 

@@ -22,12 +22,21 @@
 //! ([`EpochSnapshot::build`]) merges complete shard rows and rebuilds the
 //! [`EntropyAccumulator`] with `from_weights` — the cold-start and
 //! re-anchor path. The **differential patch**
-//! ([`EpochSnapshot::apply_delta`]) applies one epoch's merged
-//! [`ChurnDelta`] to the previous snapshot in O(changed · log n): integer
-//! bucket/roster/opaque content (and therefore the content hash) comes out
-//! byte-identical to the full build; only the spliced accumulator's float
-//! state may differ, within the engine's `1e-9` envelope, until the next
-//! re-anchor re-zeroes it.
+//! ([`EpochSnapshot::try_apply_delta`]) applies one epoch's merged
+//! [`ChurnDelta`] to the previous snapshot: integer bucket/roster/opaque
+//! content (and therefore the content hash) comes out byte-identical to
+//! the full build; only the spliced accumulator's float state may differ,
+//! within the engine's `1e-9` envelope, until the next re-anchor re-zeroes
+//! it.
+//!
+//! **What a patch copies.** A snapshot stores two rows per device: its
+//! [`Candidate`] in the roster, sorted by replica id (32 B), and — if it
+//! has power — its entry in the [`PrunedRoster`] selection index (24 B);
+//! the [`RegisteredDevice`] view is derived from the candidate and the
+//! bucket table, not stored. Snapshots share nothing, so a patch writes
+//! both tables anew — 56 B per device, O(n) memory traffic, which is what
+//! a differential seal costs — each in one merge walk against the sorted
+//! churn that copies the untouched runs between churned rows as slices.
 //!
 //! **Who hashes what, and when.** The content hash folds two
 //! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
@@ -51,8 +60,9 @@
 use std::collections::BTreeMap;
 
 use fi_attest::{
-    device_row_digest, AttestedRegistry, ChurnDelta, RegisteredDevice, TwoTierWeights,
+    device_row_digest, AttestedRegistry, ChurnDelta, RegisteredDevice, ReplicaTier, TwoTierWeights,
 };
+use fi_committee::pruned::gallop_partition_point;
 use fi_committee::{
     two_tier_weighted, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport,
 };
@@ -100,26 +110,25 @@ pub struct EpochSnapshot {
     buckets: Vec<(Digest, VotingPower)>,
     /// Registered-member count per bucket (parallel to `buckets`, every
     /// count ≥ 1 — a bucket whose last member left is dropped). This is
-    /// what lets [`apply_delta`](Self::apply_delta) decide bucket
+    /// what lets [`try_apply_delta`](Self::try_apply_delta) decide bucket
     /// birth/death from integer member deltas alone.
     bucket_members: Vec<u32>,
     /// Total effective power of the unattested tier.
     opaque: VotingPower,
-    /// Every registered device, sorted by replica id.
-    devices: Vec<RegisteredDevice>,
-    /// The prebuilt serving roster: one candidate per device, configuration
-    /// index = position of its measurement in `buckets` (unattested devices
-    /// share the pseudo-configuration `buckets.len()`).
+    /// The roster: one candidate per registered device, sorted by replica
+    /// id, configuration index = position of its measurement in `buckets`
+    /// (unattested devices share the pseudo-configuration `buckets.len()`).
+    /// [`devices`](Self::devices) is this table read through `buckets`.
     candidates: Vec<Candidate>,
     /// Canonical accumulator over `buckets`, in bucket order.
     acc: EntropyAccumulator,
     /// The pruned selection index over `candidates` — dense slots, one per
-    /// bucket plus the trailing unattested pseudo-slot — maintained
-    /// differentially by [`apply_delta`](Self::apply_delta) so serving a
+    /// bucket plus the trailing unattested pseudo-slot — carried forward
+    /// by [`try_apply_delta`](Self::try_apply_delta) so serving a
     /// committee never re-sorts the fleet.
     pruned: PrunedRoster,
     /// The previous snapshot's content hash when this one was produced by
-    /// [`apply_delta`](Self::apply_delta); `None` for full builds. This is
+    /// [`try_apply_delta`](Self::try_apply_delta); `None` for full builds. This is
     /// the warm-start chaining key: a committee selected on the parent
     /// content can seed [`select_greedy_warm`](Self::select_greedy_warm).
     parent_hash: Option<Digest>,
@@ -155,12 +164,21 @@ pub(crate) fn roster_aggregate(devices: &[RegisteredDevice]) -> SetDigest {
     agg
 }
 
+/// Whether `d` is a row a registry writes: on the attested tier exactly
+/// when it carries a measurement. A snapshot keeps only the latter (as
+/// [`Candidate::attested`]) and derives the tier, so every row entering
+/// one is held to this.
+pub(crate) fn tier_matches_measurement(d: &RegisteredDevice) -> bool {
+    (d.tier == ReplicaTier::Attested) == d.measurement.is_some()
+}
+
 impl EpochSnapshot {
     /// The canonical builder all sealing paths share: merged bucket rows
     /// (keyed — hence sorted — by digest), the summed opaque power, the
-    /// collected device roster (sorted here), and the roster's row-digest
-    /// aggregate — summed from the shards' write-time aggregates by the
-    /// fleet, recomputed with [`roster_aggregate`] by the oracle paths.
+    /// collected device rows (sorted here, kept as candidates), and the
+    /// roster's row-digest aggregate — summed from the shards' write-time
+    /// aggregates by the fleet, recomputed with [`roster_aggregate`] by the
+    /// oracle paths.
     pub(crate) fn build(
         epoch: u64,
         weights: TwoTierWeights,
@@ -183,6 +201,10 @@ impl EpochSnapshot {
         let mut bucket_members = vec![0u32; buckets.len()];
         let mut candidates = Vec::with_capacity(devices.len());
         for d in &devices {
+            debug_assert!(
+                tier_matches_measurement(d),
+                "registry row {d:?} has a tier that contradicts its measurement"
+            );
             let (config, attested) = match d.measurement {
                 Some(m) => {
                     let slot = buckets
@@ -213,7 +235,6 @@ impl EpochSnapshot {
             buckets,
             bucket_members,
             opaque,
-            devices,
             candidates,
             acc,
             pruned,
@@ -292,10 +313,15 @@ impl EpochSnapshot {
     }
 
     /// Patches this snapshot with one epoch's merged [`ChurnDelta`],
-    /// producing the `epoch` snapshot in O(changed · log n) structural work
-    /// — dirty buckets and touched devices are located by binary search /
-    /// sorted merge walk — plus O(n) vector copies, instead of the O(fleet)
-    /// shard re-merge and index rebuild a full [`build`](Self::build) pays.
+    /// producing the `epoch` snapshot without the O(fleet) shard re-merge,
+    /// roster sort and index rebuild a full [`build`](Self::build) pays.
+    /// Structural work is O(changed · log n): dirty buckets and touched
+    /// devices are located by galloping merge walks and binary search. The
+    /// rest is the copy, **one pass per table**: the roster (32 B a device)
+    /// copies each untouched run between two touched replicas as a slice,
+    /// remapping configs row by row only in an epoch where a bucket was
+    /// born or died; [`PrunedRoster::patch_dense`] writes the selection
+    /// index (24 B a device with power) list by list.
     /// No roster row is hashed here: the registry hashed each touched row
     /// when it wrote it, and the delta carries the net of those digests
     /// ([`ChurnDelta::row_digest_change`]), which is added to this
@@ -313,27 +339,15 @@ impl EpochSnapshot {
     /// rebuild within the engine's `1e-9` drift envelope) and re-zeroed
     /// whenever the sealer re-anchors with a full rebuild.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the delta was not produced on top of exactly this
-    /// snapshot's fleet content (a chaining error). This is the panicking
-    /// wrapper over [`try_apply_delta`](Self::try_apply_delta) for callers
-    /// that treat an unchained delta as a programming error; the fleet's
-    /// seal path uses the fallible form so a corrupt delta rejects the
-    /// seal instead of unwinding out of the sealer.
-    #[must_use]
-    pub fn apply_delta(&self, epoch: u64, delta: &ChurnDelta) -> EpochSnapshot {
-        self.try_apply_delta(epoch, delta)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`apply_delta`](Self::apply_delta), but a delta that does not chain
-    /// onto this snapshot's fleet content comes back as
-    /// [`SealError::CorruptDelta`] instead of a panic: a bucket delta that
-    /// underflows its bucket, a member count going negative, an opaque
-    /// delta driving the opaque power negative, a new bucket arriving
-    /// without members, or an overflow past the integer domains. `self` is
-    /// never mutated — a rejected delta leaves this snapshot serving.
+    /// [`SealError::CorruptDelta`] for a delta that does not chain onto
+    /// this snapshot's fleet content: a bucket delta that underflows its
+    /// bucket, a member count going negative, an opaque delta driving the
+    /// opaque power negative, a new bucket arriving without members, a
+    /// touched device whose tier contradicts its measurement, or an
+    /// overflow past the integer domains. `self` is never mutated — a
+    /// rejected delta leaves this snapshot serving.
     pub fn try_apply_delta(
         &self,
         epoch: u64,
@@ -482,23 +496,45 @@ impl EpochSnapshot {
             "spliced accumulator total diverged from patched buckets"
         );
 
-        // 3. Patch roster and candidates (merge walk old × touched):
-        //    unchanged candidates only remap their config through
-        //    `slot_map`; touched devices binary-search the patched buckets.
-        //    The pruned selection index rides along in O(churn): departed
-        //    rows are staged during the walk and removed in one batch
-        //    merge while the index still has the *old* slot layout;
-        //    arrivals (which carry new slot positions) are staged and
-        //    batch-inserted after the slot splice below. The batch forms
-        //    matter: per-row removes/inserts each memmove their list's
-        //    tail, which at large fleets with few distinct measurements
-        //    made the "O(churn)" seal quadratic in practice.
-        let mut pruned = self.pruned.clone();
-        let mut departed: Vec<Candidate> = Vec::with_capacity(roster.len());
-        let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
-        let mut churned: Vec<ReplicaId> = Vec::with_capacity(roster.len());
+        // 3. Patch the roster (merge walk old × touched): gallop to the
+        //    end of each untouched run and copy it — as a slice when no
+        //    bucket was born or died (the slot map is the identity), else
+        //    row by row through `slot_map`. Touched devices binary-search
+        //    the patched buckets; their old and new rows are staged for
+        //    the selection index.
+        let slots_moved = !(removals.is_empty() && insertions.is_empty());
+        let copy_run = |candidates: &mut Vec<Candidate>, run: &[Candidate]| {
+            if !slots_moved {
+                candidates.extend_from_slice(run);
+                return Ok(());
+            }
+            for old in run {
+                let config = slot_map[old.config()];
+                if config == usize::MAX {
+                    return Err(corrupt(format!(
+                        "untouched device {} points at a removed bucket: \
+                         delta not chained on this snapshot",
+                        old.replica()
+                    )));
+                }
+                candidates.push(Candidate::new(
+                    old.replica(),
+                    old.power(),
+                    config,
+                    old.attested(),
+                ));
+            }
+            Ok(())
+        };
         let opaque_slot = buckets.len();
         let patched_candidate = |d: &RegisteredDevice| -> Result<Candidate, SealError> {
+            if !tier_matches_measurement(d) {
+                return Err(corrupt(format!(
+                    "touched device {} is on the {:?} tier with measurement {:?}: \
+                     not a row a registry writes",
+                    d.replica, d.tier, d.measurement
+                )));
+            }
             match d.measurement {
                 Some(m) => match buckets.binary_search_by_key(&m, |&(digest, _)| digest) {
                     Ok(slot) => Ok(Candidate::new(d.replica, d.power, slot, true)),
@@ -511,66 +547,46 @@ impl EpochSnapshot {
                 None => Ok(Candidate::new(d.replica, d.power, opaque_slot, false)),
             }
         };
-        let mut devices = Vec::with_capacity(self.devices.len() + roster.len());
-        let mut candidates = Vec::with_capacity(self.devices.len() + roster.len());
-        let (mut di, mut rj) = (0, 0);
-        while di < self.devices.len() || rj < roster.len() {
-            let take_old = rj >= roster.len()
-                || (di < self.devices.len() && self.devices[di].replica < roster[rj].0);
-            if take_old {
-                let old = &self.candidates[di];
-                let config = slot_map[old.config()];
-                if config == usize::MAX {
-                    return Err(corrupt(format!(
-                        "untouched device {} points at a removed bucket: \
-                         delta not chained on this snapshot",
-                        old.replica()
-                    )));
-                }
-                devices.push(self.devices[di]);
-                candidates.push(Candidate::new(
-                    old.replica(),
-                    old.power(),
-                    config,
-                    old.attested(),
-                ));
-                di += 1;
-            } else {
-                let (replica, state) = roster[rj];
-                churned.push(replica);
-                if let Some(d) = state {
-                    devices.push(d);
-                    let c = patched_candidate(&d)?;
-                    candidates.push(c);
-                    arrivals.push(c);
-                }
-                // A `None` state for an absent device is a tolerated no-op
-                // (a deregister of a never-registered replica).
-                if di < self.devices.len() && self.devices[di].replica == replica {
-                    departed.push(self.candidates[di]);
-                    di += 1;
-                }
-                rj += 1;
+        let old = &self.candidates;
+        let mut candidates = Vec::with_capacity(old.len() + roster.len());
+        let mut departed: Vec<Candidate> = Vec::with_capacity(roster.len());
+        let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
+        let mut churned: Vec<ReplicaId> = Vec::with_capacity(roster.len());
+        let mut at = 0;
+        for (replica, state) in roster {
+            let run = gallop_partition_point(&old[at..], |c| c.replica() < replica);
+            copy_run(&mut candidates, &old[at..at + run])?;
+            at += run;
+            churned.push(replica);
+            if let Some(d) = state {
+                let c = patched_candidate(&d)?;
+                candidates.push(c);
+                arrivals.push(c);
+            }
+            // A `None` state for an absent device is a tolerated no-op
+            // (a deregister of a never-registered replica).
+            if old.get(at).is_some_and(|c| c.replica() == replica) {
+                departed.push(old[at]);
+                at += 1;
             }
         }
+        copy_run(&mut candidates, &old[at..])?;
 
-        // Splice the pruned index's slot layout exactly like the
-        // accumulator's (same removal/insertion positions), then land the
-        // staged arrivals at their new-layout configurations.
+        // The selection index is written in one pass from the old one,
+        // its slot layout spliced exactly like the accumulator's.
         let insertion_slots: Vec<usize> = insertions.iter().map(|&(slot, _)| slot).collect();
-        pruned.remove_batch(&departed);
-        pruned.splice_dense_slots(&removals, &insertion_slots);
-        pruned.insert_batch(&arrivals);
+        let pruned = self
+            .pruned
+            .patch_dense(&departed, &arrivals, &removals, &insertion_slots);
         debug_assert_eq!(
             pruned,
             PrunedRoster::from_dense(buckets.len() + 1, &candidates),
             "differentially patched selection index diverged from a rebuild"
         );
 
-        // 4. Opaque power (integer-exact, range-checked here rather than
-        //    through `patched_opaque`, which panics on an unchained delta)
-        //    and the content hash finalised over the patched row
-        //    aggregates — byte-identical to a full rebuild's.
+        // 4. Opaque power (integer-exact, range-checked) and the content
+        //    hash finalised over the patched row aggregates —
+        //    byte-identical to a full rebuild's.
         let opaque_units = i128::from(self.opaque.as_units()) + delta.opaque_delta();
         if opaque_units < 0 {
             return Err(corrupt(
@@ -583,15 +599,19 @@ impl EpochSnapshot {
             ));
         };
         let opaque = VotingPower::new(opaque_units);
-        let content_hash =
-            Self::finalize_content(buckets.len(), bucket_agg, opaque, devices.len(), device_agg);
+        let content_hash = Self::finalize_content(
+            buckets.len(),
+            bucket_agg,
+            opaque,
+            candidates.len(),
+            device_agg,
+        );
         Ok(EpochSnapshot {
             epoch,
             weights: self.weights,
             buckets,
             bucket_members,
             opaque,
-            devices,
             candidates,
             acc,
             pruned,
@@ -626,7 +646,7 @@ impl EpochSnapshot {
     /// Number of registered devices (both tiers).
     #[must_use]
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.candidates.len()
     }
 
     /// The merged measurement buckets, sorted by digest.
@@ -641,10 +661,20 @@ impl EpochSnapshot {
         self.opaque
     }
 
-    /// The device roster, sorted by replica id.
-    #[must_use]
-    pub fn devices(&self) -> &[RegisteredDevice] {
-        &self.devices
+    /// The device roster, sorted by replica id — each row derived from
+    /// its candidate and the bucket table (the same shape as
+    /// [`AttestedRegistry::devices`], in canonical order).
+    pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + '_ {
+        self.candidates.iter().map(|c| RegisteredDevice {
+            replica: c.replica(),
+            tier: if c.attested() {
+                ReplicaTier::Attested
+            } else {
+                ReplicaTier::Unattested
+            },
+            measurement: c.attested().then(|| self.buckets[c.config()].0),
+            power: c.power(),
+        })
     }
 
     /// The prebuilt committee-candidate roster (sorted by replica id, raw
@@ -854,8 +884,9 @@ mod tests {
             replica: ReplicaId::new(1),
             power: VotingPower::new(10),
         });
-        let mut chained =
-            EpochSnapshot::empty(TwoTierWeights::default()).apply_delta(1, &reg.take_delta());
+        let mut chained = EpochSnapshot::empty(TwoTierWeights::default())
+            .try_apply_delta(1, &reg.take_delta())
+            .expect("the delta chains on the empty snapshot");
         assert_eq!(chained.device_count(), 2);
         reg.apply(&ChurnOp::Deregister {
             replica: ReplicaId::new(0),
@@ -863,7 +894,9 @@ mod tests {
         reg.apply(&ChurnOp::Deregister {
             replica: ReplicaId::new(1),
         });
-        chained = chained.apply_delta(2, &reg.take_delta());
+        chained = chained
+            .try_apply_delta(2, &reg.take_delta())
+            .expect("the delta chains on epoch 1");
         assert_eq!(chained.device_count(), 0);
         assert_eq!(chained.content_hash(), snap.content_hash());
         for include in [false, true] {
@@ -879,8 +912,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not chained")]
-    fn apply_delta_rejects_unchained_deltas() {
+    fn try_apply_delta_rejects_unchained_deltas() {
         // A delta produced on top of a populated registry cannot patch the
         // empty snapshot: the departure of a never-seen bucket member is a
         // chaining error, not a silent corruption.
@@ -895,7 +927,120 @@ mod tests {
             replica: ReplicaId::new(0),
         });
         let unchained = reg.take_delta();
-        let _ = EpochSnapshot::empty(TwoTierWeights::flat()).apply_delta(1, &unchained);
+        let err = EpochSnapshot::empty(TwoTierWeights::flat())
+            .try_apply_delta(1, &unchained)
+            .unwrap_err();
+        assert!(
+            matches!(&err, SealError::CorruptDelta { epoch: 1, .. }),
+            "got {err}"
+        );
+        assert!(err.to_string().contains("not chained"), "got {err}");
+
+        // Likewise for the unattested tier: its departure would drive the
+        // empty snapshot's opaque power negative.
+        reg.apply(&ChurnOp::Unattested {
+            replica: ReplicaId::new(1),
+            power: VotingPower::new(10),
+        });
+        let _ = reg.take_delta();
+        reg.apply(&ChurnOp::Deregister {
+            replica: ReplicaId::new(1),
+        });
+        let err = EpochSnapshot::empty(TwoTierWeights::flat())
+            .try_apply_delta(1, &reg.take_delta())
+            .unwrap_err();
+        assert!(matches!(&err, SealError::CorruptDelta { .. }), "got {err}");
+        assert!(err.to_string().contains("opaque power"), "got {err}");
+    }
+
+    #[test]
+    fn try_apply_delta_rejects_a_tier_that_contradicts_the_measurement() {
+        // The snapshot keeps only "has a measurement" and derives the tier,
+        // so a row where the two disagree must not get in.
+        let mut reg = registry_with(&mixed_ops());
+        let snap = EpochSnapshot::from_registry(&reg, 1);
+        let _ = reg.take_delta();
+        reg.apply(&ChurnOp::attest(
+            ReplicaId::new(3),
+            sha256(b"cfg-a"),
+            VotingPower::new(41),
+        ));
+        let mut delta = reg.take_delta();
+        assert!(snap.try_apply_delta(2, &delta).is_ok());
+        let (replica, row) = delta.sorted_roster()[0];
+        delta.record_roster(
+            replica,
+            Some(RegisteredDevice {
+                tier: ReplicaTier::Unattested,
+                ..row.expect("device 3 is registered")
+            }),
+        );
+        let err = snap.try_apply_delta(2, &delta).unwrap_err();
+        assert!(
+            matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
+            "got {err}"
+        );
+        assert!(err.to_string().contains("Unattested tier"), "got {err}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tier that contradicts its measurement")]
+    fn build_asserts_the_tier_matches_the_measurement() {
+        let _ = EpochSnapshot::build(
+            1,
+            TwoTierWeights::flat(),
+            BTreeMap::new(),
+            VotingPower::ZERO,
+            vec![RegisteredDevice {
+                replica: ReplicaId::new(0),
+                tier: ReplicaTier::Attested,
+                measurement: None,
+                power: VotingPower::new(1),
+            }],
+            SetDigest::EMPTY,
+        );
+    }
+
+    #[test]
+    fn devices_are_the_sorted_registry_rows_tier_included() {
+        let mut ops = mixed_ops();
+        ops.push(ChurnOp::attest(
+            ReplicaId::new(9),
+            sha256(b"cfg-c"),
+            VotingPower::ZERO,
+        ));
+        ops.push(ChurnOp::Unattested {
+            replica: ReplicaId::new(1),
+            power: VotingPower::ZERO,
+        });
+        let mut reg = registry_with(&ops);
+        let sorted_rows = |reg: &AttestedRegistry| {
+            let mut rows: Vec<RegisteredDevice> = reg.devices().collect();
+            rows.sort_unstable_by_key(|d| d.replica);
+            rows
+        };
+        let snap = EpochSnapshot::from_registry(&reg, 1);
+        assert_eq!(snap.devices().collect::<Vec<_>>(), sorted_rows(&reg));
+        assert_eq!(snap.device_count(), 6);
+
+        // …and through a patch in which a bucket dies (cfg-b), a device
+        // leaves and two others swap tiers.
+        let _ = reg.take_delta();
+        reg.apply_batch(&[
+            ChurnOp::Deregister {
+                replica: ReplicaId::new(3),
+            },
+            ChurnOp::Unattested {
+                replica: ReplicaId::new(5),
+                power: VotingPower::new(20),
+            },
+            ChurnOp::attest(ReplicaId::new(7), sha256(b"cfg-a"), VotingPower::new(80)),
+        ]);
+        let patched = snap
+            .try_apply_delta(2, &reg.take_delta())
+            .expect("the delta chains");
+        assert_eq!(patched.devices().collect::<Vec<_>>(), sorted_rows(&reg));
     }
 
     #[test]

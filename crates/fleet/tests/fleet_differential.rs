@@ -11,7 +11,7 @@
 //!    serially.
 //! 2. **Differential sealing is a pure latency knob.** An epoch sealed by
 //!    patching the previous snapshot with the drained [`ChurnDelta`]s
-//!    ([`EpochSnapshot::apply_delta`]) carries byte-identical buckets,
+//!    ([`EpochSnapshot::try_apply_delta`]) carries byte-identical buckets,
 //!    rosters, opaque power, and content hash to a from-scratch rebuild at
 //!    *every* intermediate epoch; only the spliced entropy accumulator may
 //!    differ from the canonical rebuild, within the engine's `1e-9` drift
@@ -74,7 +74,7 @@ fn assert_snapshot_matches_oracle(
         shards
     );
     prop_assert_eq!(snap.unattested_power(), oracle_snap.unattested_power());
-    prop_assert_eq!(snap.devices(), oracle_snap.devices());
+    prop_assert!(snap.devices().eq(oracle_snap.devices()));
     prop_assert_eq!(snap.candidates(), oracle_snap.candidates());
     prop_assert_eq!(snap.total_effective_power(), oracle.total_effective_power());
     prop_assert_eq!(
@@ -206,7 +206,7 @@ proptest! {
                 // The differential seal is byte-identical in canonical
                 // content to the rebuild (and both match the oracle).
                 prop_assert_eq!(snap_diff.buckets(), snap_full.buckets());
-                prop_assert_eq!(snap_diff.devices(), snap_full.devices());
+                prop_assert!(snap_diff.devices().eq(snap_full.devices()));
                 prop_assert_eq!(snap_diff.candidates(), snap_full.candidates());
                 prop_assert_eq!(
                     snap_diff.unattested_power(),
@@ -247,7 +247,7 @@ proptest! {
         }
     }
 
-    /// `apply_delta` at the registry level: chaining a snapshot through
+    /// `try_apply_delta` at the registry level: chaining a snapshot through
     /// drained deltas epoch after epoch reproduces `from_registry`'s
     /// canonical form byte-for-byte at every step.
     #[test]
@@ -264,10 +264,12 @@ proptest! {
             registry.apply_batch(chunk);
             epoch += 1;
             let delta = registry.take_delta();
-            chained = chained.apply_delta(epoch, &delta);
+            chained = chained
+                .try_apply_delta(epoch, &delta)
+                .expect("a registry's own delta chains");
             let rebuilt = EpochSnapshot::from_registry(&registry, epoch);
             prop_assert_eq!(chained.buckets(), rebuilt.buckets());
-            prop_assert_eq!(chained.devices(), rebuilt.devices());
+            prop_assert!(chained.devices().eq(rebuilt.devices()));
             prop_assert_eq!(chained.candidates(), rebuilt.candidates());
             prop_assert_eq!(chained.unattested_power(), rebuilt.unattested_power());
             prop_assert_eq!(chained.content_hash(), rebuilt.content_hash());
@@ -370,6 +372,80 @@ proptest! {
                 previous[i] = Some((snap.content_hash(), (*cached).clone()));
             }
         }
+    }
+}
+
+/// The roster walk copies the rows between two touched replicas as a
+/// slice — unless a bucket was born or died that epoch, when every
+/// untouched row's slot has to move. This chain keeps one attested device
+/// (and one unattested) untouched from epoch 1 on while buckets are born in
+/// front of its slot, die in front of it, both at once, and neither, so the
+/// remap is a real permutation on exactly the rows a run copy would have
+/// left alone. Every seal is differential and compared with the oracle.
+#[test]
+fn untouched_rows_follow_their_slot_through_bucket_births_and_deaths() {
+    let mut cfg: Vec<fi_types::Digest> = (0..6)
+        .map(|i| sha256(format!("slot-cfg-{i}").as_bytes()))
+        .collect();
+    cfg.sort_unstable();
+    let attest = |id: u64, m: usize, power: u64| {
+        ChurnOp::attest(ReplicaId::new(id), cfg[m], VotingPower::new(power))
+    };
+    let leave = |id: u64| ChurnOp::Deregister {
+        replica: ReplicaId::new(id),
+    };
+    let survivor = ReplicaId::new(20);
+    // (batch, the survivor's bucket slot afterwards)
+    let chain: [(Vec<ChurnOp>, usize); 6] = [
+        (
+            vec![
+                attest(10, 1, 30),
+                attest(20, 3, 50),
+                ChurnOp::Unattested {
+                    replica: ReplicaId::new(30),
+                    power: VotingPower::new(70),
+                },
+                attest(31, 3, 0),
+            ],
+            1,
+        ),
+        // Births in front of the survivor's slot: at the front and between.
+        (vec![attest(40, 0, 10), attest(41, 2, 20)], 3),
+        // A death in front of it, a birth behind it.
+        (vec![leave(10), attest(42, 4, 40)], 2),
+        // A death and a birth in front of it in one epoch: the slot count
+        // is unchanged and the map is still not the identity.
+        (vec![leave(40), attest(43, 1, 15)], 2),
+        // Neither: the identity epoch, runs copied as slices.
+        (vec![attest(41, 2, 25), leave(99)], 2),
+        // The last bucket dies behind it; the unattested slot still moves.
+        (vec![leave(42)], 2),
+    ];
+
+    let fleet = ShardedFleet::with_reanchor_interval(2, weights(), 0);
+    let mut oracle = AttestedRegistry::new(weights());
+    for (batch, slot) in &chain {
+        fleet.ingest_batch(batch);
+        oracle.apply_batch(batch);
+        let snap = fleet.seal_epoch();
+        assert_eq!(snap.parent_hash().is_none(), snap.epoch() == 1);
+        assert_snapshot_matches_oracle(&snap, &oracle, 2, snap.epoch() == 1)
+            .unwrap_or_else(|e| panic!("epoch {}: {e:?}", snap.epoch()));
+        let row = snap
+            .candidates()
+            .iter()
+            .find(|c| c.replica() == survivor)
+            .expect("the survivor never leaves");
+        assert_eq!(row.config(), *slot, "epoch {}", snap.epoch());
+        assert_eq!(snap.buckets()[row.config()].0, cfg[3]);
+        assert!(
+            !snap.churned_replicas().contains(&survivor),
+            "no delta after the first (full) seal touches the survivor"
+        );
+        assert_eq!(
+            snap.select_greedy(4).members(),
+            greedy_diverse_naive(snap.candidates(), 4).members()
+        );
     }
 }
 

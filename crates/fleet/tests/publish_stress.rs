@@ -143,7 +143,7 @@ fn run_stress(shards: usize, sealers: usize, readers: usize, seals_per_sealer: u
                         // Cheap internal-coherence probes on every read;
                         // the full committed-content check happens against
                         // the ledger after the run.
-                        assert_eq!(snap.devices().len(), snap.candidates().len());
+                        assert_eq!(snap.device_count(), snap.candidates().len());
                         seen.push(Observation {
                             epoch,
                             hash: snap.content_hash(),

@@ -90,7 +90,6 @@ fn pump_and_tick_threads_keep_submit_order() {
         let expected = EpochSnapshot::from_registry(&oracle, sealed.epoch());
         let reordered = sealed
             .devices()
-            .iter()
             .zip(expected.devices())
             .find(|(got, want)| got != want);
         assert_eq!(
