@@ -58,8 +58,8 @@ fn bench_selection(c: &mut Criterion) {
             },
         );
     }
-    // The production shape from the perf baseline: 10k candidates spread
-    // over 64 configurations, selecting a 100-seat committee.
+    // The production shape: 10k candidates spread over 64 configurations,
+    // selecting a 100-seat committee.
     let large = pool_with_configs(10_000, 64);
     group.bench_function("greedy_diverse/10000x64/k100", |b| {
         b.iter(|| greedy_diverse(black_box(&large), 100));

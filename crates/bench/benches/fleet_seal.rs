@@ -1,0 +1,84 @@
+//! Seal and seal-to-committee latency by fleet size × churn rate: the one
+//! sweep fibench cannot express, because each of its workloads fixes both.
+//! It prints and does nothing else — that a differential seal equals a full
+//! rebuild, and a warm selection a cold one, is what
+//! `crates/fleet/tests/fleet_differential.rs` asserts.
+//!
+//! A cell's fleet alternates between two epochs forever: the trace's churn
+//! phase, then the registration-wave ops of the same devices, which undo
+//! it. Every seal therefore patches in a delta of the same size however
+//! long the timer runs. The shim's `iter` has no untimed set-up, so each
+//! `seal/*` figure includes ingesting the epoch's ops; the `ingest` line is
+//! that share alone.
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use fi_attest::{ChurnOp, TwoTierWeights};
+use fi_fleet::{churn_trace, ChurnTraceConfig, ShardedFleet};
+
+const SHARDS: usize = 4;
+const K: usize = 64;
+
+/// A fleet holding the registration wave, sealed once (epoch 1 is a full
+/// build at any re-anchor interval).
+fn sealed_fleet(wave: &[ChurnOp], reanchor_interval: u64) -> ShardedFleet {
+    let fleet =
+        ShardedFleet::with_reanchor_interval(SHARDS, TwoTierWeights::default(), reanchor_interval);
+    fleet.ingest_batch(wave);
+    fleet.seal_epoch();
+    fleet
+}
+
+fn bench_fleet_seal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet_seal");
+    for devices in [10_000u64, 100_000] {
+        for churn_permille in [1usize, 10, 100] {
+            let per_epoch = devices as usize * churn_permille / 1000;
+            let trace = churn_trace(&ChurnTraceConfig::new(devices, per_epoch));
+            let (wave, churn) = trace.split_at(devices as usize);
+            let undo: Vec<ChurnOp> = churn
+                .iter()
+                .map(|op| wave[op.replica().as_u64() as usize])
+                .collect();
+            let cell = format!("{devices}dev/{churn_permille}permille");
+
+            let differential = sealed_fleet(wave, 0);
+            let previous = differential.snapshot().select_greedy(K);
+            differential.ingest_batch(churn);
+            let snapshot = differential.seal_epoch();
+            group.bench_function(format!("select/pruned/{cell}"), |b| {
+                b.iter(|| black_box(&snapshot).select_greedy(K));
+            });
+            group.bench_function(format!("select/warm/{cell}"), |b| {
+                b.iter(|| black_box(&snapshot).select_greedy_warm(K, previous.members()));
+            });
+
+            let full = sealed_fleet(wave, 1);
+            full.ingest_batch(churn);
+            full.seal_epoch();
+            // Both fleets now hold the churned state, so the next epoch is
+            // the undo.
+            let epochs = [churn, undo.as_slice()];
+            for (name, fleet) in [("seal/full", &full), ("seal/diff", &differential)] {
+                let mut turn = 0;
+                group.bench_function(format!("{name}/{cell}"), |b| {
+                    b.iter(|| {
+                        turn ^= 1;
+                        fleet.ingest_batch(epochs[turn]);
+                        fleet.seal_epoch()
+                    });
+                });
+            }
+            let mut turn = 0;
+            group.bench_function(format!("ingest/{cell}"), |b| {
+                b.iter(|| {
+                    turn ^= 1;
+                    full.ingest_batch(epochs[turn]);
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fleet_seal);
+criterion_main!(benches);

@@ -9,8 +9,7 @@
 //! selection is O(n log n + n·k) with a constant number of allocations,
 //! instead of the naive O(n·k·(k+m)) with ~4 heap allocations per trial.
 //! The pre-refactor implementation is kept verbatim as
-//! [`greedy_diverse_naive`], the equivalence oracle for property tests and
-//! the `perf` harness.
+//! [`greedy_diverse_naive`], the equivalence oracle for property tests.
 
 use std::collections::HashMap;
 
@@ -79,10 +78,10 @@ pub fn greedy_diverse(candidates: &[Candidate], k: usize) -> Committee {
 }
 
 /// The pre-refactor O(n·k·(k+m)) greedy selection, kept verbatim as the
-/// equivalence and performance oracle: it re-aggregates a `HashMap`-backed
-/// distribution and recomputes full Shannon entropy for every candidate in
-/// every round. Property tests assert [`greedy_diverse`] selects the
-/// byte-identical member sequence; the `perf` binary reports the speedup.
+/// equivalence oracle: it re-aggregates a `HashMap`-backed distribution and
+/// recomputes full Shannon entropy for every candidate in every round.
+/// Property tests assert [`greedy_diverse`] selects the byte-identical
+/// member sequence; the `committee_selection` bench times both.
 #[doc(hidden)]
 #[must_use]
 pub fn greedy_diverse_naive(candidates: &[Candidate], k: usize) -> Committee {

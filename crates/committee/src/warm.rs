@@ -35,8 +35,8 @@ use serde::{Deserialize, Serialize};
 use crate::candidate::{Candidate, Committee};
 use crate::pruned::{ChallengerSet, PrunedRoster, SelectionRun};
 
-/// How a warm-start selection was produced — the serving bench and the
-/// differential suites use this to assert the fast path actually ran.
+/// How a warm-start selection was produced — the differential suites use
+/// this to assert the fast path actually ran, and fibench reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmReport {
     /// Rounds reproduced by verifying the previous committee's member

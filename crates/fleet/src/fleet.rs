@@ -558,9 +558,8 @@ impl ShardedFleet {
     /// back into a panic, where [`try_seal_epoch`](Self::try_seal_epoch)
     /// lets the fleet keep serving after a rejected seal. It exists so
     /// unit tests and doc examples can seal without `Result` plumbing;
-    /// production callers — the bench harness, the `fi-serve` seal
-    /// driver, recovery replay — use `try_seal_epoch` and handle the
-    /// typed error.
+    /// production callers — the `fi-serve` seal driver, recovery replay,
+    /// fibench — use `try_seal_epoch` and handle the typed error.
     ///
     /// # Panics
     ///

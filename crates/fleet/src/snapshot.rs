@@ -785,13 +785,6 @@ impl EpochSnapshot {
         &self.churned
     }
 
-    /// The differentially maintained pruned selection index (bench and
-    /// diagnostic access).
-    #[must_use]
-    pub fn pruned_roster(&self) -> &PrunedRoster {
-        &self.pruned
-    }
-
     /// Two-tier attested-weighted sortition over the prebuilt roster
     /// (identical member sequence to [`two_tier_weighted`] on the same
     /// candidates and RNG state). Lock-free: touches only this snapshot.

@@ -1,13 +1,12 @@
-//! Deterministic synthetic churn traces for tests, goldens, and the perf
-//! harness.
+//! Deterministic synthetic churn traces for tests, goldens, and the
+//! `fleet_seal` bench.
 //!
 //! A trace is a pure function of its [`ChurnTraceConfig`] (including the
 //! seed): a registration wave for every device followed by a churn phase of
 //! re-attestations (configuration rotation), departures, and re-joins, with
 //! a configurable unattested share and a mildly skewed measurement
 //! popularity (a "default image" every fleet has). The fixed-seed 10k
-//! trace behind `tests/goldens/fleet_snapshot.json` and the 100k-device
-//! perf workload both come from here.
+//! trace behind `tests/goldens/fleet_snapshot.json` comes from here.
 
 use fi_attest::ChurnOp;
 use fi_types::{sha256, Digest, ReplicaId, VotingPower};
@@ -31,7 +30,7 @@ pub struct ChurnTraceConfig {
 
 impl ChurnTraceConfig {
     /// A trace with `devices` devices and `churn_ops` churn operations,
-    /// with the defaults the goldens and perf harness share: 64
+    /// with the defaults the goldens and the `fleet_seal` bench share: 64
     /// measurements, 10% unattested, seed 2023.
     #[must_use]
     pub fn new(devices: u64, churn_ops: usize) -> Self {

@@ -146,10 +146,6 @@ pub struct ScenarioOutcome {
     /// The admitted trace, when recording was requested. Full-scale runs
     /// skip recording to stay in memory budget.
     pub trace: Option<AdmittedTrace>,
-    /// Per-flush enqueue-to-applied latencies in microseconds (wall
-    /// clock — a perf observation, deliberately **not** part of the
-    /// report or its hash).
-    pub flush_latencies_us: Vec<u64>,
 }
 
 /// The tier weights every scenario runs under (two-tier, attested weight
@@ -223,7 +219,6 @@ pub fn run_scenario(
         }
     }
     server.drain()?;
-    let flush_latencies_us = server.flush_latencies_us();
     let stats = server.stats();
     let snapshot = fleet.snapshot();
     let report = ScenarioReport {
@@ -234,11 +229,7 @@ pub fn run_scenario(
         stats,
     };
     server.shutdown()?;
-    Ok(ScenarioOutcome {
-        report,
-        trace,
-        flush_latencies_us,
-    })
+    Ok(ScenarioOutcome { report, trace })
 }
 
 /// The differential oracle: replays an [`AdmittedTrace`] straight into a

@@ -3,13 +3,13 @@
 //! schedules, and shard counts {1, 4, 8}**, and equal to direct
 //! `ShardedFleet` ingest of the same logical trace.
 //!
-//! Every run here spawns real per-shard worker threads — the OS schedule
-//! differs run to run, which is exactly the point: the report hash covers
+//! Every run is single-threaded (the stack spawns no thread), so what
+//! these tests vary is the shard count and the run. The report hash covers
 //! every sealed epoch's content hash plus every admission, coalescing,
-//! and application counter, so any schedule- or shard-dependence anywhere
-//! in the pipeline would show up as a hash mismatch.
+//! and application counter, so any run- or shard-dependence anywhere in
+//! the pipeline would show up as a hash mismatch.
 
-use fi_serve::{direct_ingest_report, run_scenario, ScenarioConfig, ServeConfig};
+use fi_serve::{direct_ingest_report, run_scenario, ScenarioConfig, ServeConfig, ServeStats};
 
 /// A scenario small enough for CI but busy enough to exercise multi-tick
 /// coalescing windows, diurnal load swings, and several epochs.
@@ -29,6 +29,13 @@ fn overloaded_scenario() -> ScenarioConfig {
     })
 }
 
+/// After the final drain every admitted op was coalesced away at the edge
+/// or flushed to a shard, and every flushed op was applied.
+fn assert_accounted(stats: &ServeStats) {
+    assert_eq!(stats.admitted_ops, stats.flushed_ops + stats.coalesced_away);
+    assert_eq!(stats.applied_ops, stats.flushed_ops);
+}
+
 #[test]
 fn report_hash_is_invariant_across_runs_and_shard_counts() {
     let baseline = run_scenario(&scenario().with_shards(1), false)
@@ -36,6 +43,7 @@ fn report_hash_is_invariant_across_runs_and_shard_counts() {
         .report;
     assert!(baseline.final_epoch >= 3, "scenario seals several epochs");
     assert!(baseline.stats.coalesced_away > 0, "Zipf skew coalesces");
+    assert_accounted(&baseline.stats);
     for shards in [1usize, 4, 8] {
         for run in 0..2 {
             let report = run_scenario(&scenario().with_shards(shards), false)
@@ -84,6 +92,7 @@ fn overload_sheds_are_deterministic_and_accounted() {
     // Shed + admitted requests account for every submission past the
     // registration wave retries.
     assert!(baseline.stats.submitted_requests > baseline.stats.shed_queue_full);
+    assert_accounted(&baseline.stats);
     for shards in [4usize, 8] {
         let report = run_scenario(&overloaded_scenario().with_shards(shards), false)
             .expect("scenario under overload")
@@ -97,6 +106,7 @@ fn overload_sheds_are_deterministic_and_accounted() {
     // And the admitted trace still matches direct ingest under overload.
     let outcome =
         run_scenario(&overloaded_scenario().with_shards(4), true).expect("scenario under overload");
+    assert_accounted(&outcome.report.stats);
     let trace = outcome.trace.expect("recording requested");
     let oracle = direct_ingest_report(&trace, 4, overloaded_scenario().reanchor_interval);
     assert_eq!(oracle.final_hash, outcome.report.final_hash);

@@ -2,8 +2,8 @@
 //! fixture for a fixed-seed Nakamoto double-spend campaign.
 //!
 //! The whole verification strategy of this workspace (scenario campaigns,
-//! perf baselines, golden summaries) rests on one property: every substrate
-//! is a pure function of its seed. These tests pin that property down with
+//! fibench's pinned chains, golden summaries) rests on one property: every
+//! substrate is a pure function of its seed. These tests pin that down with
 //! trace *hashes* — a drift anywhere in the event loop, the RNG stream, or
 //! the protocol logic flips the digest.
 
