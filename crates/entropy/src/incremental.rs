@@ -139,59 +139,6 @@ impl EntropyAccumulator {
         self.weights.len() - 1
     }
 
-    /// Inserts a bucket holding `w` at position `at`, shifting later slots
-    /// up by one. O(slots) for the shift; the entropy state updates in
-    /// O(1). This is the differential-sealing primitive: a canonical
-    /// sorted-bucket layout gains a row without rebuilding the accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > slots()` or the total would overflow `u64`.
-    pub fn insert_slot(&mut self, at: usize, w: u64) {
-        assert!(
-            at <= self.weights.len(),
-            "slot insertion at {at} out of range for {} slots",
-            self.weights.len()
-        );
-        self.weights.insert(at, w);
-        if w > 0 {
-            self.total = self
-                .total
-                .checked_add(w)
-                .expect("entropy accumulator total overflowed u64");
-            self.weighted_log_sum += xlog2(w);
-            self.support += 1;
-        }
-    }
-
-    /// Removes the bucket at position `at` entirely (weight and slot),
-    /// shifting later slots down by one and returning the removed weight.
-    /// O(slots) for the shift; the entropy state updates in O(1).
-    ///
-    /// Like [`remove`](Self::remove), the `S` update is a floating-point
-    /// subtraction, so long remove histories accumulate ulp-level drift —
-    /// bounded by the same `1e-9` envelope the differential suites pin, and
-    /// re-zeroed whenever the owner rebuilds from
-    /// [`from_weights`](Self::from_weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is out of range.
-    pub fn remove_slot(&mut self, at: usize) -> u64 {
-        assert!(
-            at < self.weights.len(),
-            "slot removal at {at} out of range for {} slots",
-            self.weights.len()
-        );
-        let w = self.weights.remove(at);
-        if w > 0 {
-            self.total -= w;
-            self.weighted_log_sum -= xlog2(w);
-            self.support -= 1;
-        }
-        w
-    }
-
     /// The weight currently in `slot`.
     ///
     /// # Panics
@@ -555,65 +502,6 @@ mod tests {
         assert_eq!(acc.entropy_bits(), before);
         acc.add(slot, 1);
         assert!((acc.entropy_bits() - 3f64.log2()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn insert_slot_matches_from_weights() {
-        let mut acc = EntropyAccumulator::from_weights(&[10, 30]);
-        acc.insert_slot(1, 20);
-        let rebuilt = EntropyAccumulator::from_weights(&[10, 20, 30]);
-        assert_eq!(acc.slots(), 3);
-        assert_eq!(acc.weight(1), 20);
-        assert_eq!(acc.total_weight(), rebuilt.total_weight());
-        assert_eq!(acc.support_size(), rebuilt.support_size());
-        assert!((acc.entropy_bits() - rebuilt.entropy_bits()).abs() < 1e-12);
-        // Zero-weight insertion changes layout but not entropy state.
-        let before = acc.entropy_bits();
-        acc.insert_slot(0, 0);
-        assert_eq!(acc.slots(), 4);
-        assert_eq!(acc.entropy_bits().to_bits(), before.to_bits());
-        assert_eq!(acc.total_weight(), 60);
-    }
-
-    #[test]
-    fn remove_slot_matches_from_weights() {
-        let mut acc = EntropyAccumulator::from_weights(&[10, 20, 30, 0]);
-        assert_eq!(acc.remove_slot(1), 20);
-        let rebuilt = EntropyAccumulator::from_weights(&[10, 30, 0]);
-        assert_eq!(acc.slots(), 3);
-        assert_eq!(acc.weight(1), 30);
-        assert_eq!(acc.total_weight(), rebuilt.total_weight());
-        assert_eq!(acc.support_size(), rebuilt.support_size());
-        assert!((acc.entropy_bits() - rebuilt.entropy_bits()).abs() < 1e-12);
-        // Removing a zero-weight slot leaves the entropy state untouched.
-        let before = acc.entropy_bits();
-        assert_eq!(acc.remove_slot(2), 0);
-        assert_eq!(acc.entropy_bits().to_bits(), before.to_bits());
-    }
-
-    #[test]
-    fn slot_splice_round_trip_restores_state() {
-        let mut acc = EntropyAccumulator::from_weights(&[7, 5, 11]);
-        let before = acc.entropy_bits();
-        acc.insert_slot(2, 9);
-        assert_eq!(acc.remove_slot(2), 9);
-        assert_eq!(acc.slots(), 3);
-        assert_eq!(acc.total_weight(), 23);
-        assert!((acc.entropy_bits() - before).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn insert_slot_past_end_panics() {
-        let mut acc = EntropyAccumulator::from_weights(&[1]);
-        acc.insert_slot(2, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn remove_slot_past_end_panics() {
-        let mut acc = EntropyAccumulator::from_weights(&[1]);
-        let _ = acc.remove_slot(1);
     }
 
     #[test]

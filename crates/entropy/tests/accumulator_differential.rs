@@ -27,22 +27,18 @@ enum Op {
     PeekRemove { slot: usize, w: u64 },
     PeekMove { from: usize, to: usize, w: u64 },
     PushSlot,
-    InsertSlot { at: usize, w: u64 },
-    RemoveSlot { at: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Raw indices/weights; `apply` clamps them against the live mirror so
     // every generated sequence is a valid adversarial interleaving.
-    (0u8..9, 0usize..12, 0usize..12, 0u64..1_000).prop_map(|(kind, a, b, w)| match kind {
+    (0u8..7, 0usize..12, 0usize..12, 0u64..1_000).prop_map(|(kind, a, b, w)| match kind {
         0 => Op::Add { slot: a, w },
         1 => Op::Remove { slot: a, w },
         2 => Op::Move { from: a, to: b, w },
         3 => Op::PeekAdd { slot: a, w },
         4 => Op::PeekRemove { slot: a, w },
         5 => Op::PeekMove { from: a, to: b, w },
-        6 => Op::InsertSlot { at: a, w },
-        7 => Op::RemoveSlot { at: a },
         _ => Op::PushSlot,
     })
 }
@@ -121,22 +117,6 @@ fn apply(op: Op, acc: &mut EntropyAccumulator, mirror: &mut Vec<u64>) -> Result<
             let slot = acc.push_slot();
             prop_assert_eq!(slot, mirror.len());
             mirror.push(0);
-        }
-        Op::InsertSlot { at, w } => {
-            // The differential-sealing splice: a bucket is born at an
-            // arbitrary position of the canonical sorted layout.
-            let at = at % (k + 1);
-            acc.insert_slot(at, w);
-            mirror.insert(at, w);
-        }
-        Op::RemoveSlot { at } => {
-            // Keep at least one slot so index-clamping (`% k`) stays
-            // meaningful for the other ops.
-            if k > 1 {
-                let at = at % k;
-                let expected = mirror.remove(at);
-                prop_assert_eq!(acc.remove_slot(at), expected);
-            }
         }
     }
     Ok(())

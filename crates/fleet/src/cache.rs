@@ -3,11 +3,14 @@
 //! A greedy selection is a **pure function of fleet content**: the member
 //! sequence depends only on the snapshot's
 //! [`content_hash`](EpochSnapshot::content_hash) (which pins the candidate
-//! roster byte-for-byte), the committee size `k`, and the selection policy.
+//! roster byte-for-byte) and the committee size `k`.
 //! Production serving repeats the same `(content, k)` query many times per
 //! epoch — every quorum check, every monitoring probe — so the
 //! [`SelectionCache`] memoizes the result: a hit is one lock-striped probe
 //! returning a shared `Arc<Committee>`, no selection arithmetic at all.
+//! Randomized selection (two-tier sortition) is deliberately not cached:
+//! its output depends on RNG state, not fleet content, so memoizing it
+//! would change observable behaviour.
 //!
 //! Misses are *warm-chained*: a snapshot produced by the differential
 //! sealer records its parent's content hash
@@ -35,18 +38,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::snapshot::EpochSnapshot;
 
-/// The deterministic selection policies a cache entry can memoize.
-///
-/// Randomized policies (two-tier sortition) are deliberately absent: their
-/// output depends on RNG state, not fleet content, so memoizing them would
-/// change observable behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectionPolicy {
-    /// Greedy entropy-maximising selection
-    /// ([`EpochSnapshot::select_greedy`]).
-    Greedy,
-}
-
 /// Monotonic counters describing how the cache has served its queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -67,7 +58,6 @@ pub struct CacheStats {
 struct CacheEntry {
     hash: Digest,
     k: usize,
-    policy: SelectionPolicy,
     /// The highest epoch this entry was observed at — the eviction key
     /// (lowest goes first), refreshed on hit so live content survives.
     epoch: u64,
@@ -176,9 +166,8 @@ impl SelectionCache {
     /// [`EpochSnapshot::select_greedy`].
     #[must_use]
     pub fn select_greedy(&self, snapshot: &EpochSnapshot, k: usize) -> Arc<Committee> {
-        let policy = SelectionPolicy::Greedy;
         let hash = snapshot.content_hash();
-        if let Some(found) = self.lookup(hash, k, policy, snapshot.epoch()) {
+        if let Some(found) = self.lookup(hash, k, snapshot.epoch()) {
             // relaxed: monotonic stat counter, read only by monitoring.
             self.hits.fetch_add(1, Ordering::Relaxed);
             return found;
@@ -190,7 +179,7 @@ impl SelectionCache {
         // still resident, seeds an O(k · churn) repair.
         let parent = snapshot
             .parent_hash()
-            .and_then(|ph| self.lookup(ph, k, policy, snapshot.epoch()));
+            .and_then(|ph| self.lookup(ph, k, snapshot.epoch()));
         let committee = match parent {
             Some(previous) => {
                 let (committee, report) = snapshot.select_greedy_warm(k, previous.members());
@@ -210,7 +199,7 @@ impl SelectionCache {
             }
         };
         let committee = Arc::new(committee);
-        self.insert(hash, k, policy, snapshot.epoch(), Arc::clone(&committee));
+        self.insert(hash, k, snapshot.epoch(), Arc::clone(&committee));
         committee
     }
 
@@ -241,38 +230,20 @@ impl SelectionCache {
         &self.stripes[(h as usize) % self.stripes.len()]
     }
 
-    /// Probes for `(hash, k, policy)`; refreshes the entry's epoch tag to
+    /// Probes for `(hash, k)`; refreshes the entry's epoch tag to
     /// `observed_epoch` on hit so content that is still being served
     /// outlives the eviction sweep.
-    fn lookup(
-        &self,
-        hash: Digest,
-        k: usize,
-        policy: SelectionPolicy,
-        observed_epoch: u64,
-    ) -> Option<Arc<Committee>> {
+    fn lookup(&self, hash: Digest, k: usize, observed_epoch: u64) -> Option<Arc<Committee>> {
         let mut stripe = lock_recover(self.stripe_of(hash, k));
-        let entry = stripe
-            .iter_mut()
-            .find(|e| e.hash == hash && e.k == k && e.policy == policy)?;
+        let entry = stripe.iter_mut().find(|e| e.hash == hash && e.k == k)?;
         entry.epoch = entry.epoch.max(observed_epoch);
         Some(Arc::clone(&entry.committee))
     }
 
-    fn insert(
-        &self,
-        hash: Digest,
-        k: usize,
-        policy: SelectionPolicy,
-        epoch: u64,
-        committee: Arc<Committee>,
-    ) {
+    fn insert(&self, hash: Digest, k: usize, epoch: u64, committee: Arc<Committee>) {
         let mut stripe = lock_recover(self.stripe_of(hash, k));
         // A racing miss may have inserted the same key; keep one entry.
-        if let Some(entry) = stripe
-            .iter_mut()
-            .find(|e| e.hash == hash && e.k == k && e.policy == policy)
-        {
+        if let Some(entry) = stripe.iter_mut().find(|e| e.hash == hash && e.k == k) {
             entry.epoch = entry.epoch.max(epoch);
             return;
         }
@@ -297,7 +268,6 @@ impl SelectionCache {
         stripe.push(CacheEntry {
             hash,
             k,
-            policy,
             epoch,
             committee,
         });

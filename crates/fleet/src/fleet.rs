@@ -31,13 +31,14 @@
 //! deltas and patches the previous snapshot
 //! ([`EpochSnapshot::try_apply_delta`]) instead of re-merging every shard.
 //! A full rebuild ([`EpochSnapshot::build`] over a complete shard merge)
-//! remains the cold-start path (epoch 1) and the periodic re-anchor — every
-//! `R` seals ([`ShardedFleet::with_reanchor_interval`]) — which re-zeroes
-//! the entropy accumulator's floating-point drift. Both paths produce the
-//! byte-identical canonical form (buckets, rosters, content hash). Neither
+//! is the cold start (epoch 1) and the recovery path after a rejected or
+//! dead seal; a caller can also force one every `R` seals
+//! ([`ShardedFleet::with_reanchor_interval`]) as a reference to compare
+//! against or to time. Both paths produce the bit-identical snapshot —
+//! buckets, rosters, content hash, entropy accumulator. Neither
 //! hashes a roster row: each shard's registry hashes a row when it writes
 //! it, so the differential seal adds the drained deltas' net row-digest
-//! change and the re-anchor adds up the shards' running aggregates (see
+//! change and the full rebuild adds up the shards' running aggregates (see
 //! [`crate::snapshot`]).
 //!
 //! A seal has one owner. It takes the seal mutex and holds it through five
@@ -73,12 +74,6 @@ use crate::error::{FleetConfigError, IngestError, SealError};
 use crate::publish::{SnapshotCell, SnapshotHandle};
 use crate::snapshot::{roster_aggregate, EpochSnapshot};
 use crate::wal::{ChurnLog, WalRecord};
-
-/// The default re-anchor cadence: one full (from-scratch) snapshot rebuild
-/// every this many seals, bounding the differential path's accumulated
-/// floating-point entropy drift. See
-/// [`ShardedFleet::with_reanchor_interval`].
-pub const DEFAULT_REANCHOR_INTERVAL: u64 = 32;
 
 /// One shard's complete state as copied at a re-anchor cut: its bucket
 /// rows, opaque power, device roster, and the roster's write-time
@@ -127,17 +122,17 @@ enum SealWork {
 pub struct ShardedFleet {
     shards: Vec<Mutex<AttestedRegistry>>,
     weights: TwoTierWeights,
-    /// Full-rebuild cadence: epoch 1 and every `reanchor_interval`-th epoch
-    /// rebuild from scratch; `0` means "re-anchor never" (cold start only).
+    /// Forced full-rebuild cadence: every `reanchor_interval`-th epoch
+    /// rebuilds from scratch; `0` means never on a schedule.
     reanchor_interval: u64,
     /// The wait-free publication point: an epoch-stamped double buffer
     /// readers clone from without taking any lock the sealer contends on.
     /// See [`crate::publish`] for the scheme and its monotonicity proof.
     current: SnapshotCell,
-    /// Held shared by every ingest call for its whole batch and exclusively
-    /// by the sealer's cut and by [`device_count`](Self::device_count), so
-    /// a batch whose sub-batches land on different shards is atomic with
-    /// respect to both the epoch cut and the count sweep.
+    /// Held shared by every ingest call for its whole batch and by
+    /// [`device_count`](Self::device_count), and exclusively by the
+    /// sealer's cut, so a batch whose sub-batches land on different shards
+    /// is atomic with respect to the epoch cut.
     batch_gate: RwLock<()>,
     /// Held by the one sealer at a time from its cut to its checkpoint, so
     /// every delta is built onto the snapshot it was cut against and
@@ -172,11 +167,11 @@ pub(crate) struct DurabilityState {
     pub(crate) log: Mutex<ChurnLog>,
     /// The durability directory (WAL segments + checkpoints).
     pub(crate) dir: PathBuf,
-    /// Checkpoint every this many sealed epochs; `0` = never. Deliberately
-    /// independent of [`ShardedFleet::reanchor_interval`]: re-anchoring is
-    /// an *in-memory* float-drift bound, checkpointing is a *recovery
-    /// time* bound, and `with_reanchor_interval(_, _, 0)` ("re-anchor
-    /// never") must not silently mean "checkpoint never".
+    /// Checkpoint every this many sealed epochs; `0` = never. Independent
+    /// of the fleet's forced full-rebuild cadence: that one changes no
+    /// snapshot, this one bounds *recovery time*, and
+    /// `with_reanchor_interval(_, _, 0)` must not silently mean
+    /// "checkpoint never".
     pub(crate) checkpoint_interval: u64,
     /// How many of the newest checkpoints survive pruning.
     pub(crate) retain_checkpoints: usize,
@@ -212,8 +207,9 @@ fn lock_recover<'a, T>(lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl ShardedFleet {
     /// Creates a fleet with `shard_count` registry shards under the given
-    /// tier weights, serving an empty epoch-zero snapshot, with the default
-    /// re-anchor cadence ([`DEFAULT_REANCHOR_INTERVAL`]).
+    /// tier weights, serving an empty epoch-zero snapshot. Epoch 1 seals
+    /// with a full build and every later epoch differentially; a full
+    /// rebuild happens again only to recover from a rejected or dead seal.
     ///
     /// A `shard_count` of zero is clamped to one: the fleet is guaranteed
     /// to be constructed with at least one shard and never panics on the
@@ -221,7 +217,7 @@ impl ShardedFleet {
     /// use [`try_new`](Self::try_new).
     #[must_use]
     pub fn new(shard_count: usize, weights: TwoTierWeights) -> Self {
-        Self::with_reanchor_interval(shard_count, weights, DEFAULT_REANCHOR_INTERVAL)
+        Self::with_reanchor_interval(shard_count, weights, 0)
     }
 
     /// [`new`](Self::new), but a zero `shard_count` is reported as a
@@ -238,18 +234,16 @@ impl ShardedFleet {
         Ok(Self::new(shard_count, weights))
     }
 
-    /// Creates a fleet with an explicit re-anchor cadence: epoch 1 and
-    /// every `reanchor_interval`-th epoch thereafter seal with a full
-    /// from-scratch rebuild; all other epochs seal differentially by
-    /// patching the previous snapshot with the drained churn deltas.
+    /// [`new`](Self::new), but every `reanchor_interval`-th epoch is also
+    /// forced through the full from-scratch rebuild that epoch 1 gets;
+    /// `1` makes every seal a full rebuild, `0` forces none and is what
+    /// `new` passes.
     ///
-    /// `reanchor_interval == 1` makes every seal a full rebuild (the
-    /// pre-differential behaviour); `0` disables re-anchoring entirely
-    /// (only the cold-start epoch rebuilds). Both extremes produce
-    /// byte-identical canonical snapshots — the cadence only bounds how
-    /// much floating-point drift the incrementally spliced entropy
-    /// accumulator may carry (within the engine's `1e-9` envelope either
-    /// way; see `tests/long_run_drift.rs`).
+    /// A forced full rebuild changes no bit of any snapshot — the
+    /// differential patch already yields what a rebuild would. The cadence
+    /// is a reference and measurement seam: `fleet_differential.rs` holds
+    /// cadences 1, 0 and 3 against each other at every epoch, and the
+    /// benchmark forces 8 so that it times both seal paths.
     ///
     /// A `shard_count` of zero is clamped to one, as in [`new`](Self::new).
     #[must_use]
@@ -356,13 +350,6 @@ impl ShardedFleet {
     #[must_use]
     pub fn weights(&self) -> TwoTierWeights {
         self.weights
-    }
-
-    /// The full-rebuild cadence (`0` = cold-start rebuild only). See
-    /// [`with_reanchor_interval`](Self::with_reanchor_interval).
-    #[must_use]
-    pub fn reanchor_interval(&self) -> u64 {
-        self.reanchor_interval
     }
 
     /// Which shard owns `replica`: `replica mod shard_count`.
@@ -520,11 +507,7 @@ impl ShardedFleet {
     /// with one atomic add per fully-applied batch, so this read never
     /// observes a half-applied multi-shard batch — and it takes the batch
     /// gate **shared**, so concurrent ingest threads (also shared holders)
-    /// are never stalled by monitoring traffic. (An earlier revision took
-    /// the gate exclusively and swept the shard locks, which made every
-    /// monitoring read a fleet-wide ingest stall; the per-batch counter is
-    /// what makes the shared hold sufficient, since two shared holders run
-    /// concurrently and a lock sweep alone could tear mid-batch.)
+    /// are never stalled by monitoring traffic.
     #[must_use]
     pub fn device_count(&self) -> usize {
         let _gate = self
@@ -544,10 +527,10 @@ impl ShardedFleet {
     /// Ordinary epochs are **differential**: the cut drains each shard's
     /// [`ChurnDelta`], merges them, and patches the previous snapshot in
     /// O(churn · log n) ([`EpochSnapshot::try_apply_delta`]) — bit-identical
-    /// buckets, rosters, and content hash to a full rebuild. Epoch 1 and
-    /// every [`reanchor_interval`](Self::reanchor_interval)-th epoch
-    /// rebuild from a complete shard merge instead, re-zeroing the entropy
-    /// accumulator's floating-point drift.
+    /// to a full rebuild. Epoch 1, the seal after a rejected or dead one,
+    /// and any epoch a cadence forces
+    /// ([`with_reanchor_interval`](Self::with_reanchor_interval)) rebuild
+    /// from a complete shard merge instead.
     ///
     /// One seal runs at a time, holding the seal mutex from its cut to its
     /// checkpoint; the batch gate and the shard guards are dropped right
@@ -796,7 +779,6 @@ mod tests {
         assert_eq!(snap.device_count(), 0);
         assert_eq!(fleet.device_count(), 0);
         assert_eq!(fleet.shard_count(), 4);
-        assert_eq!(fleet.reanchor_interval(), DEFAULT_REANCHOR_INTERVAL);
     }
 
     #[test]
@@ -831,8 +813,8 @@ mod tests {
         fleet.ingest_batch(&[ChurnOp::Deregister {
             replica: ReplicaId::new(0),
         }]);
-        // Epoch 2 takes the differential path (default cadence re-anchors
-        // at 32) and must still observe the departure.
+        // Epoch 2 takes the differential path and must still observe the
+        // departure.
         let second = fleet.seal_epoch();
         assert_eq!(second.epoch(), 2);
         assert_eq!(second.device_count(), 7);
@@ -864,11 +846,9 @@ mod tests {
             assert_eq!(a.content_hash(), c.content_hash());
             assert_eq!(a.buckets(), b.buckets());
             assert!(a.devices().eq(b.devices()));
-            let (ha, hb) = (a.entropy_bits(true), b.entropy_bits(true));
-            match (ha, hb) {
-                (Ok(x), Ok(y)) => assert!((x - y).abs() < 1e-9, "{x} vs {y}"),
-                (x, y) => assert_eq!(x, y),
-            }
+            let bits = |s: &EpochSnapshot| s.entropy_bits(true).map(f64::to_bits);
+            assert_eq!(bits(&a), bits(&b));
+            assert_eq!(bits(&a), bits(&c));
         }
     }
 
@@ -886,9 +866,9 @@ mod tests {
     #[test]
     fn concurrent_ingest_while_sealing_is_safe() {
         // Smoke the lock discipline: batches land while another thread
-        // seals repeatedly (mostly differential seals under the default
-        // cadence). Every device's ops live in one batch, so the final
-        // sealed state is independent of the interleaving.
+        // seals repeatedly (differentially after the first). Every
+        // device's ops live in one batch, so the final sealed state is
+        // independent of the interleaving.
         let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
         let trace = ops(200);
         std::thread::scope(|scope| {

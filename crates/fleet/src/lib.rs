@@ -27,10 +27,10 @@
 //!   Sealing is **differential**: each shard accumulates a
 //!   [`fi_attest::ChurnDelta`] since the last cut, and ordinary epochs
 //!   patch the previous snapshot in O(churn · log n)
-//!   ([`EpochSnapshot::try_apply_delta`]) — byte-identical to the full rebuild
-//!   that epoch 1 and every R-th epoch
-//!   ([`ShardedFleet::with_reanchor_interval`]) still perform to re-zero
-//!   floating-point entropy drift.
+//!   ([`EpochSnapshot::try_apply_delta`]) — bit-identical, entropy
+//!   included, to the full rebuild that epoch 1 performs, that recovers
+//!   from a rejected seal, and that a caller can force every R-th epoch
+//!   as a reference ([`ShardedFleet::with_reanchor_interval`]).
 //! * Readers clone the current `Arc<EpochSnapshot>` off the wait-free
 //!   [`SnapshotCell`] publication point (no lock, seqlock-style epoch
 //!   revalidation) — or, better, hold a per-reader [`SnapshotHandle`]
@@ -86,12 +86,12 @@ pub mod snapshot;
 pub mod trace;
 pub mod wal;
 
-pub use cache::{CacheStats, SelectionCache, SelectionPolicy};
+pub use cache::{CacheStats, SelectionCache};
 pub use checkpoint::Checkpoint;
 pub use error::{
     CheckpointError, FleetConfigError, IngestError, RecoveryError, SealError, WalError,
 };
-pub use fleet::{ShardedFleet, DEFAULT_REANCHOR_INTERVAL};
+pub use fleet::ShardedFleet;
 pub use publish::{SnapshotCell, SnapshotHandle};
 pub use recover::{DurabilityConfig, RecoveryReport};
 pub use snapshot::EpochSnapshot;
@@ -104,12 +104,12 @@ pub use fi_attest::{ChurnDelta, ChurnOp};
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::cache::{CacheStats, SelectionCache, SelectionPolicy};
+    pub use crate::cache::{CacheStats, SelectionCache};
     pub use crate::checkpoint::Checkpoint;
     pub use crate::error::{
         CheckpointError, FleetConfigError, IngestError, RecoveryError, SealError, WalError,
     };
-    pub use crate::fleet::{ShardedFleet, DEFAULT_REANCHOR_INTERVAL};
+    pub use crate::fleet::ShardedFleet;
     pub use crate::publish::{SnapshotCell, SnapshotHandle};
     pub use crate::recover::{DurabilityConfig, RecoveryReport};
     pub use crate::snapshot::EpochSnapshot;

@@ -65,11 +65,11 @@ pub struct DurabilityConfig {
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
     /// Checkpoint every this many sealed epochs; `0` disables
-    /// checkpointing (recovery then replays the whole log). Deliberately
-    /// independent of the fleet's re-anchor cadence — see
-    /// [`ShardedFleet::with_reanchor_interval`]: `reanchor_interval == 0`
-    /// ("re-anchor never") does **not** imply "checkpoint never", and
-    /// vice versa.
+    /// checkpointing (recovery then replays the whole log). Independent of
+    /// the forced full-rebuild cadence
+    /// ([`ShardedFleet::with_reanchor_interval`]), which changes no
+    /// snapshot: `reanchor_interval == 0` does **not** imply "checkpoint
+    /// never", and vice versa.
     pub checkpoint_interval: u64,
     /// How many of the newest checkpoints survive pruning (clamped to at
     /// least 1 whenever any are written).
@@ -166,6 +166,10 @@ impl ShardedFleet {
     /// records the pre-crash process logged. The shard count and cadences
     /// may differ from the pre-crash process — sealed snapshots are
     /// canonical, so re-sharding on recovery yields bit-identical epochs.
+    /// `reanchor_interval` is
+    /// [`with_reanchor_interval`](Self::with_reanchor_interval)'s: it
+    /// forces full rebuilds as a reference and measurement seam and changes
+    /// no bit of any snapshot; `0` forces none.
     ///
     /// # Errors
     ///

@@ -19,15 +19,15 @@
 //! [`EpochSnapshot::from_registry`].
 //!
 //! There are two ways to construct that canonical form. The **full build**
-//! ([`EpochSnapshot::build`]) merges complete shard rows and rebuilds the
-//! [`EntropyAccumulator`] with `from_weights` — the cold-start and
-//! re-anchor path. The **differential patch**
+//! ([`EpochSnapshot::build`]) merges complete shard rows — the cold-start
+//! and recovery path. The **differential patch**
 //! ([`EpochSnapshot::try_apply_delta`]) applies one epoch's merged
-//! [`ChurnDelta`] to the previous snapshot: integer bucket/roster/opaque
-//! content (and therefore the content hash) comes out byte-identical to
-//! the full build; only the spliced accumulator's float state may differ,
-//! within the engine's `1e-9` envelope, until the next re-anchor re-zeroes
-//! it.
+//! [`ChurnDelta`] to the previous snapshot. Both fold the
+//! [`EntropyAccumulator`] from the finished bucket table with
+//! `from_weights`, so the two agree in every bit a reader can observe —
+//! content hash, entropy and accumulator state included; only the
+//! provenance fields ([`parent_hash`](EpochSnapshot::parent_hash),
+//! [`churned_replicas`](EpochSnapshot::churned_replicas)) tell them apart.
 //!
 //! **What a patch copies.** A snapshot stores two rows per device: its
 //! [`Candidate`] in the roster, sorted by replica id (32 B), and — if it
@@ -152,6 +152,15 @@ fn bucket_row_digest(measurement: &Digest, power: VotingPower) -> Digest {
     h.finalize()
 }
 
+/// The accumulator of a bucket table: one `from_weights` fold in bucket
+/// order. [`EpochSnapshot::build`] and [`EpochSnapshot::try_apply_delta`]
+/// both get theirs here, so a snapshot's float state is a function of its
+/// buckets and of nothing else — not of the seals that led to them.
+fn canonical_accumulator(buckets: &[(Digest, VotingPower)]) -> EntropyAccumulator {
+    let units: Vec<u64> = buckets.iter().map(|&(_, p)| p.as_units()).collect();
+    EntropyAccumulator::from_weights(&units)
+}
+
 /// The device-roster aggregate computed from scratch: one
 /// [`device_row_digest`] per row. This is the oracle's half of the
 /// bargain — [`EpochSnapshot::from_registry`] and checkpoint rebuilds call
@@ -190,12 +199,7 @@ impl EpochSnapshot {
         let buckets: Vec<(Digest, VotingPower)> = rows.into_iter().collect();
         devices.sort_unstable_by_key(|d| d.replica);
 
-        let acc = EntropyAccumulator::from_weights(
-            &buckets
-                .iter()
-                .map(|&(_, p)| p.as_units())
-                .collect::<Vec<_>>(),
-        );
+        let acc = canonical_accumulator(&buckets);
 
         let opaque_slot = buckets.len();
         let mut bucket_members = vec![0u32; buckets.len()];
@@ -331,13 +335,13 @@ impl EpochSnapshot {
     /// roster, and the opaque power are integer sums and the row aggregates
     /// are modular sums, so the patched canonical form — and therefore
     /// [`content_hash`](Self::content_hash) — is *byte-identical* to a
-    /// from-scratch build over the same fleet content;
-    /// `fleet_differential.rs` enforces this at every intermediate epoch
-    /// against [`from_registry`](Self::from_registry), which re-hashes
-    /// every row. Only the [`EntropyAccumulator`]'s `Σ w·log2 w` term is
-    /// floating-point: it is spliced incrementally (equal to the canonical
-    /// rebuild within the engine's `1e-9` drift envelope) and re-zeroed
-    /// whenever the sealer re-anchors with a full rebuild.
+    /// from-scratch build over the same fleet content. The one
+    /// floating-point field, the [`EntropyAccumulator`]'s `Σ w·log2 w`, is
+    /// not carried over from `self`: it is folded from the patched buckets
+    /// by the function [`build`](Self::build) uses, so it is bit-identical
+    /// too, however long the chain of patches. `fleet_differential.rs`
+    /// enforces all of it at every intermediate epoch against
+    /// [`from_registry`](Self::from_registry), which re-hashes every row.
     ///
     /// # Errors
     ///
@@ -358,17 +362,16 @@ impl EpochSnapshot {
         let roster = delta.sorted_roster();
 
         // 1. Patch the sorted bucket vec (merge walk old × dirty), while
-        //    collecting the accumulator splice plan and the old→new slot
-        //    remap that lets unchanged candidates skip the binary search.
+        //    collecting the old→new slot remap that lets unchanged
+        //    candidates skip the binary search.
         let old_buckets = &self.buckets;
         let mut buckets = Vec::with_capacity(old_buckets.len() + dirty.len());
         let mut bucket_members = Vec::with_capacity(old_buckets.len() + dirty.len());
         // Old slot → new slot for surviving buckets plus the opaque
         // pseudo-slot (last entry); removed buckets keep `usize::MAX`.
         let mut slot_map = vec![usize::MAX; old_buckets.len() + 1];
-        let mut weight_edits: Vec<(usize, i128)> = Vec::new();
         let mut removals: Vec<usize> = Vec::new();
-        let mut insertions: Vec<(usize, u64)> = Vec::new();
+        let mut insertions: Vec<usize> = Vec::new();
         let mut bucket_agg = self.bucket_agg;
         // The roster rows were hashed where they were written; their net
         // change is the delta's to report.
@@ -412,7 +415,6 @@ impl EpochSnapshot {
                     let power = VotingPower::new(power_units);
                     slot_map[i] = buckets.len();
                     if d.power != 0 {
-                        weight_edits.push((i, d.power));
                         bucket_agg.remove(&bucket_row_digest(&m, old_buckets[i].1));
                         bucket_agg.insert(&bucket_row_digest(&m, power));
                     }
@@ -443,7 +445,7 @@ impl EpochSnapshot {
                 };
                 let power = VotingPower::new(power_units);
                 bucket_agg.insert(&bucket_row_digest(&m, power));
-                insertions.push((buckets.len(), power.as_units()));
+                insertions.push(buckets.len());
                 buckets.push((m, power));
                 let Ok(members) = u32::try_from(d.members) else {
                     return Err(corrupt(format!(
@@ -457,44 +459,8 @@ impl EpochSnapshot {
         }
         slot_map[old_buckets.len()] = buckets.len();
 
-        // 2. Splice the accumulator: in-place weight edits first (slot
-        //    indices still mean the old layout), then structural removals
-        //    in descending old position, then insertions in ascending
-        //    final position.
-        let mut acc = self.acc.clone();
-        for &(slot, d) in &weight_edits {
-            // Every edit survived the `old + d` range checks above, so the
-            // magnitude fits u64.
-            if d > 0 {
-                let Ok(d) = u64::try_from(d) else {
-                    return Err(corrupt(format!(
-                        "bucket power delta {d} overflows u64: \
-                         delta not chained on this snapshot"
-                    )));
-                };
-                acc.add(slot, d);
-            } else {
-                let Ok(d) = u64::try_from(-d) else {
-                    return Err(corrupt(format!(
-                        "bucket power delta {d} overflows u64: \
-                         delta not chained on this snapshot"
-                    )));
-                };
-                acc.remove(slot, d);
-            }
-        }
-        for &slot in removals.iter().rev() {
-            let _ = acc.remove_slot(slot);
-        }
-        for &(slot, w) in &insertions {
-            acc.insert_slot(slot, w);
-        }
-        debug_assert_eq!(acc.slots(), buckets.len());
-        debug_assert_eq!(
-            acc.total_weight(),
-            buckets.iter().map(|&(_, p)| p.as_units()).sum::<u64>(),
-            "spliced accumulator total diverged from patched buckets"
-        );
+        // 2. The accumulator, from the patched buckets as `build` makes it.
+        let acc = canonical_accumulator(&buckets);
 
         // 3. Patch the roster (merge walk old × touched): gallop to the
         //    end of each untouched run and copy it — as a slice when no
@@ -573,11 +539,10 @@ impl EpochSnapshot {
         copy_run(&mut candidates, &old[at..])?;
 
         // The selection index is written in one pass from the old one,
-        // its slot layout spliced exactly like the accumulator's.
-        let insertion_slots: Vec<usize> = insertions.iter().map(|&(slot, _)| slot).collect();
+        // its slots removed and inserted where the buckets' were.
         let pruned = self
             .pruned
-            .patch_dense(&departed, &arrivals, &removals, &insertion_slots);
+            .patch_dense(&departed, &arrivals, &removals, &insertions);
         debug_assert_eq!(
             pruned,
             PrunedRoster::from_dense(buckets.len() + 1, &candidates),

@@ -39,9 +39,12 @@ pub struct ScenarioConfig {
     pub shards: usize,
     /// Ticks of churn traffic to run after the registration wave.
     pub ticks: u64,
-    /// Fleet re-anchor cadence (see `ShardedFleet::with_reanchor_interval`).
-    pub reanchor_interval: u64,
 }
+
+/// The scenario fleet forces a full rebuild every this many seals
+/// (`ShardedFleet::with_reanchor_interval`), so a scenario run through the
+/// front-end crosses both sealing paths; the oracle fleet forces none.
+const FULL_REBUILD_EVERY: u64 = 8;
 
 impl ScenarioConfig {
     /// A scenario over `devices` devices running `ticks` ticks with the
@@ -53,7 +56,6 @@ impl ScenarioConfig {
             serve: ServeConfig::default(),
             shards: 4,
             ticks,
-            reanchor_interval: 8,
         }
     }
 
@@ -175,7 +177,7 @@ pub fn run_scenario(
     let fleet = Arc::new(ShardedFleet::with_reanchor_interval(
         config.shards,
         scenario_weights(),
-        config.reanchor_interval,
+        FULL_REBUILD_EVERY,
     ));
     let server = FleetServer::new(Arc::clone(&fleet), config.serve);
     let mut population = ClientPopulation::new(config.population.clone());
@@ -237,12 +239,8 @@ pub fn run_scenario(
 /// recorded points. Returns the oracle's `(epoch, hash)` history and
 /// final state for comparison against the serve-path report.
 #[must_use]
-pub fn direct_ingest_report(
-    trace: &AdmittedTrace,
-    shards: usize,
-    reanchor_interval: u64,
-) -> ScenarioReport {
-    let fleet = ShardedFleet::with_reanchor_interval(shards, scenario_weights(), reanchor_interval);
+pub fn direct_ingest_report(trace: &AdmittedTrace, shards: usize) -> ScenarioReport {
+    let fleet = ShardedFleet::new(shards, scenario_weights());
     let mut epoch_hashes = Vec::new();
     let mut next_seal = trace.seal_points.iter().copied().peekable();
     for (i, request) in trace.requests.iter().enumerate() {

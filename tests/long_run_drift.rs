@@ -1,19 +1,28 @@
-//! Long-run float-drift guards for the O(1) entropy paths the serving
-//! layer leans on.
+//! Long-run float-drift guards for the *live* O(1) entropy paths — and
+//! the pin that sealed snapshots have no drift to guard.
 //!
-//! The incremental engine carries floating-point state (`S = Σ w·log2 w`)
-//! across every operation; each op adds at most an ulp of rounding, and
-//! nothing re-normalises between seals. These tests drive
-//! [`EntropyAccumulator`] and [`RotationEntropyTracker`] through more than
-//! a million churn/rotation steps each and require agreement with a fresh
-//! batch `shannon` recompute within `1e-9` bits at every checkpoint — the
-//! bound the fleet's monitoring contract quotes.
+//! A live accumulator (a registry's, the rotation tracker's) carries
+//! floating-point state (`S = Σ w·log2 w`) across every operation; each op
+//! adds at most an ulp of rounding, and nothing ever re-normalises it. The
+//! first two tests drive [`EntropyAccumulator`] and
+//! [`RotationEntropyTracker`] through more than a million churn/rotation
+//! steps each and require agreement with a fresh batch `shannon` recompute
+//! within `1e-9` bits at every checkpoint — the bound the fleet's
+//! monitoring contract quotes for a live registry.
+//!
+//! A sealed [`EpochSnapshot`] is different: every seal, differential or
+//! full, folds its accumulator from the finished bucket table, so its
+//! floats are a function of fleet content alone. The third test holds a
+//! 2 000-epoch chain of differential seals with no full rebuild to a
+//! from-scratch seal, bit for bit.
 
+use fault_independence::fi_attest::{AttestedRegistry, ChurnOp, TwoTierWeights};
 use fault_independence::fi_config::generator::AssignmentEntry;
 use fault_independence::fi_config::prelude::*;
 use fault_independence::fi_entropy::shannon::shannon_entropy_bits;
 use fault_independence::fi_entropy::{Distribution, EntropyAccumulator};
-use fault_independence::fi_types::{ReplicaId, SimTime, VotingPower};
+use fault_independence::fi_fleet::{EpochSnapshot, ShardedFleet};
+use fault_independence::fi_types::{sha256, Digest, ReplicaId, SimTime, VotingPower};
 use fault_independence::{RotationEntropyTracker, RotationStep};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,4 +157,73 @@ fn rotation_tracker_survives_a_million_steps_within_1e_neg9() {
         }
     }
     assert!((tracker.entropy_bits() - batch_entropy(&weights)).abs() < 1e-9);
+}
+
+#[test]
+fn a_2000_epoch_differential_chain_seals_the_bits_a_fresh_build_does() {
+    const DEVICES: u64 = 300;
+    const MEASUREMENTS: usize = 40;
+    const EPOCHS: u64 = 2_000;
+    const OPS_PER_EPOCH: usize = 12;
+    const CHECK_EVERY: u64 = 50;
+
+    let weights = TwoTierWeights::new(1.0, 0.5);
+    let measurements: Vec<Digest> = (0..MEASUREMENTS)
+        .map(|m| sha256(format!("drift-cfg-{m}").as_bytes()))
+        .collect();
+    // Cadence 0: epoch 1 is the only full build, so by epoch 2 000 the
+    // sealed snapshot is 1 999 patches away from one.
+    let fleet = ShardedFleet::with_reanchor_interval(4, weights, 0);
+    let mut mirror = AttestedRegistry::new(weights);
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let (mut births, mut deaths, mut buckets) = (0, 0, 0);
+    for epoch in 1..=EPOCHS {
+        let batch: Vec<ChurnOp> = (0..OPS_PER_EPOCH)
+            .map(|_| {
+                let replica = ReplicaId::new(rng.gen_range(0..DEVICES));
+                let power = VotingPower::new(rng.gen_range(0u64..500));
+                match rng.gen_range(0u32..10) {
+                    0..=5 => {
+                        // The lower of two draws: the high-numbered
+                        // measurements are rare, so their buckets keep
+                        // being born and dying.
+                        let m = rng
+                            .gen_range(0..MEASUREMENTS)
+                            .min(rng.gen_range(0..MEASUREMENTS));
+                        ChurnOp::attest(replica, measurements[m], power)
+                    }
+                    6..=7 => ChurnOp::Unattested { replica, power },
+                    _ => ChurnOp::Deregister { replica },
+                }
+            })
+            .collect();
+        fleet.ingest_batch(&batch);
+        mirror.apply_batch(&batch);
+        let sealed = fleet.seal_epoch();
+        assert_eq!(sealed.parent_hash().is_none(), epoch == 1);
+        births += sealed.buckets().len().saturating_sub(buckets);
+        deaths += buckets.saturating_sub(sealed.buckets().len());
+        buckets = sealed.buckets().len();
+
+        if epoch % CHECK_EVERY == 0 {
+            let fresh = EpochSnapshot::from_registry(&mirror, epoch);
+            assert_eq!(sealed.content_hash(), fresh.content_hash(), "epoch {epoch}");
+            for include in [false, true] {
+                assert_eq!(
+                    sealed.entropy_bits(include).map(f64::to_bits),
+                    fresh.entropy_bits(include).map(f64::to_bits),
+                    "entropy (include={include}) drifted by epoch {epoch}"
+                );
+            }
+            assert_eq!(
+                sealed.entropy_accumulator().weighted_log_sum().to_bits(),
+                fresh.entropy_accumulator().weighted_log_sum().to_bits(),
+                "Σ w·log2 w drifted by epoch {epoch}"
+            );
+        }
+    }
+    assert!(
+        births > 10 && deaths > 10,
+        "the chain must splice bucket slots in and out: {births} births, {deaths} deaths"
+    );
 }
