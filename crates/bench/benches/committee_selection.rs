@@ -67,7 +67,7 @@ fn bench_selection(c: &mut Criterion) {
     // The serving-grade cold path: same fold, bucket-pruned to each
     // configuration's analytic-peak band (index prebuilt, as the epoch
     // snapshot carries it).
-    let roster = PrunedRoster::build(&large);
+    let roster = PrunedRoster::from_dense(64, &large);
     group.bench_function("pruned_select/10000x64/k100", |b| {
         b.iter(|| black_box(&roster).select(100));
     });

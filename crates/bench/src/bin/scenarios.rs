@@ -3,9 +3,9 @@
 //! Sweeps the `fi-scenarios` grid — shared zero-days, pool compromise,
 //! patch-window exploitation, churn + rotation — across all three consensus
 //! substrates (`fi-bft` on `fi-simnet`, `fi-nakamoto` double-spend races,
-//! `fi-committee` selection) on a worker pool, prints a verdict table, and
-//! writes the byte-stable campaign summary to `SCENARIOS_report.json` at
-//! the repo root.
+//! `fi-committee` selection), prints a verdict table, and writes the
+//! byte-stable campaign summary to `SCENARIOS_report.json` at the repo
+//! root.
 //!
 //! Usage:
 //!
@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 
 use fi_bench::repo_root;
-use fi_scenarios::{default_threads, run_campaign, smoke_grid, standard_grid};
+use fi_scenarios::{run_campaign, smoke_grid, standard_grid};
 
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -35,12 +35,8 @@ fn main() -> ExitCode {
         ("full", standard_grid())
     };
 
-    let threads = default_threads();
-    println!(
-        "fi-bench scenarios ({mode} grid: {} scenarios, {threads} workers)",
-        grid.len()
-    );
-    let campaign = run_campaign(&grid, threads);
+    println!("fi-bench scenarios ({mode} grid: {} scenarios)", grid.len());
+    let campaign = run_campaign(&grid);
 
     for report in &campaign.reports {
         let verdict = if report.safe { "safe    " } else { "VIOLATED" };

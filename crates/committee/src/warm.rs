@@ -1,22 +1,21 @@
 //! Warm-start greedy re-selection: O(churn) committee repair.
 //!
-//! Consecutive epochs share almost their entire candidate roster — a fleet
-//! epoch typically churns well under 1% of devices — yet a cold selection
-//! re-derives every round from scratch. Warm start exploits the structure
-//! of the greedy fold instead: round `r`'s winner depends only on the
-//! committee state built by rounds `< r` (the accumulator's bucket-keyed
-//! weights) and on each candidate's own `(bucket, power)` row. If the first
-//! `r` members of the previous committee are all *untouched* by the churn,
-//! replaying them reproduces bit-identical accumulator states, so every
-//! untouched candidate's marginal gain at round `r` is the bit-identical
-//! float it was last epoch — the previous winner still beats all of them,
-//! and only the **churned** rows (arrived, departed, re-powered, or
-//! re-attested devices) need to be evaluated against it. The churned rows
-//! are resolved and bucket-grouped once per call, so each round's
-//! displacement check walks only each churned bucket's analytic-peak band
-//! (the cold engine's own pruning, byte-equivalent to peeking every row);
-//! a full epoch whose committee survives costs O(k · churned-buckets)
-//! band walks instead of O(k · n) peeks.
+//! Consecutive epochs share almost their entire candidate roster, yet a
+//! cold selection re-derives every round from scratch. Warm start exploits
+//! the structure of the greedy fold instead: round `r`'s winner depends
+//! only on the committee state built by rounds `< r` (the accumulator's
+//! bucket-keyed weights) and on each candidate's own `(bucket, power)` row.
+//! If the first `r` members of the previous committee are all *untouched*
+//! by the churn, replaying them reproduces bit-identical accumulator
+//! states, so every untouched candidate's marginal gain at round `r` is the
+//! bit-identical float it was last epoch — the previous winner still beats
+//! all of them, and only the **churned** rows (arrived, departed,
+//! re-powered, or re-attested devices) need to be evaluated against it. The
+//! churned rows are resolved and bucket-grouped once per call, so each
+//! round's displacement check walks only each churned bucket's
+//! analytic-peak band (the cold engine's own pruning, byte-equivalent to
+//! peeking every row); a full epoch whose committee survives costs O(k ·
+//! churned-buckets) band walks instead of O(k · n) peeks.
 //!
 //! When a churned row does contend — it wins, or ties within the fold
 //! window — the round is recomputed with the full pruned engine
@@ -28,6 +27,9 @@
 //! replay cannot pay for itself — more churned rows than the
 //! `k · configs` bands a cold selection walks — [`warm_greedy`] skips
 //! straight to the cold pruned selection (see [`WarmReport::fell_back`]).
+//! Every fibench workload churns 1.5–8 % of rows per epoch and takes that
+//! fallback; the sub-1 % regime where replay wins is the `fleet_seal`
+//! criterion sweep's.
 
 use fi_types::ReplicaId;
 use serde::{Deserialize, Serialize};
@@ -200,7 +202,7 @@ mod tests {
     #[test]
     fn zero_churn_replays_the_whole_committee() {
         let candidates = sorted_roster(pool(80));
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let previous = greedy_diverse(&candidates, 16);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &[], 16);
         assert_eq!(warm.members(), previous.members());
@@ -225,7 +227,7 @@ mod tests {
         let candidates = sorted_roster(candidates);
         let mut churned = vec![victim, repowered];
         churned.sort_unstable();
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &churned, 16);
         assert_eq!(warm.members(), greedy_diverse(&candidates, 16).members());
         assert!(!report.fell_back);
@@ -238,7 +240,7 @@ mod tests {
     #[test]
     fn heavy_churn_falls_back_to_cold_selection() {
         let candidates = sorted_roster(pool(40));
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let previous = greedy_diverse(&candidates, 2);
         // 11 configurations × k = 2 is 22 band walks for a cold selection;
         // 23 churned replicas (untouched rows are a legal, if pessimistic,
@@ -264,7 +266,7 @@ mod tests {
     #[test]
     fn growing_k_extends_past_the_previous_committee() {
         let candidates = sorted_roster(pool(60));
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let previous = greedy_diverse(&candidates, 6);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &[], 12);
         assert_eq!(warm.members(), greedy_diverse(&candidates, 12).members());
@@ -277,7 +279,7 @@ mod tests {
         // Greedy selection is prefix-stable, so a longer previous committee
         // warm-starts a shorter one exactly.
         let candidates = sorted_roster(pool(60));
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let previous = greedy_diverse(&candidates, 12);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &[], 5);
         assert_eq!(warm.members(), greedy_diverse(&candidates, 5).members());
@@ -288,7 +290,7 @@ mod tests {
     #[test]
     fn empty_previous_committee_is_a_pure_repair() {
         let candidates = sorted_roster(pool(30));
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let (warm, report) = warm_greedy(&roster, &candidates, &[], &[], 7);
         assert_eq!(warm.members(), greedy_diverse(&candidates, 7).members());
         assert_eq!(report.replayed, 0);
@@ -305,7 +307,7 @@ mod tests {
         let arrival = Candidate::new(ReplicaId::new(999), VotingPower::new(498), 10, true);
         candidates.push(arrival);
         let candidates = sorted_roster(candidates);
-        let roster = PrunedRoster::build(&candidates);
+        let roster = PrunedRoster::from_dense(11, &candidates);
         let (warm, report) = warm_greedy(
             &roster,
             &candidates,

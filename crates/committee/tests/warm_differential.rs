@@ -1,9 +1,10 @@
 //! Differential suite for the serving-grade selection engines: random
-//! churn chains where, at **every** intermediate step, the incrementally
-//! maintained [`PrunedRoster`] + warm-start replay must select the
-//! byte-identical member sequence to the naive O(n·k·(k+m)) oracle over
-//! the merged pool — through evictions of sitting members, tie-heavy power
-//! distributions, and the high-churn fallback boundary.
+//! churn chains where, at **every** intermediate step, the [`PrunedRoster`]
+//! carried forward by `patch_dense` — the editor the seal uses — plus
+//! warm-start replay must select the byte-identical member sequence to the
+//! naive O(n·k·(k+m)) oracle over the merged pool — through evictions of
+//! sitting members, tie-heavy power distributions, and the high-churn
+//! fallback boundary.
 
 use fi_committee::greedy::greedy_diverse_naive;
 use fi_committee::prelude::*;
@@ -87,33 +88,38 @@ fn apply(pool: &mut Vec<Candidate>, batch: &[Churn]) -> Vec<ReplicaId> {
     churned
 }
 
-/// Re-derives the roster patch the fleet layer performs: remove every
-/// churned replica's old row, insert its new one.
+/// The roster patch the seal performs: every churned replica's old row
+/// departs and its new row arrives, in one `patch_dense`.
 fn patch_roster(
-    roster: &mut PrunedRoster,
+    roster: &PrunedRoster,
     old_pool: &[Candidate],
     new_pool: &[Candidate],
     churned: &[ReplicaId],
-) {
-    for &replica in churned {
-        if let Ok(pos) = old_pool.binary_search_by_key(&replica, Candidate::replica) {
-            roster.remove(&old_pool[pos]);
-        }
-    }
-    for &replica in churned {
-        if let Ok(pos) = new_pool.binary_search_by_key(&replica, Candidate::replica) {
-            roster.insert(&new_pool[pos]);
-        }
-    }
+) -> PrunedRoster {
+    let rows_in = |pool: &[Candidate]| -> Vec<Candidate> {
+        churned
+            .iter()
+            .filter_map(|&replica| {
+                let pos = pool.binary_search_by_key(&replica, Candidate::replica);
+                pos.ok().map(|pos| pool[pos])
+            })
+            .collect()
+    };
+    roster.patch_dense(&rows_in(old_pool), &rows_in(new_pool), &[], &[])
 }
 
-/// Drives one chain: at every epoch the patched roster's warm-start (and
-/// cold pruned) selection must equal the naive oracle over the merged
-/// pool, for every probed k.
-fn run_chain(initial: &[Churn], epochs: &[Vec<Churn>], ks: &[usize]) -> Result<(), TestCaseError> {
+/// Drives one chain over `slots` configuration slots: at every epoch the
+/// patched roster's warm-start (and cold pruned) selection must equal the
+/// naive oracle over the merged pool, for every probed k.
+fn run_chain(
+    slots: usize,
+    initial: &[Churn],
+    epochs: &[Vec<Churn>],
+    ks: &[usize],
+) -> Result<(), TestCaseError> {
     let mut pool: Vec<Candidate> = Vec::new();
     apply(&mut pool, initial);
-    let mut roster = PrunedRoster::build(&pool);
+    let mut roster = PrunedRoster::from_dense(slots, &pool);
     let mut previous: Vec<Committee> = ks.iter().map(|&k| roster.select(k)).collect();
     for (ki, &k) in ks.iter().enumerate() {
         prop_assert_eq!(
@@ -127,7 +133,7 @@ fn run_chain(initial: &[Churn], epochs: &[Vec<Churn>], ks: &[usize]) -> Result<(
     for (e, batch) in epochs.iter().enumerate() {
         let old_pool = pool.clone();
         let churned = apply(&mut pool, batch);
-        patch_roster(&mut roster, &old_pool, &pool, &churned);
+        roster = patch_roster(&roster, &old_pool, &pool, &churned);
         for (ki, &k) in ks.iter().enumerate() {
             let oracle = greedy_diverse_naive(&pool, k);
             let (warm, report) = warm_greedy(&roster, &pool, previous[ki].members(), &churned, k);
@@ -160,7 +166,7 @@ proptest! {
 
     #[test]
     fn warm_chain_matches_naive_oracle((initial, epochs) in chain(48, 10_000, 9)) {
-        run_chain(&initial, &epochs, &[1, 6, 17])?;
+        run_chain(9, &initial, &epochs, &[1, 6, 17])?;
     }
 
     #[test]
@@ -168,7 +174,7 @@ proptest! {
         // Powers drawn from {1..4} over 3 configs: almost every round is
         // an exact entropy tie, exercising the `preferred` fold and the
         // degenerate +0.0 buckets rather than the analytic peak.
-        run_chain(&initial, &epochs, &[2, 9])?;
+        run_chain(3, &initial, &epochs, &[2, 9])?;
     }
 
     #[test]
@@ -176,10 +182,10 @@ proptest! {
         (initial, epochs) in chain(16, 500, 4)
     ) {
         // Few configurations and k = 1: the fallback threshold
-        // `k · configs` is at most 4 churned rows while batches churn up
+        // `k · configs` is 4 churned rows while batches churn up
         // to 7, so chains cross warm→cold in both directions; k = 8 keeps
         // a replaying chain beside it on the same pools.
-        run_chain(&initial, &epochs, &[1, 8])?;
+        run_chain(4, &initial, &epochs, &[1, 8])?;
     }
 }
 
@@ -198,13 +204,13 @@ fn eviction_of_every_sitting_member_is_repaired() {
             )
         })
         .collect();
-    let mut roster = PrunedRoster::build(&pool);
+    let roster = PrunedRoster::from_dense(5, &pool);
     let previous = roster.select(3);
     let old_pool = pool.clone();
     let mut churned: Vec<ReplicaId> = previous.members().iter().map(Candidate::replica).collect();
     churned.sort_unstable();
     pool.retain(|c| churned.binary_search(&c.replica()).is_err());
-    patch_roster(&mut roster, &old_pool, &pool, &churned);
+    let roster = patch_roster(&roster, &old_pool, &pool, &churned);
     let (warm, report) = warm_greedy(&roster, &pool, previous.members(), &churned, 3);
     assert_eq!(warm.members(), greedy_diverse_naive(&pool, 3).members());
     assert_eq!(report.replayed, 0);

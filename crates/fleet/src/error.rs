@@ -9,9 +9,9 @@ use fi_types::Digest;
 
 /// Why a fleet could not be configured.
 ///
-/// Library callers that take shard counts from external configuration use
-/// [`ShardedFleet::try_new`](crate::ShardedFleet::try_new) and get this
-/// error instead of an abort path; [`ShardedFleet::new`](crate::ShardedFleet::new)
+/// [`ShardedFleet::open_durable`](crate::ShardedFleet::open_durable)
+/// reports it (as [`RecoveryError::Config`]) for a shard count taken from
+/// external configuration; [`ShardedFleet::new`](crate::ShardedFleet::new)
 /// instead clamps a zero shard count to one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetConfigError {

@@ -70,7 +70,7 @@ use fi_types::{Digest, ReplicaId, VotingPower};
 
 use crate::cache::SelectionCache;
 use crate::checkpoint::{self, Checkpoint};
-use crate::error::{FleetConfigError, IngestError, SealError};
+use crate::error::{IngestError, SealError};
 use crate::publish::{SnapshotCell, SnapshotHandle};
 use crate::snapshot::{roster_aggregate, EpochSnapshot};
 use crate::wal::{ChurnLog, WalRecord};
@@ -213,25 +213,10 @@ impl ShardedFleet {
     ///
     /// A `shard_count` of zero is clamped to one: the fleet is guaranteed
     /// to be constructed with at least one shard and never panics on the
-    /// shard count. Callers that want configuration errors surfaced instead
-    /// use [`try_new`](Self::try_new).
+    /// shard count.
     #[must_use]
     pub fn new(shard_count: usize, weights: TwoTierWeights) -> Self {
         Self::with_reanchor_interval(shard_count, weights, 0)
-    }
-
-    /// [`new`](Self::new), but a zero `shard_count` is reported as a
-    /// [`FleetConfigError`] instead of being clamped — the library-caller
-    /// path for externally supplied configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetConfigError::ZeroShards`] when `shard_count == 0`.
-    pub fn try_new(shard_count: usize, weights: TwoTierWeights) -> Result<Self, FleetConfigError> {
-        if shard_count == 0 {
-            return Err(FleetConfigError::ZeroShards);
-        }
-        Ok(Self::new(shard_count, weights))
     }
 
     /// [`new`](Self::new), but every `reanchor_interval`-th epoch is also
@@ -747,7 +732,7 @@ impl ShardedFleet {
         self.selection_cache.select_greedy(&self.snapshot(), k)
     }
 
-    /// The fleet's selection memo (stats, explicit invalidation).
+    /// The fleet's selection memo (its stats).
     #[must_use]
     pub fn selection_cache(&self) -> &SelectionCache {
         &self.selection_cache
@@ -1230,15 +1215,18 @@ mod tests {
         assert_eq!(fleet.shard_count(), 1);
         fleet.ingest_batch(&ops(4));
         assert_eq!(fleet.seal_epoch().device_count(), 4);
-        assert_eq!(
-            ShardedFleet::try_new(0, TwoTierWeights::flat()).err(),
-            Some(crate::error::FleetConfigError::ZeroShards)
+        // The durable constructor reports it instead, before any I/O.
+        let durable = ShardedFleet::open_durable(
+            0,
+            TwoTierWeights::flat(),
+            0,
+            crate::recover::DurabilityConfig::new("never-opened"),
         );
-        assert_eq!(
-            ShardedFleet::try_new(2, TwoTierWeights::flat())
-                .unwrap()
-                .shard_count(),
-            2
-        );
+        assert!(matches!(
+            durable.err(),
+            Some(crate::error::RecoveryError::Config(
+                crate::error::FleetConfigError::ZeroShards
+            ))
+        ));
     }
 }

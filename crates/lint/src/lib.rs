@@ -8,8 +8,8 @@
 //!
 //! Offline and dependency-free by design: a hand-rolled line scanner
 //! ([`scan`]) feeds token-level rules ([`rules`]) configured by the
-//! checked-in manifest ([`manifest`]); [`report`] renders a byte-stable
-//! machine-readable artifact for CI.
+//! checked-in manifest ([`manifest`]); [`report`] renders the sorted
+//! findings as text.
 
 #![forbid(unsafe_code)]
 

@@ -1,8 +1,8 @@
-//! fi-lint CLI: lint the workspace, print findings, optionally write the
-//! machine-readable report, and exit non-zero when the tree is dirty.
+//! fi-lint CLI: lint the workspace, print findings, and exit non-zero when
+//! the tree is dirty.
 //!
 //! ```text
-//! fi-lint [--root <dir>] [--report <file>] [--quiet]
+//! fi-lint [--root <dir>]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, `2` configuration/IO error.
@@ -14,8 +14,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut report_path: Option<PathBuf> = None;
-    let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -23,13 +21,8 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage("--root needs a value"),
             },
-            "--report" => match args.next() {
-                Some(v) => report_path = Some(PathBuf::from(v)),
-                None => return usage("--report needs a value"),
-            },
-            "--quiet" => quiet = true,
             "--help" | "-h" => {
-                println!("usage: fi-lint [--root <dir>] [--report <file>] [--quiet]");
+                println!("usage: fi-lint [--root <dir>]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -50,15 +43,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = report_path {
-        if let Err(err) = std::fs::write(&path, report.to_json()) {
-            eprintln!("fi-lint: error: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if !quiet || !report.is_clean() {
-        print!("{}", report.to_text());
-    }
+    print!("{}", report.to_text());
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {
@@ -68,6 +53,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("fi-lint: error: {msg}");
-    eprintln!("usage: fi-lint [--root <dir>] [--report <file>] [--quiet]");
+    eprintln!("usage: fi-lint [--root <dir>]");
     ExitCode::from(2)
 }

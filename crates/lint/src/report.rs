@@ -1,9 +1,8 @@
-//! Findings and the stable machine-readable report.
+//! Findings and the text report.
 //!
-//! The JSON emitted here is byte-stable for a given tree: findings are
-//! sorted by `(file, line, rule)`, keys are emitted in a fixed order, and
-//! nothing time- or environment-dependent is included — so CI can diff
-//! reports and the artifact is reproducible.
+//! The report is byte-stable for a given tree: findings are sorted by
+//! `(file, line, rule)` and nothing time- or environment-dependent is
+//! included. The exit code and [`Report::to_text`] are the gate.
 
 use std::fmt;
 
@@ -38,7 +37,7 @@ impl fmt::Display for Finding {
 pub struct Report {
     /// All findings, sorted by `(file, line, rule)`.
     pub findings: Vec<Finding>,
-    /// Files scanned (count only; the list would bloat the artifact).
+    /// Files scanned (count only).
     pub files_scanned: usize,
     /// Suppressions actually used (marker or allowlist), for the summary.
     pub suppressions_used: usize,
@@ -57,37 +56,6 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// The stable JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"version\": 1,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"suppressions_used\": {},\n",
-            self.suppressions_used
-        ));
-        out.push_str(&format!("  \"finding_count\": {},\n", self.findings.len()));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"file\": {}, ", json_str(&f.file)));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"rule\": {}, ", json_str(&f.rule)));
-            out.push_str(&format!("\"message\": {}, ", json_str(&f.message)));
-            out.push_str(&format!("\"snippet\": {}", json_str(&f.snippet)));
-            out.push('}');
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
     /// The human-readable summary printed to stdout.
     #[must_use]
     pub fn to_text(&self) -> String {
@@ -104,26 +72,6 @@ impl Report {
         ));
         out
     }
-}
-
-/// JSON string escaping (the subset the report needs: control chars,
-/// quotes, backslashes; source is UTF-8 already).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -154,15 +102,5 @@ mod tests {
         };
         report.finalize();
         assert_eq!(report.findings[0].file, "a.rs", "sorted by file");
-        let json = report.to_json();
-        assert!(json.contains("\\\"hi\\\"\\\\"));
-        assert_eq!(json, report.to_json(), "byte-stable");
-    }
-
-    #[test]
-    fn clean_report_renders_empty_array() {
-        let report = Report::default();
-        assert!(report.is_clean());
-        assert!(report.to_json().contains("\"findings\": []"));
     }
 }

@@ -87,12 +87,10 @@ fn dirty_fixture_report_is_sorted_and_json_stable() {
     sorted.sort();
     assert_eq!(keys, sorted, "findings must be sorted for a stable report");
 
-    let json = report.to_json();
-    assert!(json.starts_with("{\n  \"version\": 1,"));
-    assert!(json.contains("\"files_scanned\": 3"));
+    assert_eq!(report.files_scanned, 3);
     // Byte-stable across runs: same tree, same report.
     let again = run_lint(&fixture("dirty")).expect("dirty fixture lints");
-    assert_eq!(json, again.to_json());
+    assert_eq!(report.to_text(), again.to_text());
 }
 
 #[test]

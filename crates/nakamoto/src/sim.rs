@@ -82,12 +82,6 @@ impl MiningSim {
         }
     }
 
-    /// Mutable access to miners (to flip strategies mid-experiment the
-    /// caller runs two phases with the same sim).
-    pub fn miners_mut(&mut self) -> &mut [Miner] {
-        &mut self.miners
-    }
-
     fn total_effective_power(&self) -> u64 {
         self.miners
             .iter()

@@ -9,7 +9,7 @@
 //! configuration dimension, mining-pool compromise, patch-window
 //! exploitation, churn + rotation under attack), and the knobs — replica
 //! count, configuration-space shape, spread, fault budget, seed — and the
-//! multi-threaded [`run_campaign`] sweeps whole grids of them, emitting
+//! [`run_campaign`] loop sweeps whole grids of them, emitting
 //! structured [`ScenarioReport`]s (safety verdict, entropy trajectory via
 //! [`fi_entropy::EntropyAccumulator`], violation counts).
 //!
@@ -23,7 +23,7 @@
 //! ```
 //! use fi_scenarios::{run_campaign, smoke_grid};
 //!
-//! let campaign = run_campaign(&smoke_grid(), 2);
+//! let campaign = run_campaign(&smoke_grid());
 //! assert_eq!(campaign.len(), 6);
 //! assert!(campaign.regressions().is_empty());
 //! // Two renders of the same campaign are byte-identical.
@@ -38,7 +38,7 @@ pub mod report;
 pub mod run;
 pub mod scenario;
 
-pub use campaign::{default_threads, run_campaign};
+pub use campaign::run_campaign;
 pub use report::{CampaignReport, ScenarioReport};
 pub use run::run_scenario;
 pub use scenario::{
@@ -47,7 +47,7 @@ pub use scenario::{
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::campaign::{default_threads, run_campaign};
+    pub use crate::campaign::run_campaign;
     pub use crate::report::{CampaignReport, ScenarioReport};
     pub use crate::run::run_scenario;
     pub use crate::scenario::{

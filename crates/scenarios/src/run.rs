@@ -75,8 +75,7 @@ fn shift_fault_power(
 }
 
 /// Runs one scenario to completion and reports. Deterministic per
-/// scenario (including its seed) — campaigns may run this from any number
-/// of threads.
+/// scenario (including its seed) and independent of every other run.
 ///
 /// # Panics
 ///

@@ -14,7 +14,7 @@
 //! cp SCENARIOS_report.json crates/scenarios/goldens/campaign_smoke.json
 //! ```
 
-use fi_scenarios::{default_threads, run_campaign, smoke_grid, standard_grid};
+use fi_scenarios::{run_campaign, smoke_grid, standard_grid};
 
 fn assert_matches_golden(actual: &str, golden: &str, which: &str) {
     if actual == golden {
@@ -45,7 +45,7 @@ fn assert_matches_golden(actual: &str, golden: &str, which: &str) {
 
 #[test]
 fn smoke_campaign_matches_committed_golden() {
-    let campaign = run_campaign(&smoke_grid(), default_threads());
+    let campaign = run_campaign(&smoke_grid());
     assert_matches_golden(
         &campaign.to_json("smoke"),
         include_str!("../goldens/campaign_smoke.json"),
@@ -55,7 +55,7 @@ fn smoke_campaign_matches_committed_golden() {
 
 #[test]
 fn full_campaign_matches_committed_golden() {
-    let campaign = run_campaign(&standard_grid(), default_threads());
+    let campaign = run_campaign(&standard_grid());
     assert_matches_golden(
         &campaign.to_json("full"),
         include_str!("../goldens/campaign_full.json"),

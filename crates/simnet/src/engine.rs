@@ -88,16 +88,6 @@ where
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// All nodes, in id order.
     #[must_use]
     pub fn nodes(&self) -> &[N] {

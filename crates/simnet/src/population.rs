@@ -129,14 +129,6 @@ pub struct TickTraffic {
     pub requests: Vec<Vec<ChurnOp>>,
 }
 
-impl TickTraffic {
-    /// Total churn ops across the tick's requests.
-    #[must_use]
-    pub fn op_count(&self) -> usize {
-        self.requests.iter().map(Vec::len).sum()
-    }
-}
-
 /// The deterministic client population stream. See the module docs.
 #[derive(Debug)]
 pub struct ClientPopulation {

@@ -21,7 +21,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{hash_fields, sha256, Digest};
+use crate::hash::{hash_fields, Digest};
 use crate::hex;
 
 const SIGNATURE_DOMAIN: &[u8] = b"fi-sig-v1";
@@ -137,12 +137,6 @@ impl PublicKey {
     pub fn binding_with(&self, other: &PublicKey) -> Digest {
         hash_fields(&[b"fi-binding-v1", self.0.as_bytes(), other.0.as_bytes()])
     }
-}
-
-/// Convenience: hash a message into a request digest for client payloads.
-#[must_use]
-pub fn message_digest(msg: impl AsRef<[u8]>) -> Digest {
-    sha256(msg)
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ fn scenario_verdict_agrees_with_resilience_analyzer() {
 
 #[test]
 fn smoke_campaign_runs_through_the_facade_prelude() {
-    let campaign = run_campaign(&smoke_grid(), 2);
+    let campaign = run_campaign(&smoke_grid());
     assert_eq!(campaign.len(), 6);
     assert!(
         campaign.regressions().is_empty(),
@@ -74,7 +74,7 @@ fn smoke_campaign_runs_through_the_facade_prelude() {
 #[test]
 fn campaign_json_names_every_scenario() {
     let grid = smoke_grid();
-    let campaign = run_campaign(&grid, 2);
+    let campaign = run_campaign(&grid);
     let json = campaign.to_json("smoke");
     for scenario in &grid {
         assert!(
