@@ -8,10 +8,19 @@
 //! member-count deltas, the final roster state of every touched device, the
 //! net change to the roster's row-digest aggregate, and the signed
 //! opaque-power delta. A sealer drains each shard's delta at the
-//! epoch cut ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta)),
-//! merges them ([`ChurnDelta::merge`] — shards own disjoint devices, and
-//! integer bucket deltas commute), and patches the previous canonical
-//! snapshot instead of rebuilding it.
+//! epoch cut ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
+//! a `mem::take` — nothing is merged while the cut holds its locks) and,
+//! with the locks dropped, canonicalises them once
+//! ([`CanonicalDelta::merge`]): bucket deltas summed per measurement and
+//! sorted, roster rows concatenated and sorted by replica. That sorted
+//! form is what patches the previous canonical snapshot, row by row,
+//! instead of rebuilding it.
+//!
+//! There are two forms because they serve two access patterns. A
+//! [`ChurnDelta`] is written once per churn op and keyed for that — two
+//! hash maps, in no order. A [`CanonicalDelta`] is read once per seal in
+//! key order and is a pure function of the net churn: the same rows in
+//! the same order however the devices were sharded.
 //!
 //! Three properties make the patch exact:
 //!
@@ -85,20 +94,22 @@ pub struct BucketDelta {
 
 impl BucketDelta {
     /// Whether this delta nets out to no change at all.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
+    fn is_noop(&self) -> bool {
         self.power == 0 && self.members == 0
     }
 }
 
-/// The net effect of all churn since the last epoch cut: dirty measurement
-/// buckets, touched devices with their final roster state, and the opaque
-/// (unattested-tier) power delta.
+/// The net effect of all churn since the last epoch cut, in the form the
+/// registry writes it: dirty measurement buckets, touched devices with
+/// their final roster state, and the opaque (unattested-tier) power delta,
+/// keyed for one update per churn op and in no order.
+/// [`CanonicalDelta::merge`] turns one or more of these into the sorted
+/// rows a sealer reads.
 ///
 /// # Example
 ///
 /// ```
-/// use fi_attest::{AttestedRegistry, ChurnOp, TwoTierWeights};
+/// use fi_attest::{AttestedRegistry, CanonicalDelta, ChurnOp, TwoTierWeights};
 /// use fi_types::{sha256, ReplicaId, VotingPower};
 ///
 /// let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
@@ -107,9 +118,9 @@ impl BucketDelta {
 ///     sha256(b"cfg-a"),
 ///     VotingPower::new(40),
 /// ));
-/// let delta = reg.take_delta();
+/// let delta = CanonicalDelta::merge(vec![reg.take_delta()]);
 /// assert_eq!(delta.opaque_delta(), 0);
-/// let buckets = delta.sorted_buckets();
+/// let buckets = delta.buckets();
 /// assert_eq!(buckets.len(), 1);
 /// assert_eq!(buckets[0].1.power, 40);
 /// assert_eq!(buckets[0].1.members, 1);
@@ -117,8 +128,7 @@ impl BucketDelta {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ChurnDelta {
-    /// Dirty measurement buckets. Unordered; [`sorted_buckets`](Self::sorted_buckets)
-    /// canonicalises.
+    /// Dirty measurement buckets, entries that net to no change included.
     buckets: UniformKeyMap<Digest, BucketDelta>,
     /// Final state per touched device: `Some` if registered at the cut,
     /// `None` if absent.
@@ -165,16 +175,10 @@ impl ChurnDelta {
 
     /// Whether no net change has been recorded. Buckets whose power and
     /// member deltas both cancelled still count as touched here; they are
-    /// pruned by [`sorted_buckets`](Self::sorted_buckets).
+    /// pruned by [`CanonicalDelta::merge`].
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty() && self.roster.is_empty() && self.opaque == 0
-    }
-
-    /// Number of dirty measurement buckets (before no-op pruning).
-    #[must_use]
-    pub fn dirty_buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Number of touched devices.
@@ -191,64 +195,104 @@ impl ChurnDelta {
 
     /// The net change to the roster's row-digest aggregate since the last
     /// drain: `aggregate_now = aggregate_at_last_drain + this`, as
-    /// [`SetDigest::add`]. It is exactly the change
-    /// [`sorted_roster`](Self::sorted_roster) describes — a device whose
-    /// row was rewritten to identical content contributes zero.
+    /// [`SetDigest::add`]. It is exactly the change the touched devices'
+    /// final states describe — a device whose row was rewritten to
+    /// identical content contributes zero.
     #[must_use]
     pub fn row_digest_change(&self) -> SetDigest {
         self.rows
     }
+}
 
-    /// Folds `other` into `self`. Bucket, opaque, and row-digest deltas are
-    /// modular/integer sums (commutative, so shard merge order is
-    /// irrelevant); roster entries come from disjoint device sets when
-    /// merging shard deltas, and otherwise last write wins.
-    pub fn merge(&mut self, other: ChurnDelta) {
-        for (m, d) in other.buckets {
-            let entry = self.buckets.entry(m).or_default();
-            entry.power += d.power;
-            entry.members += d.members;
+/// One or more [`ChurnDelta`]s as a sealer reads them: the rows a snapshot
+/// patch must visit, each exactly once and in the order the snapshot keeps
+/// them. Built only by [`merge`](Self::merge), so the ordering and
+/// uniqueness below hold for every value of this type.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CanonicalDelta {
+    /// Dirty buckets sorted by measurement digest, one row per digest,
+    /// rows that net to no change pruned.
+    buckets: Vec<(Digest, BucketDelta)>,
+    /// Touched devices sorted by replica id, one row per replica, each with
+    /// its final roster state.
+    roster: Vec<(ReplicaId, Option<RegisteredDevice>)>,
+    /// Signed change in total unattested-tier effective power.
+    opaque: i128,
+    /// Net change to the roster's row-digest aggregate, mod 2²⁵⁶.
+    rows: SetDigest,
+}
+
+impl CanonicalDelta {
+    /// Canonicalises `deltas` — the drained deltas of one cut, one per
+    /// shard — in one concatenate-and-sort per table, with no intermediate
+    /// map. Bucket, opaque and row-digest deltas are integer or modular
+    /// sums, so the order of `deltas` cannot change them. Roster rows are
+    /// final states: shards own disjoint devices, so each replica normally
+    /// comes from one input; when it is in several, the **last input
+    /// wins** (the sort is stable), which is what merging consecutive
+    /// deltas of one registry in time order needs.
+    #[must_use]
+    pub fn merge(deltas: Vec<ChurnDelta>) -> CanonicalDelta {
+        let mut merged = CanonicalDelta {
+            buckets: Vec::with_capacity(deltas.iter().map(|d| d.buckets.len()).sum()),
+            roster: Vec::with_capacity(deltas.iter().map(|d| d.roster.len()).sum()),
+            ..CanonicalDelta::default()
+        };
+        for delta in deltas {
+            merged.buckets.extend(delta.buckets);
+            merged.roster.extend(delta.roster);
+            merged.opaque += delta.opaque;
+            merged.rows.add(delta.rows);
         }
-        self.roster.extend(other.roster);
-        self.opaque += other.opaque;
-        self.rows.add(other.rows);
+        merged.buckets.sort_unstable_by_key(|&(m, _)| m);
+        merged.buckets.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1.power += later.1.power;
+                kept.1.members += later.1.members;
+            }
+            same
+        });
+        merged.buckets.retain(|(_, d)| !d.is_noop());
+        // Stable, and sorts (id, position) pairs rather than the 64-byte
+        // rows, which it then moves once each.
+        merged.roster.sort_by_cached_key(|&(r, _)| r);
+        merged.roster.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        merged
     }
 
-    /// The dirty buckets in canonical (sorted-by-digest) order, with
-    /// entries that net to no change pruned — exactly the rows a snapshot
-    /// patch must visit.
+    /// The dirty buckets in canonical (sorted-by-digest) order, entries
+    /// that net to no change pruned.
     #[must_use]
-    pub fn sorted_buckets(&self) -> Vec<(Digest, BucketDelta)> {
-        let mut rows: Vec<(Digest, BucketDelta)> = self
-            .buckets
-            .iter()
-            .filter(|(_, d)| !d.is_noop())
-            .map(|(&m, &d)| (m, d))
-            .collect();
-        rows.sort_unstable_by_key(|&(m, _)| m);
-        rows
+    pub fn buckets(&self) -> &[(Digest, BucketDelta)] {
+        &self.buckets
     }
 
     /// The touched devices in canonical (sorted-by-replica) order with
-    /// their final roster state.
+    /// their final roster state. The replica ids alone are the churn set a
+    /// warm-started committee re-selection must re-evaluate.
     #[must_use]
-    pub fn sorted_roster(&self) -> Vec<(ReplicaId, Option<RegisteredDevice>)> {
-        let mut rows: Vec<(ReplicaId, Option<RegisteredDevice>)> =
-            self.roster.iter().map(|(&r, &d)| (r, d)).collect();
-        rows.sort_unstable_by_key(|&(r, _)| r);
-        rows
+    pub fn roster(&self) -> &[(ReplicaId, Option<RegisteredDevice>)] {
+        &self.roster
     }
 
-    /// The touched replica ids in sorted order — the churn set a
-    /// warm-started committee re-selection must re-evaluate. Every device
-    /// whose roster row could differ between the pre- and post-delta
-    /// snapshots appears here (final-state semantics already collapsed
-    /// intra-epoch churn).
+    /// The signed opaque-power delta, in power units.
     #[must_use]
-    pub fn sorted_touched_replicas(&self) -> Vec<ReplicaId> {
-        let mut rows: Vec<ReplicaId> = self.roster.keys().copied().collect();
-        rows.sort_unstable();
-        rows
+    pub fn opaque_delta(&self) -> i128 {
+        self.opaque
+    }
+
+    /// The net change to the roster's row-digest aggregate — the sum of
+    /// the inputs' [`ChurnDelta::row_digest_change`].
+    #[must_use]
+    pub fn row_digest_change(&self) -> SetDigest {
+        self.rows
     }
 }
 
@@ -256,6 +300,15 @@ impl ChurnDelta {
 mod tests {
     use super::*;
     use fi_types::{sha256, VotingPower};
+
+    fn dev(id: u64, power: u64) -> RegisteredDevice {
+        RegisteredDevice {
+            replica: ReplicaId::new(id),
+            tier: crate::registry::ReplicaTier::Unattested,
+            measurement: None,
+            power: VotingPower::new(power),
+        }
+    }
 
     #[test]
     fn merge_sums_buckets_and_opaque() {
@@ -267,9 +320,10 @@ mod tests {
         b.record_bucket(m, -10, 1);
         b.record_bucket(sha256(b"cfg-b"), 7, 1);
         b.record_opaque(-2);
-        a.merge(b);
-        let rows = a.sorted_buckets();
+        let merged = CanonicalDelta::merge(vec![a, b]);
+        let rows = merged.buckets();
         assert_eq!(rows.len(), 2);
+        assert!(rows[0].0 < rows[1].0, "sorted by digest");
         let (pm, pd) = rows.iter().find(|&&(d, _)| d == m).copied().unwrap();
         assert_eq!(pm, m);
         assert_eq!(
@@ -279,7 +333,7 @@ mod tests {
                 members: 2
             }
         );
-        assert_eq!(a.opaque_delta(), 3);
+        assert_eq!(merged.opaque_delta(), 3);
     }
 
     #[test]
@@ -288,31 +342,74 @@ mod tests {
         let mut d = ChurnDelta::default();
         d.record_bucket(m, 12, 1);
         d.record_bucket(m, -12, -1);
-        assert_eq!(d.dirty_buckets(), 1);
-        assert!(d.sorted_buckets().is_empty());
+        assert!(!d.is_empty(), "a cancelled bucket still counts as touched");
+        assert!(CanonicalDelta::merge(vec![d]).buckets().is_empty());
+
+        // Neither half is a no-op; their sum is.
+        let (mut a, mut b) = (ChurnDelta::default(), ChurnDelta::default());
+        a.record_bucket(m, 12, 1);
+        b.record_bucket(m, -12, -1);
+        assert!(CanonicalDelta::merge(vec![a, b]).buckets().is_empty());
     }
 
     #[test]
     fn roster_is_last_write_wins_and_sorted() {
         let mut d = ChurnDelta::default();
-        let dev = |id: u64, power: u64| RegisteredDevice {
-            replica: ReplicaId::new(id),
-            tier: crate::registry::ReplicaTier::Unattested,
-            measurement: None,
-            power: VotingPower::new(power),
-        };
         d.record_roster(ReplicaId::new(9), Some(dev(9, 10)));
         d.record_roster(ReplicaId::new(2), Some(dev(2, 20)));
         d.record_roster(ReplicaId::new(9), None);
-        let rows = d.sorted_roster();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, ReplicaId::new(2));
-        assert_eq!(rows[0].1, Some(dev(2, 20)));
-        assert_eq!(rows[1], (ReplicaId::new(9), None));
+        assert_eq!(d.touched_devices(), 2);
         assert_eq!(
-            d.sorted_touched_replicas(),
-            vec![ReplicaId::new(2), ReplicaId::new(9)],
-            "the churn set matches the roster keys, deregistrations included"
+            CanonicalDelta::merge(vec![d]).roster(),
+            [
+                (ReplicaId::new(2), Some(dev(2, 20))),
+                (ReplicaId::new(9), None)
+            ],
+            "deregistrations keep their row"
+        );
+    }
+
+    #[test]
+    fn a_replica_in_two_inputs_takes_the_last_inputs_state() {
+        // Not something disjoint shards produce; it is what merging one
+        // registry's consecutive deltas in time order means, and the
+        // stable sort is what decides it.
+        let delta = |rows: &[(u64, Option<u64>)]| {
+            let mut d = ChurnDelta::default();
+            for &(id, power) in rows {
+                d.record_roster(ReplicaId::new(id), power.map(|p| dev(id, p)));
+            }
+            d
+        };
+        let first = delta(&[(4, Some(10)), (1, Some(11)), (7, None)]);
+        let second = delta(&[(4, None), (7, Some(12))]);
+        let third = delta(&[(4, Some(13))]);
+        let forward = CanonicalDelta::merge(vec![first.clone(), second.clone(), third]);
+        assert_eq!(
+            forward.roster(),
+            [
+                (ReplicaId::new(1), Some(dev(1, 11))),
+                (ReplicaId::new(4), Some(dev(4, 13))),
+                (ReplicaId::new(7), Some(dev(7, 12))),
+            ]
+        );
+        let backward = CanonicalDelta::merge(vec![second, first]);
+        assert_eq!(
+            backward.roster(),
+            [
+                (ReplicaId::new(1), Some(dev(1, 11))),
+                (ReplicaId::new(4), Some(dev(4, 10))),
+                (ReplicaId::new(7), None),
+            ]
+        );
+    }
+
+    #[test]
+    fn merging_nothing_is_the_empty_delta() {
+        assert_eq!(CanonicalDelta::merge(Vec::new()), CanonicalDelta::default());
+        assert_eq!(
+            CanonicalDelta::merge(vec![ChurnDelta::default(); 3]),
+            CanonicalDelta::default()
         );
     }
 }

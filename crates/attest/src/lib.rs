@@ -26,8 +26,9 @@
 //!   configuration distributions derived from attested data only;
 //! * [`delta`] — the [`ChurnDelta`] the registry accumulates alongside its
 //!   incremental buckets: the net churn since the last epoch cut, drained
-//!   by `fi-fleet`'s differential sealer to patch epoch snapshots in
-//!   O(churn) instead of rebuilding them.
+//!   by `fi-fleet`'s differential sealer, sorted once into a
+//!   [`CanonicalDelta`], and used to patch epoch snapshots in O(churn)
+//!   instead of rebuilding them.
 //!
 //! The devices here are *simulated* (DESIGN.md §3): the paper uses
 //! attestation purely as an unforgeable configuration oracle, which the
@@ -74,7 +75,7 @@ pub mod verifier;
 
 pub use churn::ChurnOp;
 pub use commitment::ConfigCommitment;
-pub use delta::{BucketDelta, ChurnDelta};
+pub use delta::{BucketDelta, CanonicalDelta, ChurnDelta};
 pub use device::{AttestationKey, DeviceKind, TrustedDevice};
 pub use error::AttestError;
 pub use quote::Quote;
@@ -87,7 +88,7 @@ pub use verifier::{AttestationPolicy, Verifier};
 pub mod prelude {
     pub use crate::churn::ChurnOp;
     pub use crate::commitment::ConfigCommitment;
-    pub use crate::delta::{BucketDelta, ChurnDelta};
+    pub use crate::delta::{BucketDelta, CanonicalDelta, ChurnDelta};
     pub use crate::device::{AttestationKey, DeviceKind, TrustedDevice};
     pub use crate::error::AttestError;
     pub use crate::quote::Quote;

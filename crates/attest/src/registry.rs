@@ -609,8 +609,9 @@ impl AttestedRegistry {
 
     /// Drains the net churn accumulated since the previous drain (or since
     /// construction), leaving an empty delta behind. This is the epoch
-    /// cut's O(churn) read: a sealer drains every shard under its
-    /// consistent cut, merges the deltas ([`ChurnDelta::merge`]), and
+    /// cut's read, and it is O(1) — a `mem::take`: a sealer drains every
+    /// shard under its consistent cut, merges the deltas after it
+    /// ([`CanonicalDelta::merge`](crate::CanonicalDelta::merge)), and
     /// patches the previous epoch snapshot instead of re-merging the whole
     /// registry.
     ///

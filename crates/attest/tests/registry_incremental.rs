@@ -10,8 +10,8 @@
 
 use fi_attest::device::{DeviceKind, TrustedDevice};
 use fi_attest::{
-    device_row_digest, AttestationPolicy, AttestedRegistry, ChurnDelta, ChurnOp, Quote,
-    ReplicaTier, TwoTierWeights, Verifier,
+    device_row_digest, AttestationPolicy, AttestedRegistry, CanonicalDelta, ChurnDelta, ChurnOp,
+    Quote, ReplicaTier, TwoTierWeights, Verifier,
 };
 use fi_entropy::incremental::weighted_entropy_bits;
 use fi_types::hash::SetDigest;
@@ -206,6 +206,11 @@ fn tier_flips_move_power_between_buckets_and_opaque_pool() {
 
 // --- ChurnDelta maintenance: the differential-sealing feed ------------
 
+/// Drains `reg`'s pending churn into the sorted form a sealer reads.
+fn drain(reg: &mut AttestedRegistry) -> CanonicalDelta {
+    CanonicalDelta::merge(vec![reg.take_delta()])
+}
+
 #[test]
 fn take_delta_reflects_net_churn_and_drains() {
     let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
@@ -232,9 +237,9 @@ fn take_delta_reflects_net_churn_and_drains() {
         replica: ReplicaId::new(2),
     });
 
-    let delta = reg.take_delta();
+    let delta = drain(&mut reg);
     // cfg-a: +40 (r0) +10 −10 (r2 came and went) = +40, one net member.
-    let buckets = delta.sorted_buckets();
+    let buckets = delta.buckets();
     assert_eq!(buckets.len(), 1);
     assert_eq!(buckets[0].0, sha256(b"cfg-a"));
     assert_eq!(buckets[0].1.power, 40);
@@ -242,7 +247,7 @@ fn take_delta_reflects_net_churn_and_drains() {
     // Opaque: +100 at the 0.5 unattested weight.
     assert_eq!(delta.opaque_delta(), 50);
     // Roster: every *touched* device with its final state.
-    let roster = delta.sorted_roster();
+    let roster = delta.roster();
     assert_eq!(roster.len(), 3);
     assert_eq!(roster[0].0, ReplicaId::new(0));
     assert_eq!(roster[0].1.unwrap().measurement, Some(sha256(b"cfg-a")));
@@ -254,12 +259,12 @@ fn take_delta_reflects_net_churn_and_drains() {
     reg.apply(&ChurnOp::Deregister {
         replica: ReplicaId::new(0),
     });
-    let next = reg.take_delta();
-    let buckets = next.sorted_buckets();
+    let next = drain(&mut reg);
+    let buckets = next.buckets();
     assert_eq!(buckets.len(), 1);
     assert_eq!(buckets[0].1.power, -40);
     assert_eq!(buckets[0].1.members, -1);
-    assert_eq!(next.sorted_roster(), vec![(ReplicaId::new(0), None)]);
+    assert_eq!(next.roster(), [(ReplicaId::new(0), None)]);
 }
 
 #[test]
@@ -275,15 +280,15 @@ fn reregistration_within_an_epoch_collapses_to_final_state() {
         sha256(b"cfg-b"),
         VotingPower::new(60),
     ));
-    let delta = reg.take_delta();
+    let delta = drain(&mut reg);
     // cfg-a was born and died inside the epoch: pruned as a no-op.
-    let buckets = delta.sorted_buckets();
+    let buckets = delta.buckets();
     assert_eq!(buckets.len(), 1);
     assert_eq!(buckets[0].0, sha256(b"cfg-b"));
     assert_eq!(buckets[0].1.power, 60);
     assert_eq!(buckets[0].1.members, 1);
     // One roster entry, holding only the final state.
-    let roster = delta.sorted_roster();
+    let roster = delta.roster();
     assert_eq!(roster.len(), 1);
     let device = roster[0].1.unwrap();
     assert_eq!(device.measurement, Some(sha256(b"cfg-b")));
@@ -329,15 +334,13 @@ fn sharded_deltas_merge_to_the_unsharded_delta() {
     for op in &trace {
         shards[(op.replica().as_u64() % 3) as usize].apply(op);
     }
-    let mut merged = ChurnDelta::default();
-    for shard in &mut shards {
-        merged.merge(shard.take_delta());
-    }
-
-    let expected = whole.take_delta();
-    assert_eq!(merged.sorted_buckets(), expected.sorted_buckets());
-    assert_eq!(merged.sorted_roster(), expected.sorted_roster());
-    assert_eq!(merged.opaque_delta(), expected.opaque_delta());
+    let merged = CanonicalDelta::merge(
+        shards
+            .iter_mut()
+            .map(AttestedRegistry::take_delta)
+            .collect(),
+    );
+    assert_eq!(merged, drain(&mut whole));
 }
 
 #[test]
@@ -360,10 +363,7 @@ fn quote_and_preverified_paths_record_identical_deltas() {
         &quote,
         VotingPower::new(70),
     ));
-    let (a, b) = (via_quote.take_delta(), via_op.take_delta());
-    assert_eq!(a.sorted_buckets(), b.sorted_buckets());
-    assert_eq!(a.sorted_roster(), b.sorted_roster());
-    assert_eq!(a.opaque_delta(), b.opaque_delta());
+    assert_eq!(drain(&mut via_quote), drain(&mut via_op));
 }
 
 /// The roster aggregate re-derived from scratch: every row `devices()`
@@ -445,11 +445,7 @@ proptest! {
             if merge_reversed {
                 drained.reverse();
             }
-            let mut merged = ChurnDelta::default();
-            for delta in drained {
-                merged.merge(delta);
-            }
-            sealed_fleet.add(merged.row_digest_change());
+            sealed_fleet.add(CanonicalDelta::merge(drained).row_digest_change());
             let mut shard_sum = SetDigest::EMPTY;
             for shard in &shards {
                 prop_assert_eq!(shard.roster_digest(), refold(shard));
@@ -457,6 +453,52 @@ proptest! {
             }
             prop_assert_eq!(sealed_fleet, shard_sum);
             prop_assert_eq!(shard_sum, whole.roster_digest());
+        }
+    }
+
+    /// The sealer's merge contract, epoch after epoch: at 1, 2, 4 and 7
+    /// shards the canonical merge of the drained shard deltas equals the
+    /// un-sharded registry's canonical delta row for row — buckets with
+    /// the no-ops pruned (a bucket one shard fills and another empties
+    /// included), register→deregister inside one epoch, the row-digest
+    /// change and the opaque delta — in whatever order the shards are
+    /// handed over.
+    #[test]
+    fn canonical_merge_of_shard_deltas_equals_the_unsharded_delta(
+        epochs in proptest::collection::vec(
+            proptest::collection::vec(churn_op(), 0..16),
+            1..6,
+        ),
+        handed_over_reversed in any::<bool>(),
+    ) {
+        let weights = TwoTierWeights::new(1.0, 0.5);
+        for shard_count in [1usize, 2, 4, 7] {
+            let mut whole = AttestedRegistry::new(weights);
+            let mut shards: Vec<AttestedRegistry> =
+                (0..shard_count).map(|_| AttestedRegistry::new(weights)).collect();
+            for ops in &epochs {
+                for op in ops {
+                    whole.apply(op);
+                    shards[(op.replica().as_u64() % shard_count as u64) as usize].apply(op);
+                }
+                let expected = drain(&mut whole);
+                let mut drained: Vec<ChurnDelta> =
+                    shards.iter_mut().map(AttestedRegistry::take_delta).collect();
+                if handed_over_reversed {
+                    drained.reverse();
+                }
+                let merged = CanonicalDelta::merge(drained);
+                prop_assert_eq!(&merged, &expected, "{} shards", shard_count);
+                // The form itself: strictly ascending keys (one row a
+                // bucket, one a replica) and no bucket row that nets to
+                // nothing.
+                prop_assert!(merged.buckets().windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert!(merged.roster().windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert!(merged
+                    .buckets()
+                    .iter()
+                    .all(|(_, d)| d.power != 0 || d.members != 0));
+            }
         }
     }
 }

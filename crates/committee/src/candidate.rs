@@ -5,27 +5,33 @@ use fi_entropy::Distribution;
 use fi_types::{ReplicaId, VotingPower};
 use serde::{Deserialize, Serialize};
 
-/// A replica eligible for committee membership.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A replica eligible for committee membership. 24 bytes: the roster of an
+/// epoch snapshot is one of these per device, copied at every seal.
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Candidate {
     replica: ReplicaId,
     power: VotingPower,
+    /// The configuration index, with [`ATTESTED`] set on top of it for an
+    /// attested candidate. An index addresses a slice, so it never exceeds
+    /// `isize::MAX` and the top bit is free.
     config: usize,
-    attested: bool,
 }
+
+/// The bit of [`Candidate::config`] that holds `attested`.
+const ATTESTED: usize = 1 << (usize::BITS - 1);
 
 impl Candidate {
     /// Creates a candidate: its stake/power, its configuration index (from
     /// attestation; unattested candidates carry their *claimed* index but
     /// policies treat them as opaque), and whether that configuration is
-    /// attested.
+    /// attested. The index is kept modulo 2^(`usize::BITS` − 1): anything
+    /// that indexes a slice fits.
     #[must_use]
     pub fn new(replica: ReplicaId, power: VotingPower, config: usize, attested: bool) -> Self {
         Candidate {
             replica,
             power,
-            config,
-            attested,
+            config: (config & !ATTESTED) | if attested { ATTESTED } else { 0 },
         }
     }
 
@@ -44,13 +50,25 @@ impl Candidate {
     /// The configuration index.
     #[must_use]
     pub fn config(&self) -> usize {
-        self.config
+        self.config & !ATTESTED
     }
 
     /// Whether the configuration is attested.
     #[must_use]
     pub fn attested(&self) -> bool {
-        self.attested
+        self.config & ATTESTED != 0
+    }
+}
+
+/// The four values [`Candidate::new`] took, not the packed word.
+impl std::fmt::Debug for Candidate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Candidate")
+            .field("replica", &self.replica)
+            .field("power", &self.power)
+            .field("config", &self.config())
+            .field("attested", &self.attested())
+            .finish()
     }
 }
 
@@ -90,7 +108,7 @@ impl Committee {
     #[must_use]
     pub fn new(members: Vec<Candidate>) -> Self {
         let mut buckets: Vec<(usize, VotingPower)> =
-            members.iter().map(|m| (m.config, m.power)).collect();
+            members.iter().map(|m| (m.config(), m.power)).collect();
         buckets.sort_unstable_by_key(|&(config, _)| config);
         buckets.dedup_by(|cur, prev| {
             if cur.0 == prev.0 {
@@ -209,6 +227,31 @@ mod tests {
         assert_eq!(c.power(), VotingPower::new(50));
         assert_eq!(c.config(), 0);
         assert!(c.attested());
+    }
+
+    #[test]
+    fn a_candidate_is_three_words_and_prints_its_four_values() {
+        assert_eq!(std::mem::size_of::<Candidate>(), 24);
+        for (config, attested) in [(0, false), (0, true), (usize::MAX >> 1, false), (7, true)] {
+            let c = Candidate::new(ReplicaId::new(3), VotingPower::new(9), config, attested);
+            assert_eq!((c.config(), c.attested()), (config, attested));
+        }
+        // The one configuration value that does not fit is folded, not
+        // rejected: `new` has no failure path.
+        let folded = Candidate::new(ReplicaId::new(3), VotingPower::new(9), usize::MAX, false);
+        assert_eq!(
+            (folded.config(), folded.attested()),
+            (usize::MAX >> 1, false)
+        );
+        let c = Candidate::new(ReplicaId::new(3), VotingPower::new(9), 7, true);
+        assert_eq!(
+            format!("{c:?}"),
+            format!(
+                "Candidate {{ replica: {:?}, power: {:?}, config: 7, attested: true }}",
+                c.replica(),
+                c.power()
+            )
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn xlog2(w: u64) -> f64 {
 /// One candidate as stored in a bucket list. Configuration and list
 /// position are implied by the owning bucket, so bucket-slot splices never
 /// rewrite entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct PrunedEntry {
     power: u64,
     replica: ReplicaId,
@@ -107,38 +107,79 @@ impl PrunedEntry {
     }
 }
 
-/// What a bucket list is sorted by — see [`entry_key`].
-type EntryKey = (u64, Reverse<ReplicaId>);
-
 /// Ascending sort key: power, then *descending* replica id — so the list
 /// tail is always the max-preferred entry (highest power, lowest replica),
 /// mirroring [`preferred`].
 #[inline]
-fn entry_key(e: &PrunedEntry) -> EntryKey {
+fn entry_key(e: &PrunedEntry) -> (u64, Reverse<ReplicaId>) {
     (e.power, Reverse(e.replica))
 }
 
-/// [`slice::partition_point`] for a boundary expected near the front: a
-/// probe doubles outward from index 0 until it brackets the boundary, then
-/// a binary search finishes inside the bracket — O(log boundary) rather
-/// than O(log len), reading only rows the caller is about to copy. The
-/// merge walks that copy untouched runs between churned rows use it to
-/// find where each run ends.
+/// How many leading rows [`gallop_partition_point`] tests one by one
+/// before it starts doubling.
+const LINEAR_PREFIX: usize = 8;
+
+/// [`slice::partition_point`] for a boundary expected near the front: the
+/// first `LINEAR_PREFIX` (8) rows are tested in order, then a probe doubles
+/// outward until it brackets the boundary and a binary search finishes
+/// inside the bracket — O(log boundary) rather than O(log len), reading
+/// only rows the caller is about to copy. The merge walks that copy
+/// untouched runs between churned rows use it to find where each run ends;
+/// at a few percent churn most runs are shorter than the prefix and cost
+/// one predictable compare a row.
 pub fn gallop_partition_point<T>(sorted: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
-    let mut hi = 1;
+    let linear = sorted.len().min(LINEAR_PREFIX);
+    if let Some(at) = sorted[..linear].iter().position(|row| !pred(row)) {
+        return at;
+    }
+    let mut hi = 2 * LINEAR_PREFIX;
     while hi <= sorted.len() && pred(&sorted[hi - 1]) {
         hi *= 2;
     }
-    let lo = hi / 2;
+    let lo = (hi / 2).min(sorted.len());
     lo + sorted[lo..hi.min(sorted.len())].partition_point(pred)
 }
 
-/// Splits off the leading rows of `rows` (sorted by slot, every slot in
-/// front of `slot` already taken) that belong to `slot`.
-fn take_slot<'a, T>(rows: &mut &'a [(usize, T)], slot: usize) -> &'a [(usize, T)] {
-    let (group, rest) = rows.split_at(rows.partition_point(|&(s, _)| s <= slot));
-    *rows = rest;
-    group
+/// The positive-power rows of one side of a [`PrunedRoster::patch_dense`],
+/// grouped by configuration slot in a counting pass and sorted by
+/// [`entry_key`] inside each slot. Rows whose configuration is not below
+/// `slots` share one trailing group, [`out_of_range`](Self::out_of_range).
+struct SlotGroups {
+    entries: Vec<PrunedEntry>,
+    /// `starts[s]..starts[s + 1]` is slot `s`'s range of `entries`.
+    starts: Vec<usize>,
+}
+
+impl SlotGroups {
+    fn new(slots: usize, rows: &[Candidate]) -> Self {
+        let live = || rows.iter().filter(|c| !c.power().is_zero());
+        let mut starts = vec![0; slots + 2];
+        for c in live() {
+            starts[c.config().min(slots) + 1] += 1;
+        }
+        for s in 0..=slots {
+            starts[s + 1] += starts[s];
+        }
+        let mut entries = vec![PrunedEntry::default(); starts[slots + 1]];
+        let mut next = starts.clone();
+        for c in live() {
+            let at = &mut next[c.config().min(slots)];
+            entries[*at] = PrunedEntry::of(c);
+            *at += 1;
+        }
+        for s in 0..=slots {
+            entries[starts[s]..starts[s + 1]].sort_unstable_by_key(entry_key);
+        }
+        SlotGroups { entries, starts }
+    }
+
+    fn slot(&self, slot: usize) -> &[PrunedEntry] {
+        &self.entries[self.starts[slot]..self.starts[slot + 1]]
+    }
+
+    fn out_of_range(&self) -> &[PrunedEntry] {
+        self.slot(self.starts.len() - 2)
+    }
 }
 
 /// One list of [`PrunedRoster::patch_dense`]: `old − leaving + landing`,
@@ -151,8 +192,8 @@ fn take_slot<'a, T>(rows: &mut &'a [(usize, T)], slot: usize) -> &'a [(usize, T)
 /// matches no entry is ignored.
 fn merge_list(
     mut old: &[PrunedEntry],
-    mut leaving: &[(usize, EntryKey)],
-    mut landing: &[(usize, PrunedEntry)],
+    mut leaving: &[PrunedEntry],
+    mut landing: &[PrunedEntry],
 ) -> Vec<PrunedEntry> {
     let mut out = Vec::with_capacity((old.len() + landing.len()).saturating_sub(leaving.len()));
     loop {
@@ -160,10 +201,10 @@ fn merge_list(
             (None, None) => break,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some((_, gone)), Some((_, e))) => *gone <= entry_key(e),
+            (Some(gone), Some(e)) => entry_key(gone) <= entry_key(e),
         };
         if departs {
-            let key = leaving[0].1;
+            let key = entry_key(&leaving[0]);
             leaving = &leaving[1..];
             let run = gallop_partition_point(old, |e| entry_key(e) < key);
             out.extend_from_slice(&old[..run]);
@@ -172,7 +213,7 @@ fn merge_list(
                 old = &old[1..];
             }
         } else {
-            let e = landing[0].1;
+            let e = landing[0];
             landing = &landing[1..];
             let run = gallop_partition_point(old, |x| entry_key(x) <= entry_key(&e));
             out.extend_from_slice(&old[..run]);
@@ -271,12 +312,14 @@ impl PrunedRoster {
     /// Builds the dense roster that one epoch's churn turns this one into,
     /// in **one pass**: every list is written once, straight from the old
     /// one, into an exactly-sized `Vec`, untouched runs copied as slices —
-    /// nothing is cloned first and patched after. O(R log R) to group the
-    /// R churned rows, then one merge walk over the slots, mirroring the
+    /// nothing is cloned first and patched after. The R churned rows are
+    /// grouped by slot in a counting pass and sorted inside each slot
+    /// (O(R log(R / slots))), then one merge walk over the slots mirrors the
     /// epoch snapshot's bucket walk and its births and deaths.
     ///
     /// * `departed` — rows leaving, by their exact *old-layout* `(config,
-    ///   power, replica)`. Rows that are not present are ignored.
+    ///   power, replica)`. Rows that are not present — an unknown config
+    ///   included — are ignored.
     /// * `arrivals` — rows entering, with *new-layout* configs. An arrival
     ///   whose key equals a surviving old entry's lands after it.
     /// * `removals` — ascending *old* positions of the slots to drop; each
@@ -299,28 +342,17 @@ impl PrunedRoster {
         mut removals: &[usize],
         mut insertions: &[usize],
     ) -> PrunedRoster {
-        let mut leaving: Vec<(usize, EntryKey)> = departed
-            .iter()
-            .filter(|c| !c.power().is_zero())
-            .map(|c| (c.config(), entry_key(&PrunedEntry::of(c))))
-            .collect();
-        leaving.sort_unstable();
-        let mut landing: Vec<(usize, PrunedEntry)> = arrivals
-            .iter()
-            .filter(|c| !c.power().is_zero())
-            .map(|c| (c.config(), PrunedEntry::of(c)))
-            .collect();
-        landing.sort_unstable_by_key(|&(slot, ref e)| (slot, entry_key(e)));
-        let (mut leaving, mut landing) = (leaving.as_slice(), landing.as_slice());
-
         let slots = self.lists.len() + insertions.len() - removals.len();
+        let leaving = SlotGroups::new(self.lists.len(), departed);
+        let landing = SlotGroups::new(slots, arrivals);
+
         let mut lists: Vec<Vec<PrunedEntry>> = Vec::with_capacity(slots);
         let mut old_at = 0;
         while lists.len() < slots || old_at < self.lists.len() {
             let at = lists.len();
             if removals.first() == Some(&old_at) {
                 removals = &removals[1..];
-                let left = merge_list(&self.lists[old_at], take_slot(&mut leaving, old_at), &[]);
+                let left = merge_list(&self.lists[old_at], leaving.slot(old_at), &[]);
                 assert!(
                     left.is_empty(),
                     "removing config slot {old_at} that still has entries"
@@ -328,18 +360,18 @@ impl PrunedRoster {
                 old_at += 1;
             } else if insertions.first() == Some(&at) {
                 insertions = &insertions[1..];
-                lists.push(merge_list(&[], &[], take_slot(&mut landing, at)));
+                lists.push(landing.slot(at).to_vec());
             } else {
                 lists.push(merge_list(
                     &self.lists[old_at],
-                    take_slot(&mut leaving, old_at),
-                    take_slot(&mut landing, at),
+                    leaving.slot(old_at),
+                    landing.slot(at),
                 ));
                 old_at += 1;
             }
         }
         assert!(
-            lists.len() == slots && landing.is_empty(),
+            lists.len() == slots && landing.out_of_range().is_empty(),
             "slot positions and arrival configs stay within the patched roster"
         );
         PrunedRoster {
@@ -805,14 +837,25 @@ mod tests {
 
     #[test]
     fn gallop_agrees_with_partition_point_at_every_boundary() {
-        for len in 0..40usize {
+        // Every length around the linear prefix and the first two
+        // doublings, every boundary in it: inside the prefix, at the
+        // hand-over to the doubling probe, and past the end.
+        for len in 0..=40usize {
             let sorted: Vec<usize> = (0..len).collect();
-            for boundary in 0..=len {
+            for boundary in 0..=len + 1 {
+                let mut calls = 0;
+                let at = gallop_partition_point(&sorted, |&x| {
+                    calls += 1;
+                    x < boundary
+                });
                 assert_eq!(
-                    gallop_partition_point(&sorted, |&x| x < boundary),
+                    at,
                     sorted.partition_point(|&x| x < boundary),
                     "len {len}, boundary {boundary}"
                 );
+                if boundary < LINEAR_PREFIX.min(len) {
+                    assert_eq!(calls, boundary + 1, "a short run is a linear scan");
+                }
             }
         }
     }

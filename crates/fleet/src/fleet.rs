@@ -27,9 +27,10 @@
 //! [`seal_epoch`](ShardedFleet::seal_epoch) is the write→read barrier, and
 //! it is **differential**: each shard accumulates a
 //! [`ChurnDelta`](fi_attest::ChurnDelta) of the net churn since the last
-//! cut, so sealing an epoch that saw little churn drains and merges O(churn)
-//! deltas and patches the previous snapshot
-//! ([`EpochSnapshot::try_apply_delta`]) instead of re-merging every shard.
+//! cut, so sealing an epoch that saw little churn drains the deltas, sorts
+//! them once into a [`CanonicalDelta`] — O(churn) — and patches the
+//! previous snapshot with it ([`EpochSnapshot::try_apply_delta`]) instead
+//! of re-merging every shard.
 //! A full rebuild ([`EpochSnapshot::build`] over a complete shard merge)
 //! is the cold start (epoch 1) and the recovery path after a rejected or
 //! dead seal; a caller can also force one every `R` seals
@@ -45,9 +46,10 @@
 //! phases: **cut** (wait out in-flight batches behind the batch gate, which
 //! makes whole batches atomic with respect to the cut even when their
 //! sub-batches touch different shards; lock all shards; frame the cut
-//! marker; drain the deltas, or copy the full rows on re-anchor epochs),
-//! **build** (with the gate and the shard guards already dropped, so a slow
-//! rebuild never stalls ingest), **publish**, **record** and
+//! marker; drain the deltas — one `mem::take` a shard, nothing merged or
+//! sorted — or copy the full rows on re-anchor epochs), **build** (with the
+//! gate and the shard guards already dropped, so neither canonicalising
+//! the deltas nor a slow rebuild stalls ingest), **publish**, **record** and
 //! **checkpoint**. Concurrent callers serialise on that mutex, and the
 //! epoch is committed only at publication, so a seal that fails or panics
 //! before it leaves no hole: the next seal takes the same epoch number and
@@ -64,7 +66,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use fi_attest::{AttestedRegistry, ChurnDelta, ChurnOp, RegisteredDevice, TwoTierWeights};
+use fi_attest::{
+    AttestedRegistry, CanonicalDelta, ChurnDelta, ChurnOp, RegisteredDevice, TwoTierWeights,
+};
 use fi_types::hash::SetDigest;
 use fi_types::{Digest, ReplicaId, VotingPower};
 
@@ -90,8 +94,9 @@ type ShardRows = (
 enum SealWork {
     /// Re-anchor epochs: a complete copy of every shard's rows.
     Full { per_shard: Vec<ShardRows> },
-    /// Ordinary epochs: the shards' merged churn deltas since the last cut.
-    Differential(ChurnDelta),
+    /// Ordinary epochs: each shard's churn delta since the last cut, as
+    /// drained — merged after the cut.
+    Differential(Vec<ChurnDelta>),
 }
 
 /// A sharded, epoch-based fleet of attested devices.
@@ -510,7 +515,8 @@ impl ShardedFleet {
     /// Returns the sealed snapshot.
     ///
     /// Ordinary epochs are **differential**: the cut drains each shard's
-    /// [`ChurnDelta`], merges them, and patches the previous snapshot in
+    /// [`ChurnDelta`]; once the cut's locks are dropped they are sorted
+    /// into one [`CanonicalDelta`], which patches the previous snapshot in
     /// O(churn · log n) ([`EpochSnapshot::try_apply_delta`]) — bit-identical
     /// to a full rebuild. Epoch 1, the seal after a rejected or dead one,
     /// and any epoch a cadence forces
@@ -565,10 +571,12 @@ impl ShardedFleet {
         // Phase 1 — the cut: exclude in-flight batches (so a batch whose
         // sub-batches land on different shards is observed either fully or
         // not at all), sweep the shard locks, frame the cut marker, and
-        // drain the deltas or copy the full rows. Ingest holds the gate
-        // shared and then locks one shard at a time; the sealer takes the
-        // gate exclusively *before* any shard lock, so the orderings
-        // cannot deadlock.
+        // drain the deltas or copy the full rows. On a differential epoch
+        // the drain is all that happens to shard state under the gate: a
+        // `mem::take` per shard, microseconds whatever the churn. Ingest
+        // holds the gate shared and then locks one shard at a time; the
+        // sealer takes the gate exclusively *before* any shard lock, so
+        // the orderings cannot deadlock.
         let work = {
             // Held exclusively through the cut-marker write *and* the
             // drain: ingest appends its batch to the log and applies it to
@@ -622,16 +630,13 @@ impl ShardedFleet {
                     .collect();
                 SealWork::Full { per_shard }
             } else {
-                let mut merged = ChurnDelta::default();
-                for shard in &mut guards {
-                    merged.merge(shard.take_delta());
-                }
-                SealWork::Differential(merged)
+                SealWork::Differential(guards.iter_mut().map(|shard| shard.take_delta()).collect())
             }
         };
 
         // Phase 2 — construction, with the gate and the shard guards
-        // dropped: ingest proceeds on the shards while this builds.
+        // dropped: ingest proceeds on the shards while this merges the
+        // drained deltas and builds.
         let snapshot = Arc::new(match work {
             SealWork::Full { per_shard } => {
                 let mut rows = BTreeMap::new();
@@ -656,13 +661,13 @@ impl ShardedFleet {
                 );
                 EpochSnapshot::build(epoch, self.weights, rows, opaque, devices, device_agg)
             }
-            SealWork::Differential(delta) => {
-                // The delta was cut on top of the published snapshot, and
-                // only a sealer (this one) can replace that. A delta that
-                // does not chain returns here with `reanchor_due` set.
+            SealWork::Differential(per_shard) => {
+                // The deltas were cut on top of the published snapshot,
+                // and only a sealer (this one) can replace that. A delta
+                // that does not chain returns here with `reanchor_due` set.
                 let prev = self.current.load();
                 debug_assert_eq!(prev.epoch(), st.epoch);
-                prev.try_apply_delta(epoch, &delta)?
+                prev.try_apply_delta(epoch, &CanonicalDelta::merge(per_shard))?
             }
         });
 

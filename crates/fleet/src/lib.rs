@@ -25,8 +25,9 @@
 //!   measurement buckets, total effective power, an entropy accumulator, a
 //!   prebuilt committee-candidate roster, and a stable content hash.
 //!   Sealing is **differential**: each shard accumulates a
-//!   [`fi_attest::ChurnDelta`] since the last cut, and ordinary epochs
-//!   patch the previous snapshot in O(churn · log n)
+//!   [`fi_attest::ChurnDelta`] since the last cut, the cut drains them,
+//!   and ordinary epochs sort them into one [`fi_attest::CanonicalDelta`]
+//!   and patch the previous snapshot with it in O(churn · log n)
 //!   ([`EpochSnapshot::try_apply_delta`]) — bit-identical, entropy
 //!   included, to the full rebuild that epoch 1 performs, that recovers
 //!   from a rejected seal, and that a caller can force every R-th epoch
@@ -100,7 +101,7 @@ pub use wal::{ChurnLog, WalRecord, DEFAULT_SEGMENT_BYTES};
 
 // The ingest vocabulary is fi-attest's; re-export it so fleet users need
 // one import.
-pub use fi_attest::{ChurnDelta, ChurnOp};
+pub use fi_attest::{CanonicalDelta, ChurnDelta, ChurnOp};
 
 /// Convenient glob import.
 pub mod prelude {
@@ -115,5 +116,5 @@ pub mod prelude {
     pub use crate::snapshot::EpochSnapshot;
     pub use crate::trace::{churn_trace, measurement_pool, ChurnTraceConfig};
     pub use crate::wal::{ChurnLog, WalRecord, DEFAULT_SEGMENT_BYTES};
-    pub use fi_attest::{ChurnDelta, ChurnOp};
+    pub use fi_attest::{CanonicalDelta, ChurnDelta, ChurnOp};
 }

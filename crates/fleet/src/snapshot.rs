@@ -21,8 +21,9 @@
 //! There are two ways to construct that canonical form. The **full build**
 //! ([`EpochSnapshot::build`]) merges complete shard rows — the cold-start
 //! and recovery path. The **differential patch**
-//! ([`EpochSnapshot::try_apply_delta`]) applies one epoch's merged
-//! [`ChurnDelta`] to the previous snapshot. Both fold the
+//! ([`EpochSnapshot::try_apply_delta`]) applies one epoch's
+//! [`CanonicalDelta`] — the shards' drained deltas, sorted once — to the
+//! previous snapshot. Both fold the
 //! [`EntropyAccumulator`] from the finished bucket table with
 //! `from_weights`, so the two agree in every bit a reader can observe —
 //! content hash, entropy and accumulator state included; only the
@@ -30,13 +31,19 @@
 //! [`churned_replicas`](EpochSnapshot::churned_replicas)) tell them apart.
 //!
 //! **What a patch copies.** A snapshot stores two rows per device: its
-//! [`Candidate`] in the roster, sorted by replica id (32 B), and — if it
+//! [`Candidate`] in the roster, sorted by replica id (24 B), and — if it
 //! has power — its entry in the [`PrunedRoster`] selection index (24 B);
 //! the [`RegisteredDevice`] view is derived from the candidate and the
 //! bucket table, not stored. Snapshots share nothing, so a patch writes
-//! both tables anew — 56 B per device, O(n) memory traffic, which is what
-//! a differential seal costs — each in one merge walk against the sorted
-//! churn that copies the untouched runs between churned rows as slices.
+//! both tables anew — 48 B per device, O(n) memory traffic, the half of a
+//! differential seal's cost that follows fleet size — each in one merge
+//! walk against the sorted churn that copies the untouched runs between
+//! churned rows as slices. The other half follows churn, and handles each
+//! churned row once per table: it arrives sorted by replica (the
+//! [`CanonicalDelta`]'s one sort), is looked up in the roster by a scan
+//! that is linear over short runs and gallops over long ones, and is
+//! grouped by slot in a counting pass before the selection index sorts it
+//! by power inside its slot.
 //!
 //! **Who hashes what, and when.** The content hash folds two
 //! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
@@ -45,9 +52,9 @@
 //! [`AttestedRegistry`] exactly once per row, when the row is written;
 //! the registry keeps a running sum over its rows
 //! ([`AttestedRegistry::roster_digest`]) and records the net change since
-//! the last cut in its [`ChurnDelta`]. Sealing is then arithmetic: a
-//! differential seal adds the merged delta's
-//! [`row_digest_change`](ChurnDelta::row_digest_change) to the previous
+//! the last cut in its [`ChurnDelta`](fi_attest::ChurnDelta). Sealing is
+//! then arithmetic: a differential seal adds the merged delta's
+//! [`row_digest_change`](CanonicalDelta::row_digest_change) to the previous
 //! device aggregate, and a fleet re-anchor hands [`build`](EpochSnapshot::build)
 //! the sum of the shards' running sums. The only hashing left at a seal is
 //! the bucket rows (dozens, and only the dirty ones on the differential
@@ -60,7 +67,8 @@
 use std::collections::BTreeMap;
 
 use fi_attest::{
-    device_row_digest, AttestedRegistry, ChurnDelta, RegisteredDevice, ReplicaTier, TwoTierWeights,
+    device_row_digest, AttestedRegistry, CanonicalDelta, RegisteredDevice, ReplicaTier,
+    TwoTierWeights,
 };
 use fi_committee::pruned::gallop_partition_point;
 use fi_committee::{
@@ -316,19 +324,24 @@ impl EpochSnapshot {
         )
     }
 
-    /// Patches this snapshot with one epoch's merged [`ChurnDelta`],
+    /// Patches this snapshot with one epoch's [`CanonicalDelta`],
     /// producing the `epoch` snapshot without the O(fleet) shard re-merge,
     /// roster sort and index rebuild a full [`build`](Self::build) pays.
-    /// Structural work is O(changed · log n): dirty buckets and touched
-    /// devices are located by galloping merge walks and binary search. The
-    /// rest is the copy, **one pass per table**: the roster (32 B a device)
-    /// copies each untouched run between two touched replicas as a slice,
-    /// remapping configs row by row only in an epoch where a bucket was
-    /// born or died; [`PrunedRoster::patch_dense`] writes the selection
-    /// index (24 B a device with power) list by list.
+    /// The delta's rows are read as they come — already sorted, one per
+    /// bucket and one per replica — so nothing is collected or sorted
+    /// here. Structural work is O(changed · log n) at worst: dirty buckets
+    /// and touched devices are located by merge walks (linear over the
+    /// first few rows of a run, galloping past that) and binary search,
+    /// and the touched rows are grouped by slot in a counting pass for the
+    /// selection index. The rest is the copy, **one pass per table**: the
+    /// roster (24 B a device) copies each untouched run between two
+    /// touched replicas as a slice, remapping configs row by row only in
+    /// an epoch where a bucket was born or died;
+    /// [`PrunedRoster::patch_dense`] writes the selection index (24 B a
+    /// device with power) list by list.
     /// No roster row is hashed here: the registry hashed each touched row
     /// when it wrote it, and the delta carries the net of those digests
-    /// ([`ChurnDelta::row_digest_change`]), which is added to this
+    /// ([`CanonicalDelta::row_digest_change`]), which is added to this
     /// snapshot's device aggregate. Only dirty bucket rows are hashed.
     ///
     /// **Bit-identity invariant.** Bucket powers, member counts, the
@@ -355,11 +368,11 @@ impl EpochSnapshot {
     pub fn try_apply_delta(
         &self,
         epoch: u64,
-        delta: &ChurnDelta,
+        delta: &CanonicalDelta,
     ) -> Result<EpochSnapshot, SealError> {
         let corrupt = |detail: String| SealError::CorruptDelta { epoch, detail };
-        let dirty = delta.sorted_buckets();
-        let roster = delta.sorted_roster();
+        let dirty = delta.buckets();
+        let roster = delta.roster();
 
         // 1. Patch the sorted bucket vec (merge walk old × dirty), while
         //    collecting the old→new slot remap that lets unchanged
@@ -519,7 +532,7 @@ impl EpochSnapshot {
         let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
         let mut churned: Vec<ReplicaId> = Vec::with_capacity(roster.len());
         let mut at = 0;
-        for (replica, state) in roster {
+        for &(replica, state) in roster {
             let run = gallop_partition_point(&old[at..], |c| c.replica() < replica);
             copy_run(&mut candidates, &old[at..at + run])?;
             at += run;
@@ -778,6 +791,11 @@ mod tests {
         reg
     }
 
+    /// The registry's pending churn as a sealer reads it.
+    fn drain(reg: &mut AttestedRegistry) -> CanonicalDelta {
+        CanonicalDelta::merge(vec![reg.take_delta()])
+    }
+
     fn mixed_ops() -> Vec<ChurnOp> {
         vec![
             ChurnOp::attest(ReplicaId::new(3), sha256(b"cfg-b"), VotingPower::new(40)),
@@ -843,7 +861,7 @@ mod tests {
             power: VotingPower::new(10),
         });
         let mut chained = EpochSnapshot::empty(TwoTierWeights::default())
-            .try_apply_delta(1, &reg.take_delta())
+            .try_apply_delta(1, &drain(&mut reg))
             .expect("the delta chains on the empty snapshot");
         assert_eq!(chained.device_count(), 2);
         reg.apply(&ChurnOp::Deregister {
@@ -853,7 +871,7 @@ mod tests {
             replica: ReplicaId::new(1),
         });
         chained = chained
-            .try_apply_delta(2, &reg.take_delta())
+            .try_apply_delta(2, &drain(&mut reg))
             .expect("the delta chains on epoch 1");
         assert_eq!(chained.device_count(), 0);
         assert_eq!(chained.content_hash(), snap.content_hash());
@@ -884,7 +902,7 @@ mod tests {
         reg.apply(&ChurnOp::Deregister {
             replica: ReplicaId::new(0),
         });
-        let unchained = reg.take_delta();
+        let unchained = drain(&mut reg);
         let err = EpochSnapshot::empty(TwoTierWeights::flat())
             .try_apply_delta(1, &unchained)
             .unwrap_err();
@@ -905,7 +923,7 @@ mod tests {
             replica: ReplicaId::new(1),
         });
         let err = EpochSnapshot::empty(TwoTierWeights::flat())
-            .try_apply_delta(1, &reg.take_delta())
+            .try_apply_delta(1, &drain(&mut reg))
             .unwrap_err();
         assert!(matches!(&err, SealError::CorruptDelta { .. }), "got {err}");
         assert!(err.to_string().contains("opaque power"), "got {err}");
@@ -924,8 +942,9 @@ mod tests {
             VotingPower::new(41),
         ));
         let mut delta = reg.take_delta();
-        assert!(snap.try_apply_delta(2, &delta).is_ok());
-        let (replica, row) = delta.sorted_roster()[0];
+        let honest = CanonicalDelta::merge(vec![delta.clone()]);
+        assert!(snap.try_apply_delta(2, &honest).is_ok());
+        let (replica, row) = honest.roster()[0];
         delta.record_roster(
             replica,
             Some(RegisteredDevice {
@@ -933,7 +952,8 @@ mod tests {
                 ..row.expect("device 3 is registered")
             }),
         );
-        let err = snap.try_apply_delta(2, &delta).unwrap_err();
+        let forged = CanonicalDelta::merge(vec![delta]);
+        let err = snap.try_apply_delta(2, &forged).unwrap_err();
         assert!(
             matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
             "got {err}"
@@ -996,7 +1016,7 @@ mod tests {
             ChurnOp::attest(ReplicaId::new(7), sha256(b"cfg-a"), VotingPower::new(80)),
         ]);
         let patched = snap
-            .try_apply_delta(2, &reg.take_delta())
+            .try_apply_delta(2, &drain(&mut reg))
             .expect("the delta chains");
         assert_eq!(patched.devices().collect::<Vec<_>>(), sorted_rows(&reg));
     }

@@ -26,7 +26,7 @@
 //! `debug_assert`s are compiled out) holds the shipped build to the oracle
 //! too; CI runs it both ways.
 
-use fi_attest::{AttestedRegistry, ChurnOp, TwoTierWeights};
+use fi_attest::{AttestedRegistry, CanonicalDelta, ChurnOp, TwoTierWeights};
 use fi_committee::greedy::greedy_diverse_naive;
 use fi_fleet::{
     churn_trace, ChurnTraceConfig, DurabilityConfig, EpochSnapshot, SelectionCache, ShardedFleet,
@@ -255,7 +255,7 @@ proptest! {
         for chunk in ops.chunks(batch) {
             registry.apply_batch(chunk);
             epoch += 1;
-            let delta = registry.take_delta();
+            let delta = CanonicalDelta::merge(vec![registry.take_delta()]);
             chained = chained
                 .try_apply_delta(epoch, &delta)
                 .expect("a registry's own delta chains");
