@@ -1,6 +1,6 @@
 //! Churn operations: the registry's mutation vocabulary as *data*.
 //!
-//! A production-scale monitor does not call [`AttestedRegistry`] methods
+//! A production-scale monitor does not call [`crate::AttestedRegistry`] methods
 //! one replica at a time from one thread — devices register, re-attest,
 //! rotate measurements, and leave in *batches* arriving from many
 //! verification frontends. [`ChurnOp`] reifies those mutations so they can

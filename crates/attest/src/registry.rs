@@ -448,16 +448,6 @@ impl AttestedRegistry {
         self.entries.get(&replica).and_then(|e| e.measurement)
     }
 
-    /// Checks a vote key against the attested binding (Remark 3): `true`
-    /// iff the replica attested and bound exactly this key.
-    #[must_use]
-    pub fn vote_key_bound(&self, replica: ReplicaId, vote_key: &PublicKey) -> bool {
-        self.entries
-            .get(&replica)
-            .and_then(|e| e.vote_key.as_ref())
-            .is_some_and(|k| k == vote_key)
-    }
-
     /// The replica's raw registered power.
     ///
     /// # Errors
@@ -670,7 +660,6 @@ mod tests {
             reg.measurement_of(ReplicaId::new(0)),
             Some(sha256(b"cfg-a"))
         );
-        assert!(reg.vote_key_bound(ReplicaId::new(0), &quote.vote_key()));
         assert_eq!(
             reg.effective_power_of(ReplicaId::new(0)).unwrap(),
             VotingPower::new(100)
@@ -724,7 +713,6 @@ mod tests {
             Err(AttestError::UnknownReplica)
         );
         assert_eq!(reg.tier_of(ReplicaId::new(0)), None);
-        assert!(!reg.vote_key_bound(ReplicaId::new(0), &KeyPair::from_seed(0).public_key()));
     }
 
     #[test]
@@ -980,7 +968,6 @@ mod tests {
             VotingPower::new(40),
         ));
         assert_eq!(via_quote, via_op);
-        assert!(via_op.vote_key_bound(ReplicaId::new(0), &quote.vote_key()));
         assert_eq!(
             via_quote.entropy_bits(false).unwrap().to_bits(),
             via_op.entropy_bits(false).unwrap().to_bits()

@@ -131,12 +131,6 @@ impl Verifier {
         self.policy.revoke(aik);
     }
 
-    /// Mutable access to the policy (e.g. to extend the accepted set as new
-    /// golden measurements are published).
-    pub fn policy_mut(&mut self) -> &mut AttestationPolicy {
-        &mut self.policy
-    }
-
     /// Full verification: trust chain, signatures, revocation, policy, and
     /// freshness. `expected_nonce` is the challenge this verifier issued;
     /// pass `None` for archived quotes whose challenge is no longer known.
@@ -313,11 +307,11 @@ mod tests {
             v.verify(&quote, SimTime::from_secs(101), None),
             Err(AttestError::MeasurementNotAccepted)
         );
-        // Extending the accepted set fixes it.
-        let mut v = v;
-        v.policy_mut()
-            .accepted_measurements
-            .insert(sha256(b"golden"));
+        // A policy that lists the quote's measurement accepts it.
+        let policy = AttestationPolicy::builder()
+            .accept_measurement(sha256(b"golden"))
+            .build();
+        let v = trusting_verifier(&device, policy);
         assert!(v.verify(&quote, SimTime::from_secs(101), None).is_ok());
     }
 

@@ -23,8 +23,8 @@ const K: usize = 64;
 fn sealed_fleet(wave: &[ChurnOp], reanchor_interval: u64) -> ShardedFleet {
     let fleet =
         ShardedFleet::with_reanchor_interval(SHARDS, TwoTierWeights::default(), reanchor_interval);
-    fleet.ingest_batch(wave);
-    fleet.seal_epoch();
+    fleet.try_ingest_batch(wave).unwrap();
+    fleet.try_seal_epoch().unwrap();
     fleet
 }
 
@@ -43,8 +43,8 @@ fn bench_fleet_seal(c: &mut Criterion) {
 
             let differential = sealed_fleet(wave, 0);
             let previous = differential.snapshot().select_greedy(K);
-            differential.ingest_batch(churn);
-            let snapshot = differential.seal_epoch();
+            differential.try_ingest_batch(churn).unwrap();
+            let snapshot = differential.try_seal_epoch().unwrap();
             group.bench_function(format!("select/pruned/{cell}"), |b| {
                 b.iter(|| black_box(&snapshot).select_greedy(K));
             });
@@ -53,8 +53,8 @@ fn bench_fleet_seal(c: &mut Criterion) {
             });
 
             let full = sealed_fleet(wave, 1);
-            full.ingest_batch(churn);
-            full.seal_epoch();
+            full.try_ingest_batch(churn).unwrap();
+            full.try_seal_epoch().unwrap();
             // Both fleets now hold the churned state, so the next epoch is
             // the undo.
             let epochs = [churn, undo.as_slice()];
@@ -63,8 +63,8 @@ fn bench_fleet_seal(c: &mut Criterion) {
                 group.bench_function(format!("{name}/{cell}"), |b| {
                     b.iter(|| {
                         turn ^= 1;
-                        fleet.ingest_batch(epochs[turn]);
-                        fleet.seal_epoch()
+                        fleet.try_ingest_batch(epochs[turn]).unwrap();
+                        fleet.try_seal_epoch().unwrap()
                     });
                 });
             }
@@ -72,7 +72,7 @@ fn bench_fleet_seal(c: &mut Criterion) {
             group.bench_function(format!("ingest/{cell}"), |b| {
                 b.iter(|| {
                     turn ^= 1;
-                    full.ingest_batch(epochs[turn]);
+                    full.try_ingest_batch(epochs[turn]).unwrap();
                 });
             });
         }

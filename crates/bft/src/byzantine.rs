@@ -58,13 +58,6 @@ impl Behavior {
     pub fn sends_messages(self) -> bool {
         !matches!(self, Behavior::Crashed | Behavior::Silent)
     }
-
-    /// Whether the replica is counted as faulty by the experiment
-    /// bookkeeping.
-    #[must_use]
-    pub fn is_faulty(self) -> bool {
-        self != Behavior::Honest
-    }
 }
 
 #[cfg(test)]
@@ -92,11 +85,9 @@ mod tests {
     #[test]
     fn classification() {
         assert!(Behavior::Honest.sends_messages());
-        assert!(!Behavior::Honest.is_faulty());
         assert!(!Behavior::Crashed.sends_messages());
         assert!(!Behavior::Silent.sends_messages());
         assert!(Behavior::Equivocate.sends_messages());
-        assert!(Behavior::WithholdCommit.is_faulty());
         assert_eq!(Behavior::default(), Behavior::Honest);
     }
 }

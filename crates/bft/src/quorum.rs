@@ -35,17 +35,6 @@ impl QuorumParams {
         Some(QuorumParams { n, f: (n - 1) / 3 })
     }
 
-    /// Parameters for a chosen `f`: the minimal `n = 3f + 1`.
-    ///
-    /// Returns `None` for `f == 0`.
-    #[must_use]
-    pub fn for_f(f: usize) -> Option<Self> {
-        if f == 0 {
-            return None;
-        }
-        Some(QuorumParams { n: 3 * f + 1, f })
-    }
-
     /// Total replicas.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -71,13 +60,6 @@ impl QuorumParams {
     #[must_use]
     pub fn weak_quorum(&self) -> usize {
         self.f + 1
-    }
-
-    /// Number of prepares a replica needs *besides* its pre-prepare:
-    /// `quorum − 1` from distinct replicas.
-    #[must_use]
-    pub fn prepare_threshold(&self) -> usize {
-        self.quorum() - 1
     }
 
     /// The primary of view `v`.
@@ -111,18 +93,6 @@ mod tests {
         for n in 0..4 {
             assert!(QuorumParams::for_n(n).is_none());
         }
-        assert!(QuorumParams::for_f(0).is_none());
-    }
-
-    #[test]
-    fn for_f_gives_minimal_n() {
-        for f in 1..20 {
-            let q = QuorumParams::for_f(f).unwrap();
-            assert_eq!(q.n(), 3 * f + 1);
-            assert_eq!(q.f(), f);
-            // And deriving back from n is consistent.
-            assert_eq!(QuorumParams::for_n(q.n()).unwrap().f(), f);
-        }
     }
 
     #[test]
@@ -142,11 +112,5 @@ mod tests {
         let q = QuorumParams::for_n(4).unwrap();
         let primaries: Vec<usize> = (0..8).map(|v| q.primary_of(v)).collect();
         assert_eq!(primaries, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn prepare_threshold_is_2f() {
-        let q = QuorumParams::for_n(7).unwrap();
-        assert_eq!(q.prepare_threshold(), 4);
     }
 }

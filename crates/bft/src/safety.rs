@@ -117,16 +117,6 @@ impl LivenessReport {
     pub fn all_executed(&self) -> bool {
         self.executed_requests == self.expected_requests
     }
-
-    /// Completion ratio in `[0, 1]`.
-    #[must_use]
-    pub fn completion_ratio(&self) -> f64 {
-        if self.expected_requests == 0 {
-            1.0
-        } else {
-            self.executed_requests as f64 / self.expected_requests as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,26 +177,18 @@ mod tests {
     }
 
     #[test]
-    fn liveness_ratios() {
+    fn all_executed_compares_executed_with_expected() {
         let full = LivenessReport {
             executed_requests: 10,
             expected_requests: 10,
             client_retries: 0,
         };
         assert!(full.all_executed());
-        assert_eq!(full.completion_ratio(), 1.0);
         let partial = LivenessReport {
             executed_requests: 3,
             expected_requests: 10,
             client_retries: 7,
         };
         assert!(!partial.all_executed());
-        assert!((partial.completion_ratio() - 0.3).abs() < 1e-12);
-        let empty = LivenessReport {
-            executed_requests: 0,
-            expected_requests: 0,
-            client_retries: 0,
-        };
-        assert_eq!(empty.completion_ratio(), 1.0);
     }
 }

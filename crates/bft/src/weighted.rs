@@ -86,13 +86,6 @@ impl WeightedQuorum {
     pub fn tolerates(&self, compromised: VotingPower) -> bool {
         compromised <= self.f_power
     }
-
-    /// The guaranteed power overlap of any two quorums.
-    #[must_use]
-    pub fn quorum_intersection_power(&self) -> VotingPower {
-        // 2(total − f) − total = total − 2f.
-        self.total - self.f_power - self.f_power
-    }
 }
 
 /// Accumulates votes weighted by per-replica power, counting each replica
@@ -154,12 +147,6 @@ impl WeightedVoteSet {
     pub fn complete(&self) -> bool {
         self.quorum.reaches_quorum(self.accumulated)
     }
-
-    /// Number of distinct voters.
-    #[must_use]
-    pub fn voters(&self) -> usize {
-        self.voted.len()
-    }
 }
 
 #[cfg(test)]
@@ -185,10 +172,9 @@ mod tests {
     fn intersection_always_beats_adversary() {
         for total in 4u64..2_000 {
             let q = WeightedQuorum::for_total(VotingPower::new(total)).unwrap();
-            assert!(
-                q.quorum_intersection_power() > q.f_power(),
-                "total = {total}"
-            );
+            // Any two quorums overlap in 2(total − f) − total units.
+            let overlap = q.quorum_power() + q.quorum_power() - q.total();
+            assert!(overlap > q.f_power(), "total = {total}");
         }
     }
 
@@ -209,7 +195,6 @@ mod tests {
         assert!(!votes.complete());
         assert!(votes.vote(ReplicaId::new(1)));
         assert!(votes.complete(), "50 + 30 >= 67");
-        assert_eq!(votes.voters(), 2);
         assert_eq!(votes.accumulated(), VotingPower::new(80));
     }
 

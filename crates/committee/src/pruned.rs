@@ -23,7 +23,7 @@
 //! evaluated* gain stays within a guard band of the bucket's best. The peak
 //! position is only a **locator** — every candidate that survives the band
 //! is evaluated with the same [`EntropyAccumulator::peek_add`] arithmetic
-//! and folded with the same tie predicate as [`greedy_diverse`], so the
+//! and folded with the same tie predicate as [`crate::greedy_diverse`], so the
 //! selected sequence is byte-identical; the band (`1e-9`, three orders of
 //! magnitude wider than the fold's `1e-12` tie window) guarantees every
 //! potential tie contender is evaluated. Cost per round drops from O(n) to

@@ -144,12 +144,6 @@ impl Component {
             self.version.as_bytes(),
         ])
     }
-
-    /// Whether this is the same *product* (kind + name), at any version.
-    #[must_use]
-    pub fn same_product(&self, other: &Component) -> bool {
-        self.kind == other.kind && self.name == other.name
-    }
 }
 
 impl fmt::Display for Component {
@@ -159,8 +153,7 @@ impl fmt::Display for Component {
 }
 
 /// A catalog of plausible COTS alternatives per layer, used by generators,
-/// examples, and tests. Names are real products (the paper's §III names
-/// SGX, TrustZone, IBM SSC, AMD PSP explicitly); versions are illustrative.
+/// examples, and tests. Names are real products; versions are illustrative.
 pub mod catalog {
     use super::{Component, ComponentKind};
 
@@ -169,23 +162,6 @@ pub mod catalog {
             .iter()
             .map(|&(name, version)| Component::new(kind, name, version))
             .collect()
-    }
-
-    /// Hardware-assisted isolated execution environments (§III-B lists
-    /// these four product families plus TPMs).
-    #[must_use]
-    pub fn trusted_hardware() -> Vec<Component> {
-        build(
-            ComponentKind::TrustedHardware,
-            &[
-                ("intel-sgx", "2.19"),
-                ("arm-trustzone", "v8.4"),
-                ("amd-psp", "sev-snp-1.55"),
-                ("ibm-ssc", "z16"),
-                ("tpm2-infineon", "slb9672"),
-                ("tpm2-nuvoton", "npct754"),
-            ],
-        )
     }
 
     /// Operating systems — the diversity layer Lazarus manages.
@@ -237,37 +213,6 @@ pub mod catalog {
         )
     }
 
-    /// Wallets / key-management modules, including the delegation shapes
-    /// the paper warns about (§III-A).
-    #[must_use]
-    pub fn key_management() -> Vec<Component> {
-        build(
-            ComponentKind::KeyManagement,
-            &[
-                ("builtin-wallet", "25.0"),
-                ("hw-wallet-ledger", "2.2"),
-                ("hw-wallet-trezor", "1.12"),
-                ("mobile-wallet", "8.4"),
-                ("desktop-wallet", "5.1"),
-                ("exchange-delegate", "n/a"),
-            ],
-        )
-    }
-
-    /// Mining software / pool clients (§III-A).
-    #[must_use]
-    pub fn mining_software() -> Vec<Component> {
-        build(
-            ComponentKind::MiningSoftware,
-            &[
-                ("cgminer", "4.12"),
-                ("bfgminer", "5.5"),
-                ("braiins-os", "23.12"),
-                ("nicehash-client", "3.1"),
-            ],
-        )
-    }
-
     /// External databases (COTS component, §III-A).
     #[must_use]
     pub fn databases() -> Vec<Component> {
@@ -280,20 +225,6 @@ pub mod catalog {
                 ("sqlite", "3.45"),
             ],
         )
-    }
-
-    /// The catalog for a given kind.
-    #[must_use]
-    pub fn for_kind(kind: ComponentKind) -> Vec<Component> {
-        match kind {
-            ComponentKind::TrustedHardware => trusted_hardware(),
-            ComponentKind::OperatingSystem => operating_systems(),
-            ComponentKind::CryptoLibrary => crypto_libraries(),
-            ComponentKind::ConsensusModule => consensus_modules(),
-            ComponentKind::KeyManagement => key_management(),
-            ComponentKind::MiningSoftware => mining_software(),
-            ComponentKind::Database => databases(),
-        }
     }
 }
 
@@ -332,21 +263,22 @@ mod tests {
     fn with_version_changes_measurement_not_product() {
         let old = Component::new(ComponentKind::CryptoLibrary, "openssl", "3.0.12");
         let patched = old.with_version("3.0.13");
-        assert!(old.same_product(&patched));
+        assert_eq!((old.kind(), old.name()), (patched.kind(), patched.name()));
         assert_ne!(old.measurement(), patched.measurement());
     }
 
-    #[test]
-    fn same_product_requires_kind_and_name() {
-        let a = Component::new(ComponentKind::OperatingSystem, "debian", "12");
-        let b = Component::new(ComponentKind::Database, "debian", "12");
-        assert!(!a.same_product(&b));
+    fn catalogs() -> [(ComponentKind, Vec<Component>); 4] {
+        [
+            (ComponentKind::OperatingSystem, catalog::operating_systems()),
+            (ComponentKind::CryptoLibrary, catalog::crypto_libraries()),
+            (ComponentKind::ConsensusModule, catalog::consensus_modules()),
+            (ComponentKind::Database, catalog::databases()),
+        ]
     }
 
     #[test]
     fn catalog_is_nonempty_and_kind_consistent() {
-        for kind in ComponentKind::ALL {
-            let items = catalog::for_kind(kind);
+        for (kind, items) in catalogs() {
             assert!(items.len() >= 4, "{kind} catalog too small");
             assert!(items.iter().all(|c| c.kind() == kind));
         }
@@ -354,8 +286,7 @@ mod tests {
 
     #[test]
     fn catalog_names_are_unique_per_kind() {
-        for kind in ComponentKind::ALL {
-            let items = catalog::for_kind(kind);
+        for (kind, items) in catalogs() {
             let mut names: Vec<&str> = items.iter().map(Component::name).collect();
             names.sort_unstable();
             names.dedup();

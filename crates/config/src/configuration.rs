@@ -56,12 +56,6 @@ impl Configuration {
         self.components.values()
     }
 
-    /// Number of configured layers.
-    #[must_use]
-    pub fn layer_count(&self) -> usize {
-        self.components.len()
-    }
-
     /// The attestable measurement of the whole stack: a digest over all
     /// components in canonical order. Equal measurements ⇔ identical
     /// configurations.
@@ -79,41 +73,12 @@ impl Configuration {
         hash_fields(&fields)
     }
 
-    /// Whether `self` and `other` share the same *product* at `kind`
-    /// (version-insensitive) — the grain at which a product-level
-    /// vulnerability correlates faults.
-    #[must_use]
-    pub fn shares_product(&self, other: &Configuration, kind: ComponentKind) -> bool {
-        match (self.component(kind), other.component(kind)) {
-            (Some(a), Some(b)) => a.same_product(b),
-            _ => false,
-        }
-    }
-
-    /// Number of layers at which the two configurations use the same
-    /// product — a crude correlation score (0 = fully diverse stacks).
-    #[must_use]
-    pub fn shared_products(&self, other: &Configuration) -> usize {
-        ComponentKind::ALL
-            .iter()
-            .filter(|&&k| self.shares_product(other, k))
-            .count()
-    }
-
     /// A copy with one component replaced (or added). How a diversity
     /// manager's "move replica to another OS" action is expressed.
     #[must_use]
     pub fn with_component(&self, component: Component) -> Configuration {
         let mut components = self.components.clone();
         components.insert(component.kind(), component);
-        Configuration { components }
-    }
-
-    /// A copy with the component at `kind` removed, if present.
-    #[must_use]
-    pub fn without_component(&self, kind: ComponentKind) -> Configuration {
-        let mut components = self.components.clone();
-        components.remove(&kind);
         Configuration { components }
     }
 
@@ -194,7 +159,7 @@ mod tests {
     #[test]
     fn builder_sets_layers() {
         let c = sample();
-        assert_eq!(c.layer_count(), 3);
+        assert_eq!(c.components().count(), 3);
         assert!(c.component(ComponentKind::OperatingSystem).is_some());
         assert!(c.component(ComponentKind::Database).is_none());
     }
@@ -206,7 +171,7 @@ mod tests {
             .component(oses[0].clone())
             .component(oses[1].clone())
             .build();
-        assert_eq!(c.layer_count(), 1);
+        assert_eq!(c.components().count(), 1);
         assert_eq!(c.component(ComponentKind::OperatingSystem), Some(&oses[1]));
     }
 
@@ -218,7 +183,7 @@ mod tests {
                 catalog::databases()[0].clone(),
             ])
             .build();
-        assert_eq!(c.layer_count(), 2);
+        assert_eq!(c.components().count(), 2);
     }
 
     #[test]
@@ -246,38 +211,7 @@ mod tests {
     fn empty_configuration_has_distinct_measurement() {
         let empty = Configuration::builder().build();
         assert_ne!(empty.measurement(), sample().measurement());
-        assert_eq!(empty.layer_count(), 0);
-    }
-
-    #[test]
-    fn shares_product_is_version_insensitive() {
-        let a = sample();
-        let patched_os = a
-            .component(ComponentKind::OperatingSystem)
-            .unwrap()
-            .with_version("99");
-        let b = a.with_component(patched_os);
-        assert!(a.shares_product(&b, ComponentKind::OperatingSystem));
-        assert_ne!(a.measurement(), b.measurement());
-    }
-
-    #[test]
-    fn shares_product_false_when_layer_missing() {
-        let a = sample();
-        let b = a.without_component(ComponentKind::OperatingSystem);
-        assert!(!a.shares_product(&b, ComponentKind::OperatingSystem));
-    }
-
-    #[test]
-    fn shared_products_counts_layers() {
-        let a = sample();
-        assert_eq!(a.shared_products(&a), 3);
-        let diverse = Configuration::builder()
-            .component(catalog::operating_systems()[5].clone())
-            .component(catalog::crypto_libraries()[3].clone())
-            .component(catalog::consensus_modules()[4].clone())
-            .build();
-        assert_eq!(a.shared_products(&diverse), 0);
+        assert_eq!(empty.components().count(), 0);
     }
 
     #[test]
@@ -293,14 +227,5 @@ mod tests {
         let s = sample().to_string();
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("operating-system"));
-    }
-
-    #[test]
-    fn without_component_removes() {
-        let c = sample().without_component(ComponentKind::CryptoLibrary);
-        assert_eq!(c.layer_count(), 2);
-        // Removing an absent layer is a no-op.
-        let same = c.without_component(ComponentKind::Database);
-        assert_eq!(same, c);
     }
 }

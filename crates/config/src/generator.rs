@@ -298,16 +298,6 @@ impl Assignment {
         acc
     }
 
-    /// All replicas running configuration `config`.
-    #[must_use]
-    pub fn replicas_with_config(&self, config: usize) -> Vec<ReplicaId> {
-        self.entries
-            .iter()
-            .filter(|e| e.config == config)
-            .map(|e| e.replica)
-            .collect()
-    }
-
     /// The power-weighted configuration distribution `p` — the paper's
     /// relative configuration abundance over the full space `D`.
     ///
@@ -412,8 +402,8 @@ mod tests {
     fn monoculture_has_zero_entropy() {
         let a = Assignment::monoculture(&space(), 2, 10, VotingPower::UNIT).unwrap();
         assert_eq!(a.entropy_bits().unwrap(), 0.0);
-        assert_eq!(a.replicas_with_config(2).len(), 10);
-        assert_eq!(a.replicas_with_config(0).len(), 0);
+        assert_eq!(a.count_by_config()[2], 10);
+        assert_eq!(a.count_by_config()[0], 0);
     }
 
     #[test]

@@ -166,14 +166,6 @@ impl AbundanceVector {
         Ok(AbundanceVector { counts })
     }
 
-    /// Appends configurations with the given counts (growing the space).
-    #[must_use]
-    pub fn extended(&self, extra: &[u64]) -> AbundanceVector {
-        let mut counts = self.counts.clone();
-        counts.extend_from_slice(extra);
-        AbundanceVector { counts }
-    }
-
     /// Shannon entropy (bits) of the relative abundance; `0.0` for an empty
     /// system.
     #[must_use]
@@ -196,12 +188,6 @@ impl RelativeAbundance {
     #[must_use]
     pub fn distribution(&self) -> &Distribution {
         &self.dist
-    }
-
-    /// Consumes the wrapper, returning the distribution.
-    #[must_use]
-    pub fn into_distribution(self) -> Distribution {
-        self.dist
     }
 }
 
@@ -301,13 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_grows_dimension() {
-        let a = AbundanceVector::unit(2).unwrap().extended(&[0, 4]);
-        assert_eq!(a.dimension(), 4);
-        assert_eq!(a.total_individuals(), 6);
-    }
-
-    #[test]
     fn entropy_of_empty_is_zero() {
         let a = AbundanceVector::new(vec![0]).unwrap();
         assert_eq!(a.entropy_bits(), 0.0);
@@ -318,7 +297,5 @@ mod tests {
         let a = AbundanceVector::new(vec![1, 1]).unwrap();
         let d: Distribution = a.relative().unwrap().into();
         assert_eq!(d, Distribution::uniform(2).unwrap());
-        let d2 = a.relative().unwrap().into_distribution();
-        assert_eq!(d2, d);
     }
 }

@@ -214,16 +214,6 @@ impl Distribution {
         self.probs.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Drops zero entries, yielding the distribution restricted to its
-    /// support. Entropy is unchanged (the paper's `log(1/0) := 0`
-    /// convention makes zeros inert).
-    #[must_use]
-    pub fn restricted_to_support(&self) -> Distribution {
-        Distribution {
-            probs: self.probs.iter().copied().filter(|&p| p > 0.0).collect(),
-        }
-    }
-
     /// Appends `extra` zero-probability configurations (growing `k` without
     /// changing the distribution's mass). Useful for comparing spaces of
     /// different abundance.
@@ -457,14 +447,6 @@ mod tests {
     fn max_probability_finds_head() {
         let p = Distribution::from_weights(&[1.0, 5.0, 2.0]).unwrap();
         assert!(close(p.max_probability(), 5.0 / 8.0));
-    }
-
-    #[test]
-    fn restricted_to_support_preserves_entropy() {
-        let p = Distribution::from_weights(&[1.0, 0.0, 1.0, 0.0]).unwrap();
-        let r = p.restricted_to_support();
-        assert_eq!(r.dimension(), 2);
-        assert!(close(p.shannon_entropy(), r.shannon_entropy()));
     }
 
     #[test]

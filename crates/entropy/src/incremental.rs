@@ -23,8 +23,8 @@
 //!
 //! * **Equivalence.** For any weight vector, [`EntropyAccumulator::entropy_bits`]
 //!   agrees with [`crate::shannon_entropy_bits`] on the corresponding
-//!   [`Distribution`] to well under `1e-9` (property-tested across random
-//!   add/remove sequences).
+//!   [`crate::Distribution`] to well under `1e-9` (property-tested across
+//!   random add/remove sequences).
 //! * **Peek/apply consistency.** Every `peek_*` method performs bitwise the
 //!   same floating-point operations, in the same order, as the corresponding
 //!   mutation followed by [`EntropyAccumulator::entropy_bits`] — so a
@@ -33,8 +33,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dist::Distribution;
-use crate::error::DistributionError;
 use crate::shannon::normalized_entropy;
 
 /// `w · log2 w` with the `0 · log 0 := 0` convention.
@@ -332,22 +330,12 @@ impl EntropyAccumulator {
         let s = self.weighted_log_sum + xlog2(w);
         entropy_of(total, s, self.support + 1)
     }
-
-    /// The accumulator's state as a validated [`Distribution`] (for the
-    /// batch metrics: Rényi entropies, evenness, κ-optimality, …).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributionError::Empty`] for a slot-less accumulator and
-    /// [`DistributionError::ZeroTotalWeight`] when all buckets are empty.
-    pub fn to_distribution(&self) -> Result<Distribution, DistributionError> {
-        Distribution::from_counts(&self.weights)
-    }
 }
 
 /// One-pass power-weighted entropy of raw bucket weights via the same
-/// `log2 W − S/W` identity: no allocation, no [`Distribution`] construction,
-/// zero weights inert. This is what cached committee entropy is built from.
+/// `log2 W − S/W` identity: no allocation, no [`crate::Distribution`]
+/// construction, zero weights inert. This is what cached committee entropy
+/// is built from.
 ///
 /// # Example
 ///
@@ -382,6 +370,7 @@ pub fn weighted_entropy_bits<I: IntoIterator<Item = u64>>(weights: I) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Distribution;
     use crate::shannon::shannon_entropy_bits;
 
     fn naive(weights: &[u64]) -> f64 {
@@ -514,16 +503,6 @@ mod tests {
         assert_eq!(acc.peek_add(0, 0), before);
         assert_eq!(acc.peek_remove(0, 0), before);
         assert_eq!(acc.peek_move(0, 1, 0), before);
-    }
-
-    #[test]
-    fn to_distribution_round_trips() {
-        let acc = EntropyAccumulator::from_weights(&[3, 1, 0]);
-        let d = acc.to_distribution().unwrap();
-        assert_eq!(d.dimension(), 3);
-        assert!((d.shannon_entropy() - acc.entropy_bits()).abs() < 1e-12);
-        assert!(EntropyAccumulator::new(0).to_distribution().is_err());
-        assert!(EntropyAccumulator::new(3).to_distribution().is_err());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`incremental`] — the [`EntropyAccumulator`]: O(1) add/remove/peek of
 //!   power at a configuration bucket via `H = log2 W − S/W`, powering the
 //!   selection and monitoring hot paths;
-//! * [`renyi`] — the Rényi family (Hartley, collision, min-entropy) and Hill
-//!   numbers, which generalise "how many effectively independent
-//!   configurations are there";
+//! * [`renyi`] — the Rényi family (Hartley, collision, min-entropy), which
+//!   generalises "how many effectively independent configurations are
+//!   there";
 //! * [`abundance`] — configuration abundance and *relative* configuration
 //!   abundance (§IV-B), the ecology-inspired measures the paper uses to
 //!   separate permissioned (count matters) from permissionless (share
@@ -21,10 +21,8 @@
 //!   Definition 2 ((κ,ω)-optimal resilience) as checkable predicates;
 //! * [`propositions`] — Propositions 1–3 as executable, numerically checked
 //!   statements;
-//! * [`estimate`] — entropy estimation from sampled configurations
-//!   (plug-in and Miller–Madow), for the configuration-discovery pipeline;
 //! * [`metrics`] — complementary decentralization metrics (Nakamoto
-//!   coefficient, Gini, top-k share) over the same distributions;
+//!   coefficient, Gini) over the same distributions;
 //! * [`bitcoin`] — the exact Example-1 mining-pool distribution
 //!   (2023-02-02) and the Figure-1 curve generator.
 //!
@@ -51,7 +49,6 @@ pub mod abundance;
 pub mod bitcoin;
 pub mod dist;
 pub mod error;
-pub mod estimate;
 pub mod incremental;
 pub mod metrics;
 pub mod optimal;

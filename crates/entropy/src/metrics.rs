@@ -7,10 +7,7 @@
 //! * the **Nakamoto coefficient** — the minimum number of configurations
 //!   that jointly control a threshold share (e.g. 50 % for Nakamoto
 //!   consensus, 33 % for BFT quorum denial);
-//! * the **Gini coefficient** — inequality of the share distribution;
-//! * the **top-k share** — cumulative share of the k largest
-//!   configurations (the "top 10 pools possess over 96 %" figure from
-//!   §III-A).
+//! * the **Gini coefficient** — inequality of the share distribution.
 
 use crate::dist::Distribution;
 use crate::error::DistributionError;
@@ -79,25 +76,6 @@ pub fn gini_coefficient(p: &Distribution) -> f64 {
     (2.0 * weighted) / n - (n + 1.0) / n
 }
 
-/// The combined share of the `k` largest configurations.
-///
-/// # Example
-///
-/// ```
-/// use fi_entropy::{metrics::top_k_share, Distribution};
-/// let p = Distribution::from_weights(&[50.0, 30.0, 15.0, 5.0])?;
-/// assert!((top_k_share(&p, 2) - 0.8).abs() < 1e-12);
-/// assert_eq!(top_k_share(&p, 0), 0.0);
-/// assert!((top_k_share(&p, 99) - 1.0).abs() < 1e-12);
-/// # Ok::<(), fi_entropy::DistributionError>(())
-/// ```
-#[must_use]
-pub fn top_k_share(p: &Distribution, k: usize) -> f64 {
-    let mut shares: Vec<f64> = p.probabilities().to_vec();
-    shares.sort_by(|a, b| b.total_cmp(a));
-    shares.iter().take(k).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,26 +136,5 @@ mod tests {
         let a = Distribution::from_weights(&[1.0, 2.0, 3.0]).unwrap();
         let b = Distribution::from_weights(&[10.0, 20.0, 30.0]).unwrap();
         assert!(close(gini_coefficient(&a), gini_coefficient(&b)));
-    }
-
-    #[test]
-    fn top_k_share_matches_paper_statistic() {
-        // §III-A: "The top 10 mining pools in Bitcoin in total possess over
-        // 96% mining power" — 96.3% of the whole network; 97.1% of the
-        // pools-only distribution.
-        let pools = bitcoin::example1_distribution();
-        let top10 = top_k_share(&pools, 10);
-        assert!(top10 > 0.97 && top10 < 0.98, "top10 = {top10}");
-        let network = bitcoin::figure1_distribution(100).unwrap();
-        let top10_network = top_k_share(&network, 10);
-        assert!(top10_network > 0.96 && top10_network < 0.97);
-    }
-
-    #[test]
-    fn top_k_monotone_in_k() {
-        let p = Distribution::from_weights(&[5.0, 4.0, 3.0, 2.0, 1.0]).unwrap();
-        for k in 0..5 {
-            assert!(top_k_share(&p, k) <= top_k_share(&p, k + 1) + 1e-12);
-        }
     }
 }

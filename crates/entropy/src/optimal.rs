@@ -67,13 +67,6 @@ impl KappaOptimality {
         self.uniform_on_support && self.kappa > 0
     }
 
-    /// `true` iff the distribution is κ-optimal *for the given κ*
-    /// (Definition 1 quantifies over a chosen κ ≤ k).
-    #[must_use]
-    pub fn is_optimal_for(&self, kappa: usize) -> bool {
-        self.is_optimal() && self.kappa == kappa
-    }
-
     /// The achieved Shannon entropy in bits.
     #[must_use]
     pub fn entropy_bits(&self) -> f64 {
@@ -85,23 +78,6 @@ impl KappaOptimality {
     pub fn entropy_deficit_bits(&self) -> f64 {
         self.entropy_deficit_bits
     }
-}
-
-/// Convenience wrapper: does `p` achieve κ-optimal fault independence for
-/// the specific `kappa`?
-///
-/// # Example
-///
-/// ```
-/// use fi_entropy::{optimal::is_kappa_optimal, Distribution};
-/// let p = Distribution::from_weights(&[1.0, 1.0, 0.0, 1.0])?;
-/// assert!(is_kappa_optimal(&p, 3));
-/// assert!(!is_kappa_optimal(&p, 4));
-/// # Ok::<(), fi_entropy::DistributionError>(())
-/// ```
-#[must_use]
-pub fn is_kappa_optimal(p: &Distribution, kappa: usize) -> bool {
-    KappaOptimality::check(p, DEFAULT_TOLERANCE).is_optimal_for(kappa)
 }
 
 /// The verdict of checking an abundance vector against Definition 2.
@@ -153,29 +129,6 @@ impl OptimalResilience {
     pub fn is_optimal(&self) -> bool {
         self.kappa_optimal && self.omega.is_some() && self.kappa > 0
     }
-
-    /// `true` iff the system is exactly (κ,ω)-optimal for the given values.
-    #[must_use]
-    pub fn is_optimal_for(&self, kappa: usize, omega: u64) -> bool {
-        self.is_optimal() && self.kappa == kappa && self.omega == Some(omega)
-    }
-}
-
-/// Is the abundance vector (κ,ω)-optimally resilient for the given
-/// parameters (Definition 2)?
-///
-/// # Example
-///
-/// ```
-/// use fi_entropy::{optimal::is_kappa_omega_optimal, AbundanceVector};
-/// let a = AbundanceVector::uniform(5, 3)?;
-/// assert!(is_kappa_omega_optimal(&a, 5, 3));
-/// assert!(!is_kappa_omega_optimal(&a, 5, 1));
-/// # Ok::<(), fi_entropy::DistributionError>(())
-/// ```
-#[must_use]
-pub fn is_kappa_omega_optimal(a: &AbundanceVector, kappa: usize, omega: u64) -> bool {
-    OptimalResilience::check(a).is_optimal_for(kappa, omega)
 }
 
 /// The κ-optimal distribution closest to `p` that keeps `p`'s support:
@@ -205,8 +158,7 @@ mod tests {
         let p = Distribution::uniform(6).unwrap();
         let check = KappaOptimality::check(&p, DEFAULT_TOLERANCE);
         assert!(check.is_optimal());
-        assert!(check.is_optimal_for(6));
-        assert!(!check.is_optimal_for(5));
+        assert_eq!(check.kappa(), 6);
         assert!(check.entropy_deficit_bits() < 1e-12);
     }
 
@@ -214,7 +166,9 @@ mod tests {
     fn zeros_do_not_break_optimality() {
         // Definition 1 quantifies over the support p' only.
         let p = Distribution::from_weights(&[1.0, 0.0, 1.0, 0.0]).unwrap();
-        assert!(is_kappa_optimal(&p, 2));
+        let check = KappaOptimality::check(&p, DEFAULT_TOLERANCE);
+        assert!(check.is_optimal());
+        assert_eq!(check.kappa(), 2);
     }
 
     #[test]
@@ -240,7 +194,6 @@ mod tests {
         assert!(check.is_optimal());
         assert_eq!(check.kappa(), 4);
         assert_eq!(check.omega(), Some(2));
-        assert!(is_kappa_omega_optimal(&a, 4, 2));
     }
 
     #[test]
@@ -256,7 +209,9 @@ mod tests {
         // "Traditional BFT-SMR systems … the configuration abundance is 1
         // for all configurations" (§IV-B).
         let a = AbundanceVector::unit(7).unwrap();
-        assert!(is_kappa_omega_optimal(&a, 7, 1));
+        let check = OptimalResilience::check(&a);
+        assert!(check.is_optimal());
+        assert_eq!((check.kappa(), check.omega()), (7, Some(1)));
     }
 
     #[test]
@@ -270,7 +225,7 @@ mod tests {
         let p = Distribution::from_weights(&[5.0, 0.0, 1.0]).unwrap();
         let q = nearest_kappa_optimal(&p);
         assert_eq!(q.support_size(), 2);
-        assert!(is_kappa_optimal(&q, 2));
+        assert!(KappaOptimality::check(&q, DEFAULT_TOLERANCE).is_optimal());
         assert_eq!(q.probabilities()[1], 0.0);
     }
 

@@ -10,10 +10,6 @@
 //!   power.
 //! * **Hartley entropy** (`α = 0`) counts the support — the number of
 //!   distinct configurations regardless of share.
-//!
-//! Hill numbers `N_α = exp_b(H_α)` convert any of these into an "effective
-//! number of configurations", the unit in which κ-optimality is easiest to
-//! read.
 
 use crate::dist::Distribution;
 use crate::error::DistributionError;
@@ -81,31 +77,14 @@ pub fn min_entropy_bits(p: &Distribution) -> f64 {
     }
 }
 
-/// Collision entropy `H_2(p) = −log2 Σ p_i²` in bits. `Σ p_i²` is the
-/// Simpson/Herfindahl–Hirschman concentration index: the probability that
-/// two independently sampled units of voting power share a configuration
-/// (and hence share every configuration-level vulnerability).
-#[must_use]
-pub fn collision_entropy_bits(p: &Distribution) -> f64 {
-    renyi_entropy_bits(p, 2.0).expect("alpha = 2 is valid")
-}
-
-/// The Herfindahl–Hirschman concentration index `Σ p_i²` itself, in
-/// `[1/k, 1]`. Regulators use > 0.25 as "highly concentrated"; Example 1's
-/// Bitcoin distribution lands near 0.2.
+/// The Simpson/Herfindahl–Hirschman concentration index `Σ p_i²`, in
+/// `[1/k, 1]`: the probability that two independently sampled units of
+/// voting power share a configuration (and hence share every
+/// configuration-level vulnerability). Regulators use > 0.25 as "highly
+/// concentrated"; Example 1's Bitcoin distribution lands near 0.2.
 #[must_use]
 pub fn concentration_index(p: &Distribution) -> f64 {
     p.probabilities().iter().map(|&pi| pi * pi).sum()
-}
-
-/// Hill number `N_α = 2^{H_α}`: the equivalent number of equally-common
-/// configurations at order `α`.
-///
-/// # Errors
-///
-/// Same as [`renyi_entropy_bits`].
-pub fn hill_number(p: &Distribution, alpha: f64) -> Result<f64, DistributionError> {
-    Ok(renyi_entropy_bits(p, alpha)?.exp2())
 }
 
 #[cfg(test)]
@@ -166,7 +145,7 @@ mod tests {
     fn collision_entropy_and_concentration_agree() {
         let p = Distribution::from_weights(&[3.0, 1.0]).unwrap();
         assert!(close(
-            collision_entropy_bits(&p),
+            renyi_entropy_bits(&p, 2.0).unwrap(),
             -concentration_index(&p).log2()
         ));
     }
@@ -177,16 +156,5 @@ mod tests {
         assert!(close(concentration_index(&u), 0.1));
         let d = Distribution::degenerate(10, 3).unwrap();
         assert!(close(concentration_index(&d), 1.0));
-    }
-
-    #[test]
-    fn hill_numbers_interpolate_counts() {
-        let p = Distribution::from_weights(&[8.0, 1.0, 1.0]).unwrap();
-        let n0 = hill_number(&p, 0.0).unwrap();
-        let n1 = hill_number(&p, 1.0).unwrap();
-        let ninf = hill_number(&p, f64::INFINITY).unwrap();
-        assert!(close(n0, 3.0));
-        assert!(n1 < n0 && n1 > ninf);
-        assert!(close(ninf, 10.0 / 8.0));
     }
 }

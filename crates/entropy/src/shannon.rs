@@ -4,7 +4,7 @@
 //! convention `log(1/0) := 0` (zero-probability configurations contribute
 //! nothing). All public functions default to base-2 logarithms (bits), which
 //! is what makes the paper's "8 uniform replicas ⇒ entropy 3" comparison
-//! line up; natural-log variants are provided for interoperability.
+//! line up; [`shannon_entropy`] takes any other [`LogBase`].
 
 use crate::dist::Distribution;
 
@@ -74,12 +74,6 @@ pub fn shannon_entropy(p: &Distribution, base: LogBase) -> f64 {
 #[must_use]
 pub fn shannon_entropy_bits(p: &Distribution) -> f64 {
     shannon_entropy(p, LogBase::Two)
-}
-
-/// Shannon entropy in nats.
-#[must_use]
-pub fn shannon_entropy_nats(p: &Distribution) -> f64 {
-    shannon_entropy(p, LogBase::E)
 }
 
 /// The maximum achievable entropy (bits) for a space of `k` configurations:
@@ -234,7 +228,6 @@ mod tests {
         let harts = shannon_entropy(&p, LogBase::Ten);
         assert!(close(nats, bits * std::f64::consts::LN_2));
         assert!(close(harts, bits * 2f64.log10()));
-        assert!(close(shannon_entropy_nats(&p), nats));
     }
 
     #[test]

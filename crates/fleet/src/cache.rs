@@ -76,8 +76,8 @@ struct CacheEntry {
 /// use fi_fleet::{churn_trace, ChurnTraceConfig, EpochSnapshot, SelectionCache, ShardedFleet};
 ///
 /// let fleet = ShardedFleet::new(2, TwoTierWeights::default());
-/// fleet.ingest_batch(&churn_trace(&ChurnTraceConfig::new(300, 600)));
-/// let snapshot = fleet.seal_epoch();
+/// fleet.try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(300, 600))).unwrap();
+/// let snapshot = fleet.try_seal_epoch().unwrap();
 ///
 /// let cache = SelectionCache::default();
 /// let first = cache.select_greedy(&snapshot, 16);
@@ -237,8 +237,10 @@ mod tests {
 
     fn sealed_snapshot(devices: u64, ops: usize) -> Arc<EpochSnapshot> {
         let fleet = ShardedFleet::new(2, TwoTierWeights::default());
-        fleet.ingest_batch(&churn_trace(&ChurnTraceConfig::new(devices, ops)));
-        fleet.seal_epoch()
+        fleet
+            .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(devices, ops)))
+            .unwrap();
+        fleet.try_seal_epoch().unwrap()
     }
 
     #[test]
@@ -273,10 +275,10 @@ mod tests {
         // distinct key over the same short selection.
         let fleet = ShardedFleet::new(1, TwoTierWeights::default());
         let trace = churn_trace(&ChurnTraceConfig::new(12, 40));
-        fleet.ingest_batch(&trace[..30]);
-        let old = fleet.seal_epoch();
-        fleet.ingest_batch(&trace[30..]);
-        let new = fleet.seal_epoch();
+        fleet.try_ingest_batch(&trace[..30]).unwrap();
+        let old = fleet.try_seal_epoch().unwrap();
+        fleet.try_ingest_batch(&trace[30..]).unwrap();
+        let new = fleet.try_seal_epoch().unwrap();
         assert_ne!(old.content_hash(), new.content_hash());
 
         let cache = SelectionCache::default();
@@ -306,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_queries_and_invalidation_stay_consistent() {
+    fn concurrent_readers_match_the_cold_oracle_and_keep_one_entry_per_key() {
         // Four readers share eight keys: racing misses on one key keep one
         // entry, and every answer equals the cold selection.
         let snap = sealed_snapshot(150, 400);
@@ -333,14 +335,14 @@ mod tests {
         let trace = churn_trace(&ChurnTraceConfig::new(400, 2_600));
         let cache = SelectionCache::default();
         // Epoch 1: populate the fleet (full build, no parent to chain on).
-        fleet.ingest_batch(&trace[..2_000]);
-        let snap = fleet.seal_epoch();
+        fleet.try_ingest_batch(&trace[..2_000]).unwrap();
+        let snap = fleet.try_seal_epoch().unwrap();
         let _ = cache.select_greedy(&snap, 16);
         // Steady state: small churn batches, so every differential epoch
         // stays under the warm-start fallback threshold.
         for batch in trace[2_000..].chunks(12) {
-            fleet.ingest_batch(batch);
-            let snap = fleet.seal_epoch();
+            fleet.try_ingest_batch(batch).unwrap();
+            let snap = fleet.try_seal_epoch().unwrap();
             let cached = cache.select_greedy(&snap, 16);
             assert_eq!(
                 cached.members(),

@@ -19,7 +19,8 @@
 //! all in the `fi_types::codec` encoding. Files are written to a
 //! temporary name, fsynced, then atomically renamed — a crash mid-write
 //! leaves at most a stray `.tmp`, never a half-checkpoint under the real
-//! name. [`Checkpoint::load`] verifies the CRC, rebuilds the snapshot,
+//! name; nothing loads a `.tmp`, and the next [`prune`] deletes it.
+//! [`Checkpoint::load`] verifies the CRC, rebuilds the snapshot,
 //! and re-derives the content hash; a checkpoint whose rebuilt hash
 //! differs from the recorded one is rejected, so recovery can never
 //! silently serve state that differs from what was sealed.
@@ -210,8 +211,13 @@ pub fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
 
 /// Lists checkpoint files under `dir`, sorted by epoch ascending.
 pub fn list_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
+    list_with_suffix(dir.as_ref(), ".fic")
+}
+
+/// The `ckpt-{epoch}{suffix}` files under `dir`, sorted by epoch ascending.
+fn list_with_suffix(dir: &Path, suffix: &str) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
     let mut found = Vec::new();
-    let entries = match fs::read_dir(dir.as_ref()) {
+    let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
         Err(e) => return Err(e.into()),
@@ -222,7 +228,7 @@ pub fn list_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, Ch
         let Some(name) = name.to_str() else { continue };
         let Some(epoch) = name
             .strip_prefix("ckpt-")
-            .and_then(|rest| rest.strip_suffix(".fic"))
+            .and_then(|rest| rest.strip_suffix(suffix))
             .and_then(|digits| digits.parse::<u64>().ok())
         else {
             continue;
@@ -255,11 +261,16 @@ pub fn latest_valid(
     Ok(None)
 }
 
-/// Deletes all but the newest `retain` checkpoints.
+/// Deletes all but the newest `retain` checkpoints, and every staged
+/// `.tmp` that a crash between [`Checkpoint::write`]'s fsync and its rename
+/// left behind. The sealer prunes right after it writes, still under the
+/// seal mutex, so no live writer owns a `.tmp` here.
 pub fn prune(dir: impl AsRef<Path>, retain: usize) -> Result<(), CheckpointError> {
-    let checkpoints = list_checkpoints(&dir)?;
+    let dir = dir.as_ref();
+    let checkpoints = list_with_suffix(dir, ".fic")?;
     let excess = checkpoints.len().saturating_sub(retain.max(1));
-    for (_, path) in &checkpoints[..excess] {
+    let stale = list_with_suffix(dir, ".tmp")?;
+    for (_, path) in checkpoints[..excess].iter().chain(&stale) {
         fs::remove_file(path)?;
     }
     Ok(())
@@ -282,8 +293,10 @@ mod tests {
 
     fn sealed_snapshot() -> std::sync::Arc<EpochSnapshot> {
         let fleet = ShardedFleet::new(4, TwoTierWeights::default());
-        fleet.ingest_batch(&churn_trace(&ChurnTraceConfig::new(200, 500)));
-        fleet.seal_epoch()
+        fleet
+            .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(200, 500)))
+            .unwrap();
+        fleet.try_seal_epoch().unwrap()
     }
 
     #[test]
@@ -368,6 +381,33 @@ mod tests {
             .map(|(e, _)| e)
             .collect();
         assert_eq!(left, vec![4, 5]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prune_removes_a_stray_tmp_that_nothing_loaded() {
+        let dir = tmpdir("stray-tmp");
+        let snapshot = sealed_snapshot();
+        for epoch in 1..=3 {
+            Checkpoint {
+                epoch,
+                ..Checkpoint::from_snapshot(&snapshot)
+            }
+            .write(&dir)
+            .unwrap();
+        }
+        // A crash between `write`'s fsync and rename: epoch 3's whole,
+        // valid checkpoint, still under its staging name.
+        let stray = checkpoint_path(&dir, 3).with_extension("tmp");
+        fs::rename(checkpoint_path(&dir, 3), &stray).unwrap();
+        let real = [checkpoint_path(&dir, 1), checkpoint_path(&dir, 2)];
+        let before: Vec<Vec<u8>> = real.iter().map(|p| fs::read(p).unwrap()).collect();
+
+        assert_eq!(latest_valid(&dir).unwrap().unwrap().0.epoch, 2);
+        prune(&dir, 2).unwrap();
+        assert!(!stray.exists(), "the stray .tmp survived prune");
+        let after: Vec<Vec<u8>> = real.iter().map(|p| fs::read(p).unwrap()).collect();
+        assert_eq!(after, before);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -24,14 +24,14 @@
 //! them, and the differential suite pins their composition to
 //! `try_ingest_batch`.
 //!
-//! [`seal_epoch`](ShardedFleet::seal_epoch) is the write→read barrier, and
-//! it is **differential**: each shard accumulates a
+//! [`try_seal_epoch`](ShardedFleet::try_seal_epoch) is the write→read
+//! barrier, and it is **differential**: each shard accumulates a
 //! [`ChurnDelta`](fi_attest::ChurnDelta) of the net churn since the last
 //! cut, so sealing an epoch that saw little churn drains the deltas, sorts
 //! them once into a [`CanonicalDelta`] — O(churn) — and patches the
 //! previous snapshot with it ([`EpochSnapshot::try_apply_delta`]) instead
 //! of re-merging every shard.
-//! A full rebuild ([`EpochSnapshot::build`] over a complete shard merge)
+//! A full rebuild (`EpochSnapshot::build` over a complete shard merge)
 //! is the cold start (epoch 1) and the recovery path after a rejected or
 //! dead seal; a caller can also force one every `R` seals
 //! ([`ShardedFleet::with_reanchor_interval`]) as a reference to compare
@@ -116,8 +116,8 @@ enum SealWork {
 ///         VotingPower::new(100),
 ///     ))
 ///     .collect();
-/// fleet.ingest_batch(&ops);
-/// let snapshot = fleet.seal_epoch();
+/// fleet.try_ingest_batch(&ops).unwrap();
+/// let snapshot = fleet.try_seal_epoch().unwrap();
 /// assert_eq!(snapshot.epoch(), 1);
 /// assert_eq!(snapshot.device_count(), 16);
 /// assert!((snapshot.entropy_bits(false)? - 2.0).abs() < 1e-12);
@@ -178,9 +178,12 @@ pub(crate) struct DurabilityState {
     /// `with_reanchor_interval(_, _, 0)` must not silently mean
     /// "checkpoint never".
     pub(crate) checkpoint_interval: u64,
-    /// How many of the newest checkpoints survive pruning.
-    pub(crate) retain_checkpoints: usize,
 }
+
+/// How many of the newest checkpoints survive the prune that follows each
+/// checkpoint write: the one just written, plus one to fall back to if it
+/// turns out damaged.
+const RETAIN_CHECKPOINTS: usize = 2;
 
 /// What the seal mutex guards.
 #[derive(Debug)]
@@ -360,27 +363,10 @@ impl ShardedFleet {
     /// shard, and applied one shard after another. Relative op order *per
     /// device* is preserved, which is the only order the end state depends
     /// on. The whole batch is atomic with respect to
-    /// [`seal_epoch`](Self::seal_epoch): a concurrent seal observes either
-    /// none or all of it.
+    /// [`try_seal_epoch`](Self::try_seal_epoch): a concurrent seal observes
+    /// either none or all of it.
     ///
-    /// # Panics
-    ///
-    /// Infallible on in-memory fleets. On a durable fleet a write-ahead
-    /// log failure panics; serving paths use
-    /// [`try_ingest_batch`](Self::try_ingest_batch) and get the typed
-    /// [`IngestError`] instead.
-    pub fn ingest_batch(&self, ops: &[ChurnOp]) {
-        self.try_ingest_batch(ops)
-            // lint: allow(panic) documented panicking wrapper for tests and
-            // doc examples; serving paths call try_ingest_batch.
-            .expect("write-ahead churn log append failed; durability contract broken");
-    }
-
-    /// [`ingest_batch`](Self::ingest_batch), but a batch the durability
-    /// layer cannot persist comes back as [`IngestError::WalAppend`]
-    /// instead of a panic.
-    ///
-    /// The failure is **clean**: the batch is framed into the log *before*
+    /// A failure is **clean**: the batch is framed into the log *before*
     /// it lands on any shard, so on `Err` no shard observed any op, the
     /// batch gate is released un-poisoned, and reads and seals keep
     /// working. The caller retries once the disk fault is repaired.
@@ -388,7 +374,8 @@ impl ShardedFleet {
     /// # Errors
     ///
     /// Returns [`IngestError::WalAppend`] when the write-ahead log could
-    /// not persist the batch (durable fleets only).
+    /// not persist the batch (durable fleets only; an in-memory fleet
+    /// never fails).
     pub fn try_ingest_batch(&self, ops: &[ChurnOp]) -> Result<(), IngestError> {
         // The gate guards no data (`()`): recover from poisoning rather
         // than letting one panicked holder refuse every future batch.
@@ -528,24 +515,7 @@ impl ShardedFleet {
     /// after the cut, so snapshot construction stalls neither ingest nor
     /// reads. Concurrent callers serialise and seal consecutive epochs.
     ///
-    /// **Test-only convenience.** This wrapper turns every [`SealError`]
-    /// back into a panic, where [`try_seal_epoch`](Self::try_seal_epoch)
-    /// lets the fleet keep serving after a rejected seal. It exists so
-    /// unit tests and doc examples can seal without `Result` plumbing;
-    /// production callers — the `fi-serve` seal driver, recovery replay,
-    /// fibench — use `try_seal_epoch` and handle the typed error.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SealError`].
-    pub fn seal_epoch(&self) -> Arc<EpochSnapshot> {
-        // lint: allow(panic) documented panicking wrapper for tests and doc
-        // examples; production callers use try_seal_epoch.
-        self.try_seal_epoch().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`seal_epoch`](Self::seal_epoch), but a seal that cannot complete
-    /// comes back as a [`SealError`] instead of a panic.
+    /// # Errors
     ///
     /// The failure the fleet is designed to survive is
     /// [`SealError::CorruptDelta`]: a drained churn delta that does not
@@ -692,7 +662,7 @@ impl ShardedFleet {
             }
             if dur.checkpoint_interval > 0 && epoch.is_multiple_of(dur.checkpoint_interval) {
                 Checkpoint::from_snapshot(&snapshot).write(&dur.dir)?;
-                checkpoint::prune(&dur.dir, dur.retain_checkpoints)?;
+                checkpoint::prune(&dur.dir, RETAIN_CHECKPOINTS)?;
             }
         }
         Ok(snapshot)
@@ -778,9 +748,9 @@ mod tests {
         for shards in [1usize, 2, 3, 4, 8] {
             let fleet = ShardedFleet::new(shards, TwoTierWeights::flat());
             for batch in trace.chunks(10) {
-                fleet.ingest_batch(batch);
+                fleet.try_ingest_batch(batch).unwrap();
             }
-            let snap = fleet.seal_epoch();
+            let snap = fleet.try_seal_epoch().unwrap();
             assert_eq!(snap.device_count(), 64);
             hashes.push((
                 snap.content_hash(),
@@ -796,16 +766,18 @@ mod tests {
     #[test]
     fn seal_publishes_and_increments_epochs() {
         let fleet = ShardedFleet::new(2, TwoTierWeights::flat());
-        fleet.ingest_batch(&ops(8));
-        let first = fleet.seal_epoch();
+        fleet.try_ingest_batch(&ops(8)).unwrap();
+        let first = fleet.try_seal_epoch().unwrap();
         assert_eq!(first.epoch(), 1);
         assert_eq!(fleet.snapshot().epoch(), 1);
-        fleet.ingest_batch(&[ChurnOp::Deregister {
-            replica: ReplicaId::new(0),
-        }]);
+        fleet
+            .try_ingest_batch(&[ChurnOp::Deregister {
+                replica: ReplicaId::new(0),
+            }])
+            .unwrap();
         // Epoch 2 takes the differential path and must still observe the
         // departure.
-        let second = fleet.seal_epoch();
+        let second = fleet.try_seal_epoch().unwrap();
         assert_eq!(second.epoch(), 2);
         assert_eq!(second.device_count(), 7);
         // The first snapshot is immutable — readers holding it are unaffected.
@@ -825,12 +797,12 @@ mod tests {
         let mixed = ShardedFleet::with_reanchor_interval(4, TwoTierWeights::flat(), 3);
         for batch in trace.chunks(7) {
             for fleet in [&full, &differential, &mixed] {
-                fleet.ingest_batch(batch);
+                fleet.try_ingest_batch(batch).unwrap();
             }
             let (a, b, c) = (
-                full.seal_epoch(),
-                differential.seal_epoch(),
-                mixed.seal_epoch(),
+                full.try_seal_epoch().unwrap(),
+                differential.try_seal_epoch().unwrap(),
+                mixed.try_seal_epoch().unwrap(),
             );
             assert_eq!(a.content_hash(), b.content_hash());
             assert_eq!(a.content_hash(), c.content_hash());
@@ -865,22 +837,22 @@ mod tests {
             let fleet = &fleet;
             scope.spawn(move || {
                 for batch in trace.chunks(20) {
-                    fleet.ingest_batch(batch);
+                    fleet.try_ingest_batch(batch).unwrap();
                 }
             });
             scope.spawn(move || {
                 for _ in 0..10 {
-                    let _ = fleet.seal_epoch();
+                    let _ = fleet.try_seal_epoch().unwrap();
                 }
             });
         });
-        let final_snap = fleet.seal_epoch();
+        let final_snap = fleet.try_seal_epoch().unwrap();
         assert_eq!(final_snap.device_count(), 200);
         let oracle = ShardedFleet::new(1, TwoTierWeights::flat());
-        oracle.ingest_batch(&ops(200));
+        oracle.try_ingest_batch(&ops(200)).unwrap();
         assert_eq!(
             final_snap.content_hash(),
-            oracle.seal_epoch().content_hash()
+            oracle.try_seal_epoch().unwrap().content_hash()
         );
     }
 
@@ -897,13 +869,13 @@ mod tests {
             let sealed_epochs = &sealed_epochs;
             scope.spawn(move || {
                 for batch in trace.chunks(12) {
-                    fleet.ingest_batch(batch);
+                    fleet.try_ingest_batch(batch).unwrap();
                 }
             });
             for _ in 0..3 {
                 scope.spawn(move || {
                     for _ in 0..4 {
-                        let epoch = fleet.seal_epoch().epoch();
+                        let epoch = fleet.try_seal_epoch().unwrap().epoch();
                         sealed_epochs.lock().unwrap().push(epoch);
                     }
                 });
@@ -914,7 +886,7 @@ mod tests {
         assert_eq!(epochs, (1..=12).collect::<Vec<u64>>());
         assert_eq!(fleet.snapshot().epoch(), 12);
         // Sealing once more at quiescence observes everything.
-        let final_snap = fleet.seal_epoch();
+        let final_snap = fleet.try_seal_epoch().unwrap();
         assert_eq!(final_snap.epoch(), 13);
         assert_eq!(final_snap.device_count(), 120);
     }
@@ -930,13 +902,13 @@ mod tests {
             let fleet = &fleet;
             scope.spawn(move || {
                 for batch in trace.chunks(8) {
-                    fleet.ingest_batch(batch);
+                    fleet.try_ingest_batch(batch).unwrap();
                 }
             });
             for _ in 0..3 {
                 scope.spawn(move || {
                     for _ in 0..6 {
-                        let _ = fleet.seal_epoch();
+                        let _ = fleet.try_seal_epoch().unwrap();
                     }
                 });
             }
@@ -977,7 +949,7 @@ mod tests {
                             )
                         })
                         .collect();
-                    fleet.ingest_batch(&batch);
+                    fleet.try_ingest_batch(&batch).unwrap();
                 }
             });
             scope.spawn(move || {
@@ -1018,8 +990,8 @@ mod tests {
         // such lock, and the seal mutex and the batch gate recover from
         // poisoning explicitly.
         let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
-        fleet.ingest_batch(&ops(16));
-        assert_eq!(fleet.seal_epoch().epoch(), 1);
+        fleet.try_ingest_batch(&ops(16)).unwrap();
+        assert_eq!(fleet.try_seal_epoch().unwrap().epoch(), 1);
 
         poison_by_panic(|| fleet.seal.lock().unwrap());
         poison_by_panic(|| fleet.batch_gate.write().unwrap());
@@ -1034,11 +1006,13 @@ mod tests {
         assert_eq!(fleet.snapshot().epoch(), 1);
         let mut reader = fleet.reader();
         assert_eq!(reader.get().epoch(), 1);
-        fleet.ingest_batch(&[ChurnOp::Deregister {
-            replica: ReplicaId::new(0),
-        }]);
+        fleet
+            .try_ingest_batch(&[ChurnOp::Deregister {
+                replica: ReplicaId::new(0),
+            }])
+            .unwrap();
         assert_eq!(fleet.device_count(), 15);
-        let sealed = fleet.seal_epoch();
+        let sealed = fleet.try_seal_epoch().unwrap();
         assert_eq!(sealed.epoch(), 2);
         assert_eq!(sealed.device_count(), 15);
         assert_eq!(reader.get().epoch(), 2);
@@ -1053,8 +1027,8 @@ mod tests {
         // no pending delta. Cadence 0: only the flag can make epoch 2 a
         // full rebuild.
         let fleet = ShardedFleet::with_reanchor_interval(4, TwoTierWeights::flat(), 0);
-        fleet.ingest_batch(&ops(16));
-        assert_eq!(fleet.seal_epoch().epoch(), 1);
+        fleet.try_ingest_batch(&ops(16)).unwrap();
+        assert_eq!(fleet.try_seal_epoch().unwrap().epoch(), 1);
         let late = [
             ChurnOp::attest(
                 ReplicaId::new(9000),
@@ -1065,7 +1039,7 @@ mod tests {
                 replica: ReplicaId::new(3),
             },
         ];
-        fleet.ingest_batch(&late);
+        fleet.try_ingest_batch(&late).unwrap();
 
         poison_by_panic(|| {
             let mut st = fleet.seal.lock().unwrap();
@@ -1082,12 +1056,12 @@ mod tests {
         assert_eq!(sealed.epoch(), 2);
         assert_eq!(fleet.published_epoch(), 2);
         let oracle = ShardedFleet::new(1, TwoTierWeights::flat());
-        oracle.ingest_batch(&ops(16));
-        oracle.seal_epoch();
-        oracle.ingest_batch(&late);
+        oracle.try_ingest_batch(&ops(16)).unwrap();
+        oracle.try_seal_epoch().unwrap();
+        oracle.try_ingest_batch(&late).unwrap();
         assert_eq!(
             sealed.content_hash(),
-            oracle.seal_epoch().content_hash(),
+            oracle.try_seal_epoch().unwrap().content_hash(),
             "the drained churn must come back from the shards"
         );
     }
@@ -1101,8 +1075,8 @@ mod tests {
         // epoch rolls back, and the next seal re-anchors from the
         // authoritative shard state.
         let fleet = ShardedFleet::with_reanchor_interval(4, TwoTierWeights::flat(), 0);
-        fleet.ingest_batch(&ops(16));
-        assert_eq!(fleet.seal_epoch().epoch(), 1);
+        fleet.try_ingest_batch(&ops(16)).unwrap();
+        assert_eq!(fleet.try_seal_epoch().unwrap().epoch(), 1);
 
         // Forge the corruption: register a device whose measurement opens
         // a brand-new bucket, steal the shard's pending delta (so the
@@ -1110,16 +1084,20 @@ mod tests {
         // deregister it — the surviving delta edits a bucket the published
         // snapshot has never seen.
         let rogue = ReplicaId::new(7777);
-        fleet.ingest_batch(&[ChurnOp::attest(
-            rogue,
-            sha256(b"rogue-config"),
-            VotingPower::new(50),
-        )]);
+        fleet
+            .try_ingest_batch(&[ChurnOp::attest(
+                rogue,
+                sha256(b"rogue-config"),
+                VotingPower::new(50),
+            )])
+            .unwrap();
         let _stolen = fleet.shards[fleet.shard_of(rogue)]
             .lock()
             .unwrap()
             .take_delta();
-        fleet.ingest_batch(&[ChurnOp::Deregister { replica: rogue }]);
+        fleet
+            .try_ingest_batch(&[ChurnOp::Deregister { replica: rogue }])
+            .unwrap();
 
         let err = fleet.try_seal_epoch().unwrap_err();
         assert!(
@@ -1131,27 +1109,31 @@ mod tests {
         // No epoch was consumed and the fleet still serves epoch 1.
         assert_eq!(fleet.snapshot().epoch(), 1);
         assert_eq!(fleet.published_epoch(), 1);
-        fleet.ingest_batch(&[ChurnOp::attest(
-            ReplicaId::new(8888),
-            sha256(b"late-config"),
-            VotingPower::new(30),
-        )]);
+        fleet
+            .try_ingest_batch(&[ChurnOp::attest(
+                ReplicaId::new(8888),
+                sha256(b"late-config"),
+                VotingPower::new(30),
+            )])
+            .unwrap();
         assert_eq!(fleet.device_count(), 17);
 
         // The next seal re-anchors (full rebuild) and matches an oracle
         // that saw the same surviving history.
-        let sealed = fleet.seal_epoch();
+        let sealed = fleet.try_seal_epoch().unwrap();
         assert_eq!(sealed.epoch(), 2);
         let oracle = ShardedFleet::new(1, TwoTierWeights::flat());
-        oracle.ingest_batch(&ops(16));
-        oracle.ingest_batch(&[ChurnOp::attest(
-            ReplicaId::new(8888),
-            sha256(b"late-config"),
-            VotingPower::new(30),
-        )]);
+        oracle.try_ingest_batch(&ops(16)).unwrap();
+        oracle
+            .try_ingest_batch(&[ChurnOp::attest(
+                ReplicaId::new(8888),
+                sha256(b"late-config"),
+                VotingPower::new(30),
+            )])
+            .unwrap();
         assert_eq!(
             sealed.content_hash(),
-            oracle.seal_epoch().content_hash(),
+            oracle.try_seal_epoch().unwrap().content_hash(),
             "re-anchor must rebuild from the authoritative shard state"
         );
     }
@@ -1172,8 +1154,8 @@ mod tests {
         )
         .unwrap();
         for chunk in ops(32).chunks(8) {
-            fleet.ingest_batch(chunk);
-            fleet.seal_epoch();
+            fleet.try_ingest_batch(chunk).unwrap();
+            fleet.try_seal_epoch().unwrap();
         }
         assert!(
             !checkpoint::list_checkpoints(&dir_a).unwrap().is_empty(),
@@ -1190,8 +1172,8 @@ mod tests {
         )
         .unwrap();
         for chunk in ops(32).chunks(8) {
-            fleet.ingest_batch(chunk);
-            fleet.seal_epoch();
+            fleet.try_ingest_batch(chunk).unwrap();
+            fleet.try_seal_epoch().unwrap();
         }
         assert!(
             checkpoint::list_checkpoints(&dir_b).unwrap().is_empty(),
@@ -1206,8 +1188,8 @@ mod tests {
         let mut reader = fleet.reader();
         assert_eq!(reader.get().epoch(), 0);
         assert_eq!(reader.cached_epoch(), 0);
-        fleet.ingest_batch(&ops(12));
-        let sealed = fleet.seal_epoch();
+        fleet.try_ingest_batch(&ops(12)).unwrap();
+        let sealed = fleet.try_seal_epoch().unwrap();
         assert_eq!(reader.cached_epoch(), 0, "revalidation is on demand");
         assert_eq!(reader.get().content_hash(), sealed.content_hash());
         assert_eq!(reader.snapshot().epoch(), fleet.snapshot().epoch());
@@ -1215,11 +1197,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_clamps_to_one_and_try_new_reports() {
+    fn zero_shards_clamps_to_one_and_open_durable_reports_zero_shards() {
         let fleet = ShardedFleet::new(0, TwoTierWeights::flat());
         assert_eq!(fleet.shard_count(), 1);
-        fleet.ingest_batch(&ops(4));
-        assert_eq!(fleet.seal_epoch().device_count(), 4);
+        fleet.try_ingest_batch(&ops(4)).unwrap();
+        assert_eq!(fleet.try_seal_epoch().unwrap().device_count(), 4);
         // The durable constructor reports it instead, before any I/O.
         let durable = ShardedFleet::open_durable(
             0,

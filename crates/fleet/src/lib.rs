@@ -7,20 +7,21 @@
 //! [`ChurnOp`]s (`fi_attest`) and is ingested into `N` registry shards
 //! keyed by device id, while committee selection and diversity monitoring
 //! read from immutable [`EpochSnapshot`]s published at
-//! [`seal_epoch`](ShardedFleet::seal_epoch) barriers. The crate spawns no
-//! thread: ingest runs on its caller's, and the per-shard locks are what
-//! lets many callers ingest at once (`fi-serve`, also threadless, is one).
+//! [`try_seal_epoch`](ShardedFleet::try_seal_epoch) barriers. The crate
+//! spawns no thread: ingest runs on its caller's, and the per-shard locks
+//! are what lets many callers ingest at once (`fi-serve`, also threadless,
+//! is one).
 //!
 //! ## Model
 //!
 //! * A [`ShardedFleet`] owns `N` [`fi_attest::AttestedRegistry`] shards,
 //!   each maintaining its incremental entropy buckets
 //!   ([`fi_entropy::EntropyAccumulator`]) in O(1) per op.
-//! * [`ShardedFleet::ingest_batch`] splits a batch by `device id mod N` and
-//!   applies the sub-batches shard after shard. Shards share nothing; each
-//!   device's op order is preserved, and that is the only order the end
-//!   state depends on.
-//! * [`ShardedFleet::seal_epoch`] takes a consistent cut across all
+//! * [`ShardedFleet::try_ingest_batch`] splits a batch by `device id mod
+//!   N` and applies the sub-batches shard after shard. Shards share
+//!   nothing; each device's op order is preserved, and that is the only
+//!   order the end state depends on.
+//! * [`ShardedFleet::try_seal_epoch`] takes a consistent cut across all
 //!   shards and publishes a canonical [`EpochSnapshot`]: sorted
 //!   measurement buckets, total effective power, an entropy accumulator, a
 //!   prebuilt committee-candidate roster, and a stable content hash.
@@ -63,15 +64,16 @@
 //! let trace = churn_trace(&ChurnTraceConfig::new(500, 1_000));
 //! let fleet = ShardedFleet::new(4, TwoTierWeights::default());
 //! for batch in trace.chunks(256) {
-//!     fleet.ingest_batch(batch);
+//!     fleet.try_ingest_batch(batch).unwrap();
 //! }
-//! let snapshot = fleet.seal_epoch();
+//! let snapshot = fleet.try_seal_epoch().unwrap();
 //! let committee = snapshot.select_greedy(32);
 //! assert_eq!(committee.len(), 32);
 //! // Any other shard count seals the bit-identical snapshot.
 //! let oracle = ShardedFleet::new(1, TwoTierWeights::default());
-//! oracle.ingest_batch(&trace);
-//! assert_eq!(oracle.seal_epoch().content_hash(), snapshot.content_hash());
+//! oracle.try_ingest_batch(&trace).unwrap();
+//! let resealed = oracle.try_seal_epoch().unwrap();
+//! assert_eq!(resealed.content_hash(), snapshot.content_hash());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -102,19 +104,3 @@ pub use wal::{ChurnLog, WalRecord, DEFAULT_SEGMENT_BYTES};
 // The ingest vocabulary is fi-attest's; re-export it so fleet users need
 // one import.
 pub use fi_attest::{CanonicalDelta, ChurnDelta, ChurnOp};
-
-/// Convenient glob import.
-pub mod prelude {
-    pub use crate::cache::{CacheStats, SelectionCache};
-    pub use crate::checkpoint::Checkpoint;
-    pub use crate::error::{
-        CheckpointError, FleetConfigError, IngestError, RecoveryError, SealError, WalError,
-    };
-    pub use crate::fleet::ShardedFleet;
-    pub use crate::publish::{SnapshotCell, SnapshotHandle};
-    pub use crate::recover::{DurabilityConfig, RecoveryReport};
-    pub use crate::snapshot::EpochSnapshot;
-    pub use crate::trace::{churn_trace, measurement_pool, ChurnTraceConfig};
-    pub use crate::wal::{ChurnLog, WalRecord, DEFAULT_SEGMENT_BYTES};
-    pub use fi_attest::{CanonicalDelta, ChurnDelta, ChurnOp};
-}

@@ -53,8 +53,6 @@ use crate::wal::{self, ChurnLog, WalRecord, DEFAULT_SEGMENT_BYTES};
 
 /// Default checkpoint cadence: one full snapshot every this many seals.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 8;
-/// Default number of checkpoints kept after pruning.
-pub const DEFAULT_RETAIN_CHECKPOINTS: usize = 2;
 
 /// Where and how a durable fleet persists its state.
 #[derive(Debug, Clone)]
@@ -71,22 +69,17 @@ pub struct DurabilityConfig {
     /// snapshot: `reanchor_interval == 0` does **not** imply "checkpoint
     /// never", and vice versa.
     pub checkpoint_interval: u64,
-    /// How many of the newest checkpoints survive pruning (clamped to at
-    /// least 1 whenever any are written).
-    pub retain_checkpoints: usize,
 }
 
 impl DurabilityConfig {
-    /// A config rooted at `dir` with the default segment size, checkpoint
-    /// cadence ([`DEFAULT_CHECKPOINT_INTERVAL`]), and retention
-    /// ([`DEFAULT_RETAIN_CHECKPOINTS`]).
+    /// A config rooted at `dir` with the default segment size and
+    /// checkpoint cadence ([`DEFAULT_CHECKPOINT_INTERVAL`]).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-            retain_checkpoints: DEFAULT_RETAIN_CHECKPOINTS,
         }
     }
 
@@ -101,13 +94,6 @@ impl DurabilityConfig {
     #[must_use]
     pub fn with_checkpoint_interval(mut self, every: u64) -> DurabilityConfig {
         self.checkpoint_interval = every;
-        self
-    }
-
-    /// Sets how many checkpoints pruning retains.
-    #[must_use]
-    pub fn with_retain_checkpoints(mut self, retain: usize) -> DurabilityConfig {
-        self.retain_checkpoints = retain;
         self
     }
 }
@@ -225,7 +211,7 @@ impl ShardedFleet {
         let replay_from = match checkpoint::latest_valid(&config.dir)? {
             Some((ckpt, snapshot)) => {
                 let roster: Vec<ChurnOp> = ckpt.devices.iter().map(restore_op).collect();
-                fleet.ingest_batch(&roster);
+                fleet.try_ingest_batch(&roster).unwrap();
                 fleet.restore_published(Arc::new(snapshot));
                 report.checkpoint_epoch = Some(ckpt.epoch);
                 // The cut marker was fsynced before its checkpoint was
@@ -249,7 +235,7 @@ impl ShardedFleet {
         for (i, record) in records.iter().enumerate().skip(replay_from) {
             match record {
                 WalRecord::Batch(ops) => {
-                    fleet.ingest_batch(ops);
+                    fleet.try_ingest_batch(ops).unwrap();
                     report.replayed_ops += ops.len() as u64;
                     report.pending_ops += ops.len() as u64;
                 }
@@ -285,7 +271,6 @@ impl ShardedFleet {
             log: Mutex::new(log),
             dir: config.dir,
             checkpoint_interval: config.checkpoint_interval,
-            retain_checkpoints: config.retain_checkpoints,
         });
         Ok((fleet, report))
     }
@@ -316,8 +301,10 @@ mod tests {
         assert_eq!(report, RecoveryReport::default());
         assert_eq!(fleet.snapshot().epoch(), 0);
         // Churn is logged from the very first batch.
-        fleet.ingest_batch(&churn_trace(&ChurnTraceConfig::new(50, 80)));
-        let sealed = fleet.seal_epoch();
+        fleet
+            .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(50, 80)))
+            .unwrap();
+        let sealed = fleet.try_seal_epoch().unwrap();
         assert_eq!(sealed.epoch(), 1);
         let scan = wal::read_records(&dir).unwrap();
         assert!(scan
@@ -344,8 +331,8 @@ mod tests {
             let (fleet, _) =
                 ShardedFleet::open_durable(4, TwoTierWeights::flat(), 3, config.clone()).unwrap();
             for batch in trace.chunks(90) {
-                fleet.ingest_batch(batch);
-                fleet.seal_epoch();
+                fleet.try_ingest_batch(batch).unwrap();
+                fleet.try_seal_epoch().unwrap();
             }
             let snap = fleet.snapshot();
             (snap.epoch(), snap.content_hash(), fleet.device_count())
@@ -363,8 +350,10 @@ mod tests {
 
         // The recovered fleet keeps serving: new churn logs and seals, and
         // a second recovery finds the new epoch too.
-        fleet.ingest_batch(&churn_trace(&ChurnTraceConfig::new(40, 60)));
-        let next = fleet.seal_epoch();
+        fleet
+            .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(40, 60)))
+            .unwrap();
+        let next = fleet.try_seal_epoch().unwrap();
         assert_eq!(next.epoch(), pre_epoch + 1);
         drop(fleet);
         let (again, report2) =
@@ -383,8 +372,8 @@ mod tests {
             let (fleet, _) =
                 ShardedFleet::open_durable(4, TwoTierWeights::flat(), 0, config.clone()).unwrap();
             for batch in trace.chunks(80) {
-                fleet.ingest_batch(batch);
-                fleet.seal_epoch();
+                fleet.try_ingest_batch(batch).unwrap();
+                fleet.try_seal_epoch().unwrap();
             }
         }
         let (one, r1) =
@@ -407,8 +396,8 @@ mod tests {
             let (fleet, _) =
                 ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone()).unwrap();
             for batch in trace.chunks(60) {
-                fleet.ingest_batch(batch);
-                fleet.seal_epoch();
+                fleet.try_ingest_batch(batch).unwrap();
+                fleet.try_seal_epoch().unwrap();
             }
             fleet.snapshot().content_hash()
         };
@@ -441,9 +430,9 @@ mod tests {
             let (fleet, _) =
                 ShardedFleet::open_durable(4, TwoTierWeights::flat(), 3, config.clone()).unwrap();
             for batch in sealed.chunks(200) {
-                fleet.ingest_batch(batch);
+                fleet.try_ingest_batch(batch).unwrap();
                 oracle.apply_batch(batch);
-                fleet.seal_epoch();
+                fleet.try_seal_epoch().unwrap();
             }
         }
 
@@ -463,9 +452,9 @@ mod tests {
         // Epoch 5 seals differentially onto the restored snapshot; epoch 6
         // is a re-anchor over the shard aggregates.
         for (batch, full) in rest.chunks(200).zip([false, true]) {
-            fleet.ingest_batch(batch);
+            fleet.try_ingest_batch(batch).unwrap();
             oracle.apply_batch(batch);
-            let snap = fleet.seal_epoch();
+            let snap = fleet.try_seal_epoch().unwrap();
             assert_eq!(snap.parent_hash().is_none(), full, "epoch {}", snap.epoch());
             assert_eq!(
                 snap.content_hash(),
@@ -486,10 +475,12 @@ mod tests {
         {
             let (fleet, _) =
                 ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone()).unwrap();
-            fleet.ingest_batch(&churn_trace(&ChurnTraceConfig::new(100, 150)));
-            fleet.seal_epoch();
+            fleet
+                .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(100, 150)))
+                .unwrap();
+            fleet.try_seal_epoch().unwrap();
             // Logged but never sealed: the crash comes before the next cut.
-            fleet.ingest_batch(&tail);
+            fleet.try_ingest_batch(&tail).unwrap();
         }
         let (fleet, report) =
             ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config).unwrap();
@@ -497,12 +488,14 @@ mod tests {
         assert_eq!(report.pending_ops, tail.len() as u64);
         // Oracle: the same history in one in-memory fleet.
         let oracle = ShardedFleet::new(1, TwoTierWeights::flat());
-        oracle.ingest_batch(&churn_trace(&ChurnTraceConfig::new(100, 150)));
-        oracle.seal_epoch();
-        oracle.ingest_batch(&tail);
+        oracle
+            .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(100, 150)))
+            .unwrap();
+        oracle.try_seal_epoch().unwrap();
+        oracle.try_ingest_batch(&tail).unwrap();
         assert_eq!(
-            fleet.seal_epoch().content_hash(),
-            oracle.seal_epoch().content_hash()
+            fleet.try_seal_epoch().unwrap().content_hash(),
+            oracle.try_seal_epoch().unwrap().content_hash()
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -2,9 +2,10 @@
 //!
 //! An [`EpochSnapshot`] is the read side of the serving layer: everything
 //! the committee selectors and the diversity monitor need, merged from the
-//! write-side registry shards at a [`seal_epoch`](crate::ShardedFleet::seal_epoch)
-//! barrier and then never mutated again. Readers share it through an `Arc`
-//! and query it without taking any lock.
+//! write-side registry shards at a
+//! [`try_seal_epoch`](crate::ShardedFleet::try_seal_epoch) barrier and then
+//! never mutated again. Readers share it through an `Arc` and query it
+//! without taking any lock.
 //!
 //! **Canonical construction is the determinism guarantee.** Registry shards
 //! accumulate floating-point state (`Σ w·log2 w`) along whatever operation
@@ -19,8 +20,8 @@
 //! [`EpochSnapshot::from_registry`].
 //!
 //! There are two ways to construct that canonical form. The **full build**
-//! ([`EpochSnapshot::build`]) merges complete shard rows — the cold-start
-//! and recovery path. The **differential patch**
+//! (the private `EpochSnapshot::build`) merges complete shard rows — the
+//! cold-start and recovery path. The **differential patch**
 //! ([`EpochSnapshot::try_apply_delta`]) applies one epoch's
 //! [`CanonicalDelta`] — the shards' drained deltas, sorted once — to the
 //! previous snapshot. Both fold the
@@ -55,7 +56,7 @@
 //! the last cut in its [`ChurnDelta`](fi_attest::ChurnDelta). Sealing is
 //! then arithmetic: a differential seal adds the merged delta's
 //! [`row_digest_change`](CanonicalDelta::row_digest_change) to the previous
-//! device aggregate, and a fleet re-anchor hands [`build`](EpochSnapshot::build)
+//! device aggregate, and a fleet re-anchor hands `build`
 //! the sum of the shards' running sums. The only hashing left at a seal is
 //! the bucket rows (dozens, and only the dirty ones on the differential
 //! path) and the final fold. The oracle paths deliberately do *not* trust
@@ -326,7 +327,7 @@ impl EpochSnapshot {
 
     /// Patches this snapshot with one epoch's [`CanonicalDelta`],
     /// producing the `epoch` snapshot without the O(fleet) shard re-merge,
-    /// roster sort and index rebuild a full [`build`](Self::build) pays.
+    /// roster sort and index rebuild a full `build` pays.
     /// The delta's rows are read as they come — already sorted, one per
     /// bucket and one per replica — so nothing is collected or sorted
     /// here. Structural work is O(changed · log n) at worst: dirty buckets
@@ -351,7 +352,7 @@ impl EpochSnapshot {
     /// from-scratch build over the same fleet content. The one
     /// floating-point field, the [`EntropyAccumulator`]'s `Σ w·log2 w`, is
     /// not carried over from `self`: it is folded from the patched buckets
-    /// by the function [`build`](Self::build) uses, so it is bit-identical
+    /// by the function `build` uses, so it is bit-identical
     /// too, however long the chain of patches. `fleet_differential.rs`
     /// enforces all of it at every intermediate epoch against
     /// [`from_registry`](Self::from_registry), which re-hashes every row.

@@ -187,12 +187,6 @@ impl ChurnLog {
         &self.dir
     }
 
-    /// The path of the segment currently being appended to.
-    #[must_use]
-    pub fn active_segment(&self) -> PathBuf {
-        segment_path(&self.dir, self.active_seq)
-    }
-
     /// Appends one framed record (buffered — call [`sync`](Self::sync) to
     /// make it durable). Rotates to a fresh segment first if the active one
     /// has reached the configured size.
@@ -503,7 +497,7 @@ mod tests {
                 write(&mut log, ops);
             }
             log.sync().unwrap();
-            let bytes = fs::read(log.active_segment()).unwrap();
+            let bytes = fs::read(segment_path(&dir, log.active_seq)).unwrap();
             let records = read_records(&dir).unwrap().records;
             let _ = fs::remove_dir_all(&dir);
             (bytes, records)
@@ -529,7 +523,7 @@ mod tests {
                 log.append(r).unwrap();
             }
             log.sync().unwrap();
-            log.active_segment()
+            segment_path(&dir, log.active_seq)
         };
         // Tear the last frame mid-payload.
         let full = fs::metadata(&path).unwrap().len();

@@ -142,9 +142,9 @@ proptest! {
         for shards in SHARD_COUNTS {
             let fleet = ShardedFleet::new(shards, weights());
             for chunk in ops.chunks(batch) {
-                fleet.ingest_batch(chunk);
+                fleet.try_ingest_batch(chunk).unwrap();
             }
-            let snap = fleet.seal_epoch();
+            let snap = fleet.try_seal_epoch().unwrap();
             assert_snapshot_matches_oracle(&snap, &oracle, shards)?;
             hashes.push(snap.content_hash());
         }
@@ -169,8 +169,8 @@ proptest! {
         for chunk in ops.chunks(batch) {
             oracle.apply_batch(chunk);
             for (fleet, &shards) in fleets.iter().zip(&SHARD_COUNTS) {
-                fleet.ingest_batch(chunk);
-                let snap = fleet.seal_epoch();
+                fleet.try_ingest_batch(chunk).unwrap();
+                let snap = fleet.try_seal_epoch().unwrap();
                 assert_snapshot_matches_oracle(&snap, &oracle, shards)?;
             }
         }
@@ -200,15 +200,15 @@ proptest! {
         let mut oracle = AttestedRegistry::new(weights());
         for chunk in ops.chunks(batch) {
             oracle.apply_batch(chunk);
-            mixed.ingest_batch(chunk);
-            assert_snapshot_matches_oracle(&mixed.seal_epoch(), &oracle, 4)?;
+            mixed.try_ingest_batch(chunk).unwrap();
+            assert_snapshot_matches_oracle(&mixed.try_seal_epoch().unwrap(), &oracle, 4)?;
             for ((fleet_full, fleet_diff), &shards) in
                 full.iter().zip(&differential).zip(&SHARD_COUNTS)
             {
-                fleet_full.ingest_batch(chunk);
-                fleet_diff.ingest_batch(chunk);
-                let snap_full = fleet_full.seal_epoch();
-                let snap_diff = fleet_diff.seal_epoch();
+                fleet_full.try_ingest_batch(chunk).unwrap();
+                fleet_diff.try_ingest_batch(chunk).unwrap();
+                let snap_full = fleet_full.try_seal_epoch().unwrap();
+                let snap_diff = fleet_diff.try_seal_epoch().unwrap();
                 // The differential seal is byte-identical in canonical
                 // content to the rebuild (and both match the oracle).
                 prop_assert_eq!(snap_diff.buckets(), snap_full.buckets());
@@ -290,8 +290,8 @@ proptest! {
         let oracle_committee = EpochSnapshot::from_registry(&oracle, 1).select_greedy(k);
         for shards in SHARD_COUNTS {
             let fleet = ShardedFleet::new(shards, weights());
-            fleet.ingest_batch(&ops);
-            let committee = fleet.seal_epoch().select_greedy(k);
+            fleet.try_ingest_batch(&ops).unwrap();
+            let committee = fleet.try_seal_epoch().unwrap().select_greedy(k);
             prop_assert_eq!(committee.members(), oracle_committee.members());
         }
     }
@@ -327,8 +327,8 @@ proptest! {
             let oracle_snap = EpochSnapshot::from_registry(&oracle, 0);
             let expected = greedy_diverse_naive(oracle_snap.candidates(), k);
             for (i, (fleet, cache)) in fleets.iter().zip(&caches).enumerate() {
-                fleet.ingest_batch(chunk);
-                let snap = fleet.seal_epoch();
+                fleet.try_ingest_batch(chunk).unwrap();
+                let snap = fleet.try_seal_epoch().unwrap();
                 prop_assert_eq!(
                     snap.select_greedy(k).members(),
                     expected.members(),
@@ -413,9 +413,9 @@ fn untouched_rows_follow_their_slot_through_bucket_births_and_deaths() {
     let fleet = ShardedFleet::with_reanchor_interval(2, weights(), 0);
     let mut oracle = AttestedRegistry::new(weights());
     for (batch, slot) in &chain {
-        fleet.ingest_batch(batch);
+        fleet.try_ingest_batch(batch).unwrap();
         oracle.apply_batch(batch);
-        let snap = fleet.seal_epoch();
+        let snap = fleet.try_seal_epoch().unwrap();
         assert_eq!(snap.parent_hash().is_none(), snap.epoch() == 1);
         assert_snapshot_matches_oracle(&snap, &oracle, 2)
             .unwrap_or_else(|e| panic!("epoch {}: {e:?}", snap.epoch()));
@@ -453,9 +453,9 @@ fn reanchors_over_shard_aggregates_hash_like_the_rehashing_oracle() {
         let mut oracle = AttestedRegistry::new(weights());
         let mut full_seals = 0;
         for batch in trace.chunks(200) {
-            fleet.ingest_batch(batch);
+            fleet.try_ingest_batch(batch).unwrap();
             oracle.apply_batch(batch);
-            let snap = fleet.seal_epoch();
+            let snap = fleet.try_seal_epoch().unwrap();
             let full = snap.epoch() == 1 || snap.epoch().is_multiple_of(REANCHOR_EVERY);
             assert_eq!(
                 snap.parent_hash().is_none(),

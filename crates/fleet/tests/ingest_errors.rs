@@ -114,10 +114,10 @@ fn wal_io_error_fails_the_batch_cleanly_and_reads_keep_serving() {
     assert_eq!(resealed.epoch(), 2);
 
     let control = ShardedFleet::with_reanchor_interval(2, weights, 4);
-    control.ingest_batch(&batch_a);
+    control.try_ingest_batch(&batch_a).unwrap();
     let c1 = control.try_seal_epoch().expect("control seal 1");
     assert_eq!(c1.content_hash(), served_hash);
-    control.ingest_batch(&batch_b);
+    control.try_ingest_batch(&batch_b).unwrap();
     let c2 = control.try_seal_epoch().expect("control seal 2");
     assert_eq!(
         resealed.content_hash(),

@@ -94,7 +94,7 @@ fn run_stress(shards: usize, sealers: usize, readers: usize, seals_per_sealer: u
 
         scope.spawn(move || {
             for i in 0..40u64 {
-                fleet.ingest_batch(&ops(i * 12, i * 12 + 12));
+                fleet.try_ingest_batch(&ops(i * 12, i * 12 + 12)).unwrap();
             }
         });
 
@@ -102,7 +102,7 @@ fn run_stress(shards: usize, sealers: usize, readers: usize, seals_per_sealer: u
             .map(|_| {
                 scope.spawn(move || {
                     for _ in 0..seals_per_sealer {
-                        let snap = fleet.seal_epoch();
+                        let snap = fleet.try_seal_epoch().unwrap();
                         sealed
                             .lock()
                             .unwrap()

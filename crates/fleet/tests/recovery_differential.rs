@@ -173,8 +173,7 @@ proptest! {
         // log, not always a single segment.
         let config = DurabilityConfig::new(&dir)
             .with_segment_bytes(2_048)
-            .with_checkpoint_interval(checkpoint_interval)
-            .with_retain_checkpoints(2);
+            .with_checkpoint_interval(checkpoint_interval);
 
         // Pre-crash run: seal after every batch, recording the per-epoch
         // content hashes — the oracle the recovered fleet is diffed against.
@@ -184,8 +183,8 @@ proptest! {
                 ShardedFleet::open_durable(pre_shards, weights(), reanchor, config.clone())
                     .unwrap();
             for chunk in ops.chunks(batch) {
-                fleet.ingest_batch(chunk);
-                epoch_hashes.push(fleet.seal_epoch().content_hash());
+                fleet.try_ingest_batch(chunk).unwrap();
+                epoch_hashes.push(fleet.try_seal_epoch().unwrap().content_hash());
             }
         }
         inflict(&dir, mode);
@@ -253,16 +252,16 @@ proptest! {
         let gen1_epoch;
         {
             let (fleet, _) = ShardedFleet::open_durable(4, weights(), 0, config.clone()).unwrap();
-            fleet.ingest_batch(&first);
-            gen1_epoch = fleet.seal_epoch().epoch();
+            fleet.try_ingest_batch(&first).unwrap();
+            gen1_epoch = fleet.try_seal_epoch().unwrap().epoch();
         }
         let gen2_hash;
         {
             let (fleet, report) =
                 ShardedFleet::open_durable(1, weights(), 0, config.clone()).unwrap();
             prop_assert_eq!(report.recovered_epoch, gen1_epoch);
-            fleet.ingest_batch(&second);
-            let snap = fleet.seal_epoch();
+            fleet.try_ingest_batch(&second).unwrap();
+            let snap = fleet.try_seal_epoch().unwrap();
             prop_assert_eq!(snap.epoch(), gen1_epoch + 1);
             gen2_hash = snap.content_hash();
         }
@@ -271,10 +270,10 @@ proptest! {
         prop_assert_eq!(fleet.snapshot().content_hash(), gen2_hash);
         // Oracle: both generations' churn through one in-memory fleet.
         let oracle = ShardedFleet::new(1, weights());
-        oracle.ingest_batch(&first);
-        oracle.seal_epoch();
-        oracle.ingest_batch(&second);
-        prop_assert_eq!(oracle.seal_epoch().content_hash(), gen2_hash);
+        oracle.try_ingest_batch(&first).unwrap();
+        oracle.try_seal_epoch().unwrap();
+        oracle.try_ingest_batch(&second).unwrap();
+        prop_assert_eq!(oracle.try_seal_epoch().unwrap().content_hash(), gen2_hash);
         let _ = fs::remove_dir_all(&dir);
     }
 }

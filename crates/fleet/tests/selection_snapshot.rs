@@ -63,9 +63,9 @@ fn greedy_over_snapshot_equals_registry_path() {
     for shards in SHARD_COUNTS {
         let fleet = ShardedFleet::new(shards, TwoTierWeights::new(1.0, 0.5));
         for batch in trace.chunks(64) {
-            fleet.ingest_batch(batch);
+            fleet.try_ingest_batch(batch).unwrap();
         }
-        let snapshot = fleet.seal_epoch();
+        let snapshot = fleet.try_seal_epoch().unwrap();
         assert_eq!(snapshot.candidates(), &reference[..], "{shards} shards");
         for k in [1usize, 8, 33, 100, 500] {
             let via_snapshot = snapshot.select_greedy(k);
@@ -92,9 +92,9 @@ fn two_tier_sortition_over_snapshot_equals_registry_path() {
     for shards in SHARD_COUNTS {
         let fleet = ShardedFleet::new(shards, TwoTierWeights::new(1.0, 0.5));
         for batch in trace.chunks(64) {
-            fleet.ingest_batch(batch);
+            fleet.try_ingest_batch(batch).unwrap();
         }
-        let snapshot = fleet.seal_epoch();
+        let snapshot = fleet.try_seal_epoch().unwrap();
         for seed in 0..5u64 {
             let mut rng_snapshot = StdRng::seed_from_u64(seed);
             let mut rng_reference = StdRng::seed_from_u64(seed);
@@ -117,11 +117,11 @@ fn selection_reads_are_stable_while_ingest_continues() {
     let trace = churn_trace(&trace_config());
     let (first_half, second_half) = trace.split_at(trace.len() / 2);
     let fleet = ShardedFleet::new(4, TwoTierWeights::new(1.0, 0.5));
-    fleet.ingest_batch(first_half);
-    let sealed = fleet.seal_epoch();
+    fleet.try_ingest_batch(first_half).unwrap();
+    let sealed = fleet.try_seal_epoch().unwrap();
     let before = sealed.select_greedy(16);
-    fleet.ingest_batch(second_half);
-    let _ = fleet.seal_epoch();
+    fleet.try_ingest_batch(second_half).unwrap();
+    let _ = fleet.try_seal_epoch().unwrap();
     let after = sealed.select_greedy(16);
     assert_eq!(before.members(), after.members());
     // The *current* snapshot moved on.

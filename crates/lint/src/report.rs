@@ -79,7 +79,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_stable_and_escaped() {
+    fn finalize_sorts_findings_by_file() {
         let mut report = Report {
             findings: vec![
                 Finding {

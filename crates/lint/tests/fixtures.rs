@@ -76,7 +76,7 @@ fn dirty_fixture_findings_anchor_to_exact_lines() {
 }
 
 #[test]
-fn dirty_fixture_report_is_sorted_and_json_stable() {
+fn dirty_fixture_report_is_sorted_and_text_stable() {
     let report = run_lint(&fixture("dirty")).expect("dirty fixture lints");
     let keys: Vec<(&str, usize, &str)> = report
         .findings

@@ -152,16 +152,6 @@ impl BlockTree {
         (self.blocks.len() - 1) - self.height() as usize
     }
 
-    /// Blocks on the main chain mined by `miner` — the revenue measure used
-    /// by the selfish-mining baseline.
-    #[must_use]
-    pub fn main_chain_blocks_by(&self, miner: usize) -> usize {
-        self.main_chain()
-            .iter()
-            .filter(|b| b.miner() == miner)
-            .count()
-    }
-
     /// Main-chain blocks per miner index (one chain walk for all miners).
     #[must_use]
     pub fn main_chain_blocks_per_miner(&self, miners: usize) -> Vec<usize> {
@@ -270,8 +260,7 @@ mod tests {
         tree.insert(b2);
         let b3 = Block::mine(tree.tip(), 0, t(1800), 0);
         tree.insert(b3);
-        assert_eq!(tree.main_chain_blocks_by(0), 2);
-        assert_eq!(tree.main_chain_blocks_by(1), 1);
-        assert_eq!(tree.main_chain_blocks_by(9), 0);
+        let per_miner = tree.main_chain_blocks_per_miner(10);
+        assert_eq!((per_miner[0], per_miner[1], per_miner[9]), (2, 1, 0));
     }
 }

@@ -40,7 +40,7 @@
 //!
 //! // The serving pipeline is semantically invisible: direct ingest of
 //! // the admitted trace seals identical epochs.
-//! let oracle = direct_ingest_report(&trace, config.shards);
+//! let oracle = direct_ingest_report(&trace, config.shards).expect("in-memory oracle");
 //! assert_eq!(outcome.report.epoch_hashes, oracle.epoch_hashes);
 //! assert_eq!(outcome.report.final_hash, oracle.final_hash);
 //!

@@ -12,11 +12,12 @@
 //! [`ScenarioReport`] on every run and at **any shard count**.
 //!
 //! The oracle ([`direct_ingest_report`]) replays the recorded *admitted*
-//! requests straight into a plain [`ShardedFleet`] via `ingest_batch` —
-//! no queue, no coalescing — sealing at the same ticks. Matching epoch
-//! hashes prove the whole serving pipeline (bounded ingress + last-op-wins
-//! coalescing + flush-then-seal barriers) is semantically invisible: it
-//! collapses work, never changes what an epoch means.
+//! requests straight into a plain [`ShardedFleet`] via
+//! `try_ingest_batch` — no queue, no coalescing — sealing at the same
+//! ticks. Matching epoch hashes prove the whole serving pipeline (bounded
+//! ingress + last-op-wins coalescing + flush-then-seal barriers) is
+//! semantically invisible: it collapses work, never changes what an epoch
+//! means.
 
 use std::sync::Arc;
 
@@ -238,39 +239,38 @@ pub fn run_scenario(
 /// plain [`ShardedFleet`] (no serving layer at all), sealing at the
 /// recorded points. Returns the oracle's `(epoch, hash)` history and
 /// final state for comparison against the serve-path report.
-#[must_use]
-pub fn direct_ingest_report(trace: &AdmittedTrace, shards: usize) -> ScenarioReport {
+///
+/// # Errors
+///
+/// Propagates [`ServeError`] from ingest and seals — the oracle fleet is
+/// in-memory, so like [`run_scenario`] it never produces one.
+pub fn direct_ingest_report(
+    trace: &AdmittedTrace,
+    shards: usize,
+) -> Result<ScenarioReport, ServeError> {
     let fleet = ShardedFleet::new(shards, scenario_weights());
     let mut epoch_hashes = Vec::new();
     let mut next_seal = trace.seal_points.iter().copied().peekable();
     for (i, request) in trace.requests.iter().enumerate() {
-        fleet.ingest_batch(request);
+        fleet.try_ingest_batch(request)?;
         while next_seal.peek() == Some(&(i + 1)) {
             next_seal.next();
-            let snapshot = fleet
-                .try_seal_epoch()
-                // lint: allow(panic) oracle fleet: no durability configured,
-                // so the only seal error sources (WAL IO) cannot occur.
-                .expect("in-memory oracle seal cannot fail");
+            let snapshot = fleet.try_seal_epoch()?;
             epoch_hashes.push((snapshot.epoch(), snapshot.content_hash()));
         }
     }
     // Seals recorded at a point past the last admitted request (an empty
     // tail epoch) replay here.
     for _ in next_seal {
-        let snapshot = fleet
-            .try_seal_epoch()
-            // lint: allow(panic) oracle fleet: no durability configured,
-            // so the only seal error sources (WAL IO) cannot occur.
-            .expect("in-memory oracle seal cannot fail");
+        let snapshot = fleet.try_seal_epoch()?;
         epoch_hashes.push((snapshot.epoch(), snapshot.content_hash()));
     }
     let snapshot = fleet.snapshot();
-    ScenarioReport {
+    Ok(ScenarioReport {
         final_epoch: snapshot.epoch(),
         final_hash: snapshot.content_hash(),
         epoch_hashes,
         device_count: fleet.device_count(),
         stats: ServeStats::default(),
-    }
+    })
 }

@@ -97,10 +97,13 @@ fn a_disk_fault_is_typed_counted_and_leaves_no_trace_after_repair() {
     // The rejected flush left no trace: the epoch equals a fleet that was
     // only ever given the two requests that landed.
     let control = ShardedFleet::with_reanchor_interval(2, scenario_weights(), 4);
-    control.ingest_batch(&request(0, 8));
-    control.seal_epoch();
-    control.ingest_batch(&request(200, 8));
-    assert_eq!(second.content_hash(), control.seal_epoch().content_hash());
+    control.try_ingest_batch(&request(0, 8)).unwrap();
+    control.try_seal_epoch().unwrap();
+    control.try_ingest_batch(&request(200, 8)).unwrap();
+    assert_eq!(
+        second.content_hash(),
+        control.try_seal_epoch().unwrap().content_hash()
+    );
 
     // And a reopen of the directory recovers exactly that epoch.
     let sealed = second.content_hash();

@@ -73,7 +73,7 @@ fn serve_path_equals_direct_ingest_of_the_admitted_trace() {
     // The oracle re-shards too: direct ingest at 1, 4, and 8 shards all
     // seal the identical history the serving pipeline sealed.
     for shards in [1usize, 4, 8] {
-        let oracle = direct_ingest_report(&trace, shards);
+        let oracle = direct_ingest_report(&trace, shards).unwrap();
         assert_eq!(oracle.epoch_hashes, outcome.report.epoch_hashes);
         assert_eq!(oracle.final_hash, outcome.report.final_hash);
         assert_eq!(oracle.device_count, outcome.report.device_count);
@@ -108,7 +108,7 @@ fn overload_sheds_are_deterministic_and_accounted() {
         run_scenario(&overloaded_scenario().with_shards(4), true).expect("scenario under overload");
     assert_accounted(&outcome.report.stats);
     let trace = outcome.trace.expect("recording requested");
-    let oracle = direct_ingest_report(&trace, 4);
+    let oracle = direct_ingest_report(&trace, 4).unwrap();
     assert_eq!(oracle.final_hash, outcome.report.final_hash);
     assert_eq!(oracle.epoch_hashes, outcome.report.epoch_hashes);
 }

@@ -59,16 +59,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// A lower bound on any sample from this model.
-    #[must_use]
-    pub fn min_latency(&self) -> SimTime {
-        match *self {
-            LatencyModel::Constant(t) => t,
-            LatencyModel::Uniform { min, .. } => min,
-            LatencyModel::Exponential { floor, .. } => floor,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,21 +138,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(m.sample(&mut a), m.sample(&mut b));
         }
-    }
-
-    #[test]
-    fn min_latency_accessor() {
-        assert_eq!(
-            LatencyModel::default().min_latency(),
-            SimTime::from_millis(1)
-        );
-        assert_eq!(
-            LatencyModel::Exponential {
-                floor: SimTime::from_millis(7),
-                mean: SimTime::from_millis(1)
-            }
-            .min_latency(),
-            SimTime::from_millis(7)
-        );
     }
 }

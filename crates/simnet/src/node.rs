@@ -104,11 +104,6 @@ impl<M> Context<'_, M> {
         self.outbox.push(Action::Halt);
     }
 
-    /// Draws a uniform `f64` in `[0, 1)` from the simulation's seeded RNG.
-    pub fn random_f64(&mut self) -> f64 {
-        self.rng.gen()
-    }
-
     /// Draws a uniform integer in `[0, bound)`.
     ///
     /// # Panics
@@ -225,7 +220,7 @@ mod tests {
                 rng: &mut rng,
                 outbox: Vec::new(),
             };
-            (ctx.random_f64(), ctx.random_below(100))
+            (ctx.random_below(u64::MAX), ctx.random_below(100))
         };
         assert_eq!(draw(9), draw(9));
         assert_ne!(draw(9), draw(10));

@@ -99,15 +99,6 @@ impl TraceStats {
     pub fn sent_by(&self, node: NodeId) -> u64 {
         self.per_node_sent.get(node.index()).copied().unwrap_or(0)
     }
-
-    /// Messages delivered to `node`.
-    #[must_use]
-    pub fn delivered_to(&self, node: NodeId) -> u64 {
-        self.per_node_delivered
-            .get(node.index())
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +123,6 @@ mod tests {
         assert_eq!(s.timers_fired(), 1);
         assert_eq!(s.faults_injected(), 1);
         assert_eq!(s.sent_by(NodeId::new(0)), 2);
-        assert_eq!(s.delivered_to(NodeId::new(1)), 1);
         assert_eq!(s.sent_by(NodeId::new(9)), 0);
     }
 

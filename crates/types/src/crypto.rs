@@ -130,13 +130,6 @@ impl PublicKey {
         let expect = hash_fields(&[SIGNATURE_DOMAIN, self.0.as_bytes(), msg.as_ref()]);
         expect == sig.0
     }
-
-    /// Derives a deterministic sub-key fingerprint, used to bind vote keys
-    /// to attestation keys (paper Remark 3).
-    #[must_use]
-    pub fn binding_with(&self, other: &PublicKey) -> Digest {
-        hash_fields(&[b"fi-binding-v1", self.0.as_bytes(), other.0.as_bytes()])
-    }
 }
 
 #[cfg(test)]
@@ -188,16 +181,6 @@ mod tests {
             KeyPair::from_material(&[b"ek", b"aik-0"]),
             KeyPair::from_material(&[b"ek", b"aik-1"])
         );
-    }
-
-    #[test]
-    fn binding_is_symmetric_in_inputs_order_sensitivity() {
-        let a = KeyPair::from_seed(1).public_key();
-        let b = KeyPair::from_seed(2).public_key();
-        // Order matters by design: the binding states "attestation key a
-        // endorses vote key b".
-        assert_ne!(a.binding_with(&b), b.binding_with(&a));
-        assert_eq!(a.binding_with(&b), a.binding_with(&b));
     }
 
     #[test]

@@ -17,13 +17,6 @@ pub enum ParseHexError {
         /// Its byte index in the input.
         index: usize,
     },
-    /// The decoded byte string had the wrong length for the target type.
-    BadLength {
-        /// Expected number of hex characters.
-        expected: usize,
-        /// Actual number of hex characters.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for ParseHexError {
@@ -35,45 +28,11 @@ impl fmt::Display for ParseHexError {
             ParseHexError::InvalidChar { ch, index } => {
                 write!(f, "invalid hex character {ch:?} at index {index}")
             }
-            ParseHexError::BadLength { expected, actual } => {
-                write!(f, "expected {expected} hex characters, got {actual}")
-            }
         }
     }
 }
 
 impl std::error::Error for ParseHexError {}
-
-/// Error from fallible voting-power arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PowerArithmeticError {
-    /// Subtraction would have produced negative voting power.
-    Underflow {
-        /// Left operand (units).
-        minuend: u64,
-        /// Right operand (units).
-        subtrahend: u64,
-    },
-    /// Addition overflowed the unit counter.
-    Overflow,
-}
-
-impl fmt::Display for PowerArithmeticError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PowerArithmeticError::Underflow {
-                minuend,
-                subtrahend,
-            } => write!(
-                f,
-                "voting power underflow: {minuend} units minus {subtrahend} units"
-            ),
-            PowerArithmeticError::Overflow => write!(f, "voting power overflow"),
-        }
-    }
-}
-
-impl std::error::Error for PowerArithmeticError {}
 
 #[cfg(test)]
 mod tests {
@@ -84,18 +43,11 @@ mod tests {
     #[test]
     fn errors_implement_std_error_send_sync() {
         assert_error_traits::<ParseHexError>();
-        assert_error_traits::<PowerArithmeticError>();
     }
 
     #[test]
     fn messages_are_lowercase_and_specific() {
         let msg = ParseHexError::OddLength { length: 3 }.to_string();
         assert!(msg.starts_with("hex string"));
-        let msg = PowerArithmeticError::Underflow {
-            minuend: 1,
-            subtrahend: 2,
-        }
-        .to_string();
-        assert!(msg.contains("underflow"));
     }
 }

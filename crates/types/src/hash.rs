@@ -11,7 +11,6 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::ParseHexError;
 use crate::hex;
 
 /// A 256-bit digest (the output of [`sha256`]).
@@ -44,23 +43,6 @@ impl Digest {
     #[must_use]
     pub fn as_seed(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("digest has 32 bytes"))
-    }
-
-    /// Parses a digest from a 64-character hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseHexError`] if the string is not exactly 64 hex
-    /// characters.
-    pub fn from_hex(s: &str) -> Result<Digest, ParseHexError> {
-        let bytes = hex::decode(s)?;
-        let arr: [u8; 32] = bytes
-            .try_into()
-            .map_err(|b: Vec<u8>| ParseHexError::BadLength {
-                expected: 64,
-                actual: b.len() * 2,
-            })?;
-        Ok(Digest(arr))
     }
 }
 
@@ -564,24 +546,6 @@ mod tests {
         assert_ne!(hash_fields(&[b"ab", b"c"]), hash_fields(&[b"a", b"bc"]));
         assert_ne!(hash_fields(&[b"ab"]), hash_fields(&[b"ab", b""]));
         assert_ne!(hash_fields(&[]), hash_fields(&[b""]));
-    }
-
-    #[test]
-    fn digest_hex_round_trip() {
-        let d = sha256(b"round trip");
-        let parsed = Digest::from_hex(&d.to_string()).unwrap();
-        assert_eq!(parsed, d);
-    }
-
-    #[test]
-    fn digest_from_hex_rejects_bad_length() {
-        assert!(Digest::from_hex("abcd").is_err());
-    }
-
-    #[test]
-    fn digest_from_hex_rejects_bad_chars() {
-        let s = "zz".repeat(32);
-        assert!(Digest::from_hex(&s).is_err());
     }
 
     #[test]

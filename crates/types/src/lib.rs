@@ -42,7 +42,7 @@ pub mod time;
 
 pub use codec::{crc32, CodecError, Decode, Encode, Reader};
 pub use crypto::{KeyPair, PublicKey, Signature};
-pub use error::{ParseHexError, PowerArithmeticError};
+pub use error::ParseHexError;
 pub use hash::{sha256, Digest, SetDigest};
 pub use ids::{ClientId, PoolId, ReplicaId, VulnId};
 pub use power::VotingPower;

@@ -17,8 +17,6 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::PowerArithmeticError;
-
 /// An exact, integer-valued amount of voting power.
 ///
 /// Implements saturating-free checked arithmetic through `+`/`-` (panicking
@@ -46,10 +44,6 @@ impl VotingPower {
 
     /// One power unit.
     pub const UNIT: VotingPower = VotingPower(1);
-
-    /// The conventional whole-system total used by workspace generators:
-    /// one million units, i.e. exact parts-per-million shares.
-    pub const CONVENTIONAL_TOTAL: VotingPower = VotingPower(1_000_000);
 
     /// Creates a voting power of `units` power units.
     #[must_use]
@@ -87,20 +81,6 @@ impl VotingPower {
         VotingPower(self.0.saturating_sub(rhs.0))
     }
 
-    /// Fallible subtraction with a descriptive error, for library paths
-    /// that must not panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerArithmeticError::Underflow`] if `rhs > self`.
-    pub fn try_sub(self, rhs: VotingPower) -> Result<VotingPower, PowerArithmeticError> {
-        self.checked_sub(rhs)
-            .ok_or(PowerArithmeticError::Underflow {
-                minuend: self.0,
-                subtrahend: rhs.0,
-            })
-    }
-
     /// The fraction `self / total` as an `f64` in `[0, 1]`.
     ///
     /// Returns `0.0` when `total` is zero (an empty system has no shares).
@@ -110,7 +90,7 @@ impl VotingPower {
     /// ```
     /// use fi_types::VotingPower;
     /// let p = VotingPower::new(342_390);
-    /// assert!((p.share_of(VotingPower::CONVENTIONAL_TOTAL) - 0.34239).abs() < 1e-12);
+    /// assert!((p.share_of(VotingPower::new(1_000_000)) - 0.34239).abs() < 1e-12);
     /// ```
     #[must_use]
     pub fn share_of(self, total: VotingPower) -> f64 {
@@ -289,15 +269,6 @@ mod tests {
             VotingPower::new(3).checked_sub(VotingPower::new(2)),
             Some(VotingPower::UNIT)
         );
-    }
-
-    #[test]
-    fn try_sub_reports_operands() {
-        let err = VotingPower::new(1)
-            .try_sub(VotingPower::new(5))
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains('1') && msg.contains('5'), "message was {msg}");
     }
 
     #[test]

@@ -36,9 +36,9 @@ fn render_fleet_golden() -> String {
     for shards in SHARD_COUNTS {
         let fleet = ShardedFleet::new(shards, TwoTierWeights::default());
         for batch in trace.chunks(512 + 64 * shards) {
-            fleet.ingest_batch(batch);
+            fleet.try_ingest_batch(batch).unwrap();
         }
-        sealed.push((shards, fleet.seal_epoch()));
+        sealed.push((shards, fleet.try_seal_epoch().unwrap()));
     }
     let (_, reference) = &sealed[0];
     for (shards, snap) in &sealed {
@@ -131,8 +131,8 @@ fn differential_epoch_chain_lands_on_the_golden_content() {
     let fleet = ShardedFleet::with_reanchor_interval(4, TwoTierWeights::default(), FULL_EVERY);
     let mut last = fleet.snapshot();
     for batch in trace.chunks(640) {
-        fleet.ingest_batch(batch);
-        last = fleet.seal_epoch();
+        fleet.try_ingest_batch(batch).unwrap();
+        last = fleet.try_seal_epoch().unwrap();
     }
     assert!(
         last.epoch() > FULL_EVERY,
@@ -185,8 +185,8 @@ fn reader_handle_serves_the_same_chain_as_raw_snapshot_loads() {
     let mut handle = fleet.reader();
     assert_eq!(handle.cached_epoch(), 0);
     for batch in trace.chunks(2048) {
-        fleet.ingest_batch(batch);
-        let sealed = fleet.seal_epoch();
+        fleet.try_ingest_batch(batch).unwrap();
+        let sealed = fleet.try_seal_epoch().unwrap();
         let via_handle = handle.snapshot();
         assert_eq!(via_handle.epoch(), sealed.epoch());
         assert_eq!(via_handle.content_hash(), sealed.content_hash());

@@ -197,9 +197,9 @@ fn a_2000_epoch_differential_chain_seals_the_bits_a_fresh_build_does() {
                 }
             })
             .collect();
-        fleet.ingest_batch(&batch);
+        fleet.try_ingest_batch(&batch).unwrap();
         mirror.apply_batch(&batch);
-        let sealed = fleet.seal_epoch();
+        let sealed = fleet.try_seal_epoch().unwrap();
         assert_eq!(sealed.parent_hash().is_none(), epoch == 1);
         births += sealed.buckets().len().saturating_sub(buckets);
         deaths += buckets.saturating_sub(sealed.buckets().len());
