@@ -16,12 +16,11 @@
 //! op — see [`ChurnOp::from_verified_quote`].
 
 use fi_types::{Digest, PublicKey, ReplicaId, VotingPower};
-use serde::{Deserialize, Serialize};
 
 use crate::quote::Quote;
 
 /// One registry mutation, shardable by [`replica`](ChurnOp::replica).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnOp {
     /// Register (or re-register) a replica as attested with an
     /// already-verified measurement. Mirrors

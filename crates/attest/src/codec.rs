@@ -17,6 +17,12 @@
 //! | `ChurnOp::Deregister` | 2 | replica |
 //! | `ReplicaTier::Attested` | 0 | — |
 //! | `ReplicaTier::Unattested` | 1 | — |
+//!
+//! A [`RegisteredDevice`] row is `replica, tier, measurement (Option),
+//! power`. The tier byte restates whether a measurement follows: the
+//! encoder writes it from the measurement, and the decoder refuses a row
+//! where the two disagree — a device value cannot hold that state, and this
+//! is the one place bytes from outside become device values.
 
 use fi_types::codec::{CodecError, Decode, Encode, Reader};
 use fi_types::{Digest, PublicKey, ReplicaId, VotingPower};
@@ -101,7 +107,7 @@ impl Decode for ReplicaTier {
 impl Encode for RegisteredDevice {
     fn encode(&self, out: &mut Vec<u8>) {
         self.replica.encode(out);
-        self.tier.encode(out);
+        self.tier().encode(out);
         self.measurement.encode(out);
         self.power.encode(out);
     }
@@ -109,12 +115,20 @@ impl Encode for RegisteredDevice {
 
 impl Decode for RegisteredDevice {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RegisteredDevice {
-            replica: ReplicaId::decode(r)?,
-            tier: ReplicaTier::decode(r)?,
+        let replica = ReplicaId::decode(r)?;
+        let tier = ReplicaTier::decode(r)?;
+        let device = RegisteredDevice {
+            replica,
             measurement: Option::<Digest>::decode(r)?,
             power: VotingPower::decode(r)?,
-        })
+        };
+        if device.tier() != tier {
+            return Err(CodecError::InvalidTag {
+                context: "RegisteredDevice (tier contradicts the measurement option)",
+                tag: tier.to_bytes()[0],
+            });
+        }
+        Ok(device)
     }
 }
 
@@ -191,13 +205,11 @@ mod tests {
         let devices = vec![
             RegisteredDevice {
                 replica: ReplicaId::new(0),
-                tier: ReplicaTier::Attested,
                 measurement: Some(sha256(b"cfg")),
                 power: VotingPower::new(9),
             },
             RegisteredDevice {
                 replica: ReplicaId::new(1),
-                tier: ReplicaTier::Unattested,
                 measurement: None,
                 power: VotingPower::new(4),
             },
@@ -213,6 +225,26 @@ mod tests {
             ReplicaTier::from_bytes(&[9]),
             Err(CodecError::InvalidTag { tag: 9, .. })
         ));
+    }
+
+    #[test]
+    fn a_tier_byte_that_contradicts_the_measurement_option_does_not_decode() {
+        // Byte 8 of a row is the tier, right behind the 8-byte replica id.
+        for measurement in [Some(sha256(b"cfg")), None] {
+            let device = RegisteredDevice {
+                replica: ReplicaId::new(7),
+                measurement,
+                power: VotingPower::new(3),
+            };
+            let mut bytes = device.to_bytes();
+            assert_eq!(RegisteredDevice::from_bytes(&bytes).unwrap(), device);
+            assert_eq!(bytes[8], u8::from(measurement.is_none()));
+            bytes[8] ^= 1;
+            assert!(matches!(
+                RegisteredDevice::from_bytes(&bytes),
+                Err(CodecError::InvalidTag { tag, .. }) if tag == bytes[8]
+            ));
+        }
     }
 
     #[test]

@@ -8,12 +8,11 @@
 
 use fi_types::hash::hash_fields;
 use fi_types::Digest;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AttestError;
 
 /// A hiding, binding commitment to a configuration measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigCommitment {
     digest: Digest,
 }

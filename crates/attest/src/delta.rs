@@ -155,9 +155,8 @@ impl ChurnDelta {
     }
 
     /// Records the final roster state of a touched device (last write
-    /// wins). The registry is the only production caller; it is public so a
-    /// sealer's tests can forge a delta no registry would produce.
-    pub fn record_roster(&mut self, replica: ReplicaId, state: Option<RegisteredDevice>) {
+    /// wins).
+    pub(crate) fn record_roster(&mut self, replica: ReplicaId, state: Option<RegisteredDevice>) {
         self.roster.insert(replica, state);
     }
 
@@ -304,7 +303,6 @@ mod tests {
     fn dev(id: u64, power: u64) -> RegisteredDevice {
         RegisteredDevice {
             replica: ReplicaId::new(id),
-            tier: crate::registry::ReplicaTier::Unattested,
             measurement: None,
             power: VotingPower::new(power),
         }

@@ -3,14 +3,13 @@
 use core::fmt;
 
 use fi_types::{KeyPair, PublicKey, Signature, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::quote::Quote;
 
 /// The hardware families the paper names as attestation roots (§III-B):
 /// TPM 2.0 products, Intel SGX, ARM TrustZone, AMD PSP, IBM Secure Service
 /// Container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceKind {
     /// A discrete TPM 2.0.
     Tpm20,

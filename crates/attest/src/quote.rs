@@ -4,13 +4,12 @@
 
 use fi_types::hash::hash_fields;
 use fi_types::{Digest, KeyPair, PublicKey, Signature, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::device::{AttestationKey, DeviceKind};
 
 /// A remote-attestation quote (paper §III-B, including the Remark-3
 /// vote-key binding).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     device_kind: DeviceKind,
     measurement: Digest,

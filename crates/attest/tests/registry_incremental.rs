@@ -1,12 +1,14 @@
-//! Edge-case suite for [`AttestedRegistry`]'s incremental measurement
-//! buckets: re-registration under a changed measurement, deregistering the
-//! last member of a bucket, and slot recycling — each step cross-checked
-//! against a full rescan of the registry's rows.
+//! Edge-case suite for [`AttestedRegistry`]'s incrementally maintained
+//! measurement buckets: re-registration under a changed measurement,
+//! deregistering the last member of a bucket, and a bucket's row leaving
+//! and returning — each step cross-checked against a full rescan of the
+//! registry's rows.
 //!
-//! The registry maintains `entropy_bits` / `total_effective_power` in O(1)
-//! through an `EntropyAccumulator`; these tests are the proof that the
-//! incremental state never diverges from what a from-scratch aggregation
-//! of `measurement_powers` reports, no matter how the membership churns.
+//! The registry answers `entropy_bits` / `total_effective_power` from one
+//! integer bucket table it updates per op; these tests are the proof that
+//! the table never diverges from what a from-scratch aggregation of
+//! `measurement_powers` reports, no matter how the membership churns, and
+//! that what it reports depends on the content alone.
 
 use fi_attest::device::{DeviceKind, TrustedDevice};
 use fi_attest::{
@@ -150,11 +152,11 @@ fn recycled_slots_serve_new_measurements_without_residue() {
     register(&mut reg, 0, b"cfg-a", 30);
     register(&mut reg, 1, b"cfg-b", 70);
 
-    // Empty cfg-a's bucket, then introduce a brand-new measurement: the
-    // freed slot is reused, and nothing of cfg-a leaks into cfg-c.
+    // Empty cfg-a's bucket, then introduce a brand-new measurement:
+    // nothing of cfg-a leaks into cfg-c.
     assert!(reg.deregister(ReplicaId::new(0)));
     register(&mut reg, 2, b"cfg-c", 30);
-    assert_matches_rescan(&reg, "after slot recycling");
+    assert_matches_rescan(&reg, "after a bucket left and another arrived");
     let rows = reg.measurement_powers(false);
     assert_eq!(rows.len(), 2);
     assert!(
@@ -163,7 +165,7 @@ fn recycled_slots_serve_new_measurements_without_residue() {
     );
     assert!(rows.iter().any(|(m, _)| *m == Some(sha256(b"cfg-c"))));
 
-    // Stress the recycler: churn one replica across many measurements;
+    // Churn one replica across many measurements;
     // the live row count must stay bounded by the live measurement set.
     for round in 0u64..20 {
         let name = format!("cfg-churn-{round}");
@@ -172,7 +174,7 @@ fn recycled_slots_serve_new_measurements_without_residue() {
         assert_eq!(
             reg.measurement_powers(false).len(),
             3,
-            "round {round}: recycled slots must not accumulate rows"
+            "round {round}: abandoned buckets must not accumulate rows"
         );
     }
 }
@@ -251,7 +253,7 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(roster.len(), 3);
     assert_eq!(roster[0].0, ReplicaId::new(0));
     assert_eq!(roster[0].1.unwrap().measurement, Some(sha256(b"cfg-a")));
-    assert_eq!(roster[1].1.unwrap().tier, ReplicaTier::Unattested);
+    assert_eq!(roster[1].1.unwrap().tier(), ReplicaTier::Unattested);
     assert_eq!(roster[2], (ReplicaId::new(2), None));
 
     // Draining resets; further churn starts a fresh delta.
@@ -456,6 +458,54 @@ proptest! {
         }
     }
 
+    /// Content, not history: a registry that reached the same rows by
+    /// another route — every device first attested to a measurement of its
+    /// own under another power, in descending id order, beside a visitor
+    /// that fills a bucket and leaves again — reads the same in every bit
+    /// and in the same row order.
+    #[test]
+    fn the_same_content_by_another_route_reads_the_same_in_every_bit(
+        ops in proptest::collection::vec(churn_op(), 0..40),
+    ) {
+        let weights = TwoTierWeights::new(1.0, 0.5);
+        let mut direct = AttestedRegistry::new(weights);
+        direct.apply_batch(&ops);
+
+        let mut rows: Vec<_> = direct.devices().collect();
+        rows.sort_unstable_by_key(|d| std::cmp::Reverse(d.replica));
+        let visitor = ReplicaId::new(99);
+        let mut detour = AttestedRegistry::new(weights);
+        for d in &rows {
+            detour.apply(&ChurnOp::attest(
+                d.replica,
+                sha256(format!("detour-{}", d.replica).as_bytes()),
+                d.power + VotingPower::new(7),
+            ));
+        }
+        detour.apply(&ChurnOp::attest(visitor, sha256(b"cfg-0"), VotingPower::new(1_000)));
+        for d in &rows {
+            detour.apply(&match d.measurement {
+                Some(m) => ChurnOp::attest(d.replica, m, d.power),
+                None => ChurnOp::Unattested { replica: d.replica, power: d.power },
+            });
+        }
+        detour.apply(&ChurnOp::Deregister { replica: visitor });
+
+        prop_assert_eq!(&detour, &direct);
+        for include in [false, true] {
+            prop_assert_eq!(
+                detour.entropy_bits(include).map(f64::to_bits),
+                direct.entropy_bits(include).map(f64::to_bits),
+                "include={}", include
+            );
+        }
+        prop_assert_eq!(
+            detour.bucket_rows().collect::<Vec<_>>(),
+            direct.bucket_rows().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(detour.total_effective_power(), direct.total_effective_power());
+    }
+
     /// The sealer's merge contract, epoch after epoch: at 1, 2, 4 and 7
     /// shards the canonical merge of the drained shard deltas equals the
     /// un-sharded registry's canonical delta row for row — buckets with
@@ -540,13 +590,11 @@ fn collapsing_churn_leaves_no_row_digest_residue() {
     let mut expected = SetDigest::EMPTY;
     expected.remove(&device_row_digest(&fi_attest::RegisteredDevice {
         replica: r,
-        tier: ReplicaTier::Attested,
         measurement: Some(m),
         power: VotingPower::new(10),
     }));
     expected.insert(&device_row_digest(&fi_attest::RegisteredDevice {
         replica: r,
-        tier: ReplicaTier::Unattested,
         measurement: None,
         power: VotingPower::new(10),
     }));

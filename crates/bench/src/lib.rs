@@ -1,13 +1,14 @@
 //! # `fi-bench` — experiment runners for every table and figure
 //!
-//! Each public `run_*` function regenerates one experiment from
-//! EXPERIMENTS.md and returns a [`Table`] that the `experiments` binary
-//! prints (and can dump as CSV). Criterion benches in `benches/` measure
+//! Each public `run_*` function regenerates one of the paper's experiments
+//! (E1–E11; `src/bin/experiments.rs` indexes them, the README's workspace
+//! layout names the binary) and returns a [`Table`] that the `experiments`
+//! binary prints (and can dump as CSV). Criterion benches in `benches/` measure
 //! the *costs* (entropy computation, attestation, consensus messages,
 //! selection) on the same code paths.
 //!
 //! Everything is seeded and deterministic; tables carry their parameters in
-//! their titles so EXPERIMENTS.md can quote them directly.
+//! their titles, so a table quoted anywhere says what produced it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

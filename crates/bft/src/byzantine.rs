@@ -6,10 +6,8 @@
 //! repertoires used in the fault-injection experiments; the `flavor` byte of
 //! [`fi_simnet::FaultEvent::Compromise`] selects one.
 
-use serde::{Deserialize, Serialize};
-
 /// How a replica behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Behavior {
     /// Protocol-faithful.
     #[default]

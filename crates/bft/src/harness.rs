@@ -8,7 +8,6 @@
 use fi_config::{correlated_fault_set, Assignment, Vulnerability};
 use fi_simnet::{Context, FaultEvent, NetworkConfig, Node, NodeId, Simulation, TimerToken};
 use fi_types::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::byzantine::Behavior;
 use crate::client::Client;
@@ -169,7 +168,7 @@ impl ClusterConfig {
 }
 
 /// Everything a run produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Safety audit over honest replicas.
     pub safety: SafetyReport,

@@ -2,10 +2,9 @@
 
 use fi_types::hash::hash_fields;
 use fi_types::Digest;
-use serde::{Deserialize, Serialize};
 
 /// A client operation: opaque payload identified by `(client_seed, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Operation {
     /// Which client issued the operation.
     pub client: u64,
@@ -30,7 +29,7 @@ impl Operation {
 
 /// A prepared certificate carried in view-change messages: evidence that a
 /// request reached the prepared state at `(view, seq)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedCert {
     /// The view in which it prepared.
     pub view: u64,
@@ -43,7 +42,7 @@ pub struct PreparedCert {
 }
 
 /// All messages exchanged by replicas and clients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BftMessage {
     /// Client → replicas: please execute `op`.
     Request {

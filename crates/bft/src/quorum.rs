@@ -4,8 +4,6 @@
 //! tolerated Byzantine replicas (denoted f), is derived from the total
 //! number of replicas according to the quorum theory."
 
-use serde::{Deserialize, Serialize};
-
 /// Quorum sizes for a cluster of `n` replicas.
 ///
 /// # Example
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.quorum(), 5);      // 2f + 1
 /// assert_eq!(q.weak_quorum(), 3); // f + 1
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuorumParams {
     n: usize,
     f: usize,

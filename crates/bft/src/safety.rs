@@ -7,14 +7,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::Operation;
 use crate::replica::Replica;
 
 /// A detected divergence: two honest replicas executed different operations
 /// at the same sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyViolation {
     /// The sequence number at which histories diverge.
     pub seq: u64,
@@ -25,7 +23,7 @@ pub struct SafetyViolation {
 }
 
 /// The outcome of the safety audit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SafetyReport {
     violations: Vec<SafetyViolation>,
     honest_replicas: usize,
@@ -101,7 +99,7 @@ impl SafetyReport {
 }
 
 /// The outcome of the liveness audit (client progress).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LivenessReport {
     /// Requests the clients saw completed (`f + 1` matching replies).
     pub executed_requests: u64,

@@ -16,7 +16,6 @@
 use std::collections::HashMap;
 
 use fi_types::{ReplicaId, VotingPower};
-use serde::{Deserialize, Serialize};
 
 /// Quorum arithmetic over voting power.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(q.tolerates(VotingPower::new(33)));
 /// assert!(!q.tolerates(VotingPower::new(34)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WeightedQuorum {
     total: VotingPower,
     f_power: VotingPower,
@@ -90,7 +89,7 @@ impl WeightedQuorum {
 
 /// Accumulates votes weighted by per-replica power, counting each replica
 /// at most once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedVoteSet {
     quorum: WeightedQuorum,
     weights: HashMap<ReplicaId, VotingPower>,

@@ -3,11 +3,10 @@
 use fi_entropy::incremental::weighted_entropy_bits;
 use fi_entropy::Distribution;
 use fi_types::{ReplicaId, VotingPower};
-use serde::{Deserialize, Serialize};
 
 /// A replica eligible for committee membership. 24 bytes: the roster of an
 /// epoch snapshot is one of these per device, copied at every seal.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     replica: ReplicaId,
     power: VotingPower,
@@ -81,7 +80,7 @@ impl std::fmt::Debug for Candidate {
 /// [`entropy_bits`](Self::entropy_bits), [`total_power`](Self::total_power),
 /// [`worst_config_share`](Self::worst_config_share)) are O(1)/O(m) reads
 /// with no hashing or re-derivation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Committee {
     members: Vec<Candidate>,
     /// Power per configuration index, sorted by index (cache; derived from

@@ -49,7 +49,6 @@ use std::ops::ControlFlow;
 
 use fi_entropy::EntropyAccumulator;
 use fi_types::{ReplicaId, VotingPower};
-use serde::{Deserialize, Serialize};
 
 use crate::candidate::{Candidate, Committee};
 use crate::greedy::preferred;
@@ -80,7 +79,7 @@ fn xlog2(w: u64) -> f64 {
 /// One candidate as stored in a bucket list. Configuration and list
 /// position are implied by the owning bucket, so bucket-slot splices never
 /// rewrite entries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PrunedEntry {
     power: u64,
     replica: ReplicaId,
@@ -257,7 +256,7 @@ fn merge_list(
 ///     greedy_diverse(&candidates, 8).members()
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrunedRoster {
     /// One candidate list per configuration slot, each sorted by
     /// [`entry_key`]; list position = configuration value.

@@ -32,14 +32,13 @@
 //! criterion sweep's.
 
 use fi_types::ReplicaId;
-use serde::{Deserialize, Serialize};
 
 use crate::candidate::{Candidate, Committee};
 use crate::pruned::{ChallengerSet, PrunedRoster, SelectionRun};
 
 /// How a warm-start selection was produced — the differential suites use
 /// this to assert the fast path actually ran, and fibench reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmReport {
     /// Rounds reproduced by verifying the previous committee's member
     /// against the churned rows only.

@@ -10,7 +10,6 @@
 //! vulnerabilities overlap on replicas, and the safety condition itself.
 
 use fi_types::{ReplicaId, SimTime, VotingPower, VulnId};
-use serde::{Deserialize, Serialize};
 
 use crate::component::ComponentKind;
 use crate::generator::Assignment;
@@ -18,7 +17,7 @@ use crate::vulnerability::{Vulnerability, VulnerabilityDb};
 
 /// The replicas (and total voting power) compromised by one vulnerability —
 /// one term `f^i_t` of the paper's sum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSet {
     vuln: VulnId,
     replicas: Vec<ReplicaId>,
@@ -80,7 +79,7 @@ pub fn correlated_fault_set(assignment: &Assignment, vuln: &Vulnerability, t: Si
 /// The full fault picture at one instant: per-vulnerability fault sets, the
 /// paper's sum `Σ f^i_t`, and the union (which de-duplicates replicas hit
 /// by several vulnerabilities at once).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSummary {
     per_vuln: Vec<FaultSet>,
     sum_power: VotingPower,
@@ -200,7 +199,7 @@ pub fn fault_summary(assignment: &Assignment, db: &VulnerabilityDb, t: SimTime) 
 
 /// Voting power concentrated on one product at one layer — the exposure an
 /// attacker gains from a single product-level zero-day.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentExposure {
     /// The layer.
     pub kind: ComponentKind,

@@ -13,13 +13,12 @@
 use core::fmt;
 
 use fi_types::hash::{hash_fields, Digest};
-use serde::{Deserialize, Serialize};
 
 /// The configurable layers of a replica stack.
 ///
 /// Ordering is significant only in that it fixes the canonical measurement
 /// order of [`crate::Configuration`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ComponentKind {
     /// Hardware-assisted isolated execution (SGX, TrustZone, SEV-SNP, TPMs;
     /// §III-A "Trusted hardware").
@@ -86,7 +85,7 @@ impl fmt::Display for ComponentKind {
 /// assert_eq!(os.kind(), ComponentKind::OperatingSystem);
 /// assert_eq!(os.to_string(), "operating-system:debian-12.5");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Component {
     kind: ComponentKind,
     name: String,

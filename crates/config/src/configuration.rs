@@ -6,10 +6,8 @@ use std::collections::BTreeMap;
 use core::fmt;
 
 use fi_types::hash::{hash_fields, Digest};
-use serde::{Deserialize, Serialize};
 
 use crate::component::{Component, ComponentKind};
-use crate::error::ConfigError;
 
 /// A replica configuration `d_i ∈ D`: the concrete stack one machine runs.
 ///
@@ -31,7 +29,7 @@ use crate::error::ConfigError;
 /// assert_eq!(config.component(ComponentKind::OperatingSystem), Some(&os));
 /// assert!(config.component(ComponentKind::Database).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Configuration {
     components: BTreeMap<ComponentKind, Component>,
 }
@@ -80,16 +78,6 @@ impl Configuration {
         let mut components = self.components.clone();
         components.insert(component.kind(), component);
         Configuration { components }
-    }
-
-    /// Requires a component at `kind`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::MissingComponent`] when absent.
-    pub fn require(&self, kind: ComponentKind) -> Result<&Component, ConfigError> {
-        self.component(kind)
-            .ok_or(ConfigError::MissingComponent { kind: kind.label() })
     }
 }
 
@@ -212,14 +200,6 @@ mod tests {
         let empty = Configuration::builder().build();
         assert_ne!(empty.measurement(), sample().measurement());
         assert_eq!(empty.components().count(), 0);
-    }
-
-    #[test]
-    fn require_reports_missing_layer() {
-        let c = sample();
-        assert!(c.require(ComponentKind::OperatingSystem).is_ok());
-        let err = c.require(ComponentKind::Database).unwrap_err();
-        assert!(err.to_string().contains("database"));
     }
 
     #[test]

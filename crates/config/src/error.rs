@@ -23,11 +23,6 @@ pub enum ConfigError {
     },
     /// The assignment has no replicas (or no voting power).
     EmptyAssignment,
-    /// A configuration is missing a component the operation requires.
-    MissingComponent {
-        /// Human-readable component kind name.
-        kind: &'static str,
-    },
     /// A derived distribution was invalid.
     Distribution(fi_entropy::DistributionError),
     /// Generator parameters were invalid (e.g. zero replicas, non-positive
@@ -52,9 +47,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "replica {replica} assigned more than once")
             }
             ConfigError::EmptyAssignment => write!(f, "assignment has no replicas"),
-            ConfigError::MissingComponent { kind } => {
-                write!(f, "configuration is missing a {kind} component")
-            }
             ConfigError::Distribution(e) => write!(f, "invalid derived distribution: {e}"),
             ConfigError::InvalidParameter { reason } => {
                 write!(f, "invalid generator parameter: {reason}")

@@ -13,14 +13,13 @@ use fi_entropy::{AbundanceVector, Distribution, EntropyAccumulator};
 use fi_types::{ReplicaId, VotingPower};
 use rand::distributions::Distribution as RandDistribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::configuration::Configuration;
 use crate::error::ConfigError;
 use crate::space::ConfigurationSpace;
 
 /// One replica's row in an assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentEntry {
     /// The replica.
     pub replica: ReplicaId,
@@ -45,11 +44,10 @@ pub struct AssignmentEntry {
 /// assert!((a.entropy_bits()? - 3.0).abs() < 1e-12);
 /// # Ok::<(), fi_config::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     space: ConfigurationSpace,
     entries: Vec<AssignmentEntry>,
-    #[serde(skip)]
     by_replica: HashMap<ReplicaId, usize>,
 }
 

@@ -5,7 +5,6 @@
 use std::collections::HashMap;
 
 use fi_types::hash::Digest;
-use serde::{Deserialize, Serialize};
 
 use crate::component::Component;
 use crate::configuration::Configuration;
@@ -24,10 +23,9 @@ use crate::error::ConfigError;
 /// assert_eq!(space.len(), 6);
 /// # Ok::<(), fi_config::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigurationSpace {
     configs: Vec<Configuration>,
-    #[serde(skip)]
     by_measurement: HashMap<Digest, usize>,
 }
 

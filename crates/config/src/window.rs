@@ -11,7 +11,6 @@
 
 use fi_types::hash::hash_fields;
 use fi_types::{ReplicaId, SimTime, VotingPower};
-use serde::{Deserialize, Serialize};
 
 use crate::generator::Assignment;
 use crate::vulnerability::{Vulnerability, VulnerabilityDb};
@@ -30,7 +29,7 @@ use crate::vulnerability::{Vulnerability, VulnerabilityDb};
 /// assert!(l1 >= SimTime::from_secs(3600));
 /// assert!(l1 < SimTime::from_secs(3600 + 7200));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatchRollout {
     base_latency: SimTime,
     jitter: SimTime,
@@ -123,7 +122,7 @@ pub fn exposed_power_at(
 }
 
 /// One sample of an exposure curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExposurePoint {
     /// Sample time.
     pub time: SimTime,

@@ -4,7 +4,6 @@ use fi_config::closure::{component_exposure_ranking, fault_summary, ComponentExp
 use fi_config::window::{exposure_curve, ExposurePoint, PatchRollout};
 use fi_config::{Assignment, VulnerabilityDb};
 use fi_types::{SimTime, VotingPower};
-use serde::{Deserialize, Serialize};
 
 /// Evaluates the paper's safety condition `f ≥ Σ_i f^i_t` (§II-C) and the
 /// structural exposure of an assignment.
@@ -86,7 +85,7 @@ impl ResilienceAnalyzer {
 }
 
 /// The fault picture at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceReport {
     /// The analyzed instant.
     pub at: SimTime,

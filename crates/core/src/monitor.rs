@@ -6,7 +6,6 @@ use fi_entropy::renyi::min_entropy_bits;
 use fi_entropy::shannon::{effective_configurations, evenness};
 use fi_fleet::EpochSnapshot;
 use fi_types::{ReplicaId, SimTime, VotingPower};
-use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 
@@ -72,9 +71,10 @@ impl DiversityMonitor {
     }
 
     /// The Shannon entropy (bits) of the current configuration
-    /// distribution, straight off the registry's incrementally maintained
-    /// accumulator — O(1), no distribution rebuild. This is the
-    /// continuous-monitoring fast path; use [`report`](Self::report) for the
+    /// distribution, folded from the registry's incrementally maintained
+    /// integer buckets — O(distinct measurements), no distribution rebuild,
+    /// and the bits a snapshot sealed from the same content reports. This is
+    /// the continuous-monitoring path; use [`report`](Self::report) for the
     /// full metric set.
     ///
     /// # Errors
@@ -173,7 +173,7 @@ impl DiversityReport {
 }
 
 /// A snapshot of the system's measured diversity (§IV quantities).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiversityReport {
     /// Registered replicas (both tiers).
     pub replicas: usize,
@@ -347,11 +347,11 @@ mod tests {
         for include in [false, true] {
             let via_registry = m.report(include).unwrap();
             let via_snapshot = DiversityReport::from_snapshot(&snapshot, include).unwrap();
-            // Batch metrics come from bit-identical distributions; only the
-            // O(1) entropy read differs (canonical vs history-accumulated),
-            // within the engine's drift bound.
-            assert!(
-                (via_registry.entropy_bits - via_snapshot.entropy_bits).abs() < 1e-9,
+            // Batch metrics come from bit-identical distributions, and the
+            // entropy read is the same fold over the same buckets.
+            assert_eq!(
+                via_registry.entropy_bits.to_bits(),
+                via_snapshot.entropy_bits.to_bits(),
                 "include={include}"
             );
             assert_eq!(via_registry.replicas, via_snapshot.replicas);

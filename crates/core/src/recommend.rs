@@ -9,10 +9,9 @@
 
 use fi_config::Assignment;
 use fi_types::ReplicaId;
-use serde::{Deserialize, Serialize};
 
 /// One suggested migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recommendation {
     /// Which replica should move.
     pub replica: ReplicaId,

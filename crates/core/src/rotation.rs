@@ -15,10 +15,9 @@ use std::collections::HashMap;
 use fi_config::Assignment;
 use fi_entropy::EntropyAccumulator;
 use fi_types::{ReplicaId, SimTime, VotingPower};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RotationStep {
     /// When to apply.
     pub at: SimTime,

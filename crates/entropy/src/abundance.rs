@@ -9,8 +9,6 @@
 //! protocols, where the relative configuration abundance represents mining
 //! power distribution."
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::Distribution;
 use crate::error::DistributionError;
 
@@ -33,7 +31,7 @@ use crate::error::DistributionError;
 /// assert!((a.relative()?.distribution().shannon_entropy() - 3f64.log2()).abs() < 1e-12);
 /// # Ok::<(), fi_entropy::DistributionError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbundanceVector {
     counts: Vec<u64>,
 }
@@ -178,7 +176,7 @@ impl AbundanceVector {
 
 /// The relative configuration abundance: a [`Distribution`] guaranteed to
 /// have come from integer replica counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelativeAbundance {
     dist: Distribution,
 }

@@ -17,7 +17,6 @@
 //! residual split loses nothing to rounding.
 
 use fi_types::VotingPower;
-use serde::{Deserialize, Serialize};
 
 use crate::dist::Distribution;
 use crate::error::DistributionError;
@@ -89,7 +88,7 @@ pub fn figure1_distribution(x: usize) -> Result<Distribution, DistributionError>
 }
 
 /// One point of the Figure 1 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Point {
     /// Number of miners the residual 0.855% is split across (the x-axis).
     pub x: usize,

@@ -6,9 +6,6 @@
 //! share of voting power (relative configuration abundance); for classic BFT
 //! it is a share of replica count.
 
-use fi_types::VotingPower;
-use serde::{Deserialize, Serialize};
-
 use crate::error::DistributionError;
 
 /// How far from exactly 1.0 a probability vector may sum and still be
@@ -38,7 +35,7 @@ pub const NORMALIZATION_TOLERANCE: f64 = 1e-9;
 /// assert!((p.probabilities()[0] - 0.75).abs() < 1e-12);
 /// # Ok::<(), fi_entropy::DistributionError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Distribution {
     probs: Vec<f64>,
 }
@@ -96,30 +93,6 @@ impl Distribution {
         Ok(Distribution {
             probs: counts.iter().map(|&c| c as f64 / total as f64).collect(),
         })
-    }
-
-    /// Builds a distribution of voting-power shares — the paper's *relative
-    /// configuration abundance* for permissionless systems.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`from_counts`](Self::from_counts).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fi_entropy::Distribution;
-    /// use fi_types::VotingPower;
-    /// let p = Distribution::from_powers(&[
-    ///     VotingPower::new(600_000),
-    ///     VotingPower::new(400_000),
-    /// ])?;
-    /// assert!((p.probabilities()[0] - 0.6).abs() < 1e-12);
-    /// # Ok::<(), fi_entropy::DistributionError>(())
-    /// ```
-    pub fn from_powers(powers: &[VotingPower]) -> Result<Self, DistributionError> {
-        let counts: Vec<u64> = powers.iter().map(|p| p.as_units()).collect();
-        Self::from_counts(&counts)
     }
 
     /// The uniform distribution over `k` configurations — the entropy
@@ -408,13 +381,6 @@ mod tests {
             Distribution::from_weights(&[0.0, 0.0]),
             Err(DistributionError::ZeroTotalWeight)
         );
-    }
-
-    #[test]
-    fn from_counts_and_powers_agree() {
-        let c = Distribution::from_counts(&[3, 1]).unwrap();
-        let p = Distribution::from_powers(&[VotingPower::new(3), VotingPower::new(1)]).unwrap();
-        assert_eq!(c, p);
     }
 
     #[test]

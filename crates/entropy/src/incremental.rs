@@ -31,8 +31,6 @@
 //!   selection loop that compares peeked values and then applies the winner
 //!   sees no drift between decision and state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::shannon::normalized_entropy;
 
 /// `w · log2 w` with the `0 · log 0 := 0` convention.
@@ -87,7 +85,7 @@ fn entropy_of(total: u64, weighted_log_sum: f64, support: usize) -> f64 {
 /// assert_eq!(peeked, acc.entropy_bits());
 /// # Ok::<(), fi_entropy::DistributionError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntropyAccumulator {
     weights: Vec<u64>,
     total: u64,

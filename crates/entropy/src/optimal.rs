@@ -14,8 +14,6 @@
 //! > resilience if it is κ-optimal fault independence with configuration
 //! > abundance of ω.
 
-use serde::{Deserialize, Serialize};
-
 use crate::abundance::AbundanceVector;
 use crate::dist::Distribution;
 use crate::shannon::{max_entropy_bits, shannon_entropy_bits};
@@ -25,7 +23,7 @@ use crate::shannon::{max_entropy_bits, shannon_entropy_bits};
 pub const DEFAULT_TOLERANCE: f64 = 1e-9;
 
 /// The verdict of checking a distribution against Definition 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KappaOptimality {
     kappa: usize,
     uniform_on_support: bool,
@@ -81,7 +79,7 @@ impl KappaOptimality {
 }
 
 /// The verdict of checking an abundance vector against Definition 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimalResilience {
     kappa: usize,
     omega: Option<u64>,

@@ -7,8 +7,6 @@
 //! over parameter ranges (experiments E3–E5); the property tests in this
 //! crate check them on randomly generated inputs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::abundance::AbundanceVector;
 use crate::dist::Distribution;
 use crate::error::DistributionError;
@@ -21,7 +19,7 @@ const ENTROPY_TOLERANCE: f64 = 1e-9;
 /// Outcome of checking **Proposition 1**: "For κ-optimal fault independence
 /// system, increasing configuration abundance decreases entropy, unless the
 /// relative configuration abundance remains identical."
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prop1Outcome {
     /// Entropy (bits) of the κ-optimal starting point.
     pub entropy_before: f64,
@@ -110,7 +108,7 @@ pub fn check_proposition1(
 /// Resilience here is the paper's entropy measure: Example 1 shows Bitcoin
 /// with hundreds of miners staying below the 3 bits of an 8-replica uniform
 /// BFT system, because the oligopoly head pins the entropy down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prop2Outcome {
     /// Number of replicas before adding.
     pub replicas_before: usize,
@@ -202,7 +200,7 @@ pub fn check_proposition2(
 /// abundance ω (one operator per replica, equal power), one malicious
 /// operator controls `1/(κ·ω)` of the power, while one exploited
 /// *vulnerability* still controls `1/κ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prop3Row {
     /// Configuration abundance ω.
     pub omega: u64,

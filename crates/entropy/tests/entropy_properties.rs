@@ -177,7 +177,7 @@ proptest! {
         prop_assert!(out.entropy_gain <= out.head_limited_bound + EPS);
     }
 
-    /// from_counts and from_powers agree with manual normalization.
+    /// from_counts agrees with manual normalization.
     #[test]
     fn counts_normalization(counts in counts_strategy()) {
         let p = Distribution::from_counts(&counts).unwrap();

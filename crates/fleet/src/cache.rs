@@ -37,12 +37,11 @@ use std::sync::{Arc, Mutex};
 
 use fi_committee::Committee;
 use fi_types::Digest;
-use serde::{Deserialize, Serialize};
 
 use crate::snapshot::EpochSnapshot;
 
 /// Monotonic counters describing how the cache has served its queries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from a memoized entry.
     pub hits: u64,

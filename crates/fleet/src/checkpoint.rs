@@ -42,7 +42,7 @@ use fi_types::codec::{read_header, write_header, Decode, Encode, Reader};
 use fi_types::{crc32, Digest, VotingPower};
 
 use crate::error::CheckpointError;
-use crate::snapshot::{roster_aggregate, tier_matches_measurement, EpochSnapshot};
+use crate::snapshot::{roster_aggregate, EpochSnapshot};
 
 /// Magic prefix of every checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FICKPT01";
@@ -94,15 +94,6 @@ impl Checkpoint {
             }
         }
         for d in &self.devices {
-            if !tier_matches_measurement(d) {
-                return Err(CheckpointError::Inconsistent {
-                    epoch: self.epoch,
-                    detail: format!(
-                        "device {} is on the {:?} tier with measurement {:?}",
-                        d.replica, d.tier, d.measurement
-                    ),
-                });
-            }
             if let Some(m) = d.measurement {
                 if !rows.contains_key(&m) {
                     return Err(CheckpointError::Inconsistent {
@@ -426,22 +417,44 @@ mod tests {
 
     #[test]
     fn a_tier_that_contradicts_the_measurement_is_rejected() {
-        // The rebuilt snapshot derives the tier from the measurement, so a
-        // stored row where they disagree would silently change on reload.
-        let snapshot = sealed_snapshot();
-        let mut ckpt = Checkpoint::from_snapshot(&snapshot);
-        assert!(ckpt.rebuild().is_ok());
-        let row = ckpt
+        // A device value cannot hold the contradiction, so it can only come
+        // in as bytes: flip the tier byte of the first attested row in an
+        // otherwise valid file and re-seal the CRC. The rebuilt snapshot
+        // would derive the tier from the measurement, so loading such a row
+        // would silently change it.
+        let dir = tmpdir("tier");
+        let ckpt = Checkpoint::from_snapshot(&sealed_snapshot());
+        let path = ckpt.write(&dir).unwrap();
+        assert!(Checkpoint::load(&path).is_ok());
+
+        let attested = ckpt
             .devices
-            .iter_mut()
-            .find(|d| d.measurement.is_some())
+            .iter()
+            .position(|d| d.measurement.is_some())
             .expect("the trace attests devices");
-        row.tier = fi_attest::ReplicaTier::Unattested;
-        match ckpt.rebuild() {
-            Err(CheckpointError::Inconsistent { detail, .. }) => {
-                assert!(detail.contains("Unattested tier"), "got {detail}");
+        // The roster is the last section but the 32-byte content hash and
+        // the 4-byte CRC; a row's tier byte follows its 8-byte replica id.
+        let mut bytes = fs::read(&path).unwrap();
+        let roster_len: usize = ckpt.devices.iter().map(|d| d.to_bytes().len()).sum();
+        let before: usize = ckpt.devices[..attested]
+            .iter()
+            .map(|d| d.to_bytes().len())
+            .sum();
+        let tier_at = bytes.len() - 4 - 32 - roster_len + before + 8;
+        assert_eq!(bytes[tier_at], 0, "an attested row's tier byte");
+        bytes[tier_at] = 1;
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        match Checkpoint::load(&path) {
+            Err(CheckpointError::Codec(e)) => {
+                assert!(e.to_string().contains("tier"), "got {e}");
             }
-            other => panic!("expected Inconsistent, got {other:?}"),
+            other => panic!("expected a codec error, got {other:?}"),
         }
+        assert!(latest_valid(&dir).unwrap().is_none());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

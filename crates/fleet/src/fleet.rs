@@ -54,12 +54,12 @@
 //! epoch is committed only at publication, so a seal that fails or panics
 //! before it leaves no hole: the next seal takes the same epoch number and
 //! rebuilds from the authoritative shards. Publication lands in the
-//! wait-free [`SnapshotCell`] (see [`crate::publish`]): readers clone the
-//! current `Arc<EpochSnapshot>` without taking any lock the sealer
-//! contends on, per-reader [`SnapshotHandle`]s serve steady-state
-//! monitoring queries without touching a shared cache line at all, and
-//! every query then runs entirely lock-free on the immutable snapshot
-//! while ingest continues on the shards.
+//! [`SnapshotCell`] (see [`crate::publish`]): readers clone the current
+//! `Arc<EpochSnapshot>` under a guard held for that clone alone — never
+//! across a seal's construction — per-reader [`SnapshotHandle`]s serve
+//! steady-state monitoring queries without touching a shared cache line at
+//! all, and every query then runs entirely lock-free on the immutable
+//! snapshot while ingest continues on the shards.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -130,14 +130,14 @@ pub struct ShardedFleet {
     /// Forced full-rebuild cadence: every `reanchor_interval`-th epoch
     /// rebuilds from scratch; `0` means never on a schedule.
     reanchor_interval: u64,
-    /// The wait-free publication point: an epoch-stamped double buffer
-    /// readers clone from without taking any lock the sealer contends on.
-    /// See [`crate::publish`] for the scheme and its monotonicity proof.
+    /// The publication point: the served snapshot and its epoch stamp,
+    /// which is also the fleet's epoch counter — a seal works on
+    /// `current.stamp() + 1` and commits it by publishing. See
+    /// [`crate::publish`] for the scheme and its monotonicity argument.
     current: SnapshotCell,
-    /// Held shared by every ingest call for its whole batch and by
-    /// [`device_count`](Self::device_count), and exclusively by the
-    /// sealer's cut, so a batch whose sub-batches land on different shards
-    /// is atomic with respect to the epoch cut.
+    /// Held shared by every ingest call for its whole batch, and
+    /// exclusively by the sealer's cut, so a batch whose sub-batches land
+    /// on different shards is atomic with respect to the epoch cut.
     batch_gate: RwLock<()>,
     /// Held by the one sealer at a time from its cut to its checkpoint, so
     /// every delta is built onto the snapshot it was cut against and
@@ -156,9 +156,10 @@ pub struct ShardedFleet {
     /// Running registered-device total, maintained with **one** atomic add
     /// of the batch's net roster delta after the batch has fully applied
     /// (still inside its gate hold). Readers therefore only ever observe
-    /// batch-boundary values — the monitoring read stays batch-atomic
-    /// without taking the gate exclusively. Signed because a batch's net
-    /// effect can be negative (deregistrations).
+    /// batch-boundary values — the monitoring read
+    /// ([`device_count`](Self::device_count)) is batch-atomic and takes no
+    /// lock at all. Signed because a batch's net effect can be negative
+    /// (deregistrations).
     device_total: AtomicI64,
 }
 
@@ -185,13 +186,12 @@ pub(crate) struct DurabilityState {
 /// turns out damaged.
 const RETAIN_CHECKPOINTS: usize = 2;
 
-/// What the seal mutex guards.
+/// What the seal mutex guards. The epoch counter is not here: it is the
+/// publication cell's stamp, which only a holder of this mutex advances —
+/// a seal works on `stamp + 1` and commits it by publishing, so a seal that
+/// fails earlier consumes no epoch number.
 #[derive(Debug)]
 struct SealState {
-    /// The epoch of the published snapshot. A seal works on `epoch + 1`
-    /// and commits it here only at publication, so a seal that fails
-    /// earlier consumes no epoch number.
-    epoch: u64,
     /// Set before a seal drains the first shard delta, cleared at
     /// publication. While set, the drained churn is in no published
     /// snapshot — the seal was rejected ([`SealError::CorruptDelta`]) or
@@ -203,10 +203,10 @@ struct SealState {
 /// Lock acquisition with explicit poison recovery.
 ///
 /// A panicking sealer cannot leave [`SealState`] in a state the seal path
-/// does not account for: the epoch moves only at publication, and
-/// `reanchor_due` is already set whenever a delta has been drained, so the
-/// seal after a sealer's panic is a full rebuild rather than a permanent
-/// failure. (The per-shard registry locks
+/// does not account for: the epoch moves only at publication (it is the
+/// publication cell's stamp), and `reanchor_due` is already set whenever a
+/// delta has been drained, so the seal after a sealer's panic is a full
+/// rebuild rather than a permanent failure. (The per-shard registry locks
 /// deliberately keep their `expect`s: those guard real data a thread that
 /// panics inside `apply_batch` *can* leave mid-batch.)
 fn lock_recover<'a, T>(lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -255,7 +255,6 @@ impl ShardedFleet {
             current: SnapshotCell::new(Arc::new(EpochSnapshot::empty(weights))),
             batch_gate: RwLock::new(()),
             seal: Mutex::new(SealState {
-                epoch: 0,
                 reanchor_due: false,
             }),
             selection_cache: SelectionCache::default(),
@@ -279,11 +278,11 @@ impl ShardedFleet {
 
     /// Rewinds this (fresh, unshared) fleet onto a checkpointed epoch:
     /// the shards must already hold the checkpoint's devices (re-ingested
-    /// by recovery); this drains their accumulated deltas, fast-forwards
-    /// the epoch counter, and publishes the verified `snapshot` so the
-    /// next differential seal chains onto it.
+    /// by recovery); this drains their accumulated deltas and publishes
+    /// the verified `snapshot` — which fast-forwards the epoch counter —
+    /// so the next differential seal chains onto it.
     pub(crate) fn restore_published(&self, snapshot: Arc<EpochSnapshot>) {
-        let mut st = lock_recover(&self.seal);
+        let _st = lock_recover(&self.seal);
         for shard in &self.shards {
             let _ = lock_recover(shard).take_delta();
         }
@@ -292,7 +291,6 @@ impl ShardedFleet {
         self.device_total
             .store(snapshot.device_count() as i64, Ordering::Relaxed);
         self.current.publish(&snapshot);
-        st.epoch = snapshot.epoch();
     }
 
     /// The sum of the shards' write-time roster aggregates — what the next
@@ -480,19 +478,13 @@ impl ShardedFleet {
     }
 
     /// Number of registered devices across all shards, batch-atomic and
-    /// non-blocking for ingest: the count is a fleet-level counter updated
-    /// with one atomic add per fully-applied batch, so this read never
-    /// observes a half-applied multi-shard batch — and it takes the batch
-    /// gate **shared**, so concurrent ingest threads (also shared holders)
-    /// are never stalled by monitoring traffic.
+    /// lock-free: the count is a fleet-level counter updated with one
+    /// atomic add per fully-applied batch, so this one load never observes
+    /// a half-applied multi-shard batch and stalls nobody.
     #[must_use]
     pub fn device_count(&self) -> usize {
-        let _gate = self
-            .batch_gate
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        // relaxed: monitoring read of the batch-boundary counter; the
-        // shared gate hold already excludes a concurrent exclusive seal.
+        // relaxed: monitoring read of a counter that only ever holds
+        // batch-boundary values and publishes no other data.
         self.device_total.load(Ordering::Relaxed).max(0) as usize
     }
 
@@ -536,7 +528,7 @@ impl ShardedFleet {
     pub fn try_seal_epoch(&self) -> Result<Arc<EpochSnapshot>, SealError> {
         // One sealer at a time, from here to the checkpoint.
         let mut st = lock_recover(&self.seal);
-        let epoch = st.epoch + 1;
+        let epoch = self.current.stamp() + 1;
 
         // Phase 1 — the cut: exclude in-flight batches (so a batch whose
         // sub-batches land on different shards is observed either fully or
@@ -636,14 +628,13 @@ impl ShardedFleet {
                 // and only a sealer (this one) can replace that. A delta
                 // that does not chain returns here with `reanchor_due` set.
                 let prev = self.current.load();
-                debug_assert_eq!(prev.epoch(), st.epoch);
+                debug_assert_eq!(prev.epoch() + 1, epoch);
                 prev.try_apply_delta(epoch, &CanonicalDelta::merge(per_shard))?
             }
         });
 
         // Phase 3 — publication, and with it the epoch commit.
         self.current.publish(&snapshot);
-        st.epoch = epoch;
         st.reanchor_due = false;
 
         // Phases 4 and 5 — record and checkpoint: log the content hash
@@ -668,9 +659,9 @@ impl ShardedFleet {
         Ok(snapshot)
     }
 
-    /// The currently served snapshot, cloned off the wait-free publication
-    /// cell: no lock is taken, a racing seal costs at most a retry of the
-    /// `Arc` clone, and every query on the snapshot itself is lock-free.
+    /// The currently served snapshot, cloned off the publication cell under
+    /// a guard held for the `Arc` clone alone — a racing seal builds outside
+    /// it — and every query on the snapshot itself is lock-free.
     /// Query bursts and steady-state monitors should prefer a
     /// [`reader`](Self::reader) handle, which also skips the `Arc` clone.
     #[must_use]
@@ -986,9 +977,8 @@ mod tests {
         // Regression: `snapshot()` used to `.read().unwrap()` a single
         // `RwLock` publication point, and the seal path `.expect`ed its
         // locks — one thread panicking while holding any of them bricked
-        // every future read and seal. The wait-free read path takes no
-        // such lock, and the seal mutex and the batch gate recover from
-        // poisoning explicitly.
+        // every future read and seal. The publication slot, the seal mutex
+        // and the batch gate all recover from poisoning explicitly.
         let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
         fleet.try_ingest_batch(&ops(16)).unwrap();
         assert_eq!(fleet.try_seal_epoch().unwrap().epoch(), 1);

@@ -15,8 +15,8 @@
 //! ## Model
 //!
 //! * A [`ShardedFleet`] owns `N` [`fi_attest::AttestedRegistry`] shards,
-//!   each maintaining its incremental entropy buckets
-//!   ([`fi_entropy::EntropyAccumulator`]) in O(1) per op.
+//!   each maintaining its integer measurement buckets with one or two row
+//!   updates per op and no float.
 //! * [`ShardedFleet::try_ingest_batch`] splits a batch by `device id mod
 //!   N` and applies the sub-batches shard after shard. Shards share
 //!   nothing; each device's op order is preserved, and that is the only
@@ -33,9 +33,9 @@
 //!   included, to the full rebuild that epoch 1 performs, that recovers
 //!   from a rejected seal, and that a caller can force every R-th epoch
 //!   as a reference ([`ShardedFleet::with_reanchor_interval`]).
-//! * Readers clone the current `Arc<EpochSnapshot>` off the wait-free
-//!   [`SnapshotCell`] publication point (no lock, seqlock-style epoch
-//!   revalidation) — or, better, hold a per-reader [`SnapshotHandle`]
+//! * Readers clone the current `Arc<EpochSnapshot>` off the
+//!   [`SnapshotCell`] publication point (one slot, its guard held for the
+//!   clone alone) — or, better, hold a per-reader [`SnapshotHandle`]
 //!   whose steady-state revalidation is one relaxed atomic load — and run
 //!   [`select_greedy`](EpochSnapshot::select_greedy),
 //!   [`select_two_tier`](EpochSnapshot::select_two_tier), and monitoring

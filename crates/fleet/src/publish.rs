@@ -1,67 +1,54 @@
-//! Wait-free snapshot publication: the epoch-stamped double buffer.
+//! Snapshot publication: one slot, its epoch stamp, and per-reader handles.
 //!
-//! Before this module, the fleet published snapshots through a single
-//! `RwLock<Arc<EpochSnapshot>>`. Every monitoring read then paid an
-//! acquisition on that one lock word — a shared cache line all readers and
-//! the publisher fight over — and the committed `fleet.mixed_90_10`
-//! baseline showed the resulting inversion: read throughput *fell* as
-//! shards rose. Worse, a sealer that panicked while holding the lock
-//! poisoned it, bricking every future read.
+//! A sealed [`EpochSnapshot`] is immutable and shared through an `Arc`, so
+//! publishing one is replacing a pointer. [`SnapshotCell`] holds that
+//! pointer in **one slot**, an `RwLock<Arc<EpochSnapshot>>` whose guards
+//! are held for exactly one `Arc` clone (a reader) or one `Arc` store (the
+//! publisher) — never across snapshot *construction*, which happens
+//! entirely outside this type. Beside the slot sits a **stamp**: one
+//! `AtomicU64` holding the epoch of the published snapshot, stored with
+//! `Release` after the slot is written.
 //!
-//! [`SnapshotCell`] replaces that with a seqlock-style scheme built from
-//! two pieces of state:
+//! **Why one slot suffices.** The stamp is not a second fact to keep in
+//! step with the slot: it is the published snapshot's own
+//! [`epoch()`](EpochSnapshot::epoch), copied out so that it can be polled
+//! without touching the lock word. A read through the slot returns the
+//! snapshot and reads the stamp *off that snapshot*, so the pair is
+//! consistent by construction and there is nothing to revalidate or
+//! retry. Publishers are serialised in strictly increasing epoch order
+//! (the fleet's seal mutex), and the lock orders every clone against every
+//! store, so the epochs any one reader observes through a cell are
+//! **non-decreasing**. A reader that saw stamp `e` and then takes the slot
+//! finds epoch `e` or newer there, because the slot was written before the
+//! stamp was.
 //!
-//! * a **stamp**: one `AtomicU64` holding the epoch of the most recently
-//!   published snapshot (publishers store it with `Release`, readers load
-//!   it with `Acquire`);
-//! * a **double buffer**: two slots, where the snapshot published at epoch
-//!   `e` lives in slot `e & 1`.
-//!
-//! Publication (already serialised by the fleet's seal mutex, whose one
-//! holder publishes epoch `e + 1` over epoch `e`) writes the new `Arc`
-//! into the *other* slot — the one no current-stamp reader is looking at —
-//! and then advances the stamp. A reader loads the stamp, clones the `Arc`
-//! out of the corresponding slot, and **revalidates** the stamp after the
-//! clone: if it moved, a publication raced the read and the reader retries
-//! against the fresh stamp. The slot guards are held only for the duration
-//! of one `Arc` clone or store, and consecutive epochs alternate slots, so
-//! a reader's slot is never the slot a racing publisher is writing — in
-//! steady state readers neither block nor retry, and they can never block
-//! on snapshot *construction* (which happens entirely outside this type).
-//! The stamp-equal-across-the-clone protocol is what makes the scheme
-//! safe under laps: if a reader stalls long enough for two publications to
-//! come back around to its slot, the revalidation fails and it retries,
-//! so the returned snapshot is always exactly the one the observed stamp
-//! names. Because a thread's loads of one atomic are coherence-ordered,
-//! the epochs any single reader observes through a cell are
-//! **non-decreasing** — the monotonicity contract the old lock provided,
-//! now without the lock.
-//!
-//! [`SnapshotHandle`] layers the shared-nothing fast path on top: a
-//! per-reader cache of the last `Arc<EpochSnapshot>` plus the stamp it was
-//! published under. Revalidation is a single `Relaxed` stamp load compared
-//! against the cached value; while no epoch has been sealed, the handle
-//! returns its cached snapshot without cloning an `Arc`, taking a guard,
-//! or writing to *any* shared cache line — the stamp line stays in the
-//! shared state of every reader's cache, so steady-state monitoring
-//! queries (`entropy_bits`, `device_count`, report derivation, committee
-//! selection) scale with cores instead of serialising on the publication
-//! point. A `Relaxed` revalidation can lag a publication by a moment, but
-//! never reads an older stamp than this thread has already seen, so the
+//! What costs, when every monitoring read takes a lock, is the acquisition
+//! itself: a write to one cache line that all readers and the publisher
+//! share, and read throughput that falls as readers are added.
+//! [`SnapshotHandle`] is what removes it: a per-reader cache of the last
+//! `Arc<EpochSnapshot>` plus its stamp. Revalidation is a single `Relaxed`
+//! stamp load compared against the cached value; while no epoch has been
+//! sealed, the handle returns its cached snapshot without cloning an
+//! `Arc`, taking a guard, or writing to *any* shared cache line — the
+//! stamp line stays in the shared state of every reader's cache, so
+//! steady-state monitoring queries (`entropy_bits`, `device_count`, report
+//! derivation, committee selection) scale with cores instead of
+//! serialising on the publication point. A `Relaxed` revalidation can lag
+//! a publication by a moment, but a refresh goes through the slot, so the
 //! handle inherits the cell's monotonicity.
 //!
 //! Every guard acquisition here recovers from poisoning
 //! ([`PoisonError::into_inner`]): the guarded value is a plain `Arc`,
 //! which a panicking holder can never leave torn — either the old or the
 //! new snapshot pointer is in place, both of them validly published. A
-//! panicking sealer therefore can no longer brick the read path
+//! panicking sealer therefore cannot brick the read path
 //! (regression-tested in `fleet.rs`).
 //!
-//! The differential suite (`tests/publish_stress.rs`) proves the scheme
-//! byte-identical to the locked oracle under concurrent seals at shard
-//! counts {1, 2, 4, 8}: every snapshot any reader observes — by content
-//! hash and by committee-selection parity — is one a sealer actually
-//! committed, and no reader ever sees an epoch go backwards.
+//! The differential suite (`tests/publish_stress.rs`) holds the cell to a
+//! locked oracle under concurrent seals at shard counts {1, 2, 4, 8}:
+//! every snapshot any reader observes — by content hash and by
+//! committee-selection parity — is one a sealer actually committed, and no
+//! reader ever sees an epoch go backwards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -80,8 +67,8 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The wait-free publication point: an epoch-stamped double buffer of
-/// `Arc<EpochSnapshot>` slots.
+/// The publication point: one `Arc<EpochSnapshot>` slot and the epoch
+/// stamp of what it holds.
 ///
 /// Readers ([`load`](Self::load), or a [`SnapshotHandle`] for the cached
 /// fast path) never wait on snapshot construction and never observe the
@@ -90,24 +77,22 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// exactly what the fleet's seal mutex, held from cut to publish, provides.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    /// Epoch of the most recently published snapshot. Only (serialised)
-    /// publishers store it; readers revalidate against it.
+    /// Epoch of the published snapshot — `slot`'s own `epoch()`, stored
+    /// after it, so handles can poll for a new one without the lock. Only
+    /// (serialised) publishers store it.
     stamp: AtomicU64,
-    /// The double buffer: epoch `e`'s snapshot lives in slot `e & 1`, so
-    /// consecutive publications alternate slots and never write the slot
-    /// current-stamp readers are cloning from.
-    slots: [RwLock<Arc<EpochSnapshot>>; 2],
+    /// The published snapshot. Guards are held for one `Arc` clone or one
+    /// `Arc` store.
+    slot: RwLock<Arc<EpochSnapshot>>,
 }
 
 impl SnapshotCell {
-    /// Creates a cell serving `initial`; its epoch becomes the stamp (both
-    /// slots start on `initial`, so even a torn-off stale stamp read
-    /// resolves to a valid snapshot).
+    /// Creates a cell serving `initial`; its epoch becomes the stamp.
     #[must_use]
     pub fn new(initial: Arc<EpochSnapshot>) -> Self {
         SnapshotCell {
             stamp: AtomicU64::new(initial.epoch()),
-            slots: [RwLock::new(Arc::clone(&initial)), RwLock::new(initial)],
+            slot: RwLock::new(initial),
         }
     }
 
@@ -117,36 +102,20 @@ impl SnapshotCell {
         self.stamp.load(Ordering::Acquire)
     }
 
-    /// Clones the currently published snapshot — the seqlock-style read:
-    /// load the stamp, clone the stamped slot, revalidate. Never blocks on
-    /// a publisher's snapshot construction; retries only when a
-    /// publication raced the clone.
+    /// Clones the currently published snapshot. Never blocks on a
+    /// publisher's snapshot construction: the slot guard covers the `Arc`
+    /// clone alone.
     #[must_use]
     pub fn load(&self) -> Arc<EpochSnapshot> {
-        self.load_stamped().1
+        Arc::clone(&read_recover(&self.slot))
     }
 
-    /// [`load`](Self::load) plus the validated stamp it was published
-    /// under — what a [`SnapshotHandle`] caches for relaxed revalidation.
+    /// [`load`](Self::load) plus the stamp the snapshot was published
+    /// under — its own epoch — which is what a [`SnapshotHandle`] caches
+    /// for relaxed revalidation.
     pub(crate) fn load_stamped(&self) -> (u64, Arc<EpochSnapshot>) {
-        loop {
-            let stamp = self.stamp.load(Ordering::Acquire);
-            // lint: allow(panic) `& 1` indexes the two-slot double buffer;
-            // the result is always 0 or 1.
-            let snap = Arc::clone(&read_recover(&self.slots[(stamp & 1) as usize]));
-            // Stamp unchanged across the clone ⇒ the clone is exactly the
-            // snapshot published as `stamp`: the next write to that slot
-            // (epoch `stamp + 2`) is preceded by the `stamp + 1` store,
-            // which this re-load would have observed through the slot
-            // guard had the write overtaken us. A moved stamp means a
-            // publication raced us — the clone is still *some* validly
-            // published snapshot, but possibly newer than `stamp`, and
-            // returning it against the stale stamp could violate reader
-            // monotonicity; retry against the fresh stamp instead.
-            if self.stamp.load(Ordering::Acquire) == stamp {
-                return (stamp, snap);
-            }
-        }
+        let snap = self.load();
+        (snap.epoch(), snap)
     }
 
     /// Publishes `next`, making it what subsequent [`load`](Self::load)s
@@ -166,9 +135,9 @@ impl SnapshotCell {
             epoch > stamp,
             "snapshot publication moved backwards: {stamp} then {epoch}"
         );
-        // lint: allow(panic) `& 1` indexes the two-slot double buffer;
-        // the result is always 0 or 1.
-        *write_recover(&self.slots[(epoch & 1) as usize]) = Arc::clone(next);
+        // Slot first, stamp second: a reader that has seen the new stamp
+        // finds at least this snapshot in the slot.
+        *write_recover(&self.slot) = Arc::clone(next);
         self.stamp.store(epoch, Ordering::Release);
     }
 }
@@ -214,8 +183,8 @@ impl<'a> SnapshotHandle<'a> {
     /// but the epochs one handle observes never decrease.
     pub fn get(&mut self) -> &Arc<EpochSnapshot> {
         // relaxed: a stale read only delays noticing a new publication
-        // by one call; on mismatch load_stamped() re-reads with Acquire,
-        // which is where the ordering actually comes from.
+        // by one call; on mismatch load_stamped() goes through the slot
+        // guard, which is where the ordering actually comes from.
         if self.cell.stamp.load(Ordering::Relaxed) != self.stamp {
             let (stamp, cached) = self.cell.load_stamped();
             self.stamp = stamp;
@@ -292,17 +261,14 @@ mod tests {
     fn poisoned_slot_guards_recover() {
         let cell = SnapshotCell::new(snap(0));
         cell.publish(&snap(1));
-        // Poison both slot guards: a reader panicking mid-clone (slot
-        // `1 & 1`) and a publisher panicking mid-store (slot `2 & 1`).
+        // Poison the slot guard, as a publisher panicking mid-store would.
         std::thread::scope(|scope| {
-            for slot in &cell.slots {
-                let handle = scope.spawn(move || {
-                    let _guard = slot.write().unwrap();
-                    panic!("poison the slot guard");
-                });
-                assert!(handle.join().is_err());
-                assert!(slot.read().is_err(), "guard must actually be poisoned");
-            }
+            let handle = scope.spawn(|| {
+                let _guard = cell.slot.write().unwrap();
+                panic!("poison the slot guard");
+            });
+            assert!(handle.join().is_err());
+            assert!(cell.slot.read().is_err(), "guard must actually be poisoned");
         });
         // Reads and publication both recover: the Arc in a poisoned slot
         // is still a valid snapshot pointer.

@@ -32,7 +32,8 @@
 //! ## What replay tolerates vs. refuses
 //!
 //! Tolerated: a torn tail in the final segment (frames that were never
-//! fsynced), a trailing cut with no seal record (a crash between cut and
+//! fsynced, or a segment caught inside its creation, shorter than its
+//! header), a trailing cut with no seal record (a crash between cut and
 //! publication — the epoch is rolled forward), missing or damaged
 //! checkpoints (an older checkpoint plus a longer replay is still
 //! correct). Refused: corruption in a non-final segment, a sequence gap,
@@ -43,7 +44,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use fi_attest::{ChurnOp, RegisteredDevice, ReplicaTier, TwoTierWeights};
+use fi_attest::{ChurnOp, RegisteredDevice, TwoTierWeights};
 use fi_types::Digest;
 
 use crate::checkpoint;
@@ -126,14 +127,14 @@ pub struct RecoveryReport {
 /// state still verifies, and bindings for later attestations come from
 /// the replayed tail.
 fn restore_op(d: &RegisteredDevice) -> ChurnOp {
-    match (d.tier, d.measurement) {
-        (ReplicaTier::Attested, Some(measurement)) => ChurnOp::Attest {
+    match d.measurement {
+        Some(measurement) => ChurnOp::Attest {
             replica: d.replica,
             measurement,
             vote_key: None,
             power: d.power,
         },
-        _ => ChurnOp::Unattested {
+        None => ChurnOp::Unattested {
             replica: d.replica,
             power: d.power,
         },

@@ -8,16 +8,17 @@
 //! without taking any lock.
 //!
 //! **Canonical construction is the determinism guarantee.** Registry shards
-//! accumulate floating-point state (`Σ w·log2 w`) along whatever operation
-//! history they saw, so two shardings of the same churn trace hold
-//! bit-different accumulators even though their *integer* bucket contents
-//! agree exactly. The snapshot therefore derives everything from the merged
-//! integer buckets in sorted measurement order — a pure function of fleet
+//! hold integer buckets only, and integer sums commute, so however a churn
+//! trace was sharded and in whatever order it was applied the merged bucket
+//! contents agree exactly. The snapshot derives everything from those
+//! merged buckets in sorted measurement order — a pure function of fleet
 //! *content* — which makes every derived quantity (entropy, total power,
 //! candidate roster, [`content_hash`](EpochSnapshot::content_hash))
 //! bit-identical across shard and thread counts, and bit-identical to
 //! sealing a single un-sharded [`AttestedRegistry`] via
-//! [`EpochSnapshot::from_registry`].
+//! [`EpochSnapshot::from_registry`] — whose own
+//! [`entropy_bits`](AttestedRegistry::entropy_bits) is the same fold over
+//! the same rows.
 //!
 //! There are two ways to construct that canonical form. The **full build**
 //! (the private `EpochSnapshot::build`) merges complete shard rows — the
@@ -68,8 +69,7 @@
 use std::collections::BTreeMap;
 
 use fi_attest::{
-    device_row_digest, AttestedRegistry, CanonicalDelta, RegisteredDevice, ReplicaTier,
-    TwoTierWeights,
+    device_row_digest, AttestedRegistry, CanonicalDelta, RegisteredDevice, TwoTierWeights,
 };
 use fi_committee::pruned::gallop_partition_point;
 use fi_committee::{
@@ -79,7 +79,6 @@ use fi_entropy::{Distribution, DistributionError, EntropyAccumulator};
 use fi_types::hash::{SetDigest, Sha256};
 use fi_types::{Digest, ReplicaId, VotingPower};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::SealError;
 
@@ -109,7 +108,7 @@ use crate::error::SealError;
 /// assert_eq!(committee.len(), 3);
 /// # Ok::<(), fi_entropy::DistributionError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     epoch: u64,
     weights: TwoTierWeights,
@@ -182,14 +181,6 @@ pub(crate) fn roster_aggregate(devices: &[RegisteredDevice]) -> SetDigest {
     agg
 }
 
-/// Whether `d` is a row a registry writes: on the attested tier exactly
-/// when it carries a measurement. A snapshot keeps only the latter (as
-/// [`Candidate::attested`]) and derives the tier, so every row entering
-/// one is held to this.
-pub(crate) fn tier_matches_measurement(d: &RegisteredDevice) -> bool {
-    (d.tier == ReplicaTier::Attested) == d.measurement.is_some()
-}
-
 impl EpochSnapshot {
     /// The canonical builder all sealing paths share: merged bucket rows
     /// (keyed — hence sorted — by digest), the summed opaque power, the
@@ -214,10 +205,6 @@ impl EpochSnapshot {
         let mut bucket_members = vec![0u32; buckets.len()];
         let mut candidates = Vec::with_capacity(devices.len());
         for d in &devices {
-            debug_assert!(
-                tier_matches_measurement(d),
-                "registry row {d:?} has a tier that contradicts its measurement"
-            );
             let (config, attested) = match d.measurement {
                 Some(m) => {
                     let slot = buckets
@@ -292,10 +279,7 @@ impl EpochSnapshot {
     /// independent check on the write-time aggregates the fleet seals from.
     #[must_use]
     pub fn from_registry(registry: &AttestedRegistry, epoch: u64) -> EpochSnapshot {
-        let mut rows: BTreeMap<Digest, VotingPower> = BTreeMap::new();
-        for (m, p) in registry.bucket_rows() {
-            *rows.entry(m).or_insert(VotingPower::ZERO) += p;
-        }
+        let rows: BTreeMap<Digest, VotingPower> = registry.bucket_rows().collect();
         let devices: Vec<RegisteredDevice> = registry.devices().collect();
         // `devices()` yields the registry's `HashMap` order; the aggregate
         // is a commutative sum, so folding it before `build` sorts the
@@ -362,8 +346,7 @@ impl EpochSnapshot {
     /// [`SealError::CorruptDelta`] for a delta that does not chain onto
     /// this snapshot's fleet content: a bucket delta that underflows its
     /// bucket, a member count going negative, an opaque delta driving the
-    /// opaque power negative, a new bucket arriving without members, a
-    /// touched device whose tier contradicts its measurement, or an
+    /// opaque power negative, a new bucket arriving without members, or an
     /// overflow past the integer domains. `self` is never mutated — a
     /// rejected delta leaves this snapshot serving.
     pub fn try_apply_delta(
@@ -508,13 +491,6 @@ impl EpochSnapshot {
         };
         let opaque_slot = buckets.len();
         let patched_candidate = |d: &RegisteredDevice| -> Result<Candidate, SealError> {
-            if !tier_matches_measurement(d) {
-                return Err(corrupt(format!(
-                    "touched device {} is on the {:?} tier with measurement {:?}: \
-                     not a row a registry writes",
-                    d.replica, d.tier, d.measurement
-                )));
-            }
             match d.measurement {
                 Some(m) => match buckets.binary_search_by_key(&m, |&(digest, _)| digest) {
                     Ok(slot) => Ok(Candidate::new(d.replica, d.power, slot, true)),
@@ -646,11 +622,6 @@ impl EpochSnapshot {
     pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + '_ {
         self.candidates.iter().map(|c| RegisteredDevice {
             replica: c.replica(),
-            tier: if c.attested() {
-                ReplicaTier::Attested
-            } else {
-                ReplicaTier::Unattested
-            },
             measurement: c.attested().then(|| self.buckets[c.config()].0),
             power: c.power(),
         })
@@ -931,57 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn try_apply_delta_rejects_a_tier_that_contradicts_the_measurement() {
-        // The snapshot keeps only "has a measurement" and derives the tier,
-        // so a row where the two disagree must not get in.
-        let mut reg = registry_with(&mixed_ops());
-        let snap = EpochSnapshot::from_registry(&reg, 1);
-        let _ = reg.take_delta();
-        reg.apply(&ChurnOp::attest(
-            ReplicaId::new(3),
-            sha256(b"cfg-a"),
-            VotingPower::new(41),
-        ));
-        let mut delta = reg.take_delta();
-        let honest = CanonicalDelta::merge(vec![delta.clone()]);
-        assert!(snap.try_apply_delta(2, &honest).is_ok());
-        let (replica, row) = honest.roster()[0];
-        delta.record_roster(
-            replica,
-            Some(RegisteredDevice {
-                tier: ReplicaTier::Unattested,
-                ..row.expect("device 3 is registered")
-            }),
-        );
-        let forged = CanonicalDelta::merge(vec![delta]);
-        let err = snap.try_apply_delta(2, &forged).unwrap_err();
-        assert!(
-            matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
-            "got {err}"
-        );
-        assert!(err.to_string().contains("Unattested tier"), "got {err}");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "tier that contradicts its measurement")]
-    fn build_asserts_the_tier_matches_the_measurement() {
-        let _ = EpochSnapshot::build(
-            1,
-            TwoTierWeights::flat(),
-            BTreeMap::new(),
-            VotingPower::ZERO,
-            vec![RegisteredDevice {
-                replica: ReplicaId::new(0),
-                tier: ReplicaTier::Attested,
-                measurement: None,
-                power: VotingPower::new(1),
-            }],
-            SetDigest::EMPTY,
-        );
-    }
-
-    #[test]
     fn devices_are_the_sorted_registry_rows_tier_included() {
         let mut ops = mixed_ops();
         ops.push(ChurnOp::attest(
@@ -1036,13 +956,12 @@ mod tests {
             .map(|(m, p)| (m.unwrap(), p))
             .collect();
         assert_eq!(snap.buckets(), &expected[..]);
-        // Entropy agrees with the registry's incrementally maintained value
-        // (same formula over the same integer buckets; histories differ, so
-        // equality is to the engine's drift bound, not bitwise).
+        // Entropy is the registry's, bit for bit: the same fold over the
+        // same integer buckets in the same order.
         for include in [false, true] {
             let s = snap.entropy_bits(include).unwrap();
             let r = reg.entropy_bits(include).unwrap();
-            assert!((s - r).abs() < 1e-9, "include={include}: {s} vs {r}");
+            assert_eq!(s.to_bits(), r.to_bits(), "include={include}: {s} vs {r}");
             // Batch distributions are bit-identical (same sorted rows).
             assert_eq!(
                 snap.distribution(include).unwrap().probabilities(),

@@ -31,6 +31,14 @@
 //! the outgoing segment, so a non-final segment can only be damaged by
 //! external corruption, and replaying around it would silently drop
 //! acknowledged history.
+//!
+//! A crash can also land inside segment *creation* — the file exists, its
+//! 20-byte header is not all there yet. Such a **final** segment shorter
+//! than its header is a torn tail too: no frame can precede a header, and
+//! rotation fsynced the outgoing segment before it created this one, so
+//! nothing acknowledged is in it. [`ChurnLog::open`] removes and re-creates
+//! it; [`read_records`] skips it. A full-length header that does not
+//! parse, or a short segment that is not the last, is still `Corrupt`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -151,23 +159,29 @@ impl ChurnLog {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let segments = list_segments(&dir)?;
-        let (active_seq, path) = match segments.last() {
-            Some((seq, path)) => (*seq, path.clone()),
-            None => {
-                let path = segment_path(&dir, 0);
-                create_segment(&path, 0)?;
-                sync_dir(&dir);
-                (0, path)
-            }
+        let (active_seq, path, bytes) = match segments.last() {
+            Some((seq, path)) => (*seq, path.clone(), fs::read(path)?),
+            None => (0, segment_path(&dir, 0), Vec::new()),
         };
-        let bytes = fs::read(&path)?;
-        let scan = scan_segment(&bytes, &path, active_seq, true, None)?;
-        if scan.torn_bytes > 0 {
-            // Drop the torn tail so new frames append onto a clean prefix.
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(scan.valid_len)?;
-            f.sync_all()?;
-        }
+        let (active_len, torn_bytes) = if (bytes.len() as u64) < HEADER_LEN {
+            // No segment yet, or a crash inside `create_segment` left the
+            // newest one shorter than its header: (re-)create it.
+            if !segments.is_empty() {
+                fs::remove_file(&path)?;
+            }
+            create_segment(&path, active_seq)?;
+            sync_dir(&dir);
+            (HEADER_LEN, bytes.len() as u64)
+        } else {
+            let scan = scan_segment(&bytes, &path, active_seq, true, None)?;
+            if scan.torn_bytes > 0 {
+                // Drop the torn tail so new frames append onto a clean prefix.
+                let f = OpenOptions::new().write(true).open(&path)?;
+                f.set_len(scan.valid_len)?;
+                f.sync_all()?;
+            }
+            (scan.valid_len, scan.torn_bytes)
+        };
         let active = OpenOptions::new().append(true).open(&path)?;
         Ok((
             ChurnLog {
@@ -175,16 +189,10 @@ impl ChurnLog {
                 segment_bytes: segment_bytes.max(HEADER_LEN + FRAME_OVERHEAD),
                 active,
                 active_seq,
-                active_len: scan.valid_len,
+                active_len,
             },
-            scan.torn_bytes,
+            torn_bytes,
         ))
-    }
-
-    /// The directory holding the segments.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Appends one framed record (buffered — call [`sync`](Self::sync) to
@@ -243,7 +251,8 @@ impl ChurnLog {
 
 /// Scans every segment under `dir` and returns the intact records in
 /// append order, tolerating (but not repairing) a torn tail in the final
-/// segment. Corruption anywhere else is a hard [`WalError::Corrupt`].
+/// segment — a final segment torn inside its header included, which holds
+/// no record. Corruption anywhere else is a hard [`WalError::Corrupt`].
 pub fn read_records(dir: impl AsRef<Path>) -> Result<ScanOutcome, WalError> {
     let dir = dir.as_ref();
     let segments = list_segments(dir)?;
@@ -264,6 +273,10 @@ pub fn read_records(dir: impl AsRef<Path>) -> Result<ScanOutcome, WalError> {
             });
         }
         let bytes = fs::read(path)?;
+        if i == last && (bytes.len() as u64) < HEADER_LEN {
+            outcome.truncated_bytes += bytes.len() as u64;
+            break;
+        }
         let scan = scan_segment(&bytes, path, *seq, i == last, Some(&mut outcome.records))?;
         outcome.truncated_bytes += scan.torn_bytes;
     }
@@ -291,8 +304,9 @@ fn scan_segment(
             detail,
         }
     };
-    // Header. A final segment torn inside its header is unrecoverable by
-    // truncation (there is no valid prefix to keep), so it is always hard.
+    // Header. Always hard: a final segment torn inside its header never
+    // gets here (`ChurnLog::open` re-creates it, `read_records` skips it),
+    // so a header that fails is a short non-final segment or foreign bytes.
     let mut r = Reader::new(bytes);
     let version = read_header(&mut r, WAL_MAGIC, WAL_VERSION)
         .map_err(|e| fail(0, format!("bad segment header: {e}")))?;
@@ -543,6 +557,65 @@ mod tests {
         assert_eq!(scan.records, records);
         assert_eq!(scan.truncated_bytes, 0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_newest_segment_torn_inside_its_header_is_recreated_on_open() {
+        // A crash between `create_segment`'s `create_new` and its fsync
+        // leaves `wal-<next>.log` with 0..20 of its 20 header bytes.
+        let records = sample_records(12);
+        let mut header = Vec::new();
+        write_header(&mut header, WAL_MAGIC, WAL_VERSION);
+        for len in 0..HEADER_LEN as usize {
+            let dir = tmpdir("torn-header");
+            let next = {
+                let (mut log, _) = ChurnLog::open(&dir, 64).unwrap();
+                for r in &records {
+                    log.append(r).unwrap();
+                }
+                log.sync().unwrap();
+                log.active_seq + 1
+            };
+            let mut full = header.clone();
+            next.encode(&mut full);
+            fs::write(segment_path(&dir, next), &full[..len]).unwrap();
+
+            // A pure scan skips the stub without repairing it.
+            let scan = read_records(&dir).unwrap();
+            assert_eq!(scan.records, records, "len {len}");
+            assert_eq!(scan.truncated_bytes, len as u64);
+            // Open re-creates it whole and appends into it.
+            let (mut log, torn) = ChurnLog::open(&dir, 64).unwrap();
+            assert_eq!(torn, len as u64);
+            assert_eq!(log.active_seq, next);
+            log.append(&WalRecord::EpochCut { epoch: 99 }).unwrap();
+            log.sync().unwrap();
+            drop(log);
+            let scan = read_records(&dir).unwrap();
+            assert_eq!(scan.records.len(), records.len() + 1, "len {len}");
+            assert_eq!(
+                scan.records.last(),
+                Some(&WalRecord::EpochCut { epoch: 99 })
+            );
+            assert_eq!(scan.truncated_bytes, 0);
+            assert_eq!(
+                fs::read(segment_path(&dir, next)).unwrap()[..full.len()],
+                full[..]
+            );
+
+            // What stays hard: the same stub once it is no longer the last
+            // segment, and a full-length header that does not parse.
+            fs::write(segment_path(&dir, next), &full[..len]).unwrap();
+            fs::write(segment_path(&dir, next + 1), b"").unwrap();
+            assert!(matches!(read_records(&dir), Err(WalError::Corrupt { .. })));
+            fs::remove_file(segment_path(&dir, next + 1)).unwrap();
+            fs::write(segment_path(&dir, next), [0xAB; HEADER_LEN as usize]).unwrap();
+            assert!(matches!(
+                ChurnLog::open(&dir, 64),
+                Err(WalError::Corrupt { .. })
+            ));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

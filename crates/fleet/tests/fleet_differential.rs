@@ -60,9 +60,9 @@ fn op_strategy() -> impl Strategy<Value = ChurnOp> {
 
 /// Asserts a sealed fleet snapshot — however it was sealed — is bit-exact
 /// against the canonical seal of the oracle registry, entropy and
-/// accumulator state included, and within the drift bound of the oracle's
-/// *live* incremental entropy (a registry's own accumulator is
-/// history-accumulated; a snapshot's is not).
+/// accumulator state included, and that the oracle registry itself —
+/// whatever op order brought it here — reads the entropy its seal does, bit
+/// for bit: the configuration entropy has one value per fleet content.
 fn assert_snapshot_matches_oracle(
     snap: &EpochSnapshot,
     oracle: &AttestedRegistry,
@@ -108,17 +108,14 @@ fn assert_snapshot_matches_oracle(
             include,
             shards
         );
-        // Canonical vs the oracle's live O(1) path: same value modulo the
-        // engine's documented float-drift bound.
-        if let (Ok(a), Ok(b)) = (snap.entropy_bits(include), oracle.entropy_bits(include)) {
-            prop_assert!(
-                (a - b).abs() < 1e-9,
-                "snapshot {} vs live registry {} (include={})",
-                a,
-                b,
-                include
-            );
-        }
+        // The live registry vs its own seal: the same fold over the same
+        // rows, so the same bits and the same error.
+        prop_assert_eq!(
+            oracle.entropy_bits(include).map(f64::to_bits),
+            oracle_snap.entropy_bits(include).map(f64::to_bits),
+            "live registry entropy (include={}) diverged from its seal",
+            include
+        );
     }
     Ok(())
 }

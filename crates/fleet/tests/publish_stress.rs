@@ -1,18 +1,20 @@
-//! Differential concurrency suite for the wait-free publication path.
+//! Differential concurrency suite for the publication path.
 //!
-//! The locked publication point (`RwLock<Arc<EpochSnapshot>>`) was easy to
-//! trust: readers cloned under a read guard, so a snapshot could never be
-//! observed torn and the served epoch never moved backwards. The wait-free
-//! [`SnapshotCell`] must earn the same trust. This suite runs real reader
-//! threads against real concurrent sealers at shard counts {1, 2, 4, 8}
-//! and proves, per observation:
+//! A bare locked publication point (`RwLock<Arc<EpochSnapshot>>`) is easy
+//! to trust: readers clone under a read guard, so a snapshot can never be
+//! observed torn and the served epoch never moves backwards. The fleet's
+//! [`SnapshotCell`] adds an epoch stamp beside such a slot, and
+//! [`SnapshotHandle`] a per-reader cache revalidated by one relaxed load
+//! of it; together they must earn the same trust. This suite runs real
+//! reader threads against real concurrent sealers at shard counts
+//! {1, 2, 4, 8} and proves, per observation:
 //!
 //! * **Byte-identity with the locked oracle.** Alongside the fleet's
-//!   wait-free cell, the tests maintain the *old* scheme — a
+//!   cell, the tests maintain the bare scheme — a
 //!   `RwLock<Arc<EpochSnapshot>>` updated at every seal — and a committed
 //!   ledger of every sealed epoch's content hash and greedy-committee
-//!   selection. Every snapshot any reader obtains through the wait-free
-//!   path (raw [`ShardedFleet::snapshot`] loads and cached
+//!   selection. Every snapshot any reader obtains from the fleet
+//!   (raw [`ShardedFleet::snapshot`] loads and cached
 //!   [`SnapshotHandle`] reads alike) must match the ledger for its epoch
 //!   on both content hash and selection — i.e. be byte-identical to what
 //!   the locked path would have served for that epoch. A torn or
@@ -74,8 +76,8 @@ struct Observation {
 /// ledger and the locked-oracle mirror.
 fn run_stress(shards: usize, sealers: usize, readers: usize, seals_per_sealer: usize) {
     let fleet = ShardedFleet::with_reanchor_interval(shards, TwoTierWeights::flat(), 3);
-    // The locked oracle: the pre-wait-free publication scheme, updated at
-    // every seal (epoch-guarded, exactly like the old `publish`).
+    // The locked oracle: a bare publication slot, updated at every seal
+    // (epoch-guarded, as `publish` asserts).
     let locked: RwLock<Arc<EpochSnapshot>> = RwLock::new(fleet.snapshot());
     // epoch → (content hash, greedy committee) for every snapshot any
     // reader could legitimately observe.
@@ -128,7 +130,7 @@ fn run_stress(shards: usize, sealers: usize, readers: usize, seals_per_sealer: u
                     // guarantees real overlap even on a fast run.
                     while i < 256 || !done.load(Ordering::Relaxed) {
                         // Alternate the cached fast path with raw loads —
-                        // both sides of the wait-free scheme.
+                        // both ways to read the cell.
                         let snap = if i.is_multiple_of(3) {
                             fleet.snapshot()
                         } else {
@@ -183,13 +185,13 @@ fn run_stress(shards: usize, sealers: usize, readers: usize, seals_per_sealer: u
             .collect()
     });
 
-    // The wait-free path and the locked oracle agree at quiescence…
+    // The fleet's cell and the locked oracle agree at quiescence…
     let final_epoch = (sealers * seals_per_sealer) as u64;
-    let wait_free = fleet.snapshot();
+    let served = fleet.snapshot();
     let via_lock = locked.read().unwrap();
-    assert_eq!(wait_free.epoch(), final_epoch);
+    assert_eq!(served.epoch(), final_epoch);
     assert_eq!(via_lock.epoch(), final_epoch);
-    assert_eq!(wait_free.content_hash(), via_lock.content_hash());
+    assert_eq!(served.content_hash(), via_lock.content_hash());
     assert_eq!(fleet.published_epoch(), final_epoch);
 
     // …and every snapshot every reader ever observed is byte-identical to

@@ -16,6 +16,10 @@
 //! * **lost checkpoint** — the newest checkpoint is deleted; recovery
 //!   falls back to an older one (or genesis) and replays a longer tail.
 //!
+//! One more crash point needs no random trace and has its own test: a
+//! crash *inside* the creation of the next WAL segment, which leaves a
+//! final segment shorter than its header and loses nothing.
+//!
 //! Damage can also swallow the cut marker of the newest *surviving*
 //! checkpoint; recovery then refuses with [`RecoveryError::MissingCut`]
 //! rather than serving state it cannot anchor — the only acceptable
@@ -34,9 +38,10 @@ use proptest::prelude::*;
 /// re-sharding on restart must be invisible.
 const RECOVERY_SHARDS: [usize; 2] = [1, 4];
 
-/// WAL segment header bytes (magic + version + sequence): damage below
-/// this offset makes the final segment unparseable, which is outside the
-/// torn-tail contract this suite targets.
+/// WAL segment header bytes (magic + version + sequence). The random
+/// damage modes stay above this offset: they model frames that never
+/// reached the disk, and a header is on it before its first frame is
+/// written.
 const WAL_HEADER_LEN: u64 = 20;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -126,8 +131,10 @@ fn inflict(dir: &Path, mode: CrashMode) {
         CrashMode::TornTail { bytes } => {
             if let Some(path) = final_segment(dir) {
                 let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                // Never tear into the segment header: a final segment with
-                // no parseable header is not a torn *tail*.
+                // A tear that loses frames stops at the header: creation
+                // fsynced it before any frame followed. (A final segment
+                // *shorter* than its header holds no frame at all; see
+                // `a_crash_inside_segment_creation_loses_nothing`.)
                 let new_len = len.saturating_sub(bytes).max(WAL_HEADER_LEN.min(len));
                 let f = OpenOptions::new().write(true).open(&path).unwrap();
                 f.set_len(new_len).unwrap();
@@ -150,6 +157,58 @@ fn inflict(dir: &Path, mode: CrashMode) {
             }
         }
     }
+}
+
+#[test]
+fn a_crash_inside_segment_creation_loses_nothing() {
+    // Six sealed epochs over 64-byte segments, then the process dies while
+    // creating the next segment: `wal-<next>.log` exists with five of its
+    // twenty header bytes. Rotation fsynced the outgoing segment first and
+    // no frame can precede a header, so every acknowledged byte is on disk
+    // and recovery must land on epoch 6, bit for bit.
+    let dir = tmpdir("segment-creation");
+    let config = DurabilityConfig::new(&dir)
+        .with_segment_bytes(64)
+        .with_checkpoint_interval(0);
+    let sealed = {
+        let (fleet, _) = ShardedFleet::open_durable(2, weights(), 0, config.clone()).unwrap();
+        for epoch in 0..6u64 {
+            let ops: Vec<ChurnOp> = (0..8u64)
+                .map(|i| {
+                    ChurnOp::attest(
+                        ReplicaId::new(epoch * 4 + i),
+                        sha256(format!("rec-cfg-{}", i % 3).as_bytes()),
+                        VotingPower::new(10 + epoch + i),
+                    )
+                })
+                .collect();
+            fleet.try_ingest_batch(&ops).unwrap();
+            fleet.try_seal_epoch().unwrap();
+        }
+        fleet.snapshot()
+    };
+    assert_eq!(sealed.epoch(), 6);
+    let newest = final_segment(&dir).expect("the run wrote segments");
+    let seq: u64 = newest.file_stem().unwrap().to_str().unwrap()["wal-".len()..]
+        .parse()
+        .unwrap();
+    fs::write(dir.join(format!("wal-{:08}.log", seq + 1)), b"FIWAL").unwrap();
+
+    for shards in RECOVERY_SHARDS {
+        let (fleet, report) =
+            ShardedFleet::open_durable(shards, weights(), 0, config.clone()).unwrap();
+        let snap = fleet.snapshot();
+        assert_eq!(report.recovered_epoch, 6);
+        assert_eq!(snap.content_hash(), sealed.content_hash());
+        assert_eq!(
+            snap.entropy_bits(true).map(f64::to_bits),
+            sealed.entropy_bits(true).map(f64::to_bits)
+        );
+        assert!(report.verified_seals > 0);
+        // Only the first reopen finds the stub; it re-creates the segment.
+        assert_eq!(report.truncated_bytes, if shards == 1 { 5 } else { 0 });
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 proptest! {

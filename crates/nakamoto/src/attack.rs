@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Analytic double-spend success probability (Rosenfeld's exact form of
 /// Nakamoto's race): attacker with share `q` against `z` confirmations.
@@ -122,7 +121,7 @@ pub fn confirmations_for_security(q: f64, target: f64) -> Option<u32> {
 }
 
 /// Result of a selfish-mining simulation (Eyal–Sirer, paper ref \[5\]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelfishMiningOutcome {
     /// The selfish pool's hash-power share α.
     pub alpha: f64,

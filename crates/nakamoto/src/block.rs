@@ -2,10 +2,9 @@
 
 use fi_types::hash::hash_fields;
 use fi_types::{Digest, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A mined block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
     id: Digest,
     parent: Digest,

@@ -3,13 +3,12 @@
 use std::collections::HashMap;
 
 use fi_types::Digest;
-use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
 
 /// A block tree with longest-chain tip selection (ties broken by arrival
 /// order, as Bitcoin nodes do).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockTree {
     blocks: HashMap<Digest, Block>,
     arrival: HashMap<Digest, u64>,

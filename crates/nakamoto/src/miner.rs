@@ -1,10 +1,9 @@
 //! Miners: hash power plus strategy.
 
 use fi_types::VotingPower;
-use serde::{Deserialize, Serialize};
 
 /// What a miner does with the blocks it finds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MinerStrategy {
     /// Publish immediately on the longest known chain.
     #[default]
@@ -18,7 +17,7 @@ pub enum MinerStrategy {
 }
 
 /// A miner (or a pool acting as one aggregate miner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Miner {
     index: usize,
     power: VotingPower,

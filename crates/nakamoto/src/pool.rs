@@ -8,10 +8,9 @@
 
 use fi_entropy::bitcoin;
 use fi_types::{PoolId, VotingPower};
-use serde::{Deserialize, Serialize};
 
 /// A mining pool: aggregate power under one operator configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pool {
     id: PoolId,
     name: String,

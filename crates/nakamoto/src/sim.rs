@@ -5,14 +5,13 @@
 use fi_types::{SimTime, VotingPower};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
 use crate::chain::BlockTree;
 use crate::miner::{Miner, MinerStrategy};
 
 /// Parameters of a mining simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MiningSimConfig {
     /// Mean interval between blocks across the whole network (Bitcoin:
     /// 600 s).
@@ -37,7 +36,7 @@ impl Default for MiningSimConfig {
 }
 
 /// What a run produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiningSimReport {
     /// Height of the public main chain at the end.
     pub main_chain_height: u64,

@@ -6,12 +6,10 @@
 //! same campaign are byte-identical and can be `diff`ed against the
 //! committed goldens.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scenario::Substrate;
 
 /// What one scenario run produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// The scenario's stable name.
     pub name: String,
@@ -50,7 +48,7 @@ impl ScenarioReport {
 }
 
 /// Everything a campaign produced, in grid order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Per-scenario reports, in the order the grid listed them.
     pub reports: Vec<ScenarioReport>,

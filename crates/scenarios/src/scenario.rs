@@ -13,10 +13,9 @@ use fi_config::{Assignment, Component, ConfigError, ConfigurationSpace, Vulnerab
 use fi_types::{SimTime, VotingPower, VulnId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which consensus substrate a scenario exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Substrate {
     /// PBFT-style replication on the deterministic simnet (`fi-bft`).
     Bft,
@@ -39,7 +38,7 @@ impl Substrate {
 }
 
 /// The configuration dimension a zero-day lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dimension {
     /// The operating-system layer of the space.
     OperatingSystem,
@@ -63,7 +62,7 @@ impl Dimension {
 }
 
 /// How replicas (or pools, or candidates) are spread over the space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Spread {
     /// Uniform round-robin — the most diverse equal-power shape.
     RoundRobin,
@@ -110,7 +109,7 @@ impl Spread {
 }
 
 /// Committee-selection policy under test (committee substrate only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Entropy-maximising greedy selection ([`fi_committee::greedy_diverse`]).
     Greedy,
@@ -131,7 +130,7 @@ impl Policy {
 }
 
 /// The adversary model: what gets compromised, and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Adversary {
     /// A zero-day in one COTS product: every configuration containing
     /// `product` on `dimension` falls at once (the paper's correlated
@@ -227,7 +226,7 @@ impl Adversary {
 /// Shape of the configuration space: a cartesian product of the first `os`
 /// catalog operating systems and (optionally) the first `crypto` catalog
 /// cryptographic libraries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpaceSpec {
     /// Operating-system alternatives (1..=8).
     pub os: usize,
@@ -276,7 +275,7 @@ impl SpaceSpec {
 }
 
 /// One complete experiment description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Stable unique name (doubles as the golden-fixture key).
     pub name: String,

@@ -120,13 +120,6 @@ where
         self.push(at, EventKind::Fault { node, fault });
     }
 
-    /// Injects an external message (e.g. a client request driven by the
-    /// harness) for delivery at absolute time `at`, bypassing the latency
-    /// model but not recorded as network traffic.
-    pub fn post(&mut self, at: SimTime, from: NodeId, to: NodeId, payload: N::Message) {
-        self.push(at, EventKind::Deliver { from, to, payload });
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -464,20 +457,6 @@ mod tests {
         tsim.run_until(SimTime::from_secs(1));
         assert_eq!(tsim.node(NodeId::new(0)).fired, 3);
         assert_eq!(tsim.stats().timers_fired(), 3);
-    }
-
-    #[test]
-    fn post_injects_external_messages() {
-        let mut sim = build(2, NetworkConfig::default(), 8);
-        sim.post(
-            SimTime::from_millis(5),
-            NodeId::new(1),
-            NodeId::new(0),
-            Msg::Pong,
-        );
-        sim.run_until(SimTime::from_secs(1));
-        // 1 posted pong + 1 pong from the regular ping exchange.
-        assert_eq!(sim.node(NodeId::new(0)).pongs, 2);
     }
 
     #[test]

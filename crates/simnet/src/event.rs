@@ -5,15 +5,11 @@ use core::cmp::Ordering;
 use core::fmt;
 
 use fi_types::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 
 /// An opaque timer identifier chosen by the node that sets the timer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimerToken(u64);
 
 impl TimerToken {
@@ -38,7 +34,7 @@ impl fmt::Display for TimerToken {
 
 /// A fault injected into a node — the simulator-level expression of the
 /// paper's threat model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEvent {
     /// The node stops participating (crash fault; Remark 1's hybrid model).
     Crash,

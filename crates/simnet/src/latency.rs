@@ -3,10 +3,9 @@
 use fi_types::SimTime;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How long a message takes from send to delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimTime),

@@ -1,12 +1,10 @@
 //! Network configuration: latency, loss, partitions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::latency::LatencyModel;
 use crate::partition::PartitionWindow;
 
 /// The network the simulation runs over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Latency model applied to every message.
     pub latency: LatencyModel,

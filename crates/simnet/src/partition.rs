@@ -1,13 +1,12 @@
 //! Network partitions: time-bounded splits of the node set.
 
 use fi_types::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 
 /// A partition of the node set into disjoint groups; messages cross group
 /// boundaries only when no partition window is active.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     groups: Vec<Vec<NodeId>>,
 }
@@ -56,7 +55,7 @@ impl Partition {
 }
 
 /// A partition active during a half-open time window `[from, until)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Window start (inclusive).
     pub from: SimTime,

@@ -1,14 +1,12 @@
 //! Simulation statistics: message counts per outcome and per node.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 
 /// Counters accumulated while a simulation runs.
 ///
 /// Message-complexity experiments (the Proposition-3 overhead trade-off)
 /// read `sent`/`delivered` after a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceStats {
     sent: u64,
     delivered: u64,

@@ -1,8 +1,6 @@
 //! Deterministic binary codec: the workspace's durable wire format.
 //!
-//! The vendored `serde` derives are deliberate no-ops (the workspace builds
-//! offline), so persistence cannot lean on them. This module is the real
-//! thing: a hand-rolled, **deterministic** binary encoding — the same value
+//! A hand-rolled, **deterministic** binary encoding — the same value
 //! always encodes to the same bytes, on every platform — used by the
 //! durability layer (`fi-fleet`'s write-ahead churn log and snapshot
 //! checkpoints) and verifiable byte-for-byte by the `SetDigest` content

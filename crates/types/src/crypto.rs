@@ -19,8 +19,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::{hash_fields, Digest};
 use crate::hex;
 
@@ -28,7 +26,7 @@ const SIGNATURE_DOMAIN: &[u8] = b"fi-sig-v1";
 const KEY_DOMAIN: &[u8] = b"fi-key-v1";
 
 /// A public verification key (derived from the keypair seed).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PublicKey(Digest);
 
 impl PublicKey {
@@ -59,7 +57,7 @@ impl fmt::Debug for PublicKey {
 }
 
 /// A signature over a message (see the module docs for the security model).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature(Digest);
 
 impl fmt::Debug for Signature {

@@ -9,8 +9,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hex;
 
 /// A 256-bit digest (the output of [`sha256`]).
@@ -25,7 +23,7 @@ use crate::hex;
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {
@@ -97,7 +95,7 @@ impl From<[u8; 32]> for Digest {
 /// expected.insert(&a); // order never matters
 /// assert_eq!(agg, expected);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SetDigest {
     /// Little-endian 64-bit limbs of the running sum modulo 2²⁵⁶.
     limbs: [u64; 4],

@@ -15,8 +15,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An exact, integer-valued amount of voting power.
 ///
 /// Implements saturating-free checked arithmetic through `+`/`-` (panicking
@@ -32,10 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let total: VotingPower = [1u64, 2, 3].iter().map(|&u| VotingPower::new(u)).sum();
 /// assert_eq!(total, VotingPower::new(6));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VotingPower(u64);
 
 impl VotingPower {

@@ -10,8 +10,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in (or duration of) discrete simulation time, in ticks.
 ///
 /// One tick is conventionally one microsecond. `SimTime` is used both as an
@@ -27,10 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(later.as_micros(), 15_000);
 /// assert_eq!(later - start, SimTime::from_millis(10));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -62,12 +57,6 @@ impl SimTime {
     #[must_use]
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds as a float, for reporting.
@@ -175,7 +164,6 @@ mod tests {
     fn accessors() {
         let t = SimTime::from_micros(2_500_123);
         assert_eq!(t.as_micros(), 2_500_123);
-        assert_eq!(t.as_millis(), 2_500);
         assert!((t.as_secs_f64() - 2.500123).abs() < 1e-9);
     }
 

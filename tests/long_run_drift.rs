@@ -1,20 +1,21 @@
 //! Long-run float-drift guards for the *live* O(1) entropy paths — and
-//! the pin that sealed snapshots have no drift to guard.
+//! the pin that registries and sealed snapshots have no drift to guard.
 //!
-//! A live accumulator (a registry's, the rotation tracker's) carries
-//! floating-point state (`S = Σ w·log2 w`) across every operation; each op
-//! adds at most an ulp of rounding, and nothing ever re-normalises it. The
-//! first two tests drive [`EntropyAccumulator`] and
-//! [`RotationEntropyTracker`] through more than a million churn/rotation
-//! steps each and require agreement with a fresh batch `shannon` recompute
-//! within `1e-9` bits at every checkpoint — the bound the fleet's
-//! monitoring contract quotes for a live registry.
+//! A live accumulator (a bare [`EntropyAccumulator`] edited in place, the
+//! rotation tracker's) carries floating-point state (`S = Σ w·log2 w`)
+//! across every operation; each op adds at most an ulp of rounding, and
+//! nothing ever re-normalises it. The first two tests drive
+//! [`EntropyAccumulator`] and [`RotationEntropyTracker`] through more than
+//! a million churn/rotation steps each and require agreement with a fresh
+//! batch `shannon` recompute within `1e-9` bits at every checkpoint.
 //!
-//! A sealed [`EpochSnapshot`] is different: every seal, differential or
-//! full, folds its accumulator from the finished bucket table, so its
-//! floats are a function of fleet content alone. The third test holds a
-//! 2 000-epoch chain of differential seals with no full rebuild to a
-//! from-scratch seal, bit for bit.
+//! An [`AttestedRegistry`] and a sealed [`EpochSnapshot`] are different:
+//! the registry keeps integer buckets and folds its entropy when asked,
+//! and every seal, differential or full, folds its accumulator from the
+//! finished bucket table, so their floats are a function of fleet content
+//! alone. The third test holds a 2 000-epoch chain of differential seals
+//! with no full rebuild, and the registry that lived through the same
+//! 24 000 ops, to a from-scratch seal, bit for bit.
 
 use fault_independence::fi_attest::{AttestedRegistry, ChurnOp, TwoTierWeights};
 use fault_independence::fi_config::generator::AssignmentEntry;
@@ -213,6 +214,11 @@ fn a_2000_epoch_differential_chain_seals_the_bits_a_fresh_build_does() {
                     sealed.entropy_bits(include).map(f64::to_bits),
                     fresh.entropy_bits(include).map(f64::to_bits),
                     "entropy (include={include}) drifted by epoch {epoch}"
+                );
+                assert_eq!(
+                    mirror.entropy_bits(include).map(f64::to_bits),
+                    fresh.entropy_bits(include).map(f64::to_bits),
+                    "the live registry's entropy (include={include}) drifted by epoch {epoch}"
                 );
             }
             assert_eq!(
