@@ -5,10 +5,11 @@
 //! [`AttestedRegistry`](crate::AttestedRegistry) accumulates, alongside its
 //! incremental buckets, the *net* effect of every mutation since the delta
 //! was last drained — dirty measurement buckets with signed power and
-//! member-count deltas, the final roster state of every touched device, the
-//! net change to the roster's row-digest aggregate, and the signed
-//! opaque-power delta. A sealer drains each shard's delta at the
-//! epoch cut ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
+//! member-count deltas, every touched device's roster row before and after
+//! ([`RosterChange`]), the net change to the roster's row-digest aggregate,
+//! and the signed opaque-power delta. A sealer drains each shard's delta at
+//! the epoch cut
+//! ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
 //! a `mem::take` — nothing is merged while the cut holds its locks) and,
 //! with the locks dropped, canonicalises them once
 //! ([`CanonicalDelta::merge`]): bucket deltas summed per measurement and
@@ -17,20 +18,27 @@
 //! instead of rebuilding it.
 //!
 //! There are two forms because they serve two access patterns. A
-//! [`ChurnDelta`] is written once per churn op and keyed for that — two
-//! hash maps, in no order. A [`CanonicalDelta`] is read once per seal in
-//! key order and is a pure function of the net churn: the same rows in
-//! the same order however the devices were sharded.
+//! [`ChurnDelta`] is written once per churn op and keyed for that — hash
+//! maps, and roster rows in first-touch order. A [`CanonicalDelta`] is
+//! read once per seal in key order and is a pure function of the net
+//! churn: the same rows in the same order however the devices were
+//! sharded.
 //!
 //! Three properties make the patch exact:
 //!
 //! * **Integer bucket algebra.** Bucket power and member counts are integer
 //!   sums, so `previous + delta` is bit-identical to a from-scratch merge of
 //!   the shards — the content hash cannot drift.
-//! * **Final-state roster semantics.** Each touched device records its
-//!   *state at the cut* (last write wins), never an edit script, so
-//!   re-registrations and register→deregister churn within one epoch
-//!   collapse to a single roster patch.
+//! * **Before/after roster semantics.** Each touched device records two
+//!   rows, never an edit script: `before`, its row at the last drain
+//!   (**first touch wins** — the registry notes it when it first displaces
+//!   the row, and later touches leave it alone), and `after`, its state at
+//!   the cut (**last write wins**). Re-registrations and
+//!   register→deregister churn within one epoch collapse to a single roster
+//!   patch, and the sealer stages the departure from `before` and the
+//!   arrival from `after` without reading the previous snapshot's roster —
+//!   which is what lets a snapshot keep one table per device instead of
+//!   two.
 //! * **Row digests travel with the delta.** The registry hashes each roster
 //!   row once, when it writes it
 //!   ([`device_row_digest`](crate::device_row_digest)), and records here the
@@ -38,13 +46,26 @@
 //!   2²⁵⁶. The sealer adds that one 256-bit value to the previous snapshot's
 //!   device aggregate; it never hashes a roster row itself.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use fi_types::hash::SetDigest;
 use fi_types::{Digest, ReplicaId};
 
 use crate::registry::RegisteredDevice;
+
+/// One touched device's roster rows at the two ends of the span a delta
+/// covers. A device registered and deregistered inside the span has
+/// neither; one rewritten to identical content has two equal rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RosterChange {
+    /// The device's row when the span began (the last drain): `None` if it
+    /// was not registered then. First touch wins.
+    pub before: Option<RegisteredDevice>,
+    /// The device's row when the span ended (the cut): `None` if it is not
+    /// registered. Last write wins.
+    pub after: Option<RegisteredDevice>,
+}
 
 /// The delta maps sit on the per-op ingest hot path, keyed by values that
 /// are already uniformly distributed (SHA-256 measurement digests, device
@@ -101,8 +122,8 @@ impl BucketDelta {
 
 /// The net effect of all churn since the last epoch cut, in the form the
 /// registry writes it: dirty measurement buckets, touched devices with
-/// their final roster state, and the opaque (unattested-tier) power delta,
-/// keyed for one update per churn op and in no order.
+/// their roster row before and after, and the opaque (unattested-tier)
+/// power delta, keyed for one update per churn op and in no order.
 /// [`CanonicalDelta::merge`] turns one or more of these into the sorted
 /// rows a sealer reads.
 ///
@@ -130,9 +151,19 @@ impl BucketDelta {
 pub struct ChurnDelta {
     /// Dirty measurement buckets, entries that net to no change included.
     buckets: UniformKeyMap<Digest, BucketDelta>,
-    /// Final state per touched device: `Some` if registered at the cut,
-    /// `None` if absent.
-    roster: UniformKeyMap<ReplicaId, Option<RegisteredDevice>>,
+    /// The touched devices in first-touch order, each with its state at the
+    /// cut: `Some` if registered, `None` if absent. Rows live here rather
+    /// than in a map keyed by replica so that the table probed on every op
+    /// (`touched`) stays two words an entry.
+    roster: Vec<(ReplicaId, Option<RegisteredDevice>)>,
+    /// For each touched device that was registered at the last drain: its
+    /// position in `roster` and the row it held then, in position order.
+    /// Sparse on purpose: a registration wave, or a registry nobody drains
+    /// — an oracle replaying a whole history — displaces almost no row it
+    /// did not write itself, and pays nothing here.
+    before: Vec<(usize, RegisteredDevice)>,
+    /// Each touched device's position in `roster`.
+    touched: UniformKeyMap<ReplicaId, usize>,
     /// Signed change in total unattested-tier effective power.
     opaque: i128,
     /// Net change to the roster's row-digest aggregate: digests of rows
@@ -154,10 +185,26 @@ impl ChurnDelta {
         self.opaque += power;
     }
 
-    /// Records the final roster state of a touched device (last write
-    /// wins).
-    pub(crate) fn record_roster(&mut self, replica: ReplicaId, state: Option<RegisteredDevice>) {
-        self.roster.insert(replica, state);
+    /// Records one write to a device's roster row: `before` is the row the
+    /// write displaced and is kept only on the device's first touch since
+    /// the last drain; `after` is the row it left and always replaces the
+    /// one recorded (last write wins).
+    pub(crate) fn record_roster(
+        &mut self,
+        replica: ReplicaId,
+        before: Option<RegisteredDevice>,
+        after: Option<RegisteredDevice>,
+    ) {
+        match self.touched.entry(replica) {
+            Entry::Occupied(at) => self.roster[*at.get()].1 = after,
+            Entry::Vacant(unseen) => {
+                let at = *unseen.insert(self.roster.len());
+                self.roster.push((replica, after));
+                if let Some(row) = before {
+                    self.before.push((at, row));
+                }
+            }
+        }
     }
 
     /// Records one roster row leaving the registry (deregistered, or
@@ -213,8 +260,8 @@ pub struct CanonicalDelta {
     /// rows that net to no change pruned.
     buckets: Vec<(Digest, BucketDelta)>,
     /// Touched devices sorted by replica id, one row per replica, each with
-    /// its final roster state.
-    roster: Vec<(ReplicaId, Option<RegisteredDevice>)>,
+    /// its roster row before and after.
+    roster: Vec<(ReplicaId, RosterChange)>,
     /// Signed change in total unattested-tier effective power.
     opaque: i128,
     /// Net change to the roster's row-digest aggregate, mod 2²⁵⁶.
@@ -225,11 +272,12 @@ impl CanonicalDelta {
     /// Canonicalises `deltas` — the drained deltas of one cut, one per
     /// shard — in one concatenate-and-sort per table, with no intermediate
     /// map. Bucket, opaque and row-digest deltas are integer or modular
-    /// sums, so the order of `deltas` cannot change them. Roster rows are
-    /// final states: shards own disjoint devices, so each replica normally
-    /// comes from one input; when it is in several, the **last input
-    /// wins** (the sort is stable), which is what merging consecutive
-    /// deltas of one registry in time order needs.
+    /// sums, so the order of `deltas` cannot change them. Shards own
+    /// disjoint devices, so each replica's roster row normally comes from
+    /// one input; when it is in several, the row keeps the **first
+    /// input's `before` and the last input's `after`** (the sort is
+    /// stable), which is what merging consecutive deltas of one registry in
+    /// time order needs.
     #[must_use]
     pub fn merge(deltas: Vec<ChurnDelta>) -> CanonicalDelta {
         let mut merged = CanonicalDelta {
@@ -239,7 +287,16 @@ impl CanonicalDelta {
         };
         for delta in deltas {
             merged.buckets.extend(delta.buckets);
-            merged.roster.extend(delta.roster);
+            let first = merged.roster.len();
+            for (replica, after) in delta.roster {
+                let before = None;
+                merged
+                    .roster
+                    .push((replica, RosterChange { before, after }));
+            }
+            for (at, row) in delta.before {
+                merged.roster[first + at].1.before = Some(row);
+            }
             merged.opaque += delta.opaque;
             merged.rows.add(delta.rows);
         }
@@ -253,13 +310,13 @@ impl CanonicalDelta {
             same
         });
         merged.buckets.retain(|(_, d)| !d.is_noop());
-        // Stable, and sorts (id, position) pairs rather than the 64-byte
-        // rows, which it then moves once each.
+        // Stable, and sorts (id, position) pairs rather than the rows — two
+        // `RegisteredDevice`s wide — which it then moves once each.
         merged.roster.sort_by_cached_key(|&(r, _)| r);
         merged.roster.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
             if same {
-                kept.1 = later.1;
+                kept.1.after = later.1.after;
             }
             same
         });
@@ -274,10 +331,10 @@ impl CanonicalDelta {
     }
 
     /// The touched devices in canonical (sorted-by-replica) order with
-    /// their final roster state. The replica ids alone are the churn set a
-    /// warm-started committee re-selection must re-evaluate.
+    /// their roster row before and after. The replica ids alone are the
+    /// churn set a warm-started committee re-selection must re-evaluate.
     #[must_use]
-    pub fn roster(&self) -> &[(ReplicaId, Option<RegisteredDevice>)] {
+    pub fn roster(&self) -> &[(ReplicaId, RosterChange)] {
         &self.roster
     }
 
@@ -350,20 +407,24 @@ mod tests {
         assert!(CanonicalDelta::merge(vec![a, b]).buckets().is_empty());
     }
 
+    fn change(before: Option<RegisteredDevice>, after: Option<RegisteredDevice>) -> RosterChange {
+        RosterChange { before, after }
+    }
+
     #[test]
     fn roster_is_last_write_wins_and_sorted() {
         let mut d = ChurnDelta::default();
-        d.record_roster(ReplicaId::new(9), Some(dev(9, 10)));
-        d.record_roster(ReplicaId::new(2), Some(dev(2, 20)));
-        d.record_roster(ReplicaId::new(9), None);
+        d.record_roster(ReplicaId::new(9), Some(dev(9, 5)), Some(dev(9, 10)));
+        d.record_roster(ReplicaId::new(2), None, Some(dev(2, 20)));
+        d.record_roster(ReplicaId::new(9), Some(dev(9, 10)), None);
         assert_eq!(d.touched_devices(), 2);
         assert_eq!(
             CanonicalDelta::merge(vec![d]).roster(),
             [
-                (ReplicaId::new(2), Some(dev(2, 20))),
-                (ReplicaId::new(9), None)
+                (ReplicaId::new(2), change(None, Some(dev(2, 20)))),
+                (ReplicaId::new(9), change(Some(dev(9, 5)), None)),
             ],
-            "deregistrations keep their row"
+            "deregistrations keep their row, and the row the first touch displaced"
         );
     }
 
@@ -372,32 +433,40 @@ mod tests {
         // Not something disjoint shards produce; it is what merging one
         // registry's consecutive deltas in time order means, and the
         // stable sort is what decides it.
-        let delta = |rows: &[(u64, Option<u64>)]| {
+        let delta = |rows: &[(u64, Option<u64>, Option<u64>)]| {
             let mut d = ChurnDelta::default();
-            for &(id, power) in rows {
-                d.record_roster(ReplicaId::new(id), power.map(|p| dev(id, p)));
+            for &(id, before, after) in rows {
+                let row = |power: Option<u64>| power.map(|p| dev(id, p));
+                d.record_roster(ReplicaId::new(id), row(before), row(after));
             }
             d
         };
-        let first = delta(&[(4, Some(10)), (1, Some(11)), (7, None)]);
-        let second = delta(&[(4, None), (7, Some(12))]);
-        let third = delta(&[(4, Some(13))]);
+        let first = delta(&[
+            (4, Some(9), Some(10)),
+            (1, None, Some(11)),
+            (7, Some(8), None),
+        ]);
+        let second = delta(&[(4, Some(10), None), (7, None, Some(12))]);
+        let third = delta(&[(4, None, Some(13))]);
         let forward = CanonicalDelta::merge(vec![first.clone(), second.clone(), third]);
         assert_eq!(
             forward.roster(),
             [
-                (ReplicaId::new(1), Some(dev(1, 11))),
-                (ReplicaId::new(4), Some(dev(4, 13))),
-                (ReplicaId::new(7), Some(dev(7, 12))),
+                (ReplicaId::new(1), change(None, Some(dev(1, 11)))),
+                (ReplicaId::new(4), change(Some(dev(4, 9)), Some(dev(4, 13)))),
+                (ReplicaId::new(7), change(Some(dev(7, 8)), Some(dev(7, 12)))),
             ]
         );
         let backward = CanonicalDelta::merge(vec![second, first]);
         assert_eq!(
             backward.roster(),
             [
-                (ReplicaId::new(1), Some(dev(1, 11))),
-                (ReplicaId::new(4), Some(dev(4, 10))),
-                (ReplicaId::new(7), None),
+                (ReplicaId::new(1), change(None, Some(dev(1, 11)))),
+                (
+                    ReplicaId::new(4),
+                    change(Some(dev(4, 10)), Some(dev(4, 10)))
+                ),
+                (ReplicaId::new(7), change(None, None)),
             ]
         );
     }

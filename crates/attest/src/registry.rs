@@ -239,33 +239,39 @@ impl AttestedRegistry {
     }
 
     /// Removes `replica`'s row and its contribution to the buckets (if
-    /// registered) ahead of a re-registration.
-    fn unindex(&mut self, replica: ReplicaId) {
-        if let Some(old) = self.entries.remove(&replica) {
-            self.roster_digest.remove(&old.row_digest);
-            self.delta.record_row_out(&old.row_digest);
-            match old.measurement {
-                Some(m) => {
-                    let effective = old.power.scaled(self.weights.attested());
-                    let bucket = self
-                        .buckets
-                        .get_mut(&m)
-                        .expect("a registered measurement has a bucket");
-                    bucket.power -= effective;
-                    bucket.members -= 1;
-                    if bucket.members == 0 {
-                        self.buckets.remove(&m);
-                    }
-                    self.delta
-                        .record_bucket(m, -i128::from(effective.as_units()), -1);
+    /// registered) ahead of a re-registration or a removal, and returns the
+    /// row — what the pending delta records as the device's `before` if
+    /// this is its first touch since the last drain.
+    fn unindex(&mut self, replica: ReplicaId) -> Option<RegisteredDevice> {
+        let old = self.entries.remove(&replica)?;
+        self.roster_digest.remove(&old.row_digest);
+        self.delta.record_row_out(&old.row_digest);
+        match old.measurement {
+            Some(m) => {
+                let effective = old.power.scaled(self.weights.attested());
+                let bucket = self
+                    .buckets
+                    .get_mut(&m)
+                    .expect("a registered measurement has a bucket");
+                bucket.power -= effective;
+                bucket.members -= 1;
+                if bucket.members == 0 {
+                    self.buckets.remove(&m);
                 }
-                None => {
-                    let effective = old.power.scaled(self.weights.unattested());
-                    self.opaque -= effective;
-                    self.delta.record_opaque(-i128::from(effective.as_units()));
-                }
+                self.delta
+                    .record_bucket(m, -i128::from(effective.as_units()), -1);
+            }
+            None => {
+                let effective = old.power.scaled(self.weights.unattested());
+                self.opaque -= effective;
+                self.delta.record_opaque(-i128::from(effective.as_units()));
             }
         }
+        Some(RegisteredDevice {
+            replica,
+            measurement: old.measurement,
+            power: old.power,
+        })
     }
 
     /// Adds one member with `effective` attested power to `measurement`'s
@@ -278,12 +284,18 @@ impl AttestedRegistry {
             .record_bucket(measurement, i128::from(effective.as_units()), 1);
     }
 
-    /// Writes `device`'s new row (its old one already un-indexed, its
-    /// bucket already indexed): hashes it — the one SHA-256 the row ever
-    /// costs — folds the digest into the running aggregate and the pending
-    /// delta, stores the entry, and records the row as the device's final
-    /// state for this epoch (last write wins).
-    fn write_row(&mut self, device: RegisteredDevice, vote_key: Option<PublicKey>) {
+    /// Writes `device`'s new row (its old one, `before`, already
+    /// un-indexed, its bucket already indexed): hashes it — the one SHA-256
+    /// the row ever costs — folds the digest into the running aggregate and
+    /// the pending delta, stores the entry, and records the pair in the
+    /// delta's roster: `before` sticks only on the device's first touch
+    /// this epoch, the new row always does (last write wins).
+    fn write_row(
+        &mut self,
+        before: Option<RegisteredDevice>,
+        device: RegisteredDevice,
+        vote_key: Option<PublicKey>,
+    ) {
         let row_digest = device_row_digest(&device);
         self.roster_digest.insert(&row_digest);
         self.delta.record_row_in(&row_digest);
@@ -296,7 +308,8 @@ impl AttestedRegistry {
                 row_digest,
             },
         );
-        self.delta.record_roster(device.replica, Some(device));
+        self.delta
+            .record_roster(device.replica, before, Some(device));
     }
 
     /// The tier weights in force.
@@ -344,9 +357,10 @@ impl AttestedRegistry {
         vote_key: Option<PublicKey>,
         power: VotingPower,
     ) {
-        self.unindex(replica);
+        let before = self.unindex(replica);
         self.index_attested(measurement, power.scaled(self.weights.attested()));
         self.write_row(
+            before,
             RegisteredDevice {
                 replica,
                 measurement: Some(measurement),
@@ -385,21 +399,21 @@ impl AttestedRegistry {
     /// replica's contribution leaves its bucket, and a measurement bucket
     /// whose last member departs leaves the table.
     pub fn deregister(&mut self, replica: ReplicaId) -> bool {
-        let present = self.entries.contains_key(&replica);
-        self.unindex(replica);
-        if present {
-            self.delta.record_roster(replica, None);
+        let before = self.unindex(replica);
+        if before.is_some() {
+            self.delta.record_roster(replica, before, None);
         }
-        present
+        before.is_some()
     }
 
     /// Registers an unattested replica (power only; configuration opaque).
     pub fn register_unattested(&mut self, replica: ReplicaId, power: VotingPower) {
-        self.unindex(replica);
+        let before = self.unindex(replica);
         let effective = power.scaled(self.weights.unattested());
         self.opaque += effective;
         self.delta.record_opaque(i128::from(effective.as_units()));
         self.write_row(
+            before,
             RegisteredDevice {
                 replica,
                 measurement: None,

@@ -248,13 +248,16 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(buckets[0].1.members, 1);
     // Opaque: +100 at the 0.5 unattested weight.
     assert_eq!(delta.opaque_delta(), 50);
-    // Roster: every *touched* device with its final state.
+    // Roster: every *touched* device with its row before and after. None
+    // of the three was registered when the epoch began.
     let roster = delta.roster();
     assert_eq!(roster.len(), 3);
+    assert!(roster.iter().all(|(_, change)| change.before.is_none()));
     assert_eq!(roster[0].0, ReplicaId::new(0));
-    assert_eq!(roster[0].1.unwrap().measurement, Some(sha256(b"cfg-a")));
-    assert_eq!(roster[1].1.unwrap().tier(), ReplicaTier::Unattested);
-    assert_eq!(roster[2], (ReplicaId::new(2), None));
+    let after = |at: usize| roster[at].1.after;
+    assert_eq!(after(0).unwrap().measurement, Some(sha256(b"cfg-a")));
+    assert_eq!(after(1).unwrap().tier(), ReplicaTier::Unattested);
+    assert_eq!((roster[2].0, after(2)), (ReplicaId::new(2), None));
 
     // Draining resets; further churn starts a fresh delta.
     assert!(reg.pending_delta().is_empty());
@@ -266,7 +269,13 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(buckets.len(), 1);
     assert_eq!(buckets[0].1.power, -40);
     assert_eq!(buckets[0].1.members, -1);
-    assert_eq!(next.roster(), [(ReplicaId::new(0), None)]);
+    // The departure carries the row it removed.
+    let [(replica, change)] = next.roster() else {
+        panic!("one touched device, got {:?}", next.roster());
+    };
+    assert_eq!(*replica, ReplicaId::new(0));
+    assert_eq!(change.before, after(0));
+    assert_eq!(change.after, None);
 }
 
 #[test]
@@ -289,10 +298,13 @@ fn reregistration_within_an_epoch_collapses_to_final_state() {
     assert_eq!(buckets[0].0, sha256(b"cfg-b"));
     assert_eq!(buckets[0].1.power, 60);
     assert_eq!(buckets[0].1.members, 1);
-    // One roster entry, holding only the final state.
+    // One roster entry: not registered before the epoch (the first touch
+    // decides that, not the re-registration that displaced cfg-a's row),
+    // and the final state after it.
     let roster = delta.roster();
     assert_eq!(roster.len(), 1);
-    let device = roster[0].1.unwrap();
+    assert_eq!(roster[0].1.before, None);
+    let device = roster[0].1.after.unwrap();
     assert_eq!(device.measurement, Some(sha256(b"cfg-b")));
     assert_eq!(device.power, VotingPower::new(60));
 }
@@ -548,6 +560,72 @@ proptest! {
                     .buckets()
                     .iter()
                     .all(|(_, d)| d.power != 0 || d.members != 0));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// What lets a sealer stage departures without reading its previous
+    /// snapshot: at 1, 2, 4 and 7 shards, every canonical roster row's
+    /// `before` is the row that device held when the deltas were last
+    /// drained — `None` if it held none — and its `after` is the row it
+    /// holds now, however often it was rewritten in between. And deltas
+    /// compose: two consecutive epochs' drained deltas, merged in time
+    /// order, are the delta of a registry nobody drained in between — the
+    /// earliest `before`, the latest `after`.
+    #[test]
+    fn before_rows_are_the_last_drains_rows_and_merges_keep_first_before_last_after(
+        epochs in proptest::collection::vec(
+            proptest::collection::vec(churn_op(), 0..16),
+            2..7,
+        ),
+    ) {
+        use std::collections::BTreeMap;
+        let weights = TwoTierWeights::new(1.0, 0.5);
+        let rows_of = |reg: &AttestedRegistry| -> BTreeMap<ReplicaId, fi_attest::RegisteredDevice> {
+            reg.devices().map(|d| (d.replica, d)).collect()
+        };
+        for shard_count in [1usize, 2, 4, 7] {
+            let mut shards: Vec<AttestedRegistry> =
+                (0..shard_count).map(|_| AttestedRegistry::new(weights)).collect();
+            // Sees every op, drained every second epoch.
+            let mut undrained = AttestedRegistry::new(weights);
+            let mut sealed = BTreeMap::new();
+            let mut last_epoch: Option<Vec<ChurnDelta>> = None;
+            for ops in &epochs {
+                for op in ops {
+                    shards[(op.replica().as_u64() % shard_count as u64) as usize].apply(op);
+                    undrained.apply(op);
+                }
+                let drained: Vec<ChurnDelta> =
+                    shards.iter_mut().map(AttestedRegistry::take_delta).collect();
+                let now: BTreeMap<_, _> = shards.iter().flat_map(&rows_of).collect();
+                for (replica, change) in CanonicalDelta::merge(drained.clone()).roster() {
+                    prop_assert_eq!(
+                        change.before, sealed.get(replica).copied(),
+                        "before of {} at {} shards", replica, shard_count
+                    );
+                    prop_assert_eq!(
+                        change.after, now.get(replica).copied(),
+                        "after of {} at {} shards", replica, shard_count
+                    );
+                }
+                sealed = now;
+                last_epoch = match last_epoch.take() {
+                    None => Some(drained),
+                    Some(mut both) => {
+                        both.extend(drained);
+                        prop_assert_eq!(
+                            CanonicalDelta::merge(both),
+                            CanonicalDelta::merge(vec![undrained.take_delta()]),
+                            "two epochs merged at {} shards", shard_count
+                        );
+                        None
+                    }
+                };
             }
         }
     }

@@ -76,13 +76,18 @@ fn bench_selection(c: &mut Criterion) {
     // whole committee replays — the steady-state epoch.
     let previous = roster.select(100);
     let churned: Vec<ReplicaId> = (0..100u64).map(|i| ReplicaId::new(9_000 + i)).collect();
+    // Their current rows (the pool is sorted by replica id), and a slot map
+    // under which no configuration moved.
+    let current = &large[9_000..9_100];
+    let slot_map: Vec<usize> = (0..64).collect();
     group.bench_function("warm_select/10000x64/k100/churn1pct", |b| {
         b.iter(|| {
             warm_greedy(
                 black_box(&roster),
-                black_box(&large),
                 previous.members(),
                 &churned,
+                current,
+                &slot_map,
                 100,
             )
         });

@@ -13,7 +13,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fi_attest::{ChurnOp, TwoTierWeights};
-use fi_fleet::{churn_trace, ChurnTraceConfig, ShardedFleet};
+use fi_fleet::{churn_trace, measurement_pool, ChurnTraceConfig, ShardedFleet};
+use fi_types::{ReplicaId, VotingPower};
 
 const SHARDS: usize = 4;
 const K: usize = 64;
@@ -51,6 +52,23 @@ fn bench_fleet_seal(c: &mut Criterion) {
             group.bench_function(format!("select/warm/{cell}"), |b| {
                 b.iter(|| black_box(&snapshot).select_greedy_warm(K, previous.members()));
             });
+
+            if (devices, churn_permille) == (100_000, 1) {
+                // The limiting case of quantised stake: as many devices over
+                // the trace's measurement pool, every one at the same power,
+                // so each bucket's list is a single run of equal power.
+                let pool = measurement_pool(64);
+                let flat: Vec<ChurnOp> = (0..devices)
+                    .map(|i| {
+                        let measurement = pool[i as usize % pool.len()];
+                        ChurnOp::attest(ReplicaId::new(i), measurement, VotingPower::new(100))
+                    })
+                    .collect();
+                let snapshot = sealed_fleet(&flat, 0).snapshot();
+                group.bench_function(format!("select/pruned_ties/{cell}"), |b| {
+                    b.iter(|| black_box(&snapshot).select_greedy(K));
+                });
+            }
 
             let full = sealed_fleet(wave, 1);
             full.try_ingest_batch(churn).unwrap();

@@ -64,7 +64,7 @@ pub use baseline::{random_weighted, top_stake};
 pub use candidate::{Candidate, Committee};
 pub use capping::proportional_cap;
 pub use greedy::greedy_diverse;
-pub use pruned::PrunedRoster;
+pub use pruned::{PatchError, PrunedRoster};
 pub use twotier::two_tier_weighted;
 pub use warm::{warm_greedy, WarmReport};
 
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::candidate::{Candidate, Committee};
     pub use crate::capping::proportional_cap;
     pub use crate::greedy::greedy_diverse;
-    pub use crate::pruned::PrunedRoster;
+    pub use crate::pruned::{PatchError, PrunedRoster};
     pub use crate::twotier::two_tier_weighted;
     pub use crate::warm::{warm_greedy, WarmReport};
 }

@@ -29,23 +29,41 @@
 //! potential tie contender is evaluated. Cost per round drops from O(n) to
 //! O(C·log L) for C buckets of ≤ L candidates — subquadratic end to end.
 //!
+//! **One evaluation per distinct power.** The gain is a function of
+//! *(bucket, power)* alone, so a run of equal-power entries in one list —
+//! a fleet with quantised stake has many, a chain whose validators all
+//! stake the same amount has nothing else — shares one bit-identical
+//! `peek_add`. The outward walk therefore steps **run by run**: it gallops
+//! to the run's other end, takes the run's most-preferred unselected entry
+//! (the last of the run — lists sort by `(power, Reverse(replica))`) and
+//! evaluates that one entry. This is exact, not a heuristic: the band test
+//! and the band ceiling see the same value whichever member is evaluated,
+//! and under the fold predicate a run can only hand the round to its
+//! most-preferred unselected member — the tie-break is a strict total
+//! order, so if any member would take the round from the held candidate
+//! that member does too, and no other member of the run then beats it.
+//! Selection cost follows the number of distinct powers inside the band,
+//! not the number of replicas that share them.
+//!
 //! The degenerate bucket `W == b` (the committee is empty, or holds power
 //! only in this bucket) has `f ≡ +0.0` exactly for *every* candidate — the
 //! accumulator pins single-support entropy to `+0.0` — so the fold reduces
 //! to the max-preferred unselected entry: the tail of the power-sorted
 //! list.
 //!
-//! The roster is also the warm-start substrate: an epoch snapshot carries
-//! it forward through churn instead of re-sorting the fleet per selection.
+//! The roster is also the warm-start substrate, and — for an epoch
+//! snapshot — the device roster itself: the snapshot keeps no second
+//! per-device table and carries this one forward through churn.
 //! [`PrunedRoster::patch_dense`] writes the next epoch's roster from this
 //! one in a single pass — departures, arrivals and bucket births and
-//! deaths merged list by list, untouched runs copied as slices. The roster
-//! has one layout (list position = configuration value) and two ways in:
-//! built by [`PrunedRoster::from_dense`], carried forward by `patch_dense`.
+//! deaths merged list by list, untouched runs copied as slices — and
+//! refuses, with a [`PatchError`] and without touching `self`, rows that
+//! do not describe a change to this roster. The roster has one layout (list
+//! position = configuration value) and two ways in: built by
+//! [`PrunedRoster::from_dense`], carried forward by `patch_dense`.
 //! See [`crate::warm`] for the replay layer on top.
 
-use std::cmp::Reverse;
-use std::ops::ControlFlow;
+use std::fmt;
 
 use fi_entropy::EntropyAccumulator;
 use fi_types::{ReplicaId, VotingPower};
@@ -108,36 +126,80 @@ impl PrunedEntry {
 
 /// Ascending sort key: power, then *descending* replica id — so the list
 /// tail is always the max-preferred entry (highest power, lowest replica),
-/// mirroring [`preferred`].
+/// mirroring [`preferred`]. Packed into one integer, power in the high
+/// half and the complemented id in the low, so a compare is branch-free
+/// however many entries tie on power.
 #[inline]
-fn entry_key(e: &PrunedEntry) -> (u64, Reverse<ReplicaId>) {
-    (e.power, Reverse(e.replica))
+fn entry_key(e: &PrunedEntry) -> u128 {
+    (u128::from(e.power) << 64) | u128::from(!e.replica.as_u64())
 }
 
-/// How many leading rows [`gallop_partition_point`] tests one by one
-/// before it starts doubling.
+/// How many leading indices [`gallop`] tests one by one before it starts
+/// doubling.
 const LINEAR_PREFIX: usize = 8;
 
-/// [`slice::partition_point`] for a boundary expected near the front: the
-/// first `LINEAR_PREFIX` (8) rows are tested in order, then a probe doubles
-/// outward until it brackets the boundary and a binary search finishes
-/// inside the bracket — O(log boundary) rather than O(log len), reading
-/// only rows the caller is about to copy. The merge walks that copy
-/// untouched runs between churned rows use it to find where each run ends;
-/// at a few percent churn most runs are shorter than the prefix and cost
-/// one predictable compare a row.
-pub fn gallop_partition_point<T>(sorted: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
-    let linear = sorted.len().min(LINEAR_PREFIX);
-    if let Some(at) = sorted[..linear].iter().position(|row| !pred(row)) {
+/// The partition point of `pred` over the indices `0..len` — `pred` holds
+/// on a prefix of them; the result is the first index where it does not,
+/// `len` if there is none — for a boundary expected near the front: the
+/// first `LINEAR_PREFIX` (8) indices are tested in order, then a probe
+/// doubles outward until it brackets the boundary and a binary search
+/// finishes inside the bracket — O(log boundary) rather than O(log len).
+/// It works on indices so that one routine serves a walk in either
+/// direction: the list merges use it to find where an untouched run ends
+/// (at a few percent churn most runs are shorter than the prefix and cost
+/// one predictable compare a row), the band walks to find where a run of
+/// equal power ends.
+fn gallop(len: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
+    if let Some(at) = (0..len.min(LINEAR_PREFIX)).find(|&i| !pred(i)) {
         return at;
     }
     let mut hi = 2 * LINEAR_PREFIX;
-    while hi <= sorted.len() && pred(&sorted[hi - 1]) {
+    while hi <= len && pred(hi - 1) {
         hi *= 2;
     }
-    let lo = (hi / 2).min(sorted.len());
-    lo + sorted[lo..hi.min(sorted.len())].partition_point(pred)
+    let (mut lo, mut hi) = ((hi / 2).min(len), hi.min(len));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
+
+/// Why [`PrunedRoster::patch_dense`] refused an edit: the rows handed to it
+/// do not describe a change to the roster they were handed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PatchError {
+    /// This replica's departing row matches no entry of its slot's list.
+    UnknownDeparture(ReplicaId),
+    /// The slot at this (old) position is to be removed but still holds
+    /// entries once its departures are applied.
+    SlotNotEmpty(usize),
+    /// A slot position or a row's configuration lies outside the roster, or
+    /// the slot positions are not ascending.
+    OutOfRange,
+}
+
+impl fmt::Display for PatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PatchError::UnknownDeparture(replica) => {
+                write!(f, "departing row of replica {replica} matches no entry")
+            }
+            PatchError::SlotNotEmpty(slot) => {
+                write!(f, "removing config slot {slot} that still has entries")
+            }
+            PatchError::OutOfRange => {
+                write!(f, "a slot position or a row's config is out of range")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PatchError {}
 
 /// The positive-power rows of one side of a [`PrunedRoster::patch_dense`],
 /// grouped by configuration slot in a counting pass and sorted by
@@ -188,12 +250,12 @@ impl SlotGroups {
 /// `memcpy`. A departure whose key equals an arrival's is applied first
 /// (a replica that leaves and re-enters with the same key is replaced); an
 /// arrival lands after an equal-keyed surviving entry; a departure that
-/// matches no entry is ignored.
+/// matches no entry is the `Err`, by its replica.
 fn merge_list(
     mut old: &[PrunedEntry],
     mut leaving: &[PrunedEntry],
     mut landing: &[PrunedEntry],
-) -> Vec<PrunedEntry> {
+) -> Result<Vec<PrunedEntry>, ReplicaId> {
     let mut out = Vec::with_capacity((old.len() + landing.len()).saturating_sub(leaving.len()));
     loop {
         let departs = match (leaving.first(), landing.first()) {
@@ -204,24 +266,25 @@ fn merge_list(
         };
         if departs {
             let key = entry_key(&leaving[0]);
-            leaving = &leaving[1..];
-            let run = gallop_partition_point(old, |e| entry_key(e) < key);
+            let run = gallop(old.len(), |i| entry_key(&old[i]) < key);
             out.extend_from_slice(&old[..run]);
             old = &old[run..];
-            if old.first().is_some_and(|e| entry_key(e) == key) {
-                old = &old[1..];
+            if old.first().is_none_or(|e| entry_key(e) != key) {
+                return Err(leaving[0].replica);
             }
+            old = &old[1..];
+            leaving = &leaving[1..];
         } else {
             let e = landing[0];
             landing = &landing[1..];
-            let run = gallop_partition_point(old, |x| entry_key(x) <= entry_key(&e));
+            let run = gallop(old.len(), |i| entry_key(&old[i]) <= entry_key(&e));
             out.extend_from_slice(&old[..run]);
             old = &old[run..];
             out.push(e);
         }
     }
     out.extend_from_slice(old);
-    out
+    Ok(out)
 }
 
 /// A candidate roster indexed for pruned greedy selection: one candidate
@@ -308,6 +371,23 @@ impl PrunedRoster {
         self.lists.len()
     }
 
+    /// Number of indexed candidates in configuration slot `slot`; zero for
+    /// a slot the roster does not have.
+    #[must_use]
+    pub fn slot_len(&self, slot: usize) -> usize {
+        self.lists.get(slot).map_or(0, Vec::len)
+    }
+
+    /// Every indexed candidate, slot by slot, each slot's in ascending
+    /// (power, descending replica id) order — the roster read back out of
+    /// the index, configuration = list position.
+    pub fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
+        self.lists
+            .iter()
+            .enumerate()
+            .flat_map(|(config, list)| list.iter().map(move |e| e.candidate(config)))
+    }
+
     /// Builds the dense roster that one epoch's churn turns this one into,
     /// in **one pass**: every list is written once, straight from the old
     /// one, into an exactly-sized `Vec`, untouched runs copied as slices —
@@ -317,8 +397,7 @@ impl PrunedRoster {
     /// epoch snapshot's bucket walk and its births and deaths.
     ///
     /// * `departed` — rows leaving, by their exact *old-layout* `(config,
-    ///   power, replica)`. Rows that are not present — an unknown config
-    ///   included — are ignored.
+    ///   power, replica)`; each must be present.
     /// * `arrivals` — rows entering, with *new-layout* configs. An arrival
     ///   whose key equals a surviving old entry's lands after it.
     /// * `removals` — ascending *old* positions of the slots to drop; each
@@ -329,54 +408,60 @@ impl PrunedRoster {
     /// Zero-power rows are ignored on both sides, so the result equals
     /// [`from_dense`](Self::from_dense) over the patched candidates.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a removed slot still holds entries after its departures,
-    /// or if a slot position or an arrival's config is out of range.
-    #[must_use]
+    /// A [`PatchError`] — `self` is only read — when a positive-power
+    /// departure matches no entry, when a removed slot still holds entries
+    /// after its departures, or when a slot position or a row's config is
+    /// out of range.
     pub fn patch_dense(
         &self,
         departed: &[Candidate],
         arrivals: &[Candidate],
         mut removals: &[usize],
         mut insertions: &[usize],
-    ) -> PrunedRoster {
-        let slots = self.lists.len() + insertions.len() - removals.len();
+    ) -> Result<PrunedRoster, PatchError> {
+        let slots = (self.lists.len() + insertions.len())
+            .checked_sub(removals.len())
+            .ok_or(PatchError::OutOfRange)?;
         let leaving = SlotGroups::new(self.lists.len(), departed);
         let landing = SlotGroups::new(slots, arrivals);
-
+        if !(leaving.out_of_range().is_empty() && landing.out_of_range().is_empty()) {
+            return Err(PatchError::OutOfRange);
+        }
         let mut lists: Vec<Vec<PrunedEntry>> = Vec::with_capacity(slots);
         let mut old_at = 0;
         while lists.len() < slots || old_at < self.lists.len() {
             let at = lists.len();
-            if removals.first() == Some(&old_at) {
-                removals = &removals[1..];
-                let left = merge_list(&self.lists[old_at], leaving.slot(old_at), &[]);
-                assert!(
-                    left.is_empty(),
-                    "removing config slot {old_at} that still has entries"
-                );
-                old_at += 1;
-            } else if insertions.first() == Some(&at) {
+            if at < slots && insertions.first() == Some(&at) {
                 insertions = &insertions[1..];
                 lists.push(landing.slot(at).to_vec());
-            } else {
-                lists.push(merge_list(
-                    &self.lists[old_at],
-                    leaving.slot(old_at),
-                    landing.slot(at),
-                ));
-                old_at += 1;
+                continue;
             }
+            let Some(old) = self.lists.get(old_at) else {
+                return Err(PatchError::OutOfRange);
+            };
+            if removals.first() == Some(&old_at) {
+                removals = &removals[1..];
+                let left = merge_list(old, leaving.slot(old_at), &[]);
+                if !left.map_err(PatchError::UnknownDeparture)?.is_empty() {
+                    return Err(PatchError::SlotNotEmpty(old_at));
+                }
+            } else if at < slots {
+                let merged = merge_list(old, leaving.slot(old_at), landing.slot(at));
+                lists.push(merged.map_err(PatchError::UnknownDeparture)?);
+            } else {
+                return Err(PatchError::OutOfRange);
+            }
+            old_at += 1;
         }
-        assert!(
-            lists.len() == slots && landing.out_of_range().is_empty(),
-            "slot positions and arrival configs stay within the patched roster"
-        );
-        PrunedRoster {
+        if !(removals.is_empty() && insertions.is_empty()) {
+            return Err(PatchError::OutOfRange);
+        }
+        Ok(PrunedRoster {
             len: lists.iter().map(Vec::len).sum(),
             lists,
-        }
+        })
     }
 
     /// Greedy entropy-maximising selection of `k` members — the
@@ -577,31 +662,51 @@ impl<'a> SelectionRun<'a> {
         let target = (s_prime / ((w - b) as f64)).exp2() - b as f64;
         let idx = list.partition_point(|e| (e.power as f64) < target);
 
-        // Expand outward from the bracket, below the peak then above it. f
-        // is unimodal in power, so each direction's gains only fall; once
-        // one drops below the band ceiling minus the guard band it — and
-        // everything beyond it — is provably outside any possible tie with
-        // the round winner.
+        // Expand outward from the bracket, below the peak then above it,
+        // one run of equal power at a time: every entry of a run has the
+        // bit-identical gain, so the run's most-preferred unselected entry
+        // — its last — stands for all of them (module docs). f is unimodal
+        // in power, so each direction's gains only fall; once one drops
+        // below the band ceiling minus the guard band it — and everything
+        // beyond it — is provably outside any possible tie with the round
+        // winner.
         let mut ceiling = f64::NEG_INFINITY;
-        let mut step = |e: &PrunedEntry| {
-            if self.is_selected(e.replica) {
-                return ControlFlow::Continue(());
+        for below in [true, false] {
+            let mut side = if below { &list[..idx] } else { &list[idx..] };
+            while !side.is_empty() {
+                let (run, rest) = split_run(side, below);
+                side = rest;
+                let Some(e) = run.iter().rev().find(|e| !self.is_selected(e.replica)) else {
+                    continue;
+                };
+                let h = self.acc.peek_add(li, e.power);
+                if h < ceiling - BAND {
+                    break;
+                }
+                if h > ceiling {
+                    ceiling = h;
+                }
+                if visit(e, h) {
+                    return true;
+                }
             }
-            let h = self.acc.peek_add(li, e.power);
-            if h < ceiling - BAND {
-                return ControlFlow::Break(false);
-            }
-            if h > ceiling {
-                ceiling = h;
-            }
-            if visit(e, h) {
-                ControlFlow::Break(true)
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        list[..idx].iter().rev().try_for_each(&mut step) == ControlFlow::Break(true)
-            || list[idx..].iter().try_for_each(&mut step) == ControlFlow::Break(true)
+        }
+        false
+    }
+}
+
+/// Splits the run of equal power nearest the band's peak off `side`: the
+/// trailing run of the part `below` the peak, the leading run of the part
+/// above it. Returns `(run, rest)`; `side` must not be empty.
+fn split_run(side: &[PrunedEntry], below: bool) -> (&[PrunedEntry], &[PrunedEntry]) {
+    let n = side.len();
+    if below {
+        let power = side[n - 1].power;
+        let (rest, run) = side.split_at(n - gallop(n, |i| side[n - 1 - i].power == power));
+        (run, rest)
+    } else {
+        let power = side[0].power;
+        side.split_at(gallop(n, |i| side[i].power == power))
     }
 }
 
@@ -687,12 +792,9 @@ mod tests {
             Candidate::new(ReplicaId::new(3), VotingPower::new(10), 3, true),
         ];
         let newcomer = Candidate::new(ReplicaId::new(9), VotingPower::new(40), 1, true);
-        let roster = PrunedRoster::from_dense(4, &candidates).patch_dense(
-            &[candidates[2]],
-            &[newcomer],
-            &[2],
-            &[1],
-        );
+        let roster = PrunedRoster::from_dense(4, &candidates)
+            .patch_dense(&[candidates[2]], &[newcomer], &[2], &[1])
+            .unwrap();
         assert_eq!(roster.num_configs(), 4);
         // Expected final layout: old slots 0,1,3 → 0,2,3 plus the newcomer
         // at slot 1; surviving entries take their *new* positional configs.
@@ -712,15 +814,85 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "still has entries")]
-    fn splicing_out_a_populated_slot_panics() {
-        let candidates = vec![Candidate::new(
-            ReplicaId::new(0),
-            VotingPower::new(5),
-            0,
-            true,
-        )];
-        let _ = PrunedRoster::from_dense(1, &candidates).patch_dense(&[], &[], &[0], &[]);
+    fn rows_that_do_not_describe_this_roster_are_errors_not_panics() {
+        let row = |id: u64, power: u64, config: usize| {
+            Candidate::new(ReplicaId::new(id), VotingPower::new(power), config, true)
+        };
+        let roster = PrunedRoster::from_dense(2, &[row(0, 5, 0), row(1, 7, 1)]);
+        let untouched = roster.clone();
+        // A populated slot cannot be spliced out…
+        assert_eq!(
+            roster.patch_dense(&[], &[], &[0], &[]),
+            Err(PatchError::SlotNotEmpty(0))
+        );
+        // …a departure must name an entry exactly: right replica with the
+        // wrong power, the wrong slot, or a replica that is not there…
+        for gone in [row(0, 6, 0), row(0, 5, 1), row(9, 5, 0)] {
+            assert_eq!(
+                roster.patch_dense(&[gone], &[], &[], &[]),
+                Err(PatchError::UnknownDeparture(gone.replica()))
+            );
+        }
+        // …and configs and slot positions stay inside the roster.
+        for (departed, arrivals, removals, insertions) in [
+            (vec![row(0, 5, 4_000)], vec![], vec![], vec![]),
+            (vec![], vec![row(9, 5, 2)], vec![], vec![]),
+            (vec![], vec![], vec![2], vec![]),
+            (vec![], vec![], vec![], vec![4]),
+            (vec![], vec![], vec![0, 0, 1], vec![]),
+        ] {
+            assert_eq!(
+                roster.patch_dense(&departed, &arrivals, &removals, &insertions),
+                Err(PatchError::OutOfRange)
+            );
+        }
+        assert_eq!(roster, untouched);
+    }
+
+    #[test]
+    fn a_band_walk_evaluates_each_distinct_power_once() {
+        // 200 replicas a slot share one power, then three: every walk must
+        // hand `visit` — one exact evaluation each — at most one entry per
+        // distinct power, however many replicas are tied on it, and the
+        // rounds must still pick what the per-candidate fold picks.
+        for powers in [&[10u64][..], &[10, 11, 12]] {
+            let candidates: Vec<Candidate> = (0..600u64)
+                .map(|i| {
+                    let power = powers[(i / 3) as usize % powers.len()];
+                    Candidate::new(
+                        ReplicaId::new(i),
+                        VotingPower::new(power),
+                        (i % 3) as usize,
+                        true,
+                    )
+                })
+                .collect();
+            let roster = PrunedRoster::from_dense(3, &candidates);
+            let mut run = SelectionRun::new(&roster);
+            for round in 0..40 {
+                for (li, list) in roster.lists.iter().enumerate() {
+                    let mut evaluated: Vec<u64> = Vec::new();
+                    run.walk_band(li, list, |e, _| {
+                        evaluated.push(e.power);
+                        false
+                    });
+                    let visits = evaluated.len();
+                    evaluated.sort_unstable();
+                    evaluated.dedup();
+                    assert_eq!(
+                        evaluated.len(),
+                        visits,
+                        "round {round}, slot {li}: a power was evaluated twice"
+                    );
+                    assert!((1..=powers.len()).contains(&visits));
+                }
+                assert!(run.round());
+            }
+            assert_eq!(
+                run.into_committee().members(),
+                greedy_diverse(&candidates, 40).members()
+            );
+        }
     }
 
     #[test]
@@ -736,24 +908,18 @@ mod tests {
     #[test]
     fn patch_departures_equal_a_rebuild_of_the_survivors() {
         let candidates = pool(120, 5);
-        // Every third candidate departs, plus rows that were never
-        // present (a zero-power row and an unknown config) — both must be
-        // ignored.
+        // Every third candidate departs, plus a zero-power row the index
+        // never held — ignored, whatever slot it names.
         let mut departing: Vec<Candidate> = candidates.iter().copied().step_by(3).collect();
         departing.push(Candidate::new(
             ReplicaId::new(999),
             VotingPower::ZERO,
-            0,
-            true,
-        ));
-        departing.push(Candidate::new(
-            ReplicaId::new(998),
-            VotingPower::new(7),
             4_000,
             true,
         ));
-        let patched =
-            PrunedRoster::from_dense(5, &candidates).patch_dense(&departing, &[], &[], &[]);
+        let patched = PrunedRoster::from_dense(5, &candidates)
+            .patch_dense(&departing, &[], &[], &[])
+            .unwrap();
         let survivors: Vec<Candidate> = candidates
             .iter()
             .copied()
@@ -786,7 +952,9 @@ mod tests {
             2,
             false,
         ));
-        let patched = PrunedRoster::from_dense(9, &base).patch_dense(&[], &arriving, &[], &[]);
+        let patched = PrunedRoster::from_dense(9, &base)
+            .patch_dense(&[], &arriving, &[], &[])
+            .unwrap();
         let all: Vec<Candidate> = base.iter().chain(&arriving).copied().collect();
         assert_eq!(patched, PrunedRoster::from_dense(9, &all));
         assert_eq!(patched.len(), 120);
@@ -806,8 +974,9 @@ mod tests {
                 )
             })
             .collect();
-        let roster =
-            PrunedRoster::from_dense(6, &candidates).patch_dense(&departing, &arriving, &[], &[]);
+        let roster = PrunedRoster::from_dense(6, &candidates)
+            .patch_dense(&departing, &arriving, &[], &[])
+            .unwrap();
         let survivors: Vec<Candidate> = candidates
             .iter()
             .filter(|c| !departing.iter().any(|d| d.replica() == c.replica()))
@@ -823,10 +992,10 @@ mod tests {
         let again = Candidate::new(ReplicaId::new(4), VotingPower::new(10), 0, false);
         let roster = PrunedRoster::from_dense(1, &[old]);
         // Departing and re-arriving under the same key replaces the entry…
-        let replaced = roster.patch_dense(&[old], &[again], &[], &[]);
+        let replaced = roster.patch_dense(&[old], &[again], &[], &[]).unwrap();
         assert_eq!(replaced, PrunedRoster::from_dense(1, &[again]));
         // …and an arrival lands behind an equal-keyed entry that stays.
-        let both = roster.patch_dense(&[], &[again], &[], &[]);
+        let both = roster.patch_dense(&[], &[again], &[], &[]).unwrap();
         assert_eq!(
             both.lists,
             vec![vec![PrunedEntry::of(&old), PrunedEntry::of(&again)]]
@@ -843,9 +1012,9 @@ mod tests {
             let sorted: Vec<usize> = (0..len).collect();
             for boundary in 0..=len + 1 {
                 let mut calls = 0;
-                let at = gallop_partition_point(&sorted, |&x| {
+                let at = gallop(len, |i| {
                     calls += 1;
-                    x < boundary
+                    sorted[i] < boundary
                 });
                 assert_eq!(
                     at,
@@ -936,7 +1105,8 @@ mod tests {
                 .collect();
 
             let patched = PrunedRoster::from_dense(old_labels.len() + 1, &old_roster)
-                .patch_dense(&departed, &arrivals, &died, &born);
+                .patch_dense(&departed, &arrivals, &died, &born)
+                .expect("the churn describes the roster it was drawn over");
             let rebuilt = PrunedRoster::from_dense(new_labels.len() + 1, &new_roster);
             prop_assert_eq!(patched.len(), rebuilt.len());
             prop_assert_eq!(&patched, &rebuilt);

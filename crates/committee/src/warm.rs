@@ -11,10 +11,14 @@
 //! bit-identical float it was last epoch — the previous winner still beats
 //! all of them, and only the **churned** rows (arrived, departed,
 //! re-powered, or re-attested devices) need to be evaluated against it. The
-//! churned rows are resolved and bucket-grouped once per call, so each
-//! round's displacement check walks only each churned bucket's
-//! analytic-peak band (the cold engine's own pruning, byte-equivalent to
-//! peeking every row); a full epoch whose committee survives costs O(k ·
+//! caller hands those rows over — the churned devices' current rows, which
+//! a differential seal has in hand anyway — with the map from the previous
+//! epoch's configuration slots to this one's, so a warm start reads nothing
+//! that is O(fleet): no replica-sorted roster is consulted, let alone built.
+//! The churned rows are bucket-grouped once per call, so each round's
+//! displacement check walks only each churned bucket's analytic-peak band
+//! (the cold engine's own pruning, run by run, byte-equivalent to peeking
+//! every row); a full epoch whose committee survives costs O(k ·
 //! churned-buckets) band walks instead of O(k · n) peeks.
 //!
 //! When a churned row does contend — it wins, or ties within the fold
@@ -51,12 +55,14 @@ pub struct WarmReport {
     pub fell_back: bool,
 }
 
-/// Selects `k` members over `roster`, warm-started from `previous` (the
-/// last epoch's committee for the same `k`-policy, in selection order) and
-/// `churned` (the sorted replica ids touched between the two epochs —
-/// arrivals, departures, and any power/measurement change). `candidates`
-/// is the current roster's full candidate slice sorted by replica id (the
-/// epoch snapshot's layout), used to translate replicas to current rows.
+/// Selects `k` members over `roster`, warm-started from `previous` — the
+/// last epoch's committee for the same `k`-policy, in selection order, its
+/// configurations in the *last* epoch's slot layout — and the churn between
+/// the two epochs: `churned`, the sorted replica ids touched (arrivals,
+/// departures, and any power/measurement change); `current`, the rows those
+/// of them that are still registered hold now; and `slot_map`, each of the
+/// last epoch's configuration slots to its position in `roster`
+/// (`usize::MAX` for a slot that is gone).
 ///
 /// **Byte-identity contract:** the returned committee is the identical
 /// member sequence to a cold [`greedy_diverse`](crate::greedy_diverse) /
@@ -69,32 +75,28 @@ pub struct WarmReport {
 /// `churned` must contain every replica whose roster row differs from the
 /// epoch `previous` was selected on (extra untouched replicas are
 /// harmless); `previous` may be any length (longer committees' prefixes
-/// are valid — greedy selection is prefix-stable).
+/// are valid — greedy selection is prefix-stable). A member whose slot
+/// `slot_map` does not carry over ends the replay there.
 #[must_use]
 pub fn warm_greedy(
     roster: &PrunedRoster,
-    candidates: &[Candidate],
     previous: &[Candidate],
     churned: &[ReplicaId],
+    current: &[Candidate],
+    slot_map: &[usize],
     k: usize,
 ) -> (Committee, WarmReport) {
-    debug_assert!(
-        candidates
-            .windows(2)
-            .all(|w| w[0].replica() < w[1].replica()),
-        "candidates must be sorted by replica id"
-    );
     debug_assert!(
         churned.windows(2).all(|w| w[0] < w[1]),
         "churned replicas must be sorted"
     );
     // Replay-or-not is decided by the two engines' own costs, not by a
-    // share of the roster: resolving and grouping the churned rows is
-    // O(churned · log n) before the first round, while the pruned engine
-    // selects cold in O(k · configs · log L) band walks regardless of
-    // churn. Once the churned set outnumbers the rows a cold selection
-    // would even look at, replay cannot pay for itself — and the cold path
-    // has no divergence to repair.
+    // share of the roster: grouping the churned rows is O(churned · log)
+    // before the first round, while the pruned engine selects cold in
+    // O(k · configs · log L) band walks regardless of churn. Once the
+    // churned set outnumbers the rows a cold selection would even look at,
+    // replay cannot pay for itself — and the cold path has no divergence
+    // to repair.
     if churned.len() > k.saturating_mul(roster.num_configs()) {
         return (
             roster.select(k),
@@ -106,18 +108,11 @@ pub fn warm_greedy(
         );
     }
 
-    let row_of = |replica: ReplicaId| -> Option<Candidate> {
-        candidates
-            .binary_search_by_key(&replica, Candidate::replica)
-            .ok()
-            .map(|pos| candidates[pos])
-    };
-
-    // Resolve every churned replica to its current row once, bucket-grouped
-    // and power-sorted, so each replay round's displacement check walks
-    // only each bucket's analytic-peak band (byte-equivalent to peeking
-    // every churned row — see `SelectionRun::any_displaces`).
-    let challengers = ChallengerSet::new(churned.iter().filter_map(|&replica| row_of(replica)));
+    // The churned rows, bucket-grouped and power-sorted once, so each
+    // replay round's displacement check walks only each bucket's
+    // analytic-peak band (byte-equivalent to peeking every churned row —
+    // see `SelectionRun::any_displaces`).
+    let challengers = ChallengerSet::new(current.iter().copied());
 
     let mut run = SelectionRun::new(roster);
     let mut replayed = 0usize;
@@ -128,19 +123,20 @@ pub fn warm_greedy(
         if churned.binary_search(&prev.replica()).is_ok() {
             break;
         }
-        let Some(incumbent) = row_of(prev.replica()) else {
-            // Departed without appearing in `churned` — only possible with
-            // an under-reported churn set; recompute from here.
+        // Untouched, so the same row as last epoch but for its slot's
+        // position. A slot the map does not carry over means the churn set
+        // was under-reported (or `previous` is not from the parent epoch);
+        // recompute from here.
+        let Some(&config) = slot_map
+            .get(prev.config())
+            .filter(|&&slot| slot < roster.num_configs())
+        else {
             break;
         };
-        debug_assert_eq!(
-            incumbent.power(),
-            prev.power(),
-            "an unchurned member's power must be unchanged"
-        );
-        if incumbent.power().is_zero() {
+        if prev.power().is_zero() {
             break;
         }
+        let incumbent = Candidate::new(prev.replica(), prev.power(), config, prev.attested());
         let incumbent_gain = run.peek(incumbent.config(), incumbent.power().as_units());
         // Every untouched candidate evaluates to the bit-identical gain it
         // did last epoch (same bucket-keyed committee state, same row), so
@@ -196,6 +192,25 @@ mod tests {
     fn sorted_roster(mut candidates: Vec<Candidate>) -> Vec<Candidate> {
         candidates.sort_unstable_by_key(Candidate::replica);
         candidates
+    }
+
+    /// [`warm_greedy`] as a caller holding the whole roster calls it: the
+    /// churned replicas' current rows looked up in `candidates`, and no
+    /// slot moved between the two epochs.
+    fn warm_greedy(
+        roster: &PrunedRoster,
+        candidates: &[Candidate],
+        previous: &[Candidate],
+        churned: &[ReplicaId],
+        k: usize,
+    ) -> (Committee, WarmReport) {
+        let current: Vec<Candidate> = candidates
+            .iter()
+            .filter(|c| churned.contains(&c.replica()))
+            .copied()
+            .collect();
+        let identity: Vec<usize> = (0..roster.num_configs()).collect();
+        super::warm_greedy(roster, previous, churned, &current, &identity, k)
     }
 
     #[test]

@@ -27,6 +27,31 @@ fn candidate_pool() -> impl Strategy<Value = Vec<Candidate>> {
     )
 }
 
+/// Pools with quantised stake: up to 59 replicas over at most 4
+/// configurations, every power one of at most three values — one value
+/// included, where each configuration's candidates are a single run of
+/// equal power.
+fn tie_heavy_pool() -> impl Strategy<Value = Vec<Candidate>> {
+    (1u64..=3).prop_flat_map(|stakes| {
+        proptest::collection::vec((0..stakes, 0usize..4, proptest::bool::ANY), 1..60).prop_map(
+            |specs| {
+                specs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (stake, config, attested))| {
+                        Candidate::new(
+                            ReplicaId::new(i as u64),
+                            VotingPower::new(100 + 50 * stake),
+                            config,
+                            attested,
+                        )
+                    })
+                    .collect()
+            },
+        )
+    })
+}
+
 fn check_structure(
     committee: &Committee,
     pool: &[Candidate],
@@ -140,6 +165,22 @@ proptest! {
             fast.entropy_bits().to_bits(),
             naive.entropy_bits().to_bits()
         );
+    }
+
+    /// The pruned engine steps a run of equal power as one evaluation; on
+    /// pools that are nothing but such runs it must still select what the
+    /// per-candidate fold selects, member for member, for every committee
+    /// size up to the whole pool.
+    #[test]
+    fn pruned_selection_matches_greedy_on_tie_heavy_pools(pool in tie_heavy_pool()) {
+        let roster = PrunedRoster::from_dense(4, &pool);
+        for k in [1, 2, 5, pool.len() / 2, pool.len(), pool.len() + 3] {
+            prop_assert_eq!(
+                roster.select(k).members(),
+                greedy_diverse(&pool, k).members(),
+                "k = {}", k
+            );
+        }
     }
 
     /// Committee caches agree with from-scratch recomputation.

@@ -3,8 +3,9 @@
 //! carried forward by `patch_dense` — the editor the seal uses — plus
 //! warm-start replay must select the byte-identical member sequence to the
 //! naive O(n·k·(k+m)) oracle over the merged pool — through evictions of
-//! sitting members, tie-heavy power distributions, and the high-churn
-//! fallback boundary.
+//! sitting members, tie-heavy power distributions (down to a single stake
+//! value, where a list is one run of equal power and the band walk steps
+//! it as one), and the high-churn fallback boundary.
 
 use fi_committee::greedy::greedy_diverse_naive;
 use fi_committee::prelude::*;
@@ -89,13 +90,15 @@ fn apply(pool: &mut Vec<Candidate>, batch: &[Churn]) -> Vec<ReplicaId> {
 }
 
 /// The roster patch the seal performs: every churned replica's old row
-/// departs and its new row arrives, in one `patch_dense`.
+/// departs and its new row arrives, in one `patch_dense`. Returns the
+/// patched roster and the arrivals — the churned replicas' current rows,
+/// which is what the seal hands a warm start.
 fn patch_roster(
     roster: &PrunedRoster,
     old_pool: &[Candidate],
     new_pool: &[Candidate],
     churned: &[ReplicaId],
-) -> PrunedRoster {
+) -> (PrunedRoster, Vec<Candidate>) {
     let rows_in = |pool: &[Candidate]| -> Vec<Candidate> {
         churned
             .iter()
@@ -105,7 +108,11 @@ fn patch_roster(
             })
             .collect()
     };
-    roster.patch_dense(&rows_in(old_pool), &rows_in(new_pool), &[], &[])
+    let current = rows_in(new_pool);
+    let patched = roster
+        .patch_dense(&rows_in(old_pool), &current, &[], &[])
+        .expect("the churned rows were read off the pool the roster indexes");
+    (patched, current)
 }
 
 /// Drives one chain over `slots` configuration slots: at every epoch the
@@ -133,10 +140,20 @@ fn run_chain(
     for (e, batch) in epochs.iter().enumerate() {
         let old_pool = pool.clone();
         let churned = apply(&mut pool, batch);
-        roster = patch_roster(&roster, &old_pool, &pool, &churned);
+        let current;
+        (roster, current) = patch_roster(&roster, &old_pool, &pool, &churned);
+        // No slot moves in these chains.
+        let identity: Vec<usize> = (0..slots).collect();
         for (ki, &k) in ks.iter().enumerate() {
             let oracle = greedy_diverse_naive(&pool, k);
-            let (warm, report) = warm_greedy(&roster, &pool, previous[ki].members(), &churned, k);
+            let (warm, report) = warm_greedy(
+                &roster,
+                previous[ki].members(),
+                &churned,
+                &current,
+                &identity,
+                k,
+            );
             prop_assert_eq!(
                 warm.members(),
                 oracle.members(),
@@ -178,6 +195,18 @@ proptest! {
     }
 
     #[test]
+    fn warm_chain_matches_when_stake_is_quantised(
+        (initial, epochs) in (1u64..=3).prop_flat_map(|stakes| chain(40, stakes, 4))
+    ) {
+        // One, two or three stake values over at most 4 configs: every
+        // list is a handful of long runs of equal power — with one value,
+        // a single run — and every churned row lands inside one. k runs up
+        // to the whole pool, so runs are consumed member by member until
+        // nothing unselected is left in them.
+        run_chain(4, &initial, &epochs, &[1, 7, 40])?;
+    }
+
+    #[test]
     fn warm_chain_matches_across_the_fallback_boundary(
         (initial, epochs) in chain(16, 500, 4)
     ) {
@@ -210,8 +239,16 @@ fn eviction_of_every_sitting_member_is_repaired() {
     let mut churned: Vec<ReplicaId> = previous.members().iter().map(Candidate::replica).collect();
     churned.sort_unstable();
     pool.retain(|c| churned.binary_search(&c.replica()).is_err());
-    let roster = patch_roster(&roster, &old_pool, &pool, &churned);
-    let (warm, report) = warm_greedy(&roster, &pool, previous.members(), &churned, 3);
+    let (roster, current) = patch_roster(&roster, &old_pool, &pool, &churned);
+    assert!(current.is_empty(), "every churned replica left");
+    let (warm, report) = warm_greedy(
+        &roster,
+        previous.members(),
+        &churned,
+        &current,
+        &[0, 1, 2, 3, 4],
+        3,
+    );
     assert_eq!(warm.members(), greedy_diverse_naive(&pool, 3).members());
     assert_eq!(report.replayed, 0);
     assert!(report.repaired == 3 || report.fell_back);

@@ -126,7 +126,7 @@ impl SelectionCache {
     #[must_use]
     pub fn select_greedy(&self, snapshot: &EpochSnapshot, k: usize) -> Arc<Committee> {
         let hash = snapshot.content_hash();
-        if let Some(found) = self.lookup(hash, k, snapshot.epoch()) {
+        if let Some(found) = self.lookup(hash, k, Some(snapshot.epoch())) {
             // relaxed: monotonic stat counter, read only by monitoring.
             self.hits.fetch_add(1, Ordering::Relaxed);
             return found;
@@ -135,10 +135,11 @@ impl SelectionCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
 
         // Warm chain: the parent epoch's committee for the same key, if
-        // still resident, seeds an O(k · churn) repair.
+        // still resident, seeds an O(k · churn) repair. Seeding is not
+        // serving: the parent's eviction tag stays where it is.
         let parent = snapshot
             .parent_hash()
-            .and_then(|ph| self.lookup(ph, k, snapshot.epoch()));
+            .and_then(|ph| self.lookup(ph, k, None));
         let committee = match parent {
             Some(previous) => {
                 let (committee, report) = snapshot.select_greedy_warm(k, previous.members());
@@ -162,15 +163,23 @@ impl SelectionCache {
         committee
     }
 
-    fn lookup(&self, hash: Digest, k: usize, observed_epoch: u64) -> Option<Arc<Committee>> {
-        probe(&mut lock_recover(&self.entries), hash, k, observed_epoch)
-            .map(|entry| Arc::clone(&entry.committee))
+    /// The memoized committee for `(hash, k)`. `served_at` is the epoch of
+    /// the snapshot the answer is served for, which refreshes the entry's
+    /// eviction tag; `None` reads the entry without serving it.
+    fn lookup(&self, hash: Digest, k: usize, served_at: Option<u64>) -> Option<Arc<Committee>> {
+        let mut entries = lock_recover(&self.entries);
+        let entry = probe(&mut entries, hash, k)?;
+        if let Some(epoch) = served_at {
+            entry.epoch = entry.epoch.max(epoch);
+        }
+        Some(Arc::clone(&entry.committee))
     }
 
     fn insert(&self, hash: Digest, k: usize, epoch: u64, committee: Arc<Committee>) {
         let mut entries = lock_recover(&self.entries);
         // A racing miss may have inserted the same key; keep one entry.
-        if probe(&mut entries, hash, k, epoch).is_some() {
+        if let Some(entry) = probe(&mut entries, hash, k) {
+            entry.epoch = entry.epoch.max(epoch);
             return;
         }
         if entries.len() >= CAPACITY {
@@ -195,21 +204,14 @@ impl SelectionCache {
     }
 }
 
-/// Probes for `(hash, k)`, newest entry first; refreshes the entry's epoch
-/// tag to `observed_epoch` on hit so content that is still being served
-/// outlives the eviction sweep.
-fn probe(
-    entries: &mut [CacheEntry],
-    hash: Digest,
-    k: usize,
-    observed_epoch: u64,
-) -> Option<&CacheEntry> {
-    let entry = entries
+/// Probes for `(hash, k)`, newest entry first. A caller that serves the
+/// entry raises its epoch tag to the epoch it served, so content that is
+/// still being served outlives the eviction sweep.
+fn probe(entries: &mut [CacheEntry], hash: Digest, k: usize) -> Option<&mut CacheEntry> {
+    entries
         .iter_mut()
         .rev()
-        .find(|e| e.hash == hash && e.k == k)?;
-    entry.epoch = entry.epoch.max(observed_epoch);
-    Some(entry)
+        .find(|e| e.hash == hash && e.k == k)
 }
 
 impl std::fmt::Debug for SelectionCache {
@@ -304,6 +306,49 @@ mod tests {
         );
         assert_eq!(cache.stats().misses, before.misses + 1);
         assert_eq!(lock_recover(&cache.entries).len(), CAPACITY);
+    }
+
+    #[test]
+    fn a_warm_chain_probe_does_not_refresh_the_parents_eviction_tag() {
+        // Two tiny epochs, the second a differential child of the first.
+        let fleet = ShardedFleet::new(1, TwoTierWeights::default());
+        let trace = churn_trace(&ChurnTraceConfig::new(12, 40));
+        fleet.try_ingest_batch(&trace[..30]).unwrap();
+        let old = fleet.try_seal_epoch().unwrap();
+        fleet.try_ingest_batch(&trace[30..]).unwrap();
+        let new = fleet.try_seal_epoch().unwrap();
+        assert_eq!(new.parent_hash(), Some(old.content_hash()));
+
+        // Fill to one short of capacity with the old epoch's content, the
+        // key that will be chained first — so among equals it is the
+        // sweep's pick. (A `k` this large keeps the child's churn under the
+        // warm-start threshold.)
+        let chained = CAPACITY;
+        let cache = SelectionCache::default();
+        let _ = cache.select_greedy(&old, chained);
+        for k in 1..CAPACITY - 1 {
+            let _ = cache.select_greedy(&old, k);
+        }
+        // The warm chain across the epoch: a miss on the child that reads
+        // the parent's entry as its seed. The parent is not served by it.
+        let _ = cache.select_greedy(&new, chained);
+        assert_eq!(cache.stats().warm_starts, 1);
+        assert_eq!(lock_recover(&cache.entries).len(), CAPACITY);
+        assert_eq!(cache.stats().evictions, 0);
+
+        // One insert more sweeps the lowest tag: the chained parent, not
+        // an unrelated entry of its own age.
+        let _ = cache.select_greedy(&new, CAPACITY + 1);
+        let before = cache.stats();
+        assert_eq!(before.evictions, 1);
+        let _ = cache.select_greedy(&old, 1);
+        assert_eq!(
+            cache.stats().hits,
+            before.hits + 1,
+            "an unrelated entry went"
+        );
+        let _ = cache.select_greedy(&old, chained);
+        assert_eq!(cache.stats().misses, before.misses + 1, "the parent stayed");
     }
 
     #[test]

@@ -68,7 +68,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures a published snapshot.
+    /// Captures a published snapshot. The file keeps the roster sorted by
+    /// replica, which a snapshot does not: this is where that view is
+    /// derived ([`EpochSnapshot::candidates`] — one sort of the roster, on
+    /// the first checkpoint of a snapshot only).
     #[must_use]
     pub fn from_snapshot(snapshot: &EpochSnapshot) -> Checkpoint {
         Checkpoint {

@@ -30,7 +30,10 @@
 //! cut, so sealing an epoch that saw little churn drains the deltas, sorts
 //! them once into a [`CanonicalDelta`] — O(churn) — and patches the
 //! previous snapshot with it ([`EpochSnapshot::try_apply_delta`]) instead
-//! of re-merging every shard.
+//! of re-merging every shard. Each delta row carries the device's row at
+//! the last cut beside its row now, so the patch stages what leaves and
+//! what arrives from the delta alone and writes the snapshot's one
+//! per-device table, the selection index, once.
 //! A full rebuild (`EpochSnapshot::build` over a complete shard merge)
 //! is the cold start (epoch 1) and the recovery path after a rejected or
 //! dead seal; a caller can also force one every `R` seals
@@ -1126,6 +1129,68 @@ mod tests {
             oracle.try_seal_epoch().unwrap().content_hash(),
             "re-anchor must rebuild from the authoritative shard state"
         );
+    }
+
+    #[test]
+    fn a_before_row_the_snapshot_never_held_rejects_the_seal_and_the_next_reanchors() {
+        // A differential seal stages each touched device's departure from
+        // the row its shard says it held at the last cut, not from the
+        // published roster. When that row is not one the published snapshot
+        // holds, the seal must be rejected, not patched around. Forged here
+        // the way a lost delta would: write a row, steal the shard's
+        // pending delta, touch the device again — the surviving delta's
+        // `before` is the stolen row. In each case the bucket sums alone
+        // would have chained.
+        let cfg = |i: u64| sha256(format!("cfg-{i}").as_bytes());
+        let attest =
+            |id: u64, m: u64, power: u64| ChurnOp::attest(ReplicaId::new(id), cfg(m), power.into());
+        // (the write whose delta is lost, the touch that survives)
+        let forgeries = [
+            // Device 0 is on cfg-0 at power 10: a `before` with the wrong
+            // power, in the wrong bucket, …
+            (attest(0, 0, 11), attest(0, 0, 12)),
+            (attest(0, 1, 10), attest(0, 0, 10)),
+            // … and for a replica the snapshot has never seen.
+            (attest(500, 0, 10), attest(500, 0, 12)),
+        ];
+        for (lost, surviving) in forgeries {
+            let fleet = ShardedFleet::with_reanchor_interval(4, TwoTierWeights::flat(), 0);
+            fleet.try_ingest_batch(&ops(16)).unwrap();
+            let served = fleet.try_seal_epoch().unwrap();
+            fleet.try_ingest_batch(&[lost]).unwrap();
+            let _stolen = fleet.shards[fleet.shard_of(lost.replica())]
+                .lock()
+                .unwrap()
+                .take_delta();
+            fleet.try_ingest_batch(&[surviving]).unwrap();
+
+            let err = fleet.try_seal_epoch().unwrap_err();
+            assert!(
+                matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
+                "{lost:?}: got {err}"
+            );
+            assert!(err.to_string().contains("matches no entry"), "got {err}");
+            // The published snapshot keeps serving, bit for bit.
+            assert_eq!(fleet.published_epoch(), 1);
+            let still = fleet.snapshot();
+            assert_eq!(still.content_hash(), served.content_hash());
+            assert_eq!(
+                fleet.select_greedy_cached(4).members(),
+                served.select_greedy(4).members()
+            );
+
+            // The next seal re-anchors from the shards, which hold the
+            // surviving row: bit-identical to a fleet that never lost one.
+            let sealed = fleet.try_seal_epoch().unwrap();
+            assert_eq!((sealed.epoch(), sealed.parent_hash()), (2, None));
+            let oracle = ShardedFleet::new(1, TwoTierWeights::flat());
+            oracle.try_ingest_batch(&ops(16)).unwrap();
+            oracle.try_seal_epoch().unwrap();
+            oracle.try_ingest_batch(&[lost, surviving]).unwrap();
+            let expected = oracle.try_seal_epoch().unwrap();
+            assert_eq!(sealed.content_hash(), expected.content_hash());
+            assert!(sealed.devices().eq(expected.devices()));
+        }
     }
 
     #[test]

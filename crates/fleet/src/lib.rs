@@ -23,8 +23,9 @@
 //!   order the end state depends on.
 //! * [`ShardedFleet::try_seal_epoch`] takes a consistent cut across all
 //!   shards and publishes a canonical [`EpochSnapshot`]: sorted
-//!   measurement buckets, total effective power, an entropy accumulator, a
-//!   prebuilt committee-candidate roster, and a stable content hash.
+//!   measurement buckets, total effective power, an entropy accumulator,
+//!   the device roster as a prebuilt committee-selection index, and a
+//!   stable content hash.
 //!   Sealing is **differential**: each shard accumulates a
 //!   [`fi_attest::ChurnDelta`] since the last cut, the cut drains them,
 //!   and ordinary epochs sort them into one [`fi_attest::CanonicalDelta`]

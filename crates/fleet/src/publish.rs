@@ -7,7 +7,7 @@
 //! publisher) — never across snapshot *construction*, which happens
 //! entirely outside this type. Beside the slot sits a **stamp**: one
 //! `AtomicU64` holding the epoch of the published snapshot, stored with
-//! `Release` after the slot is written.
+//! `Release` after the slot is written and before its guard is dropped.
 //!
 //! **Why one slot suffices.** The stamp is not a second fact to keep in
 //! step with the slot: it is the published snapshot's own
@@ -136,8 +136,14 @@ impl SnapshotCell {
             "snapshot publication moved backwards: {stamp} then {epoch}"
         );
         // Slot first, stamp second: a reader that has seen the new stamp
-        // finds at least this snapshot in the slot.
-        *write_recover(&self.slot) = Arc::clone(next);
+        // finds at least this snapshot in the slot. And the stamp before
+        // the guard drops: a reader that has cloned this snapshot out of
+        // the slot acquired the lock after this release, so its next
+        // (even relaxed) stamp load cannot return the old stamp — a thread
+        // mixing `load` with a handle never sees the handle fall behind
+        // what the slot already gave it.
+        let mut slot = write_recover(&self.slot);
+        *slot = Arc::clone(next);
         self.stamp.store(epoch, Ordering::Release);
     }
 }

@@ -32,20 +32,28 @@
 //! provenance fields ([`parent_hash`](EpochSnapshot::parent_hash),
 //! [`churned_replicas`](EpochSnapshot::churned_replicas)) tell them apart.
 //!
-//! **What a patch copies.** A snapshot stores two rows per device: its
-//! [`Candidate`] in the roster, sorted by replica id (24 B), and — if it
-//! has power — its entry in the [`PrunedRoster`] selection index (24 B);
-//! the [`RegisteredDevice`] view is derived from the candidate and the
-//! bucket table, not stored. Snapshots share nothing, so a patch writes
-//! both tables anew — 48 B per device, O(n) memory traffic, the half of a
-//! differential seal's cost that follows fleet size — each in one merge
+//! **What a patch copies.** A snapshot stores one row per device: its entry
+//! in the [`PrunedRoster`] selection index (24 B), grouped by bucket slot
+//! and sorted by power inside the slot. The index *is* the roster. The few
+//! devices registered at zero power, which the index has never held, sit in
+//! a small replica-sorted side list; the replica-sorted view
+//! ([`candidates`](EpochSnapshot::candidates),
+//! [`devices`](EpochSnapshot::devices)) is not stored but derived the first
+//! time something asks for it — one function, one O(n log n) sort per
+//! snapshot, the same for full and differential snapshots — which today is
+//! a checkpoint write, the two-tier sortition, the recommender and tests,
+//! never a seal or a greedy selection. Snapshots share nothing, so a patch
+//! writes the index anew — 24 B per device, O(n) memory traffic, the part
+//! of a differential seal's cost that follows fleet size — in one merge
 //! walk against the sorted churn that copies the untouched runs between
-//! churned rows as slices. The other half follows churn, and handles each
-//! churned row once per table: it arrives sorted by replica (the
-//! [`CanonicalDelta`]'s one sort), is looked up in the roster by a scan
-//! that is linear over short runs and gallops over long ones, and is
-//! grouped by slot in a counting pass before the selection index sorts it
-//! by power inside its slot.
+//! churned rows as slices. The rest follows churn, and reads nothing of the
+//! old roster: each touched device arrives with the row it had at the last
+//! cut and the row it has now ([`RosterChange`](fi_attest::RosterChange)),
+//! so its departure is staged from the one and its arrival from the other,
+//! each resolved to a bucket slot by one probe of a per-seal table keyed by
+//! the measurement's leading byte; the selection index then groups the
+//! staged rows by slot in a counting pass and sorts them by power inside
+//! the slot.
 //!
 //! **Who hashes what, and when.** The content hash folds two
 //! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
@@ -67,11 +75,11 @@
 //! of the incremental path they check.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use fi_attest::{
     device_row_digest, AttestedRegistry, CanonicalDelta, RegisteredDevice, TwoTierWeights,
 };
-use fi_committee::pruned::gallop_partition_point;
 use fi_committee::{
     two_tier_weighted, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport,
 };
@@ -83,8 +91,8 @@ use rand::rngs::StdRng;
 use crate::error::SealError;
 
 /// An immutable, sealed view of the whole fleet at one epoch: merged
-/// measurement buckets, a prebuilt entropy accumulator, the sorted device
-/// roster as committee candidates, and a stable content hash.
+/// measurement buckets, a prebuilt entropy accumulator, the device roster
+/// as a committee-selection index, and a stable content hash.
 ///
 /// # Example
 ///
@@ -123,18 +131,21 @@ pub struct EpochSnapshot {
     bucket_members: Vec<u32>,
     /// Total effective power of the unattested tier.
     opaque: VotingPower,
-    /// The roster: one candidate per registered device, sorted by replica
-    /// id, configuration index = position of its measurement in `buckets`
-    /// (unattested devices share the pseudo-configuration `buckets.len()`).
-    /// [`devices`](Self::devices) is this table read through `buckets`.
-    candidates: Vec<Candidate>,
     /// Canonical accumulator over `buckets`, in bucket order.
     acc: EntropyAccumulator,
-    /// The pruned selection index over `candidates` — dense slots, one per
-    /// bucket plus the trailing unattested pseudo-slot — carried forward
-    /// by [`try_apply_delta`](Self::try_apply_delta) so serving a
-    /// committee never re-sorts the fleet.
+    /// The roster, as the selection index keeps it: one entry per
+    /// registered device with power, in dense slots — one per bucket plus
+    /// the trailing unattested pseudo-slot `buckets.len()` — each sorted by
+    /// power. Carried forward by [`try_apply_delta`](Self::try_apply_delta),
+    /// so a seal writes this one table and serving a committee never
+    /// re-sorts the fleet.
     pruned: PrunedRoster,
+    /// The registered devices the index does not hold — those with zero
+    /// power — sorted by replica id, configuration = slot as in `pruned`.
+    zero_power: Vec<Candidate>,
+    /// `pruned` and `zero_power` together, sorted by replica id: what
+    /// [`candidates`](Self::candidates) serves, derived on first use.
+    roster: OnceLock<Vec<Candidate>>,
     /// The previous snapshot's content hash when this one was produced by
     /// [`try_apply_delta`](Self::try_apply_delta); `None` for full builds. This is
     /// the warm-start chaining key: a committee selected on the parent
@@ -143,6 +154,14 @@ pub struct EpochSnapshot {
     /// The sorted replica ids touched by the delta that produced this
     /// snapshot (empty for full builds).
     churned: Vec<ReplicaId>,
+    /// The rows the `churned` devices that are still registered hold in
+    /// this snapshot, sorted by replica id (empty for full builds).
+    arrivals: Vec<Candidate>,
+    /// Each of the parent's slots (its unattested pseudo-slot last) to its
+    /// position here, `usize::MAX` for a bucket that died (empty for full
+    /// builds). With `churned` and `arrivals`, all a warm start needs of
+    /// the difference to the parent.
+    slot_map: Vec<usize>,
     /// Order-independent aggregate of per-bucket row digests — the
     /// incrementally maintainable half of the content hash.
     bucket_agg: SetDigest,
@@ -181,47 +200,138 @@ pub(crate) fn roster_aggregate(devices: &[RegisteredDevice]) -> SetDigest {
     agg
 }
 
+/// Measurement digest → value for one seal: the rows sorted by digest, and
+/// where each leading byte's rows start among them. A probe reads one byte
+/// and compares the digests that share it — none or one for hashed
+/// measurements at any realistic bucket count — where a binary search over
+/// the bucket table costs a handful of 32-byte compares per device.
+/// Measurements aligned on their first byte only degrade a probe to a scan
+/// of the rows that share it.
+struct SlotTable<V> {
+    rows: Vec<(Digest, V)>,
+    starts: [usize; 257],
+}
+
+impl<V: Copy> SlotTable<V> {
+    /// `rows` must be sorted by digest.
+    fn new(rows: Vec<(Digest, V)>) -> Self {
+        let mut starts = [0; 257];
+        for (m, _) in &rows {
+            starts[usize::from(m.as_bytes()[0]) + 1] += 1;
+        }
+        for byte in 0..256 {
+            starts[byte + 1] += starts[byte];
+        }
+        SlotTable { rows, starts }
+    }
+
+    fn get(&self, measurement: &Digest) -> Option<V> {
+        let byte = usize::from(measurement.as_bytes()[0]);
+        self.rows[self.starts[byte]..self.starts[byte + 1]]
+            .iter()
+            .find(|(m, _)| m == measurement)
+            .map(|&(_, v)| v)
+    }
+}
+
+/// The zero-power side list one epoch's churn turns `old` into: the staged
+/// zero-power `departed` rows (parent layout) leave, the survivors move to
+/// their slots' new positions, the zero-power `arrivals` join. All three
+/// are sorted by replica id. `Err` names what does not chain: a departure
+/// that is not, exactly, a row of `old`; a survivor whose bucket died; a
+/// replica that ends up listed twice.
+fn patch_zero_power(
+    old: &[Candidate],
+    departed: &[Candidate],
+    arrivals: &[Candidate],
+    slot_map: &[usize],
+) -> Result<Vec<Candidate>, String> {
+    let zero = |c: &&Candidate| c.power().is_zero();
+    let mut leaving = departed.iter().filter(zero).peekable();
+    let mut next = Vec::with_capacity(old.len());
+    for c in old {
+        if leaving.peek() == Some(&c) {
+            leaving.next();
+            continue;
+        }
+        match slot_map[c.config()] {
+            usize::MAX => {
+                let replica = c.replica();
+                return Err(format!(
+                    "untouched device {replica} points at a removed bucket"
+                ));
+            }
+            config => next.push(Candidate::new(c.replica(), c.power(), config, c.attested())),
+        }
+    }
+    if let Some(gone) = leaving.next() {
+        let replica = gone.replica();
+        return Err(format!(
+            "departing zero-power row of replica {replica} matches no entry"
+        ));
+    }
+    next.extend(arrivals.iter().filter(zero));
+    next.sort_unstable_by_key(Candidate::replica);
+    if let Some(twice) = next.windows(2).find(|w| w[0].replica() == w[1].replica()) {
+        return Err(format!("device {} arrives twice", twice[0].replica()));
+    }
+    Ok(next)
+}
+
 impl EpochSnapshot {
     /// The canonical builder all sealing paths share: merged bucket rows
     /// (keyed — hence sorted — by digest), the summed opaque power, the
-    /// collected device rows (sorted here, kept as candidates), and the
-    /// roster's row-digest aggregate — summed from the shards' write-time
-    /// aggregates by the fleet, recomputed with [`roster_aggregate`] by the
-    /// oracle paths.
+    /// collected device rows in any order (the index sorts each slot by
+    /// power; nothing here sorts by replica), and the roster's row-digest
+    /// aggregate — summed from the shards' write-time aggregates by the
+    /// fleet, recomputed with [`roster_aggregate`] by the oracle paths.
     pub(crate) fn build(
         epoch: u64,
         weights: TwoTierWeights,
         rows: BTreeMap<Digest, VotingPower>,
         opaque: VotingPower,
-        mut devices: Vec<RegisteredDevice>,
+        devices: Vec<RegisteredDevice>,
         device_agg: SetDigest,
     ) -> EpochSnapshot {
         let buckets: Vec<(Digest, VotingPower)> = rows.into_iter().collect();
-        devices.sort_unstable_by_key(|d| d.replica);
-
         let acc = canonical_accumulator(&buckets);
 
         let opaque_slot = buckets.len();
+        let slots = SlotTable::new(
+            buckets
+                .iter()
+                .enumerate()
+                .map(|(slot, &(m, _))| (m, slot))
+                .collect(),
+        );
         let mut bucket_members = vec![0u32; buckets.len()];
-        let mut candidates = Vec::with_capacity(devices.len());
-        for d in &devices {
-            let (config, attested) = match d.measurement {
-                Some(m) => {
-                    let slot = buckets
-                        .binary_search_by_key(&m, |&(digest, _)| digest)
-                        .expect("every attested device's measurement has a bucket");
-                    bucket_members[slot] += 1;
-                    (slot, true)
-                }
-                None => (opaque_slot, false),
-            };
-            candidates.push(Candidate::new(d.replica, d.power, config, attested));
-        }
+        let candidates: Vec<Candidate> = devices
+            .iter()
+            .map(|d| {
+                let config = match d.measurement {
+                    Some(m) => {
+                        let slot = slots
+                            .get(&m)
+                            .expect("every attested device's measurement has a bucket");
+                        bucket_members[slot] += 1;
+                        slot
+                    }
+                    None => opaque_slot,
+                };
+                Candidate::new(d.replica, d.power, config, d.measurement.is_some())
+            })
+            .collect();
         debug_assert!(
             bucket_members.iter().all(|&c| c > 0),
             "every live bucket has at least one registered member"
         );
         let pruned = PrunedRoster::from_dense(opaque_slot + 1, &candidates);
+        let mut zero_power: Vec<Candidate> = candidates
+            .iter()
+            .filter(|c| c.power().is_zero())
+            .copied()
+            .collect();
+        zero_power.sort_unstable_by_key(Candidate::replica);
 
         let mut bucket_agg = SetDigest::EMPTY;
         for &(m, p) in &buckets {
@@ -235,11 +345,14 @@ impl EpochSnapshot {
             buckets,
             bucket_members,
             opaque,
-            candidates,
             acc,
             pruned,
+            zero_power,
+            roster: OnceLock::new(),
             parent_hash: None,
             churned: Vec::new(),
+            arrivals: Vec::new(),
+            slot_map: Vec::new(),
             bucket_agg,
             device_agg,
             content_hash,
@@ -310,20 +423,21 @@ impl EpochSnapshot {
     }
 
     /// Patches this snapshot with one epoch's [`CanonicalDelta`],
-    /// producing the `epoch` snapshot without the O(fleet) shard re-merge,
-    /// roster sort and index rebuild a full `build` pays.
+    /// producing the `epoch` snapshot without the O(fleet) shard re-merge
+    /// and index rebuild a full `build` pays.
     /// The delta's rows are read as they come — already sorted, one per
     /// bucket and one per replica — so nothing is collected or sorted
-    /// here. Structural work is O(changed · log n) at worst: dirty buckets
-    /// and touched devices are located by merge walks (linear over the
-    /// first few rows of a run, galloping past that) and binary search,
-    /// and the touched rows are grouped by slot in a counting pass for the
-    /// selection index. The rest is the copy, **one pass per table**: the
-    /// roster (24 B a device) copies each untouched run between two
-    /// touched replicas as a slice, remapping configs row by row only in
-    /// an epoch where a bucket was born or died;
-    /// [`PrunedRoster::patch_dense`] writes the selection index (24 B a
-    /// device with power) list by list.
+    /// here. Structural work is O(changed): dirty buckets are located by a
+    /// merge walk, and each touched device is staged straight from its
+    /// delta row — its departure from the row it had at the last cut, in
+    /// this snapshot's slot layout, its arrival from the row it has now, in
+    /// the patched one — each resolved to a slot by one probe of a per-seal
+    /// table; this snapshot's roster is not read for it. The rest is the
+    /// copy, and there is **one table** to copy:
+    /// [`PrunedRoster::patch_dense`] writes the selection index — which is
+    /// the roster, 24 B a device with power — list by list, untouched runs
+    /// as slices. The replica-sorted view is not built here (see
+    /// [`candidates`](Self::candidates)).
     /// No roster row is hashed here: the registry hashed each touched row
     /// when it wrote it, and the delta carries the net of those digests
     /// ([`CanonicalDelta::row_digest_change`]), which is added to this
@@ -346,9 +460,21 @@ impl EpochSnapshot {
     /// [`SealError::CorruptDelta`] for a delta that does not chain onto
     /// this snapshot's fleet content: a bucket delta that underflows its
     /// bucket, a member count going negative, an opaque delta driving the
-    /// opaque power negative, a new bucket arriving without members, or an
-    /// overflow past the integer domains. `self` is never mutated — a
-    /// rejected delta leaves this snapshot serving.
+    /// opaque power negative, a new bucket arriving without members, an
+    /// overflow past the integer domains, a device row citing a
+    /// measurement with no bucket on its side of the patch, a `before` row
+    /// that is not the row this snapshot holds for the device (wrong power,
+    /// wrong bucket, never registered), a bucket dying with devices still in
+    /// it, or a bucket whose devices no longer add up to its member count
+    /// (an arrival for a device that never left). `self` is never mutated —
+    /// a rejected delta leaves this snapshot serving — and none of it
+    /// panics. What this cannot see is a delta whose rows and bucket sums
+    /// are wrong *together* (a lost delta that removed a device, followed by
+    /// its re-registration, arrives as a consistent `+1`), nor a surplus row
+    /// in the unattested pseudo-slot, which has no member count: those seal
+    /// to the wrong content, as they always did, and the content-hash
+    /// oracles — recovery's seal records, the differential suites — are
+    /// what catch them.
     pub fn try_apply_delta(
         &self,
         epoch: u64,
@@ -359,9 +485,14 @@ impl EpochSnapshot {
         let roster = delta.roster();
 
         // 1. Patch the sorted bucket vec (merge walk old × dirty), while
-        //    collecting the old→new slot remap that lets unchanged
-        //    candidates skip the binary search.
+        //    collecting the old→new slot map and, for every measurement on
+        //    either side, its [old slot, new slot] — `usize::MAX` where it
+        //    has none — in digest order: the table step 3 probes.
+        const OLD: usize = 0;
+        const NEW: usize = 1;
         let old_buckets = &self.buckets;
+        let mut slots_of: Vec<(Digest, [usize; 2])> =
+            Vec::with_capacity(old_buckets.len() + dirty.len());
         let mut buckets = Vec::with_capacity(old_buckets.len() + dirty.len());
         let mut bucket_members = Vec::with_capacity(old_buckets.len() + dirty.len());
         // Old slot → new slot for surviving buckets plus the opaque
@@ -381,6 +512,7 @@ impl EpochSnapshot {
                 j >= dirty.len() || (i < old_buckets.len() && old_buckets[i].0 < dirty[j].0);
             if take_old {
                 slot_map[i] = buckets.len();
+                slots_of.push((old_buckets[i].0, [i, buckets.len()]));
                 buckets.push(old_buckets[i]);
                 bucket_members.push(self.bucket_members[i]);
                 i += 1;
@@ -401,6 +533,7 @@ impl EpochSnapshot {
                         )));
                     }
                     bucket_agg.remove(&bucket_row_digest(&m, old_buckets[i].1));
+                    slots_of.push((m, [i, usize::MAX]));
                     removals.push(i);
                 } else {
                     let Ok(power_units) = u64::try_from(power) else {
@@ -411,6 +544,7 @@ impl EpochSnapshot {
                     };
                     let power = VotingPower::new(power_units);
                     slot_map[i] = buckets.len();
+                    slots_of.push((m, [i, buckets.len()]));
                     if d.power != 0 {
                         bucket_agg.remove(&bucket_row_digest(&m, old_buckets[i].1));
                         bucket_agg.insert(&bucket_row_digest(&m, power));
@@ -442,6 +576,7 @@ impl EpochSnapshot {
                 };
                 let power = VotingPower::new(power_units);
                 bucket_agg.insert(&bucket_row_digest(&m, power));
+                slots_of.push((m, [usize::MAX, buckets.len()]));
                 insertions.push(buckets.len());
                 buckets.push((m, power));
                 let Ok(members) = u32::try_from(d.members) else {
@@ -456,92 +591,8 @@ impl EpochSnapshot {
         }
         slot_map[old_buckets.len()] = buckets.len();
 
-        // 2. The accumulator, from the patched buckets as `build` makes it.
-        let acc = canonical_accumulator(&buckets);
-
-        // 3. Patch the roster (merge walk old × touched): gallop to the
-        //    end of each untouched run and copy it — as a slice when no
-        //    bucket was born or died (the slot map is the identity), else
-        //    row by row through `slot_map`. Touched devices binary-search
-        //    the patched buckets; their old and new rows are staged for
-        //    the selection index.
-        let slots_moved = !(removals.is_empty() && insertions.is_empty());
-        let copy_run = |candidates: &mut Vec<Candidate>, run: &[Candidate]| {
-            if !slots_moved {
-                candidates.extend_from_slice(run);
-                return Ok(());
-            }
-            for old in run {
-                let config = slot_map[old.config()];
-                if config == usize::MAX {
-                    return Err(corrupt(format!(
-                        "untouched device {} points at a removed bucket: \
-                         delta not chained on this snapshot",
-                        old.replica()
-                    )));
-                }
-                candidates.push(Candidate::new(
-                    old.replica(),
-                    old.power(),
-                    config,
-                    old.attested(),
-                ));
-            }
-            Ok(())
-        };
-        let opaque_slot = buckets.len();
-        let patched_candidate = |d: &RegisteredDevice| -> Result<Candidate, SealError> {
-            match d.measurement {
-                Some(m) => match buckets.binary_search_by_key(&m, |&(digest, _)| digest) {
-                    Ok(slot) => Ok(Candidate::new(d.replica, d.power, slot, true)),
-                    Err(_) => Err(corrupt(format!(
-                        "touched device {} cites measurement {m} with no patched bucket: \
-                         delta not chained on this snapshot",
-                        d.replica
-                    ))),
-                },
-                None => Ok(Candidate::new(d.replica, d.power, opaque_slot, false)),
-            }
-        };
-        let old = &self.candidates;
-        let mut candidates = Vec::with_capacity(old.len() + roster.len());
-        let mut departed: Vec<Candidate> = Vec::with_capacity(roster.len());
-        let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
-        let mut churned: Vec<ReplicaId> = Vec::with_capacity(roster.len());
-        let mut at = 0;
-        for &(replica, state) in roster {
-            let run = gallop_partition_point(&old[at..], |c| c.replica() < replica);
-            copy_run(&mut candidates, &old[at..at + run])?;
-            at += run;
-            churned.push(replica);
-            if let Some(d) = state {
-                let c = patched_candidate(&d)?;
-                candidates.push(c);
-                arrivals.push(c);
-            }
-            // A `None` state for an absent device is a tolerated no-op
-            // (a deregister of a never-registered replica).
-            if old.get(at).is_some_and(|c| c.replica() == replica) {
-                departed.push(old[at]);
-                at += 1;
-            }
-        }
-        copy_run(&mut candidates, &old[at..])?;
-
-        // The selection index is written in one pass from the old one,
-        // its slots removed and inserted where the buckets' were.
-        let pruned = self
-            .pruned
-            .patch_dense(&departed, &arrivals, &removals, &insertions);
-        debug_assert_eq!(
-            pruned,
-            PrunedRoster::from_dense(buckets.len() + 1, &candidates),
-            "differentially patched selection index diverged from a rebuild"
-        );
-
-        // 4. Opaque power (integer-exact, range-checked) and the content
-        //    hash finalised over the patched row aggregates —
-        //    byte-identical to a full rebuild's.
+        // 2. The other integer sum, the opaque power (range-checked), and
+        //    the accumulator, from the patched buckets as `build` makes it.
         let opaque_units = i128::from(self.opaque.as_units()) + delta.opaque_delta();
         if opaque_units < 0 {
             return Err(corrupt(
@@ -554,11 +605,75 @@ impl EpochSnapshot {
             ));
         };
         let opaque = VotingPower::new(opaque_units);
+        let acc = canonical_accumulator(&buckets);
+
+        // 3. Stage the touched devices — departures from `before`, in this
+        //    snapshot's slot layout, arrivals from `after`, in the patched
+        //    one — and write the next roster from this one in one pass, its
+        //    slots removed and inserted where the buckets' were. A device
+        //    registered and gone again within the epoch has neither row and
+        //    is only listed as churned.
+        let slots_of = SlotTable::new(slots_of);
+        let opaque_slot = [old_buckets.len(), buckets.len()];
+        let unchained =
+            |what: String| corrupt(format!("{what}: delta not chained on this snapshot"));
+        let staged = |replica: ReplicaId, d: &RegisteredDevice, side: usize| {
+            let slot = match d.measurement {
+                None => opaque_slot[side],
+                Some(m) => match slots_of.get(&m) {
+                    Some(slots) if slots[side] != usize::MAX => slots[side],
+                    _ => {
+                        let side = ["previous", "patched"][side];
+                        return Err(unchained(format!(
+                            "touched device {replica} cites measurement {m} with no {side} bucket"
+                        )));
+                    }
+                },
+            };
+            let attested = d.measurement.is_some();
+            Ok(Candidate::new(replica, d.power, slot, attested))
+        };
+        let mut departed: Vec<Candidate> = Vec::with_capacity(roster.len());
+        let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
+        let mut churned: Vec<ReplicaId> = Vec::with_capacity(roster.len());
+        for (replica, change) in roster {
+            churned.push(*replica);
+            if let Some(d) = &change.before {
+                departed.push(staged(*replica, d, OLD)?);
+            }
+            if let Some(d) = &change.after {
+                arrivals.push(staged(*replica, d, NEW)?);
+            }
+        }
+        let pruned = self
+            .pruned
+            .patch_dense(&departed, &arrivals, &removals, &insertions)
+            .map_err(|e| unchained(e.to_string()))?;
+        let zero_power = patch_zero_power(&self.zero_power, &departed, &arrivals, &slot_map)
+            .map_err(unchained)?;
+        // The buckets' member counts are integer sums the registry kept
+        // beside the rows, so they check the rows: an arrival for a device
+        // that never left shows up as one member too many.
+        let mut zero_members = vec![0; buckets.len() + 1];
+        for c in &zero_power {
+            zero_members[c.config()] += 1;
+        }
+        for (slot, (&members, &(m, _))) in bucket_members.iter().zip(&buckets).enumerate() {
+            let listed = pruned.slot_len(slot) + zero_members[slot];
+            if listed != members as usize {
+                return Err(unchained(format!(
+                    "bucket {m} lists {listed} devices for {members} members"
+                )));
+            }
+        }
+
+        // 4. The content hash, finalised over the patched row aggregates —
+        //    byte-identical to a full rebuild's.
         let content_hash = Self::finalize_content(
             buckets.len(),
             bucket_agg,
             opaque,
-            candidates.len(),
+            pruned.len() + zero_power.len(),
             device_agg,
         );
         Ok(EpochSnapshot {
@@ -567,11 +682,14 @@ impl EpochSnapshot {
             buckets,
             bucket_members,
             opaque,
-            candidates,
             acc,
             pruned,
+            zero_power,
+            roster: OnceLock::new(),
             parent_hash: Some(self.content_hash),
             churned,
+            arrivals,
+            slot_map,
             bucket_agg,
             device_agg,
             content_hash,
@@ -598,10 +716,10 @@ impl EpochSnapshot {
         self.content_hash
     }
 
-    /// Number of registered devices (both tiers).
+    /// Number of registered devices (both tiers). O(1).
     #[must_use]
     pub fn device_count(&self) -> usize {
-        self.candidates.len()
+        self.pruned.len() + self.zero_power.len()
     }
 
     /// The merged measurement buckets, sorted by digest.
@@ -618,21 +736,37 @@ impl EpochSnapshot {
 
     /// The device roster, sorted by replica id — each row derived from
     /// its candidate and the bucket table (the same shape as
-    /// [`AttestedRegistry::devices`], in canonical order).
+    /// [`AttestedRegistry::devices`], in canonical order). Costs what
+    /// [`candidates`](Self::candidates) costs.
     pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + '_ {
-        self.candidates.iter().map(|c| RegisteredDevice {
+        self.candidates().iter().map(|c| RegisteredDevice {
             replica: c.replica(),
             measurement: c.attested().then(|| self.buckets[c.config()].0),
             power: c.power(),
         })
     }
 
-    /// The prebuilt committee-candidate roster (sorted by replica id, raw
-    /// power, configuration index = bucket position; unattested devices
-    /// share the pseudo-configuration `buckets().len()`).
+    /// The committee-candidate roster (sorted by replica id, raw power,
+    /// configuration index = bucket position; unattested devices share the
+    /// pseudo-configuration `buckets().len()`).
+    ///
+    /// A snapshot stores its devices grouped by bucket and sorted by power;
+    /// this view is materialised by the first call — the index entries and
+    /// the zero-power side list, sorted by replica id, O(n log n) once, a
+    /// few milliseconds per 100k devices — and shared by every later one,
+    /// from any thread. It is the same derivation for full and differential
+    /// snapshots and reads no other snapshot. Seals and greedy selections
+    /// never call it; a checkpoint write, the two-tier sortition and the
+    /// recommender do.
     #[must_use]
     pub fn candidates(&self) -> &[Candidate] {
-        &self.candidates
+        self.roster.get_or_init(|| {
+            let mut roster = Vec::with_capacity(self.device_count());
+            roster.extend(self.pruned.candidates());
+            roster.extend_from_slice(&self.zero_power);
+            roster.sort_unstable_by_key(Candidate::replica);
+            roster
+        })
     }
 
     /// The canonical entropy accumulator over the sorted buckets — the
@@ -713,10 +847,18 @@ impl EpochSnapshot {
     /// [`parent_hash`](Self::parent_hash), the churn set does not describe
     /// the difference and the result is unspecified (though still a valid
     /// committee). [`SelectionCache`](crate::SelectionCache) performs this
-    /// check per lookup.
+    /// check per lookup. A full build has no parent to describe a
+    /// difference to, and selects cold.
     #[must_use]
     pub fn select_greedy_warm(&self, k: usize, previous: &[Candidate]) -> (Committee, WarmReport) {
-        warm_greedy(&self.pruned, &self.candidates, previous, &self.churned, k)
+        warm_greedy(
+            &self.pruned,
+            previous,
+            &self.churned,
+            &self.arrivals,
+            &self.slot_map,
+            k,
+        )
     }
 
     /// The content hash of the snapshot this one was differentially patched
@@ -735,9 +877,10 @@ impl EpochSnapshot {
         &self.churned
     }
 
-    /// Two-tier attested-weighted sortition over the prebuilt roster
+    /// Two-tier attested-weighted sortition over the replica-sorted roster
     /// (identical member sequence to [`two_tier_weighted`] on the same
-    /// candidates and RNG state). Lock-free: touches only this snapshot.
+    /// candidates and RNG state). Touches only this snapshot; the first
+    /// call on it pays for [`candidates`](Self::candidates).
     #[must_use]
     pub fn select_two_tier(
         &self,
@@ -745,7 +888,7 @@ impl EpochSnapshot {
         weights: TwoTierWeights,
         rng: &mut StdRng,
     ) -> Committee {
-        two_tier_weighted(&self.candidates, k, weights, rng)
+        two_tier_weighted(self.candidates(), k, weights, rng)
     }
 }
 
@@ -899,6 +1042,123 @@ mod tests {
             .unwrap_err();
         assert!(matches!(&err, SealError::CorruptDelta { .. }), "got {err}");
         assert!(err.to_string().contains("opaque power"), "got {err}");
+    }
+
+    /// `real`'s pending churn as a sealer reads it, but claiming that the
+    /// row `forged` wrote (`None`: no row) is what the device it names held
+    /// at the last cut. A twin registry contributes a delta that touches
+    /// that device alone and nets to nothing — the forged row rewritten to
+    /// itself, or the device registered and gone again — and a merge keeps
+    /// the first input's `before`.
+    fn drain_with_forged_before(
+        real: &mut AttestedRegistry,
+        replica: ReplicaId,
+        forged: Option<ChurnOp>,
+    ) -> CanonicalDelta {
+        let mut twin = AttestedRegistry::new(real.weights());
+        match forged {
+            Some(row) => {
+                assert_eq!(row.replica(), replica);
+                twin.apply(&row);
+                let _ = twin.take_delta();
+                twin.apply(&row);
+            }
+            None => {
+                twin.apply(&ChurnOp::Unattested {
+                    replica,
+                    power: VotingPower::new(1),
+                });
+                twin.apply(&ChurnOp::Deregister { replica });
+            }
+        }
+        let forgery = twin.take_delta();
+        assert_eq!(forgery.touched_devices(), 1);
+        assert_eq!(forgery.row_digest_change(), SetDigest::EMPTY);
+        CanonicalDelta::merge(vec![forgery, real.take_delta()])
+    }
+
+    #[test]
+    fn forged_before_rows_are_corrupt_deltas_and_leave_the_snapshot_serving() {
+        let (cfg_a, cfg_b) = (sha256(b"cfg-a"), sha256(b"cfg-b"));
+        let r = ReplicaId::new;
+        let attest = |id, m, power| ChurnOp::attest(r(id), m, VotingPower::new(power));
+        // r0 and r5 on cfg-a (60, 20), r3 on cfg-b (40), r7 unattested
+        // (80), r9 on cfg-b at zero power: outside the index.
+        let mut base = mixed_ops();
+        base.push(attest(9, cfg_b, 0));
+        // (the epoch's real churn, whose `before` is forged, to what, why
+        // it cannot chain)
+        let unattested = |id, power| ChurnOp::Unattested {
+            replica: r(id),
+            power: VotingPower::new(power),
+        };
+        let cases: [(ChurnOp, Option<ChurnOp>, &str); 8] = [
+            (
+                attest(0, cfg_a, 70),
+                Some(attest(0, cfg_a, 61)),
+                "matches no entry",
+            ),
+            (
+                attest(0, cfg_a, 70),
+                Some(attest(0, cfg_b, 60)),
+                "matches no entry",
+            ),
+            (
+                attest(0, cfg_a, 70),
+                Some(unattested(0, 60)),
+                "matches no entry",
+            ),
+            (
+                attest(0, cfg_a, 70),
+                Some(attest(0, sha256(b"cfg-x"), 60)),
+                "no previous bucket",
+            ),
+            // Never registered: the real churn is the newcomer's arrival.
+            (
+                attest(4, cfg_a, 10),
+                Some(attest(4, cfg_a, 5)),
+                "matches no entry",
+            ),
+            (
+                unattested(4, 10),
+                Some(attest(4, cfg_b, 0)),
+                "matches no entry",
+            ),
+            // An arrival for a device that never left: one row too many.
+            (attest(0, cfg_a, 70), None, "lists 3 devices for 2 members"),
+            (attest(9, cfg_b, 0), None, "arrives twice"),
+        ];
+        for (churn, forged, why) in cases {
+            let mut reg = registry_with(&base);
+            let snap = EpochSnapshot::from_registry(&reg, 1);
+            let served = (snap.content_hash(), snap.select_greedy(3));
+            let _ = reg.take_delta();
+            reg.apply(&churn);
+            let delta = drain_with_forged_before(&mut reg, churn.replica(), forged);
+            let err = snap.try_apply_delta(2, &delta).unwrap_err();
+            assert!(
+                matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
+                "{forged:?}: got {err}"
+            );
+            let text = err.to_string();
+            assert!(
+                text.contains(why) && text.contains("not chained"),
+                "{forged:?}: got {err}"
+            );
+            // `self` was only read: it still serves what it served.
+            assert_eq!(snap.content_hash(), served.0);
+            assert_eq!(snap.select_greedy(3).members(), served.1.members());
+            assert_eq!(snap.device_count(), 5);
+
+            // The same churn with its true `before` chains, bit for bit.
+            let mut reg = registry_with(&base);
+            let _ = reg.take_delta();
+            reg.apply(&churn);
+            let patched = snap.try_apply_delta(2, &drain(&mut reg)).unwrap();
+            let rebuilt = EpochSnapshot::from_registry(&reg, 2);
+            assert_eq!(patched.content_hash(), rebuilt.content_hash());
+            assert_eq!(patched.candidates(), rebuilt.candidates());
+        }
     }
 
     #[test]

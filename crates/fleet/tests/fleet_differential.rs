@@ -360,13 +360,14 @@ proptest! {
     }
 }
 
-/// The roster walk copies the rows between two touched replicas as a
-/// slice — unless a bucket was born or died that epoch, when every
-/// untouched row's slot has to move. This chain keeps one attested device
-/// (and one unattested) untouched from epoch 1 on while buckets are born in
-/// front of its slot, die in front of it, both at once, and neither, so the
-/// remap is a real permutation on exactly the rows a run copy would have
-/// left alone. Every seal is differential and compared with the oracle.
+/// An untouched device's configuration is the position of the list that
+/// holds it — or, for a zero-power device, a slot number in the side list
+/// — so when a bucket is born or dies every untouched row's slot has to
+/// move with it. This chain keeps one attested device, one unattested and
+/// one zero-power device untouched from epoch 1 on while buckets are born
+/// in front of their slot, die in front of it, both at once, and neither,
+/// so the remap is a real permutation on exactly the rows no delta names.
+/// Every seal is differential and compared with the oracle.
 #[test]
 fn untouched_rows_follow_their_slot_through_bucket_births_and_deaths() {
     let mut cfg: Vec<fi_types::Digest> = (0..6)
@@ -432,6 +433,65 @@ fn untouched_rows_follow_their_slot_through_bucket_births_and_deaths() {
             greedy_diverse_naive(snap.candidates(), 4).members()
         );
     }
+}
+
+/// A snapshot keeps no replica-sorted table: `candidates()` / `devices()`
+/// are derived from the selection index on first use. So the derivation
+/// must not lean on anything a previous snapshot materialised — here
+/// nothing asks for the roster at any of 50 differential epochs, and at the
+/// end both views equal the rehashing oracle's — and first use must be
+/// safe from any number of threads at once: they all get the one slice.
+#[test]
+fn the_roster_is_derived_on_demand_once_and_from_this_snapshot_alone() {
+    let trace = churn_trace(&ChurnTraceConfig::new(300, 50 * 40));
+    let fleet = ShardedFleet::with_reanchor_interval(4, weights(), 0);
+    let mut oracle = AttestedRegistry::new(weights());
+    let (wave, churn) = trace.split_at(300);
+    fleet.try_ingest_batch(wave).unwrap();
+    oracle.apply_batch(wave);
+    fleet.try_seal_epoch().unwrap();
+    let mut last = fleet.snapshot();
+    for batch in churn.chunks(40) {
+        fleet.try_ingest_batch(batch).unwrap();
+        oracle.apply_batch(batch);
+        last = fleet.try_seal_epoch().unwrap();
+        // Cheap reads only: none of them builds the roster.
+        assert!(last.parent_hash().is_some(), "epoch {}", last.epoch());
+        assert_eq!(last.device_count(), oracle.len());
+        assert_eq!(last.select_greedy(8).len(), 8);
+    }
+    assert_eq!(last.epoch(), 51);
+    let expected = EpochSnapshot::from_registry(&oracle, last.epoch());
+    assert_eq!(last.content_hash(), expected.content_hash());
+
+    const READERS: usize = 8;
+    let barrier = std::sync::Barrier::new(READERS);
+    // (address, length) of what each first caller got.
+    let slices: Vec<(usize, usize)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let roster = last.candidates();
+                    (roster.as_ptr() as usize, roster.len())
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader thread"))
+            .collect()
+    });
+    let served = last.candidates();
+    assert!(slices
+        .iter()
+        .all(|&slice| slice == (served.as_ptr() as usize, served.len())));
+    assert_eq!(last.candidates(), expected.candidates());
+    assert!(last.devices().eq(expected.devices()));
+    assert!(last
+        .candidates()
+        .windows(2)
+        .all(|w| w[0].replica() < w[1].replica()));
 }
 
 /// A fleet re-anchor no longer hashes the roster: it sums the shards'
