@@ -11,18 +11,18 @@
 //! the epoch cut
 //! ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
 //! a `mem::take` — nothing is merged while the cut holds its locks) and,
-//! with the locks dropped, canonicalises them once
-//! ([`CanonicalDelta::merge`]): bucket deltas summed per measurement and
-//! sorted, roster rows concatenated and sorted by replica. That sorted
-//! form is what patches the previous canonical snapshot, row by row,
-//! instead of rebuilding it.
+//! with the locks dropped, merges them once ([`CanonicalDelta::merge`]):
+//! bucket deltas summed per measurement and sorted, roster rows
+//! concatenated as drained. That form is what patches the previous
+//! canonical snapshot, row by row, instead of rebuilding it.
 //!
 //! There are two forms because they serve two access patterns. A
 //! [`ChurnDelta`] is written once per churn op and keyed for that — hash
 //! maps, and roster rows in first-touch order. A [`CanonicalDelta`] is
-//! read once per seal in key order and is a pure function of the net
-//! churn: the same rows in the same order however the devices were
-//! sharded.
+//! read once per seal: its bucket rows in digest order and its sums a pure
+//! function of the net churn, its roster rows one per touched device in
+//! drain order — an order nothing reads, because a patch places each row
+//! by its own key.
 //!
 //! Three properties make the patch exact:
 //!
@@ -124,8 +124,8 @@ impl BucketDelta {
 /// registry writes it: dirty measurement buckets, touched devices with
 /// their roster row before and after, and the opaque (unattested-tier)
 /// power delta, keyed for one update per churn op and in no order.
-/// [`CanonicalDelta::merge`] turns one or more of these into the sorted
-/// rows a sealer reads.
+/// [`CanonicalDelta::merge`] turns one or more of these into the rows a
+/// sealer reads.
 ///
 /// # Example
 ///
@@ -251,16 +251,15 @@ impl ChurnDelta {
 }
 
 /// One or more [`ChurnDelta`]s as a sealer reads them: the rows a snapshot
-/// patch must visit, each exactly once and in the order the snapshot keeps
-/// them. Built only by [`merge`](Self::merge), so the ordering and
-/// uniqueness below hold for every value of this type.
+/// patch must visit. Built only by [`merge`](Self::merge), so the bucket
+/// ordering and uniqueness below hold for every value of this type.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CanonicalDelta {
     /// Dirty buckets sorted by measurement digest, one row per digest,
     /// rows that net to no change pruned.
     buckets: Vec<(Digest, BucketDelta)>,
-    /// Touched devices sorted by replica id, one row per replica, each with
-    /// its roster row before and after.
+    /// Touched devices in drain order — input by input, first touch first
+    /// — each with its roster row before and after.
     roster: Vec<(ReplicaId, RosterChange)>,
     /// Signed change in total unattested-tier effective power.
     opaque: i128,
@@ -269,15 +268,13 @@ pub struct CanonicalDelta {
 }
 
 impl CanonicalDelta {
-    /// Canonicalises `deltas` — the drained deltas of one cut, one per
-    /// shard — in one concatenate-and-sort per table, with no intermediate
-    /// map. Bucket, opaque and row-digest deltas are integer or modular
-    /// sums, so the order of `deltas` cannot change them. Shards own
-    /// disjoint devices, so each replica's roster row normally comes from
-    /// one input; when it is in several, the row keeps the **first
-    /// input's `before` and the last input's `after`** (the sort is
-    /// stable), which is what merging consecutive deltas of one registry in
-    /// time order needs.
+    /// Merges `deltas` — the drained deltas of one cut, one per shard —
+    /// with no intermediate map. Bucket, opaque and row-digest deltas are
+    /// integer or modular sums, so the order of `deltas` cannot change
+    /// them; bucket rows are summed per digest and sorted. Roster rows are
+    /// concatenated in drain order, neither sorted nor deduplicated: shards
+    /// own disjoint devices, so each replica comes from one input, and a
+    /// replica in two is passed through for the sealer to refuse.
     #[must_use]
     pub fn merge(deltas: Vec<ChurnDelta>) -> CanonicalDelta {
         let mut merged = CanonicalDelta {
@@ -310,16 +307,6 @@ impl CanonicalDelta {
             same
         });
         merged.buckets.retain(|(_, d)| !d.is_noop());
-        // Stable, and sorts (id, position) pairs rather than the rows — two
-        // `RegisteredDevice`s wide — which it then moves once each.
-        merged.roster.sort_by_cached_key(|&(r, _)| r);
-        merged.roster.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1.after = later.1.after;
-            }
-            same
-        });
         merged
     }
 
@@ -330,9 +317,9 @@ impl CanonicalDelta {
         &self.buckets
     }
 
-    /// The touched devices in canonical (sorted-by-replica) order with
-    /// their roster row before and after. The replica ids alone are the
-    /// churn set a warm-started committee re-selection must re-evaluate.
+    /// The touched devices in drain order with their roster row before and
+    /// after. The replica ids alone are the churn set a warm-started
+    /// committee re-selection must re-evaluate.
     #[must_use]
     pub fn roster(&self) -> &[(ReplicaId, RosterChange)] {
         &self.roster
@@ -413,6 +400,8 @@ mod tests {
 
     #[test]
     fn roster_is_last_write_wins_and_sorted() {
+        // One row per touched device, in first-touch order — the merge
+        // sorts nothing but the buckets; a seal sorts the replica ids.
         let mut d = ChurnDelta::default();
         d.record_roster(ReplicaId::new(9), Some(dev(9, 5)), Some(dev(9, 10)));
         d.record_roster(ReplicaId::new(2), None, Some(dev(2, 20)));
@@ -421,53 +410,10 @@ mod tests {
         assert_eq!(
             CanonicalDelta::merge(vec![d]).roster(),
             [
-                (ReplicaId::new(2), change(None, Some(dev(2, 20)))),
                 (ReplicaId::new(9), change(Some(dev(9, 5)), None)),
+                (ReplicaId::new(2), change(None, Some(dev(2, 20)))),
             ],
             "deregistrations keep their row, and the row the first touch displaced"
-        );
-    }
-
-    #[test]
-    fn a_replica_in_two_inputs_takes_the_last_inputs_state() {
-        // Not something disjoint shards produce; it is what merging one
-        // registry's consecutive deltas in time order means, and the
-        // stable sort is what decides it.
-        let delta = |rows: &[(u64, Option<u64>, Option<u64>)]| {
-            let mut d = ChurnDelta::default();
-            for &(id, before, after) in rows {
-                let row = |power: Option<u64>| power.map(|p| dev(id, p));
-                d.record_roster(ReplicaId::new(id), row(before), row(after));
-            }
-            d
-        };
-        let first = delta(&[
-            (4, Some(9), Some(10)),
-            (1, None, Some(11)),
-            (7, Some(8), None),
-        ]);
-        let second = delta(&[(4, Some(10), None), (7, None, Some(12))]);
-        let third = delta(&[(4, None, Some(13))]);
-        let forward = CanonicalDelta::merge(vec![first.clone(), second.clone(), third]);
-        assert_eq!(
-            forward.roster(),
-            [
-                (ReplicaId::new(1), change(None, Some(dev(1, 11)))),
-                (ReplicaId::new(4), change(Some(dev(4, 9)), Some(dev(4, 13)))),
-                (ReplicaId::new(7), change(Some(dev(7, 8)), Some(dev(7, 12)))),
-            ]
-        );
-        let backward = CanonicalDelta::merge(vec![second, first]);
-        assert_eq!(
-            backward.roster(),
-            [
-                (ReplicaId::new(1), change(None, Some(dev(1, 11)))),
-                (
-                    ReplicaId::new(4),
-                    change(Some(dev(4, 10)), Some(dev(4, 10)))
-                ),
-                (ReplicaId::new(7), change(None, None)),
-            ]
         );
     }
 

@@ -18,7 +18,8 @@ use std::fmt::Write as _;
 use fault_independence::prelude::*;
 use fi_attest::TwoTierWeights;
 use fi_bft::harness::{
-    faults_from_vulnerability, run_cluster_with_faults, ClusterConfig, ScheduledFault,
+    faults_from_vulnerability, run_cluster_with_faults, run_cluster_with_schedule, ClusterConfig,
+    ScheduledFault,
 };
 use fi_bft::Behavior;
 use fi_committee::prelude::*;
@@ -752,62 +753,37 @@ pub fn run_ablation(seed: u64) -> Table {
 /// limited trusted-hardware diversity.
 #[must_use]
 pub fn run_recovery(seed: u64) -> Table {
-    use fi_bft::harness::BftNode;
-    use fi_bft::{Replica, SafetyReport};
-    use fi_simnet::{FaultEvent, NetworkConfig, NodeId, Simulation};
-
     let mut t = Table::new(
         "E11 / proactive recovery: 2 of 4 silent (> f = 1), recovered after a delay",
         &["recovery_delay_s", "requests_done", "safety"],
     );
+    let config = ClusterConfig::new(4)
+        .requests(6)
+        .max_time(SimTime::from_secs(15));
     for &delay_s in &[1u64, 3, 8, 1_000] {
-        let params = fi_bft::QuorumParams::for_n(4).expect("n = 4");
-        let mut sim: Simulation<BftNode> =
-            Simulation::new(NetworkConfig::default(), seed + delay_s);
-        for i in 0..4 {
-            sim.add_node(BftNode::Replica(Box::new(Replica::new(
-                i,
-                params,
-                8,
-                SimTime::from_millis(400),
-            ))));
-        }
-        sim.add_node(BftNode::Client(fi_bft::client::Client::new(
-            4,
-            params,
-            6,
-            SimTime::from_millis(300),
-        )));
-        for r in [1usize, 2] {
-            sim.schedule_fault(
-                SimTime::from_millis(1),
-                NodeId::new(r),
-                FaultEvent::Compromise {
-                    flavor: Behavior::Silent.to_flavor(),
-                },
-            );
-            sim.schedule_fault(
-                SimTime::from_secs(delay_s),
-                NodeId::new(r),
-                FaultEvent::Recover,
-            );
-        }
-        sim.run_until(SimTime::from_secs(15));
-        let done = match sim.node(NodeId::new(4)) {
-            BftNode::Client(c) => c.completed().len(),
-            BftNode::Replica(_) => unreachable!("node 4 is the client"),
-        };
-        let replicas: Vec<&Replica> = (0..4)
-            .map(|i| match sim.node(NodeId::new(i)) {
-                BftNode::Replica(r) => r.as_ref(),
-                BftNode::Client(_) => unreachable!(),
+        let silent = [1usize, 2];
+        let faults: Vec<ScheduledFault> = silent
+            .iter()
+            .map(|&replica| ScheduledFault {
+                at: SimTime::from_millis(1),
+                replica,
+                behavior: Behavior::Silent,
             })
             .collect();
-        let safety = SafetyReport::audit(&replicas, &[true; 4]);
+        let recoveries = silent.map(|replica| (SimTime::from_secs(delay_s), replica));
+        let report = run_cluster_with_schedule(&config, seed + delay_s, &faults, &recoveries);
         t.push(vec![
             delay_s.to_string(),
-            format!("{done}/6"),
-            if safety.holds() { "held" } else { "VIOLATED" }.into(),
+            format!(
+                "{}/{}",
+                report.liveness.executed_requests, report.liveness.expected_requests
+            ),
+            if report.safety.holds() {
+                "held"
+            } else {
+                "VIOLATED"
+            }
+            .into(),
         ]);
     }
     t

@@ -51,6 +51,10 @@
 //! to the max-preferred unselected entry: the tail of the power-sorted
 //! list.
 //!
+//! **Zero-power rows are held but never selected.** The greedy fold skips
+//! them, and they are each list's prefix, so every band walk steps past it
+//! first — one compare when there is none.
+//!
 //! The roster is also the warm-start substrate, and — for an epoch
 //! snapshot — the device roster itself: the snapshot keeps no second
 //! per-device table and carries this one forward through churn.
@@ -201,10 +205,10 @@ impl fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-/// The positive-power rows of one side of a [`PrunedRoster::patch_dense`],
-/// grouped by configuration slot in a counting pass and sorted by
-/// [`entry_key`] inside each slot. Rows whose configuration is not below
-/// `slots` share one trailing group, [`out_of_range`](Self::out_of_range).
+/// The rows of one side of a [`PrunedRoster::patch_dense`], grouped by
+/// configuration slot in a counting pass and sorted by [`entry_key`] inside
+/// each slot. Rows whose configuration is not below `slots` share one
+/// trailing group, [`out_of_range`](Self::out_of_range).
 struct SlotGroups {
     entries: Vec<PrunedEntry>,
     /// `starts[s]..starts[s + 1]` is slot `s`'s range of `entries`.
@@ -213,9 +217,8 @@ struct SlotGroups {
 
 impl SlotGroups {
     fn new(slots: usize, rows: &[Candidate]) -> Self {
-        let live = || rows.iter().filter(|c| !c.power().is_zero());
         let mut starts = vec![0; slots + 2];
-        for c in live() {
+        for c in rows {
             starts[c.config().min(slots) + 1] += 1;
         }
         for s in 0..=slots {
@@ -223,7 +226,7 @@ impl SlotGroups {
         }
         let mut entries = vec![PrunedEntry::default(); starts[slots + 1]];
         let mut next = starts.clone();
-        for c in live() {
+        for c in rows {
             let at = &mut next[c.config().min(slots)];
             entries[*at] = PrunedEntry::of(c);
             *at += 1;
@@ -293,10 +296,9 @@ fn merge_list(
 /// `0..num_configs` (the epoch-snapshot layout), so list position equals
 /// configuration value.
 ///
-/// Zero-power candidates are excluded (they can never be selected — the
-/// greedy policies skip them), and a slot whose candidates all left keeps
-/// its (empty) list until [`patch_dense`](Self::patch_dense) renumbers the
-/// slots.
+/// Zero-power candidates are held and never selected (module docs); a
+/// slot whose candidates all left keeps its (empty) list until
+/// [`patch_dense`](Self::patch_dense) renumbers the slots.
 ///
 /// # Example
 ///
@@ -331,17 +333,16 @@ pub struct PrunedRoster {
 impl PrunedRoster {
     /// Indexes `candidates` whose configuration values are slot positions
     /// `0..slots` (the epoch-snapshot layout: one slot per sorted
-    /// measurement bucket plus the trailing unattested pseudo-slot);
-    /// zero-power candidates are dropped and slots without positive-power
-    /// candidates keep empty lists. O(n log n).
+    /// measurement bucket plus the trailing unattested pseudo-slot); slots
+    /// without candidates keep empty lists. O(n log n).
     ///
     /// # Panics
     ///
-    /// Panics if any positive-power candidate's configuration is ≥ `slots`.
+    /// Panics if any candidate's configuration is ≥ `slots`.
     #[must_use]
     pub fn from_dense(slots: usize, candidates: &[Candidate]) -> Self {
         let mut lists = vec![Vec::new(); slots];
-        for c in candidates.iter().filter(|c| !c.power().is_zero()) {
+        for c in candidates {
             lists[c.config()].push(PrunedEntry::of(c));
         }
         for list in &mut lists {
@@ -353,7 +354,7 @@ impl PrunedRoster {
         }
     }
 
-    /// Number of indexed (positive-power) candidates.
+    /// Number of indexed candidates, zero-power ones included.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -405,13 +406,13 @@ impl PrunedRoster {
     /// * `insertions` — ascending *final* positions of fresh, empty slots
     ///   (which `arrivals` may then populate).
     ///
-    /// Zero-power rows are ignored on both sides, so the result equals
-    /// [`from_dense`](Self::from_dense) over the patched candidates.
+    /// The result equals [`from_dense`](Self::from_dense) over the patched
+    /// candidates.
     ///
     /// # Errors
     ///
-    /// A [`PatchError`] — `self` is only read — when a positive-power
-    /// departure matches no entry, when a removed slot still holds entries
+    /// A [`PatchError`] — `self` is only read — when a departure matches
+    /// no entry, when a removed slot still holds entries
     /// after its departures, or when a slot position or a row's config is
     /// out of range.
     pub fn patch_dense(
@@ -490,7 +491,6 @@ impl ChallengerSet {
     pub(crate) fn new(rows: impl IntoIterator<Item = Candidate>) -> Self {
         let mut entries: Vec<(usize, PrunedEntry)> = rows
             .into_iter()
-            .filter(|c| !c.power().is_zero())
             .map(|c| (c.config(), PrunedEntry::of(&c)))
             .collect();
         entries.sort_unstable_by_key(|(config, e)| (*config, entry_key(e)));
@@ -638,6 +638,8 @@ impl<'a> SelectionRun<'a> {
         list: &[PrunedEntry],
         mut visit: impl FnMut(&PrunedEntry, f64) -> bool,
     ) -> bool {
+        // The zero-power prefix is never a candidate (module docs).
+        let list = &list[gallop(list.len(), |i| list[i].power == 0)..];
         if list.is_empty() {
             return false;
         }
@@ -771,8 +773,9 @@ mod tests {
             true,
         ));
         let roster = PrunedRoster::from_dense(3, &candidates);
-        assert_eq!(roster.len(), 30);
-        for k in [1, 2, 7, 30] {
+        assert_eq!(roster.len(), 31, "the zero-power row is held…");
+        for k in [1, 2, 7, 30, 31] {
+            // …and never selected.
             assert_eq!(
                 roster.select(k).members(),
                 greedy_diverse(&candidates, k).members(),
@@ -907,16 +910,11 @@ mod tests {
 
     #[test]
     fn patch_departures_equal_a_rebuild_of_the_survivors() {
-        let candidates = pool(120, 5);
-        // Every third candidate departs, plus a zero-power row the index
-        // never held — ignored, whatever slot it names.
-        let mut departing: Vec<Candidate> = candidates.iter().copied().step_by(3).collect();
-        departing.push(Candidate::new(
-            ReplicaId::new(999),
-            VotingPower::ZERO,
-            4_000,
-            true,
-        ));
+        // Every third candidate departs, a zero-power row among them — held
+        // and removed like any other.
+        let mut candidates = pool(120, 5);
+        candidates[3] = Candidate::new(ReplicaId::new(3), VotingPower::ZERO, 4, true);
+        let departing: Vec<Candidate> = candidates.iter().copied().step_by(3).collect();
         let patched = PrunedRoster::from_dense(5, &candidates)
             .patch_dense(&departing, &[], &[], &[])
             .unwrap();
@@ -934,7 +932,7 @@ mod tests {
     fn patch_arrivals_equal_a_rebuild_with_the_newcomers() {
         let base = pool(80, 5);
         // Arrivals include rows for populated slots, for slots the base
-        // leaves empty, and a zero-power row (ignored).
+        // leaves empty, and a zero-power row.
         let mut arriving = pool(40, 9)
             .into_iter()
             .map(|c| {
@@ -957,7 +955,7 @@ mod tests {
             .unwrap();
         let all: Vec<Candidate> = base.iter().chain(&arriving).copied().collect();
         assert_eq!(patched, PrunedRoster::from_dense(9, &all));
-        assert_eq!(patched.len(), 120);
+        assert_eq!(patched.len(), 121);
     }
 
     #[test]

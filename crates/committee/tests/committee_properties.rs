@@ -52,6 +52,31 @@ fn tie_heavy_pool() -> impl Strategy<Value = Vec<Candidate>> {
     })
 }
 
+/// Tie-heavy pools where about one stake in three is zero, over 4
+/// configurations of which the last holds nothing but zero-power members:
+/// rows the pruned index holds and no selection may return.
+fn zero_stake_pool() -> impl Strategy<Value = Vec<Candidate>> {
+    proptest::collection::vec((0u64..3, 0usize..4, proptest::bool::ANY), 1..60).prop_map(|specs| {
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (stake, config, attested))| {
+                let power = if stake == 0 || config == 3 {
+                    0
+                } else {
+                    100 + 50 * stake
+                };
+                Candidate::new(
+                    ReplicaId::new(i as u64),
+                    VotingPower::new(power),
+                    config,
+                    attested,
+                )
+            })
+            .collect()
+    })
+}
+
 fn check_structure(
     committee: &Committee,
     pool: &[Candidate],
@@ -180,6 +205,25 @@ proptest! {
                 greedy_diverse(&pool, k).members(),
                 "k = {}", k
             );
+        }
+    }
+
+    /// The pruned index holds zero-power rows — a whole bucket of them
+    /// included — and every band walk steps past them: its selection is
+    /// both greedy oracles', member for member, and never a zero-power row.
+    #[test]
+    fn pruned_selection_skips_zero_power_rows(pool in zero_stake_pool()) {
+        let roster = PrunedRoster::from_dense(4, &pool);
+        prop_assert_eq!(roster.len(), pool.len());
+        for k in [1, 2, 5, pool.len() / 2, pool.len(), pool.len() + 3] {
+            let pruned = roster.select(k);
+            prop_assert_eq!(pruned.members(), greedy_diverse(&pool, k).members(), "k = {}", k);
+            prop_assert_eq!(
+                pruned.members(),
+                fi_committee::greedy::greedy_diverse_naive(&pool, k).members(),
+                "k = {}", k
+            );
+            prop_assert!(pruned.members().iter().all(|c| !c.power().is_zero()));
         }
     }
 

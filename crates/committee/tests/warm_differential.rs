@@ -5,7 +5,10 @@
 //! naive O(n·k·(k+m)) oracle over the merged pool — through evictions of
 //! sitting members, tie-heavy power distributions (down to a single stake
 //! value, where a list is one run of equal power and the band walk steps
-//! it as one), and the high-churn fallback boundary.
+//! it as one), re-registrations to and from zero power, and the high-churn
+//! fallback boundary.
+
+use std::ops::RangeInclusive;
 
 use fi_committee::greedy::greedy_diverse_naive;
 use fi_committee::prelude::*;
@@ -22,12 +25,16 @@ enum Churn {
     Remove { id: u64 },
 }
 
-fn churn_step(ids: u64, max_power: u64, configs: usize) -> impl Strategy<Value = Churn> {
+fn churn_step(
+    ids: u64,
+    powers: RangeInclusive<u64>,
+    configs: usize,
+) -> impl Strategy<Value = Churn> {
     // The vendored `prop_oneof!` is an unweighted union; listing the upsert
     // arm three times biases chains toward growth (3:1 upsert:remove) so
     // pools stay populated.
     let upsert = || {
-        (0..ids, 1..=max_power, 0..configs).prop_map(|(id, power, config)| Churn::Upsert {
+        (0..ids, powers.clone(), 0..configs).prop_map(|(id, power, config)| Churn::Upsert {
             id,
             power,
             config,
@@ -44,13 +51,13 @@ fn churn_step(ids: u64, max_power: u64, configs: usize) -> impl Strategy<Value =
 /// A chain: an initial pool followed by epochs of churn batches.
 fn chain(
     ids: u64,
-    max_power: u64,
+    powers: RangeInclusive<u64>,
     configs: usize,
 ) -> impl Strategy<Value = (Vec<Churn>, Vec<Vec<Churn>>)> {
     (
-        proptest::collection::vec(churn_step(ids, max_power, configs), 5..40),
+        proptest::collection::vec(churn_step(ids, powers.clone(), configs), 5..40),
         proptest::collection::vec(
-            proptest::collection::vec(churn_step(ids, max_power, configs), 1..8),
+            proptest::collection::vec(churn_step(ids, powers, configs), 1..8),
             1..6,
         ),
     )
@@ -182,12 +189,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn warm_chain_matches_naive_oracle((initial, epochs) in chain(48, 10_000, 9)) {
+    fn warm_chain_matches_naive_oracle((initial, epochs) in chain(48, 1..=10_000, 9)) {
         run_chain(9, &initial, &epochs, &[1, 6, 17])?;
     }
 
     #[test]
-    fn warm_chain_matches_on_tie_heavy_pools((initial, epochs) in chain(40, 4, 3)) {
+    fn warm_chain_matches_on_tie_heavy_pools((initial, epochs) in chain(40, 1..=4, 3)) {
         // Powers drawn from {1..4} over 3 configs: almost every round is
         // an exact entropy tie, exercising the `preferred` fold and the
         // degenerate +0.0 buckets rather than the analytic peak.
@@ -196,7 +203,7 @@ proptest! {
 
     #[test]
     fn warm_chain_matches_when_stake_is_quantised(
-        (initial, epochs) in (1u64..=3).prop_flat_map(|stakes| chain(40, stakes, 4))
+        (initial, epochs) in (1u64..=3).prop_flat_map(|stakes| chain(40, 1..=stakes, 4))
     ) {
         // One, two or three stake values over at most 4 configs: every
         // list is a handful of long runs of equal power — with one value,
@@ -207,8 +214,16 @@ proptest! {
     }
 
     #[test]
+    fn warm_chain_matches_with_zero_power_rows((initial, epochs) in chain(32, 0..=3, 4)) {
+        // One upsert in four is at zero power: devices re-register to and
+        // from it, rows the roster holds and no selection — cold, warm,
+        // or a challenger test — may return.
+        run_chain(4, &initial, &epochs, &[1, 5, 32])?;
+    }
+
+    #[test]
     fn warm_chain_matches_across_the_fallback_boundary(
-        (initial, epochs) in chain(16, 500, 4)
+        (initial, epochs) in chain(16, 1..=500, 4)
     ) {
         // Few configurations and k = 1: the fallback threshold
         // `k · configs` is 4 churned rows while batches churn up

@@ -49,8 +49,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Misses served by warm-start repair from the parent epoch's entry.
     pub warm_starts: u64,
-    /// Misses that fell back to a full warm-start churn-threshold
-    /// fallback or had no parent entry: selected cold.
+    /// Misses selected cold: no parent entry was resident, or the churn
+    /// since the parent exceeded the warm start's threshold.
     pub cold_selections: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,

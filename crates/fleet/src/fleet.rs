@@ -27,18 +27,19 @@
 //! [`try_seal_epoch`](ShardedFleet::try_seal_epoch) is the write→read
 //! barrier, and it is **differential**: each shard accumulates a
 //! [`ChurnDelta`](fi_attest::ChurnDelta) of the net churn since the last
-//! cut, so sealing an epoch that saw little churn drains the deltas, sorts
-//! them once into a [`CanonicalDelta`] — O(churn) — and patches the
+//! cut, so sealing an epoch that saw little churn drains the deltas, merges
+//! them into a [`CanonicalDelta`] — O(churn) — and patches the
 //! previous snapshot with it ([`EpochSnapshot::try_apply_delta`]) instead
 //! of re-merging every shard. Each delta row carries the device's row at
 //! the last cut beside its row now, so the patch stages what leaves and
 //! what arrives from the delta alone and writes the snapshot's one
 //! per-device table, the selection index, once.
 //! A full rebuild (`EpochSnapshot::build` over a complete shard merge)
-//! is the cold start (epoch 1) and the recovery path after a rejected or
-//! dead seal; a caller can also force one every `R` seals
-//! ([`ShardedFleet::with_reanchor_interval`]) as a reference to compare
-//! against or to time. Both paths produce the bit-identical snapshot —
+//! happens whenever the published snapshot lacks shard content: a fresh
+//! fleet's first seal and the seal after a rejected or dead one, never the
+//! seal after a checkpoint restore. A caller can also force one every `R`
+//! seals ([`ShardedFleet::with_reanchor_interval`]) as a reference to
+//! compare against or to time. Both paths produce the bit-identical snapshot —
 //! buckets, rosters, content hash, entropy accumulator. Neither
 //! hashes a roster row: each shard's registry hashes a row when it writes
 //! it, so the differential seal adds the drained deltas' net row-digest
@@ -195,11 +196,12 @@ const RETAIN_CHECKPOINTS: usize = 2;
 /// fails earlier consumes no epoch number.
 #[derive(Debug)]
 struct SealState {
-    /// Set before a seal drains the first shard delta, cleared at
-    /// publication. While set, the drained churn is in no published
-    /// snapshot — the seal was rejected ([`SealError::CorruptDelta`]) or
-    /// its thread died mid-build — so the next seal rebuilds in full from
-    /// the authoritative shard state regardless of the cadence.
+    /// Whether the published snapshot lacks shard content, so the next
+    /// seal rebuilds in full from the shards whatever the cadence: true at
+    /// construction (the empty epoch-0 snapshot) and from a seal's first
+    /// drain until its publication — a rejected
+    /// ([`SealError::CorruptDelta`]) or dead seal leaves it set; cleared by
+    /// publication and by a checkpoint restore.
     reanchor_due: bool,
 }
 
@@ -218,9 +220,9 @@ fn lock_recover<'a, T>(lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl ShardedFleet {
     /// Creates a fleet with `shard_count` registry shards under the given
-    /// tier weights, serving an empty epoch-zero snapshot. Epoch 1 seals
-    /// with a full build and every later epoch differentially; a full
-    /// rebuild happens again only to recover from a rejected or dead seal.
+    /// tier weights, serving an empty epoch-zero snapshot. The first seal
+    /// is a full build and every later one differential; a full rebuild
+    /// happens again only to recover from a rejected or dead seal.
     ///
     /// A `shard_count` of zero is clamped to one: the fleet is guaranteed
     /// to be constructed with at least one shard and never panics on the
@@ -231,7 +233,7 @@ impl ShardedFleet {
     }
 
     /// [`new`](Self::new), but every `reanchor_interval`-th epoch is also
-    /// forced through the full from-scratch rebuild that epoch 1 gets;
+    /// forced through the full from-scratch rebuild the first seal gets;
     /// `1` makes every seal a full rebuild, `0` forces none and is what
     /// `new` passes.
     ///
@@ -257,9 +259,7 @@ impl ShardedFleet {
             reanchor_interval,
             current: SnapshotCell::new(Arc::new(EpochSnapshot::empty(weights))),
             batch_gate: RwLock::new(()),
-            seal: Mutex::new(SealState {
-                reanchor_due: false,
-            }),
+            seal: Mutex::new(SealState { reanchor_due: true }),
             selection_cache: SelectionCache::default(),
             durability: None,
             device_total: AtomicI64::new(0),
@@ -283,12 +283,13 @@ impl ShardedFleet {
     /// the shards must already hold the checkpoint's devices (re-ingested
     /// by recovery); this drains their accumulated deltas and publishes
     /// the verified `snapshot` — which fast-forwards the epoch counter —
-    /// so the next differential seal chains onto it.
+    /// so the next seal is differential and chains onto it.
     pub(crate) fn restore_published(&self, snapshot: Arc<EpochSnapshot>) {
-        let _st = lock_recover(&self.seal);
+        let mut st = lock_recover(&self.seal);
         for shard in &self.shards {
             let _ = lock_recover(shard).take_delta();
         }
+        st.reanchor_due = false;
         // relaxed: recovery runs single-threaded, before the fleet is
         // handed to any ingest or seal thread; nothing races this store.
         self.device_total
@@ -497,11 +498,11 @@ impl ShardedFleet {
     /// Returns the sealed snapshot.
     ///
     /// Ordinary epochs are **differential**: the cut drains each shard's
-    /// [`ChurnDelta`]; once the cut's locks are dropped they are sorted
+    /// [`ChurnDelta`]; once the cut's locks are dropped they are merged
     /// into one [`CanonicalDelta`], which patches the previous snapshot in
     /// O(churn · log n) ([`EpochSnapshot::try_apply_delta`]) — bit-identical
-    /// to a full rebuild. Epoch 1, the seal after a rejected or dead one,
-    /// and any epoch a cadence forces
+    /// to a full rebuild. A fresh fleet's first seal, the seal after a
+    /// rejected or dead one, and any epoch a cadence forces
     /// ([`with_reanchor_interval`](Self::with_reanchor_interval)) rebuild
     /// from a complete shard merge instead.
     ///
@@ -570,9 +571,8 @@ impl ShardedFleet {
                 log.append(&WalRecord::EpochCut { epoch })?;
                 log.sync()?;
             }
-            let full = epoch == 1
-                || (self.reanchor_interval > 0 && epoch.is_multiple_of(self.reanchor_interval))
-                || st.reanchor_due;
+            let full = st.reanchor_due
+                || (self.reanchor_interval > 0 && epoch.is_multiple_of(self.reanchor_interval));
             // From the first drain until publication the drained churn
             // lives only in this call's locals.
             st.reanchor_due = true;

@@ -28,12 +28,12 @@
 //!   stable content hash.
 //!   Sealing is **differential**: each shard accumulates a
 //!   [`fi_attest::ChurnDelta`] since the last cut, the cut drains them,
-//!   and ordinary epochs sort them into one [`fi_attest::CanonicalDelta`]
+//!   and ordinary epochs merge them into one [`fi_attest::CanonicalDelta`]
 //!   and patch the previous snapshot with it in O(churn · log n)
 //!   ([`EpochSnapshot::try_apply_delta`]) — bit-identical, entropy
-//!   included, to the full rebuild that epoch 1 performs, that recovers
-//!   from a rejected seal, and that a caller can force every R-th epoch
-//!   as a reference ([`ShardedFleet::with_reanchor_interval`]).
+//!   included, to the full rebuild a fresh fleet's first seal performs,
+//!   that recovers from a rejected seal, and that a caller can force every
+//!   R-th epoch as a reference ([`ShardedFleet::with_reanchor_interval`]).
 //! * Readers clone the current `Arc<EpochSnapshot>` off the
 //!   [`SnapshotCell`] publication point (one slot, its guard held for the
 //!   clone alone) — or, better, hold a per-reader [`SnapshotHandle`]

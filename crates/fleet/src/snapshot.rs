@@ -24,7 +24,7 @@
 //! (the private `EpochSnapshot::build`) merges complete shard rows — the
 //! cold-start and recovery path. The **differential patch**
 //! ([`EpochSnapshot::try_apply_delta`]) applies one epoch's
-//! [`CanonicalDelta`] — the shards' drained deltas, sorted once — to the
+//! [`CanonicalDelta`] — the shards' drained deltas, concatenated — to the
 //! previous snapshot. Both fold the
 //! [`EntropyAccumulator`] from the finished bucket table with
 //! `from_weights`, so the two agree in every bit a reader can observe —
@@ -32,11 +32,11 @@
 //! provenance fields ([`parent_hash`](EpochSnapshot::parent_hash),
 //! [`churned_replicas`](EpochSnapshot::churned_replicas)) tell them apart.
 //!
-//! **What a patch copies.** A snapshot stores one row per device: its entry
-//! in the [`PrunedRoster`] selection index (24 B), grouped by bucket slot
-//! and sorted by power inside the slot. The index *is* the roster. The few
-//! devices registered at zero power, which the index has never held, sit in
-//! a small replica-sorted side list; the replica-sorted view
+//! **What a patch copies.** A snapshot stores one row per device, in one
+//! table: its entry in the [`PrunedRoster`] selection index (24 B), grouped
+//! by bucket slot and sorted by power inside the slot. The index *is* the
+//! roster — devices registered at zero power included, which it holds and
+//! never selects. The replica-sorted view
 //! ([`candidates`](EpochSnapshot::candidates),
 //! [`devices`](EpochSnapshot::devices)) is not stored but derived the first
 //! time something asks for it — one function, one O(n log n) sort per
@@ -45,15 +45,18 @@
 //! never a seal or a greedy selection. Snapshots share nothing, so a patch
 //! writes the index anew — 24 B per device, O(n) memory traffic, the part
 //! of a differential seal's cost that follows fleet size — in one merge
-//! walk against the sorted churn that copies the untouched runs between
-//! churned rows as slices. The rest follows churn, and reads nothing of the
-//! old roster: each touched device arrives with the row it had at the last
-//! cut and the row it has now ([`RosterChange`](fi_attest::RosterChange)),
-//! so its departure is staged from the one and its arrival from the other,
-//! each resolved to a bucket slot by one probe of a per-seal table keyed by
-//! the measurement's leading byte; the selection index then groups the
-//! staged rows by slot in a counting pass and sorts them by power inside
-//! the slot.
+//! walk per slot that copies the untouched runs between churned rows as
+//! slices. The rest follows churn, and reads nothing of the old roster nor
+//! any order of the delta's: each touched device arrives with the row it
+//! had at the last cut and the row it has now
+//! ([`RosterChange`](fi_attest::RosterChange)), so its departure is staged
+//! from the one and its arrival from the other, each resolved to a bucket
+//! slot by one probe of a per-seal table keyed by the measurement's leading
+//! byte; the selection index then groups the staged rows by slot in a
+//! counting pass and sorts them by power inside the slot. Only the churned
+//! replica ids are sorted, for [`churned_replicas`](EpochSnapshot::churned_replicas)
+//! and the warm start — which is also where a replica that two shards
+//! drained shows up, and is refused.
 //!
 //! **Who hashes what, and when.** The content hash folds two
 //! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
@@ -134,16 +137,13 @@ pub struct EpochSnapshot {
     /// Canonical accumulator over `buckets`, in bucket order.
     acc: EntropyAccumulator,
     /// The roster, as the selection index keeps it: one entry per
-    /// registered device with power, in dense slots — one per bucket plus
-    /// the trailing unattested pseudo-slot `buckets.len()` — each sorted by
-    /// power. Carried forward by [`try_apply_delta`](Self::try_apply_delta),
-    /// so a seal writes this one table and serving a committee never
-    /// re-sorts the fleet.
+    /// registered device, in dense slots — one per bucket plus the trailing
+    /// unattested pseudo-slot `buckets.len()` — each sorted by power.
+    /// Carried forward by [`try_apply_delta`](Self::try_apply_delta), so a
+    /// seal writes this one table and serving a committee never re-sorts
+    /// the fleet.
     pruned: PrunedRoster,
-    /// The registered devices the index does not hold — those with zero
-    /// power — sorted by replica id, configuration = slot as in `pruned`.
-    zero_power: Vec<Candidate>,
-    /// `pruned` and `zero_power` together, sorted by replica id: what
+    /// `pruned` sorted by replica id: what
     /// [`candidates`](Self::candidates) serves, derived on first use.
     roster: OnceLock<Vec<Candidate>>,
     /// The previous snapshot's content hash when this one was produced by
@@ -155,7 +155,7 @@ pub struct EpochSnapshot {
     /// snapshot (empty for full builds).
     churned: Vec<ReplicaId>,
     /// The rows the `churned` devices that are still registered hold in
-    /// this snapshot, sorted by replica id (empty for full builds).
+    /// this snapshot, in the delta's drain order (empty for full builds).
     arrivals: Vec<Candidate>,
     /// Each of the parent's slots (its unattested pseudo-slot last) to its
     /// position here, `usize::MAX` for a bucket that died (empty for full
@@ -234,50 +234,6 @@ impl<V: Copy> SlotTable<V> {
     }
 }
 
-/// The zero-power side list one epoch's churn turns `old` into: the staged
-/// zero-power `departed` rows (parent layout) leave, the survivors move to
-/// their slots' new positions, the zero-power `arrivals` join. All three
-/// are sorted by replica id. `Err` names what does not chain: a departure
-/// that is not, exactly, a row of `old`; a survivor whose bucket died; a
-/// replica that ends up listed twice.
-fn patch_zero_power(
-    old: &[Candidate],
-    departed: &[Candidate],
-    arrivals: &[Candidate],
-    slot_map: &[usize],
-) -> Result<Vec<Candidate>, String> {
-    let zero = |c: &&Candidate| c.power().is_zero();
-    let mut leaving = departed.iter().filter(zero).peekable();
-    let mut next = Vec::with_capacity(old.len());
-    for c in old {
-        if leaving.peek() == Some(&c) {
-            leaving.next();
-            continue;
-        }
-        match slot_map[c.config()] {
-            usize::MAX => {
-                let replica = c.replica();
-                return Err(format!(
-                    "untouched device {replica} points at a removed bucket"
-                ));
-            }
-            config => next.push(Candidate::new(c.replica(), c.power(), config, c.attested())),
-        }
-    }
-    if let Some(gone) = leaving.next() {
-        let replica = gone.replica();
-        return Err(format!(
-            "departing zero-power row of replica {replica} matches no entry"
-        ));
-    }
-    next.extend(arrivals.iter().filter(zero));
-    next.sort_unstable_by_key(Candidate::replica);
-    if let Some(twice) = next.windows(2).find(|w| w[0].replica() == w[1].replica()) {
-        return Err(format!("device {} arrives twice", twice[0].replica()));
-    }
-    Ok(next)
-}
-
 impl EpochSnapshot {
     /// The canonical builder all sealing paths share: merged bucket rows
     /// (keyed — hence sorted — by digest), the summed opaque power, the
@@ -326,12 +282,6 @@ impl EpochSnapshot {
             "every live bucket has at least one registered member"
         );
         let pruned = PrunedRoster::from_dense(opaque_slot + 1, &candidates);
-        let mut zero_power: Vec<Candidate> = candidates
-            .iter()
-            .filter(|c| c.power().is_zero())
-            .copied()
-            .collect();
-        zero_power.sort_unstable_by_key(Candidate::replica);
 
         let mut bucket_agg = SetDigest::EMPTY;
         for &(m, p) in &buckets {
@@ -347,7 +297,6 @@ impl EpochSnapshot {
             opaque,
             acc,
             pruned,
-            zero_power,
             roster: OnceLock::new(),
             parent_hash: None,
             churned: Vec::new(),
@@ -425,18 +374,18 @@ impl EpochSnapshot {
     /// Patches this snapshot with one epoch's [`CanonicalDelta`],
     /// producing the `epoch` snapshot without the O(fleet) shard re-merge
     /// and index rebuild a full `build` pays.
-    /// The delta's rows are read as they come — already sorted, one per
-    /// bucket and one per replica — so nothing is collected or sorted
-    /// here. Structural work is O(changed): dirty buckets are located by a
-    /// merge walk, and each touched device is staged straight from its
-    /// delta row — its departure from the row it had at the last cut, in
-    /// this snapshot's slot layout, its arrival from the row it has now, in
-    /// the patched one — each resolved to a slot by one probe of a per-seal
-    /// table; this snapshot's roster is not read for it. The rest is the
-    /// copy, and there is **one table** to copy:
+    /// The delta's rows are read as they come — buckets sorted by digest,
+    /// devices in drain order — and only the churned replica ids are
+    /// sorted here. Structural work is O(changed): dirty buckets are
+    /// located by a merge walk, and each touched device is staged straight
+    /// from its delta row — its departure from the row it had at the last
+    /// cut, in this snapshot's slot layout, its arrival from the row it has
+    /// now, in the patched one — each resolved to a slot by one probe of a
+    /// per-seal table; this snapshot's roster is not read for it. The rest
+    /// is the copy, and there is **one table** to copy:
     /// [`PrunedRoster::patch_dense`] writes the selection index — which is
-    /// the roster, 24 B a device with power — list by list, untouched runs
-    /// as slices. The replica-sorted view is not built here (see
+    /// the roster, 24 B a device — list by list, untouched runs as slices.
+    /// The replica-sorted view is not built here (see
     /// [`candidates`](Self::candidates)).
     /// No roster row is hashed here: the registry hashed each touched row
     /// when it wrote it, and the delta carries the net of those digests
@@ -461,26 +410,29 @@ impl EpochSnapshot {
     /// this snapshot's fleet content: a bucket delta that underflows its
     /// bucket, a member count going negative, an opaque delta driving the
     /// opaque power negative, a new bucket arriving without members, an
-    /// overflow past the integer domains, a device row citing a
-    /// measurement with no bucket on its side of the patch, a `before` row
-    /// that is not the row this snapshot holds for the device (wrong power,
-    /// wrong bucket, never registered), a bucket dying with devices still in
-    /// it, or a bucket whose devices no longer add up to its member count
-    /// (an arrival for a device that never left). `self` is never mutated —
-    /// a rejected delta leaves this snapshot serving — and none of it
-    /// panics. What this cannot see is a delta whose rows and bucket sums
-    /// are wrong *together* (a lost delta that removed a device, followed by
-    /// its re-registration, arrives as a consistent `+1`), nor a surplus row
-    /// in the unattested pseudo-slot, which has no member count: those seal
-    /// to the wrong content, as they always did, and the content-hash
-    /// oracles — recovery's seal records, the differential suites — are
-    /// what catch them.
+    /// overflow past the integer domains, a replica listed twice (two
+    /// shards drained it), a device row citing a measurement with no bucket
+    /// on its side of the patch, a `before` row that is not the row this
+    /// snapshot holds for the device (wrong power, wrong bucket, never
+    /// registered), a bucket dying with devices still in it, or a bucket
+    /// whose devices no longer add up to its member count. `self` is never
+    /// mutated — a rejected delta leaves this snapshot serving — and none
+    /// of it panics. What this cannot see is a delta whose rows and bucket
+    /// sums are wrong *together* (a lost delta that removed a device,
+    /// followed by its re-registration, arrives as a consistent `+1` with
+    /// no `before` row), nor a surplus row in the unattested pseudo-slot,
+    /// which has no member count: those seal to the wrong content, as they
+    /// always did, and the content-hash oracles — recovery's seal records,
+    /// the differential suites — are what catch them.
     pub fn try_apply_delta(
         &self,
         epoch: u64,
         delta: &CanonicalDelta,
     ) -> Result<EpochSnapshot, SealError> {
-        let corrupt = |detail: String| SealError::CorruptDelta { epoch, detail };
+        let unchained = |what: String| SealError::CorruptDelta {
+            epoch,
+            detail: format!("{what}: delta not chained on this snapshot"),
+        };
         let dirty = delta.buckets();
         let roster = delta.roster();
 
@@ -521,26 +473,18 @@ impl EpochSnapshot {
                 let members = i64::from(self.bucket_members[i]) + d.members;
                 let power = i128::from(old_buckets[i].1.as_units()) + d.power;
                 if members < 0 || power < 0 {
-                    return Err(corrupt(format!(
-                        "churn delta underflows bucket {m}: delta not chained on this snapshot"
-                    )));
+                    return Err(unchained(format!("churn delta underflows bucket {m}")));
                 }
                 if members == 0 {
                     if power != 0 {
-                        return Err(corrupt(format!(
-                            "memberless bucket {m} retains power: \
-                             delta not chained on this snapshot"
-                        )));
+                        return Err(unchained(format!("memberless bucket {m} retains power")));
                     }
                     bucket_agg.remove(&bucket_row_digest(&m, old_buckets[i].1));
                     slots_of.push((m, [i, usize::MAX]));
                     removals.push(i);
                 } else {
                     let Ok(power_units) = u64::try_from(power) else {
-                        return Err(corrupt(format!(
-                            "bucket {m} power overflows u64: \
-                             delta not chained on this snapshot"
-                        )));
+                        return Err(unchained(format!("bucket {m} power overflows u64")));
                     };
                     let power = VotingPower::new(power_units);
                     slot_map[i] = buckets.len();
@@ -551,10 +495,7 @@ impl EpochSnapshot {
                     }
                     buckets.push((m, power));
                     let Ok(members) = u32::try_from(members) else {
-                        return Err(corrupt(format!(
-                            "bucket {m} member count overflows u32: \
-                             delta not chained on this snapshot"
-                        )));
+                        return Err(unchained(format!("bucket {m} member count overflows u32")));
                     };
                     bucket_members.push(members);
                 }
@@ -564,15 +505,12 @@ impl EpochSnapshot {
                 // A bucket born this epoch.
                 let (m, d) = dirty[j];
                 if d.members <= 0 || d.power < 0 {
-                    return Err(corrupt(format!(
-                        "new bucket {m} arrives with non-positive members or negative power: \
-                         delta not chained on this snapshot"
+                    return Err(unchained(format!(
+                        "new bucket {m} arrives with non-positive members or negative power"
                     )));
                 }
                 let Ok(power_units) = u64::try_from(d.power) else {
-                    return Err(corrupt(format!(
-                        "new bucket {m} power overflows u64: delta not chained on this snapshot"
-                    )));
+                    return Err(unchained(format!("new bucket {m} power overflows u64")));
                 };
                 let power = VotingPower::new(power_units);
                 bucket_agg.insert(&bucket_row_digest(&m, power));
@@ -580,9 +518,8 @@ impl EpochSnapshot {
                 insertions.push(buckets.len());
                 buckets.push((m, power));
                 let Ok(members) = u32::try_from(d.members) else {
-                    return Err(corrupt(format!(
-                        "new bucket {m} member count overflows u32: \
-                         delta not chained on this snapshot"
+                    return Err(unchained(format!(
+                        "new bucket {m} member count overflows u32"
                     )));
                 };
                 bucket_members.push(members);
@@ -595,14 +532,10 @@ impl EpochSnapshot {
         //    the accumulator, from the patched buckets as `build` makes it.
         let opaque_units = i128::from(self.opaque.as_units()) + delta.opaque_delta();
         if opaque_units < 0 {
-            return Err(corrupt(
-                "opaque power driven negative: delta not chained on this snapshot".to_string(),
-            ));
+            return Err(unchained("opaque power driven negative".to_string()));
         }
         let Ok(opaque_units) = u64::try_from(opaque_units) else {
-            return Err(corrupt(
-                "opaque power overflows u64: delta not chained on this snapshot".to_string(),
-            ));
+            return Err(unchained("opaque power overflows u64".to_string()));
         };
         let opaque = VotingPower::new(opaque_units);
         let acc = canonical_accumulator(&buckets);
@@ -612,11 +545,16 @@ impl EpochSnapshot {
         //    one — and write the next roster from this one in one pass, its
         //    slots removed and inserted where the buckets' were. A device
         //    registered and gone again within the epoch has neither row and
-        //    is only listed as churned.
+        //    is only listed as churned. The churned ids are the one thing
+        //    sorted: shards own disjoint devices, so an id drained twice is
+        //    a routing bug, refused here rather than merged.
+        let mut churned: Vec<ReplicaId> = roster.iter().map(|&(replica, _)| replica).collect();
+        churned.sort_unstable();
+        if let Some(twice) = churned.windows(2).find(|w| w[0] == w[1]) {
+            return Err(unchained(format!("device {} is listed twice", twice[0])));
+        }
         let slots_of = SlotTable::new(slots_of);
         let opaque_slot = [old_buckets.len(), buckets.len()];
-        let unchained =
-            |what: String| corrupt(format!("{what}: delta not chained on this snapshot"));
         let staged = |replica: ReplicaId, d: &RegisteredDevice, side: usize| {
             let slot = match d.measurement {
                 None => opaque_slot[side],
@@ -635,9 +573,7 @@ impl EpochSnapshot {
         };
         let mut departed: Vec<Candidate> = Vec::with_capacity(roster.len());
         let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
-        let mut churned: Vec<ReplicaId> = Vec::with_capacity(roster.len());
         for (replica, change) in roster {
-            churned.push(*replica);
             if let Some(d) = &change.before {
                 departed.push(staged(*replica, d, OLD)?);
             }
@@ -649,17 +585,10 @@ impl EpochSnapshot {
             .pruned
             .patch_dense(&departed, &arrivals, &removals, &insertions)
             .map_err(|e| unchained(e.to_string()))?;
-        let zero_power = patch_zero_power(&self.zero_power, &departed, &arrivals, &slot_map)
-            .map_err(unchained)?;
-        // The buckets' member counts are integer sums the registry kept
-        // beside the rows, so they check the rows: an arrival for a device
-        // that never left shows up as one member too many.
-        let mut zero_members = vec![0; buckets.len() + 1];
-        for c in &zero_power {
-            zero_members[c.config()] += 1;
-        }
+        // A bucket's member count and its slot's length are two tables of
+        // one fact; a patch that leaves them disagreeing is not served.
         for (slot, (&members, &(m, _))) in bucket_members.iter().zip(&buckets).enumerate() {
-            let listed = pruned.slot_len(slot) + zero_members[slot];
+            let listed = pruned.slot_len(slot);
             if listed != members as usize {
                 return Err(unchained(format!(
                     "bucket {m} lists {listed} devices for {members} members"
@@ -669,13 +598,8 @@ impl EpochSnapshot {
 
         // 4. The content hash, finalised over the patched row aggregates —
         //    byte-identical to a full rebuild's.
-        let content_hash = Self::finalize_content(
-            buckets.len(),
-            bucket_agg,
-            opaque,
-            pruned.len() + zero_power.len(),
-            device_agg,
-        );
+        let content_hash =
+            Self::finalize_content(buckets.len(), bucket_agg, opaque, pruned.len(), device_agg);
         Ok(EpochSnapshot {
             epoch,
             weights: self.weights,
@@ -684,7 +608,6 @@ impl EpochSnapshot {
             opaque,
             acc,
             pruned,
-            zero_power,
             roster: OnceLock::new(),
             parent_hash: Some(self.content_hash),
             churned,
@@ -719,7 +642,7 @@ impl EpochSnapshot {
     /// Number of registered devices (both tiers). O(1).
     #[must_use]
     pub fn device_count(&self) -> usize {
-        self.pruned.len() + self.zero_power.len()
+        self.pruned.len()
     }
 
     /// The merged measurement buckets, sorted by digest.
@@ -751,19 +674,17 @@ impl EpochSnapshot {
     /// pseudo-configuration `buckets().len()`).
     ///
     /// A snapshot stores its devices grouped by bucket and sorted by power;
-    /// this view is materialised by the first call — the index entries and
-    /// the zero-power side list, sorted by replica id, O(n log n) once, a
-    /// few milliseconds per 100k devices — and shared by every later one,
-    /// from any thread. It is the same derivation for full and differential
-    /// snapshots and reads no other snapshot. Seals and greedy selections
-    /// never call it; a checkpoint write, the two-tier sortition and the
-    /// recommender do.
+    /// this view is materialised by the first call — the index entries
+    /// sorted by replica id, O(n log n) once, a few milliseconds per 100k
+    /// devices — and shared by every later one, from any thread. It is the
+    /// same derivation for full and differential snapshots and reads no
+    /// other snapshot. Seals and greedy selections never call it; a
+    /// checkpoint write, the two-tier sortition and the recommender do.
     #[must_use]
     pub fn candidates(&self) -> &[Candidate] {
         self.roster.get_or_init(|| {
             let mut roster = Vec::with_capacity(self.device_count());
             roster.extend(self.pruned.candidates());
-            roster.extend_from_slice(&self.zero_power);
             roster.sort_unstable_by_key(Candidate::replica);
             roster
         })
@@ -1044,121 +965,163 @@ mod tests {
         assert!(err.to_string().contains("opaque power"), "got {err}");
     }
 
-    /// `real`'s pending churn as a sealer reads it, but claiming that the
-    /// row `forged` wrote (`None`: no row) is what the device it names held
-    /// at the last cut. A twin registry contributes a delta that touches
-    /// that device alone and nets to nothing — the forged row rewritten to
-    /// itself, or the device registered and gone again — and a merge keeps
-    /// the first input's `before`.
-    fn drain_with_forged_before(
-        real: &mut AttestedRegistry,
-        replica: ReplicaId,
-        forged: Option<ChurnOp>,
-    ) -> CanonicalDelta {
-        let mut twin = AttestedRegistry::new(real.weights());
-        match forged {
-            Some(row) => {
-                assert_eq!(row.replica(), replica);
-                twin.apply(&row);
-                let _ = twin.take_delta();
-                twin.apply(&row);
-            }
-            None => {
-                twin.apply(&ChurnOp::Unattested {
-                    replica,
-                    power: VotingPower::new(1),
-                });
-                twin.apply(&ChurnOp::Deregister { replica });
-            }
+    fn attest(id: u64, cfg: &[u8], power: u64) -> ChurnOp {
+        ChurnOp::attest(ReplicaId::new(id), sha256(cfg), VotingPower::new(power))
+    }
+
+    fn unattested(id: u64, power: u64) -> ChurnOp {
+        ChurnOp::Unattested {
+            replica: ReplicaId::new(id),
+            power: VotingPower::new(power),
         }
-        let forgery = twin.take_delta();
-        assert_eq!(forgery.touched_devices(), 1);
-        assert_eq!(forgery.row_digest_change(), SetDigest::EMPTY);
-        CanonicalDelta::merge(vec![forgery, real.take_delta()])
+    }
+
+    /// r0 and r5 on cfg-a (60, 20), r3 on cfg-b (40), r7 unattested (80),
+    /// and r9 on cfg-b at zero power.
+    fn forgery_base() -> Vec<ChurnOp> {
+        let mut base = mixed_ops();
+        base.push(attest(9, b"cfg-b", 0));
+        base
+    }
+
+    /// `churn` on top of [`forgery_base`], drained as a sealer reads it —
+    /// from a twin registry that held the row `forged` wrote for the device
+    /// `churn` first touches when the deltas were last drained. The delta's
+    /// `before` for that device is the forgery, and its bucket sums agree
+    /// with it, as those of every delta one registry drains do.
+    fn drain_with_forged_before(churn: &[ChurnOp], forged: &ChurnOp) -> CanonicalDelta {
+        assert_eq!(forged.replica(), churn[0].replica());
+        let mut twin = registry_with(&forgery_base());
+        twin.apply(forged);
+        let _ = twin.take_delta();
+        twin.apply_batch(churn);
+        drain(&mut twin)
+    }
+
+    /// `snap` refuses `delta` as a `CorruptDelta` whose message names
+    /// `why`, and — only read — still serves what it served.
+    fn assert_refused(snap: &EpochSnapshot, delta: &CanonicalDelta, why: &str) {
+        let served = (
+            snap.content_hash(),
+            snap.select_greedy(3),
+            snap.device_count(),
+        );
+        let err = snap.try_apply_delta(2, delta).unwrap_err();
+        assert!(
+            matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
+            "{why}: got {err}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains(why) && text.contains("not chained"),
+            "{why}: got {err}"
+        );
+        assert_eq!(snap.content_hash(), served.0);
+        assert_eq!(snap.select_greedy(3).members(), served.1.members());
+        assert_eq!(snap.device_count(), served.2);
     }
 
     #[test]
     fn forged_before_rows_are_corrupt_deltas_and_leave_the_snapshot_serving() {
-        let (cfg_a, cfg_b) = (sha256(b"cfg-a"), sha256(b"cfg-b"));
-        let r = ReplicaId::new;
-        let attest = |id, m, power| ChurnOp::attest(r(id), m, VotingPower::new(power));
-        // r0 and r5 on cfg-a (60, 20), r3 on cfg-b (40), r7 unattested
-        // (80), r9 on cfg-b at zero power: outside the index.
-        let mut base = mixed_ops();
-        base.push(attest(9, cfg_b, 0));
-        // (the epoch's real churn, whose `before` is forged, to what, why
-        // it cannot chain)
-        let unattested = |id, power| ChurnOp::Unattested {
-            replica: r(id),
-            power: VotingPower::new(power),
-        };
-        let cases: [(ChurnOp, Option<ChurnOp>, &str); 8] = [
+        // (the epoch's churn, the forged `before` of the device it first
+        // touches, why that cannot chain)
+        let cases: [(Vec<ChurnOp>, ChurnOp, &str); 6] = [
             (
-                attest(0, cfg_a, 70),
-                Some(attest(0, cfg_a, 61)),
+                vec![attest(0, b"cfg-a", 70)],
+                attest(0, b"cfg-a", 61),
+                "matches no entry",
+            ),
+            // The wrong bucket, at a power cfg-b can give up.
+            (
+                vec![attest(0, b"cfg-a", 70)],
+                attest(0, b"cfg-b", 40),
                 "matches no entry",
             ),
             (
-                attest(0, cfg_a, 70),
-                Some(attest(0, cfg_b, 60)),
+                vec![attest(0, b"cfg-a", 70)],
+                unattested(0, 60),
                 "matches no entry",
             ),
+            // A bucket the snapshot never had, refilled by a newcomer so
+            // that the delta nets it to nothing.
             (
-                attest(0, cfg_a, 70),
-                Some(unattested(0, 60)),
-                "matches no entry",
-            ),
-            (
-                attest(0, cfg_a, 70),
-                Some(attest(0, sha256(b"cfg-x"), 60)),
+                vec![attest(0, b"cfg-a", 70), attest(4, b"cfg-x", 60)],
+                attest(0, b"cfg-x", 60),
                 "no previous bucket",
             ),
-            // Never registered: the real churn is the newcomer's arrival.
+            // Never registered: the churn is the newcomer's arrival.
             (
-                attest(4, cfg_a, 10),
-                Some(attest(4, cfg_a, 5)),
+                vec![attest(4, b"cfg-a", 10)],
+                attest(4, b"cfg-a", 5),
                 "matches no entry",
             ),
+            // A zero-power row is held like any other, so it must match.
             (
-                unattested(4, 10),
-                Some(attest(4, cfg_b, 0)),
+                vec![unattested(4, 10)],
+                attest(4, b"cfg-b", 0),
                 "matches no entry",
             ),
-            // An arrival for a device that never left: one row too many.
-            (attest(0, cfg_a, 70), None, "lists 3 devices for 2 members"),
-            (attest(9, cfg_b, 0), None, "arrives twice"),
         ];
         for (churn, forged, why) in cases {
-            let mut reg = registry_with(&base);
+            let mut reg = registry_with(&forgery_base());
             let snap = EpochSnapshot::from_registry(&reg, 1);
-            let served = (snap.content_hash(), snap.select_greedy(3));
-            let _ = reg.take_delta();
-            reg.apply(&churn);
-            let delta = drain_with_forged_before(&mut reg, churn.replica(), forged);
-            let err = snap.try_apply_delta(2, &delta).unwrap_err();
-            assert!(
-                matches!(&err, SealError::CorruptDelta { epoch: 2, .. }),
-                "{forged:?}: got {err}"
-            );
-            let text = err.to_string();
-            assert!(
-                text.contains(why) && text.contains("not chained"),
-                "{forged:?}: got {err}"
-            );
-            // `self` was only read: it still serves what it served.
-            assert_eq!(snap.content_hash(), served.0);
-            assert_eq!(snap.select_greedy(3).members(), served.1.members());
             assert_eq!(snap.device_count(), 5);
+            assert_refused(&snap, &drain_with_forged_before(&churn, &forged), why);
 
             // The same churn with its true `before` chains, bit for bit.
-            let mut reg = registry_with(&base);
             let _ = reg.take_delta();
-            reg.apply(&churn);
+            reg.apply_batch(&churn);
             let patched = snap.try_apply_delta(2, &drain(&mut reg)).unwrap();
             let rebuilt = EpochSnapshot::from_registry(&reg, 2);
             assert_eq!(patched.content_hash(), rebuilt.content_hash());
             assert_eq!(patched.candidates(), rebuilt.candidates());
         }
+    }
+
+    #[test]
+    fn a_replica_in_two_merged_deltas_is_a_corrupt_delta() {
+        // Shards own disjoint devices, so a replica two drained deltas both
+        // name is a routing bug, whatever the two rows say: here the real
+        // churn twice over, or beside a stray shard that saw the device
+        // registered and gone again — rows that net to nothing, so every
+        // bucket sum still chains. Zero power changes nothing.
+        for churn in [attest(0, b"cfg-a", 70), attest(9, b"cfg-b", 0)] {
+            let mut reg = registry_with(&forgery_base());
+            let snap = EpochSnapshot::from_registry(&reg, 1);
+            let _ = reg.take_delta();
+            reg.apply(&churn);
+            let real = reg.take_delta();
+            let mut stray = AttestedRegistry::new(reg.weights());
+            stray.apply(&unattested(churn.replica().as_u64(), 1));
+            stray.apply(&ChurnOp::Deregister {
+                replica: churn.replica(),
+            });
+            for twice in [
+                vec![real.clone(), real.clone()],
+                vec![real, stray.take_delta()],
+            ] {
+                assert_refused(&snap, &CanonicalDelta::merge(twice), "listed twice");
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_that_miscounts_its_bucket_is_not_served() {
+        // A bucket's member count and its slot's length are two tables of
+        // one fact. No delta drained from registries can split them — each
+        // one's member deltas are its arrivals minus its departures — so the
+        // split here is the snapshot's own: cfg-a on record with a member
+        // too many.
+        let mut reg = registry_with(&forgery_base());
+        let mut snap = EpochSnapshot::from_registry(&reg, 1);
+        let cfg_a = snap
+            .buckets()
+            .binary_search_by_key(&sha256(b"cfg-a"), |&(m, _)| m)
+            .unwrap();
+        snap.bucket_members[cfg_a] += 1;
+        let _ = reg.take_delta();
+        reg.apply(&attest(0, b"cfg-a", 70));
+        assert_refused(&snap, &drain(&mut reg), "lists 2 devices for 3 members");
     }
 
     #[test]

@@ -42,11 +42,14 @@ fn weights() -> TwoTierWeights {
 
 /// Churn over a small device space (to force re-registration collisions)
 /// and a small measurement pool (to force cross-shard bucket merges).
-/// Zero powers are generated too — they exercise zero-weight live buckets.
+/// About one registration in four, in either tier, is at zero power: rows
+/// the selection index holds and never selects, re-registered to and from
+/// power, and zero-weight live buckets.
 fn op_strategy() -> impl Strategy<Value = ChurnOp> {
-    (0u8..10, 0u64..24, 0usize..6, 0u64..500).prop_map(|(kind, device, m, power)| {
+    (0u8..10, 0u64..24, 0usize..6, 0u8..4, 1u64..500).prop_map(|(kind, device, m, zero, power)| {
         let replica = ReplicaId::new(device);
         let measurement = sha256(format!("diff-cfg-{m}").as_bytes());
+        let power = if zero == 0 { 0 } else { power };
         match kind {
             0..=5 => ChurnOp::attest(replica, measurement, VotingPower::new(power)),
             6..=7 => ChurnOp::Unattested {
@@ -361,9 +364,8 @@ proptest! {
 }
 
 /// An untouched device's configuration is the position of the list that
-/// holds it — or, for a zero-power device, a slot number in the side list
-/// — so when a bucket is born or dies every untouched row's slot has to
-/// move with it. This chain keeps one attested device, one unattested and
+/// holds it — zero-power devices included — so when a bucket is born or
+/// dies every untouched row's slot has to move with it. This chain keeps one attested device, one unattested and
 /// one zero-power device untouched from epoch 1 on while buckets are born
 /// in front of their slot, die in front of it, both at once, and neither,
 /// so the remap is a real permutation on exactly the rows no delta names.

@@ -20,33 +20,49 @@
 //! * a **tick-driven seal cadence** ([`FleetServer::tick`]): epochs are
 //!   cut every `epoch_ticks` under the same dispatch lock, and a fleet that
 //!   falls behind its cadence sheds new load ([`Overloaded::SealLag`])
-//!   instead of growing an unseable backlog;
-//! * **deterministic load scenarios** ([`run_scenario`]): an
-//!   `fi-simnet` [`ClientPopulation`](fi_simnet::ClientPopulation) (Zipf
-//!   device skew, diurnal load curve) driven in lockstep, producing a
-//!   [`ScenarioReport`] whose hash is byte-identical across runs, thread
-//!   schedules, and shard counts — proven differentially against direct
-//!   `ShardedFleet` ingest of the same admitted trace
-//!   ([`direct_ingest_report`]).
+//!   instead of growing an unseable backlog.
+//!
+//! The pipeline is semantically invisible: a lockstep load scenario driven
+//! through it seals the byte-identical epochs that direct `ShardedFleet`
+//! ingest of the admitted requests does, at any shard count
+//! (`tests/scenario_determinism.rs`).
 //!
 //! ## Example
 //!
 //! ```
-//! use fi_serve::{run_scenario, direct_ingest_report, ScenarioConfig};
+//! use std::sync::Arc;
 //!
-//! let config = ScenarioConfig::new(400, 150, 20);
-//! let outcome = run_scenario(&config, true).expect("in-memory scenario");
-//! let trace = outcome.trace.expect("recording was requested");
+//! use fi_attest::ChurnOp;
+//! use fi_fleet::ShardedFleet;
+//! use fi_serve::{scenario_weights, FleetServer, ServeConfig};
+//! use fi_types::{sha256, ReplicaId, VotingPower};
 //!
-//! // The serving pipeline is semantically invisible: direct ingest of
-//! // the admitted trace seals identical epochs.
-//! let oracle = direct_ingest_report(&trace, config.shards).expect("in-memory oracle");
-//! assert_eq!(outcome.report.epoch_hashes, oracle.epoch_hashes);
-//! assert_eq!(outcome.report.final_hash, oracle.final_hash);
+//! let fleet = Arc::new(ShardedFleet::new(4, scenario_weights()));
+//! let server = FleetServer::new(Arc::clone(&fleet), ServeConfig::default());
+//! let attest = |id: u64, power: u64| {
+//!     let measurement = sha256(format!("cfg-{}", id % 5).as_bytes());
+//!     ChurnOp::attest(ReplicaId::new(id), measurement, VotingPower::new(power))
+//! };
+//! for id in 0..100 {
+//!     server.submit(vec![attest(id, 10)]).expect("the ingress bound admits it");
+//! }
+//! // Device 7 re-attests inside the same window: only its newest op ships.
+//! server.submit(vec![attest(7, 20)]).expect("admitted");
 //!
-//! // And a different shard count seals the same history.
-//! let rerun = run_scenario(&config.clone().with_shards(1), false).expect("rerun");
-//! assert_eq!(rerun.report.report_hash(), outcome.report.report_hash());
+//! // Every `epoch_ticks`-th tick flushes the window and cuts an epoch.
+//! let sealed = (0..ServeConfig::default().epoch_ticks)
+//!     .find_map(|_| server.tick().expect("an in-memory seal"))
+//!     .expect("the last tick seals");
+//! assert_eq!(sealed.epoch(), 1);
+//! assert_eq!(sealed.device_count(), 100);
+//! let stats = server.stats();
+//! assert_eq!((stats.admitted_ops, stats.coalesced_away), (101, 1));
+//!
+//! // Direct ingest of the same requests seals the same content.
+//! let direct = ShardedFleet::new(1, scenario_weights());
+//! let ops: Vec<ChurnOp> = (0..100).map(|id| attest(id, 10)).chain([attest(7, 20)]).collect();
+//! direct.try_ingest_batch(&ops).expect("in memory");
+//! assert_eq!(direct.try_seal_epoch().unwrap().content_hash(), sealed.content_hash());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,13 +70,18 @@
 
 pub mod coalesce;
 pub mod queue;
-pub mod scenario;
 pub mod server;
 
 pub use coalesce::Coalescer;
 pub use queue::Bounded;
-pub use scenario::{
-    direct_ingest_report, run_scenario, scenario_weights, AdmittedTrace, ScenarioConfig,
-    ScenarioOutcome, ScenarioReport,
-};
 pub use server::{FleetServer, Overloaded, ServeConfig, ServeError, ServeStats};
+
+use fi_attest::TwoTierWeights;
+
+/// The tier weights every load scenario and the benchmark run under
+/// (two-tier, attested weight double the unattested weight — the
+/// representative deployment shape).
+#[must_use]
+pub fn scenario_weights() -> TwoTierWeights {
+    TwoTierWeights::new(1.0, 0.5)
+}
