@@ -18,8 +18,10 @@
 //! decreasing in `p` whenever `W > b`, so `f` rises to a single analytic
 //! peak at `b + p* = 2^{S′ / (W − b)}` and falls thereafter. A
 //! [`PrunedRoster`] therefore keeps each bucket's candidates sorted by
-//! power, and each selection round binary-searches every bucket for the two
-//! entries bracketing `p*`, then expands outward only while the *exactly
+//! power, and each selection round searches every bucket for the two
+//! entries bracketing `p*` — galloping from where the previous round's
+//! bracket landed, since adding one member moves the peak little — then
+//! expands outward only while the *exactly
 //! evaluated* gain stays within a guard band of the bucket's best. The peak
 //! position is only a **locator** — every candidate that survives the band
 //! is evaluated with the same [`EntropyAccumulator::peek_add`] arithmetic
@@ -171,6 +173,19 @@ fn gallop(len: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
         }
     }
     lo
+}
+
+/// The partition point of `pred` over the indices `0..len`, as [`gallop`]
+/// defines it, for a boundary expected near `from`: gallops forward from
+/// `from` if `pred` still holds there, backward from it otherwise — O(log
+/// distance) rather than O(log len).
+fn gallop_from(len: usize, from: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let from = from.min(len);
+    if from < len && pred(from) {
+        from + 1 + gallop(len - from - 1, |i| pred(from + 1 + i))
+    } else {
+        from - gallop(from, |i| !pred(from - 1 - i))
+    }
 }
 
 /// Why [`PrunedRoster::patch_dense`] refused an edit: the rows handed to it
@@ -515,6 +530,10 @@ pub(crate) struct SelectionRun<'a> {
     members: Vec<Candidate>,
     /// Sorted; binary-searched by the band walks to skip picked entries.
     selected: Vec<ReplicaId>,
+    /// Per roster list, where the last round's peak bracket landed (an
+    /// index past the list's zero-power prefix): the peak moves little
+    /// from one round to the next, so the next round gallops from here.
+    hints: Vec<usize>,
 }
 
 impl<'a> SelectionRun<'a> {
@@ -524,6 +543,7 @@ impl<'a> SelectionRun<'a> {
             acc: EntropyAccumulator::new(roster.lists.len()),
             members: Vec::new(),
             selected: Vec::new(),
+            hints: vec![0; roster.lists.len()],
         }
     }
 
@@ -592,22 +612,23 @@ impl<'a> SelectionRun<'a> {
         incumbent_gain: f64,
     ) -> bool {
         challengers.groups.iter().any(|(config, list)| {
-            self.walk_band(*config, list, |e, h| {
+            self.walk_band(*config, list, &mut 0, |e, h| {
                 beats(&e.candidate(*config), h, incumbent, incumbent_gain)
             })
         })
     }
 
-    /// One greedy round: bracket every bucket's analytic peak, evaluate the
-    /// surviving band exactly, fold with [`greedy_diverse`]'s tie
-    /// predicate, commit the winner. Returns `false` when no unselected
-    /// candidate remains.
+    /// One greedy round: bracket every bucket's analytic peak (galloping
+    /// from where the last round's bracket landed), evaluate the surviving
+    /// band exactly, fold with [`greedy_diverse`]'s tie predicate, commit
+    /// the winner. Returns `false` when no unselected candidate remains.
     ///
     /// [`greedy_diverse`]: crate::greedy_diverse
     pub(crate) fn round(&mut self) -> bool {
         let mut best: Option<(Candidate, f64)> = None;
-        for (li, list) in self.roster.lists.iter().enumerate() {
-            self.walk_band(li, list, |e, h| {
+        let mut hints = std::mem::take(&mut self.hints);
+        for ((li, list), hint) in self.roster.lists.iter().enumerate().zip(&mut hints) {
+            self.walk_band(li, list, hint, |e, h| {
                 let cand = e.candidate(li);
                 if best
                     .as_ref()
@@ -618,6 +639,7 @@ impl<'a> SelectionRun<'a> {
                 false
             });
         }
+        self.hints = hints;
         match best {
             Some((winner, _)) => {
                 self.accept(winner);
@@ -631,11 +653,15 @@ impl<'a> SelectionRun<'a> {
     /// bucket `li`'s own list, or challenger rows of that configuration —
     /// that survives the guard band around the bucket's analytic peak, with
     /// its exactly evaluated gain. `visit` returns `true` to stop the walk;
-    /// the return value says whether it did.
+    /// the return value says whether it did. The bracket search starts at
+    /// `hint` — where it landed last time in this list, or `0` — and
+    /// leaves it where it lands now; the bracket is the same partition
+    /// point wherever the search starts.
     fn walk_band(
         &self,
         li: usize,
         list: &[PrunedEntry],
+        hint: &mut usize,
         mut visit: impl FnMut(&PrunedEntry, f64) -> bool,
     ) -> bool {
         // The zero-power prefix is never a candidate (module docs).
@@ -662,7 +688,8 @@ impl<'a> SelectionRun<'a> {
         // the exact evaluations below decide everything.
         let s_prime = self.acc.weighted_log_sum() - xlog2(b);
         let target = (s_prime / ((w - b) as f64)).exp2() - b as f64;
-        let idx = list.partition_point(|e| (e.power as f64) < target);
+        *hint = gallop_from(list.len(), *hint, |i| (list[i].power as f64) < target);
+        let idx = *hint;
 
         // Expand outward from the bracket, below the peak then above it,
         // one run of equal power at a time: every entry of a run has the
@@ -875,7 +902,7 @@ mod tests {
             for round in 0..40 {
                 for (li, list) in roster.lists.iter().enumerate() {
                     let mut evaluated: Vec<u64> = Vec::new();
-                    run.walk_band(li, list, |e, _| {
+                    run.walk_band(li, list, &mut 0, |e, _| {
                         evaluated.push(e.power);
                         false
                     });
@@ -1021,6 +1048,15 @@ mod tests {
                 );
                 if boundary < LINEAR_PREFIX.min(len) {
                     assert_eq!(calls, boundary + 1, "a short run is a linear scan");
+                }
+                // From any start, behind the boundary, at it, past it or
+                // past the end, galloping either way lands on it too.
+                for from in 0..=len + 1 {
+                    assert_eq!(
+                        gallop_from(len, from, |i| sorted[i] < boundary),
+                        at,
+                        "len {len}, boundary {boundary}, from {from}"
+                    );
                 }
             }
         }

@@ -88,10 +88,14 @@ pub enum SealError {
         /// Which chain invariant the delta violated.
         detail: String,
     },
-    /// The durability layer failed to persist the epoch cut or seal record.
+    /// The durability layer failed to append the epoch's cut marker or
+    /// seal record, or to fsync them. Always returned before publication:
+    /// the epoch was not committed, and the previous snapshot keeps
+    /// serving.
     Wal(WalError),
     /// Writing the periodic checkpoint failed (the epoch itself was
-    /// published and logged; only the checkpoint file is missing).
+    /// published and logged; only the checkpoint file is missing). The
+    /// only error a seal returns after publication.
     Checkpoint(CheckpointError),
 }
 
@@ -281,8 +285,9 @@ pub enum RecoveryError {
     },
     /// A checkpoint exists for an epoch whose cut marker is missing from
     /// the log, so replay cannot locate where the checkpointed prefix
-    /// ends. (Cut markers are fsynced before their checkpoint is written,
-    /// so this indicates log corruption or manual tampering.)
+    /// ends. (A seal's fsync makes its cut marker durable before its
+    /// checkpoint is written, so this indicates log corruption or manual
+    /// tampering.)
     MissingCut {
         /// The checkpointed epoch with no surviving cut marker.
         epoch: u64,

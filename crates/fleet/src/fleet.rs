@@ -49,15 +49,18 @@
 //! A seal has one owner. It takes the seal mutex and holds it through five
 //! phases: **cut** (wait out in-flight batches behind the batch gate, which
 //! makes whole batches atomic with respect to the cut even when their
-//! sub-batches touch different shards; lock all shards; frame the cut
-//! marker; drain the deltas — one `mem::take` a shard, nothing merged or
-//! sorted — or copy the full rows on re-anchor epochs), **build** (with the
-//! gate and the shard guards already dropped, so neither canonicalising
-//! the deltas nor a slow rebuild stalls ingest), **publish**, **record** and
+//! sub-batches touch different shards; lock all shards; append the cut
+//! marker, unsynced; drain the deltas — one `mem::take` a shard, nothing
+//! merged or sorted — or copy the full rows on re-anchor epochs), **build**
+//! (with the gate and the shard guards already dropped, so neither
+//! canonicalising the deltas nor a slow rebuild stalls ingest), **record +
+//! fsync** (on a durable fleet, the seal record and the epoch's one fsync,
+//! which covers its batches, its cut and its record), **publish** and
 //! **checkpoint**. Concurrent callers serialise on that mutex, and the
 //! epoch is committed only at publication, so a seal that fails or panics
-//! before it leaves no hole: the next seal takes the same epoch number and
-//! rebuilds from the authoritative shards. Publication lands in the
+//! before it — its fsync included — leaves no hole: the next seal takes
+//! the same epoch number and rebuilds from the authoritative shards.
+//! Publication lands in the
 //! [`SnapshotCell`] (see [`crate::publish`]): readers clone the current
 //! `Arc<EpochSnapshot>` under a guard held for that clone alone — never
 //! across a seal's construction — per-reader [`SnapshotHandle`]s serve
@@ -171,9 +174,12 @@ pub struct ShardedFleet {
 /// checkpoint policy (see [`crate::recover::DurabilityConfig`]).
 #[derive(Debug)]
 pub(crate) struct DurabilityState {
-    /// The open write-ahead log. Lock order: batch gate → this mutex
-    /// (both ingest and the sealer acquire the gate first), so the WAL
-    /// lock never participates in a cycle.
+    /// The open write-ahead log. Lock order: seal mutex → batch gate →
+    /// this mutex. Ingest takes it under the gate for each batch's append,
+    /// the sealer under the gate for the cut marker's append and then,
+    /// with the gate dropped, under the seal mutex alone for the seal
+    /// record and the epoch's one fsync; the WAL lock is always taken last,
+    /// so it never participates in a cycle.
     pub(crate) log: Mutex<ChurnLog>,
     /// The durability directory (WAL segments + checkpoints).
     pub(crate) dir: PathBuf,
@@ -200,7 +206,8 @@ struct SealState {
     /// seal rebuilds in full from the shards whatever the cadence: true at
     /// construction (the empty epoch-0 snapshot) and from a seal's first
     /// drain until its publication — a rejected
-    /// ([`SealError::CorruptDelta`]) or dead seal leaves it set; cleared by
+    /// ([`SealError::CorruptDelta`]), dead or unlogged ([`SealError::Wal`]
+    /// from the seal record or its fsync) seal leaves it set; cleared by
     /// publication and by a checkpoint restore.
     reanchor_due: bool,
 }
@@ -523,12 +530,14 @@ impl ShardedFleet {
     /// A sealer thread that dies between its cut and its publication
     /// leaves the fleet in that same state.
     ///
-    /// On a durable fleet, a [`SealError::Wal`] from the cut marker
-    /// returns before anything is drained: shards, log position and epoch
-    /// are as before the call. A WAL or checkpoint error *after*
-    /// publication returns `Err` with the snapshot already serving (the
-    /// in-memory fleet is consistent; only durability of that epoch is in
-    /// doubt).
+    /// On a durable fleet, a [`SealError::Wal`] is only ever returned for
+    /// an epoch this call did not publish: `published_epoch()` and the
+    /// served snapshot are as before the call. From the cut marker it
+    /// returns before anything is drained; from the seal record or its
+    /// fsync it returns after the drain, so the next seal re-cuts the same
+    /// epoch with a full rebuild, as after a rejected seal. The one `Err`
+    /// after publication is [`SealError::Checkpoint`]: the epoch is served
+    /// and its log complete, and only the checkpoint file is missing.
     pub fn try_seal_epoch(&self) -> Result<Arc<EpochSnapshot>, SealError> {
         // One sealer at a time, from here to the checkpoint.
         let mut st = lock_recover(&self.seal);
@@ -562,14 +571,12 @@ impl ShardedFleet {
                         .expect("no thread panicked applying a batch under a shard lock")
                 })
                 .collect();
-            // Durability point: frame the cut marker after every batch of
-            // this epoch and fsync. On failure nothing has been drained
-            // and no epoch committed, so the fleet is exactly as before
-            // the call.
+            // Frame the cut marker after every batch of this epoch, with no
+            // sync: the seal record's fsync below covers it. On failure
+            // nothing has been drained and no epoch committed, so the fleet
+            // is exactly as before the call.
             if let Some(dur) = &self.durability {
-                let mut log = lock_recover(&dur.log);
-                log.append(&WalRecord::EpochCut { epoch })?;
-                log.sync()?;
+                lock_recover(&dur.log).append(&WalRecord::EpochCut { epoch })?;
             }
             let full = st.reanchor_due
                 || (self.reanchor_interval > 0 && epoch.is_multiple_of(self.reanchor_interval));
@@ -636,24 +643,30 @@ impl ShardedFleet {
             }
         });
 
-        // Phase 3 — publication, and with it the epoch commit.
+        // Phase 3 — record + fsync, the epoch's one durability point: log
+        // the content hash the seal is about to serve (the recovery oracle
+        // for this epoch) and fsync once, which makes the epoch's batches,
+        // its cut marker and this record durable together. A failure
+        // returns with nothing published and `reanchor_due` still set: the
+        // previous snapshot keeps serving, and the next seal re-cuts this
+        // epoch with a full rebuild.
+        if let Some(dur) = &self.durability {
+            let mut log = lock_recover(&dur.log);
+            log.append(&WalRecord::EpochSeal {
+                epoch,
+                content_hash: snapshot.content_hash(),
+            })?;
+            log.sync()?;
+        }
+
+        // Phase 4 — publication, and with it the epoch commit.
         self.current.publish(&snapshot);
         st.reanchor_due = false;
 
-        // Phases 4 and 5 — record and checkpoint: log the content hash
-        // the seal served (the recovery oracle for this epoch), then cut a
-        // checkpoint if one is due. Failures here leave the published
-        // fleet consistent; only this epoch's on-disk record is in doubt,
-        // which the caller learns through the `Err`.
+        // Phase 5 — checkpoint, if one is due: the only failure left after
+        // publication, which leaves the published fleet consistent and its
+        // log complete; only the checkpoint file is missing.
         if let Some(dur) = &self.durability {
-            {
-                let mut log = lock_recover(&dur.log);
-                log.append(&WalRecord::EpochSeal {
-                    epoch,
-                    content_hash: snapshot.content_hash(),
-                })?;
-                log.sync()?;
-            }
             if dur.checkpoint_interval > 0 && epoch.is_multiple_of(dur.checkpoint_interval) {
                 Checkpoint::from_snapshot(&snapshot).write(&dur.dir)?;
                 checkpoint::prune(&dur.dir, RETAIN_CHECKPOINTS)?;

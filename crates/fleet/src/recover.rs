@@ -17,28 +17,37 @@
 //!    from what was served before the crash
 //!    ([`RecoveryError::HashMismatch`]).
 //!
-//! ## Superseded cut markers
+//! ## Superseded cut markers and seal records
 //!
-//! A seal rejected as [`SealError::CorruptDelta`](crate::SealError) has
-//! already framed its cut marker when it returns without committing the
-//! epoch; the next successful seal then frames a cut for the *same* epoch.
+//! A seal that fails before publication can leave records of an epoch it
+//! never served: a seal rejected as
+//! [`SealError::CorruptDelta`](crate::SealError) has already appended its
+//! cut marker, and a seal whose record was appended but whose fsync failed
+//! ([`SealError::Wal`](crate::SealError)) leaves a cut and a seal record.
+//! The next successful seal then appends a cut for the *same* epoch.
 //! Successful epochs are strictly increasing, so replay keeps only the
-//! **last** cut per epoch: walking the log backwards, a cut whose epoch is
-//! `>=` a later cut's epoch was superseded and is skipped. The batches
-//! that preceded an aborted cut simply merge into the next kept cut's
-//! epoch — exactly what the pre-crash full-rebuild re-anchor did — and
-//! the content hash is path-independent, so verification still holds.
+//! **last** cut per epoch and the seal records after it: walking the log
+//! backwards, a cut *or a seal record* whose epoch is `>=` a later cut's
+//! epoch was superseded and is skipped. The batches that preceded an
+//! aborted cut simply merge into the next kept cut's epoch — exactly what
+//! the pre-crash full-rebuild re-anchor did — and the content hash is
+//! path-independent, so verification still holds against the kept record.
+//! Only a failed seal's records are ever superseded. A log written while
+//! the seal record still followed publication holds no superseded seal
+//! record, since no later cut can name an epoch at or below a published
+//! one, so such logs replay exactly as they did.
 //!
 //! ## What replay tolerates vs. refuses
 //!
 //! Tolerated: a torn tail in the final segment (frames that were never
 //! fsynced, or a segment caught inside its creation, shorter than its
-//! header), a trailing cut with no seal record (a crash between cut and
-//! publication — the epoch is rolled forward), missing or damaged
-//! checkpoints (an older checkpoint plus a longer replay is still
-//! correct). Refused: corruption in a non-final segment, a sequence gap,
-//! a checkpointed epoch with no surviving cut marker, and any replayed
-//! epoch whose hash disagrees with its logged seal.
+//! header), a trailing cut with no seal record (the seal's fsync never
+//! returned, so that epoch was never served; replay rolls it forward over
+//! whatever batches reached the disk), missing or damaged checkpoints (an
+//! older checkpoint plus a longer replay is still correct). Refused:
+//! corruption in a non-final segment, a sequence gap, a checkpointed epoch
+//! with no surviving cut marker, and any replayed epoch whose hash
+//! disagrees with its kept seal record.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -179,30 +188,34 @@ impl ShardedFleet {
             ..RecoveryReport::default()
         };
 
-        // Superseded-cut pass: keep only the last cut per epoch (see the
-        // module docs), and collect each epoch's logged seal hash (last
-        // record wins there too — a re-sealed epoch re-logs its hash).
+        // Superseded pass: keep only the last cut per epoch, and only the
+        // seal records no later cut re-opened (see the module docs); the
+        // kept records give each epoch's logged seal hash.
         let mut kept = vec![true; records.len()];
-        let mut min_later_epoch = u64::MAX;
+        let mut min_later_cut = u64::MAX;
         for (i, record) in records.iter().enumerate().rev() {
-            if let WalRecord::EpochCut { epoch } = record {
-                if *epoch >= min_later_epoch {
-                    kept[i] = false;
-                } else {
-                    min_later_epoch = *epoch;
-                }
+            let (epoch, is_cut) = match record {
+                WalRecord::EpochCut { epoch } => (*epoch, true),
+                WalRecord::EpochSeal { epoch, .. } => (*epoch, false),
+                WalRecord::Batch(_) => continue,
+            };
+            if epoch >= min_later_cut {
+                kept[i] = false;
+            } else if is_cut {
+                min_later_cut = epoch;
             }
         }
-        let mut seal_hashes: BTreeMap<u64, Digest> = BTreeMap::new();
-        for record in &records {
-            if let WalRecord::EpochSeal {
-                epoch,
-                content_hash,
-            } = record
-            {
-                seal_hashes.insert(*epoch, *content_hash);
-            }
-        }
+        let seal_hashes: BTreeMap<u64, Digest> = records
+            .iter()
+            .zip(&kept)
+            .filter_map(|(record, &kept)| match record {
+                WalRecord::EpochSeal {
+                    epoch,
+                    content_hash,
+                } if kept => Some((*epoch, *content_hash)),
+                _ => None,
+            })
+            .collect();
 
         let fleet = ShardedFleet::with_reanchor_interval(shard_count, weights, reanchor_interval);
 
@@ -215,9 +228,9 @@ impl ShardedFleet {
                 fleet.try_ingest_batch(&roster).unwrap();
                 fleet.restore_published(Arc::new(snapshot));
                 report.checkpoint_epoch = Some(ckpt.epoch);
-                // The cut marker was fsynced before its checkpoint was
-                // written, so a valid checkpoint with no surviving cut
-                // means the log lost acknowledged history.
+                // The seal's fsync made the cut marker durable before the
+                // checkpoint was written, so a valid checkpoint with no
+                // surviving cut means the log lost acknowledged history.
                 let cut_index = records
                     .iter()
                     .enumerate()
@@ -472,6 +485,62 @@ mod tests {
         // …and epoch 6 is a re-anchor, by cadence, over the shard aggregates.
         assert!(seal(second).parent_hash().is_none());
         assert_eq!(fleet.published_epoch(), 6);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_later_cut_supersedes_an_earlier_seal_record_of_its_epoch() {
+        // What a seal whose fsync failed leaves behind: its cut and its
+        // record for epoch 1 over {a}, then the batch b that arrived
+        // meanwhile, then the next seal's cut for the same epoch 1. The
+        // stale record must not be checked against the re-cut epoch.
+        let dir = tmpdir("superseded-seal");
+        let trace = churn_trace(&ChurnTraceConfig::new(40, 60));
+        let (a, b) = trace.split_at(70);
+        let hash_over = |batches: &[&[ChurnOp]]| {
+            let fleet = ShardedFleet::new(1, TwoTierWeights::flat());
+            for ops in batches {
+                fleet.try_ingest_batch(ops).unwrap();
+            }
+            fleet.try_seal_epoch().unwrap().content_hash()
+        };
+        let (hash_a, hash_ab) = (hash_over(&[a]), hash_over(&[a, b]));
+        assert_ne!(hash_a, hash_ab);
+        let append = |records: &[WalRecord]| {
+            let (mut log, _) = ChurnLog::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+            for r in records {
+                log.append(r).unwrap();
+            }
+            log.sync().unwrap();
+        };
+        append(&[
+            WalRecord::Batch(a.to_vec()),
+            WalRecord::EpochCut { epoch: 1 },
+            WalRecord::EpochSeal {
+                epoch: 1,
+                content_hash: hash_a,
+            },
+            WalRecord::Batch(b.to_vec()),
+            WalRecord::EpochCut { epoch: 1 },
+        ]);
+        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(0);
+        let recover = || ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone());
+
+        let (fleet, report) = recover().expect("the stale record is superseded");
+        assert_eq!(report.recovered_epoch, 1);
+        assert_eq!(report.replayed_epochs, 1);
+        assert_eq!(report.verified_seals, 0);
+        assert_eq!(fleet.snapshot().content_hash(), hash_ab);
+        drop(fleet);
+
+        // The re-cut epoch's own record is the one replay verifies.
+        append(&[WalRecord::EpochSeal {
+            epoch: 1,
+            content_hash: hash_ab,
+        }]);
+        let (fleet, report) = recover().unwrap();
+        assert_eq!((report.recovered_epoch, report.verified_seals), (1, 1));
+        assert_eq!(fleet.snapshot().content_hash(), hash_ab);
         let _ = fs::remove_dir_all(&dir);
     }
 

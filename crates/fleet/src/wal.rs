@@ -1,10 +1,12 @@
 //! The write-ahead churn log.
 //!
 //! Every churn batch a durable fleet applies is first framed and appended
-//! here; every epoch cut writes a marker and fsyncs. After a crash,
-//! [`crate::recover`] replays the log on top of the latest checkpoint and
-//! arrives at the exact pre-crash registry state — verified hash-for-hash
-//! against the seal records the pre-crash process logged.
+//! here; every epoch seal appends a cut marker and then a seal record, and
+//! fsyncs once after the record, before it publishes — one durability
+//! point an epoch, covering its batches, its cut and its record. After a
+//! crash, [`crate::recover`] replays the log on top of the latest
+//! checkpoint and arrives at the exact pre-crash registry state — verified
+//! hash-for-hash against the seal records the pre-crash process logged.
 //!
 //! ## On-disk format
 //!
@@ -67,17 +69,19 @@ pub enum WalRecord {
     /// A churn batch, logged *before* it is applied to the shards.
     Batch(Vec<ChurnOp>),
     /// An epoch cut: every batch framed before this marker belongs to
-    /// `epoch` or earlier; every batch after it to a later epoch. Written
-    /// while the ingest gate is held exclusively, then fsynced — the
-    /// durability point of the epoch.
+    /// `epoch` or earlier; every batch after it to a later epoch. Appended
+    /// while the ingest gate is held exclusively, and not synced on its
+    /// own: the seal record's fsync makes it durable.
     EpochCut {
         /// The epoch the cut begins sealing.
         epoch: u64,
     },
-    /// The content hash the seal of `epoch` published — the recovery
-    /// oracle. Appended after publication, so a crash between cut and
-    /// seal leaves a cut with no seal record (replay still verifies every
-    /// epoch that *does* have one).
+    /// The content hash the seal of `epoch` is about to publish — the
+    /// recovery oracle. Appended after the build and fsynced before
+    /// publication, so a crash before that fsync returns can leave a cut
+    /// with no seal record, for an epoch that was never served (replay still
+    /// verifies every epoch that *does* have one). A record a later cut
+    /// for the same epoch supersedes is skipped (see [`crate::recover`]).
     EpochSeal {
         /// The sealed epoch.
         epoch: u64,

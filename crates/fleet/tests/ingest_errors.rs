@@ -3,7 +3,8 @@
 //! mutated, no gate poisoned — while reads and (once the disk is back)
 //! seals keep working. The pre-fix behaviour was an `.expect()` inside the
 //! gate hold: one `ENOSPC` took down every ingester and poisoned the batch
-//! gate for the fleet's lifetime.
+//! gate for the fleet's lifetime. The same holds for a seal: a
+//! [`SealError::Wal`] leaves the served epoch and snapshot as they were.
 //!
 //! Fault injection: the WAL's segment size is configured tiny, so every
 //! append past the first rotates into a fresh segment file; deleting the
@@ -124,6 +125,80 @@ fn wal_io_error_fails_the_batch_cleanly_and_reads_keep_serving() {
         c2.content_hash(),
         "rejected batches must leave no trace in the sealed state"
     );
+}
+
+/// Bytes under `dir`, all files summed.
+fn dir_bytes(dir: &PathBuf) -> u64 {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().metadata().unwrap().len())
+        .sum()
+}
+
+#[test]
+fn a_seal_record_that_cannot_be_logged_publishes_nothing_and_the_epoch_is_re_cut() {
+    // The seal's one fsync follows its record, and publication follows the
+    // fsync: a record that cannot be logged must leave the epoch unserved.
+    // Injection: the segment ends exactly where epoch 2's cut marker ends,
+    // so the cut appends to the open file and the record must rotate —
+    // into a directory that is gone.
+    let weights = TwoTierWeights::new(1.0, 0.5);
+    let (batch_a, batch_b) = (registrations(0, 8), registrations(100, 8));
+    const CUT_FRAME: u64 = 4 + 9 + 4;
+
+    // Probe: the log's length once epoch 1 is sealed and batch b logged.
+    let probe = tmpdir("record-probe");
+    let log_len = {
+        let config = DurabilityConfig::new(&probe).with_checkpoint_interval(0);
+        let (fleet, _) = ShardedFleet::open_durable(2, weights, 0, config).unwrap();
+        fleet.try_ingest_batch(&batch_a).unwrap();
+        fleet.try_seal_epoch().unwrap();
+        fleet.try_ingest_batch(&batch_b).unwrap();
+        dir_bytes(&probe)
+    };
+    let _ = fs::remove_dir_all(&probe);
+
+    let dir = tmpdir("record-fail");
+    let config = DurabilityConfig::new(&dir)
+        .with_segment_bytes(log_len + CUT_FRAME)
+        .with_checkpoint_interval(0);
+    let (fleet, _) = ShardedFleet::open_durable(2, weights, 0, config).unwrap();
+    fleet.try_ingest_batch(&batch_a).unwrap();
+    let served = fleet.try_seal_epoch().expect("healthy seal");
+    fleet.try_ingest_batch(&batch_b).unwrap();
+    assert_eq!(dir_bytes(&dir), log_len, "no rotation yet");
+
+    fs::remove_dir_all(&dir).expect("inject: drop the durability dir");
+    let err = fleet
+        .try_seal_epoch()
+        .expect_err("the seal record cannot rotate into a missing directory");
+    assert!(
+        matches!(err, SealError::Wal(WalError::Io(_))),
+        "typed io error expected, got: {err}"
+    );
+    // Nothing was published: epoch 1 keeps serving, bit for bit.
+    assert_eq!(fleet.published_epoch(), 1);
+    assert_eq!(fleet.snapshot().content_hash(), served.content_hash());
+    assert_eq!(
+        fleet.device_count(),
+        16,
+        "the drained batch stays in the shards"
+    );
+
+    // Repair: the next seal re-cuts epoch 2, in full, over both batches.
+    fs::create_dir_all(&dir).expect("repair the durability dir");
+    let resealed = fleet.try_seal_epoch().expect("seal after repair");
+    assert_eq!((resealed.epoch(), resealed.parent_hash()), (2, None));
+    assert_eq!(fleet.published_epoch(), 2);
+    let control = ShardedFleet::new(2, weights);
+    control.try_ingest_batch(&batch_a).unwrap();
+    control.try_seal_epoch().unwrap();
+    control.try_ingest_batch(&batch_b).unwrap();
+    assert_eq!(
+        resealed.content_hash(),
+        control.try_seal_epoch().unwrap().content_hash()
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -25,9 +25,9 @@
 //! (`decode(encode(x)) == x` *and* `encode(decode(b)) == b` for valid `b`)
 //! is pinned by proptests in `tests/codec_roundtrip.rs`.
 //!
-//! A table-driven [`crc32`] (IEEE 802.3, the zlib polynomial) lives here
-//! too: the WAL frames every record with it to detect torn and bit-rotted
-//! tails.
+//! A slicing-by-16 [`crc32`] (IEEE 802.3, the zlib polynomial) lives here
+//! too: the WAL frames every record with it and every checkpoint ends with
+//! it, to detect torn and bit-rotted bytes.
 
 use core::fmt;
 
@@ -427,10 +427,13 @@ impl Decode for PublicKey {
     }
 }
 
-/// The IEEE 802.3 CRC-32 lookup table (reflected polynomial `0xEDB88320`),
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The IEEE 802.3 CRC-32 slicing tables (reflected polynomial
+/// `0xEDB88320`), built at compile time: `CRC32_TABLES[0]` is the classic
+/// bytewise table, and `CRC32_TABLES[k][i]` is the register after byte `i`
+/// is followed by `k` zero bytes — so one 16-byte block folds in with
+/// sixteen independent lookups, one table per byte position.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -443,19 +446,42 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3 / zlib) of `bytes` — the WAL's per-record frame
-/// check. Matches the ubiquitous `crc32(0, buf, len)`.
+/// CRC-32 (IEEE 802.3 / zlib) of `bytes` — the frame check of every WAL
+/// record and checkpoint. Matches the ubiquitous `crc32(0, buf, len)`.
+/// Slicing-by-16: whole 16-byte blocks take one lookup a byte with no
+/// dependency between them, the tail goes bytewise.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut block: [u8; 16] = block.try_into().expect("chunks_exact yields 16 bytes");
+        for (b, c) in block.iter_mut().zip(crc.to_le_bytes()) {
+            *b ^= c;
+        }
+        crc = block
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (i, &b)| acc ^ CRC32_TABLES[15 - i][usize::from(b)]);
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -582,6 +608,54 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise CRC-32 loop over the first slicing table: the oracle the
+    /// slicing-by-16 kernel is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// `len` pseudo-random bytes from a splitmix64 stream.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn crc32_slicing_matches_the_bytewise_oracle() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // Every length around the block size, at every alignment: empty and
+        // tail-only inputs, exact blocks, and a block plus a tail.
+        let bytes = noise(1, 16 + 64);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        // Checkpoint-sized inputs, block-aligned and not.
+        for (seed, len) in [(2, 1 << 21), (3, (1 << 21) + 7), (4, 3 * (1 << 20) - 1)] {
+            let big = noise(seed, len);
+            assert_eq!(crc32(&big), crc32_bytewise(&big), "len {len}");
+        }
     }
 
     #[test]
