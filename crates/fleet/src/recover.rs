@@ -4,18 +4,30 @@
 //! fleets, both cold starts and post-crash restarts:
 //!
 //! 1. Open the write-ahead churn log ([`ChurnLog::open`] truncates any
-//!    torn tail the crash left) and scan its records.
+//!    torn tail the crash left) and scan it in full — **pass 1**: every
+//!    frame of every segment is checked (sequence, CRC, decode) and every
+//!    batch decoded and dropped; only the cut markers and seal records
+//!    are kept, with their positions. The superseded rule below runs on
+//!    that index, leaving each epoch's kept cut and logged seal hash.
 //! 2. Load the newest fully-verified checkpoint
 //!    ([`checkpoint::latest_valid`] re-derives the content hash on load),
-//!    re-ingest its device roster into a fresh fleet, and publish its
-//!    verified snapshot so the next differential seal chains onto it.
-//! 3. Replay the log tail after the checkpoint's cut marker: batches are
-//!    re-ingested, and at every surviving cut marker the epoch is
-//!    re-sealed. Wherever the pre-crash process logged an
-//!    [`WalRecord::EpochSeal`], the replayed snapshot's content hash must
-//!    equal the logged one — recovery refuses to serve state that differs
-//!    from what was served before the crash
+//!    find its epoch's kept cut in the index
+//!    ([`RecoveryError::MissingCut`] if there is none), re-ingest its
+//!    device roster into a fresh fleet in fixed-size chunks, and publish
+//!    its verified snapshot so the next differential seal chains onto it.
+//! 3. Replay the log tail after that cut — **pass 2**, which reads from
+//!    the segment holding the cut on: batches are re-ingested, and at
+//!    every kept cut marker the epoch is re-sealed. Wherever the pre-crash
+//!    process logged an [`WalRecord::EpochSeal`], the replayed snapshot's
+//!    content hash must equal the logged one — recovery refuses to serve
+//!    state that differs from what was served before the crash
 //!    ([`RecoveryError::HashMismatch`]).
+//!
+//! **Memory bound.** Both passes stream: recovery holds at most one
+//! segment (at most `segment_bytes` plus one frame) and its decoded
+//! records, the control-record index (two small records per epoch), the
+//! checkpoint while it is restored, and the fleet being rebuilt — never
+//! the whole log.
 //!
 //! ## Superseded cut markers and seal records
 //!
@@ -57,12 +69,20 @@ use fi_attest::{ChurnOp, RegisteredDevice, TwoTierWeights};
 use fi_types::Digest;
 
 use crate::checkpoint;
-use crate::error::RecoveryError;
+use crate::error::{RecoveryError, WalError};
 use crate::fleet::{DurabilityState, ShardedFleet};
-use crate::wal::{self, ChurnLog, WalRecord, DEFAULT_SEGMENT_BYTES};
+use crate::wal::{self, ChurnLog, RecordPos, WalRecord, DEFAULT_SEGMENT_BYTES};
 
 /// Default checkpoint cadence: one full snapshot every this many seals.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 8;
+
+/// Checkpointed devices re-ingested per batch on restore, so the restore
+/// holds one chunk of synthetic ops rather than a copy of the roster.
+const RESTORE_CHUNK: usize = 4096;
+
+/// Why recovery's ingests cannot fail: only a log append fails an
+/// ingest, and the log is attached after replay.
+const NO_LOG_YET: &str = "recovery ingests before the log is attached";
 
 /// Where and how a durable fleet persists its state.
 #[derive(Debug, Clone)]
@@ -181,41 +201,44 @@ impl ShardedFleet {
             return Err(crate::error::FleetConfigError::ZeroShards.into());
         }
         let (log, truncated_bytes) = ChurnLog::open(&config.dir, config.segment_bytes)?;
-        let scan = wal::read_records(&config.dir)?;
-        let records = scan.records;
+
+        // Pass 1: check and decode every frame of every segment, keeping
+        // only the cuts and seal records, with their positions.
+        let mut controls: Vec<(RecordPos, WalRecord)> = Vec::new();
+        let scan_torn = wal::scan(&config.dir, RecordPos::default(), |pos, record| {
+            if !matches!(record, WalRecord::Batch(_)) {
+                controls.push((pos, record));
+            }
+            Ok::<_, WalError>(())
+        })?;
         let mut report = RecoveryReport {
-            truncated_bytes: truncated_bytes + scan.truncated_bytes,
+            truncated_bytes: truncated_bytes + scan_torn,
             ..RecoveryReport::default()
         };
 
-        // Superseded pass: keep only the last cut per epoch, and only the
-        // seal records no later cut re-opened (see the module docs); the
-        // kept records give each epoch's logged seal hash.
-        let mut kept = vec![true; records.len()];
+        // Superseded rule: walking backwards, a cut or seal record whose
+        // epoch is at or above a later kept cut's was re-opened (see the
+        // module docs). What is left is each epoch's kept cut and logged
+        // seal hash; kept cuts' epochs strictly increase, so the epoch
+        // names the cut.
+        let mut cuts: BTreeMap<u64, RecordPos> = BTreeMap::new();
+        let mut seal_hashes: BTreeMap<u64, Digest> = BTreeMap::new();
         let mut min_later_cut = u64::MAX;
-        for (i, record) in records.iter().enumerate().rev() {
-            let (epoch, is_cut) = match record {
-                WalRecord::EpochCut { epoch } => (*epoch, true),
-                WalRecord::EpochSeal { epoch, .. } => (*epoch, false),
-                WalRecord::Batch(_) => continue,
-            };
-            if epoch >= min_later_cut {
-                kept[i] = false;
-            } else if is_cut {
-                min_later_cut = epoch;
-            }
-        }
-        let seal_hashes: BTreeMap<u64, Digest> = records
-            .iter()
-            .zip(&kept)
-            .filter_map(|(record, &kept)| match record {
+        for (pos, record) in controls.into_iter().rev() {
+            match record {
+                WalRecord::EpochCut { epoch } if epoch < min_later_cut => {
+                    min_later_cut = epoch;
+                    cuts.insert(epoch, pos);
+                }
                 WalRecord::EpochSeal {
                     epoch,
                     content_hash,
-                } if kept => Some((*epoch, *content_hash)),
-                _ => None,
-            })
-            .collect();
+                } if epoch < min_later_cut => {
+                    seal_hashes.entry(epoch).or_insert(content_hash);
+                }
+                _ => {}
+            }
+        }
 
         let fleet = ShardedFleet::with_reanchor_interval(shard_count, weights, reanchor_interval);
 
@@ -224,50 +247,55 @@ impl ShardedFleet {
         // first replayed differential seal chains onto it.
         let replay_from = match checkpoint::latest_valid(&config.dir)? {
             Some((ckpt, snapshot)) => {
-                let roster: Vec<ChurnOp> = ckpt.devices.iter().map(restore_op).collect();
-                fleet.try_ingest_batch(&roster).unwrap();
-                fleet.restore_published(Arc::new(snapshot));
-                report.checkpoint_epoch = Some(ckpt.epoch);
                 // The seal's fsync made the cut marker durable before the
                 // checkpoint was written, so a valid checkpoint with no
                 // surviving cut means the log lost acknowledged history.
-                let cut_index = records
-                    .iter()
-                    .enumerate()
-                    .position(|(i, r)| {
-                        kept[i]
-                            && matches!(r, WalRecord::EpochCut { epoch } if *epoch == ckpt.epoch)
-                    })
+                let cut = *cuts
+                    .get(&ckpt.epoch)
                     .ok_or(RecoveryError::MissingCut { epoch: ckpt.epoch })?;
-                cut_index + 1
+                // Each device appears once, so chunking changes no end state.
+                let mut roster = Vec::with_capacity(RESTORE_CHUNK);
+                for devices in ckpt.devices.chunks(RESTORE_CHUNK) {
+                    roster.clear();
+                    roster.extend(devices.iter().map(restore_op));
+                    fleet.try_ingest_batch(&roster).expect(NO_LOG_YET);
+                }
+                fleet.restore_published(Arc::new(snapshot));
+                report.checkpoint_epoch = Some(ckpt.epoch);
+                RecordPos {
+                    frame: cut.frame + 1,
+                    ..cut
+                }
             }
-            None => 0,
+            None => RecordPos::default(),
         };
 
-        // Tail replay. Durability is not attached yet, so nothing here is
-        // re-logged — the records being replayed *are* the log.
-        for (i, record) in records.iter().enumerate().skip(replay_from) {
+        // Pass 2: replay the records after the checkpoint's cut, reading
+        // from the segment that holds it. Durability is not attached yet,
+        // so nothing here is re-logged — the records being replayed *are*
+        // the log.
+        wal::scan(&config.dir, replay_from, |pos, record| {
             match record {
                 WalRecord::Batch(ops) => {
-                    fleet.try_ingest_batch(ops).unwrap();
+                    fleet.try_ingest_batch(&ops).expect(NO_LOG_YET);
                     report.replayed_ops += ops.len() as u64;
                     report.pending_ops += ops.len() as u64;
                 }
-                WalRecord::EpochCut { epoch } if kept[i] => {
+                WalRecord::EpochCut { epoch } if cuts.get(&epoch) == Some(&pos) => {
                     let sealed = fleet.try_seal_epoch()?;
                     report.replayed_epochs += 1;
                     report.pending_ops = 0;
-                    if sealed.epoch() != *epoch {
+                    if sealed.epoch() != epoch {
                         return Err(RecoveryError::EpochMismatch {
-                            logged: *epoch,
+                            logged: epoch,
                             replayed: sealed.epoch(),
                         });
                     }
-                    if let Some(logged) = seal_hashes.get(epoch) {
-                        if sealed.content_hash() != *logged {
+                    if let Some(&logged) = seal_hashes.get(&epoch) {
+                        if sealed.content_hash() != logged {
                             return Err(RecoveryError::HashMismatch {
-                                epoch: *epoch,
-                                logged: *logged,
+                                epoch,
+                                logged,
                                 recovered: sealed.content_hash(),
                             });
                         }
@@ -277,7 +305,8 @@ impl ShardedFleet {
                 // Superseded cuts and seal records replay as no-ops.
                 WalRecord::EpochCut { .. } | WalRecord::EpochSeal { .. } => {}
             }
-        }
+            Ok(())
+        })?;
 
         report.recovered_epoch = fleet.published_epoch();
         let mut fleet = fleet;
@@ -295,6 +324,7 @@ mod tests {
     use super::*;
     use crate::trace::{churn_trace, ChurnTraceConfig};
     use std::fs;
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -320,7 +350,7 @@ mod tests {
             .unwrap();
         let sealed = fleet.try_seal_epoch().unwrap();
         assert_eq!(sealed.epoch(), 1);
-        let scan = wal::read_records(&dir).unwrap();
+        let scan = wal::tests::read_records(&dir).unwrap();
         assert!(scan
             .records
             .iter()
@@ -575,5 +605,189 @@ mod tests {
             oracle.try_seal_epoch().unwrap().content_hash()
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `epochs` sealed epochs of one 25-op batch each, over 256-byte
+    /// segments with a checkpoint every 3 seals. Every batch frame
+    /// outgrows a segment, so segment `e` holds epoch `e`'s cut and seal
+    /// record and then epoch `e + 1`'s batch. Returns the config and the
+    /// batches in order.
+    fn tiny_segment_run(tag: &str, epochs: usize) -> (DurabilityConfig, Vec<Vec<ChurnOp>>) {
+        let config = DurabilityConfig::new(tmpdir(tag))
+            .with_segment_bytes(256)
+            .with_checkpoint_interval(3);
+        let trace = churn_trace(&ChurnTraceConfig::new(40, 25 * epochs - 40));
+        let batches: Vec<Vec<ChurnOp>> = trace.chunks(25).map(<[ChurnOp]>::to_vec).collect();
+        let (fleet, _) =
+            ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone()).unwrap();
+        for batch in &batches {
+            fleet.try_ingest_batch(batch).unwrap();
+            fleet.try_seal_epoch().unwrap();
+        }
+        (config, batches)
+    }
+
+    /// Every record of the log under `dir`, with its position.
+    fn positioned(dir: &Path) -> Vec<(RecordPos, WalRecord)> {
+        let mut out = Vec::new();
+        wal::scan(dir, RecordPos::default(), |pos, record| {
+            out.push((pos, record));
+            Ok::<_, WalError>(())
+        })
+        .unwrap();
+        out
+    }
+
+    /// The positions of every cut of `epoch`, in log order.
+    fn cuts_of(dir: &Path, epoch: u64) -> Vec<RecordPos> {
+        positioned(dir)
+            .into_iter()
+            .filter(|(_, r)| *r == WalRecord::EpochCut { epoch })
+            .map(|(pos, _)| pos)
+            .collect()
+    }
+
+    fn reopen(config: &DurabilityConfig) -> Result<(ShardedFleet, RecoveryReport), RecoveryError> {
+        ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone())
+    }
+
+    #[test]
+    fn damage_before_the_checkpoint_cut_in_a_non_final_segment_is_refused() {
+        // Replay reads from epoch 6's cut on, so only the full first pass
+        // reads the segment of epoch 2's cut. Damage its first frame with a
+        // flipped payload byte, then with a CRC-valid payload that does not
+        // decode (tag 0xEE): either is corruption the scan must name.
+        const HEADER: usize = 20;
+        for undecodable in [false, true] {
+            let (config, _) = tiny_segment_run("pre-checkpoint-damage", 8);
+            let (_, report) = reopen(&config).unwrap();
+            assert_eq!(report.checkpoint_epoch, Some(6));
+            let victim = cuts_of(&config.dir, 2)[0];
+            assert_eq!(victim.frame, 0);
+            assert!(victim < cuts_of(&config.dir, 6)[0]);
+            let path = config.dir.join(format!("wal-{:08}.log", victim.segment));
+            let mut bytes = fs::read(&path).unwrap();
+            let len = u32::from_le_bytes(bytes[HEADER..HEADER + 4].try_into().unwrap()) as usize;
+            let payload = HEADER + 4..HEADER + 4 + len;
+            if undecodable {
+                bytes[payload.start] = 0xEE;
+                let crc = fi_types::crc32(&bytes[payload.clone()]).to_le_bytes();
+                bytes[payload.end..payload.end + 4].copy_from_slice(&crc);
+            } else {
+                bytes[payload.start + 1] ^= 0xFF;
+            }
+            fs::write(&path, &bytes).unwrap();
+
+            let Err(err) = reopen(&config) else {
+                panic!("pre-checkpoint damage must be refused");
+            };
+            match err {
+                RecoveryError::Wal(WalError::Corrupt {
+                    segment, detail, ..
+                }) => {
+                    assert_eq!(segment, path, "{detail}");
+                    assert_eq!(detail.contains("does not decode"), undecodable, "{detail}");
+                }
+                other => panic!("expected WalError::Corrupt, got {other}"),
+            }
+            let _ = fs::remove_dir_all(&config.dir);
+        }
+    }
+
+    #[test]
+    fn a_re_cut_epoch_recovers_when_its_superseded_records_sit_segments_earlier() {
+        // Four sealed epochs (checkpoint 3), then by hand what a failed
+        // seal of epoch 5 leaves: batch a, a cut and a record of 5 over
+        // {a}, batch b, and the re-cut of 5 with its record over {a, b}.
+        let (config, batches) = tiny_segment_run("recut-segments", 4);
+        let extra = churn_trace(&ChurnTraceConfig {
+            seed: 7,
+            ..ChurnTraceConfig::new(40, 20)
+        });
+        let (a, b) = extra.split_at(30);
+        let control = |tail: &[&[ChurnOp]]| {
+            let fleet = ShardedFleet::new(1, TwoTierWeights::flat());
+            for batch in &batches {
+                fleet.try_ingest_batch(batch).unwrap();
+                fleet.try_seal_epoch().unwrap();
+            }
+            for ops in tail {
+                fleet.try_ingest_batch(ops).unwrap();
+            }
+            fleet.try_seal_epoch().unwrap().content_hash()
+        };
+        let (hash_a, hash_ab) = (control(&[a]), control(&[a, b]));
+        assert_ne!(hash_a, hash_ab);
+        let (mut log, _) = ChurnLog::open(&config.dir, config.segment_bytes).unwrap();
+        for record in [
+            WalRecord::Batch(a.to_vec()),
+            WalRecord::EpochCut { epoch: 5 },
+            WalRecord::EpochSeal {
+                epoch: 5,
+                content_hash: hash_a,
+            },
+            WalRecord::Batch(b.to_vec()),
+            WalRecord::EpochCut { epoch: 5 },
+            WalRecord::EpochSeal {
+                epoch: 5,
+                content_hash: hash_ab,
+            },
+        ] {
+            log.append(&record).unwrap();
+        }
+        log.sync().unwrap();
+        drop(log);
+        let cuts = cuts_of(&config.dir, 5);
+        let stale = positioned(&config.dir)
+            .into_iter()
+            .find(|(_, r)| matches!(r, WalRecord::EpochSeal { content_hash, .. } if *content_hash == hash_a))
+            .map(|(pos, _)| pos)
+            .unwrap();
+        assert_eq!(cuts.len(), 2);
+        assert!(cuts[0].segment < cuts[1].segment && stale.segment < cuts[1].segment);
+
+        let (fleet, report) = reopen(&config).unwrap();
+        assert_eq!(report.checkpoint_epoch, Some(3));
+        assert_eq!(
+            (
+                report.recovered_epoch,
+                report.replayed_epochs,
+                report.verified_seals
+            ),
+            (5, 2, 2)
+        );
+        assert_eq!(fleet.snapshot().content_hash(), hash_ab);
+        let _ = fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn replay_counts_exactly_the_ops_logged_after_the_checkpoint_cut() {
+        let (config, batches) = tiny_segment_run("replayed-ops", 8);
+        let pending = churn_trace(&ChurnTraceConfig {
+            seed: 11,
+            ..ChurnTraceConfig::new(40, 10)
+        });
+        {
+            // Logged but never sealed.
+            let (fleet, _) = reopen(&config).unwrap();
+            fleet.try_ingest_batch(&pending).unwrap();
+        }
+        let cut = cuts_of(&config.dir, 6)[0];
+        let logged_after: usize = positioned(&config.dir)
+            .into_iter()
+            .filter_map(|(pos, r)| match r {
+                WalRecord::Batch(ops) if pos > cut => Some(ops.len()),
+                _ => None,
+            })
+            .sum();
+        let expected = batches[6].len() + batches[7].len() + pending.len();
+        assert_eq!(logged_after, expected);
+
+        let (_, report) = reopen(&config).unwrap();
+        assert_eq!(report.checkpoint_epoch, Some(6));
+        assert_eq!(report.replayed_ops, expected as u64);
+        assert_eq!(report.pending_ops, pending.len() as u64);
+        assert_eq!((report.recovered_epoch, report.replayed_epochs), (8, 2));
+        let _ = fs::remove_dir_all(&config.dir);
     }
 }

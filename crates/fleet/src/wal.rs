@@ -39,8 +39,31 @@
 //! than its header is a torn tail too: no frame can precede a header, and
 //! rotation fsynced the outgoing segment before it created this one, so
 //! nothing acknowledged is in it. [`ChurnLog::open`] removes and re-creates
-//! it; [`read_records`] skips it. A full-length header that does not
+//! it; the recovery scan skips it. A full-length header that does not
 //! parse, or a short segment that is not the last, is still `Corrupt`.
+//!
+//! ## What survives what
+//!
+//! A batch is written to its segment file before ingest acknowledges it,
+//! but not fsynced; the epoch's seal fsyncs once, before it returns.
+//!
+//! * **Process crash** (the operating system survives, and with it every
+//!   written byte): every acknowledged batch survives. Batches no seal
+//!   covered replay into the next epoch, as
+//!   [`RecoveryReport::pending_ops`](crate::RecoveryReport).
+//! * **Power loss** (unsynced bytes may vanish): everything up to the
+//!   fsync of the last seal that *returned* survives — its epoch's
+//!   batches, cut and record, and every earlier epoch — and recovery lands
+//!   on that seal's epoch and hash, or on a later seal whose fsync
+//!   completed before it could return. Batches acknowledged after that
+//!   seal may be lost, whole or as a torn tail.
+//!
+//! ## Reading the log back
+//!
+//! Recovery reads the log through a crate-private streaming scan: one
+//! segment at a time, every frame in it checked and decoded, each record
+//! handed over with its position (segment sequence number, frame index)
+//! and then dropped — never the whole log at once.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -136,14 +159,12 @@ impl Decode for WalRecord {
     }
 }
 
-/// The result of scanning a log directory.
-#[derive(Debug, Default)]
-pub struct ScanOutcome {
-    /// Every intact record, in append order across segments.
-    pub records: Vec<WalRecord>,
-    /// Bytes of torn tail found (and, on [`ChurnLog::open`], truncated)
-    /// in the final segment.
-    pub truncated_bytes: u64,
+/// Where a record sits in the log: its segment's sequence number and its
+/// frame's index within that segment. Orders as append order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct RecordPos {
+    pub(crate) segment: u64,
+    pub(crate) frame: usize,
 }
 
 /// An append-only, segment-rotated churn log rooted at a directory.
@@ -253,38 +274,58 @@ impl ChurnLog {
     }
 }
 
-/// Scans every segment under `dir` and returns the intact records in
-/// append order, tolerating (but not repairing) a torn tail in the final
+/// Streams the log under `dir` to `visit`, one segment at a time: every
+/// intact record at or after `from`, in append order, with its position.
+/// Returns the bytes of torn tail found (not repaired) in the final
 /// segment — a final segment torn inside its header included, which holds
-/// no record. Corruption anywhere else is a hard [`WalError::Corrupt`].
-pub fn read_records(dir: impl AsRef<Path>) -> Result<ScanOutcome, WalError> {
-    let dir = dir.as_ref();
+/// no record.
+///
+/// Every segment's sequence is checked, but segments before `from`'s are
+/// not read. From `from`'s segment on, every frame is checked and decoded,
+/// those before `from` in its segment included; corruption anywhere but
+/// the final segment's tail is a hard [`WalError::Corrupt`]. One segment's
+/// bytes and decoded records are held at a time.
+pub(crate) fn scan<E: From<WalError>>(
+    dir: &Path,
+    from: RecordPos,
+    mut visit: impl FnMut(RecordPos, WalRecord) -> Result<(), E>,
+) -> Result<u64, E> {
     let segments = list_segments(dir)?;
-    let mut outcome = ScanOutcome::default();
-    let last = segments.len().saturating_sub(1);
+    let first = segments.first().map_or(0, |(seq, _)| *seq);
+    let mut torn_bytes = 0;
     for (i, (seq, path)) in segments.iter().enumerate() {
-        // lint: allow(panic) the loop body only runs when segments is
-        // non-empty, so segments[0] exists.
-        if *seq != segments[0].0 + i as u64 {
+        let expected = first + i as u64;
+        if *seq != expected {
             return Err(WalError::Corrupt {
                 segment: path.clone(),
                 offset: 0,
-                detail: format!(
-                    "segment sequence gap: expected {} next, found {seq}",
-                    // lint: allow(panic) same non-empty guarantee as above.
-                    segments[0].0 + i as u64
-                ),
-            });
+                detail: format!("segment sequence gap: expected {expected} next, found {seq}"),
+            }
+            .into());
         }
-        let bytes = fs::read(path)?;
-        if i == last && (bytes.len() as u64) < HEADER_LEN {
-            outcome.truncated_bytes += bytes.len() as u64;
+        if *seq < from.segment {
+            continue;
+        }
+        let is_last = i + 1 == segments.len();
+        let bytes = fs::read(path).map_err(WalError::from)?;
+        if is_last && (bytes.len() as u64) < HEADER_LEN {
+            torn_bytes += bytes.len() as u64;
             break;
         }
-        let scan = scan_segment(&bytes, path, *seq, i == last, Some(&mut outcome.records))?;
-        outcome.truncated_bytes += scan.torn_bytes;
+        let mut records = Vec::new();
+        torn_bytes += scan_segment(&bytes, path, *seq, is_last, Some(&mut records))?.torn_bytes;
+        drop(bytes);
+        for (frame, record) in records.into_iter().enumerate() {
+            let pos = RecordPos {
+                segment: *seq,
+                frame,
+            };
+            if pos >= from {
+                visit(pos, record)?;
+            }
+        }
     }
-    Ok(outcome)
+    Ok(torn_bytes)
 }
 
 struct SegmentScan {
@@ -309,7 +350,7 @@ fn scan_segment(
         }
     };
     // Header. Always hard: a final segment torn inside its header never
-    // gets here (`ChurnLog::open` re-creates it, `read_records` skips it),
+    // gets here (`ChurnLog::open` re-creates it, `scan` skips it),
     // so a header that fails is a short non-final segment or foreign bytes.
     let mut r = Reader::new(bytes);
     let version = read_header(&mut r, WAL_MAGIC, WAL_VERSION)
@@ -422,10 +463,30 @@ fn sync_dir(dir: &Path) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fi_types::{sha256, ReplicaId, VotingPower};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Every intact record of a log and its torn-tail bytes.
+    #[derive(Debug)]
+    pub(crate) struct Collected {
+        pub(crate) records: Vec<WalRecord>,
+        pub(crate) truncated_bytes: u64,
+    }
+
+    /// The whole log under `dir`, collected through the streaming scan.
+    pub(crate) fn read_records(dir: impl AsRef<Path>) -> Result<Collected, WalError> {
+        let mut records = Vec::new();
+        let truncated_bytes = scan(dir.as_ref(), RecordPos::default(), |_, record| {
+            records.push(record);
+            Ok::<_, WalError>(())
+        })?;
+        Ok(Collected {
+            records,
+            truncated_bytes,
+        })
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -641,6 +702,44 @@ mod tests {
             segments.len()
         );
         assert_eq!(read_records(&dir).unwrap().records, records);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_scan_from_a_position_streams_exactly_the_records_at_or_after_it() {
+        let dir = tmpdir("scan-from");
+        let records = sample_records(40);
+        {
+            let (mut log, _) = ChurnLog::open(&dir, 64).unwrap();
+            for r in &records {
+                log.append(r).unwrap();
+            }
+            log.sync().unwrap();
+        }
+        let from = |start: RecordPos| {
+            let mut out = Vec::new();
+            scan(&dir, start, |pos, record| {
+                out.push((pos, record));
+                Ok::<_, WalError>(())
+            })
+            .unwrap();
+            out
+        };
+        let all = from(RecordPos::default());
+        assert_eq!(
+            all.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+            records
+        );
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(all.last().unwrap().0.segment > 2, "expected rotation");
+        for (i, (pos, _)) in all.iter().enumerate() {
+            assert_eq!(from(*pos), all[i..]);
+        }
+        let past_end = RecordPos {
+            segment: all.last().unwrap().0.segment + 1,
+            frame: 0,
+        };
+        assert!(from(past_end).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -16,9 +16,11 @@
 //! * **lost checkpoint** — the newest checkpoint is deleted; recovery
 //!   falls back to an older one (or genesis) and replays a longer tail.
 //!
-//! One more crash point needs no random trace and has its own test: a
+//! Two more crash points need no random trace and have their own tests: a
 //! crash *inside* the creation of the next WAL segment, which leaves a
-//! final segment shorter than its header and loses nothing.
+//! final segment shorter than its header and loses nothing; and power
+//! loss or a process crash right after each seal and after the batch that
+//! follows it, which pins the durability contract stated in `wal.rs`.
 //!
 //! Damage can also swallow the cut marker of the newest *surviving*
 //! checkpoint; recovery then refuses with [`RecoveryError::MissingCut`]
@@ -208,6 +210,87 @@ fn a_crash_inside_segment_creation_loses_nothing() {
         // Only the first reopen finds the stub; it re-creates the segment.
         assert_eq!(report.truncated_bytes, if shards == 1 { 5 } else { 0 });
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A copy of every file under `dir`, in a fresh directory.
+fn copy_dir(dir: &Path, tag: &str) -> PathBuf {
+    let copy = tmpdir(tag);
+    fs::create_dir_all(&copy).unwrap();
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+    }
+    copy
+}
+
+#[test]
+fn power_loss_keeps_every_returned_seal_and_a_crash_every_acknowledged_batch() {
+    // A seal fsyncs its epoch before it returns, so a copy of the
+    // directory taken right then holds nothing unsynced: it is what power
+    // loss could leave, and recovery must land on that seal with nothing
+    // pending. The batch acknowledged next is written but not synced; a
+    // copy with its bytes is what a process crash leaves, and recovery
+    // must land on the same epoch with that batch pending. 256-byte
+    // segments make every seal's cut open a new segment, and a checkpoint
+    // every 3 seals moves the replay start along the way.
+    let dir = tmpdir("power-loss");
+    let config = DurabilityConfig::new(&dir)
+        .with_segment_bytes(256)
+        .with_checkpoint_interval(3);
+    let ops = |from: u64, n: u64| -> Vec<ChurnOp> {
+        (from..from + n)
+            .map(|i| {
+                ChurnOp::attest(
+                    ReplicaId::new(i % 30),
+                    sha256(format!("rec-cfg-{}", i % 4).as_bytes()),
+                    VotingPower::new(5 + i),
+                )
+            })
+            .collect()
+    };
+    let (fleet, _) = ShardedFleet::open_durable(2, weights(), 0, config.clone()).unwrap();
+    let mut newest_at_last_seal = std::ffi::OsString::new();
+    for epoch in 1..=7u64 {
+        fleet.try_ingest_batch(&ops(epoch * 100, 12)).unwrap();
+        let sealed = fleet.try_seal_epoch().unwrap();
+        let expected = (sealed.epoch(), sealed.content_hash());
+        assert_eq!(expected.0, epoch);
+        let at_seal = copy_dir(&dir, "power-loss-at-seal");
+        let unsealed = ops(epoch * 100 + 50, 5);
+        fleet.try_ingest_batch(&unsealed).unwrap();
+        let after_batch = copy_dir(&dir, "power-loss-after-batch");
+
+        let newest = final_segment(&at_seal)
+            .unwrap()
+            .file_name()
+            .unwrap()
+            .to_owned();
+        assert!(
+            newest > newest_at_last_seal,
+            "epoch {epoch}'s seal rotated no segment"
+        );
+        newest_at_last_seal = newest;
+        for (copy, pending) in [(at_seal, 0), (after_batch, unsealed.len() as u64)] {
+            for shards in RECOVERY_SHARDS {
+                let config = DurabilityConfig {
+                    dir: copy.clone(),
+                    ..config.clone()
+                };
+                let (recovered, report) =
+                    ShardedFleet::open_durable(shards, weights(), 0, config).unwrap();
+                let snap = recovered.snapshot();
+                assert_eq!((snap.epoch(), snap.content_hash()), expected, "{copy:?}");
+                assert_eq!(report.pending_ops, pending, "{copy:?}");
+                assert_eq!(
+                    report.checkpoint_epoch,
+                    (epoch >= 3).then_some(epoch / 3 * 3)
+                );
+            }
+            let _ = fs::remove_dir_all(&copy);
+        }
+    }
+    drop(fleet);
     let _ = fs::remove_dir_all(&dir);
 }
 
