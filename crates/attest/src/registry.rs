@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use fi_entropy::{Distribution, EntropyAccumulator};
 use fi_types::hash::SetDigest;
-use fi_types::{sha256, Digest, PublicKey, ReplicaId, SimTime, VotingPower};
+use fi_types::{sha256, Digest, ReplicaId, SimTime, VotingPower};
 
 use crate::churn::ChurnOp;
 use crate::delta::ChurnDelta;
@@ -114,35 +114,51 @@ impl Default for TwoTierWeights {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// One registered device's row: 48 bytes, 56 with its `ReplicaId` key.
+/// The measurement is not here but in the bucket the handle names, once
+/// per distinct measurement.
+#[derive(Debug, Clone)]
 struct RegistryEntry {
-    measurement: Option<Digest>,
-    vote_key: Option<PublicKey>,
-    power: VotingPower,
     /// [`device_row_digest`] of this row, computed once when the row was
     /// written so removing or overwriting it never re-hashes.
     row_digest: Digest,
+    power: VotingPower,
+    /// The handle of the device's bucket — its index in the registry's
+    /// `slots` — or [`UNATTESTED`].
+    bucket: u32,
 }
 
-/// One live measurement bucket: integers only.
-#[derive(Debug, Clone, Copy, Default)]
+/// The bucket handle of the unattested tier, which has no slot.
+const UNATTESTED: u32 = u32::MAX;
+
+/// One live measurement bucket: the measurement, held once for all its
+/// members, and integer sums.
+#[derive(Debug, Clone, Copy)]
 struct Bucket {
+    measurement: Digest,
     /// Summed effective (tier-weighted) power of the members.
     power: VotingPower,
     /// Registered replicas attested to this measurement. A bucket with
     /// members is a distribution row even at zero power; the bucket whose
-    /// last member leaves is removed from the table.
+    /// last member leaves dies and its handle is recycled.
     members: u32,
 }
 
 /// The registry of replicas known to the diversity monitor: attested
-/// replicas with their verified measurements and bound vote keys, plus
-/// unattested replicas contributing raw power only.
+/// replicas with their verified measurements, plus unattested replicas
+/// contributing raw power only.
+///
+/// A device costs one 56-byte hash-table slot: its id, raw power, row
+/// digest and a 4-byte handle to its measurement bucket, which holds the
+/// measurement once for all its members. The vote key a quote binds
+/// (Remark 3) is checked where the quote is verified and logged with its
+/// batch ([`ChurnOp::Attest`]); the registry keeps no key.
 ///
 /// Beside the entries the registry keeps one table of live measurement
-/// buckets — effective power and member count, integers, ordered by
-/// digest — and every registration, re-registration and removal updates
-/// the row it leaves and the row it joins, so the monitoring queries
+/// buckets — measurement, effective power and member count, indexed by
+/// handle and ordered by digest — and every registration, re-registration
+/// and removal updates the row it leaves and the row it joins, so the
+/// monitoring queries
 /// ([`entropy_bits`](Self::entropy_bits),
 /// [`total_effective_power`](Self::total_effective_power),
 /// [`bucket_rows`](Self::bucket_rows)) read the distinct measurements, not
@@ -158,8 +174,12 @@ struct Bucket {
 pub struct AttestedRegistry {
     entries: HashMap<ReplicaId, RegistryEntry>,
     weights: TwoTierWeights,
-    /// The live measurement buckets, keyed — hence iterated — by digest.
-    buckets: BTreeMap<Digest, Bucket>,
+    /// The live buckets' handles, keyed — hence iterated — by digest.
+    buckets: BTreeMap<Digest, u32>,
+    /// The buckets by handle, dead ones included until reused.
+    slots: Vec<Bucket>,
+    /// The handles of dead buckets, reused before `slots` grows.
+    free: Vec<u32>,
     /// Total effective power of the unattested tier (the opaque bucket).
     opaque: VotingPower,
     /// Sum of `row_digest` over `entries` — absolute, so it survives
@@ -216,11 +236,18 @@ pub fn device_row_digest(d: &RegisteredDevice) -> Digest {
     }
 }
 
-/// Registries compare by their entries and weights; the bucket table is
-/// derived state.
+/// Registries compare by content: weights, and each replica's power and
+/// measurement, read through each side's own bucket table — so neither
+/// handle assignment nor the bucket table's history matters.
 impl PartialEq for AttestedRegistry {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries && self.weights == other.weights
+        self.weights == other.weights
+            && self.entries.len() == other.entries.len()
+            && self.entries.iter().all(|(r, e)| {
+                other.entries.get(r).is_some_and(|o| {
+                    e.power == o.power && self.measurement(e) == other.measurement(o)
+                })
+            })
     }
 }
 
@@ -232,9 +259,25 @@ impl AttestedRegistry {
             entries: HashMap::new(),
             weights,
             buckets: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             opaque: VotingPower::ZERO,
             roster_digest: SetDigest::EMPTY,
             delta: ChurnDelta::default(),
+        }
+    }
+
+    /// The measurement of `entry`'s bucket; `None` on the unattested tier.
+    fn measurement(&self, entry: &RegistryEntry) -> Option<Digest> {
+        (entry.bucket != UNATTESTED).then(|| self.slots[entry.bucket as usize].measurement)
+    }
+
+    /// `entry` as the outside sees it.
+    fn device(&self, replica: ReplicaId, entry: &RegistryEntry) -> RegisteredDevice {
+        RegisteredDevice {
+            replica,
+            measurement: self.measurement(entry),
+            power: entry.power,
         }
     }
 
@@ -246,55 +289,74 @@ impl AttestedRegistry {
         let old = self.entries.remove(&replica)?;
         self.roster_digest.remove(&old.row_digest);
         self.delta.record_row_out(&old.row_digest);
-        match old.measurement {
-            Some(m) => {
-                let effective = old.power.scaled(self.weights.attested());
-                let bucket = self
-                    .buckets
-                    .get_mut(&m)
-                    .expect("a registered measurement has a bucket");
-                bucket.power -= effective;
-                bucket.members -= 1;
-                if bucket.members == 0 {
-                    self.buckets.remove(&m);
-                }
-                self.delta
-                    .record_bucket(m, -i128::from(effective.as_units()), -1);
+        let device = self.device(replica, &old);
+        if old.bucket == UNATTESTED {
+            let effective = old.power.scaled(self.weights.unattested());
+            self.opaque -= effective;
+            self.delta.record_opaque(-i128::from(effective.as_units()));
+        } else {
+            let effective = old.power.scaled(self.weights.attested());
+            let bucket = &mut self.slots[old.bucket as usize];
+            bucket.power -= effective;
+            bucket.members -= 1;
+            let m = bucket.measurement;
+            if bucket.members == 0 {
+                self.buckets.remove(&m);
+                self.free.push(old.bucket);
             }
-            None => {
-                let effective = old.power.scaled(self.weights.unattested());
-                self.opaque -= effective;
-                self.delta.record_opaque(-i128::from(effective.as_units()));
-            }
+            self.delta
+                .record_bucket(m, -i128::from(effective.as_units()), -1);
         }
-        Some(RegisteredDevice {
-            replica,
-            measurement: old.measurement,
-            power: old.power,
-        })
+        Some(device)
     }
 
     /// Adds one member with `effective` attested power to `measurement`'s
-    /// bucket, creating the bucket on first sight.
-    fn index_attested(&mut self, measurement: Digest, effective: VotingPower) {
-        let bucket = self.buckets.entry(measurement).or_default();
+    /// bucket, creating the bucket on first sight under a recycled handle
+    /// if one is free, and returns the bucket's handle.
+    fn index_attested(&mut self, measurement: Digest, effective: VotingPower) -> u32 {
+        let slots = &mut self.slots;
+        let free = &mut self.free;
+        let handle = *self.buckets.entry(measurement).or_insert_with(|| {
+            let born = Bucket {
+                measurement,
+                power: VotingPower::ZERO,
+                members: 0,
+            };
+            match free.pop() {
+                Some(h) => {
+                    slots[h as usize] = born;
+                    h
+                }
+                None => {
+                    let h = u32::try_from(slots.len())
+                        .ok()
+                        .filter(|&h| h != UNATTESTED)
+                        .expect("fewer than 2^32 − 1 live buckets");
+                    slots.push(born);
+                    h
+                }
+            }
+        });
+        let bucket = &mut self.slots[handle as usize];
         bucket.power += effective;
         bucket.members += 1;
         self.delta
             .record_bucket(measurement, i128::from(effective.as_units()), 1);
+        handle
     }
 
-    /// Writes `device`'s new row (its old one, `before`, already
-    /// un-indexed, its bucket already indexed): hashes it — the one SHA-256
-    /// the row ever costs — folds the digest into the running aggregate and
-    /// the pending delta, stores the entry, and records the pair in the
-    /// delta's roster: `before` sticks only on the device's first touch
-    /// this epoch, the new row always does (last write wins).
+    /// Writes `device`'s new row under bucket handle `bucket` (its old
+    /// row, `before`, already un-indexed, its bucket already indexed):
+    /// hashes it — the one SHA-256 the row ever costs — folds the digest
+    /// into the running aggregate and the pending delta, stores the entry,
+    /// and records the pair in the delta's roster: `before` sticks only on
+    /// the device's first touch this epoch, the new row always does (last
+    /// write wins).
     fn write_row(
         &mut self,
         before: Option<RegisteredDevice>,
         device: RegisteredDevice,
-        vote_key: Option<PublicKey>,
+        bucket: u32,
     ) {
         let row_digest = device_row_digest(&device);
         self.roster_digest.insert(&row_digest);
@@ -302,10 +364,9 @@ impl AttestedRegistry {
         self.entries.insert(
             device.replica,
             RegistryEntry {
-                measurement: device.measurement,
-                vote_key,
-                power: device.power,
                 row_digest,
+                power: device.power,
+                bucket,
             },
         );
         self.delta
@@ -335,12 +396,7 @@ impl AttestedRegistry {
         power: VotingPower,
     ) -> Result<(), AttestError> {
         verifier.verify(quote, now, expected_nonce)?;
-        self.register_attested_preverified(
-            replica,
-            quote.measurement(),
-            Some(quote.vote_key()),
-            power,
-        );
+        self.register_attested_preverified(replica, quote.measurement(), power);
         Ok(())
     }
 
@@ -354,11 +410,10 @@ impl AttestedRegistry {
         &mut self,
         replica: ReplicaId,
         measurement: Digest,
-        vote_key: Option<PublicKey>,
         power: VotingPower,
     ) {
         let before = self.unindex(replica);
-        self.index_attested(measurement, power.scaled(self.weights.attested()));
+        let bucket = self.index_attested(measurement, power.scaled(self.weights.attested()));
         self.write_row(
             before,
             RegisteredDevice {
@@ -366,19 +421,21 @@ impl AttestedRegistry {
                 measurement: Some(measurement),
                 power,
             },
-            vote_key,
+            bucket,
         );
     }
 
-    /// Applies one churn operation.
+    /// Applies one churn operation. An `Attest` op's vote key was checked
+    /// with its quote and is logged with its batch; the registry keeps no
+    /// key, so it is ignored here.
     pub fn apply(&mut self, op: &ChurnOp) {
         match *op {
             ChurnOp::Attest {
                 replica,
                 measurement,
-                vote_key,
                 power,
-            } => self.register_attested_preverified(replica, measurement, vote_key, power),
+                ..
+            } => self.register_attested_preverified(replica, measurement, power),
             ChurnOp::Unattested { replica, power } => self.register_unattested(replica, power),
             ChurnOp::Deregister { replica } => {
                 self.deregister(replica);
@@ -419,7 +476,7 @@ impl AttestedRegistry {
                 measurement: None,
                 power,
             },
-            None,
+            UNATTESTED,
         );
     }
 
@@ -440,13 +497,13 @@ impl AttestedRegistry {
     pub fn tier_of(&self, replica: ReplicaId) -> Option<ReplicaTier> {
         self.entries
             .get(&replica)
-            .map(|e| ReplicaTier::of(e.measurement))
+            .map(|e| ReplicaTier::of(self.measurement(e)))
     }
 
     /// The attested measurement of `replica`, if any.
     #[must_use]
     pub fn measurement_of(&self, replica: ReplicaId) -> Option<Digest> {
-        self.entries.get(&replica).and_then(|e| e.measurement)
+        self.entries.get(&replica).and_then(|e| self.measurement(e))
     }
 
     /// The replica's raw registered power.
@@ -473,14 +530,14 @@ impl AttestedRegistry {
             .get(&replica)
             .ok_or(AttestError::UnknownReplica)?;
         Ok(e.power
-            .scaled(self.weights.for_tier(ReplicaTier::of(e.measurement))))
+            .scaled(self.weights.for_tier(ReplicaTier::of(self.measurement(e)))))
     }
 
     /// Total effective power across the registry: the bucket powers summed,
     /// plus the opaque power.
     #[must_use]
     pub fn total_effective_power(&self) -> VotingPower {
-        self.buckets.values().map(|b| b.power).sum::<VotingPower>() + self.opaque
+        self.bucket_rows().map(|(_, p)| p).sum::<VotingPower>() + self.opaque
     }
 
     /// The live measurement buckets — every measurement with at least one
@@ -489,7 +546,9 @@ impl AttestedRegistry {
     /// [`measurement_powers`](Self::measurement_powers)), sorted by digest:
     /// the table's own order, and the order a snapshot keeps them in.
     pub fn bucket_rows(&self) -> impl Iterator<Item = (Digest, VotingPower)> + '_ {
-        self.buckets.iter().map(|(&m, b)| (m, b.power))
+        self.buckets
+            .iter()
+            .map(|(&m, &h)| (m, self.slots[h as usize].power))
     }
 
     /// Total effective power of the unattested tier (the opaque bucket).
@@ -510,11 +569,9 @@ impl AttestedRegistry {
     /// unspecified; callers needing determinism sort by
     /// [`RegisteredDevice::replica`].
     pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + '_ {
-        self.entries.iter().map(|(&replica, e)| RegisteredDevice {
-            replica,
-            measurement: e.measurement,
-            power: e.power,
-        })
+        self.entries
+            .iter()
+            .map(|(&replica, e)| self.device(replica, e))
     }
 
     /// Effective power per distinct attested measurement, plus (optionally)
@@ -580,7 +637,7 @@ impl AttestedRegistry {
         if self.buckets.is_empty() && !opaque_row {
             return Err(fi_entropy::DistributionError::Empty);
         }
-        let units: Vec<u64> = self.buckets.values().map(|b| b.power.as_units()).collect();
+        let units: Vec<u64> = self.bucket_rows().map(|(_, p)| p.as_units()).collect();
         let acc = EntropyAccumulator::from_weights(&units);
         if acc.total_weight() == 0 && !opaque_row {
             return Err(fi_entropy::DistributionError::ZeroTotalWeight);
@@ -881,6 +938,12 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.measurement_powers(false).len(), 1);
         assert_eq!(reg.buckets.len(), 1, "abandoned buckets leaked");
+        assert_eq!(
+            (reg.slots.len(), reg.free.len()),
+            (1, 0),
+            "abandoned handles leaked"
+        );
+        assert_eq!(live_handles(&reg), 1);
         assert_eq!(reg.total_effective_power(), VotingPower::new(10));
         assert_eq!(reg.entropy_bits(false).unwrap(), 0.0);
     }
@@ -989,9 +1052,9 @@ mod tests {
         batched.apply_batch(&ops);
 
         let mut manual = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
-        manual.register_attested_preverified(ReplicaId::new(0), m_a, None, VotingPower::new(10));
+        manual.register_attested_preverified(ReplicaId::new(0), m_a, VotingPower::new(10));
         manual.register_unattested(ReplicaId::new(1), VotingPower::new(20));
-        manual.register_attested_preverified(ReplicaId::new(0), m_b, None, VotingPower::new(15));
+        manual.register_attested_preverified(ReplicaId::new(0), m_b, VotingPower::new(15));
         assert!(manual.deregister(ReplicaId::new(1)));
         assert!(!manual.deregister(ReplicaId::new(99)));
 
@@ -1009,19 +1072,16 @@ mod tests {
         reg.register_attested_preverified(
             ReplicaId::new(0),
             sha256(b"cfg-a"),
-            None,
             VotingPower::new(30),
         );
         reg.register_attested_preverified(
             ReplicaId::new(1),
             sha256(b"cfg-a"),
-            None,
             VotingPower::new(20),
         );
         reg.register_attested_preverified(
             ReplicaId::new(2),
             sha256(b"cfg-b"),
-            None,
             VotingPower::new(10),
         );
         reg.register_unattested(ReplicaId::new(3), VotingPower::new(40));
@@ -1083,13 +1143,86 @@ mod tests {
         // A registered device whose effective power is zero still holds a
         // distribution row; the merge feed must not drop it.
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
-        reg.register_attested_preverified(
-            ReplicaId::new(0),
-            sha256(b"cfg-a"),
-            None,
-            VotingPower::ZERO,
-        );
+        reg.register_attested_preverified(ReplicaId::new(0), sha256(b"cfg-a"), VotingPower::ZERO);
         let rows: Vec<_> = reg.bucket_rows().collect();
         assert_eq!(rows, vec![(sha256(b"cfg-a"), VotingPower::ZERO)]);
+    }
+
+    #[test]
+    fn a_registered_device_is_seven_words() {
+        assert_eq!(std::mem::size_of::<RegistryEntry>(), 48);
+        assert_eq!(std::mem::size_of::<(ReplicaId, RegistryEntry)>(), 56);
+    }
+
+    /// Handles issued and not recycled.
+    fn live_handles(reg: &AttestedRegistry) -> usize {
+        reg.slots.len() - reg.free.len()
+    }
+
+    #[test]
+    fn three_live_buckets_churn_through_a_thousand_measurements_in_three_handles() {
+        // Each bucket has one member, so every re-attestation kills a
+        // bucket before it births one: a handle is recycled every time and
+        // the table never grows past the three buckets alive.
+        let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+        for i in 0..1_000u64 {
+            let m = sha256(format!("cfg-{i}").as_bytes());
+            reg.register_attested_preverified(ReplicaId::new(i % 3), m, VotingPower::new(i));
+            assert!(reg.slots.len() <= 3, "handle table grew at op {i}");
+            assert_eq!(live_handles(&reg), reg.buckets.len());
+            assert_eq!(reg.measurement_of(ReplicaId::new(i % 3)), Some(m));
+        }
+        assert_eq!((reg.slots.len(), reg.free.len()), (3, 0));
+        for (&m, &h) in &reg.buckets {
+            assert_eq!(reg.slots[h as usize].measurement, m);
+            assert_eq!(reg.slots[h as usize].members, 1);
+        }
+        assert_eq!(
+            reg.total_effective_power(),
+            VotingPower::new(997 + 998 + 999)
+        );
+    }
+
+    #[test]
+    fn equality_reads_content_not_handles() {
+        // `first` births cfg-a then cfg-b. `second` births cfg-b, then
+        // cfg-c, whose death frees the handle cfg-a then takes: the same
+        // devices under swapped handles.
+        let (a, b, c) = (sha256(b"cfg-a"), sha256(b"cfg-b"), sha256(b"cfg-c"));
+        let mut first = AttestedRegistry::new(TwoTierWeights::default());
+        first.register_attested_preverified(ReplicaId::new(0), a, VotingPower::new(60));
+        first.register_attested_preverified(ReplicaId::new(1), b, VotingPower::new(40));
+        let mut second = AttestedRegistry::new(TwoTierWeights::default());
+        second.register_attested_preverified(ReplicaId::new(1), b, VotingPower::new(40));
+        second.register_attested_preverified(ReplicaId::new(0), c, VotingPower::new(60));
+        second.register_attested_preverified(ReplicaId::new(0), a, VotingPower::new(60));
+        assert_ne!(first.buckets, second.buckets, "the handles must differ");
+        assert_eq!(first, second);
+        assert_eq!(first.roster_digest(), second.roster_digest());
+
+        // One measurement or power apart is unequal, whatever the handles.
+        second.register_attested_preverified(ReplicaId::new(0), c, VotingPower::new(60));
+        assert_ne!(first, second);
+        second.register_attested_preverified(ReplicaId::new(0), a, VotingPower::new(61));
+        assert_ne!(first, second);
+        second.register_unattested(ReplicaId::new(0), VotingPower::new(60));
+        assert_ne!(first, second);
+    }
+
+    #[test]
+    fn an_attest_op_leaves_the_same_registry_with_or_without_a_vote_key() {
+        let keyed = ChurnOp::Attest {
+            replica: ReplicaId::new(0),
+            measurement: sha256(b"cfg-a"),
+            vote_key: Some(KeyPair::from_seed(7).public_key()),
+            power: VotingPower::new(10),
+        };
+        let unkeyed = ChurnOp::attest(ReplicaId::new(0), sha256(b"cfg-a"), VotingPower::new(10));
+        let mut with_key = AttestedRegistry::new(TwoTierWeights::default());
+        with_key.apply(&keyed);
+        let mut without_key = AttestedRegistry::new(TwoTierWeights::default());
+        without_key.apply(&unkeyed);
+        assert_eq!(with_key, without_key);
+        assert_eq!(with_key.roster_digest(), without_key.roster_digest());
     }
 }

@@ -1,9 +1,13 @@
 //! Attestation-path cost: quote generation, verification, registry
-//! ingestion — the per-replica overhead of configuration discovery.
+//! ingestion and churn — the per-replica overhead of configuration
+//! discovery.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fi_attest::prelude::*;
 use fi_types::{sha256, KeyPair, ReplicaId, SimTime, VotingPower};
+
+/// Devices in one registry shard of fibench's fleet.
+const SHARD_DEVICES: u64 = 62_500;
 
 fn bench_attestation(c: &mut Criterion) {
     let device = TrustedDevice::new(DeviceKind::Tpm20, 1);
@@ -48,6 +52,39 @@ fn bench_attestation(c: &mut Criterion) {
                 .unwrap();
             }
             black_box(reg.entropy_bits(false).unwrap())
+        });
+    });
+
+    // One fibench shard's worth of devices over 12 measurements. Each
+    // iteration re-attests the next 1 % of them to their next measurement,
+    // then drains the delta as a seal would, so the registry's size and the
+    // delta's stay flat however long the timer runs.
+    let measurements: Vec<_> = (0..12u64)
+        .map(|i| sha256(format!("bench-config-{i}").as_bytes()))
+        .collect();
+    let mut reg = AttestedRegistry::new(TwoTierWeights::default());
+    for i in 0..SHARD_DEVICES {
+        reg.apply(&ChurnOp::attest(
+            ReplicaId::new(i),
+            measurements[i as usize % 12],
+            VotingPower::new(1 + i % 97),
+        ));
+    }
+    reg.take_delta();
+    let mut next = 0u64;
+    c.bench_function("attest/registry_churn", |b| {
+        b.iter(|| {
+            for _ in 0..SHARD_DEVICES / 100 {
+                let i = next % SHARD_DEVICES;
+                let turn = next / SHARD_DEVICES + 1;
+                reg.apply(&ChurnOp::attest(
+                    ReplicaId::new(i),
+                    measurements[((i + turn) % 12) as usize],
+                    VotingPower::new(1 + i % 97),
+                ));
+                next += 1;
+            }
+            black_box(reg.take_delta())
         });
     });
 

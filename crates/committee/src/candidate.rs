@@ -4,8 +4,10 @@ use fi_entropy::incremental::weighted_entropy_bits;
 use fi_entropy::Distribution;
 use fi_types::{ReplicaId, VotingPower};
 
-/// A replica eligible for committee membership. 24 bytes: the roster of an
-/// epoch snapshot is one of these per device, copied at every seal.
+/// A replica eligible for committee membership. 24 bytes. An epoch
+/// snapshot stores its roster as [`PrunedRoster`](crate::PrunedRoster)
+/// entries, the table a seal writes; `Candidate` is the replica-sorted view
+/// derived from it on demand, and the input the selection functions take.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     replica: ReplicaId,

@@ -25,11 +25,12 @@
 //! differs from the recorded one is rejected, so recovery can never
 //! silently serve state that differs from what was sealed.
 //!
-//! **What a checkpoint does not capture:** vote-key bindings
-//! ([`ChurnOp::Attest`](fi_attest::ChurnOp)'s optional key). The content
-//! hash covers measurements and powers only, so recovery correctness is
-//! unaffected; bindings for devices attested after the checkpoint are
-//! restored from the replayed log tail. See the README's durability
+//! **What a checkpoint does not capture:** vote keys
+//! ([`ChurnOp::Attest`](fi_attest::ChurnOp)'s optional key). The binding
+//! of a vote key to a configuration (Remark 3) is checked where the quote
+//! is verified, and the key is logged with its batch; the registry keeps
+//! no key, so there is none to checkpoint or to restore. The content hash
+//! covers measurements and powers only. See the README's durability
 //! section.
 
 use std::collections::BTreeMap;

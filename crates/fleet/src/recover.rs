@@ -151,10 +151,9 @@ pub struct RecoveryReport {
 
 /// The synthetic churn op that re-registers a checkpointed device.
 ///
-/// Vote-key bindings are not captured by checkpoints (see
-/// [`crate::checkpoint`]); the content hash ignores them, so restored
-/// state still verifies, and bindings for later attestations come from
-/// the replayed tail.
+/// It carries no vote key: the binding was checked where the quote was
+/// verified and the key logged with its batch, and the registry keeps none
+/// (see [`crate::checkpoint`]).
 fn restore_op(d: &RegisteredDevice) -> ChurnOp {
     match d.measurement {
         Some(measurement) => ChurnOp::Attest {

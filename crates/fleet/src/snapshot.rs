@@ -1194,6 +1194,34 @@ mod tests {
     }
 
     #[test]
+    fn registries_equal_in_content_seal_to_one_hash() {
+        // The second history births cfg-b first and recycles cfg-c's dead
+        // bucket handle for cfg-a, so the two registries name the same
+        // buckets by different handles, and the second's cfg-a row came
+        // with a vote key.
+        let (a, b, c) = (sha256(b"cfg-a"), sha256(b"cfg-b"), sha256(b"cfg-c"));
+        let first = registry_with(&[
+            ChurnOp::attest(ReplicaId::new(0), a, VotingPower::new(60)),
+            ChurnOp::attest(ReplicaId::new(1), b, VotingPower::new(40)),
+        ]);
+        let second = registry_with(&[
+            ChurnOp::attest(ReplicaId::new(1), b, VotingPower::new(40)),
+            ChurnOp::attest(ReplicaId::new(0), c, VotingPower::new(60)),
+            ChurnOp::Attest {
+                replica: ReplicaId::new(0),
+                measurement: a,
+                vote_key: Some(fi_types::KeyPair::from_seed(1).public_key()),
+                power: VotingPower::new(60),
+            },
+        ]);
+        assert_eq!(first, second);
+        assert_eq!(
+            EpochSnapshot::from_registry(&first, 1).content_hash(),
+            EpochSnapshot::from_registry(&second, 1).content_hash()
+        );
+    }
+
+    #[test]
     fn roster_is_sorted_with_bucket_configs() {
         let snap = EpochSnapshot::from_registry(&registry_with(&mixed_ops()), 1);
         let ids: Vec<u64> = snap
