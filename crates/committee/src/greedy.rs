@@ -5,7 +5,7 @@
 //! workspace's hottest path: a chain re-selects continuously under
 //! rotation. [`greedy_diverse`] therefore evaluates each candidate's
 //! marginal entropy gain in O(1) through an
-//! [`EntropyAccumulator`](fi_entropy::EntropyAccumulator) — the whole
+//! [`EntropyAccumulator`] — the whole
 //! selection is O(n log n + n·k) with a constant number of allocations,
 //! instead of the naive O(n·k·(k+m)) with ~4 heap allocations per trial.
 //! The pre-refactor implementation is kept verbatim as

@@ -258,8 +258,9 @@ pub fn latest_valid(
 
 /// Deletes all but the newest `retain` checkpoints, and every staged
 /// `.tmp` that a crash between [`Checkpoint::write`]'s fsync and its rename
-/// left behind. The sealer prunes right after it writes, still under the
-/// seal mutex, so no live writer owns a `.tmp` here.
+/// left behind. [`ShardedFleet::checkpoint`](crate::ShardedFleet::checkpoint)
+/// prunes right after it writes, still under the fleet's checkpoint mutex,
+/// so no live writer owns a `.tmp` here.
 pub fn prune(dir: impl AsRef<Path>, retain: usize) -> Result<(), CheckpointError> {
     let dir = dir.as_ref();
     let checkpoints = list_with_suffix(dir, ".fic")?;

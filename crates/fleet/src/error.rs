@@ -73,10 +73,10 @@ impl From<WalError> for IngestError {
 /// Why an epoch seal failed.
 ///
 /// Returned by [`ShardedFleet::try_seal_epoch`](crate::ShardedFleet::try_seal_epoch).
-/// A seal that fails before publication does **not** commit its epoch: the
-/// fleet keeps serving the last published snapshot, ingest keeps working,
-/// and if a delta was already drained the next seal re-anchors with a full
-/// rebuild from the authoritative shard state.
+/// Publication is a seal's last step, so a seal that fails does **not**
+/// commit its epoch: the fleet keeps serving the last published snapshot,
+/// ingest keeps working, and if a delta was already drained the next seal
+/// re-anchors with a full rebuild from the authoritative shard state.
 #[derive(Debug)]
 pub enum SealError {
     /// The accumulated churn delta does not chain onto the previous
@@ -89,14 +89,9 @@ pub enum SealError {
         detail: String,
     },
     /// The durability layer failed to append the epoch's cut marker or
-    /// seal record, or to fsync them. Always returned before publication:
-    /// the epoch was not committed, and the previous snapshot keeps
-    /// serving.
+    /// seal record, or to fsync them. The epoch was not committed, and the
+    /// previous snapshot keeps serving.
     Wal(WalError),
-    /// Writing the periodic checkpoint failed (the epoch itself was
-    /// published and logged; only the checkpoint file is missing). The
-    /// only error a seal returns after publication.
-    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for SealError {
@@ -106,9 +101,6 @@ impl fmt::Display for SealError {
                 write!(f, "epoch {epoch} seal rejected: {detail}")
             }
             SealError::Wal(e) => write!(f, "epoch seal could not be logged: {e}"),
-            SealError::Checkpoint(e) => {
-                write!(f, "epoch sealed but checkpoint write failed: {e}")
-            }
         }
     }
 }
@@ -118,7 +110,6 @@ impl std::error::Error for SealError {
         match self {
             SealError::CorruptDelta { .. } => None,
             SealError::Wal(e) => Some(e),
-            SealError::Checkpoint(e) => Some(e),
         }
     }
 }
@@ -126,12 +117,6 @@ impl std::error::Error for SealError {
 impl From<WalError> for SealError {
     fn from(e: WalError) -> Self {
         SealError::Wal(e)
-    }
-}
-
-impl From<CheckpointError> for SealError {
-    fn from(e: CheckpointError) -> Self {
-        SealError::Checkpoint(e)
     }
 }
 
@@ -185,7 +170,9 @@ impl From<io::Error> for WalError {
     }
 }
 
-/// Why a checkpoint could not be written or loaded.
+/// Why a checkpoint could not be written or loaded: returned by
+/// [`ShardedFleet::checkpoint`](crate::ShardedFleet::checkpoint) and the
+/// [`checkpoint`](crate::checkpoint) module's file operations.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The underlying file operation failed.
@@ -269,7 +256,9 @@ impl From<CodecError> for CheckpointError {
 pub enum RecoveryError {
     /// The write-ahead log could not be opened or scanned.
     Wal(WalError),
-    /// No usable checkpoint and the log replay failed too.
+    /// Listing or reading the checkpoints failed with an I/O error other
+    /// than a missing file. (A damaged checkpoint is not an error: recovery
+    /// skips it for an older one, or replays the whole log.)
     Checkpoint(CheckpointError),
     /// Replaying a logged epoch produced a snapshot whose content hash
     /// differs from the hash the pre-crash process sealed and logged —
@@ -285,9 +274,9 @@ pub enum RecoveryError {
     },
     /// A checkpoint exists for an epoch whose cut marker is missing from
     /// the log, so replay cannot locate where the checkpointed prefix
-    /// ends. (A seal's fsync makes its cut marker durable before its
-    /// checkpoint is written, so this indicates log corruption or manual
-    /// tampering.)
+    /// ends. (Only a served epoch is checkpointed, and its cut marker was
+    /// fsynced before it was served, so this indicates log corruption or
+    /// manual tampering.)
     MissingCut {
         /// The checkpointed epoch with no surviving cut marker.
         epoch: u64,

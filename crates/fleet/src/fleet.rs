@@ -26,7 +26,7 @@
 //!
 //! [`try_seal_epoch`](ShardedFleet::try_seal_epoch) is the write→read
 //! barrier, and it is **differential**: each shard accumulates a
-//! [`ChurnDelta`](fi_attest::ChurnDelta) of the net churn since the last
+//! [`ChurnDelta`] of the net churn since the last
 //! cut, so sealing an epoch that saw little churn drains the deltas, merges
 //! them into a [`CanonicalDelta`] — O(churn) — and patches the
 //! previous snapshot with it ([`EpochSnapshot::try_apply_delta`]) instead
@@ -46,7 +46,7 @@
 //! change and the full rebuild adds up the shards' running aggregates (see
 //! [`crate::snapshot`]).
 //!
-//! A seal has one owner. It takes the seal mutex and holds it through five
+//! A seal has one owner. It takes the seal mutex and holds it through four
 //! phases: **cut** (wait out in-flight batches behind the batch gate, which
 //! makes whole batches atomic with respect to the cut even when their
 //! sub-batches touch different shards; lock all shards; append the cut
@@ -55,11 +55,14 @@
 //! (with the gate and the shard guards already dropped, so neither
 //! canonicalising the deltas nor a slow rebuild stalls ingest), **record +
 //! fsync** (on a durable fleet, the seal record and the epoch's one fsync,
-//! which covers its batches, its cut and its record), **publish** and
-//! **checkpoint**. Concurrent callers serialise on that mutex, and the
-//! epoch is committed only at publication, so a seal that fails or panics
-//! before it — its fsync included — leaves no hole: the next seal takes
-//! the same epoch number and rebuilds from the authoritative shards.
+//! which covers its batches, its cut and its record) and **publish**.
+//! Concurrent callers serialise on that mutex, and the epoch is committed
+//! at publication, the seal's last step, so a seal that fails or panics —
+//! its fsync included — leaves no hole: the next seal takes the same epoch
+//! number and rebuilds from the authoritative shards. A seal writes no
+//! checkpoint: [`checkpoint`](ShardedFleet::checkpoint) does, from the
+//! published snapshot, under its own mutex, at the caller's cadence.
+//!
 //! Publication lands in the
 //! [`SnapshotCell`] (see [`crate::publish`]): readers clone the current
 //! `Arc<EpochSnapshot>` under a guard held for that clone alone — never
@@ -81,7 +84,7 @@ use fi_types::{Digest, ReplicaId, VotingPower};
 
 use crate::cache::SelectionCache;
 use crate::checkpoint::{self, Checkpoint};
-use crate::error::{IngestError, SealError};
+use crate::error::{CheckpointError, IngestError, SealError};
 use crate::publish::{SnapshotCell, SnapshotHandle};
 use crate::snapshot::{roster_aggregate, EpochSnapshot};
 use crate::wal::{ChurnLog, WalRecord};
@@ -146,8 +149,8 @@ pub struct ShardedFleet {
     /// exclusively by the sealer's cut, so a batch whose sub-batches land
     /// on different shards is atomic with respect to the epoch cut.
     batch_gate: RwLock<()>,
-    /// Held by the one sealer at a time from its cut to its checkpoint, so
-    /// every delta is built onto the snapshot it was cut against and
+    /// Held by the one sealer at a time from its cut to its publication,
+    /// so every delta is built onto the snapshot it was cut against and
     /// snapshots are published in epoch order.
     seal: Mutex<SealState>,
     /// Memoized committee selections keyed by fleet content — repeated
@@ -157,7 +160,7 @@ pub struct ShardedFleet {
     selection_cache: SelectionCache,
     /// The durability layer, when this fleet was opened with
     /// [`open_durable`](Self::open_durable): the write-ahead churn log
-    /// every batch tees into, plus the checkpoint cadence. `None` for
+    /// every batch tees into, and the checkpoint directory. `None` for
     /// in-memory fleets — every durability hook below is a no-op then.
     durability: Option<DurabilityState>,
     /// Running registered-device total, maintained with **one** atomic add
@@ -171,7 +174,7 @@ pub struct ShardedFleet {
 }
 
 /// A durable fleet's write-ahead state: the open churn log and the
-/// checkpoint policy (see [`crate::recover::DurabilityConfig`]).
+/// directory checkpoints go to (see [`crate::recover::DurabilityConfig`]).
 #[derive(Debug)]
 pub(crate) struct DurabilityState {
     /// The open write-ahead log. Lock order: seal mutex → batch gate →
@@ -181,14 +184,10 @@ pub(crate) struct DurabilityState {
     /// record and the epoch's one fsync; the WAL lock is always taken last,
     /// so it never participates in a cycle.
     pub(crate) log: Mutex<ChurnLog>,
-    /// The durability directory (WAL segments + checkpoints).
-    pub(crate) dir: PathBuf,
-    /// Checkpoint every this many sealed epochs; `0` = never. Independent
-    /// of the fleet's forced full-rebuild cadence: that one changes no
-    /// snapshot, this one bounds *recovery time*, and
-    /// `with_reanchor_interval(_, _, 0)` must not silently mean
-    /// "checkpoint never".
-    pub(crate) checkpoint_interval: u64,
+    /// The durability directory, behind the checkpoint mutex: one
+    /// [`checkpoint`](ShardedFleet::checkpoint) at a time, because a prune
+    /// deletes every staged `.tmp`, another writer's included.
+    pub(crate) checkpoint_dir: Mutex<PathBuf>,
 }
 
 /// How many of the newest checkpoints survive the prune that follows each
@@ -514,32 +513,25 @@ impl ShardedFleet {
     /// from a complete shard merge instead.
     ///
     /// One seal runs at a time, holding the seal mutex from its cut to its
-    /// checkpoint; the batch gate and the shard guards are dropped right
+    /// publication; the batch gate and the shard guards are dropped right
     /// after the cut, so snapshot construction stalls neither ingest nor
     /// reads. Concurrent callers serialise and seal consecutive epochs.
+    /// Publication is a seal's last step; it writes no checkpoint.
     ///
     /// # Errors
     ///
-    /// The failure the fleet is designed to survive is
-    /// [`SealError::CorruptDelta`]: a drained churn delta that does not
+    /// Every `Err` leaves `published_epoch()` and the served snapshot as
+    /// they were before the call: the epoch was **not committed**, ingest
+    /// and reads continue, and the next seal takes the same epoch number.
+    /// [`SealError::CorruptDelta`] is a drained churn delta that does not
     /// chain onto the published snapshot (a corruption bug, not a usage
-    /// error). The rejected seal **does not commit its epoch**: the
-    /// previous snapshot keeps serving, ingest and reads continue
-    /// untouched, and the next seal takes the same epoch number and
-    /// re-anchors with a full rebuild from the authoritative shard state.
-    /// A sealer thread that dies between its cut and its publication
-    /// leaves the fleet in that same state.
-    ///
-    /// On a durable fleet, a [`SealError::Wal`] is only ever returned for
-    /// an epoch this call did not publish: `published_epoch()` and the
-    /// served snapshot are as before the call. From the cut marker it
-    /// returns before anything is drained; from the seal record or its
-    /// fsync it returns after the drain, so the next seal re-cuts the same
-    /// epoch with a full rebuild, as after a rejected seal. The one `Err`
-    /// after publication is [`SealError::Checkpoint`]: the epoch is served
-    /// and its log complete, and only the checkpoint file is missing.
+    /// error); the next seal re-anchors with a full rebuild from the
+    /// authoritative shards, as after a sealer thread that died mid-seal.
+    /// [`SealError::Wal`] is a cut marker, seal record or fsync the log
+    /// refused: from the cut marker nothing was drained yet; after the
+    /// drain, the next seal re-cuts the epoch with a full rebuild.
     pub fn try_seal_epoch(&self) -> Result<Arc<EpochSnapshot>, SealError> {
-        // One sealer at a time, from here to the checkpoint.
+        // One sealer at a time, from here to the publication.
         let mut st = lock_recover(&self.seal);
         let epoch = self.current.stamp() + 1;
 
@@ -662,17 +654,32 @@ impl ShardedFleet {
         // Phase 4 — publication, and with it the epoch commit.
         self.current.publish(&snapshot);
         st.reanchor_due = false;
-
-        // Phase 5 — checkpoint, if one is due: the only failure left after
-        // publication, which leaves the published fleet consistent and its
-        // log complete; only the checkpoint file is missing.
-        if let Some(dur) = &self.durability {
-            if dur.checkpoint_interval > 0 && epoch.is_multiple_of(dur.checkpoint_interval) {
-                Checkpoint::from_snapshot(&snapshot).write(&dur.dir)?;
-                checkpoint::prune(&dur.dir, RETAIN_CHECKPOINTS)?;
-            }
-        }
         Ok(snapshot)
+    }
+
+    /// Writes the published snapshot as `ckpt-{epoch:016}.fic` under the
+    /// durability directory, then prunes all but the two newest checkpoints
+    /// and any staged `.tmp`. Recovery replays only the log after the
+    /// newest checkpoint, so the caller's cadence bounds recovery time.
+    /// Writes nothing on an in-memory fleet or at epoch 0, which has no cut
+    /// marker to anchor it. Calls serialise on the checkpoint mutex, which
+    /// no seal takes: call it with no lock held that a seal needs.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`] when the write or the prune fails. The fleet is
+    /// untouched, and only the checkpoint file is missing.
+    pub fn checkpoint(&self) -> Result<(), CheckpointError> {
+        let Some(dur) = &self.durability else {
+            return Ok(());
+        };
+        let dir = lock_recover(&dur.checkpoint_dir);
+        let published = self.current.load();
+        if published.epoch() == 0 {
+            return Ok(());
+        }
+        Checkpoint::from_snapshot(&published).write(&*dir)?;
+        checkpoint::prune(&*dir, RETAIN_CHECKPOINTS)
     }
 
     /// The currently served snapshot, cloned off the publication cell under
@@ -1206,48 +1213,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_cadence_is_independent_of_the_reanchor_cadence() {
-        use crate::recover::DurabilityConfig;
-        let base = std::env::temp_dir().join(format!("fi-fleet-cadence-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
+    fn durable_fleet(tag: &str) -> (ShardedFleet, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("fi-fleet-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = crate::recover::DurabilityConfig::new(&dir);
+        let (fleet, _) = ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config).unwrap();
+        (fleet, dir)
+    }
 
-        // "Re-anchor never" must not silently mean "checkpoint never"…
-        let dir_a = base.join("reanchor0");
-        let (fleet, _) = ShardedFleet::open_durable(
-            2,
+    /// The `ckpt-*` files under `dir` whose names end in `suffix`.
+    fn checkpoint_files(dir: &std::path::Path, suffix: &str) -> Vec<PathBuf> {
+        let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| {
+                let name = path.file_name().unwrap().to_string_lossy();
+                name.starts_with("ckpt-") && name.ends_with(suffix)
+            })
+            .collect();
+        found.sort();
+        found
+    }
+
+    #[test]
+    fn checkpoint_writes_nothing_before_the_first_seal_or_in_memory() {
+        // A ckpt-0 would name an epoch with no cut marker, and the next
+        // `open_durable` would refuse it as `MissingCut`.
+        let (fleet, dir) = durable_fleet("ckpt-epoch0");
+        fleet.checkpoint().unwrap();
+        assert!(checkpoint_files(&dir, "").is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let fleet = ShardedFleet::new(2, TwoTierWeights::flat());
+        fleet.checkpoint().unwrap();
+        fleet.try_ingest_batch(&ops(8)).unwrap();
+        fleet.try_seal_epoch().unwrap();
+        fleet.checkpoint().unwrap();
+    }
+
+    #[test]
+    fn checkpoints_written_beside_a_sealer_all_load_and_anchor_recovery() {
+        const EPOCHS: u64 = 40;
+        let (fleet, dir) = durable_fleet("ckpt-race");
+        let sealing = std::sync::atomic::AtomicBool::new(true);
+        let trace = ops(EPOCHS * 6);
+        let last = std::thread::scope(|scope| {
+            // Its last write starts after the last seal published.
+            scope.spawn(|| loop {
+                let last_round = !sealing.load(Ordering::Acquire);
+                fleet.checkpoint().unwrap();
+                if last_round {
+                    break;
+                }
+            });
+            let mut last = None;
+            for batch in trace.chunks(6) {
+                fleet.try_ingest_batch(batch).unwrap();
+                last = Some(fleet.try_seal_epoch().unwrap());
+            }
+            sealing.store(false, Ordering::Release);
+            last.unwrap()
+        });
+        assert_eq!(last.epoch(), EPOCHS);
+        assert!(
+            checkpoint_files(&dir, ".tmp").is_empty(),
+            "a staged file leaked"
+        );
+        let written = checkpoint_files(&dir, ".fic");
+        assert!((1..=2).contains(&written.len()), "{written:?}");
+        for path in &written {
+            Checkpoint::load(path).unwrap();
+        }
+        drop(fleet);
+        let (reopened, report) = ShardedFleet::open_durable(
+            1,
             TwoTierWeights::flat(),
             0,
-            DurabilityConfig::new(&dir_a).with_checkpoint_interval(2),
+            crate::recover::DurabilityConfig::new(&dir),
         )
         .unwrap();
-        for chunk in ops(32).chunks(8) {
-            fleet.try_ingest_batch(chunk).unwrap();
-            fleet.try_seal_epoch().unwrap();
-        }
-        assert!(
-            !checkpoint::list_checkpoints(&dir_a).unwrap().is_empty(),
-            "checkpoints must be cut even with re-anchoring disabled"
+        assert_eq!(
+            (report.checkpoint_epoch, report.replayed_epochs),
+            (Some(EPOCHS), 0)
         );
+        let recovered = reopened.snapshot();
+        assert_eq!(
+            (recovered.epoch(), recovered.content_hash()),
+            (last.epoch(), last.content_hash())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // …and a tight re-anchor cadence must not force checkpoints.
-        let dir_b = base.join("checkpoint0");
-        let (fleet, _) = ShardedFleet::open_durable(
-            2,
-            TwoTierWeights::flat(),
-            1,
-            DurabilityConfig::new(&dir_b).with_checkpoint_interval(0),
-        )
-        .unwrap();
-        for chunk in ops(32).chunks(8) {
-            fleet.try_ingest_batch(chunk).unwrap();
-            fleet.try_seal_epoch().unwrap();
-        }
-        assert!(
-            checkpoint::list_checkpoints(&dir_b).unwrap().is_empty(),
-            "checkpoint_interval 0 must disable checkpointing regardless of re-anchoring"
-        );
-        let _ = std::fs::remove_dir_all(&base);
+    #[test]
+    fn a_seal_completes_while_a_checkpoint_holds_its_mutex() {
+        let (fleet, dir) = durable_fleet("ckpt-held");
+        let fleet = Arc::new(fleet);
+        fleet.try_ingest_batch(&ops(8)).unwrap();
+        fleet.try_seal_epoch().unwrap();
+        let writing = fleet
+            .durability
+            .as_ref()
+            .unwrap()
+            .checkpoint_dir
+            .lock()
+            .unwrap();
+        let (done, sealed) = std::sync::mpsc::channel();
+        let sealer = Arc::clone(&fleet);
+        let handle = std::thread::spawn(move || {
+            sealer.try_ingest_batch(&ops(16)).unwrap();
+            done.send(sealer.try_seal_epoch().unwrap().epoch()).unwrap();
+        });
+        let epoch = sealed.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(epoch, Ok(2), "the seal waited on the checkpoint mutex");
+        drop(writing);
+        handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //!   [`select_two_tier`](EpochSnapshot::select_two_tier), and monitoring
 //!   queries lock-free while ingest continues.
 //! * Durable fleets ([`ShardedFleet::open_durable`]) tee every ingested
-//!   batch into a write-ahead churn log ([`wal`]), cut periodic
-//!   self-verifying checkpoints ([`checkpoint`]), and recover after a
+//!   batch into a write-ahead churn log ([`wal`]), write self-verifying
+//!   checkpoints when the caller asks ([`ShardedFleet::checkpoint`],
+//!   [`checkpoint`]), and recover after a
 //!   crash by restoring the newest checkpoint and replaying the log tail,
 //!   with every replayed epoch's content hash asserted against the seal
 //!   records the pre-crash process logged ([`recover`]).

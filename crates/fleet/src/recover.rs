@@ -73,9 +73,6 @@ use crate::error::{RecoveryError, WalError};
 use crate::fleet::{DurabilityState, ShardedFleet};
 use crate::wal::{self, ChurnLog, RecordPos, WalRecord, DEFAULT_SEGMENT_BYTES};
 
-/// Default checkpoint cadence: one full snapshot every this many seals.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 8;
-
 /// Checkpointed devices re-ingested per batch on restore, so the restore
 /// holds one chunk of synthetic ops rather than a copy of the roster.
 const RESTORE_CHUNK: usize = 4096;
@@ -84,7 +81,8 @@ const RESTORE_CHUNK: usize = 4096;
 /// ingest, and the log is attached after replay.
 const NO_LOG_YET: &str = "recovery ingests before the log is attached";
 
-/// Where and how a durable fleet persists its state.
+/// Where a durable fleet persists its state. When to checkpoint is the
+/// caller's: [`ShardedFleet::checkpoint`] writes one.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// The durability directory: WAL segments (`wal-*.log`) and
@@ -92,24 +90,15 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// Checkpoint every this many sealed epochs; `0` disables
-    /// checkpointing (recovery then replays the whole log). Independent of
-    /// the forced full-rebuild cadence
-    /// ([`ShardedFleet::with_reanchor_interval`]), which changes no
-    /// snapshot: `reanchor_interval == 0` does **not** imply "checkpoint
-    /// never", and vice versa.
-    pub checkpoint_interval: u64,
 }
 
 impl DurabilityConfig {
-    /// A config rooted at `dir` with the default segment size and
-    /// checkpoint cadence ([`DEFAULT_CHECKPOINT_INTERVAL`]).
+    /// A config rooted at `dir` with the default segment size.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
         }
     }
 
@@ -117,13 +106,6 @@ impl DurabilityConfig {
     #[must_use]
     pub fn with_segment_bytes(mut self, bytes: u64) -> DurabilityConfig {
         self.segment_bytes = bytes;
-        self
-    }
-
-    /// Sets the checkpoint cadence (`0` = never).
-    #[must_use]
-    pub fn with_checkpoint_interval(mut self, every: u64) -> DurabilityConfig {
-        self.checkpoint_interval = every;
         self
     }
 }
@@ -199,7 +181,7 @@ impl ShardedFleet {
         if shard_count == 0 {
             return Err(crate::error::FleetConfigError::ZeroShards.into());
         }
-        let (log, truncated_bytes) = ChurnLog::open(&config.dir, config.segment_bytes)?;
+        let (mut log, truncated_bytes) = ChurnLog::open(&config.dir, config.segment_bytes)?;
 
         // Pass 1: check and decode every frame of every segment, keeping
         // only the cuts and seal records, with their positions.
@@ -246,8 +228,8 @@ impl ShardedFleet {
         // first replayed differential seal chains onto it.
         let replay_from = match checkpoint::latest_valid(&config.dir)? {
             Some((ckpt, snapshot)) => {
-                // The seal's fsync made the cut marker durable before the
-                // checkpoint was written, so a valid checkpoint with no
+                // The cut marker was fsynced before its epoch was served,
+                // so before any checkpoint of it: a valid checkpoint with no
                 // surviving cut means the log lost acknowledged history.
                 let cut = *cuts
                     .get(&ckpt.epoch)
@@ -308,11 +290,13 @@ impl ShardedFleet {
         })?;
 
         report.recovered_epoch = fleet.published_epoch();
+        // A replayed epoch whose seal never fsynced is about to be served,
+        // and may be checkpointed: its cut must be on disk first.
+        log.sync()?;
         let mut fleet = fleet;
         fleet.attach_durability(DurabilityState {
             log: Mutex::new(log),
-            dir: config.dir,
-            checkpoint_interval: config.checkpoint_interval,
+            checkpoint_dir: Mutex::new(config.dir),
         });
         Ok((fleet, report))
     }
@@ -332,6 +316,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fi-recover-{tag}-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Seals, then checkpoints if the sealed epoch is a multiple of
+    /// `every` (`0`: never).
+    fn seal(fleet: &ShardedFleet, every: u64) -> Arc<crate::EpochSnapshot> {
+        let sealed = fleet.try_seal_epoch().unwrap();
+        if every > 0 && sealed.epoch().is_multiple_of(every) {
+            fleet.checkpoint().unwrap();
+        }
+        sealed
     }
 
     #[test]
@@ -369,13 +363,13 @@ mod tests {
         // 90-op batches: 12 epochs. Interval 5 leaves the newest
         // checkpoint (epoch 10) trailing the final epoch, so recovery must
         // replay — and hash-verify — the epochs after it.
-        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(5);
+        let config = DurabilityConfig::new(&dir);
         let (pre_epoch, pre_hash, pre_count) = {
             let (fleet, _) =
                 ShardedFleet::open_durable(4, TwoTierWeights::flat(), 3, config.clone()).unwrap();
             for batch in trace.chunks(90) {
                 fleet.try_ingest_batch(batch).unwrap();
-                fleet.try_seal_epoch().unwrap();
+                seal(&fleet, 5);
             }
             let snap = fleet.snapshot();
             (snap.epoch(), snap.content_hash(), fleet.device_count())
@@ -396,7 +390,7 @@ mod tests {
         fleet
             .try_ingest_batch(&churn_trace(&ChurnTraceConfig::new(40, 60)))
             .unwrap();
-        let next = fleet.try_seal_epoch().unwrap();
+        let next = seal(&fleet, 5);
         assert_eq!(next.epoch(), pre_epoch + 1);
         drop(fleet);
         let (again, report2) =
@@ -410,13 +404,13 @@ mod tests {
     fn recovery_rehydrates_into_any_shard_count() {
         let dir = tmpdir("reshard");
         let trace = churn_trace(&ChurnTraceConfig::new(200, 400));
-        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(3);
+        let config = DurabilityConfig::new(&dir);
         {
             let (fleet, _) =
                 ShardedFleet::open_durable(4, TwoTierWeights::flat(), 0, config.clone()).unwrap();
             for batch in trace.chunks(80) {
                 fleet.try_ingest_batch(batch).unwrap();
-                fleet.try_seal_epoch().unwrap();
+                seal(&fleet, 3);
             }
         }
         let (one, r1) =
@@ -434,7 +428,7 @@ mod tests {
     fn without_checkpoints_recovery_replays_from_genesis() {
         let dir = tmpdir("genesis");
         let trace = churn_trace(&ChurnTraceConfig::new(150, 300));
-        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(0);
+        let config = DurabilityConfig::new(&dir);
         let pre_hash = {
             let (fleet, _) =
                 ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone()).unwrap();
@@ -466,7 +460,7 @@ mod tests {
 
         let dir = tmpdir("aggregate");
         let trace = churn_trace(&ChurnTraceConfig::new(300, 900));
-        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(4);
+        let config = DurabilityConfig::new(&dir);
         let mut oracle = AttestedRegistry::new(TwoTierWeights::flat());
         let (sealed, rest) = trace.split_at(800);
         {
@@ -475,7 +469,7 @@ mod tests {
             for batch in sealed.chunks(200) {
                 fleet.try_ingest_batch(batch).unwrap();
                 oracle.apply_batch(batch);
-                fleet.try_seal_epoch().unwrap();
+                seal(&fleet, 4);
             }
         }
 
@@ -552,7 +546,7 @@ mod tests {
             WalRecord::Batch(b.to_vec()),
             WalRecord::EpochCut { epoch: 1 },
         ]);
-        let config = DurabilityConfig::new(&dir).with_checkpoint_interval(0);
+        let config = DurabilityConfig::new(&dir);
         let recover = || ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone());
 
         let (fleet, report) = recover().expect("the stale record is superseded");
@@ -612,16 +606,14 @@ mod tests {
     /// record and then epoch `e + 1`'s batch. Returns the config and the
     /// batches in order.
     fn tiny_segment_run(tag: &str, epochs: usize) -> (DurabilityConfig, Vec<Vec<ChurnOp>>) {
-        let config = DurabilityConfig::new(tmpdir(tag))
-            .with_segment_bytes(256)
-            .with_checkpoint_interval(3);
+        let config = DurabilityConfig::new(tmpdir(tag)).with_segment_bytes(256);
         let trace = churn_trace(&ChurnTraceConfig::new(40, 25 * epochs - 40));
         let batches: Vec<Vec<ChurnOp>> = trace.chunks(25).map(<[ChurnOp]>::to_vec).collect();
         let (fleet, _) =
             ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, config.clone()).unwrap();
         for batch in &batches {
             fleet.try_ingest_batch(batch).unwrap();
-            fleet.try_seal_epoch().unwrap();
+            seal(&fleet, 3);
         }
         (config, batches)
     }

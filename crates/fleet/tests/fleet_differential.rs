@@ -564,9 +564,7 @@ fn try_ingest_batch_equals_its_public_steps_run_one_by_one() {
         let open = |tag: &str| {
             let dir = base.join(format!("{tag}-{shards}"));
             // Small segments, so the comparison spans rotations.
-            let config = DurabilityConfig::new(&dir)
-                .with_segment_bytes(4096)
-                .with_checkpoint_interval(0);
+            let config = DurabilityConfig::new(&dir).with_segment_bytes(4096);
             let (fleet, _) =
                 ShardedFleet::open_durable(shards, weights(), 4, config).expect("cold start");
             (fleet, dir)

@@ -44,9 +44,7 @@ fn registrations(base: u64, n: u64) -> Vec<ChurnOp> {
 /// every append after the first forces a segment rotation, which is the
 /// injection point once the directory is gone.
 fn rotating_config(dir: &PathBuf) -> DurabilityConfig {
-    DurabilityConfig::new(dir)
-        .with_segment_bytes(1)
-        .with_checkpoint_interval(0)
+    DurabilityConfig::new(dir).with_segment_bytes(1)
 }
 
 #[test]
@@ -149,7 +147,7 @@ fn a_seal_record_that_cannot_be_logged_publishes_nothing_and_the_epoch_is_re_cut
     // Probe: the log's length once epoch 1 is sealed and batch b logged.
     let probe = tmpdir("record-probe");
     let log_len = {
-        let config = DurabilityConfig::new(&probe).with_checkpoint_interval(0);
+        let config = DurabilityConfig::new(&probe);
         let (fleet, _) = ShardedFleet::open_durable(2, weights, 0, config).unwrap();
         fleet.try_ingest_batch(&batch_a).unwrap();
         fleet.try_seal_epoch().unwrap();
@@ -159,9 +157,7 @@ fn a_seal_record_that_cannot_be_logged_publishes_nothing_and_the_epoch_is_re_cut
     let _ = fs::remove_dir_all(&probe);
 
     let dir = tmpdir("record-fail");
-    let config = DurabilityConfig::new(&dir)
-        .with_segment_bytes(log_len + CUT_FRAME)
-        .with_checkpoint_interval(0);
+    let config = DurabilityConfig::new(&dir).with_segment_bytes(log_len + CUT_FRAME);
     let (fleet, _) = ShardedFleet::open_durable(2, weights, 0, config).unwrap();
     fleet.try_ingest_batch(&batch_a).unwrap();
     let served = fleet.try_seal_epoch().expect("healthy seal");

@@ -30,9 +30,10 @@
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fi_attest::{ChurnOp, TwoTierWeights};
-use fi_fleet::{DurabilityConfig, RecoveryError, ShardedFleet};
+use fi_fleet::{DurabilityConfig, EpochSnapshot, RecoveryError, ShardedFleet};
 use fi_types::{sha256, Digest, ReplicaId, VotingPower};
 use proptest::prelude::*;
 
@@ -57,6 +58,16 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn weights() -> TwoTierWeights {
     TwoTierWeights::new(1.0, 0.5)
+}
+
+/// Seals, then checkpoints if the sealed epoch is a multiple of `every`
+/// (`0`: never).
+fn seal(fleet: &ShardedFleet, every: u64) -> Arc<EpochSnapshot> {
+    let sealed = fleet.try_seal_epoch().unwrap();
+    if every > 0 && sealed.epoch().is_multiple_of(every) {
+        fleet.checkpoint().unwrap();
+    }
+    sealed
 }
 
 /// Small device and measurement spaces, as in the fleet differential
@@ -169,9 +180,7 @@ fn a_crash_inside_segment_creation_loses_nothing() {
     // no frame can precede a header, so every acknowledged byte is on disk
     // and recovery must land on epoch 6, bit for bit.
     let dir = tmpdir("segment-creation");
-    let config = DurabilityConfig::new(&dir)
-        .with_segment_bytes(64)
-        .with_checkpoint_interval(0);
+    let config = DurabilityConfig::new(&dir).with_segment_bytes(64);
     let sealed = {
         let (fleet, _) = ShardedFleet::open_durable(2, weights(), 0, config.clone()).unwrap();
         for epoch in 0..6u64 {
@@ -235,9 +244,7 @@ fn power_loss_keeps_every_returned_seal_and_a_crash_every_acknowledged_batch() {
     // segments make every seal's cut open a new segment, and a checkpoint
     // every 3 seals moves the replay start along the way.
     let dir = tmpdir("power-loss");
-    let config = DurabilityConfig::new(&dir)
-        .with_segment_bytes(256)
-        .with_checkpoint_interval(3);
+    let config = DurabilityConfig::new(&dir).with_segment_bytes(256);
     let ops = |from: u64, n: u64| -> Vec<ChurnOp> {
         (from..from + n)
             .map(|i| {
@@ -253,7 +260,7 @@ fn power_loss_keeps_every_returned_seal_and_a_crash_every_acknowledged_batch() {
     let mut newest_at_last_seal = std::ffi::OsString::new();
     for epoch in 1..=7u64 {
         fleet.try_ingest_batch(&ops(epoch * 100, 12)).unwrap();
-        let sealed = fleet.try_seal_epoch().unwrap();
+        let sealed = seal(&fleet, 3);
         let expected = (sealed.epoch(), sealed.content_hash());
         assert_eq!(expected.0, epoch);
         let at_seal = copy_dir(&dir, "power-loss-at-seal");
@@ -313,9 +320,7 @@ proptest! {
         let pre_shards = if wide_shards { 4 } else { 1 };
         // Tiny segments force rotation so the damage modes hit a rotated
         // log, not always a single segment.
-        let config = DurabilityConfig::new(&dir)
-            .with_segment_bytes(2_048)
-            .with_checkpoint_interval(checkpoint_interval);
+        let config = DurabilityConfig::new(&dir).with_segment_bytes(2_048);
 
         // Pre-crash run: seal after every batch, recording the per-epoch
         // content hashes — the oracle the recovered fleet is diffed against.
@@ -326,7 +331,7 @@ proptest! {
                     .unwrap();
             for chunk in ops.chunks(batch) {
                 fleet.try_ingest_batch(chunk).unwrap();
-                epoch_hashes.push(fleet.try_seal_epoch().unwrap().content_hash());
+                epoch_hashes.push(seal(&fleet, checkpoint_interval).content_hash());
             }
         }
         inflict(&dir, mode);
@@ -388,14 +393,12 @@ proptest! {
         checkpoint_interval in prop_oneof![Just(0u64), Just(2u64)],
     ) {
         let dir = tmpdir("chain");
-        let config = DurabilityConfig::new(&dir)
-            .with_segment_bytes(2_048)
-            .with_checkpoint_interval(checkpoint_interval);
+        let config = DurabilityConfig::new(&dir).with_segment_bytes(2_048);
         let gen1_epoch;
         {
             let (fleet, _) = ShardedFleet::open_durable(4, weights(), 0, config.clone()).unwrap();
             fleet.try_ingest_batch(&first).unwrap();
-            gen1_epoch = fleet.try_seal_epoch().unwrap().epoch();
+            gen1_epoch = seal(&fleet, checkpoint_interval).epoch();
         }
         let gen2_hash;
         {
@@ -403,7 +406,7 @@ proptest! {
                 ShardedFleet::open_durable(1, weights(), 0, config.clone()).unwrap();
             prop_assert_eq!(report.recovered_epoch, gen1_epoch);
             fleet.try_ingest_batch(&second).unwrap();
-            let snap = fleet.try_seal_epoch().unwrap();
+            let snap = seal(&fleet, checkpoint_interval);
             prop_assert_eq!(snap.epoch(), gen1_epoch + 1);
             gen2_hash = snap.content_hash();
         }

@@ -39,10 +39,12 @@
 //!   [`ShardedFleet::try_seal_epoch`] without letting go of it. A failed
 //!   seal (e.g. the WAL disk fault the ingest path also surfaces) leaves
 //!   the fleet serving and shows up as growing seal lag, which the
-//!   admission gate turns into [`Overloaded::SealLag`] sheds.
+//!   admission gate turns into [`Overloaded::SealLag`] sheds. Every
+//!   eighth sealed epoch is then checkpointed, with dispatch released.
 //!
 //! Lock order, outermost first: dispatch → (in `fi-fleet`) seal → batch
-//! gate → shard registries → WAL; `LOCK_ORDER` declares it.
+//! gate → shard registries → WAL, and the fleet's checkpoint mutex only
+//! with none of them held; `LOCK_ORDER` declares it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +52,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use fi_attest::ChurnOp;
-use fi_fleet::{EpochSnapshot, IngestError, SealError, ShardedFleet};
+use fi_fleet::{CheckpointError, EpochSnapshot, IngestError, SealError, ShardedFleet};
 
 use crate::coalesce::Coalescer;
 use crate::queue::Bounded;
@@ -134,6 +136,8 @@ pub enum ServeError {
     /// A tick-driven seal failed; its epoch was not committed and the
     /// previous snapshot keeps serving.
     Seal(SealError),
+    /// The checkpoint after a tick's seal failed; the epoch was sealed.
+    Checkpoint(CheckpointError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -141,6 +145,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Ingest(e) => write!(f, "serving flush rejected: {e}"),
             ServeError::Seal(e) => write!(f, "tick seal failed: {e}"),
+            ServeError::Checkpoint(e) => write!(f, "epoch sealed, checkpoint failed: {e}"),
         }
     }
 }
@@ -150,6 +155,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Ingest(e) => Some(e),
             ServeError::Seal(e) => Some(e),
+            ServeError::Checkpoint(e) => Some(e),
         }
     }
 }
@@ -165,7 +171,6 @@ impl From<SealError> for ServeError {
         ServeError::Seal(e)
     }
 }
-
 /// A point-in-time copy of the server's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
@@ -212,6 +217,9 @@ struct Counters {
 /// How many flush-latency samples the server keeps: the most recent
 /// ones, oldest evicted first.
 const LATENCY_SAMPLES: usize = 65_536;
+
+/// A tick that seals an epoch numbered a multiple of this checkpoints it.
+const CHECKPOINT_EVERY: u64 = 8;
 
 /// The backpressured serving front-end over a [`ShardedFleet`]. See the
 /// module docs for the pipeline. It owns no thread: dropping it drops the
@@ -377,15 +385,17 @@ impl FleetServer {
     }
 
     /// Advances the logical clock one tick; on every `epoch_ticks`-th
-    /// tick, dispatches what is queued and seals the epoch. Returns the
-    /// sealed snapshot when this tick cut one.
+    /// tick, dispatches what is queued and seals the epoch, then
+    /// checkpoints it if its number is a multiple of 8. Returns the sealed
+    /// snapshot when this tick cut one.
     ///
     /// # Errors
     ///
     /// [`ServeError::Ingest`] from the drain, or [`ServeError::Seal`]
     /// when the cut failed — no epoch was committed, the previous snapshot
     /// keeps serving, and the growing seal lag will engage the admission
-    /// gate.
+    /// gate. [`ServeError::Checkpoint`] when a sealed epoch's checkpoint
+    /// failed; the seal itself succeeded and is counted.
     pub fn tick(&self) -> Result<Option<Arc<EpochSnapshot>>, ServeError> {
         // relaxed: the logical clock has a single writer (the driver
         // loop calling tick()); concurrent readers only feed the advisory
@@ -399,6 +409,10 @@ impl FleetServer {
         // heuristic; the sealed snapshot itself is published through the
         // fleet's publication path, not through this stamp.
         self.last_sealed_tick.store(now, Ordering::Relaxed);
+        // Outside the seal barrier: pumps and flushes go on meanwhile.
+        if snapshot.epoch().is_multiple_of(CHECKPOINT_EVERY) {
+            self.fleet.checkpoint().map_err(ServeError::Checkpoint)?;
+        }
         Ok(Some(snapshot))
     }
 

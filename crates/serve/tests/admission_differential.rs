@@ -37,9 +37,7 @@ fn durable(dir: &Path, shards: usize) -> ShardedFleet {
         shards,
         scenario_weights(),
         0,
-        DurabilityConfig::new(dir)
-            .with_segment_bytes(SEGMENT_BYTES)
-            .with_checkpoint_interval(0),
+        DurabilityConfig::new(dir).with_segment_bytes(SEGMENT_BYTES),
     )
     .expect("cold start");
     fleet

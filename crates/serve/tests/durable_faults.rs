@@ -2,12 +2,14 @@
 //! disk fault rejects a flush and a seal as **typed** errors that the
 //! counters record and that leave the served state untouched; once the
 //! disk is back the server carries on, and what it sealed afterwards is
-//! what a reopen of the directory recovers.
+//! what a reopen of the directory recovers. A failed checkpoint is typed
+//! apart from a failed seal: its epoch was sealed, and counts as sealed.
 //!
 //! Fault injection as in `fi-fleet`'s `ingest_errors.rs`: a one-byte
 //! segment limit makes every append rotate into a fresh segment file, so
 //! removing the durability directory fails the next append — a batch
-//! record or a cut marker — with a real `io::Error`.
+//! record or a cut marker — with a real `io::Error`. A directory where a
+//! checkpoint stages its file fails that checkpoint alone.
 
 use std::fs;
 use std::path::Path;
@@ -31,9 +33,7 @@ fn request(base: u64, n: u64) -> Vec<ChurnOp> {
 }
 
 fn durability(dir: &Path) -> DurabilityConfig {
-    DurabilityConfig::new(dir)
-        .with_segment_bytes(1)
-        .with_checkpoint_interval(1)
+    DurabilityConfig::new(dir).with_segment_bytes(1)
 }
 
 #[test]
@@ -55,6 +55,7 @@ fn a_disk_fault_is_typed_counted_and_leaves_no_trace_after_repair() {
     // Healthy: one request, one sealed epoch.
     server.submit(request(0, 8)).expect("admitted");
     let first = server.tick().expect("healthy seal").expect("seal tick");
+    fleet.checkpoint().expect("healthy checkpoint");
     assert_eq!(first.epoch(), 1);
     let served = first.content_hash();
     assert_eq!(fleet.device_count(), 8);
@@ -87,6 +88,7 @@ fn a_disk_fault_is_typed_counted_and_leaves_no_trace_after_repair() {
         .tick()
         .expect("seal after repair")
         .expect("seal tick");
+    fleet.checkpoint().expect("checkpoint after repair");
     assert_eq!(second.epoch(), 2);
     assert_eq!(fleet.device_count(), 16);
     let stats = server.stats();
@@ -115,5 +117,57 @@ fn a_disk_fault_is_typed_counted_and_leaves_no_trace_after_repair() {
     assert_eq!(report.pending_ops, 0);
     assert_eq!(reopened.snapshot().content_hash(), sealed);
     assert_eq!(reopened.device_count(), 16);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_checkpoint_is_not_a_failed_seal() {
+    let dir = std::env::temp_dir().join(format!("fi-serve-ckpt-fault-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let open = || ShardedFleet::open_durable(2, scenario_weights(), 4, DurabilityConfig::new(&dir));
+    let (fleet, _) = open().expect("cold start on an empty directory");
+    let server = FleetServer::new(
+        Arc::new(fleet),
+        ServeConfig {
+            epoch_ticks: 1,
+            ..ServeConfig::default()
+        },
+    );
+    // Epoch 8's checkpoint cannot open its staging file, which is a
+    // directory; the log is untouched, so every seal succeeds.
+    let staging = dir.join("ckpt-0000000000000008.tmp");
+    fs::create_dir_all(&staging).expect("inject: block the staging file");
+    let mut ticks = (0..16u64).map(|i| {
+        server.submit(request(i * 10, 4)).expect("admitted");
+        server.tick()
+    });
+    for epoch in 1..8 {
+        let sealed = ticks.next().unwrap().expect("healthy tick");
+        assert_eq!(sealed.map(|s| s.epoch()), Some(epoch));
+    }
+    let err = ticks
+        .next()
+        .unwrap()
+        .expect_err("epoch 8's checkpoint fails");
+    assert!(matches!(err, ServeError::Checkpoint(_)), "got {err}");
+    assert_eq!(server.fleet().published_epoch(), 8);
+    let stats = server.stats();
+    assert_eq!((stats.epochs_sealed, stats.seal_failures), (8, 0));
+
+    // Unblocked, the next due checkpoint lands and anchors a reopen.
+    fs::remove_dir(&staging).expect("repair");
+    for result in ticks {
+        result.expect("healthy tick").expect("seal tick");
+    }
+    let sealed = server.fleet().snapshot();
+    assert_eq!(sealed.epoch(), 16);
+    assert!(dir.join("ckpt-0000000000000016.fic").exists());
+    server.shutdown().expect("nothing pending");
+    let (reopened, report) = open().expect("the directory recovers");
+    assert_eq!(
+        (report.recovered_epoch, report.checkpoint_epoch),
+        (16, Some(16))
+    );
+    assert_eq!(reopened.snapshot().content_hash(), sealed.content_hash());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -67,9 +67,7 @@ fn wal_fault_surfaces_typed_grows_seal_lag_and_heals_on_repair() {
         2,
         scenario_weights(),
         0,
-        DurabilityConfig::new(&dir)
-            .with_segment_bytes(1) // every append past the first rotates
-            .with_checkpoint_interval(0),
+        DurabilityConfig::new(&dir).with_segment_bytes(1), // every append past the first rotates
     )
     .expect("cold start");
     let fleet = Arc::new(fleet);
