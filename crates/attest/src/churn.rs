@@ -11,11 +11,13 @@
 //! bucket sums commute).
 //!
 //! Attested registration through this path is **pre-verified**: the quote
-//! was checked by a [`Verifier`](crate::Verifier) at the edge and only its
-//! verified facts (measurement, optional vote-key binding) travel in the
-//! op — see [`ChurnOp::from_verified_quote`].
+//! was checked by a [`Verifier`](crate::Verifier) at the edge, and only its
+//! verified measurement travels in the op — see
+//! [`ChurnOp::from_verified_quote`]. The quote's vote-key binding
+//! (Remark 3) is checked there too; nothing downstream carries the key —
+//! not the op, the log, the registry or the checkpoint.
 
-use fi_types::{Digest, PublicKey, ReplicaId, VotingPower};
+use fi_types::{Digest, ReplicaId, VotingPower};
 
 use crate::quote::Quote;
 
@@ -31,8 +33,6 @@ pub enum ChurnOp {
         replica: ReplicaId,
         /// The verified configuration measurement.
         measurement: Digest,
-        /// The vote key the quote bound (Remark 3), if one was carried.
-        vote_key: Option<PublicKey>,
         /// Raw registered power.
         power: VotingPower,
     },
@@ -51,28 +51,24 @@ pub enum ChurnOp {
 }
 
 impl ChurnOp {
-    /// Shorthand for an attested registration without a vote-key binding.
+    /// Shorthand for an attested registration ([`ChurnOp::Attest`]).
     #[must_use]
     pub fn attest(replica: ReplicaId, measurement: Digest, power: VotingPower) -> Self {
         ChurnOp::Attest {
             replica,
             measurement,
-            vote_key: None,
             power,
         }
     }
 
     /// Builds an attested-registration op from a quote that a
-    /// [`Verifier`](crate::Verifier) already accepted, carrying the
-    /// verified measurement and the Remark-3 vote-key binding forward.
+    /// [`Verifier`](crate::Verifier) already accepted. Only the verified
+    /// measurement is carried forward: the quote's vote-key binding
+    /// (Remark 3) was checked with the quote, and nothing downstream reads
+    /// the key.
     #[must_use]
     pub fn from_verified_quote(replica: ReplicaId, quote: &Quote, power: VotingPower) -> Self {
-        ChurnOp::Attest {
-            replica,
-            measurement: quote.measurement(),
-            vote_key: Some(quote.vote_key()),
-            power,
-        }
+        ChurnOp::attest(replica, quote.measurement(), power)
     }
 
     /// The device this op touches — the sharding key.
@@ -107,24 +103,22 @@ mod tests {
     }
 
     #[test]
-    fn from_verified_quote_carries_measurement_and_vote_key() {
+    fn a_churn_op_is_seven_words() {
+        // The largest variant is three u64-aligned fields (replica, the
+        // 32-byte measurement, power), and the tag rounds up to a word.
+        assert_eq!(std::mem::size_of::<ChurnOp>(), 56);
+    }
+
+    #[test]
+    fn from_verified_quote_carries_the_verified_measurement() {
         let device = TrustedDevice::new(DeviceKind::Tpm20, 3);
         let aik = device.create_aik("a");
-        let vote_key = KeyPair::from_seed(9).public_key();
-        let quote = aik.quote(sha256(b"cfg-x"), 1, vote_key, SimTime::ZERO);
+        let key = KeyPair::from_seed(9).public_key();
+        let quote = aik.quote(sha256(b"cfg-x"), 1, key, SimTime::ZERO);
         let op = ChurnOp::from_verified_quote(ReplicaId::new(0), &quote, VotingPower::new(5));
-        match op {
-            ChurnOp::Attest {
-                measurement,
-                vote_key: bound,
-                power,
-                ..
-            } => {
-                assert_eq!(measurement, sha256(b"cfg-x"));
-                assert_eq!(bound, Some(vote_key));
-                assert_eq!(power, VotingPower::new(5));
-            }
-            _ => panic!("expected an Attest op"),
-        }
+        assert_eq!(
+            op,
+            ChurnOp::attest(ReplicaId::new(0), sha256(b"cfg-x"), VotingPower::new(5))
+        );
     }
 }

@@ -8,11 +8,11 @@
 //! recovered registry scales effective power identically to the pre-crash
 //! one).
 //!
-//! Enum layouts (one tag byte, then fields in declaration order):
+//! Enum layouts (one tag byte, then the fields listed, in order):
 //!
 //! | type | tag | fields |
 //! |---|---|---|
-//! | `ChurnOp::Attest` | 0 | replica, measurement, vote_key (`Option`), power |
+//! | `ChurnOp::Attest` | 0 | replica, measurement, vote-key slot (`Option`, written `None`; a key read from an older log is discarded), power |
 //! | `ChurnOp::Unattested` | 1 | replica, power |
 //! | `ChurnOp::Deregister` | 2 | replica |
 //! | `ReplicaTier::Attested` | 0 | — |
@@ -36,13 +36,12 @@ impl Encode for ChurnOp {
             ChurnOp::Attest {
                 replica,
                 measurement,
-                vote_key,
                 power,
             } => {
                 out.push(0);
                 replica.encode(out);
                 measurement.encode(out);
-                vote_key.encode(out);
+                None::<PublicKey>.encode(out);
                 power.encode(out);
             }
             ChurnOp::Unattested { replica, power } => {
@@ -61,12 +60,16 @@ impl Encode for ChurnOp {
 impl Decode for ChurnOp {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
-            0 => Ok(ChurnOp::Attest {
-                replica: ReplicaId::decode(r)?,
-                measurement: Digest::decode(r)?,
-                vote_key: Option::<PublicKey>::decode(r)?,
-                power: VotingPower::decode(r)?,
-            }),
+            0 => {
+                let replica = ReplicaId::decode(r)?;
+                let measurement = Digest::decode(r)?;
+                let _vote_key = Option::<PublicKey>::decode(r)?;
+                Ok(ChurnOp::Attest {
+                    replica,
+                    measurement,
+                    power: VotingPower::decode(r)?,
+                })
+            }
             1 => Ok(ChurnOp::Unattested {
                 replica: ReplicaId::decode(r)?,
                 power: VotingPower::decode(r)?,
@@ -169,12 +172,11 @@ mod tests {
     fn sample_ops() -> Vec<ChurnOp> {
         vec![
             ChurnOp::attest(ReplicaId::new(1), sha256(b"cfg-a"), VotingPower::new(10)),
-            ChurnOp::Attest {
-                replica: ReplicaId::new(2),
-                measurement: sha256(b"cfg-b"),
-                vote_key: Some(KeyPair::from_seed(5).public_key()),
-                power: VotingPower::new(u64::MAX),
-            },
+            ChurnOp::attest(
+                ReplicaId::new(2),
+                sha256(b"cfg-b"),
+                VotingPower::new(u64::MAX),
+            ),
             ChurnOp::Unattested {
                 replica: ReplicaId::new(3),
                 power: VotingPower::new(0),
@@ -197,6 +199,68 @@ mod tests {
         assert_eq!(
             Vec::<ChurnOp>::from_bytes(&batch.to_bytes()).unwrap(),
             batch
+        );
+    }
+
+    #[test]
+    fn an_attest_op_encodes_to_the_pinned_bytes() {
+        // Tag, replica (little-endian), measurement, the empty key slot,
+        // power: the layout every log has been written in.
+        let op = ChurnOp::attest(
+            ReplicaId::new(0x0102_0304_0506_0708),
+            Digest([0xAB; 32]),
+            VotingPower::new(0x1112_1314_1516_1718),
+        );
+        let pinned = [
+            &[0x00][..],
+            &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01],
+            &[0xAB; 32],
+            &[0x00],
+            &[0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11],
+        ]
+        .concat();
+        assert_eq!(op.to_bytes(), pinned);
+        assert_eq!(ChurnOp::from_bytes(&pinned).unwrap(), op);
+    }
+
+    /// An `Attest` record as a log written with vote keys holds it: the
+    /// slot present (`1`) and the 32 key bytes behind it.
+    fn keyed_record(op: &ChurnOp, key_tag: u8) -> Vec<u8> {
+        let ChurnOp::Attest {
+            replica,
+            measurement,
+            power,
+        } = *op
+        else {
+            panic!("a keyed record is an Attest record");
+        };
+        let key = KeyPair::from_seed(5).public_key();
+        [
+            &[0x00][..],
+            &replica.as_u64().to_le_bytes(),
+            measurement.as_bytes(),
+            &[key_tag],
+            key.as_bytes(),
+            &power.as_units().to_le_bytes(),
+        ]
+        .concat()
+    }
+
+    #[test]
+    fn a_keyed_attest_record_decodes_to_the_keyless_op() {
+        let op = sample_ops()[1];
+        let keyed = keyed_record(&op, 1);
+        assert_eq!(keyed.len(), op.to_bytes().len() + 32);
+        let decoded = ChurnOp::from_bytes(&keyed).unwrap();
+        assert_eq!(decoded, op);
+        assert_eq!(decoded.to_bytes(), op.to_bytes());
+        // In a batch too: the record after the keyed one still decodes.
+        let mut batch = 2u64.to_le_bytes().to_vec();
+        batch.extend_from_slice(&keyed);
+        batch.extend_from_slice(&sample_ops()[2].to_bytes());
+        assert_eq!(
+            Vec::<ChurnOp>::from_bytes(&batch).unwrap(),
+            vec![op, sample_ops()[2]]
         );
     }
 
@@ -280,6 +344,19 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         assert!(matches!(
             ChurnOp::from_bytes(&bytes),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        // A key slot that is neither empty nor present, and a record cut
+        // inside the key.
+        let op = sample_ops()[1];
+        assert!(matches!(
+            ChurnOp::from_bytes(&keyed_record(&op, 2)),
+            Err(CodecError::InvalidTag { tag: 2, .. })
+        ));
+        let mut cut = keyed_record(&op, 1);
+        cut.truncate(1 + 8 + 32 + 1 + 16);
+        assert!(matches!(
+            ChurnOp::from_bytes(&cut),
             Err(CodecError::UnexpectedEof { .. })
         ));
     }

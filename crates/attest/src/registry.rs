@@ -151,8 +151,9 @@ struct Bucket {
 /// A device costs one 56-byte hash-table slot: its id, raw power, row
 /// digest and a 4-byte handle to its measurement bucket, which holds the
 /// measurement once for all its members. The vote key a quote binds
-/// (Remark 3) is checked where the quote is verified and logged with its
-/// batch ([`ChurnOp::Attest`]); the registry keeps no key.
+/// (Remark 3) is checked where the quote is verified, and nothing
+/// downstream carries it — not the churn op, the log, the registry or the
+/// checkpoint.
 ///
 /// Beside the entries the registry keeps one table of live measurement
 /// buckets — measurement, effective power and member count, indexed by
@@ -425,16 +426,13 @@ impl AttestedRegistry {
         );
     }
 
-    /// Applies one churn operation. An `Attest` op's vote key was checked
-    /// with its quote and is logged with its batch; the registry keeps no
-    /// key, so it is ignored here.
+    /// Applies one churn operation.
     pub fn apply(&mut self, op: &ChurnOp) {
         match *op {
             ChurnOp::Attest {
                 replica,
                 measurement,
                 power,
-                ..
             } => self.register_attested_preverified(replica, measurement, power),
             ChurnOp::Unattested { replica, power } => self.register_unattested(replica, power),
             ChurnOp::Deregister { replica } => {
@@ -1207,22 +1205,5 @@ mod tests {
         assert_ne!(first, second);
         second.register_unattested(ReplicaId::new(0), VotingPower::new(60));
         assert_ne!(first, second);
-    }
-
-    #[test]
-    fn an_attest_op_leaves_the_same_registry_with_or_without_a_vote_key() {
-        let keyed = ChurnOp::Attest {
-            replica: ReplicaId::new(0),
-            measurement: sha256(b"cfg-a"),
-            vote_key: Some(KeyPair::from_seed(7).public_key()),
-            power: VotingPower::new(10),
-        };
-        let unkeyed = ChurnOp::attest(ReplicaId::new(0), sha256(b"cfg-a"), VotingPower::new(10));
-        let mut with_key = AttestedRegistry::new(TwoTierWeights::default());
-        with_key.apply(&keyed);
-        let mut without_key = AttestedRegistry::new(TwoTierWeights::default());
-        without_key.apply(&unkeyed);
-        assert_eq!(with_key, without_key);
-        assert_eq!(with_key.roster_digest(), without_key.roster_digest());
     }
 }

@@ -25,13 +25,12 @@
 //! differs from the recorded one is rejected, so recovery can never
 //! silently serve state that differs from what was sealed.
 //!
-//! **What a checkpoint does not capture:** vote keys
-//! ([`ChurnOp::Attest`](fi_attest::ChurnOp)'s optional key). The binding
-//! of a vote key to a configuration (Remark 3) is checked where the quote
-//! is verified, and the key is logged with its batch; the registry keeps
-//! no key, so there is none to checkpoint or to restore. The content hash
-//! covers measurements and powers only. See the README's durability
-//! section.
+//! **What a checkpoint does not capture:** vote keys. The binding of a
+//! vote key to a configuration (Remark 3) is checked where the quote is
+//! verified, and nothing downstream carries the key — not the churn op,
+//! the log, the registry or the checkpoint — so there is none to restore.
+//! The content hash covers measurements and powers only. See the README's
+//! durability section.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};

@@ -133,17 +133,12 @@ pub struct RecoveryReport {
 
 /// The synthetic churn op that re-registers a checkpointed device.
 ///
-/// It carries no vote key: the binding was checked where the quote was
-/// verified and the key logged with its batch, and the registry keeps none
-/// (see [`crate::checkpoint`]).
+/// No vote key is lost here: the binding was checked where the quote was
+/// verified, and nothing downstream carries the key (see
+/// [`crate::checkpoint`]).
 fn restore_op(d: &RegisteredDevice) -> ChurnOp {
     match d.measurement {
-        Some(measurement) => ChurnOp::Attest {
-            replica: d.replica,
-            measurement,
-            vote_key: None,
-            power: d.power,
-        },
+        Some(measurement) => ChurnOp::attest(d.replica, measurement, d.power),
         None => ChurnOp::Unattested {
             replica: d.replica,
             power: d.power,

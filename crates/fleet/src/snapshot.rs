@@ -1197,8 +1197,7 @@ mod tests {
     fn registries_equal_in_content_seal_to_one_hash() {
         // The second history births cfg-b first and recycles cfg-c's dead
         // bucket handle for cfg-a, so the two registries name the same
-        // buckets by different handles, and the second's cfg-a row came
-        // with a vote key.
+        // buckets by different handles.
         let (a, b, c) = (sha256(b"cfg-a"), sha256(b"cfg-b"), sha256(b"cfg-c"));
         let first = registry_with(&[
             ChurnOp::attest(ReplicaId::new(0), a, VotingPower::new(60)),
@@ -1207,12 +1206,7 @@ mod tests {
         let second = registry_with(&[
             ChurnOp::attest(ReplicaId::new(1), b, VotingPower::new(40)),
             ChurnOp::attest(ReplicaId::new(0), c, VotingPower::new(60)),
-            ChurnOp::Attest {
-                replica: ReplicaId::new(0),
-                measurement: a,
-                vote_key: Some(fi_types::KeyPair::from_seed(1).public_key()),
-                power: VotingPower::new(60),
-            },
+            ChurnOp::attest(ReplicaId::new(0), a, VotingPower::new(60)),
         ]);
         assert_eq!(first, second);
         assert_eq!(
