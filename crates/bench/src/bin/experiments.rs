@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 use std::env;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use fi_bench::{
@@ -29,15 +30,17 @@ use fi_bench::{
     run_selfish, run_window, Table,
 };
 
-fn print_tables(tables: &[Table], csv: bool) {
+fn print_tables(tables: &[Table], csv: bool) -> io::Result<()> {
+    let mut out = io::stdout();
     for t in tables {
         if csv {
-            println!("# {}", t.title);
-            print!("{}", t.to_csv());
+            writeln!(out, "# {}", t.title)?;
+            write!(out, "{}", t.to_csv())?;
         } else {
-            println!("{}", t.render());
+            writeln!(out, "{}", t.render())?;
         }
     }
+    out.flush()
 }
 
 fn main() -> ExitCode {
@@ -96,6 +99,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print_tables(&tables, csv);
-    ExitCode::SUCCESS
+    match print_tables(&tables, csv) {
+        // A reader that stops early (`experiments all | head`) is not a
+        // failure of the experiments.
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("writing the tables failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -36,16 +36,6 @@ use fi_nakamoto::pool::{bitcoin_pools_2023, compromised_share, dedelegate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The workspace root at run time, for binaries that leave a report JSON
-/// there: cargo sets the manifest dir, and the root is two levels up from
-/// `crates/bench`. Falls back to the cwd when run directly.
-#[must_use]
-pub fn repo_root() -> std::path::PathBuf {
-    std::env::var_os("CARGO_MANIFEST_DIR")
-        .map(|dir| std::path::PathBuf::from(dir).join("..").join(".."))
-        .unwrap_or_else(|| std::path::PathBuf::from("."))
-}
-
 /// A printable experiment result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -836,6 +826,248 @@ mod tests {
     fn prop_tables_hold() {
         assert!(run_prop1().rows.iter().all(|r| r.last().unwrap() == "true"));
         assert!(run_prop2().rows.iter().all(|r| r.last().unwrap() == "true"));
+    }
+
+    // Each table's claim as a property over its rendered cells, so a
+    // change that keeps the bytes of one seed but breaks the claim at
+    // another, or edits a cell the claim rests on, fails by name.
+
+    /// Seeds every seeded table is checked at: the golden's (7), the
+    /// binary's default (42), and two more.
+    const SEEDS: [u64; 4] = [7, 42, 1, 2];
+
+    /// Monte Carlo trials behind E7's `P_monte_carlo` column.
+    const E7_TRIALS: f64 = 20_000.0;
+
+    type Claim = Result<(), String>;
+
+    fn column(t: &Table, name: &str) -> usize {
+        t.header
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("{}: no column {name}", t.title))
+    }
+
+    /// A numeric cell: `0.272304`, `600u` (power units) or `6/6` (the
+    /// numerator of a done/expected pair).
+    fn num(cell: &str) -> f64 {
+        let cell = cell.split('/').next().unwrap_or(cell);
+        cell.trim_end_matches('u')
+            .parse()
+            .unwrap_or_else(|e| panic!("cell {cell:?}: {e}"))
+    }
+
+    fn check(ok: bool, t: &Table, row: &[String], claim: &str) -> Claim {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{}: row {row:?} breaks {claim:?}", t.title))
+        }
+    }
+
+    fn row<'t>(t: &'t Table, key: &str) -> &'t [String] {
+        t.rows
+            .iter()
+            .find(|r| r[0] == key)
+            .unwrap_or_else(|| panic!("{}: no row {key:?}", t.title))
+    }
+
+    /// `t` with one cell, in the row keyed `key` and column `name`, set to
+    /// `value`.
+    fn edited(t: &Table, key: &str, name: &str, value: &str) -> Table {
+        let mut t = t.clone();
+        let col = column(&t, name);
+        let row = t.rows.iter_mut().find(|r| r[0] == key).unwrap();
+        row[col] = value.into();
+        t
+    }
+
+    /// E4: unique-configuration replicas never gain more entropy than the
+    /// head-limited bound of Proposition 2.
+    fn e4_gain_within_head_limited_bound(t: &Table) -> Claim {
+        let (gain, bound) = (column(t, "gain"), column(t, "head_limited_bound"));
+        t.rows
+            .iter()
+            .try_for_each(|r| check(num(&r[gain]) <= num(&r[bound]), t, r, "gain <= bound"))
+    }
+
+    /// E6: `f ≥ Σ_i f^i_t` is sufficient for safety — a predicted-safe
+    /// row never forks — but not necessary: 3 of 8 exceed `f` and hold.
+    fn e6_prediction_is_sufficient(t: &Table) -> Claim {
+        let (predicted, observed) = (column(t, "predicted_safe"), column(t, "observed_safety"));
+        for r in &t.rows {
+            let safe = r[predicted] == "true";
+            check(
+                !safe || r[observed] == "held",
+                t,
+                r,
+                "predicted_safe => held",
+            )?;
+        }
+        let r = row(t, "3/8");
+        check(
+            r[predicted] == "false" && r[observed] == "held",
+            t,
+            r,
+            "3/8: predicted unsafe, held",
+        )
+    }
+
+    /// E7: Monte Carlo lands within four binomial standard errors of the
+    /// analytic probability (plus 1e-6 for the six-decimal rendering); a
+    /// share above ½ always wins, so no depth suffices.
+    fn e7_monte_carlo_matches_analytic(t: &Table) -> Claim {
+        let (share, analytic, mc, depth) = (
+            column(t, "share"),
+            column(t, "P_analytic"),
+            column(t, "P_monte_carlo"),
+            column(t, "z_for_0.1%"),
+        );
+        for r in &t.rows {
+            let p = num(&r[analytic]);
+            let tolerance = 4.0 * (p * (1.0 - p) / E7_TRIALS).sqrt() + 1e-6;
+            check((num(&r[mc]) - p).abs() <= tolerance, t, r, "MC within 4σ")?;
+            let majority = num(&r[share]) > 0.5;
+            let never = p == 1.0 && r[depth] == "never";
+            let finite = r[depth].parse::<u32>().is_ok();
+            check(
+                if majority { never } else { finite },
+                t,
+                r,
+                "share > 1/2 <=> P = 1, never",
+            )?;
+        }
+        Ok(())
+    }
+
+    /// E8: greedy diverse selection has the highest entropy and the lowest
+    /// worst-configuration share of every policy.
+    fn e8_greedy_is_most_diverse(t: &Table) -> Claim {
+        let (h, worst) = (column(t, "entropy_bits"), column(t, "worst_config_share"));
+        let greedy = row(t, "greedy diverse");
+        t.rows
+            .iter()
+            .filter(|r| r[0] != greedy[0])
+            .try_for_each(|r| {
+                check(
+                    num(&greedy[h]) > num(&r[h]) && num(&greedy[worst]) < num(&r[worst]),
+                    t,
+                    r,
+                    "below greedy diverse",
+                )
+            })
+    }
+
+    /// E9: exposure never falls as patch adoption slows.
+    fn e9_exposure_grows_with_latency(t: &Table) -> Claim {
+        let cols = [
+            column(t, "adoption_latency_s"),
+            column(t, "exposed_seconds"),
+            column(t, "power_seconds"),
+        ];
+        t.rows.windows(2).try_for_each(|w| {
+            let rising = cols.iter().all(|&c| num(&w[0][c]) <= num(&w[1][c]));
+            check(rising, t, &w[1], "latency and exposure never fall")
+        })
+    }
+
+    /// E10: of the four behaviours, equivocation alone costs safety.
+    fn e10_only_equivocation_violates(t: &Table) -> Claim {
+        let safety = column(t, "safety");
+        let violating: Vec<&str> = t
+            .rows
+            .iter()
+            .filter(|r| r[safety] == "VIOLATED")
+            .map(|r| r[0].as_str())
+            .collect();
+        if violating == ["equivocate"] {
+            Ok(())
+        } else {
+            Err(format!("{}: VIOLATED by {violating:?}", t.title))
+        }
+    }
+
+    /// E11: silence never costs safety, and a later recovery never gets
+    /// more requests done.
+    fn e11_recovery_is_safe_and_late_costs_liveness(t: &Table) -> Claim {
+        let (done, safety) = (column(t, "requests_done"), column(t, "safety"));
+        t.rows
+            .iter()
+            .try_for_each(|r| check(r[safety] == "held", t, r, "held"))?;
+        t.rows.windows(2).try_for_each(|w| {
+            check(
+                num(&w[1][done]) <= num(&w[0][done]),
+                t,
+                &w[1],
+                "done never rises",
+            )
+        })
+    }
+
+    #[test]
+    fn table_claims_hold_at_every_seed() {
+        e4_gain_within_head_limited_bound(&run_prop2()).unwrap();
+        for seed in SEEDS {
+            e6_prediction_is_sufficient(&run_faultinj(seed)).unwrap();
+            e7_monte_carlo_matches_analytic(&run_pools(seed)).unwrap();
+            e8_greedy_is_most_diverse(&run_committee(seed)).unwrap();
+            e9_exposure_grows_with_latency(&run_window(seed)).unwrap();
+            e10_only_equivocation_violates(&run_ablation(seed)).unwrap();
+            e11_recovery_is_safe_and_late_costs_liveness(&run_recovery(seed)).unwrap();
+        }
+    }
+
+    #[test]
+    fn e4_rejects_a_gain_above_its_bound() {
+        let t = run_prop2();
+        assert!(e4_gain_within_head_limited_bound(&edited(&t, "1000", "gain", "0.133")).is_err());
+    }
+
+    #[test]
+    fn e6_rejects_a_predicted_safe_fork_and_a_3_of_8_fork() {
+        let t = run_faultinj(7);
+        let forked = edited(&t, "2/8", "observed_safety", "VIOLATED");
+        assert!(e6_prediction_is_sufficient(&forked).is_err());
+        let forked = edited(&t, "3/8", "observed_safety", "VIOLATED");
+        assert!(e6_prediction_is_sufficient(&forked).is_err());
+    }
+
+    #[test]
+    fn e7_rejects_a_drifted_estimate_and_a_finite_majority_depth() {
+        let t = run_pools(7);
+        let drifted = edited(&t, "pool #1 (foundry)", "P_monte_carlo", "0.300000");
+        assert!(e7_monte_carlo_matches_analytic(&drifted).is_err());
+        let finite = edited(&t, "top-2 pools", "z_for_0.1%", "52");
+        assert!(e7_monte_carlo_matches_analytic(&finite).is_err());
+    }
+
+    #[test]
+    fn e8_rejects_a_policy_more_diverse_than_greedy() {
+        let t = edited(
+            &run_committee(7),
+            "stake sortition",
+            "entropy_bits",
+            "1.900",
+        );
+        assert!(e8_greedy_is_most_diverse(&t).is_err());
+    }
+
+    #[test]
+    fn e9_rejects_exposure_that_falls_with_latency() {
+        let t = edited(&run_window(7), "300", "power_seconds", "200000");
+        assert!(e9_exposure_grows_with_latency(&t).is_err());
+    }
+
+    #[test]
+    fn e10_rejects_a_second_violating_behaviour() {
+        let t = edited(&run_ablation(7), "withhold-commit", "safety", "VIOLATED");
+        assert!(e10_only_equivocation_violates(&t).is_err());
+    }
+
+    #[test]
+    fn e11_rejects_liveness_that_rises_with_the_delay() {
+        let t = edited(&run_recovery(7), "1", "requests_done", "0/6");
+        assert!(e11_recovery_is_safe_and_late_costs_liveness(&t).is_err());
     }
 
     #[test]

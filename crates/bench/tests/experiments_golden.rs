@@ -7,6 +7,9 @@
 //! Regenerate intentionally with `REGENERATE_GOLDENS=1 cargo test -p
 //! fi-bench --test experiments_golden`.
 
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
+
 use fi_bench::run_all;
 
 /// `run_all(seed)` as the `experiments` binary prints it: each table's
@@ -42,4 +45,24 @@ fn experiment_tables_match_golden() {
         );
     }
     assert_eq!(actual, golden, "experiment tables differ from the golden");
+}
+
+/// A reader that stops after one line (`experiments all | head -1`) gets
+/// that line, and the binary still exits successfully.
+#[test]
+fn a_closed_pipe_is_not_a_failure() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["all", "--seed", "7"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("experiments starts");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line read");
+    let status = child.wait().expect("experiments exits");
+    assert!(status.success(), "{status}");
+    let golden = include_str!("../../../tests/goldens/experiments_all_seed7.txt");
+    assert_eq!(Some(first.trim_end()), golden.lines().next());
 }

@@ -23,10 +23,7 @@
 //! [`fi_bft`] (PBFT under correlated compromise), [`fi_nakamoto`]
 //! (Proof-of-Work, pools, double-spend races), and [`fi_committee`]
 //! (diversity-enforcing committee selection, §V's two-tier sketch) —
-//! plus [`fi_scenarios`], the declarative adversary-scenario model and
-//! multi-threaded campaign runner that sweeps resilience grids across all
-//! three substrates (`cargo run --release -p fi-bench --bin scenarios`),
-//! and [`fi_fleet`], the sharded epoch-snapshot serving layer that runs
+//! plus [`fi_fleet`], the sharded epoch-snapshot serving layer that runs
 //! the attestation→selection pipeline concurrently at fleet scale
 //! ([`DiversityReport::from_snapshot`] and
 //! [`Recommender::plan_for_snapshot`] are its monitoring/management
@@ -93,7 +90,6 @@ pub use fi_config;
 pub use fi_entropy;
 pub use fi_fleet;
 pub use fi_nakamoto;
-pub use fi_scenarios;
 pub use fi_serve;
 pub use fi_simnet;
 pub use fi_types;
@@ -109,6 +105,5 @@ pub mod prelude {
     pub use fi_config::prelude::*;
     pub use fi_entropy::{AbundanceVector, Distribution};
     pub use fi_fleet::{ChurnTraceConfig, EpochSnapshot, ShardedFleet};
-    pub use fi_scenarios::prelude::*;
     pub use fi_types::{ReplicaId, SimTime, VotingPower, VulnId};
 }

@@ -25,7 +25,8 @@
 //! `[order]` declares the lock hierarchy, outermost first: rank, class
 //! name, then the identifier tokens whose acquisition marks the class.
 //! `[serving]` and `[determinism]` list the modules under the panic-free
-//! and determinism contracts. `[allow]` entries are the file-scoped
+//! and determinism contracts; an entry that covers no scanned file is
+//! reported as stale. `[allow]` entries are the file-scoped
 //! allowlist: rule, file, a quoted statement substring, and a mandatory
 //! reason after `--`. Every entry must match at least one suppressed
 //! finding or the checker reports it as stale.
@@ -58,15 +59,35 @@ pub struct AllowEntry {
     pub line: usize,
 }
 
+/// One `[serving]` or `[determinism]` entry: an exact file path or a `…/`
+/// directory prefix.
+#[derive(Debug, Clone)]
+pub struct ModuleEntry {
+    /// Workspace-relative path or directory prefix.
+    pub path: String,
+    /// 1-based manifest line, for stale-entry reporting.
+    pub line: usize,
+}
+
+impl ModuleEntry {
+    /// Whether this entry covers `path` (workspace-relative, forward
+    /// slashes).
+    #[must_use]
+    pub(crate) fn covers(&self, path: &str) -> bool {
+        let m = self.path.as_str();
+        path == m || (m.ends_with('/') && path.starts_with(m))
+    }
+}
+
 /// The parsed manifest.
 #[derive(Debug, Clone, Default)]
 pub struct Manifest {
     /// The lock hierarchy, outermost first.
     pub order: Vec<LockClass>,
-    /// Panic-free serving modules (exact paths or `…/` dir prefixes).
-    pub serving: Vec<String>,
-    /// Determinism-contract modules (exact paths or `…/` dir prefixes).
-    pub determinism: Vec<String>,
+    /// Panic-free serving modules.
+    pub serving: Vec<ModuleEntry>,
+    /// Determinism-contract modules.
+    pub determinism: Vec<ModuleEntry>,
     /// File-scoped allowlist.
     pub allows: Vec<AllowEntry>,
 }
@@ -121,8 +142,14 @@ impl Manifest {
             }
             match section.as_str() {
                 "order" => manifest.order.push(parse_order(&line, line_no)?),
-                "serving" => manifest.serving.push(line),
-                "determinism" => manifest.determinism.push(line),
+                "serving" => manifest.serving.push(ModuleEntry {
+                    path: line,
+                    line: line_no,
+                }),
+                "determinism" => manifest.determinism.push(ModuleEntry {
+                    path: line,
+                    line: line_no,
+                }),
                 "allow" => manifest.allows.push(parse_allow(&line, line_no)?),
                 _ => {
                     return Err(ManifestError {
@@ -148,12 +175,10 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// Whether `path` (workspace-relative, forward slashes) is covered by
-    /// `set` (exact file paths or `…/` directory prefixes).
+    /// Whether any entry of `set` covers `path`.
     #[must_use]
-    pub fn covers(set: &[String], path: &str) -> bool {
-        set.iter()
-            .any(|m| path == m || (m.ends_with('/') && path.starts_with(m.as_str())))
+    pub fn covers(set: &[ModuleEntry], path: &str) -> bool {
+        set.iter().any(|m| m.covers(path))
     }
 }
 

@@ -14,7 +14,8 @@ pub struct Finding {
     /// 1-based line.
     pub line: usize,
     /// Stable rule id (`panic`, `thread`, `poison`, `lock-order`,
-    /// `determinism`, `relaxed`, `hygiene`, `stale-allow`).
+    /// `determinism`, `relaxed`, `hygiene`, `stale-allow`,
+    /// `stale-module`).
     pub rule: String,
     /// What was found.
     pub message: String,

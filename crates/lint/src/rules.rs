@@ -14,7 +14,9 @@
 //!   are reported as `stale-allow` against the manifest itself.
 //!
 //! `Ordering::Relaxed` justifications use a comment starting with
-//! `relaxed:` and the same staleness accounting.
+//! `relaxed:` and the same staleness accounting. A `[serving]` or
+//! `[determinism]` entry that covers no scanned file is reported as
+//! `stale-module`: a contract over nothing would silently stop applying.
 
 use crate::manifest::Manifest;
 use crate::report::{Finding, Report};
@@ -109,6 +111,23 @@ pub fn check(files: &[ScannedFile], manifest: &Manifest) -> Report {
                     entry.rule, entry.file
                 ),
                 snippet: format!("{} {} \"{}\"", entry.rule, entry.file, entry.needle),
+            });
+        }
+    }
+    for (section, set) in [
+        ("serving", &manifest.serving),
+        ("determinism", &manifest.determinism),
+    ] {
+        for entry in set
+            .iter()
+            .filter(|m| !files.iter().any(|f| m.covers(&f.path)))
+        {
+            report.findings.push(Finding {
+                file: "LOCK_ORDER".to_string(),
+                line: entry.line,
+                rule: "stale-module".to_string(),
+                message: format!("[{section}] entry matches no file — remove it"),
+                snippet: entry.path.clone(),
             });
         }
     }
@@ -509,9 +528,19 @@ mod tests {
         .unwrap()
     }
 
+    /// Lints `src` at `path` beside an empty `hash.rs`, so every module
+    /// the manifest names exists and only `path`'s findings show.
     fn run(path: &str, src: &str) -> Report {
-        let file = scan(path, src);
-        check(&[file], &manifest())
+        check(&with_hash_rs(scan(path, src)), &manifest())
+    }
+
+    fn with_hash_rs(file: ScannedFile) -> Vec<ScannedFile> {
+        let hash = "crates/x/src/hash.rs";
+        if file.path == hash {
+            vec![file]
+        } else {
+            vec![file, scan(hash, "")]
+        }
     }
 
     #[test]
@@ -661,11 +690,28 @@ mod tests {
             reason: "r".to_string(),
             line: 9,
         });
-        let file = scan("crates/x/src/a.rs", "fn f() {}\n");
-        let r = check(&[file], &m);
+        let files = with_hash_rs(scan("crates/x/src/a.rs", "fn f() {}\n"));
+        let r = check(&files, &m);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].rule, "stale-allow");
         assert_eq!(r.findings[0].file, "LOCK_ORDER");
+    }
+
+    #[test]
+    fn module_entries_over_no_file_are_findings() {
+        let mut m = manifest();
+        m.determinism.push(crate::manifest::ModuleEntry {
+            path: "crates/x/src/gone.rs".to_string(),
+            line: 9,
+        });
+        let files = with_hash_rs(scan("crates/x/src/a.rs", "fn f() {}\n"));
+        let r = check(&files, &m);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "stale-module");
+        assert_eq!(
+            (r.findings[0].file.as_str(), r.findings[0].line),
+            ("LOCK_ORDER", 9)
+        );
     }
 
     #[test]

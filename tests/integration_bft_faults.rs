@@ -3,27 +3,27 @@
 //! safety audit, across `fi-config`, `fi-simnet`, `fi-bft`, and the facade.
 
 use fault_independence::fi_bft::harness::{
-    faults_from_vulnerability, run_cluster_with_faults, ClusterConfig,
+    faults_from_vulnerability, run_cluster_with_faults, ClusterConfig, ClusterReport,
 };
 use fault_independence::fi_bft::Behavior;
 use fault_independence::prelude::*;
 
-fn os_vulnerability(os_index: usize) -> Vulnerability {
-    let os = &catalog::operating_systems()[os_index];
+/// A zero-day in `product`, live from 1 ms and never patched.
+fn zero_day(product: &Component) -> Vulnerability {
     Vulnerability::new(
         VulnId::new(0),
-        "integration-os-bug",
-        ComponentSelector::product(os.kind(), os.name()),
+        format!("zero-day-{}", product.name()),
+        ComponentSelector::product(product.kind(), product.name()),
         Severity::Critical,
     )
-    .with_window(SimTime::from_millis(1), SimTime::from_secs(3600))
+    .with_window(SimTime::from_millis(1), SimTime::MAX)
 }
 
 #[test]
 fn analyzer_predicts_bft_outcome_diverse_vs_monoculture() {
     let space =
         ConfigurationSpace::cartesian(&[catalog::operating_systems()[..4].to_vec()]).unwrap();
-    let vuln = os_vulnerability(0);
+    let vuln = zero_day(&catalog::operating_systems()[0]);
     let mut db = VulnerabilityDb::new();
     db.add(vuln.clone());
 
@@ -128,7 +128,7 @@ fn crash_flavor_from_vulnerability_degrades_liveness_not_safety() {
         ConfigurationSpace::cartesian(&[catalog::operating_systems()[..2].to_vec()]).unwrap();
     // 4 replicas over 2 OSes: one OS bug crashes 2 > f = 1.
     let assignment = Assignment::round_robin(&space, 4, VotingPower::new(100)).unwrap();
-    let vuln = os_vulnerability(0);
+    let vuln = zero_day(&catalog::operating_systems()[0]);
     let faults = faults_from_vulnerability(&assignment, &vuln, Behavior::Crashed);
     assert_eq!(faults.len(), 2);
     let report = run_cluster_with_faults(
@@ -165,4 +165,94 @@ fn message_overhead_grows_quadratically_with_n() {
         ratio > 3.0,
         "expected superlinear message growth, got {small} -> {large}"
     );
+}
+
+// Cells no experiment table sweeps: a monoculture, a zero-day in the
+// crypto-library layer, and rotation under a live zero-day. Each reads the
+// verdict as §II-C states it: safe only if `Σ_i f^i_t ≤ f` and, with every
+// replica the zero-day reaches equivocating, the audit finds no fork.
+
+/// The verdict on `assignment` under `vuln` at `at`, and the run behind it.
+fn zero_day_verdict(
+    assignment: &Assignment,
+    vuln: &Vulnerability,
+    at: SimTime,
+    seed: u64,
+) -> (bool, ClusterReport) {
+    let mut db = VulnerabilityDb::new();
+    db.add(vuln.clone());
+    let prediction = ResilienceAnalyzer::new(assignment.clone(), db).analyze_at(at);
+    let faults = faults_from_vulnerability(assignment, vuln, Behavior::Equivocate);
+    let config = ClusterConfig::new(assignment.entries().len())
+        .requests(4)
+        .max_time(SimTime::from_secs(10));
+    let report = run_cluster_with_faults(&config, seed, &faults);
+    (
+        prediction.safety_condition_holds && report.safety.holds(),
+        report,
+    )
+}
+
+fn os_space(oses: usize) -> ConfigurationSpace {
+    ConfigurationSpace::cartesian(&[catalog::operating_systems()[..oses].to_vec()]).unwrap()
+}
+
+/// A monoculture has zero entropy, and one zero-day reaches every
+/// replica: no honest replica is left to fork, or to execute a request.
+#[test]
+fn monoculture_zero_day_is_unsafe() {
+    let mono = Assignment::monoculture(&os_space(2), 0, 4, VotingPower::new(100)).unwrap();
+    assert_eq!(mono.entropy_accumulator().entropy_bits(), 0.0);
+    let vuln = zero_day(&catalog::operating_systems()[0]);
+    let (safe, report) = zero_day_verdict(&mono, &vuln, SimTime::from_millis(2), 101);
+    assert!(!safe, "{report:?}");
+    assert_eq!(report.liveness.executed_requests, 0, "{report:?}");
+}
+
+/// Eight replicas spread evenly over two OSes still share one of two
+/// crypto libraries: a bug in it reaches half the cluster, on both OSes.
+#[test]
+fn crypto_library_zero_day_cuts_across_os_diversity() {
+    let space = ConfigurationSpace::cartesian(&[
+        catalog::operating_systems()[..2].to_vec(),
+        catalog::crypto_libraries()[..2].to_vec(),
+    ])
+    .unwrap();
+    let spread = Assignment::round_robin(&space, 8, VotingPower::new(100)).unwrap();
+    let vuln = zero_day(&catalog::crypto_libraries()[0]);
+    let hit: std::collections::BTreeSet<usize> =
+        faults_from_vulnerability(&spread, &vuln, Behavior::Equivocate)
+            .iter()
+            .map(|fault| {
+                spread
+                    .config_of(ReplicaId::new(fault.replica as u64))
+                    .unwrap()
+            })
+            .collect();
+    assert_eq!(hit.len(), 2, "one configuration per OS: {hit:?}");
+    let (safe, report) = zero_day_verdict(&spread, &vuln, SimTime::from_millis(2), 104);
+    assert!(!safe, "{report:?}");
+}
+
+/// Rotating every replica one configuration an hour under a live OS
+/// zero-day changes which replicas it reaches, never how many: each round
+/// stays within `f`, its run holds, and the entropy never moves.
+#[test]
+fn rotation_under_a_live_zero_day_stays_within_f() {
+    let mut assignment = Assignment::round_robin(&os_space(4), 8, VotingPower::new(100)).unwrap();
+    let entropy = assignment.entropy_accumulator().entropy_bits();
+    let vuln = zero_day(&catalog::operating_systems()[0]);
+    let hour = SimTime::from_secs(3_600);
+    let steps = RotationPlanner::new(hour, 1).plan(&assignment, SimTime::from_secs(3 * 3_600));
+    for round in 0..=3 {
+        let at = SimTime::from_secs(round * 3_600).max(SimTime::from_millis(2));
+        RotationPlanner::apply_due(&mut assignment, &steps, at).unwrap();
+        let h = assignment.entropy_accumulator().entropy_bits();
+        assert!(
+            (h - entropy).abs() < 1e-9,
+            "round {round}: {h} vs {entropy}"
+        );
+        let (safe, report) = zero_day_verdict(&assignment, &vuln, at, 106);
+        assert!(safe, "round {round}: {report:?}");
+    }
 }

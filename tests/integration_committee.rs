@@ -4,10 +4,13 @@
 
 use fault_independence::fi_attest::TwoTierWeights;
 use fault_independence::fi_committee::prelude::*;
+use fault_independence::fi_config::prelude::{
+    catalog, Assignment, Component, ComponentSelector, ConfigurationSpace, Severity, Vulnerability,
+};
 use fault_independence::fi_nakamoto::attack::double_spend_success_probability;
-use fault_independence::fi_types::{ReplicaId, VotingPower};
+use fault_independence::fi_types::{ReplicaId, VotingPower, VulnId};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A candidate pool shaped like a real permissionless system: power-law
 /// stake, clustered configurations, partial attestation.
@@ -129,4 +132,118 @@ fn committee_is_a_valid_voting_power_snapshot() {
         })
         .count();
     assert!(seats_worst_config <= params.f(), "{seats_worst_config}");
+}
+
+// Cells no experiment table sweeps: Zipf and monoculture spreads, the
+// top-stake policy under a zero-day, and a zero-day in the crypto-library
+// layer. The verdict is the BFT budget: a zero-day must reach under a
+// third of the committee's power.
+
+/// Candidates on `spread`'s configurations, with stake drawn in
+/// `10..1000` from a stream seeded apart from the spread's own.
+fn staked(spread: &Assignment, seed: u64) -> Vec<Candidate> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+    spread
+        .entries()
+        .iter()
+        .map(|e| {
+            Candidate::new(
+                e.replica,
+                VotingPower::new(rng.gen_range(10..1_000)),
+                e.config,
+                true,
+            )
+        })
+        .collect()
+}
+
+/// Whether a zero-day in `product` reaches under a third of `members`'
+/// power.
+fn within_a_third(members: &[Candidate], space: &ConfigurationSpace, product: &Component) -> bool {
+    let vuln = Vulnerability::new(
+        VulnId::new(0),
+        "zero-day",
+        ComponentSelector::product(product.kind(), product.name()),
+        Severity::Critical,
+    );
+    let total: u64 = members.iter().map(|m| m.power().as_units()).sum();
+    let reached: u64 = members
+        .iter()
+        .filter(|m| vuln.affects(space.get(m.config()).unwrap()))
+        .map(|m| m.power().as_units())
+        .sum();
+    3 * reached < total
+}
+
+fn os_space(oses: usize) -> ConfigurationSpace {
+    ConfigurationSpace::cartesian(&[catalog::operating_systems()[..oses].to_vec()]).unwrap()
+}
+
+/// On a Zipf-skewed pool a zero-day in the most popular OS reaches more
+/// than a third of the stake. Greedy selection keeps an 8-seat committee
+/// under a third; picking by stake does not.
+#[test]
+fn greedy_keeps_a_skewed_pool_within_budget_and_top_stake_does_not() {
+    let space = os_space(4);
+    let mut rng = StdRng::seed_from_u64(301);
+    let spread = Assignment::zipf(&space, 32, VotingPower::new(100), 1.2, &mut rng).unwrap();
+    let pool = staked(&spread, 301);
+    let os = &catalog::operating_systems()[0];
+    assert!(!within_a_third(&pool, &space, os));
+    assert!(within_a_third(
+        greedy_diverse(&pool, 8).members(),
+        &space,
+        os
+    ));
+    assert!(!within_a_third(top_stake(&pool, 8).members(), &space, os));
+}
+
+/// Round-robin over eight OSes: a greedy 12-seat committee keeps any one
+/// OS under a third.
+#[test]
+fn greedy_keeps_a_balanced_pool_within_budget() {
+    let space = os_space(8);
+    let spread = Assignment::round_robin(&space, 48, VotingPower::new(100)).unwrap();
+    let committee = greedy_diverse(&staked(&spread, 304), 12);
+    assert!(within_a_third(
+        committee.members(),
+        &space,
+        &catalog::operating_systems()[0]
+    ));
+}
+
+/// No policy diversifies a monoculture: every seat of a greedy 4-seat
+/// committee runs the vulnerable OS.
+#[test]
+fn selection_cannot_save_a_monoculture() {
+    let space = os_space(4);
+    let spread = Assignment::monoculture(&space, 0, 16, VotingPower::new(100)).unwrap();
+    let committee = greedy_diverse(&staked(&spread, 302), 4);
+    assert_eq!(committee.entropy_bits(), 0.0);
+    assert!(!within_a_third(
+        committee.members(),
+        &space,
+        &catalog::operating_systems()[0]
+    ));
+}
+
+/// A greedy 16-seat committee spans all four OS × crypto configurations,
+/// yet a zero-day in one crypto library reaches two of them: distinct
+/// configurations are not independent components.
+#[test]
+fn crypto_zero_day_defeats_a_greedy_committee() {
+    let space = ConfigurationSpace::cartesian(&[
+        catalog::operating_systems()[..2].to_vec(),
+        catalog::crypto_libraries()[..2].to_vec(),
+    ])
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(303);
+    let spread = Assignment::zipf(&space, 64, VotingPower::new(100), 0.8, &mut rng).unwrap();
+    let committee = greedy_diverse(&staked(&spread, 303), 16);
+    assert_eq!(committee.power_by_config().len(), space.len());
+    assert!(!within_a_third(
+        committee.members(),
+        &space,
+        &catalog::crypto_libraries()[0]
+    ));
 }

@@ -1,14 +1,19 @@
 //! Integration: Bitcoin pool data → compromised share → double-spend and
 //! chain-race outcomes, across `fi-entropy`, `fi-nakamoto`.
 
+use fault_independence::fi_config::prelude::{
+    catalog, Assignment, ComponentSelector, ConfigurationSpace, Severity, Vulnerability,
+};
 use fault_independence::fi_entropy::bitcoin;
 use fault_independence::fi_nakamoto::attack::{
     double_spend_success_probability, monte_carlo_double_spend,
 };
-use fault_independence::fi_nakamoto::pool::{bitcoin_pools_2023, compromised_share, dedelegate};
+use fault_independence::fi_nakamoto::pool::{
+    bitcoin_pools_2023, compromised_share, dedelegate, total_power,
+};
 use fault_independence::fi_nakamoto::sim::{run_honest_race, MiningSimConfig};
-use fault_independence::fi_nakamoto::{Miner, MinerStrategy, MiningSim};
-use fault_independence::fi_types::{SimTime, VotingPower};
+use fault_independence::fi_nakamoto::{Miner, MinerStrategy, MiningSim, Pool};
+use fault_independence::fi_types::{PoolId, SimTime, VotingPower, VulnId};
 
 const NETWORK: VotingPower = VotingPower::new(100_000);
 
@@ -125,4 +130,50 @@ fn minority_compromise_fails_the_race() {
     };
     let report = MiningSim::new(miners, config, 6).run();
     assert!(!report.attacker_ahead, "{report:?}");
+}
+
+/// Eight pools on one OS: a zero-day in it captures all the hash power,
+/// past the honest-majority budget, and the captured branch outruns an
+/// honest side with nothing left to mine.
+#[test]
+fn monoculture_zero_day_captures_the_whole_network() {
+    let space =
+        ConfigurationSpace::cartesian(&[catalog::operating_systems()[..4].to_vec()]).unwrap();
+    let mono = Assignment::monoculture(&space, 0, 8, VotingPower::new(100)).unwrap();
+    let os = &catalog::operating_systems()[0];
+    let vuln = Vulnerability::new(
+        VulnId::new(0),
+        "zero-day-os",
+        ComponentSelector::product(os.kind(), os.name()),
+        Severity::Critical,
+    );
+    let pools: Vec<Pool> = mono
+        .entries()
+        .iter()
+        .map(|e| Pool::new(PoolId::new(e.replica.as_u64()), "pool", e.power, e.config))
+        .collect();
+    let captured: Vec<usize> = (0..space.len())
+        .filter(|&c| vuln.affects(space.get(c).unwrap()))
+        .collect();
+    let q = compromised_share(&pools, &captured, total_power(&pools));
+    assert!(q > 0.5, "q = {q} is within the honest-majority budget");
+
+    let (taken, honest): (Vec<&Pool>, Vec<&Pool>) =
+        pools.iter().partition(|p| captured.contains(&p.config()));
+    let mut miners: Vec<Miner> = honest
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Miner::new(i, p.power()))
+        .collect();
+    let taken_units = taken.iter().map(|p| p.power().as_units()).sum();
+    let mut attacker = Miner::new(miners.len(), VotingPower::new(taken_units));
+    attacker.set_strategy(MinerStrategy::PrivateBranch);
+    miners.push(attacker);
+    let config = MiningSimConfig {
+        block_interval: SimTime::from_secs(600),
+        propagation_delay: SimTime::ZERO,
+        blocks: 1_200,
+    };
+    let race = MiningSim::new(miners, config, 205).run();
+    assert!(race.attacker_ahead, "{race:?}");
 }
