@@ -409,16 +409,7 @@ pub fn run_prop3_operational(max_omega: u64, seed: u64) -> Table {
 #[must_use]
 pub fn run_faultinj(seed: u64) -> Table {
     let n = 8usize;
-    let space =
-        ConfigurationSpace::cartesian(&[catalog::operating_systems()]).expect("catalog space");
-    let os = &catalog::operating_systems()[0];
-    let vuln = Vulnerability::new(
-        VulnId::new(0),
-        "os-zero-day",
-        ComponentSelector::product(os.kind(), os.name()),
-        Severity::Critical,
-    )
-    .with_window(SimTime::from_millis(1), SimTime::from_secs(3600));
+    let (space, vuln) = faultinj_catalogue();
 
     let mut t = Table::new(
         format!("E6 / fault injection: n = {n}, one OS vulnerability, sharing swept"),
@@ -433,15 +424,7 @@ pub fn run_faultinj(seed: u64) -> Table {
         ],
     );
     for sharing in 1..=5usize {
-        // `sharing` replicas on the vulnerable OS, the rest diversified.
-        let entries: Vec<fi_config::generator::AssignmentEntry> = (0..n)
-            .map(|i| fi_config::generator::AssignmentEntry {
-                replica: ReplicaId::new(i as u64),
-                config: if i < sharing { 0 } else { 1 + (i % 7) },
-                power: VotingPower::new(100),
-            })
-            .collect();
-        let assignment = Assignment::new(space.clone(), entries).expect("valid assignment");
+        let assignment = faultinj_population(&space, n, sharing);
         let mut db = VulnerabilityDb::new();
         db.add(vuln.clone());
         let prediction =
@@ -471,6 +454,34 @@ pub fn run_faultinj(seed: u64) -> Table {
         ]);
     }
     t
+}
+
+/// E6's catalogue, the eight OSes, and its one OS zero-day.
+fn faultinj_catalogue() -> (ConfigurationSpace, Vulnerability) {
+    let space =
+        ConfigurationSpace::cartesian(&[catalog::operating_systems()]).expect("catalog space");
+    let os = &catalog::operating_systems()[0];
+    let vuln = Vulnerability::new(
+        VulnId::new(0),
+        "os-zero-day",
+        ComponentSelector::product(os.kind(), os.name()),
+        Severity::Critical,
+    )
+    .with_window(SimTime::from_millis(1), SimTime::from_secs(3600));
+    (space, vuln)
+}
+
+/// E6's population for one row: `n` replicas of 100 units, `sharing` of
+/// them on the vulnerable OS, the rest diversified.
+fn faultinj_population(space: &ConfigurationSpace, n: usize, sharing: usize) -> Assignment {
+    let entries = (0..n)
+        .map(|i| fi_config::generator::AssignmentEntry {
+            replica: ReplicaId::new(i as u64),
+            config: if i < sharing { 0 } else { 1 + (i % 7) },
+            power: VotingPower::new(100),
+        })
+        .collect();
+    Assignment::new(space.clone(), entries).expect("valid assignment")
 }
 
 // ---------------------------------------------------------------------
@@ -913,6 +924,44 @@ mod tests {
         )
     }
 
+    /// E6 through the sealed path: each row's population, sealed in a
+    /// fleet, gives the row's `compromised`, `f` and `predicted_safe`
+    /// cells as `ResilienceReport::from_snapshot`.
+    fn e6_sealed_verdict_gives_the_cells(t: &Table) -> Claim {
+        let (space, vuln) = faultinj_catalogue();
+        let db = VulnerabilityDb::from_iter([vuln]);
+        let cols = ["compromised", "f", "predicted_safe"].map(|name| column(t, name));
+        for r in &t.rows {
+            let (sharing, n) = r[0].split_once('/').expect("sharing/n");
+            let population = faultinj_population(&space, num(n) as usize, num(sharing) as usize);
+            let ops: Vec<ChurnOp> = population
+                .entries()
+                .iter()
+                .map(|e| {
+                    let m = space.get(e.config).unwrap().measurement();
+                    ChurnOp::attest(e.replica, m, e.power)
+                })
+                .collect();
+            let fleet = ShardedFleet::new(2, TwoTierWeights::new(1.0, 0.5));
+            fleet.try_ingest_batch(&ops).unwrap();
+            let snapshot = fleet.try_seal_epoch().unwrap();
+            let v = ResilienceReport::from_snapshot(&snapshot, &space, &db, SimTime::from_secs(1));
+            let sealed = [
+                v.sum_compromised.to_string(),
+                v.f_bound.to_string(),
+                v.safety_condition_holds.to_string(),
+            ];
+            let same = cols.iter().zip(&sealed).all(|(&c, cell)| r[c] == *cell);
+            check(
+                same,
+                t,
+                r,
+                "sealed verdict = compromised, f, predicted_safe",
+            )?;
+        }
+        Ok(())
+    }
+
     /// E7: Monte Carlo lands within four binomial standard errors of the
     /// analytic probability (plus 1e-6 for the six-decimal rendering); a
     /// share above ½ always wins, so no depth suffices.
@@ -1030,6 +1079,29 @@ mod tests {
         assert!(e6_prediction_is_sufficient(&forked).is_err());
         let forked = edited(&t, "3/8", "observed_safety", "VIOLATED");
         assert!(e6_prediction_is_sufficient(&forked).is_err());
+    }
+
+    #[test]
+    fn e6_sealed_verdict_gives_each_row_at_every_seed() {
+        for seed in SEEDS {
+            e6_sealed_verdict_gives_the_cells(&run_faultinj(seed)).unwrap();
+        }
+    }
+
+    #[test]
+    fn e6_sealed_verdict_rejects_an_edited_cell() {
+        let t = run_faultinj(7);
+        for (name, value) in [
+            ("compromised", "300u"),
+            ("f", "267u"),
+            ("predicted_safe", "false"),
+        ] {
+            let edited = edited(&t, "2/8", name, value);
+            assert!(
+                e6_sealed_verdict_gives_the_cells(&edited).is_err(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! database and a configuration assignment, run the workload, and audit
 //! safety (`f ≥ Σ f^i_t` violated ⇒ possible fork) and liveness.
 
-use fi_config::{correlated_fault_set, Assignment, Vulnerability};
+use fi_config::{Assignment, Vulnerability};
 use fi_simnet::{Context, FaultEvent, NetworkConfig, Node, NodeId, Simulation, TimerToken};
 use fi_types::SimTime;
 
@@ -322,7 +322,8 @@ fn audit(sim: &Simulation<BftNode>, config: &ClusterConfig) -> ClusterReport {
 /// Derives the fault schedule for one vulnerability: every replica whose
 /// configuration contains the vulnerable component is compromised at
 /// `vuln.disclosed_at()` with `behavior` — the paper's correlated-fault
-/// event. Replica ids in the assignment map 1:1 onto simulation node ids.
+/// event — in assignment entry order (none if the window is empty).
+/// Replica ids in the assignment map 1:1 onto simulation node ids.
 #[must_use]
 pub fn faults_from_vulnerability(
     assignment: &Assignment,
@@ -330,12 +331,14 @@ pub fn faults_from_vulnerability(
     behavior: Behavior,
 ) -> Vec<ScheduledFault> {
     let at = vuln.disclosed_at();
-    correlated_fault_set(assignment, vuln, at)
-        .replicas()
+    let space = assignment.space();
+    assignment
+        .entries()
         .iter()
-        .map(|r| ScheduledFault {
+        .filter(|e| vuln.active_at(at) && space.get(e.config).is_ok_and(|c| vuln.affects(c)))
+        .map(|e| ScheduledFault {
             at,
-            replica: r.as_usize(),
+            replica: e.replica.as_usize(),
             behavior,
         })
         .collect()

@@ -4,123 +4,58 @@
 //! number of Byzantine faults does not exceed the resilience (`f`) of the
 //! system, i.e. `∀t, f ≥ Σ_{i=1}^{k_t} f^i_t`."
 //!
-//! Given an [`Assignment`] and a [`VulnerabilityDb`], this module computes,
-//! for each vulnerability `i` active at time `t`, the voting power `f^i_t`
-//! it compromises, the paper's sum `Σ f^i_t`, the (tighter) union when
-//! vulnerabilities overlap on replicas, and the safety condition itself.
+//! Replicas that share a configuration fall together, so the closure's
+//! unit is the configuration, not the replica: [`fault_summary`] reads one
+//! row per configuration — its voting power and member count — and
+//! computes, for each vulnerability `i` active at `t`, the power `f^i_t` it
+//! compromises, the paper's sum `Σ f^i_t`, the (tighter) union when
+//! vulnerabilities overlap, and the safety condition itself.
 
-use fi_types::{ReplicaId, SimTime, VotingPower, VulnId};
+use fi_types::{SimTime, VotingPower, VulnId};
 
 use crate::component::ComponentKind;
+use crate::configuration::Configuration;
 use crate::generator::Assignment;
-use crate::vulnerability::{Vulnerability, VulnerabilityDb};
+use crate::vulnerability::VulnerabilityDb;
 
-/// The replicas (and total voting power) compromised by one vulnerability —
-/// one term `f^i_t` of the paper's sum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSet {
-    vuln: VulnId,
-    replicas: Vec<ReplicaId>,
-    power: VotingPower,
-}
-
-impl FaultSet {
-    /// The vulnerability that induces this fault set.
-    #[must_use]
-    pub fn vuln(&self) -> VulnId {
-        self.vuln
-    }
-
-    /// The compromised replicas.
-    #[must_use]
-    pub fn replicas(&self) -> &[ReplicaId] {
-        &self.replicas
-    }
-
-    /// The compromised voting power `f^i_t`.
-    #[must_use]
-    pub fn power(&self) -> VotingPower {
-        self.power
-    }
-
-    /// Whether no replica is affected.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-}
-
-/// Computes the fault set of a single vulnerability at time `t`: all
-/// replicas whose configuration contains a matching component, if the
-/// vulnerability is inside its exploitability window (empty set otherwise).
-#[must_use]
-pub fn correlated_fault_set(assignment: &Assignment, vuln: &Vulnerability, t: SimTime) -> FaultSet {
-    let mut replicas = Vec::new();
-    let mut power = VotingPower::ZERO;
-    if vuln.active_at(t) {
-        for entry in assignment.entries() {
-            let config = assignment
-                .space()
-                .get(entry.config)
-                .expect("assignment indices validated at construction");
-            if vuln.affects(config) {
-                replicas.push(entry.replica);
-                power += entry.power;
-            }
-        }
-    }
-    FaultSet {
-        vuln: vuln.id(),
-        replicas,
-        power,
-    }
-}
-
-/// The full fault picture at one instant: per-vulnerability fault sets, the
-/// paper's sum `Σ f^i_t`, and the union (which de-duplicates replicas hit
-/// by several vulnerabilities at once).
+/// The full fault picture at one instant: one term `f^i_t` per active
+/// vulnerability, the paper's sum `Σ f^i_t`, and the union (which counts
+/// a configuration hit by several vulnerabilities once).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSummary {
-    per_vuln: Vec<FaultSet>,
+    per_vuln: Vec<(VulnId, VotingPower)>,
     sum_power: VotingPower,
     union_power: VotingPower,
-    union_replicas: Vec<ReplicaId>,
-    total_power: VotingPower,
+    compromised_members: usize,
 }
 
 impl FaultSummary {
-    /// Fault sets per active vulnerability (empty sets are retained so the
-    /// count equals `k_t` restricted to active windows).
+    /// The term `f^i_t` of each active vulnerability, in database order
+    /// (zero terms are retained, so the count is `k_t`).
     #[must_use]
-    pub fn per_vulnerability(&self) -> &[FaultSet] {
+    pub fn per_vulnerability(&self) -> &[(VulnId, VotingPower)] {
         &self.per_vuln
     }
 
     /// The paper's `Σ_i f^i_t` — the conservative total that the safety
-    /// condition compares against `f`. Replicas hit by two vulnerabilities
-    /// are counted twice here, exactly as the paper's sum does.
+    /// condition compares against `f`. Power hit by two vulnerabilities
+    /// is counted twice here, exactly as the paper's sum does.
     #[must_use]
     pub fn sum_power(&self) -> VotingPower {
         self.sum_power
     }
 
-    /// Voting power of the *union* of compromised replicas — the tight
-    /// measure of how much power the attacker actually controls.
+    /// Voting power of the *union* of compromised configurations — the
+    /// tight measure of how much power the attacker actually controls.
     #[must_use]
     pub fn union_power(&self) -> VotingPower {
         self.union_power
     }
 
-    /// The distinct compromised replicas.
+    /// Members of the compromised configurations, each counted once.
     #[must_use]
-    pub fn union_replicas(&self) -> &[ReplicaId] {
-        &self.union_replicas
-    }
-
-    /// Total system power `n_t` (for computing shares).
-    #[must_use]
-    pub fn total_power(&self) -> VotingPower {
-        self.total_power
+    pub fn compromised_members(&self) -> usize {
+        self.compromised_members
     }
 
     /// The largest single `f^i_t` — what min-entropy bounds.
@@ -128,15 +63,9 @@ impl FaultSummary {
     pub fn worst_single(&self) -> VotingPower {
         self.per_vuln
             .iter()
-            .map(FaultSet::power)
+            .map(|&(_, power)| power)
             .max()
             .unwrap_or(VotingPower::ZERO)
-    }
-
-    /// The compromised *share* of total power (union-based), in `[0, 1]`.
-    #[must_use]
-    pub fn compromised_share(&self) -> f64 {
-        self.union_power.share_of(self.total_power)
     }
 
     /// The paper's safety condition `f ≥ Σ_i f^i_t` for a given fault
@@ -147,14 +76,18 @@ impl FaultSummary {
     }
 }
 
-/// Computes the [`FaultSummary`] for all vulnerabilities active at `t`.
+/// Computes the [`FaultSummary`] for all vulnerabilities active at `t`
+/// over per-configuration rows `(configuration, power, members)`.
+///
+/// A `None` row is power the caller cannot name a configuration for; it
+/// is hit by every active vulnerability. One pass over the rows, each
+/// checked against every active vulnerability: O(rows × `k_t`).
 ///
 /// # Example
 ///
 /// ```
 /// use fi_config::prelude::*;
 /// let space = ConfigurationSpace::cartesian(&[catalog::operating_systems()[..2].to_vec()])?;
-/// let a = Assignment::round_robin(&space, 4, VotingPower::new(25))?;
 /// let os = &catalog::operating_systems()[0];
 /// let mut db = VulnerabilityDb::new();
 /// db.add(Vulnerability::new(
@@ -162,38 +95,45 @@ impl FaultSummary {
 ///     ComponentSelector::product(os.kind(), os.name()),
 ///     Severity::Critical,
 /// ));
-/// let summary = fault_summary(&a, &db, SimTime::ZERO);
-/// // Two of four replicas share the vulnerable OS: 50 of 100 power units.
+/// // Two replicas of 25 units on each OS.
+/// let rows = space.iter().map(|c| (Some(c), VotingPower::new(50), 2));
+/// let summary = fault_summary(rows, &db, SimTime::ZERO);
+/// // The replicas sharing the vulnerable OS: 50 of 100 power units.
 /// assert_eq!(summary.sum_power(), VotingPower::new(50));
+/// assert_eq!(summary.compromised_members(), 2);
 /// assert!(summary.safety_holds(VotingPower::new(50)));
 /// assert!(!summary.safety_holds(VotingPower::new(49)));
 /// # Ok::<(), fi_config::ConfigError>(())
 /// ```
 #[must_use]
-pub fn fault_summary(assignment: &Assignment, db: &VulnerabilityDb, t: SimTime) -> FaultSummary {
-    let per_vuln: Vec<FaultSet> = db
-        .active_at(t)
-        .map(|v| correlated_fault_set(assignment, v, t))
-        .collect();
-    let sum_power = per_vuln.iter().map(FaultSet::power).sum();
-
-    let mut union_replicas: Vec<ReplicaId> = per_vuln
-        .iter()
-        .flat_map(|fs| fs.replicas.iter().copied())
-        .collect();
-    union_replicas.sort_unstable();
-    union_replicas.dedup();
-    let union_power = union_replicas
-        .iter()
-        .filter_map(|&r| assignment.power_of(r))
-        .sum();
-
+pub fn fault_summary<'a>(
+    rows: impl IntoIterator<Item = (Option<&'a Configuration>, VotingPower, usize)>,
+    db: &VulnerabilityDb,
+    t: SimTime,
+) -> FaultSummary {
+    let active: Vec<_> = db.active_at(t).collect();
+    let mut per_vuln: Vec<(VulnId, VotingPower)> =
+        active.iter().map(|v| (v.id(), VotingPower::ZERO)).collect();
+    let mut union_power = VotingPower::ZERO;
+    let mut compromised_members = 0;
+    for (config, power, members) in rows {
+        let mut hit = false;
+        for ((_, term), v) in per_vuln.iter_mut().zip(&active) {
+            if config.is_none_or(|c| v.affects(c)) {
+                *term += power;
+                hit = true;
+            }
+        }
+        if hit {
+            union_power += power;
+            compromised_members += members;
+        }
+    }
     FaultSummary {
+        sum_power: per_vuln.iter().map(|&(_, power)| power).sum(),
         per_vuln,
-        sum_power,
         union_power,
-        union_replicas,
-        total_power: assignment.total_power(),
+        compromised_members,
     }
 }
 
@@ -249,20 +189,13 @@ pub fn component_exposure_ranking(assignment: &Assignment) -> Vec<ComponentExpos
     ranking
 }
 
-/// The single worst product exposure (the top of
-/// [`component_exposure_ranking`]); `None` for assignments whose
-/// configurations have no components.
-#[must_use]
-pub fn worst_single_component_exposure(assignment: &Assignment) -> Option<ComponentExposure> {
-    component_exposure_ranking(assignment).into_iter().next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::component::{catalog, ComponentKind};
     use crate::space::ConfigurationSpace;
     use crate::vulnerability::{ComponentSelector, Severity, Vulnerability};
+    use fi_types::ReplicaId;
 
     fn os_space(n: usize) -> ConfigurationSpace {
         ConfigurationSpace::cartesian(&[catalog::operating_systems()[..n].to_vec()]).unwrap()
@@ -278,47 +211,67 @@ mod tests {
         )
     }
 
+    /// The closure over an assignment's per-configuration rows.
+    fn summary(a: &Assignment, db: &VulnerabilityDb, t: SimTime) -> FaultSummary {
+        let rows = a
+            .space()
+            .iter()
+            .zip(a.power_by_config())
+            .zip(a.count_by_config())
+            .map(|((c, power), n)| (Some(c), power, n as usize));
+        fault_summary(rows, db, t)
+    }
+
     #[test]
     fn fault_set_selects_exactly_matching_replicas() {
         let a = Assignment::round_robin(&os_space(4), 8, VotingPower::new(10)).unwrap();
-        let fs = correlated_fault_set(&a, &os_vuln(0, 1), SimTime::ZERO);
-        assert_eq!(fs.replicas().len(), 2);
-        assert_eq!(fs.power(), VotingPower::new(20));
-        assert_eq!(fs.vuln(), VulnId::new(0));
-        assert!(!fs.is_empty());
+        let s = summary(
+            &a,
+            &VulnerabilityDb::from_iter([os_vuln(0, 1)]),
+            SimTime::ZERO,
+        );
+        assert_eq!(
+            s.per_vulnerability(),
+            [(VulnId::new(0), VotingPower::new(20))]
+        );
+        assert_eq!(s.compromised_members(), 2);
     }
 
     #[test]
     fn fault_set_is_empty_outside_window() {
         let a = Assignment::round_robin(&os_space(2), 4, VotingPower::UNIT).unwrap();
         let v = os_vuln(0, 0).with_window(SimTime::from_secs(100), SimTime::from_secs(200));
-        assert!(correlated_fault_set(&a, &v, SimTime::from_secs(50)).is_empty());
-        assert!(!correlated_fault_set(&a, &v, SimTime::from_secs(150)).is_empty());
+        let db = VulnerabilityDb::from_iter([v]);
+        let before = summary(&a, &db, SimTime::from_secs(50));
+        assert!(before.per_vulnerability().is_empty());
+        assert_eq!(before.compromised_members(), 0);
+        let during = summary(&a, &db, SimTime::from_secs(150));
+        assert_eq!(during.compromised_members(), 2);
     }
 
     #[test]
     fn monoculture_loses_everything_to_one_vuln() {
         let a = Assignment::monoculture(&os_space(4), 0, 10, VotingPower::new(10)).unwrap();
-        let summary = fault_summary(
+        let s = summary(
             &a,
             &VulnerabilityDb::from_iter([os_vuln(0, 0)]),
             SimTime::ZERO,
         );
-        assert_eq!(summary.sum_power(), VotingPower::new(100));
-        assert_eq!(summary.compromised_share(), 1.0);
-        assert!(!summary.safety_holds(VotingPower::new(99)));
+        assert_eq!(s.sum_power(), VotingPower::new(100));
+        assert_eq!(s.union_power(), a.total_power());
+        assert!(!s.safety_holds(VotingPower::new(99)));
     }
 
     #[test]
     fn diverse_assignment_caps_single_vuln_damage() {
         let a = Assignment::round_robin(&os_space(8), 8, VotingPower::new(10)).unwrap();
-        let summary = fault_summary(
+        let s = summary(
             &a,
             &VulnerabilityDb::from_iter([os_vuln(0, 0)]),
             SimTime::ZERO,
         );
-        assert_eq!(summary.sum_power(), VotingPower::new(10));
-        assert!((summary.compromised_share() - 0.125).abs() < 1e-12);
+        assert_eq!(s.sum_power(), VotingPower::new(10));
+        assert!((s.union_power().share_of(a.total_power()) - 0.125).abs() < 1e-12);
     }
 
     #[test]
@@ -332,24 +285,24 @@ mod tests {
             Severity::High,
         );
         let db = VulnerabilityDb::from_iter([os_vuln(0, 0), layer_vuln]);
-        let summary = fault_summary(&a, &db, SimTime::ZERO);
+        let s = summary(&a, &db, SimTime::ZERO);
         // Product vuln: 50 (replica 0); layer vuln: 100 (both replicas).
-        assert_eq!(summary.sum_power(), VotingPower::new(150));
-        assert_eq!(summary.union_power(), VotingPower::new(100));
-        assert_eq!(summary.union_replicas().len(), 2);
-        assert_eq!(summary.worst_single(), VotingPower::new(100));
+        assert_eq!(s.sum_power(), VotingPower::new(150));
+        assert_eq!(s.union_power(), VotingPower::new(100));
+        assert_eq!(s.compromised_members(), 2);
+        assert_eq!(s.worst_single(), VotingPower::new(100));
     }
 
     #[test]
     fn summary_with_no_active_vulns_is_clean() {
         let a = Assignment::round_robin(&os_space(2), 4, VotingPower::UNIT).unwrap();
-        let summary = fault_summary(&a, &VulnerabilityDb::new(), SimTime::ZERO);
-        assert_eq!(summary.sum_power(), VotingPower::ZERO);
-        assert_eq!(summary.union_power(), VotingPower::ZERO);
-        assert_eq!(summary.worst_single(), VotingPower::ZERO);
-        assert_eq!(summary.compromised_share(), 0.0);
-        assert!(summary.safety_holds(VotingPower::ZERO));
-        assert_eq!(summary.per_vulnerability().len(), 0);
+        let s = summary(&a, &VulnerabilityDb::new(), SimTime::ZERO);
+        assert_eq!(s.sum_power(), VotingPower::ZERO);
+        assert_eq!(s.union_power(), VotingPower::ZERO);
+        assert_eq!(s.worst_single(), VotingPower::ZERO);
+        assert_eq!(s.compromised_members(), 0);
+        assert!(s.safety_holds(VotingPower::ZERO));
+        assert_eq!(s.per_vulnerability().len(), 0);
     }
 
     #[test]
@@ -384,8 +337,6 @@ mod tests {
         assert_eq!(ranking[0].power, VotingPower::new(30));
         assert_eq!(ranking[0].replicas, 3);
         assert_eq!(ranking[1].power, VotingPower::new(10));
-        let worst = worst_single_component_exposure(&a).unwrap();
-        assert_eq!(worst.power, VotingPower::new(30));
     }
 
     #[test]
@@ -419,10 +370,10 @@ mod tests {
                 Severity::High,
             ),
         ]);
-        let summary = fault_summary(&a, &db, SimTime::ZERO);
-        assert_eq!(summary.union_power(), VotingPower::new(50));
-        assert_eq!(summary.sum_power(), VotingPower::new(100));
-        assert!(summary.safety_holds(VotingPower::new(100)));
-        assert!(!summary.safety_holds(VotingPower::new(51)));
+        let s = summary(&a, &db, SimTime::ZERO);
+        assert_eq!(s.union_power(), VotingPower::new(50));
+        assert_eq!(s.sum_power(), VotingPower::new(100));
+        assert!(s.safety_holds(VotingPower::new(100)));
+        assert!(!s.safety_holds(VotingPower::new(51)));
     }
 }

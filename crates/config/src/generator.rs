@@ -241,14 +241,6 @@ impl Assignment {
         self.config_of(replica).and_then(|i| self.space.get(i).ok())
     }
 
-    /// The voting power of `replica`, if assigned.
-    #[must_use]
-    pub fn power_of(&self, replica: ReplicaId) -> Option<VotingPower> {
-        self.by_replica
-            .get(&replica)
-            .map(|&i| self.entries[i].power)
-    }
-
     /// Voting power aggregated per configuration index.
     #[must_use]
     pub fn power_by_config(&self) -> Vec<VotingPower> {
@@ -442,7 +434,7 @@ mod tests {
         let a = Assignment::with_powers(&space(), &powers).unwrap();
         let d = a.distribution().unwrap();
         assert!((d.probabilities()[0] - 0.6).abs() < 1e-12);
-        assert_eq!(a.power_of(ReplicaId::new(1)), Some(VotingPower::new(30)));
+        assert_eq!(a.entries()[1].power, VotingPower::new(30));
     }
 
     #[test]
@@ -485,7 +477,6 @@ mod tests {
         assert_eq!(a.config_of(ReplicaId::new(4)), Some(0));
         assert_eq!(a.config_of(ReplicaId::new(77)), None);
         assert!(a.configuration_of(ReplicaId::new(4)).is_some());
-        assert_eq!(a.power_of(ReplicaId::new(77)), None);
         assert_eq!(a.replica_count(), 5);
     }
 

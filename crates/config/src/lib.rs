@@ -19,9 +19,10 @@
 //!   targeting a component and carrying a disclosure→patch window
 //!   (CVE-2017-18350 style, §I);
 //! * [`window`] — patch-rollout modelling and exposure curves;
-//! * [`closure`] — the correlated-fault closure: which voting power `f^i_t`
-//!   a vulnerability compromises, the safety condition `f ≥ Σ_i f^i_t`
-//!   (§II-C), and the worst-case single-component exposure.
+//! * [`closure`] — the correlated-fault closure over per-configuration
+//!   rows: which voting power `f^i_t` a vulnerability compromises, the
+//!   safety condition `f ≥ Σ_i f^i_t` (§II-C), and the single-product
+//!   exposure ranking.
 //!
 //! ## Example
 //!
@@ -41,10 +42,14 @@
 //!
 //! // One vulnerability in one OS compromises exactly the replicas using it.
 //! let os = &catalog::operating_systems()[0];
-//! let vuln = Vulnerability::new(VulnId::new(0), "CVE-X", ComponentSelector::product(os.kind(), os.name()), Severity::Critical)
-//!     .with_window(SimTime::ZERO, SimTime::from_secs(3600));
-//! let fault = correlated_fault_set(&assignment, &vuln, SimTime::from_secs(10));
-//! assert_eq!(fault.replicas().len(), 4);
+//! let mut db = VulnerabilityDb::new();
+//! db.add(Vulnerability::new(VulnId::new(0), "CVE-X", ComponentSelector::product(os.kind(), os.name()), Severity::Critical)
+//!     .with_window(SimTime::ZERO, SimTime::from_secs(3600)));
+//! let rows = space.iter().zip(assignment.power_by_config()).zip(assignment.count_by_config());
+//! let rows = rows.map(|((config, power), n)| (Some(config), power, n as usize));
+//! let summary = fault_summary(rows, &db, SimTime::from_secs(10));
+//! assert_eq!(summary.compromised_members(), 4);
+//! assert_eq!(summary.sum_power(), VotingPower::new(400));
 //! # Ok::<(), fi_config::ConfigError>(())
 //! ```
 
@@ -60,7 +65,7 @@ pub mod space;
 pub mod vulnerability;
 pub mod window;
 
-pub use closure::{correlated_fault_set, fault_summary, FaultSet, FaultSummary};
+pub use closure::{fault_summary, FaultSummary};
 pub use component::{catalog, Component, ComponentKind};
 pub use configuration::{Configuration, ConfigurationBuilder};
 pub use error::ConfigError;
@@ -70,9 +75,7 @@ pub use vulnerability::{ComponentSelector, Severity, Vulnerability, Vulnerabilit
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
-    pub use crate::closure::{
-        correlated_fault_set, fault_summary, worst_single_component_exposure,
-    };
+    pub use crate::closure::fault_summary;
     pub use crate::component::{catalog, Component, ComponentKind};
     pub use crate::configuration::{Configuration, ConfigurationBuilder};
     pub use crate::error::ConfigError;

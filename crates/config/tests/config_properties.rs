@@ -96,7 +96,7 @@ proptest! {
                 power: VotingPower::new(10),
             })
             .collect();
-        let assignment = Assignment::new(space, entries).unwrap();
+        let assignment = Assignment::new(space.clone(), entries).unwrap();
         let os = &catalog::operating_systems()[os_index];
         let mut db = VulnerabilityDb::new();
         db.add(Vulnerability::new(
@@ -111,11 +111,13 @@ proptest! {
             ComponentSelector::layer(ComponentKind::OperatingSystem),
             Severity::Low,
         ));
-        let summary = fault_summary(&assignment, &db, SimTime::ZERO);
+        let rows = space.iter().zip(assignment.power_by_config()).zip(assignment.count_by_config());
+        let rows = rows.map(|((config, power), members)| (Some(config), power, members as usize));
+        let summary = fault_summary(rows, &db, SimTime::ZERO);
         let per_vuln_sum: VotingPower = summary
             .per_vulnerability()
             .iter()
-            .map(|fs| fs.power())
+            .map(|&(_, power)| power)
             .sum();
         prop_assert_eq!(per_vuln_sum, summary.sum_power());
         prop_assert!(summary.worst_single() <= summary.sum_power());
@@ -123,6 +125,7 @@ proptest! {
         prop_assert!(summary.union_power() <= summary.sum_power());
         // The layer vulnerability hits everyone, so the union is total.
         prop_assert_eq!(summary.union_power(), assignment.total_power());
+        prop_assert_eq!(summary.compromised_members(), n);
     }
 
     /// Exposure ranking: the top entry's power is at least the average and

@@ -1,8 +1,10 @@
-//! The resilience analyzer: assignment + vulnerabilities → safety verdicts.
+//! The resilience analyzer: assignment + vulnerabilities → safety verdicts,
+//! and the same verdict on a sealed fleet snapshot.
 
 use fi_config::closure::{component_exposure_ranking, fault_summary, ComponentExposure};
 use fi_config::window::{exposure_curve, ExposurePoint, PatchRollout};
-use fi_config::{Assignment, VulnerabilityDb};
+use fi_config::{Assignment, ConfigurationSpace, FaultSummary, VulnerabilityDb};
+use fi_fleet::EpochSnapshot;
 use fi_types::{SimTime, VotingPower};
 
 /// Evaluates the paper's safety condition `f ≥ Σ_i f^i_t` (§II-C) and the
@@ -20,43 +22,18 @@ impl ResilienceAnalyzer {
         ResilienceAnalyzer { assignment, db }
     }
 
-    /// The assignment under analysis.
-    #[must_use]
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
-    }
-
-    /// The vulnerability database.
-    #[must_use]
-    pub fn database(&self) -> &VulnerabilityDb {
-        &self.db
-    }
-
-    /// Analyzes the fault picture at instant `t`.
+    /// Analyzes the fault picture at instant `t`: the closure over the
+    /// assignment's per-configuration power and replica counts.
     #[must_use]
     pub fn analyze_at(&self, t: SimTime) -> ResilienceReport {
-        let summary = fault_summary(&self.assignment, &self.db, t);
-        let total = self.assignment.total_power();
-        // The classic BFT bound: strictly less than a third of the power.
-        let f_bound = VotingPower::new(total.as_units().saturating_sub(1) / 3);
-        ResilienceReport {
-            at: t,
-            total_power: total,
-            active_vulnerabilities: summary.per_vulnerability().len(),
-            sum_compromised: summary.sum_power(),
-            union_compromised: summary.union_power(),
-            worst_single_vulnerability: summary.worst_single(),
-            compromised_share: summary.compromised_share(),
-            f_bound,
-            safety_condition_holds: summary.safety_holds(f_bound),
-            compromised_replicas: summary.union_replicas().len(),
-        }
-    }
-
-    /// Analyzes a sweep of instants (for exposure-over-time plots).
-    #[must_use]
-    pub fn analyze_sweep(&self, times: &[SimTime]) -> Vec<ResilienceReport> {
-        times.iter().map(|&t| self.analyze_at(t)).collect()
+        let a = &self.assignment;
+        let rows = a
+            .space()
+            .iter()
+            .zip(a.power_by_config())
+            .zip(a.count_by_config());
+        let rows = rows.map(|((config, power), n)| (Some(config), power, n as usize));
+        ResilienceReport::from_summary(&fault_summary(rows, &self.db, t), a.total_power(), t)
     }
 
     /// The structural single-product exposure ranking (no time component):
@@ -84,7 +61,9 @@ impl ResilienceAnalyzer {
     }
 }
 
-/// The fault picture at one instant.
+/// The fault picture at one instant, from an assignment
+/// ([`ResilienceAnalyzer::analyze_at`]) or a sealed fleet snapshot
+/// ([`ResilienceReport::from_snapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceReport {
     /// The analyzed instant.
@@ -109,10 +88,72 @@ pub struct ResilienceReport {
     pub compromised_replicas: usize,
 }
 
+impl ResilienceReport {
+    /// The verdict on a sealed epoch: the closure over the snapshot's
+    /// buckets, with no roster walk — O(buckets × active
+    /// vulnerabilities). A bucket whose measurement `catalogue` names is
+    /// one row, that configuration's power and members.
+    ///
+    /// **Power the catalogue cannot name** — the unattested tier and every
+    /// bucket whose measurement is outside `catalogue` — is one more row
+    /// with no configuration, and every active vulnerability hits it: it
+    /// counts in each term of `Σ_i f^i_t`, once in the union and once in
+    /// the member count. With no vulnerability active it is compromised
+    /// by none. `f` is taken over
+    /// [`total_effective_power`](EpochSnapshot::total_effective_power).
+    #[must_use]
+    pub fn from_snapshot(
+        snapshot: &EpochSnapshot,
+        catalogue: &ConfigurationSpace,
+        db: &VulnerabilityDb,
+        t: SimTime,
+    ) -> ResilienceReport {
+        let buckets = snapshot.buckets();
+        let mut unnamed = (snapshot.unattested_power(), snapshot.members(buckets.len()));
+        let mut rows = Vec::with_capacity(buckets.len() + 1);
+        for (slot, &(measurement, power)) in buckets.iter().enumerate() {
+            let members = snapshot.members(slot);
+            if let Some(config) = catalogue
+                .position(&measurement)
+                .and_then(|i| catalogue.get(i).ok())
+            {
+                rows.push((Some(config), power, members));
+            } else {
+                unnamed.0 += power;
+                unnamed.1 += members;
+            }
+        }
+        rows.push((None, unnamed.0, unnamed.1));
+        let summary = fault_summary(rows, db, t);
+        ResilienceReport::from_summary(&summary, snapshot.total_effective_power(), t)
+    }
+
+    /// The shared constructor both verdict paths use, so the offline and
+    /// the sealed report cannot drift.
+    fn from_summary(summary: &FaultSummary, total: VotingPower, at: SimTime) -> ResilienceReport {
+        // The classic BFT bound: strictly less than a third of the power.
+        let f_bound = VotingPower::new(total.as_units().saturating_sub(1) / 3);
+        ResilienceReport {
+            at,
+            total_power: total,
+            active_vulnerabilities: summary.per_vulnerability().len(),
+            sum_compromised: summary.sum_power(),
+            union_compromised: summary.union_power(),
+            worst_single_vulnerability: summary.worst_single(),
+            compromised_share: summary.union_power().share_of(total),
+            f_bound,
+            safety_condition_holds: summary.safety_holds(f_bound),
+            compromised_replicas: summary.compromised_members(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fi_attest::{ChurnOp, TwoTierWeights};
     use fi_config::prelude::*;
+    use fi_fleet::ShardedFleet;
 
     fn setup(diverse: bool) -> ResilienceAnalyzer {
         let space =
@@ -178,9 +219,10 @@ mod tests {
     fn sweep_traces_the_window() {
         let analyzer = setup(true);
         let times: Vec<SimTime> = (0..6).map(|i| SimTime::from_secs(i * 50)).collect();
-        let sweep = analyzer.analyze_sweep(&times);
-        assert_eq!(sweep.len(), 6);
-        let compromised: Vec<bool> = sweep.iter().map(|r| r.active_vulnerabilities > 0).collect();
+        let compromised: Vec<bool> = times
+            .iter()
+            .map(|&t| analyzer.analyze_at(t).active_vulnerabilities > 0)
+            .collect();
         assert_eq!(compromised, vec![false, false, true, true, false, false]);
     }
 
@@ -211,6 +253,63 @@ mod tests {
         assert_eq!(at(100), VotingPower::new(200));
         assert_eq!(at(200), VotingPower::new(200));
         assert_eq!(at(250), VotingPower::ZERO);
+    }
+
+    #[test]
+    fn power_the_catalogue_cannot_name_is_one_row_every_vulnerability_hits() {
+        let oses = catalog::operating_systems();
+        let space = ConfigurationSpace::cartesian(&[oses[..3].to_vec()]).unwrap();
+        let fleet = ShardedFleet::new(2, TwoTierWeights::new(1.0, 0.5));
+        let mut ops: Vec<ChurnOp> = (0..3)
+            .map(|i| {
+                let m = space.get(i).unwrap().measurement();
+                ChurnOp::attest(ReplicaId::new(i as u64), m, VotingPower::new(100))
+            })
+            .collect();
+        let unknown = fi_types::sha256(b"outside the catalogue");
+        ops.push(ChurnOp::attest(
+            ReplicaId::new(3),
+            unknown,
+            VotingPower::new(30),
+        ));
+        for replica in [4, 5] {
+            let (replica, power) = (ReplicaId::new(replica), VotingPower::new(40));
+            ops.push(ChurnOp::Unattested { replica, power });
+        }
+        fleet.try_ingest_batch(&ops).unwrap();
+        let snapshot = fleet.try_seal_epoch().unwrap();
+        let db: VulnerabilityDb = oses[..2]
+            .iter()
+            .enumerate()
+            .map(|(i, os)| {
+                let on_os = ComponentSelector::product(os.kind(), os.name());
+                Vulnerability::new(VulnId::new(i as u64), "os-bug", on_os, Severity::High)
+                    .with_window(SimTime::from_secs(10), SimTime::from_secs(20))
+            })
+            .collect();
+        let at = |secs| {
+            ResilienceReport::from_snapshot(&snapshot, &space, &db, SimTime::from_secs(secs))
+        };
+
+        // Three OS buckets of 100, then 30 unknown + 2 × 40 × 0.5 unattested.
+        let quiet = at(5);
+        assert_eq!(quiet.total_power, VotingPower::new(370));
+        assert_eq!(quiet.active_vulnerabilities, 0);
+        assert_eq!(quiet.sum_compromised, VotingPower::ZERO);
+        assert_eq!(quiet.union_compromised, VotingPower::ZERO);
+        assert_eq!(quiet.compromised_replicas, 0);
+        assert!(quiet.safety_condition_holds);
+
+        // Each term is its OS's 100 plus the unnamed 70; the union and the
+        // member count take the unnamed row once.
+        let hot = at(15);
+        assert_eq!(hot.active_vulnerabilities, 2);
+        assert_eq!(hot.sum_compromised, VotingPower::new(340));
+        assert_eq!(hot.worst_single_vulnerability, VotingPower::new(170));
+        assert_eq!(hot.union_compromised, VotingPower::new(270));
+        assert_eq!(hot.compromised_replicas, 5);
+        assert_eq!(hot.f_bound, VotingPower::new(123));
+        assert!(!hot.safety_condition_holds);
     }
 
     #[test]

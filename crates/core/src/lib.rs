@@ -25,9 +25,10 @@
 //! (diversity-enforcing committee selection, §V's two-tier sketch) —
 //! plus [`fi_fleet`], the sharded epoch-snapshot serving layer that runs
 //! the attestation→selection pipeline concurrently at fleet scale
-//! ([`DiversityReport::from_snapshot`] and
-//! [`Recommender::plan_for_snapshot`] are its monitoring/management
-//! read paths). [`fi_serve`] fronts that fleet with a backpressured
+//! ([`DiversityReport::from_snapshot`],
+//! [`ResilienceReport::from_snapshot`] and
+//! [`Recommender::plan_for_snapshot`] are its monitoring, safety-verdict
+//! and management read paths). [`fi_serve`] fronts that fleet with a backpressured
 //! request pipeline — bounded ingress, edge coalescing, one ingest call
 //! per flush, watermark admission control — plus the
 //! deterministic simnet load scenarios that prove the pipeline

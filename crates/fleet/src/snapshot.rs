@@ -657,6 +657,14 @@ impl EpochSnapshot {
         self.opaque
     }
 
+    /// Registered devices in slot `slot` — a bucket's position in
+    /// [`buckets`](Self::buckets), or `buckets().len()` for the
+    /// unattested tier; zero past it. O(1).
+    #[must_use]
+    pub fn members(&self, slot: usize) -> usize {
+        self.pruned.slot_len(slot)
+    }
+
     /// The device roster, sorted by replica id — each row derived from
     /// its candidate and the bucket table (the same shape as
     /// [`AttestedRegistry::devices`], in canonical order). Costs what

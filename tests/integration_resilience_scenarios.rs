@@ -1,15 +1,23 @@
 //! Integration: end-to-end resilience scenarios the paper's discussion
 //! implies but does not evaluate — network partitions healing under BFT,
-//! and device-family revocation (the SGX.Fail story of §III-A).
+//! and device-family revocation (the SGX.Fail story of §III-A) — and the
+//! stack oracle: the safety verdict on a sealed epoch equals the offline
+//! analyzer's on the same population.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fault_independence::fi_attest::{
     AttestationPolicy, DeviceKind, TrustedDevice, TwoTierWeights, Verifier,
 };
 use fault_independence::fi_bft::harness::{run_cluster, ClusterConfig};
+use fault_independence::fi_config::generator::AssignmentEntry;
+use fault_independence::fi_serve::{FleetServer, ServeConfig};
 use fault_independence::fi_simnet::partition::PartitionWindow;
 use fault_independence::fi_simnet::{NetworkConfig, Partition};
 use fault_independence::fi_types::KeyPair;
 use fault_independence::prelude::*;
+use proptest::prelude::*;
 
 #[test]
 fn bft_survives_a_healing_partition() {
@@ -145,4 +153,104 @@ fn recommender_fixes_what_the_analyzer_flags() {
         verdict.safety_condition_holds,
         "recommendation must restore the safety margin: {verdict:?}"
     );
+}
+
+/// Three OSes × two crypto libraries, and four vulnerabilities whose
+/// windows overlap: a product on an OS, a product on a library, a whole
+/// layer, and a product no configuration runs.
+fn oracle_catalogue() -> (ConfigurationSpace, VulnerabilityDb) {
+    let (oses, libs) = (catalog::operating_systems(), catalog::crypto_libraries());
+    let space = ConfigurationSpace::cartesian(&[oses[..3].to_vec(), libs[..2].to_vec()]).unwrap();
+    let selectors = [
+        ComponentSelector::product(oses[0].kind(), oses[0].name()),
+        ComponentSelector::product(libs[1].kind(), libs[1].name()),
+        ComponentSelector::layer(ComponentKind::OperatingSystem),
+        ComponentSelector::product(oses[5].kind(), oses[5].name()),
+    ];
+    let windows = [(10, 20), (15, 40), (30, 31), (5, 50)];
+    let db = selectors
+        .into_iter()
+        .zip(windows)
+        .enumerate()
+        .map(|(i, (selector, (from, to)))| {
+            Vulnerability::new(VulnId::new(i as u64), "v", selector, Severity::High)
+                .with_window(SimTime::from_secs(from), SimTime::from_secs(to))
+        })
+        .collect();
+    (space, db)
+}
+
+proptest! {
+    // Pinned case count: the vendored runner seeds each case from the
+    // test name, so the chains are the same on every run.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The stack oracle. A random population — zero-power replicas
+    /// included — is registered through `FleetServer` → `ShardedFleet`
+    /// and sealed; churn chunks of re-attestations to other configurations
+    /// and departures follow, each sealed (differentially after the
+    /// first). At every sealed epoch the verdict on the snapshot equals
+    /// `analyze_at` on the mirrored assignment, field for field, at every
+    /// vulnerability's window edges.
+    #[test]
+    fn sealed_verdict_equals_the_analyzer_across_a_churn_chain(
+        population in proptest::collection::vec((0usize..6, 0u64..40), 1..30),
+        churn in proptest::collection::vec((0usize..30, 0usize..7), 0..48),
+        chunk in 1usize..8,
+        shards in 1usize..4,
+    ) {
+        let (space, db) = oracle_catalogue();
+        let fleet = Arc::new(ShardedFleet::new(shards, TwoTierWeights::new(1.0, 0.5)));
+        let serve = ServeConfig { epoch_ticks: 1, ..ServeConfig::default() };
+        let server = FleetServer::new(Arc::clone(&fleet), serve);
+        let mut instants = Vec::new();
+        for v in db.all() {
+            for edge in [v.disclosed_at(), v.patched_at()] {
+                instants.extend([SimTime::from_micros(edge.as_micros() - 1), edge]);
+            }
+        }
+
+        // Step 0 registers the population; each later step is one chunk
+        // of the churn, `None` for a departure.
+        let n = population.len();
+        let first: Vec<(usize, Option<usize>)> =
+            population.iter().enumerate().map(|(i, &(config, _))| (i, Some(config))).collect();
+        let later = churn.chunks(chunk).map(|c| {
+            c.iter().map(|&(who, to)| (who % n, (to < space.len()).then_some(to))).collect()
+        });
+        let mut mirror = BTreeMap::new();
+        for (epoch, step) in std::iter::once(first).chain(later).enumerate() {
+            let mut ops = Vec::with_capacity(step.len());
+            for (i, to) in step {
+                let replica = ReplicaId::new(i as u64);
+                let power = VotingPower::new(population[i].1);
+                if let Some(config) = to {
+                    mirror.insert(replica, (config, power));
+                    let m = space.get(config).unwrap().measurement();
+                    ops.push(ChurnOp::attest(replica, m, power));
+                } else {
+                    mirror.remove(&replica);
+                    ops.push(ChurnOp::Deregister { replica });
+                }
+            }
+            server.submit(ops).unwrap();
+            let snapshot = server.tick().unwrap().expect("every tick seals");
+            prop_assert_eq!(snapshot.epoch(), epoch as u64 + 1);
+            prop_assert_eq!(snapshot.parent_hash().is_some(), epoch > 0, "differential");
+
+            let entries: Vec<AssignmentEntry> = mirror
+                .iter()
+                .map(|(&replica, &(config, power))| AssignmentEntry { replica, config, power })
+                .collect();
+            let Ok(assignment) = Assignment::new(space.clone(), entries) else {
+                prop_assert_eq!(snapshot.device_count(), 0);
+                continue;
+            };
+            let analyzer = ResilienceAnalyzer::new(assignment, db.clone());
+            for &t in &instants {
+                let sealed = ResilienceReport::from_snapshot(&snapshot, &space, &db, t);
+                prop_assert_eq!(sealed, analyzer.analyze_at(t), "epoch {} at {}", epoch + 1, t);
+            }
+        }
+    }
 }
