@@ -4,7 +4,7 @@ use core::fmt;
 
 use fi_types::SimTime;
 
-/// Why a quote (or registry operation) was rejected.
+/// Why a quote was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttestError {
     /// The AIK certificate was not signed by a trusted endorsement key.
@@ -37,8 +37,6 @@ pub enum AttestError {
     FutureQuote,
     /// A commitment opening did not match.
     CommitmentMismatch,
-    /// The registry has no record for the replica.
-    UnknownReplica,
 }
 
 impl fmt::Display for AttestError {
@@ -66,7 +64,6 @@ impl fmt::Display for AttestError {
             }
             AttestError::FutureQuote => write!(f, "quote timestamp is in the future"),
             AttestError::CommitmentMismatch => write!(f, "commitment opening does not match"),
-            AttestError::UnknownReplica => write!(f, "replica has no attestation record"),
         }
     }
 }

@@ -19,11 +19,14 @@
 //! * [`commitment`] — salted configuration commitments for the privacy
 //!   concern of Remark 3 ("the privacy of replica configuration should also
 //!   be protected, as otherwise it provides attackers a clear target");
-//! * [`registry`] — the [`AttestedRegistry`]: verified quotes per replica,
-//!   the two-tier weighting of the paper's conclusion ("having two types of
-//!   replicas, one supporting configuration attestation and one does not,
-//!   will help to improve blockchain resilience"), and power-weighted
-//!   configuration distributions derived from attested data only;
+//! * [`registry`] — the [`AttestedRegistry`], the write side of the
+//!   serving layer: verified measurements per replica under the two-tier
+//!   weighting of the paper's conclusion ("having two types of replicas,
+//!   one supporting configuration attestation and one does not, will help
+//!   to improve blockchain resilience"), kept as integer power buckets per
+//!   measurement for a seal to read. It answers no diversity query: the
+//!   configuration entropy and distribution are read from an epoch
+//!   snapshot `fi-fleet` seals from it;
 //! * [`delta`] — the [`ChurnDelta`] the registry accumulates alongside its
 //!   incremental buckets: the net churn since the last epoch cut, drained
 //!   by `fi-fleet`'s differential sealer, sorted once into a

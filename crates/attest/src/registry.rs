@@ -9,7 +9,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use fi_entropy::{Distribution, EntropyAccumulator};
 use fi_types::hash::SetDigest;
 use fi_types::{sha256, Digest, ReplicaId, SimTime, VotingPower};
 
@@ -26,17 +25,6 @@ pub enum ReplicaTier {
     Attested,
     /// No attestation; configuration unknown.
     Unattested,
-}
-
-impl ReplicaTier {
-    /// The tier of a replica with this measurement: attested exactly when
-    /// it has one. Nothing stores a tier; every reader derives it here.
-    fn of(measurement: Option<Digest>) -> ReplicaTier {
-        match measurement {
-            Some(_) => ReplicaTier::Attested,
-            None => ReplicaTier::Unattested,
-        }
-    }
 }
 
 /// Voting-weight multipliers per tier.
@@ -95,15 +83,6 @@ impl TwoTierWeights {
     pub fn unattested(&self) -> f64 {
         self.unattested
     }
-
-    /// The multiplier for a tier.
-    #[must_use]
-    pub fn for_tier(&self, tier: ReplicaTier) -> f64 {
-        match tier {
-            ReplicaTier::Attested => self.attested,
-            ReplicaTier::Unattested => self.unattested,
-        }
-    }
 }
 
 impl Default for TwoTierWeights {
@@ -158,14 +137,17 @@ struct Bucket {
 /// Beside the entries the registry keeps one table of live measurement
 /// buckets — measurement, effective power and member count, indexed by
 /// handle and ordered by digest — and every registration, re-registration
-/// and removal updates the row it leaves and the row it joins, so the
-/// monitoring queries
-/// ([`entropy_bits`](Self::entropy_bits),
-/// [`total_effective_power`](Self::total_effective_power),
-/// [`bucket_rows`](Self::bucket_rows)) read the distinct measurements, not
-/// the entries. The table holds no float: entropy is folded from it when
-/// asked for, so every value the registry reports is a function of its
-/// content and of nothing else — not of the op order that led there.
+/// and removal updates the row it leaves and the row it joins, so a seal
+/// reads the distinct measurements ([`bucket_rows`](Self::bucket_rows),
+/// [`unattested_power`](Self::unattested_power)), not the entries. The
+/// table holds integers only, so what the registry hands a seal is a
+/// function of its content and of nothing else — not of the op order that
+/// led there.
+///
+/// The registry is write-side only: it answers no diversity query.
+/// Entropy and the configuration distribution are read from an epoch
+/// snapshot sealed from it (`fi-fleet`'s `EpochSnapshot`), which owns the
+/// read rules.
 ///
 /// It also owns the roster's contribution to a sealed epoch's content
 /// hash: each row is hashed once, when it is written
@@ -208,10 +190,13 @@ pub struct RegisteredDevice {
 
 impl RegisteredDevice {
     /// Which tier it registered on: attested exactly when it carries a
-    /// measurement.
+    /// measurement. Nothing stores a tier; every reader derives it here.
     #[must_use]
     pub fn tier(&self) -> ReplicaTier {
-        ReplicaTier::of(self.measurement)
+        match self.measurement {
+            Some(_) => ReplicaTier::Attested,
+            None => ReplicaTier::Unattested,
+        }
     }
 }
 
@@ -490,59 +475,10 @@ impl AttestedRegistry {
         self.entries.is_empty()
     }
 
-    /// The tier of `replica`, if registered.
-    #[must_use]
-    pub fn tier_of(&self, replica: ReplicaId) -> Option<ReplicaTier> {
-        self.entries
-            .get(&replica)
-            .map(|e| ReplicaTier::of(self.measurement(e)))
-    }
-
-    /// The attested measurement of `replica`, if any.
-    #[must_use]
-    pub fn measurement_of(&self, replica: ReplicaId) -> Option<Digest> {
-        self.entries.get(&replica).and_then(|e| self.measurement(e))
-    }
-
-    /// The replica's raw registered power.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttestError::UnknownReplica`] if not registered.
-    pub fn power_of(&self, replica: ReplicaId) -> Result<VotingPower, AttestError> {
-        self.entries
-            .get(&replica)
-            .map(|e| e.power)
-            .ok_or(AttestError::UnknownReplica)
-    }
-
-    /// The replica's *effective* power: raw power scaled by its tier
-    /// weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttestError::UnknownReplica`] if not registered.
-    pub fn effective_power_of(&self, replica: ReplicaId) -> Result<VotingPower, AttestError> {
-        let e = self
-            .entries
-            .get(&replica)
-            .ok_or(AttestError::UnknownReplica)?;
-        Ok(e.power
-            .scaled(self.weights.for_tier(ReplicaTier::of(self.measurement(e)))))
-    }
-
-    /// Total effective power across the registry: the bucket powers summed,
-    /// plus the opaque power.
-    #[must_use]
-    pub fn total_effective_power(&self) -> VotingPower {
-        self.bucket_rows().map(|(_, p)| p).sum::<VotingPower>() + self.opaque
-    }
-
     /// The live measurement buckets — every measurement with at least one
     /// registered member, paired with its summed effective attested power
-    /// (zero-power buckets included, mirroring
-    /// [`measurement_powers`](Self::measurement_powers)), sorted by digest:
-    /// the table's own order, and the order a snapshot keeps them in.
+    /// (zero-power buckets included), sorted by digest: the table's own
+    /// order, and the order a snapshot keeps them in.
     pub fn bucket_rows(&self) -> impl Iterator<Item = (Digest, VotingPower)> + '_ {
         self.buckets
             .iter()
@@ -572,81 +508,6 @@ impl AttestedRegistry {
             .map(|(&replica, e)| self.device(replica, e))
     }
 
-    /// Effective power per distinct attested measurement, plus (optionally)
-    /// one opaque bucket holding all unattested power. Deterministic order:
-    /// measurements sorted, opaque bucket last. O(m) in the number of
-    /// distinct measurements.
-    #[must_use]
-    pub fn measurement_powers(
-        &self,
-        include_unattested_bucket: bool,
-    ) -> Vec<(Option<Digest>, VotingPower)> {
-        let mut rows: Vec<(Option<Digest>, VotingPower)> =
-            self.bucket_rows().map(|(m, p)| (Some(m), p)).collect();
-        if include_unattested_bucket && !self.opaque.is_zero() {
-            rows.push((None, self.opaque));
-        }
-        rows
-    }
-
-    /// The effective-power configuration distribution over attested
-    /// measurements. With `include_unattested_bucket`, all unattested power
-    /// forms one extra outcome — the pessimistic reading where every
-    /// unattested replica might share a single configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`fi_entropy::DistributionError`] via `AttestError`-free
-    /// path if there is no power to distribute.
-    pub fn distribution(
-        &self,
-        include_unattested_bucket: bool,
-    ) -> Result<Distribution, fi_entropy::DistributionError> {
-        let units: Vec<u64> = self
-            .measurement_powers(include_unattested_bucket)
-            .iter()
-            .map(|(_, p)| p.as_units())
-            .collect();
-        Distribution::from_counts(&units)
-    }
-
-    /// Shannon entropy (bits) of the attested configuration distribution.
-    ///
-    /// O(m) in the number of distinct measurements: one
-    /// [`EntropyAccumulator::from_weights`] fold over the bucket table in
-    /// digest order (`H = log2 W − S/W`), with the opaque unattested bucket
-    /// folded in as one hypothetical extra configuration when requested.
-    /// That is the fold a sealed `fi-fleet` snapshot performs over the same
-    /// rows, so a registry and the snapshot sealed from it agree in every
-    /// bit, whatever op order led to the content. This is the
-    /// continuous-monitoring path; [`distribution`](Self::distribution) is
-    /// only needed for the batch metrics (Rényi, evenness, κ).
-    ///
-    /// # Errors
-    ///
-    /// As [`distribution`](Self::distribution): [`fi_entropy::DistributionError::Empty`]
-    /// with no rows, [`fi_entropy::DistributionError::ZeroTotalWeight`] when
-    /// every row's effective power is zero.
-    pub fn entropy_bits(
-        &self,
-        include_unattested_bucket: bool,
-    ) -> Result<f64, fi_entropy::DistributionError> {
-        let opaque_row = include_unattested_bucket && !self.opaque.is_zero();
-        if self.buckets.is_empty() && !opaque_row {
-            return Err(fi_entropy::DistributionError::Empty);
-        }
-        let units: Vec<u64> = self.bucket_rows().map(|(_, p)| p.as_units()).collect();
-        let acc = EntropyAccumulator::from_weights(&units);
-        if acc.total_weight() == 0 && !opaque_row {
-            return Err(fi_entropy::DistributionError::ZeroTotalWeight);
-        }
-        Ok(if opaque_row {
-            acc.entropy_with_extra_bucket(self.opaque.as_units())
-        } else {
-            acc.entropy_bits()
-        })
-    }
-
     /// Drains the net churn accumulated since the previous drain (or since
     /// construction), leaving an empty delta behind. This is the epoch
     /// cut's read, and it is O(1) — a `mem::take`: a sealer drains every
@@ -660,13 +521,6 @@ impl AttestedRegistry {
     /// *last* drain, so every cut must drain (and may then discard) it.
     pub fn take_delta(&mut self) -> ChurnDelta {
         std::mem::take(&mut self.delta)
-    }
-
-    /// The net churn accumulated since the last [`take_delta`](Self::take_delta),
-    /// without draining it.
-    #[must_use]
-    pub fn pending_delta(&self) -> &ChurnDelta {
-        &self.delta
     }
 }
 
@@ -691,6 +545,24 @@ mod tests {
         (quote, verifier)
     }
 
+    /// The bucket rows as a seal reads them.
+    fn rows(reg: &AttestedRegistry) -> Vec<(Digest, VotingPower)> {
+        reg.bucket_rows().collect()
+    }
+
+    /// `replica`'s row, if it is registered.
+    fn row(reg: &AttestedRegistry, replica: u64) -> Option<RegisteredDevice> {
+        reg.devices().find(|d| d.replica == ReplicaId::new(replica))
+    }
+
+    /// `(digest, power)` pairs in the bucket table's digest order.
+    fn by_digest(mut rows: Vec<(&[u8], u64)>) -> Vec<(Digest, VotingPower)> {
+        rows.sort_by_key(|&(m, _)| sha256(m));
+        rows.into_iter()
+            .map(|(m, p)| (sha256(m), VotingPower::new(p)))
+            .collect()
+    }
+
     #[test]
     fn register_and_query_attested() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::default());
@@ -705,15 +577,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.tier_of(ReplicaId::new(0)), Some(ReplicaTier::Attested));
-        assert_eq!(
-            reg.measurement_of(ReplicaId::new(0)),
-            Some(sha256(b"cfg-a"))
-        );
-        assert_eq!(
-            reg.effective_power_of(ReplicaId::new(0)).unwrap(),
-            VotingPower::new(100)
-        );
+        let device = row(&reg, 0).unwrap();
+        assert_eq!(device.tier(), ReplicaTier::Attested);
+        assert_eq!(device.measurement, Some(sha256(b"cfg-a")));
+        assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 100)]));
     }
 
     #[test]
@@ -740,33 +607,15 @@ mod tests {
     fn unattested_weighting_discounts_power() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
         reg.register_unattested(ReplicaId::new(7), VotingPower::new(100));
-        assert_eq!(
-            reg.tier_of(ReplicaId::new(7)),
-            Some(ReplicaTier::Unattested)
-        );
-        assert_eq!(
-            reg.effective_power_of(ReplicaId::new(7)).unwrap(),
-            VotingPower::new(50)
-        );
-        assert_eq!(reg.total_effective_power(), VotingPower::new(50));
+        assert_eq!(row(&reg, 7).unwrap().tier(), ReplicaTier::Unattested);
+        // Raw power on the row, weighted power in the opaque bucket.
+        assert_eq!(row(&reg, 7).unwrap().power, VotingPower::new(100));
+        assert_eq!(reg.unattested_power(), VotingPower::new(50));
+        assert!(rows(&reg).is_empty());
     }
 
     #[test]
-    fn unknown_replica_errors() {
-        let reg = AttestedRegistry::new(TwoTierWeights::flat());
-        assert_eq!(
-            reg.power_of(ReplicaId::new(0)),
-            Err(AttestError::UnknownReplica)
-        );
-        assert_eq!(
-            reg.effective_power_of(ReplicaId::new(0)),
-            Err(AttestError::UnknownReplica)
-        );
-        assert_eq!(reg.tier_of(ReplicaId::new(0)), None);
-    }
-
-    #[test]
-    fn distribution_groups_by_measurement() {
+    fn bucket_rows_group_by_measurement() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
         for (i, m) in [b"cfg-a" as &[u8], b"cfg-a", b"cfg-b"].iter().enumerate() {
             let (quote, verifier) = verified_quote(i as u64 + 10, m);
@@ -780,16 +629,11 @@ mod tests {
             )
             .unwrap();
         }
-        let d = reg.distribution(false).unwrap();
-        assert_eq!(d.dimension(), 2);
-        let mut probs = d.probabilities().to_vec();
-        probs.sort_by(f64::total_cmp);
-        assert!((probs[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((probs[1] - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 20), (b"cfg-b", 10)]));
     }
 
     #[test]
-    fn unattested_bucket_appears_when_requested() {
+    fn unattested_power_is_one_opaque_bucket_beside_the_rows() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
         let (quote, verifier) = verified_quote(1, b"cfg-a");
         reg.register_attested(
@@ -802,12 +646,12 @@ mod tests {
         )
         .unwrap();
         reg.register_unattested(ReplicaId::new(1), VotingPower::new(50));
-        assert_eq!(reg.distribution(false).unwrap().dimension(), 1);
-        let with_bucket = reg.distribution(true).unwrap();
-        assert_eq!(with_bucket.dimension(), 2);
-        assert!((with_bucket.probabilities()[1] - 0.5).abs() < 1e-12);
-        // Entropy rises when the opaque bucket is accounted for.
-        assert!(reg.entropy_bits(true).unwrap() > reg.entropy_bits(false).unwrap());
+        reg.register_unattested(ReplicaId::new(2), VotingPower::new(30));
+        // Unattested devices name no measurement, so they share no row;
+        // their power is one sum.
+        assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 50)]));
+        assert_eq!(reg.unattested_power(), VotingPower::new(80));
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]
@@ -863,25 +707,11 @@ mod tests {
         .unwrap();
 
         // cfg-a holds r2's 20, cfg-b holds r0's 70, opaque holds r1's 15.
-        assert_eq!(
-            reg.measurement_powers(true)
-                .iter()
-                .map(|&(_, p)| p)
-                .collect::<Vec<_>>(),
-            vec![
-                VotingPower::new(20),
-                VotingPower::new(70),
-                VotingPower::new(15)
-            ]
-        );
-        assert_eq!(reg.total_effective_power(), VotingPower::new(105));
-        // The folded entropy equals the batch distribution's entropy.
-        for include in [false, true] {
-            let fast = reg.entropy_bits(include).unwrap();
-            let batch = reg.distribution(include).unwrap().shannon_entropy();
-            assert!((fast - batch).abs() < 1e-12, "include={include}");
-            assert!(!fast.is_sign_negative());
-        }
+        assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 20), (b"cfg-b", 70)]));
+        assert_eq!(reg.unattested_power(), VotingPower::new(15));
+        assert_eq!(reg.len(), 3);
+        assert_eq!(row(&reg, 1).unwrap().tier(), ReplicaTier::Unattested);
+        assert_eq!(row(&reg, 2).unwrap().measurement, Some(sha256(b"cfg-a")));
     }
 
     #[test]
@@ -909,9 +739,8 @@ mod tests {
             VotingPower::new(10),
         )
         .unwrap();
-        assert_eq!(reg.distribution(false).unwrap().dimension(), 1);
-        assert_eq!(reg.entropy_bits(false).unwrap(), 0.0);
-        assert_eq!(reg.measurement_powers(false).len(), 1);
+        assert_eq!(rows(&reg), by_digest(vec![(b"cfg-b", 10)]));
+        assert_eq!(reg.buckets.len(), 1);
     }
 
     #[test]
@@ -934,7 +763,6 @@ mod tests {
             .unwrap();
         }
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.measurement_powers(false).len(), 1);
         assert_eq!(reg.buckets.len(), 1, "abandoned buckets leaked");
         assert_eq!(
             (reg.slots.len(), reg.free.len()),
@@ -942,8 +770,7 @@ mod tests {
             "abandoned handles leaked"
         );
         assert_eq!(live_handles(&reg), 1);
-        assert_eq!(reg.total_effective_power(), VotingPower::new(10));
-        assert_eq!(reg.entropy_bits(false).unwrap(), 0.0);
+        assert_eq!(rows(&reg), vec![(sha256(b"cfg-49"), VotingPower::new(10))]);
     }
 
     #[test]
@@ -963,12 +790,15 @@ mod tests {
             reg.register_unattested(ReplicaId::new(1), VotingPower::new(100));
             reg
         };
+        // The attested row's share of the effective power.
+        let attested_share = |reg: &AttestedRegistry| {
+            let attested = rows(reg)[0].1.as_units() as f64;
+            attested / (attested + reg.unattested_power().as_units() as f64)
+        };
         let flat = build(TwoTierWeights::flat());
         let tiered = build(TwoTierWeights::new(1.0, 0.25));
-        let flat_d = flat.distribution(true).unwrap();
-        let tiered_d = tiered.distribution(true).unwrap();
-        assert!((flat_d.probabilities()[0] - 0.5).abs() < 1e-12);
-        assert!((tiered_d.probabilities()[0] - 0.8).abs() < 1e-12);
+        assert!((attested_share(&flat) - 0.5).abs() < 1e-12);
+        assert!((attested_share(&tiered) - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -986,11 +816,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.tier_of(ReplicaId::new(0)), Some(ReplicaTier::Attested));
-        assert_eq!(
-            reg.power_of(ReplicaId::new(0)).unwrap(),
-            VotingPower::new(20)
-        );
+        let device = row(&reg, 0).unwrap();
+        assert_eq!(device.tier(), ReplicaTier::Attested);
+        assert_eq!(device.power, VotingPower::new(20));
+        assert_eq!(reg.unattested_power(), VotingPower::ZERO);
     }
 
     #[test]
@@ -1022,10 +851,8 @@ mod tests {
             VotingPower::new(40),
         ));
         assert_eq!(via_quote, via_op);
-        assert_eq!(
-            via_quote.entropy_bits(false).unwrap().to_bits(),
-            via_op.entropy_bits(false).unwrap().to_bits()
-        );
+        assert_eq!(rows(&via_quote), rows(&via_op));
+        assert_eq!(via_quote.roster_digest(), via_op.roster_digest());
     }
 
     #[test]
@@ -1057,16 +884,16 @@ mod tests {
         assert!(!manual.deregister(ReplicaId::new(99)));
 
         assert_eq!(batched, manual);
-        assert_eq!(batched.total_effective_power(), VotingPower::new(15));
-        assert_eq!(
-            batched.measurement_powers(true),
-            manual.measurement_powers(true)
-        );
+        assert_eq!(rows(&batched), vec![(m_b, VotingPower::new(15))]);
+        assert_eq!(rows(&batched), rows(&manual));
+        assert_eq!(batched.unattested_power(), VotingPower::ZERO);
+        assert_eq!(manual.unattested_power(), VotingPower::ZERO);
     }
 
     #[test]
     fn bucket_rows_and_devices_mirror_measurement_powers() {
-        let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
+        let weights = TwoTierWeights::new(1.0, 0.5);
+        let mut reg = AttestedRegistry::new(weights);
         reg.register_attested_preverified(
             ReplicaId::new(0),
             sha256(b"cfg-a"),
@@ -1084,13 +911,20 @@ mod tests {
         );
         reg.register_unattested(ReplicaId::new(3), VotingPower::new(40));
 
-        let rows: Vec<(Digest, VotingPower)> = reg.bucket_rows().collect();
-        let expected: Vec<(Digest, VotingPower)> = reg
-            .measurement_powers(false)
-            .into_iter()
-            .map(|(m, p)| (m.expect("attested rows only"), p))
-            .collect();
-        assert_eq!(rows, expected);
+        // The rows and the opaque power, recounted from the devices.
+        let mut recount = BTreeMap::new();
+        let mut opaque = VotingPower::ZERO;
+        for d in reg.devices() {
+            match (d.tier(), d.measurement) {
+                (ReplicaTier::Attested, Some(m)) => {
+                    *recount.entry(m).or_insert(VotingPower::ZERO) +=
+                        d.power.scaled(weights.attested());
+                }
+                _ => opaque += d.power.scaled(weights.unattested()),
+            }
+        }
+        assert_eq!(rows(&reg), recount.into_iter().collect::<Vec<_>>());
+        assert_eq!(reg.unattested_power(), opaque);
         assert_eq!(reg.unattested_power(), VotingPower::new(20));
 
         let mut devices: Vec<RegisteredDevice> = reg.devices().collect();
@@ -1168,7 +1002,7 @@ mod tests {
             reg.register_attested_preverified(ReplicaId::new(i % 3), m, VotingPower::new(i));
             assert!(reg.slots.len() <= 3, "handle table grew at op {i}");
             assert_eq!(live_handles(&reg), reg.buckets.len());
-            assert_eq!(reg.measurement_of(ReplicaId::new(i % 3)), Some(m));
+            assert_eq!(row(&reg, i % 3).unwrap().measurement, Some(m));
         }
         assert_eq!((reg.slots.len(), reg.free.len()), (3, 0));
         for (&m, &h) in &reg.buckets {
@@ -1176,7 +1010,7 @@ mod tests {
             assert_eq!(reg.slots[h as usize].members, 1);
         }
         assert_eq!(
-            reg.total_effective_power(),
+            rows(&reg).iter().map(|&(_, p)| p).sum::<VotingPower>(),
             VotingPower::new(997 + 998 + 999)
         );
     }

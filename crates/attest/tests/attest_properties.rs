@@ -91,8 +91,9 @@ proptest! {
         }
     }
 
-    /// Registry accounting: total effective power equals the sum of
-    /// per-replica effective powers, for arbitrary tier mixes and weights.
+    /// Registry accounting: the bucket rows and the opaque power equal the
+    /// sums of per-replica effective powers on each tier, for arbitrary
+    /// tier mixes and weights.
     #[test]
     fn registry_power_accounting(
         powers in proptest::collection::vec(1u64..10_000, 1..20),
@@ -129,16 +130,23 @@ proptest! {
                 registry.register_unattested(replica, VotingPower::new(power));
             }
         }
-        let per_replica: VotingPower = (0..powers.len())
-            .map(|i| registry.effective_power_of(ReplicaId::new(i as u64)).unwrap())
-            .sum();
-        prop_assert_eq!(per_replica, registry.total_effective_power());
-        prop_assert_eq!(registry.len(), powers.len());
-        // The distribution, when defined, uses exactly the effective power.
-        if !registry.total_effective_power().is_zero() {
-            let rows = registry.measurement_powers(true);
-            let row_total: VotingPower = rows.iter().map(|&(_, p)| p).sum();
-            prop_assert_eq!(row_total, registry.total_effective_power());
+        // Per-replica effective powers, summed per tier.
+        let (mut attested, mut unattested) = (VotingPower::ZERO, VotingPower::ZERO);
+        for d in registry.devices() {
+            let i = d.replica.as_u64() as usize;
+            prop_assert_eq!(d.power, VotingPower::new(powers[i]));
+            if d.tier() == ReplicaTier::Attested {
+                prop_assert!(attested_mask[i]);
+                attested += d.power.scaled(weights.attested());
+            } else {
+                prop_assert!(!attested_mask[i]);
+                unattested += d.power.scaled(weights.unattested());
+            }
         }
+        prop_assert_eq!(registry.len(), powers.len());
+        // The rows a seal reads carry exactly the effective power.
+        let row_total: VotingPower = registry.bucket_rows().map(|(_, p)| p).sum();
+        prop_assert_eq!(row_total, attested);
+        prop_assert_eq!(registry.unattested_power(), unattested);
     }
 }

@@ -1,21 +1,23 @@
 //! Edge-case suite for [`AttestedRegistry`]'s incrementally maintained
 //! measurement buckets: re-registration under a changed measurement,
 //! deregistering the last member of a bucket, and a bucket's row leaving
-//! and returning — each step cross-checked against a full rescan of the
+//! and returning — each step cross-checked against a full recount of the
 //! registry's rows.
 //!
-//! The registry answers `entropy_bits` / `total_effective_power` from one
-//! integer bucket table it updates per op; these tests are the proof that
-//! the table never diverges from what a from-scratch aggregation of
-//! `measurement_powers` reports, no matter how the membership churns, and
-//! that what it reports depends on the content alone.
+//! The registry keeps one integer bucket table it updates per op, and a
+//! seal reads that table (`bucket_rows`, `unattested_power`) instead of
+//! the devices; these tests are the proof that the table never diverges
+//! from a from-scratch recount of `devices()`, no matter how the
+//! membership churns, and that what it holds depends on the content alone.
+
+use std::collections::BTreeMap;
 
 use fi_attest::device::{DeviceKind, TrustedDevice};
 use fi_attest::{
     device_row_digest, AttestationPolicy, AttestedRegistry, BucketDelta, CanonicalDelta,
-    ChurnDelta, ChurnOp, Quote, ReplicaTier, RosterChange, TwoTierWeights, Verifier,
+    ChurnDelta, ChurnOp, Quote, RegisteredDevice, ReplicaTier, RosterChange, TwoTierWeights,
+    Verifier,
 };
-use fi_entropy::incremental::weighted_entropy_bits;
 use fi_types::hash::SetDigest;
 use fi_types::{sha256, Digest, KeyPair, ReplicaId, SimTime, VotingPower};
 use proptest::prelude::*;
@@ -48,39 +50,51 @@ fn register(reg: &mut AttestedRegistry, replica: u64, measurement: &[u8], power:
     .expect("verifiable quote registers");
 }
 
-/// Full rescan oracle: total effective power and configuration entropy
-/// re-derived from the registry's row dump, ignoring all incremental state.
-fn rescan(reg: &AttestedRegistry, include_unattested: bool) -> (u64, f64) {
-    let rows = reg.measurement_powers(include_unattested);
-    let total: u64 = rows.iter().map(|(_, p)| p.as_units()).sum();
-    let entropy = weighted_entropy_bits(rows.iter().map(|(_, p)| p.as_units()));
-    (total, entropy)
+/// The bucket table as a seal reads it.
+fn table(reg: &AttestedRegistry) -> Vec<(Digest, VotingPower)> {
+    reg.bucket_rows().collect()
 }
 
-/// Asserts the incremental fast paths agree with the rescan oracle in both
-/// unattested-bucket modes.
-fn assert_matches_rescan(reg: &AttestedRegistry, context: &str) {
-    let (with_total, with_entropy) = rescan(reg, true);
-    assert_eq!(
-        reg.total_effective_power().as_units(),
-        with_total,
-        "{context}: incremental total diverged from rescan"
-    );
-    for include in [false, true] {
-        let (_, expected) = rescan(reg, include);
-        match reg.entropy_bits(include) {
-            Ok(actual) => assert!(
-                (actual - expected).abs() < 1e-9,
-                "{context} (include={include}): incremental entropy {actual} vs rescan {expected}"
-            ),
-            Err(_) => assert_eq!(
-                reg.measurement_powers(include).len(),
-                0,
-                "{context} (include={include}): entropy errored on a non-empty registry"
-            ),
+/// `replica`'s row, if it is registered.
+fn row(reg: &AttestedRegistry, replica: u64) -> Option<RegisteredDevice> {
+    reg.devices().find(|d| d.replica == ReplicaId::new(replica))
+}
+
+/// Effective power over both tiers, read off the bucket table.
+fn total(reg: &AttestedRegistry) -> VotingPower {
+    table(reg).iter().map(|&(_, p)| p).sum::<VotingPower>() + reg.unattested_power()
+}
+
+/// Full recount oracle: asserts the bucket rows, the opaque power and the
+/// device count equal what a from-scratch pass over `devices()` derives,
+/// ignoring all incremental state.
+fn assert_matches_recount(reg: &AttestedRegistry, context: &str) {
+    let weights = reg.weights();
+    let mut recount: BTreeMap<Digest, VotingPower> = BTreeMap::new();
+    let mut opaque = VotingPower::ZERO;
+    let mut devices = 0;
+    for d in reg.devices() {
+        devices += 1;
+        if d.tier() == ReplicaTier::Attested {
+            let m = d
+                .measurement
+                .expect("an attested device names its measurement");
+            *recount.entry(m).or_insert(VotingPower::ZERO) += d.power.scaled(weights.attested());
+        } else {
+            opaque += d.power.scaled(weights.unattested());
         }
     }
-    let _ = with_entropy;
+    assert_eq!(
+        table(reg),
+        recount.into_iter().collect::<Vec<_>>(),
+        "{context}: bucket rows diverged from the recount"
+    );
+    assert_eq!(
+        reg.unattested_power(),
+        opaque,
+        "{context}: opaque power diverged from the recount"
+    );
+    assert_eq!(reg.len(), devices, "{context}: device count");
 }
 
 #[test]
@@ -89,30 +103,27 @@ fn re_registration_under_changed_measurement_moves_the_bucket() {
     register(&mut reg, 0, b"cfg-a", 60);
     register(&mut reg, 1, b"cfg-a", 40);
     register(&mut reg, 2, b"cfg-b", 50);
-    assert_matches_rescan(&reg, "initial population");
-    assert_eq!(reg.measurement_powers(false).len(), 2);
+    assert_matches_recount(&reg, "initial population");
+    assert_eq!(table(&reg).len(), 2);
 
     // Replica 1 reconfigures: cfg-a → cfg-b. Power must leave one bucket
     // and land in the other, atomically.
     register(&mut reg, 1, b"cfg-b", 40);
-    assert_matches_rescan(&reg, "after cross-bucket re-registration");
-    assert_eq!(
-        reg.measurement_of(ReplicaId::new(1)),
-        Some(sha256(b"cfg-b"))
-    );
-    let rows = reg.measurement_powers(false);
-    assert_eq!(rows.len(), 2);
-    let powers: Vec<u64> = rows.iter().map(|(_, p)| p.as_units()).collect();
+    assert_matches_recount(&reg, "after cross-bucket re-registration");
+    assert_eq!(row(&reg, 1).unwrap().measurement, Some(sha256(b"cfg-b")));
+    let rows_now = table(&reg);
+    assert_eq!(rows_now.len(), 2);
+    let powers: Vec<u64> = rows_now.iter().map(|(_, p)| p.as_units()).collect();
     assert!(
         powers.contains(&60) && powers.contains(&90),
-        "rows: {rows:?}"
+        "rows: {rows_now:?}"
     );
 
     // Replica 0 re-attests the *same* measurement with new power: the
     // bucket updates in place, no phantom rows.
     register(&mut reg, 0, b"cfg-a", 75);
-    assert_matches_rescan(&reg, "after same-bucket re-registration");
-    assert_eq!(reg.total_effective_power(), VotingPower::new(75 + 90));
+    assert_matches_recount(&reg, "after same-bucket re-registration");
+    assert_eq!(total(&reg), VotingPower::new(75 + 90));
 }
 
 #[test]
@@ -121,25 +132,23 @@ fn deregistering_the_last_member_of_a_bucket_removes_its_row() {
     register(&mut reg, 0, b"cfg-a", 100);
     register(&mut reg, 1, b"cfg-b", 50);
     register(&mut reg, 2, b"cfg-b", 50);
-    assert_matches_rescan(&reg, "initial population");
+    assert_matches_recount(&reg, "initial population");
 
     // cfg-a has exactly one member; deregistering it must erase the row
     // entirely (not leave a zero-weight ghost in the distribution).
     assert!(reg.deregister(ReplicaId::new(0)));
-    assert_matches_rescan(&reg, "after deregistering a bucket's last member");
+    assert_matches_recount(&reg, "after deregistering a bucket's last member");
     assert_eq!(reg.len(), 2);
-    assert_eq!(reg.measurement_powers(false).len(), 1);
-    let h = reg.entropy_bits(false).unwrap();
-    assert_eq!(h, 0.0, "one surviving measurement: entropy exactly +0.0");
-    assert!(h.is_sign_positive());
+    assert_eq!(table(&reg), vec![(sha256(b"cfg-b"), VotingPower::new(100))]);
 
-    // Deregistering the other two empties the registry; the fast paths
-    // report the degenerate state rather than stale buckets.
+    // Deregistering the other two empties the registry; the table holds
+    // the degenerate state rather than stale buckets.
     assert!(reg.deregister(ReplicaId::new(1)));
     assert!(reg.deregister(ReplicaId::new(2)));
     assert!(reg.is_empty());
-    assert_eq!(reg.total_effective_power(), VotingPower::ZERO);
-    assert!(reg.entropy_bits(false).is_err());
+    assert_matches_recount(&reg, "after emptying the registry");
+    assert!(table(&reg).is_empty());
+    assert_eq!(total(&reg), VotingPower::ZERO);
 
     // Deregistering an unknown replica is a no-op that says so.
     assert!(!reg.deregister(ReplicaId::new(9)));
@@ -156,23 +165,23 @@ fn recycled_slots_serve_new_measurements_without_residue() {
     // nothing of cfg-a leaks into cfg-c.
     assert!(reg.deregister(ReplicaId::new(0)));
     register(&mut reg, 2, b"cfg-c", 30);
-    assert_matches_rescan(&reg, "after a bucket left and another arrived");
-    let rows = reg.measurement_powers(false);
-    assert_eq!(rows.len(), 2);
+    assert_matches_recount(&reg, "after a bucket left and another arrived");
+    let rows_now = table(&reg);
+    assert_eq!(rows_now.len(), 2);
     assert!(
-        rows.iter().all(|(m, _)| *m != Some(sha256(b"cfg-a"))),
-        "the emptied measurement must not resurface: {rows:?}"
+        rows_now.iter().all(|(m, _)| *m != sha256(b"cfg-a")),
+        "the emptied measurement must not resurface: {rows_now:?}"
     );
-    assert!(rows.iter().any(|(m, _)| *m == Some(sha256(b"cfg-c"))));
+    assert!(rows_now.iter().any(|(m, _)| *m == sha256(b"cfg-c")));
 
     // Churn one replica across many measurements;
     // the live row count must stay bounded by the live measurement set.
     for round in 0u64..20 {
         let name = format!("cfg-churn-{round}");
         register(&mut reg, 3, name.as_bytes(), 10 + round);
-        assert_matches_rescan(&reg, "during churn");
+        assert_matches_recount(&reg, "during churn");
         assert_eq!(
-            reg.measurement_powers(false).len(),
+            table(&reg).len(),
             3,
             "round {round}: abandoned buckets must not accumulate rows"
         );
@@ -184,26 +193,22 @@ fn tier_flips_move_power_between_buckets_and_opaque_pool() {
     let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
     register(&mut reg, 0, b"cfg-a", 100);
     reg.register_unattested(ReplicaId::new(1), VotingPower::new(100));
-    assert_matches_rescan(&reg, "mixed tiers");
-    assert_eq!(reg.total_effective_power(), VotingPower::new(150));
+    assert_matches_recount(&reg, "mixed tiers");
+    assert_eq!(total(&reg), VotingPower::new(150));
 
     // The attested replica drops to the unattested tier: its bucket (the
     // last cfg-a member) empties and its discounted power joins the pool.
     reg.register_unattested(ReplicaId::new(0), VotingPower::new(100));
-    assert_matches_rescan(&reg, "after attested→unattested flip");
-    assert_eq!(
-        reg.tier_of(ReplicaId::new(0)),
-        Some(ReplicaTier::Unattested)
-    );
-    assert_eq!(reg.total_effective_power(), VotingPower::new(100));
-    assert!(reg.measurement_powers(false).is_empty());
-    assert!(reg.entropy_bits(false).is_err(), "no attested rows remain");
+    assert_matches_recount(&reg, "after attested→unattested flip");
+    assert_eq!(row(&reg, 0).unwrap().tier(), ReplicaTier::Unattested);
+    assert_eq!(reg.unattested_power(), VotingPower::new(100));
+    assert!(table(&reg).is_empty(), "no attested rows remain");
 
     // And back: re-attestation rebuilds the bucket from the opaque pool.
     register(&mut reg, 0, b"cfg-a", 100);
-    assert_matches_rescan(&reg, "after unattested→attested flip");
-    assert_eq!(reg.total_effective_power(), VotingPower::new(150));
-    assert_eq!(reg.measurement_powers(false).len(), 1);
+    assert_matches_recount(&reg, "after unattested→attested flip");
+    assert_eq!(total(&reg), VotingPower::new(150));
+    assert_eq!(table(&reg).len(), 1);
 }
 
 // --- ChurnDelta maintenance: the differential-sealing feed ------------
@@ -237,10 +242,7 @@ fn rows(delta: &CanonicalDelta) -> Rows {
 #[test]
 fn take_delta_reflects_net_churn_and_drains() {
     let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
-    assert!(
-        reg.pending_delta().is_empty(),
-        "fresh registry, empty delta"
-    );
+    assert!(reg.take_delta().is_empty(), "fresh registry, empty delta");
 
     reg.apply(&ChurnOp::attest(
         ReplicaId::new(0),
@@ -281,7 +283,7 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!((roster[2].0, after(2)), (ReplicaId::new(2), None));
 
     // Draining resets; further churn starts a fresh delta.
-    assert!(reg.pending_delta().is_empty());
+    assert!(reg.take_delta().is_empty());
     reg.apply(&ChurnOp::Deregister {
         replica: ReplicaId::new(0),
     });
@@ -466,11 +468,6 @@ proptest! {
                 prop_assert_eq!(whole.roster_digest(), refold(&whole));
             }
 
-            // Undrained: the pending delta already explains the move.
-            let mut pending = sealed_whole;
-            pending.add(whole.pending_delta().row_digest_change());
-            prop_assert_eq!(pending, whole.roster_digest());
-
             sealed_whole.add(whole.take_delta().row_digest_change());
             prop_assert_eq!(sealed_whole, whole.roster_digest());
             prop_assert_eq!(whole.roster_digest(), refold(&whole), "draining moved the aggregate");
@@ -525,18 +522,9 @@ proptest! {
         detour.apply(&ChurnOp::Deregister { replica: visitor });
 
         prop_assert_eq!(&detour, &direct);
-        for include in [false, true] {
-            prop_assert_eq!(
-                detour.entropy_bits(include).map(f64::to_bits),
-                direct.entropy_bits(include).map(f64::to_bits),
-                "include={}", include
-            );
-        }
-        prop_assert_eq!(
-            detour.bucket_rows().collect::<Vec<_>>(),
-            direct.bucket_rows().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(detour.total_effective_power(), direct.total_effective_power());
+        prop_assert_eq!(table(&detour), table(&direct));
+        prop_assert_eq!(detour.unattested_power(), direct.unattested_power());
+        prop_assert_eq!(detour.roster_digest(), direct.roster_digest());
     }
 
     /// The sealer's merge contract, epoch after epoch: at 1, 2, 4 and 7
@@ -602,9 +590,8 @@ proptest! {
             2..7,
         ),
     ) {
-        use std::collections::BTreeMap;
         let weights = TwoTierWeights::new(1.0, 0.5);
-        let rows_of = |reg: &AttestedRegistry| -> BTreeMap<ReplicaId, fi_attest::RegisteredDevice> {
+        let rows_of = |reg: &AttestedRegistry| -> BTreeMap<ReplicaId, RegisteredDevice> {
             reg.devices().map(|d| (d.replica, d)).collect()
         };
         for shard_count in [1usize, 2, 4, 7] {
@@ -669,12 +656,12 @@ fn collapsing_churn_leaves_no_row_digest_residue() {
         power: VotingPower::new(10),
     });
     let mut expected = SetDigest::EMPTY;
-    expected.remove(&device_row_digest(&fi_attest::RegisteredDevice {
+    expected.remove(&device_row_digest(&RegisteredDevice {
         replica: r,
         measurement: Some(m),
         power: VotingPower::new(10),
     }));
-    expected.insert(&device_row_digest(&fi_attest::RegisteredDevice {
+    expected.insert(&device_row_digest(&RegisteredDevice {
         replica: r,
         measurement: None,
         power: VotingPower::new(10),

@@ -121,18 +121,6 @@ impl Component {
         &self.version
     }
 
-    /// A copy of this component at a different version — how patching is
-    /// modelled (same product, new version, vulnerability no longer
-    /// matches).
-    #[must_use]
-    pub fn with_version(&self, version: impl Into<String>) -> Component {
-        Component {
-            kind: self.kind,
-            name: self.name.clone(),
-            version: version.into(),
-        }
-    }
-
     /// The measurement digest of this single component.
     #[must_use]
     pub fn measurement(&self) -> Digest {
@@ -256,14 +244,6 @@ mod tests {
         assert_ne!(base.measurement(), other_name.measurement());
         assert_ne!(base.measurement(), other_version.measurement());
         assert_eq!(base.measurement(), base.clone().measurement());
-    }
-
-    #[test]
-    fn with_version_changes_measurement_not_product() {
-        let old = Component::new(ComponentKind::CryptoLibrary, "openssl", "3.0.12");
-        let patched = old.with_version("3.0.13");
-        assert_eq!((old.kind(), old.name()), (patched.kind(), patched.name()));
-        assert_ne!(old.measurement(), patched.measurement());
     }
 
     fn catalogs() -> [(ComponentKind, Vec<Component>); 4] {

@@ -351,17 +351,6 @@ impl Assignment {
         self.entries[i].config = new_config;
         Ok(old)
     }
-
-    /// Rebuilds the replica index (needed after deserialization).
-    pub fn reindex(&mut self) {
-        self.by_replica = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.replica, i))
-            .collect();
-        self.space.reindex();
-    }
 }
 
 #[cfg(test)]
@@ -511,14 +500,5 @@ mod tests {
         }];
         let a = Assignment::new(s, entries).unwrap();
         assert!(a.distribution().is_err());
-    }
-
-    #[test]
-    fn reindex_after_manual_clear() {
-        let mut a = Assignment::round_robin(&space(), 3, VotingPower::UNIT).unwrap();
-        a.by_replica.clear();
-        assert_eq!(a.config_of(ReplicaId::new(0)), None);
-        a.reindex();
-        assert_eq!(a.config_of(ReplicaId::new(0)), Some(0));
     }
 }

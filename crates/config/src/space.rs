@@ -124,17 +124,6 @@ impl ConfigurationSpace {
     pub fn iter(&self) -> impl Iterator<Item = &Configuration> {
         self.configs.iter()
     }
-
-    /// Rebuilds the measurement index (needed after deserialization, since
-    /// the index is not serialized).
-    pub fn reindex(&mut self) {
-        self.by_measurement = self
-            .configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.measurement(), i))
-            .collect();
-    }
 }
 
 impl<'a> IntoIterator for &'a ConfigurationSpace {
@@ -223,18 +212,6 @@ mod tests {
             .component(catalog::databases()[0].clone())
             .build();
         assert_eq!(space.insert(novel), len);
-    }
-
-    #[test]
-    fn reindex_restores_lookup() {
-        let mut space = small_space();
-        space.by_measurement.clear();
-        assert_eq!(space.position(&space.get(0).unwrap().measurement()), None);
-        space.reindex();
-        assert_eq!(
-            space.position(&space.get(0).unwrap().measurement()),
-            Some(0)
-        );
     }
 
     #[test]

@@ -48,17 +48,6 @@ impl ResilienceAnalyzer {
     pub fn exposure_curve(&self, rollout: &PatchRollout, times: &[SimTime]) -> Vec<ExposurePoint> {
         exposure_curve(&self.assignment, &self.db, rollout, times)
     }
-
-    /// Entropy (bits) of the assignment's power-weighted configuration
-    /// distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`fi_config::ConfigError`] if the assignment carries no
-    /// power.
-    pub fn entropy_bits(&self) -> Result<f64, fi_config::ConfigError> {
-        self.assignment.entropy_bits()
-    }
 }
 
 /// The fault picture at one instant, from an assignment
@@ -310,11 +299,5 @@ mod tests {
         assert_eq!(hot.compromised_replicas, 5);
         assert_eq!(hot.f_bound, VotingPower::new(123));
         assert!(!hot.safety_condition_holds);
-    }
-
-    #[test]
-    fn entropy_accessor() {
-        assert!((setup(true).entropy_bits().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(setup(false).entropy_bits().unwrap(), 0.0);
     }
 }

@@ -13,8 +13,8 @@ use crate::error::CoreError;
 /// (paper §III-B + §IV in one object).
 ///
 /// The monitor issues per-replica challenge nonces, verifies quotes through
-/// its [`Verifier`], and keeps an [`AttestedRegistry`] from which it derives
-/// the diversity report.
+/// its [`Verifier`], and keeps an [`AttestedRegistry`]; its diversity report
+/// is read from an epoch snapshot sealed from that registry.
 #[derive(Debug)]
 pub struct DiversityMonitor {
     verifier: Verifier,
@@ -70,46 +70,32 @@ impl DiversityMonitor {
         &self.registry
     }
 
-    /// The Shannon entropy (bits) of the current configuration
-    /// distribution, folded from the registry's incrementally maintained
-    /// integer buckets — O(distinct measurements), no distribution rebuild,
-    /// and the bits a snapshot sealed from the same content reports. This is
-    /// the continuous-monitoring path; use [`report`](Self::report) for the
-    /// full metric set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Entropy`] when no power is registered.
-    pub fn entropy_bits(&self, include_unattested: bool) -> Result<f64, CoreError> {
-        Ok(self.registry.entropy_bits(include_unattested)?)
-    }
-
     /// Produces the diversity report. With `include_unattested`, all
     /// unattested power is counted as one opaque configuration (the
     /// pessimistic reading).
+    ///
+    /// The registry answers no diversity query, so this seals it into an
+    /// [`EpochSnapshot`] — one full build, O(n log n) in registered
+    /// replicas — and reads the report there, as a fleet reader does.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Entropy`] when no power is registered.
     pub fn report(&self, include_unattested: bool) -> Result<DiversityReport, CoreError> {
-        let dist = self.registry.distribution(include_unattested)?;
-        Ok(DiversityReport::from_parts(
-            &dist,
-            self.registry.len(),
-            self.registry.total_effective_power(),
-            self.registry.entropy_bits(include_unattested)?,
-        ))
+        DiversityReport::from_snapshot(
+            &EpochSnapshot::from_registry(&self.registry, 0),
+            include_unattested,
+        )
     }
 }
 
 impl DiversityReport {
-    /// Derives the full diversity report from a sealed fleet snapshot —
-    /// the serving-layer counterpart of [`DiversityMonitor::report`]: same
-    /// metric set, computed lock-free from an immutable [`EpochSnapshot`]
-    /// instead of the live registry. Because the snapshot's distribution
-    /// mirrors the registry's row order exactly, a report taken through
-    /// either path over the same fleet content agrees on every batch
-    /// metric bit-for-bit.
+    /// Derives the full diversity report from a sealed [`EpochSnapshot`],
+    /// lock-free: entropy off the snapshot's canonical accumulator, the
+    /// batch metrics (Rényi, evenness, κ-optimality) from its
+    /// distribution. Every report comes from here — the monitor seals its
+    /// registry first, a fleet reader passes what its handle serves —
+    /// so a report is a function of fleet content alone.
     ///
     /// # Errors
     ///
@@ -119,56 +105,20 @@ impl DiversityReport {
         include_unattested: bool,
     ) -> Result<DiversityReport, CoreError> {
         let dist = snapshot.distribution(include_unattested)?;
-        Ok(DiversityReport::from_parts(
-            &dist,
-            snapshot.device_count(),
-            snapshot.total_effective_power(),
-            snapshot.entropy_bits(include_unattested)?,
-        ))
-    }
-
-    /// [`from_snapshot`](Self::from_snapshot) over a fleet reader's cached
-    /// [`SnapshotHandle`](fi_fleet::SnapshotHandle) — the shared-nothing
-    /// monitoring entry point. The handle revalidates against the fleet's
-    /// epoch stamp with one relaxed load (no lock, no `Arc` clone in
-    /// steady state), so a monitoring thread polling reports between
-    /// seals touches no shared cache line at all; the report itself is
-    /// derived from whichever snapshot the handle currently serves, with
-    /// metrics bit-identical to `from_snapshot` on that same snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_snapshot`](Self::from_snapshot).
-    pub fn from_handle(
-        handle: &mut fi_fleet::SnapshotHandle<'_>,
-        include_unattested: bool,
-    ) -> Result<DiversityReport, CoreError> {
-        Self::from_snapshot(handle.get(), include_unattested)
-    }
-
-    /// The shared constructor both report paths use: every distribution-
-    /// derived metric comes from one place, so the registry and snapshot
-    /// paths cannot drift.
-    fn from_parts(
-        dist: &fi_entropy::Distribution,
-        replicas: usize,
-        total_effective_power: VotingPower,
-        entropy_bits: f64,
-    ) -> DiversityReport {
-        let optimality = KappaOptimality::check(dist, 1e-9);
-        DiversityReport {
-            replicas,
+        let optimality = KappaOptimality::check(&dist, 1e-9);
+        Ok(DiversityReport {
+            replicas: snapshot.device_count(),
             configurations: dist.support_size(),
-            total_effective_power,
-            entropy_bits,
-            min_entropy_bits: min_entropy_bits(dist),
-            effective_configurations: effective_configurations(dist),
-            evenness: evenness(dist),
+            total_effective_power: snapshot.total_effective_power(),
+            entropy_bits: snapshot.entropy_bits(include_unattested)?,
+            min_entropy_bits: min_entropy_bits(&dist),
+            effective_configurations: effective_configurations(&dist),
+            evenness: evenness(&dist),
             kappa: optimality.kappa(),
             kappa_optimal: optimality.is_optimal(),
             entropy_deficit_bits: optimality.entropy_deficit_bits(),
             worst_configuration_share: dist.max_probability(),
-        }
+        })
     }
 }
 
@@ -204,6 +154,7 @@ mod tests {
     use super::*;
     use fi_attest::{AttestationPolicy, DeviceKind, TrustedDevice};
     use fi_types::{sha256, KeyPair};
+    use proptest::prelude::*;
 
     fn monitor_with_roots(devices: &[&TrustedDevice]) -> DiversityMonitor {
         let mut verifier = Verifier::new(AttestationPolicy::discovery());
@@ -306,19 +257,25 @@ mod tests {
 
     #[test]
     fn fast_entropy_matches_report_entropy() {
+        // The O(1) read a fleet reader polls — a sealed snapshot's
+        // `entropy_bits` — is the report's entropy, bit for bit.
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
         let mut m = monitor_with_roots(&[&device]);
         attest_cycle(&mut m, &device, 0, b"cfg-a", 700);
         attest_cycle(&mut m, &device, 1, b"cfg-b", 200);
         m.ingest_unattested(ReplicaId::new(2), VotingPower::new(100));
+        let snapshot = EpochSnapshot::from_registry(m.registry(), 1);
         for include in [false, true] {
-            let fast = m.entropy_bits(include).unwrap();
+            let fast = snapshot.entropy_bits(include).unwrap();
             let report = m.report(include).unwrap();
             assert_eq!(fast.to_bits(), report.entropy_bits.to_bits());
             assert!(!fast.is_sign_negative());
         }
         let empty = monitor_with_roots(&[&device]);
-        assert!(empty.entropy_bits(false).is_err());
+        assert!(EpochSnapshot::from_registry(empty.registry(), 0)
+            .entropy_bits(false)
+            .is_err());
+        assert!(empty.report(false).is_err());
     }
 
     #[test]
@@ -337,45 +294,23 @@ mod tests {
 
     #[test]
     fn snapshot_report_matches_registry_report() {
+        // The monitor's report is the report over a sealed snapshot of its
+        // registry, every field bit for bit, whatever the epoch stamp.
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
         let mut m = monitor_with_roots(&[&device]);
         attest_cycle(&mut m, &device, 0, b"cfg-a", 700);
         attest_cycle(&mut m, &device, 1, b"cfg-b", 200);
         attest_cycle(&mut m, &device, 2, b"cfg-a", 50);
         m.ingest_unattested(ReplicaId::new(3), VotingPower::new(100));
-        let snapshot = fi_fleet::EpochSnapshot::from_registry(m.registry(), 1);
+        let snapshot = EpochSnapshot::from_registry(m.registry(), 1);
         for include in [false, true] {
-            let via_registry = m.report(include).unwrap();
-            let via_snapshot = DiversityReport::from_snapshot(&snapshot, include).unwrap();
-            // Batch metrics come from bit-identical distributions, and the
-            // entropy read is the same fold over the same buckets.
             assert_eq!(
-                via_registry.entropy_bits.to_bits(),
-                via_snapshot.entropy_bits.to_bits(),
+                outcome(m.report(include)),
+                outcome(DiversityReport::from_snapshot(&snapshot, include)),
                 "include={include}"
             );
-            assert_eq!(via_registry.replicas, via_snapshot.replicas);
-            assert_eq!(via_registry.configurations, via_snapshot.configurations);
-            assert_eq!(
-                via_registry.total_effective_power,
-                via_snapshot.total_effective_power
-            );
-            assert_eq!(
-                via_registry.min_entropy_bits.to_bits(),
-                via_snapshot.min_entropy_bits.to_bits()
-            );
-            assert_eq!(
-                via_registry.evenness.to_bits(),
-                via_snapshot.evenness.to_bits()
-            );
-            assert_eq!(via_registry.kappa, via_snapshot.kappa);
-            assert_eq!(via_registry.kappa_optimal, via_snapshot.kappa_optimal);
-            assert_eq!(
-                via_registry.worst_configuration_share.to_bits(),
-                via_snapshot.worst_configuration_share.to_bits()
-            );
         }
-        let empty = fi_fleet::EpochSnapshot::empty(TwoTierWeights::flat());
+        let empty = EpochSnapshot::empty(TwoTierWeights::flat());
         assert!(DiversityReport::from_snapshot(&empty, false).is_err());
     }
 
@@ -388,7 +323,7 @@ mod tests {
         // each seal without being recreated.
         let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
         let mut handle = fleet.reader();
-        assert!(DiversityReport::from_handle(&mut handle, true).is_err());
+        assert!(DiversityReport::from_snapshot(handle.get(), true).is_err());
         for round in 0..3u64 {
             let batch: Vec<ChurnOp> = (0..12)
                 .map(|i| {
@@ -402,12 +337,106 @@ mod tests {
             fleet.try_ingest_batch(&batch).unwrap();
             fleet.try_seal_epoch().unwrap();
             for include in [false, true] {
-                let via_handle = DiversityReport::from_handle(&mut handle, include).unwrap();
-                let via_snapshot =
-                    DiversityReport::from_snapshot(&fleet.snapshot(), include).unwrap();
-                assert_eq!(via_handle, via_snapshot);
+                assert_eq!(
+                    outcome(DiversityReport::from_snapshot(handle.get(), include)),
+                    outcome(DiversityReport::from_snapshot(&fleet.snapshot(), include)),
+                    "epoch {}, include={include}",
+                    round + 1
+                );
             }
             assert_eq!(handle.cached_epoch(), round + 1);
+        }
+    }
+
+    /// Every field of a report, floats as their bits.
+    type Bits = (usize, usize, VotingPower, usize, bool, [u64; 6]);
+
+    fn bits(r: &DiversityReport) -> Bits {
+        let floats = [
+            r.entropy_bits,
+            r.min_entropy_bits,
+            r.effective_configurations,
+            r.evenness,
+            r.entropy_deficit_bits,
+            r.worst_configuration_share,
+        ];
+        (
+            r.replicas,
+            r.configurations,
+            r.total_effective_power,
+            r.kappa,
+            r.kappa_optimal,
+            floats.map(f64::to_bits),
+        )
+    }
+
+    /// A report's fields as bits, or its error's variant.
+    fn outcome(report: Result<DiversityReport, CoreError>) -> Result<Bits, String> {
+        report.map(|r| bits(&r)).map_err(|e| format!("{e:?}"))
+    }
+
+    proptest! {
+        // Pinned case count: the vendored runner seeds each case from the
+        // test name, so the traces are the same on every run.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cross-path oracle. A monitor fed quotes and unattested
+        /// registrations — re-attestations to another measurement, tier
+        /// flips and zero power included — reports, after every chunk,
+        /// exactly what a `ShardedFleet` at 1 and 4 shards fed the same
+        /// churn as `ChurnOp`s serves once sealed (differentially after the
+        /// first seal), read through a cached reader handle: every field
+        /// bit for bit, with and without the opaque row, errors included —
+        /// an empty monitor errs as an empty fleet's snapshot does.
+        #[test]
+        fn monitor_report_equals_the_sealed_fleet_report(
+            steps in proptest::collection::vec((0u64..10, 0u8..5, 0u64..200), 0..40),
+            chunk in 1usize..8,
+            unattested_pct in 0u32..=100,
+        ) {
+            use fi_attest::ChurnOp;
+            use fi_fleet::ShardedFleet;
+            let weights = TwoTierWeights::new(1.0, f64::from(unattested_pct) / 100.0);
+            let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
+            for shards in [1usize, 4] {
+                let mut verifier = Verifier::new(AttestationPolicy::discovery());
+                verifier.trust_endorsement(device.endorsement_key());
+                let mut monitor = DiversityMonitor::new(verifier, weights);
+                let fleet = ShardedFleet::new(shards, weights);
+                let mut handle = fleet.reader();
+                for include in [false, true] {
+                    prop_assert_eq!(
+                        outcome(monitor.report(include)),
+                        outcome(DiversityReport::from_snapshot(handle.get(), include)),
+                        "empty, include={}", include
+                    );
+                }
+                for (round, ops) in steps.chunks(chunk).enumerate() {
+                    let mut batch = Vec::with_capacity(ops.len());
+                    for &(id, kind, units) in ops {
+                        let (replica, power) = (ReplicaId::new(id), VotingPower::new(units));
+                        if kind < 4 {
+                            let cfg = format!("cfg-{kind}");
+                            attest_cycle(&mut monitor, &device, id, cfg.as_bytes(), units);
+                            batch.push(ChurnOp::attest(replica, sha256(cfg.as_bytes()), power));
+                        } else {
+                            monitor.ingest_unattested(replica, power);
+                            batch.push(ChurnOp::Unattested { replica, power });
+                        }
+                    }
+                    fleet.try_ingest_batch(&batch).unwrap();
+                    let sealed = fleet.try_seal_epoch().unwrap();
+                    prop_assert_eq!(sealed.parent_hash().is_some(), round > 0, "differential");
+                    for include in [false, true] {
+                        prop_assert_eq!(
+                            outcome(monitor.report(include)),
+                            outcome(DiversityReport::from_snapshot(handle.get(), include)),
+                            "{} shards, epoch {}, include={}", shards, round + 1, include
+                        );
+                    }
+                    prop_assert_eq!(handle.cached_epoch(), round as u64 + 1);
+                }
+            }
         }
     }
 }

@@ -16,9 +16,16 @@
 //! candidate roster, [`content_hash`](EpochSnapshot::content_hash))
 //! bit-identical across shard and thread counts, and bit-identical to
 //! sealing a single un-sharded [`AttestedRegistry`] via
-//! [`EpochSnapshot::from_registry`] — whose own
-//! [`entropy_bits`](AttestedRegistry::entropy_bits) is the same fold over
-//! the same rows.
+//! [`EpochSnapshot::from_registry`].
+//!
+//! **The read rules live here.** The registry is write-side only; every
+//! diversity read — [`entropy_bits`](EpochSnapshot::entropy_bits),
+//! [`distribution`](EpochSnapshot::distribution) and the reports built on
+//! them — goes through a snapshot, so three rules have one home: the
+//! unattested tier is one opaque row, present only when asked for and
+//! non-zero; rows are the measurements in digest order with the opaque row
+//! last; and a table with no row is `Empty`, one whose rows all carry zero
+//! power `ZeroTotalWeight`.
 //!
 //! There are two ways to construct that canonical form. The **full build**
 //! (the private `EpochSnapshot::build`) merges complete shard rows — the
@@ -666,8 +673,8 @@ impl EpochSnapshot {
     }
 
     /// The device roster, sorted by replica id — each row derived from
-    /// its candidate and the bucket table (the same shape as
-    /// [`AttestedRegistry::devices`], in canonical order). Costs what
+    /// its candidate and the bucket table (the rows
+    /// [`AttestedRegistry::devices`] yields, in canonical order). Costs what
     /// [`candidates`](Self::candidates) costs.
     pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + '_ {
         self.candidates().iter().map(|c| RegisteredDevice {
@@ -712,8 +719,10 @@ impl EpochSnapshot {
     }
 
     /// Shannon entropy (bits) of the configuration distribution, O(1) off
-    /// the canonical accumulator. Error semantics mirror
-    /// [`AttestedRegistry::entropy_bits`] exactly.
+    /// the canonical accumulator. With `include_unattested_bucket`, the
+    /// unattested tier's power, if non-zero, is one extra configuration —
+    /// the pessimistic reading where every unattested replica might share
+    /// one. A single row with power is exactly `+0.0` bits.
     ///
     /// # Errors
     ///
@@ -736,9 +745,9 @@ impl EpochSnapshot {
     }
 
     /// The configuration distribution (for batch metrics: Rényi, evenness,
-    /// κ-optimality). Row order mirrors
-    /// [`AttestedRegistry::distribution`]: measurements sorted, opaque
-    /// bucket last.
+    /// κ-optimality) over the rows [`entropy_bits`](Self::entropy_bits)
+    /// folds, in order: the measurements by digest, then the opaque row if
+    /// requested and non-zero.
     ///
     /// # Errors
     ///
@@ -861,35 +870,35 @@ mod tests {
         assert_eq!(snap.entropy_bits(false), Err(DistributionError::Empty));
         assert_eq!(snap.entropy_bits(true), Err(DistributionError::Empty));
         assert!(snap.select_greedy(4).is_empty());
-        let empty_reg = AttestedRegistry::new(TwoTierWeights::flat());
-        assert_eq!(snap.entropy_bits(false), empty_reg.entropy_bits(false));
+        let sealed_empty =
+            EpochSnapshot::from_registry(&AttestedRegistry::new(TwoTierWeights::flat()), 0);
+        assert_eq!(sealed_empty.entropy_bits(false), snap.entropy_bits(false));
+        assert_eq!(sealed_empty.content_hash(), snap.content_hash());
     }
 
     #[test]
     fn empty_snapshot_error_semantics_match_fresh_registry_exactly() {
-        // Satellite pin: the zero-device snapshot must be indistinguishable
-        // from a fresh `AttestedRegistry` in every entropy/distribution
-        // error path, including the +0.0 degenerate-entropy sign.
+        // The zero-device snapshot must be indistinguishable from a sealed
+        // fresh `AttestedRegistry` in every entropy/distribution error
+        // path, including the +0.0 degenerate-entropy sign.
         let registry = AttestedRegistry::new(TwoTierWeights::default());
+        let sealed_fresh = EpochSnapshot::from_registry(&registry, 0);
         let snap = EpochSnapshot::empty(TwoTierWeights::default());
         for include in [false, true] {
-            assert_eq!(snap.entropy_bits(include), registry.entropy_bits(include));
             assert_eq!(snap.entropy_bits(include), Err(DistributionError::Empty));
             assert_eq!(
-                snap.distribution(include)
-                    .map(|d| d.probabilities().to_vec()),
-                registry
-                    .distribution(include)
-                    .map(|d| d.probabilities().to_vec())
+                snap.entropy_bits(include),
+                sealed_fresh.entropy_bits(include)
+            );
+            assert_eq!(
+                snap.distribution(include).map(|d| d.dimension()),
+                Err(DistributionError::Empty)
             );
         }
         let h = snap.entropy_accumulator().entropy_bits();
         assert_eq!(h, 0.0);
         assert!(h.is_sign_positive(), "degenerate entropy must be +0.0");
-        assert_eq!(
-            snap.total_effective_power(),
-            registry.total_effective_power()
-        );
+        assert_eq!(snap.total_effective_power(), VotingPower::ZERO);
         assert_eq!(snap.device_count(), registry.len());
 
         // A snapshot churned *down* to zero devices through the
@@ -921,10 +930,6 @@ mod tests {
         assert_eq!(chained.content_hash(), snap.content_hash());
         for include in [false, true] {
             assert_eq!(chained.entropy_bits(include), Err(DistributionError::Empty));
-            assert_eq!(
-                chained.entropy_bits(include),
-                registry.entropy_bits(include)
-            );
         }
         let h = chained.entropy_accumulator().entropy_bits();
         assert_eq!(h, 0.0);
@@ -1178,25 +1183,38 @@ mod tests {
         let reg = registry_with(&mixed_ops());
         let snap = EpochSnapshot::from_registry(&reg, 1);
         assert_eq!(snap.device_count(), reg.len());
-        assert_eq!(snap.total_effective_power(), reg.total_effective_power());
         assert_eq!(snap.unattested_power(), reg.unattested_power());
-        // Buckets equal the registry's sorted attested rows.
-        let expected: Vec<(Digest, VotingPower)> = reg
-            .measurement_powers(false)
-            .into_iter()
-            .map(|(m, p)| (m.unwrap(), p))
-            .collect();
+        // Buckets equal a recount of the registry's attested devices, in
+        // digest order.
+        let weights = reg.weights();
+        let mut recount: BTreeMap<Digest, VotingPower> = BTreeMap::new();
+        for d in reg.devices() {
+            if let Some(m) = d.measurement {
+                *recount.entry(m).or_insert(VotingPower::ZERO) +=
+                    d.power.scaled(weights.attested());
+            }
+        }
+        let expected: Vec<(Digest, VotingPower)> = recount.into_iter().collect();
         assert_eq!(snap.buckets(), &expected[..]);
-        // Entropy is the registry's, bit for bit: the same fold over the
-        // same integer buckets in the same order.
+        assert_eq!(snap.buckets(), &reg.bucket_rows().collect::<Vec<_>>()[..]);
+        assert_eq!(
+            snap.total_effective_power(),
+            expected.iter().map(|&(_, p)| p).sum::<VotingPower>() + reg.unattested_power()
+        );
+        // Rows in digest order, the opaque row last and only on request.
         for include in [false, true] {
-            let s = snap.entropy_bits(include).unwrap();
-            let r = reg.entropy_bits(include).unwrap();
-            assert_eq!(s.to_bits(), r.to_bits(), "include={include}: {s} vs {r}");
-            // Batch distributions are bit-identical (same sorted rows).
-            assert_eq!(
-                snap.distribution(include).unwrap().probabilities(),
-                reg.distribution(include).unwrap().probabilities()
+            let mut units: Vec<u64> = expected.iter().map(|&(_, p)| p.as_units()).collect();
+            if include {
+                units.push(reg.unattested_power().as_units());
+            }
+            let batch = Distribution::from_counts(&units).unwrap();
+            let dist = snap.distribution(include).unwrap();
+            assert_eq!(dist.probabilities(), batch.probabilities());
+            let h = snap.entropy_bits(include).unwrap();
+            assert!(
+                (h - batch.shannon_entropy()).abs() < 1e-12,
+                "include={include}: {h} vs {}",
+                batch.shannon_entropy()
             );
         }
     }
@@ -1324,8 +1342,17 @@ mod tests {
             Err(DistributionError::ZeroTotalWeight)
         );
         assert_eq!(
-            reg.entropy_bits(false),
+            snap.distribution(false).map(|d| d.dimension()),
             Err(DistributionError::ZeroTotalWeight)
         );
+        // One row with power is certain: exactly +0.0 bits.
+        reg.apply(&ChurnOp::attest(
+            ReplicaId::new(1),
+            sha256(b"cfg-a"),
+            VotingPower::new(5),
+        ));
+        let h = EpochSnapshot::from_registry(&reg, 2).entropy_bits(false);
+        assert_eq!(h, Ok(0.0));
+        assert!(h.unwrap().is_sign_positive());
     }
 }

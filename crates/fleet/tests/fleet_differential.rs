@@ -62,10 +62,9 @@ fn op_strategy() -> impl Strategy<Value = ChurnOp> {
 }
 
 /// Asserts a sealed fleet snapshot — however it was sealed — is bit-exact
-/// against the canonical seal of the oracle registry, entropy and
-/// accumulator state included, and that the oracle registry itself —
-/// whatever op order brought it here — reads the entropy its seal does, bit
-/// for bit: the configuration entropy has one value per fleet content.
+/// against the canonical seal of the oracle registry, whatever op order
+/// brought the oracle there, entropy and accumulator state included: the
+/// configuration entropy has one value per fleet content.
 fn assert_snapshot_matches_oracle(
     snap: &EpochSnapshot,
     oracle: &AttestedRegistry,
@@ -81,7 +80,10 @@ fn assert_snapshot_matches_oracle(
     prop_assert_eq!(snap.unattested_power(), oracle_snap.unattested_power());
     prop_assert!(snap.devices().eq(oracle_snap.devices()));
     prop_assert_eq!(snap.candidates(), oracle_snap.candidates());
-    prop_assert_eq!(snap.total_effective_power(), oracle.total_effective_power());
+    prop_assert_eq!(
+        snap.total_effective_power(),
+        oracle_snap.total_effective_power()
+    );
     prop_assert_eq!(
         snap.content_hash(),
         oracle_snap.content_hash(),
@@ -110,14 +112,6 @@ fn assert_snapshot_matches_oracle(
             "entropy (include={}) diverged from the canonical seal at {} shards",
             include,
             shards
-        );
-        // The live registry vs its own seal: the same fold over the same
-        // rows, so the same bits and the same error.
-        prop_assert_eq!(
-            oracle.entropy_bits(include).map(f64::to_bits),
-            oracle_snap.entropy_bits(include).map(f64::to_bits),
-            "live registry entropy (include={}) diverged from its seal",
-            include
         );
     }
     Ok(())
@@ -275,7 +269,7 @@ proptest! {
             }
         }
         // Draining left nothing behind.
-        prop_assert!(registry.pending_delta().is_empty());
+        prop_assert!(registry.take_delta().is_empty());
     }
 
     /// The selection read path is part of the guarantee: committees chosen

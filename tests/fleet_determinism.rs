@@ -173,9 +173,9 @@ fn differential_epoch_chain_lands_on_the_golden_content() {
 
 /// A single reader handle held across the whole golden churn trace serves,
 /// after every seal, exactly the snapshot the raw publication point does —
-/// same epoch, same content hash — and the facade's cached read path
-/// (`DiversityReport::from_handle`) stays bit-identical to
-/// `from_snapshot` over it at every epoch.
+/// same epoch, same content hash — and a report over what the handle
+/// serves stays bit-identical to one over the raw snapshot at every
+/// epoch.
 #[test]
 fn reader_handle_serves_the_same_chain_as_raw_snapshot_loads() {
     let cfg = golden_trace_config();
@@ -192,7 +192,7 @@ fn reader_handle_serves_the_same_chain_as_raw_snapshot_loads() {
         assert_eq!(via_handle.content_hash(), sealed.content_hash());
         assert_eq!(handle.cached_epoch(), sealed.epoch());
         assert_eq!(
-            DiversityReport::from_handle(&mut handle, true).unwrap(),
+            DiversityReport::from_snapshot(handle.get(), true).unwrap(),
             DiversityReport::from_snapshot(&fleet.snapshot(), true).unwrap(),
             "handle read path diverged from the served snapshot at epoch {}",
             sealed.epoch()

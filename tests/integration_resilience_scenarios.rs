@@ -119,9 +119,13 @@ fn device_family_revocation_sgx_fail_scenario() {
     // the attested TPM replica now dominates the distribution.
     assert_eq!(after.total_effective_power, VotingPower::new(125));
     assert!(after.worst_configuration_share > 0.79);
-    assert!(
-        monitor2.registry().tier_of(ReplicaId::new(0))
-            == Some(fault_independence::fi_attest::ReplicaTier::Unattested)
+    let sgx_row = monitor2
+        .registry()
+        .devices()
+        .find(|d| d.replica == ReplicaId::new(0));
+    assert_eq!(
+        sgx_row.map(|d| d.tier()),
+        Some(fault_independence::fi_attest::ReplicaTier::Unattested)
     );
 }
 
