@@ -47,6 +47,19 @@
 //! Selection cost follows the number of distinct powers inside the band,
 //! not the number of replicas that share them.
 //!
+//! **Two lists a slot; a row's tier is its list's.** The gain depends on
+//! *(bucket, power)*, but the candidate a round returns carries its tier
+//! too. Each configuration slot therefore keeps its attested and its
+//! unattested candidates as two sorted lists, and an entry is power and
+//! replica id alone — 16 bytes, where carrying the tier flag would pad it
+//! to 24. Both lists of a slot feed the slot's one accumulator bucket, and
+//! each is band-walked on its own: a list's band ceiling never exceeds the
+//! round's best gain, so what it prunes could not have tied the winner.
+//! An epoch snapshot files every attested device under its measurement
+//! bucket and every unattested one under the trailing pseudo-slot, so one
+//! list of every slot stays empty there; a caller's roster may mix tiers
+//! inside a configuration.
+//!
 //! The degenerate bucket `W == b` (the committee is empty, or holds power
 //! only in this bucket) has `f ≡ +0.0` exactly for *every* candidate — the
 //! accumulator pins single-support entropy to `+0.0` — so the fold reduces
@@ -62,10 +75,11 @@
 //! per-device table and carries this one forward through churn.
 //! [`PrunedRoster::patch_dense`] writes the next epoch's roster from this
 //! one in a single pass — departures, arrivals and bucket births and
-//! deaths merged list by list, untouched runs copied as slices — and
+//! deaths merged list by list, untouched runs copied as slices; a row that
+//! changes tier leaves one list of its slot for the other — and
 //! refuses, with a [`PatchError`] and without touching `self`, rows that
 //! do not describe a change to this roster. The roster has one layout (list
-//! position = configuration value) and two ways in: built by
+//! position = configuration value and tier) and two ways in: built by
 //! [`PrunedRoster::from_dense`], carried forward by `patch_dense`.
 //! See [`crate::warm`] for the replay layer on top.
 
@@ -100,14 +114,12 @@ fn xlog2(w: u64) -> f64 {
     }
 }
 
-/// One candidate as stored in a bucket list. Configuration and list
-/// position are implied by the owning bucket, so bucket-slot splices never
-/// rewrite entries.
+/// One candidate as stored in a list: 16 bytes. Configuration and tier are
+/// implied by the owning list, so bucket-slot splices never rewrite entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PrunedEntry {
     power: u64,
     replica: ReplicaId,
-    attested: bool,
 }
 
 impl PrunedEntry {
@@ -115,19 +127,28 @@ impl PrunedEntry {
         PrunedEntry {
             power: c.power().as_units(),
             replica: c.replica(),
-            attested: c.attested(),
         }
     }
 
-    /// The candidate this entry stands for in the list of `config`.
-    fn candidate(&self, config: usize) -> Candidate {
+    /// The candidate this entry stands for in list `list` (see
+    /// [`list_of`]).
+    fn candidate(&self, list: usize) -> Candidate {
         Candidate::new(
             self.replica,
             VotingPower::new(self.power),
-            config,
-            self.attested,
+            list / 2,
+            list.is_multiple_of(2),
         )
     }
+}
+
+/// The list a candidate is filed under: list `2·s` holds configuration
+/// slot `s`'s attested rows, list `2·s + 1` its unattested ones. A
+/// configuration index is below 2^(`usize::BITS` − 1), so this does not
+/// overflow.
+#[inline]
+fn list_of(c: &Candidate) -> usize {
+    2 * c.config() + usize::from(!c.attested())
 }
 
 /// Ascending sort key: power, then *descending* replica id — so the list
@@ -221,43 +242,51 @@ impl fmt::Display for PatchError {
 impl std::error::Error for PatchError {}
 
 /// The rows of one side of a [`PrunedRoster::patch_dense`], grouped by
-/// configuration slot in a counting pass and sorted by [`entry_key`] inside
-/// each slot. Rows whose configuration is not below `slots` share one
+/// list (see [`list_of`]) in a counting pass and sorted by [`entry_key`]
+/// inside each list. Rows whose configuration is not below `slots` share one
 /// trailing group, [`out_of_range`](Self::out_of_range).
-struct SlotGroups {
+struct ListGroups {
     entries: Vec<PrunedEntry>,
-    /// `starts[s]..starts[s + 1]` is slot `s`'s range of `entries`.
+    /// `starts[l]..starts[l + 1]` is list `l`'s range of `entries`.
     starts: Vec<usize>,
 }
 
-impl SlotGroups {
+impl ListGroups {
     fn new(slots: usize, rows: &[Candidate]) -> Self {
-        let mut starts = vec![0; slots + 2];
+        let lists = 2 * slots;
+        let group = |c: &Candidate| {
+            if c.config() < slots {
+                list_of(c)
+            } else {
+                lists
+            }
+        };
+        let mut starts = vec![0; lists + 2];
         for c in rows {
-            starts[c.config().min(slots) + 1] += 1;
+            starts[group(c) + 1] += 1;
         }
-        for s in 0..=slots {
-            starts[s + 1] += starts[s];
+        for l in 0..=lists {
+            starts[l + 1] += starts[l];
         }
-        let mut entries = vec![PrunedEntry::default(); starts[slots + 1]];
+        let mut entries = vec![PrunedEntry::default(); starts[lists + 1]];
         let mut next = starts.clone();
         for c in rows {
-            let at = &mut next[c.config().min(slots)];
+            let at = &mut next[group(c)];
             entries[*at] = PrunedEntry::of(c);
             *at += 1;
         }
-        for s in 0..=slots {
-            entries[starts[s]..starts[s + 1]].sort_unstable_by_key(entry_key);
+        for l in 0..=lists {
+            entries[starts[l]..starts[l + 1]].sort_unstable_by_key(entry_key);
         }
-        SlotGroups { entries, starts }
+        ListGroups { entries, starts }
     }
 
-    fn slot(&self, slot: usize) -> &[PrunedEntry] {
-        &self.entries[self.starts[slot]..self.starts[slot + 1]]
+    fn list(&self, list: usize) -> &[PrunedEntry] {
+        &self.entries[self.starts[list]..self.starts[list + 1]]
     }
 
     fn out_of_range(&self) -> &[PrunedEntry] {
-        self.slot(self.starts.len() - 2)
+        self.list(self.starts.len() - 2)
     }
 }
 
@@ -305,14 +334,16 @@ fn merge_list(
     Ok(out)
 }
 
-/// A candidate roster indexed for pruned greedy selection: one candidate
-/// list per configuration slot, sorted ascending by (power, descending
-/// replica id). Configuration values are *dense* slot positions
-/// `0..num_configs` (the epoch-snapshot layout), so list position equals
-/// configuration value.
+/// A candidate roster indexed for pruned greedy selection: two candidate
+/// lists per configuration slot, its attested rows and its unattested ones,
+/// each sorted ascending by (power, descending replica id). Configuration
+/// values are *dense* slot positions `0..num_configs` (the epoch-snapshot
+/// layout), so a list's position says both its configuration and its
+/// tier: list `2·s` holds slot `s`'s attested rows, list `2·s + 1` its
+/// unattested ones.
 ///
 /// Zero-power candidates are held and never selected (module docs); a
-/// slot whose candidates all left keeps its (empty) list until
+/// slot whose candidates all left keeps its (empty) lists until
 /// [`patch_dense`](Self::patch_dense) renumbers the slots.
 ///
 /// # Example
@@ -338,8 +369,9 @@ fn merge_list(
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrunedRoster {
-    /// One candidate list per configuration slot, each sorted by
-    /// [`entry_key`]; list position = configuration value.
+    /// Two candidate lists per configuration slot, each sorted by
+    /// [`entry_key`]: list `2·s` is slot `s`'s attested rows, list
+    /// `2·s + 1` its unattested ones.
     lists: Vec<Vec<PrunedEntry>>,
     /// Total entries across all lists.
     len: usize,
@@ -349,22 +381,27 @@ impl PrunedRoster {
     /// Indexes `candidates` whose configuration values are slot positions
     /// `0..slots` (the epoch-snapshot layout: one slot per sorted
     /// measurement bucket plus the trailing unattested pseudo-slot); slots
-    /// without candidates keep empty lists. O(n log n).
+    /// without candidates keep empty lists. Each list is counted first and
+    /// allocated at its exact size. O(n log n).
     ///
     /// # Panics
     ///
     /// Panics if any candidate's configuration is ≥ `slots`.
     #[must_use]
     pub fn from_dense(slots: usize, candidates: &[Candidate]) -> Self {
-        let mut lists = vec![Vec::new(); slots];
+        let mut sizes = vec![0; 2 * slots];
         for c in candidates {
-            lists[c.config()].push(PrunedEntry::of(c));
+            sizes[list_of(c)] += 1;
+        }
+        let mut lists: Vec<Vec<PrunedEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for c in candidates {
+            lists[list_of(c)].push(PrunedEntry::of(c));
         }
         for list in &mut lists {
             list.sort_unstable_by_key(entry_key);
         }
         PrunedRoster {
-            len: lists.iter().map(Vec::len).sum(),
+            len: candidates.len(),
             lists,
         }
     }
@@ -384,36 +421,68 @@ impl PrunedRoster {
     /// Number of configuration slots (empty ones included).
     #[must_use]
     pub fn num_configs(&self) -> usize {
-        self.lists.len()
+        self.lists.len() / 2
     }
 
-    /// Number of indexed candidates in configuration slot `slot`; zero for
-    /// a slot the roster does not have.
+    /// Number of indexed candidates in configuration slot `slot`, both
+    /// tiers; zero for a slot the roster does not have.
     #[must_use]
     pub fn slot_len(&self, slot: usize) -> usize {
-        self.lists.get(slot).map_or(0, Vec::len)
+        if slot < self.num_configs() {
+            self.lists[2 * slot].len() + self.lists[2 * slot + 1].len()
+        } else {
+            0
+        }
     }
 
-    /// Every indexed candidate, slot by slot, each slot's in ascending
-    /// (power, descending replica id) order — the roster read back out of
-    /// the index, configuration = list position.
+    /// The bytes the index holds on the heap, by capacity: 16 a candidate
+    /// plus one list header per slot and tier.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let entries: usize = self.lists.iter().map(Vec::capacity).sum();
+        self.lists.capacity() * std::mem::size_of::<Vec<PrunedEntry>>()
+            + entries * std::mem::size_of::<PrunedEntry>()
+    }
+
+    /// Every indexed candidate, slot by slot, each slot's two lists merged
+    /// in ascending (power, descending replica id) order, the attested
+    /// entry first on a tie — the roster read back out of the index,
+    /// configuration = slot position, tier = the list's.
     pub fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
         self.lists
-            .iter()
+            .chunks_exact(2)
             .enumerate()
-            .flat_map(|(config, list)| list.iter().map(move |e| e.candidate(config)))
+            .flat_map(|(slot, pair)| {
+                let (mut attested, mut unattested) = (pair[0].as_slice(), pair[1].as_slice());
+                std::iter::from_fn(move || {
+                    let attested_next = match (attested.first(), unattested.first()) {
+                        (None, None) => return None,
+                        (Some(a), Some(u)) => entry_key(a) <= entry_key(u),
+                        (a, _) => a.is_some(),
+                    };
+                    let (list, tier) = if attested_next {
+                        (&mut attested, 0)
+                    } else {
+                        (&mut unattested, 1)
+                    };
+                    let e = list[0];
+                    *list = &list[1..];
+                    Some(e.candidate(2 * slot + tier))
+                })
+            })
     }
 
     /// Builds the dense roster that one epoch's churn turns this one into,
     /// in **one pass**: every list is written once, straight from the old
     /// one, into an exactly-sized `Vec`, untouched runs copied as slices —
     /// nothing is cloned first and patched after. The R churned rows are
-    /// grouped by slot in a counting pass and sorted inside each slot
+    /// grouped by list in a counting pass and sorted inside each list
     /// (O(R log(R / slots))), then one merge walk over the slots mirrors the
-    /// epoch snapshot's bucket walk and its births and deaths.
+    /// epoch snapshot's bucket walk and its births and deaths. A row that
+    /// changes tier departs from one list and arrives in the other.
     ///
     /// * `departed` — rows leaving, by their exact *old-layout* `(config,
-    ///   power, replica)`; each must be present.
+    ///   tier, power, replica)`; each must be present.
     /// * `arrivals` — rows entering, with *new-layout* configs. An arrival
     ///   whose key equals a surviving old entry's lands after it.
     /// * `removals` — ascending *old* positions of the slots to drop; each
@@ -437,37 +506,51 @@ impl PrunedRoster {
         mut removals: &[usize],
         mut insertions: &[usize],
     ) -> Result<PrunedRoster, PatchError> {
-        let slots = (self.lists.len() + insertions.len())
+        let old_slots = self.num_configs();
+        let slots = (old_slots + insertions.len())
             .checked_sub(removals.len())
             .ok_or(PatchError::OutOfRange)?;
-        let leaving = SlotGroups::new(self.lists.len(), departed);
-        let landing = SlotGroups::new(slots, arrivals);
+        let leaving = ListGroups::new(old_slots, departed);
+        let landing = ListGroups::new(slots, arrivals);
         if !(leaving.out_of_range().is_empty() && landing.out_of_range().is_empty()) {
             return Err(PatchError::OutOfRange);
         }
-        let mut lists: Vec<Vec<PrunedEntry>> = Vec::with_capacity(slots);
+        let mut lists: Vec<Vec<PrunedEntry>> = Vec::with_capacity(2 * slots);
         let mut old_at = 0;
-        while lists.len() < slots || old_at < self.lists.len() {
-            let at = lists.len();
+        while lists.len() < 2 * slots || old_at < old_slots {
+            let at = lists.len() / 2;
             if at < slots && insertions.first() == Some(&at) {
                 insertions = &insertions[1..];
-                lists.push(landing.slot(at).to_vec());
+                lists.extend((2 * at..2 * at + 2).map(|l| landing.list(l).to_vec()));
                 continue;
             }
-            let Some(old) = self.lists.get(old_at) else {
+            if old_at == old_slots {
                 return Err(PatchError::OutOfRange);
-            };
-            if removals.first() == Some(&old_at) {
+            }
+            let removed = removals.first() == Some(&old_at);
+            if !removed && at == slots {
+                return Err(PatchError::OutOfRange);
+            }
+            let mut left = 0;
+            for tier in 0..2 {
+                let old = 2 * old_at + tier;
+                let arriving: &[PrunedEntry] = if removed {
+                    &[]
+                } else {
+                    landing.list(2 * at + tier)
+                };
+                let merged = merge_list(&self.lists[old], leaving.list(old), arriving)
+                    .map_err(PatchError::UnknownDeparture)?;
+                left += merged.len();
+                if !removed {
+                    lists.push(merged);
+                }
+            }
+            if removed {
                 removals = &removals[1..];
-                let left = merge_list(old, leaving.slot(old_at), &[]);
-                if !left.map_err(PatchError::UnknownDeparture)?.is_empty() {
+                if left > 0 {
                     return Err(PatchError::SlotNotEmpty(old_at));
                 }
-            } else if at < slots {
-                let merged = merge_list(old, leaving.slot(old_at), landing.slot(at));
-                lists.push(merged.map_err(PatchError::UnknownDeparture)?);
-            } else {
-                return Err(PatchError::OutOfRange);
             }
             old_at += 1;
         }
@@ -493,12 +576,13 @@ impl PrunedRoster {
 }
 
 /// The churned candidate rows a warm-start replay must test each verified
-/// round against, grouped by configuration and sorted by [`entry_key`] —
+/// round against, grouped by list (configuration and tier, see
+/// [`list_of`]) and sorted by [`entry_key`] —
 /// built once per [`crate::warm::warm_greedy`] call so each round's
 /// displacement check walks only each bucket's analytic-peak band instead
 /// of peeking every churned row.
 pub(crate) struct ChallengerSet {
-    /// (configuration value, entries sorted by [`entry_key`]).
+    /// (list, entries sorted by [`entry_key`]).
     groups: Vec<(usize, Vec<PrunedEntry>)>,
 }
 
@@ -506,14 +590,14 @@ impl ChallengerSet {
     pub(crate) fn new(rows: impl IntoIterator<Item = Candidate>) -> Self {
         let mut entries: Vec<(usize, PrunedEntry)> = rows
             .into_iter()
-            .map(|c| (c.config(), PrunedEntry::of(&c)))
+            .map(|c| (list_of(&c), PrunedEntry::of(&c)))
             .collect();
-        entries.sort_unstable_by_key(|(config, e)| (*config, entry_key(e)));
+        entries.sort_unstable_by_key(|(list, e)| (*list, entry_key(e)));
         let mut groups: Vec<(usize, Vec<PrunedEntry>)> = Vec::new();
-        for (config, e) in entries {
+        for (list, e) in entries {
             match groups.last_mut() {
-                Some((c, list)) if *c == config => list.push(e),
-                _ => groups.push((config, vec![e])),
+                Some((l, group)) if *l == list => group.push(e),
+                _ => groups.push((list, vec![e])),
             }
         }
         ChallengerSet { groups }
@@ -521,7 +605,8 @@ impl ChallengerSet {
 }
 
 /// In-flight selection state over a [`PrunedRoster`]: the committee
-/// accumulator (slots parallel to the roster's lists), the members picked
+/// accumulator (one slot per configuration, which both of its lists
+/// add to), the members picked
 /// so far, and the selected-replica skip set. Shared by the cold engine and
 /// the warm-start replay in [`crate::warm`].
 pub(crate) struct SelectionRun<'a> {
@@ -540,7 +625,7 @@ impl<'a> SelectionRun<'a> {
     pub(crate) fn new(roster: &'a PrunedRoster) -> Self {
         SelectionRun {
             roster,
-            acc: EntropyAccumulator::new(roster.lists.len()),
+            acc: EntropyAccumulator::new(roster.num_configs()),
             members: Vec::new(),
             selected: Vec::new(),
             hints: vec![0; roster.lists.len()],
@@ -611,9 +696,9 @@ impl<'a> SelectionRun<'a> {
         incumbent: &Candidate,
         incumbent_gain: f64,
     ) -> bool {
-        challengers.groups.iter().any(|(config, list)| {
-            self.walk_band(*config, list, &mut 0, |e, h| {
-                beats(&e.candidate(*config), h, incumbent, incumbent_gain)
+        challengers.groups.iter().any(|&(list, ref group)| {
+            self.walk_band(list / 2, group, &mut 0, |e, h| {
+                beats(&e.candidate(list), h, incumbent, incumbent_gain)
             })
         })
     }
@@ -628,7 +713,7 @@ impl<'a> SelectionRun<'a> {
         let mut best: Option<(Candidate, f64)> = None;
         let mut hints = std::mem::take(&mut self.hints);
         for ((li, list), hint) in self.roster.lists.iter().enumerate().zip(&mut hints) {
-            self.walk_band(li, list, hint, |e, h| {
+            self.walk_band(li / 2, list, hint, |e, h| {
                 let cand = e.candidate(li);
                 if best
                     .as_ref()
@@ -650,7 +735,8 @@ impl<'a> SelectionRun<'a> {
     }
 
     /// The one band walk: hands `visit` every unselected entry of `list` —
-    /// bucket `li`'s own list, or challenger rows of that configuration —
+    /// one of bucket `slot`'s two lists, or challenger rows of that
+    /// configuration —
     /// that survives the guard band around the bucket's analytic peak, with
     /// its exactly evaluated gain. `visit` returns `true` to stop the walk;
     /// the return value says whether it did. The bracket search starts at
@@ -659,7 +745,7 @@ impl<'a> SelectionRun<'a> {
     /// point wherever the search starts.
     fn walk_band(
         &self,
-        li: usize,
+        slot: usize,
         list: &[PrunedEntry],
         hint: &mut usize,
         mut visit: impl FnMut(&PrunedEntry, f64) -> bool,
@@ -669,7 +755,7 @@ impl<'a> SelectionRun<'a> {
         if list.is_empty() {
             return false;
         }
-        let b = self.acc.weight(li);
+        let b = self.acc.weight(slot);
         let w = self.acc.total_weight();
         if w == b {
             // Degenerate bucket: the whole committee's power (possibly
@@ -680,7 +766,7 @@ impl<'a> SelectionRun<'a> {
                 .iter()
                 .rev()
                 .find(|e| !self.is_selected(e.replica))
-                .is_some_and(|e| visit(e, self.acc.peek_add(li, e.power)));
+                .is_some_and(|e| visit(e, self.acc.peek_add(slot, e.power)));
         }
 
         // Analytic peak locator: f peaks where b + p = 2^{S′/(W−b)}. Float
@@ -708,7 +794,7 @@ impl<'a> SelectionRun<'a> {
                 let Some(e) = run.iter().rev().find(|e| !self.is_selected(e.replica)) else {
                     continue;
                 };
-                let h = self.acc.peek_add(li, e.power);
+                let h = self.acc.peek_add(slot, e.power);
                 if h < ceiling - BAND {
                     break;
                 }
@@ -900,7 +986,7 @@ mod tests {
             let roster = PrunedRoster::from_dense(3, &candidates);
             let mut run = SelectionRun::new(&roster);
             for round in 0..40 {
-                for (li, list) in roster.lists.iter().enumerate() {
+                for (li, list) in roster.lists.iter().step_by(2).enumerate() {
                     let mut evaluated: Vec<u64> = Vec::new();
                     run.walk_band(li, list, &mut 0, |e, _| {
                         evaluated.push(e.power);
@@ -923,6 +1009,12 @@ mod tests {
                 greedy_diverse(&candidates, 40).members()
             );
         }
+    }
+
+    #[test]
+    fn a_pruned_entry_is_two_words() {
+        // Power and replica; configuration and tier are the list's.
+        assert_eq!(std::mem::size_of::<PrunedEntry>(), 16);
     }
 
     #[test]
@@ -1023,8 +1115,9 @@ mod tests {
         let both = roster.patch_dense(&[], &[again], &[], &[]).unwrap();
         assert_eq!(
             both.lists,
-            vec![vec![PrunedEntry::of(&old), PrunedEntry::of(&again)]]
+            vec![vec![PrunedEntry::of(&old)], vec![PrunedEntry::of(&again)]]
         );
+        assert_eq!(both.candidates().collect::<Vec<_>>(), vec![old, again]);
         assert_eq!(both.len(), 2);
     }
 

@@ -77,6 +77,37 @@ fn zero_stake_pool() -> impl Strategy<Value = Vec<Candidate>> {
     })
 }
 
+/// Pools whose configurations mix both tiers, with heavy power ties and
+/// zero-power rows, each row paired with whether a churn step moves it to
+/// the other tier of its configuration.
+fn mixed_tier_pool() -> impl Strategy<Value = Vec<(Candidate, bool)>> {
+    proptest::collection::vec(
+        (0u64..4, 0usize..3, proptest::bool::ANY, proptest::bool::ANY),
+        1..60,
+    )
+    .prop_map(|specs| {
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (power, config, attested, flips))| {
+                let c = Candidate::new(
+                    ReplicaId::new(i as u64),
+                    VotingPower::new(power),
+                    config,
+                    attested,
+                );
+                (c, flips)
+            })
+            .collect()
+    })
+}
+
+/// `rows` in one canonical order, tier included.
+fn sorted_rows(mut rows: Vec<Candidate>) -> Vec<Candidate> {
+    rows.sort_unstable_by_key(|c| (c.config(), c.power(), c.replica(), c.attested()));
+    rows
+}
+
 fn check_structure(
     committee: &Committee,
     pool: &[Candidate],
@@ -224,6 +255,49 @@ proptest! {
                 "k = {}", k
             );
             prop_assert!(pruned.members().iter().all(|c| !c.power().is_zero()));
+        }
+    }
+
+    /// The pruned index keeps a row's tier in which of its configuration's
+    /// two lists holds it, not in the row: reading the index back returns
+    /// the input rows, tier included, and a patch that moves rows between
+    /// the two tiers of one configuration equals a rebuild of the moved
+    /// pool — and selects like the per-candidate fold over it.
+    #[test]
+    fn the_pruned_index_keeps_each_rows_tier(rows in mixed_tier_pool()) {
+        let pool: Vec<Candidate> = rows.iter().map(|&(c, _)| c).collect();
+        let roster = PrunedRoster::from_dense(3, &pool);
+        prop_assert_eq!(
+            sorted_rows(roster.candidates().collect()),
+            sorted_rows(pool.clone())
+        );
+
+        let departed: Vec<Candidate> =
+            rows.iter().filter(|&&(_, flips)| flips).map(|&(c, _)| c).collect();
+        let arrivals: Vec<Candidate> = departed
+            .iter()
+            .map(|c| Candidate::new(c.replica(), c.power(), c.config(), !c.attested()))
+            .collect();
+        let moved: Vec<Candidate> = rows
+            .iter()
+            .map(|&(c, flips)| {
+                Candidate::new(c.replica(), c.power(), c.config(), c.attested() != flips)
+            })
+            .collect();
+        let patched = roster
+            .patch_dense(&departed, &arrivals, &[], &[])
+            .expect("every departure is a row of the roster");
+        prop_assert_eq!(&patched, &PrunedRoster::from_dense(3, &moved));
+        prop_assert_eq!(
+            sorted_rows(patched.candidates().collect()),
+            sorted_rows(moved.clone())
+        );
+        for k in [1, 4, moved.len()] {
+            prop_assert_eq!(
+                patched.select(k).members(),
+                greedy_diverse(&moved, k).members(),
+                "k = {}", k
+            );
         }
     }
 

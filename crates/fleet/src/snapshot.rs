@@ -40,8 +40,9 @@
 //! [`churned_replicas`](EpochSnapshot::churned_replicas)) tell them apart.
 //!
 //! **What a patch copies.** A snapshot stores one row per device, in one
-//! table: its entry in the [`PrunedRoster`] selection index (24 B), grouped
-//! by bucket slot and sorted by power inside the slot. The index *is* the
+//! table: its entry in the [`PrunedRoster`] selection index (16 B: power
+//! and replica, the bucket and the tier being the list's), grouped by
+//! bucket slot and sorted by power inside the slot. The index *is* the
 //! roster — devices registered at zero power included, which it holds and
 //! never selects. The replica-sorted view
 //! ([`candidates`](EpochSnapshot::candidates),
@@ -50,17 +51,17 @@
 //! snapshot, the same for full and differential snapshots — which today is
 //! a checkpoint write, the two-tier sortition, the recommender and tests,
 //! never a seal or a greedy selection. Snapshots share nothing, so a patch
-//! writes the index anew — 24 B per device, O(n) memory traffic, the part
+//! writes the index anew — 16 B per device, O(n) memory traffic, the part
 //! of a differential seal's cost that follows fleet size — in one merge
-//! walk per slot that copies the untouched runs between churned rows as
+//! walk per list that copies the untouched runs between churned rows as
 //! slices. The rest follows churn, and reads nothing of the old roster nor
 //! any order of the delta's: each touched device arrives with the row it
 //! had at the last cut and the row it has now
 //! ([`RosterChange`](fi_attest::RosterChange)), so its departure is staged
 //! from the one and its arrival from the other, each resolved to a bucket
 //! slot by one probe of a per-seal table keyed by the measurement's leading
-//! byte; the selection index then groups the staged rows by slot in a
-//! counting pass and sorts them by power inside the slot. Only the churned
+//! byte; the selection index then groups the staged rows by list in a
+//! counting pass and sorts them by power inside the list. Only the churned
 //! replica ids are sorted, for [`churned_replicas`](EpochSnapshot::churned_replicas)
 //! and the warm start — which is also where a replica that two shards
 //! drained shows up, and is refused.
@@ -391,7 +392,7 @@ impl EpochSnapshot {
     /// per-seal table; this snapshot's roster is not read for it. The rest
     /// is the copy, and there is **one table** to copy:
     /// [`PrunedRoster::patch_dense`] writes the selection index — which is
-    /// the roster, 24 B a device — list by list, untouched runs as slices.
+    /// the roster, 16 B a device — list by list, untouched runs as slices.
     /// The replica-sorted view is not built here (see
     /// [`candidates`](Self::candidates)).
     /// No roster row is hashed here: the registry hashed each touched row
@@ -670,6 +671,27 @@ impl EpochSnapshot {
     #[must_use]
     pub fn members(&self, slot: usize) -> usize {
         self.pruned.slot_len(slot)
+    }
+
+    /// The bytes this snapshot holds on the heap, by capacity: the bucket
+    /// table and its member counts, the accumulator's weights, the
+    /// selection index ([`PrunedRoster::heap_bytes`]), what a differential
+    /// seal records of its parent (churned ids, their rows, the slot map)
+    /// and, once something has derived it, the replica-sorted view.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.buckets.capacity() * size_of::<(Digest, VotingPower)>()
+            + self.bucket_members.capacity() * size_of::<u32>()
+            + self.acc.slots() * size_of::<u64>()
+            + self.pruned.heap_bytes()
+            + self.churned.capacity() * size_of::<ReplicaId>()
+            + self.arrivals.capacity() * size_of::<Candidate>()
+            + self.slot_map.capacity() * size_of::<usize>()
+            + self
+                .roster
+                .get()
+                .map_or(0, |roster| roster.capacity() * size_of::<Candidate>())
     }
 
     /// The device roster, sorted by replica id — each row derived from
@@ -1116,6 +1138,57 @@ mod tests {
                 assert_refused(&snap, &CanonicalDelta::merge(twice), "listed twice");
             }
         }
+    }
+
+    #[test]
+    fn the_index_costs_sixteen_bytes_a_device_however_it_was_sealed() {
+        // 3 000 devices over eight buckets and the unattested tier, zero
+        // power included; then one bucket dies as its members move to a
+        // bucket born this epoch, devices cross tiers both ways, some leave.
+        let cfg = |i: u64| format!("cfg-{}", i % 8);
+        let ops: Vec<ChurnOp> = (0..3_000u64)
+            .map(|i| match i % 5 {
+                0 => unattested(i, i % 7),
+                _ => attest(i, cfg(i).as_bytes(), i % 13),
+            })
+            .collect();
+        let mut reg = registry_with(&ops);
+        let parent = EpochSnapshot::from_registry(&reg, 1);
+        let _ = reg.take_delta();
+        for i in 0..3_000u64 {
+            if i % 97 == 2 {
+                reg.apply(&ChurnOp::Deregister {
+                    replica: ReplicaId::new(i),
+                });
+            } else if i % 10 == 1 {
+                reg.apply(&unattested(i, 5));
+            } else if i % 10 == 5 {
+                reg.apply(&attest(i, b"cfg-0", 9));
+            } else if i % 8 == 3 && i % 5 != 0 {
+                reg.apply(&attest(i, b"cfg-born", i % 13));
+            }
+        }
+        let patched = parent.try_apply_delta(2, &drain(&mut reg)).unwrap();
+        let rebuilt = EpochSnapshot::from_registry(&reg, 2);
+        assert_eq!(patched.content_hash(), rebuilt.content_hash());
+        assert!(!patched
+            .buckets()
+            .iter()
+            .any(|&(m, _)| m == sha256(b"cfg-3")));
+
+        for snap in [&parent, &patched, &rebuilt] {
+            // Two lists a slot, each with a 24-byte `Vec` header.
+            let lists = 2 * (snap.buckets().len() + 1);
+            let index = snap.pruned.heap_bytes();
+            assert!(index <= 16 * snap.device_count() + 24 * lists);
+            assert!(snap.heap_bytes() > index);
+        }
+        // A patch writes every list at its exact size, as a full build does.
+        assert_eq!(patched.pruned.heap_bytes(), rebuilt.pruned.heap_bytes());
+        // The replica-sorted view counts once derived: 24 B a device.
+        let before = rebuilt.heap_bytes();
+        let _ = rebuilt.candidates();
+        assert_eq!(rebuilt.heap_bytes(), before + 24 * rebuilt.device_count());
     }
 
     #[test]

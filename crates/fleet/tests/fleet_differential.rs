@@ -351,6 +351,21 @@ proptest! {
                     snap.epoch(),
                     SHARD_COUNTS[i]
                 );
+                // The fleet's own memo serves the same committee, and the
+                // index keeps each member's tier in the list that held it:
+                // a member is attested exactly when its configuration is a
+                // measurement bucket, not the unattested pseudo-slot.
+                let served = fleet.select_greedy_cached(k);
+                prop_assert_eq!(served.members(), expected.members());
+                for m in served.members() {
+                    prop_assert_eq!(
+                        m.attested(),
+                        m.config() < snap.buckets().len(),
+                        "member {:?} at epoch {}",
+                        m,
+                        snap.epoch()
+                    );
+                }
                 previous[i] = Some((snap.content_hash(), (*cached).clone()));
             }
         }
