@@ -381,7 +381,7 @@ pub fn run_prop3_operational(max_omega: u64, seed: u64) -> Table {
         t.push(vec![
             omega.to_string(),
             n.to_string(),
-            config.quorum_params().f().to_string(),
+            config.quorum().f_power().as_units().to_string(),
             if report.safety.holds() {
                 "held"
             } else {
@@ -431,7 +431,7 @@ pub fn run_faultinj(seed: u64) -> Table {
             ResilienceAnalyzer::new(assignment.clone(), db).analyze_at(SimTime::from_secs(1));
 
         let faults = faults_from_vulnerability(&assignment, &vuln, Behavior::Equivocate);
-        let config = ClusterConfig::new(n)
+        let config = ClusterConfig::for_assignment(&assignment)
             .requests(6)
             .max_time(SimTime::from_secs(20));
         let report = run_cluster_with_faults(&config, seed + sharing as u64, &faults);

@@ -1,14 +1,13 @@
-//! BFT clients: issue requests, collect `f + 1` matching replies, retry on
-//! timeout.
+//! BFT clients: issue requests, collect matching replies carrying more
+//! than `f` power, retry on timeout.
 
-use std::collections::BTreeSet;
 use std::collections::HashMap;
 
 use fi_simnet::{Context, NodeId, TimerToken};
-use fi_types::SimTime;
+use fi_types::{SimTime, VotingPower};
 
 use crate::message::{BftMessage, Operation};
-use crate::quorum::QuorumParams;
+use crate::weighted::{WeightedQuorum, WeightedVoteSet};
 
 const RETRY: TimerToken = TimerToken::new(2);
 
@@ -19,7 +18,7 @@ pub struct CompletedRequest {
     pub op: Operation,
     /// When the request was first sent.
     pub sent_at: SimTime,
-    /// When `f + 1` matching replies had arrived.
+    /// When matching replies carrying more than `f` power had arrived.
     pub completed_at: SimTime,
 }
 
@@ -27,28 +26,34 @@ pub struct CompletedRequest {
 #[derive(Debug)]
 pub struct Client {
     node_index: usize,
-    params: QuorumParams,
+    quorum: WeightedQuorum,
+    /// Each replica's voting power, by replica index.
+    powers: Vec<VotingPower>,
     total_requests: u64,
     next_counter: u64,
     outstanding: Option<(Operation, SimTime)>,
-    reply_votes: HashMap<(u64, u64), BTreeSet<usize>>,
+    reply_votes: HashMap<(u64, u64), WeightedVoteSet>,
     completed: Vec<CompletedRequest>,
     retry_timeout: SimTime,
     retries: u64,
 }
 
 impl Client {
-    /// Creates a client that will issue `total_requests` requests.
+    /// Creates a client that will issue `total_requests` requests to
+    /// replicas carrying `powers`, judged by `quorum` (the rule over their
+    /// total).
     #[must_use]
     pub fn new(
         node_index: usize,
-        params: QuorumParams,
+        quorum: WeightedQuorum,
+        powers: Vec<VotingPower>,
         total_requests: u64,
         retry_timeout: SimTime,
     ) -> Self {
         Client {
             node_index,
-            params,
+            quorum,
+            powers,
             total_requests,
             next_counter: 0,
             outstanding: None,
@@ -94,7 +99,7 @@ impl Client {
     }
 
     fn send_request(&self, op: Operation, ctx: &mut Context<'_, BftMessage>) {
-        for i in 0..self.params.n() {
+        for i in 0..self.powers.len() {
             ctx.send(NodeId::new(i), BftMessage::Request { op });
         }
     }
@@ -105,13 +110,14 @@ impl Client {
         ctx.set_timer(self.retry_timeout, RETRY);
     }
 
-    /// Reply handling: count matching `(counter, result)` votes from
-    /// distinct replicas; `f + 1` completes the request.
+    /// Reply handling: tally matching `(counter, result)` votes from
+    /// distinct replicas at their power; more than `f` power completes the
+    /// request, since it includes at least one honest replica.
     pub fn on_message(&mut self, from: NodeId, msg: BftMessage, ctx: &mut Context<'_, BftMessage>) {
         let BftMessage::Reply { op, result, .. } = msg else {
             return;
         };
-        if from.index() >= self.params.n() {
+        if from.index() >= self.powers.len() {
             return; // replies must come from replicas
         }
         let Some((current, sent_at)) = self.outstanding else {
@@ -121,8 +127,8 @@ impl Client {
             return;
         }
         let votes = self.reply_votes.entry((op.counter, result)).or_default();
-        votes.insert(from.index());
-        if votes.len() >= self.params.weak_quorum() {
+        votes.vote(from.index(), &self.powers);
+        if !self.quorum.tolerates(votes.power()) {
             self.completed.push(CompletedRequest {
                 op,
                 sent_at,
@@ -153,14 +159,16 @@ impl Client {
 mod tests {
     use super::*;
 
+    /// A client of four one-unit replicas.
+    fn unit_client(total_requests: u64) -> Client {
+        let quorum = WeightedQuorum::for_total(VotingPower::new(4)).unwrap();
+        let powers = vec![VotingPower::new(1); 4];
+        Client::new(4, quorum, powers, total_requests, SimTime::from_millis(100))
+    }
+
     #[test]
     fn client_initial_state() {
-        let c = Client::new(
-            4,
-            QuorumParams::for_n(4).unwrap(),
-            3,
-            SimTime::from_millis(100),
-        );
+        let c = unit_client(3);
         assert!(!c.done());
         assert!(c.completed().is_empty());
         assert_eq!(c.retries(), 0);
@@ -168,12 +176,7 @@ mod tests {
 
     #[test]
     fn zero_request_client_is_done() {
-        let c = Client::new(
-            4,
-            QuorumParams::for_n(4).unwrap(),
-            0,
-            SimTime::from_millis(100),
-        );
+        let c = unit_client(0);
         assert!(c.done());
     }
 

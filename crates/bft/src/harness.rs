@@ -7,14 +7,14 @@
 
 use fi_config::{Assignment, Vulnerability};
 use fi_simnet::{Context, FaultEvent, NetworkConfig, Node, NodeId, Simulation, TimerToken};
-use fi_types::SimTime;
+use fi_types::{SimTime, VotingPower};
 
 use crate::byzantine::Behavior;
 use crate::client::Client;
 use crate::message::BftMessage;
-use crate::quorum::QuorumParams;
 use crate::replica::Replica;
 use crate::safety::{LivenessReport, SafetyReport};
+use crate::weighted::WeightedQuorum;
 
 /// A node in a BFT simulation: replica or client.
 #[derive(Debug)]
@@ -70,7 +70,10 @@ pub struct ScheduledFault {
 /// Cluster and workload parameters (builder-style).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    n: usize,
+    /// Each replica's voting power, by replica index.
+    powers: Vec<VotingPower>,
+    /// The quorum rule over the powers' total.
+    quorum: WeightedQuorum,
     clients: usize,
     requests_per_client: u64,
     checkpoint_interval: u64,
@@ -81,17 +84,43 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster of `n` replicas (must be ≥ 4) with one client issuing ten
-    /// requests over a default LAN.
+    /// A cluster of `n` replicas of one unit of power each (`n` must be
+    /// ≥ 4) with one client issuing ten requests over a default LAN.
     ///
     /// # Panics
     ///
     /// Panics if `n < 4` (no BFT quorum exists).
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n >= 4, "BFT requires at least 4 replicas");
+        Self::with_powers(vec![VotingPower::new(1); n])
+    }
+
+    /// The cluster an assignment describes: replica `e.replica` carries
+    /// `e.power` for each entry `e` — the node mapping
+    /// [`faults_from_vulnerability`] uses — with [`new`](Self::new)'s
+    /// workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica ids are not `0..n`, or if the total power is
+    /// below 4 units (no BFT quorum exists).
+    #[must_use]
+    pub fn for_assignment(assignment: &Assignment) -> Self {
+        let mut powers = vec![VotingPower::ZERO; assignment.replica_count()];
+        for e in assignment.entries() {
+            *powers
+                .get_mut(e.replica.as_usize())
+                .expect("assignment replica ids are 0..n") = e.power;
+        }
+        Self::with_powers(powers)
+    }
+
+    fn with_powers(powers: Vec<VotingPower>) -> Self {
+        let quorum = WeightedQuorum::for_total(powers.iter().sum())
+            .expect("BFT requires at least 4 units of voting power");
         ClusterConfig {
-            n,
+            powers,
+            quorum,
             clients: 1,
             requests_per_client: 10,
             checkpoint_interval: 8,
@@ -147,17 +176,13 @@ impl ClusterConfig {
     /// Number of replicas.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.powers.len()
     }
 
-    /// Derived quorum parameters.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: `n ≥ 4` is enforced at construction.
+    /// The quorum rule over the replicas' total power.
     #[must_use]
-    pub fn quorum_params(&self) -> QuorumParams {
-        QuorumParams::for_n(self.n).expect("n >= 4 enforced by constructor")
+    pub fn quorum(&self) -> WeightedQuorum {
+        self.quorum
     }
 
     /// Total requests the workload will issue.
@@ -217,30 +242,31 @@ pub fn run_cluster_with_schedule(
     faults: &[ScheduledFault],
     recoveries: &[(SimTime, usize)],
 ) -> ClusterReport {
-    let params = config.quorum_params();
+    let n = config.n();
     let mut sim: Simulation<BftNode> = Simulation::new(config.network.clone(), seed);
-    for i in 0..config.n {
+    for i in 0..n {
         sim.add_node(BftNode::Replica(Box::new(Replica::new(
             i,
-            params,
+            config.quorum,
+            config.powers.clone(),
             config.checkpoint_interval,
             config.view_change_timeout,
         ))));
     }
     for c in 0..config.clients {
         sim.add_node(BftNode::Client(Client::new(
-            config.n + c,
-            params,
+            n + c,
+            config.quorum,
+            config.powers.clone(),
             config.requests_per_client,
             config.client_retry,
         )));
     }
     for fault in faults {
         assert!(
-            fault.replica < config.n,
-            "fault targets replica {} but n = {}",
+            fault.replica < n,
+            "fault targets replica {} but n = {n}",
             fault.replica,
-            config.n
         );
         sim.schedule_fault(
             fault.at,
@@ -252,10 +278,8 @@ pub fn run_cluster_with_schedule(
     }
     for &(at, replica) in recoveries {
         assert!(
-            replica < config.n,
-            "recovery targets replica {} but n = {}",
-            replica,
-            config.n
+            replica < n,
+            "recovery targets replica {replica} but n = {n}"
         );
         sim.schedule_fault(at, NodeId::new(replica), FaultEvent::Recover);
     }
@@ -266,7 +290,7 @@ pub fn run_cluster_with_schedule(
     while now < config.max_time {
         now = now.saturating_add(slice).min(config.max_time);
         sim.run_until(now);
-        let all_done = (config.n..config.n + config.clients)
+        let all_done = (n..n + config.clients)
             .all(|i| matches!(sim.node(NodeId::new(i)), BftNode::Client(c) if c.done()));
         if all_done {
             break;
@@ -277,7 +301,7 @@ pub fn run_cluster_with_schedule(
 }
 
 fn audit(sim: &Simulation<BftNode>, config: &ClusterConfig) -> ClusterReport {
-    let replicas: Vec<&Replica> = (0..config.n)
+    let replicas: Vec<&Replica> = (0..config.n())
         .map(|i| match sim.node(NodeId::new(i)) {
             BftNode::Replica(r) => r.as_ref(),
             BftNode::Client(_) => unreachable!("replica ids precede client ids"),
@@ -299,7 +323,7 @@ fn audit(sim: &Simulation<BftNode>, config: &ClusterConfig) -> ClusterReport {
     let mut executed = 0;
     let mut retries = 0;
     for c in 0..config.clients {
-        if let BftNode::Client(client) = sim.node(NodeId::new(config.n + c)) {
+        if let BftNode::Client(client) = sim.node(NodeId::new(config.n() + c)) {
             executed += client.completed().len() as u64;
             retries += client.retries();
         }
@@ -530,20 +554,23 @@ mod tests {
         let config = ClusterConfig::new(4)
             .requests(6)
             .max_time(SimTime::from_secs(30));
-        let params = config.quorum_params();
-        assert_eq!(params.f(), 1);
+        let quorum = config.quorum();
+        assert_eq!(quorum.f_power(), VotingPower::new(1));
+        let powers = vec![VotingPower::new(1); 4];
         let mut sim: Simulation<BftNode> = Simulation::new(NetworkConfig::default(), 13);
         for i in 0..4 {
             sim.add_node(BftNode::Replica(Box::new(Replica::new(
                 i,
-                params,
+                quorum,
+                powers.clone(),
                 8,
                 SimTime::from_millis(400),
             ))));
         }
         sim.add_node(BftNode::Client(Client::new(
             4,
-            params,
+            quorum,
+            powers,
             6,
             SimTime::from_millis(300),
         )));

@@ -11,17 +11,24 @@
 //!
 //! ## Protocol summary
 //!
-//! * `n = 3f + 1` replicas; the primary of view `v` is replica `v mod n`.
+//! * Every replica carries voting power. Over the members' total `n_t`,
+//!   `f = ⌊(n_t − 1)/3⌋` power is tolerated and a *quorum* is `n_t − f`
+//!   power ([`WeightedQuorum`], the workspace's one quorum rule); every
+//!   vote counts at its sender's power. The primary of view `v` is member
+//!   `v mod n`, a rotation over the `n` members.
 //! * Clients broadcast requests to all replicas; the primary assigns a
-//!   sequence number and broadcasts `PrePrepare`; replicas broadcast
-//!   `Prepare`; with a pre-prepare and `2f` matching prepares a request is
-//!   *prepared* and the replica broadcasts `Commit`; with `2f + 1` matching
-//!   commits it is *committed* and executed in sequence order.
-//! * Replicas checkpoint every `checkpoint_interval` sequences; `2f + 1`
-//!   matching checkpoints make it stable and truncate the log.
+//!   sequence number and broadcasts `PrePrepare`, which counts as its own
+//!   prepare; replicas broadcast `Prepare`; once matching prepares hold a
+//!   quorum's power a request is *prepared* and the replica broadcasts
+//!   `Commit`; once matching commits hold a quorum's power it is
+//!   *committed* and executed in sequence order. A client accepts a result
+//!   once matching replies carry more than `f` power.
+//! * Replicas checkpoint every `checkpoint_interval` sequences; matching
+//!   checkpoints of a quorum's power make it stable and truncate the log.
 //! * A replica that has seen a request pending longer than the view-change
 //!   timeout broadcasts `ViewChange` for the next view, carrying its
-//!   prepared certificates; the new primary, on `2f + 1` view-changes,
+//!   prepared certificates, and joins any view change backed by more than
+//!   `f` power; the new primary, on view changes of a quorum's power,
 //!   broadcasts `NewView` re-issuing pre-prepares for every certified
 //!   sequence.
 //! * Byzantine behaviours ([`byzantine::Behavior`]): crash, going silent,
@@ -46,7 +53,6 @@ pub mod byzantine;
 pub mod client;
 pub mod harness;
 pub mod message;
-pub mod quorum;
 pub mod replica;
 pub mod safety;
 pub mod weighted;
@@ -57,7 +63,53 @@ pub use harness::{
     ClusterConfig, ClusterReport, ScheduledFault,
 };
 pub use message::BftMessage;
-pub use quorum::QuorumParams;
 pub use replica::Replica;
 pub use safety::{LivenessReport, SafetyReport};
 pub use weighted::{WeightedQuorum, WeightedVoteSet};
+
+#[cfg(test)]
+/// The classic count-quorum cases, checked on the one power rule: `n`
+/// members of one unit each must give PBFT's `n = 3f + 1` thresholds.
+mod quorum {
+    mod tests {
+        use crate::WeightedQuorum;
+        use fi_types::VotingPower;
+
+        fn units(n: u64) -> Option<WeightedQuorum> {
+            WeightedQuorum::for_total(VotingPower::new(n))
+        }
+
+        #[test]
+        fn classic_sizes() {
+            // n = 4: f = 1, quorum 3, and 2 members are more than f.
+            let q = units(4).unwrap();
+            assert_eq!(q.total(), VotingPower::new(4));
+            assert_eq!(q.f_power(), VotingPower::new(1));
+            assert_eq!(q.quorum_power(), VotingPower::new(3));
+            assert!(!q.tolerates(VotingPower::new(2)));
+            // n = 10: f = 3, quorum 7.
+            let q = units(10).unwrap();
+            assert_eq!(q.f_power(), VotingPower::new(3));
+            assert_eq!(q.quorum_power(), VotingPower::new(7));
+        }
+
+        #[test]
+        fn too_small_clusters_rejected() {
+            for n in 0..4 {
+                assert!(units(n).is_none(), "n = {n}");
+            }
+        }
+
+        #[test]
+        fn quorum_intersection_contains_honest_replica() {
+            for n in 4..40 {
+                let q = units(n).unwrap();
+                let intersection = 2 * q.quorum_power().as_units() - n;
+                assert!(
+                    intersection > q.f_power().as_units(),
+                    "n = {n}: intersection {intersection} too small"
+                );
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! The PBFT message vocabulary.
 
 use fi_types::hash::hash_fields;
-use fi_types::Digest;
+use fi_types::{Digest, VotingPower};
 
 /// A client operation: opaque payload identified by `(client_seed, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,8 +108,9 @@ pub enum BftMessage {
     NewView {
         /// The new view.
         view: u64,
-        /// How many view-change messages backed this (must be ≥ 2f + 1).
-        support: usize,
+        /// The voting power of the view changes that backed this: at least
+        /// the quorum, `total − f`.
+        support: VotingPower,
         /// Re-issued proposals for prepared sequences.
         preprepares: Vec<PreparedCert>,
     },
@@ -189,7 +190,7 @@ mod tests {
             },
             BftMessage::NewView {
                 view: 1,
-                support: 3,
+                support: VotingPower::new(3),
                 preprepares: vec![],
             },
         ];

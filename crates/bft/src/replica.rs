@@ -1,27 +1,31 @@
 //! The PBFT replica state machine.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fi_simnet::{Context, FaultEvent, NodeId, TimerToken};
 use fi_types::hash::hash_fields;
-use fi_types::{Digest, SimTime};
+use fi_types::{Digest, SimTime, VotingPower};
 
 use crate::byzantine::Behavior;
 use crate::message::{BftMessage, Operation, PreparedCert};
-use crate::quorum::QuorumParams;
+use crate::weighted::{WeightedQuorum, WeightedVoteSet};
 
 /// The periodic housekeeping timer (pending-request timeout checks).
 pub(crate) const TICK: TimerToken = TimerToken::new(1);
 
 /// A PBFT replica.
 ///
-/// Replicas occupy node ids `0..n` in the simulation; clients follow. All
-/// protocol state is public-read via accessors so harnesses can audit
-/// execution histories after a run.
+/// Replicas occupy node ids `0..n` in the simulation; clients follow. Every
+/// vote counts at its sender's power, and every threshold is a
+/// [`WeightedQuorum`] over the members' total. All protocol state is
+/// public-read via accessors so harnesses can audit execution histories
+/// after a run.
 #[derive(Debug)]
 pub struct Replica {
     index: usize,
-    params: QuorumParams,
+    quorum: WeightedQuorum,
+    /// Each member's voting power, by member index.
+    powers: Vec<VotingPower>,
     behavior: Behavior,
     view: u64,
     next_seq: u64,
@@ -34,9 +38,9 @@ pub struct Replica {
     /// Accepted proposals: `(view, seq) → (digest, op)`.
     proposals: HashMap<(u64, u64), (Digest, Operation)>,
     /// Prepare votes: `(view, seq, digest) → senders`.
-    prepares: HashMap<(u64, u64, Digest), BTreeSet<usize>>,
+    prepares: HashMap<(u64, u64, Digest), WeightedVoteSet>,
     /// Commit votes: `(view, seq, digest) → senders`.
-    commits: HashMap<(u64, u64, Digest), BTreeSet<usize>>,
+    commits: HashMap<(u64, u64, Digest), WeightedVoteSet>,
     /// Highest-view prepared certificate per sequence.
     prepared: BTreeMap<u64, PreparedCert>,
     /// Committed-but-possibly-unexecuted requests per sequence.
@@ -52,7 +56,7 @@ pub struct Replica {
     /// Requests seen but not yet executed: `digest → (op, first_seen)`.
     pending: HashMap<Digest, (Operation, SimTime)>,
     /// Checkpoint votes: `(seq, state) → senders`.
-    checkpoints: HashMap<(u64, Digest), BTreeSet<usize>>,
+    checkpoints: HashMap<(u64, Digest), WeightedVoteSet>,
     /// View-change messages per proposed view: `view → sender → certs`.
     view_changes: HashMap<u64, BTreeMap<usize, Vec<PreparedCert>>>,
     /// The highest view this replica has voted to enter.
@@ -63,17 +67,20 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates a replica with the given cluster parameters.
+    /// Creates member `index` of a cluster whose members carry `powers`,
+    /// counting votes against `quorum` (the rule over their total).
     #[must_use]
     pub fn new(
         index: usize,
-        params: QuorumParams,
+        quorum: WeightedQuorum,
+        powers: Vec<VotingPower>,
         checkpoint_interval: u64,
         view_change_timeout: SimTime,
     ) -> Self {
         Replica {
             index,
-            params,
+            quorum,
+            powers,
             behavior: Behavior::Honest,
             view: 0,
             next_seq: 0,
@@ -149,11 +156,26 @@ impl Replica {
     }
 
     fn is_primary(&self) -> bool {
-        self.params.primary_of(self.view) == self.index
+        self.primary_of(self.view) == self.index
+    }
+
+    /// The primary of `view`: a rotation over member indices.
+    fn primary_of(&self, view: u64) -> usize {
+        (view % self.n() as u64) as usize
     }
 
     fn n(&self) -> usize {
-        self.params.n()
+        self.powers.len()
+    }
+
+    /// Whether a tally holds a quorum's power.
+    fn has_quorum(&self, votes: Option<&WeightedVoteSet>) -> bool {
+        votes.is_some_and(|v| self.quorum.reaches_quorum(v.power()))
+    }
+
+    /// The power of the members that sent view changes for one view.
+    fn view_change_power(&self, votes: &BTreeMap<usize, Vec<PreparedCert>>) -> VotingPower {
+        votes.keys().map(|&i| self.powers[i]).sum()
     }
 
     /// Sends to all *replicas* (not clients), plus processes own vote
@@ -217,7 +239,7 @@ impl Replica {
             self.prepares
                 .entry((self.view, seq, digest))
                 .or_default()
-                .insert(self.index);
+                .vote(self.index, &self.powers);
             self.broadcast_replicas(
                 ctx,
                 &BftMessage::PrePrepare {
@@ -275,7 +297,7 @@ impl Replica {
         op: Operation,
         ctx: &mut Context<'_, BftMessage>,
     ) {
-        if view != self.view || from != self.params.primary_of(view) {
+        if view != self.view || from != self.primary_of(view) {
             return;
         }
         if seq <= self.last_stable {
@@ -297,7 +319,7 @@ impl Replica {
         self.prepares
             .entry((view, seq, digest))
             .or_default()
-            .insert(from);
+            .vote(from, &self.powers);
         if !self.behavior.sends_messages() {
             return;
         }
@@ -309,7 +331,7 @@ impl Replica {
         self.prepares
             .entry((view, seq, vote_digest))
             .or_default()
-            .insert(self.index);
+            .vote(self.index, &self.powers);
         self.broadcast_replicas(
             ctx,
             &BftMessage::Prepare {
@@ -335,7 +357,7 @@ impl Replica {
         self.prepares
             .entry((view, seq, digest))
             .or_default()
-            .insert(from);
+            .vote(from, &self.powers);
         // A double-voting equivocator lends its support to *every* digest
         // it hears about — the collusion that makes an equivocating
         // primary's fork succeed once the faulty set exceeds f.
@@ -343,12 +365,12 @@ impl Replica {
             self.prepares
                 .entry((view, seq, digest))
                 .or_default()
-                .insert(self.index);
+                .vote(self.index, &self.powers);
             self.broadcast_replicas(ctx, &BftMessage::Prepare { view, seq, digest });
             self.commits
                 .entry((view, seq, digest))
                 .or_default()
-                .insert(self.index);
+                .vote(self.index, &self.powers);
             self.broadcast_replicas(ctx, &BftMessage::Commit { view, seq, digest });
         }
         self.try_prepare_certificate(view, seq, digest, ctx);
@@ -369,11 +391,7 @@ impl Replica {
         if accepted != digest {
             return;
         }
-        let votes = self
-            .prepares
-            .get(&(view, seq, digest))
-            .map_or(0, BTreeSet::len);
-        if votes < self.params.quorum() {
+        if !self.has_quorum(self.prepares.get(&(view, seq, digest))) {
             return;
         }
         self.prepared
@@ -401,7 +419,7 @@ impl Replica {
         self.commits
             .entry((view, seq, digest))
             .or_default()
-            .insert(self.index);
+            .vote(self.index, &self.powers);
         if self.behavior.sends_messages() && self.behavior != Behavior::WithholdCommit {
             self.broadcast_replicas(ctx, &BftMessage::Commit { view, seq, digest });
         }
@@ -422,12 +440,12 @@ impl Replica {
         self.commits
             .entry((view, seq, digest))
             .or_default()
-            .insert(from);
+            .vote(from, &self.powers);
         if self.behavior == Behavior::Equivocate && self.echoed.insert((1, view, seq, digest)) {
             self.commits
                 .entry((view, seq, digest))
                 .or_default()
-                .insert(self.index);
+                .vote(self.index, &self.powers);
             self.broadcast_replicas(ctx, &BftMessage::Commit { view, seq, digest });
         }
         self.try_commit(view, seq, digest, ctx);
@@ -443,11 +461,7 @@ impl Replica {
         if self.committed.contains_key(&seq) {
             return;
         }
-        let votes = self
-            .commits
-            .get(&(view, seq, digest))
-            .map_or(0, BTreeSet::len);
-        if votes < self.params.quorum() {
+        if !self.has_quorum(self.commits.get(&(view, seq, digest))) {
             return;
         }
         let Some(&(accepted, op)) = self.proposals.get(&(view, seq)) else {
@@ -487,7 +501,7 @@ impl Replica {
                 self.checkpoints
                     .entry((seq, state))
                     .or_default()
-                    .insert(self.index);
+                    .vote(self.index, &self.powers);
                 if self.behavior.sends_messages() {
                     self.broadcast_replicas(ctx, &BftMessage::Checkpoint { seq, state });
                 }
@@ -504,13 +518,12 @@ impl Replica {
         self.checkpoints
             .entry((seq, state))
             .or_default()
-            .insert(from);
+            .vote(from, &self.powers);
         self.try_stabilize(seq, state);
     }
 
     fn try_stabilize(&mut self, seq: u64, state: Digest) {
-        let votes = self.checkpoints.get(&(seq, state)).map_or(0, BTreeSet::len);
-        if votes < self.params.quorum() || seq <= self.last_stable {
+        if !self.has_quorum(self.checkpoints.get(&(seq, state))) || seq <= self.last_stable {
             return;
         }
         self.last_stable = seq;
@@ -596,10 +609,10 @@ impl Replica {
             .entry(new_view)
             .or_default()
             .insert(from, prepared);
-        // Join a view change that already has weak-quorum support (the
-        // standard liveness amplification rule).
-        let support = self.view_changes[&new_view].len();
-        if support >= self.params.weak_quorum()
+        // Join a view change backed by more than f power, so by at least
+        // one honest member (the standard liveness amplification rule).
+        let support = self.view_change_power(&self.view_changes[&new_view]);
+        if !self.quorum.tolerates(support)
             && self.highest_vc_sent < new_view
             && self.behavior.sends_messages()
         {
@@ -609,7 +622,7 @@ impl Replica {
     }
 
     fn maybe_lead_new_view(&mut self, new_view: u64, ctx: &mut Context<'_, BftMessage>) {
-        if self.params.primary_of(new_view) != self.index
+        if self.primary_of(new_view) != self.index
             || new_view <= self.view
             || !self.behavior.sends_messages()
         {
@@ -618,7 +631,8 @@ impl Replica {
         let Some(votes) = self.view_changes.get(&new_view) else {
             return;
         };
-        if votes.len() < self.params.quorum() {
+        let support = self.view_change_power(votes);
+        if !self.quorum.reaches_quorum(support) {
             return;
         }
         // Merge prepared certificates: highest view wins per sequence.
@@ -635,7 +649,6 @@ impl Replica {
                     .or_insert_with(|| cert.clone());
             }
         }
-        let support = votes.len();
         let preprepares: Vec<PreparedCert> = merged.into_values().collect();
         self.enter_view(new_view);
         // Adopt the re-issued proposals locally (with the new view).
@@ -671,13 +684,13 @@ impl Replica {
         &mut self,
         from: usize,
         view: u64,
-        support: usize,
+        support: VotingPower,
         preprepares: Vec<PreparedCert>,
         ctx: &mut Context<'_, BftMessage>,
     ) {
         if view <= self.view
-            || from != self.params.primary_of(view)
-            || support < self.params.quorum()
+            || from != self.primary_of(view)
+            || !self.quorum.reaches_quorum(support)
         {
             return;
         }
@@ -688,7 +701,7 @@ impl Replica {
                 self.prepares
                     .entry((view, cert.seq, cert.digest))
                     .or_default()
-                    .insert(self.index);
+                    .vote(self.index, &self.powers);
                 self.broadcast_replicas(
                     ctx,
                     &BftMessage::Prepare {
@@ -721,10 +734,11 @@ impl Replica {
         self.assigned.insert(cert.digest);
         // The new-view message carries quorum evidence; the primary's
         // implicit prepare:
+        let primary = self.primary_of(view);
         self.prepares
             .entry((view, cert.seq, cert.digest))
             .or_default()
-            .insert(self.params.primary_of(view));
+            .vote(primary, &self.powers);
     }
 
     // ------------------------------------------------------------------
@@ -803,14 +817,16 @@ fn corrupt_digest(d: &Digest) -> Digest {
 mod tests {
     use super::*;
 
+    /// Member `index` of four one-unit members.
+    fn unit_replica(index: usize) -> Replica {
+        let quorum = WeightedQuorum::for_total(VotingPower::new(4)).unwrap();
+        let powers = vec![VotingPower::new(1); 4];
+        Replica::new(index, quorum, powers, 16, SimTime::from_millis(500))
+    }
+
     #[test]
     fn replica_construction_defaults() {
-        let r = Replica::new(
-            2,
-            QuorumParams::for_n(4).unwrap(),
-            16,
-            SimTime::from_millis(500),
-        );
+        let r = unit_replica(2);
         assert_eq!(r.index(), 2);
         assert_eq!(r.view(), 0);
         assert_eq!(r.behavior(), Behavior::Honest);
@@ -822,12 +838,7 @@ mod tests {
 
     #[test]
     fn fault_hooks_flip_behavior() {
-        let mut r = Replica::new(
-            0,
-            QuorumParams::for_n(4).unwrap(),
-            16,
-            SimTime::from_millis(500),
-        );
+        let mut r = unit_replica(0);
         r.on_fault(FaultEvent::Compromise {
             flavor: Behavior::Equivocate.to_flavor(),
         });
@@ -836,6 +847,13 @@ mod tests {
         assert_eq!(r.behavior(), Behavior::Crashed);
         r.on_fault(FaultEvent::Recover);
         assert_eq!(r.behavior(), Behavior::Honest);
+    }
+
+    #[test]
+    fn primary_rotates_through_all_replicas() {
+        let r = unit_replica(0);
+        let primaries: Vec<usize> = (0..8).map(|v| r.primary_of(v)).collect();
+        assert_eq!(primaries, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]

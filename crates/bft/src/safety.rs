@@ -101,7 +101,8 @@ impl SafetyReport {
 /// The outcome of the liveness audit (client progress).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LivenessReport {
-    /// Requests the clients saw completed (`f + 1` matching replies).
+    /// Requests the clients saw completed (matching replies carrying more
+    /// than `f` power).
     pub executed_requests: u64,
     /// Requests the workload intended.
     pub expected_requests: u64,
@@ -120,15 +121,16 @@ impl LivenessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quorum::QuorumParams;
-    use fi_types::SimTime;
+    use crate::weighted::WeightedQuorum;
+    use fi_types::{SimTime, VotingPower};
 
     fn replica_with_history(index: usize, history: &[(u64, u64)]) -> Replica {
         // Build a replica and force an execution history through the
         // committed path (test-only shortcut using the public API).
         let mut r = Replica::new(
             index,
-            QuorumParams::for_n(4).unwrap(),
+            WeightedQuorum::for_total(VotingPower::new(4)).unwrap(),
+            vec![VotingPower::new(1); 4],
             1_000,
             SimTime::from_millis(500),
         );

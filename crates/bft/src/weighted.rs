@@ -1,21 +1,21 @@
-//! Voting-power-weighted quorums.
+//! The workspace's one quorum rule, over voting power.
 //!
 //! The paper abstracts resilience over *voting power* `n_t` rather than
 //! replica counts (§II-A): for committee-based permissionless protocols,
 //! each committee member carries its stake/power, and quorums are power
-//! sums, not head counts. This module provides the weighted counterpart of
-//! [`crate::QuorumParams`]: tolerated compromised power
-//! `f = ⌊(total − 1)/3⌋` units, quorum power `total − f`, and a vote
-//! accumulator that de-duplicates voters.
+//! sums, not head counts. [`WeightedQuorum`] tolerates compromised power
+//! `f = ⌊(total − 1)/3⌋` units and sets the quorum at `total − f`; a
+//! [`WeightedVoteSet`] tallies a vote's power, each voter once.
 //!
-//! The simulated PBFT replicas in this crate use equal weights (count
-//! quorums); the weighted arithmetic is used by analyses that bridge
-//! committee selection (`fi-committee`) into resilience statements, and is
-//! exercised end-to-end in the integration suites.
+//! The simulated PBFT replicas and clients count every vote through these
+//! two, and the resilience analyzer reads its `f` from [`WeightedQuorum`].
+//! At equal power per member the rule gives exactly the head-count
+//! thresholds: quorum `n − ⌊(n − 1)/3⌋` members, and more than `f` power
+//! is `⌊(n − 1)/3⌋ + 1` members.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
-use fi_types::{ReplicaId, VotingPower};
+use fi_types::VotingPower;
 
 /// Quorum arithmetic over voting power.
 ///
@@ -87,70 +87,43 @@ impl WeightedQuorum {
     }
 }
 
-/// Accumulates votes weighted by per-replica power, counting each replica
-/// at most once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One vote tally: the members that voted, each counted once, and the
+/// sum of their power.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightedVoteSet {
-    quorum: WeightedQuorum,
-    weights: HashMap<ReplicaId, VotingPower>,
-    voted: HashMap<ReplicaId, VotingPower>,
-    accumulated: VotingPower,
+    voters: BTreeSet<usize>,
+    power: VotingPower,
 }
 
 impl WeightedVoteSet {
-    /// Creates a vote set over the given member weights.
+    /// Records member `voter`'s vote at its power `powers[voter]`; returns
+    /// `true` if the vote was fresh. A repeated vote is ignored.
     ///
-    /// Returns `None` if the members' total power is below the weighted
-    /// quorum minimum (see [`WeightedQuorum::for_total`]).
-    #[must_use]
-    pub fn new(weights: HashMap<ReplicaId, VotingPower>) -> Option<Self> {
-        let total: VotingPower = weights.values().copied().sum();
-        let quorum = WeightedQuorum::for_total(total)?;
-        Some(WeightedVoteSet {
-            quorum,
-            weights,
-            voted: HashMap::new(),
-            accumulated: VotingPower::ZERO,
-        })
-    }
-
-    /// The quorum parameters in force.
-    #[must_use]
-    pub fn quorum(&self) -> WeightedQuorum {
-        self.quorum
-    }
-
-    /// Records a vote; returns `true` if it was fresh (first vote by this
-    /// replica) and the voter is a member. Non-members and duplicates are
-    /// ignored.
-    pub fn vote(&mut self, replica: ReplicaId) -> bool {
-        let Some(&weight) = self.weights.get(&replica) else {
-            return false;
-        };
-        if self.voted.contains_key(&replica) {
-            return false;
+    /// # Panics
+    ///
+    /// Panics if `voter` is not an index into `powers`.
+    pub fn vote(&mut self, voter: usize, powers: &[VotingPower]) -> bool {
+        let fresh = self.voters.insert(voter);
+        if fresh {
+            self.power += powers[voter];
         }
-        self.voted.insert(replica, weight);
-        self.accumulated += weight;
-        true
+        fresh
     }
 
     /// Power accumulated so far.
     #[must_use]
-    pub fn accumulated(&self) -> VotingPower {
-        self.accumulated
-    }
-
-    /// Whether the accumulated power reaches the quorum.
-    #[must_use]
-    pub fn complete(&self) -> bool {
-        self.quorum.reaches_quorum(self.accumulated)
+    pub fn power(&self) -> VotingPower {
+        self.power
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn units(powers: &[u64]) -> Vec<VotingPower> {
+        powers.iter().map(|&p| VotingPower::new(p)).collect()
+    }
 
     #[test]
     fn thresholds_match_count_case_on_equal_weights() {
@@ -179,39 +152,28 @@ mod tests {
 
     #[test]
     fn vote_set_accumulates_and_deduplicates() {
-        let weights: HashMap<ReplicaId, VotingPower> = [
-            (ReplicaId::new(0), VotingPower::new(50)),
-            (ReplicaId::new(1), VotingPower::new(30)),
-            (ReplicaId::new(2), VotingPower::new(20)),
-        ]
-        .into_iter()
-        .collect();
-        let mut votes = WeightedVoteSet::new(weights).unwrap();
-        assert_eq!(votes.quorum().quorum_power(), VotingPower::new(67));
-        assert!(votes.vote(ReplicaId::new(0)));
-        assert!(!votes.vote(ReplicaId::new(0)), "duplicate ignored");
-        assert!(!votes.vote(ReplicaId::new(9)), "non-member ignored");
-        assert!(!votes.complete());
-        assert!(votes.vote(ReplicaId::new(1)));
-        assert!(votes.complete(), "50 + 30 >= 67");
-        assert_eq!(votes.accumulated(), VotingPower::new(80));
+        let powers = units(&[50, 30, 20]);
+        let q = WeightedQuorum::for_total(powers.iter().sum()).unwrap();
+        assert_eq!(q.quorum_power(), VotingPower::new(67));
+        let mut votes = WeightedVoteSet::default();
+        assert!(votes.vote(0, &powers));
+        assert!(!votes.vote(0, &powers), "duplicate ignored");
+        assert!(!q.reaches_quorum(votes.power()));
+        assert!(votes.vote(1, &powers));
+        assert!(q.reaches_quorum(votes.power()), "50 + 30 >= 67");
+        assert_eq!(votes.power(), VotingPower::new(80));
     }
 
     #[test]
     fn whale_cannot_form_quorum_alone_below_threshold() {
         // A 60%-whale still needs help: quorum is 67.
-        let weights: HashMap<ReplicaId, VotingPower> = [
-            (ReplicaId::new(0), VotingPower::new(60)),
-            (ReplicaId::new(1), VotingPower::new(25)),
-            (ReplicaId::new(2), VotingPower::new(15)),
-        ]
-        .into_iter()
-        .collect();
-        let mut votes = WeightedVoteSet::new(weights).unwrap();
-        votes.vote(ReplicaId::new(0));
-        assert!(!votes.complete());
-        votes.vote(ReplicaId::new(2));
-        assert!(votes.complete());
+        let powers = units(&[60, 25, 15]);
+        let q = WeightedQuorum::for_total(powers.iter().sum()).unwrap();
+        let mut votes = WeightedVoteSet::default();
+        votes.vote(0, &powers);
+        assert!(!q.reaches_quorum(votes.power()));
+        votes.vote(2, &powers);
+        assert!(q.reaches_quorum(votes.power()));
     }
 
     #[test]
@@ -220,14 +182,5 @@ mod tests {
         assert!(q.tolerates(VotingPower::new(333)));
         assert!(!q.tolerates(VotingPower::new(334)));
         assert_eq!(q.total(), VotingPower::new(1_000));
-    }
-
-    #[test]
-    fn empty_or_tiny_vote_sets_rejected() {
-        assert!(WeightedVoteSet::new(HashMap::new()).is_none());
-        let tiny: HashMap<ReplicaId, VotingPower> = [(ReplicaId::new(0), VotingPower::new(2))]
-            .into_iter()
-            .collect();
-        assert!(WeightedVoteSet::new(tiny).is_none());
     }
 }

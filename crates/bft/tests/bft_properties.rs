@@ -3,9 +3,9 @@
 //! protocol must stay safe — and live whenever faults are within `f`.
 
 use fi_bft::harness::{run_cluster_with_faults, ClusterConfig, ScheduledFault};
-use fi_bft::{Behavior, QuorumParams};
+use fi_bft::{Behavior, WeightedQuorum};
 use fi_simnet::{LatencyModel, NetworkConfig};
-use fi_types::SimTime;
+use fi_types::{SimTime, VotingPower};
 use proptest::prelude::*;
 
 fn cluster_sizes() -> impl Strategy<Value = usize> {
@@ -34,24 +34,23 @@ proptest! {
         onset_ms in 0u64..50,
         placement in 0usize..10,
     ) {
-        let params = QuorumParams::for_n(n).unwrap();
-        let faults: Vec<ScheduledFault> = (0..params.f())
+        let config = ClusterConfig::new(n)
+            .requests(4)
+            .max_time(SimTime::from_secs(25));
+        // One unit each: f power is f replicas.
+        let f = config.quorum().f_power().as_units() as usize;
+        let faults: Vec<ScheduledFault> = (0..f)
             .map(|i| ScheduledFault {
                 at: SimTime::from_millis(onset_ms),
                 replica: (placement + i) % n,
                 behavior,
             })
             .collect();
-        let config = ClusterConfig::new(n)
-            .requests(4)
-            .max_time(SimTime::from_secs(25));
         let report = run_cluster_with_faults(&config, seed, &faults);
         prop_assert!(report.safety.holds(), "{report:?}");
         prop_assert!(
             report.liveness.all_executed(),
-            "liveness lost with {} {:?} faults on n={n}: {report:?}",
-            params.f(),
-            behavior
+            "liveness lost with {f} {behavior:?} faults on n={n}: {report:?}"
         );
     }
 
@@ -88,22 +87,22 @@ proptest! {
         let b = run_cluster_with_faults(&config, seed, &[]);
         prop_assert_eq!(a, b);
     }
+}
 
-    /// Quorum arithmetic invariants for all n.
-    #[test]
-    fn quorum_invariants(n in 4usize..200) {
-        let q = QuorumParams::for_n(n).unwrap();
-        // Tolerance never exceeds a third.
-        prop_assert!(3 * q.f() < n);
-        // Two quorums always intersect in at least one honest replica.
-        prop_assert!(q.quorum_intersection() > q.f());
-        // Weak quorum always contains an honest replica.
-        prop_assert!(q.weak_quorum() > q.f());
-        // Primary rotation covers all replicas.
-        let mut seen = vec![false; n];
-        for v in 0..n as u64 {
-            seen[q.primary_of(v)] = true;
-        }
-        prop_assert!(seen.iter().all(|&s| s));
+/// The quorum rule's invariants at every total from 4 to 1 999 units.
+#[test]
+fn quorum_invariants() {
+    for total in 4u64..2_000 {
+        let q = WeightedQuorum::for_total(VotingPower::new(total)).unwrap();
+        let f = q.f_power().as_units();
+        // Tolerance stays under a third.
+        assert!(3 * f < total, "total = {total}");
+        // Two quorums always intersect in more than f power.
+        let intersection = 2 * q.quorum_power().as_units() - total;
+        assert!(intersection > f, "total = {total}");
+        // The smallest power past f, what a view-change join and a client
+        // reply need, is not tolerated: it holds an honest unit.
+        assert!(q.tolerates(q.f_power()), "total = {total}");
+        assert!(!q.tolerates(VotingPower::new(f + 1)), "total = {total}");
     }
 }

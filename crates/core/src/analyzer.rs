@@ -1,6 +1,7 @@
 //! The resilience analyzer: assignment + vulnerabilities → safety verdicts,
 //! and the same verdict on a sealed fleet snapshot.
 
+use fi_bft::WeightedQuorum;
 use fi_config::closure::{component_exposure_ranking, fault_summary, ComponentExposure};
 use fi_config::window::{exposure_curve, ExposurePoint, PatchRollout};
 use fi_config::{Assignment, ConfigurationSpace, FaultSummary, VulnerabilityDb};
@@ -69,7 +70,9 @@ pub struct ResilienceReport {
     pub worst_single_vulnerability: VotingPower,
     /// Union-compromised share of total power.
     pub compromised_share: f64,
-    /// The BFT tolerance `f = ⌊(n − 1)/3⌋` in power units.
+    /// The BFT tolerance `f` in power units:
+    /// [`WeightedQuorum::f_power`] over `total_power`, and zero below the 4
+    /// units a quorum needs.
     pub f_bound: VotingPower,
     /// Whether `f ≥ Σ_i f^i_t` holds at `t`.
     pub safety_condition_holds: bool,
@@ -120,8 +123,7 @@ impl ResilienceReport {
     /// The shared constructor both verdict paths use, so the offline and
     /// the sealed report cannot drift.
     fn from_summary(summary: &FaultSummary, total: VotingPower, at: SimTime) -> ResilienceReport {
-        // The classic BFT bound: strictly less than a third of the power.
-        let f_bound = VotingPower::new(total.as_units().saturating_sub(1) / 3);
+        let f_bound = WeightedQuorum::for_total(total).map_or(VotingPower::ZERO, |q| q.f_power());
         ResilienceReport {
             at,
             total_power: total,
@@ -164,6 +166,19 @@ mod tests {
             .with_window(SimTime::from_secs(100), SimTime::from_secs(200)),
         );
         ResilienceAnalyzer::new(assignment, db)
+    }
+
+    /// `f` is `WeightedQuorum`'s: the old saturating `⌊(total − 1)/3⌋` at
+    /// every total, so zero below the 4 units a quorum needs.
+    #[test]
+    fn f_bound_is_the_quorum_rules_f() {
+        let summary = fault_summary(std::iter::empty(), &VulnerabilityDb::new(), SimTime::ZERO);
+        for total in (0..=12).chain([800, 1_000]) {
+            let report =
+                ResilienceReport::from_summary(&summary, VotingPower::new(total), SimTime::ZERO);
+            let old = total.saturating_sub(1) / 3;
+            assert_eq!(report.f_bound, VotingPower::new(old), "total = {total}");
+        }
     }
 
     #[test]

@@ -20,7 +20,10 @@ fn run_scenario(name: &str, assignment: &Assignment, vuln: &Vulnerability) {
         "  replicas compromised by the vulnerability: {}",
         faults.len()
     );
-    println!("  f = {} replicas tolerated", config.quorum_params().f());
+    println!(
+        "  f = {} replicas tolerated",
+        config.quorum().f_power().as_units()
+    );
     println!(
         "  safety:   {}",
         if report.safety.holds() {

@@ -9,11 +9,12 @@
 
 use fault_independence::fi_bft::harness::{run_cluster_with_faults, ClusterConfig};
 use fault_independence::fi_bft::{Behavior, ScheduledFault};
+use fault_independence::fi_config::prelude::{catalog, Assignment, ConfigurationSpace};
 use fault_independence::fi_nakamoto::attack::monte_carlo_double_spend;
 use fault_independence::fi_simnet::{
     Context, LatencyModel, NetworkConfig, Node, NodeId, Simulation,
 };
-use fault_independence::fi_types::{sha256, Digest, SimTime};
+use fault_independence::fi_types::{sha256, Digest, SimTime, VotingPower};
 
 /// A gossiping node: every message received is forwarded to the next node,
 /// `hops` times — enough traffic for latency sampling and the drop model to
@@ -69,12 +70,17 @@ fn simnet_engine_trace_hash_is_seed_deterministic() {
     assert_ne!(simnet_trace_hash(42), simnet_trace_hash(7));
 }
 
-/// Digest of everything a BFT cluster run reports (safety audit, liveness,
-/// message counters, views, clock).
-fn bft_trace_hash(seed: u64) -> Digest {
+/// `bft_trace_hash(11)` and `bft_trace_hash(23)`, pinned: a change to the
+/// protocol's vote counting that moves any threshold flips them.
+const BFT_TRACE_11: &str = "ccc8d458489dcae7e40626b12b51bf3e652e9d287cbc3906c2480f7f4b3dcbba";
+const BFT_TRACE_23: &str = "fa512a26b2b790ac8791f1fcbe4e29d5e2d6311b57be8d24ba008828bf895ccd";
+
+/// Digest of everything a 7-replica BFT cluster run reports (safety audit,
+/// liveness, message counters, views, clock).
+fn bft_trace_hash(cluster: ClusterConfig, seed: u64) -> Digest {
     // A stochastic network (sampled latency) so the seed actually shapes
     // the trace; the default constant-latency LAN is seed-independent.
-    let config = ClusterConfig::new(7)
+    let config = cluster
         .requests(5)
         .network(NetworkConfig::with_latency(LatencyModel::Exponential {
             floor: SimTime::from_micros(500),
@@ -99,9 +105,24 @@ fn bft_trace_hash(seed: u64) -> Digest {
 
 #[test]
 fn bft_harness_trace_hash_is_seed_deterministic() {
-    assert_eq!(bft_trace_hash(11), bft_trace_hash(11));
-    assert_eq!(bft_trace_hash(23), bft_trace_hash(23));
-    assert_ne!(bft_trace_hash(11), bft_trace_hash(23));
+    let hash = |seed| bft_trace_hash(ClusterConfig::new(7), seed);
+    assert_eq!(hash(11), hash(11));
+    assert_ne!(hash(11), hash(23));
+    assert_eq!(hash(11).to_string(), BFT_TRACE_11);
+    assert_eq!(hash(23).to_string(), BFT_TRACE_23);
+}
+
+/// The same run with every replica at 100 units, built from an assignment:
+/// at equal power the power rule's thresholds are the head-count ones, so
+/// the trace is the same to the bit.
+#[test]
+fn bft_trace_hash_is_power_scale_invariant() {
+    let space =
+        ConfigurationSpace::cartesian(&[catalog::operating_systems()[..4].to_vec()]).unwrap();
+    let assignment = Assignment::round_robin(&space, 7, VotingPower::new(100)).unwrap();
+    let hash = |seed| bft_trace_hash(ClusterConfig::for_assignment(&assignment), seed);
+    assert_eq!(hash(11).to_string(), BFT_TRACE_11);
+    assert_eq!(hash(23).to_string(), BFT_TRACE_23);
 }
 
 /// Renders the fixed-seed Nakamoto double-spend campaign the committed

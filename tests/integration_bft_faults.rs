@@ -4,6 +4,7 @@
 
 use fault_independence::fi_bft::harness::{
     faults_from_vulnerability, run_cluster_with_faults, ClusterConfig, ClusterReport,
+    ScheduledFault,
 };
 use fault_independence::fi_bft::Behavior;
 use fault_independence::prelude::*;
@@ -36,7 +37,7 @@ fn analyzer_predicts_bft_outcome_diverse_vs_monoculture() {
     let faults = faults_from_vulnerability(&diverse, &vuln, Behavior::Equivocate);
     assert_eq!(faults.len(), 1);
     let report = run_cluster_with_faults(
-        &ClusterConfig::new(4)
+        &ClusterConfig::for_assignment(&diverse)
             .requests(8)
             .max_time(SimTime::from_secs(30)),
         3,
@@ -83,7 +84,7 @@ fn analyzer_predicts_bft_outcome_diverse_vs_monoculture() {
     let faults = faults_from_vulnerability(&shared_two, &vuln, Behavior::Equivocate);
     assert_eq!(faults.len(), 2);
     let report = run_cluster_with_faults(
-        &ClusterConfig::new(4)
+        &ClusterConfig::for_assignment(&shared_two)
             .requests(6)
             .max_time(SimTime::from_secs(30)),
         11,
@@ -112,7 +113,7 @@ fn vulnerability_window_gates_the_compromise() {
     let faults = faults_from_vulnerability(&assignment, &late, Behavior::Equivocate);
     // Faults are scheduled at disclosure (t = 3000s), beyond max_time.
     let report = run_cluster_with_faults(
-        &ClusterConfig::new(4)
+        &ClusterConfig::for_assignment(&assignment)
             .requests(6)
             .max_time(SimTime::from_secs(10)),
         5,
@@ -132,7 +133,7 @@ fn crash_flavor_from_vulnerability_degrades_liveness_not_safety() {
     let faults = faults_from_vulnerability(&assignment, &vuln, Behavior::Crashed);
     assert_eq!(faults.len(), 2);
     let report = run_cluster_with_faults(
-        &ClusterConfig::new(4)
+        &ClusterConfig::for_assignment(&assignment)
             .requests(6)
             .max_time(SimTime::from_secs(8)),
         7,
@@ -143,6 +144,39 @@ fn crash_flavor_from_vulnerability_degrades_liveness_not_safety() {
         !report.liveness.all_executed(),
         "2 crashed replicas of 4 cannot form quorums: {report:?}"
     );
+}
+
+/// Quorums count power, not heads. Five replicas carrying 3, 1, 1, 1 and 1
+/// units total 7, so `f` is 2 units and a quorum is 5. The 3-unit replica
+/// is replica 1, so view 0's primary stays up and only the tallies decide.
+#[test]
+fn quorums_count_power_not_heads() {
+    let space = os_space(4);
+    let powers = [1, 3, 1, 1, 1].map(VotingPower::new);
+    let assignment = Assignment::with_powers(&space, &powers).unwrap();
+    let config = ClusterConfig::for_assignment(&assignment)
+        .requests(4)
+        .max_time(SimTime::from_secs(5));
+    assert_eq!(config.quorum().f_power(), VotingPower::new(2));
+    assert_eq!(config.quorum().quorum_power(), VotingPower::new(5));
+    let crash = |replica| ScheduledFault {
+        at: SimTime::from_millis(1),
+        replica,
+        behavior: Behavior::Crashed,
+    };
+
+    // The 3-unit replica crashed: the other four are a head-count quorum
+    // of five, but hold 4 units, one short of 5. Nothing executes, and
+    // nothing forks.
+    let report = run_cluster_with_faults(&config, 31, &[crash(1)]);
+    assert!(report.safety.holds(), "{report:?}");
+    assert_eq!(report.liveness.executed_requests, 0, "{report:?}");
+
+    // One 1-unit replica crashed: 6 units remain, and every request
+    // executes.
+    let report = run_cluster_with_faults(&config, 32, &[crash(4)]);
+    assert!(report.safety.holds(), "{report:?}");
+    assert!(report.liveness.all_executed(), "{report:?}");
 }
 
 #[test]
@@ -183,7 +217,7 @@ fn zero_day_verdict(
     db.add(vuln.clone());
     let prediction = ResilienceAnalyzer::new(assignment.clone(), db).analyze_at(at);
     let faults = faults_from_vulnerability(assignment, vuln, Behavior::Equivocate);
-    let config = ClusterConfig::new(assignment.entries().len())
+    let config = ClusterConfig::for_assignment(assignment)
         .requests(4)
         .max_time(SimTime::from_secs(10));
     let report = run_cluster_with_faults(&config, seed, &faults);

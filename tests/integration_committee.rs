@@ -3,6 +3,7 @@
 //! `fi-entropy`, `fi-nakamoto`.
 
 use fault_independence::fi_attest::TwoTierWeights;
+use fault_independence::fi_bft::WeightedQuorum;
 use fault_independence::fi_committee::prelude::*;
 use fault_independence::fi_config::prelude::{
     catalog, Assignment, Component, ComponentSelector, ConfigurationSpace, Severity, Vulnerability,
@@ -112,26 +113,38 @@ fn committee_is_a_valid_voting_power_snapshot() {
     let pool = realistic_pool(40, 4);
     let committee = greedy_diverse(&pool, 13);
     assert_eq!(committee.len(), 13);
-    let params = fault_independence::fi_bft::QuorumParams::for_n(committee.len()).unwrap();
-    assert_eq!(params.n(), 13);
-    assert_eq!(params.f(), 4);
-    // A single configuration must not cover a quorum of seats for the
-    // committee to tolerate one correlated fault; greedy achieves that
-    // here.
-    let seats_worst_config = committee
+    let members: VotingPower = committee.members().iter().map(Candidate::power).sum();
+    assert_eq!(committee.total_power(), members);
+    let quorum = WeightedQuorum::for_total(committee.total_power()).unwrap();
+    assert_eq!(quorum.total(), members);
+    // The committee tolerates a fault in one configuration only if that
+    // configuration holds at most f of its power. Counted in seats, the
+    // heaviest configuration here holds no more than ⌊(13 − 1)/3⌋ = 4, so
+    // a head count would call the committee tolerant; counted in power,
+    // what a quorum counts, the whale that heads it is past f alone.
+    let (worst_config, worst_config_power) = *committee
+        .power_by_config()
+        .iter()
+        .max_by_key(|&&(_, p)| p)
+        .unwrap();
+    let seats = committee
         .members()
         .iter()
-        .filter(|m| {
-            m.config()
-                == committee
-                    .power_by_config()
-                    .iter()
-                    .max_by_key(|&&(_, p)| p)
-                    .unwrap()
-                    .0
-        })
+        .filter(|m| m.config() == worst_config)
         .count();
-    assert!(seats_worst_config <= params.f(), "{seats_worst_config}");
+    assert!(seats <= 4, "{seats} seats");
+    let whale = committee
+        .members()
+        .iter()
+        .map(Candidate::power)
+        .max()
+        .unwrap();
+    assert!(
+        !quorum.tolerates(whale),
+        "{whale} <= f = {}",
+        quorum.f_power()
+    );
+    assert!(!quorum.tolerates(worst_config_power));
 }
 
 // Cells no experiment table sweeps: Zipf and monoculture spreads, the

@@ -5,7 +5,6 @@
 use fault_independence::fi_bft::weighted::{WeightedQuorum, WeightedVoteSet};
 use fault_independence::fi_committee::prelude::*;
 use fault_independence::fi_types::{ReplicaId, VotingPower};
-use std::collections::HashMap;
 
 fn skewed_pool() -> Vec<Candidate> {
     (0..30u64)
@@ -20,12 +19,8 @@ fn skewed_pool() -> Vec<Candidate> {
         .collect()
 }
 
-fn weights_of(committee: &Committee) -> HashMap<ReplicaId, VotingPower> {
-    committee
-        .members()
-        .iter()
-        .map(|c| (c.replica(), c.power()))
-        .collect()
+fn powers_of(committee: &Committee) -> Vec<VotingPower> {
+    committee.members().iter().map(Candidate::power).collect()
 }
 
 #[test]
@@ -70,7 +65,9 @@ fn committee_power_drives_weighted_quorums() {
 #[test]
 fn weighted_votes_from_a_compromised_configuration_cannot_commit_alone() {
     let committee = greedy_diverse(&skewed_pool(), 12);
-    let mut votes = WeightedVoteSet::new(weights_of(&committee)).unwrap();
+    let powers = powers_of(&committee);
+    let quorum = WeightedQuorum::for_total(committee.total_power()).unwrap();
+    let mut votes = WeightedVoteSet::default();
     // Every member of the single most powerful configuration votes...
     let worst_config = committee
         .power_by_config()
@@ -78,40 +75,40 @@ fn weighted_votes_from_a_compromised_configuration_cannot_commit_alone() {
         .max_by_key(|&&(_, p)| p)
         .unwrap()
         .0;
-    for member in committee.members() {
+    for (i, member) in committee.members().iter().enumerate() {
         if member.config() == worst_config {
-            assert!(votes.vote(member.replica()));
+            assert!(votes.vote(i, &powers));
         }
     }
     // ...and cannot reach the weighted quorum by itself.
     assert!(
-        !votes.complete(),
+        !quorum.reaches_quorum(votes.power()),
         "one configuration reached quorum: {} of {}",
-        votes.accumulated(),
-        votes.quorum().quorum_power()
+        votes.power(),
+        quorum.quorum_power()
     );
     // Adding the rest of the committee completes it.
-    for member in committee.members() {
-        votes.vote(member.replica());
+    for i in 0..powers.len() {
+        votes.vote(i, &powers);
     }
-    assert!(votes.complete());
+    assert!(quorum.reaches_quorum(votes.power()));
 }
 
 #[test]
 fn weighted_and_count_quorums_agree_on_equal_weights() {
-    // Equal weights: weighted arithmetic must coincide with QuorumParams.
-    let n = 10usize;
-    let weights: HashMap<ReplicaId, VotingPower> = (0..n)
-        .map(|i| (ReplicaId::new(i as u64), VotingPower::new(1)))
-        .collect();
-    let votes = WeightedVoteSet::new(weights).unwrap();
-    let count_params = fault_independence::fi_bft::QuorumParams::for_n(n).unwrap();
-    assert_eq!(
-        votes.quorum().quorum_power().as_units() as usize,
-        count_params.quorum()
-    );
-    assert_eq!(
-        votes.quorum().f_power().as_units() as usize,
-        count_params.f()
-    );
+    // n members of p units each: the power rule's thresholds, counted in
+    // members, are the head-count ones — quorum n − ⌊(n − 1)/3⌋, and
+    // ⌊(n − 1)/3⌋ + 1 members to carry more than f power. This is why
+    // every table run at equal power reads the same under either rule.
+    for n in 4u64..200 {
+        let f = (n - 1) / 3;
+        for p in [1u64, 2, 3, 7, 100, 999] {
+            let q = WeightedQuorum::for_total(VotingPower::new(n * p)).unwrap();
+            let members = |k: u64| VotingPower::new(k * p);
+            assert!(q.reaches_quorum(members(n - f)), "n = {n}, p = {p}");
+            assert!(!q.reaches_quorum(members(n - f - 1)), "n = {n}, p = {p}");
+            assert!(!q.tolerates(members(f + 1)), "n = {n}, p = {p}");
+            assert!(q.tolerates(members(f)), "n = {n}, p = {p}");
+        }
+    }
 }
