@@ -48,8 +48,8 @@ fn bench_selection(c: &mut Criterion) {
                 two_tier_weighted(black_box(cs), k, TwoTierWeights::default(), &mut rng)
             });
         });
-        // Incremental greedy evaluates each candidate's marginal entropy
-        // gain in O(1), so it scales to the full sweep.
+        // Greedy selection builds the pruned index over the candidates and
+        // band-walks it, so it scales to the full sweep.
         group.bench_with_input(
             BenchmarkId::new("greedy_diverse", n),
             &candidates,
@@ -59,14 +59,13 @@ fn bench_selection(c: &mut Criterion) {
         );
     }
     // The production shape: 10k candidates spread over 64 configurations,
-    // selecting a 100-seat committee.
+    // selecting a 100-seat committee — an index build plus a band walk.
     let large = pool_with_configs(10_000, 64);
     group.bench_function("greedy_diverse/10000x64/k100", |b| {
         b.iter(|| greedy_diverse(black_box(&large), 100));
     });
-    // The serving-grade cold path: same fold, bucket-pruned to each
-    // configuration's analytic-peak band (index prebuilt, as the epoch
-    // snapshot carries it).
+    // The same band walk with the index prebuilt, as the epoch snapshot
+    // carries it: the row above less this one is the build.
     let roster = PrunedRoster::from_dense(64, &large);
     group.bench_function("pruned_select/10000x64/k100", |b| {
         b.iter(|| black_box(&roster).select(100));
@@ -92,8 +91,8 @@ fn bench_selection(c: &mut Criterion) {
             )
         });
     });
-    // The naive oracle is only affordable at the smallest size; it stays
-    // here as the before/after comparison anchor.
+    // The naive reference fold is only affordable at the smallest size; it
+    // stays here as the comparison anchor.
     let candidates = pool(100);
     group.bench_function("greedy_naive/100", |b| {
         b.iter(|| fi_committee::greedy::greedy_diverse_naive(black_box(&candidates), 32));

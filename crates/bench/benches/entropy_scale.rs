@@ -60,8 +60,8 @@ fn bench_entropy(c: &mut Criterion) {
         });
     }
     // The selection-sweep shape: 10k candidate additions over 64
-    // configuration buckets, peeking each marginal gain first — the inner
-    // loop of greedy_diverse.
+    // configuration buckets, peeking each marginal gain first — what a
+    // greedy band walk does for each candidate in a band.
     let mut acc = EntropyAccumulator::new(64);
     let mut i = 0usize;
     group.bench_function("peek_then_add/64buckets", |b| {

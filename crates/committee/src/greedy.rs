@@ -3,85 +3,60 @@
 //! The selection loop is the paper's headline operation (steering a
 //! committee toward κ-optimal fault independence, Definition 1) and the
 //! workspace's hottest path: a chain re-selects continuously under
-//! rotation. [`greedy_diverse`] therefore evaluates each candidate's
-//! marginal entropy gain in O(1) through an
-//! [`EntropyAccumulator`] — the whole
-//! selection is O(n log n + n·k) with a constant number of allocations,
-//! instead of the naive O(n·k·(k+m)) with ~4 heap allocations per trial.
-//! The pre-refactor implementation is kept verbatim as
-//! [`greedy_diverse_naive`], the equivalence oracle for property tests.
+//! rotation. [`greedy_diverse`] has no loop of its own: it indexes the
+//! caller's candidates in a [`PrunedRoster`] and runs that index's band
+//! walk, O(n log n) to build and O(k·C·log L) to select for C
+//! configurations of ≤ L candidates. The per-candidate fold the band walk
+//! must reproduce is kept as [`greedy_diverse_naive`], the one reference
+//! every selection engine is tested against.
 
 use std::collections::HashMap;
 
-use fi_entropy::{Distribution, EntropyAccumulator};
+use fi_entropy::Distribution;
 use fi_types::VotingPower;
 
 use crate::candidate::{Candidate, Committee};
+use crate::pruned::PrunedRoster;
 
 /// Selects `k` members by repeatedly adding the candidate that maximises
 /// the committee's configuration entropy (power-weighted). Ties are broken
 /// toward higher stake, then lower replica id, so the result is
-/// deterministic.
+/// deterministic. Zero-power candidates are never selected.
 ///
 /// This is the constructive counterpart of Definition 1: it steers the
 /// committee toward κ-optimal fault independence as far as the candidate
-/// pool allows. Selection order is identical to [`greedy_diverse_naive`];
-/// only the cost differs.
+/// pool allows. Configuration values may be sparse: they are mapped to the
+/// dense slots of a [`PrunedRoster`] and back. A replica id is seated at
+/// most once: of two candidates that share one, the first the fold picks
+/// takes the seat and the other is skipped.
 #[must_use]
 pub fn greedy_diverse(candidates: &[Candidate], k: usize) -> Committee {
-    // Map the candidates' (possibly sparse) configuration indices to dense
-    // accumulator slots once, up front.
-    let mut configs: Vec<usize> = candidates
-        .iter()
-        .filter(|c| !c.power().is_zero())
-        .map(Candidate::config)
-        .collect();
+    let mut configs: Vec<usize> = candidates.iter().map(Candidate::config).collect();
     configs.sort_unstable();
     configs.dedup();
-    let mut remaining: Vec<(Candidate, usize)> = candidates
+    let dense: Vec<Candidate> = candidates
         .iter()
-        .filter(|c| !c.power().is_zero())
         .map(|c| {
             let slot = configs
                 .binary_search(&c.config())
-                .expect("every remaining config is in the slot map");
-            (*c, slot)
+                .expect("every config is in the slot map");
+            Candidate::new(c.replica(), c.power(), slot, c.attested())
         })
         .collect();
-
-    let mut acc = EntropyAccumulator::new(configs.len());
-    let mut members: Vec<Candidate> = Vec::with_capacity(k.min(remaining.len()));
-
-    while members.len() < k && !remaining.is_empty() {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (cand, slot)) in remaining.iter().enumerate() {
-            // O(1) marginal gain: no clone, no distribution rebuild.
-            let entropy = acc.peek_add(*slot, cand.power().as_units());
-            let better = match best {
-                None => true,
-                Some((best_i, best_h)) => {
-                    entropy > best_h + 1e-12
-                        || ((entropy - best_h).abs() <= 1e-12
-                            && preferred(cand, &remaining[best_i].0))
-                }
-            };
-            if better {
-                best = Some((i, entropy));
-            }
-        }
-        let (idx, _) = best.expect("remaining is non-empty");
-        let (cand, slot) = remaining.swap_remove(idx);
-        acc.add(slot, cand.power().as_units());
-        members.push(cand);
-    }
-    Committee::new(members)
+    PrunedRoster::from_dense(configs.len(), &dense)
+        .select(k)
+        .members()
+        .iter()
+        .map(|m| Candidate::new(m.replica(), m.power(), configs[m.config()], m.attested()))
+        .collect()
 }
 
-/// The pre-refactor O(n·k·(k+m)) greedy selection, kept verbatim as the
-/// equivalence oracle: it re-aggregates a `HashMap`-backed distribution and
+/// The per-candidate greedy fold, O(n·k·(k+m)), kept verbatim as the
+/// reference: it re-aggregates a `HashMap`-backed distribution and
 /// recomputes full Shannon entropy for every candidate in every round.
-/// Property tests assert [`greedy_diverse`] selects the byte-identical
-/// member sequence; the `committee_selection` bench times both.
+/// Property tests hold [`greedy_diverse`], [`PrunedRoster::select`] and
+/// [`crate::warm_greedy`] to its member sequence; the
+/// `committee_selection` bench times it.
 #[doc(hidden)]
 #[must_use]
 pub fn greedy_diverse_naive(candidates: &[Candidate], k: usize) -> Committee {
@@ -131,9 +106,9 @@ fn naive_entropy_bits(members: &[Candidate]) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The deterministic tie-break shared by every greedy engine (incremental,
-/// naive oracle, pruned, warm-start): higher stake first, then lower
-/// replica id.
+/// The deterministic tie-break shared by every greedy engine (the naive
+/// reference, the pruned band walk, warm start): higher stake first, then
+/// lower replica id.
 pub(crate) fn preferred(a: &Candidate, b: &Candidate) -> bool {
     (a.power(), std::cmp::Reverse(a.replica())) > (b.power(), std::cmp::Reverse(b.replica()))
 }
@@ -215,6 +190,21 @@ mod tests {
         let committee = greedy_diverse(&candidates, 2);
         assert_eq!(committee.len(), 1);
         assert_eq!(committee.members()[0].replica(), ReplicaId::new(1));
+    }
+
+    #[test]
+    fn a_repeated_replica_id_is_seated_once() {
+        let candidates = vec![
+            Candidate::new(ReplicaId::new(1), VotingPower::new(10), 0, true),
+            Candidate::new(ReplicaId::new(1), VotingPower::new(10), 1, true),
+            Candidate::new(ReplicaId::new(2), VotingPower::new(10), 2, true),
+        ];
+        let seated: Vec<u64> = greedy_diverse(&candidates, 3)
+            .members()
+            .iter()
+            .map(|c| c.replica().as_u64())
+            .collect();
+        assert_eq!(seated, vec![1, 2]);
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //! * [`twotier::two_tier_weighted`] — the paper's §V sketch: attested
 //!   candidates weigh more than unattested ones in the sortition.
 //!
-//! Serving-grade execution of the greedy policy lives in two further
-//! modules: [`pruned`] indexes candidates per configuration bucket and
-//! brackets each bucket's *analytic* entropy peak so a cold selection is
-//! subquadratic, and [`warm`] replays the previous epoch's committee
-//! against only the churned candidates so steady-state re-selection is
-//! O(k · churn). Both produce member sequences byte-identical to
-//! [`greedy::greedy_diverse`] (and its naive oracle).
+//! The greedy policy has one engine, [`pruned`]: it indexes candidates per
+//! configuration bucket and brackets each bucket's *analytic* entropy peak
+//! so a selection is subquadratic. [`greedy::greedy_diverse`] builds that
+//! index over a caller's candidates and selects from it; an epoch snapshot
+//! carries the index prebuilt. [`warm`] replays the previous epoch's
+//! committee against only the churned candidates so steady-state
+//! re-selection is O(k · churn). Every engine is held, member for member,
+//! to the naive per-candidate fold, `greedy::greedy_diverse_naive`.
 //!
 //! ## Example
 //!

@@ -1,11 +1,10 @@
-//! Bucket-pruned greedy selection: the serving-grade cold path.
+//! Bucket-pruned greedy selection: the one greedy engine.
 //!
-//! [`greedy_diverse`](crate::greedy_diverse) evaluates every remaining
-//! candidate in every round — O(n·k) marginal-gain peeks, which at fleet
-//! scale (n ≈ 10⁵, k ≈ 64) is the slowest serving operation left. But the
-//! marginal gain of adding a candidate depends only on its *(configuration
-//! bucket, power)*, and within one bucket the gain is **strictly unimodal
-//! in power**: writing `W` for the committee's total power, `S` for its
+//! The reference fold, [`greedy_diverse_naive`], evaluates every remaining
+//! candidate in every round — at least O(n·k) evaluations, far too many at
+//! fleet scale (n ≈ 10⁵, k ≈ 64). But the marginal gain of adding a
+//! candidate depends only on its *(configuration bucket, power)*, and
+//! within one bucket the gain is **strictly unimodal in power**: writing `W` for the committee's total power, `S` for its
 //! `Σ w·log2 w` term, and `b` for the bucket's current committee power, the
 //! entropy after adding `p` to that bucket is
 //!
@@ -24,12 +23,15 @@
 //! expands outward only while the *exactly
 //! evaluated* gain stays within a guard band of the bucket's best. The peak
 //! position is only a **locator** — every candidate that survives the band
-//! is evaluated with the same [`EntropyAccumulator::peek_add`] arithmetic
-//! and folded with the same tie predicate as [`crate::greedy_diverse`], so the
-//! selected sequence is byte-identical; the band (`1e-9`, three orders of
-//! magnitude wider than the fold's `1e-12` tie window) guarantees every
-//! potential tie contender is evaluated. Cost per round drops from O(n) to
-//! O(C·log L) for C buckets of ≤ L candidates — subquadratic end to end.
+//! is evaluated exactly, with [`EntropyAccumulator::peek_add`], and folded
+//! with the naive fold's tie predicate, so the selected member sequence is
+//! the naive fold's; the band (`1e-9`, three orders of magnitude wider than
+//! the fold's `1e-12` tie window) guarantees every potential tie contender
+//! is evaluated. Cost per round is O(C·log L) for C buckets of ≤ L
+//! candidates. [`greedy_diverse`](crate::greedy_diverse) is this walk over
+//! a caller's candidates, their configurations mapped to dense slots.
+//!
+//! [`greedy_diverse_naive`]: crate::greedy::greedy_diverse_naive
 //!
 //! **One evaluation per distinct power.** The gain is a function of
 //! *(bucket, power)* alone, so a run of equal-power entries in one list —
@@ -91,10 +93,11 @@ use fi_types::{ReplicaId, VotingPower};
 use crate::candidate::{Candidate, Committee};
 use crate::greedy::preferred;
 
-/// The fold's tie window — identical to [`greedy_diverse`]'s literal, so
-/// the pruned engine resolves entropy ties with byte-identical semantics.
+/// The fold's tie window — identical to the literal of the reference fold,
+/// [`greedy_diverse_naive`], so the band walk resolves entropy ties with
+/// byte-identical semantics.
 ///
-/// [`greedy_diverse`]: crate::greedy_diverse
+/// [`greedy_diverse_naive`]: crate::greedy::greedy_diverse_naive
 pub(crate) const TIE_EPS: f64 = 1e-12;
 
 /// The pruning guard band: entries whose exactly-evaluated gain falls this
@@ -349,7 +352,8 @@ fn merge_list(
 /// # Example
 ///
 /// ```
-/// use fi_committee::{greedy_diverse, Candidate, PrunedRoster};
+/// use fi_committee::greedy::greedy_diverse_naive;
+/// use fi_committee::{Candidate, PrunedRoster};
 /// use fi_types::{ReplicaId, VotingPower};
 ///
 /// let candidates: Vec<Candidate> = (0..40u64)
@@ -361,10 +365,10 @@ fn merge_list(
 ///     ))
 ///     .collect();
 /// let roster = PrunedRoster::from_dense(5, &candidates);
-/// // Byte-identical member sequence, subquadratic cost.
+/// // The reference fold's member sequence, at subquadratic cost.
 /// assert_eq!(
 ///     roster.select(8).members(),
-///     greedy_diverse(&candidates, 8).members()
+///     greedy_diverse_naive(&candidates, 8).members()
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -383,6 +387,9 @@ impl PrunedRoster {
     /// measurement bucket plus the trailing unattested pseudo-slot); slots
     /// without candidates keep empty lists. Each list is counted first and
     /// allocated at its exact size. O(n log n).
+    ///
+    /// Replica ids need not be distinct, but a selection seats each at most
+    /// once: a band walk skips any entry whose replica is already selected.
     ///
     /// # Panics
     ///
@@ -564,9 +571,9 @@ impl PrunedRoster {
     }
 
     /// Greedy entropy-maximising selection of `k` members — the
-    /// byte-identical member sequence of
-    /// [`greedy_diverse`](crate::greedy_diverse) over the indexed
-    /// candidates, in O(k·C·log L) instead of O(n·k).
+    /// byte-identical member sequence of the reference fold,
+    /// [`greedy_diverse_naive`](crate::greedy::greedy_diverse_naive), over
+    /// the indexed candidates, in O(k·C·log L).
     #[must_use]
     pub fn select(&self, k: usize) -> Committee {
         let mut run = SelectionRun::new(self);
@@ -678,7 +685,7 @@ impl<'a> SelectionRun<'a> {
 
     /// Exact displacement test for one warm-replay round: would any
     /// unselected challenger row beat `incumbent` (whose marginal gain is
-    /// `incumbent_gain`) under the [`greedy_diverse`] fold predicate?
+    /// `incumbent_gain`) under the reference fold's predicate ([`beats`])?
     ///
     /// Each challenger bucket goes through the same
     /// [`walk_band`](Self::walk_band) as a selection round; an entry pruned
@@ -688,8 +695,6 @@ impl<'a> SelectionRun<'a> {
     /// ceiling entry itself already displaced strictly when it was
     /// evaluated. So the test is byte-equivalent to peeking every churned
     /// row, at O(log L + band) per bucket.
-    ///
-    /// [`greedy_diverse`]: crate::greedy_diverse
     pub(crate) fn any_displaces(
         &self,
         challengers: &ChallengerSet,
@@ -705,10 +710,9 @@ impl<'a> SelectionRun<'a> {
 
     /// One greedy round: bracket every bucket's analytic peak (galloping
     /// from where the last round's bracket landed), evaluate the surviving
-    /// band exactly, fold with [`greedy_diverse`]'s tie predicate, commit
-    /// the winner. Returns `false` when no unselected candidate remains.
-    ///
-    /// [`greedy_diverse`]: crate::greedy_diverse
+    /// band exactly, fold with the reference fold's tie predicate
+    /// ([`beats`]), commit the winner. Returns `false` when no unselected
+    /// candidate remains.
     pub(crate) fn round(&mut self) -> bool {
         let mut best: Option<(Candidate, f64)> = None;
         let mut hints = std::mem::take(&mut self.hints);
@@ -825,7 +829,8 @@ fn split_run(side: &[PrunedEntry], below: bool) -> (&[PrunedEntry], &[PrunedEntr
     }
 }
 
-/// The [`greedy_diverse`](crate::greedy_diverse) fold predicate: whether
+/// The fold predicate of the reference,
+/// [`greedy_diverse_naive`](crate::greedy::greedy_diverse_naive): whether
 /// `cand`, evaluated at gain `h`, takes the round from `held` at `held_h`.
 fn beats(cand: &Candidate, h: f64, held: &Candidate, held_h: f64) -> bool {
     h > held_h + TIE_EPS || ((h - held_h).abs() <= TIE_EPS && preferred(cand, held))
@@ -834,7 +839,7 @@ fn beats(cand: &Candidate, h: f64, held: &Candidate, held_h: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::{greedy_diverse, greedy_diverse_naive};
+    use crate::greedy::greedy_diverse_naive;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -856,10 +861,8 @@ mod tests {
         let candidates = pool(60, 7);
         let roster = PrunedRoster::from_dense(7, &candidates);
         for k in [0, 1, 5, 13, 40, 60, 100] {
-            let pruned = roster.select(k);
-            assert_eq!(pruned.members(), greedy_diverse(&candidates, k).members());
             assert_eq!(
-                pruned.members(),
+                roster.select(k).members(),
                 greedy_diverse_naive(&candidates, k).members(),
                 "k = {k}"
             );
@@ -891,7 +894,7 @@ mod tests {
             // …and never selected.
             assert_eq!(
                 roster.select(k).members(),
-                greedy_diverse(&candidates, k).members(),
+                greedy_diverse_naive(&candidates, k).members(),
                 "k = {k}"
             );
         }
@@ -924,7 +927,7 @@ mod tests {
         for k in [1, 2, 4] {
             assert_eq!(
                 roster.select(k).members(),
-                greedy_diverse(&patched, k).members()
+                greedy_diverse_naive(&patched, k).members()
             );
         }
     }
@@ -1006,7 +1009,7 @@ mod tests {
             }
             assert_eq!(
                 run.into_committee().members(),
-                greedy_diverse(&candidates, 40).members()
+                greedy_diverse_naive(&candidates, 40).members()
             );
         }
     }
@@ -1240,7 +1243,7 @@ mod tests {
             for k in [1, 4, 30] {
                 prop_assert_eq!(
                     patched.select(k).members(),
-                    greedy_diverse(&new_roster, k).members()
+                    greedy_diverse_naive(&new_roster, k).members()
                 );
             }
         }

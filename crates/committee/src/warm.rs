@@ -65,9 +65,10 @@ pub struct WarmReport {
 /// (`usize::MAX` for a slot that is gone).
 ///
 /// **Byte-identity contract:** the returned committee is the identical
-/// member sequence to a cold [`greedy_diverse`](crate::greedy_diverse) /
-/// [`PrunedRoster::select`] over the same roster — replay only ever
-/// *verifies* the previous winner with the exact fold arithmetic and tie
+/// member sequence to a cold [`PrunedRoster::select`] over the same
+/// roster, and so to the reference fold,
+/// [`greedy_diverse_naive`](crate::greedy::greedy_diverse_naive) — replay
+/// only ever *verifies* the previous winner with the exact fold arithmetic and tie
 /// predicate, and hands any divergence to the full engine. The
 /// differential proptests pin this at every intermediate epoch of random
 /// churn chains.
@@ -173,7 +174,7 @@ pub fn warm_greedy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::greedy_diverse;
+    use crate::greedy::{greedy_diverse, greedy_diverse_naive};
     use fi_types::VotingPower;
 
     fn pool(n: u64) -> Vec<Candidate> {
@@ -217,7 +218,7 @@ mod tests {
     fn zero_churn_replays_the_whole_committee() {
         let candidates = sorted_roster(pool(80));
         let roster = PrunedRoster::from_dense(11, &candidates);
-        let previous = greedy_diverse(&candidates, 16);
+        let previous = greedy_diverse_naive(&candidates, 16);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &[], 16);
         assert_eq!(warm.members(), previous.members());
         assert_eq!(report.replayed, 16);
@@ -243,7 +244,10 @@ mod tests {
         churned.sort_unstable();
         let roster = PrunedRoster::from_dense(11, &candidates);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &churned, 16);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 16).members());
+        assert_eq!(
+            warm.members(),
+            greedy_diverse_naive(&candidates, 16).members()
+        );
         assert!(!report.fell_back);
         assert!(
             report.replayed >= 5 && report.replayed + report.repaired == 16,
@@ -264,7 +268,10 @@ mod tests {
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &churned, 2);
         assert!(report.fell_back);
         assert_eq!(report.replayed, 0);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 2).members());
+        assert_eq!(
+            warm.members(),
+            greedy_diverse_naive(&candidates, 2).members()
+        );
         // One fewer churned row is still worth replaying.
         let (warm, report) = warm_greedy(
             &roster,
@@ -274,7 +281,10 @@ mod tests {
             2,
         );
         assert!(!report.fell_back);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 2).members());
+        assert_eq!(
+            warm.members(),
+            greedy_diverse_naive(&candidates, 2).members()
+        );
     }
 
     #[test]
@@ -283,7 +293,10 @@ mod tests {
         let roster = PrunedRoster::from_dense(11, &candidates);
         let previous = greedy_diverse(&candidates, 6);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &[], 12);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 12).members());
+        assert_eq!(
+            warm.members(),
+            greedy_diverse_naive(&candidates, 12).members()
+        );
         assert_eq!(report.replayed, 6);
         assert_eq!(report.repaired, 6);
     }
@@ -296,7 +309,10 @@ mod tests {
         let roster = PrunedRoster::from_dense(11, &candidates);
         let previous = greedy_diverse(&candidates, 12);
         let (warm, report) = warm_greedy(&roster, &candidates, previous.members(), &[], 5);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 5).members());
+        assert_eq!(
+            warm.members(),
+            greedy_diverse_naive(&candidates, 5).members()
+        );
         assert_eq!(report.replayed, 5);
         assert_eq!(report.repaired, 0);
     }
@@ -306,7 +322,10 @@ mod tests {
         let candidates = sorted_roster(pool(30));
         let roster = PrunedRoster::from_dense(11, &candidates);
         let (warm, report) = warm_greedy(&roster, &candidates, &[], &[], 7);
-        assert_eq!(warm.members(), greedy_diverse(&candidates, 7).members());
+        assert_eq!(
+            warm.members(),
+            greedy_diverse_naive(&candidates, 7).members()
+        );
         assert_eq!(report.replayed, 0);
         assert_eq!(report.repaired, 7);
         assert!(!report.fell_back);
@@ -329,7 +348,7 @@ mod tests {
             &[ReplicaId::new(999)],
             10,
         );
-        let cold = greedy_diverse(&candidates, 10);
+        let cold = greedy_diverse_naive(&candidates, 10);
         assert_eq!(warm.members(), cold.members());
         assert!(
             cold.members()

@@ -785,11 +785,10 @@ impl EpochSnapshot {
         Distribution::from_counts(&units)
     }
 
-    /// Greedy entropy-maximising selection over the prebuilt pruned index
-    /// (byte-identical member sequence to
-    /// [`greedy_diverse`](fi_committee::greedy_diverse) on the same
-    /// candidates, without re-sorting the roster per call). Lock-free:
-    /// touches only this snapshot.
+    /// Greedy entropy-maximising selection over the prebuilt pruned index:
+    /// what [`greedy_diverse`](fi_committee::greedy_diverse) selects from
+    /// [`candidates`](Self::candidates), without building the index per
+    /// call. Lock-free: touches only this snapshot.
     #[must_use]
     pub fn select_greedy(&self, k: usize) -> Committee {
         self.pruned.select(k)
@@ -856,7 +855,7 @@ impl EpochSnapshot {
 mod tests {
     use super::*;
     use fi_attest::ChurnOp;
-    use fi_committee::greedy_diverse;
+    use fi_committee::greedy::greedy_diverse_naive;
     use fi_types::sha256;
     use rand::SeedableRng;
 
@@ -1351,7 +1350,7 @@ mod tests {
         for k in 0..=5 {
             assert_eq!(
                 snap.select_greedy(k).members(),
-                greedy_diverse(snap.candidates(), k).members()
+                greedy_diverse_naive(snap.candidates(), k).members()
             );
         }
         let weights = TwoTierWeights::new(1.0, 0.3);

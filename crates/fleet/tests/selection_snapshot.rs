@@ -11,7 +11,8 @@
 //! roster and that rule shows up as a differing member sequence.
 
 use fi_attest::{AttestedRegistry, TwoTierWeights};
-use fi_committee::{greedy_diverse, two_tier_weighted, Candidate};
+use fi_committee::greedy::greedy_diverse_naive;
+use fi_committee::{two_tier_weighted, Candidate};
 use fi_fleet::{churn_trace, ChurnTraceConfig, ShardedFleet};
 use fi_types::Digest;
 use rand::rngs::StdRng;
@@ -69,7 +70,7 @@ fn greedy_over_snapshot_equals_registry_path() {
         assert_eq!(snapshot.candidates(), &reference[..], "{shards} shards");
         for k in [1usize, 8, 33, 100, 500] {
             let via_snapshot = snapshot.select_greedy(k);
-            let via_registry_path = greedy_diverse(&reference, k);
+            let via_registry_path = greedy_diverse_naive(&reference, k);
             assert_eq!(
                 via_snapshot.members(),
                 via_registry_path.members(),
