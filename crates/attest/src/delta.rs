@@ -10,19 +10,29 @@
 //! and the signed opaque-power delta. A sealer drains each shard's delta at
 //! the epoch cut
 //! ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
-//! a `mem::take` — nothing is merged while the cut holds its locks) and,
-//! with the locks dropped, merges them once ([`CanonicalDelta::merge`]):
-//! bucket deltas summed per measurement and sorted, roster rows
-//! concatenated as drained. That form is what patches the previous
-//! canonical snapshot, row by row, instead of rebuilding it.
+//! a `mem::take` plus, if a row names a bucket handle, a copy of the
+//! shard's handle → measurement table — nothing is merged while the cut
+//! holds its locks) and, with the locks
+//! dropped, merges them once ([`CanonicalDelta::merge`]): bucket deltas
+//! summed per measurement and sorted, each shard's roster rows kept as
+//! drained. That form is what patches the previous canonical snapshot, row
+//! by row, instead of rebuilding it.
 //!
 //! There are two forms because they serve two access patterns. A
-//! [`ChurnDelta`] is written once per churn op and keyed for that — hash
-//! maps, and roster rows in first-touch order. A [`CanonicalDelta`] is
-//! read once per seal: its bucket rows in digest order and its sums a pure
-//! function of the net churn, its roster rows one per touched device in
-//! drain order — an order nothing reads, because a patch places each row
-//! by its own key.
+//! [`ChurnDelta`] is written once per churn op and keyed for that: a hash
+//! map of dirty buckets, and one 24-byte row per touched device in
+//! first-touch order — replica, raw power and bucket handle, the same
+//! 4-byte handle the registry's own row holds. The registry finds a
+//! registered device's row by the position its entry keeps, so the delta
+//! needs no map from replica to row; only the devices deregistered since
+//! the last drain, which have no entry, sit in a small `gone` map. A
+//! [`CanonicalDelta`] is read once per seal: its bucket rows in digest
+//! order and its sums a pure function of the net churn, and its roster the
+//! shards' rows as drained, each shard's with the handle table its handles
+//! name. A seal reads those rows where they lie, through
+//! [`CanonicalDelta::roster`], which resolves each into a [`RosterChange`]
+//! as it reaches it, and never in an order, because a patch places each
+//! row by its own key.
 //!
 //! Three properties make the patch exact:
 //!
@@ -38,7 +48,10 @@
 //!   patch, and the sealer stages the departure from `before` and the
 //!   arrival from `after` without reading the previous snapshot's roster —
 //!   which is what lets a snapshot keep one table per device instead of
-//!   two.
+//!   two. An `after` row names its bucket by handle, and the handle is live
+//!   at the drain: a bucket cannot die while the device is in it. A
+//!   `before` row keeps its measurement, since its bucket may have died and
+//!   its handle been recycled since.
 //! * **Row digests travel with the delta.** The registry hashes each roster
 //!   row once, when it writes it
 //!   ([`device_row_digest`](crate::device_row_digest)), and records here the
@@ -46,17 +59,27 @@
 //!   2²⁵⁶. The sealer adds that one 256-bit value to the previous snapshot's
 //!   device aggregate; it never hashes a roster row itself.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
 
 use fi_types::hash::SetDigest;
-use fi_types::{Digest, ReplicaId};
+use fi_types::{Digest, ReplicaId, VotingPower};
 
 use crate::registry::RegisteredDevice;
 
+/// The bucket handle of the unattested tier, which has no slot.
+pub(crate) const UNATTESTED: u32 = u32::MAX;
+
+/// The bucket handle of a delta row whose device is not registered at the
+/// cut. No bucket is issued it.
+pub(crate) const GONE: u32 = u32::MAX - 1;
+
 /// One touched device's roster rows at the two ends of the span a delta
-/// covers. A device registered and deregistered inside the span has
-/// neither; one rewritten to identical content has two equal rows.
+/// covers, as [`CanonicalDelta::roster`] resolves them. A device registered
+/// and deregistered inside the span has neither; one rewritten to identical
+/// content has two equal rows. No delta stores this form: it is built per
+/// row, `after` from a 24-byte row and its drain's handle table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RosterChange {
     /// The device's row when the span began (the last drain): `None` if it
@@ -65,6 +88,16 @@ pub struct RosterChange {
     /// The device's row when the span ended (the cut): `None` if it is not
     /// registered. Last write wins.
     pub after: Option<RegisteredDevice>,
+}
+
+/// One touched device's row in a delta: 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct DeltaRow {
+    replica: ReplicaId,
+    /// Raw power at the cut; zero for a device that is gone.
+    power: VotingPower,
+    /// A bucket handle, [`UNATTESTED`], or [`GONE`].
+    bucket: u32,
 }
 
 /// The delta maps sit on the per-op ingest hot path, keyed by values that
@@ -104,6 +137,18 @@ impl Hasher for UniformKeyHasher {
 
 type UniformKeyMap<K, V> = HashMap<K, V, BuildHasherDefault<UniformKeyHasher>>;
 
+/// A hash map's table, by capacity: `capacity()` is 7/8 of its buckets
+/// (one less than the buckets below eight), and a bucket is one entry plus
+/// one control byte.
+pub(crate) fn map_heap_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    let buckets = match map.capacity() {
+        0 => 0,
+        c if c < 8 => c + 1,
+        c => c / 7 * 8,
+    };
+    buckets * (size_of::<(K, V)>() + 1)
+}
+
 /// Net change to one measurement bucket since the last drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BucketDelta {
@@ -120,12 +165,78 @@ impl BucketDelta {
     }
 }
 
+/// One drained registry's touched devices, as a seal reads them: a 24-byte
+/// row per device in first-touch order, the rows displaced at the previous
+/// drain for the devices that held one, and the handle table the rows'
+/// bucket handles name.
+///
+/// The handle table is the registry's measurement by handle, copied at the
+/// drain if some row names a bucket handle — O(buckets ever live at once),
+/// not O(churn) — and empty otherwise. Every handle a row names is live in
+/// it, since a device's bucket cannot die while the device is in it; the
+/// table's dead handles name whatever measurement they last held and no
+/// row cites them.
+#[derive(Debug, Clone, Default)]
+struct DrainedRoster {
+    /// The touched devices in first-touch order, each with its state at
+    /// the cut.
+    rows: Vec<DeltaRow>,
+    /// For each touched device that was registered at the last drain: its
+    /// position in `rows` and the row it held then, in position order.
+    /// Sparse on purpose: a registration wave, or a registry nobody drains
+    /// — an oracle replaying a whole history — displaces almost no row it
+    /// did not write itself, and pays nothing here.
+    before: Vec<(usize, RegisteredDevice)>,
+    /// Whether some row written since the drain named a bucket handle:
+    /// only then does the drain copy the handle table.
+    names_handles: bool,
+    /// Measurement by bucket handle, as of the drain; empty until then.
+    measurements: Vec<Digest>,
+}
+
+impl DrainedRoster {
+    /// The touched devices in first-touch order, each with the row it held
+    /// at the previous drain (first touch wins) and its row at this one
+    /// (last write wins), the bucket handle resolved against the handle
+    /// table.
+    fn resolved(&self) -> impl Iterator<Item = (ReplicaId, RosterChange)> + '_ {
+        let mut before = self.before.iter().peekable();
+        self.rows.iter().enumerate().map(move |(at, row)| {
+            let before = before.next_if(|&&(p, _)| p == at).map(|&(_, d)| d);
+            let after = (row.bucket != GONE).then(|| RegisteredDevice {
+                replica: row.replica,
+                measurement: (row.bucket != UNATTESTED).then(|| {
+                    *self
+                        .measurements
+                        .get(row.bucket as usize)
+                        .expect("the drain copied the handle table its rows name")
+                }),
+                power: row.power,
+            });
+            (row.replica, RosterChange { before, after })
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * size_of::<DeltaRow>()
+            + self.before.capacity() * size_of::<(usize, RegisteredDevice)>()
+            + self.measurements.capacity() * size_of::<Digest>()
+    }
+}
+
 /// The net effect of all churn since the last epoch cut, in the form the
 /// registry writes it: dirty measurement buckets, touched devices with
 /// their roster row before and after, and the opaque (unattested-tier)
 /// power delta, keyed for one update per churn op and in no order.
 /// [`CanonicalDelta::merge`] turns one or more of these into the rows a
 /// sealer reads.
+///
+/// A touched device costs one 24-byte row: its id, its raw power at the
+/// cut and its bucket handle, found again on the next touch through the
+/// position the device's registry entry keeps. A device that was
+/// registered at the last drain adds the row it held then, once; one
+/// deregistered since adds a `gone` map slot, because it has no entry to
+/// keep its position in.
 ///
 /// # Example
 ///
@@ -151,19 +262,12 @@ impl BucketDelta {
 pub struct ChurnDelta {
     /// Dirty measurement buckets, entries that net to no change included.
     buckets: UniformKeyMap<Digest, BucketDelta>,
-    /// The touched devices in first-touch order, each with its state at the
-    /// cut: `Some` if registered, `None` if absent. Rows live here rather
-    /// than in a map keyed by replica so that the table probed on every op
-    /// (`touched`) stays two words an entry.
-    roster: Vec<(ReplicaId, Option<RegisteredDevice>)>,
-    /// For each touched device that was registered at the last drain: its
-    /// position in `roster` and the row it held then, in position order.
-    /// Sparse on purpose: a registration wave, or a registry nobody drains
-    /// — an oracle replaying a whole history — displaces almost no row it
-    /// did not write itself, and pays nothing here.
-    before: Vec<(usize, RegisteredDevice)>,
-    /// Each touched device's position in `roster`.
-    touched: UniformKeyMap<ReplicaId, usize>,
+    /// The touched devices' rows, and at the drain the handle table.
+    roster: DrainedRoster,
+    /// Each device deregistered since the last drain, and its position in
+    /// `roster`: a registered device keeps its position in its registry
+    /// entry, and a deregistered one has no entry.
+    gone: UniformKeyMap<ReplicaId, u32>,
     /// Signed change in total unattested-tier effective power.
     opaque: i128,
     /// Net change to the roster's row-digest aggregate: digests of rows
@@ -185,26 +289,56 @@ impl ChurnDelta {
         self.opaque += power;
     }
 
-    /// Records one write to a device's roster row: `before` is the row the
-    /// write displaced and is kept only on the device's first touch since
-    /// the last drain; `after` is the row it left and always replaces the
-    /// one recorded (last write wins).
+    /// Records one write to `replica`'s roster row — `power` under bucket
+    /// handle `bucket`, or [`GONE`] — and returns the row's position, for
+    /// the registry to keep in the device's entry. `before` is the row the
+    /// write displaced with the position its entry kept, `None` if the
+    /// device was not registered. A kept position is the device's only if
+    /// the row there names it: a drain empties the rows and leaves every
+    /// entry as it was. A device not registered has its position in `gone`
+    /// if it left since the last drain. `before` sticks only on the
+    /// device's first touch; the new row always replaces the one recorded
+    /// (last write wins).
     pub(crate) fn record_roster(
         &mut self,
         replica: ReplicaId,
-        before: Option<RegisteredDevice>,
-        after: Option<RegisteredDevice>,
-    ) {
-        match self.touched.entry(replica) {
-            Entry::Occupied(at) => self.roster[*at.get()].1 = after,
-            Entry::Vacant(unseen) => {
-                let at = *unseen.insert(self.roster.len());
-                self.roster.push((replica, after));
-                if let Some(row) = before {
-                    self.before.push((at, row));
-                }
+        before: Option<(RegisteredDevice, u32)>,
+        power: VotingPower,
+        bucket: u32,
+    ) -> u32 {
+        let rows = &mut self.roster.rows;
+        let seen = match before {
+            Some((_, at)) => rows
+                .get(at as usize)
+                .is_some_and(|row| row.replica == replica)
+                .then_some(at),
+            None => self.gone.remove(&replica),
+        };
+        let row = DeltaRow {
+            replica,
+            power,
+            bucket,
+        };
+        let at = match seen {
+            Some(at) => {
+                rows[at as usize] = row;
+                at
             }
+            None => {
+                let at = u32::try_from(rows.len())
+                    .expect("fewer than 2^32 devices touched between two drains");
+                if let Some((device, _)) = before {
+                    self.roster.before.push((rows.len(), device));
+                }
+                rows.push(row);
+                at
+            }
+        };
+        if bucket == GONE {
+            self.gone.insert(replica, at);
         }
+        self.roster.names_handles |= bucket < GONE;
+        at
     }
 
     /// Records one roster row leaving the registry (deregistered, or
@@ -219,18 +353,33 @@ impl ChurnDelta {
         self.rows.insert(row_digest);
     }
 
+    /// Hands the drained delta the registry's measurement by bucket handle,
+    /// which its rows' handles name — if some row names one; otherwise the
+    /// table is not built.
+    pub(crate) fn resolve_with(&mut self, measurements: impl FnOnce() -> Vec<Digest>) {
+        if self.roster.names_handles {
+            self.roster.measurements = measurements();
+        }
+    }
+
+    /// The bytes this delta holds on the heap, by capacity: its rows,
+    /// `before` rows and handle table, the `gone` map and the bucket map.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.roster.heap_bytes() + map_heap_bytes(&self.gone) + map_heap_bytes(&self.buckets)
+    }
+
     /// Whether no net change has been recorded. Buckets whose power and
     /// member deltas both cancelled still count as touched here; they are
     /// pruned by [`CanonicalDelta::merge`].
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty() && self.roster.is_empty() && self.opaque == 0
+        self.buckets.is_empty() && self.roster.rows.is_empty() && self.opaque == 0
     }
 
     /// Number of touched devices.
     #[must_use]
     pub fn touched_devices(&self) -> usize {
-        self.roster.len()
+        self.roster.rows.len()
     }
 
     /// The signed opaque-power delta, in power units.
@@ -253,14 +402,16 @@ impl ChurnDelta {
 /// One or more [`ChurnDelta`]s as a sealer reads them: the rows a snapshot
 /// patch must visit. Built only by [`merge`](Self::merge), so the bucket
 /// ordering and uniqueness below hold for every value of this type.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two deltas are equal when they say the same: the same bucket rows, sums
+/// and resolved [`roster`](Self::roster), whichever handles name it.
+#[derive(Debug, Clone, Default)]
 pub struct CanonicalDelta {
     /// Dirty buckets sorted by measurement digest, one row per digest,
     /// rows that net to no change pruned.
     buckets: Vec<(Digest, BucketDelta)>,
-    /// Touched devices in drain order — input by input, first touch first
-    /// — each with its roster row before and after.
-    roster: Vec<(ReplicaId, RosterChange)>,
+    /// Each input's touched devices as drained, in drain order.
+    inputs: Vec<DrainedRoster>,
     /// Signed change in total unattested-tier effective power.
     opaque: i128,
     /// Net change to the roster's row-digest aggregate, mod 2²⁵⁶.
@@ -272,28 +423,20 @@ impl CanonicalDelta {
     /// with no intermediate map. Bucket, opaque and row-digest deltas are
     /// integer or modular sums, so the order of `deltas` cannot change
     /// them; bucket rows are summed per digest and sorted. Roster rows are
-    /// concatenated in drain order, neither sorted nor deduplicated: shards
-    /// own disjoint devices, so each replica comes from one input, and a
-    /// replica in two is passed through for the sealer to refuse.
+    /// moved, not copied: each input keeps its rows and handle table, in
+    /// drain order, neither sorted nor deduplicated. Shards own disjoint
+    /// devices, so each replica comes from one input, and a replica in two
+    /// is passed through for the sealer to refuse.
     #[must_use]
     pub fn merge(deltas: Vec<ChurnDelta>) -> CanonicalDelta {
         let mut merged = CanonicalDelta {
             buckets: Vec::with_capacity(deltas.iter().map(|d| d.buckets.len()).sum()),
-            roster: Vec::with_capacity(deltas.iter().map(|d| d.roster.len()).sum()),
+            inputs: Vec::with_capacity(deltas.len()),
             ..CanonicalDelta::default()
         };
         for delta in deltas {
             merged.buckets.extend(delta.buckets);
-            let first = merged.roster.len();
-            for (replica, after) in delta.roster {
-                let before = None;
-                merged
-                    .roster
-                    .push((replica, RosterChange { before, after }));
-            }
-            for (at, row) in delta.before {
-                merged.roster[first + at].1.before = Some(row);
-            }
+            merged.inputs.push(delta.roster);
             merged.opaque += delta.opaque;
             merged.rows.add(delta.rows);
         }
@@ -317,12 +460,19 @@ impl CanonicalDelta {
         &self.buckets
     }
 
-    /// The touched devices in drain order with their roster row before and
-    /// after. The replica ids alone are the churn set a warm-started
-    /// committee re-selection must re-evaluate.
+    /// Number of touched devices, over every input.
     #[must_use]
-    pub fn roster(&self) -> &[(ReplicaId, RosterChange)] {
-        &self.roster
+    pub fn touched_devices(&self) -> usize {
+        self.inputs.iter().map(|input| input.rows.len()).sum()
+    }
+
+    /// The touched devices in drain order with their roster row before and
+    /// after, each `after` resolved from its 24-byte row and its input's
+    /// handle table as the iterator reaches it: what a seal stages its
+    /// departures and arrivals from. The replica ids alone are the churn
+    /// set a warm-started committee re-selection must re-evaluate.
+    pub fn roster(&self) -> impl Iterator<Item = (ReplicaId, RosterChange)> + '_ {
+        self.inputs.iter().flat_map(DrainedRoster::resolved)
     }
 
     /// The signed opaque-power delta, in power units.
@@ -339,10 +489,19 @@ impl CanonicalDelta {
     }
 }
 
+impl PartialEq for CanonicalDelta {
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets == other.buckets
+            && self.opaque == other.opaque
+            && self.rows == other.rows
+            && self.roster().eq(other.roster())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_types::{sha256, VotingPower};
+    use fi_types::sha256;
 
     fn dev(id: u64, power: u64) -> RegisteredDevice {
         RegisteredDevice {
@@ -403,12 +562,22 @@ mod tests {
         // One row per touched device, in first-touch order — the merge
         // sorts nothing but the buckets; a seal sorts the replica ids.
         let mut d = ChurnDelta::default();
-        d.record_roster(ReplicaId::new(9), Some(dev(9, 5)), Some(dev(9, 10)));
-        d.record_roster(ReplicaId::new(2), None, Some(dev(2, 20)));
-        d.record_roster(ReplicaId::new(9), Some(dev(9, 10)), None);
+        let at = d.record_roster(
+            ReplicaId::new(9),
+            Some((dev(9, 5), 0)),
+            dev(9, 10).power,
+            UNATTESTED,
+        );
+        d.record_roster(ReplicaId::new(2), None, dev(2, 20).power, UNATTESTED);
+        d.record_roster(
+            ReplicaId::new(9),
+            Some((dev(9, 10), at)),
+            VotingPower::ZERO,
+            GONE,
+        );
         assert_eq!(d.touched_devices(), 2);
         assert_eq!(
-            CanonicalDelta::merge(vec![d]).roster(),
+            CanonicalDelta::merge(vec![d]).roster().collect::<Vec<_>>(),
             [
                 (ReplicaId::new(9), change(Some(dev(9, 5)), None)),
                 (ReplicaId::new(2), change(None, Some(dev(2, 20)))),
@@ -424,5 +593,10 @@ mod tests {
             CanonicalDelta::merge(vec![ChurnDelta::default(); 3]),
             CanonicalDelta::default()
         );
+    }
+
+    #[test]
+    fn a_delta_row_is_three_words() {
+        assert_eq!(size_of::<DeltaRow>(), 24);
     }
 }

@@ -29,7 +29,7 @@
 //!   snapshot `fi-fleet` seals from it;
 //! * [`delta`] — the [`ChurnDelta`] the registry accumulates alongside its
 //!   incremental buckets: the net churn since the last epoch cut, drained
-//!   by `fi-fleet`'s differential sealer, sorted once into a
+//!   by `fi-fleet`'s differential sealer, merged once into a
 //!   [`CanonicalDelta`], and used to patch epoch snapshots in O(churn)
 //!   instead of rebuilding them.
 //!

@@ -13,7 +13,7 @@ use fi_types::hash::SetDigest;
 use fi_types::{sha256, Digest, ReplicaId, SimTime, VotingPower};
 
 use crate::churn::ChurnOp;
-use crate::delta::ChurnDelta;
+use crate::delta::{map_heap_bytes, ChurnDelta, GONE, UNATTESTED};
 use crate::error::AttestError;
 use crate::quote::Quote;
 use crate::verifier::Verifier;
@@ -105,10 +105,10 @@ struct RegistryEntry {
     /// The handle of the device's bucket — its index in the registry's
     /// `slots` — or [`UNATTESTED`].
     bucket: u32,
+    /// Where the pending delta keeps the device's row, as of the row's
+    /// last write: stale after a drain, which the delta detects.
+    touched_at: u32,
 }
-
-/// The bucket handle of the unattested tier, which has no slot.
-const UNATTESTED: u32 = u32::MAX;
 
 /// One live measurement bucket: the measurement, held once for all its
 /// members, and integer sums.
@@ -128,11 +128,20 @@ struct Bucket {
 /// contributing raw power only.
 ///
 /// A device costs one 56-byte hash-table slot: its id, raw power, row
-/// digest and a 4-byte handle to its measurement bucket, which holds the
-/// measurement once for all its members. The vote key a quote binds
-/// (Remark 3) is checked where the quote is verified, and nothing
-/// downstream carries it — not the churn op, the log, the registry or the
-/// checkpoint.
+/// digest, a 4-byte handle to its measurement bucket, which holds the
+/// measurement once for all its members, and the 4-byte position of its
+/// row in the pending delta. The vote key a quote binds (Remark 3) is
+/// checked where the quote is verified, and nothing downstream carries it
+/// — not the churn op, the log, the registry or the checkpoint.
+///
+/// A device touched since the last drain costs the pending delta one
+/// 24-byte row — id, raw power and bucket handle — plus, once, the 64-byte
+/// row it displaced if it was registered at the last drain, and a `gone`
+/// map slot while it is deregistered ([`ChurnDelta`]). No map leads from a
+/// registered device to its delta row: its entry keeps the position. A
+/// registry nobody drains — an oracle replaying a whole history, the
+/// `DiversityMonitor`'s — holds a delta row for every device it ever
+/// registered; [`heap_bytes`](Self::heap_bytes) counts it.
 ///
 /// Beside the entries the registry keeps one table of live measurement
 /// buckets — measurement, effective power and member count, indexed by
@@ -270,8 +279,9 @@ impl AttestedRegistry {
     /// Removes `replica`'s row and its contribution to the buckets (if
     /// registered) ahead of a re-registration or a removal, and returns the
     /// row — what the pending delta records as the device's `before` if
-    /// this is its first touch since the last drain.
-    fn unindex(&mut self, replica: ReplicaId) -> Option<RegisteredDevice> {
+    /// this is its first touch since the last drain — with the delta
+    /// position the entry kept.
+    fn unindex(&mut self, replica: ReplicaId) -> Option<(RegisteredDevice, u32)> {
         let old = self.entries.remove(&replica)?;
         self.roster_digest.remove(&old.row_digest);
         self.delta.record_row_out(&old.row_digest);
@@ -293,7 +303,7 @@ impl AttestedRegistry {
             self.delta
                 .record_bucket(m, -i128::from(effective.as_units()), -1);
         }
-        Some(device)
+        Some((device, old.touched_at))
     }
 
     /// Adds one member with `effective` attested power to `measurement`'s
@@ -316,8 +326,8 @@ impl AttestedRegistry {
                 None => {
                     let h = u32::try_from(slots.len())
                         .ok()
-                        .filter(|&h| h != UNATTESTED)
-                        .expect("fewer than 2^32 − 1 live buckets");
+                        .filter(|&h| h < GONE)
+                        .expect("fewer than 2^32 − 2 live buckets");
                     slots.push(born);
                     h
                 }
@@ -334,29 +344,31 @@ impl AttestedRegistry {
     /// Writes `device`'s new row under bucket handle `bucket` (its old
     /// row, `before`, already un-indexed, its bucket already indexed):
     /// hashes it — the one SHA-256 the row ever costs — folds the digest
-    /// into the running aggregate and the pending delta, stores the entry,
-    /// and records the pair in the delta's roster: `before` sticks only on
-    /// the device's first touch this epoch, the new row always does (last
-    /// write wins).
+    /// into the running aggregate and the pending delta, records the write
+    /// in the delta's roster — `before` sticks only on the device's first
+    /// touch this epoch, the new row always does (last write wins) — and
+    /// stores the entry with the delta row's position.
     fn write_row(
         &mut self,
-        before: Option<RegisteredDevice>,
+        before: Option<(RegisteredDevice, u32)>,
         device: RegisteredDevice,
         bucket: u32,
     ) {
         let row_digest = device_row_digest(&device);
         self.roster_digest.insert(&row_digest);
         self.delta.record_row_in(&row_digest);
+        let touched_at = self
+            .delta
+            .record_roster(device.replica, before, device.power, bucket);
         self.entries.insert(
             device.replica,
             RegistryEntry {
                 row_digest,
                 power: device.power,
                 bucket,
+                touched_at,
             },
         );
-        self.delta
-            .record_roster(device.replica, before, Some(device));
     }
 
     /// The tier weights in force.
@@ -440,10 +452,12 @@ impl AttestedRegistry {
     /// whose last member departs leaves the table.
     pub fn deregister(&mut self, replica: ReplicaId) -> bool {
         let before = self.unindex(replica);
-        if before.is_some() {
-            self.delta.record_roster(replica, before, None);
+        let registered = before.is_some();
+        if registered {
+            self.delta
+                .record_roster(replica, before, VotingPower::ZERO, GONE);
         }
-        before.is_some()
+        registered
     }
 
     /// Registers an unattested replica (power only; configuration opaque).
@@ -510,17 +524,44 @@ impl AttestedRegistry {
 
     /// Drains the net churn accumulated since the previous drain (or since
     /// construction), leaving an empty delta behind. This is the epoch
-    /// cut's read, and it is O(1) — a `mem::take`: a sealer drains every
+    /// cut's read: a `mem::take`, plus — if some row the delta holds names
+    /// its bucket by handle — a copy of the measurement by bucket handle,
+    /// O(buckets ever live at once), not O(churn). A sealer drains every
     /// shard under its consistent cut, merges the deltas after it
     /// ([`CanonicalDelta::merge`](crate::CanonicalDelta::merge)), and
     /// patches the previous epoch snapshot instead of re-merging the whole
-    /// registry.
+    /// registry. The entries keep the delta positions they held, which the
+    /// next delta knows for stale.
     ///
     /// Draining is part of the sealing contract even on full-rebuild
     /// epochs: the delta is always relative to the registry state at the
-    /// *last* drain, so every cut must drain (and may then discard) it.
+    /// *last* drain, so every cut must drain it — and one that throws the
+    /// delta away calls [`discard_delta`](Self::discard_delta) instead.
     pub fn take_delta(&mut self) -> ChurnDelta {
-        std::mem::take(&mut self.delta)
+        let mut delta = std::mem::take(&mut self.delta);
+        delta.resolve_with(|| self.slots.iter().map(|b| b.measurement).collect());
+        delta
+    }
+
+    /// Drains the pending delta and drops it, copying no handle table: the
+    /// drain of a cut that reads the registry whole.
+    pub fn discard_delta(&mut self) {
+        self.delta = ChurnDelta::default();
+    }
+
+    /// The bytes the registry holds on the heap, by capacity: the entries
+    /// table (a device's 56-byte slot and a control byte), the digest index
+    /// by entry (a B-tree node's spare room is not counted), the bucket
+    /// slots and the free list, and the pending delta — its 24-byte rows,
+    /// `before` rows, `gone` map and bucket map.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        map_heap_bytes(&self.entries)
+            + self.buckets.len() * size_of::<(Digest, u32)>()
+            + self.slots.capacity() * size_of::<Bucket>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.delta.heap_bytes()
     }
 }
 
@@ -984,6 +1025,37 @@ mod tests {
     fn a_registered_device_is_seven_words() {
         assert_eq!(std::mem::size_of::<RegistryEntry>(), 48);
         assert_eq!(std::mem::size_of::<(ReplicaId, RegistryEntry)>(), 56);
+    }
+
+    #[test]
+    fn an_undrained_delta_holds_at_most_32_bytes_a_device() {
+        // A registry nobody drains, as an oracle replaying a whole history
+        // is: every device it registered has a pending delta row.
+        const DEVICES: u64 = 131_072;
+        let measurements: Vec<Digest> = (0..64u64)
+            .map(|i| sha256(format!("cfg-{i}").as_bytes()))
+            .collect();
+        let mut reg = AttestedRegistry::new(TwoTierWeights::default());
+        for i in 0..DEVICES {
+            let power = VotingPower::new(1 + i % 97);
+            match i % 8 {
+                0 => reg.register_unattested(ReplicaId::new(i), power),
+                _ => reg.register_attested_preverified(
+                    ReplicaId::new(i),
+                    measurements[(i % 64) as usize],
+                    power,
+                ),
+            }
+        }
+        let undrained = reg.heap_bytes();
+        assert_eq!(reg.take_delta().touched_devices(), DEVICES as usize);
+        let drained = reg.heap_bytes();
+        let per_device = (undrained - drained) as f64 / DEVICES as f64;
+        assert!(per_device <= 32.0, "{per_device} B of delta a device");
+        // What stays is mostly the entries table: a 56-byte slot and a
+        // control byte, and a table between 7/16 and 7/8 full.
+        assert!(drained >= 57 * DEVICES as usize);
+        assert!(drained <= 57 * DEVICES as usize * 16 / 7 + 64 * 1024);
     }
 
     /// Handles issued and not recycled.

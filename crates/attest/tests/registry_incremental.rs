@@ -229,7 +229,7 @@ type Rows = (
 );
 
 fn rows(delta: &CanonicalDelta) -> Rows {
-    let mut roster = delta.roster().to_vec();
+    let mut roster: Vec<_> = delta.roster().collect();
     roster.sort_by_key(|&(replica, _)| replica);
     (
         delta.buckets().to_vec(),
@@ -273,7 +273,7 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(delta.opaque_delta(), 50);
     // Roster: every *touched* device with its row before and after. None
     // of the three was registered when the epoch began.
-    let roster = delta.roster();
+    let roster: Vec<_> = delta.roster().collect();
     assert_eq!(roster.len(), 3);
     assert!(roster.iter().all(|(_, change)| change.before.is_none()));
     assert_eq!(roster[0].0, ReplicaId::new(0));
@@ -293,10 +293,11 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(buckets[0].1.power, -40);
     assert_eq!(buckets[0].1.members, -1);
     // The departure carries the row it removed.
-    let [(replica, change)] = next.roster() else {
-        panic!("one touched device, got {:?}", next.roster());
+    let roster: Vec<_> = next.roster().collect();
+    let [(replica, change)] = roster[..] else {
+        panic!("one touched device, got {roster:?}");
     };
-    assert_eq!(*replica, ReplicaId::new(0));
+    assert_eq!(replica, ReplicaId::new(0));
     assert_eq!(change.before, after(0));
     assert_eq!(change.after, None);
 }
@@ -324,7 +325,7 @@ fn reregistration_within_an_epoch_collapses_to_final_state() {
     // One roster entry: not registered before the epoch (the first touch
     // decides that, not the re-registration that displaced cfg-a's row),
     // and the final state after it.
-    let roster = delta.roster();
+    let roster: Vec<_> = delta.roster().collect();
     assert_eq!(roster.len(), 1);
     assert_eq!(roster[0].1.before, None);
     let device = roster[0].1.after.unwrap();
@@ -607,11 +608,11 @@ proptest! {
                 let now: BTreeMap<_, _> = shards.iter().flat_map(&rows_of).collect();
                 for (replica, change) in CanonicalDelta::merge(drained).roster() {
                     prop_assert_eq!(
-                        change.before, sealed.get(replica).copied(),
+                        change.before, sealed.get(&replica).copied(),
                         "before of {} at {} shards", replica, shard_count
                     );
                     prop_assert_eq!(
-                        change.after, now.get(replica).copied(),
+                        change.after, now.get(&replica).copied(),
                         "after of {} at {} shards", replica, shard_count
                     );
                 }
@@ -668,4 +669,166 @@ fn collapsing_churn_leaves_no_row_digest_residue() {
     }));
     assert_eq!(reg.take_delta().row_digest_change(), expected);
     assert_eq!(reg.roster_digest(), refold(&reg));
+}
+
+// --- Delta rows: positions kept in the entries, handles resolved at the
+// drain ---------------------------------------------------------------
+
+/// An attested device's row.
+fn device(replica: u64, measurement: &[u8], power: u64) -> RegisteredDevice {
+    RegisteredDevice {
+        replica: ReplicaId::new(replica),
+        measurement: Some(sha256(measurement)),
+        power: VotingPower::new(power),
+    }
+}
+
+#[test]
+fn a_device_that_leaves_and_returns_twice_in_one_epoch_keeps_one_row() {
+    let r = ReplicaId::new(3);
+    let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+    reg.apply(&ChurnOp::attest(r, sha256(b"cfg-a"), VotingPower::new(10)));
+    let _ = reg.take_delta();
+
+    reg.apply(&ChurnOp::Deregister { replica: r });
+    reg.apply(&ChurnOp::attest(r, sha256(b"cfg-b"), VotingPower::new(20)));
+    reg.apply(&ChurnOp::Deregister { replica: r });
+    reg.apply(&ChurnOp::attest(r, sha256(b"cfg-c"), VotingPower::new(30)));
+    let delta = drain(&mut reg);
+    assert_eq!(
+        delta.roster().collect::<Vec<_>>(),
+        [(
+            r,
+            RosterChange {
+                before: Some(device(3, b"cfg-a", 10)),
+                after: Some(device(3, b"cfg-c", 30)),
+            }
+        )],
+        "first touch's before, last write's after, one row"
+    );
+
+    // And once more, ending gone: still one row, and nothing left over for
+    // the next epoch.
+    reg.apply(&ChurnOp::Deregister { replica: r });
+    reg.apply(&ChurnOp::attest(r, sha256(b"cfg-d"), VotingPower::new(40)));
+    reg.apply(&ChurnOp::Deregister { replica: r });
+    let delta = drain(&mut reg);
+    assert_eq!(
+        delta.roster().collect::<Vec<_>>(),
+        [(
+            r,
+            RosterChange {
+                before: Some(device(3, b"cfg-c", 30)),
+                after: None,
+            }
+        )]
+    );
+    reg.apply(&ChurnOp::attest(r, sha256(b"cfg-e"), VotingPower::new(50)));
+    let [(_, change)] = drain(&mut reg).roster().collect::<Vec<_>>()[..] else {
+        panic!("one touched device");
+    };
+    assert_eq!(change.before, None, "gone at the last drain");
+}
+
+#[test]
+fn a_stale_delta_position_after_a_drain_aliases_no_other_replica() {
+    // r0 takes the delta's first row, and keeps that position in its
+    // entry across the drain. In the next epoch r1 takes the first row;
+    // r0's next touch must not write over it.
+    let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+    reg.apply(&ChurnOp::attest(
+        ReplicaId::new(0),
+        sha256(b"cfg-a"),
+        VotingPower::new(10),
+    ));
+    let _ = reg.take_delta();
+    reg.apply(&ChurnOp::attest(
+        ReplicaId::new(1),
+        sha256(b"cfg-b"),
+        VotingPower::new(20),
+    ));
+    reg.apply(&ChurnOp::attest(
+        ReplicaId::new(0),
+        sha256(b"cfg-b"),
+        VotingPower::new(15),
+    ));
+    let expected = [
+        (
+            ReplicaId::new(1),
+            RosterChange {
+                before: None,
+                after: Some(device(1, b"cfg-b", 20)),
+            },
+        ),
+        (
+            ReplicaId::new(0),
+            RosterChange {
+                before: Some(device(0, b"cfg-a", 10)),
+                after: Some(device(0, b"cfg-b", 15)),
+            },
+        ),
+    ];
+    let delta = drain(&mut reg);
+    assert_eq!(delta.roster().collect::<Vec<_>>(), expected);
+
+    // The same with the stale device leaving: its departure is its own row.
+    reg.apply(&ChurnOp::Unattested {
+        replica: ReplicaId::new(2),
+        power: VotingPower::new(5),
+    });
+    reg.apply(&ChurnOp::Deregister {
+        replica: ReplicaId::new(1),
+    });
+    let roster: Vec<_> = drain(&mut reg).roster().collect();
+    assert_eq!(roster.len(), 2);
+    assert_eq!(roster[0].0, ReplicaId::new(2));
+    assert_eq!(
+        roster[1],
+        (
+            ReplicaId::new(1),
+            RosterChange {
+                before: Some(device(1, b"cfg-b", 20)),
+                after: None,
+            }
+        )
+    );
+}
+
+#[test]
+fn an_after_row_under_a_recycled_handle_resolves_to_the_new_measurement() {
+    // Three buckets of one member each: every re-attestation kills its
+    // device's bucket before it births the next, so the new measurement
+    // takes the handle the old one held. Across every drain, each row's
+    // `after` must read the drained table and its `before` the old row.
+    let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+    let cfg = |i: u64| format!("cfg-{i}");
+    for r in 0..3u64 {
+        reg.apply(&ChurnOp::attest(
+            ReplicaId::new(r),
+            sha256(cfg(r).as_bytes()),
+            VotingPower::new(r),
+        ));
+    }
+    let _ = reg.take_delta();
+    let mut settled = None;
+    for epoch in 1..300u64 {
+        for r in 0..3u64 {
+            reg.apply(&ChurnOp::attest(
+                ReplicaId::new(r),
+                sha256(cfg(3 * epoch + r).as_bytes()),
+                VotingPower::new(3 * epoch + r),
+            ));
+        }
+        let delta = drain(&mut reg);
+        let held = *settled.get_or_insert(reg.heap_bytes());
+        assert_eq!(reg.heap_bytes(), held, "the handle table grew");
+        assert_eq!(delta.touched_devices(), 3);
+        for (replica, change) in delta.roster() {
+            let r = replica.as_u64();
+            let was = 3 * (epoch - 1) + r;
+            let now = 3 * epoch + r;
+            assert_eq!(change.before, Some(device(r, cfg(was).as_bytes(), was)));
+            assert_eq!(change.after, Some(device(r, cfg(now).as_bytes(), now)));
+        }
+    }
 }

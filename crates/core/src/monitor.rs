@@ -14,7 +14,10 @@ use crate::error::CoreError;
 ///
 /// The monitor issues per-replica challenge nonces, verifies quotes through
 /// its [`Verifier`], and keeps an [`AttestedRegistry`]; its diversity report
-/// is read from an epoch snapshot sealed from that registry.
+/// is read from an epoch snapshot sealed from that registry in full. It
+/// never drains the registry's churn delta, so every replica it ever
+/// registered keeps a 24-byte delta row there
+/// ([`AttestedRegistry::heap_bytes`] counts it).
 #[derive(Debug)]
 pub struct DiversityMonitor {
     verifier: Verifier,

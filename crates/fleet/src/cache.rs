@@ -115,6 +115,26 @@ impl SelectionCache {
         }
     }
 
+    /// The bytes the cache holds on the heap: its entry table by capacity,
+    /// and each memoized committee — the `Arc`'s allocation, then its
+    /// members and its power per configuration by length. A committee a
+    /// caller still holds counts here while the cache holds it too.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let entries = lock_recover(&self.entries);
+        let committees: usize = entries
+            .iter()
+            .map(|e| {
+                2 * size_of::<usize>()
+                    + size_of::<Committee>()
+                    + size_of_val(e.committee.members())
+                    + size_of_val(e.committee.power_by_config())
+            })
+            .sum();
+        entries.capacity() * size_of::<CacheEntry>() + committees
+    }
+
     /// The greedy committee for `(snapshot content, k)` — memoized.
     ///
     /// Hit: one mutex probe, an `Arc` clone. Miss: warm-start repair from
@@ -235,6 +255,7 @@ mod tests {
     use crate::fleet::ShardedFleet;
     use crate::trace::{churn_trace, ChurnTraceConfig};
     use fi_attest::TwoTierWeights;
+    use fi_committee::Candidate;
 
     fn sealed_snapshot(devices: u64, ops: usize) -> Arc<EpochSnapshot> {
         let fleet = ShardedFleet::new(2, TwoTierWeights::default());
@@ -254,6 +275,20 @@ mod tests {
         assert_eq!(a.members(), snap.select_greedy(12).members());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn heap_bytes_counts_each_memoized_committee_once() {
+        let snap = sealed_snapshot(200, 500);
+        let cache = SelectionCache::default();
+        assert_eq!(cache.heap_bytes(), 0);
+        let _ = cache.select_greedy(&snap, 12);
+        let one = cache.heap_bytes();
+        assert!(one >= 12 * std::mem::size_of::<Candidate>());
+        let _ = cache.select_greedy(&snap, 12);
+        assert_eq!(cache.heap_bytes(), one, "a hit allocates nothing");
+        let _ = cache.select_greedy(&snap, 20);
+        assert!(cache.heap_bytes() >= one + 20 * std::mem::size_of::<Candidate>());
     }
 
     #[test]

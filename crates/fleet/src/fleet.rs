@@ -30,10 +30,13 @@
 //! cut, so sealing an epoch that saw little churn drains the deltas, merges
 //! them into a [`CanonicalDelta`] — O(churn) — and patches the
 //! previous snapshot with it ([`EpochSnapshot::try_apply_delta`]) instead
-//! of re-merging every shard. Each delta row carries the device's row at
-//! the last cut beside its row now, so the patch stages what leaves and
-//! what arrives from the delta alone and writes the snapshot's one
-//! per-device table, the selection index, once.
+//! of re-merging every shard. A touched device's delta row is 24 bytes —
+//! id, raw power and the bucket handle it holds now, named against the
+//! handle table its shard copies at the drain — kept beside the full row
+//! it held at the last cut, so the patch stages what leaves and what
+//! arrives from the delta alone, reads each shard's rows where they lie
+//! (the merge moves them, it writes no merged roster), and writes the
+//! snapshot's one per-device table, the selection index, once.
 //! A full rebuild (`EpochSnapshot::build` over a complete shard merge)
 //! happens whenever the published snapshot lacks shard content: a fresh
 //! fleet's first seal and the seal after a rejected or dead one, never the
@@ -293,7 +296,7 @@ impl ShardedFleet {
     pub(crate) fn restore_published(&self, snapshot: Arc<EpochSnapshot>) {
         let mut st = lock_recover(&self.seal);
         for shard in &self.shards {
-            let _ = lock_recover(shard).take_delta();
+            lock_recover(shard).discard_delta();
         }
         st.reanchor_due = false;
         // relaxed: recovery runs single-threaded, before the fleet is
@@ -583,7 +586,7 @@ impl ShardedFleet {
                         // so the pending delta is drained and discarded —
                         // the *next* differential seal's delta must be
                         // relative to this cut.
-                        let _ = shard.take_delta();
+                        shard.discard_delta();
                         (
                             shard.bucket_rows().collect(),
                             shard.unattested_power(),

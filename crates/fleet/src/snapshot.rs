@@ -57,14 +57,16 @@
 //! slices. The rest follows churn, and reads nothing of the old roster nor
 //! any order of the delta's: each touched device arrives with the row it
 //! had at the last cut and the row it has now
-//! ([`RosterChange`](fi_attest::RosterChange)), so its departure is staged
-//! from the one and its arrival from the other, each resolved to a bucket
-//! slot by one probe of a per-seal table keyed by the measurement's leading
-//! byte; the selection index then groups the staged rows by list in a
-//! counting pass and sorts them by power inside the list. Only the churned
-//! replica ids are sorted, for [`churned_replicas`](EpochSnapshot::churned_replicas)
-//! and the warm start — which is also where a replica that two shards
-//! drained shows up, and is refused.
+//! ([`RosterChange`](fi_attest::RosterChange), the new row resolved from
+//! its shard's 24-byte delta row and handle table as the seal reaches it),
+//! so its departure is staged from the one and its arrival from the other,
+//! each resolved to a bucket slot by one probe of a per-seal table keyed
+//! by the measurement's leading byte; the selection index then groups the
+//! staged rows by list in a counting pass and sorts them by power inside
+//! the list. Only the churned replica ids are sorted, for
+//! [`churned_replicas`](EpochSnapshot::churned_replicas) and the warm start
+//! — which is also where a replica that two shards drained shows up, and
+//! is refused.
 //!
 //! **Who hashes what, and when.** The content hash folds two
 //! order-independent [`SetDigest`] sums of per-row SHA-256 digests: one
@@ -382,8 +384,9 @@ impl EpochSnapshot {
     /// Patches this snapshot with one epoch's [`CanonicalDelta`],
     /// producing the `epoch` snapshot without the O(fleet) shard re-merge
     /// and index rebuild a full `build` pays.
-    /// The delta's rows are read as they come — buckets sorted by digest,
-    /// devices in drain order — and only the churned replica ids are
+    /// The delta's rows are read as they come and where they lie —
+    /// buckets sorted by digest, devices in each shard's drained rows
+    /// ([`CanonicalDelta::roster`]) — and only the churned replica ids are
     /// sorted here. Structural work is O(changed): dirty buckets are
     /// located by a merge walk, and each touched device is staged straight
     /// from its delta row — its departure from the row it had at the last
@@ -442,7 +445,6 @@ impl EpochSnapshot {
             detail: format!("{what}: delta not chained on this snapshot"),
         };
         let dirty = delta.buckets();
-        let roster = delta.roster();
 
         // 1. Patch the sorted bucket vec (merge walk old × dirty), while
         //    collecting the old→new slot map and, for every measurement on
@@ -556,11 +558,6 @@ impl EpochSnapshot {
         //    is only listed as churned. The churned ids are the one thing
         //    sorted: shards own disjoint devices, so an id drained twice is
         //    a routing bug, refused here rather than merged.
-        let mut churned: Vec<ReplicaId> = roster.iter().map(|&(replica, _)| replica).collect();
-        churned.sort_unstable();
-        if let Some(twice) = churned.windows(2).find(|w| w[0] == w[1]) {
-            return Err(unchained(format!("device {} is listed twice", twice[0])));
-        }
         let slots_of = SlotTable::new(slots_of);
         let opaque_slot = [old_buckets.len(), buckets.len()];
         let staged = |replica: ReplicaId, d: &RegisteredDevice, side: usize| {
@@ -579,15 +576,22 @@ impl EpochSnapshot {
             let attested = d.measurement.is_some();
             Ok(Candidate::new(replica, d.power, slot, attested))
         };
-        let mut departed: Vec<Candidate> = Vec::with_capacity(roster.len());
-        let mut arrivals: Vec<Candidate> = Vec::with_capacity(roster.len());
-        for (replica, change) in roster {
+        let touched = delta.touched_devices();
+        let mut churned: Vec<ReplicaId> = Vec::with_capacity(touched);
+        let mut departed: Vec<Candidate> = Vec::with_capacity(touched);
+        let mut arrivals: Vec<Candidate> = Vec::with_capacity(touched);
+        for (replica, change) in delta.roster() {
+            churned.push(replica);
             if let Some(d) = &change.before {
-                departed.push(staged(*replica, d, OLD)?);
+                departed.push(staged(replica, d, OLD)?);
             }
             if let Some(d) = &change.after {
-                arrivals.push(staged(*replica, d, NEW)?);
+                arrivals.push(staged(replica, d, NEW)?);
             }
+        }
+        churned.sort_unstable();
+        if let Some(twice) = churned.windows(2).find(|w| w[0] == w[1]) {
+            return Err(unchained(format!("device {} is listed twice", twice[0])));
         }
         let pruned = self
             .pruned
