@@ -2,7 +2,10 @@
 //! spends from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fi_simnet::{Context, LatencyModel, NetworkConfig, Node, NodeId, Simulation};
+use fi_simnet::{
+    ClientPopulation, Context, LatencyModel, NetworkConfig, Node, NodeId, PopulationConfig,
+    Simulation,
+};
 use fi_types::SimTime;
 
 /// A node that keeps `fanout` messages in flight forever.
@@ -46,5 +49,35 @@ fn bench_simnet(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simnet);
+/// Churn generation per op: each iteration takes one op from a 1 024-op
+/// tick of 32-op requests and generates the next tick when the last one
+/// is used up, so ns/iter is ns per generated op, requests included. The
+/// device draw runs over a 250k-device Zipf 1.1 population, as `steady`
+/// generates, and over 2M devices drawn uniformly, `mixed`'s draw at ten
+/// times its size.
+fn bench_population(c: &mut Criterion) {
+    let mut group = c.benchmark_group("population");
+    group.sample_size(10);
+    for (devices, zipf_s, label) in [
+        (250_000u64, 1.1, "250000dev/zipf1.1"),
+        (2_000_000, 0.0, "2000000dev/uniform"),
+    ] {
+        let config = PopulationConfig::new(devices, 1024)
+            .with_zipf(zipf_s)
+            .with_diurnal(0.0, 0);
+        let mut population = ClientPopulation::new(config);
+        let mut pending = population.next_tick().requests.into_iter().flatten();
+        group.bench_function(BenchmarkId::new("next_tick", label), |b| {
+            b.iter(|| loop {
+                if let Some(op) = pending.next() {
+                    break op;
+                }
+                pending = population.next_tick().requests.into_iter().flatten();
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_simnet, bench_population);
 criterion_main!(benches);

@@ -12,9 +12,19 @@
 //! counts.
 //!
 //! * **Zipf device skew** — churn picks devices by rank-`s` Zipf: device
-//!   rank `r` is drawn with probability ∝ `1/r^s`. The sampler walks a
-//!   precomputed cumulative table with a binary search, so a draw is
-//!   O(log n) with no floating-point accumulation order dependence.
+//!   rank `r` is drawn with probability ∝ `1/r^s`. A draw `u` lands in a
+//!   precomputed cumulative table through a guide table: `G` equal-mass
+//!   cells (`G` = a quarter of the devices, rounded up to a power of two)
+//!   each record where their lower bound `b_j = j·total/G` falls in the
+//!   table, so a draw binary-searches only the three cells around its
+//!   own. That is O(1) expected probes under any skew, since a cell
+//!   holds at most four entries on average, where a search of the whole
+//!   table costs ⌈log₂ n⌉ cache-missing ones; the guide adds one to two
+//!   bytes a device to the table's eight. The answer is the whole-table
+//!   search's, bit for bit: the cell `⌊u/total·G⌋` is off by at most one
+//!   under rounding, so `b_{j−1} ≤ u ≤ b_{j+2}` always holds, and every
+//!   table entry below `b_{j−1}` is below `u` and every one from
+//!   `b_{j+2}` on is not.
 //! * **Diurnal load curve** — the per-tick op budget is the configured
 //!   mean modulated by a sinusoid: `mean · (1 + A·sin(2π·t/period))`,
 //!   rounded to an integer op count. Amplitude `A = 0` (or period `0`)
@@ -134,16 +144,22 @@ pub struct TickTraffic {
 pub struct ClientPopulation {
     config: PopulationConfig,
     /// `zipf_cum[r]` = Σ_{k=1..=r+1} 1/k^s — cumulative unnormalised Zipf
-    /// mass for device rank `r+1`; sampled by binary search.
+    /// mass for device rank `r+1`; its last entry is the total mass. A
+    /// draw is the first entry not below it, found through `guide`.
     zipf_cum: Vec<f64>,
+    /// `guide[j]` = how many `zipf_cum` entries lie below the cell bound
+    /// `b_j` (`cell_bound`), for `j` in `0..=G` with `G = guide.len() − 1`
+    /// a power of two; a draw in cell `j` searches only
+    /// `zipf_cum[guide[j−1]..guide[j+2]]`.
+    guide: Vec<u32>,
     measurements: Vec<Digest>,
     rng: StdRng,
     next_tick: u64,
 }
 
 impl ClientPopulation {
-    /// Builds the population (precomputing the Zipf table — O(devices))
-    /// and seeds its RNG from the config.
+    /// Builds the population (precomputing the Zipf table and its guide —
+    /// O(devices)) and seeds its RNG from the config.
     #[must_use]
     pub fn new(config: PopulationConfig) -> Self {
         let devices = config.devices.max(1);
@@ -153,6 +169,7 @@ impl ClientPopulation {
             total += 1.0 / (rank as f64).powf(config.zipf_s);
             zipf_cum.push(total);
         }
+        let guide = guide_for(&zipf_cum);
         let measurements = (0..config.measurements.max(1))
             .map(|m| sha256(format!("population-cfg-{m}").as_bytes()))
             .collect();
@@ -160,6 +177,7 @@ impl ClientPopulation {
         ClientPopulation {
             config,
             zipf_cum,
+            guide,
             measurements,
             rng,
             next_tick: 0,
@@ -177,19 +195,7 @@ impl ClientPopulation {
     /// the first [`next_tick`](Self::next_tick).
     #[must_use]
     pub fn registration_wave(&mut self) -> Vec<Vec<ChurnOp>> {
-        let per_request = self.config.ops_per_request.max(1);
-        let mut requests = Vec::new();
-        let mut current = Vec::with_capacity(per_request);
-        for id in 0..self.config.devices {
-            current.push(self.attest_op(id));
-            if current.len() == per_request {
-                requests.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            requests.push(current);
-        }
-        requests
+        self.requests(self.config.devices, Self::attest_op)
     }
 
     /// Generates the next tick's traffic. Ticks must be consumed in
@@ -197,20 +203,29 @@ impl ClientPopulation {
     pub fn next_tick(&mut self) -> TickTraffic {
         let tick = self.next_tick;
         self.next_tick += 1;
-        let ops = self.ops_at(tick);
-        let per_request = self.config.ops_per_request.max(1);
-        let mut requests = Vec::with_capacity(ops as usize / per_request + 1);
-        let mut current = Vec::with_capacity(per_request);
-        for _ in 0..ops {
-            current.push(self.churn_op());
-            if current.len() == per_request {
-                requests.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            requests.push(current);
-        }
+        let requests = self.requests(self.ops_at(tick), |p, _| p.churn_op());
         TickTraffic { tick, requests }
+    }
+
+    /// `ops` generated ops, op `i` from `op(self, i)` in order, chunked
+    /// into requests of the configured size. Each request is allocated
+    /// once, at its final length.
+    fn requests(
+        &mut self,
+        ops: u64,
+        mut op: impl FnMut(&mut Self, u64) -> ChurnOp,
+    ) -> Vec<Vec<ChurnOp>> {
+        let per_request = self.config.ops_per_request.max(1);
+        let mut requests = Vec::with_capacity(ops.div_ceil(per_request as u64) as usize);
+        for first in (0..ops).step_by(per_request) {
+            let end = ops.min(first + per_request as u64);
+            let mut request = Vec::with_capacity((end - first) as usize);
+            for i in first..end {
+                request.push(op(self, i));
+            }
+            requests.push(request);
+        }
+        requests
     }
 
     /// The diurnal op budget for `tick`:
@@ -230,12 +245,29 @@ impl ClientPopulation {
     /// One Zipf device draw: rank `r` with probability ∝ `1/r^s`, mapped
     /// to device id `r - 1`.
     fn sample_device(&mut self) -> u64 {
-        let total = *self
+        let u: f64 = self.rng.gen::<f64>() * self.total();
+        self.rank_at(u) as u64
+    }
+
+    /// The total Zipf mass: the last cumulative entry.
+    fn total(&self) -> f64 {
+        *self
             .zipf_cum
             .last()
-            .expect("population has at least one device");
-        let u: f64 = self.rng.gen::<f64>() * total;
-        self.zipf_cum.partition_point(|&c| c < u) as u64
+            .expect("population has at least one device")
+    }
+
+    /// The first rank whose cumulative mass is not below `u`, for `u` in
+    /// `[0, total]`: the whole-table `partition_point(|&c| c < u)`, found
+    /// inside the three guide cells around `u`'s.
+    fn rank_at(&self, u: f64) -> usize {
+        let cells = self.guide.len() - 1;
+        let cell = ((u / self.total() * cells as f64) as usize).min(cells - 1);
+        let lo = self.guide[cell.saturating_sub(1)] as usize;
+        let hi = self.guide[(cell + 2).min(cells)] as usize;
+        let rank = lo + self.zipf_cum[lo..hi].partition_point(|&c| c < u);
+        debug_assert_eq!(rank, self.zipf_cum.partition_point(|&c| c < u));
+        rank
     }
 
     fn attest_op(&mut self, device: u64) -> ChurnOp {
@@ -265,6 +297,31 @@ impl ClientPopulation {
             self.attest_op(device)
         }
     }
+}
+
+/// The guide table over a non-empty cumulative table: for `G` = a quarter
+/// of its length rounded up to a power of two, entry `j` in `0..=G` counts
+/// the entries below `cell_bound(total, j, G)`, in one merge walk.
+fn guide_for(cum: &[f64]) -> Vec<u32> {
+    let total = cum[cum.len() - 1];
+    let cells = (cum.len() / 4).next_power_of_two();
+    let mut guide = Vec::with_capacity(cells + 1);
+    let mut below = 0;
+    for j in 0..=cells {
+        let bound = cell_bound(total, j, cells);
+        while below < cum.len() && cum[below] < bound {
+            below += 1;
+        }
+        guide.push(u32::try_from(below).expect("a population has at most 2^32 devices"));
+    }
+    guide
+}
+
+/// The lower bound of guide cell `j` of `cells`: `j·total/cells`, with
+/// `cells` a power of two so the division is exact and the bound is
+/// rounded once.
+fn cell_bound(total: f64, j: usize, cells: usize) -> f64 {
+    total * (j as f64 / cells as f64)
 }
 
 #[cfg(test)]
@@ -347,5 +404,153 @@ mod tests {
         let total = att + unatt + dereg;
         assert!(att > total / 2, "re-attestations dominate: {att}/{total}");
         assert!(unatt > 0 && dereg > unatt);
+    }
+
+    /// The whole-table search the guide replaces: the oracle every guided
+    /// draw is held to.
+    fn oracle(p: &ClientPopulation, u: f64) -> usize {
+        p.zipf_cum.partition_point(|&c| c < u)
+    }
+
+    /// Every skew and size the exactness tests cover: a one-device
+    /// population, tables smaller than one cell, and one of 70 000 rows.
+    fn tables() -> impl Iterator<Item = ClientPopulation> {
+        [0.0, 0.5, 1.1, 2.0].into_iter().flat_map(|zipf_s| {
+            [1, 2, 3, 17, 1000, 70_000].into_iter().map(move |devices| {
+                ClientPopulation::new(PopulationConfig::new(devices, 0).with_zipf(zipf_s))
+            })
+        })
+    }
+
+    /// Holds the guided draw to the oracle at each `u` in `[0, total]`.
+    fn assert_exact(p: &ClientPopulation, us: impl IntoIterator<Item = f64>) {
+        let total = p.total();
+        for u in us.into_iter().filter(|u| (0.0..=total).contains(u)) {
+            assert_eq!(
+                p.rank_at(u),
+                oracle(p, u),
+                "u = {u:e} of {total:e}, {} devices, s = {}",
+                p.zipf_cum.len(),
+                p.config.zipf_s
+            );
+        }
+    }
+
+    #[test]
+    fn guide_entries_are_the_partition_points_of_their_bounds() {
+        for p in tables() {
+            let cells = p.guide.len() - 1;
+            assert!(cells.is_power_of_two());
+            for (j, &below) in p.guide.iter().enumerate() {
+                let bound = cell_bound(p.total(), j, cells);
+                assert_eq!(below as usize, oracle(&p, bound), "guide[{j}] of {cells}");
+            }
+        }
+    }
+
+    #[test]
+    fn guided_draw_is_exact_at_cell_bounds_and_table_entries() {
+        for p in tables() {
+            let cells = p.guide.len() - 1;
+            for j in 0..=cells {
+                let b = cell_bound(p.total(), j, cells);
+                assert_exact(&p, [b.next_down(), b, b.next_up()]);
+            }
+            if p.zipf_cum.len() <= 1000 {
+                for &c in &p.zipf_cum {
+                    assert_exact(&p, [c.next_down(), c, c.next_up()]);
+                }
+            }
+        }
+    }
+
+    /// A table with an entry on and beside every bound of its 256 cells:
+    /// where rounding files a draw one cell off its bound, an entry sits
+    /// on the other side, so a search without the one-cell margin answers
+    /// one rank off.
+    #[test]
+    fn guided_draw_is_exact_on_entries_at_every_cell_bound() {
+        for total in [1000.3, 7.7, 1.6449] {
+            let mut cum: Vec<f64> = (1..256)
+                .flat_map(|j| {
+                    let b = cell_bound(total, j, 256);
+                    [b.next_down(), b, b.next_up()]
+                })
+                .collect();
+            cum.extend([total.next_down(), total]);
+            let mut p = ClientPopulation::new(PopulationConfig::new(1, 0));
+            p.guide = guide_for(&cum);
+            p.zipf_cum = cum;
+            assert_eq!(p.guide.len(), 257);
+            for &c in &p.zipf_cum {
+                assert_exact(&p, [c.next_down(), c, c.next_up()]);
+            }
+        }
+    }
+
+    #[test]
+    fn guided_draw_is_exact_at_random_and_extreme_draws() {
+        let mut rng = StdRng::seed_from_u64(40);
+        for p in tables() {
+            let total = p.total();
+            // The vendored `rand`'s largest `f64` is `1 − 2⁻⁵³`.
+            let largest = (u64::MAX >> 11) as f64 / (1u64 << 53) as f64 * total;
+            assert_exact(&p, [0.0, largest, total]);
+            assert_exact(&p, (0..100_000).map(|_| rng.gen::<f64>() * total));
+        }
+    }
+
+    /// Feeds one population's traffic into `hasher`: the registration
+    /// wave, then the first 200 ticks. Each request is its op count, then
+    /// per op a kind byte, the replica, the power (0 for a departure) and,
+    /// for a re-attestation, the measurement.
+    fn hash_stream(config: PopulationConfig, hasher: &mut fi_types::hash::Sha256) {
+        let mut p = ClientPopulation::new(config);
+        let mut requests = p.registration_wave();
+        for _ in 0..200 {
+            requests.extend(p.next_tick().requests);
+        }
+        for request in &requests {
+            hasher.update((request.len() as u64).to_le_bytes());
+            for op in request {
+                let (kind, power, measurement) = match *op {
+                    ChurnOp::Attest {
+                        measurement, power, ..
+                    } => (0u8, power, Some(measurement)),
+                    ChurnOp::Unattested { power, .. } => (1, power, None),
+                    ChurnOp::Deregister { .. } => (2, VotingPower::ZERO, None),
+                };
+                hasher.update([kind]);
+                hasher.update(op.replica().as_u64().to_le_bytes());
+                hasher.update(power.as_units().to_le_bytes());
+                if let Some(m) = measurement {
+                    hasher.update(m.0);
+                }
+            }
+        }
+    }
+
+    /// The raw request stream, pinned: one digest over a Zipf 1.1 and a
+    /// uniform population. The literal was recorded from the whole-table
+    /// binary-search sampler, before the guide table replaced it, so any
+    /// draw the guide gets wrong, or any change to request chunking,
+    /// shows here.
+    #[test]
+    fn stream_golden() {
+        let mut hasher = fi_types::hash::Sha256::new();
+        hash_stream(
+            PopulationConfig::new(20_000, 400).with_seed(11),
+            &mut hasher,
+        );
+        hash_stream(
+            PopulationConfig::new(5_000, 400)
+                .with_zipf(0.0)
+                .with_seed(12),
+            &mut hasher,
+        );
+        assert_eq!(
+            hasher.finalize().to_string(),
+            "0705d0bcea8fc03243f8401d91fb4685534a63b1d40e5dc3c5ad1613356ef0c1"
+        );
     }
 }
