@@ -1,21 +1,21 @@
 //! Churn operations: the registry's mutation vocabulary as *data*.
 //!
-//! A production-scale monitor does not call [`crate::AttestedRegistry`] methods
-//! one replica at a time from one thread — devices register, re-attest,
-//! rotate measurements, and leave in *batches* arriving from many
-//! verification frontends. [`ChurnOp`] reifies those mutations so they can
-//! be queued, sharded by device id, applied in parallel, logged, and
-//! replayed deterministically: the end state of a registry depends only on
-//! the per-device operation order, never on how ops from *different*
-//! devices interleave (each op touches exactly one entry and integer
-//! bucket sums commute).
+//! Devices register, re-attest, rotate measurements, and leave in
+//! *batches* arriving from many verification frontends. [`ChurnOp`] reifies
+//! those mutations so they can be queued, sharded by device id, applied in
+//! parallel, logged, and replayed deterministically. It is the registry's
+//! only write ([`AttestedRegistry::apply`](crate::AttestedRegistry::apply),
+//! [`apply_batch`](crate::AttestedRegistry::apply_batch)), and the end state
+//! of a registry depends only on the per-device operation order, never on
+//! how ops from *different* devices interleave (each op touches exactly one
+//! entry and integer bucket sums commute).
 //!
-//! Attested registration through this path is **pre-verified**: the quote
-//! was checked by a [`Verifier`](crate::Verifier) at the edge, and only its
-//! verified measurement travels in the op — see
-//! [`ChurnOp::from_verified_quote`]. The quote's vote-key binding
-//! (Remark 3) is checked there too; nothing downstream carries the key —
-//! not the op, the log, the registry or the checkpoint.
+//! Attested registration is **pre-verified**: the quote was checked by a
+//! [`Verifier`](crate::Verifier) at the edge, and only its verified
+//! measurement travels in the op — see [`ChurnOp::from_verified_quote`].
+//! The quote's vote-key binding (Remark 3) is checked there too; nothing
+//! downstream carries the key — not the op, the log, the registry or the
+//! checkpoint.
 
 use fi_types::{Digest, ReplicaId, VotingPower};
 
@@ -25,9 +25,9 @@ use crate::quote::Quote;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnOp {
     /// Register (or re-register) a replica as attested with an
-    /// already-verified measurement. Mirrors
-    /// [`AttestedRegistry::register_attested`](crate::AttestedRegistry::register_attested)
-    /// minus the verification, which happened at the edge.
+    /// already-verified measurement: the quote was checked by a
+    /// [`Verifier`](crate::Verifier) before the op was built
+    /// ([`ChurnOp::from_verified_quote`]).
     Attest {
         /// The device being registered.
         replica: ReplicaId,

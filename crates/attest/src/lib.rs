@@ -14,17 +14,20 @@
 //!   replica with the attested configuration;
 //! * [`verifier`] — an [`AttestationPolicy`] (accepted measurements,
 //!   allowed device kinds, maximum quote age, AIK revocation) and the
-//!   [`Verifier`] that checks quotes against it and a set of trusted
-//!   endorsement roots;
+//!   [`Verifier`] that issues challenge nonces and checks the quotes
+//!   answering them against it and a set of trusted endorsement roots;
 //! * [`commitment`] — salted configuration commitments for the privacy
 //!   concern of Remark 3 ("the privacy of replica configuration should also
 //!   be protected, as otherwise it provides attackers a clear target");
+//! * [`churn`] — the [`ChurnOp`] that carries a verified quote's facts,
+//!   and every other registry mutation, as data;
 //! * [`registry`] — the [`AttestedRegistry`], the write side of the
-//!   serving layer: verified measurements per replica under the two-tier
-//!   weighting of the paper's conclusion ("having two types of replicas,
-//!   one supporting configuration attestation and one does not, will help
-//!   to improve blockchain resilience"), kept as integer power buckets per
-//!   measurement for a seal to read. It answers no diversity query: the
+//!   serving layer, written only by churn ops: verified measurements per
+//!   replica under the two-tier weighting of the paper's conclusion
+//!   ("having two types of replicas, one supporting configuration
+//!   attestation and one does not, will help to improve blockchain
+//!   resilience"), kept as integer power buckets per measurement for a
+//!   seal to read. It answers no diversity query: the
 //!   configuration entropy and distribution are read from an epoch
 //!   snapshot `fi-fleet` seals from it;
 //! * [`delta`] — the [`ChurnDelta`] the registry accumulates alongside its

@@ -10,13 +10,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use fi_types::hash::SetDigest;
-use fi_types::{sha256, Digest, ReplicaId, SimTime, VotingPower};
+use fi_types::{sha256, Digest, ReplicaId, VotingPower};
 
 use crate::churn::ChurnOp;
 use crate::delta::{map_heap_bytes, ChurnDelta, GONE, UNATTESTED};
-use crate::error::AttestError;
-use crate::quote::Quote;
-use crate::verifier::Verifier;
 
 /// Whether a replica's configuration is attested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,9 +120,12 @@ struct Bucket {
     members: u32,
 }
 
-/// The registry of replicas known to the diversity monitor: attested
-/// replicas with their verified measurements, plus unattested replicas
-/// contributing raw power only.
+/// The registry of a fleet's replicas: attested replicas with their
+/// verified measurements, plus unattested replicas contributing raw power
+/// only. Its only writes are [`apply`](Self::apply) and
+/// [`apply_batch`](Self::apply_batch): every registration reaches it as a
+/// [`ChurnOp`], and an attested one carries the measurement of a quote
+/// verified before the op was built ([`ChurnOp::from_verified_quote`]).
 ///
 /// A device costs one 56-byte hash-table slot: its id, raw power, row
 /// digest, a 4-byte handle to its measurement bucket, which holds the
@@ -139,9 +139,9 @@ struct Bucket {
 /// row it displaced if it was registered at the last drain, and a `gone`
 /// map slot while it is deregistered ([`ChurnDelta`]). No map leads from a
 /// registered device to its delta row: its entry keeps the position. A
-/// registry nobody drains — an oracle replaying a whole history, the
-/// `DiversityMonitor`'s — holds a delta row for every device it ever
-/// registered; [`heap_bytes`](Self::heap_bytes) counts it.
+/// registry nobody drains — an oracle replaying a whole history — holds a
+/// delta row for every device it ever registered;
+/// [`heap_bytes`](Self::heap_bytes) counts it.
 ///
 /// Beside the entries the registry keeps one table of live measurement
 /// buckets — measurement, effective power and member count, indexed by
@@ -377,34 +377,11 @@ impl AttestedRegistry {
         self.weights
     }
 
-    /// Registers an attested replica from a quote, verifying it first.
+    /// Registers an attested replica under a measurement verified before
+    /// its [`ChurnOp::Attest`] was built: the registry verifies nothing.
     /// Re-registration overwrites (a replica may re-attest after
     /// reconfiguration).
-    ///
-    /// # Errors
-    ///
-    /// Propagates verification failures from [`Verifier::verify`].
-    pub fn register_attested(
-        &mut self,
-        replica: ReplicaId,
-        quote: &Quote,
-        verifier: &Verifier,
-        now: SimTime,
-        expected_nonce: Option<u64>,
-        power: VotingPower,
-    ) -> Result<(), AttestError> {
-        verifier.verify(quote, now, expected_nonce)?;
-        self.register_attested_preverified(replica, quote.measurement(), power);
-        Ok(())
-    }
-
-    /// Registers an attested replica whose quote was **already verified**
-    /// at the edge (the batch-ingest path: a verification frontend checks
-    /// the quote with a [`Verifier`], then ships only the verified facts —
-    /// see [`ChurnOp`]). Identical bucket/index maintenance to
-    /// [`register_attested`](Self::register_attested); re-registration
-    /// overwrites.
-    pub fn register_attested_preverified(
+    fn register_attested_preverified(
         &mut self,
         replica: ReplicaId,
         measurement: Digest,
@@ -423,7 +400,8 @@ impl AttestedRegistry {
         );
     }
 
-    /// Applies one churn operation.
+    /// Applies one churn operation — one of the registry's two writes,
+    /// with [`apply_batch`](Self::apply_batch).
     pub fn apply(&mut self, op: &ChurnOp) {
         match *op {
             ChurnOp::Attest {
@@ -432,9 +410,7 @@ impl AttestedRegistry {
                 power,
             } => self.register_attested_preverified(replica, measurement, power),
             ChurnOp::Unattested { replica, power } => self.register_unattested(replica, power),
-            ChurnOp::Deregister { replica } => {
-                self.deregister(replica);
-            }
+            ChurnOp::Deregister { replica } => self.deregister(replica),
         }
     }
 
@@ -447,21 +423,18 @@ impl AttestedRegistry {
     }
 
     /// Removes `replica` from the registry entirely (churn, slashing, or a
-    /// voluntary exit), returning whether it was registered. The
-    /// replica's contribution leaves its bucket, and a measurement bucket
-    /// whose last member departs leaves the table.
-    pub fn deregister(&mut self, replica: ReplicaId) -> bool {
-        let before = self.unindex(replica);
-        let registered = before.is_some();
-        if registered {
+    /// voluntary exit); a no-op if it is not registered. The replica's
+    /// contribution leaves its bucket, and a measurement bucket whose last
+    /// member departs leaves the table.
+    fn deregister(&mut self, replica: ReplicaId) {
+        if let Some(before) = self.unindex(replica) {
             self.delta
-                .record_roster(replica, before, VotingPower::ZERO, GONE);
+                .record_roster(replica, Some(before), VotingPower::ZERO, GONE);
         }
-        registered
     }
 
     /// Registers an unattested replica (power only; configuration opaque).
-    pub fn register_unattested(&mut self, replica: ReplicaId, power: VotingPower) {
+    fn register_unattested(&mut self, replica: ReplicaId, power: VotingPower) {
         let before = self.unindex(replica);
         let effective = power.scaled(self.weights.unattested());
         self.opaque += effective;
@@ -568,22 +541,22 @@ impl AttestedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{DeviceKind, TrustedDevice};
-    use crate::verifier::AttestationPolicy;
-    use fi_types::{sha256, KeyPair};
 
-    fn verified_quote(seed: u64, measurement: &[u8]) -> (Quote, Verifier) {
-        let device = TrustedDevice::new(DeviceKind::Tpm20, seed);
-        let aik = device.create_aik("a");
-        let quote = aik.quote(
+    /// Registers `replica` as attested to `measurement`'s digest.
+    fn attest(reg: &mut AttestedRegistry, replica: u64, measurement: &[u8], power: u64) {
+        reg.apply(&ChurnOp::attest(
+            ReplicaId::new(replica),
             sha256(measurement),
-            0,
-            KeyPair::from_seed(seed).public_key(),
-            SimTime::ZERO,
-        );
-        let mut verifier = Verifier::new(AttestationPolicy::discovery());
-        verifier.trust_endorsement(device.endorsement_key());
-        (quote, verifier)
+            VotingPower::new(power),
+        ));
+    }
+
+    /// Registers `replica` on the unattested tier.
+    fn unattested(reg: &mut AttestedRegistry, replica: u64, power: u64) {
+        reg.apply(&ChurnOp::Unattested {
+            replica: ReplicaId::new(replica),
+            power: VotingPower::new(power),
+        });
     }
 
     /// The bucket rows as a seal reads them.
@@ -607,16 +580,7 @@ mod tests {
     #[test]
     fn register_and_query_attested() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::default());
-        let (quote, verifier) = verified_quote(1, b"cfg-a");
-        reg.register_attested(
-            ReplicaId::new(0),
-            &quote,
-            &verifier,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(100),
-        )
-        .unwrap();
+        attest(&mut reg, 0, b"cfg-a", 100);
         assert_eq!(reg.len(), 1);
         let device = row(&reg, 0).unwrap();
         assert_eq!(device.tier(), ReplicaTier::Attested);
@@ -625,29 +589,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unverifiable_quote() {
-        let mut reg = AttestedRegistry::new(TwoTierWeights::default());
-        let (quote, _) = verified_quote(1, b"cfg-a");
-        // A verifier with no trust roots rejects everything.
-        let empty_verifier = Verifier::new(AttestationPolicy::discovery());
-        let err = reg
-            .register_attested(
-                ReplicaId::new(0),
-                &quote,
-                &empty_verifier,
-                SimTime::ZERO,
-                None,
-                VotingPower::new(100),
-            )
-            .unwrap_err();
-        assert_eq!(err, AttestError::UntrustedEndorsement);
-        assert!(reg.is_empty());
-    }
-
-    #[test]
     fn unattested_weighting_discounts_power() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
-        reg.register_unattested(ReplicaId::new(7), VotingPower::new(100));
+        unattested(&mut reg, 7, 100);
         assert_eq!(row(&reg, 7).unwrap().tier(), ReplicaTier::Unattested);
         // Raw power on the row, weighted power in the opaque bucket.
         assert_eq!(row(&reg, 7).unwrap().power, VotingPower::new(100));
@@ -659,16 +603,7 @@ mod tests {
     fn bucket_rows_group_by_measurement() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
         for (i, m) in [b"cfg-a" as &[u8], b"cfg-a", b"cfg-b"].iter().enumerate() {
-            let (quote, verifier) = verified_quote(i as u64 + 10, m);
-            reg.register_attested(
-                ReplicaId::new(i as u64),
-                &quote,
-                &verifier,
-                SimTime::ZERO,
-                None,
-                VotingPower::new(10),
-            )
-            .unwrap();
+            attest(&mut reg, i as u64, m, 10);
         }
         assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 20), (b"cfg-b", 10)]));
     }
@@ -676,18 +611,9 @@ mod tests {
     #[test]
     fn unattested_power_is_one_opaque_bucket_beside_the_rows() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
-        let (quote, verifier) = verified_quote(1, b"cfg-a");
-        reg.register_attested(
-            ReplicaId::new(0),
-            &quote,
-            &verifier,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(50),
-        )
-        .unwrap();
-        reg.register_unattested(ReplicaId::new(1), VotingPower::new(50));
-        reg.register_unattested(ReplicaId::new(2), VotingPower::new(30));
+        attest(&mut reg, 0, b"cfg-a", 50);
+        unattested(&mut reg, 1, 50);
+        unattested(&mut reg, 2, 30);
         // Unattested devices name no measurement, so they share no row;
         // their power is one sum.
         assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 50)]));
@@ -700,52 +626,15 @@ mod tests {
         // Replicas re-attest, switch measurements, and change tier; the
         // maintained buckets must stay equal to a from-scratch rebuild.
         let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
-        let (quote_a, verifier_a) = verified_quote(1, b"cfg-a");
-        let (quote_b, verifier_b) = verified_quote(2, b"cfg-b");
-        let r0 = ReplicaId::new(0);
         // Attested on cfg-a, then re-attested on cfg-b with new power.
-        reg.register_attested(
-            r0,
-            &quote_a,
-            &verifier_a,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(40),
-        )
-        .unwrap();
-        reg.register_attested(
-            r0,
-            &quote_b,
-            &verifier_b,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(70),
-        )
-        .unwrap();
+        attest(&mut reg, 0, b"cfg-a", 40);
+        attest(&mut reg, 0, b"cfg-b", 70);
         // A second replica flips attested → unattested.
-        let r1 = ReplicaId::new(1);
-        reg.register_attested(
-            r1,
-            &quote_a,
-            &verifier_a,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(30),
-        )
-        .unwrap();
-        reg.register_unattested(r1, VotingPower::new(30));
+        attest(&mut reg, 1, b"cfg-a", 30);
+        unattested(&mut reg, 1, 30);
         // And a third flips unattested → attested.
-        let r2 = ReplicaId::new(2);
-        reg.register_unattested(r2, VotingPower::new(20));
-        reg.register_attested(
-            r2,
-            &quote_a,
-            &verifier_a,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(20),
-        )
-        .unwrap();
+        unattested(&mut reg, 2, 20);
+        attest(&mut reg, 2, b"cfg-a", 20);
 
         // cfg-a holds r2's 20, cfg-b holds r0's 70, opaque holds r1's 15.
         assert_eq!(rows(&reg), by_digest(vec![(b"cfg-a", 20), (b"cfg-b", 70)]));
@@ -758,28 +647,10 @@ mod tests {
     #[test]
     fn emptied_measurement_bucket_disappears_from_rows() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
-        let (quote_a, verifier_a) = verified_quote(1, b"cfg-a");
-        let (quote_b, verifier_b) = verified_quote(2, b"cfg-b");
-        reg.register_attested(
-            ReplicaId::new(0),
-            &quote_a,
-            &verifier_a,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(10),
-        )
-        .unwrap();
+        attest(&mut reg, 0, b"cfg-a", 10);
         // The only cfg-a member migrates to cfg-b: cfg-a's bucket must not
         // linger as a phantom zero row.
-        reg.register_attested(
-            ReplicaId::new(0),
-            &quote_b,
-            &verifier_b,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(10),
-        )
-        .unwrap();
+        attest(&mut reg, 0, b"cfg-b", 10);
         assert_eq!(rows(&reg), by_digest(vec![(b"cfg-b", 10)]));
         assert_eq!(reg.buckets.len(), 1);
     }
@@ -790,18 +661,8 @@ mod tests {
         // grow the registry's bucket table: each abandoned measurement's
         // row leaves it.
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
-        let r0 = ReplicaId::new(0);
         for i in 0..50u64 {
-            let (quote, verifier) = verified_quote(i + 1, format!("cfg-{i}").as_bytes());
-            reg.register_attested(
-                r0,
-                &quote,
-                &verifier,
-                SimTime::ZERO,
-                None,
-                VotingPower::new(10),
-            )
-            .unwrap();
+            attest(&mut reg, 0, format!("cfg-{i}").as_bytes(), 10);
         }
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.buckets.len(), 1, "abandoned buckets leaked");
@@ -818,17 +679,8 @@ mod tests {
     fn two_tier_weights_shift_distribution_toward_attested() {
         let build = |weights| {
             let mut reg = AttestedRegistry::new(weights);
-            let (quote, verifier) = verified_quote(1, b"cfg-a");
-            reg.register_attested(
-                ReplicaId::new(0),
-                &quote,
-                &verifier,
-                SimTime::ZERO,
-                None,
-                VotingPower::new(100),
-            )
-            .unwrap();
-            reg.register_unattested(ReplicaId::new(1), VotingPower::new(100));
+            attest(&mut reg, 0, b"cfg-a", 100);
+            unattested(&mut reg, 1, 100);
             reg
         };
         // The attested row's share of the effective power.
@@ -845,17 +697,8 @@ mod tests {
     #[test]
     fn reregistration_overwrites() {
         let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
-        reg.register_unattested(ReplicaId::new(0), VotingPower::new(10));
-        let (quote, verifier) = verified_quote(1, b"cfg-a");
-        reg.register_attested(
-            ReplicaId::new(0),
-            &quote,
-            &verifier,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(20),
-        )
-        .unwrap();
+        unattested(&mut reg, 0, 10);
+        attest(&mut reg, 0, b"cfg-a", 20);
         assert_eq!(reg.len(), 1);
         let device = row(&reg, 0).unwrap();
         assert_eq!(device.tier(), ReplicaTier::Attested);
@@ -867,33 +710,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn weights_reject_negative() {
         let _ = TwoTierWeights::new(-1.0, 0.5);
-    }
-
-    #[test]
-    fn preverified_path_matches_quote_path() {
-        // The batch-ingest registration must leave the registry in exactly
-        // the state the full quote-verification path does.
-        let (quote, verifier) = verified_quote(1, b"cfg-a");
-        let mut via_quote = AttestedRegistry::new(TwoTierWeights::default());
-        via_quote
-            .register_attested(
-                ReplicaId::new(0),
-                &quote,
-                &verifier,
-                SimTime::ZERO,
-                None,
-                VotingPower::new(40),
-            )
-            .unwrap();
-        let mut via_op = AttestedRegistry::new(TwoTierWeights::default());
-        via_op.apply(&crate::churn::ChurnOp::from_verified_quote(
-            ReplicaId::new(0),
-            &quote,
-            VotingPower::new(40),
-        ));
-        assert_eq!(via_quote, via_op);
-        assert_eq!(rows(&via_quote), rows(&via_op));
-        assert_eq!(via_quote.roster_digest(), via_op.roster_digest());
     }
 
     #[test]
@@ -921,8 +737,8 @@ mod tests {
         manual.register_attested_preverified(ReplicaId::new(0), m_a, VotingPower::new(10));
         manual.register_unattested(ReplicaId::new(1), VotingPower::new(20));
         manual.register_attested_preverified(ReplicaId::new(0), m_b, VotingPower::new(15));
-        assert!(manual.deregister(ReplicaId::new(1)));
-        assert!(!manual.deregister(ReplicaId::new(99)));
+        manual.deregister(ReplicaId::new(1));
+        manual.deregister(ReplicaId::new(99));
 
         assert_eq!(batched, manual);
         assert_eq!(rows(&batched), vec![(m_b, VotingPower::new(15))]);

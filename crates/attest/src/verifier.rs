@@ -42,12 +42,6 @@ impl AttestationPolicy {
         Self::builder().build()
     }
 
-    /// Revokes an AIK (e.g. after its device family is found compromised —
-    /// the SGX.Fail scenario of the paper's §III-A).
-    pub fn revoke(&mut self, aik: PublicKey) {
-        self.revoked.insert(aik);
-    }
-
     /// Whether the measurement set is open (discovery mode).
     #[must_use]
     pub fn accepts_any_measurement(&self) -> bool {
@@ -88,13 +82,6 @@ impl AttestationPolicyBuilder {
         self
     }
 
-    /// Pre-revokes an AIK.
-    #[must_use]
-    pub fn revoke(mut self, aik: PublicKey) -> Self {
-        self.policy.revoked.insert(aik);
-        self
-    }
-
     /// Finishes the policy.
     #[must_use]
     pub fn build(self) -> AttestationPolicy {
@@ -102,11 +89,13 @@ impl AttestationPolicyBuilder {
     }
 }
 
-/// Verifies quotes against trusted endorsement roots and a policy.
+/// Verifies quotes against trusted endorsement roots and a policy, and
+/// issues the challenge nonces the quotes answer.
 #[derive(Debug, Clone)]
 pub struct Verifier {
     policy: AttestationPolicy,
     trusted_endorsements: HashSet<PublicKey>,
+    next_nonce: u64,
 }
 
 impl Verifier {
@@ -117,6 +106,7 @@ impl Verifier {
         Verifier {
             policy,
             trusted_endorsements: HashSet::new(),
+            next_nonce: 1,
         }
     }
 
@@ -126,14 +116,25 @@ impl Verifier {
         self.trusted_endorsements.insert(ek);
     }
 
-    /// Revokes an AIK.
+    /// Revokes an AIK (e.g. after its device family is found compromised —
+    /// the SGX.Fail scenario of the paper's §III-A).
     pub fn revoke(&mut self, aik: PublicKey) {
-        self.policy.revoke(aik);
+        self.policy.revoked.insert(aik);
+    }
+
+    /// Issues a fresh challenge nonce for a replica's next quote — 1, 2,
+    /// 3, … — never the same twice from one verifier. The quote answers it,
+    /// and [`verify`](Self::verify) takes it back as `expected_nonce`.
+    pub fn challenge(&mut self) -> u64 {
+        let nonce = self.next_nonce;
+        self.next_nonce += 1;
+        nonce
     }
 
     /// Full verification: trust chain, signatures, revocation, policy, and
-    /// freshness. `expected_nonce` is the challenge this verifier issued;
-    /// pass `None` for archived quotes whose challenge is no longer known.
+    /// freshness. `expected_nonce` is the [`challenge`](Self::challenge)
+    /// this verifier issued; pass `None` for archived quotes whose
+    /// challenge is no longer known.
     ///
     /// # Errors
     ///
@@ -250,6 +251,14 @@ mod tests {
             v.verify(&quote, SimTime::from_secs(101), None),
             Err(AttestError::RevokedKey)
         );
+    }
+
+    #[test]
+    fn challenges_are_unique() {
+        let mut v = Verifier::new(AttestationPolicy::discovery());
+        let a = v.challenge();
+        let b = v.challenge();
+        assert_ne!(a, b);
     }
 
     #[test]

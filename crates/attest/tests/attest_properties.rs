@@ -116,18 +116,17 @@ proptest! {
                     KeyPair::from_seed(i as u64).public_key(),
                     SimTime::ZERO,
                 );
-                registry
-                    .register_attested(
-                        replica,
-                        &quote,
-                        &verifier,
-                        SimTime::ZERO,
-                        Some(0),
-                        VotingPower::new(power),
-                    )
-                    .unwrap();
+                verifier.verify(&quote, SimTime::ZERO, Some(0)).unwrap();
+                registry.apply(&ChurnOp::from_verified_quote(
+                    replica,
+                    &quote,
+                    VotingPower::new(power),
+                ));
             } else {
-                registry.register_unattested(replica, VotingPower::new(power));
+                registry.apply(&ChurnOp::Unattested {
+                    replica,
+                    power: VotingPower::new(power),
+                });
             }
         }
         // Per-replica effective powers, summed per tier.

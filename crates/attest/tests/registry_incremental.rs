@@ -12,42 +12,36 @@
 
 use std::collections::BTreeMap;
 
-use fi_attest::device::{DeviceKind, TrustedDevice};
 use fi_attest::{
-    device_row_digest, AttestationPolicy, AttestedRegistry, BucketDelta, CanonicalDelta,
-    ChurnDelta, ChurnOp, Quote, RegisteredDevice, ReplicaTier, RosterChange, TwoTierWeights,
-    Verifier,
+    device_row_digest, AttestedRegistry, BucketDelta, CanonicalDelta, ChurnDelta, ChurnOp,
+    RegisteredDevice, ReplicaTier, RosterChange, TwoTierWeights,
 };
 use fi_types::hash::SetDigest;
-use fi_types::{sha256, Digest, KeyPair, ReplicaId, SimTime, VotingPower};
+use fi_types::{sha256, Digest, ReplicaId, VotingPower};
 use proptest::prelude::*;
 
-/// A verifiable quote over `measurement`, with a verifier that trusts it.
-fn verified_quote(seed: u64, measurement: &[u8]) -> (Quote, Verifier) {
-    let device = TrustedDevice::new(DeviceKind::Tpm20, seed);
-    let aik = device.create_aik("aik");
-    let quote = aik.quote(
+fn register(reg: &mut AttestedRegistry, replica: u64, measurement: &[u8], power: u64) {
+    reg.apply(&ChurnOp::attest(
+        ReplicaId::new(replica),
         sha256(measurement),
-        0,
-        KeyPair::from_seed(seed).public_key(),
-        SimTime::ZERO,
-    );
-    let mut verifier = Verifier::new(AttestationPolicy::discovery());
-    verifier.trust_endorsement(device.endorsement_key());
-    (quote, verifier)
+        VotingPower::new(power),
+    ));
 }
 
-fn register(reg: &mut AttestedRegistry, replica: u64, measurement: &[u8], power: u64) {
-    let (quote, verifier) = verified_quote(1_000 + replica, measurement);
-    reg.register_attested(
-        ReplicaId::new(replica),
-        &quote,
-        &verifier,
-        SimTime::ZERO,
-        None,
-        VotingPower::new(power),
-    )
-    .expect("verifiable quote registers");
+fn register_unattested(reg: &mut AttestedRegistry, replica: u64, power: u64) {
+    reg.apply(&ChurnOp::Unattested {
+        replica: ReplicaId::new(replica),
+        power: VotingPower::new(power),
+    });
+}
+
+/// Deregisters `replica`, returning whether it was registered.
+fn deregister(reg: &mut AttestedRegistry, replica: u64) -> bool {
+    let before = reg.len();
+    reg.apply(&ChurnOp::Deregister {
+        replica: ReplicaId::new(replica),
+    });
+    reg.len() < before
 }
 
 /// The bucket table as a seal reads it.
@@ -136,23 +130,23 @@ fn deregistering_the_last_member_of_a_bucket_removes_its_row() {
 
     // cfg-a has exactly one member; deregistering it must erase the row
     // entirely (not leave a zero-weight ghost in the distribution).
-    assert!(reg.deregister(ReplicaId::new(0)));
+    assert!(deregister(&mut reg, 0));
     assert_matches_recount(&reg, "after deregistering a bucket's last member");
     assert_eq!(reg.len(), 2);
     assert_eq!(table(&reg), vec![(sha256(b"cfg-b"), VotingPower::new(100))]);
 
     // Deregistering the other two empties the registry; the table holds
     // the degenerate state rather than stale buckets.
-    assert!(reg.deregister(ReplicaId::new(1)));
-    assert!(reg.deregister(ReplicaId::new(2)));
+    assert!(deregister(&mut reg, 1));
+    assert!(deregister(&mut reg, 2));
     assert!(reg.is_empty());
     assert_matches_recount(&reg, "after emptying the registry");
     assert!(table(&reg).is_empty());
     assert_eq!(total(&reg), VotingPower::ZERO);
 
     // Deregistering an unknown replica is a no-op that says so.
-    assert!(!reg.deregister(ReplicaId::new(9)));
-    assert!(!reg.deregister(ReplicaId::new(0)), "double deregister");
+    assert!(!deregister(&mut reg, 9));
+    assert!(!deregister(&mut reg, 0), "double deregister");
 }
 
 #[test]
@@ -163,7 +157,7 @@ fn recycled_slots_serve_new_measurements_without_residue() {
 
     // Empty cfg-a's bucket, then introduce a brand-new measurement:
     // nothing of cfg-a leaks into cfg-c.
-    assert!(reg.deregister(ReplicaId::new(0)));
+    assert!(deregister(&mut reg, 0));
     register(&mut reg, 2, b"cfg-c", 30);
     assert_matches_recount(&reg, "after a bucket left and another arrived");
     let rows_now = table(&reg);
@@ -192,13 +186,13 @@ fn recycled_slots_serve_new_measurements_without_residue() {
 fn tier_flips_move_power_between_buckets_and_opaque_pool() {
     let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
     register(&mut reg, 0, b"cfg-a", 100);
-    reg.register_unattested(ReplicaId::new(1), VotingPower::new(100));
+    register_unattested(&mut reg, 1, 100);
     assert_matches_recount(&reg, "mixed tiers");
     assert_eq!(total(&reg), VotingPower::new(150));
 
     // The attested replica drops to the unattested tier: its bucket (the
     // last cfg-a member) empties and its discounted power joins the pool.
-    reg.register_unattested(ReplicaId::new(0), VotingPower::new(100));
+    register_unattested(&mut reg, 0, 100);
     assert_matches_recount(&reg, "after attested→unattested flip");
     assert_eq!(row(&reg, 0).unwrap().tier(), ReplicaTier::Unattested);
     assert_eq!(reg.unattested_power(), VotingPower::new(100));
@@ -379,29 +373,6 @@ fn sharded_deltas_merge_to_the_unsharded_delta() {
             .collect(),
     );
     assert_eq!(rows(&merged), rows(&drain(&mut whole)));
-}
-
-#[test]
-fn quote_and_preverified_paths_record_identical_deltas() {
-    let (quote, verifier) = verified_quote(41, b"cfg-q");
-    let mut via_quote = AttestedRegistry::new(TwoTierWeights::default());
-    via_quote
-        .register_attested(
-            ReplicaId::new(3),
-            &quote,
-            &verifier,
-            SimTime::ZERO,
-            None,
-            VotingPower::new(70),
-        )
-        .expect("verifiable quote registers");
-    let mut via_op = AttestedRegistry::new(TwoTierWeights::default());
-    via_op.apply(&ChurnOp::from_verified_quote(
-        ReplicaId::new(3),
-        &quote,
-        VotingPower::new(70),
-    ));
-    assert_eq!(drain(&mut via_quote), drain(&mut via_op));
 }
 
 /// The roster aggregate re-derived from scratch: every row `devices()`

@@ -41,15 +41,14 @@ fn bench_attestation(c: &mut Criterion) {
         b.iter(|| {
             let mut reg = AttestedRegistry::new(TwoTierWeights::default());
             for i in 0..100u64 {
-                reg.register_attested(
+                verifier
+                    .verify(&quote, SimTime::from_secs(2), Some(7))
+                    .unwrap();
+                reg.apply(&ChurnOp::from_verified_quote(
                     ReplicaId::new(i),
                     &quote,
-                    &verifier,
-                    SimTime::from_secs(2),
-                    Some(7),
                     VotingPower::new(10),
-                )
-                .unwrap();
+                ));
             }
             black_box(reg.len())
         });

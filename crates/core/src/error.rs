@@ -9,8 +9,6 @@ pub enum CoreError {
     Entropy(fi_entropy::DistributionError),
     /// Configuration-model failure.
     Config(fi_config::ConfigError),
-    /// Attestation failure.
-    Attest(fi_attest::AttestError),
 }
 
 impl fmt::Display for CoreError {
@@ -18,7 +16,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Entropy(e) => write!(f, "entropy error: {e}"),
             CoreError::Config(e) => write!(f, "configuration error: {e}"),
-            CoreError::Attest(e) => write!(f, "attestation error: {e}"),
         }
     }
 }
@@ -28,7 +25,6 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Entropy(e) => Some(e),
             CoreError::Config(e) => Some(e),
-            CoreError::Attest(e) => Some(e),
         }
     }
 }
@@ -45,12 +41,6 @@ impl From<fi_config::ConfigError> for CoreError {
     }
 }
 
-impl From<fi_attest::AttestError> for CoreError {
-    fn from(e: fi_attest::AttestError) -> Self {
-        CoreError::Attest(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,8 +53,6 @@ mod tests {
         assert!(e.to_string().contains("entropy"));
         let e: CoreError = fi_config::ConfigError::EmptySpace.into();
         assert!(e.to_string().contains("configuration"));
-        let e: CoreError = fi_attest::AttestError::BadSignature.into();
-        assert!(e.to_string().contains("attestation"));
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! packages the paper's pipeline end to end:
 //!
 //! 1. **Configuration discovery** — replicas attest their stacks
-//!    ([`fi_attest`]); the [`DiversityMonitor`] challenges, verifies, and
-//!    records quotes (§III-B, Remark 3).
-//! 2. **Diversity quantification** — the monitor derives the voting-power
-//!    configuration distribution and reports Shannon entropy, effective
-//!    configurations, evenness, min-entropy, and κ-optimality (§IV,
-//!    Definition 1).
+//!    ([`fi_attest`]): a [`Verifier`](fi_attest::Verifier) issues each
+//!    challenge and checks the quote that answers it (§III-B, Remark 3),
+//!    and only the verified facts reach a fleet, as a
+//!    [`ChurnOp`](fi_attest::ChurnOp) that [`fi_fleet`] ingests and seals.
+//! 2. **Diversity quantification** — [`DiversityReport::from_snapshot`]
+//!    reads the voting-power configuration distribution off a sealed epoch
+//!    snapshot and reports Shannon entropy, effective configurations,
+//!    evenness, min-entropy, and κ-optimality (§IV, Definition 1).
 //! 3. **Resilience analysis** — the [`ResilienceAnalyzer`] combines an
 //!    assignment with a vulnerability database and evaluates the safety
 //!    condition `f ≥ Σ_i f^i_t` (§II-C), ranks single-product exposures,
@@ -79,7 +81,7 @@ pub mod rotation;
 
 pub use analyzer::{ResilienceAnalyzer, ResilienceReport};
 pub use error::CoreError;
-pub use monitor::{DiversityMonitor, DiversityReport};
+pub use monitor::DiversityReport;
 pub use recommend::{Recommendation, Recommender};
 pub use rotation::{RotationEntropyTracker, RotationPlanner, RotationStep};
 
@@ -99,7 +101,7 @@ pub use fi_types;
 pub mod prelude {
     pub use crate::analyzer::{ResilienceAnalyzer, ResilienceReport};
     pub use crate::error::CoreError;
-    pub use crate::monitor::{DiversityMonitor, DiversityReport};
+    pub use crate::monitor::DiversityReport;
     pub use crate::recommend::{Recommendation, Recommender};
     pub use crate::rotation::{RotationEntropyTracker, RotationPlanner, RotationStep};
     pub use fi_attest::prelude::*;

@@ -1,104 +1,32 @@
-//! The diversity monitor: configuration discovery → entropy report.
+//! Diversity monitoring (paper §III-B + §IV): the report a sealed epoch
+//! snapshot yields.
+//!
+//! A configuration claim reaches a fleet one way. A
+//! [`Verifier`](fi_attest::Verifier) issues the replica a challenge
+//! ([`Verifier::challenge`](fi_attest::Verifier::challenge)) and checks the
+//! quote that answers it ([`Verifier::verify`](fi_attest::Verifier::verify));
+//! the verified facts travel as a churn op
+//! ([`ChurnOp::from_verified_quote`](fi_attest::ChurnOp::from_verified_quote)),
+//! which `fi-serve`'s `FleetServer` or a [`ShardedFleet`](fi_fleet::ShardedFleet)
+//! ingests and seals. A [`DiversityReport`] is read off the sealed
+//! [`EpochSnapshot`].
 
-use fi_attest::{AttestedRegistry, Quote, TwoTierWeights, Verifier};
 use fi_entropy::optimal::KappaOptimality;
 use fi_entropy::renyi::min_entropy_bits;
 use fi_entropy::shannon::{effective_configurations, evenness};
 use fi_fleet::EpochSnapshot;
-use fi_types::{ReplicaId, SimTime, VotingPower};
+use fi_types::VotingPower;
 
 use crate::error::CoreError;
-
-/// Discovers and quantifies replica diversity from attestation quotes
-/// (paper §III-B + §IV in one object).
-///
-/// The monitor issues per-replica challenge nonces, verifies quotes through
-/// its [`Verifier`], and keeps an [`AttestedRegistry`]; its diversity report
-/// is read from an epoch snapshot sealed from that registry in full. It
-/// never drains the registry's churn delta, so every replica it ever
-/// registered keeps a 24-byte delta row there
-/// ([`AttestedRegistry::heap_bytes`] counts it).
-#[derive(Debug)]
-pub struct DiversityMonitor {
-    verifier: Verifier,
-    registry: AttestedRegistry,
-    next_nonce: u64,
-}
-
-impl DiversityMonitor {
-    /// Creates a monitor with the given verifier and tier weights.
-    #[must_use]
-    pub fn new(verifier: Verifier, weights: TwoTierWeights) -> Self {
-        DiversityMonitor {
-            verifier,
-            registry: AttestedRegistry::new(weights),
-            next_nonce: 1,
-        }
-    }
-
-    /// Issues a fresh challenge nonce for a replica's next attestation.
-    pub fn challenge(&mut self) -> u64 {
-        let nonce = self.next_nonce;
-        self.next_nonce += 1;
-        nonce
-    }
-
-    /// Ingests a quote answering `nonce`, registering the replica as
-    /// attested with `power`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates verification failures ([`fi_attest::AttestError`]).
-    pub fn ingest_quote(
-        &mut self,
-        replica: ReplicaId,
-        quote: &Quote,
-        nonce: u64,
-        now: SimTime,
-        power: VotingPower,
-    ) -> Result<(), CoreError> {
-        self.registry
-            .register_attested(replica, quote, &self.verifier, now, Some(nonce), power)?;
-        Ok(())
-    }
-
-    /// Registers a replica that declined attestation (unattested tier).
-    pub fn ingest_unattested(&mut self, replica: ReplicaId, power: VotingPower) {
-        self.registry.register_unattested(replica, power);
-    }
-
-    /// The underlying registry.
-    #[must_use]
-    pub fn registry(&self) -> &AttestedRegistry {
-        &self.registry
-    }
-
-    /// Produces the diversity report. With `include_unattested`, all
-    /// unattested power is counted as one opaque configuration (the
-    /// pessimistic reading).
-    ///
-    /// The registry answers no diversity query, so this seals it into an
-    /// [`EpochSnapshot`] — one full build, O(n log n) in registered
-    /// replicas — and reads the report there, as a fleet reader does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Entropy`] when no power is registered.
-    pub fn report(&self, include_unattested: bool) -> Result<DiversityReport, CoreError> {
-        DiversityReport::from_snapshot(
-            &EpochSnapshot::from_registry(&self.registry, 0),
-            include_unattested,
-        )
-    }
-}
 
 impl DiversityReport {
     /// Derives the full diversity report from a sealed [`EpochSnapshot`],
     /// lock-free: entropy off the snapshot's canonical accumulator, the
     /// batch metrics (Rényi, evenness, κ-optimality) from its
-    /// distribution. Every report comes from here — the monitor seals its
-    /// registry first, a fleet reader passes what its handle serves —
-    /// so a report is a function of fleet content alone.
+    /// distribution. With `include_unattested`, all unattested power is
+    /// counted as one opaque configuration (the pessimistic reading).
+    /// Every report comes from here — a fleet reader passes what its handle
+    /// serves — so a report is a function of fleet content alone.
     ///
     /// # Errors
     ///
@@ -155,26 +83,32 @@ pub struct DiversityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_attest::{AttestationPolicy, DeviceKind, TrustedDevice};
-    use fi_types::{sha256, KeyPair};
+    use fi_attest::{
+        AttestError, AttestationPolicy, AttestedRegistry, ChurnOp, DeviceKind, TrustedDevice,
+        TwoTierWeights, Verifier,
+    };
+    use fi_fleet::ShardedFleet;
+    use fi_types::{sha256, KeyPair, ReplicaId, SimTime};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
-    fn monitor_with_roots(devices: &[&TrustedDevice]) -> DiversityMonitor {
+    fn verifier_trusting(device: &TrustedDevice) -> Verifier {
         let mut verifier = Verifier::new(AttestationPolicy::discovery());
-        for d in devices {
-            verifier.trust_endorsement(d.endorsement_key());
-        }
-        DiversityMonitor::new(verifier, TwoTierWeights::flat())
+        verifier.trust_endorsement(device.endorsement_key());
+        verifier
     }
 
+    /// One attestation round trip: the verifier challenges, the device
+    /// quotes `measurement` in answer, the verifier checks the quote, and
+    /// the verified facts become the op a fleet ingests.
     fn attest_cycle(
-        monitor: &mut DiversityMonitor,
+        verifier: &mut Verifier,
         device: &TrustedDevice,
         replica: u64,
         measurement: &[u8],
         power: u64,
-    ) {
-        let nonce = monitor.challenge();
+    ) -> ChurnOp {
+        let nonce = verifier.challenge();
         let aik = device.create_aik(&format!("aik-{replica}"));
         let quote = aik.quote(
             sha256(measurement),
@@ -182,34 +116,41 @@ mod tests {
             KeyPair::from_seed(replica).public_key(),
             SimTime::ZERO,
         );
-        monitor
-            .ingest_quote(
-                ReplicaId::new(replica),
-                &quote,
-                nonce,
-                SimTime::ZERO,
-                VotingPower::new(power),
-            )
-            .unwrap();
+        verifier.verify(&quote, SimTime::ZERO, Some(nonce)).unwrap();
+        ChurnOp::from_verified_quote(ReplicaId::new(replica), &quote, VotingPower::new(power))
     }
 
-    #[test]
-    fn challenges_are_unique() {
-        let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        let a = m.challenge();
-        let b = m.challenge();
-        assert_ne!(a, b);
+    fn unattested(replica: u64, power: u64) -> ChurnOp {
+        ChurnOp::Unattested {
+            replica: ReplicaId::new(replica),
+            power: VotingPower::new(power),
+        }
+    }
+
+    /// `ops` ingested by a one-shard fleet and sealed.
+    fn sealed(weights: TwoTierWeights, ops: &[ChurnOp]) -> Arc<EpochSnapshot> {
+        let fleet = ShardedFleet::new(1, weights);
+        fleet.try_ingest_batch(ops).unwrap();
+        fleet.try_seal_epoch().unwrap()
     }
 
     #[test]
     fn full_pipeline_uniform_is_kappa_optimal() {
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        for i in 0..4u64 {
-            attest_cycle(&mut m, &device, i, format!("cfg-{i}").as_bytes(), 100);
-        }
-        let report = m.report(false).unwrap();
+        let mut verifier = verifier_trusting(&device);
+        let ops: Vec<ChurnOp> = (0..4u64)
+            .map(|i| {
+                attest_cycle(
+                    &mut verifier,
+                    &device,
+                    i,
+                    format!("cfg-{i}").as_bytes(),
+                    100,
+                )
+            })
+            .collect();
+        let report =
+            DiversityReport::from_snapshot(&sealed(TwoTierWeights::flat(), &ops), false).unwrap();
         assert_eq!(report.replicas, 4);
         assert_eq!(report.configurations, 4);
         assert!(report.kappa_optimal);
@@ -223,10 +164,13 @@ mod tests {
     #[test]
     fn skewed_power_reduces_entropy() {
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        attest_cycle(&mut m, &device, 0, b"cfg-a", 900);
-        attest_cycle(&mut m, &device, 1, b"cfg-b", 100);
-        let report = m.report(false).unwrap();
+        let mut verifier = verifier_trusting(&device);
+        let ops = [
+            attest_cycle(&mut verifier, &device, 0, b"cfg-a", 900),
+            attest_cycle(&mut verifier, &device, 1, b"cfg-b", 100),
+        ];
+        let report =
+            DiversityReport::from_snapshot(&sealed(TwoTierWeights::flat(), &ops), false).unwrap();
         assert!(!report.kappa_optimal);
         assert!(report.entropy_bits < 1.0);
         assert!(report.entropy_deficit_bits > 0.0);
@@ -235,9 +179,11 @@ mod tests {
 
     #[test]
     fn wrong_nonce_is_rejected() {
+        // A quote that answers another challenge is refused, so no op is
+        // built and the fleet seals with nothing registered.
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        let nonce = m.challenge();
+        let mut verifier = verifier_trusting(&device);
+        let nonce = verifier.challenge();
         let aik = device.create_aik("aik");
         let quote = aik.quote(
             sha256(b"cfg"),
@@ -245,17 +191,18 @@ mod tests {
             KeyPair::from_seed(0).public_key(),
             SimTime::ZERO,
         );
-        let err = m
-            .ingest_quote(
-                ReplicaId::new(0),
-                &quote,
-                nonce,
-                SimTime::ZERO,
-                VotingPower::new(1),
-            )
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Attest(_)));
-        assert!(m.report(false).is_err(), "nothing registered");
+        assert_eq!(
+            verifier.verify(&quote, SimTime::ZERO, Some(nonce)),
+            Err(AttestError::NonceMismatch {
+                expected: nonce,
+                actual: nonce + 999
+            })
+        );
+        let snapshot = sealed(TwoTierWeights::flat(), &[]);
+        assert!(
+            DiversityReport::from_snapshot(&snapshot, false).is_err(),
+            "nothing registered"
+        );
     }
 
     #[test]
@@ -263,32 +210,35 @@ mod tests {
         // The O(1) read a fleet reader polls — a sealed snapshot's
         // `entropy_bits` — is the report's entropy, bit for bit.
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        attest_cycle(&mut m, &device, 0, b"cfg-a", 700);
-        attest_cycle(&mut m, &device, 1, b"cfg-b", 200);
-        m.ingest_unattested(ReplicaId::new(2), VotingPower::new(100));
-        let snapshot = EpochSnapshot::from_registry(m.registry(), 1);
+        let mut verifier = verifier_trusting(&device);
+        let ops = [
+            attest_cycle(&mut verifier, &device, 0, b"cfg-a", 700),
+            attest_cycle(&mut verifier, &device, 1, b"cfg-b", 200),
+            unattested(2, 100),
+        ];
+        let snapshot = sealed(TwoTierWeights::flat(), &ops);
         for include in [false, true] {
             let fast = snapshot.entropy_bits(include).unwrap();
-            let report = m.report(include).unwrap();
+            let report = DiversityReport::from_snapshot(&snapshot, include).unwrap();
             assert_eq!(fast.to_bits(), report.entropy_bits.to_bits());
             assert!(!fast.is_sign_negative());
         }
-        let empty = monitor_with_roots(&[&device]);
-        assert!(EpochSnapshot::from_registry(empty.registry(), 0)
-            .entropy_bits(false)
-            .is_err());
-        assert!(empty.report(false).is_err());
+        let empty = sealed(TwoTierWeights::flat(), &[]);
+        assert!(empty.entropy_bits(false).is_err());
+        assert!(DiversityReport::from_snapshot(&empty, false).is_err());
     }
 
     #[test]
     fn unattested_bucket_changes_report() {
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        attest_cycle(&mut m, &device, 0, b"cfg-a", 100);
-        m.ingest_unattested(ReplicaId::new(1), VotingPower::new(100));
-        let without = m.report(false).unwrap();
-        let with = m.report(true).unwrap();
+        let mut verifier = verifier_trusting(&device);
+        let ops = [
+            attest_cycle(&mut verifier, &device, 0, b"cfg-a", 100),
+            unattested(1, 100),
+        ];
+        let snapshot = sealed(TwoTierWeights::flat(), &ops);
+        let without = DiversityReport::from_snapshot(&snapshot, false).unwrap();
+        let with = DiversityReport::from_snapshot(&snapshot, true).unwrap();
         assert_eq!(without.configurations, 1);
         assert_eq!(with.configurations, 2);
         assert!(with.entropy_bits > without.entropy_bits);
@@ -297,18 +247,24 @@ mod tests {
 
     #[test]
     fn snapshot_report_matches_registry_report() {
-        // The monitor's report is the report over a sealed snapshot of its
-        // registry, every field bit for bit, whatever the epoch stamp.
+        // The report over a fleet's sealed snapshot is the report over a
+        // plain registry fed the same ops and sealed in full, every field
+        // bit for bit, whatever the epoch stamp.
         let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
-        let mut m = monitor_with_roots(&[&device]);
-        attest_cycle(&mut m, &device, 0, b"cfg-a", 700);
-        attest_cycle(&mut m, &device, 1, b"cfg-b", 200);
-        attest_cycle(&mut m, &device, 2, b"cfg-a", 50);
-        m.ingest_unattested(ReplicaId::new(3), VotingPower::new(100));
-        let snapshot = EpochSnapshot::from_registry(m.registry(), 1);
+        let mut verifier = verifier_trusting(&device);
+        let ops = [
+            attest_cycle(&mut verifier, &device, 0, b"cfg-a", 700),
+            attest_cycle(&mut verifier, &device, 1, b"cfg-b", 200),
+            attest_cycle(&mut verifier, &device, 2, b"cfg-a", 50),
+            unattested(3, 100),
+        ];
+        let mut registry = AttestedRegistry::new(TwoTierWeights::flat());
+        registry.apply_batch(&ops);
+        let reference = EpochSnapshot::from_registry(&registry, 0);
+        let snapshot = sealed(TwoTierWeights::flat(), &ops);
         for include in [false, true] {
             assert_eq!(
-                outcome(m.report(include)),
+                outcome(DiversityReport::from_snapshot(&reference, include)),
                 outcome(DiversityReport::from_snapshot(&snapshot, include)),
                 "include={include}"
             );
@@ -319,8 +275,6 @@ mod tests {
 
     #[test]
     fn handle_report_matches_snapshot_report_across_seals() {
-        use fi_attest::ChurnOp;
-        use fi_fleet::ShardedFleet;
         // Reports through a cached reader handle are bit-identical to
         // reports over the fleet's served snapshot, and the handle tracks
         // each seal without being recreated.
@@ -383,56 +337,61 @@ mod tests {
         // test name, so the traces are the same on every run.
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The cross-path oracle. A monitor fed quotes and unattested
+        /// The cross-path oracle. Verified quotes and unattested
         /// registrations — re-attestations to another measurement, tier
-        /// flips and zero power included — reports, after every chunk,
-        /// exactly what a `ShardedFleet` at 1 and 4 shards fed the same
-        /// churn as `ChurnOp`s serves once sealed (differentially after the
-        /// first seal), read through a cached reader handle: every field
-        /// bit for bit, with and without the opaque row, errors included —
-        /// an empty monitor errs as an empty fleet's snapshot does.
+        /// flips and zero power included — reach a plain `AttestedRegistry`
+        /// and a `ShardedFleet` at 1 and 4 shards as the same `ChurnOp`s.
+        /// After every chunk, the report over the registry sealed in full
+        /// equals the report the fleet serves once sealed (differentially
+        /// after the first seal), read through a cached reader handle:
+        /// every field bit for bit, with and without the opaque row,
+        /// errors included — an empty registry errs as an empty fleet's
+        /// snapshot does.
         #[test]
         fn monitor_report_equals_the_sealed_fleet_report(
             steps in proptest::collection::vec((0u64..10, 0u8..5, 0u64..200), 0..40),
             chunk in 1usize..8,
             unattested_pct in 0u32..=100,
         ) {
-            use fi_attest::ChurnOp;
-            use fi_fleet::ShardedFleet;
             let weights = TwoTierWeights::new(1.0, f64::from(unattested_pct) / 100.0);
             let device = TrustedDevice::new(DeviceKind::Tpm20, 0);
             for shards in [1usize, 4] {
-                let mut verifier = Verifier::new(AttestationPolicy::discovery());
-                verifier.trust_endorsement(device.endorsement_key());
-                let mut monitor = DiversityMonitor::new(verifier, weights);
+                let mut verifier = verifier_trusting(&device);
+                let mut registry = AttestedRegistry::new(weights);
                 let fleet = ShardedFleet::new(shards, weights);
                 let mut handle = fleet.reader();
+                let reference = |registry: &AttestedRegistry, include| {
+                    outcome(DiversityReport::from_snapshot(
+                        &EpochSnapshot::from_registry(registry, 0),
+                        include,
+                    ))
+                };
                 for include in [false, true] {
                     prop_assert_eq!(
-                        outcome(monitor.report(include)),
+                        reference(&registry, include),
                         outcome(DiversityReport::from_snapshot(handle.get(), include)),
                         "empty, include={}", include
                     );
                 }
                 for (round, ops) in steps.chunks(chunk).enumerate() {
-                    let mut batch = Vec::with_capacity(ops.len());
-                    for &(id, kind, units) in ops {
-                        let (replica, power) = (ReplicaId::new(id), VotingPower::new(units));
-                        if kind < 4 {
-                            let cfg = format!("cfg-{kind}");
-                            attest_cycle(&mut monitor, &device, id, cfg.as_bytes(), units);
-                            batch.push(ChurnOp::attest(replica, sha256(cfg.as_bytes()), power));
-                        } else {
-                            monitor.ingest_unattested(replica, power);
-                            batch.push(ChurnOp::Unattested { replica, power });
-                        }
-                    }
+                    let batch: Vec<ChurnOp> = ops
+                        .iter()
+                        .map(|&(id, kind, units)| {
+                            if kind < 4 {
+                                let cfg = format!("cfg-{kind}");
+                                attest_cycle(&mut verifier, &device, id, cfg.as_bytes(), units)
+                            } else {
+                                unattested(id, units)
+                            }
+                        })
+                        .collect();
+                    registry.apply_batch(&batch);
                     fleet.try_ingest_batch(&batch).unwrap();
                     let sealed = fleet.try_seal_epoch().unwrap();
                     prop_assert_eq!(sealed.parent_hash().is_some(), round > 0, "differential");
                     for include in [false, true] {
                         prop_assert_eq!(
-                            outcome(monitor.report(include)),
+                            reference(&registry, include),
                             outcome(DiversityReport::from_snapshot(handle.get(), include)),
                             "{} shards, epoch {}, include={}", shards, round + 1, include
                         );

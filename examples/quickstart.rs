@@ -1,8 +1,9 @@
 //! Quickstart: the full fault-independence pipeline in one file.
 //!
-//! Builds a configuration space, attests replicas through simulated TPMs,
-//! measures diversity (paper §IV), analyzes correlated-fault resilience
-//! (§II-C), and prints a reconfiguration plan.
+//! Builds a configuration space, attests replicas through simulated TPMs
+//! into a fleet, measures diversity on the sealed epoch (paper §IV),
+//! analyzes correlated-fault resilience (§II-C), and prints a
+//! reconfiguration plan.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -37,7 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let assignment = Assignment::new(space.clone(), entries)?;
 
-    // 3. Configuration discovery via remote attestation (§III-B).
+    // 3. Configuration discovery via remote attestation (§III-B): the
+    //    verifier challenges each replica and checks the quote answering
+    //    it, and only the verified facts reach the fleet, as churn ops.
     let mut verifier = Verifier::new(AttestationPolicy::discovery());
     let mut devices = Vec::new();
     for i in 0..12u64 {
@@ -45,19 +48,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verifier.trust_endorsement(device.endorsement_key());
         devices.push(device);
     }
-    let mut monitor = DiversityMonitor::new(verifier, TwoTierWeights::default());
+    let mut ops = Vec::new();
     for (i, device) in devices.iter().enumerate() {
         let replica = ReplicaId::new(i as u64);
         let config = assignment.configuration_of(replica).expect("assigned");
-        let nonce = monitor.challenge();
+        let nonce = verifier.challenge();
         let aik = device.create_aik(&format!("aik-{i}"));
         let vote_key = KeyPair::from_seed(i as u64).public_key();
         let quote = aik.quote(config.measurement(), nonce, vote_key, SimTime::ZERO);
-        monitor.ingest_quote(replica, &quote, nonce, SimTime::ZERO, VotingPower::new(100))?;
+        verifier.verify(&quote, SimTime::ZERO, Some(nonce))?;
+        ops.push(ChurnOp::from_verified_quote(
+            replica,
+            &quote,
+            VotingPower::new(100),
+        ));
     }
+    let fleet = ShardedFleet::new(1, TwoTierWeights::default());
+    fleet.try_ingest_batch(&ops)?;
 
-    // 4. Quantify diversity (§IV).
-    let report = monitor.report(false)?;
+    // 4. Quantify diversity (§IV) on the sealed epoch.
+    let snapshot = fleet.try_seal_epoch()?;
+    let report = DiversityReport::from_snapshot(&snapshot, false)?;
     println!("\n{report}");
 
     // 5. Resilience against a real vulnerability window (§II-C):

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fault_independence::fi_attest::{
-    AttestationPolicy, DeviceKind, TrustedDevice, TwoTierWeights, Verifier,
+    AttestError, AttestationPolicy, DeviceKind, TrustedDevice, TwoTierWeights, Verifier,
 };
 use fault_independence::fi_bft::harness::{run_cluster, ClusterConfig};
 use fault_independence::fi_config::generator::AssignmentEntry;
@@ -62,20 +62,22 @@ fn minority_partition_does_not_stall_the_majority() {
 #[test]
 fn device_family_revocation_sgx_fail_scenario() {
     // §III-A cites "SoK: SGX.Fail" — a whole device family becomes
-    // untrustworthy. The monitor's policy drops the family; replicas on
+    // untrustworthy. The verifier's policy drops the family; replicas on
     // that family can no longer attest and fall to the unattested tier,
-    // shifting effective power toward provable configurations.
+    // shifting effective power toward provable configurations. One fleet
+    // serves both phases, and the second seals differentially.
     let sgx = TrustedDevice::new(DeviceKind::IntelSgx, 1);
     let tpm = TrustedDevice::new(DeviceKind::Tpm20, 2);
+    let fleet = Arc::new(ShardedFleet::new(2, TwoTierWeights::new(1.0, 0.25)));
+    let serve = ServeConfig {
+        epoch_ticks: 1,
+        ..ServeConfig::default()
+    };
+    let server = FleetServer::new(Arc::clone(&fleet), serve);
 
-    // Phase 1: both families trusted.
-    let mut verifier = Verifier::new(AttestationPolicy::discovery());
-    verifier.trust_endorsement(sgx.endorsement_key());
-    verifier.trust_endorsement(tpm.endorsement_key());
-    let mut monitor = DiversityMonitor::new(verifier, TwoTierWeights::new(1.0, 0.25));
-
-    let attest = |monitor: &mut DiversityMonitor, device: &TrustedDevice, id: u64, m: &[u8]| {
-        let nonce = monitor.challenge();
+    // Verifies a fresh quote over `m` and builds the op it admits.
+    let attest = |verifier: &mut Verifier, device: &TrustedDevice, id: u64, m: &[u8]| {
+        let nonce = verifier.challenge();
         let aik = device.create_aik(&format!("aik-{id}"));
         let quote = aik.quote(
             fault_independence::fi_types::sha256(m),
@@ -83,18 +85,25 @@ fn device_family_revocation_sgx_fail_scenario() {
             KeyPair::from_seed(id).public_key(),
             SimTime::ZERO,
         );
-        monitor.ingest_quote(
+        verifier.verify(&quote, SimTime::ZERO, Some(nonce))?;
+        Ok::<_, AttestError>(ChurnOp::from_verified_quote(
             ReplicaId::new(id),
             &quote,
-            nonce,
-            SimTime::ZERO,
             VotingPower::new(100),
-        )
+        ))
     };
 
-    attest(&mut monitor, &sgx, 0, b"cfg-sgx").unwrap();
-    attest(&mut monitor, &tpm, 1, b"cfg-tpm").unwrap();
-    let before = monitor.report(true).unwrap();
+    // Phase 1: both families trusted.
+    let mut verifier = Verifier::new(AttestationPolicy::discovery());
+    verifier.trust_endorsement(sgx.endorsement_key());
+    verifier.trust_endorsement(tpm.endorsement_key());
+    let ops = vec![
+        attest(&mut verifier, &sgx, 0, b"cfg-sgx").unwrap(),
+        attest(&mut verifier, &tpm, 1, b"cfg-tpm").unwrap(),
+    ];
+    server.submit(ops).unwrap();
+    let first = server.tick().unwrap().expect("every tick seals");
+    let before = DiversityReport::from_snapshot(&first, true).unwrap();
     assert_eq!(before.configurations, 2);
     assert_eq!(before.total_effective_power, VotingPower::new(200));
 
@@ -106,23 +115,33 @@ fn device_family_revocation_sgx_fail_scenario() {
     );
     strict.trust_endorsement(sgx.endorsement_key());
     strict.trust_endorsement(tpm.endorsement_key());
-    let mut monitor2 = DiversityMonitor::new(strict, TwoTierWeights::new(1.0, 0.25));
     // The SGX replica's fresh quote is rejected...
-    let err = attest(&mut monitor2, &sgx, 0, b"cfg-sgx").unwrap_err();
-    assert!(err.to_string().contains("device"));
-    // ...so it re-registers unattested at discounted weight.
-    monitor2.ingest_unattested(ReplicaId::new(0), VotingPower::new(100));
-    attest(&mut monitor2, &tpm, 1, b"cfg-tpm").unwrap();
+    let err = attest(&mut strict, &sgx, 0, b"cfg-sgx").unwrap_err();
+    assert_eq!(err, AttestError::DeviceNotAllowed);
+    // ...so it re-registers unattested at discounted weight, on the same
+    // fleet, and its row flips tier in place.
+    let ops = vec![
+        ChurnOp::Unattested {
+            replica: ReplicaId::new(0),
+            power: VotingPower::new(100),
+        },
+        attest(&mut strict, &tpm, 1, b"cfg-tpm").unwrap(),
+    ];
+    server.submit(ops).unwrap();
+    let second = server.tick().unwrap().expect("every tick seals");
+    assert_eq!(
+        second.parent_hash(),
+        Some(first.content_hash()),
+        "differential"
+    );
 
-    let after = monitor2.report(true).unwrap();
+    let after = DiversityReport::from_snapshot(&second, true).unwrap();
     // Effective power: 100 (TPM, full) + 25 (SGX, discounted) = 125;
     // the attested TPM replica now dominates the distribution.
     assert_eq!(after.total_effective_power, VotingPower::new(125));
     assert!(after.worst_configuration_share > 0.79);
-    let sgx_row = monitor2
-        .registry()
-        .devices()
-        .find(|d| d.replica == ReplicaId::new(0));
+    let served = fleet.snapshot();
+    let sgx_row = served.devices().find(|d| d.replica == ReplicaId::new(0));
     assert_eq!(
         sgx_row.map(|d| d.tier()),
         Some(fault_independence::fi_attest::ReplicaTier::Unattested)

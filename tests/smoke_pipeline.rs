@@ -1,9 +1,10 @@
 //! Workspace smoke test: the paper's end-to-end pipeline on a 12-replica
 //! toy deployment.
 //!
-//! attest (§III-B) → entropy report (§IV) → resilience analysis against the
-//! §II-C safety condition `f ≥ Σ_i f^i_t` → recommendation (§III-A). If
-//! this passes, every layer of the workspace is wired together correctly.
+//! attest (§III-B) → sealed fleet → entropy report (§IV) → resilience
+//! analysis against the §II-C safety condition `f ≥ Σ_i f^i_t` →
+//! recommendation (§III-A). If this passes, every layer of the workspace
+//! is wired together correctly.
 
 use fault_independence::fi_attest::{
     AttestationPolicy, DeviceKind, TrustedDevice, TwoTierWeights, Verifier,
@@ -40,34 +41,35 @@ fn end_to_end_pipeline_on_toy_assignment() {
             device
         })
         .collect();
-    let mut monitor = DiversityMonitor::new(verifier, TwoTierWeights::flat());
-
+    let fleet = ShardedFleet::new(1, TwoTierWeights::flat());
+    let mut ops = Vec::new();
     for i in 0..REPLICAS {
         let replica = ReplicaId::new(i);
         let config = assignment
             .configuration_of(replica)
             .expect("replica is assigned");
-        let nonce = monitor.challenge();
+        let nonce = verifier.challenge();
         let quote = devices[i as usize].create_aik("aik").quote(
             config.measurement(),
             nonce,
             KeyPair::from_seed(i).public_key(),
             SimTime::from_secs(1),
         );
-        monitor
-            .ingest_quote(
-                replica,
-                &quote,
-                nonce,
-                SimTime::from_secs(1),
-                VotingPower::new(POWER_EACH),
-            )
+        verifier
+            .verify(&quote, SimTime::from_secs(1), Some(nonce))
             .expect("fresh quote from a trusted device verifies");
+        ops.push(ChurnOp::from_verified_quote(
+            replica,
+            &quote,
+            VotingPower::new(POWER_EACH),
+        ));
     }
+    fleet.try_ingest_batch(&ops).expect("in-memory ingest");
 
     // --- Diversity quantification: 12 replicas on 12 distinct configs is
     // kappa-optimal with log2(12) bits of configuration entropy. ---
-    let diversity = monitor.report(false).expect("registry is non-empty");
+    let snapshot = fleet.try_seal_epoch().expect("in-memory seal");
+    let diversity = DiversityReport::from_snapshot(&snapshot, false).expect("fleet is non-empty");
     assert_eq!(diversity.replicas, REPLICAS as usize);
     assert_eq!(diversity.configurations, 12);
     assert!(
