@@ -28,6 +28,8 @@
 //! committee against only the churned candidates so steady-state
 //! re-selection is O(k · churn). Every engine is held, member for member,
 //! to the naive per-candidate fold, `greedy::greedy_diverse_naive`.
+//! [`radix`] is the stable radix sort a differential seal orders its
+//! staged churn with: the index's rows and the churned replica ids.
 //!
 //! ## Example
 //!
@@ -58,6 +60,7 @@ pub mod candidate;
 pub mod capping;
 pub mod greedy;
 pub mod pruned;
+pub mod radix;
 pub mod twotier;
 pub mod warm;
 
