@@ -29,10 +29,13 @@
 //! [`CanonicalDelta`] is read once per seal: its bucket rows in digest
 //! order and its sums a pure function of the net churn, and its roster the
 //! shards' rows as drained, each shard's with the handle table its handles
-//! name. A seal reads those rows where they lie, through
-//! [`CanonicalDelta::roster`], which resolves each into a [`RosterChange`]
-//! as it reaches it, and never in an order, because a patch places each
-//! row by its own key.
+//! name. A seal reads those rows where they lie, in one walk
+//! ([`CanonicalDelta::walk`]) that resolves an input's bucket handles
+//! through a mapping the seal supplies, once per handle on the first row
+//! that names it, into a memo of one slot per handle in the input's table;
+//! and never in an order, because a patch places each row by its own key.
+//! [`CanonicalDelta::roster`] is that walk with the identity mapping, each
+//! row rebuilt as a [`RosterChange`].
 //!
 //! Three properties make the patch exact:
 //!
@@ -79,7 +82,7 @@ pub(crate) const GONE: u32 = u32::MAX - 1;
 /// covers, as [`CanonicalDelta::roster`] resolves them. A device registered
 /// and deregistered inside the span has neither; one rewritten to identical
 /// content has two equal rows. No delta stores this form: it is built per
-/// row, `after` from a 24-byte row and its drain's handle table.
+/// row from a [`TouchedRow`] whose bucket the identity mapping resolved.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RosterChange {
     /// The device's row when the span began (the last drain): `None` if it
@@ -88,6 +91,43 @@ pub struct RosterChange {
     /// The device's row when the span ended (the cut): `None` if it is not
     /// registered. Last write wins.
     pub after: Option<RegisteredDevice>,
+}
+
+/// One touched device as [`CanonicalDelta::walk`] yields it: the row it
+/// held at the last drain, kept whole, and its row at the cut, whose
+/// bucket the walk's mapping resolved.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TouchedRow<'a, T> {
+    /// The touched device.
+    pub replica: ReplicaId,
+    /// The device's row when the span began (the last drain): `None` if it
+    /// was not registered then. First touch wins.
+    pub before: Option<&'a RegisteredDevice>,
+    /// The device's row when the span ended (the cut). Last write wins.
+    pub after: AfterRow<'a, T>,
+}
+
+/// A touched device's row at the cut, as [`CanonicalDelta::walk`] resolves
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AfterRow<'a, T> {
+    /// Not registered at the cut.
+    Gone,
+    /// Registered in the unattested tier at this raw power.
+    Unattested(VotingPower),
+    /// Registered under `measurement` at raw `power`.
+    Attested {
+        /// The measurement the row's bucket handle names.
+        measurement: &'a Digest,
+        /// What the walk's mapping made of `measurement`.
+        bucket: T,
+        /// Raw power at the cut.
+        power: VotingPower,
+    },
+    /// The row names this bucket handle, which its input's handle table
+    /// does not hold. No drain produces this: a registry copies the table
+    /// whole.
+    Dangling(u32),
 }
 
 /// One touched device's row in a delta: 24 bytes.
@@ -195,32 +235,83 @@ struct DrainedRoster {
 }
 
 impl DrainedRoster {
-    /// The touched devices in first-touch order, each with the row it held
-    /// at the previous drain (first touch wins) and its row at this one
-    /// (last write wins), the bucket handle resolved against the handle
-    /// table.
-    fn resolved(&self) -> impl Iterator<Item = (ReplicaId, RosterChange)> + '_ {
-        let mut before = self.before.iter().peekable();
-        self.rows.iter().enumerate().map(move |(at, row)| {
-            let before = before.next_if(|&&(p, _)| p == at).map(|&(_, d)| d);
-            let after = (row.bucket != GONE).then(|| RegisteredDevice {
-                replica: row.replica,
-                measurement: (row.bucket != UNATTESTED).then(|| {
-                    *self
-                        .measurements
-                        .get(row.bucket as usize)
-                        .expect("the drain copied the handle table its rows name")
-                }),
-                power: row.power,
-            });
-            (row.replica, RosterChange { before, after })
-        })
-    }
-
     fn heap_bytes(&self) -> usize {
         self.rows.capacity() * size_of::<DeltaRow>()
             + self.before.capacity() * size_of::<(usize, RegisteredDevice)>()
             + self.measurements.capacity() * size_of::<Digest>()
+    }
+}
+
+/// The input a [`Walk`] starts on, before it reaches the first real one.
+static NO_ROWS: DrainedRoster = DrainedRoster {
+    rows: Vec::new(),
+    before: Vec::new(),
+    names_handles: false,
+    measurements: Vec::new(),
+};
+
+/// [`CanonicalDelta::walk`]'s iterator: a cursor into one input's rows and
+/// `before` rows, and the input's handle → `T` memo.
+struct Walk<'a, T, F> {
+    /// The inputs not yet reached.
+    inputs: std::slice::Iter<'a, DrainedRoster>,
+    /// The input being walked.
+    input: &'a DrainedRoster,
+    /// The position in `input.rows` of the next row.
+    at: usize,
+    /// The position in `input.before` of the next `before` row.
+    before: usize,
+    /// What `resolve` made of each of `input`'s handles, `None` until a
+    /// row names it.
+    memo: Vec<Option<T>>,
+    resolve: F,
+}
+
+impl<'a, T: Copy, F: FnMut(&Digest) -> T> Iterator for Walk<'a, T, F> {
+    type Item = TouchedRow<'a, T>;
+
+    fn next(&mut self) -> Option<TouchedRow<'a, T>> {
+        let input = loop {
+            if self.at < self.input.rows.len() {
+                break self.input;
+            }
+            self.input = self.inputs.next()?;
+            (self.at, self.before) = (0, 0);
+            self.memo.clear();
+            self.memo.resize(self.input.measurements.len(), None);
+        };
+        let at = self.at;
+        let row = input.rows[at];
+        self.at += 1;
+        let before = match input.before.get(self.before) {
+            Some((p, device)) if *p == at => {
+                self.before += 1;
+                Some(device)
+            }
+            _ => None,
+        };
+        let after = match row.bucket {
+            GONE => AfterRow::Gone,
+            UNATTESTED => AfterRow::Unattested(row.power),
+            handle => match input.measurements.get(handle as usize) {
+                Some(measurement) => {
+                    let resolve = &mut self.resolve;
+                    let bucket =
+                        *self.memo[handle as usize].get_or_insert_with(|| resolve(measurement));
+                    AfterRow::Attested {
+                        measurement,
+                        bucket,
+                        power: row.power,
+                    }
+                }
+                None => AfterRow::Dangling(handle),
+            },
+        };
+        Some(TouchedRow {
+            replica: row.replica,
+            before,
+            after,
+        })
     }
 }
 
@@ -467,12 +558,61 @@ impl CanonicalDelta {
     }
 
     /// The touched devices in drain order with their roster row before and
-    /// after, each `after` resolved from its 24-byte row and its input's
-    /// handle table as the iterator reaches it: what a seal stages its
-    /// departures and arrivals from. The replica ids alone are the churn
+    /// after — the [`walk`](Self::walk) with the identity mapping, each
+    /// `after` rebuilt as a whole row. The replica ids alone are the churn
     /// set a warm-started committee re-selection must re-evaluate.
+    ///
+    /// # Panics
+    ///
+    /// On a row whose bucket handle its input's handle table does not hold
+    /// ([`AfterRow::Dangling`]), which no drain produces.
     pub fn roster(&self) -> impl Iterator<Item = (ReplicaId, RosterChange)> + '_ {
-        self.inputs.iter().flat_map(DrainedRoster::resolved)
+        self.walk(|&m| m).map(|row| {
+            let replica = row.replica;
+            let device = |measurement, power| RegisteredDevice {
+                replica,
+                measurement,
+                power,
+            };
+            let after = match row.after {
+                AfterRow::Gone => None,
+                AfterRow::Unattested(power) => Some(device(None, power)),
+                AfterRow::Attested { bucket, power, .. } => Some(device(Some(bucket), power)),
+                AfterRow::Dangling(handle) => {
+                    panic!("{replica} names bucket handle {handle}, which its drain lacks")
+                }
+            };
+            let before = row.before.copied();
+            (replica, RosterChange { before, after })
+        })
+    }
+
+    /// The touched devices in drain order, input by input, each with the
+    /// row it held at the previous drain and its row at the cut: what a
+    /// seal stages its departures and arrivals from. This is the one read
+    /// of the drained rows.
+    ///
+    /// An `after` row names its bucket by handle, and `resolve` maps the
+    /// measurement behind a handle to what the caller keys buckets by —
+    /// once per handle an input's rows name, on the first row that names
+    /// it; every later row naming the handle reads the answer from a memo
+    /// of one slot per handle in the input's table, reset between inputs,
+    /// because each shard issues its own handles. A handle no row names
+    /// costs its slot and no call. The `before` rows keep their
+    /// measurement and are not resolved: a departed device's bucket may
+    /// have died since, and its handle been recycled.
+    pub fn walk<T: Copy>(
+        &self,
+        resolve: impl FnMut(&Digest) -> T,
+    ) -> impl Iterator<Item = TouchedRow<'_, T>> {
+        Walk {
+            inputs: self.inputs.iter(),
+            input: &NO_ROWS,
+            at: 0,
+            before: 0,
+            memo: Vec::new(),
+            resolve,
+        }
     }
 
     /// The signed opaque-power delta, in power units.
@@ -598,5 +738,96 @@ mod tests {
     #[test]
     fn a_delta_row_is_three_words() {
         assert_eq!(size_of::<DeltaRow>(), 24);
+    }
+
+    /// A drained delta whose rows name `handles` in order, each device
+    /// arriving at power 1 with no `before` row, over `table`.
+    fn drained(first: u64, handles: &[u32], table: &[Digest]) -> ChurnDelta {
+        let mut d = ChurnDelta::default();
+        for (id, &handle) in (first..).zip(handles) {
+            d.record_roster(ReplicaId::new(id), None, VotingPower::new(1), handle);
+        }
+        d.resolve_with(|| table.to_vec());
+        d
+    }
+
+    #[test]
+    fn the_walk_resolves_each_handle_once_per_input_against_its_own_table() {
+        // Handle 0 names a different measurement in each input, and handle
+        // 2 of the first input's table is named by no row.
+        let [a, b, c, x] = [b"a", b"b", b"c", b"x"].map(sha256);
+        let delta = CanonicalDelta::merge(vec![
+            drained(0, &[0, 1, 0, UNATTESTED, 1, 0], &[a, b, x]),
+            drained(20, &[0, GONE, 0], &[c]),
+            drained(30, &[], &[]),
+        ]);
+        let mut calls = Vec::new();
+        let walked: Vec<_> = delta
+            .walk(|m| {
+                calls.push(*m);
+                m.as_bytes()[0]
+            })
+            .map(|row| match row.after {
+                AfterRow::Attested {
+                    measurement,
+                    bucket,
+                    ..
+                } => {
+                    assert_eq!(bucket, measurement.as_bytes()[0]);
+                    (row.replica.as_u64(), Some(*measurement))
+                }
+                _ => (row.replica.as_u64(), None),
+            })
+            .collect();
+        assert_eq!(calls, [a, b, c], "one call per handle a row names");
+        assert_eq!(
+            walked,
+            [
+                (0, Some(a)),
+                (1, Some(b)),
+                (2, Some(a)),
+                (3, None),
+                (4, Some(b)),
+                (5, Some(a)),
+                (20, Some(c)),
+                (21, None),
+                (22, Some(c)),
+            ]
+        );
+        let roster: Vec<_> = delta.roster().map(|(_, c)| c.after).collect();
+        assert_eq!(roster[0].unwrap().measurement, Some(a));
+        assert_eq!(roster[3].unwrap().measurement, None);
+        assert_eq!(roster[6].unwrap().measurement, Some(c));
+        assert_eq!(roster[7], None);
+    }
+
+    #[test]
+    fn a_handle_outside_its_inputs_table_walks_as_dangling() {
+        let a = sha256(b"a");
+        // Past the end of its table, and named with no table copied.
+        let mut unresolved = ChurnDelta::default();
+        unresolved.record_roster(ReplicaId::new(9), None, VotingPower::new(1), 0);
+        let delta = CanonicalDelta::merge(vec![drained(0, &[0, 1], &[a]), unresolved]);
+        let mut calls = 0;
+        let after: Vec<_> = delta
+            .walk(|_| calls += 1)
+            .map(|row| (row.replica.as_u64(), row.after))
+            .collect();
+        assert_eq!(calls, 1);
+        assert_eq!(
+            after,
+            [
+                (
+                    0,
+                    AfterRow::Attested {
+                        measurement: &a,
+                        bucket: (),
+                        power: VotingPower::new(1)
+                    }
+                ),
+                (1, AfterRow::Dangling(1)),
+                (9, AfterRow::Dangling(0)),
+            ]
+        );
     }
 }

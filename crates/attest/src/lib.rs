@@ -81,7 +81,7 @@ pub mod verifier;
 
 pub use churn::ChurnOp;
 pub use commitment::ConfigCommitment;
-pub use delta::{BucketDelta, CanonicalDelta, ChurnDelta, RosterChange};
+pub use delta::{AfterRow, BucketDelta, CanonicalDelta, ChurnDelta, RosterChange, TouchedRow};
 pub use device::{AttestationKey, DeviceKind, TrustedDevice};
 pub use error::AttestError;
 pub use quote::Quote;
@@ -94,7 +94,9 @@ pub use verifier::{AttestationPolicy, Verifier};
 pub mod prelude {
     pub use crate::churn::ChurnOp;
     pub use crate::commitment::ConfigCommitment;
-    pub use crate::delta::{BucketDelta, CanonicalDelta, ChurnDelta, RosterChange};
+    pub use crate::delta::{
+        AfterRow, BucketDelta, CanonicalDelta, ChurnDelta, RosterChange, TouchedRow,
+    };
     pub use crate::device::{AttestationKey, DeviceKind, TrustedDevice};
     pub use crate::error::AttestError;
     pub use crate::quote::Quote;

@@ -57,11 +57,14 @@
 //! slices. The rest follows churn, and reads nothing of the old roster nor
 //! any order of the delta's: each touched device arrives with the row it
 //! had at the last cut and the row it has now
-//! ([`RosterChange`](fi_attest::RosterChange), the new row resolved from
-//! its shard's 24-byte delta row and handle table as the seal reaches it),
-//! so its departure is staged from the one and its arrival from the other,
-//! each resolved to a bucket slot by one probe of a per-seal table keyed
-//! by the measurement's leading byte. No device row or churned id is
+//! ([`TouchedRow`](fi_attest::TouchedRow), walked by
+//! [`CanonicalDelta::walk`]), so its departure is staged from the one and
+//! its arrival from the other. Both resolve to a bucket slot through a
+//! per-seal table keyed by the measurement's leading byte: a departure,
+//! which keeps its measurement, by one probe; an arrival, which names its
+//! bucket by its shard's handle, through the walk's memo, which probes
+//! once per handle a shard's rows name — a dozen probes a shard at the
+//! benchmark's shapes, not one a device. No device row or churned id is
 //! ordered by a comparison sort: the selection index orders the staged
 //! rows by one stable radix sort — a pass per digit of up to 11 bits that
 //! holds a key bit varying among them, then a counting pass by list — and
@@ -97,7 +100,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use fi_attest::{
-    device_row_digest, AttestedRegistry, CanonicalDelta, RegisteredDevice, TwoTierWeights,
+    device_row_digest, AfterRow, AttestedRegistry, CanonicalDelta, RegisteredDevice, TwoTierWeights,
 };
 use fi_committee::{
     radix, two_tier_weighted, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport,
@@ -399,16 +402,17 @@ impl EpochSnapshot {
     /// and index rebuild a full `build` pays.
     /// The delta's rows are read as they come and where they lie —
     /// buckets sorted by digest, devices in each shard's drained rows
-    /// ([`CanonicalDelta::roster`]) — and only the churned replica ids are
+    /// ([`CanonicalDelta::walk`]) — and only the churned replica ids are
     /// ordered here, by the radix sort the index orders its staged rows
     /// with, in O(touched · D) for D 11-bit digits that hold a varying id
     /// bit. Structural work is O(changed): dirty buckets are
     /// located by a merge walk, and each touched device is staged straight
     /// from its delta row — its departure from the row it had at the last
-    /// cut, in this snapshot's slot layout, its arrival from the row it has
-    /// now, in the patched one — each resolved to a slot by one probe of a
-    /// per-seal table; this snapshot's roster is not read for it. The rest
-    /// is the copy, and there is **one table** to copy:
+    /// cut, in this snapshot's slot layout, resolved to a slot by one probe
+    /// of a per-seal table, its arrival from the row it has now, in the
+    /// patched one, through the walk's memo, which probes that table once
+    /// per bucket handle a shard's rows name; this snapshot's roster is not
+    /// read for it. The rest is the copy, and there is **one table** to copy:
     /// [`PrunedRoster::patch_dense`] writes the selection index — which is
     /// the roster, 16 B a device — list by list, untouched runs as slices.
     /// The replica-sorted view is not built here (see
@@ -438,7 +442,8 @@ impl EpochSnapshot {
     /// opaque power negative, a new bucket arriving without members, an
     /// overflow past the integer domains, a replica listed twice (two
     /// shards drained it), a device row citing a measurement with no bucket
-    /// on its side of the patch, a `before` row that is not the row this
+    /// on its side of the patch, an `after` row naming a bucket handle its
+    /// shard's handle table lacks, a `before` row that is not the row this
     /// snapshot holds for the device (wrong power, wrong bucket, never
     /// registered), a bucket dying with devices still in it, or a bucket
     /// whose devices no longer add up to its member count. `self` is never
@@ -568,41 +573,58 @@ impl EpochSnapshot {
         // 3. Stage the touched devices — departures from `before`, in this
         //    snapshot's slot layout, arrivals from `after`, in the patched
         //    one — and write the next roster from this one in one pass, its
-        //    slots removed and inserted where the buckets' were. A device
+        //    slots removed and inserted where the buckets' were. A departure
+        //    keeps its measurement and is probed by it; an arrival names its
+        //    bucket by handle, and the walk resolves each shard's handles
+        //    to a patched slot once each, through the same table. A device
         //    registered and gone again within the epoch has neither row and
         //    is only listed as churned. The churned ids are the one thing
         //    ordered here: shards own disjoint devices, so an id drained
         //    twice is a routing bug, refused here rather than merged.
         let slots_of = SlotTable::new(slots_of);
         let opaque_slot = [old_buckets.len(), buckets.len()];
-        let staged = |replica: ReplicaId, d: &RegisteredDevice, side: usize| {
-            let slot = match d.measurement {
-                None => opaque_slot[side],
-                Some(m) => match slots_of.get(&m) {
-                    Some(slots) if slots[side] != usize::MAX => slots[side],
-                    _ => {
-                        let side = ["previous", "patched"][side];
-                        return Err(unchained(format!(
-                            "touched device {replica} cites measurement {m} with no {side} bucket"
-                        )));
-                    }
-                },
-            };
-            let attested = d.measurement.is_some();
-            Ok(Candidate::new(replica, d.power, slot, attested))
+        let no_bucket = |replica: ReplicaId, m: &Digest, side: &str| {
+            unchained(format!(
+                "touched device {replica} cites measurement {m} with no {side} bucket"
+            ))
         };
         let touched = delta.touched_devices();
         let mut churned: Vec<ReplicaId> = Vec::with_capacity(touched);
         let mut departed: Vec<Candidate> = Vec::with_capacity(touched);
         let mut arrivals: Vec<Candidate> = Vec::with_capacity(touched);
-        for (replica, change) in delta.roster() {
+        for row in delta.walk(|m| slots_of.get(m).map(|slots| slots[NEW])) {
+            let replica = row.replica;
             churned.push(replica);
-            if let Some(d) = &change.before {
-                departed.push(staged(replica, d, OLD)?);
+            if let Some(d) = row.before {
+                let slot = match d.measurement {
+                    None => opaque_slot[OLD],
+                    Some(m) => match slots_of.get(&m) {
+                        Some(slots) if slots[OLD] != usize::MAX => slots[OLD],
+                        _ => return Err(no_bucket(replica, &m, "previous")),
+                    },
+                };
+                let attested = d.measurement.is_some();
+                departed.push(Candidate::new(replica, d.power, slot, attested));
             }
-            if let Some(d) = &change.after {
-                arrivals.push(staged(replica, d, NEW)?);
-            }
+            let (slot, power, attested) = match row.after {
+                AfterRow::Gone => continue,
+                AfterRow::Unattested(power) => (opaque_slot[NEW], power, false),
+                AfterRow::Attested {
+                    measurement,
+                    bucket,
+                    power,
+                } => match bucket {
+                    Some(slot) if slot != usize::MAX => (slot, power, true),
+                    _ => return Err(no_bucket(replica, measurement, "patched")),
+                },
+                AfterRow::Dangling(handle) => {
+                    return Err(unchained(format!(
+                        "touched device {replica} names bucket handle {handle}, \
+                         which its shard's handle table lacks"
+                    )));
+                }
+            };
+            arrivals.push(Candidate::new(replica, power, slot, attested));
         }
         order_replicas(&mut churned);
         if let Some(twice) = churned.windows(2).find(|w| w[0] == w[1]) {
@@ -873,7 +895,7 @@ impl EpochSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_attest::ChurnOp;
+    use fi_attest::{ChurnDelta, ChurnOp};
     use fi_committee::greedy::greedy_diverse_naive;
     use fi_types::sha256;
     use rand::SeedableRng;
@@ -1128,6 +1150,59 @@ mod tests {
             let rebuilt = EpochSnapshot::from_registry(&reg, 2);
             assert_eq!(patched.content_hash(), rebuilt.content_hash());
             assert_eq!(patched.candidates(), rebuilt.candidates());
+        }
+    }
+
+    #[test]
+    fn forged_after_rows_are_corrupt_deltas_and_leave_the_snapshot_serving() {
+        // An arrival's handle resolves to its measurement, and that to a
+        // patched bucket slot. Here a stray shard's drain, merged after the
+        // real one, takes the measurement's bucket away, so the arrival
+        // cites a measurement the patched buckets lack.
+        let leave = |id: u64| ChurnOp::Deregister {
+            replica: ReplicaId::new(id),
+        };
+        let stray = |held: &[ChurnOp], churn: &[ChurnOp]| {
+            let mut reg = registry_with(held);
+            let _ = reg.take_delta();
+            reg.apply_batch(churn);
+            reg.take_delta()
+        };
+        // (the real arrival, the stray shard's delta, the measurement cited)
+        let cases: [(ChurnOp, ChurnDelta, &[u8]); 2] = [
+            // A bucket born and netted to nothing: on neither side.
+            (
+                attest(4, b"cfg-x", 60),
+                stray(&[attest(20, b"cfg-x", 60)], &[leave(20)]),
+                b"cfg-x",
+            ),
+            // cfg-b's two members (power 40) and as much as the arrival
+            // brings leave: the bucket dies in the patch.
+            (
+                attest(6, b"cfg-b", 25),
+                stray(
+                    &[
+                        attest(20, b"cfg-b", 40),
+                        attest(21, b"cfg-b", 25),
+                        attest(22, b"cfg-b", 0),
+                    ],
+                    &[leave(20), leave(21), leave(22)],
+                ),
+                b"cfg-b",
+            ),
+        ];
+        for (arrival, stray, cited) in cases {
+            let mut reg = registry_with(&forgery_base());
+            let snap = EpochSnapshot::from_registry(&reg, 1);
+            let _ = reg.take_delta();
+            reg.apply(&arrival);
+            let delta = CanonicalDelta::merge(vec![reg.take_delta(), stray]);
+            let why = format!(
+                "touched device {} cites measurement {} with no patched bucket",
+                arrival.replica(),
+                sha256(cited)
+            );
+            assert_refused(&snap, &delta, &why);
         }
     }
 

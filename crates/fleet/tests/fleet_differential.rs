@@ -446,6 +446,62 @@ fn untouched_rows_follow_their_slot_through_bucket_births_and_deaths() {
     }
 }
 
+/// Each shard issues its own bucket handles and recycles a dead bucket's,
+/// and a differential seal resolves each shard's handles once, against that
+/// shard's table. Here, in one epoch, `old` dies: in shard 0 (of 4) its one
+/// member leaves and `new` takes its handle, in shard 1 another member moves
+/// to `keep`, and devices in both shards land on `new`. So handle 0 names
+/// `new` in shard 0's table and `keep` in shard 1's, and shard 1's `new`
+/// sits on `old`'s recycled handle 1 — as does the one shard's `new` at
+/// 1 shard. Every seal after the first is differential and is held to the
+/// oracle bit for bit.
+#[test]
+fn recycled_handles_resolve_against_their_own_shards_table() {
+    let [old, keep, new, other] =
+        ["old", "keep", "new", "other"].map(|m| sha256(format!("recycle-cfg-{m}").as_bytes()));
+    let attest =
+        |id: u64, m, power: u64| ChurnOp::attest(ReplicaId::new(id), m, VotingPower::new(power));
+    let leave = |id: u64| ChurnOp::Deregister {
+        replica: ReplicaId::new(id),
+    };
+    let chain = [
+        vec![
+            attest(0, old, 10),
+            attest(4, keep, 20),
+            attest(1, keep, 30),
+            attest(13, old, 40),
+            attest(5, keep, 50),
+            attest(2, other, 60),
+            ChurnOp::Unattested {
+                replica: ReplicaId::new(3),
+                power: VotingPower::new(70),
+            },
+        ],
+        vec![
+            leave(0),
+            attest(13, keep, 45),
+            attest(8, new, 80),
+            attest(9, new, 90),
+            attest(5, keep, 55),
+            attest(4, new, 25),
+        ],
+        // `new` dies in shard 1 and `old` comes back on its handle.
+        vec![leave(9), attest(17, old, 15), attest(1, keep, 35)],
+    ];
+    for shards in [1, 4] {
+        let fleet = ShardedFleet::with_reanchor_interval(shards, weights(), 0);
+        let mut oracle = AttestedRegistry::new(weights());
+        for batch in &chain {
+            fleet.try_ingest_batch(batch).unwrap();
+            oracle.apply_batch(batch);
+            let snap = fleet.try_seal_epoch().unwrap();
+            assert_eq!(snap.parent_hash().is_none(), snap.epoch() == 1);
+            assert_snapshot_matches_oracle(&snap, &oracle, shards)
+                .unwrap_or_else(|e| panic!("epoch {} at {shards} shards: {e:?}", snap.epoch()));
+        }
+    }
+}
+
 /// A snapshot keeps no replica-sorted table: `candidates()` / `devices()`
 /// are derived from the selection index on first use. So the derivation
 /// must not lean on anything a previous snapshot materialised — here
