@@ -5,8 +5,8 @@
 //! [`AttestedRegistry`](crate::AttestedRegistry) accumulates, alongside its
 //! incremental buckets, the *net* effect of every mutation since the delta
 //! was last drained — dirty measurement buckets with signed power and
-//! member-count deltas, every touched device's roster row before and after
-//! ([`RosterChange`]), the net change to the roster's row-digest aggregate,
+//! member-count deltas, every touched device's roster row before and after,
+//! the net change to the roster's row-digest aggregate,
 //! and the signed opaque-power delta. A sealer drains each shard's delta at
 //! the epoch cut
 //! ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
@@ -34,8 +34,6 @@
 //! through a mapping the seal supplies, once per handle on the first row
 //! that names it, into a memo of one slot per handle in the input's table;
 //! and never in an order, because a patch places each row by its own key.
-//! [`CanonicalDelta::roster`] is that walk with the identity mapping, each
-//! row rebuilt as a [`RosterChange`].
 //!
 //! Three properties make the patch exact:
 //!
@@ -77,21 +75,6 @@ pub(crate) const UNATTESTED: u32 = u32::MAX;
 /// The bucket handle of a delta row whose device is not registered at the
 /// cut. No bucket is issued it.
 pub(crate) const GONE: u32 = u32::MAX - 1;
-
-/// One touched device's roster rows at the two ends of the span a delta
-/// covers, as [`CanonicalDelta::roster`] resolves them. A device registered
-/// and deregistered inside the span has neither; one rewritten to identical
-/// content has two equal rows. No delta stores this form: it is built per
-/// row from a [`TouchedRow`] whose bucket the identity mapping resolved.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RosterChange {
-    /// The device's row when the span began (the last drain): `None` if it
-    /// was not registered then. First touch wins.
-    pub before: Option<RegisteredDevice>,
-    /// The device's row when the span ended (the cut): `None` if it is not
-    /// registered. Last write wins.
-    pub after: Option<RegisteredDevice>,
-}
 
 /// One touched device as [`CanonicalDelta::walk`] yields it: the row it
 /// held at the last drain, kept whole, and its row at the cut, whose
@@ -495,7 +478,8 @@ impl ChurnDelta {
 /// ordering and uniqueness below hold for every value of this type.
 ///
 /// Two deltas are equal when they say the same: the same bucket rows, sums
-/// and resolved [`roster`](Self::roster), whichever handles name it.
+/// and touched rows in drain order, each `after` row by the measurement
+/// its handle names, whichever handle that is.
 #[derive(Debug, Clone, Default)]
 pub struct CanonicalDelta {
     /// Dirty buckets sorted by measurement digest, one row per digest,
@@ -557,36 +541,6 @@ impl CanonicalDelta {
         self.inputs.iter().map(|input| input.rows.len()).sum()
     }
 
-    /// The touched devices in drain order with their roster row before and
-    /// after — the [`walk`](Self::walk) with the identity mapping, each
-    /// `after` rebuilt as a whole row. The replica ids alone are the churn
-    /// set a warm-started committee re-selection must re-evaluate.
-    ///
-    /// # Panics
-    ///
-    /// On a row whose bucket handle its input's handle table does not hold
-    /// ([`AfterRow::Dangling`]), which no drain produces.
-    pub fn roster(&self) -> impl Iterator<Item = (ReplicaId, RosterChange)> + '_ {
-        self.walk(|&m| m).map(|row| {
-            let replica = row.replica;
-            let device = |measurement, power| RegisteredDevice {
-                replica,
-                measurement,
-                power,
-            };
-            let after = match row.after {
-                AfterRow::Gone => None,
-                AfterRow::Unattested(power) => Some(device(None, power)),
-                AfterRow::Attested { bucket, power, .. } => Some(device(Some(bucket), power)),
-                AfterRow::Dangling(handle) => {
-                    panic!("{replica} names bucket handle {handle}, which its drain lacks")
-                }
-            };
-            let before = row.before.copied();
-            (replica, RosterChange { before, after })
-        })
-    }
-
     /// The touched devices in drain order, input by input, each with the
     /// row it held at the previous drain and its row at the cut: what a
     /// seal stages its departures and arrivals from. This is the one read
@@ -634,7 +588,7 @@ impl PartialEq for CanonicalDelta {
         self.buckets == other.buckets
             && self.opaque == other.opaque
             && self.rows == other.rows
-            && self.roster().eq(other.roster())
+            && self.walk(|&m| m).eq(other.walk(|&m| m))
     }
 }
 
@@ -693,10 +647,6 @@ mod tests {
         assert!(CanonicalDelta::merge(vec![a, b]).buckets().is_empty());
     }
 
-    fn change(before: Option<RegisteredDevice>, after: Option<RegisteredDevice>) -> RosterChange {
-        RosterChange { before, after }
-    }
-
     #[test]
     fn roster_is_last_write_wins_and_sorted() {
         // One row per touched device, in first-touch order — the merge
@@ -716,11 +666,19 @@ mod tests {
             GONE,
         );
         assert_eq!(d.touched_devices(), 2);
+        let delta = CanonicalDelta::merge(vec![d]);
         assert_eq!(
-            CanonicalDelta::merge(vec![d]).roster().collect::<Vec<_>>(),
+            delta
+                .walk(|&m| m)
+                .map(|row| (row.replica, row.before.copied(), row.after))
+                .collect::<Vec<_>>(),
             [
-                (ReplicaId::new(9), change(Some(dev(9, 5)), None)),
-                (ReplicaId::new(2), change(None, Some(dev(2, 20)))),
+                (ReplicaId::new(9), Some(dev(9, 5)), AfterRow::Gone),
+                (
+                    ReplicaId::new(2),
+                    None,
+                    AfterRow::Unattested(VotingPower::new(20))
+                ),
             ],
             "deregistrations keep their row, and the row the first touch displaced"
         );
@@ -794,11 +752,14 @@ mod tests {
                 (22, Some(c)),
             ]
         );
-        let roster: Vec<_> = delta.roster().map(|(_, c)| c.after).collect();
-        assert_eq!(roster[0].unwrap().measurement, Some(a));
-        assert_eq!(roster[3].unwrap().measurement, None);
-        assert_eq!(roster[6].unwrap().measurement, Some(c));
-        assert_eq!(roster[7], None);
+        let identity: Vec<_> = delta.walk(|&m| m).map(|row| row.after).collect();
+        let bucket = |at: usize| match identity[at] {
+            AfterRow::Attested { bucket, .. } => Some(bucket),
+            _ => None,
+        };
+        assert_eq!((bucket(0), bucket(6)), (Some(a), Some(c)));
+        assert_eq!(identity[3], AfterRow::Unattested(VotingPower::new(1)));
+        assert_eq!(identity[7], AfterRow::Gone);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub mod verifier;
 
 pub use churn::ChurnOp;
 pub use commitment::ConfigCommitment;
-pub use delta::{AfterRow, BucketDelta, CanonicalDelta, ChurnDelta, RosterChange, TouchedRow};
+pub use delta::{AfterRow, BucketDelta, CanonicalDelta, ChurnDelta, TouchedRow};
 pub use device::{AttestationKey, DeviceKind, TrustedDevice};
 pub use error::AttestError;
 pub use quote::Quote;
@@ -94,9 +94,7 @@ pub use verifier::{AttestationPolicy, Verifier};
 pub mod prelude {
     pub use crate::churn::ChurnOp;
     pub use crate::commitment::ConfigCommitment;
-    pub use crate::delta::{
-        AfterRow, BucketDelta, CanonicalDelta, ChurnDelta, RosterChange, TouchedRow,
-    };
+    pub use crate::delta::{AfterRow, BucketDelta, CanonicalDelta, ChurnDelta, TouchedRow};
     pub use crate::device::{AttestationKey, DeviceKind, TrustedDevice};
     pub use crate::error::AttestError;
     pub use crate::quote::Quote;

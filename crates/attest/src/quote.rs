@@ -47,8 +47,7 @@ impl Quote {
     }
 
     /// The byte string the quote signature covers.
-    #[must_use]
-    pub fn signed_payload(&self) -> Vec<u8> {
+    fn signed_payload(&self) -> Vec<u8> {
         hash_fields(&[
             b"fi-quote-v1",
             self.device_kind.label().as_bytes(),
@@ -104,18 +103,6 @@ impl Quote {
         self.endorsement
     }
 
-    /// The endorsement's certificate over the AIK.
-    #[must_use]
-    pub fn aik_certificate(&self) -> &Signature {
-        &self.aik_certificate
-    }
-
-    /// The quote signature (over [`signed_payload`](Self::signed_payload)).
-    #[must_use]
-    pub fn signature(&self) -> &Signature {
-        &self.signature
-    }
-
     /// Checks the two signatures (AIK certificate chain and quote
     /// signature) without applying any policy. Policy checks live in
     /// [`crate::Verifier`].
@@ -129,6 +116,7 @@ impl Quote {
     /// Returns a tampered copy (different measurement) — test helper for
     /// negative paths, kept in the public API so downstream crates can
     /// exercise their own rejection handling.
+    // lint: allow(unused-pub) test seam: forges the tampered quotes that attest_properties and integration_monitor_pipeline expect rejected
     #[must_use]
     pub fn with_measurement(&self, measurement: Digest) -> Quote {
         let mut q = self.clone();

@@ -44,7 +44,7 @@ impl AttestationPolicy {
 
     /// Whether the measurement set is open (discovery mode).
     #[must_use]
-    pub fn accepts_any_measurement(&self) -> bool {
+    fn accepts_any_measurement(&self) -> bool {
         self.accepted_measurements.is_empty()
     }
 }
@@ -58,6 +58,7 @@ pub struct AttestationPolicyBuilder {
 impl AttestationPolicyBuilder {
     /// Accepts a measurement (switches from discovery mode to allow-list
     /// mode on first call).
+    // lint: allow(unused-pub) paper-facing policy (§III-B): the verifier's measurement allow-list, shown in the crate example and held by the verifier's unit tests
     #[must_use]
     pub fn accept_measurement(mut self, m: Digest) -> Self {
         self.policy.accepted_measurements.insert(m);
@@ -66,6 +67,7 @@ impl AttestationPolicyBuilder {
 
     /// Restricts allowed device kinds (first call clears the default
     /// allow-all).
+    // lint: allow(unused-pub) paper-facing policy (§III-B): SGX.Fail's strict verifier in integration_resilience_scenarios admits TPMs only through it
     #[must_use]
     pub fn allow_device(mut self, kind: DeviceKind) -> Self {
         if self.policy.allowed_devices.len() == DeviceKind::ALL.len() {
@@ -118,6 +120,7 @@ impl Verifier {
 
     /// Revokes an AIK (e.g. after its device family is found compromised —
     /// the SGX.Fail scenario of the paper's §III-A).
+    // lint: allow(unused-pub) paper-facing policy (§III-A): AIK revocation, rejected end to end in integration_monitor_pipeline
     pub fn revoke(&mut self, aik: PublicKey) {
         self.policy.revoked.insert(aik);
     }

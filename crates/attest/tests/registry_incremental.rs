@@ -13,8 +13,8 @@
 use std::collections::BTreeMap;
 
 use fi_attest::{
-    device_row_digest, AttestedRegistry, BucketDelta, CanonicalDelta, ChurnDelta, ChurnOp,
-    RegisteredDevice, ReplicaTier, RosterChange, TwoTierWeights,
+    device_row_digest, AfterRow, AttestedRegistry, BucketDelta, CanonicalDelta, ChurnDelta,
+    ChurnOp, RegisteredDevice, ReplicaTier, TwoTierWeights,
 };
 use fi_types::hash::SetDigest;
 use fi_types::{sha256, Digest, ReplicaId, VotingPower};
@@ -212,6 +212,38 @@ fn drain(reg: &mut AttestedRegistry) -> CanonicalDelta {
     CanonicalDelta::merge(vec![reg.take_delta()])
 }
 
+/// One touched device's roster rows at the two ends of the span a delta
+/// covers: `None` where it was not registered.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RosterChange {
+    before: Option<RegisteredDevice>,
+    after: Option<RegisteredDevice>,
+}
+
+/// The touched devices in drain order, each `after` row rebuilt whole from
+/// the delta's walk with the identity mapping.
+fn roster_of(delta: &CanonicalDelta) -> Vec<(ReplicaId, RosterChange)> {
+    delta
+        .walk(|&m| m)
+        .map(|row| {
+            let replica = row.replica;
+            let device = |measurement, power| RegisteredDevice {
+                replica,
+                measurement,
+                power,
+            };
+            let after = match row.after {
+                AfterRow::Gone => None,
+                AfterRow::Unattested(power) => Some(device(None, power)),
+                AfterRow::Attested { bucket, power, .. } => Some(device(Some(bucket), power)),
+                AfterRow::Dangling(handle) => panic!("{replica} names dangling handle {handle}"),
+            };
+            let before = row.before.copied();
+            (replica, RosterChange { before, after })
+        })
+        .collect()
+}
+
 /// A merged delta's buckets, opaque delta, row-digest change and roster
 /// rows — the last as a copy sorted by replica: a merge keeps them in
 /// drain order, which follows the sharding.
@@ -223,7 +255,7 @@ type Rows = (
 );
 
 fn rows(delta: &CanonicalDelta) -> Rows {
-    let mut roster: Vec<_> = delta.roster().collect();
+    let mut roster = roster_of(delta);
     roster.sort_by_key(|&(replica, _)| replica);
     (
         delta.buckets().to_vec(),
@@ -267,7 +299,7 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(delta.opaque_delta(), 50);
     // Roster: every *touched* device with its row before and after. None
     // of the three was registered when the epoch began.
-    let roster: Vec<_> = delta.roster().collect();
+    let roster = roster_of(&delta);
     assert_eq!(roster.len(), 3);
     assert!(roster.iter().all(|(_, change)| change.before.is_none()));
     assert_eq!(roster[0].0, ReplicaId::new(0));
@@ -287,7 +319,7 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(buckets[0].1.power, -40);
     assert_eq!(buckets[0].1.members, -1);
     // The departure carries the row it removed.
-    let roster: Vec<_> = next.roster().collect();
+    let roster = roster_of(&next);
     let [(replica, change)] = roster[..] else {
         panic!("one touched device, got {roster:?}");
     };
@@ -319,7 +351,7 @@ fn reregistration_within_an_epoch_collapses_to_final_state() {
     // One roster entry: not registered before the epoch (the first touch
     // decides that, not the re-registration that displaced cfg-a's row),
     // and the final state after it.
-    let roster: Vec<_> = delta.roster().collect();
+    let roster = roster_of(&delta);
     assert_eq!(roster.len(), 1);
     assert_eq!(roster[0].1.before, None);
     let device = roster[0].1.after.unwrap();
@@ -577,7 +609,7 @@ proptest! {
                 let drained: Vec<ChurnDelta> =
                     shards.iter_mut().map(AttestedRegistry::take_delta).collect();
                 let now: BTreeMap<_, _> = shards.iter().flat_map(&rows_of).collect();
-                for (replica, change) in CanonicalDelta::merge(drained).roster() {
+                for (replica, change) in roster_of(&CanonicalDelta::merge(drained)) {
                     prop_assert_eq!(
                         change.before, sealed.get(&replica).copied(),
                         "before of {} at {} shards", replica, shard_count
@@ -667,7 +699,7 @@ fn a_device_that_leaves_and_returns_twice_in_one_epoch_keeps_one_row() {
     reg.apply(&ChurnOp::attest(r, sha256(b"cfg-c"), VotingPower::new(30)));
     let delta = drain(&mut reg);
     assert_eq!(
-        delta.roster().collect::<Vec<_>>(),
+        roster_of(&delta),
         [(
             r,
             RosterChange {
@@ -685,7 +717,7 @@ fn a_device_that_leaves_and_returns_twice_in_one_epoch_keeps_one_row() {
     reg.apply(&ChurnOp::Deregister { replica: r });
     let delta = drain(&mut reg);
     assert_eq!(
-        delta.roster().collect::<Vec<_>>(),
+        roster_of(&delta),
         [(
             r,
             RosterChange {
@@ -695,7 +727,7 @@ fn a_device_that_leaves_and_returns_twice_in_one_epoch_keeps_one_row() {
         )]
     );
     reg.apply(&ChurnOp::attest(r, sha256(b"cfg-e"), VotingPower::new(50)));
-    let [(_, change)] = drain(&mut reg).roster().collect::<Vec<_>>()[..] else {
+    let [(_, change)] = roster_of(&drain(&mut reg))[..] else {
         panic!("one touched device");
     };
     assert_eq!(change.before, None, "gone at the last drain");
@@ -740,7 +772,7 @@ fn a_stale_delta_position_after_a_drain_aliases_no_other_replica() {
         ),
     ];
     let delta = drain(&mut reg);
-    assert_eq!(delta.roster().collect::<Vec<_>>(), expected);
+    assert_eq!(roster_of(&delta), expected);
 
     // The same with the stale device leaving: its departure is its own row.
     reg.apply(&ChurnOp::Unattested {
@@ -750,7 +782,7 @@ fn a_stale_delta_position_after_a_drain_aliases_no_other_replica() {
     reg.apply(&ChurnOp::Deregister {
         replica: ReplicaId::new(1),
     });
-    let roster: Vec<_> = drain(&mut reg).roster().collect();
+    let roster = roster_of(&drain(&mut reg));
     assert_eq!(roster.len(), 2);
     assert_eq!(roster[0].0, ReplicaId::new(2));
     assert_eq!(
@@ -794,7 +826,7 @@ fn an_after_row_under_a_recycled_handle_resolves_to_the_new_measurement() {
         let held = *settled.get_or_insert(reg.heap_bytes());
         assert_eq!(reg.heap_bytes(), held, "the handle table grew");
         assert_eq!(delta.touched_devices(), 3);
-        for (replica, change) in delta.roster() {
+        for (replica, change) in roster_of(&delta) {
             let r = replica.as_u64();
             let was = 3 * (epoch - 1) + r;
             let now = 3 * epoch + r;

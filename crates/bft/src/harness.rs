@@ -131,13 +131,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Sets the client count.
-    #[must_use]
-    pub fn clients(mut self, clients: usize) -> Self {
-        self.clients = clients.max(1);
-        self
-    }
-
     /// Sets requests per client.
     #[must_use]
     pub fn requests(mut self, requests: u64) -> Self {
@@ -386,7 +379,11 @@ mod tests {
 
     #[test]
     fn larger_cluster_works() {
-        let report = run_cluster(&ClusterConfig::new(7).requests(6).clients(2), 2);
+        let config = ClusterConfig {
+            clients: 2,
+            ..ClusterConfig::new(7).requests(6)
+        };
+        let report = run_cluster(&config, 2);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
     }

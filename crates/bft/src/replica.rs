@@ -125,34 +125,16 @@ impl Replica {
         self.behavior
     }
 
-    /// Forces a behaviour (test/experiment hook; fault injection normally
-    /// arrives through the simulator).
-    pub fn set_behavior(&mut self, behavior: Behavior) {
-        self.behavior = behavior;
-    }
-
     /// The execution history `(seq, op)` in execution order.
     #[must_use]
     pub fn executed(&self) -> &[(u64, Operation)] {
         &self.executed
     }
 
-    /// Highest contiguously executed sequence number.
-    #[must_use]
-    pub fn last_executed(&self) -> u64 {
-        self.last_executed
-    }
-
     /// Last stable checkpoint.
     #[must_use]
     pub fn last_stable(&self) -> u64 {
         self.last_stable
-    }
-
-    /// The rolling digest of the execution history.
-    #[must_use]
-    pub fn state_digest(&self) -> Digest {
-        self.state_digest
     }
 
     fn is_primary(&self) -> bool {
@@ -830,10 +812,10 @@ mod tests {
         assert_eq!(r.index(), 2);
         assert_eq!(r.view(), 0);
         assert_eq!(r.behavior(), Behavior::Honest);
-        assert_eq!(r.last_executed(), 0);
+        assert_eq!(r.last_executed, 0);
         assert_eq!(r.last_stable(), 0);
         assert!(r.executed().is_empty());
-        assert_eq!(r.state_digest(), Digest::ZERO);
+        assert_eq!(r.state_digest, Digest::ZERO);
     }
 
     #[test]

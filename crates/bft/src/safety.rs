@@ -84,18 +84,6 @@ impl SafetyReport {
     pub fn violations(&self) -> &[SafetyViolation] {
         &self.violations
     }
-
-    /// How many replicas were audited as honest.
-    #[must_use]
-    pub fn honest_replicas(&self) -> usize {
-        self.honest_replicas
-    }
-
-    /// The highest sequence seen among honest replicas.
-    #[must_use]
-    pub fn audited_sequences(&self) -> u64 {
-        self.audited_sequences
-    }
 }
 
 /// The outcome of the liveness audit (client progress).
@@ -127,7 +115,7 @@ mod tests {
     fn replica_with_history(index: usize, history: &[(u64, u64)]) -> Replica {
         // Build a replica and force an execution history through the
         // committed path (test-only shortcut using the public API).
-        let mut r = Replica::new(
+        let r = Replica::new(
             index,
             WeightedQuorum::for_total(VotingPower::new(4)).unwrap(),
             vec![VotingPower::new(1); 4],
@@ -140,7 +128,6 @@ mod tests {
         // that `executed()` is only appended by execution, so we test the
         // auditor against synthetic replicas built from a helper below.
         let _ = history;
-        r.set_behavior(crate::Behavior::Honest);
         r
     }
 
@@ -155,8 +142,8 @@ mod tests {
         let r1 = replica_with_history(1, &[]);
         let report = SafetyReport::audit(&[&r0, &r1], &[true, true]);
         assert!(report.holds());
-        assert_eq!(report.honest_replicas(), 2);
-        assert_eq!(report.audited_sequences(), 0);
+        assert_eq!(report.honest_replicas, 2);
+        assert_eq!(report.audited_sequences, 0);
         assert!(report.violations().is_empty());
     }
 
@@ -164,7 +151,7 @@ mod tests {
     fn dishonest_replicas_are_skipped() {
         let r0 = replica_with_history(0, &[]);
         let report = SafetyReport::audit(&[&r0], &[false]);
-        assert_eq!(report.honest_replicas(), 0);
+        assert_eq!(report.honest_replicas, 0);
         assert!(report.holds());
     }
 
@@ -173,7 +160,7 @@ mod tests {
         let r0 = replica_with_history(0, &[]);
         let r1 = replica_with_history(1, &[]);
         let report = SafetyReport::audit(&[&r0, &r1], &[true]);
-        assert_eq!(report.honest_replicas(), 1);
+        assert_eq!(report.honest_replicas, 1);
     }
 
     #[test]

@@ -68,6 +68,7 @@ impl WeightedQuorum {
     /// The quorum threshold: `total − f` power units. Any two sets reaching
     /// it intersect in at least `total − 2f ≥ f + 1` units — more power
     /// than the adversary can hold, so at least one honest unit is common.
+    // lint: allow(unused-pub) paper-facing: the `total − f` quorum threshold, whose intersection bound bft_properties and integration_weighted assert
     #[must_use]
     pub fn quorum_power(&self) -> VotingPower {
         self.total - self.f_power

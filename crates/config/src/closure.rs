@@ -155,6 +155,7 @@ pub struct ComponentExposure {
 /// descending. The head of this list is the system's single worst zero-day
 /// target; its share is `2^{−H_∞}`-bounded by the min-entropy of the
 /// per-layer product distribution.
+// lint: allow(unused-pub) paper-facing: which single product concentrates the most voting power, bounded by config_properties and checked in the analyzer and pipeline tests
 #[must_use]
 pub fn component_exposure_ranking(assignment: &Assignment) -> Vec<ComponentExposure> {
     use std::collections::HashMap;
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn fault_set_is_empty_outside_window() {
-        let a = Assignment::round_robin(&os_space(2), 4, VotingPower::UNIT).unwrap();
+        let a = Assignment::round_robin(&os_space(2), 4, VotingPower::new(1)).unwrap();
         let v = os_vuln(0, 0).with_window(SimTime::from_secs(100), SimTime::from_secs(200));
         let db = VulnerabilityDb::from_iter([v]);
         let before = summary(&a, &db, SimTime::from_secs(50));
@@ -295,7 +296,7 @@ mod tests {
 
     #[test]
     fn summary_with_no_active_vulns_is_clean() {
-        let a = Assignment::round_robin(&os_space(2), 4, VotingPower::UNIT).unwrap();
+        let a = Assignment::round_robin(&os_space(2), 4, VotingPower::new(1)).unwrap();
         let s = summary(&a, &VulnerabilityDb::new(), SimTime::ZERO);
         assert_eq!(s.sum_power(), VotingPower::ZERO);
         assert_eq!(s.union_power(), VotingPower::ZERO);

@@ -57,6 +57,7 @@ impl PatchRollout {
     }
 
     /// The adoption latency of `replica` for `vuln` (deterministic).
+    // lint: allow(unused-pub) paper-facing (Remark 1): a replica's patch-adoption latency, shown in the type's example
     #[must_use]
     pub fn latency_for(&self, replica: ReplicaId, vuln: fi_types::VulnId) -> SimTime {
         if self.jitter.is_zero() {
@@ -76,7 +77,7 @@ impl PatchRollout {
     /// availability plus this replica's adoption latency. Saturates at
     /// [`SimTime::MAX`] for never-patched vulnerabilities.
     #[must_use]
-    pub fn effective_end(&self, replica: ReplicaId, vuln: &Vulnerability) -> SimTime {
+    fn effective_end(&self, replica: ReplicaId, vuln: &Vulnerability) -> SimTime {
         vuln.patched_at()
             .saturating_add(self.latency_for(replica, vuln.id()))
     }
@@ -84,12 +85,7 @@ impl PatchRollout {
     /// Whether `replica` is exploitable through `vuln` at `t` under this
     /// rollout (configuration match *not* included).
     #[must_use]
-    pub fn replica_window_active(
-        &self,
-        replica: ReplicaId,
-        vuln: &Vulnerability,
-        t: SimTime,
-    ) -> bool {
+    fn replica_window_active(&self, replica: ReplicaId, vuln: &Vulnerability, t: SimTime) -> bool {
         t >= vuln.disclosed_at() && t < self.effective_end(replica, vuln)
     }
 }
@@ -98,7 +94,7 @@ impl PatchRollout {
 /// matches at least one vulnerability whose per-replica window (disclosure
 /// → patch + adoption latency) contains `t`.
 #[must_use]
-pub fn exposed_power_at(
+fn exposed_power_at(
     assignment: &Assignment,
     db: &VulnerabilityDb,
     rollout: &PatchRollout,

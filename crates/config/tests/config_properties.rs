@@ -54,7 +54,7 @@ proptest! {
         prop_assert_eq!(by_config, assignment.total_power());
 
         let abundance = assignment.abundance().unwrap();
-        prop_assert_eq!(abundance.total_individuals(), n as u64);
+        prop_assert_eq!(abundance.counts().iter().sum::<u64>(), n as u64);
 
         let dist = assignment.distribution().unwrap();
         let sum: f64 = dist.probabilities().iter().sum();
@@ -76,7 +76,7 @@ proptest! {
         assignment.reassign(victim, target).unwrap();
         prop_assert_eq!(assignment.total_power(), before_power);
         prop_assert_eq!(assignment.replica_count(), n);
-        prop_assert_eq!(assignment.config_of(victim), Some(target));
+        prop_assert_eq!(assignment.configuration_of(victim), space.get(target).ok());
     }
 
     /// Closure invariants: for any vulnerability,

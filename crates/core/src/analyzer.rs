@@ -2,7 +2,7 @@
 //! and the same verdict on a sealed fleet snapshot.
 
 use fi_bft::WeightedQuorum;
-use fi_config::closure::{component_exposure_ranking, fault_summary, ComponentExposure};
+use fi_config::closure::fault_summary;
 use fi_config::window::{exposure_curve, ExposurePoint, PatchRollout};
 use fi_config::{Assignment, ConfigurationSpace, FaultSummary, VulnerabilityDb};
 use fi_fleet::EpochSnapshot;
@@ -35,13 +35,6 @@ impl ResilienceAnalyzer {
             .zip(a.count_by_config());
         let rows = rows.map(|((config, power), n)| (Some(config), power, n as usize));
         ResilienceReport::from_summary(&fault_summary(rows, &self.db, t), a.total_power(), t)
-    }
-
-    /// The structural single-product exposure ranking (no time component):
-    /// which product concentrates the most voting power.
-    #[must_use]
-    pub fn exposure_ranking(&self) -> Vec<ComponentExposure> {
-        component_exposure_ranking(&self.assignment)
     }
 
     /// Exposure curve under a patch-rollout model (experiment E9).
@@ -143,6 +136,7 @@ impl ResilienceReport {
 mod tests {
     use super::*;
     use fi_attest::{ChurnOp, TwoTierWeights};
+    use fi_config::closure::component_exposure_ranking;
     use fi_config::prelude::*;
     use fi_fleet::ShardedFleet;
 
@@ -232,12 +226,11 @@ mod tests {
 
     #[test]
     fn exposure_ranking_identifies_shared_os() {
-        let analyzer = setup(false);
-        let ranking = analyzer.exposure_ranking();
+        let ranking = component_exposure_ranking(&setup(false).assignment);
         assert_eq!(ranking[0].power, VotingPower::new(800));
         assert_eq!(ranking[0].replicas, 8);
-        let diverse = setup(true);
-        assert_eq!(diverse.exposure_ranking()[0].power, VotingPower::new(200));
+        let diverse = component_exposure_ranking(&setup(true).assignment);
+        assert_eq!(diverse[0].power, VotingPower::new(200));
     }
 
     #[test]

@@ -83,6 +83,7 @@ impl Recommender {
     /// The snapshot itself is never mutated (it is immutable by
     /// construction — the plan is advice for the *next* epoch's churn
     /// batch); the search runs on a clone of its canonical accumulator.
+    // lint: allow(unused-pub) paper-facing: the recommender over a sealed fleet, which fleet_determinism holds equal across seal paths
     #[must_use]
     pub fn plan_for_snapshot(&self, snapshot: &fi_fleet::EpochSnapshot) -> Vec<Recommendation> {
         let mut acc = snapshot.entropy_accumulator().clone();

@@ -238,8 +238,8 @@ mod tests {
         // But every replica moved.
         for e in assignment.entries() {
             assert_ne!(
-                rotated.config_of(e.replica),
-                Some(e.config),
+                rotated.configuration_of(e.replica),
+                assignment.space().get(e.config).ok(),
                 "replica {} did not move",
                 e.replica
             );

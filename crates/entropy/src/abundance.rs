@@ -25,7 +25,6 @@ use crate::error::DistributionError;
 /// ```
 /// use fi_entropy::AbundanceVector;
 /// let a = AbundanceVector::new(vec![2, 2, 2])?;
-/// assert_eq!(a.total_individuals(), 6);
 /// assert_eq!(a.uniform_abundance(), Some(2));
 /// // Relative abundance is uniform, so entropy is log2(3).
 /// assert!((a.relative()?.distribution().shannon_entropy() - 3f64.log2()).abs() < 1e-12);
@@ -86,12 +85,6 @@ impl AbundanceVector {
     #[must_use]
     pub fn support_size(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Total number of individual replicas across all configurations.
-    #[must_use]
-    pub fn total_individuals(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// If every *used* configuration has the same abundance, returns it
@@ -213,7 +206,6 @@ mod tests {
         let a = AbundanceVector::unit(4).unwrap();
         assert_eq!(a.counts(), &[1, 1, 1, 1]);
         assert_eq!(a.uniform_abundance(), Some(1));
-        assert_eq!(a.total_individuals(), 4);
     }
 
     #[test]
@@ -266,7 +258,7 @@ mod tests {
         let a = AbundanceVector::new(vec![2, 5, 3]).unwrap();
         let scaled = a.scaled(7);
         assert!(close(a.entropy_bits(), scaled.entropy_bits()));
-        assert_eq!(scaled.total_individuals(), 70);
+        assert_eq!(scaled.counts(), &[14, 35, 21]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub const TOP17_SHARES_PERCENT: [f64; 17] = [
 
 /// Total power in milli-percent units (0.001% granularity): 100 000 units
 /// = 100%.
-pub const TOTAL_UNITS: u64 = 100_000;
+const TOTAL_UNITS: u64 = 100_000;
 
 /// The top-17 shares converted to exact milli-percent units.
 ///

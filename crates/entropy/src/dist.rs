@@ -11,7 +11,7 @@ use crate::error::DistributionError;
 /// How far from exactly 1.0 a probability vector may sum and still be
 /// accepted by [`Distribution::from_probabilities`]. Inputs within the
 /// tolerance are renormalized exactly.
-pub const NORMALIZATION_TOLERANCE: f64 = 1e-9;
+const NORMALIZATION_TOLERANCE: f64 = 1e-9;
 
 /// A probability distribution `p = (p_1, …, p_k)` over `k` configurations.
 ///
@@ -49,7 +49,7 @@ impl Distribution {
     /// * [`DistributionError::InvalidProbability`] if any entry is negative,
     ///   NaN, or infinite;
     /// * [`DistributionError::NotNormalized`] if the sum deviates from 1 by
-    ///   more than [`NORMALIZATION_TOLERANCE`].
+    ///   more than 1e-9 (inputs within it are renormalized exactly).
     pub fn from_probabilities(probs: Vec<f64>) -> Result<Self, DistributionError> {
         Self::validate_entries(&probs)?;
         let sum: f64 = probs.iter().sum();
@@ -117,7 +117,8 @@ impl Distribution {
     ///
     /// * [`DistributionError::Empty`] if `k == 0`;
     /// * [`DistributionError::DimensionMismatch`] if `index >= k`.
-    pub fn degenerate(k: usize, index: usize) -> Result<Self, DistributionError> {
+    #[cfg(test)]
+    pub(crate) fn degenerate(k: usize, index: usize) -> Result<Self, DistributionError> {
         if k == 0 {
             return Err(DistributionError::Empty);
         }
@@ -190,6 +191,7 @@ impl Distribution {
     /// Appends `extra` zero-probability configurations (growing `k` without
     /// changing the distribution's mass). Useful for comparing spaces of
     /// different abundance.
+    // lint: allow(unused-pub) paper-facing: padding with unused configurations leaves entropy unchanged, a property entropy_properties checks
     #[must_use]
     pub fn padded(&self, extra: usize) -> Distribution {
         let mut probs = self.probs.clone();
@@ -208,6 +210,7 @@ impl Distribution {
     /// of range, and [`DistributionError::Empty`] if `groups` is empty.
     /// Indices may not repeat across groups and every index must be covered;
     /// otherwise the result would not be a distribution.
+    // lint: allow(unused-pub) paper-facing (§III): delegation as grouping, which entropy_properties shows never raises entropy
     pub fn grouped(&self, groups: &[Vec<usize>]) -> Result<Distribution, DistributionError> {
         if groups.is_empty() {
             return Err(DistributionError::Empty);
@@ -249,6 +252,7 @@ impl Distribution {
     ///
     /// * [`DistributionError::DimensionMismatch`] if dimensions differ;
     /// * [`DistributionError::InvalidProbability`] if `lambda ∉ [0, 1]`.
+    // lint: allow(unused-pub) paper-facing: the mixtures entropy_properties checks entropy's concavity on
     pub fn mixed(
         &self,
         other: &Distribution,

@@ -129,12 +129,6 @@ impl EntropyAccumulator {
         self.weights.len()
     }
 
-    /// Appends an empty bucket, returning its slot index.
-    pub fn push_slot(&mut self) -> usize {
-        self.weights.push(0);
-        self.weights.len() - 1
-    }
-
     /// The weight currently in `slot`.
     ///
     /// # Panics
@@ -256,30 +250,6 @@ impl EntropyAccumulator {
             .expect("entropy accumulator total overflowed u64");
         let s = self.weighted_log_sum - xlog2(old) + xlog2(new);
         let support = self.support + usize::from(old == 0);
-        entropy_of(total, s, support)
-    }
-
-    /// Entropy after hypothetically removing `w` from `slot`, in O(1),
-    /// without mutating. Bitwise equal to [`remove`](Self::remove) followed
-    /// by [`entropy_bits`](Self::entropy_bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range or holds less than `w`.
-    #[must_use]
-    pub fn peek_remove(&self, slot: usize, w: u64) -> f64 {
-        if w == 0 {
-            return self.entropy_bits();
-        }
-        let old = self.weights[slot];
-        assert!(
-            w <= old,
-            "entropy accumulator underflow: removing {w} from bucket {slot} holding {old}"
-        );
-        let new = old - w;
-        let total = self.total - w;
-        let s = self.weighted_log_sum - xlog2(old) + xlog2(new);
-        let support = self.support - usize::from(new == 0);
         entropy_of(total, s, support)
     }
 
@@ -439,16 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_remove_is_bitwise_equal_to_remove() {
-        let mut acc = EntropyAccumulator::from_weights(&[5, 4, 9]);
-        for (slot, w) in [(1, 4), (0, 2), (2, 3)] {
-            let peek = acc.peek_remove(slot, w);
-            acc.remove(slot, w);
-            assert_eq!(peek.to_bits(), acc.entropy_bits().to_bits());
-        }
-    }
-
-    #[test]
     fn peek_move_is_bitwise_equal_to_apply_move() {
         let mut acc = EntropyAccumulator::from_weights(&[50, 30, 20, 0]);
         for (from, to, w) in [(0, 3, 25), (1, 2, 30), (2, 0, 1)] {
@@ -481,17 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn push_slot_grows_without_changing_entropy() {
-        let mut acc = EntropyAccumulator::from_weights(&[1, 1]);
-        let before = acc.entropy_bits();
-        let slot = acc.push_slot();
-        assert_eq!(slot, 2);
-        assert_eq!(acc.entropy_bits(), before);
-        acc.add(slot, 1);
-        assert!((acc.entropy_bits() - 3f64.log2()).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_weight_operations_are_inert() {
         let mut acc = EntropyAccumulator::from_weights(&[5, 5]);
         let before = acc.entropy_bits();
@@ -499,7 +448,6 @@ mod tests {
         acc.remove(1, 0);
         assert_eq!(acc.entropy_bits(), before);
         assert_eq!(acc.peek_add(0, 0), before);
-        assert_eq!(acc.peek_remove(0, 0), before);
         assert_eq!(acc.peek_move(0, 1, 0), before);
     }
 

@@ -20,7 +20,7 @@ use crate::shannon::{max_entropy_bits, shannon_entropy_bits};
 
 /// Default tolerance when comparing floating-point probability shares for
 /// the equality condition of Definition 1.
-pub const DEFAULT_TOLERANCE: f64 = 1e-9;
+const DEFAULT_TOLERANCE: f64 = 1e-9;
 
 /// The verdict of checking a distribution against Definition 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,6 +133,7 @@ impl OptimalResilience {
 /// uniform over `support(p)`, zero elsewhere. This is the target a
 /// diversity manager should steer toward without forcing replicas onto new
 /// configurations.
+// lint: allow(unused-pub) paper-facing (Definition 1): the κ-optimal target whose entropy dominance entropy_properties checks
 #[must_use]
 pub fn nearest_kappa_optimal(p: &Distribution) -> Distribution {
     let support: Vec<usize> = p.support().map(|(i, _)| i).collect();

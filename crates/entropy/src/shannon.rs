@@ -127,6 +127,7 @@ pub fn effective_configurations(p: &Distribution) -> f64 {
 ///
 /// Returns [`crate::DistributionError::DimensionMismatch`] when dimensions
 /// differ.
+// lint: allow(unused-pub) paper-facing: the divergence from uniform behind the entropy gap, checked non-negative by entropy_properties
 pub fn kl_divergence_bits(
     p: &Distribution,
     q: &Distribution,
@@ -152,6 +153,7 @@ pub fn kl_divergence_bits(
 /// The entropy gap to uniformity: `log2 k − H(p) = D(p ‖ uniform_k) ≥ 0`.
 /// Zero iff `p` is uniform over the full space; this is the quantity a
 /// diversity manager should drive to zero.
+// lint: allow(unused-pub) paper-facing: `log2 k − H(p)`, the entropy deficit entropy_properties equates with the KL divergence to uniform
 #[must_use]
 pub fn uniformity_gap_bits(p: &Distribution) -> f64 {
     (max_entropy_bits(p.dimension()) - shannon_entropy_bits(p)).max(0.0)

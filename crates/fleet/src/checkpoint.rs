@@ -45,9 +45,9 @@ use crate::error::CheckpointError;
 use crate::snapshot::{roster_aggregate, EpochSnapshot};
 
 /// Magic prefix of every checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FICKPT01";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"FICKPT01";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 1;
 
 /// A full, self-verifying capture of one sealed epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +86,7 @@ impl Checkpoint {
 
     /// Rebuilds the full serving snapshot this checkpoint captured and
     /// verifies its content hash against the recorded one.
-    pub fn rebuild(&self) -> Result<EpochSnapshot, CheckpointError> {
+    fn rebuild(&self) -> Result<EpochSnapshot, CheckpointError> {
         let mut rows: BTreeMap<Digest, VotingPower> = BTreeMap::new();
         for &(m, p) in &self.buckets {
             if rows.insert(m, p).is_some() {
@@ -199,12 +199,14 @@ impl Checkpoint {
 
 /// The canonical file name for the checkpoint of `epoch`.
 #[must_use]
-pub fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
+fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("ckpt-{epoch:016}.fic"))
 }
 
 /// Lists checkpoint files under `dir`, sorted by epoch ascending.
-pub fn list_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
+pub(crate) fn list_checkpoints(
+    dir: impl AsRef<Path>,
+) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
     list_with_suffix(dir.as_ref(), ".fic")
 }
 

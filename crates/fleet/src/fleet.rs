@@ -283,8 +283,8 @@ impl ShardedFleet {
     }
 
     /// Whether this fleet tees its churn into a write-ahead log.
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_durable(&self) -> bool {
         self.durability.is_some()
     }
 
@@ -366,7 +366,7 @@ impl ShardedFleet {
     /// functions of fleet content), so re-sharding a fleet by replaying its
     /// churn into a differently-sized one yields bit-identical epochs.
     #[must_use]
-    pub fn shard_of(&self, replica: ReplicaId) -> usize {
+    fn shard_of(&self, replica: ReplicaId) -> usize {
         (replica.as_u64() % self.shards.len() as u64) as usize
     }
 
@@ -416,8 +416,8 @@ impl ShardedFleet {
         Ok(())
     }
 
-    /// Splits `ops` into per-shard sub-batches by [`shard_of`](Self::shard_of),
-    /// preserving per-device op order (all of one device's ops land on one
+    /// Splits `ops` into per-shard sub-batches by replica id modulo the
+    /// shard count, preserving per-device op order (all of one device's ops land on one
     /// shard, in their original relative order). The returned vector always
     /// has exactly [`shard_count`](Self::shard_count) entries.
     ///

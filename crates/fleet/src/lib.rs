@@ -38,8 +38,7 @@
 //!   [`SnapshotCell`] publication point (one slot, its guard held for the
 //!   clone alone) — or, better, hold a per-reader [`SnapshotHandle`]
 //!   whose steady-state revalidation is one relaxed atomic load — and run
-//!   [`select_greedy`](EpochSnapshot::select_greedy),
-//!   [`select_two_tier`](EpochSnapshot::select_two_tier), and monitoring
+//!   [`select_greedy`](EpochSnapshot::select_greedy) and monitoring
 //!   queries lock-free while ingest continues.
 //! * Durable fleets ([`ShardedFleet::open_durable`]) tee every ingested
 //!   batch into a write-ahead churn log ([`wal`]), write self-verifying

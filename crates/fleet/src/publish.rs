@@ -206,6 +206,7 @@ impl<'a> SnapshotHandle<'a> {
     }
 
     /// The epoch of the cached snapshot, without revalidating.
+    // lint: allow(unused-pub) test seam: lets the publish and monitor tests see that a handle revalidates only on demand
     #[must_use]
     pub fn cached_epoch(&self) -> u64 {
         self.cached.epoch()

@@ -103,6 +103,7 @@ impl DurabilityConfig {
     }
 
     /// Sets the WAL segment rotation threshold.
+    // lint: allow(unused-pub) test seam: the WAL fault and recovery suites force segment rotation through it
     #[must_use]
     pub fn with_segment_bytes(mut self, bytes: u64) -> DurabilityConfig {
         self.segment_bytes = bytes;

@@ -102,13 +102,10 @@ use std::sync::OnceLock;
 use fi_attest::{
     device_row_digest, AfterRow, AttestedRegistry, CanonicalDelta, RegisteredDevice, TwoTierWeights,
 };
-use fi_committee::{
-    radix, two_tier_weighted, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport,
-};
+use fi_committee::{radix, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport};
 use fi_entropy::{Distribution, DistributionError, EntropyAccumulator};
 use fi_types::hash::{SetDigest, Sha256};
 use fi_types::{Digest, ReplicaId, VotingPower};
-use rand::rngs::StdRng;
 
 use crate::error::SealError;
 
@@ -872,23 +869,10 @@ impl EpochSnapshot {
 
     /// The sorted replica ids whose roster rows changed relative to the
     /// parent snapshot (empty for full builds).
+    // lint: allow(unused-pub) test seam: fleet_differential reads which rows a differential seal says it changed
     #[must_use]
     pub fn churned_replicas(&self) -> &[ReplicaId] {
         &self.churned
-    }
-
-    /// Two-tier attested-weighted sortition over the replica-sorted roster
-    /// (identical member sequence to [`two_tier_weighted`] on the same
-    /// candidates and RNG state). Touches only this snapshot; the first
-    /// call on it pays for [`candidates`](Self::candidates).
-    #[must_use]
-    pub fn select_two_tier(
-        &self,
-        k: usize,
-        weights: TwoTierWeights,
-        rng: &mut StdRng,
-    ) -> Committee {
-        two_tier_weighted(self.candidates(), k, weights, rng)
     }
 }
 
@@ -898,7 +882,6 @@ mod tests {
     use fi_attest::{ChurnDelta, ChurnOp};
     use fi_committee::greedy::greedy_diverse_naive;
     use fi_types::sha256;
-    use rand::SeedableRng;
 
     fn registry_with(ops: &[ChurnOp]) -> AttestedRegistry {
         let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
@@ -1447,13 +1430,6 @@ mod tests {
                 greedy_diverse_naive(snap.candidates(), k).members()
             );
         }
-        let weights = TwoTierWeights::new(1.0, 0.3);
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        assert_eq!(
-            snap.select_two_tier(3, weights, &mut a).members(),
-            two_tier_weighted(snap.candidates(), 3, weights, &mut b).members()
-        );
     }
 
     #[test]

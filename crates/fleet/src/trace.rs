@@ -45,7 +45,7 @@ impl ChurnTraceConfig {
 
     /// Total ops the generated trace will contain.
     #[must_use]
-    pub fn total_ops(&self) -> usize {
+    fn total_ops(&self) -> usize {
         self.devices as usize + self.churn_ops
     }
 }

@@ -76,9 +76,9 @@ use fi_types::{crc32, Digest};
 use crate::error::WalError;
 
 /// Magic prefix of every WAL segment.
-pub const WAL_MAGIC: &[u8; 8] = b"FIWALOG1";
+const WAL_MAGIC: &[u8; 8] = b"FIWALOG1";
 /// Current segment format version.
-pub const WAL_VERSION: u32 = 1;
+const WAL_VERSION: u32 = 1;
 /// Bytes of segment header: magic + version + sequence number.
 const HEADER_LEN: u64 = 8 + 4 + 8;
 /// Frame overhead: length prefix + CRC suffix.

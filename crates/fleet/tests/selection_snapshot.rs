@@ -99,7 +99,8 @@ fn two_tier_sortition_over_snapshot_equals_registry_path() {
         for seed in 0..5u64 {
             let mut rng_snapshot = StdRng::seed_from_u64(seed);
             let mut rng_reference = StdRng::seed_from_u64(seed);
-            let via_snapshot = snapshot.select_two_tier(16, tier_weights, &mut rng_snapshot);
+            let via_snapshot =
+                two_tier_weighted(snapshot.candidates(), 16, tier_weights, &mut rng_snapshot);
             let via_registry_path =
                 two_tier_weighted(&reference, 16, tier_weights, &mut rng_reference);
             assert_eq!(

@@ -3,8 +3,9 @@
 //! Mechanically enforces the contracts the fleet's serving story depends
 //! on — panic-free serving paths, poison recovery on every lock, the
 //! `LOCK_ORDER` acquisition hierarchy, deterministic hash/report modules,
-//! justified relaxed atomics, and `#![forbid(unsafe_code)]` crate roots —
-//! so they hold by construction instead of by review vigilance.
+//! justified relaxed atomics, `#![forbid(unsafe_code)]` crate roots, and
+//! a library `pub fn`/`pub const` that some other file's non-test code
+//! names — so they hold by construction instead of by review vigilance.
 //!
 //! Offline and dependency-free by design: a hand-rolled line scanner
 //! ([`scan`]) feeds token-level rules ([`rules`]) configured by the
@@ -27,7 +28,7 @@ use report::Report;
 use scan::ScannedFile;
 
 /// Name of the manifest file at the workspace root.
-pub const MANIFEST_FILE: &str = "LOCK_ORDER";
+const MANIFEST_FILE: &str = "LOCK_ORDER";
 
 /// A configuration or IO failure (distinct from findings: findings are
 /// the *product*, these abort the run).
@@ -67,6 +68,9 @@ impl From<ManifestError> for LintError {
 /// Vendored shims (`vendor/…`) are skipped — they are frozen third-party
 /// stand-ins, not code under the serving contracts. Integration-test and
 /// fixture trees are skipped by construction (only `src/` is walked).
+/// The root `examples/` and each first-party member's `benches/` are read
+/// as callers only: they count as naming a library item for `unused-pub`,
+/// and no rule runs on them.
 ///
 /// # Errors
 ///
@@ -81,29 +85,34 @@ pub fn run_lint(root: &Path) -> Result<Report, LintError> {
     let cargo_text = read(&cargo_path)?;
     let members = parse_members(&cargo_text).ok_or(LintError::NoMembers(cargo_path))?;
 
-    let mut files: Vec<ScannedFile> = Vec::new();
-    for member in &members {
-        if member.starts_with("vendor/") {
-            continue;
-        }
-        let src = root.join(member).join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut paths = Vec::new();
-        collect_rs(&src, &mut paths)?;
-        paths.sort();
-        for path in paths {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let source = read(&path)?;
-            files.push(scan::scan(&rel, &source));
-        }
+    let mut files = Vec::new();
+    let mut callers = Vec::new();
+    for member in members.iter().filter(|m| !m.starts_with("vendor/")) {
+        scan_dir(root, &root.join(member).join("src"), &mut files)?;
+        scan_dir(root, &root.join(member).join("benches"), &mut callers)?;
     }
-    Ok(rules::check(&files, &manifest))
+    scan_dir(root, &root.join("examples"), &mut callers)?;
+    Ok(rules::check(&files, &callers, &manifest))
+}
+
+/// Scans every `.rs` file under `dir` (if it exists), in path order.
+fn scan_dir(root: &Path, dir: &Path, out: &mut Vec<ScannedFile>) -> Result<(), LintError> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    let mut paths = Vec::new();
+    collect_rs(dir, &mut paths)?;
+    paths.sort();
+    for path in paths {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let source = read(&path)?;
+        out.push(scan::scan(&rel, &source));
+    }
+    Ok(())
 }
 
 fn read(path: &Path) -> Result<String, LintError> {

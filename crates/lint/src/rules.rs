@@ -1,5 +1,14 @@
-//! The seven invariant rules, plus the suppression machinery that keeps
+//! The eight invariant rules, plus the suppression machinery that keeps
 //! every exception written down.
+//!
+//! Seven rules read one file at a time. The eighth, `unused-pub`, reads
+//! across files: a `pub fn` or `pub const` in a library file (any file
+//! under a member's `src/` outside `src/bin/` and `main.rs`) that no
+//! non-test code in another file names is a finding. Every scanned file
+//! can name an item, and so can the files [`check`] reads as callers only
+//! (root `examples/`, each member's `benches/`); `pub use` re-exports and
+//! test regions name nothing. The match is by identifier token, so a
+//! common name (`new`, `len`) always counts as used.
 //!
 //! Suppressions come in two shapes, and *both* are audited:
 //!
@@ -18,9 +27,11 @@
 //! `[determinism]` entry that covers no scanned file is reported as
 //! `stale-module`: a contract over nothing would silently stop applying.
 
+use std::collections::BTreeMap;
+
 use crate::manifest::Manifest;
 use crate::report::{Finding, Report};
-use crate::scan::{token_match, ScannedFile};
+use crate::scan::{is_ident, token_match, ScannedFile};
 
 /// Panic-family tokens denied on serving paths.
 const PANIC_TOKENS: &[&str] = &[
@@ -57,16 +68,18 @@ struct Marker {
 }
 
 /// Runs every rule over the scanned files and returns the finalized
-/// report. Pure: all IO happens in the caller.
+/// report. `callers` are files read only for the names they use (no rule
+/// runs on them). Pure: all IO happens in the caller.
 #[must_use]
-pub fn check(files: &[ScannedFile], manifest: &Manifest) -> Report {
+pub fn check(files: &[ScannedFile], callers: &[ScannedFile], manifest: &Manifest) -> Report {
     let mut report = Report {
         findings: Vec::new(),
         files_scanned: files.len(),
         suppressions_used: 0,
     };
     let mut allow_used = vec![false; manifest.allows.len()];
-    for file in files {
+    let names = NameIndex::new(files.iter().chain(callers));
+    for (file_idx, file) in files.iter().enumerate() {
         let markers = collect_markers(file, &mut report.findings);
         let mut marker_used = vec![false; markers.len()];
         let mut ctx = RuleCtx {
@@ -85,6 +98,7 @@ pub fn check(files: &[ScannedFile], manifest: &Manifest) -> Report {
         ctx.lock_order_rule();
         ctx.determinism_rule();
         ctx.relaxed_rule();
+        ctx.unused_pub_rule(file_idx, &names);
         for (marker, used) in markers.iter().zip(marker_used.iter()) {
             if !used {
                 report.findings.push(Finding {
@@ -389,6 +403,116 @@ impl RuleCtx<'_> {
             );
         }
     }
+
+    /// Rule `unused-pub`: a library file's `pub fn` or `pub const` is
+    /// named by non-test code in some other file, or it goes, narrows,
+    /// or carries a written reason.
+    fn unused_pub_rule(&mut self, file_idx: usize, names: &NameIndex<'_>) {
+        if !is_library(&self.file.path) {
+            return;
+        }
+        for (idx, line) in self.file.lines.iter().enumerate() {
+            if line.in_test {
+                continue;
+            }
+            let Some((kind, name)) = pub_item(&line.code) else {
+                continue;
+            };
+            if names.named_outside(name, file_idx)
+                || self.suppressed("unused-pub", self.file.statement_of[idx])
+            {
+                continue;
+            }
+            self.emit(
+                idx + 1,
+                "unused-pub",
+                format!("`pub {kind} {name}` is named by no non-test code outside this file"),
+            );
+        }
+    }
+}
+
+/// Which files' non-test code names each identifier: the cross-file view
+/// the `unused-pub` rule reads. Files are numbered in the order given, so
+/// the scanned files keep their indices in `check`.
+struct NameIndex<'a> {
+    files_naming: BTreeMap<&'a str, Vec<usize>>,
+}
+
+impl<'a> NameIndex<'a> {
+    fn new(files: impl Iterator<Item = &'a ScannedFile>) -> Self {
+        let mut files_naming: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (idx, file) in files.enumerate() {
+            let mut in_reexport = false;
+            for line in &file.lines {
+                in_reexport = in_reexport || is_pub_use(&line.code);
+                let skip = line.in_test || in_reexport;
+                if in_reexport && line.code.contains(';') {
+                    in_reexport = false;
+                }
+                if skip {
+                    continue;
+                }
+                for ident in line.code.split(|c: char| !is_ident(c)) {
+                    if ident.is_empty() {
+                        continue;
+                    }
+                    let seen = files_naming.entry(ident).or_default();
+                    if seen.last() != Some(&idx) {
+                        seen.push(idx);
+                    }
+                }
+            }
+        }
+        NameIndex { files_naming }
+    }
+
+    /// Whether a file other than `file_idx` names `name`.
+    fn named_outside(&self, name: &str, file_idx: usize) -> bool {
+        self.files_naming
+            .get(name)
+            .is_some_and(|files| files.iter().any(|&f| f != file_idx))
+    }
+}
+
+/// Whether the line opens a re-export: `pub use …` or `pub(…) use …`.
+fn is_pub_use(code: &str) -> bool {
+    let Some(rest) = code.trim_start().strip_prefix("pub") else {
+        return false;
+    };
+    let rest = match rest.strip_prefix('(') {
+        Some(vis) => vis.split_once(')').map_or("", |(_, r)| r),
+        None => rest,
+    };
+    rest.trim_start().starts_with("use ")
+}
+
+/// The kind and name of a `pub fn` / `pub const fn` / `pub const` the
+/// line declares. `pub(crate)` and other restricted visibilities are not
+/// `pub ` and never match.
+fn pub_item(code: &str) -> Option<(&'static str, &str)> {
+    let rest = code.trim_start().strip_prefix("pub ")?.trim_start();
+    let (kind, rest) = if let Some(r) = rest.strip_prefix("const fn ") {
+        ("fn", r)
+    } else if let Some(r) = rest.strip_prefix("fn ") {
+        ("fn", r)
+    } else if let Some(r) = rest.strip_prefix("const ") {
+        ("const", r)
+    } else {
+        return None;
+    };
+    let rest = rest.trim_start();
+    let end = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+    match &rest[..end] {
+        "" | "_" => None,
+        name => Some((kind, name)),
+    }
+}
+
+/// Whether `path` is library code: under a member's `src/`, outside its
+/// binaries (`src/bin/`, `main.rs`).
+fn is_library(path: &str) -> bool {
+    path.contains("/src/") && !path.contains("/src/bin/") && !path.ends_with("/main.rs")
 }
 
 /// Whether the statement acquires a lock: `.lock()`, zero-argument
@@ -531,7 +655,7 @@ mod tests {
     /// Lints `src` at `path` beside an empty `hash.rs`, so every module
     /// the manifest names exists and only `path`'s findings show.
     fn run(path: &str, src: &str) -> Report {
-        check(&with_hash_rs(scan(path, src)), &manifest())
+        check(&with_hash_rs(scan(path, src)), &[], &manifest())
     }
 
     fn with_hash_rs(file: ScannedFile) -> Vec<ScannedFile> {
@@ -691,7 +815,7 @@ mod tests {
             line: 9,
         });
         let files = with_hash_rs(scan("crates/x/src/a.rs", "fn f() {}\n"));
-        let r = check(&files, &m);
+        let r = check(&files, &[], &m);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].rule, "stale-allow");
         assert_eq!(r.findings[0].file, "LOCK_ORDER");
@@ -705,7 +829,7 @@ mod tests {
             line: 9,
         });
         let files = with_hash_rs(scan("crates/x/src/a.rs", "fn f() {}\n"));
-        let r = check(&files, &m);
+        let r = check(&files, &[], &m);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].rule, "stale-module");
         assert_eq!(
@@ -716,16 +840,52 @@ mod tests {
 
     #[test]
     fn hygiene_requires_forbid_unsafe() {
-        let bad = run("crates/y/src/lib.rs", "pub fn f() {}\n");
+        let bad = run("crates/y/src/lib.rs", "fn f() {}\n");
         assert_eq!(bad.findings.len(), 1);
         assert_eq!(bad.findings[0].rule, "hygiene");
         let ok = run(
             "crates/y/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f() {}\n",
+            "#![forbid(unsafe_code)]\nfn f() {}\n",
         );
         assert!(ok.is_clean());
-        let non_root = run("crates/y/src/util.rs", "pub fn f() {}\n");
+        let non_root = run("crates/y/src/util.rs", "fn f() {}\n");
         assert!(non_root.is_clean(), "only crate roots are checked");
+    }
+
+    #[test]
+    fn unused_pub_reads_declarations_and_re_exports() {
+        assert_eq!(pub_item("pub fn f(x: u8) {"), Some(("fn", "f")));
+        assert_eq!(pub_item("    pub const fn g() {"), Some(("fn", "g")));
+        assert_eq!(pub_item("pub const N: usize = 3;"), Some(("const", "N")));
+        assert_eq!(pub_item("pub(crate) fn h() {"), None);
+        assert_eq!(pub_item("pub struct S;"), None);
+        let lib = "#![forbid(unsafe_code)]\npub use inner::{\n    first,\n    second,\n};\npub(crate) use inner::third;\n";
+        let inner = "pub fn first() {}\npub fn second() {}\npub fn third() {}\n";
+        let files = [
+            scan("crates/y/src/lib.rs", lib),
+            scan("crates/y/src/inner.rs", inner),
+        ];
+        let r = check(&files, &[], &Manifest::default());
+        let lines: Vec<_> = r
+            .findings
+            .iter()
+            .map(|f| (f.rule.as_str(), f.line))
+            .collect();
+        assert_eq!(
+            lines,
+            [("unused-pub", 1), ("unused-pub", 2), ("unused-pub", 3)]
+        );
+        // A bin's own `pub fn` is not library code; its calls are uses.
+        let bin = scan(
+            "crates/y/src/bin/tool.rs",
+            "#![forbid(unsafe_code)]\npub fn main() { y::first(); }\n",
+        );
+        let r = check(
+            &[scan("crates/y/src/inner.rs", "pub fn first() {}\n"), bin],
+            &[],
+            &Manifest::default(),
+        );
+        assert!(r.is_clean(), "{:?}", r.findings);
     }
 
     #[test]

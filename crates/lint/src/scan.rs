@@ -277,7 +277,7 @@ fn char_literal_len(chars: &[char], i: usize) -> Option<usize> {
     }
 }
 
-fn is_ident(c: char) -> bool {
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 

@@ -4,7 +4,8 @@
 //! The fixture trees under `tests/fixtures/` are miniature workspaces
 //! (root `Cargo.toml` + `LOCK_ORDER` + member crates). `dirty` trips
 //! every rule at least once; `clean` contains the same code shapes with
-//! every contract satisfied. The final test is the self-check the CI
+//! every contract satisfied; `unused_pub` holds one public item per case
+//! of the cross-file `unused-pub` rule. The final test is the self-check the CI
 //! gate depends on: the committed tree must lint clean, with no stale
 //! suppressions (stale markers and stale allow entries are findings, so
 //! `is_clean()` covers both).
@@ -30,7 +31,7 @@ fn rule_count(report: &Report, rule: &str) -> usize {
 fn dirty_fixture_reports_every_rule() {
     let report = run_lint(&fixture("dirty")).expect("dirty fixture lints");
 
-    assert_eq!(report.findings.len(), 13, "report:\n{}", report.to_text());
+    assert_eq!(report.findings.len(), 14, "report:\n{}", report.to_text());
     assert_eq!(rule_count(&report, "hygiene"), 1);
     assert_eq!(rule_count(&report, "panic"), 2);
     assert_eq!(rule_count(&report, "thread"), 1);
@@ -38,6 +39,7 @@ fn dirty_fixture_reports_every_rule() {
     assert_eq!(rule_count(&report, "lock-order"), 1);
     assert_eq!(rule_count(&report, "determinism"), 4);
     assert_eq!(rule_count(&report, "relaxed"), 1);
+    assert_eq!(rule_count(&report, "unused-pub"), 1);
     // Both flavours of staleness: an unused `// lint:` marker and an
     // `[allow]` manifest entry whose needle matches nothing.
     assert_eq!(rule_count(&report, "stale-allow"), 2);
@@ -69,6 +71,7 @@ fn dirty_fixture_findings_anchor_to_exact_lines() {
     assert!(has("crates/app/src/lib.rs", 16, "lock-order"));
     assert!(has("crates/app/src/lib.rs", 17, "relaxed"));
     assert!(has("crates/app/src/lib.rs", 20, "stale-allow"));
+    assert!(has("crates/app/src/lib.rs", 21, "unused-pub"));
     assert!(has("crates/app/src/serve.rs", 4, "panic"));
     assert!(has("crates/app/src/serve.rs", 8, "panic"));
     assert!(has("crates/app/src/serve.rs", 12, "thread"));
@@ -105,6 +108,40 @@ fn clean_fixture_is_clean_and_uses_its_suppressions() {
     // Two `// lint: allow(panic)` markers, one `// relaxed:` comment,
     // and one manifest `[allow]` entry — all live, none stale.
     assert_eq!(report.suppressions_used, 4);
+}
+
+#[test]
+fn unused_pub_fixture_reports_only_items_no_other_file_names() {
+    let report = run_lint(&fixture("unused_pub")).expect("unused_pub fixture lints");
+    let found: Vec<(&str, usize, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule.as_str()))
+        .collect();
+    let items = "crates/lib/src/items.rs";
+    assert_eq!(
+        found,
+        [
+            // Named by nothing, or only by its own file.
+            (items, 12, "unused-pub"),
+            (items, 15, "unused-pub"),
+            (items, 18, "unused-pub"),
+            // Named only by the crate root's `pub use`.
+            (items, 27, "unused-pub"),
+            // Named only by `tests/` and a `#[cfg(test)]` module.
+            (items, 30, "unused-pub"),
+            // A marker on an item another file calls is stale.
+            (items, 44, "stale-allow"),
+        ],
+        "report:\n{}",
+        report.to_text()
+    );
+    // Used from another library file, an example, a bin or a bench; the
+    // marked oracle; the `pub(crate)` item; test-module and bin items:
+    // none is a finding, and the oracle's marker is the one suppression.
+    assert_eq!(report.suppressions_used, 1);
+    // Examples and benches are read for names only, never linted.
+    assert_eq!(report.files_scanned, 4);
 }
 
 #[test]

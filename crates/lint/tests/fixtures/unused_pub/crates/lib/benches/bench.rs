@@ -1,0 +1,5 @@
+//! A bench: read for the names it uses, and no rule runs on it.
+
+fn main() {
+    lib::items::for_bench();
+}

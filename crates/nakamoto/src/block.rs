@@ -70,12 +70,6 @@ impl Block {
     pub fn miner(&self) -> usize {
         self.miner
     }
-
-    /// Mining time.
-    #[must_use]
-    pub fn mined_at(&self) -> SimTime {
-        self.mined_at
-    }
 }
 
 #[cfg(test)]

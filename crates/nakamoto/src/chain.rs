@@ -98,6 +98,7 @@ impl BlockTree {
     }
 
     /// Walks the main chain tip → genesis.
+    // lint: allow(unused-pub) reference walk: nakamoto_properties checks the main chain's heights and parents are contiguous through it
     #[must_use]
     pub fn main_chain(&self) -> Vec<&Block> {
         let mut chain = Vec::with_capacity(self.height() as usize + 1);
@@ -115,7 +116,7 @@ impl BlockTree {
 
     /// Whether `id` lies on the main chain.
     #[must_use]
-    pub fn on_main_chain(&self, id: &Digest) -> bool {
+    fn on_main_chain(&self, id: &Digest) -> bool {
         let Some(target) = self.blocks.get(id) else {
             return false;
         };
@@ -134,6 +135,7 @@ impl BlockTree {
 
     /// Confirmations of `id`: main-chain depth below the tip (tip itself
     /// has 1 confirmation, Bitcoin-style); `None` when off-chain.
+    // lint: allow(unused-pub) paper-facing: the confirmation depth `z` of Nakamoto's race, which nakamoto_properties checks against the tree
     #[must_use]
     pub fn confirmations(&self, id: &Digest) -> Option<u64> {
         if !self.on_main_chain(id) {

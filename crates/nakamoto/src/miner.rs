@@ -54,6 +54,7 @@ impl Miner {
     }
 
     /// Switches strategy (compromise/recovery).
+    // lint: allow(unused-pub) test seam: compromises a miner mid-run in sim's unit tests and integration_nakamoto
     pub fn set_strategy(&mut self, strategy: MinerStrategy) {
         self.strategy = strategy;
     }

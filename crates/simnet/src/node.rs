@@ -45,7 +45,6 @@ pub(crate) enum Action<M> {
     Send { to: NodeId, payload: M },
     Broadcast { payload: M },
     SetTimer { delay: SimTime, token: TimerToken },
-    Halt,
 }
 
 /// The node's window onto the simulation during a callback: clock, own id,
@@ -85,6 +84,7 @@ impl<M> Context<'_, M> {
     }
 
     /// Sends `payload` to every *other* node.
+    // lint: allow(unused-pub) simulator API for Node implementations: the crate example and the nodes of simnet_properties and determinism_goldens broadcast
     pub fn broadcast(&mut self, payload: M) {
         self.outbox.push(Action::Broadcast { payload });
     }
@@ -94,17 +94,12 @@ impl<M> Context<'_, M> {
         self.outbox.push(Action::SetTimer { delay, token });
     }
 
-    /// Stops the whole simulation after this callback (used by harnesses
-    /// when a terminal condition is reached).
-    pub fn halt(&mut self) {
-        self.outbox.push(Action::Halt);
-    }
-
     /// Draws a uniform integer in `[0, bound)`.
     ///
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    // lint: allow(unused-pub) simulator API for Node implementations: simnet_properties' gossip nodes draw their peers with it
     pub fn random_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "random_below requires a positive bound");
         self.rng.gen_range(0..bound)
@@ -201,8 +196,7 @@ mod tests {
         ctx.send(NodeId::new(2), 9);
         ctx.broadcast(7);
         ctx.set_timer(SimTime::from_millis(1), TimerToken::new(11));
-        ctx.halt();
-        assert_eq!(ctx.outbox.len(), 4);
+        assert_eq!(ctx.outbox.len(), 3);
     }
 
     #[test]

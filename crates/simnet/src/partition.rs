@@ -32,6 +32,7 @@ impl Partition {
     }
 
     /// Isolates a single node from everyone else.
+    // lint: allow(unused-pub) test seam: the partition cases of simnet_properties and integration_resilience_scenarios cut one node off with it
     #[must_use]
     pub fn isolate(n: usize, victim: NodeId) -> Self {
         let rest = (0..n).map(NodeId::new).filter(|&id| id != victim).collect();

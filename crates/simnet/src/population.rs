@@ -231,7 +231,7 @@ impl ClientPopulation {
     /// The diurnal op budget for `tick`:
     /// `round(mean · (1 + A·sin(2π·tick/period)))`.
     #[must_use]
-    pub fn ops_at(&self, tick: u64) -> u64 {
+    fn ops_at(&self, tick: u64) -> u64 {
         let mean = self.config.mean_ops_per_tick as f64;
         if self.config.diurnal_period == 0 || self.config.diurnal_amplitude == 0.0 {
             return self.config.mean_ops_per_tick;

@@ -69,30 +69,34 @@ impl TraceStats {
     }
 
     /// Messages dropped by the loss model.
+    // lint: allow(unused-pub) test seam: simnet_properties' message-conservation property reads it
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Messages blocked by an active partition.
+    // lint: allow(unused-pub) test seam: simnet_properties' message-conservation and partition properties read it
     #[must_use]
     pub fn blocked_by_partition(&self) -> u64 {
         self.blocked_by_partition
     }
 
     /// Timers fired.
+    // lint: allow(unused-pub) test seam: simnet_properties' timer property reads it
     #[must_use]
     pub fn timers_fired(&self) -> u64 {
         self.timers_fired
     }
 
     /// Faults injected.
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn faults_injected(&self) -> u64 {
         self.faults_injected
     }
 
     /// Messages sent by `node`.
+    // lint: allow(unused-pub) test seam: simnet_properties checks the per-node counts sum to the total
     #[must_use]
     pub fn sent_by(&self, node: NodeId) -> u64 {
         self.per_node_sent.get(node.index()).copied().unwrap_or(0)

@@ -161,7 +161,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::UnexpectedEof`] if fewer than `N` bytes remain.
-    pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)

@@ -37,9 +37,6 @@ impl VotingPower {
     /// The zero amount of voting power.
     pub const ZERO: VotingPower = VotingPower(0);
 
-    /// One power unit.
-    pub const UNIT: VotingPower = VotingPower(1);
-
     /// Creates a voting power of `units` power units.
     #[must_use]
     pub const fn new(units: u64) -> Self {
@@ -227,7 +224,7 @@ mod tests {
     #[test]
     fn zero_is_zero() {
         assert!(VotingPower::ZERO.is_zero());
-        assert!(!VotingPower::UNIT.is_zero());
+        assert!(!VotingPower::new(1).is_zero());
     }
 
     #[test]
@@ -256,13 +253,13 @@ mod tests {
     #[test]
     fn checked_arithmetic() {
         assert_eq!(
-            VotingPower::new(u64::MAX).checked_add(VotingPower::UNIT),
+            VotingPower::new(u64::MAX).checked_add(VotingPower::new(1)),
             None
         );
         assert_eq!(VotingPower::new(1).checked_sub(VotingPower::new(2)), None);
         assert_eq!(
             VotingPower::new(3).checked_sub(VotingPower::new(2)),
-            Some(VotingPower::UNIT)
+            Some(VotingPower::new(1))
         );
     }
 

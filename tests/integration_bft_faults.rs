@@ -257,11 +257,7 @@ fn crypto_library_zero_day_cuts_across_os_diversity() {
     let hit: std::collections::BTreeSet<usize> =
         faults_from_vulnerability(&spread, &vuln, Behavior::Equivocate)
             .iter()
-            .map(|fault| {
-                spread
-                    .config_of(ReplicaId::new(fault.replica as u64))
-                    .unwrap()
-            })
+            .map(|fault| spread.entries()[fault.replica].config)
             .collect();
     assert_eq!(hit.len(), 2, "one configuration per OS: {hit:?}");
     let (safe, report) = zero_day_verdict(&spread, &vuln, SimTime::from_millis(2), 104);

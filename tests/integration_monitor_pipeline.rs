@@ -156,8 +156,7 @@ fn analyzer_and_monitor_agree_on_worst_share() {
     let space =
         ConfigurationSpace::cartesian(&[catalog::crypto_libraries()[..3].to_vec()]).unwrap();
     let assignment = Assignment::round_robin(&space, 9, VotingPower::new(10)).unwrap();
-    let analyzer = ResilienceAnalyzer::new(assignment.clone(), VulnerabilityDb::new());
-    let ranking = analyzer.exposure_ranking();
+    let ranking = fault_independence::fi_config::closure::component_exposure_ranking(&assignment);
     let dist = assignment.distribution().unwrap();
     let worst_structural = ranking[0].power.share_of(assignment.total_power());
     assert!((worst_structural - dist.max_probability()).abs() < 1e-9);
