@@ -465,7 +465,6 @@ fn faultinj_catalogue() -> (ConfigurationSpace, Vulnerability) {
         VulnId::new(0),
         "os-zero-day",
         ComponentSelector::product(os.kind(), os.name()),
-        Severity::Critical,
     )
     .with_window(SimTime::from_millis(1), SimTime::from_secs(3600));
     (space, vuln)
@@ -632,7 +631,6 @@ pub fn run_window(seed: u64) -> Table {
             VulnId::new(0),
             "os-cve",
             ComponentSelector::product(os.kind(), os.name()),
-            Severity::High,
         )
         .with_window(SimTime::from_secs(100), SimTime::from_secs(400)),
     )
@@ -641,7 +639,6 @@ pub fn run_window(seed: u64) -> Table {
             VulnId::new(1),
             "crypto-cve",
             ComponentSelector::product(crypto.kind(), crypto.name()),
-            Severity::Critical,
         )
         .with_window(SimTime::from_secs(250), SimTime::from_secs(600)),
     )
@@ -650,7 +647,6 @@ pub fn run_window(seed: u64) -> Table {
             VulnId::new(2),
             "wallet-cve",
             ComponentSelector::layer(fi_config::ComponentKind::KeyManagement),
-            Severity::Medium,
         )
         .with_window(SimTime::from_secs(500), SimTime::from_secs(700)),
     );

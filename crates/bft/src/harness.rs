@@ -364,7 +364,7 @@ pub fn faults_from_vulnerability(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_config::prelude::{catalog, ComponentSelector, Severity, VulnerabilityDb};
+    use fi_config::prelude::{catalog, ComponentSelector, VulnerabilityDb};
     use fi_config::ConfigurationSpace;
     use fi_types::{VotingPower, VulnId};
 
@@ -503,7 +503,6 @@ mod tests {
             VulnId::new(0),
             "os-bug",
             ComponentSelector::product(os.kind(), os.name()),
-            Severity::Critical,
         )
         .with_window(SimTime::from_millis(10), SimTime::from_secs(100));
         let faults = faults_from_vulnerability(&assignment, &vuln, Behavior::Silent);

@@ -80,9 +80,18 @@
 //! deaths merged list by list, untouched runs copied as slices; a row that
 //! changes tier leaves one list of its slot for the other — and
 //! refuses, with a [`PatchError`] and without touching `self`, rows that
-//! do not describe a change to this roster. The roster has one layout (list
-//! position = configuration value and tier) and two ways in: built by
-//! [`PrunedRoster::from_dense`], carried forward by `patch_dense`.
+//! do not describe a change to this roster.
+//!
+//! **One table, two orderings.** A roster is one entry table, list by
+//! list, with an offset where each list starts (list position =
+//! configuration value and tier). That one type holds the fleet's roster,
+//! a patch's two staged sides and a warm start's challengers, and the
+//! caller picks its way in by input size: [`PrunedRoster::from_dense`]
+//! sorts each list in place by comparison, faster at fleet size and on a
+//! warm start's handful of rows; the radix constructor, which a patch
+//! stages its churn with, orders the rows with
+//! [`crate::radix::sort_by_key`] first, faster at a seal's thousands. A
+//! patched roster equals a rebuilt one, capacities included.
 //! See [`crate::warm`] for the replay layer on top.
 
 use std::fmt;
@@ -121,7 +130,7 @@ fn xlog2(w: u64) -> f64 {
 /// One candidate as stored in a list: 16 bytes. Configuration and tier are
 /// implied by the owning list, so bucket-slot splices never rewrite entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PrunedEntry {
+pub(crate) struct PrunedEntry {
     power: u64,
     replica: ReplicaId,
 }
@@ -245,78 +254,25 @@ impl fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-/// The rows of one side of a [`PrunedRoster::patch_dense`], grouped by
-/// list (see [`list_of`]) and sorted by [`entry_key`] inside each list, in
-/// one stable LSD radix sort: each row is read once into the radix buffer,
-/// sorted on the bits of its key that vary among the rows
-/// ([`radix::sort_by_key`], a pass per digit of up to 11 bits), and then
-/// scattered by list in one counting pass, the most significant digit.
-/// O(R · D) for R rows and D digits: 3 at the seal's shape (ids below
-/// 2¹⁸, powers below 2¹⁰). The worst case, all 128 key bits varying, takes
-/// 12 and measures about 2× a comparison sort per list at 12 600 rows.
-/// Rows whose configuration is not below `slots` share one trailing group,
-/// [`out_of_range`](Self::out_of_range).
-struct ListGroups {
-    entries: Vec<PrunedEntry>,
-    /// `starts[l]..starts[l + 1]` is list `l`'s range of `entries`.
-    starts: Vec<usize>,
-}
-
-/// The radix's two buffers of staged rows, each a row's list and its entry.
+/// The radix's two buffers of staged rows, each a row's list and its entry:
+/// what [`PrunedRoster::from_churn`] orders in, shared by the two sides of
+/// a patch.
 type RadixBuffers = (Vec<(usize, PrunedEntry)>, Vec<(usize, PrunedEntry)>);
 
-impl ListGroups {
-    /// Groups and orders `rows` through the radix's buffers, `staged` and
-    /// `scratch`, which both sides of a patch share.
-    fn new(slots: usize, rows: &[Candidate], (staged, scratch): &mut RadixBuffers) -> Self {
-        let lists = 2 * slots;
-        let mut starts = vec![0; lists + 2];
-        staged.clear();
-        staged.extend(rows.iter().map(|c| {
-            let group = if c.config() < slots {
-                list_of(c)
-            } else {
-                lists
-            };
-            starts[group + 1] += 1;
-            (group, PrunedEntry::of(c))
-        }));
-        for l in 0..=lists {
-            starts[l + 1] += starts[l];
-        }
-        radix::sort_by_key(staged, scratch, |(_, e)| entry_key(e));
-        let mut entries = vec![PrunedEntry::default(); staged.len()];
-        let mut next = starts.clone();
-        for &(group, e) in staged.iter() {
-            entries[next[group]] = e;
-            next[group] += 1;
-        }
-        ListGroups { entries, starts }
-    }
-
-    fn list(&self, list: usize) -> &[PrunedEntry] {
-        &self.entries[self.starts[list]..self.starts[list + 1]]
-    }
-
-    fn out_of_range(&self) -> &[PrunedEntry] {
-        self.list(self.starts.len() - 2)
-    }
-}
-
 /// One list of [`PrunedRoster::patch_dense`]: `old − leaving + landing`,
-/// all three sorted by [`entry_key`], written once into an exactly-sized
-/// `Vec`. Each churned row gallops to its position and the untouched run
-/// in front of it is copied as a slice, so an untouched list costs one
-/// `memcpy`. A departure whose key equals an arrival's is applied first
-/// (a replica that leaves and re-enters with the same key is replaced); an
-/// arrival lands after an equal-keyed surviving entry; a departure that
-/// matches no entry is the `Err`, by its replica.
+/// all three sorted by [`entry_key`], appended to `out`. Each churned row
+/// gallops to its position and the untouched run in front of it is copied
+/// as a slice, so an untouched list costs one `memcpy`. A departure whose
+/// key equals an arrival's is applied first (a replica that leaves and
+/// re-enters with the same key is replaced); an arrival lands after an
+/// equal-keyed surviving entry; a departure that matches no entry is the
+/// `Err`, by its replica.
 fn merge_list(
+    out: &mut Vec<PrunedEntry>,
     mut old: &[PrunedEntry],
     mut leaving: &[PrunedEntry],
     mut landing: &[PrunedEntry],
-) -> Result<Vec<PrunedEntry>, ReplicaId> {
-    let mut out = Vec::with_capacity((old.len() + landing.len()).saturating_sub(leaving.len()));
+) -> Result<(), ReplicaId> {
     loop {
         let departs = match (leaving.first(), landing.first()) {
             (None, None) => break,
@@ -344,7 +300,7 @@ fn merge_list(
         }
     }
     out.extend_from_slice(old);
-    Ok(out)
+    Ok(())
 }
 
 /// A candidate roster indexed for pruned greedy selection: two candidate
@@ -353,7 +309,8 @@ fn merge_list(
 /// values are *dense* slot positions `0..num_configs` (the epoch-snapshot
 /// layout), so a list's position says both its configuration and its
 /// tier: list `2·s` holds slot `s`'s attested rows, list `2·s + 1` its
-/// unattested ones.
+/// unattested ones. The lists are one table: every entry, list by list,
+/// and an offset where each list starts.
 ///
 /// Zero-power candidates are held and never selected (module docs); a
 /// slot whose candidates all left keeps its (empty) lists until
@@ -383,20 +340,23 @@ fn merge_list(
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrunedRoster {
-    /// Two candidate lists per configuration slot, each sorted by
-    /// [`entry_key`]: list `2·s` is slot `s`'s attested rows, list
-    /// `2·s + 1` its unattested ones.
-    lists: Vec<Vec<PrunedEntry>>,
-    /// Total entries across all lists.
-    len: usize,
+    /// Every entry, list by list, each list sorted by [`entry_key`].
+    entries: Vec<PrunedEntry>,
+    /// `starts[l]..starts[l + 1]` is list `l`'s range of `entries`: one
+    /// offset per list and a last one, `entries.len()`.
+    starts: Vec<usize>,
 }
 
 impl PrunedRoster {
     /// Indexes `candidates` whose configuration values are slot positions
     /// `0..slots` (the epoch-snapshot layout: one slot per sorted
     /// measurement bucket plus the trailing unattested pseudo-slot); slots
-    /// without candidates keep empty lists. Each list is counted first and
-    /// allocated at its exact size. O(n log n).
+    /// without candidates keep empty lists. The rows are filed list by list
+    /// into a table allocated at its exact size, and each list is then
+    /// sorted in place by a comparison sort. O(n log n). This measures
+    /// faster than ordering the rows by [`crate::radix`] first both at
+    /// fleet size and on a warm start's few challenger rows, so both come
+    /// this way.
     ///
     /// Replica ids need not be distinct, but a selection seats each at most
     /// once: a band walk skips any entry whose replica is already selected.
@@ -406,39 +366,91 @@ impl PrunedRoster {
     /// Panics if any candidate's configuration is ≥ `slots`.
     #[must_use]
     pub fn from_dense(slots: usize, candidates: &[Candidate]) -> Self {
-        let mut sizes = vec![0; 2 * slots];
-        for c in candidates {
-            sizes[list_of(c)] += 1;
+        let mut roster = Self::file_by_list(
+            slots,
+            candidates.iter().map(|c| (list_of(c), PrunedEntry::of(c))),
+        );
+        for l in 0..2 * slots {
+            let (start, end) = (roster.starts[l], roster.starts[l + 1]);
+            roster.entries[start..end].sort_unstable_by_key(entry_key);
         }
-        let mut lists: Vec<Vec<PrunedEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for c in candidates {
-            lists[list_of(c)].push(PrunedEntry::of(c));
+        roster
+    }
+
+    /// Indexes `rows` into the table [`from_dense`](Self::from_dense)
+    /// builds, ordered by one stable radix sort on the key bits that vary
+    /// among them ([`radix::sort_by_key`], `staged` and `scratch` its two
+    /// buffers) and then filed by list, which keeps that order inside each
+    /// list: O(R · D) for R rows and D digits of up to 11 bits, faster than
+    /// `from_dense` at a seal's churn size (see [`crate::radix`]). A patch
+    /// stages its rows this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row's configuration is ≥ `slots`.
+    fn from_churn(slots: usize, rows: &[Candidate], (staged, scratch): &mut RadixBuffers) -> Self {
+        staged.clear();
+        staged.extend(rows.iter().map(|c| (list_of(c), PrunedEntry::of(c))));
+        radix::sort_by_key(staged, scratch, |(_, e)| entry_key(e));
+        Self::file_by_list(slots, staged.iter().copied())
+    }
+
+    /// Files `rows`, each a list and its entry, into one table of `2 ·
+    /// slots` lists, each list's entries in the order `rows` yields them:
+    /// one counting pass for the offsets, one scatter.
+    fn file_by_list(
+        slots: usize,
+        rows: impl Iterator<Item = (usize, PrunedEntry)> + Clone,
+    ) -> Self {
+        let lists = 2 * slots;
+        let mut starts = vec![0; lists + 1];
+        for (l, _) in rows.clone() {
+            starts[l + 1] += 1;
         }
-        for list in &mut lists {
-            list.sort_unstable_by_key(entry_key);
+        for l in 0..lists {
+            starts[l + 1] += starts[l];
         }
-        PrunedRoster {
-            len: candidates.len(),
-            lists,
+        let mut entries = vec![PrunedEntry::default(); starts[lists]];
+        let mut next = starts.clone();
+        for (l, e) in rows {
+            entries[next[l]] = e;
+            next[l] += 1;
         }
+        PrunedRoster { entries, starts }
+    }
+
+    /// List `l`'s entries.
+    fn list(&self, l: usize) -> &[PrunedEntry] {
+        &self.entries[self.starts[l]..self.starts[l + 1]]
+    }
+
+    /// The lists that hold an entry, each with its position: what
+    /// [`SelectionRun::any_displaces`] walks each round.
+    pub(crate) fn filled_lists(&self) -> impl Iterator<Item = (usize, &[PrunedEntry])> {
+        let filled = self
+            .starts
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1]);
+        filled.map(|(l, w)| (l, &self.entries[w[0]..w[1]]))
     }
 
     /// Number of indexed candidates, zero-power ones included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether no candidate is indexed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Number of configuration slots (empty ones included).
     #[must_use]
     pub fn num_configs(&self) -> usize {
-        self.lists.len() / 2
+        self.starts.len() / 2
     }
 
     /// Number of indexed candidates in configuration slot `slot`, both
@@ -446,19 +458,18 @@ impl PrunedRoster {
     #[must_use]
     pub fn slot_len(&self, slot: usize) -> usize {
         if slot < self.num_configs() {
-            self.lists[2 * slot].len() + self.lists[2 * slot + 1].len()
+            self.starts[2 * slot + 2] - self.starts[2 * slot]
         } else {
             0
         }
     }
 
     /// The bytes the index holds on the heap, by capacity: 16 a candidate
-    /// plus one list header per slot and tier.
+    /// plus one 8-byte offset per slot and tier, and one more.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let entries: usize = self.lists.iter().map(Vec::capacity).sum();
-        self.lists.capacity() * std::mem::size_of::<Vec<PrunedEntry>>()
-            + entries * std::mem::size_of::<PrunedEntry>()
+        self.entries.capacity() * std::mem::size_of::<PrunedEntry>()
+            + self.starts.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Every indexed candidate, slot by slot, each slot's two lists merged
@@ -466,41 +477,38 @@ impl PrunedRoster {
     /// entry first on a tie — the roster read back out of the index,
     /// configuration = slot position, tier = the list's.
     pub fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
-        self.lists
-            .chunks_exact(2)
-            .enumerate()
-            .flat_map(|(slot, pair)| {
-                let (mut attested, mut unattested) = (pair[0].as_slice(), pair[1].as_slice());
-                std::iter::from_fn(move || {
-                    let attested_next = match (attested.first(), unattested.first()) {
-                        (None, None) => return None,
-                        (Some(a), Some(u)) => entry_key(a) <= entry_key(u),
-                        (a, _) => a.is_some(),
-                    };
-                    let (list, tier) = if attested_next {
-                        (&mut attested, 0)
-                    } else {
-                        (&mut unattested, 1)
-                    };
-                    let e = list[0];
-                    *list = &list[1..];
-                    Some(e.candidate(2 * slot + tier))
-                })
+        (0..self.num_configs()).flat_map(move |slot| {
+            let (mut attested, mut unattested) = (self.list(2 * slot), self.list(2 * slot + 1));
+            std::iter::from_fn(move || {
+                let attested_next = match (attested.first(), unattested.first()) {
+                    (None, None) => return None,
+                    (Some(a), Some(u)) => entry_key(a) <= entry_key(u),
+                    (a, _) => a.is_some(),
+                };
+                let (list, tier) = if attested_next {
+                    (&mut attested, 0)
+                } else {
+                    (&mut unattested, 1)
+                };
+                let e = list[0];
+                *list = &list[1..];
+                Some(e.candidate(2 * slot + tier))
             })
+        })
     }
 
     /// Builds the dense roster that one epoch's churn turns this one into,
     /// in **one pass**: every list is written once, straight from the old
-    /// one, into an exactly-sized `Vec`, untouched runs copied as slices —
-    /// nothing is cloned first and patched after. The R churned rows of
-    /// each side are ordered by one stable radix sort — a pass per digit
-    /// of up to 11 bits that holds a varying key bit, then a counting pass
-    /// by list — in O(R · D) for D digits: 3 at the seal's shape, 12 at
-    /// worst, where it measures about 2× a comparison sort per list. The
-    /// radix buffers, shared by both sides, are freed before one merge walk
-    /// over the slots, which mirrors the epoch snapshot's bucket walk and
-    /// its births and deaths, writes the new lists. A row that changes tier
-    /// departs from one list and arrives in the other.
+    /// one, into one exactly-sized table, untouched runs copied as slices —
+    /// nothing is cloned first and patched after. A config out of range is
+    /// refused before anything is staged. The R churned rows of each side
+    /// are then staged as a roster of their own, ordered by
+    /// [`radix::sort_by_key`] in O(R · D) for D digits: 3 at the seal's
+    /// shape, 12 at worst, where it measures about 2× a comparison sort per
+    /// list. The radix buffers, shared by both sides, are freed before one
+    /// merge walk over the slots, which mirrors the epoch snapshot's bucket
+    /// walk and its births and deaths, appends the new lists. A row that
+    /// changes tier departs from one list and arrives in the other.
     ///
     /// * `departed` — rows leaving, by their exact *old-layout* `(config,
     ///   tier, power, replica)`; each must be present.
@@ -512,7 +520,7 @@ impl PrunedRoster {
     ///   (which `arrivals` may then populate).
     ///
     /// The result equals [`from_dense`](Self::from_dense) over the patched
-    /// candidates.
+    /// candidates, capacities included.
     ///
     /// # Errors
     ///
@@ -531,20 +539,28 @@ impl PrunedRoster {
         let slots = (old_slots + insertions.len())
             .checked_sub(removals.len())
             .ok_or(PatchError::OutOfRange)?;
-        let mut buffers = RadixBuffers::default();
-        let leaving = ListGroups::new(old_slots, departed, &mut buffers);
-        let landing = ListGroups::new(slots, arrivals, &mut buffers);
-        drop(buffers);
-        if !(leaving.out_of_range().is_empty() && landing.out_of_range().is_empty()) {
+        if departed.iter().any(|c| c.config() >= old_slots)
+            || arrivals.iter().any(|c| c.config() >= slots)
+        {
             return Err(PatchError::OutOfRange);
         }
-        let mut lists: Vec<Vec<PrunedEntry>> = Vec::with_capacity(2 * slots);
+        let mut buffers = RadixBuffers::default();
+        let leaving = Self::from_churn(old_slots, departed, &mut buffers);
+        let landing = Self::from_churn(slots, arrivals, &mut buffers);
+        drop(buffers);
+        let mut entries =
+            Vec::with_capacity((self.len() + landing.len()).saturating_sub(leaving.len()));
+        let mut starts = Vec::with_capacity(2 * slots + 1);
+        starts.push(0);
         let mut old_at = 0;
-        while lists.len() < 2 * slots || old_at < old_slots {
-            let at = lists.len() / 2;
+        while starts.len() <= 2 * slots || old_at < old_slots {
+            let at = starts.len() / 2;
             if at < slots && insertions.first() == Some(&at) {
                 insertions = &insertions[1..];
-                lists.extend((2 * at..2 * at + 2).map(|l| landing.list(l).to_vec()));
+                for l in 2 * at..2 * at + 2 {
+                    entries.extend_from_slice(landing.list(l));
+                    starts.push(entries.len());
+                }
                 continue;
             }
             if old_at == old_slots {
@@ -554,7 +570,7 @@ impl PrunedRoster {
             if !removed && at == slots {
                 return Err(PatchError::OutOfRange);
             }
-            let mut left = 0;
+            let kept = entries.len();
             for tier in 0..2 {
                 let old = 2 * old_at + tier;
                 let arriving: &[PrunedEntry] = if removed {
@@ -562,16 +578,15 @@ impl PrunedRoster {
                 } else {
                     landing.list(2 * at + tier)
                 };
-                let merged = merge_list(&self.lists[old], leaving.list(old), arriving)
+                merge_list(&mut entries, self.list(old), leaving.list(old), arriving)
                     .map_err(PatchError::UnknownDeparture)?;
-                left += merged.len();
                 if !removed {
-                    lists.push(merged);
+                    starts.push(entries.len());
                 }
             }
             if removed {
                 removals = &removals[1..];
-                if left > 0 {
+                if entries.len() > kept {
                     return Err(PatchError::SlotNotEmpty(old_at));
                 }
             }
@@ -580,10 +595,7 @@ impl PrunedRoster {
         if !(removals.is_empty() && insertions.is_empty()) {
             return Err(PatchError::OutOfRange);
         }
-        Ok(PrunedRoster {
-            len: lists.iter().map(Vec::len).sum(),
-            lists,
-        })
+        Ok(PrunedRoster { entries, starts })
     }
 
     /// Greedy entropy-maximising selection of `k` members — the
@@ -598,42 +610,15 @@ impl PrunedRoster {
     }
 }
 
-/// The churned candidate rows a warm-start replay must test each verified
-/// round against, grouped by list (configuration and tier, see
-/// [`list_of`]) and sorted by [`entry_key`] —
-/// built once per [`crate::warm::warm_greedy`] call so each round's
-/// displacement check walks only each bucket's analytic-peak band instead
-/// of peeking every churned row.
-pub(crate) struct ChallengerSet {
-    /// (list, entries sorted by [`entry_key`]).
-    groups: Vec<(usize, Vec<PrunedEntry>)>,
-}
-
-impl ChallengerSet {
-    pub(crate) fn new(rows: impl IntoIterator<Item = Candidate>) -> Self {
-        let mut entries: Vec<(usize, PrunedEntry)> = rows
-            .into_iter()
-            .map(|c| (list_of(&c), PrunedEntry::of(&c)))
-            .collect();
-        entries.sort_unstable_by_key(|(list, e)| (*list, entry_key(e)));
-        let mut groups: Vec<(usize, Vec<PrunedEntry>)> = Vec::new();
-        for (list, e) in entries {
-            match groups.last_mut() {
-                Some((l, group)) if *l == list => group.push(e),
-                _ => groups.push((list, vec![e])),
-            }
-        }
-        ChallengerSet { groups }
-    }
-}
-
 /// In-flight selection state over a [`PrunedRoster`]: the committee
 /// accumulator (one slot per configuration, which both of its lists
 /// add to), the members picked
 /// so far, and the selected-replica skip set. Shared by the cold engine and
 /// the warm-start replay in [`crate::warm`].
 pub(crate) struct SelectionRun<'a> {
-    roster: &'a PrunedRoster,
+    /// The roster's lists, sliced out of its table once per selection
+    /// rather than once per list and round.
+    lists: Vec<&'a [PrunedEntry]>,
     acc: EntropyAccumulator,
     members: Vec<Candidate>,
     /// Sorted; binary-searched by the band walks to skip picked entries.
@@ -647,11 +632,13 @@ pub(crate) struct SelectionRun<'a> {
 impl<'a> SelectionRun<'a> {
     pub(crate) fn new(roster: &'a PrunedRoster) -> Self {
         SelectionRun {
-            roster,
+            lists: (0..2 * roster.num_configs())
+                .map(|l| roster.list(l))
+                .collect(),
             acc: EntropyAccumulator::new(roster.num_configs()),
             members: Vec::new(),
             selected: Vec::new(),
-            hints: vec![0; roster.lists.len()],
+            hints: vec![0; 2 * roster.num_configs()],
         }
     }
 
@@ -700,8 +687,10 @@ impl<'a> SelectionRun<'a> {
     }
 
     /// Exact displacement test for one warm-replay round: would any
-    /// unselected challenger row beat `incumbent` (whose marginal gain is
-    /// `incumbent_gain`) under the reference fold's predicate ([`beats`])?
+    /// unselected row of `challengers` — a roster's
+    /// [`filled_lists`](PrunedRoster::filled_lists) — beat `incumbent`
+    /// (whose marginal gain is `incumbent_gain`) under the reference fold's
+    /// predicate ([`beats`])?
     ///
     /// Each challenger bucket goes through the same
     /// [`walk_band`](Self::walk_band) as a selection round; an entry pruned
@@ -713,11 +702,11 @@ impl<'a> SelectionRun<'a> {
     /// row, at O(log L + band) per bucket.
     pub(crate) fn any_displaces(
         &self,
-        challengers: &ChallengerSet,
+        challengers: &[(usize, &[PrunedEntry])],
         incumbent: &Candidate,
         incumbent_gain: f64,
     ) -> bool {
-        challengers.groups.iter().any(|&(list, ref group)| {
+        challengers.iter().any(|&(list, group)| {
             self.walk_band(list / 2, group, &mut 0, |e, h| {
                 beats(&e.candidate(list), h, incumbent, incumbent_gain)
             })
@@ -732,7 +721,7 @@ impl<'a> SelectionRun<'a> {
     pub(crate) fn round(&mut self) -> bool {
         let mut best: Option<(Candidate, f64)> = None;
         let mut hints = std::mem::take(&mut self.hints);
-        for ((li, list), hint) in self.roster.lists.iter().enumerate().zip(&mut hints) {
+        for ((li, list), hint) in self.lists.iter().enumerate().zip(&mut hints) {
             self.walk_band(li / 2, list, hint, |e, h| {
                 let cand = e.candidate(li);
                 if best
@@ -1005,7 +994,8 @@ mod tests {
             let roster = PrunedRoster::from_dense(3, &candidates);
             let mut run = SelectionRun::new(&roster);
             for round in 0..40 {
-                for (li, list) in roster.lists.iter().step_by(2).enumerate() {
+                for li in 0..roster.num_configs() {
+                    let list = roster.list(2 * li);
                     let mut evaluated: Vec<u64> = Vec::new();
                     run.walk_band(li, list, &mut 0, |e, _| {
                         evaluated.push(e.power);
@@ -1034,6 +1024,29 @@ mod tests {
     fn a_pruned_entry_is_two_words() {
         // Power and replica; configuration and tier are the list's.
         assert_eq!(std::mem::size_of::<PrunedEntry>(), 16);
+    }
+
+    #[test]
+    fn filled_lists_skip_the_empty_ones() {
+        // Rows in slots 1, 3 (both tiers) and 9 of 10: the empty lists in
+        // front of, between and behind them are never yielded.
+        let row = |id, config, attested| {
+            Candidate::new(ReplicaId::new(id), VotingPower::new(5), config, attested)
+        };
+        let rows = [
+            row(1, 3, false),
+            row(2, 1, true),
+            row(3, 9, true),
+            row(4, 3, true),
+            row(5, 3, false),
+        ];
+        let roster = PrunedRoster::from_churn(10, &rows, &mut RadixBuffers::default());
+        let filled: Vec<(usize, usize)> = roster
+            .filled_lists()
+            .map(|(l, list)| (l, list.len()))
+            .collect();
+        assert_eq!(filled, [(2, 1), (6, 1), (7, 2), (18, 1)]);
+        assert_eq!(PrunedRoster::from_dense(4, &[]).filled_lists().count(), 0);
     }
 
     #[test]
@@ -1132,10 +1145,8 @@ mod tests {
         assert_eq!(replaced, PrunedRoster::from_dense(1, &[again]));
         // …and an arrival lands behind an equal-keyed entry that stays.
         let both = roster.patch_dense(&[], &[again], &[], &[]).unwrap();
-        assert_eq!(
-            both.lists,
-            vec![vec![PrunedEntry::of(&old)], vec![PrunedEntry::of(&again)]]
-        );
+        assert_eq!(both.list(0), [PrunedEntry::of(&old)]);
+        assert_eq!(both.list(1), [PrunedEntry::of(&again)]);
         assert_eq!(both.candidates().collect::<Vec<_>>(), vec![old, again]);
         assert_eq!(both.len(), 2);
     }
@@ -1177,10 +1188,12 @@ mod tests {
     /// One staged row: `(replica, power, config, attested)`.
     type Row = (u64, u64, usize, bool);
 
-    /// `ListGroups::new` over `rows`, checked list by list — the trailing
-    /// out-of-range group included — against the comparison sort it
-    /// replaces: each list's rows sorted by `sort_unstable_by_key(entry_key)`.
-    /// Returns the radix's scratch buffer.
+    /// [`PrunedRoster::from_churn`] over the rows of `rows` that lie in
+    /// range, held table for table to the per-list comparison sort of
+    /// [`PrunedRoster::from_dense`] and to a [`PrunedRoster::patch_dense`]
+    /// of them onto an empty roster, capacities included; when any row
+    /// lies past the last slot, a patch that departs or lands all of them
+    /// is refused as out of range. Returns the radix's scratch buffer.
     fn groups_match_comparison_sort(slots: usize, rows: &[Row]) -> Vec<(usize, PrunedEntry)> {
         let rows: Vec<Candidate> = rows
             .iter()
@@ -1193,24 +1206,24 @@ mod tests {
                 )
             })
             .collect();
+        let empty = PrunedRoster::from_dense(slots, &[]);
+        if rows.iter().any(|c| c.config() >= slots) {
+            for (departed, arrivals) in [(&rows[..], &[][..]), (&[], &rows)] {
+                assert_eq!(
+                    empty.patch_dense(departed, arrivals, &[], &[]),
+                    Err(PatchError::OutOfRange)
+                );
+            }
+        }
+        let rows: Vec<Candidate> = rows.into_iter().filter(|c| c.config() < slots).collect();
         let mut buffers = RadixBuffers::default();
-        let groups = ListGroups::new(slots, &rows, &mut buffers);
-        assert_eq!(groups.starts.len(), 2 * slots + 2);
-        for list in 0..=2 * slots {
-            let mut expected: Vec<PrunedEntry> = rows
-                .iter()
-                .filter(|c| {
-                    (c.config() < slots && list_of(c) == list)
-                        || (c.config() >= slots && list == 2 * slots)
-                })
-                .map(PrunedEntry::of)
-                .collect();
-            expected.sort_unstable_by_key(entry_key);
-            assert_eq!(
-                groups.list(list),
-                expected.as_slice(),
-                "list {list} of {slots} slots"
-            );
+        let radix = PrunedRoster::from_churn(slots, &rows, &mut buffers);
+        let sorted = PrunedRoster::from_dense(slots, &rows);
+        let patched = empty.patch_dense(&[], &rows, &[], &[]).unwrap();
+        assert_eq!(radix.starts.len(), 2 * slots + 1);
+        for roster in [&radix, &patched] {
+            assert_eq!(roster, &sorted, "{slots} slots");
+            assert_eq!(roster.heap_bytes(), sorted.heap_bytes());
         }
         buffers.1
     }
@@ -1220,7 +1233,9 @@ mod tests {
         assert!(groups_match_comparison_sort(0, &[]).is_empty());
         assert!(groups_match_comparison_sort(3, &[]).is_empty());
         assert!(groups_match_comparison_sort(3, &[(7, 5, 1, false)]).is_empty());
+        // Past the last slot, alone or beside a row in range.
         assert!(groups_match_comparison_sort(0, &[(7, 5, 0, true)]).is_empty());
+        assert!(groups_match_comparison_sort(2, &[(7, 5, 1, false), (8, 5, 2, true)]).is_empty());
     }
 
     /// The key bits that are not the same in every row.
@@ -1236,12 +1251,12 @@ mod tests {
 
     #[test]
     fn rows_on_one_key_run_no_key_pass() {
-        // The same (power, replica) in every list and in the trailing
-        // group: no key bit varies, so the radix never fills its scratch
-        // buffer, and the list digit alone groups the rows.
+        // The same (power, replica) in every list: no key bit varies, so
+        // the radix never fills its scratch buffer, and filing by list
+        // alone groups the rows.
         let rows: Vec<Row> = (0..12).map(|i| (42, 9, i % 5, i % 2 == 0)).collect();
         assert_eq!(varying_bits(&rows), 0);
-        assert!(groups_match_comparison_sort(3, &rows).is_empty());
+        assert!(groups_match_comparison_sort(5, &rows).is_empty());
     }
 
     #[test]
@@ -1285,12 +1300,12 @@ mod tests {
                 rows.push((id, power, (id % 3) as usize, power % 2 == 0));
             }
         }
-        groups_match_comparison_sort(2, &rows);
+        groups_match_comparison_sort(3, &rows);
         let far: Vec<Row> = (0..300u64)
             .map(|k| ((k * 7 % 300) << 20, (k % 50) << 40, (k % 2) as usize, true))
             .collect();
         assert_eq!(varying_bits(&far) & 0xf_ffff, 0);
-        groups_match_comparison_sort(1, &far);
+        groups_match_comparison_sort(2, &far);
     }
 
     #[test]
@@ -1308,7 +1323,7 @@ mod tests {
             .map(|i| (next(), next(), i % 4, i % 3 == 0))
             .collect();
         assert_eq!(varying_bits(&rows), u128::MAX);
-        groups_match_comparison_sort(3, &rows);
+        groups_match_comparison_sort(4, &rows);
     }
 
     /// A fleet in miniature — replica → (power, measurement label), label
@@ -1344,10 +1359,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The radix order against the comparison sort it replaced, on
-        /// random rows: ids and powers from small ranges (few varying
-        /// bits, many equal keys) and from the whole `u64`, rows filed
-        /// under both tiers of every slot and past the last one.
+        /// The radix order against the per-list comparison sort, on random
+        /// rows: ids and powers from small ranges (few varying bits, many
+        /// equal keys) and from the whole `u64`, rows filed under both
+        /// tiers of every slot, and past the last one, which a patch
+        /// refuses.
         #[test]
         fn list_groups_equal_a_comparison_sort_per_list(
             slots in 0..5usize,
@@ -1413,6 +1429,7 @@ mod tests {
             let rebuilt = PrunedRoster::from_dense(new_labels.len() + 1, &new_roster);
             prop_assert_eq!(patched.len(), rebuilt.len());
             prop_assert_eq!(&patched, &rebuilt);
+            prop_assert_eq!(patched.heap_bytes(), rebuilt.heap_bytes());
             for k in [1, 4, 30] {
                 prop_assert_eq!(
                     patched.select(k).members(),

@@ -1,20 +1,34 @@
 //! The differential seal's one ordering routine: a stable LSD radix sort
 //! on a `u128` key.
 //!
-//! A seal orders two kinds of staged churn — the selection index's rows,
-//! by power and descending replica id inside each list, and the churned
-//! replica ids — and both are a few thousand to a few tens of thousands of
-//! rows whose keys agree in most bits: ids below 2¹⁸ vary in their low 18
-//! bits, powers below 2¹⁰ in their low 10. [`sort_by_key`] finds the bits
-//! that vary with one OR over the rows and sorts on those alone, one
-//! counting pass and one stable scatter per digit of up to 11 bits, least
-//! significant first; a run of bits that is the same in every row costs
-//! nothing. Its cost is O(R · D) for R rows and D digits: 3 at the seal's
-//! shape above, 12 when all 128 bits vary, where it measures about 2× a
-//! comparison sort.
-//! A caller with a coarser digit above the key (the pruned index's list)
-//! scatters by it last, in one more stable counting pass, and gets its rows
-//! grouped by that digit and sorted by key inside each group.
+//! A seal orders two kinds of staged churn, each a few thousand to a few
+//! tens of thousands of rows: the selection index's rows, by power and
+//! descending replica id inside each list (the pruned index's radix
+//! constructor, which files the sorted rows by list after), and the
+//! churned replica ids. Their keys agree in most
+//! bits: ids below 2¹⁸ vary in their low 18 bits, powers below 2¹⁰ in their
+//! low 10. [`sort_by_key`] finds the bits that vary with one OR over the
+//! rows and sorts on those alone, one counting pass and one stable scatter
+//! per digit of up to 11 bits, least significant first; a run of bits
+//! that is the same in every row costs nothing. Its cost is O(R · D) for R
+//! rows and D digits: 3 at the seal's shape above, 12 when all 128 bits
+//! vary, where it measures about 2× a comparison sort. On `mixed`, which
+//! stages about 12 600 rows a side, it took the ordering of a seal's index
+//! rows, both sides, from 1.24 to 0.95 ms against a comparison sort per
+//! list (the median seal of one run on a 2-vCPU Xeon).
+//!
+//! A full build does not use it. [`PrunedRoster::from_dense`] files a
+//! fleet's rows by list and sorts each list in place with a comparison
+//! sort, which is the faster of the two at fleet size: with 13 slots,
+//! dense ids and powers below 1 000 (p50 of 15 builds, two runs), 7.6–10.6
+//! ms against 14.5–18.8 ms for the radix at 200 000 rows, and 50–55 ms
+//! against 101–109 ms at 1 000 000. Nor does a warm start's handful of
+//! challenger rows: a pass's 2¹¹ counters cost more than sorting them, and
+//! on the `fleet_seal` bench's 10 000-device, 1 ‰ cell (10 churned rows) a
+//! warm selection read 12 % slower over 12 rotated runs with its
+//! challengers radix-ordered, and at par with `from_dense`.
+//!
+//! [`PrunedRoster::from_dense`]: crate::PrunedRoster::from_dense
 
 /// The widest digit a pass sorts on, in bits: a pass keeps a counter per
 /// digit value, 2¹¹ of them. At the seal's shape (R ≈ 12 600 rows a side,

@@ -15,11 +15,12 @@
 //! a differential seal has in hand anyway — with the map from the previous
 //! epoch's configuration slots to this one's, so a warm start reads nothing
 //! that is O(fleet): no replica-sorted roster is consulted, let alone built.
-//! The churned rows are bucket-grouped once per call, so each round's
-//! displacement check walks only each churned bucket's analytic-peak band
-//! (the cold engine's own pruning, run by run, byte-equivalent to peeking
-//! every row); a full epoch whose committee survives costs O(k ·
-//! churned-buckets) band walks instead of O(k · n) peeks.
+//! The churned rows are indexed once per call, as a [`PrunedRoster`] of
+//! their own, so each round's displacement check walks only each churned
+//! list's analytic-peak band (the cold engine's own pruning, run by run,
+//! byte-equivalent to peeking every row); a full epoch whose committee
+//! survives costs O(k · churned-buckets) band walks instead of O(k · n)
+//! peeks.
 //!
 //! When a churned row does contend — it wins, or ties within the fold
 //! window — the round is recomputed with the full pruned engine
@@ -38,7 +39,7 @@
 use fi_types::ReplicaId;
 
 use crate::candidate::{Candidate, Committee};
-use crate::pruned::{ChallengerSet, PrunedRoster, SelectionRun};
+use crate::pruned::{PrunedRoster, SelectionRun};
 
 /// How a warm-start selection was produced — the differential suites use
 /// this to assert the fast path actually ran, and fibench reports it.
@@ -78,6 +79,10 @@ pub struct WarmReport {
 /// harmless); `previous` may be any length (longer committees' prefixes
 /// are valid — greedy selection is prefix-stable). A member whose slot
 /// `slot_map` does not carry over ends the replay there.
+///
+/// # Panics
+///
+/// Panics if a `current` row's configuration is not a slot of `roster`.
 #[must_use]
 pub fn warm_greedy(
     roster: &PrunedRoster,
@@ -92,9 +97,9 @@ pub fn warm_greedy(
         "churned replicas must be sorted"
     );
     // Replay-or-not is decided by the two engines' own costs, not by a
-    // share of the roster: grouping the churned rows is O(churned · log)
-    // before the first round, while the pruned engine selects cold in
-    // O(k · configs · log L) band walks regardless of churn. Once the
+    // share of the roster: indexing the churned rows is a few radix passes
+    // over them before the first round, while the pruned engine selects
+    // cold in O(k · configs · log L) band walks regardless of churn. Once the
     // churned set outnumbers the rows a cold selection would even look at,
     // replay cannot pay for itself — and the cold path has no divergence
     // to repair.
@@ -109,11 +114,13 @@ pub fn warm_greedy(
         );
     }
 
-    // The churned rows, bucket-grouped and power-sorted once, so each
-    // replay round's displacement check walks only each bucket's
-    // analytic-peak band (byte-equivalent to peeking every churned row —
-    // see `SelectionRun::any_displaces`).
-    let challengers = ChallengerSet::new(current.iter().copied());
+    // The churned rows, indexed once as a roster of their own and its
+    // non-empty lists picked out once, so each replay round's displacement
+    // check walks only those lists' analytic-peak bands, however many
+    // buckets the roster has (byte-equivalent to peeking every churned
+    // row — see `SelectionRun::any_displaces`).
+    let challengers = PrunedRoster::from_dense(roster.num_configs(), current);
+    let challengers: Vec<_> = challengers.filled_lists().collect();
 
     let mut run = SelectionRun::new(roster);
     let mut replayed = 0usize;

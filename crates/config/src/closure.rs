@@ -93,7 +93,6 @@ impl FaultSummary {
 /// db.add(Vulnerability::new(
 ///     VulnId::new(0), "os-bug",
 ///     ComponentSelector::product(os.kind(), os.name()),
-///     Severity::Critical,
 /// ));
 /// // Two replicas of 25 units on each OS.
 /// let rows = space.iter().map(|c| (Some(c), VotingPower::new(50), 2));
@@ -195,7 +194,7 @@ mod tests {
     use super::*;
     use crate::component::{catalog, ComponentKind};
     use crate::space::ConfigurationSpace;
-    use crate::vulnerability::{ComponentSelector, Severity, Vulnerability};
+    use crate::vulnerability::{ComponentSelector, Vulnerability};
     use fi_types::ReplicaId;
 
     fn os_space(n: usize) -> ConfigurationSpace {
@@ -208,7 +207,6 @@ mod tests {
             VulnId::new(id),
             format!("os-bug-{id}"),
             ComponentSelector::product(ComponentKind::OperatingSystem, os.name()),
-            Severity::Critical,
         )
     }
 
@@ -283,7 +281,6 @@ mod tests {
             VulnId::new(1),
             "os-layer",
             ComponentSelector::layer(ComponentKind::OperatingSystem),
-            Severity::High,
         );
         let db = VulnerabilityDb::from_iter([os_vuln(0, 0), layer_vuln]);
         let s = summary(&a, &db, SimTime::ZERO);
@@ -368,7 +365,6 @@ mod tests {
                     ComponentKind::OperatingSystem,
                     catalog::operating_systems()[0].name(),
                 ),
-                Severity::High,
             ),
         ]);
         let s = summary(&a, &db, SimTime::ZERO);

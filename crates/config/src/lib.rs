@@ -43,7 +43,7 @@
 //! // One vulnerability in one OS compromises exactly the replicas using it.
 //! let os = &catalog::operating_systems()[0];
 //! let mut db = VulnerabilityDb::new();
-//! db.add(Vulnerability::new(VulnId::new(0), "CVE-X", ComponentSelector::product(os.kind(), os.name()), Severity::Critical)
+//! db.add(Vulnerability::new(VulnId::new(0), "CVE-X", ComponentSelector::product(os.kind(), os.name()))
 //!     .with_window(SimTime::ZERO, SimTime::from_secs(3600)));
 //! let rows = space.iter().zip(assignment.power_by_config()).zip(assignment.count_by_config());
 //! let rows = rows.map(|((config, power), n)| (Some(config), power, n as usize));
@@ -71,7 +71,7 @@ pub use configuration::{Configuration, ConfigurationBuilder};
 pub use error::ConfigError;
 pub use generator::Assignment;
 pub use space::ConfigurationSpace;
-pub use vulnerability::{ComponentSelector, Severity, Vulnerability, VulnerabilityDb};
+pub use vulnerability::{ComponentSelector, Vulnerability, VulnerabilityDb};
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::error::ConfigError;
     pub use crate::generator::Assignment;
     pub use crate::space::ConfigurationSpace;
-    pub use crate::vulnerability::{ComponentSelector, Severity, Vulnerability, VulnerabilityDb};
+    pub use crate::vulnerability::{ComponentSelector, Vulnerability, VulnerabilityDb};
     pub use crate::window::PatchRollout;
     pub use fi_types::{ReplicaId, SimTime, VotingPower, VulnId};
 }

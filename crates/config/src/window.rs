@@ -159,7 +159,7 @@ mod tests {
     use super::*;
     use crate::component::{catalog, ComponentKind};
     use crate::space::ConfigurationSpace;
-    use crate::vulnerability::{ComponentSelector, Severity, Vulnerability};
+    use crate::vulnerability::{ComponentSelector, Vulnerability};
     use fi_types::VulnId;
 
     fn setup() -> (Assignment, VulnerabilityDb) {
@@ -173,7 +173,6 @@ mod tests {
                 VulnId::new(0),
                 "os-bug",
                 ComponentSelector::product(ComponentKind::OperatingSystem, os.name()),
-                Severity::High,
             )
             .with_window(SimTime::from_secs(100), SimTime::from_secs(200)),
         );
@@ -250,7 +249,6 @@ mod tests {
             VulnId::new(9),
             "forever",
             ComponentSelector::layer(ComponentKind::Database),
-            Severity::Low,
         );
         let rollout = PatchRollout::new(SimTime::from_secs(1), SimTime::ZERO, 0);
         assert_eq!(rollout.effective_end(ReplicaId::new(0), &v), SimTime::MAX);

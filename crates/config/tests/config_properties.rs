@@ -103,13 +103,11 @@ proptest! {
             VulnId::new(0),
             "p",
             ComponentSelector::product(os.kind(), os.name()),
-            Severity::High,
         ));
         db.add(Vulnerability::new(
             VulnId::new(1),
             "layer",
             ComponentSelector::layer(ComponentKind::OperatingSystem),
-            Severity::Low,
         ));
         let rows = space.iter().zip(assignment.power_by_config()).zip(assignment.count_by_config());
         let rows = rows.map(|((config, power), members)| (Some(config), power, members as usize));
@@ -156,7 +154,6 @@ proptest! {
             VulnId::new(0),
             "w",
             ComponentSelector::layer(ComponentKind::Database),
-            Severity::Low,
         )
         .with_window(
             SimTime::from_micros(disclosed),

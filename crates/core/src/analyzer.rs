@@ -155,7 +155,6 @@ mod tests {
                 VulnId::new(0),
                 "os-zero-day",
                 ComponentSelector::product(os.kind(), os.name()),
-                Severity::Critical,
             )
             .with_window(SimTime::from_secs(100), SimTime::from_secs(200)),
         );
@@ -280,7 +279,7 @@ mod tests {
             .enumerate()
             .map(|(i, os)| {
                 let on_os = ComponentSelector::product(os.kind(), os.name());
-                Vulnerability::new(VulnId::new(i as u64), "os-bug", on_os, Severity::High)
+                Vulnerability::new(VulnId::new(i as u64), "os-bug", on_os)
                     .with_window(SimTime::from_secs(10), SimTime::from_secs(20))
             })
             .collect();

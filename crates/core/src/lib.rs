@@ -56,7 +56,6 @@
 //!         VulnId::new(0),
 //!         "CVE-2038-0001",
 //!         ComponentSelector::product(os.kind(), os.name()),
-//!         Severity::Critical,
 //!     )
 //!     .with_window(SimTime::ZERO, SimTime::from_secs(3600)),
 //! );

@@ -44,7 +44,8 @@
 //! and replica, the bucket and the tier being the list's), grouped by
 //! bucket slot and sorted by power inside the slot. The index *is* the
 //! roster — devices registered at zero power included, which it holds and
-//! never selects. The replica-sorted view
+//! never selects — and a bucket's member count is its slot's length in it,
+//! not a second table. The replica-sorted view
 //! ([`candidates`](EpochSnapshot::candidates),
 //! [`devices`](EpochSnapshot::devices)) is not stored but derived the first
 //! time something asks for it — one function, one O(n log n) sort per
@@ -65,10 +66,11 @@
 //! bucket by its shard's handle, through the walk's memo, which probes
 //! once per handle a shard's rows name — a dozen probes a shard at the
 //! benchmark's shapes, not one a device. No device row or churned id is
-//! ordered by a comparison sort: the selection index orders the staged
-//! rows by one stable radix sort — a pass per digit of up to 11 bits that
-//! holds a key bit varying among them, then a counting pass by list — and
-//! the churned replica ids, for
+//! ordered by a comparison sort: the staged departures and arrivals are
+//! each indexed as a [`PrunedRoster`] of their own, ordered by one stable
+//! radix sort — a pass per digit of up to 11 bits that holds a key bit
+//! varying among them — and then filed by list, and the churned replica
+//! ids, for
 //! [`churned_replicas`](EpochSnapshot::churned_replicas) and the warm
 //! start, go through the same routine
 //! ([`fi_committee::radix::sort_by_key`]); that is also where a replica
@@ -141,23 +143,20 @@ pub struct EpochSnapshot {
     weights: TwoTierWeights,
     /// Live measurement buckets with summed effective attested power,
     /// sorted by measurement digest (zero-power buckets with registered
-    /// members included).
+    /// members included; a bucket whose last member left is dropped).
     buckets: Vec<(Digest, VotingPower)>,
-    /// Registered-member count per bucket (parallel to `buckets`, every
-    /// count ≥ 1 — a bucket whose last member left is dropped). This is
-    /// what lets [`try_apply_delta`](Self::try_apply_delta) decide bucket
-    /// birth/death from integer member deltas alone.
-    bucket_members: Vec<u32>,
     /// Total effective power of the unattested tier.
     opaque: VotingPower,
     /// Canonical accumulator over `buckets`, in bucket order.
     acc: EntropyAccumulator,
     /// The roster, as the selection index keeps it: one entry per
     /// registered device, in dense slots — one per bucket plus the trailing
-    /// unattested pseudo-slot `buckets.len()` — each sorted by power.
-    /// Carried forward by [`try_apply_delta`](Self::try_apply_delta), so a
-    /// seal writes this one table and serving a committee never re-sorts
-    /// the fleet.
+    /// unattested pseudo-slot `buckets.len()` — each sorted by power. A
+    /// bucket's member count is its slot's length here, which is what lets
+    /// [`try_apply_delta`](Self::try_apply_delta) decide bucket birth and
+    /// death from integer member deltas alone. Carried forward by
+    /// `try_apply_delta`, so a seal writes this one table and serving a
+    /// committee never re-sorts the fleet.
     pruned: PrunedRoster,
     /// `pruned` sorted by replica id: what
     /// [`candidates`](Self::candidates) serves, derived on first use.
@@ -283,28 +282,23 @@ impl EpochSnapshot {
                 .map(|(slot, &(m, _))| (m, slot))
                 .collect(),
         );
-        let mut bucket_members = vec![0u32; buckets.len()];
         let candidates: Vec<Candidate> = devices
             .iter()
             .map(|d| {
                 let config = match d.measurement {
-                    Some(m) => {
-                        let slot = slots
-                            .get(&m)
-                            .expect("every attested device's measurement has a bucket");
-                        bucket_members[slot] += 1;
-                        slot
-                    }
+                    Some(m) => slots
+                        .get(&m)
+                        .expect("every attested device's measurement has a bucket"),
                     None => opaque_slot,
                 };
                 Candidate::new(d.replica, d.power, config, d.measurement.is_some())
             })
             .collect();
+        let pruned = PrunedRoster::from_dense(opaque_slot + 1, &candidates);
         debug_assert!(
-            bucket_members.iter().all(|&c| c > 0),
+            (0..opaque_slot).all(|slot| pruned.slot_len(slot) > 0),
             "every live bucket has at least one registered member"
         );
-        let pruned = PrunedRoster::from_dense(opaque_slot + 1, &candidates);
 
         let mut bucket_agg = SetDigest::EMPTY;
         for &(m, p) in &buckets {
@@ -316,7 +310,6 @@ impl EpochSnapshot {
             epoch,
             weights,
             buckets,
-            bucket_members,
             opaque,
             acc,
             pruned,
@@ -473,7 +466,10 @@ impl EpochSnapshot {
         let mut slots_of: Vec<(Digest, [usize; 2])> =
             Vec::with_capacity(old_buckets.len() + dirty.len());
         let mut buckets = Vec::with_capacity(old_buckets.len() + dirty.len());
-        let mut bucket_members = Vec::with_capacity(old_buckets.len() + dirty.len());
+        // Each patched bucket's member count: its old slot's length in the
+        // index plus the delta's member change, which the patched index
+        // must then list.
+        let mut members_of = Vec::with_capacity(old_buckets.len() + dirty.len());
         // Old slot → new slot for surviving buckets plus the opaque
         // pseudo-slot (last entry); removed buckets keep `usize::MAX`.
         let mut slot_map = vec![usize::MAX; old_buckets.len() + 1];
@@ -493,11 +489,11 @@ impl EpochSnapshot {
                 slot_map[i] = buckets.len();
                 slots_of.push((old_buckets[i].0, [i, buckets.len()]));
                 buckets.push(old_buckets[i]);
-                bucket_members.push(self.bucket_members[i]);
+                members_of.push(self.pruned.slot_len(i) as i64);
                 i += 1;
             } else if i < old_buckets.len() && old_buckets[i].0 == dirty[j].0 {
                 let (m, d) = dirty[j];
-                let members = i64::from(self.bucket_members[i]) + d.members;
+                let members = self.pruned.slot_len(i) as i64 + d.members;
                 let power = i128::from(old_buckets[i].1.as_units()) + d.power;
                 if members < 0 || power < 0 {
                     return Err(unchained(format!("churn delta underflows bucket {m}")));
@@ -521,10 +517,7 @@ impl EpochSnapshot {
                         bucket_agg.insert(&bucket_row_digest(&m, power));
                     }
                     buckets.push((m, power));
-                    let Ok(members) = u32::try_from(members) else {
-                        return Err(unchained(format!("bucket {m} member count overflows u32")));
-                    };
-                    bucket_members.push(members);
+                    members_of.push(members);
                 }
                 i += 1;
                 j += 1;
@@ -544,12 +537,7 @@ impl EpochSnapshot {
                 slots_of.push((m, [usize::MAX, buckets.len()]));
                 insertions.push(buckets.len());
                 buckets.push((m, power));
-                let Ok(members) = u32::try_from(d.members) else {
-                    return Err(unchained(format!(
-                        "new bucket {m} member count overflows u32"
-                    )));
-                };
-                bucket_members.push(members);
+                members_of.push(d.members);
                 j += 1;
             }
         }
@@ -631,11 +619,11 @@ impl EpochSnapshot {
             .pruned
             .patch_dense(&departed, &arrivals, &removals, &insertions)
             .map_err(|e| unchained(e.to_string()))?;
-        // A bucket's member count and its slot's length are two tables of
-        // one fact; a patch that leaves them disagreeing is not served.
-        for (slot, (&members, &(m, _))) in bucket_members.iter().zip(&buckets).enumerate() {
+        // The delta's member changes and its device rows are two accounts
+        // of one fact; a patch that leaves them disagreeing is not served.
+        for (slot, (&members, &(m, _))) in members_of.iter().zip(&buckets).enumerate() {
             let listed = pruned.slot_len(slot);
-            if listed != members as usize {
+            if listed as i64 != members {
                 return Err(unchained(format!(
                     "bucket {m} lists {listed} devices for {members} members"
                 )));
@@ -650,7 +638,6 @@ impl EpochSnapshot {
             epoch,
             weights: self.weights,
             buckets,
-            bucket_members,
             opaque,
             acc,
             pruned,
@@ -712,7 +699,7 @@ impl EpochSnapshot {
     }
 
     /// The bytes this snapshot holds on the heap, by capacity: the bucket
-    /// table and its member counts, the accumulator's weights, the
+    /// table, the accumulator's weights, the
     /// selection index ([`PrunedRoster::heap_bytes`]), what a differential
     /// seal records of its parent (churned ids, their rows, the slot map)
     /// and, once something has derived it, the replica-sorted view.
@@ -720,7 +707,6 @@ impl EpochSnapshot {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.buckets.capacity() * size_of::<(Digest, VotingPower)>()
-            + self.bucket_members.capacity() * size_of::<u32>()
             + self.acc.slots() * size_of::<u64>()
             + self.pruned.heap_bytes()
             + self.churned.capacity() * size_of::<ReplicaId>()
@@ -1253,37 +1239,20 @@ mod tests {
             .any(|&(m, _)| m == sha256(b"cfg-3")));
 
         for snap in [&parent, &patched, &rebuilt] {
-            // Two lists a slot, each with a 24-byte `Vec` header.
+            // One table: the entries, and an 8-byte offset for each of two
+            // lists a slot, and one more.
             let lists = 2 * (snap.buckets().len() + 1);
             let index = snap.pruned.heap_bytes();
-            assert!(index <= 16 * snap.device_count() + 24 * lists);
+            assert_eq!(index, 16 * snap.device_count() + 8 * (lists + 1));
             assert!(snap.heap_bytes() > index);
         }
-        // A patch writes every list at its exact size, as a full build does.
+        // A patch writes the table a full build writes, at its exact size.
+        assert_eq!(patched.pruned, rebuilt.pruned);
         assert_eq!(patched.pruned.heap_bytes(), rebuilt.pruned.heap_bytes());
         // The replica-sorted view counts once derived: 24 B a device.
         let before = rebuilt.heap_bytes();
         let _ = rebuilt.candidates();
         assert_eq!(rebuilt.heap_bytes(), before + 24 * rebuilt.device_count());
-    }
-
-    #[test]
-    fn a_slot_that_miscounts_its_bucket_is_not_served() {
-        // A bucket's member count and its slot's length are two tables of
-        // one fact. No delta drained from registries can split them — each
-        // one's member deltas are its arrivals minus its departures — so the
-        // split here is the snapshot's own: cfg-a on record with a member
-        // too many.
-        let mut reg = registry_with(&forgery_base());
-        let mut snap = EpochSnapshot::from_registry(&reg, 1);
-        let cfg_a = snap
-            .buckets()
-            .binary_search_by_key(&sha256(b"cfg-a"), |&(m, _)| m)
-            .unwrap();
-        snap.bucket_members[cfg_a] += 1;
-        let _ = reg.take_delta();
-        reg.apply(&attest(0, b"cfg-a", 70));
-        assert_refused(&snap, &drain(&mut reg), "lists 2 devices for 3 members");
     }
 
     #[test]

@@ -46,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         VulnId::new(0),
         "CVE-2038-0002 (popular OS)",
         ComponentSelector::product(os.kind(), os.name()),
-        Severity::Critical,
     )
     .with_window(SimTime::from_millis(1), SimTime::from_secs(3600));
 

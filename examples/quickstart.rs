@@ -80,7 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             VulnId::new(0),
             "CVE-2038-0001",
             ComponentSelector::product(os.kind(), os.name()),
-            Severity::Critical,
         )
         .with_window(SimTime::ZERO, SimTime::from_secs(3600)),
     );

@@ -24,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             VulnId::new(0),
             "CVE-2038-0003",
             ComponentSelector::product(os.kind(), os.name()),
-            Severity::Critical,
         )
         .with_window(SimTime::from_secs(1_800), SimTime::from_secs(7_200)),
     );

@@ -15,7 +15,6 @@ fn zero_day(product: &Component) -> Vulnerability {
         VulnId::new(0),
         format!("zero-day-{}", product.name()),
         ComponentSelector::product(product.kind(), product.name()),
-        Severity::Critical,
     )
     .with_window(SimTime::from_millis(1), SimTime::MAX)
 }
@@ -107,7 +106,6 @@ fn vulnerability_window_gates_the_compromise() {
         VulnId::new(1),
         "too-late",
         ComponentSelector::layer(fault_independence::fi_config::ComponentKind::OperatingSystem),
-        Severity::Critical,
     )
     .with_window(SimTime::from_secs(3_000), SimTime::from_secs(4_000));
     let faults = faults_from_vulnerability(&assignment, &late, Behavior::Equivocate);

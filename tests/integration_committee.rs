@@ -6,7 +6,7 @@ use fault_independence::fi_attest::TwoTierWeights;
 use fault_independence::fi_bft::WeightedQuorum;
 use fault_independence::fi_committee::prelude::*;
 use fault_independence::fi_config::prelude::{
-    catalog, Assignment, Component, ComponentSelector, ConfigurationSpace, Severity, Vulnerability,
+    catalog, Assignment, Component, ComponentSelector, ConfigurationSpace, Vulnerability,
 };
 use fault_independence::fi_nakamoto::attack::double_spend_success_probability;
 use fault_independence::fi_types::{ReplicaId, VotingPower, VulnId};
@@ -177,7 +177,6 @@ fn within_a_third(members: &[Candidate], space: &ConfigurationSpace, product: &C
         VulnId::new(0),
         "zero-day",
         ComponentSelector::product(product.kind(), product.name()),
-        Severity::Critical,
     );
     let total: u64 = members.iter().map(|m| m.power().as_units()).sum();
     let reached: u64 = members

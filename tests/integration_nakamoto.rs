@@ -2,7 +2,7 @@
 //! chain-race outcomes, across `fi-entropy`, `fi-nakamoto`.
 
 use fault_independence::fi_config::prelude::{
-    catalog, Assignment, ComponentSelector, ConfigurationSpace, Severity, Vulnerability,
+    catalog, Assignment, ComponentSelector, ConfigurationSpace, Vulnerability,
 };
 use fault_independence::fi_entropy::bitcoin;
 use fault_independence::fi_nakamoto::attack::{
@@ -145,7 +145,6 @@ fn monoculture_zero_day_captures_the_whole_network() {
         VulnId::new(0),
         "zero-day-os",
         ComponentSelector::product(os.kind(), os.name()),
-        Severity::Critical,
     );
     let pools: Vec<Pool> = mono
         .entries()

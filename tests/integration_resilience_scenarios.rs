@@ -161,7 +161,6 @@ fn recommender_fixes_what_the_analyzer_flags() {
         VulnId::new(0),
         "flagged",
         ComponentSelector::product(os.kind(), os.name()),
-        Severity::Critical,
     ));
 
     let analyzer = ResilienceAnalyzer::new(assignment.clone(), db.clone());
@@ -196,7 +195,7 @@ fn oracle_catalogue() -> (ConfigurationSpace, VulnerabilityDb) {
         .zip(windows)
         .enumerate()
         .map(|(i, (selector, (from, to)))| {
-            Vulnerability::new(VulnId::new(i as u64), "v", selector, Severity::High)
+            Vulnerability::new(VulnId::new(i as u64), "v", selector)
                 .with_window(SimTime::from_secs(from), SimTime::from_secs(to))
         })
         .collect();

@@ -91,7 +91,6 @@ fn end_to_end_pipeline_on_toy_assignment() {
             VulnId::new(0),
             "CVE-2038-0001",
             ComponentSelector::product(vulnerable_os.kind(), vulnerable_os.name()),
-            Severity::Critical,
         )
         .with_window(SimTime::ZERO, SimTime::from_secs(3600)),
     );
