@@ -39,9 +39,15 @@ fn bench_selection(c: &mut Criterion) {
                 random_weighted(black_box(cs), k, &mut rng)
             });
         });
-        group.bench_with_input(BenchmarkId::new("seat_cap", n), &candidates, |b, cs| {
-            b.iter(|| proportional_cap(black_box(cs), k, 0.25));
-        });
+        // The pool's configurations are already dense slots 0..16; the
+        // index build is timed too, as in `greedy_diverse`.
+        group.bench_with_input(
+            BenchmarkId::new("select_tolerant", n),
+            &candidates,
+            |b, cs| {
+                b.iter(|| PrunedRoster::from_dense(16, black_box(cs)).select_tolerant(k));
+            },
+        );
         group.bench_with_input(BenchmarkId::new("two_tier", n), &candidates, |b, cs| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);

@@ -558,20 +558,11 @@ pub fn run_selfish(seed: u64) -> Table {
 // ---------------------------------------------------------------------
 
 /// E8 / §V: committee policies compared on entropy, worst-configuration
-/// share, and attested share.
+/// share, attested share, and whether the committee survives a fault in any
+/// one configuration by the quorum rule's `f`.
 #[must_use]
 pub fn run_committee(seed: u64) -> Table {
-    let candidates: Vec<Candidate> = (0..60u64)
-        .map(|i| {
-            let power = VotingPower::new(5_000 / (i + 1));
-            let config = match i {
-                0..=14 => 0,
-                15..=29 => 1,
-                _ => 2 + (i as usize % 6),
-            };
-            Candidate::new(ReplicaId::new(i), power, config, i % 3 != 0)
-        })
-        .collect();
+    let candidates = e8_pool();
     let k = 16;
     let mut t = Table::new(
         format!("E8 / committee selection: k = {k} of 60 power-law candidates"),
@@ -581,6 +572,7 @@ pub fn run_committee(seed: u64) -> Table {
             "worst_config_share",
             "attested_share",
             "total_power",
+            "tolerates_one_config",
         ],
     );
     let mut describe = |name: &str, committee: &Committee| {
@@ -590,6 +582,7 @@ pub fn run_committee(seed: u64) -> Table {
             f3(committee.worst_config_share()),
             f3(committee.attested_share()),
             committee.total_power().to_string(),
+            committee.tolerates_one_config().to_string(),
         ]);
     };
     describe("top-stake", &top_stake(&candidates, k));
@@ -599,13 +592,31 @@ pub fn run_committee(seed: u64) -> Table {
         &random_weighted(&candidates, k, &mut rng),
     );
     describe("greedy diverse", &greedy_diverse(&candidates, k));
-    describe("seat cap 25%", &proportional_cap(&candidates, k, 0.25));
+    // The pool's configurations 0..=7 are already a roster's dense slots.
+    let tolerant = PrunedRoster::from_dense(8, &candidates).select_tolerant(k);
+    describe("greedy tolerant", &tolerant.expect("E8's pool holds one"));
     let mut rng = StdRng::seed_from_u64(seed);
     describe(
         "two-tier 1.0/0.3",
         &two_tier_weighted(&candidates, k, TwoTierWeights::new(1.0, 0.3), &mut rng),
     );
     t
+}
+
+/// E8's pool: 60 candidates, power-law stake, half of it on configurations
+/// 0 and 1, a third unattested.
+fn e8_pool() -> Vec<Candidate> {
+    (0..60u64)
+        .map(|i| {
+            let power = VotingPower::new(5_000 / (i + 1));
+            let config = match i {
+                0..=14 => 0,
+                15..=29 => 1,
+                _ => 2 + (i as usize % 6),
+            };
+            Candidate::new(ReplicaId::new(i), power, config, i % 3 != 0)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -986,13 +997,14 @@ mod tests {
     }
 
     /// E8: greedy diverse selection has the highest entropy and the lowest
-    /// worst-configuration share of every policy.
+    /// worst-configuration share of every policy that does not repair its
+    /// committee for tolerance.
     fn e8_greedy_is_most_diverse(t: &Table) -> Claim {
         let (h, worst) = (column(t, "entropy_bits"), column(t, "worst_config_share"));
         let greedy = row(t, "greedy diverse");
         t.rows
             .iter()
-            .filter(|r| r[0] != greedy[0])
+            .filter(|r| r[0] != greedy[0] && r[0] != "greedy tolerant")
             .try_for_each(|r| {
                 check(
                     num(&greedy[h]) > num(&r[h]) && num(&greedy[worst]) < num(&r[worst]),
@@ -1001,6 +1013,29 @@ mod tests {
                     "below greedy diverse",
                 )
             })
+    }
+
+    /// E8: the tolerant committee tolerates, and every row's verdict agrees
+    /// with its worst share. `f/total` lies within `1/(3·total)` below a
+    /// third, and E8's totals run to thousands of units, so at three
+    /// decimals a tolerant committee's worst share reads at most 0.333 and
+    /// any other's at least 0.333.
+    fn e8_tolerant_row_tolerates(t: &Table) -> Claim {
+        let (worst, verdict) = (
+            column(t, "worst_config_share"),
+            column(t, "tolerates_one_config"),
+        );
+        let tolerant = row(t, "greedy tolerant");
+        check(tolerant[verdict] == "true", t, tolerant, "tolerates")?;
+        t.rows.iter().try_for_each(|r| {
+            let share = num(&r[worst]);
+            let agrees = if r[verdict] == "true" {
+                share <= 0.333
+            } else {
+                share >= 0.333
+            };
+            check(agrees, t, r, "verdict agrees with the worst share")
+        })
     }
 
     /// E9: exposure never falls as patch adoption slows.
@@ -1056,6 +1091,7 @@ mod tests {
             e6_prediction_is_sufficient(&run_faultinj(seed)).unwrap();
             e7_monte_carlo_matches_analytic(&run_pools(seed)).unwrap();
             e8_greedy_is_most_diverse(&run_committee(seed)).unwrap();
+            e8_tolerant_row_tolerates(&run_committee(seed)).unwrap();
             e9_exposure_grows_with_latency(&run_window(seed)).unwrap();
             e10_only_equivocation_violates(&run_ablation(seed)).unwrap();
             e11_recovery_is_safe_and_late_costs_liveness(&run_recovery(seed)).unwrap();
@@ -1118,6 +1154,65 @@ mod tests {
             "1.900",
         );
         assert!(e8_greedy_is_most_diverse(&t).is_err());
+    }
+
+    #[test]
+    fn e8_rejects_an_intolerant_tolerant_row_and_a_verdict_off_its_share() {
+        let t = run_committee(7);
+        let edited_verdict = edited(&t, "greedy tolerant", "tolerates_one_config", "false");
+        assert!(e8_tolerant_row_tolerates(&edited_verdict).is_err());
+        let edited_share = edited(&t, "greedy tolerant", "worst_config_share", "0.400");
+        assert!(e8_tolerant_row_tolerates(&edited_share).is_err());
+    }
+
+    /// E8's tolerant committee, run as a PBFT cluster at its members'
+    /// powers (renumbered in selection order), keeps its safety when every
+    /// member of its largest configuration equivocates: the fault it is
+    /// selected to tolerate. The converse is not claimed.
+    #[test]
+    fn e8_tolerant_committee_survives_its_largest_configuration_equivocating() {
+        let committee = PrunedRoster::from_dense(8, &e8_pool())
+            .select_tolerant(16)
+            .unwrap();
+        let &(heaviest, heaviest_power) = committee
+            .power_by_config()
+            .iter()
+            .max_by_key(|&&(_, power)| power)
+            .expect("a non-empty committee");
+        let space =
+            ConfigurationSpace::cartesian(&[catalog::operating_systems()]).expect("catalog space");
+        let os = &catalog::operating_systems()[heaviest];
+        let vuln = Vulnerability::new(
+            VulnId::new(0),
+            "largest-configuration zero-day",
+            ComponentSelector::product(os.kind(), os.name()),
+        )
+        .with_window(SimTime::from_millis(1), SimTime::from_secs(3600));
+        let entries = committee
+            .members()
+            .iter()
+            .enumerate()
+            .map(|(i, m)| fi_config::generator::AssignmentEntry {
+                replica: ReplicaId::new(i as u64),
+                config: m.config(),
+                power: m.power(),
+            })
+            .collect();
+        let assignment = Assignment::new(space, entries).expect("valid assignment");
+        let faults = faults_from_vulnerability(&assignment, &vuln, Behavior::Equivocate);
+        let hit: VotingPower = faults
+            .iter()
+            .map(|f| committee.members()[f.replica].power())
+            .sum();
+        assert_eq!(
+            hit, heaviest_power,
+            "the zero-day hits exactly config {heaviest}"
+        );
+        let config = ClusterConfig::for_assignment(&assignment)
+            .requests(6)
+            .max_time(SimTime::from_secs(20));
+        let report = run_cluster_with_faults(&config, 7, &faults);
+        assert!(report.safety.holds(), "{:?}", report.safety);
     }
 
     #[test]

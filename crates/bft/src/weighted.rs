@@ -1,23 +1,19 @@
-//! The workspace's one quorum rule, over voting power.
+//! The workspace's one quorum rule over voting power, and the tally that
+//! counts votes against it.
 //!
-//! The paper abstracts resilience over *voting power* `n_t` rather than
-//! replica counts (§II-A): for committee-based permissionless protocols,
-//! each committee member carries its stake/power, and quorums are power
-//! sums, not head counts. [`WeightedQuorum`] tolerates compromised power
-//! `f = ⌊(total − 1)/3⌋` units and sets the quorum at `total − f`; a
-//! [`WeightedVoteSet`] tallies a vote's power, each voter once.
-//!
-//! The simulated PBFT replicas and clients count every vote through these
-//! two, and the resilience analyzer reads its `f` from [`WeightedQuorum`].
-//! At equal power per member the rule gives exactly the head-count
-//! thresholds: quorum `n − ⌊(n − 1)/3⌋` members, and more than `f` power
-//! is `⌊(n − 1)/3⌋ + 1` members.
+//! Quorums are power sums, not head counts (paper §II-A).
+//! [`WeightedQuorum`] tolerates `f = ⌊(total − 1)/3⌋` units and sets the
+//! quorum at `total − f`; it lives in `fi-types` so committee selection
+//! checks the same `f`, and is re-exported here. A [`WeightedVoteSet`]
+//! tallies a vote's power, each voter once. The simulated PBFT replicas
+//! and clients count every vote through these two. At equal power per
+//! member the rule gives the head-count thresholds.
 
 use std::collections::BTreeSet;
 
 use fi_types::VotingPower;
 
-/// Quorum arithmetic over voting power.
+/// Quorum arithmetic over voting power, re-exported from `fi-types`.
 ///
 /// # Example
 ///
@@ -31,62 +27,7 @@ use fi_types::VotingPower;
 /// assert!(q.tolerates(VotingPower::new(33)));
 /// assert!(!q.tolerates(VotingPower::new(34)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WeightedQuorum {
-    total: VotingPower,
-    f_power: VotingPower,
-}
-
-impl WeightedQuorum {
-    /// Derives weighted quorum parameters for a system with `total` voting
-    /// power: `f = ⌊(total − 1)/3⌋` power units tolerated. Returns `None`
-    /// when `total` is too small to tolerate any compromised unit
-    /// (`total < 4`).
-    #[must_use]
-    pub fn for_total(total: VotingPower) -> Option<Self> {
-        if total.as_units() < 4 {
-            return None;
-        }
-        Some(WeightedQuorum {
-            total,
-            f_power: VotingPower::new((total.as_units() - 1) / 3),
-        })
-    }
-
-    /// Total voting power `n_t`.
-    #[must_use]
-    pub fn total(&self) -> VotingPower {
-        self.total
-    }
-
-    /// Maximum compromised power the system tolerates.
-    #[must_use]
-    pub fn f_power(&self) -> VotingPower {
-        self.f_power
-    }
-
-    /// The quorum threshold: `total − f` power units. Any two sets reaching
-    /// it intersect in at least `total − 2f ≥ f + 1` units — more power
-    /// than the adversary can hold, so at least one honest unit is common.
-    // lint: allow(unused-pub) paper-facing: the `total − f` quorum threshold, whose intersection bound bft_properties and integration_weighted assert
-    #[must_use]
-    pub fn quorum_power(&self) -> VotingPower {
-        self.total - self.f_power
-    }
-
-    /// Whether `accumulated` voting power reaches the quorum.
-    #[must_use]
-    pub fn reaches_quorum(&self, accumulated: VotingPower) -> bool {
-        accumulated >= self.quorum_power()
-    }
-
-    /// Whether the paper's safety condition holds for `compromised` power:
-    /// `f ≥ Σ_i f^i_t` expressed in units.
-    #[must_use]
-    pub fn tolerates(&self, compromised: VotingPower) -> bool {
-        compromised <= self.f_power
-    }
-}
+pub use fi_types::WeightedQuorum;
 
 /// One vote tally: the members that voted, each counted once, and the
 /// sum of their power.

@@ -2,7 +2,7 @@
 
 use fi_entropy::incremental::weighted_entropy_bits;
 use fi_entropy::Distribution;
-use fi_types::{ReplicaId, VotingPower};
+use fi_types::{ReplicaId, VotingPower, WeightedQuorum};
 
 /// A replica eligible for committee membership. 24 bytes. An epoch
 /// snapshot stores its roster as [`PrunedRoster`](crate::PrunedRoster)
@@ -188,6 +188,15 @@ impl Committee {
             .iter()
             .map(|&(_, p)| p.share_of(self.total))
             .fold(0.0, f64::max)
+    }
+
+    /// Whether the committee survives a fault in any one configuration: no
+    /// configuration holds more than the [`WeightedQuorum`] `f` of its
+    /// power (paper §II-C). `false` below 4 units, where `f` is undefined.
+    #[must_use]
+    pub fn tolerates_one_config(&self) -> bool {
+        WeightedQuorum::for_total(self.total)
+            .is_some_and(|q| self.buckets.iter().all(|&(_, p)| q.tolerates(p)))
     }
 
     /// Share of committee power held by attested members.

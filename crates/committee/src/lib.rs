@@ -15,21 +15,26 @@
 //! * [`baseline::random_weighted`] — classic stake-weighted sortition;
 //! * [`greedy::greedy_diverse`] — pick members to maximise committee
 //!   entropy at every step;
-//! * [`capping::proportional_cap`] — stake order, but no configuration may
-//!   exceed a share cap;
+//! * [`PrunedRoster::select_tolerant`] — the greedy committee, repaired
+//!   until no one configuration holds more than the quorum rule's `f` of
+//!   its power ([`Committee::tolerates_one_config`]);
 //! * [`twotier::two_tier_weighted`] — the paper's §V sketch: attested
 //!   candidates weigh more than unattested ones in the sortition.
 //!
-//! The greedy policy has one engine, [`pruned`]: it indexes candidates per
-//! configuration bucket and brackets each bucket's *analytic* entropy peak
-//! so a selection is subquadratic. [`greedy::greedy_diverse`] builds that
-//! index over a caller's candidates and selects from it; an epoch snapshot
-//! carries the index prebuilt. [`warm`] replays the previous epoch's
-//! committee against only the churned candidates so steady-state
-//! re-selection is O(k · churn). Every engine is held, member for member,
-//! to the naive per-candidate fold, `greedy::greedy_diverse_naive`.
-//! [`radix`] is the stable radix sort a differential seal orders its
-//! staged churn with: the index's rows and the churned replica ids.
+//! Both greedy policies run on one engine, [`pruned`]: it indexes
+//! candidates per configuration bucket and brackets each bucket's
+//! *analytic* entropy peak so a selection is subquadratic.
+//! [`greedy::greedy_diverse`] builds that index over a caller's candidates
+//! and selects from it; an epoch snapshot carries the index prebuilt. The
+//! tolerant selection runs the same rounds, then, while one configuration
+//! holds more than `f`, ejects that configuration's heaviest member and
+//! runs one more round: no second engine and no cap to tune. [`warm`]
+//! replays the previous epoch's committee against only the churned
+//! candidates so steady-state re-selection is O(k · churn). `select`,
+//! `greedy_diverse` and the warm replay are held, member for member, to
+//! the naive per-candidate fold, `greedy::greedy_diverse_naive`. [`radix`]
+//! is the stable radix sort a differential seal orders its staged churn
+//! with: the index's rows and the churned replica ids.
 //!
 //! ## Example
 //!
@@ -57,7 +62,6 @@
 
 pub mod baseline;
 pub mod candidate;
-pub mod capping;
 pub mod greedy;
 pub mod pruned;
 pub mod radix;
@@ -66,7 +70,6 @@ pub mod warm;
 
 pub use baseline::{random_weighted, top_stake};
 pub use candidate::{Candidate, Committee};
-pub use capping::proportional_cap;
 pub use greedy::greedy_diverse;
 pub use pruned::{PatchError, PrunedRoster};
 pub use twotier::two_tier_weighted;
@@ -76,7 +79,6 @@ pub use warm::{warm_greedy, WarmReport};
 pub mod prelude {
     pub use crate::baseline::{random_weighted, top_stake};
     pub use crate::candidate::{Candidate, Committee};
-    pub use crate::capping::proportional_cap;
     pub use crate::greedy::greedy_diverse;
     pub use crate::pruned::{PatchError, PrunedRoster};
     pub use crate::twotier::two_tier_weighted;

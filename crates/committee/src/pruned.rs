@@ -94,6 +94,7 @@
 //! patched roster equals a rebuilt one, capacities included.
 //! See [`crate::warm`] for the replay layer on top.
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use fi_entropy::EntropyAccumulator;
@@ -608,6 +609,33 @@ impl PrunedRoster {
         run.run_to(k);
         run.into_committee()
     }
+
+    /// [`select`](Self::select)'s committee, repaired until it
+    /// [tolerates](Committee::tolerates_one_config) a fault in any one
+    /// configuration: the heaviest member of the heaviest configuration
+    /// (ties by the fold's preference) leaves for good, and one more round
+    /// fills its seat. `select(k)` itself when that already tolerates;
+    /// `None` once no candidate is left. A repair, not a search: a tolerant
+    /// `k`-subset may exist where this returns `None`.
+    #[must_use]
+    pub fn select_tolerant(&self, k: usize) -> Option<Committee> {
+        let mut run = SelectionRun::new(self);
+        run.run_to(k);
+        loop {
+            let committee = Committee::new(run.members.clone());
+            if committee.tolerates_one_config() {
+                return Some(committee);
+            }
+            // By configuration weight, then as the fold prefers.
+            let rank =
+                |m: &&Candidate| (run.acc.weight(m.config()), m.power(), Reverse(m.replica()));
+            let worst = *run.members.iter().max_by_key(rank)?;
+            run.eject(worst);
+            if !run.round() {
+                return None;
+            }
+        }
+    }
 }
 
 /// In-flight selection state over a [`PrunedRoster`]: the committee
@@ -675,6 +703,13 @@ impl<'a> SelectionRun<'a> {
     /// is exhausted.
     pub(crate) fn run_to(&mut self, k: usize) {
         while self.members.len() < k && self.round() {}
+    }
+
+    /// Takes `member` back out of the committee but keeps it in the skip
+    /// set, so no later round picks it again.
+    fn eject(&mut self, member: Candidate) {
+        self.acc.remove(member.config(), member.power().as_units());
+        self.members.retain(|m| m.replica() != member.replica());
     }
 
     pub(crate) fn into_committee(self) -> Committee {

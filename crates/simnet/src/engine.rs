@@ -135,9 +135,17 @@ where
         self.apply_outbox(id, outbox);
     }
 
-    fn dispatch(&mut self, id: NodeId, kind: EventKind<N::Message>) {
+    /// Counts `kind` in the stats and hands it to the node it is for.
+    fn dispatch(&mut self, kind: EventKind<N::Message>) {
+        let (EventKind::Deliver { to: id, .. }
+        | EventKind::Timer { node: id, .. }
+        | EventKind::Fault { node: id, .. }) = kind;
         let Simulation {
-            nodes, rng, now, ..
+            nodes,
+            rng,
+            now,
+            stats,
+            ..
         } = self;
         let node_count = nodes.len();
         let mut ctx = Context {
@@ -150,12 +158,15 @@ where
         let node = &mut nodes[id.index()];
         match kind {
             EventKind::Deliver { from, payload, .. } => {
+                stats.record_delivered();
                 node.on_message(from, payload, &mut ctx);
             }
             EventKind::Timer { token, .. } => {
+                stats.record_timer();
                 node.on_timer(token, &mut ctx);
             }
             EventKind::Fault { fault, .. } => {
+                stats.record_fault();
                 node.on_fault(fault, &mut ctx);
             }
         }
@@ -212,17 +223,7 @@ where
             }
             let event = self.queue.pop().expect("peeked entry exists");
             self.now = event.at;
-            let (id, record) = match &event.kind {
-                EventKind::Deliver { to, .. } => (*to, 0u8),
-                EventKind::Timer { node, .. } => (*node, 1),
-                EventKind::Fault { node, .. } => (*node, 2),
-            };
-            match record {
-                0 => self.stats.record_delivered(id),
-                1 => self.stats.record_timer(),
-                _ => self.stats.record_fault(),
-            }
-            self.dispatch(id, event.kind);
+            self.dispatch(event.kind);
             processed += 1;
         }
         if self.now < deadline {
@@ -240,17 +241,7 @@ where
         while processed < max_events {
             let Some(event) = self.queue.pop() else { break };
             self.now = event.at;
-            let (id, record) = match &event.kind {
-                EventKind::Deliver { to, .. } => (*to, 0u8),
-                EventKind::Timer { node, .. } => (*node, 1),
-                EventKind::Fault { node, .. } => (*node, 2),
-            };
-            match record {
-                0 => self.stats.record_delivered(id),
-                1 => self.stats.record_timer(),
-                _ => self.stats.record_fault(),
-            }
-            self.dispatch(id, event.kind);
+            self.dispatch(event.kind);
             processed += 1;
         }
         processed

@@ -15,14 +15,12 @@ pub struct TraceStats {
     timers_fired: u64,
     faults_injected: u64,
     per_node_sent: Vec<u64>,
-    per_node_delivered: Vec<u64>,
 }
 
 impl TraceStats {
     pub(crate) fn ensure_nodes(&mut self, n: usize) {
         if self.per_node_sent.len() < n {
             self.per_node_sent.resize(n, 0);
-            self.per_node_delivered.resize(n, 0);
         }
     }
 
@@ -33,11 +31,8 @@ impl TraceStats {
         }
     }
 
-    pub(crate) fn record_delivered(&mut self, to: NodeId) {
+    pub(crate) fn record_delivered(&mut self) {
         self.delivered += 1;
-        if let Some(c) = self.per_node_delivered.get_mut(to.index()) {
-            *c += 1;
-        }
     }
 
     pub(crate) fn record_dropped(&mut self) {
@@ -113,7 +108,7 @@ mod tests {
         s.ensure_nodes(2);
         s.record_sent(NodeId::new(0));
         s.record_sent(NodeId::new(0));
-        s.record_delivered(NodeId::new(1));
+        s.record_delivered();
         s.record_dropped();
         s.record_blocked();
         s.record_timer();
@@ -139,7 +134,7 @@ mod tests {
             s.record_sent(NodeId::new(0));
         }
         for _ in 0..3 {
-            s.record_delivered(NodeId::new(0));
+            s.record_delivered();
         }
         s.record_dropped();
         s.record_blocked();

@@ -2,10 +2,11 @@
 //!
 //! This crate defines the small set of types that every other crate in the
 //! workspace speaks: [`VotingPower`] (the paper's abstraction over replica
-//! counts, hash rate, and stake), identifiers for replicas and clients,
-//! discrete simulation time, a pure-Rust SHA-256 [`hash`] module used for
-//! configuration measurements and block ids, and the simulation-grade
-//! signature scheme in [`crypto`].
+//! counts, hash rate, and stake) and [`WeightedQuorum`], the one quorum
+//! rule over it; identifiers for replicas and clients, discrete simulation
+//! time, a pure-Rust SHA-256 [`hash`] module used for configuration
+//! measurements and block ids, and the simulation-grade signature scheme
+//! in [`crypto`].
 //!
 //! The paper (*Fault Independence in Blockchain*, DSN'23) models a system as
 //! a set of replicas each holding some amount of *voting power* `n_t`; faults
@@ -45,5 +46,5 @@ pub use crypto::{KeyPair, PublicKey, Signature};
 pub use error::ParseHexError;
 pub use hash::{sha256, Digest, SetDigest};
 pub use ids::{ClientId, PoolId, ReplicaId, VulnId};
-pub use power::VotingPower;
+pub use power::{VotingPower, WeightedQuorum};
 pub use time::SimTime;

@@ -9,7 +9,8 @@
 //! [`VotingPower`] is an integer number of *power units*. Generators in the
 //! workspace conventionally use 1 000 000 units for "the whole system" so
 //! that shares down to one part per million are exact, but nothing in this
-//! type depends on that convention.
+//! type depends on that convention. [`WeightedQuorum`] is the quorum rule
+//! over it.
 
 use core::fmt;
 use core::iter::Sum;
@@ -209,6 +210,66 @@ impl From<VotingPower> for u64 {
 impl fmt::Display for VotingPower {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}u", self.0)
+    }
+}
+
+/// The workspace's one quorum rule over voting power: of a `total`, `f =
+/// ⌊(total − 1)/3⌋` units may be compromised and a quorum is `total − f`.
+/// PBFT votes, the resilience analyzer and committee selection all use it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WeightedQuorum {
+    total: VotingPower,
+    f_power: VotingPower,
+}
+
+impl WeightedQuorum {
+    /// Derives weighted quorum parameters for a system with `total` voting
+    /// power: `f = ⌊(total − 1)/3⌋` power units tolerated. Returns `None`
+    /// when `total` is too small to tolerate any compromised unit
+    /// (`total < 4`).
+    #[must_use]
+    pub fn for_total(total: VotingPower) -> Option<Self> {
+        if total.as_units() < 4 {
+            return None;
+        }
+        Some(WeightedQuorum {
+            total,
+            f_power: VotingPower::new((total.as_units() - 1) / 3),
+        })
+    }
+
+    /// Total voting power `n_t`.
+    #[must_use]
+    pub fn total(&self) -> VotingPower {
+        self.total
+    }
+
+    /// Maximum compromised power the system tolerates.
+    #[must_use]
+    pub fn f_power(&self) -> VotingPower {
+        self.f_power
+    }
+
+    /// The quorum threshold: `total − f` power units. Any two sets reaching
+    /// it intersect in at least `total − 2f ≥ f + 1` units — more power
+    /// than the adversary can hold, so at least one honest unit is common.
+    // lint: allow(unused-pub) paper-facing: the `total − f` quorum threshold, whose intersection bound bft_properties and integration_weighted assert
+    #[must_use]
+    pub fn quorum_power(&self) -> VotingPower {
+        self.total - self.f_power
+    }
+
+    /// Whether `accumulated` voting power reaches the quorum.
+    #[must_use]
+    pub fn reaches_quorum(&self, accumulated: VotingPower) -> bool {
+        accumulated >= self.quorum_power()
+    }
+
+    /// Whether the paper's safety condition holds for `compromised` power:
+    /// `f ≥ Σ_i f^i_t` expressed in units.
+    #[must_use]
+    pub fn tolerates(&self, compromised: VotingPower) -> bool {
+        compromised <= self.f_power
     }
 }
 

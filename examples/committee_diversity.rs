@@ -49,7 +49,9 @@ fn main() {
 
     describe("greedy diverse", &greedy_diverse(&candidates, k));
 
-    describe("seat cap 25%", &proportional_cap(&candidates, k, 0.25));
+    // Configurations 0..=7 are already the roster's dense slots.
+    let tolerant = PrunedRoster::from_dense(8, &candidates).select_tolerant(k);
+    describe("greedy tolerant", &tolerant.expect("this pool holds one"));
 
     let mut rng = StdRng::seed_from_u64(7);
     describe(
@@ -58,9 +60,12 @@ fn main() {
     );
 
     println!(
-        "\nreading: greedy/capped selection trades a little stake weight for \
-         configuration entropy, shrinking what one zero-day can capture; the \
-         two-tier lottery additionally pushes unattested (opaque) stacks out \
-         of the committee — the paper's §V proposal."
+        "\nreading: greedy selection trades stake weight for configuration \
+         entropy, shrinking what one zero-day can capture; the tolerant \
+         committee swaps out members until no configuration holds more than \
+         the quorum rule's f of its power, so a zero-day confined to one \
+         configuration cannot break its safety; the two-tier lottery \
+         additionally pushes unattested (opaque) stacks out of the committee \
+         — the paper's §V proposal."
     );
 }

@@ -13,6 +13,10 @@ use fault_independence::fi_types::{ReplicaId, VotingPower, VulnId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The configurations `realistic_pool` spreads over: 0..10, already the
+/// dense slots of a `PrunedRoster`.
+const REALISTIC_SLOTS: usize = 10;
+
 /// A candidate pool shaped like a real permissionless system: power-law
 /// stake, clustered configurations, partial attestation.
 fn realistic_pool(n: u64, seed_shift: u64) -> Vec<Candidate> {
@@ -34,10 +38,12 @@ fn diverse_policies_dominate_stake_policies_on_entropy() {
     let k = 12;
     let stake = top_stake(&pool, k);
     let greedy = greedy_diverse(&pool, k);
-    let capped = proportional_cap(&pool, k, 0.25);
+    let tolerant = PrunedRoster::from_dense(REALISTIC_SLOTS, &pool)
+        .select_tolerant(k)
+        .expect("the pool holds a tolerant committee");
 
     assert!(greedy.entropy_bits() > stake.entropy_bits());
-    assert!(capped.entropy_bits() > stake.entropy_bits());
+    assert!(tolerant.entropy_bits() > stake.entropy_bits());
     assert!(greedy.worst_config_share() < stake.worst_config_share());
 }
 
@@ -145,6 +151,23 @@ fn committee_is_a_valid_voting_power_snapshot() {
         quorum.f_power()
     );
     assert!(!quorum.tolerates(worst_config_power));
+
+    // The tolerant selection on the same pool ejects members until the
+    // heaviest configuration is within f by power, checked here with the
+    // quorum rule directly.
+    let tolerant = PrunedRoster::from_dense(REALISTIC_SLOTS, &pool)
+        .select_tolerant(13)
+        .expect("the pool holds a tolerant committee");
+    assert_eq!(tolerant.len(), 13);
+    let quorum = WeightedQuorum::for_total(tolerant.total_power()).unwrap();
+    for &(config, power) in tolerant.power_by_config() {
+        assert!(
+            quorum.tolerates(power),
+            "config {config} holds {power} > f = {}",
+            quorum.f_power()
+        );
+    }
+    assert!(tolerant.tolerates_one_config());
 }
 
 // Cells no experiment table sweeps: Zipf and monoculture spreads, the
@@ -170,21 +193,21 @@ fn staked(spread: &Assignment, seed: u64) -> Vec<Candidate> {
         .collect()
 }
 
-/// Whether a zero-day in `product` reaches under a third of `members`'
-/// power.
+/// Whether a zero-day in `product` reaches no more than the quorum rule's
+/// `f` of `members`' power: under a third of it.
 fn within_a_third(members: &[Candidate], space: &ConfigurationSpace, product: &Component) -> bool {
     let vuln = Vulnerability::new(
         VulnId::new(0),
         "zero-day",
         ComponentSelector::product(product.kind(), product.name()),
     );
-    let total: u64 = members.iter().map(|m| m.power().as_units()).sum();
-    let reached: u64 = members
+    let total: VotingPower = members.iter().map(Candidate::power).sum();
+    let reached: VotingPower = members
         .iter()
         .filter(|m| vuln.affects(space.get(m.config()).unwrap()))
-        .map(|m| m.power().as_units())
+        .map(Candidate::power)
         .sum();
-    3 * reached < total
+    WeightedQuorum::for_total(total).is_some_and(|q| q.tolerates(reached))
 }
 
 fn os_space(oses: usize) -> ConfigurationSpace {
