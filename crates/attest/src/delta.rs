@@ -32,8 +32,9 @@
 //! name. A seal reads those rows where they lie, in one walk
 //! ([`CanonicalDelta::walk`]) that resolves an input's bucket handles
 //! through a mapping the seal supplies, once per handle on the first row
-//! that names it, into a memo of one slot per handle in the input's table;
-//! and never in an order, because a patch places each row by its own key.
+//! that names it, into a memo indexed by handle in which only the named
+//! handles' slots are written or reset; and never in an order, because a
+//! patch places each row by its own key.
 //!
 //! Three properties make the patch exact:
 //!
@@ -245,8 +246,11 @@ struct Walk<'a, T, F> {
     /// The position in `input.before` of the next `before` row.
     before: usize,
     /// What `resolve` made of each of `input`'s handles, `None` until a
-    /// row names it.
+    /// row names it; as long as the highest handle a row has named.
     memo: Vec<Option<T>>,
+    /// The handles `input`'s rows have named so far: the `memo` slots to
+    /// reset when the walk moves to the next input.
+    named: Vec<u32>,
     resolve: F,
 }
 
@@ -260,8 +264,9 @@ impl<'a, T: Copy, F: FnMut(&Digest) -> T> Iterator for Walk<'a, T, F> {
             }
             self.input = self.inputs.next()?;
             (self.at, self.before) = (0, 0);
-            self.memo.clear();
-            self.memo.resize(self.input.measurements.len(), None);
+            for handle in self.named.drain(..) {
+                self.memo[handle as usize] = None;
+            }
         };
         let at = self.at;
         let row = input.rows[at];
@@ -278,9 +283,14 @@ impl<'a, T: Copy, F: FnMut(&Digest) -> T> Iterator for Walk<'a, T, F> {
             UNATTESTED => AfterRow::Unattested(row.power),
             handle => match input.measurements.get(handle as usize) {
                 Some(measurement) => {
-                    let resolve = &mut self.resolve;
-                    let bucket =
-                        *self.memo[handle as usize].get_or_insert_with(|| resolve(measurement));
+                    let slot = handle as usize;
+                    if slot >= self.memo.len() {
+                        self.memo.resize(slot + 1, None);
+                    }
+                    let bucket = *self.memo[slot].get_or_insert_with(|| {
+                        self.named.push(handle);
+                        (self.resolve)(measurement)
+                    });
                     AfterRow::Attested {
                         measurement,
                         bucket,
@@ -550,9 +560,10 @@ impl CanonicalDelta {
     /// measurement behind a handle to what the caller keys buckets by —
     /// once per handle an input's rows name, on the first row that names
     /// it; every later row naming the handle reads the answer from a memo
-    /// of one slot per handle in the input's table, reset between inputs,
-    /// because each shard issues its own handles. A handle no row names
-    /// costs its slot and no call. The `before` rows keep their
+    /// indexed by handle. Between inputs only the slots the last input's
+    /// rows named are reset, because each shard issues its own handles,
+    /// and the memo grows only as far as the highest handle a row names,
+    /// once a seal rather than once a shard. The `before` rows keep their
     /// measurement and are not resolved: a departed device's bucket may
     /// have died since, and its handle been recycled.
     pub fn walk<T: Copy>(
@@ -565,6 +576,7 @@ impl CanonicalDelta {
             at: 0,
             before: 0,
             memo: Vec::new(),
+            named: Vec::new(),
             resolve,
         }
     }

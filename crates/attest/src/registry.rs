@@ -489,7 +489,7 @@ impl AttestedRegistry {
     /// Iterates over every registered device. Order is the entry map's —
     /// unspecified; callers needing determinism sort by
     /// [`RegisteredDevice::replica`].
-    pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + '_ {
+    pub fn devices(&self) -> impl Iterator<Item = RegisteredDevice> + Clone + '_ {
         self.entries
             .iter()
             .map(|(&replica, e)| self.device(replica, e))

@@ -10,6 +10,12 @@
 //! long the timer runs. The shim's `iter` has no untimed set-up, so each
 //! `seal/*` figure includes ingesting the epoch's ops; the `ingest` line is
 //! that share alone.
+//!
+//! The `seal/diff_buckets/*` rows sweep the bucket count instead, at a
+//! churn too small to matter: devices spread evenly over 12 to 100 000
+//! measurements, and 100 re-attestations a seal, each to the next
+//! measurement in the pool, undone the next seal. What is left of a
+//! differential seal's cost there is what it pays per bucket.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fi_attest::{ChurnOp, TwoTierWeights};
@@ -94,6 +100,41 @@ fn bench_fleet_seal(c: &mut Criterion) {
                 });
             });
         }
+    }
+    for (devices, buckets, label) in [
+        (20_000u64, 12usize, "12"),
+        (20_000, 1_000, "1k"),
+        (20_000, 10_000, "10k"),
+        (200_000, 12, "12"),
+        (200_000, 100_000, "100k"),
+    ] {
+        let pool = measurement_pool(buckets);
+        let attest = |i: u64, bucket: usize| {
+            ChurnOp::attest(
+                ReplicaId::new(i),
+                pool[bucket % buckets],
+                VotingPower::new(1 + i % 1000),
+            )
+        };
+        let wave: Vec<ChurnOp> = (0..devices)
+            .map(|i| attest(i, i as usize % buckets))
+            .collect();
+        let moved: Vec<u64> = (0..100).map(|k| k * (devices / 100)).collect();
+        let there: Vec<ChurnOp> = moved
+            .iter()
+            .map(|&i| attest(i, i as usize % buckets + 1))
+            .collect();
+        let back: Vec<ChurnOp> = moved.iter().map(|&i| wave[i as usize]).collect();
+        let fleet = sealed_fleet(&wave, 0);
+        let epochs = [there.as_slice(), back.as_slice()];
+        let mut turn = 0;
+        group.bench_function(format!("seal/diff_buckets/{label}/{devices}dev"), |b| {
+            b.iter(|| {
+                fleet.try_ingest_batch(epochs[turn]).unwrap();
+                turn ^= 1;
+                fleet.try_seal_epoch().unwrap()
+            });
+        });
     }
     group.finish();
 }

@@ -1171,7 +1171,7 @@ mod tests {
     /// selected to tolerate. The converse is not claimed.
     #[test]
     fn e8_tolerant_committee_survives_its_largest_configuration_equivocating() {
-        let committee = PrunedRoster::from_dense(8, &e8_pool())
+        let committee = PrunedRoster::from_dense(8, e8_pool().iter())
             .select_tolerant(16)
             .unwrap();
         let &(heaviest, heaviest_power) = committee

@@ -117,7 +117,7 @@ impl Checkpoint {
             self.weights,
             rows,
             self.opaque,
-            self.devices.clone(),
+            &self.devices,
             roster_aggregate(&self.devices),
         );
         if snapshot.content_hash() != self.content_hash {

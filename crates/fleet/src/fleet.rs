@@ -92,21 +92,19 @@ use crate::publish::{SnapshotCell, SnapshotHandle};
 use crate::snapshot::{roster_aggregate, EpochSnapshot};
 use crate::wal::{ChurnLog, WalRecord};
 
-/// One shard's complete state as copied at a re-anchor cut: its bucket
-/// rows, opaque power, device roster, and the roster's write-time
-/// row-digest aggregate.
-type ShardRows = (
-    Vec<(Digest, VotingPower)>,
-    VotingPower,
-    Vec<RegisteredDevice>,
-    SetDigest,
-);
+/// One shard's bucket rows, opaque power and the roster's write-time
+/// row-digest aggregate, as copied at a re-anchor cut.
+type ShardRows = (Vec<(Digest, VotingPower)>, VotingPower, SetDigest);
 
 /// What the epoch cut captured for one seal under the batch gate and the
 /// shard guards, built into a snapshot after they are dropped.
 enum SealWork {
-    /// Re-anchor epochs: a complete copy of every shard's rows.
-    Full { per_shard: Vec<ShardRows> },
+    /// Re-anchor epochs: a complete copy of every shard's rows, the
+    /// shards' device rows copied into one table.
+    Full {
+        per_shard: Vec<ShardRows>,
+        devices: Vec<RegisteredDevice>,
+    },
     /// Ordinary epochs: each shard's churn delta since the last cut, as
     /// drained — merged after the cut.
     Differential(Vec<ChurnDelta>),
@@ -579,6 +577,9 @@ impl ShardedFleet {
             // lives only in this call's locals.
             st.reanchor_due = true;
             if full {
+                // The one copy of the device rows, sized once: it is what
+                // lets the gate and the guards drop before construction.
+                let mut devices = Vec::with_capacity(guards.iter().map(|shard| shard.len()).sum());
                 let per_shard = guards
                     .iter_mut()
                     .map(|shard| {
@@ -587,15 +588,15 @@ impl ShardedFleet {
                         // the *next* differential seal's delta must be
                         // relative to this cut.
                         shard.discard_delta();
+                        devices.extend(shard.devices());
                         (
                             shard.bucket_rows().collect(),
                             shard.unattested_power(),
-                            shard.devices().collect(),
                             shard.roster_digest(),
                         )
                     })
                     .collect();
-                SealWork::Full { per_shard }
+                SealWork::Full { per_shard, devices }
             } else {
                 SealWork::Differential(guards.iter_mut().map(|shard| shard.take_delta()).collect())
             }
@@ -605,20 +606,18 @@ impl ShardedFleet {
         // dropped: ingest proceeds on the shards while this merges the
         // drained deltas and builds.
         let snapshot = Arc::new(match work {
-            SealWork::Full { per_shard } => {
+            SealWork::Full { per_shard, devices } => {
                 let mut rows = BTreeMap::new();
                 let mut opaque = VotingPower::ZERO;
-                let mut devices = Vec::new();
                 // Shards own disjoint devices, so the fleet's roster
                 // aggregate is the sum of theirs: the re-anchor hashes no
                 // roster row.
                 let mut device_agg = SetDigest::EMPTY;
-                for (shard_rows, shard_opaque, shard_devices, shard_agg) in per_shard {
+                for (shard_rows, shard_opaque, shard_agg) in per_shard {
                     for (m, p) in shard_rows {
                         *rows.entry(m).or_insert(VotingPower::ZERO) += p;
                     }
                     opaque += shard_opaque;
-                    devices.extend(shard_devices);
                     device_agg.add(shard_agg);
                 }
                 debug_assert_eq!(
@@ -626,7 +625,7 @@ impl ShardedFleet {
                     roster_aggregate(&devices),
                     "shard write-time aggregates diverged from a from-scratch fold"
                 );
-                EpochSnapshot::build(epoch, self.weights, rows, opaque, devices, device_agg)
+                EpochSnapshot::build(epoch, self.weights, rows, opaque, &devices, device_agg)
             }
             SealWork::Differential(per_shard) => {
                 // The deltas were cut on top of the published snapshot,

@@ -478,7 +478,7 @@ mod tests {
         );
         assert_eq!(
             fleet.shard_roster_digest_sum(),
-            roster_aggregate(&fleet.snapshot().devices().collect::<Vec<_>>()),
+            roster_aggregate(fleet.snapshot().devices()),
             "restored shards must carry the checkpointed roster's aggregate"
         );
 

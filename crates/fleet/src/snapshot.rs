@@ -98,6 +98,7 @@
 //! differential suites and the self-verifying checkpoint stay independent
 //! of the incremental path they check.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -207,10 +208,12 @@ fn canonical_accumulator(buckets: &[(Digest, VotingPower)]) -> EntropyAccumulato
 /// [`device_row_digest`] per row. This is the oracle's half of the
 /// bargain — [`EpochSnapshot::from_registry`] and checkpoint rebuilds call
 /// it so they never depend on aggregates maintained at write time.
-pub(crate) fn roster_aggregate(devices: &[RegisteredDevice]) -> SetDigest {
+pub(crate) fn roster_aggregate(
+    devices: impl IntoIterator<Item: Borrow<RegisteredDevice>>,
+) -> SetDigest {
     let mut agg = SetDigest::EMPTY;
     for d in devices {
-        agg.insert(&device_row_digest(d));
+        agg.insert(&device_row_digest(d.borrow()));
     }
     agg
 }
@@ -259,18 +262,27 @@ impl<V: Copy> SlotTable<V> {
 impl EpochSnapshot {
     /// The canonical builder all sealing paths share: merged bucket rows
     /// (keyed — hence sorted — by digest), the summed opaque power, the
-    /// collected device rows in any order (the index sorts each slot by
-    /// power; nothing here sorts by replica), and the roster's row-digest
+    /// device rows in any order (the index sorts each slot by power;
+    /// nothing here sorts by replica), and the roster's row-digest
     /// aggregate — summed from the shards' write-time aggregates by the
     /// fleet, recomputed with [`roster_aggregate`] by the oracle paths.
-    pub(crate) fn build(
+    ///
+    /// The device rows are walked twice, by a clone of their iterator, and
+    /// never collected: [`PrunedRoster::from_dense`] maps each row to its
+    /// slot and tier inside its counting walk and again inside its filing
+    /// walk, so the index's 16 bytes a device are the only per-device
+    /// table a full build writes, and the device count is read off it.
+    pub(crate) fn build<I>(
         epoch: u64,
         weights: TwoTierWeights,
         rows: BTreeMap<Digest, VotingPower>,
         opaque: VotingPower,
-        devices: Vec<RegisteredDevice>,
+        devices: I,
         device_agg: SetDigest,
-    ) -> EpochSnapshot {
+    ) -> EpochSnapshot
+    where
+        I: IntoIterator<Item: Borrow<RegisteredDevice>, IntoIter: Clone>,
+    {
         let buckets: Vec<(Digest, VotingPower)> = rows.into_iter().collect();
         let acc = canonical_accumulator(&buckets);
 
@@ -282,19 +294,17 @@ impl EpochSnapshot {
                 .map(|(slot, &(m, _))| (m, slot))
                 .collect(),
         );
-        let candidates: Vec<Candidate> = devices
-            .iter()
-            .map(|d| {
-                let config = match d.measurement {
-                    Some(m) => slots
-                        .get(&m)
-                        .expect("every attested device's measurement has a bucket"),
-                    None => opaque_slot,
-                };
-                Candidate::new(d.replica, d.power, config, d.measurement.is_some())
-            })
-            .collect();
-        let pruned = PrunedRoster::from_dense(opaque_slot + 1, &candidates);
+        let candidates = devices.into_iter().map(|d| {
+            let d = d.borrow();
+            let config = match d.measurement {
+                Some(m) => slots
+                    .get(&m)
+                    .expect("every attested device's measurement has a bucket"),
+                None => opaque_slot,
+            };
+            Candidate::new(d.replica, d.power, config, d.measurement.is_some())
+        });
+        let pruned = PrunedRoster::from_dense(opaque_slot + 1, candidates);
         debug_assert!(
             (0..opaque_slot).all(|slot| pruned.slot_len(slot) > 0),
             "every live bucket has at least one registered member"
@@ -305,7 +315,7 @@ impl EpochSnapshot {
             bucket_agg.insert(&bucket_row_digest(&m, p));
         }
         let content_hash =
-            Self::finalize_content(buckets.len(), bucket_agg, opaque, devices.len(), device_agg);
+            Self::finalize_content(buckets.len(), bucket_agg, opaque, pruned.len(), device_agg);
         EpochSnapshot {
             epoch,
             weights,
@@ -355,21 +365,21 @@ impl EpochSnapshot {
     /// into snapshot space. It re-hashes every roster row rather than
     /// reading [`AttestedRegistry::roster_digest`], so it stays an
     /// independent check on the write-time aggregates the fleet seals from.
+    /// The registry's rows are read where they lie, once for that re-hash
+    /// and twice by `build`, and never copied out.
     #[must_use]
     pub fn from_registry(registry: &AttestedRegistry, epoch: u64) -> EpochSnapshot {
         let rows: BTreeMap<Digest, VotingPower> = registry.bucket_rows().collect();
-        let devices: Vec<RegisteredDevice> = registry.devices().collect();
         // `devices()` yields the registry's `HashMap` order; the aggregate
-        // is a commutative sum, so folding it before `build` sorts the
-        // roster is order-independent.
-        let device_agg = roster_aggregate(&devices);
+        // is a commutative sum, and `build` files each row by its own key,
+        // so neither depends on it.
         EpochSnapshot::build(
             epoch,
             registry.weights(),
             rows,
             registry.unattested_power(),
-            devices,
-            device_agg,
+            registry.devices(),
+            roster_aggregate(registry.devices()),
         )
     }
 
@@ -382,7 +392,7 @@ impl EpochSnapshot {
             weights,
             BTreeMap::new(),
             VotingPower::ZERO,
-            Vec::new(),
+            std::iter::empty::<RegisteredDevice>(),
             SetDigest::EMPTY,
         )
     }
