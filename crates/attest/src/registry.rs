@@ -93,7 +93,7 @@ impl Default for TwoTierWeights {
 /// One registered device's row: 48 bytes, 56 with its `ReplicaId` key.
 /// The measurement is not here but in the bucket the handle names, once
 /// per distinct measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RegistryEntry {
     /// [`device_row_digest`] of this row, computed once when the row was
     /// written so removing or overwriting it never re-hashes.
@@ -276,13 +276,14 @@ impl AttestedRegistry {
         }
     }
 
-    /// Removes `replica`'s row and its contribution to the buckets (if
-    /// registered) ahead of a re-registration or a removal, and returns the
-    /// row — what the pending delta records as the device's `before` if
-    /// this is its first touch since the last drain — with the delta
-    /// position the entry kept.
+    /// Takes `replica`'s row out of the buckets and the aggregates (if
+    /// registered) ahead of a re-registration, which overwrites its entry
+    /// in place, or a removal, which then removes it. Returns the row —
+    /// what the pending delta records as the device's `before` if this is
+    /// its first touch since the last drain — with the delta position the
+    /// entry kept.
     fn unindex(&mut self, replica: ReplicaId) -> Option<(RegisteredDevice, u32)> {
-        let old = self.entries.remove(&replica)?;
+        let old = *self.entries.get(&replica)?;
         self.roster_digest.remove(&old.row_digest);
         self.delta.record_row_out(&old.row_digest);
         let device = self.device(replica, &old);
@@ -347,7 +348,8 @@ impl AttestedRegistry {
     /// into the running aggregate and the pending delta, records the write
     /// in the delta's roster — `before` sticks only on the device's first
     /// touch this epoch, the new row always does (last write wins) — and
-    /// stores the entry with the delta row's position.
+    /// stores the entry with the delta row's position, over the old entry
+    /// in place when the device was registered.
     fn write_row(
         &mut self,
         before: Option<(RegisteredDevice, u32)>,
@@ -428,6 +430,7 @@ impl AttestedRegistry {
     /// member departs leaves the table.
     fn deregister(&mut self, replica: ReplicaId) {
         if let Some(before) = self.unindex(replica) {
+            self.entries.remove(&replica);
             self.delta
                 .record_roster(replica, Some(before), VotingPower::ZERO, GONE);
         }

@@ -76,27 +76,6 @@ fn bench_selection(c: &mut Criterion) {
     group.bench_function("pruned_select/10000x64/k100", |b| {
         b.iter(|| black_box(&roster).select(100));
     });
-    // Warm start at ~1% churn: repair last epoch's committee instead of
-    // re-selecting. The churned rows are low-power non-members, so the
-    // whole committee replays — the steady-state epoch.
-    let previous = roster.select(100);
-    let churned: Vec<ReplicaId> = (0..100u64).map(|i| ReplicaId::new(9_000 + i)).collect();
-    // Their current rows (the pool is sorted by replica id), and a slot map
-    // under which no configuration moved.
-    let current = &large[9_000..9_100];
-    let slot_map: Vec<usize> = (0..64).collect();
-    group.bench_function("warm_select/10000x64/k100/churn1pct", |b| {
-        b.iter(|| {
-            warm_greedy(
-                black_box(&roster),
-                previous.members(),
-                &churned,
-                current,
-                &slot_map,
-                100,
-            )
-        });
-    });
     // The naive reference fold is only affordable at the smallest size; it
     // stays here as the comparison anchor.
     let candidates = pool(100);

@@ -11,7 +11,7 @@ use fi_types::{SimTime, VotingPower};
 
 use crate::byzantine::Behavior;
 use crate::client::Client;
-use crate::message::BftMessage;
+use crate::message::{BftMessage, Operation};
 use crate::replica::Replica;
 use crate::safety::{LivenessReport, SafetyReport};
 use crate::weighted::WeightedQuorum;
@@ -235,6 +235,32 @@ pub fn run_cluster_with_schedule(
     faults: &[ScheduledFault],
     recoveries: &[(SimTime, usize)],
 ) -> ClusterReport {
+    audit(&simulate(config, seed, faults, recoveries), config).0
+}
+
+/// [`run_cluster_with_faults`]'s run, with each replica's committed log
+/// ([`Replica::executed`]) beside its report, in replica order.
+// lint: allow(unused-pub) test seam: determinism_goldens pins each replica's committed log, which no report field carries
+#[must_use]
+pub fn run_cluster_with_logs(
+    config: &ClusterConfig,
+    seed: u64,
+    faults: &[ScheduledFault],
+) -> (ClusterReport, Vec<Vec<(u64, Operation)>>) {
+    let sim = simulate(config, seed, faults, &[]);
+    let (report, replicas) = audit(&sim, config);
+    let logs = replicas.iter().map(|r| r.executed().to_vec()).collect();
+    (report, logs)
+}
+
+/// Builds the cluster, schedules its faults and recoveries, and runs it
+/// until every client is done or `max_time` passes.
+fn simulate(
+    config: &ClusterConfig,
+    seed: u64,
+    faults: &[ScheduledFault],
+    recoveries: &[(SimTime, usize)],
+) -> Simulation<BftNode> {
     let n = config.n();
     let mut sim: Simulation<BftNode> = Simulation::new(config.network.clone(), seed);
     for i in 0..n {
@@ -289,11 +315,14 @@ pub fn run_cluster_with_schedule(
             break;
         }
     }
-
-    audit(&sim, config)
+    sim
 }
 
-fn audit(sim: &Simulation<BftNode>, config: &ClusterConfig) -> ClusterReport {
+/// The run's report, and its replicas in index order.
+fn audit<'s>(
+    sim: &'s Simulation<BftNode>,
+    config: &ClusterConfig,
+) -> (ClusterReport, Vec<&'s Replica>) {
     let replicas: Vec<&Replica> = (0..config.n())
         .map(|i| match sim.node(NodeId::new(i)) {
             BftNode::Replica(r) => r.as_ref(),
@@ -322,7 +351,7 @@ fn audit(sim: &Simulation<BftNode>, config: &ClusterConfig) -> ClusterReport {
         }
     }
 
-    ClusterReport {
+    let report = ClusterReport {
         safety,
         liveness: LivenessReport {
             executed_requests: executed,
@@ -333,7 +362,8 @@ fn audit(sim: &Simulation<BftNode>, config: &ClusterConfig) -> ClusterReport {
         messages_delivered: sim.stats().delivered(),
         max_view,
         sim_time: sim.now(),
-    }
+    };
+    (report, replicas)
 }
 
 /// Derives the fault schedule for one vulnerability: every replica whose

@@ -54,8 +54,8 @@ pub fn greedy_diverse(candidates: &[Candidate], k: usize) -> Committee {
 /// The per-candidate greedy fold, O(n·k·(k+m)), kept verbatim as the
 /// reference: it re-aggregates a `HashMap`-backed distribution and
 /// recomputes full Shannon entropy for every candidate in every round.
-/// Property tests hold [`greedy_diverse`], [`PrunedRoster::select`] and
-/// [`crate::warm_greedy`] to its member sequence; the
+/// Property tests hold [`greedy_diverse`] and [`PrunedRoster::select`] to
+/// its member sequence; the
 /// `committee_selection` bench times it.
 #[doc(hidden)]
 #[must_use]
@@ -106,8 +106,8 @@ fn naive_entropy_bits(members: &[Candidate]) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The deterministic tie-break shared by every greedy engine (the naive
-/// reference, the pruned band walk, warm start): higher stake first, then
+/// The deterministic tie-break shared by both greedy engines (the naive
+/// reference and the pruned band walk): higher stake first, then
 /// lower replica id.
 pub(crate) fn preferred(a: &Candidate, b: &Candidate) -> bool {
     (a.power(), std::cmp::Reverse(a.replica())) > (b.power(), std::cmp::Reverse(b.replica()))

@@ -28,11 +28,9 @@
 //! and selects from it; an epoch snapshot carries the index prebuilt. The
 //! tolerant selection runs the same rounds, then, while one configuration
 //! holds more than `f`, ejects that configuration's heaviest member and
-//! runs one more round: no second engine and no cap to tune. [`warm`]
-//! replays the previous epoch's committee against only the churned
-//! candidates so steady-state re-selection is O(k · churn). `select`,
-//! `greedy_diverse` and the warm replay are held, member for member, to
-//! the naive per-candidate fold, `greedy::greedy_diverse_naive`. [`radix`]
+//! runs one more round: no second engine and no cap to tune. `select`
+//! and `greedy_diverse` are held, member for member, to the naive
+//! per-candidate fold, `greedy::greedy_diverse_naive`. [`radix`]
 //! is the stable radix sort a differential seal orders its staged churn
 //! with: the index's rows and the churned replica ids.
 //!
@@ -66,14 +64,26 @@ pub mod greedy;
 pub mod pruned;
 pub mod radix;
 pub mod twotier;
-pub mod warm;
 
 pub use baseline::{random_weighted, top_stake};
 pub use candidate::{Candidate, Committee};
 pub use greedy::greedy_diverse;
 pub use pruned::{PatchError, PrunedRoster};
 pub use twotier::two_tier_weighted;
-pub use warm::{warm_greedy, WarmReport};
+
+/// What a warm-started selection reports, kept for the benchmark's
+/// `committee.warm_*` metrics until they are retired. There is no warm
+/// start: on a 1 ‰-churn differential seal plus `select(64)` at 10⁶
+/// devices it saved under 10 % (the `fleet_seal` trial recorded in
+/// ROADMAP.md), so every selection runs cold and reports `replayed: 0`,
+/// `fell_back: true`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WarmReport {
+    /// Rounds replayed from the previous committee: always 0.
+    pub replayed: usize,
+    /// Whether the selection ran cold: always `true`.
+    pub fell_back: bool,
+}
 
 /// Convenient glob import.
 pub mod prelude {
@@ -82,5 +92,4 @@ pub mod prelude {
     pub use crate::greedy::greedy_diverse;
     pub use crate::pruned::{PatchError, PrunedRoster};
     pub use crate::twotier::two_tier_weighted;
-    pub use crate::warm::{warm_greedy, WarmReport};
 }

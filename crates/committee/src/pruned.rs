@@ -72,9 +72,9 @@
 //! them, and they are each list's prefix, so every band walk steps past it
 //! first — one compare when there is none.
 //!
-//! The roster is also the warm-start substrate, and — for an epoch
-//! snapshot — the device roster itself: the snapshot keeps no second
-//! per-device table and carries this one forward through churn.
+//! For an epoch snapshot the roster is also the device roster itself: the
+//! snapshot keeps no second per-device table and carries this one forward
+//! through churn.
 //! [`PrunedRoster::patch_dense`] writes the next epoch's roster from this
 //! one in a single pass — departures, arrivals and bucket births and
 //! deaths merged list by list, untouched runs copied as slices; a row that
@@ -85,14 +85,12 @@
 //! **One table, two orderings.** A roster is one entry table, list by
 //! list, with an offset where each list starts (list position =
 //! configuration value and tier). That one type holds the fleet's roster,
-//! a patch's two staged sides and a warm start's challengers, and the
-//! caller picks its way in by input size: [`PrunedRoster::from_dense`]
-//! sorts each list in place by comparison, faster at fleet size and on a
-//! warm start's handful of rows; the radix constructor, which a patch
+//! a patch's two staged sides, and the caller picks its way in by input
+//! size: [`PrunedRoster::from_dense`] sorts each list in place by
+//! comparison, faster at fleet size; the radix constructor, which a patch
 //! stages its churn with, orders the rows with
 //! [`crate::radix::sort_by_key`] first, faster at a seal's thousands. A
 //! patched roster equals a rebuilt one, capacities included.
-//! See [`crate::warm`] for the replay layer on top.
 
 use std::borrow::Borrow;
 use std::cmp::Reverse;
@@ -132,7 +130,7 @@ fn xlog2(w: u64) -> f64 {
 /// One candidate as stored in a list: 16 bytes. Configuration and tier are
 /// implied by the owning list, so bucket-slot splices never rewrite entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PrunedEntry {
+struct PrunedEntry {
     power: u64,
     replica: ReplicaId,
 }
@@ -356,9 +354,8 @@ impl PrunedRoster {
     /// without candidates keep empty lists. The rows are filed list by list
     /// into a table allocated at its exact size, and each list is then
     /// sorted in place by a comparison sort. O(n log n). This measures
-    /// faster than ordering the rows by [`crate::radix`] first both at
-    /// fleet size and on a warm start's few challenger rows, so both come
-    /// this way.
+    /// faster than ordering the rows by [`crate::radix`] first at fleet
+    /// size, so a full build comes this way.
     ///
     /// `candidates` is walked twice, by a clone of its iterator: once to
     /// count each list, once to file. It may be a slice, or a lazy map over
@@ -437,17 +434,6 @@ impl PrunedRoster {
         &self.entries[self.starts[l]..self.starts[l + 1]]
     }
 
-    /// The lists that hold an entry, each with its position: what
-    /// [`SelectionRun::any_displaces`] walks each round.
-    pub(crate) fn filled_lists(&self) -> impl Iterator<Item = (usize, &[PrunedEntry])> {
-        let filled = self
-            .starts
-            .windows(2)
-            .enumerate()
-            .filter(|(_, w)| w[0] < w[1]);
-        filled.map(|(l, w)| (l, &self.entries[w[0]..w[1]]))
-    }
-
     /// Number of indexed candidates, zero-power ones included.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -462,7 +448,7 @@ impl PrunedRoster {
 
     /// Number of configuration slots (empty ones included).
     #[must_use]
-    pub fn num_configs(&self) -> usize {
+    fn num_configs(&self) -> usize {
         self.starts.len() / 2
     }
 
@@ -653,10 +639,8 @@ impl PrunedRoster {
 
 /// In-flight selection state over a [`PrunedRoster`]: the committee
 /// accumulator (one slot per configuration, which both of its lists
-/// add to), the members picked
-/// so far, and the selected-replica skip set. Shared by the cold engine and
-/// the warm-start replay in [`crate::warm`].
-pub(crate) struct SelectionRun<'a> {
+/// add to), the members picked so far, and the selected-replica skip set.
+struct SelectionRun<'a> {
     /// The roster's lists, sliced out of its table once per selection
     /// rather than once per list and round.
     lists: Vec<&'a [PrunedEntry]>,
@@ -671,7 +655,7 @@ pub(crate) struct SelectionRun<'a> {
 }
 
 impl<'a> SelectionRun<'a> {
-    pub(crate) fn new(roster: &'a PrunedRoster) -> Self {
+    fn new(roster: &'a PrunedRoster) -> Self {
         SelectionRun {
             lists: (0..2 * roster.num_configs())
                 .map(|l| roster.list(l))
@@ -683,26 +667,12 @@ impl<'a> SelectionRun<'a> {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    pub(crate) fn is_selected(&self, replica: ReplicaId) -> bool {
+    fn is_selected(&self, replica: ReplicaId) -> bool {
         self.selected.binary_search(&replica).is_ok()
     }
 
-    /// The marginal entropy of adding `power` at configuration `config` —
-    /// the exact arithmetic every selection decision is made with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is not a roster slot.
-    pub(crate) fn peek(&self, config: usize, power: u64) -> f64 {
-        self.acc.peek_add(config, power)
-    }
-
     /// Commits `c` to the committee: accumulator add + skip-set insert.
-    pub(crate) fn accept(&mut self, c: Candidate) {
+    fn accept(&mut self, c: Candidate) {
         self.acc.add(c.config(), c.power().as_units());
         let pos = self
             .selected
@@ -714,7 +684,7 @@ impl<'a> SelectionRun<'a> {
 
     /// Runs full greedy rounds until `k` members are picked or the roster
     /// is exhausted.
-    pub(crate) fn run_to(&mut self, k: usize) {
+    fn run_to(&mut self, k: usize) {
         while self.members.len() < k && self.round() {}
     }
 
@@ -725,40 +695,8 @@ impl<'a> SelectionRun<'a> {
         self.members.retain(|m| m.replica() != member.replica());
     }
 
-    pub(crate) fn into_committee(self) -> Committee {
+    fn into_committee(self) -> Committee {
         Committee::new(self.members)
-    }
-
-    /// The most recently committed member, if any.
-    pub(crate) fn last_member(&self) -> Option<&Candidate> {
-        self.members.last()
-    }
-
-    /// Exact displacement test for one warm-replay round: would any
-    /// unselected row of `challengers` — a roster's
-    /// [`filled_lists`](PrunedRoster::filled_lists) — beat `incumbent`
-    /// (whose marginal gain is `incumbent_gain`) under the reference fold's
-    /// predicate ([`beats`])?
-    ///
-    /// Each challenger bucket goes through the same
-    /// [`walk_band`](Self::walk_band) as a selection round; an entry pruned
-    /// by the band (`h < ceiling − BAND`) cannot displace, because a
-    /// displacing entry needs `h ≥ incumbent_gain − TIE_EPS`, and if the
-    /// band ceiling exceeded `incumbent_gain − TIE_EPS + BAND` then the
-    /// ceiling entry itself already displaced strictly when it was
-    /// evaluated. So the test is byte-equivalent to peeking every churned
-    /// row, at O(log L + band) per bucket.
-    pub(crate) fn any_displaces(
-        &self,
-        challengers: &[(usize, &[PrunedEntry])],
-        incumbent: &Candidate,
-        incumbent_gain: f64,
-    ) -> bool {
-        challengers.iter().any(|&(list, group)| {
-            self.walk_band(list / 2, group, &mut 0, |e, h| {
-                beats(&e.candidate(list), h, incumbent, incumbent_gain)
-            })
-        })
     }
 
     /// One greedy round: bracket every bucket's analytic peak (galloping
@@ -766,7 +704,7 @@ impl<'a> SelectionRun<'a> {
     /// band exactly, fold with the reference fold's tie predicate
     /// ([`beats`]), commit the winner. Returns `false` when no unselected
     /// candidate remains.
-    pub(crate) fn round(&mut self) -> bool {
+    fn round(&mut self) -> bool {
         let mut best: Option<(Candidate, f64)> = None;
         let mut hints = std::mem::take(&mut self.hints);
         for ((li, list), hint) in self.lists.iter().enumerate().zip(&mut hints) {
@@ -778,7 +716,6 @@ impl<'a> SelectionRun<'a> {
                 {
                     best = Some((cand, h));
                 }
-                false
             });
         }
         self.hints = hints;
@@ -792,25 +729,22 @@ impl<'a> SelectionRun<'a> {
     }
 
     /// The one band walk: hands `visit` every unselected entry of `list` —
-    /// one of bucket `slot`'s two lists, or challenger rows of that
-    /// configuration —
-    /// that survives the guard band around the bucket's analytic peak, with
-    /// its exactly evaluated gain. `visit` returns `true` to stop the walk;
-    /// the return value says whether it did. The bracket search starts at
-    /// `hint` — where it landed last time in this list, or `0` — and
-    /// leaves it where it lands now; the bracket is the same partition
-    /// point wherever the search starts.
+    /// one of bucket `slot`'s two lists — that survives the guard band
+    /// around the bucket's analytic peak, with its exactly evaluated gain.
+    /// The bracket search starts at `hint` — where it landed last time in
+    /// this list, or `0` — and leaves it where it lands now; the bracket is
+    /// the same partition point wherever the search starts.
     fn walk_band(
         &self,
         slot: usize,
         list: &[PrunedEntry],
         hint: &mut usize,
-        mut visit: impl FnMut(&PrunedEntry, f64) -> bool,
-    ) -> bool {
+        mut visit: impl FnMut(&PrunedEntry, f64),
+    ) {
         // The zero-power prefix is never a candidate (module docs).
         let list = &list[gallop(list.len(), |i| list[i].power == 0)..];
         if list.is_empty() {
-            return false;
+            return;
         }
         let b = self.acc.weight(slot);
         let w = self.acc.total_weight();
@@ -819,11 +753,10 @@ impl<'a> SelectionRun<'a> {
             // zero) already sits here, so every candidate lands on
             // single-support entropy — exactly +0.0 — and only the
             // max-preferred unselected entry, the list tail, can matter.
-            return list
-                .iter()
-                .rev()
-                .find(|e| !self.is_selected(e.replica))
-                .is_some_and(|e| visit(e, self.acc.peek_add(slot, e.power)));
+            if let Some(e) = list.iter().rev().find(|e| !self.is_selected(e.replica)) {
+                visit(e, self.acc.peek_add(slot, e.power));
+            }
+            return;
         }
 
         // Analytic peak locator: f peaks where b + p = 2^{S′/(W−b)}. Float
@@ -858,12 +791,9 @@ impl<'a> SelectionRun<'a> {
                 if h > ceiling {
                     ceiling = h;
                 }
-                if visit(e, h) {
-                    return true;
-                }
+                visit(e, h);
             }
         }
-        false
     }
 }
 
@@ -1045,10 +975,7 @@ mod tests {
                 for li in 0..roster.num_configs() {
                     let list = roster.list(2 * li);
                     let mut evaluated: Vec<u64> = Vec::new();
-                    run.walk_band(li, list, &mut 0, |e, _| {
-                        evaluated.push(e.power);
-                        false
-                    });
+                    run.walk_band(li, list, &mut 0, |e, _| evaluated.push(e.power));
                     let visits = evaluated.len();
                     evaluated.sort_unstable();
                     evaluated.dedup();
@@ -1075,9 +1002,10 @@ mod tests {
     }
 
     #[test]
-    fn filled_lists_skip_the_empty_ones() {
-        // Rows in slots 1, 3 (both tiers) and 9 of 10: the empty lists in
-        // front of, between and behind them are never yielded.
+    fn from_churn_files_each_row_under_its_list() {
+        // Rows in slots 1, 3 (both tiers) and 9 of 10: each lands in its
+        // own list, and the lists in front of, between and behind them
+        // stay empty.
         let row = |id, config, attested| {
             Candidate::new(ReplicaId::new(id), VotingPower::new(5), config, attested)
         };
@@ -1088,18 +1016,16 @@ mod tests {
             row(4, 3, true),
             row(5, 3, false),
         ];
+        let filled = |roster: &PrunedRoster| -> Vec<(usize, usize)> {
+            (0..2 * roster.num_configs())
+                .map(|l| (l, roster.list(l).len()))
+                .filter(|&(_, len)| len > 0)
+                .collect()
+        };
         let roster = PrunedRoster::from_churn(10, &rows, &mut RadixBuffers::default());
-        let filled: Vec<(usize, usize)> = roster
-            .filled_lists()
-            .map(|(l, list)| (l, list.len()))
-            .collect();
-        assert_eq!(filled, [(2, 1), (6, 1), (7, 2), (18, 1)]);
-        assert_eq!(
-            PrunedRoster::from_dense(4, std::iter::empty::<Candidate>())
-                .filled_lists()
-                .count(),
-            0
-        );
+        assert_eq!(filled(&roster), [(2, 1), (6, 1), (7, 2), (18, 1)]);
+        let empty = PrunedRoster::from_dense(4, std::iter::empty::<Candidate>());
+        assert_eq!(filled(&empty), []);
     }
 
     #[test]

@@ -25,11 +25,7 @@
 //! sort, which is the faster of the two at fleet size: with 13 slots,
 //! dense ids and powers below 1 000 (p50 of 15 builds, two runs), 7.6–10.6
 //! ms against 14.5–18.8 ms for the radix at 200 000 rows, and 50–55 ms
-//! against 101–109 ms at 1 000 000. Nor does a warm start's handful of
-//! challenger rows: when every pass had 2¹¹ counters, a warm selection on
-//! the `fleet_seal` bench's 10 000-device, 1 ‰ cell (10 churned rows) read
-//! 12 % slower over 12 rotated runs with its challengers radix-ordered,
-//! and it has not been re-measured since the width follows the row count.
+//! against 101–109 ms at 1 000 000.
 //!
 //! [`PrunedRoster::from_dense`]: crate::PrunedRoster::from_dense
 

@@ -387,3 +387,218 @@ fn tolerant_selection_against_an_exhaustive_oracle() {
     eprintln!("select_tolerant found {found} of {feasible} feasible cases ({share:.3})");
     assert!(share >= FLOOR, "found {found} of {feasible}");
 }
+
+// Churn chains over the roster a seal carries forward: at every step the
+// roster patched by `patch_dense` selects the member sequence of the
+// naive oracle over the merged pool — through evictions of sitting
+// members, tie-heavy power distributions (down to a single stake value,
+// where a list is one run of equal power and the band walk steps it as
+// one), re-registrations to and from zero power, and heavy churn.
+
+/// One churn step against the current pool.
+#[derive(Debug, Clone)]
+enum Churn {
+    /// Register (or re-register with a new row) device `id`.
+    Upsert { id: u64, power: u64, config: usize },
+    /// Deregister device `id` (a no-op if absent).
+    Remove { id: u64 },
+}
+
+fn churn_step(
+    ids: u64,
+    powers: std::ops::RangeInclusive<u64>,
+    configs: usize,
+) -> impl Strategy<Value = Churn> {
+    // The vendored `prop_oneof!` is an unweighted union; listing the upsert
+    // arm three times biases chains toward growth (3:1 upsert:remove) so
+    // pools stay populated.
+    let upsert = || {
+        (0..ids, powers.clone(), 0..configs).prop_map(|(id, power, config)| Churn::Upsert {
+            id,
+            power,
+            config,
+        })
+    };
+    prop_oneof![
+        upsert(),
+        upsert(),
+        upsert(),
+        (0..ids).prop_map(|id| Churn::Remove { id }),
+    ]
+}
+
+/// A chain: an initial pool followed by epochs of churn batches.
+fn chain(
+    ids: u64,
+    powers: std::ops::RangeInclusive<u64>,
+    configs: usize,
+) -> impl Strategy<Value = (Vec<Churn>, Vec<Vec<Churn>>)> {
+    (
+        proptest::collection::vec(churn_step(ids, powers.clone(), configs), 5..40),
+        proptest::collection::vec(
+            proptest::collection::vec(churn_step(ids, powers, configs), 1..8),
+            1..6,
+        ),
+    )
+}
+
+/// Applies one batch to the pool (sorted by replica id), returning the
+/// sorted churned-replica set.
+fn apply(pool: &mut Vec<Candidate>, batch: &[Churn]) -> Vec<ReplicaId> {
+    let mut churned: Vec<ReplicaId> = Vec::new();
+    for step in batch {
+        let (id, row) = match *step {
+            Churn::Upsert { id, power, config } => (
+                id,
+                Some(Candidate::new(
+                    ReplicaId::new(id),
+                    VotingPower::new(power),
+                    config,
+                    id % 3 != 0,
+                )),
+            ),
+            Churn::Remove { id } => (id, None),
+        };
+        let replica = ReplicaId::new(id);
+        match (pool.binary_search_by_key(&replica, Candidate::replica), row) {
+            (Ok(pos), Some(c)) => pool[pos] = c,
+            (Ok(pos), None) => {
+                pool.remove(pos);
+            }
+            (Err(pos), Some(c)) => pool.insert(pos, c),
+            (Err(_), None) => {}
+        }
+        if let Err(pos) = churned.binary_search(&replica) {
+            churned.insert(pos, replica);
+        }
+    }
+    churned
+}
+
+/// The roster patch the seal performs: every churned replica's old row
+/// departs and its new row arrives, in one `patch_dense`.
+fn patch_roster(
+    roster: &PrunedRoster,
+    old_pool: &[Candidate],
+    new_pool: &[Candidate],
+    churned: &[ReplicaId],
+) -> PrunedRoster {
+    let rows_in = |pool: &[Candidate]| -> Vec<Candidate> {
+        churned
+            .iter()
+            .filter_map(|&replica| {
+                let pos = pool.binary_search_by_key(&replica, Candidate::replica);
+                pos.ok().map(|pos| pool[pos])
+            })
+            .collect()
+    };
+    roster
+        .patch_dense(&rows_in(old_pool), &rows_in(new_pool), &[], &[])
+        .expect("the churned rows were read off the pool the roster indexes")
+}
+
+/// Drives one chain over `slots` configuration slots: at every epoch the
+/// patched roster's selection must equal the naive oracle over the merged
+/// pool, for every probed k.
+fn run_chain(
+    slots: usize,
+    initial: &[Churn],
+    epochs: &[Vec<Churn>],
+    ks: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut pool: Vec<Candidate> = Vec::new();
+    apply(&mut pool, initial);
+    let mut roster = PrunedRoster::from_dense(slots, &pool);
+    for (e, batch) in std::iter::once(&Vec::new()).chain(epochs).enumerate() {
+        let old_pool = pool.clone();
+        let churned = apply(&mut pool, batch);
+        roster = patch_roster(&roster, &old_pool, &pool, &churned);
+        for &k in ks {
+            prop_assert_eq!(
+                roster.select(k).members(),
+                greedy_diverse_naive(&pool, k).members(),
+                "patched-roster selection diverged at epoch {}, k = {}",
+                e,
+                k
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    // Pinned case count: the vendored proptest runner derives every case
+    // seed from the test name, so these chains are reproducible bit-for-bit.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn patched_chain_matches_naive_oracle((initial, epochs) in chain(48, 1..=10_000, 9)) {
+        run_chain(9, &initial, &epochs, &[1, 6, 17])?;
+    }
+
+    #[test]
+    fn patched_chain_matches_on_tie_heavy_pools((initial, epochs) in chain(40, 1..=4, 3)) {
+        // Powers drawn from {1..4} over 3 configs: almost every round is
+        // an exact entropy tie, exercising the `preferred` fold and the
+        // degenerate +0.0 buckets rather than the analytic peak.
+        run_chain(3, &initial, &epochs, &[2, 9])?;
+    }
+
+    #[test]
+    fn patched_chain_matches_when_stake_is_quantised(
+        (initial, epochs) in (1u64..=3).prop_flat_map(|stakes| chain(40, 1..=stakes, 4))
+    ) {
+        // One, two or three stake values over at most 4 configs: every
+        // list is a handful of long runs of equal power — with one value,
+        // a single run — and every churned row lands inside one. k runs up
+        // to the whole pool, so runs are consumed member by member until
+        // nothing unselected is left in them.
+        run_chain(4, &initial, &epochs, &[1, 7, 40])?;
+    }
+
+    #[test]
+    fn patched_chain_matches_with_zero_power_rows((initial, epochs) in chain(32, 0..=3, 4)) {
+        // One upsert in four is at zero power: devices re-register to and
+        // from it, rows the roster holds and no selection may return.
+        run_chain(4, &initial, &epochs, &[1, 5, 32])?;
+    }
+
+    #[test]
+    fn patched_chain_matches_under_heavy_churn((initial, epochs) in chain(16, 1..=500, 4)) {
+        // 16 ids and batches of up to 7 steps: an epoch can rewrite half
+        // the pool, at k = 1 and k = 8 on the same pools.
+        run_chain(4, &initial, &epochs, &[1, 8])?;
+    }
+}
+
+#[test]
+fn evicting_every_sitting_member_reselects_like_the_oracle() {
+    // Deterministic worst case: churn away the *entire* committee; the
+    // patched roster's selection must still match the oracle.
+    let mut pool: Vec<Candidate> = (0..30u64)
+        .map(|i| {
+            Candidate::new(
+                ReplicaId::new(i),
+                VotingPower::new(1 + (i * 97) % 700),
+                (i % 5) as usize,
+                true,
+            )
+        })
+        .collect();
+    let roster = PrunedRoster::from_dense(5, &pool);
+    let previous = roster.select(3);
+    let old_pool = pool.clone();
+    let mut churned: Vec<ReplicaId> = previous.members().iter().map(Candidate::replica).collect();
+    churned.sort_unstable();
+    pool.retain(|c| churned.binary_search(&c.replica()).is_err());
+    let roster = patch_roster(&roster, &old_pool, &pool, &churned);
+    let reselected = roster.select(3);
+    assert_eq!(
+        reselected.members(),
+        greedy_diverse_naive(&pool, 3).members()
+    );
+    assert!(reselected
+        .members()
+        .iter()
+        .all(|m| churned.binary_search(&m.replica()).is_err()));
+}

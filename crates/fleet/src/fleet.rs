@@ -155,9 +155,8 @@ pub struct ShardedFleet {
     /// snapshots are published in epoch order.
     seal: Mutex<SealState>,
     /// Memoized committee selections keyed by fleet content — repeated
-    /// quorum queries against one published epoch are O(1) `Arc` lookups,
-    /// and epoch advances warm-chain through the differential parent. See
-    /// [`SelectionCache`].
+    /// quorum queries against one published epoch are O(1) `Arc` lookups.
+    /// See [`SelectionCache`].
     selection_cache: SelectionCache,
     /// The durability layer, when this fleet was opened with
     /// [`open_durable`](Self::open_durable): the write-ahead churn log
@@ -714,10 +713,9 @@ impl ShardedFleet {
 
     /// The greedy committee of size `k` over the currently served
     /// snapshot, memoized in the fleet's [`SelectionCache`]: repeated
-    /// queries against one published epoch are O(1) `Arc` lookups, and an
-    /// epoch advance warm-chains from the previous epoch's cached
-    /// committee instead of selecting cold. Byte-identical member sequence
-    /// to `self.snapshot().select_greedy(k)`.
+    /// queries against one published epoch are O(1) `Arc` lookups, and
+    /// the first query of an epoch selects cold. Byte-identical member
+    /// sequence to `self.snapshot().select_greedy(k)`.
     #[must_use]
     pub fn select_greedy_cached(&self, k: usize) -> Arc<fi_committee::Committee> {
         self.selection_cache.select_greedy(&self.snapshot(), k)

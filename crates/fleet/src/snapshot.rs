@@ -36,8 +36,8 @@
 //! [`EntropyAccumulator`] from the finished bucket table with
 //! `from_weights`, so the two agree in every bit a reader can observe —
 //! content hash, entropy and accumulator state included; only the
-//! provenance fields ([`parent_hash`](EpochSnapshot::parent_hash),
-//! [`churned_replicas`](EpochSnapshot::churned_replicas)) tell them apart.
+//! provenance field, [`parent_hash`](EpochSnapshot::parent_hash), tells
+//! them apart.
 //!
 //! **What a patch copies.** A snapshot stores one row per device, in one
 //! table: its entry in the [`PrunedRoster`] selection index (16 B: power
@@ -70,11 +70,9 @@
 //! each indexed as a [`PrunedRoster`] of their own, ordered by one stable
 //! radix sort — a pass per digit of up to 11 bits that holds a key bit
 //! varying among them — and then filed by list, and the churned replica
-//! ids, for
-//! [`churned_replicas`](EpochSnapshot::churned_replicas) and the warm
-//! start, go through the same routine
-//! ([`fi_committee::radix::sort_by_key`]); that is also where a replica
-//! that two shards drained shows up, and is refused. Both cost O(R · D)
+//! ids go through the same routine ([`fi_committee::radix::sort_by_key`]),
+//! which is where a replica that two shards drained shows up, and is
+//! refused; the sorted ids are then dropped. Both cost O(R · D)
 //! for R rows and D digits — 3 at the benchmark's shapes (ids below 2¹⁸,
 //! powers below 2¹⁰) — and the worst case, every key bit varying, measures
 //! about 2× a comparison sort at 12 600 rows.
@@ -105,7 +103,7 @@ use std::sync::OnceLock;
 use fi_attest::{
     device_row_digest, AfterRow, AttestedRegistry, CanonicalDelta, RegisteredDevice, TwoTierWeights,
 };
-use fi_committee::{radix, warm_greedy, Candidate, Committee, PrunedRoster, WarmReport};
+use fi_committee::{radix, Candidate, Committee, PrunedRoster, WarmReport};
 use fi_entropy::{Distribution, DistributionError, EntropyAccumulator};
 use fi_types::hash::{SetDigest, Sha256};
 use fi_types::{Digest, ReplicaId, VotingPower};
@@ -163,21 +161,8 @@ pub struct EpochSnapshot {
     /// [`candidates`](Self::candidates) serves, derived on first use.
     roster: OnceLock<Vec<Candidate>>,
     /// The previous snapshot's content hash when this one was produced by
-    /// [`try_apply_delta`](Self::try_apply_delta); `None` for full builds. This is
-    /// the warm-start chaining key: a committee selected on the parent
-    /// content can seed [`select_greedy_warm`](Self::select_greedy_warm).
+    /// [`try_apply_delta`](Self::try_apply_delta); `None` for full builds.
     parent_hash: Option<Digest>,
-    /// The sorted replica ids touched by the delta that produced this
-    /// snapshot (empty for full builds).
-    churned: Vec<ReplicaId>,
-    /// The rows the `churned` devices that are still registered hold in
-    /// this snapshot, in the delta's drain order (empty for full builds).
-    arrivals: Vec<Candidate>,
-    /// Each of the parent's slots (its unattested pseudo-slot last) to its
-    /// position here, `usize::MAX` for a bucket that died (empty for full
-    /// builds). With `churned` and `arrivals`, all a warm start needs of
-    /// the difference to the parent.
-    slot_map: Vec<usize>,
     /// Order-independent aggregate of per-bucket row digests — the
     /// incrementally maintainable half of the content hash.
     bucket_agg: SetDigest,
@@ -325,9 +310,6 @@ impl EpochSnapshot {
             pruned,
             roster: OnceLock::new(),
             parent_hash: None,
-            churned: Vec::new(),
-            arrivals: Vec::new(),
-            slot_map: Vec::new(),
             bucket_agg,
             device_agg,
             content_hash,
@@ -467,9 +449,9 @@ impl EpochSnapshot {
         let dirty = delta.buckets();
 
         // 1. Patch the sorted bucket vec (merge walk old × dirty), while
-        //    collecting the old→new slot map and, for every measurement on
-        //    either side, its [old slot, new slot] — `usize::MAX` where it
-        //    has none — in digest order: the table step 3 probes.
+        //    collecting, for every measurement on either side, its [old
+        //    slot, new slot] — `usize::MAX` where it has none — in digest
+        //    order: the table step 3 probes.
         const OLD: usize = 0;
         const NEW: usize = 1;
         let old_buckets = &self.buckets;
@@ -480,9 +462,6 @@ impl EpochSnapshot {
         // index plus the delta's member change, which the patched index
         // must then list.
         let mut members_of = Vec::with_capacity(old_buckets.len() + dirty.len());
-        // Old slot → new slot for surviving buckets plus the opaque
-        // pseudo-slot (last entry); removed buckets keep `usize::MAX`.
-        let mut slot_map = vec![usize::MAX; old_buckets.len() + 1];
         let mut removals: Vec<usize> = Vec::new();
         let mut insertions: Vec<usize> = Vec::new();
         let mut bucket_agg = self.bucket_agg;
@@ -496,7 +475,6 @@ impl EpochSnapshot {
             let take_old =
                 j >= dirty.len() || (i < old_buckets.len() && old_buckets[i].0 < dirty[j].0);
             if take_old {
-                slot_map[i] = buckets.len();
                 slots_of.push((old_buckets[i].0, [i, buckets.len()]));
                 buckets.push(old_buckets[i]);
                 members_of.push(self.pruned.slot_len(i) as i64);
@@ -520,7 +498,6 @@ impl EpochSnapshot {
                         return Err(unchained(format!("bucket {m} power overflows u64")));
                     };
                     let power = VotingPower::new(power_units);
-                    slot_map[i] = buckets.len();
                     slots_of.push((m, [i, buckets.len()]));
                     if d.power != 0 {
                         bucket_agg.remove(&bucket_row_digest(&m, old_buckets[i].1));
@@ -551,7 +528,6 @@ impl EpochSnapshot {
                 j += 1;
             }
         }
-        slot_map[old_buckets.len()] = buckets.len();
 
         // 2. The other integer sum, the opaque power (range-checked), and
         //    the accumulator, from the patched buckets as `build` makes it.
@@ -653,9 +629,6 @@ impl EpochSnapshot {
             pruned,
             roster: OnceLock::new(),
             parent_hash: Some(self.content_hash),
-            churned,
-            arrivals,
-            slot_map,
             bucket_agg,
             device_agg,
             content_hash,
@@ -709,19 +682,15 @@ impl EpochSnapshot {
     }
 
     /// The bytes this snapshot holds on the heap, by capacity: the bucket
-    /// table, the accumulator's weights, the
-    /// selection index ([`PrunedRoster::heap_bytes`]), what a differential
-    /// seal records of its parent (churned ids, their rows, the slot map)
-    /// and, once something has derived it, the replica-sorted view.
+    /// table, the accumulator's weights, the selection index
+    /// ([`PrunedRoster::heap_bytes`]) and, once something has derived it,
+    /// the replica-sorted view.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.buckets.capacity() * size_of::<(Digest, VotingPower)>()
             + self.acc.slots() * size_of::<u64>()
             + self.pruned.heap_bytes()
-            + self.churned.capacity() * size_of::<ReplicaId>()
-            + self.arrivals.capacity() * size_of::<Candidate>()
-            + self.slot_map.capacity() * size_of::<usize>()
             + self
                 .roster
                 .get()
@@ -828,47 +797,24 @@ impl EpochSnapshot {
         self.pruned.select(k)
     }
 
-    /// Warm-started greedy selection: replays `previous` — the committee
-    /// selected for the same `k` on this snapshot's *parent* content (see
-    /// [`parent_hash`](Self::parent_hash)) — against the churned rows only,
-    /// repairing from the first divergent round. Byte-identical to
-    /// [`select_greedy`](Self::select_greedy); steady-state cost is
-    /// O(k · churn) instead of O(k · buckets · log n).
-    ///
-    /// Callers are responsible for the chaining check: if `previous` was
-    /// not selected on the content identified by
-    /// [`parent_hash`](Self::parent_hash), the churn set does not describe
-    /// the difference and the result is unspecified (though still a valid
-    /// committee). [`SelectionCache`](crate::SelectionCache) performs this
-    /// check per lookup. A full build has no parent to describe a
-    /// difference to, and selects cold.
+    /// [`select_greedy`](Self::select_greedy)'s committee and a report of
+    /// a cold selection. There is no warm start; this stays for the
+    /// benchmark's `committee.warm_*` probe until those metrics are
+    /// retired, and ignores `previous`.
     #[must_use]
-    pub fn select_greedy_warm(&self, k: usize, previous: &[Candidate]) -> (Committee, WarmReport) {
-        warm_greedy(
-            &self.pruned,
-            previous,
-            &self.churned,
-            &self.arrivals,
-            &self.slot_map,
-            k,
-        )
+    pub fn select_greedy_warm(&self, k: usize, _previous: &[Candidate]) -> (Committee, WarmReport) {
+        let report = WarmReport {
+            replayed: 0,
+            fell_back: true,
+        };
+        (self.select_greedy(k), report)
     }
 
     /// The content hash of the snapshot this one was differentially patched
-    /// from (`None` for full builds / re-anchor epochs). Committees keyed
-    /// by this hash can warm-start
-    /// [`select_greedy_warm`](Self::select_greedy_warm).
+    /// from (`None` for full builds / re-anchor epochs).
     #[must_use]
     pub fn parent_hash(&self) -> Option<Digest> {
         self.parent_hash
-    }
-
-    /// The sorted replica ids whose roster rows changed relative to the
-    /// parent snapshot (empty for full builds).
-    // lint: allow(unused-pub) test seam: fleet_differential reads which rows a differential seal says it changed
-    #[must_use]
-    pub fn churned_replicas(&self) -> &[ReplicaId] {
-        &self.churned
     }
 }
 

@@ -24,7 +24,7 @@
 //!   sealers race.
 //! * **Selection-cache parity.** Readers also route selections through the
 //!   fleet's shared [`SelectionCache`](fi_fleet::SelectionCache) — hits,
-//!   warm-chained misses, and evictions all racing the sealers — and every
+//!   misses, and evictions all racing the sealers — and every
 //!   memoized committee must be byte-identical to the ledger's committed
 //!   cold selection for that snapshot's epoch.
 

@@ -7,13 +7,14 @@
 //! trace *hashes* — a drift anywhere in the event loop, the RNG stream, or
 //! the protocol logic flips the digest.
 
-use fault_independence::fi_bft::harness::{run_cluster_with_faults, ClusterConfig};
+use fault_independence::fi_bft::harness::{run_cluster_with_logs, ClusterConfig};
 use fault_independence::fi_bft::{Behavior, ScheduledFault};
 use fault_independence::fi_config::prelude::{catalog, Assignment, ConfigurationSpace};
 use fault_independence::fi_nakamoto::attack::monte_carlo_double_spend;
 use fault_independence::fi_simnet::{
     Context, LatencyModel, NetworkConfig, Node, NodeId, Simulation,
 };
+use fault_independence::fi_types::hash::Sha256;
 use fault_independence::fi_types::{sha256, Digest, SimTime, VotingPower};
 
 /// A gossiping node: every message received is forwarded to the next node,
@@ -71,12 +72,18 @@ fn simnet_engine_trace_hash_is_seed_deterministic() {
 }
 
 /// `bft_trace_hash(11)` and `bft_trace_hash(23)`, pinned: a change to the
-/// protocol's vote counting that moves any threshold flips them.
-const BFT_TRACE_11: &str = "ccc8d458489dcae7e40626b12b51bf3e652e9d287cbc3906c2480f7f4b3dcbba";
-const BFT_TRACE_23: &str = "fa512a26b2b790ac8791f1fcbe4e29d5e2d6311b57be8d24ba008828bf895ccd";
+/// protocol's vote counting that moves any threshold flips them (a replica
+/// that commits at quorum − 1 unit does, and so does `f = ⌈total/3⌉`).
+const BFT_TRACE_11: &str = "40a0be487121248c92de1489308b1cf1fe7f0ca463b9e562f0818b565f3863c9";
+const BFT_TRACE_23: &str = "a94f57ba1999624263b7d1a1442e50876a7d287130d5f53f2818ba65552cfb93";
 
-/// Digest of everything a 7-replica BFT cluster run reports (safety audit,
-/// liveness, message counters, views, clock).
+/// Digest of a 7-replica BFT cluster run, over a stated encoding of what
+/// the run claims — every field a fixed-width big-endian `u64`, each list
+/// led by its length: each replica's committed log `(seq, client,
+/// counter, payload)` in replica order; the safety verdict and its
+/// conflicts `(seq, replica_a, replica_b)`; liveness (executed, expected,
+/// client retries); the highest view; messages sent and delivered; and
+/// the clock in microseconds.
 fn bft_trace_hash(cluster: ClusterConfig, seed: u64) -> Digest {
     // A stochastic network (sampled latency) so the seed actually shapes
     // the trace; the default constant-latency LAN is seed-independent.
@@ -99,8 +106,38 @@ fn bft_trace_hash(cluster: ClusterConfig, seed: u64) -> Digest {
             behavior: Behavior::Crashed,
         },
     ];
-    let report = run_cluster_with_faults(&config, seed, &faults);
-    sha256(format!("{report:?}"))
+    let (report, logs) = run_cluster_with_logs(&config, seed, &faults);
+    let mut h = Sha256::new();
+    let mut put = |x: u64| h.update(x.to_be_bytes());
+    put(logs.len() as u64);
+    for log in &logs {
+        put(log.len() as u64);
+        for &(seq, op) in log {
+            for x in [seq, op.client, op.counter, op.payload] {
+                put(x);
+            }
+        }
+    }
+    put(u64::from(report.safety.holds()));
+    put(report.safety.violations().len() as u64);
+    for v in report.safety.violations() {
+        for x in [v.seq, v.replica_a as u64, v.replica_b as u64] {
+            put(x);
+        }
+    }
+    let live = report.liveness;
+    for x in [
+        live.executed_requests,
+        live.expected_requests,
+        live.client_retries,
+        report.max_view,
+        report.messages_sent,
+        report.messages_delivered,
+        report.sim_time.as_micros(),
+    ] {
+        put(x);
+    }
+    h.finalize()
 }
 
 #[test]
