@@ -8,7 +8,8 @@
 //! it. Every seal therefore patches in a delta of the same size however
 //! long the timer runs. The shim's `iter` has no untimed set-up, so each
 //! `seal/*` figure includes ingesting the epoch's ops; the `ingest` line is
-//! that share alone.
+//! that share alone. Every seal row first runs untimed turns of its own
+//! two epochs (`settled_turns`), so none times a fleet just built.
 //!
 //! The `seal/diff_buckets/*` rows sweep the bucket count instead, at a
 //! churn too small to matter: devices spread evenly over 12 to 100 000
@@ -25,18 +26,39 @@
 //! devices but 5–8 % at 10⁶, where the seal's O(fleet) index copy
 //! dominates (ROADMAP.md, *Measured and not wanted*).
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fi_attest::{ChurnOp, TwoTierWeights};
-use fi_fleet::{churn_trace, measurement_pool, ChurnTraceConfig, ShardedFleet};
+use fi_fleet::{churn_trace, measurement_pool, ChurnTraceConfig, EpochSnapshot, ShardedFleet};
 use fi_types::{ReplicaId, VotingPower};
 
 const SHARDS: usize = 4;
 const K: usize = 64;
-/// Untimed seals a `seal_select` cell runs first. A fleet's first
-/// differential seals after its full build run slower while the allocator
-/// settles, by up to a quarter at 10⁶ devices, which would otherwise fall
-/// on whichever row is timed first.
+/// Untimed seals each seal row runs first. A fleet's first seals after its
+/// full build run slower while the allocator settles, by up to a quarter
+/// at 10⁶ devices, which would otherwise fall on whichever row is timed
+/// first. Even, so the timed turns start on `epochs[0]`.
 const SETTLE_SEALS: usize = 8;
+
+/// One turn per call: ingests the next of `epochs`, alternating from
+/// `epochs[0]`, and seals it. The first `SETTLE_SEALS` turns run here,
+/// untimed.
+fn settled_turns<'a>(
+    fleet: &'a ShardedFleet,
+    epochs: [&'a [ChurnOp]; 2],
+) -> impl FnMut() -> Arc<EpochSnapshot> + 'a {
+    let mut turn = 0;
+    let mut seal = move || {
+        fleet.try_ingest_batch(epochs[turn]).unwrap();
+        turn ^= 1;
+        fleet.try_seal_epoch().unwrap()
+    };
+    for _ in 0..SETTLE_SEALS {
+        seal();
+    }
+    seal
+}
 
 /// A fleet holding the registration wave, sealed once (epoch 1 is a full
 /// build at any re-anchor interval).
@@ -90,16 +112,10 @@ fn bench_fleet_seal(c: &mut Criterion) {
             full.try_seal_epoch().unwrap();
             // Both fleets now hold the churned state, so the next epoch is
             // the undo.
-            let epochs = [churn, undo.as_slice()];
+            let epochs = [undo.as_slice(), churn];
             for (name, fleet) in [("seal/full", &full), ("seal/diff", &differential)] {
-                let mut turn = 0;
-                group.bench_function(format!("{name}/{cell}"), |b| {
-                    b.iter(|| {
-                        turn ^= 1;
-                        fleet.try_ingest_batch(epochs[turn]).unwrap();
-                        fleet.try_seal_epoch().unwrap()
-                    });
-                });
+                let mut seal = settled_turns(fleet, epochs);
+                group.bench_function(format!("{name}/{cell}"), |b| b.iter(&mut seal));
             }
             let mut turn = 0;
             group.bench_function(format!("ingest/{cell}"), |b| {
@@ -135,14 +151,9 @@ fn bench_fleet_seal(c: &mut Criterion) {
             .collect();
         let back: Vec<ChurnOp> = moved.iter().map(|&i| wave[i as usize]).collect();
         let fleet = sealed_fleet(&wave, 0);
-        let epochs = [there.as_slice(), back.as_slice()];
-        let mut turn = 0;
+        let mut seal = settled_turns(&fleet, [&there, &back]);
         group.bench_function(format!("seal/diff_buckets/{label}/{devices}dev"), |b| {
-            b.iter(|| {
-                fleet.try_ingest_batch(epochs[turn]).unwrap();
-                turn ^= 1;
-                fleet.try_seal_epoch().unwrap()
-            });
+            b.iter(&mut seal);
         });
     }
     for devices in [100_000u64, 1_000_000] {
@@ -153,18 +164,9 @@ fn bench_fleet_seal(c: &mut Criterion) {
             .map(|op| wave[op.replica().as_u64() as usize])
             .collect();
         let fleet = sealed_fleet(wave, 0);
-        let epochs = [churn, undo.as_slice()];
-        let mut turn = 0;
-        let mut seal_select = || {
-            fleet.try_ingest_batch(epochs[turn]).unwrap();
-            turn ^= 1;
-            fleet.try_seal_epoch().unwrap().select_greedy(K)
-        };
-        for _ in 0..SETTLE_SEALS {
-            seal_select();
-        }
+        let mut seal = settled_turns(&fleet, [churn, &undo]);
         group.bench_function(format!("seal_select/{devices}dev/1permille"), |b| {
-            b.iter(&mut seal_select);
+            b.iter(|| seal().select_greedy(K));
         });
     }
     group.finish();

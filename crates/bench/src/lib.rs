@@ -23,7 +23,7 @@ use fi_bft::harness::{
 };
 use fi_bft::Behavior;
 use fi_committee::prelude::*;
-use fi_config::window::{peak_exposure, PatchRollout};
+use fi_config::window::PatchRollout;
 use fi_entropy::propositions::{check_proposition1, check_proposition2, proposition3_tradeoff};
 use fi_entropy::renyi::min_entropy_bits;
 use fi_entropy::shannon::effective_configurations;
@@ -685,10 +685,9 @@ pub fn run_window(seed: u64) -> Table {
             seed,
         );
         let curve = analyzer.exposure_curve(&rollout, &times);
-        let peak = peak_exposure(&curve);
-        let exposed_seconds: u64 =
-            curve.iter().filter(|p| !p.exposed.is_zero()).count() as u64 * STEP_SECS;
-        let power_seconds: u64 = curve.iter().map(|p| p.exposed.as_units() * STEP_SECS).sum();
+        let peak = curve.iter().copied().max().unwrap_or(VotingPower::ZERO);
+        let exposed_seconds: u64 = curve.iter().filter(|p| !p.is_zero()).count() as u64 * STEP_SECS;
+        let power_seconds: u64 = curve.iter().map(|p| p.as_units() * STEP_SECS).sum();
         t.push(vec![
             latency.to_string(),
             jitter.to_string(),

@@ -11,17 +11,6 @@ use crate::weighted::{WeightedQuorum, WeightedVoteSet};
 
 const RETRY: TimerToken = TimerToken::new(2);
 
-/// One completed request's timing record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletedRequest {
-    /// The operation.
-    pub op: Operation,
-    /// When the request was first sent.
-    pub sent_at: SimTime,
-    /// When matching replies carrying more than `f` power had arrived.
-    pub completed_at: SimTime,
-}
-
 /// A closed-loop client: one outstanding request at a time.
 #[derive(Debug)]
 pub struct Client {
@@ -33,7 +22,7 @@ pub struct Client {
     next_counter: u64,
     outstanding: Option<(Operation, SimTime)>,
     reply_votes: HashMap<(u64, u64), WeightedVoteSet>,
-    completed: Vec<CompletedRequest>,
+    completed: u64,
     retry_timeout: SimTime,
     retries: u64,
 }
@@ -58,7 +47,7 @@ impl Client {
             next_counter: 0,
             outstanding: None,
             reply_votes: HashMap::new(),
-            completed: Vec::new(),
+            completed: 0,
             retry_timeout,
             retries: 0,
         }
@@ -66,14 +55,14 @@ impl Client {
 
     /// Requests completed so far.
     #[must_use]
-    pub fn completed(&self) -> &[CompletedRequest] {
-        &self.completed
+    pub fn completed(&self) -> u64 {
+        self.completed
     }
 
     /// Whether every request completed.
     #[must_use]
     pub fn done(&self) -> bool {
-        self.completed.len() as u64 == self.total_requests
+        self.completed == self.total_requests
     }
 
     /// Number of retransmissions performed.
@@ -120,7 +109,7 @@ impl Client {
         if from.index() >= self.powers.len() {
             return; // replies must come from replicas
         }
-        let Some((current, sent_at)) = self.outstanding else {
+        let Some((current, _)) = self.outstanding else {
             return;
         };
         if op != current {
@@ -129,11 +118,7 @@ impl Client {
         let votes = self.reply_votes.entry((op.counter, result)).or_default();
         votes.vote(from.index(), &self.powers);
         if !self.quorum.tolerates(votes.power()) {
-            self.completed.push(CompletedRequest {
-                op,
-                sent_at,
-                completed_at: ctx.now(),
-            });
+            self.completed += 1;
             self.next_request(ctx);
         }
     }
@@ -170,7 +155,7 @@ mod tests {
     fn client_initial_state() {
         let c = unit_client(3);
         assert!(!c.done());
-        assert!(c.completed().is_empty());
+        assert_eq!(c.completed(), 0);
         assert_eq!(c.retries(), 0);
     }
 

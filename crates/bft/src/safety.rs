@@ -85,6 +85,7 @@ pub struct LivenessReport {
     /// Requests the workload intended.
     pub expected_requests: u64,
     /// Total client retransmissions (a congestion/health signal).
+    // lint: allow(unread-field) pinned hash: determinism_goldens' bft_trace_hash reads it into the BFT_TRACE_11/BFT_TRACE_23 pins
     pub client_retries: u64,
 }
 

@@ -6,10 +6,10 @@
 //!
 //! Replicas that share a configuration fall together, so the closure's
 //! unit is the configuration, not the replica: [`fault_summary`] reads one
-//! row per configuration — its voting power and member count — and
-//! computes, for each vulnerability `i` active at `t`, the power `f^i_t` it
-//! compromises, the paper's sum `Σ f^i_t`, the (tighter) union when
-//! vulnerabilities overlap, and the safety condition itself.
+//! row per configuration — its voting power — and computes, for each
+//! vulnerability `i` active at `t`, the power `f^i_t` it compromises, the
+//! paper's sum `Σ f^i_t`, the (tighter) union when vulnerabilities
+//! overlap, and the safety condition itself.
 
 use fi_types::{SimTime, VotingPower, VulnId};
 
@@ -26,7 +26,6 @@ pub struct FaultSummary {
     per_vuln: Vec<(VulnId, VotingPower)>,
     sum_power: VotingPower,
     union_power: VotingPower,
-    compromised_members: usize,
 }
 
 impl FaultSummary {
@@ -52,12 +51,6 @@ impl FaultSummary {
         self.union_power
     }
 
-    /// Members of the compromised configurations, each counted once.
-    #[must_use]
-    pub fn compromised_members(&self) -> usize {
-        self.compromised_members
-    }
-
     /// The largest single `f^i_t` — what min-entropy bounds.
     #[must_use]
     pub fn worst_single(&self) -> VotingPower {
@@ -77,7 +70,7 @@ impl FaultSummary {
 }
 
 /// Computes the [`FaultSummary`] for all vulnerabilities active at `t`
-/// over per-configuration rows `(configuration, power, members)`.
+/// over per-configuration rows `(configuration, power)`.
 ///
 /// A `None` row is power the caller cannot name a configuration for; it
 /// is hit by every active vulnerability. One pass over the rows, each
@@ -95,18 +88,17 @@ impl FaultSummary {
 ///     ComponentSelector::product(os.kind(), os.name()),
 /// ));
 /// // Two replicas of 25 units on each OS.
-/// let rows = space.iter().map(|c| (Some(c), VotingPower::new(50), 2));
+/// let rows = space.iter().map(|c| (Some(c), VotingPower::new(50)));
 /// let summary = fault_summary(rows, &db, SimTime::ZERO);
 /// // The replicas sharing the vulnerable OS: 50 of 100 power units.
 /// assert_eq!(summary.sum_power(), VotingPower::new(50));
-/// assert_eq!(summary.compromised_members(), 2);
 /// assert!(summary.safety_holds(VotingPower::new(50)));
 /// assert!(!summary.safety_holds(VotingPower::new(49)));
 /// # Ok::<(), fi_config::ConfigError>(())
 /// ```
 #[must_use]
 pub fn fault_summary<'a>(
-    rows: impl IntoIterator<Item = (Option<&'a Configuration>, VotingPower, usize)>,
+    rows: impl IntoIterator<Item = (Option<&'a Configuration>, VotingPower)>,
     db: &VulnerabilityDb,
     t: SimTime,
 ) -> FaultSummary {
@@ -114,8 +106,7 @@ pub fn fault_summary<'a>(
     let mut per_vuln: Vec<(VulnId, VotingPower)> =
         active.iter().map(|v| (v.id(), VotingPower::ZERO)).collect();
     let mut union_power = VotingPower::ZERO;
-    let mut compromised_members = 0;
-    for (config, power, members) in rows {
+    for (config, power) in rows {
         let mut hit = false;
         for ((_, term), v) in per_vuln.iter_mut().zip(&active) {
             if config.is_none_or(|c| v.affects(c)) {
@@ -125,14 +116,12 @@ pub fn fault_summary<'a>(
         }
         if hit {
             union_power += power;
-            compromised_members += members;
         }
     }
     FaultSummary {
         sum_power: per_vuln.iter().map(|&(_, power)| power).sum(),
         per_vuln,
         union_power,
-        compromised_members,
     }
 }
 
@@ -212,12 +201,7 @@ mod tests {
 
     /// The closure over an assignment's per-configuration rows.
     fn summary(a: &Assignment, db: &VulnerabilityDb, t: SimTime) -> FaultSummary {
-        let rows = a
-            .space()
-            .iter()
-            .zip(a.power_by_config())
-            .zip(a.count_by_config())
-            .map(|((c, power), n)| (Some(c), power, n as usize));
+        let rows = a.space().iter().map(Some).zip(a.power_by_config());
         fault_summary(rows, db, t)
     }
 
@@ -233,7 +217,6 @@ mod tests {
             s.per_vulnerability(),
             [(VulnId::new(0), VotingPower::new(20))]
         );
-        assert_eq!(s.compromised_members(), 2);
     }
 
     #[test]
@@ -243,9 +226,9 @@ mod tests {
         let db = VulnerabilityDb::from_iter([v]);
         let before = summary(&a, &db, SimTime::from_secs(50));
         assert!(before.per_vulnerability().is_empty());
-        assert_eq!(before.compromised_members(), 0);
+        assert_eq!(before.union_power(), VotingPower::ZERO);
         let during = summary(&a, &db, SimTime::from_secs(150));
-        assert_eq!(during.compromised_members(), 2);
+        assert_eq!(during.union_power(), VotingPower::new(2));
     }
 
     #[test]
@@ -287,7 +270,6 @@ mod tests {
         // Product vuln: 50 (replica 0); layer vuln: 100 (both replicas).
         assert_eq!(s.sum_power(), VotingPower::new(150));
         assert_eq!(s.union_power(), VotingPower::new(100));
-        assert_eq!(s.compromised_members(), 2);
         assert_eq!(s.worst_single(), VotingPower::new(100));
     }
 
@@ -298,7 +280,6 @@ mod tests {
         assert_eq!(s.sum_power(), VotingPower::ZERO);
         assert_eq!(s.union_power(), VotingPower::ZERO);
         assert_eq!(s.worst_single(), VotingPower::ZERO);
-        assert_eq!(s.compromised_members(), 0);
         assert!(s.safety_holds(VotingPower::ZERO));
         assert_eq!(s.per_vulnerability().len(), 0);
     }

@@ -282,7 +282,7 @@ impl Assignment {
 
     /// Replica count per configuration index (configuration abundance).
     #[must_use]
-    pub fn count_by_config(&self) -> Vec<u64> {
+    fn count_by_config(&self) -> Vec<u64> {
         let mut acc = vec![0u64; self.space.len()];
         for e in &self.entries {
             acc[e.config] += 1;

@@ -117,41 +117,19 @@ fn exposed_power_at(
     total
 }
 
-/// One sample of an exposure curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExposurePoint {
-    /// Sample time.
-    pub time: SimTime,
-    /// Exposed voting power at that time.
-    pub exposed: VotingPower,
-}
-
 /// Samples the exposed power at each time in `times` (experiment E9's
-/// window sweep).
+/// window sweep): one value per time, in order.
 #[must_use]
 pub fn exposure_curve(
     assignment: &Assignment,
     db: &VulnerabilityDb,
     rollout: &PatchRollout,
     times: &[SimTime],
-) -> Vec<ExposurePoint> {
+) -> Vec<VotingPower> {
     times
         .iter()
-        .map(|&time| ExposurePoint {
-            time,
-            exposed: exposed_power_at(assignment, db, rollout, time),
-        })
+        .map(|&time| exposed_power_at(assignment, db, rollout, time))
         .collect()
-}
-
-/// The peak of an exposure curve — the worst instant for the defender.
-#[must_use]
-pub fn peak_exposure(curve: &[ExposurePoint]) -> VotingPower {
-    curve
-        .iter()
-        .map(|p| p.exposed)
-        .max()
-        .unwrap_or(VotingPower::ZERO)
 }
 
 #[cfg(test)]
@@ -255,14 +233,13 @@ mod tests {
     }
 
     #[test]
-    fn exposure_curve_and_peak() {
+    fn exposure_curve_samples_each_time() {
         let (a, db) = setup();
         let rollout = PatchRollout::instant();
         let times: Vec<SimTime> = (0..6).map(|i| SimTime::from_secs(i * 50)).collect();
         let curve = exposure_curve(&a, &db, &rollout, &times);
-        assert_eq!(curve.len(), 6);
-        assert_eq!(peak_exposure(&curve), VotingPower::new(50));
-        assert_eq!(curve[0].exposed, VotingPower::ZERO);
-        assert_eq!(peak_exposure(&[]), VotingPower::ZERO);
+        let fifty = VotingPower::new(50);
+        let zero = VotingPower::ZERO;
+        assert_eq!(curve, [zero, zero, fifty, fifty, zero, zero]);
     }
 }

@@ -3,7 +3,7 @@
 
 use fi_bft::WeightedQuorum;
 use fi_config::closure::fault_summary;
-use fi_config::window::{exposure_curve, ExposurePoint, PatchRollout};
+use fi_config::window::{exposure_curve, PatchRollout};
 use fi_config::{Assignment, ConfigurationSpace, FaultSummary, VulnerabilityDb};
 use fi_fleet::EpochSnapshot;
 use fi_types::{SimTime, VotingPower};
@@ -24,22 +24,18 @@ impl ResilienceAnalyzer {
     }
 
     /// Analyzes the fault picture at instant `t`: the closure over the
-    /// assignment's per-configuration power and replica counts.
+    /// assignment's per-configuration power.
     #[must_use]
     pub fn analyze_at(&self, t: SimTime) -> ResilienceReport {
         let a = &self.assignment;
-        let rows = a
-            .space()
-            .iter()
-            .zip(a.power_by_config())
-            .zip(a.count_by_config());
-        let rows = rows.map(|((config, power), n)| (Some(config), power, n as usize));
+        let rows = a.space().iter().map(Some).zip(a.power_by_config());
         ResilienceReport::from_summary(&fault_summary(rows, &self.db, t), a.total_power(), t)
     }
 
-    /// Exposure curve under a patch-rollout model (experiment E9).
+    /// Exposure curve under a patch-rollout model (experiment E9): the
+    /// exposed power at each of `times`.
     #[must_use]
-    pub fn exposure_curve(&self, rollout: &PatchRollout, times: &[SimTime]) -> Vec<ExposurePoint> {
+    pub fn exposure_curve(&self, rollout: &PatchRollout, times: &[SimTime]) -> Vec<VotingPower> {
         exposure_curve(&self.assignment, &self.db, rollout, times)
     }
 }
@@ -69,21 +65,19 @@ pub struct ResilienceReport {
     pub f_bound: VotingPower,
     /// Whether `f ≥ Σ_i f^i_t` holds at `t`.
     pub safety_condition_holds: bool,
-    /// Number of distinct compromised replicas.
-    pub compromised_replicas: usize,
 }
 
 impl ResilienceReport {
     /// The verdict on a sealed epoch: the closure over the snapshot's
     /// buckets, with no roster walk — O(buckets × active
     /// vulnerabilities). A bucket whose measurement `catalogue` names is
-    /// one row, that configuration's power and members.
+    /// one row, that configuration's power.
     ///
     /// **Power the catalogue cannot name** — the unattested tier and every
     /// bucket whose measurement is outside `catalogue` — is one more row
     /// with no configuration, and every active vulnerability hits it: it
-    /// counts in each term of `Σ_i f^i_t`, once in the union and once in
-    /// the member count. With no vulnerability active it is compromised
+    /// counts in each term of `Σ_i f^i_t` and once in the union. With no
+    /// vulnerability active it is compromised
     /// by none. `f` is taken over
     /// [`total_effective_power`](EpochSnapshot::total_effective_power).
     #[must_use]
@@ -94,21 +88,19 @@ impl ResilienceReport {
         t: SimTime,
     ) -> ResilienceReport {
         let buckets = snapshot.buckets();
-        let mut unnamed = (snapshot.unattested_power(), snapshot.members(buckets.len()));
+        let mut unnamed = snapshot.unattested_power();
         let mut rows = Vec::with_capacity(buckets.len() + 1);
-        for (slot, &(measurement, power)) in buckets.iter().enumerate() {
-            let members = snapshot.members(slot);
+        for &(measurement, power) in buckets {
             if let Some(config) = catalogue
                 .position(&measurement)
                 .and_then(|i| catalogue.get(i).ok())
             {
-                rows.push((Some(config), power, members));
+                rows.push((Some(config), power));
             } else {
-                unnamed.0 += power;
-                unnamed.1 += members;
+                unnamed += power;
             }
         }
-        rows.push((None, unnamed.0, unnamed.1));
+        rows.push((None, unnamed));
         let summary = fault_summary(rows, db, t);
         ResilienceReport::from_summary(&summary, snapshot.total_effective_power(), t)
     }
@@ -127,7 +119,6 @@ impl ResilienceReport {
             compromised_share: summary.union_power().share_of(total),
             f_bound,
             safety_condition_holds: summary.safety_holds(f_bound),
-            compromised_replicas: summary.compromised_members(),
         }
     }
 }
@@ -182,7 +173,6 @@ mod tests {
         // 2 of 8 replicas share the vulnerable OS: 200 of 800 units.
         assert_eq!(report.sum_compromised, VotingPower::new(200));
         assert_eq!(report.union_compromised, VotingPower::new(200));
-        assert_eq!(report.compromised_replicas, 2);
         // f = (800-1)/3 = 266 >= 200: safe.
         assert!(report.safety_condition_holds);
         assert!((report.compromised_share - 0.25).abs() < 1e-12);
@@ -239,13 +229,7 @@ mod tests {
         let times: Vec<SimTime> = (0..7).map(|i| SimTime::from_secs(i * 50)).collect();
         let curve = analyzer.exposure_curve(&rollout, &times);
         // Exposure persists to t=200+50 due to adoption latency.
-        let at = |secs: u64| {
-            curve
-                .iter()
-                .find(|p| p.time == SimTime::from_secs(secs))
-                .unwrap()
-                .exposed
-        };
+        let at = |secs: u64| curve[(secs / 50) as usize];
         assert_eq!(at(100), VotingPower::new(200));
         assert_eq!(at(200), VotingPower::new(200));
         assert_eq!(at(250), VotingPower::ZERO);
@@ -293,17 +277,15 @@ mod tests {
         assert_eq!(quiet.active_vulnerabilities, 0);
         assert_eq!(quiet.sum_compromised, VotingPower::ZERO);
         assert_eq!(quiet.union_compromised, VotingPower::ZERO);
-        assert_eq!(quiet.compromised_replicas, 0);
         assert!(quiet.safety_condition_holds);
 
-        // Each term is its OS's 100 plus the unnamed 70; the union and the
-        // member count take the unnamed row once.
+        // Each term is its OS's 100 plus the unnamed 70; the union takes
+        // the unnamed row once.
         let hot = at(15);
         assert_eq!(hot.active_vulnerabilities, 2);
         assert_eq!(hot.sum_compromised, VotingPower::new(340));
         assert_eq!(hot.worst_single_vulnerability, VotingPower::new(170));
         assert_eq!(hot.union_compromised, VotingPower::new(270));
-        assert_eq!(hot.compromised_replicas, 5);
         assert_eq!(hot.f_bound, VotingPower::new(123));
         assert!(!hot.safety_condition_holds);
     }

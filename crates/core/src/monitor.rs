@@ -39,7 +39,6 @@ impl DiversityReport {
         let optimality = KappaOptimality::check(&dist, 1e-9);
         Ok(DiversityReport {
             replicas: snapshot.device_count(),
-            configurations: dist.support_size(),
             total_effective_power: snapshot.total_effective_power(),
             entropy_bits: snapshot.entropy_bits(include_unattested)?,
             min_entropy_bits: min_entropy_bits(&dist),
@@ -58,8 +57,6 @@ impl DiversityReport {
 pub struct DiversityReport {
     /// Registered replicas (both tiers).
     pub replicas: usize,
-    /// Distinct configurations in use.
-    pub configurations: usize,
     /// Total effective (tier-weighted) voting power.
     pub total_effective_power: VotingPower,
     /// Shannon entropy `H(p)` in bits.
@@ -152,7 +149,7 @@ mod tests {
         let report =
             DiversityReport::from_snapshot(&sealed(TwoTierWeights::flat(), &ops), false).unwrap();
         assert_eq!(report.replicas, 4);
-        assert_eq!(report.configurations, 4);
+        assert_eq!(report.kappa, 4);
         assert!(report.kappa_optimal);
         assert!((report.entropy_bits - 2.0).abs() < 1e-12);
         assert!((report.effective_configurations - 4.0).abs() < 1e-9);
@@ -239,8 +236,8 @@ mod tests {
         let snapshot = sealed(TwoTierWeights::flat(), &ops);
         let without = DiversityReport::from_snapshot(&snapshot, false).unwrap();
         let with = DiversityReport::from_snapshot(&snapshot, true).unwrap();
-        assert_eq!(without.configurations, 1);
-        assert_eq!(with.configurations, 2);
+        assert_eq!(without.kappa, 1);
+        assert_eq!(with.kappa, 2);
         assert!(with.entropy_bits > without.entropy_bits);
         assert_eq!(with.replicas, 2);
     }
@@ -306,7 +303,7 @@ mod tests {
     }
 
     /// Every field of a report, floats as their bits.
-    type Bits = (usize, usize, VotingPower, usize, bool, [u64; 6]);
+    type Bits = (usize, VotingPower, usize, bool, [u64; 6]);
 
     fn bits(r: &DiversityReport) -> Bits {
         let floats = [
@@ -319,7 +316,6 @@ mod tests {
         ];
         (
             r.replicas,
-            r.configurations,
             r.total_effective_power,
             r.kappa,
             r.kappa_optimal,

@@ -92,7 +92,6 @@ mod tests {
     fn diversity_report_renders() {
         let report = DiversityReport {
             replicas: 4,
-            configurations: 4,
             total_effective_power: VotingPower::new(400),
             entropy_bits: 2.0,
             min_entropy_bits: 2.0,
@@ -121,7 +120,6 @@ mod tests {
             compromised_share: 0.25,
             f_bound: VotingPower::new(266),
             safety_condition_holds: true,
-            compromised_replicas: 2,
         };
         assert!(report.to_string().contains("HOLDS"));
         report.safety_condition_holds = false;

@@ -115,8 +115,10 @@ impl DurabilityConfig {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// The epoch of the checkpoint recovery restored from, if any.
+    // lint: allow(unread-field) operator-facing: which checkpoint a reopen restored; recovery_differential and durable_faults hold it
     pub checkpoint_epoch: Option<u64>,
     /// The epoch the recovered fleet serves (0 for a fresh directory).
+    // lint: allow(unread-field) operator-facing: the epoch a reopen serves; recovery_differential, durable_faults and keyed_attest_log hold it
     pub recovered_epoch: u64,
     /// Epochs re-sealed from the log tail.
     pub replayed_epochs: u64,
@@ -126,6 +128,7 @@ pub struct RecoveryReport {
     /// sealed — they land in the next epoch, as they would have pre-crash.
     pub pending_ops: u64,
     /// Torn bytes truncated from the final WAL segment.
+    // lint: allow(unread-field) operator-facing: the torn tail a reopen cut off; recovery_differential and keyed_attest_log hold it
     pub truncated_bytes: u64,
     /// Replayed epochs whose content hash was checked against a logged
     /// seal record (and matched — a mismatch fails recovery).

@@ -673,14 +673,6 @@ impl EpochSnapshot {
         self.opaque
     }
 
-    /// Registered devices in slot `slot` — a bucket's position in
-    /// [`buckets`](Self::buckets), or `buckets().len()` for the
-    /// unattested tier; zero past it. O(1).
-    #[must_use]
-    pub fn members(&self, slot: usize) -> usize {
-        self.pruned.slot_len(slot)
-    }
-
     /// The bytes this snapshot holds on the heap, by capacity: the bucket
     /// table, the accumulator's weights, the selection index
     /// ([`PrunedRoster::heap_bytes`]) and, once something has derived it,

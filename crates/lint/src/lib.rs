@@ -3,9 +3,10 @@
 //! Mechanically enforces the contracts the fleet's serving story depends
 //! on — panic-free serving paths, poison recovery on every lock, the
 //! `LOCK_ORDER` acquisition hierarchy, deterministic hash/report modules,
-//! justified relaxed atomics, `#![forbid(unsafe_code)]` crate roots, and
-//! a library `pub fn`/`pub const` that some other file's non-test code
-//! names — so they hold by construction instead of by review vigilance.
+//! justified relaxed atomics, `#![forbid(unsafe_code)]` crate roots, a
+//! library `pub fn`/`pub const` that some other file's non-test code
+//! names, and a library struct field that some non-test code reads — so
+//! they hold by construction instead of by review vigilance.
 //!
 //! Offline and dependency-free by design: a hand-rolled line scanner
 //! ([`scan`]) feeds token-level rules ([`rules`]) configured by the
@@ -69,8 +70,8 @@ impl From<ManifestError> for LintError {
 /// stand-ins, not code under the serving contracts. Integration-test and
 /// fixture trees are skipped by construction (only `src/` is walked).
 /// The root `examples/` and each first-party member's `benches/` are read
-/// as callers only: they count as naming a library item for `unused-pub`,
-/// and no rule runs on them.
+/// as callers only: they count as naming a library item for `unused-pub`
+/// and as reading a field for `unread-field`, and no rule runs on them.
 ///
 /// # Errors
 ///

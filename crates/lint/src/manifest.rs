@@ -44,7 +44,8 @@ pub struct LockClass {
     pub patterns: Vec<String>,
 }
 
-/// One `[allow]` entry.
+/// One `[allow]` entry. Its reason is checked to be present when the
+/// manifest is parsed, and read by reviewers, not by the rules.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
     /// The rule id the entry suppresses.
@@ -53,8 +54,6 @@ pub struct AllowEntry {
     pub file: String,
     /// Substring the finding's statement must contain.
     pub needle: String,
-    /// The written reason (mandatory).
-    pub reason: String,
     /// 1-based manifest line, for stale-entry reporting.
     pub line: usize,
 }
@@ -232,8 +231,7 @@ fn parse_allow(line: &str, line_no: usize) -> Result<AllowEntry, ManifestError> 
     let (head, reason) = line
         .split_once("--")
         .ok_or_else(|| err("allow entry needs a `-- <reason>`".to_string()))?;
-    let reason = reason.trim().to_string();
-    if reason.is_empty() {
+    if reason.trim().is_empty() {
         return Err(err("allow entry has an empty reason".to_string()));
     }
     let head = head.trim();
@@ -256,7 +254,6 @@ fn parse_allow(line: &str, line_no: usize) -> Result<AllowEntry, ManifestError> 
         rule: rule.to_string(),
         file: file.to_string(),
         needle: needle.to_string(),
-        reason,
         line: line_no,
     })
 }
@@ -290,7 +287,7 @@ poison crates/fleet/src/fleet.rs "shard lock" -- registry locks fail fast
         assert_eq!(m.order[2].patterns, vec!["shards", "shard"]);
         assert_eq!(m.serving.len(), 2);
         assert_eq!(m.allows.len(), 1);
-        assert_eq!(m.allows[0].reason, "registry locks fail fast");
+        assert_eq!(m.allows[0].needle, "shard lock");
     }
 
     #[test]
@@ -310,6 +307,10 @@ poison crates/fleet/src/fleet.rs "shard lock" -- registry locks fail fast
         assert!(
             Manifest::parse("[allow]\npoison f \"x\"").is_err(),
             "missing reason"
+        );
+        assert!(
+            Manifest::parse("[allow]\npoison f \"x\" --  ").is_err(),
+            "empty reason"
         );
         assert!(Manifest::parse("[bogus]\n").is_err());
         assert!(

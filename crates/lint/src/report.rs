@@ -14,8 +14,8 @@ pub struct Finding {
     /// 1-based line.
     pub line: usize,
     /// Stable rule id (`panic`, `thread`, `poison`, `lock-order`,
-    /// `determinism`, `relaxed`, `hygiene`, `unused-pub`, `stale-allow`,
-    /// `stale-module`).
+    /// `determinism`, `relaxed`, `hygiene`, `unused-pub`, `unread-field`,
+    /// `stale-allow`, `stale-module`).
     pub rule: String,
     /// What was found.
     pub message: String,

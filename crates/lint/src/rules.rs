@@ -1,14 +1,15 @@
-//! The eight invariant rules, plus the suppression machinery that keeps
+//! The nine invariant rules, plus the suppression machinery that keeps
 //! every exception written down.
 //!
-//! Seven rules read one file at a time. The eighth, `unused-pub`, reads
-//! across files: a `pub fn` or `pub const` in a library file (any file
+//! Seven rules read one file at a time. Two read across files, by name.
+//! `unused-pub`: a `pub fn` or `pub const` in a library file (any file
 //! under a member's `src/` outside `src/bin/` and `main.rs`) that no
-//! non-test code in another file names is a finding. Every scanned file
-//! can name an item, and so can the files [`check`] reads as callers only
-//! (root `examples/`, each member's `benches/`); `pub use` re-exports and
-//! test regions name nothing. The match is by identifier token, so a
-//! common name (`new`, `len`) always counts as used.
+//! non-test code in another file names is a finding. `unread-field`: so
+//! is a named field of a library struct that no non-test code reads. Every
+//! scanned file can name or read, and so can the files [`check`] reads as
+//! callers only (root `examples/`, each member's `benches/`); `pub use`
+//! re-exports and test regions do neither. The match is by identifier, not
+//! by type, so a common name (`new`, `len`) always counts as used.
 //!
 //! Suppressions come in two shapes, and *both* are audited:
 //!
@@ -27,7 +28,7 @@
 //! `[determinism]` entry that covers no scanned file is reported as
 //! `stale-module`: a contract over nothing would silently stop applying.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::manifest::Manifest;
 use crate::report::{Finding, Report};
@@ -99,6 +100,7 @@ pub fn check(files: &[ScannedFile], callers: &[ScannedFile], manifest: &Manifest
         ctx.determinism_rule();
         ctx.relaxed_rule();
         ctx.unused_pub_rule(file_idx, &names);
+        ctx.unread_field_rule(&names);
         for (marker, used) in markers.iter().zip(marker_used.iter()) {
             if !used {
                 report.findings.push(Finding {
@@ -430,19 +432,69 @@ impl RuleCtx<'_> {
             );
         }
     }
+
+    /// Rule `unread-field`: a named field of a library struct is read by
+    /// some non-test code ([`field_reads`]), or it goes, or it carries a
+    /// written reason. A field is a `name:` line one brace below a
+    /// `struct` header; a tuple, unit or one-line struct has none.
+    fn unread_field_rule(&mut self, names: &NameIndex<'_>) {
+        if !is_library(&self.file.path) {
+            return;
+        }
+        // The struct whose body is open, and the depth of its field lines.
+        let mut body: Option<(&str, i32)> = None;
+        for (idx, line) in self.file.lines.iter().enumerate() {
+            let code = line.code.trim();
+            let Some((owner, depth)) = body else {
+                let header = code.split_once("struct ").filter(|(vis, rest)| {
+                    (vis.is_empty() || vis.starts_with("pub")) && !rest.contains(['(', ';', '}'])
+                });
+                if let Some((_, rest)) = header.filter(|_| !line.in_test) {
+                    body = Some((leading_ident(rest), line.depth + 1));
+                }
+                continue;
+            };
+            if line.depth != depth {
+                continue;
+            }
+            // Its `}` closes the body; `[pub[(…)]] name: Type` is a field,
+            // an attribute's `::` is not.
+            body = body.filter(|_| !code.starts_with('}'));
+            let Some((head, ty)) = code.split_once(':') else {
+                continue;
+            };
+            let field = head.rsplit(' ').next().unwrap_or(head);
+            if ty.starts_with(':')
+                || leading_ident(field) != field
+                || names.fields_read.contains(field)
+                || self.suppressed("unread-field", self.file.statement_of[idx])
+            {
+                continue;
+            }
+            self.emit(
+                idx + 1,
+                "unread-field",
+                format!("`{owner}::{field}` is read by no non-test code"),
+            );
+        }
+    }
 }
 
-/// Which files' non-test code names each identifier: the cross-file view
-/// the `unused-pub` rule reads. Files are numbered in the order given, so
-/// the scanned files keep their indices in `check`.
+/// The cross-file view the two name-based rules read: which files'
+/// non-test code names each identifier (`unused-pub`), and which field
+/// names non-test code reads (`unread-field`). Files are numbered in the
+/// order given, so the scanned files keep their indices in `check`.
 struct NameIndex<'a> {
     files_naming: BTreeMap<&'a str, Vec<usize>>,
+    fields_read: BTreeSet<String>,
 }
 
 impl<'a> NameIndex<'a> {
     fn new(files: impl Iterator<Item = &'a ScannedFile>) -> Self {
         let mut files_naming: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let mut fields_read = BTreeSet::new();
         for (idx, file) in files.enumerate() {
+            field_reads(file, &mut fields_read);
             let mut in_reexport = false;
             for line in &file.lines {
                 in_reexport = in_reexport || is_pub_use(&line.code);
@@ -464,7 +516,10 @@ impl<'a> NameIndex<'a> {
                 }
             }
         }
-        NameIndex { files_naming }
+        NameIndex {
+            files_naming,
+            fields_read,
+        }
     }
 
     /// Whether a file other than `file_idx` names `name`.
@@ -485,6 +540,84 @@ fn is_pub_use(code: &str) -> bool {
         None => rest,
     };
     rest.trim_start().starts_with("use ")
+}
+
+/// The identifier that starts `code` (empty if none does).
+fn leading_ident(code: &str) -> &str {
+    &code[..code.find(|c: char| !is_ident(c)).unwrap_or(code.len())]
+}
+
+/// Adds the field names `file`'s non-test code reads to `out`: `.name`
+/// not followed by a call or an assignment operator, and the names a
+/// struct pattern binds. Lines are joined, so a read may span them.
+fn field_reads(file: &ScannedFile, out: &mut BTreeSet<String>) {
+    let code: Vec<&str> = file
+        .lines
+        .iter()
+        .map(|l| if l.in_test { "" } else { l.code.as_str() })
+        .collect();
+    let code = code.join("\n");
+    for (at, _) in code.match_indices('.') {
+        let name = leading_ident(&code[at + 1..]);
+        let next = code[at + 1 + name.len()..].trim_start();
+        // rustfmt spaces operators, so the next word is the operator.
+        let op = next.split_whitespace().next().unwrap_or_default();
+        let writes = op.ends_with('=') && !["==", "<=", ">=", "!="].contains(&op);
+        // `..name` is a range or a rest, `.name(` and `.name::<` calls.
+        if !code[..at].ends_with('.') && !writes && !next.starts_with(['(', ':']) {
+            out.insert(name.to_string());
+        }
+    }
+    for (open, _) in code.match_indices('{') {
+        pattern_fields(&code, open, out);
+    }
+}
+
+/// Adds the names a struct pattern opening at the `{` at `open` binds to
+/// `out`. The braces follow a struct's name (a capitalised last path
+/// segment; `Enum::Variant` binds a variant's fields) and end in a rest
+/// (`S { a, .. }`) or are followed, through any `)`/`]`, by `=` or `=>`
+/// (`Some(S { a }) =>`): a struct literal is neither.
+fn pattern_fields(code: &str, open: usize, out: &mut BTreeSet<String>) {
+    let path = code[..open]
+        .trim_end()
+        .rsplit(|c: char| !is_ident(c) && c != ':');
+    let mut segments = path.take(1).flat_map(|p| p.rsplit("::"));
+    let mut capitalised = || {
+        let segment = segments.next();
+        segment.is_some_and(|s| s.starts_with(|c: char| c.is_ascii_uppercase()))
+    };
+    if !capitalised() || capitalised() {
+        return;
+    }
+    let mut depth = 0;
+    let Some(close) = code[open..].find(|c| {
+        depth += match c {
+            '{' => 1,
+            '}' => -1,
+            _ => 0,
+        };
+        depth == 0
+    }) else {
+        return;
+    };
+    let inner = &code[open + 1..open + close];
+    let after = code[open + close + 1..]
+        .trim_start_matches(|c: char| c.is_whitespace() || c == ')' || c == ']');
+    // `=` or `=>`, not `==`.
+    let bound = after.starts_with('=') && !after.starts_with("==");
+    if !bound && !inner.trim_end().ends_with("..") {
+        return;
+    }
+    // Each entry's `name` or `name: binding`; a nested pattern's own
+    // names are added at its own `{`.
+    for entry in inner.split(',') {
+        let (head, rest) = entry.split_once(':').unwrap_or((entry, ""));
+        if !rest.starts_with(':') {
+            let name = head.trim().trim_start_matches("ref ");
+            out.insert(name.trim_start_matches("mut ").to_string());
+        }
+    }
 }
 
 /// The kind and name of a `pub fn` / `pub const fn` / `pub const` the
@@ -811,7 +944,6 @@ mod tests {
             rule: "poison".to_string(),
             file: "crates/x/src/a.rs".to_string(),
             needle: "never present".to_string(),
-            reason: "r".to_string(),
             line: 9,
         });
         let files = with_hash_rs(scan("crates/x/src/a.rs", "fn f() {}\n"));
@@ -886,6 +1018,96 @@ mod tests {
             &Manifest::default(),
         );
         assert!(r.is_clean(), "{:?}", r.findings);
+    }
+
+    /// A library struct `S` with one field `f` on line 2.
+    const ONE_FIELD: &str = "pub struct S {\n    pub f: Vec<u32>,\n}\n";
+
+    /// The `(rule, line)` findings when library file `decl` declares the
+    /// structs and another library file holds `user`.
+    fn unread(decl: &str, user: &str) -> Vec<(String, usize)> {
+        let files = [
+            scan("crates/y/src/s.rs", decl),
+            scan("crates/y/src/user.rs", user),
+        ];
+        let r = check(&files, &[], &Manifest::default());
+        r.findings
+            .iter()
+            .map(|f| (f.rule.clone(), f.line))
+            .collect()
+    }
+
+    #[test]
+    fn unread_field_assignments_are_writes() {
+        let finding = [("unread-field".to_string(), 2)];
+        for user in [
+            "fn w(s: &mut S) { s.f = Vec::new(); }\n",
+            "fn w(s: &mut S) {\n    s.f += 1;\n}\n",
+            "fn w(s: &mut S) { s.f <<= 1; }\n",
+        ] {
+            assert_eq!(unread(ONE_FIELD, user), finding, "{user}");
+        }
+    }
+
+    #[test]
+    fn unread_field_reads_by_dot_and_by_pattern() {
+        for user in [
+            "fn r(s: &S) -> bool { s.f == Vec::new() }\n",
+            "fn r(s: &S) -> bool { s.f <= Vec::new() }\n",
+            "fn r(s: &S) -> &Vec<u32> { &s.f }\n",
+            "fn r(s: &S) -> usize { s.f.len() }\n",
+            "fn r(s: &S) -> usize {\n    s.f\n        .len()\n}\n",
+            "fn r(s: S) -> Vec<u32> {\n    let S { f, .. } = s;\n    f\n}\n",
+            "fn r(s: S) -> usize {\n    match s {\n        S { f: g, .. } => g.len(),\n    }\n}\n",
+            "fn r(s: Option<S>) -> usize {\n    match s {\n        Some(S { f }) => f.len(),\n        None => 0,\n    }\n}\n",
+            "fn r(s: S) -> Vec<u32> {\n    let crate::s::S {\n        f,\n    } = s;\n    f\n}\n",
+        ] {
+            assert_eq!(unread(ONE_FIELD, user), [], "{user}");
+        }
+    }
+
+    #[test]
+    fn unread_field_literals_calls_variants_and_tests_read_nothing() {
+        let finding = [("unread-field".to_string(), 2)];
+        for user in [
+            // Only a struct literal sets it, by name or shorthand.
+            "fn make() -> S { S { f: Vec::new() } }\n",
+            "fn make(f: Vec<u32>) -> S {\n    S { f }\n}\n",
+            "fn make(f: Vec<u32>) -> S {\n    S { f, ..S::default() }\n}\n",
+            // A method of the same name is not the field.
+            "fn c(s: &S) -> usize { s.f() }\n",
+            // An enum variant's field of the same name is not the struct's.
+            "fn v(e: E) -> u32 {\n    match e {\n        E::V { f, .. } => f,\n    }\n}\n",
+            // Only test code reads it.
+            "#[cfg(test)]\nmod tests {\n    fn t(s: &super::S) -> usize { s.f.len() }\n}\n",
+            "#[test]\nfn t() {\n    assert!(super::make().f.is_empty());\n}\n",
+        ] {
+            assert_eq!(unread(ONE_FIELD, user), finding, "{user}");
+        }
+        // The declaring file's own reads count.
+        let self_read = format!("{ONE_FIELD}fn r(s: &S) -> usize {{ s.f.len() }}\n");
+        assert_eq!(unread(&self_read, ""), []);
+        // Tuple structs, bins and test modules declare no checked field.
+        assert_eq!(unread("pub struct T(pub u32);\n", ""), []);
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{ONE_FIELD}}}\n");
+        assert_eq!(unread(&in_test, ""), []);
+        let bin = scan(
+            "crates/y/src/bin/tool.rs",
+            "#![forbid(unsafe_code)]\nstruct A {\n    a: u8,\n}\nfn main() {}\n",
+        );
+        assert!(check(&[bin], &[], &Manifest::default()).is_clean());
+    }
+
+    #[test]
+    fn unread_field_markers_suppress_their_own_field_only() {
+        let two = "pub struct S {\n    /// Kept.\n    // lint: allow(unread-field) a golden pins it\n    pub f: u32,\n    pub g: u32,\n}\n";
+        assert_eq!(unread(two, ""), [("unread-field".to_string(), 5)]);
+        // A marker on a field some code reads is stale.
+        let marked = "pub struct S {\n    // lint: allow(unread-field) a golden pins it\n    pub f: u32,\n}\n";
+        assert_eq!(
+            unread(marked, "fn r(s: &S) -> u32 { s.f }\n"),
+            [("stale-allow".to_string(), 2)]
+        );
     }
 
     #[test]

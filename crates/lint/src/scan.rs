@@ -49,8 +49,6 @@ pub struct Statement {
     pub raw: String,
     /// 1-based first physical line.
     pub first_line: usize,
-    /// 1-based last physical line.
-    pub last_line: usize,
     /// Brace depth at the statement's first line.
     pub depth: i32,
     /// Whether the statement lies in a test region.
@@ -352,7 +350,6 @@ fn join_statements(lines: &[Line]) -> (Vec<Statement>, Vec<usize>) {
                     code: String::new(),
                     raw: String::new(),
                     first_line: idx + 1,
-                    last_line: idx + 1,
                     depth: line.depth,
                     in_test: line.in_test,
                 });
@@ -390,7 +387,6 @@ fn join_statements(lines: &[Line]) -> (Vec<Statement>, Vec<usize>) {
                 code: std::mem::take(&mut buf),
                 raw: std::mem::take(&mut raw_buf),
                 first_line: start + 1,
-                last_line: idx + 1,
                 depth: lines[start].depth,
                 in_test: lines[start].in_test,
             };
@@ -407,7 +403,6 @@ fn join_statements(lines: &[Line]) -> (Vec<Statement>, Vec<usize>) {
             code: buf,
             raw: raw_buf,
             first_line: start + 1,
-            last_line: lines.len(),
             depth: lines[start].depth,
             in_test: lines[start].in_test,
         };
@@ -495,7 +490,7 @@ mod tests {
         assert!(stmt.code.contains(".read()"));
         assert!(stmt.code.contains("PoisonError::into_inner"));
         assert_eq!(stmt.first_line, 1);
-        assert_eq!(stmt.last_line, 4);
+        assert!(f.statement_of.iter().all(|&s| s == f.statement_of[0]));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! (root `Cargo.toml` + `LOCK_ORDER` + member crates). `dirty` trips
 //! every rule at least once; `clean` contains the same code shapes with
 //! every contract satisfied; `unused_pub` holds one public item per case
-//! of the cross-file `unused-pub` rule. The final test is the self-check the CI
+//! of the cross-file `unused-pub` rule, and `unread_field` one struct
+//! field per case of `unread-field`. The final test is the self-check the CI
 //! gate depends on: the committed tree must lint clean, with no stale
 //! suppressions (stale markers and stale allow entries are findings, so
 //! `is_clean()` covers both).
@@ -141,6 +142,40 @@ fn unused_pub_fixture_reports_only_items_no_other_file_names() {
     // none is a finding, and the oracle's marker is the one suppression.
     assert_eq!(report.suppressions_used, 1);
     // Examples and benches are read for names only, never linted.
+    assert_eq!(report.files_scanned, 4);
+}
+
+#[test]
+fn unread_field_fixture_reports_only_fields_no_non_test_code_reads() {
+    let report = run_lint(&fixture("unread_field")).expect("unread_field fixture lints");
+    let found: Vec<(&str, usize, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule.as_str()))
+        .collect();
+    let fields = "crates/lib/src/fields.rs";
+    assert_eq!(
+        found,
+        [
+            // Assigned with `=` and `+=`, never read.
+            (fields, 14, "unread-field"),
+            // Set only by a struct literal.
+            (fields, 16, "unread-field"),
+            // Read only by `tests/` and a `#[cfg(test)]` module.
+            (fields, 18, "unread-field"),
+            // A marker on a field another file reads is stale.
+            (fields, 29, "stale-allow"),
+            // The field of a struct whose `where` clause defers its body.
+            (fields, 49, "unread-field"),
+        ],
+        "report:\n{}",
+        report.to_text()
+    );
+    // Read through `.`, `==` or a struct pattern, by library code, an
+    // example, a bin or a bench; the private struct read in its own file;
+    // the marked field; the bin's own struct: none is a finding, and the
+    // marked field's marker is the one suppression.
+    assert_eq!(report.suppressions_used, 1);
     assert_eq!(report.files_scanned, 4);
 }
 

@@ -125,8 +125,6 @@ pub fn confirmations_for_security(q: f64, target: f64) -> Option<u32> {
 pub struct SelfishMiningOutcome {
     /// The selfish pool's hash-power share α.
     pub alpha: f64,
-    /// The propagation advantage γ.
-    pub gamma: f64,
     /// Main-chain blocks won by the selfish pool.
     pub selfish_blocks: u64,
     /// Main-chain blocks won by honest miners.
@@ -214,7 +212,6 @@ pub fn selfish_mining(alpha: f64, gamma: f64, blocks: u64, seed: u64) -> Selfish
     }
     SelfishMiningOutcome {
         alpha,
-        gamma,
         selfish_blocks,
         honest_blocks,
     }
@@ -350,7 +347,6 @@ mod tests {
     fn selfish_outcome_accessors() {
         let out = SelfishMiningOutcome {
             alpha: 0.3,
-            gamma: 0.0,
             selfish_blocks: 30,
             honest_blocks: 70,
         };
@@ -358,7 +354,6 @@ mod tests {
         assert!(!out.profitable());
         let empty = SelfishMiningOutcome {
             alpha: 0.3,
-            gamma: 0.0,
             selfish_blocks: 0,
             honest_blocks: 0,
         };

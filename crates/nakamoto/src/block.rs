@@ -10,7 +10,6 @@ pub struct Block {
     parent: Digest,
     height: u64,
     miner: usize,
-    mined_at: SimTime,
 }
 
 impl Block {
@@ -22,7 +21,6 @@ impl Block {
             parent: Digest::ZERO,
             height: 0,
             miner: usize::MAX,
-            mined_at: SimTime::ZERO,
         }
     }
 
@@ -43,7 +41,6 @@ impl Block {
             parent: parent.id,
             height: parent.height + 1,
             miner,
-            mined_at,
         }
     }
 

@@ -13,7 +13,6 @@ pub struct TraceStats {
     dropped: u64,
     blocked_by_partition: u64,
     timers_fired: u64,
-    faults_injected: u64,
     per_node_sent: Vec<u64>,
 }
 
@@ -45,10 +44,6 @@ impl TraceStats {
 
     pub(crate) fn record_timer(&mut self) {
         self.timers_fired += 1;
-    }
-
-    pub(crate) fn record_fault(&mut self) {
-        self.faults_injected += 1;
     }
 
     /// Messages handed to the network.
@@ -84,12 +79,6 @@ impl TraceStats {
         self.timers_fired
     }
 
-    /// Faults injected.
-    #[cfg(test)]
-    pub(crate) fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
     /// Messages sent by `node`.
     // lint: allow(unused-pub) test seam: simnet_properties checks the per-node counts sum to the total
     #[must_use]
@@ -112,13 +101,11 @@ mod tests {
         s.record_dropped();
         s.record_blocked();
         s.record_timer();
-        s.record_fault();
         assert_eq!(s.sent(), 2);
         assert_eq!(s.delivered(), 1);
         assert_eq!(s.dropped(), 1);
         assert_eq!(s.blocked_by_partition(), 1);
         assert_eq!(s.timers_fired(), 1);
-        assert_eq!(s.faults_injected(), 1);
         assert_eq!(s.sent_by(NodeId::new(0)), 2);
         assert_eq!(s.sent_by(NodeId::new(9)), 0);
     }

@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut applied = 0usize;
     for &t in &times {
         applied += RotationPlanner::apply_due(&mut rotated, &steps[applied..], t)?;
-        let static_exposed = exposure_curve(&assignment, &db, &rollout, &[t])[0].exposed;
-        let rotated_exposed = exposure_curve(&rotated, &db, &rollout, &[t])[0].exposed;
+        let static_exposed = exposure_curve(&assignment, &db, &rollout, &[t])[0];
+        let rotated_exposed = exposure_curve(&rotated, &db, &rollout, &[t])[0];
         println!(
             "{:>8} {:>16} {:>16}",
             t.to_string(),

@@ -104,7 +104,7 @@ fn device_family_revocation_sgx_fail_scenario() {
     server.submit(ops).unwrap();
     let first = server.tick().unwrap().expect("every tick seals");
     let before = DiversityReport::from_snapshot(&first, true).unwrap();
-    assert_eq!(before.configurations, 2);
+    assert_eq!(before.kappa, 2);
     assert_eq!(before.total_effective_power, VotingPower::new(200));
 
     // Phase 2: SGX.Fail drops. The policy now allows TPMs only.

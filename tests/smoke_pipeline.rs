@@ -71,7 +71,7 @@ fn end_to_end_pipeline_on_toy_assignment() {
     let snapshot = fleet.try_seal_epoch().expect("in-memory seal");
     let diversity = DiversityReport::from_snapshot(&snapshot, false).expect("fleet is non-empty");
     assert_eq!(diversity.replicas, REPLICAS as usize);
-    assert_eq!(diversity.configurations, 12);
+    assert_eq!(diversity.kappa, 12);
     assert!(
         diversity.kappa_optimal,
         "uniform assignment must be kappa-optimal"
@@ -111,7 +111,10 @@ fn end_to_end_pipeline_on_toy_assignment() {
         in_window.safety_condition_holds,
         "3 of 12 replicas compromised stays within f: {in_window:?}"
     );
-    assert_eq!(in_window.compromised_replicas, 3);
+    assert_eq!(
+        in_window.union_compromised,
+        VotingPower::new(3 * POWER_EACH)
+    );
 
     // After the patch window closes nothing is compromised.
     let after_patch = analyzer.analyze_at(SimTime::from_secs(2 * 3600));
