@@ -1,5 +1,7 @@
 //! Candidates and committees.
 
+use std::cmp::Reverse;
+
 use fi_entropy::incremental::weighted_entropy_bits;
 use fi_entropy::Distribution;
 use fi_types::{ReplicaId, VotingPower, WeightedQuorum};
@@ -23,10 +25,10 @@ const ATTESTED: usize = 1 << (usize::BITS - 1);
 
 impl Candidate {
     /// Creates a candidate: its stake/power, its configuration index (from
-    /// attestation; unattested candidates carry their *claimed* index but
-    /// policies treat them as opaque), and whether that configuration is
-    /// attested. The index is kept modulo 2^(`usize::BITS` − 1): anything
-    /// that indexes a slice fits.
+    /// attestation; an unattested candidate's is a *claim*, which selection
+    /// buckets by but the tolerance rule treats as opaque), and whether that
+    /// configuration is attested. The index is kept modulo
+    /// 2^(`usize::BITS` − 1): anything that indexes a slice fits.
     #[must_use]
     pub fn new(replica: ReplicaId, power: VotingPower, config: usize, attested: bool) -> Self {
         Candidate {
@@ -190,13 +192,14 @@ impl Committee {
             .fold(0.0, f64::max)
     }
 
-    /// Whether the committee survives a fault in any one configuration: no
-    /// configuration holds more than the [`WeightedQuorum`] `f` of its
-    /// power (paper §II-C). `false` below 4 units, where `f` is undefined.
+    /// Whether the committee survives a fault in any one configuration
+    /// (paper §II-C), counted as the sealed verdict counts it: the heaviest
+    /// attested configuration plus all unattested power, whose claimed
+    /// configurations are opaque, is within the [`WeightedQuorum`] `f` of
+    /// its power. `false` below 4 units, where `f` is undefined.
     #[must_use]
     pub fn tolerates_one_config(&self) -> bool {
-        WeightedQuorum::for_total(self.total)
-            .is_some_and(|q| self.buckets.iter().all(|&(_, p)| q.tolerates(p)))
+        single_config_fault(&self.members).is_ok()
     }
 
     /// Share of committee power held by attested members.
@@ -210,6 +213,32 @@ impl Committee {
             .sum();
         attested.share_of(self.total_power())
     }
+}
+
+/// [`Committee::tolerates_one_config`]'s rule: `Ok` when `members`
+/// tolerate, else `Err` with the member the tolerant repair ejects (`None`
+/// only for no members). That is the heaviest unattested member while any
+/// sits, as its power counts against every configuration, then the heaviest
+/// member of the heaviest attested configuration (the lowest index on a
+/// tie); heaviest by the fold's preference, `(power, Reverse(replica))`.
+pub(crate) fn single_config_fault(members: &[Candidate]) -> Result<(), Option<Candidate>> {
+    let power = |among: &[&Candidate]| among.iter().map(|m| m.power()).sum::<VotingPower>();
+    let heaviest = |among: &[&Candidate]| {
+        let rank = |m: &&&Candidate| (m.power(), Reverse(m.replica()));
+        among.iter().max_by_key(rank).map(|&&m| m)
+    };
+    let (mut attested, unattested): (Vec<&Candidate>, Vec<_>) =
+        members.iter().partition(|m| m.attested());
+    attested.sort_by_key(|m| m.config());
+    // Reversed: of equally heavy configurations `max_by_key` keeps the last.
+    let configs = attested.chunk_by(|a, b| a.config() == b.config());
+    let worst = configs.rev().max_by_key(|c| power(c)).unwrap_or_default();
+    let fault = power(worst) + power(&unattested);
+    let total = power(&attested) + power(&unattested);
+    if WeightedQuorum::for_total(total).is_some_and(|q| q.tolerates(fault)) {
+        return Ok(());
+    }
+    Err(heaviest(&unattested).or_else(|| heaviest(worst)))
 }
 
 impl FromIterator<Candidate> for Committee {
@@ -316,6 +345,48 @@ mod tests {
         );
         assert_eq!(committee.distribution().unwrap().dimension(), 2);
         assert_eq!(committee.entropy_bits(), 0.0);
+    }
+
+    #[test]
+    fn unattested_power_counts_against_every_configuration() {
+        let m = |replica, power, config, attested| {
+            Candidate::new(
+                ReplicaId::new(replica),
+                VotingPower::new(power),
+                config,
+                attested,
+            )
+        };
+        // 12 units, f = 3: no claimed bucket holds more than 3, but
+        // configuration 0's 3 plus the unattested 3 is 6. The unattested
+        // member leaves first.
+        let claimed = Committee::new(vec![
+            m(0, 3, 0, true),
+            m(1, 3, 1, false),
+            m(2, 3, 2, true),
+            m(3, 3, 3, true),
+        ]);
+        assert!(claimed.worst_config_share() <= 0.25);
+        assert!(!claimed.tolerates_one_config());
+        assert_eq!(
+            single_config_fault(claimed.members()),
+            Err(Some(m(1, 3, 1, false)))
+        );
+        // All attested, three configurations of 4 > f: the lowest index
+        // goes first, and in it the member the fold prefers.
+        let attested = [
+            m(3, 2, 0, true),
+            m(1, 2, 0, true),
+            m(0, 4, 1, true),
+            m(2, 4, 2, true),
+        ];
+        assert_eq!(single_config_fault(&attested), Err(Some(m(1, 2, 0, true))));
+        // Four configurations of one unit each tolerate; below 4 units, or
+        // with nobody to eject, nothing does.
+        let spread: Vec<Candidate> = (0..4).map(|c| m(c as u64, 1, c, true)).collect();
+        assert_eq!(single_config_fault(&spread), Ok(()));
+        assert_eq!(single_config_fault(&spread[..3]), Err(Some(spread[0])));
+        assert_eq!(single_config_fault(&[]), Err(None));
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * [`greedy::greedy_diverse`] — pick members to maximise committee
 //!   entropy at every step;
 //! * [`PrunedRoster::select_tolerant`] — the greedy committee, repaired
-//!   until no one configuration holds more than the quorum rule's `f` of
-//!   its power ([`Committee::tolerates_one_config`]);
+//!   until its heaviest attested configuration plus all its unattested
+//!   power, which may claim any configuration, is within the quorum rule's
+//!   `f` of its power ([`Committee::tolerates_one_config`]);
 //! * [`twotier::two_tier_weighted`] — the paper's §V sketch: attested
 //!   candidates weigh more than unattested ones in the sortition.
 //!
@@ -26,9 +27,10 @@
 //! *analytic* entropy peak so a selection is subquadratic.
 //! [`greedy::greedy_diverse`] builds that index over a caller's candidates
 //! and selects from it; an epoch snapshot carries the index prebuilt. The
-//! tolerant selection runs the same rounds, then, while one configuration
-//! holds more than `f`, ejects that configuration's heaviest member and
-//! runs one more round: no second engine and no cap to tune. `select`
+//! tolerant selection runs the same rounds, then, while the committee does
+//! not tolerate, ejects for good its heaviest unattested member — or, with
+//! none left, the heaviest member of its heaviest attested configuration —
+//! and runs one more round: no second engine and no cap to tune. `select`
 //! and `greedy_diverse` are held, member for member, to the naive
 //! per-candidate fold, `greedy::greedy_diverse_naive`. [`radix`]
 //! is the stable radix sort a differential seal orders its staged churn

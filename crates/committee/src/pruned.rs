@@ -93,13 +93,12 @@
 //! patched roster equals a rebuilt one, capacities included.
 
 use std::borrow::Borrow;
-use std::cmp::Reverse;
 use std::fmt;
 
 use fi_entropy::EntropyAccumulator;
 use fi_types::{ReplicaId, VotingPower};
 
-use crate::candidate::{Candidate, Committee};
+use crate::candidate::{single_config_fault, Candidate, Committee};
 use crate::greedy::preferred;
 use crate::radix;
 
@@ -611,29 +610,23 @@ impl PrunedRoster {
 
     /// [`select`](Self::select)'s committee, repaired until it
     /// [tolerates](Committee::tolerates_one_config) a fault in any one
-    /// configuration: the heaviest member of the heaviest configuration
-    /// (ties by the fold's preference) leaves for good, and one more round
-    /// fills its seat. `select(k)` itself when that already tolerates;
-    /// `None` once no candidate is left. A repair, not a search: a tolerant
-    /// `k`-subset may exist where this returns `None`.
+    /// configuration: a member leaves for good — the heaviest unattested one
+    /// while any sits, then the heaviest of the heaviest attested
+    /// configuration — and one more round fills its seat. `select(k)`
+    /// itself when that already tolerates; `None` once no candidate is
+    /// left. A repair, not a search: a tolerant `k`-subset may exist where
+    /// this returns `None`.
     #[must_use]
     pub fn select_tolerant(&self, k: usize) -> Option<Committee> {
         let mut run = SelectionRun::new(self);
         run.run_to(k);
-        loop {
-            let committee = Committee::new(run.members.clone());
-            if committee.tolerates_one_config() {
-                return Some(committee);
-            }
-            // By configuration weight, then as the fold prefers.
-            let rank =
-                |m: &&Candidate| (run.acc.weight(m.config()), m.power(), Reverse(m.replica()));
-            let worst = *run.members.iter().max_by_key(rank)?;
-            run.eject(worst);
+        while let Err(worst) = single_config_fault(&run.members) {
+            run.eject(worst?);
             if !run.round() {
                 return None;
             }
         }
+        Some(run.into_committee())
     }
 }
 

@@ -109,14 +109,26 @@ fn sorted_rows(mut rows: Vec<Candidate>) -> Vec<Candidate> {
     rows
 }
 
-/// Whether no configuration of `committee` holds more than the quorum
-/// rule's `f` of its power: the tolerance predicate, spelled out.
+/// The tolerance predicate, spelled out tier by tier: a vulnerability in
+/// one configuration reaches that configuration's attested members and
+/// every unattested member, whatever configuration it claims. The power it
+/// reaches must be within the quorum rule's `f` for every attested
+/// configuration, and for none at all (the unattested power alone).
 fn tolerates_by_power(committee: &Committee) -> bool {
-    WeightedQuorum::for_total(committee.total_power()).is_some_and(|q| {
-        committee
-            .power_by_config()
+    let members = committee.members();
+    let power = |reached: &dyn Fn(&Candidate) -> bool| -> VotingPower {
+        members
             .iter()
-            .all(|&(_, power)| q.tolerates(power))
+            .filter(|m| reached(m))
+            .map(Candidate::power)
+            .sum()
+    };
+    WeightedQuorum::for_total(committee.total_power()).is_some_and(|q| {
+        q.tolerates(power(&|m| !m.attested()))
+            && members
+                .iter()
+                .filter(|a| a.attested())
+                .all(|a| q.tolerates(power(&|m| !m.attested() || m.config() == a.config())))
     })
 }
 
@@ -346,15 +358,12 @@ fn some_subset_tolerates(pool: &[Candidate], k: usize) -> bool {
         })
 }
 
-/// Against an exhaustive oracle over 600 small pools (5–12 candidates on
-/// 2–5 configurations, `k` from 3 to 7): `select_tolerant` never returns a
-/// committee where no `k`-subset tolerates, and finds one in at least
-/// `FLOOR` of the cases where some subset does. The search is a
-/// heuristic; the measured share is stated beside the floor.
-#[test]
-fn tolerant_selection_against_an_exhaustive_oracle() {
-    /// Measured at this seed: 120 of 128 feasible cases (0.938).
-    const FLOOR: f64 = 0.85;
+/// 600 small pools (5–12 candidates on 2–5 configurations, `k` from 3 to
+/// 7), each candidate attested with probability `attestation`, against
+/// the exhaustive oracle: `select_tolerant` never returns a committee
+/// where no `k`-subset tolerates. Returns how many cases some subset
+/// tolerates in, and in how many of those it found one.
+fn exhaustive_sweep(attestation: f64) -> (u32, u32) {
     let mut rng = StdRng::seed_from_u64(46);
     let (mut feasible, mut found) = (0u32, 0u32);
     for _ in 0..600 {
@@ -366,7 +375,7 @@ fn tolerant_selection_against_an_exhaustive_oracle() {
                     ReplicaId::new(i),
                     VotingPower::new(rng.gen_range(1..1_000)),
                     rng.gen_range(0..configs),
-                    rng.gen_bool(0.5),
+                    rng.gen_bool(attestation),
                 )
             })
             .collect();
@@ -383,9 +392,24 @@ fn tolerant_selection_against_an_exhaustive_oracle() {
             assert!(tolerant.is_none(), "a tolerant committee where none exists");
         }
     }
-    let share = f64::from(found) / f64::from(feasible);
-    eprintln!("select_tolerant found {found} of {feasible} feasible cases ({share:.3})");
-    assert!(share >= FLOOR, "found {found} of {feasible}");
+    eprintln!(
+        "attestation {attestation}: select_tolerant found {found} of {feasible} feasible cases"
+    );
+    (feasible, found)
+}
+
+/// The same 600 pools at two attestation rates. The search is a
+/// heuristic, so each sweep asserts a floor on the feasible cases (the
+/// sweep is not vacuous) and on the share found, beside the measured
+/// counts at this seed: at 0.5, 22 of 22 found; at 0.9, 99 of 102 (0.971).
+#[test]
+fn tolerant_selection_against_an_exhaustive_oracle() {
+    for (attestation, min_feasible, min_share) in [(0.5, 20, 0.95), (0.9, 95, 0.95)] {
+        let (feasible, found) = exhaustive_sweep(attestation);
+        assert!(feasible >= min_feasible, "{feasible} feasible cases");
+        let share = f64::from(found) / f64::from(feasible);
+        assert!(share >= min_share, "found {found} of {feasible}");
+    }
 }
 
 // Churn chains over the roster a seal carries forward: at every step the

@@ -205,12 +205,9 @@ fn scan_line(raw: &str, mut mode: Mode) -> (Line, Mode) {
             in_test: false,
             depth: 0,
         },
-        match mode {
-            // Plain strings and char literals do not cross lines unescaped
-            // in this codebase; raw strings and block comments do.
-            Mode::Str => Mode::Str,
-            other => other,
-        },
+        // Block comments, raw strings and plain strings all carry into the
+        // next line; a char literal never spans one.
+        mode,
     )
 }
 
@@ -456,6 +453,15 @@ mod tests {
         );
         assert!(!f.lines[0].code.contains("panic!"));
         assert!(!f.lines[1].code.contains(".lock()"));
+    }
+
+    #[test]
+    fn an_unterminated_string_carries_into_the_next_line() {
+        let (_, next) = scan_line("let s = \"first line", Mode::Code);
+        assert_eq!(next, Mode::Str);
+        let f = scan("t.rs", "let s = \"a\n.unwrap() b\";\nx.lock();\n");
+        assert!(!f.lines[1].code.contains("unwrap"));
+        assert!(f.lines[2].code.contains("x.lock();"));
     }
 
     #[test]

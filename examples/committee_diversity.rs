@@ -62,9 +62,11 @@ fn main() {
     println!(
         "\nreading: greedy selection trades stake weight for configuration \
          entropy, shrinking what one zero-day can capture; the tolerant \
-         committee swaps out members until no configuration holds more than \
-         the quorum rule's f of its power, so a zero-day confined to one \
-         configuration cannot break its safety; the two-tier lottery \
+         committee swaps out members until no attested configuration, plus \
+         all unattested power, holds more than the quorum rule's f of its \
+         power (an unattested claim is opaque, so that power counts against \
+         every configuration), so a zero-day confined to one configuration \
+         cannot break its safety; the two-tier lottery \
          additionally pushes unattested (opaque) stacks out of the committee \
          — the paper's §V proposal."
     );

@@ -6,10 +6,12 @@ use fault_independence::fi_attest::TwoTierWeights;
 use fault_independence::fi_bft::WeightedQuorum;
 use fault_independence::fi_committee::prelude::*;
 use fault_independence::fi_config::prelude::{
-    catalog, Assignment, Component, ComponentSelector, ConfigurationSpace, Vulnerability,
+    catalog, fault_summary, Assignment, Component, ComponentSelector, Configuration,
+    ConfigurationSpace, Vulnerability, VulnerabilityDb,
 };
 use fault_independence::fi_nakamoto::attack::double_spend_success_probability;
-use fault_independence::fi_types::{ReplicaId, VotingPower, VulnId};
+use fault_independence::fi_types::{ReplicaId, SimTime, VotingPower, VulnId};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,21 +155,104 @@ fn committee_is_a_valid_voting_power_snapshot() {
     assert!(!quorum.tolerates(worst_config_power));
 
     // The tolerant selection on the same pool ejects members until the
-    // heaviest configuration is within f by power, checked here with the
-    // quorum rule directly.
+    // committee tolerates, checked here with the sealed verdict's calls.
     let tolerant = PrunedRoster::from_dense(REALISTIC_SLOTS, &pool)
         .select_tolerant(13)
         .expect("the pool holds a tolerant committee");
     assert_eq!(tolerant.len(), 13);
-    let quorum = WeightedQuorum::for_total(tolerant.total_power()).unwrap();
-    for &(config, power) in tolerant.power_by_config() {
-        assert!(
-            quorum.tolerates(power),
-            "config {config} holds {power} > f = {}",
-            quorum.f_power()
+    assert!(verdict_tolerates(
+        &tolerant,
+        &one_layer_space(REALISTIC_SLOTS)
+    ));
+    assert!(tolerant.tolerates_one_config());
+}
+
+/// Whether `committee` tolerates a fault in one configuration by the
+/// verdict's own calls, those `ResilienceReport::from_summary` makes: a
+/// quorum exists, and for every configuration `c` of `space` — each one
+/// product — `fault_summary` over one vulnerability in `c`'s product holds
+/// at `f`. Its rows are each attested configuration's power and one `None`
+/// row, the unattested power, which every vulnerability hits.
+fn verdict_tolerates(committee: &Committee, space: &ConfigurationSpace) -> bool {
+    let Some(q) = WeightedQuorum::for_total(committee.total_power()) else {
+        return false;
+    };
+    let power = |of: &dyn Fn(&Candidate) -> bool| -> VotingPower {
+        committee
+            .members()
+            .iter()
+            .filter(|m| of(m))
+            .map(Candidate::power)
+            .sum()
+    };
+    let rows: Vec<(Option<&Configuration>, VotingPower)> = space
+        .iter()
+        .enumerate()
+        .map(|(c, config)| (Some(config), power(&|m| m.attested() && m.config() == c)))
+        .chain([(None, power(&|m| !m.attested()))])
+        .collect();
+    space.iter().all(|config| {
+        let product = config.components().next().expect("one product");
+        let mut db = VulnerabilityDb::new();
+        db.add(Vulnerability::new(
+            VulnId::new(0),
+            "zero-day",
+            ComponentSelector::product(product.kind(), product.name()),
+        ));
+        fault_summary(rows.iter().copied(), &db, SimTime::ZERO).safety_holds(q.f_power())
+    })
+}
+
+/// Committees over the operating-system catalogue with both tiers,
+/// zero-power members and totals under 4 units. Per committee, a member is
+/// unattested with odds from none to one quarter, and attested members
+/// spread over the configurations round-robin or at random, so that about
+/// a fifth of the committees tolerate. An unattested member claims any
+/// configuration, or the slot past the last, where a sealed index files
+/// the unattested tier.
+fn two_tier_committee() -> impl Strategy<Value = Committee> {
+    let slots = catalog::operating_systems().len();
+    (0u8..=4, proptest::bool::ANY).prop_flat_map(move |(unattested_in_16, round_robin)| {
+        let power = prop_oneof![0u64..4, 90u64..110, 90u64..110, 90u64..110, 0u64..1_000];
+        proptest::collection::vec((power, 0..=slots, 0u8..16), 0..32).prop_map(move |specs| {
+            specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (power, config, draw))| {
+                    let attested = draw >= unattested_in_16;
+                    let config = match (attested, round_robin) {
+                        (true, true) => i % slots,
+                        (true, false) => config % slots,
+                        (false, _) => config,
+                    };
+                    Candidate::new(
+                        ReplicaId::new(i as u64),
+                        VotingPower::new(power),
+                        config,
+                        attested,
+                    )
+                })
+                .collect()
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `tolerates_one_config` is the sealed verdict's rule: unattested
+    /// power counts against every configuration. Of the 512 cases, 98
+    /// tolerate, 36 of them with unattested members.
+    #[test]
+    fn tolerance_is_the_verdicts_rule(committee in two_tier_committee()) {
+        let space = one_layer_space(catalog::operating_systems().len());
+        prop_assert_eq!(
+            committee.tolerates_one_config(),
+            verdict_tolerates(&committee, &space),
+            "{:?}",
+            committee.members()
         );
     }
-    assert!(tolerant.tolerates_one_config());
 }
 
 // Cells no experiment table sweeps: Zipf and monoculture spreads, the
@@ -210,8 +295,16 @@ fn within_a_third(members: &[Candidate], space: &ConfigurationSpace, product: &C
     WeightedQuorum::for_total(total).is_some_and(|q| q.tolerates(reached))
 }
 
-fn os_space(oses: usize) -> ConfigurationSpace {
-    ConfigurationSpace::cartesian(&[catalog::operating_systems()[..oses].to_vec()]).unwrap()
+/// One layer of `products` products: the operating-system catalogue, then
+/// crypto libraries. Each configuration is one product, so a vulnerability
+/// in a product reaches one configuration.
+fn one_layer_space(products: usize) -> ConfigurationSpace {
+    let layer = catalog::operating_systems()
+        .into_iter()
+        .chain(catalog::crypto_libraries())
+        .take(products)
+        .collect();
+    ConfigurationSpace::cartesian(&[layer]).unwrap()
 }
 
 /// On a Zipf-skewed pool a zero-day in the most popular OS reaches more
@@ -219,7 +312,7 @@ fn os_space(oses: usize) -> ConfigurationSpace {
 /// under a third; picking by stake does not.
 #[test]
 fn greedy_keeps_a_skewed_pool_within_budget_and_top_stake_does_not() {
-    let space = os_space(4);
+    let space = one_layer_space(4);
     let mut rng = StdRng::seed_from_u64(301);
     let spread = Assignment::zipf(&space, 32, VotingPower::new(100), 1.2, &mut rng).unwrap();
     let pool = staked(&spread, 301);
@@ -237,7 +330,7 @@ fn greedy_keeps_a_skewed_pool_within_budget_and_top_stake_does_not() {
 /// OS under a third.
 #[test]
 fn greedy_keeps_a_balanced_pool_within_budget() {
-    let space = os_space(8);
+    let space = one_layer_space(8);
     let spread = Assignment::round_robin(&space, 48, VotingPower::new(100)).unwrap();
     let committee = greedy_diverse(&staked(&spread, 304), 12);
     assert!(within_a_third(
@@ -251,7 +344,7 @@ fn greedy_keeps_a_balanced_pool_within_budget() {
 /// committee runs the vulnerable OS.
 #[test]
 fn selection_cannot_save_a_monoculture() {
-    let space = os_space(4);
+    let space = one_layer_space(4);
     let spread = Assignment::monoculture(&space, 0, 16, VotingPower::new(100)).unwrap();
     let committee = greedy_diverse(&staked(&spread, 302), 4);
     assert_eq!(committee.entropy_bits(), 0.0);
