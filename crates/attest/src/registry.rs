@@ -130,9 +130,14 @@ struct Bucket {
 /// A device costs one 56-byte hash-table slot: its id, raw power, row
 /// digest, a 4-byte handle to its measurement bucket, which holds the
 /// measurement once for all its members, and the 4-byte position of its
-/// row in the pending delta. The vote key a quote binds (Remark 3) is
-/// checked where the quote is verified, and nothing downstream carries it
-/// — not the churn op, the log, the registry or the checkpoint.
+/// row in the pending delta. The table doubles as it fills, so it is 7/16
+/// to 7/8 full, and while it doubles its old and new slots are both live;
+/// a batch longer than its capacity, which could make it double twice, is
+/// counted first and sizes it in one step
+/// ([`apply_batch`](Self::apply_batch)). The vote key a quote binds
+/// (Remark 3) is checked where the quote is verified, and nothing
+/// downstream carries it — not the churn op, the log, the registry or the
+/// checkpoint.
 ///
 /// A device touched since the last drain costs the pending delta one
 /// 24-byte row — id, raw power and bucket handle — plus, once, the 64-byte
@@ -418,10 +423,49 @@ impl AttestedRegistry {
 
     /// Applies a batch of churn operations in order: every op is one entry
     /// write and at most two bucket-row updates.
+    ///
+    /// A table growing holds its old and new buckets at once, and only a
+    /// batch longer than the entries table's capacity can make it grow more
+    /// than once. Such a batch is first read once: its registrations of
+    /// replicas with no entry are counted, and that many slots are reserved
+    /// before the first op is written, so the table grows at most once,
+    /// straight to its final size. A new replica registered twice in the
+    /// batch counts twice, so the reservation can overshoot by the batch's
+    /// repeats. A shorter batch skips the pass. No row, delta, digest or
+    /// sum depends on it.
+    ///
+    /// The pass pays where one batch carries a whole population into one
+    /// registry, as in a single-registry replay of a fleet's history. The
+    /// fleet's own bulk paths — registration waves, checkpoint re-ingest,
+    /// log replay — arrive in chunks of a few thousand ops split over its
+    /// shards, so a shard takes the pass only while its table holds fewer
+    /// slots than one sub-batch has ops.
     pub fn apply_batch(&mut self, ops: &[ChurnOp]) {
+        if self.may_grow_twice(ops.len()) {
+            self.entries.reserve(self.new_entries(ops));
+        }
         for op in ops {
             self.apply(op);
         }
+    }
+
+    /// Whether a batch of `len` ops can make the entries table grow twice:
+    /// a growth at least doubles the room, so a batch no longer than the
+    /// capacity fits after one.
+    fn may_grow_twice(&self, len: usize) -> bool {
+        len > self.entries.capacity()
+    }
+
+    /// How many of `ops` register a replica that has no entry now: the
+    /// most entries `ops` can add. Deregistrations free nothing here, since
+    /// a removed entry's slot may not return to the table's free room.
+    fn new_entries(&self, ops: &[ChurnOp]) -> usize {
+        ops.iter()
+            .filter(|op| {
+                !matches!(op, ChurnOp::Deregister { .. })
+                    && !self.entries.contains_key(&op.replica())
+            })
+            .count()
     }
 
     /// Removes `replica` from the registry entirely (churn, slashing, or a
@@ -748,6 +792,116 @@ mod tests {
         assert_eq!(rows(&batched), rows(&manual));
         assert_eq!(batched.unattested_power(), VotingPower::ZERO);
         assert_eq!(manual.unattested_power(), VotingPower::ZERO);
+    }
+
+    #[test]
+    fn new_entries_counts_registrations_of_replicas_with_no_entry() {
+        let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+        attest(&mut reg, 0, b"cfg-a", 10);
+        unattested(&mut reg, 1, 10);
+        let m = sha256(b"cfg-b");
+        let p = VotingPower::new(5);
+        let ops = [
+            ChurnOp::attest(ReplicaId::new(5), m, p),
+            ChurnOp::attest(ReplicaId::new(0), m, p),
+            ChurnOp::Unattested {
+                replica: ReplicaId::new(5),
+                power: p,
+            },
+            ChurnOp::Deregister {
+                replica: ReplicaId::new(1),
+            },
+            ChurnOp::Unattested {
+                replica: ReplicaId::new(6),
+                power: p,
+            },
+            ChurnOp::Deregister {
+                replica: ReplicaId::new(7),
+            },
+            ChurnOp::attest(ReplicaId::new(1), m, p),
+        ];
+        // Replica 5 twice and 6 once; 0 and 1 are registered when the batch
+        // is read, and deregistrations add nothing.
+        assert_eq!(reg.new_entries(&ops), 3);
+        assert_eq!(reg.new_entries(&ops[1..2]), 0);
+        assert_eq!(reg.new_entries(&[]), 0);
+    }
+
+    #[test]
+    fn a_registration_wave_sizes_the_entries_table_once() {
+        const DEVICES: usize = 10_000;
+        let ops: Vec<ChurnOp> = (0..DEVICES as u64)
+            .map(|i| ChurnOp::attest(ReplicaId::new(i), sha256(b"cfg-a"), VotingPower::new(1)))
+            .collect();
+        let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+        reg.apply_batch(&ops);
+        assert_eq!(reg.len(), DEVICES);
+        assert_eq!(
+            reg.entries.capacity(),
+            HashMap::<ReplicaId, RegistryEntry>::with_capacity(DEVICES).capacity()
+        );
+    }
+
+    /// A registry of at least 100 devices whose entries table is one
+    /// insert short of its growth threshold, and the next unused id.
+    fn one_insert_short_of_growth() -> (AttestedRegistry, u64) {
+        let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
+        let mut next = 0u64;
+        while next < 100 || reg.entries.capacity() - reg.len() != 1 {
+            attest(&mut reg, next, b"cfg-a", 1);
+            next += 1;
+        }
+        (reg, next)
+    }
+
+    /// A rewrite of devices `0..devices` to a new measurement and power,
+    /// in flushes of `len` ops: update-only batches.
+    fn rewrites(devices: u64, len: usize, power: u64) -> Vec<Vec<ChurnOp>> {
+        let ops: Vec<ChurnOp> = (0..devices)
+            .map(|i| ChurnOp::attest(ReplicaId::new(i), sha256(b"cfg-b"), VotingPower::new(power)))
+            .collect();
+        ops.chunks(len).map(<[ChurnOp]>::to_vec).collect()
+    }
+
+    #[test]
+    fn an_update_only_batch_past_the_capacity_grows_nothing() {
+        let (mut reg, next) = one_insert_short_of_growth();
+        let capacity = reg.entries.capacity();
+        // Every op rewrites a registered device or removes one that is
+        // not: the batch is longer than the capacity, so it takes the pass,
+        // and a reserve of its length would double the table.
+        let mut ops = rewrites(next, next as usize, 2).remove(0);
+        ops.extend((next..next + 50).map(|i| ChurnOp::Deregister {
+            replica: ReplicaId::new(i),
+        }));
+        assert!(reg.may_grow_twice(ops.len()));
+        reg.apply_batch(&ops);
+        assert_eq!(reg.entries.capacity(), capacity);
+        assert_eq!(reg.len() as u64, next);
+        assert_eq!(
+            rows(&reg),
+            vec![(sha256(b"cfg-b"), VotingPower::new(2 * next))]
+        );
+    }
+
+    #[test]
+    fn flushes_within_the_capacity_take_no_pass_at_the_threshold() {
+        let (mut reg, next) = one_insert_short_of_growth();
+        let capacity = reg.entries.capacity();
+        // Each flush is far longer than the one free slot but no longer
+        // than the capacity: none can grow the table twice, so none reads
+        // the batch twice, flush after flush, while the free room stays one.
+        for flush in rewrites(next, 64, 3) {
+            assert!(flush.len() > reg.entries.capacity() - reg.len());
+            assert!(!reg.may_grow_twice(flush.len()));
+            reg.apply_batch(&flush);
+        }
+        assert_eq!(reg.entries.capacity(), capacity);
+        assert_eq!(reg.entries.capacity() - reg.len(), 1);
+        assert_eq!(
+            rows(&reg),
+            vec![(sha256(b"cfg-b"), VotingPower::new(3 * next))]
+        );
     }
 
     #[test]

@@ -835,3 +835,58 @@ fn an_after_row_under_a_recycled_handle_resolves_to_the_new_measurement() {
         }
     }
 }
+
+/// Churn over 64 ids, so a batch of tens of ops can be longer than a small
+/// registry's entries table's capacity, and `apply_batch` sizes the table
+/// before it writes.
+fn bulk_op() -> impl Strategy<Value = ChurnOp> {
+    (0u8..4, 0u64..64, 0u8..3, 1u64..4).prop_map(|(kind, id, cfg, power)| {
+        let replica = ReplicaId::new(id);
+        match kind {
+            0 | 1 => ChurnOp::attest(
+                replica,
+                sha256(format!("cfg-{cfg}").as_bytes()),
+                VotingPower::new(power * 10),
+            ),
+            2 => ChurnOp::Unattested {
+                replica,
+                power: VotingPower::new(power * 10),
+            },
+            _ => ChurnOp::Deregister { replica },
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sizing a batch changes nothing but capacity: epoch after epoch, a
+    /// registry fed whole batches — repeated ids, deregistrations, tier
+    /// flips and re-registrations among them — equals one fed the same
+    /// ops one `apply` at a time, in content, roster digest, bucket sums
+    /// and the drained delta, rows in drain order.
+    #[test]
+    fn apply_batch_equals_op_by_op_apply(
+        epochs in proptest::collection::vec(
+            proptest::collection::vec(bulk_op(), 0..96),
+            1..5,
+        ),
+    ) {
+        let weights = TwoTierWeights::new(1.0, 0.5);
+        let mut batched = AttestedRegistry::new(weights);
+        let mut single = AttestedRegistry::new(weights);
+        for ops in &epochs {
+            batched.apply_batch(ops);
+            for op in ops {
+                single.apply(op);
+            }
+            prop_assert_eq!(&batched, &single);
+            prop_assert_eq!(batched.roster_digest(), single.roster_digest());
+            prop_assert_eq!(table(&batched), table(&single));
+            prop_assert_eq!(batched.unattested_power(), single.unattested_power());
+            let (by_batch, by_op) = (drain(&mut batched), drain(&mut single));
+            prop_assert_eq!(roster_of(&by_batch), roster_of(&by_op));
+            prop_assert_eq!(&by_batch, &by_op);
+        }
+    }
+}

@@ -9,6 +9,9 @@ use fi_types::{sha256, KeyPair, ReplicaId, SimTime, VotingPower};
 /// Devices in one registry shard of fibench's fleet.
 const SHARD_DEVICES: u64 = 62_500;
 
+/// Devices in fibench's whole fleet.
+const WAVE_DEVICES: u64 = 250_000;
+
 fn bench_attestation(c: &mut Criterion) {
     let device = TrustedDevice::new(DeviceKind::Tpm20, 1);
     let aik = device.create_aik("bench");
@@ -84,6 +87,27 @@ fn bench_attestation(c: &mut Criterion) {
                 next += 1;
             }
             black_box(reg.take_delta())
+        });
+    });
+
+    // A single-registry replay's registration: fibench's 250 000 devices,
+    // every eighth unattested, as one batch into an empty registry. The
+    // batch is longer than the empty table's capacity, so `apply_batch`
+    // counts and sizes first.
+    let wave: Vec<ChurnOp> = (0..WAVE_DEVICES)
+        .map(|i| {
+            let (replica, power) = (ReplicaId::new(i), VotingPower::new(1 + i % 97));
+            match i % 8 {
+                0 => ChurnOp::Unattested { replica, power },
+                _ => ChurnOp::attest(replica, measurements[i as usize % 12], power),
+            }
+        })
+        .collect();
+    c.bench_function("registry/apply_batch/register/250000", |b| {
+        b.iter(|| {
+            let mut reg = AttestedRegistry::new(TwoTierWeights::default());
+            reg.apply_batch(black_box(&wave));
+            black_box(reg.len())
         });
     });
 

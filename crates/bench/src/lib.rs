@@ -558,8 +558,10 @@ pub fn run_selfish(seed: u64) -> Table {
 // ---------------------------------------------------------------------
 
 /// E8 / §V: committee policies compared on entropy, worst-configuration
-/// share, attested share, and whether the committee survives a fault in any
-/// one configuration by the quorum rule's `f`.
+/// share (tier-blind), the share one configuration's fault reaches
+/// (unattested power counted against every configuration), attested share,
+/// and whether the committee survives a fault in any one configuration by
+/// the quorum rule's `f`.
 #[must_use]
 pub fn run_committee(seed: u64) -> Table {
     let candidates = e8_pool();
@@ -570,6 +572,7 @@ pub fn run_committee(seed: u64) -> Table {
             "policy",
             "entropy_bits",
             "worst_config_share",
+            "worst_fault_share",
             "attested_share",
             "total_power",
             "tolerates_one_config",
@@ -580,6 +583,7 @@ pub fn run_committee(seed: u64) -> Table {
             name.into(),
             f3(committee.entropy_bits()),
             f3(committee.worst_config_share()),
+            f3(committee.worst_fault_share()),
             f3(committee.attested_share()),
             committee.total_power().to_string(),
             committee.tolerates_one_config().to_string(),
@@ -1014,29 +1018,32 @@ mod tests {
             })
     }
 
-    /// E8: the tolerant committee tolerates, and every row's verdict agrees
-    /// with its worst share. `f/total` lies within `1/(3·total)` below a
-    /// third, and E8's totals run to thousands of units, so at three
-    /// decimals a tolerant committee's worst share reads at most 0.333:
-    /// each claimed bucket is within the attested configuration plus all
-    /// unattested power that the rule holds to `f`. The converse, that an
-    /// intolerant row reads at least 0.333, is E8's and not the rule's:
-    /// unattested power can break tolerance below it.
+    /// E8: the tolerant committee tolerates, and every row's verdict is
+    /// its fault share's: a committee tolerates exactly when the power one
+    /// configuration's fault reaches is within the quorum rule's `f` of its
+    /// total. The share is rendered at three decimals, and rendering is
+    /// monotone, so a correct verdict reads `true` only at or below
+    /// `f/total` rendered alike, and `false` only at or above
+    /// `(f + 1)/total`.
     fn e8_tolerant_row_tolerates(t: &Table) -> Claim {
-        let (worst, verdict) = (
-            column(t, "worst_config_share"),
+        let (fault, total, verdict) = (
+            column(t, "worst_fault_share"),
+            column(t, "total_power"),
             column(t, "tolerates_one_config"),
         );
         let tolerant = row(t, "greedy tolerant");
         check(tolerant[verdict] == "true", t, tolerant, "tolerates")?;
         t.rows.iter().try_for_each(|r| {
-            let share = num(&r[worst]);
+            let units = num(&r[total]);
+            let f = fi_types::WeightedQuorum::for_total(VotingPower::new(units as u64))
+                .map_or(0.0, |q| q.f_power().as_units() as f64);
+            let share = num(&r[fault]);
             let agrees = if r[verdict] == "true" {
-                share <= 0.333
+                share <= num(&f3(f / units))
             } else {
-                share >= 0.333
+                share >= num(&f3((f + 1.0) / units))
             };
-            check(agrees, t, r, "verdict agrees with the worst share")
+            check(agrees, t, r, "tolerates iff the fault is within f")
         })
     }
 
@@ -1163,8 +1170,10 @@ mod tests {
         let t = run_committee(7);
         let edited_verdict = edited(&t, "greedy tolerant", "tolerates_one_config", "false");
         assert!(e8_tolerant_row_tolerates(&edited_verdict).is_err());
-        let edited_share = edited(&t, "greedy tolerant", "worst_config_share", "0.400");
+        let edited_share = edited(&t, "greedy tolerant", "worst_fault_share", "0.400");
         assert!(e8_tolerant_row_tolerates(&edited_share).is_err());
+        let intolerant = edited(&t, "greedy diverse", "tolerates_one_config", "true");
+        assert!(e8_tolerant_row_tolerates(&intolerant).is_err());
     }
 
     /// E8's tolerant committee, run as a PBFT cluster at its members'

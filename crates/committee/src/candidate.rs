@@ -83,7 +83,9 @@ impl std::fmt::Debug for Candidate {
 /// ([`power_by_config`](Self::power_by_config),
 /// [`entropy_bits`](Self::entropy_bits), [`total_power`](Self::total_power),
 /// [`worst_config_share`](Self::worst_config_share)) are O(1)/O(m) reads
-/// with no hashing or re-derivation.
+/// with no hashing or re-derivation. The tier-aware reads
+/// ([`worst_fault_share`](Self::worst_fault_share),
+/// [`tolerates_one_config`](Self::tolerates_one_config)) walk the members.
 #[derive(Debug, Clone)]
 pub struct Committee {
     members: Vec<Candidate>,
@@ -181,15 +183,31 @@ impl Committee {
         self.entropy
     }
 
-    /// The worst single-configuration share — the voting power one
-    /// configuration-level vulnerability compromises (lower is better;
-    /// bounded by `2^{−H_∞}`).
+    /// The share of committee power in the heaviest claimed configuration,
+    /// tier-blind: an unattested member counts under the index it claims,
+    /// as in [`power_by_config`](Self::power_by_config) and the entropy
+    /// (lower is more diverse; it is `2^{−H_∞}`). What one
+    /// configuration-level fault reaches, which counts unattested power
+    /// against every configuration, is
+    /// [`worst_fault_share`](Self::worst_fault_share).
     #[must_use]
     pub fn worst_config_share(&self) -> f64 {
         self.buckets
             .iter()
             .map(|&(_, p)| p.share_of(self.total))
             .fold(0.0, f64::max)
+    }
+
+    /// The share of committee power one configuration-level fault reaches,
+    /// counted as the sealed verdict counts it: the heaviest attested
+    /// configuration plus all unattested power, whose claimed
+    /// configurations are opaque. The committee
+    /// [tolerates](Self::tolerates_one_config) exactly when that power is
+    /// within its [`WeightedQuorum`] `f`. `0.0` for a zero-power committee.
+    #[must_use]
+    pub fn worst_fault_share(&self) -> f64 {
+        let exposure = Exposure::of(&self.members);
+        exposure.fault().share_of(exposure.total)
     }
 
     /// Whether the committee survives a fault in any one configuration
@@ -215,6 +233,46 @@ impl Committee {
     }
 }
 
+/// What one configuration-level fault reaches in a set of members, by the
+/// tier rule: the heaviest attested configuration (the lowest index on a
+/// tie) and every unattested member.
+struct Exposure<'a> {
+    /// The members of the heaviest attested configuration.
+    worst: Vec<&'a Candidate>,
+    /// Every unattested member.
+    unattested: Vec<&'a Candidate>,
+    /// The members' power, both tiers.
+    total: VotingPower,
+}
+
+/// The summed power of `among`.
+fn power(among: &[&Candidate]) -> VotingPower {
+    among.iter().map(|m| m.power()).sum()
+}
+
+impl<'a> Exposure<'a> {
+    fn of(members: &'a [Candidate]) -> Self {
+        let (mut attested, unattested): (Vec<&Candidate>, Vec<_>) =
+            members.iter().partition(|m| m.attested());
+        let total = power(&attested) + power(&unattested);
+        attested.sort_by_key(|m| m.config());
+        // Reversed: of equally heavy configurations `max_by_key` keeps the
+        // last.
+        let configs = attested.chunk_by(|a, b| a.config() == b.config());
+        let worst = configs.rev().max_by_key(|c| power(c)).unwrap_or_default();
+        Exposure {
+            worst: worst.to_vec(),
+            unattested,
+            total,
+        }
+    }
+
+    /// The power the fault reaches.
+    fn fault(&self) -> VotingPower {
+        power(&self.worst) + power(&self.unattested)
+    }
+}
+
 /// [`Committee::tolerates_one_config`]'s rule: `Ok` when `members`
 /// tolerate, else `Err` with the member the tolerant repair ejects (`None`
 /// only for no members). That is the heaviest unattested member while any
@@ -222,23 +280,15 @@ impl Committee {
 /// member of the heaviest attested configuration (the lowest index on a
 /// tie); heaviest by the fold's preference, `(power, Reverse(replica))`.
 pub(crate) fn single_config_fault(members: &[Candidate]) -> Result<(), Option<Candidate>> {
-    let power = |among: &[&Candidate]| among.iter().map(|m| m.power()).sum::<VotingPower>();
     let heaviest = |among: &[&Candidate]| {
         let rank = |m: &&&Candidate| (m.power(), Reverse(m.replica()));
         among.iter().max_by_key(rank).map(|&&m| m)
     };
-    let (mut attested, unattested): (Vec<&Candidate>, Vec<_>) =
-        members.iter().partition(|m| m.attested());
-    attested.sort_by_key(|m| m.config());
-    // Reversed: of equally heavy configurations `max_by_key` keeps the last.
-    let configs = attested.chunk_by(|a, b| a.config() == b.config());
-    let worst = configs.rev().max_by_key(|c| power(c)).unwrap_or_default();
-    let fault = power(worst) + power(&unattested);
-    let total = power(&attested) + power(&unattested);
-    if WeightedQuorum::for_total(total).is_some_and(|q| q.tolerates(fault)) {
+    let exposure = Exposure::of(members);
+    if WeightedQuorum::for_total(exposure.total).is_some_and(|q| q.tolerates(exposure.fault())) {
         return Ok(());
     }
-    Err(heaviest(&unattested).or_else(|| heaviest(worst)))
+    Err(heaviest(&exposure.unattested).or_else(|| heaviest(&exposure.worst)))
 }
 
 impl FromIterator<Candidate> for Committee {
@@ -304,6 +354,8 @@ mod tests {
             vec![(0, VotingPower::new(80)), (1, VotingPower::new(20))]
         );
         assert!((committee.worst_config_share() - 0.8).abs() < 1e-12);
+        // Configuration 0's attested 50 and the unattested 30.
+        assert!((committee.worst_fault_share() - 0.8).abs() < 1e-12);
         assert!((committee.attested_share() - 0.7).abs() < 1e-12);
     }
 
@@ -367,6 +419,7 @@ mod tests {
             m(3, 3, 3, true),
         ]);
         assert!(claimed.worst_config_share() <= 0.25);
+        assert!((claimed.worst_fault_share() - 0.5).abs() < 1e-12);
         assert!(!claimed.tolerates_one_config());
         assert_eq!(
             single_config_fault(claimed.members()),
@@ -395,6 +448,7 @@ mod tests {
         assert!(committee.is_empty());
         assert_eq!(committee.entropy_bits(), 0.0);
         assert_eq!(committee.worst_config_share(), 0.0);
+        assert_eq!(committee.worst_fault_share(), 0.0);
         assert!(committee.distribution().is_err());
         assert_eq!(committee.attested_share(), 0.0);
     }

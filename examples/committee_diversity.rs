@@ -1,6 +1,8 @@
 //! Committee selection policies compared (paper §II-A committee model and
-//! §V two-tier sketch): entropy and single-vulnerability exposure of the
-//! committee each policy elects from the same skewed candidate pool.
+//! §V two-tier sketch): entropy, the heaviest claimed configuration's
+//! share, and single-vulnerability exposure — the heaviest attested
+//! configuration plus all unattested power — of the committee each policy
+//! elects from the same skewed candidate pool.
 //!
 //! Run with: `cargo run --example committee_diversity`
 
@@ -12,11 +14,12 @@ use rand::SeedableRng;
 
 fn describe(name: &str, committee: &Committee) {
     println!(
-        "{:<24} size {:>2}  entropy {:>6.3} bits  worst-config share {:>6.2}%  attested {:>5.1}%",
+        "{:<24} size {:>2}  entropy {:>6.3} bits  worst-config share {:>6.2}%  fault exposure {:>6.2}%  attested {:>5.1}%",
         name,
         committee.len(),
         committee.entropy_bits(),
         committee.worst_config_share() * 100.0,
+        committee.worst_fault_share() * 100.0,
         committee.attested_share() * 100.0,
     );
 }
