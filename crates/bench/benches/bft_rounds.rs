@@ -14,7 +14,7 @@ fn bench_bft(c: &mut Criterion) {
                 let config = ClusterConfig::new(n)
                     .requests(5)
                     .max_time(SimTime::from_secs(20));
-                let report = run_cluster(&config, 42);
+                let report = run_cluster(&config, 42, &[]);
                 assert!(report.liveness.all_executed());
                 report.messages_sent
             });

@@ -33,12 +33,6 @@ fn bench_selection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("top_stake", n), &candidates, |b, cs| {
             b.iter(|| top_stake(black_box(cs), k));
         });
-        group.bench_with_input(BenchmarkId::new("sortition", n), &candidates, |b, cs| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(7);
-                random_weighted(black_box(cs), k, &mut rng)
-            });
-        });
         // The pool's configurations are already dense slots 0..16; the
         // index build is timed too, as in `greedy_diverse`.
         group.bench_with_input(

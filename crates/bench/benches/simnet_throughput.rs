@@ -15,6 +15,7 @@ struct Flooder {
 
 impl Node for Flooder {
     type Message = u64;
+    type Fault = ();
 
     fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
         for i in 0..self.fanout {

@@ -17,10 +17,7 @@ use std::fmt::Write as _;
 
 use fault_independence::prelude::*;
 use fi_attest::TwoTierWeights;
-use fi_bft::harness::{
-    faults_from_vulnerability, run_cluster_with_faults, run_cluster_with_schedule, ClusterConfig,
-    ScheduledFault,
-};
+use fi_bft::harness::{faults_from_vulnerability, run_cluster, ClusterConfig, ScheduledFault};
 use fi_bft::Behavior;
 use fi_committee::prelude::*;
 use fi_config::window::PatchRollout;
@@ -377,7 +374,7 @@ pub fn run_prop3_operational(max_omega: u64, seed: u64) -> Table {
             replica: 1 % n,
             behavior: Behavior::Equivocate,
         }];
-        let report = run_cluster_with_faults(&config, seed + omega, &faults);
+        let report = run_cluster(&config, seed + omega, &faults);
         t.push(vec![
             omega.to_string(),
             n.to_string(),
@@ -434,7 +431,7 @@ pub fn run_faultinj(seed: u64) -> Table {
         let config = ClusterConfig::for_assignment(&assignment)
             .requests(6)
             .max_time(SimTime::from_secs(20));
-        let report = run_cluster_with_faults(&config, seed + sharing as u64, &faults);
+        let report = run_cluster(&config, seed + sharing as u64, &faults);
         t.push(vec![
             format!("{sharing}/{n}"),
             prediction.sum_compromised.to_string(),
@@ -593,7 +590,7 @@ pub fn run_committee(seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     describe(
         "stake sortition",
-        &random_weighted(&candidates, k, &mut rng),
+        &two_tier_weighted(&candidates, k, TwoTierWeights::flat(), &mut rng),
     );
     describe("greedy diverse", &greedy_diverse(&candidates, k));
     // The pool's configurations 0..=7 are already a roster's dense slots.
@@ -734,7 +731,7 @@ pub fn run_ablation(seed: u64) -> Table {
         let config = ClusterConfig::new(4)
             .requests(5)
             .max_time(SimTime::from_secs(10));
-        let report = run_cluster_with_faults(&config, seed, &faults);
+        let report = run_cluster(&config, seed, &faults);
         t.push(vec![
             name.into(),
             if report.safety.holds() {
@@ -772,17 +769,21 @@ pub fn run_recovery(seed: u64) -> Table {
         .requests(6)
         .max_time(SimTime::from_secs(15));
     for &delay_s in &[1u64, 3, 8, 1_000] {
-        let silent = [1usize, 2];
-        let faults: Vec<ScheduledFault> = silent
-            .iter()
-            .map(|&replica| ScheduledFault {
-                at: SimTime::from_millis(1),
+        // Both compromises, then both recoveries.
+        let faults: Vec<ScheduledFault> = [
+            (SimTime::from_millis(1), Behavior::Silent),
+            (SimTime::from_secs(delay_s), Behavior::Honest),
+        ]
+        .iter()
+        .flat_map(|&(at, behavior)| {
+            [1usize, 2].map(|replica| ScheduledFault {
+                at,
                 replica,
-                behavior: Behavior::Silent,
+                behavior,
             })
-            .collect();
-        let recoveries = silent.map(|replica| (SimTime::from_secs(delay_s), replica));
-        let report = run_cluster_with_schedule(&config, seed + delay_s, &faults, &recoveries);
+        })
+        .collect();
+        let report = run_cluster(&config, seed + delay_s, &faults);
         t.push(vec![
             delay_s.to_string(),
             format!(
@@ -1234,7 +1235,7 @@ mod tests {
                 })
                 .collect();
             for seed in [1, 2, 3, 4, 5, 7] {
-                let report = run_cluster_with_faults(&config, seed, &faults);
+                let report = run_cluster(&config, seed, &faults);
                 assert!(
                     report.safety.holds(),
                     "config {c}, seed {seed}: {:?}",

@@ -3,8 +3,10 @@
 //! The paper's adversary (§II-B) "arbitrarily delay\[s\], drop\[s\], re-order\[s\],
 //! insert\[s\], or modif\[ies\] messages" once a replica is compromised through
 //! an exploitable vulnerability. These behaviours are the concrete attack
-//! repertoires used in the fault-injection experiments; the `flavor` byte of
-//! [`fi_simnet::FaultEvent::Compromise`] selects one.
+//! repertoires used in the fault-injection experiments. A `Behavior` is
+//! also the simulated fault itself ([`fi_simnet::Node::Fault`] for a BFT
+//! node): a scheduled fault sets the replica's behaviour, and a recovery is
+//! [`Behavior::Honest`].
 
 /// How a replica behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -26,31 +28,6 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// Encodes the behaviour into the simulator's compromise flavor byte.
-    #[must_use]
-    pub fn to_flavor(self) -> u8 {
-        match self {
-            Behavior::Honest => 0,
-            Behavior::Crashed => 1,
-            Behavior::Silent => 2,
-            Behavior::Equivocate => 3,
-            Behavior::WithholdCommit => 4,
-        }
-    }
-
-    /// Decodes a compromise flavor byte (unknown flavors degrade to
-    /// [`Behavior::Silent`], the conservative default).
-    #[must_use]
-    pub fn from_flavor(flavor: u8) -> Self {
-        match flavor {
-            0 => Behavior::Honest,
-            1 => Behavior::Crashed,
-            3 => Behavior::Equivocate,
-            4 => Behavior::WithholdCommit,
-            _ => Behavior::Silent,
-        }
-    }
-
     /// Whether the replica still emits protocol messages.
     #[must_use]
     pub fn sends_messages(self) -> bool {
@@ -61,24 +38,6 @@ impl Behavior {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flavor_round_trip() {
-        for b in [
-            Behavior::Honest,
-            Behavior::Crashed,
-            Behavior::Silent,
-            Behavior::Equivocate,
-            Behavior::WithholdCommit,
-        ] {
-            assert_eq!(Behavior::from_flavor(b.to_flavor()), b);
-        }
-    }
-
-    #[test]
-    fn unknown_flavor_degrades_to_silent() {
-        assert_eq!(Behavior::from_flavor(99), Behavior::Silent);
-    }
 
     #[test]
     fn classification() {

@@ -6,7 +6,7 @@
 //! safety (`f ≥ Σ f^i_t` violated ⇒ possible fork) and liveness.
 
 use fi_config::{Assignment, Vulnerability};
-use fi_simnet::{Context, FaultEvent, NetworkConfig, Node, NodeId, Simulation, TimerToken};
+use fi_simnet::{Context, NetworkConfig, Node, NodeId, Simulation, TimerToken};
 use fi_types::{SimTime, VotingPower};
 
 use crate::byzantine::Behavior;
@@ -27,6 +27,7 @@ pub enum BftNode {
 
 impl Node for BftNode {
     type Message = BftMessage;
+    type Fault = Behavior;
 
     fn on_start(&mut self, ctx: &mut Context<'_, BftMessage>) {
         match self {
@@ -49,14 +50,18 @@ impl Node for BftNode {
         }
     }
 
-    fn on_fault(&mut self, fault: FaultEvent, _ctx: &mut Context<'_, BftMessage>) {
+    fn on_fault(&mut self, behavior: Behavior, _ctx: &mut Context<'_, BftMessage>) {
         if let BftNode::Replica(r) = self {
-            r.on_fault(fault);
+            r.on_fault(behavior);
         }
     }
 }
 
-/// A scheduled compromise: at `at`, replica `replica` adopts `behavior`.
+/// A scheduled behaviour change: from `at` on, replica `replica` behaves as
+/// `behavior`. A compromise adopts a Byzantine behaviour (or
+/// [`Behavior::Crashed`]); a recovery — proactive recovery or a patch
+/// rollout, §III-A's mitigation (refs \[23\]–\[27\]) — is
+/// [`Behavior::Honest`]. Faults at one instant apply in list order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledFault {
     /// Injection time.
@@ -207,42 +212,18 @@ pub struct ClusterReport {
     pub sim_time: SimTime,
 }
 
-/// Builds and runs a fault-free cluster.
-#[must_use]
-pub fn run_cluster(config: &ClusterConfig, seed: u64) -> ClusterReport {
-    run_cluster_with_faults(config, seed, &[])
-}
-
-/// Builds and runs a cluster with scheduled compromises.
-#[must_use]
-pub fn run_cluster_with_faults(
-    config: &ClusterConfig,
-    seed: u64,
-    faults: &[ScheduledFault],
-) -> ClusterReport {
-    run_cluster_with_schedule(config, seed, faults, &[])
-}
-
-/// Builds and runs a cluster with scheduled compromises *and* scheduled
-/// recoveries: each `(at, replica)` pair in `recoveries` restores the
-/// replica to honest behaviour at `at` — the proactive-recovery /
-/// patch-rollout mitigation of §III-A (refs \[23\]–\[27\]), expressed as a
-/// first-class schedule so scenario campaigns can model patch windows.
+/// Builds and runs a cluster under a fault schedule (`&[]` for a
+/// fault-free run): compromises and recoveries alike.
 ///
 /// # Panics
 ///
-/// Panics if a fault or recovery targets a replica index `>= n`.
+/// Panics if a fault targets a replica index `>= n`.
 #[must_use]
-pub fn run_cluster_with_schedule(
-    config: &ClusterConfig,
-    seed: u64,
-    faults: &[ScheduledFault],
-    recoveries: &[(SimTime, usize)],
-) -> ClusterReport {
-    audit(&simulate(config, seed, faults, recoveries), config).0
+pub fn run_cluster(config: &ClusterConfig, seed: u64, faults: &[ScheduledFault]) -> ClusterReport {
+    audit(&simulate(config, seed, faults), config).0
 }
 
-/// [`run_cluster_with_faults`]'s run, with each replica's committed log
+/// [`run_cluster`]'s run, with each replica's committed log
 /// ([`Replica::executed`]) beside its report, in replica order.
 // lint: allow(unused-pub) test seam: determinism_goldens pins each replica's committed log, which no report field carries
 #[must_use]
@@ -251,20 +232,15 @@ pub fn run_cluster_with_logs(
     seed: u64,
     faults: &[ScheduledFault],
 ) -> (ClusterReport, Vec<Vec<(u64, Operation)>>) {
-    let sim = simulate(config, seed, faults, &[]);
+    let sim = simulate(config, seed, faults);
     let (report, replicas) = audit(&sim, config);
     let logs = replicas.iter().map(|r| r.executed().to_vec()).collect();
     (report, logs)
 }
 
-/// Builds the cluster, schedules its faults and recoveries, and runs it
-/// until every client is done or `max_time` passes.
-fn simulate(
-    config: &ClusterConfig,
-    seed: u64,
-    faults: &[ScheduledFault],
-    recoveries: &[(SimTime, usize)],
-) -> Simulation<BftNode> {
+/// Builds the cluster, schedules its faults, and runs it until every
+/// client is done or `max_time` passes.
+fn simulate(config: &ClusterConfig, seed: u64, faults: &[ScheduledFault]) -> Simulation<BftNode> {
     let n = config.n();
     let mut sim: Simulation<BftNode> = Simulation::new(config.network.clone(), seed);
     for i in 0..n {
@@ -291,20 +267,7 @@ fn simulate(
             "fault targets replica {} but n = {n}",
             fault.replica,
         );
-        sim.schedule_fault(
-            fault.at,
-            NodeId::new(fault.replica),
-            FaultEvent::Compromise {
-                flavor: fault.behavior.to_flavor(),
-            },
-        );
-    }
-    for &(at, replica) in recoveries {
-        assert!(
-            replica < n,
-            "recovery targets replica {replica} but n = {n}"
-        );
-        sim.schedule_fault(at, NodeId::new(replica), FaultEvent::Recover);
+        sim.schedule_fault(fault.at, NodeId::new(fault.replica), fault.behavior);
     }
 
     // Run in slices so we can stop as soon as the workload completes.
@@ -404,7 +367,7 @@ mod tests {
 
     #[test]
     fn fault_free_cluster_is_safe_and_live() {
-        let report = run_cluster(&ClusterConfig::new(4).requests(10), 1);
+        let report = run_cluster(&ClusterConfig::new(4).requests(10), 1, &[]);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
         assert_eq!(report.max_view, 0, "no view change expected");
@@ -417,7 +380,7 @@ mod tests {
             clients: 2,
             ..ClusterConfig::new(7).requests(6)
         };
-        let report = run_cluster(&config, 2);
+        let report = run_cluster(&config, 2, &[]);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
     }
@@ -425,8 +388,8 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let config = ClusterConfig::new(4).requests(5);
-        let a = run_cluster(&config, 7);
-        let b = run_cluster(&config, 7);
+        let a = run_cluster(&config, 7, &[]);
+        let b = run_cluster(&config, 7, &[]);
         assert_eq!(a, b);
     }
 
@@ -438,7 +401,7 @@ mod tests {
             replica: 3,
             behavior: Behavior::Crashed,
         }];
-        let report = run_cluster_with_faults(&config, 3, &faults);
+        let report = run_cluster(&config, 3, &faults);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
     }
@@ -455,7 +418,7 @@ mod tests {
             replica: 0, // primary of view 0
             behavior: Behavior::Crashed,
         }];
-        let report = run_cluster_with_faults(&config, 4, &faults);
+        let report = run_cluster(&config, 4, &faults);
         assert!(report.safety.holds());
         assert!(report.max_view >= 1, "expected a view change: {report:?}");
         assert!(
@@ -472,7 +435,7 @@ mod tests {
             replica: 1,
             behavior: Behavior::Equivocate,
         }];
-        let report = run_cluster_with_faults(&config, 5, &faults);
+        let report = run_cluster(&config, 5, &faults);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
     }
@@ -487,7 +450,7 @@ mod tests {
             replica: 0,
             behavior: Behavior::Equivocate,
         }];
-        let report = run_cluster_with_faults(&config, 6, &faults);
+        let report = run_cluster(&config, 6, &faults);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
     }
@@ -502,7 +465,7 @@ mod tests {
                 behavior: Behavior::WithholdCommit,
             })
             .collect();
-        let report = run_cluster_with_faults(&config, 7, &faults);
+        let report = run_cluster(&config, 7, &faults);
         assert!(report.safety.holds());
         assert!(report.liveness.all_executed(), "liveness: {report:?}");
     }
@@ -519,7 +482,7 @@ mod tests {
                 behavior: Behavior::Silent,
             })
             .collect();
-        let report = run_cluster_with_faults(&config, 8, &faults);
+        let report = run_cluster(&config, 8, &faults);
         // 2 > f = 1 silent replicas: no quorum, nothing commits after the
         // faults land — but nothing forks either.
         assert!(report.safety.holds());
@@ -568,7 +531,7 @@ mod tests {
                 behavior: Behavior::Equivocate,
             },
         ];
-        let report = run_cluster_with_faults(&config, 11, &faults);
+        let report = run_cluster(&config, 11, &faults);
         assert!(
             !report.safety.holds(),
             "expected a fork with 2 > f = 1 colluding equivocators: {report:?}"
@@ -605,14 +568,8 @@ mod tests {
             SimTime::from_millis(300),
         )));
         for r in [1usize, 2] {
-            sim.schedule_fault(
-                SimTime::from_millis(1),
-                NodeId::new(r),
-                FaultEvent::Compromise {
-                    flavor: Behavior::Silent.to_flavor(),
-                },
-            );
-            sim.schedule_fault(SimTime::from_secs(2), NodeId::new(r), FaultEvent::Recover);
+            sim.schedule_fault(SimTime::from_millis(1), NodeId::new(r), Behavior::Silent);
+            sim.schedule_fault(SimTime::from_secs(2), NodeId::new(r), Behavior::Honest);
         }
         sim.run_until(SimTime::from_secs(30));
         let client = match sim.node(NodeId::new(4)) {
@@ -637,27 +594,43 @@ mod tests {
         assert!(SafetyReport::audit(&replicas, &honest).holds());
     }
 
+    /// Replicas 1 and 2 of 4 each get `first` then `then` at t = 1 ms.
+    fn same_instant(first: Behavior, then: Behavior) -> Vec<ScheduledFault> {
+        let at = SimTime::from_millis(1);
+        [1usize, 2]
+            .iter()
+            .flat_map(|&replica| {
+                [first, then].map(|behavior| ScheduledFault {
+                    at,
+                    replica,
+                    behavior,
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn scheduled_recovery_restores_liveness_via_harness() {
         // Same shape as proactive_recovery_restores_liveness, but through
-        // the first-class schedule API: 2 > f = 1 replicas go silent at
+        // the harness's one schedule: 2 > f = 1 replicas go silent at
         // t=1ms, recover at t=2s, and the workload still completes.
         let config = ClusterConfig::new(4)
             .requests(6)
             .max_time(SimTime::from_secs(30));
-        let faults: Vec<ScheduledFault> = [1usize, 2]
-            .iter()
-            .map(|&r| ScheduledFault {
-                at: SimTime::from_millis(1),
-                replica: r,
-                behavior: Behavior::Silent,
+        let faults: Vec<ScheduledFault> = [
+            (SimTime::from_millis(1), Behavior::Silent),
+            (SimTime::from_secs(2), Behavior::Honest),
+        ]
+        .iter()
+        .flat_map(|&(at, behavior)| {
+            [1usize, 2].map(|replica| ScheduledFault {
+                at,
+                replica,
+                behavior,
             })
-            .collect();
-        let recoveries = [
-            (SimTime::from_secs(2), 1usize),
-            (SimTime::from_secs(2), 2usize),
-        ];
-        let report = run_cluster_with_schedule(&config, 13, &faults, &recoveries);
+        })
+        .collect();
+        let report = run_cluster(&config, 13, &faults);
         assert!(report.safety.holds());
         assert!(
             report.liveness.all_executed(),
@@ -666,10 +639,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "recovery targets replica")]
-    fn recovery_out_of_range_panics() {
-        let config = ClusterConfig::new(4);
-        let _ = run_cluster_with_schedule(&config, 0, &[], &[(SimTime::ZERO, 9)]);
+    fn faults_at_one_instant_apply_in_list_order() {
+        // 2 > f = 1 replicas each get Silent and Honest at one instant:
+        // whichever is listed last is what they do from then on.
+        let config = ClusterConfig::new(4)
+            .requests(4)
+            .max_time(SimTime::from_secs(5));
+        let recovered = run_cluster(
+            &config,
+            8,
+            &same_instant(Behavior::Silent, Behavior::Honest),
+        );
+        assert!(recovered.safety.holds());
+        assert!(
+            recovered.liveness.all_executed(),
+            "Honest listed last: {recovered:?}"
+        );
+        let silenced = run_cluster(
+            &config,
+            8,
+            &same_instant(Behavior::Honest, Behavior::Silent),
+        );
+        assert!(silenced.safety.holds());
+        assert_eq!(
+            silenced.liveness.executed_requests, 0,
+            "Silent listed last: {silenced:?}"
+        );
     }
 
     #[test]
@@ -681,7 +676,7 @@ mod tests {
             replica: 9,
             behavior: Behavior::Crashed,
         }];
-        let _ = run_cluster_with_faults(&config, 0, &faults);
+        let _ = run_cluster(&config, 0, &faults);
     }
 
     #[test]

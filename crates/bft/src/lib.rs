@@ -32,16 +32,18 @@
 //!   broadcasts `NewView` re-issuing pre-prepares for every certified
 //!   sequence.
 //! * Byzantine behaviours ([`byzantine::Behavior`]): crash, going silent,
-//!   primary/backup equivocation, and commit-withholding. A compromise
-//!   arrives as a simulator fault event at an exact instant — the paper's
-//!   "one vulnerability flips every replica running the component".
+//!   primary/backup equivocation, and commit-withholding. A
+//!   [`ScheduledFault`] sets a replica's behaviour at an exact instant —
+//!   the paper's "one vulnerability flips every replica running the
+//!   component" — and a recovery is a scheduled [`Behavior::Honest`]. One
+//!   runner, [`run_cluster`], takes the whole schedule.
 //!
 //! ## Example
 //!
 //! ```
 //! use fi_bft::harness::{ClusterConfig, run_cluster};
 //!
-//! let report = run_cluster(&ClusterConfig::new(4).requests(5), 42);
+//! let report = run_cluster(&ClusterConfig::new(4).requests(5), 42, &[]);
 //! assert!(report.safety.holds());
 //! assert_eq!(report.liveness.executed_requests, 5);
 //! ```
@@ -59,8 +61,7 @@ pub mod weighted;
 
 pub use byzantine::Behavior;
 pub use harness::{
-    faults_from_vulnerability, run_cluster, run_cluster_with_faults, run_cluster_with_schedule,
-    ClusterConfig, ClusterReport, ScheduledFault,
+    faults_from_vulnerability, run_cluster, ClusterConfig, ClusterReport, ScheduledFault,
 };
 pub use message::BftMessage;
 pub use replica::Replica;

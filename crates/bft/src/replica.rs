@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use fi_simnet::{Context, FaultEvent, NodeId, TimerToken};
+use fi_simnet::{Context, NodeId, TimerToken};
 use fi_types::hash::hash_fields;
 use fi_types::{Digest, SimTime, VotingPower};
 
@@ -779,15 +779,10 @@ impl Replica {
         ctx.set_timer(self.tick_interval, TICK);
     }
 
-    /// Fault-injection hook.
-    pub fn on_fault(&mut self, fault: FaultEvent) {
-        match fault {
-            FaultEvent::Crash => self.behavior = Behavior::Crashed,
-            FaultEvent::Compromise { flavor } => {
-                self.behavior = Behavior::from_flavor(flavor);
-            }
-            FaultEvent::Recover => self.behavior = Behavior::Honest,
-        }
+    /// Fault-injection hook: from now on the replica behaves as
+    /// `behavior` ([`Behavior::Honest`] is a recovery).
+    pub fn on_fault(&mut self, behavior: Behavior) {
+        self.behavior = behavior;
     }
 }
 
@@ -821,13 +816,11 @@ mod tests {
     #[test]
     fn fault_hooks_flip_behavior() {
         let mut r = unit_replica(0);
-        r.on_fault(FaultEvent::Compromise {
-            flavor: Behavior::Equivocate.to_flavor(),
-        });
+        r.on_fault(Behavior::Equivocate);
         assert_eq!(r.behavior(), Behavior::Equivocate);
-        r.on_fault(FaultEvent::Crash);
+        r.on_fault(Behavior::Crashed);
         assert_eq!(r.behavior(), Behavior::Crashed);
-        r.on_fault(FaultEvent::Recover);
+        r.on_fault(Behavior::Honest);
         assert_eq!(r.behavior(), Behavior::Honest);
     }
 

@@ -2,7 +2,7 @@
 //! placement within the certified bound, network jitter, and seed, the
 //! protocol must stay safe — and live whenever faults are within `f`.
 
-use fi_bft::harness::{run_cluster_with_faults, ClusterConfig, ScheduledFault};
+use fi_bft::harness::{run_cluster, ClusterConfig, ScheduledFault};
 use fi_bft::{Behavior, WeightedQuorum};
 use fi_simnet::{LatencyModel, NetworkConfig};
 use fi_types::{SimTime, VotingPower};
@@ -46,7 +46,7 @@ proptest! {
                 behavior,
             })
             .collect();
-        let report = run_cluster_with_faults(&config, seed, &faults);
+        let report = run_cluster(&config, seed, &faults);
         prop_assert!(report.safety.holds(), "{report:?}");
         prop_assert!(
             report.liveness.all_executed(),
@@ -75,7 +75,7 @@ proptest! {
             replica: 3,
             behavior: Behavior::Crashed,
         }];
-        let report = run_cluster_with_faults(&config, seed, &faults);
+        let report = run_cluster(&config, seed, &faults);
         prop_assert!(report.safety.holds(), "{report:?}");
     }
 
@@ -83,8 +83,8 @@ proptest! {
     #[test]
     fn determinism(n in cluster_sizes(), seed in 0u64..100) {
         let config = ClusterConfig::new(n).requests(3).max_time(SimTime::from_secs(15));
-        let a = run_cluster_with_faults(&config, seed, &[]);
-        let b = run_cluster_with_faults(&config, seed, &[]);
+        let a = run_cluster(&config, seed, &[]);
+        let b = run_cluster(&config, seed, &[]);
         prop_assert_eq!(a, b);
     }
 }

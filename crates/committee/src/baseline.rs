@@ -1,7 +1,4 @@
-//! Baseline selection policies: top-stake and stake-weighted sortition.
-
-use rand::rngs::StdRng;
-use rand::Rng;
+//! The baseline selection policy: top stake.
 
 use crate::candidate::{Candidate, Committee};
 
@@ -20,44 +17,10 @@ pub fn top_stake(candidates: &[Candidate], k: usize) -> Committee {
     Committee::new(sorted)
 }
 
-/// Stake-weighted sortition without replacement: repeatedly samples a
-/// candidate with probability proportional to remaining stake. The
-/// classic "fair" permissionless lottery; diversity only as good as the
-/// stake distribution.
-#[must_use]
-pub fn random_weighted(candidates: &[Candidate], k: usize, rng: &mut StdRng) -> Committee {
-    let mut pool: Vec<Candidate> = candidates
-        .iter()
-        .copied()
-        .filter(|c| !c.power().is_zero())
-        .collect();
-    let mut members = Vec::with_capacity(k.min(pool.len()));
-    // Maintained incrementally: each draw removes exactly one candidate's
-    // stake from the lottery, so re-summing the pool per round is wasted.
-    let mut total: u64 = pool.iter().map(|c| c.power().as_units()).sum();
-    while members.len() < k && !pool.is_empty() {
-        let mut target = rng.gen_range(0..total);
-        let mut chosen = pool.len() - 1;
-        for (i, c) in pool.iter().enumerate() {
-            let units = c.power().as_units();
-            if target < units {
-                chosen = i;
-                break;
-            }
-            target -= units;
-        }
-        let member = pool.swap_remove(chosen);
-        total -= member.power().as_units();
-        members.push(member);
-    }
-    Committee::new(members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fi_types::{ReplicaId, VotingPower};
-    use rand::SeedableRng;
 
     fn skewed(n: u64) -> Vec<Candidate> {
         (0..n)
@@ -86,64 +49,5 @@ mod tests {
     fn top_stake_with_k_exceeding_pool() {
         let committee = top_stake(&skewed(3), 10);
         assert_eq!(committee.len(), 3);
-    }
-
-    #[test]
-    fn random_weighted_is_deterministic_per_seed() {
-        let candidates = skewed(20);
-        let mut a = StdRng::seed_from_u64(1);
-        let mut b = StdRng::seed_from_u64(1);
-        assert_eq!(
-            random_weighted(&candidates, 5, &mut a),
-            random_weighted(&candidates, 5, &mut b)
-        );
-    }
-
-    #[test]
-    fn random_weighted_no_duplicates() {
-        let candidates = skewed(20);
-        let mut rng = StdRng::seed_from_u64(2);
-        let committee = random_weighted(&candidates, 10, &mut rng);
-        let mut ids: Vec<_> = committee.members().iter().map(|c| c.replica()).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), 10);
-    }
-
-    #[test]
-    fn random_weighted_favors_stake() {
-        // The whale (candidate 0) should be selected in nearly every draw.
-        let candidates = skewed(10);
-        let mut hits = 0;
-        for seed in 0..200 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let committee = random_weighted(&candidates, 3, &mut rng);
-            if committee
-                .members()
-                .iter()
-                .any(|c| c.replica() == ReplicaId::new(0))
-            {
-                hits += 1;
-            }
-        }
-        assert!(hits > 190, "whale selected only {hits}/200 times");
-    }
-
-    #[test]
-    fn random_weighted_skips_zero_power() {
-        let mut candidates = skewed(5);
-        candidates.push(Candidate::new(
-            ReplicaId::new(99),
-            VotingPower::ZERO,
-            0,
-            true,
-        ));
-        let mut rng = StdRng::seed_from_u64(3);
-        let committee = random_weighted(&candidates, 6, &mut rng);
-        assert!(committee
-            .members()
-            .iter()
-            .all(|c| c.replica() != ReplicaId::new(99)));
-        assert_eq!(committee.len(), 5);
     }
 }

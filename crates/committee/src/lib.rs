@@ -12,15 +12,16 @@
 //!
 //! * [`baseline::top_stake`] — highest stake wins (what delegation
 //!   concentrates toward; the paper's oligopoly);
-//! * [`baseline::random_weighted`] — classic stake-weighted sortition;
 //! * [`greedy::greedy_diverse`] — pick members to maximise committee
 //!   entropy at every step;
 //! * [`PrunedRoster::select_tolerant`] — the greedy committee, repaired
 //!   until its heaviest attested configuration plus all its unattested
 //!   power, which may claim any configuration, is within the quorum rule's
 //!   `f` of its power ([`Committee::tolerates_one_config`]);
-//! * [`twotier::two_tier_weighted`] — the paper's §V sketch: attested
-//!   candidates weigh more than unattested ones in the sortition.
+//! * [`twotier::two_tier_weighted`] — stake-weighted sortition; at
+//!   `TwoTierWeights::flat()` the classic permissionless lottery, and
+//!   otherwise the paper's §V sketch: attested candidates weigh more than
+//!   unattested ones.
 //!
 //! Both greedy policies run on one engine, [`pruned`]: it indexes
 //! candidates per configuration bucket and brackets each bucket's
@@ -67,7 +68,7 @@ pub mod pruned;
 pub mod radix;
 pub mod twotier;
 
-pub use baseline::{random_weighted, top_stake};
+pub use baseline::top_stake;
 pub use candidate::{Candidate, Committee};
 pub use greedy::greedy_diverse;
 pub use pruned::{PatchError, PrunedRoster};
@@ -89,7 +90,7 @@ pub struct WarmReport {
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::baseline::{random_weighted, top_stake};
+    pub use crate::baseline::top_stake;
     pub use crate::candidate::{Candidate, Committee};
     pub use crate::greedy::greedy_diverse;
     pub use crate::pruned::{PatchError, PrunedRoster};

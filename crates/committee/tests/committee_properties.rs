@@ -168,7 +168,11 @@ proptest! {
             check_structure(&tolerant, &pool, k)?;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        check_structure(&random_weighted(&pool, k, &mut rng), &pool, k)?;
+        check_structure(
+            &two_tier_weighted(&pool, k, TwoTierWeights::flat(), &mut rng),
+            &pool,
+            k,
+        )?;
         let mut rng = StdRng::seed_from_u64(seed);
         check_structure(
             &two_tier_weighted(&pool, k, TwoTierWeights::new(1.0, 0.4), &mut rng),
@@ -231,7 +235,7 @@ proptest! {
             prop_assert!(stake.total_power() >= greedy.total_power());
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let sortition = random_weighted(&pool, k, &mut rng);
+        let sortition = two_tier_weighted(&pool, k, TwoTierWeights::flat(), &mut rng);
         if sortition.len() == stake.len() {
             prop_assert!(stake.total_power() >= sortition.total_power());
         }

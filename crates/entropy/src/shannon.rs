@@ -2,33 +2,11 @@
 //!
 //! `H(p) = −Σ_{i∈[k]} p_i log p_i = Σ p_i log (1/p_i)`, with the paper's
 //! convention `log(1/0) := 0` (zero-probability configurations contribute
-//! nothing). All public functions default to base-2 logarithms (bits), which
+//! nothing). Every function here works in base-2 logarithms (bits), which
 //! is what makes the paper's "8 uniform replicas ⇒ entropy 3" comparison
-//! line up; [`shannon_entropy`] takes any other [`LogBase`].
+//! line up.
 
 use crate::dist::Distribution;
-
-/// The logarithm base used for an entropy computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LogBase {
-    /// Base 2 — entropy in bits (shannons). The paper's Figure 1 unit.
-    #[default]
-    Two,
-    /// Base e — entropy in nats.
-    E,
-    /// Base 10 — entropy in hartleys.
-    Ten,
-}
-
-impl LogBase {
-    fn log(self, x: f64) -> f64 {
-        match self {
-            LogBase::Two => x.log2(),
-            LogBase::E => x.ln(),
-            LogBase::Ten => x.log10(),
-        }
-    }
-}
 
 /// Pins a computed entropy's degenerate cases to exactly `+0.0`.
 ///
@@ -49,19 +27,7 @@ pub fn normalized_entropy(h: f64) -> f64 {
     }
 }
 
-/// Shannon entropy of `p` in the given base, using `log(1/0) := 0`.
-#[must_use]
-pub fn shannon_entropy(p: &Distribution, base: LogBase) -> f64 {
-    let h: f64 = p
-        .probabilities()
-        .iter()
-        .filter(|&&pi| pi > 0.0)
-        .map(|&pi| -pi * base.log(pi))
-        .sum();
-    normalized_entropy(h)
-}
-
-/// Shannon entropy in bits.
+/// Shannon entropy of `p` in bits, using `log(1/0) := 0`.
 ///
 /// # Example
 ///
@@ -73,7 +39,13 @@ pub fn shannon_entropy(p: &Distribution, base: LogBase) -> f64 {
 /// ```
 #[must_use]
 pub fn shannon_entropy_bits(p: &Distribution) -> f64 {
-    shannon_entropy(p, LogBase::Two)
+    let h: f64 = p
+        .probabilities()
+        .iter()
+        .filter(|&&pi| pi > 0.0)
+        .map(|&pi| -pi * pi.log2())
+        .sum();
+    normalized_entropy(h)
 }
 
 /// The maximum achievable entropy (bits) for a space of `k` configurations:
@@ -220,16 +192,6 @@ mod tests {
         let h = shannon_entropy_bits(&p);
         assert!(h > 0.0);
         assert!(h <= max_entropy_bits(p.support_size()) + 1e-12);
-    }
-
-    #[test]
-    fn bases_are_consistent() {
-        let p = Distribution::from_weights(&[3.0, 1.0]).unwrap();
-        let bits = shannon_entropy(&p, LogBase::Two);
-        let nats = shannon_entropy(&p, LogBase::E);
-        let harts = shannon_entropy(&p, LogBase::Ten);
-        assert!(close(nats, bits * std::f64::consts::LN_2));
-        assert!(close(harts, bits * 2f64.log10()));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use fi_types::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::event::{EventKind, FaultEvent, Scheduled};
+use crate::event::{EventKind, Scheduled};
 use crate::network::NetworkConfig;
 use crate::node::{Action, Context, Node, NodeId};
 use crate::trace::TraceStats;
@@ -19,7 +19,7 @@ use crate::trace::TraceStats;
 /// seed, nodes, and schedule produce identical traces.
 pub struct Simulation<N: Node> {
     nodes: Vec<N>,
-    queue: BinaryHeap<Scheduled<N::Message>>,
+    queue: BinaryHeap<Scheduled<N::Message, N::Fault>>,
     config: NetworkConfig,
     rng: StdRng,
     now: SimTime,
@@ -92,17 +92,19 @@ where
         &self.stats
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<N::Message>) {
+    fn push(&mut self, at: SimTime, kind: EventKind<N::Message, N::Fault>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled { at, seq, kind });
     }
 
-    /// Schedules a fault to be injected into `node` at absolute time `at`.
-    /// This is how correlated compromise is expressed: the fault-injection
-    /// harness schedules one `Compromise` per replica sharing the
-    /// vulnerable component, all at the same instant.
-    pub fn schedule_fault(&mut self, at: SimTime, node: NodeId, fault: FaultEvent) {
+    /// Schedules `fault` to be handed to `node`'s
+    /// [`on_fault`](Node::on_fault) at absolute time `at`; faults at one
+    /// instant arrive in the order they were scheduled. This is how
+    /// correlated compromise is expressed: the fault-injection harness
+    /// schedules one fault per replica sharing the vulnerable component,
+    /// all at the same instant.
+    pub fn schedule_fault(&mut self, at: SimTime, node: NodeId, fault: N::Fault) {
         self.push(at, EventKind::Fault { node, fault });
     }
 
@@ -137,7 +139,7 @@ where
 
     /// Counts a delivery or a timer in the stats and hands `kind` to the
     /// node it is for.
-    fn dispatch(&mut self, kind: EventKind<N::Message>) {
+    fn dispatch(&mut self, kind: EventKind<N::Message, N::Fault>) {
         let (EventKind::Deliver { to: id, .. }
         | EventKind::Timer { node: id, .. }
         | EventKind::Fault { node: id, .. }) = kind;
@@ -276,6 +278,8 @@ mod tests {
 
     impl Node for PingPong {
         type Message = Msg;
+        /// Any fault crashes the node.
+        type Fault = ();
 
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             if ctx.id() == NodeId::new(0) {
@@ -300,10 +304,8 @@ mod tests {
             ctx.broadcast(Msg::Ping);
         }
 
-        fn on_fault(&mut self, fault: FaultEvent, _ctx: &mut Context<'_, Msg>) {
-            if fault == FaultEvent::Crash {
-                self.crashed = true;
-            }
+        fn on_fault(&mut self, _fault: (), _ctx: &mut Context<'_, Msg>) {
+            self.crashed = true;
         }
     }
 
@@ -389,7 +391,7 @@ mod tests {
     #[test]
     fn fault_injection_crashes_node() {
         let mut sim = build(3, NetworkConfig::default(), 5);
-        sim.schedule_fault(SimTime::from_micros(1), NodeId::new(1), FaultEvent::Crash);
+        sim.schedule_fault(SimTime::from_micros(1), NodeId::new(1), ());
         sim.run_until(SimTime::from_secs(1));
         // Node 1 crashed before the ping arrived (ping latency 1ms > 1us).
         assert!(sim.node(NodeId::new(1)).crashed);
@@ -412,6 +414,7 @@ mod tests {
         }
         impl Node for TimerNode {
             type Message = ();
+            type Fault = ();
             fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
                 ctx.set_timer(SimTime::from_millis(10), TimerToken::new(1));
             }
@@ -445,6 +448,7 @@ mod tests {
         struct Forever;
         impl Node for Forever {
             type Message = u8;
+            type Fault = ();
             fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
                 if ctx.id() == NodeId::new(0) {
                     ctx.send(NodeId::new(1), 0);

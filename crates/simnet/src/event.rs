@@ -1,5 +1,6 @@
 //! Queue entries: messages, timers, and injected faults, ordered by
-//! `(time, sequence)` for full determinism.
+//! `(time, sequence)` for full determinism. A fault is the node's own
+//! [`Node::Fault`](crate::Node::Fault) value; the queue only orders it.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -32,27 +33,9 @@ impl fmt::Display for TimerToken {
     }
 }
 
-/// A fault injected into a node — the simulator-level expression of the
-/// paper's threat model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultEvent {
-    /// The node stops participating (crash fault; Remark 1's hybrid model).
-    Crash,
-    /// The node is compromised and behaves arbitrarily from now on. The
-    /// `flavor` selects a Byzantine behaviour in the protocol layer; the
-    /// simulator itself attaches no meaning to it.
-    Compromise {
-        /// Protocol-defined behaviour selector.
-        flavor: u8,
-    },
-    /// A previously compromised/crashed node is recovered (proactive
-    /// recovery, §III-A's proactive-security pointer).
-    Recover,
-}
-
 /// What is scheduled to happen.
 #[derive(Debug, Clone)]
-pub(crate) enum EventKind<M> {
+pub(crate) enum EventKind<M, F> {
     Deliver {
         from: NodeId,
         to: NodeId,
@@ -64,33 +47,33 @@ pub(crate) enum EventKind<M> {
     },
     Fault {
         node: NodeId,
-        fault: FaultEvent,
+        fault: F,
     },
 }
 
 /// A queue entry: an event at a time, with a monotone sequence number as a
 /// deterministic tiebreaker.
-pub(crate) struct Scheduled<M> {
+pub(crate) struct Scheduled<M, F> {
     pub at: SimTime,
     pub seq: u64,
-    pub kind: EventKind<M>,
+    pub kind: EventKind<M, F>,
 }
 
-impl<M> PartialEq for Scheduled<M> {
+impl<M, F> PartialEq for Scheduled<M, F> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
 
-impl<M> Eq for Scheduled<M> {}
+impl<M, F> Eq for Scheduled<M, F> {}
 
-impl<M> PartialOrd for Scheduled<M> {
+impl<M, F> PartialOrd for Scheduled<M, F> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for Scheduled<M> {
+impl<M, F> Ord for Scheduled<M, F> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse order so BinaryHeap pops the earliest event first.
         other
@@ -105,7 +88,7 @@ mod tests {
     use super::*;
     use std::collections::BinaryHeap;
 
-    fn sched(at_us: u64, seq: u64) -> Scheduled<u8> {
+    fn sched(at_us: u64, seq: u64) -> Scheduled<u8, ()> {
         Scheduled {
             at: SimTime::from_micros(at_us),
             seq,
@@ -134,15 +117,5 @@ mod tests {
         let t = TimerToken::new(42);
         assert_eq!(t.value(), 42);
         assert_eq!(t.to_string(), "timer#42");
-    }
-
-    #[test]
-    fn fault_event_variants_are_distinct() {
-        assert_ne!(FaultEvent::Crash, FaultEvent::Compromise { flavor: 0 });
-        assert_ne!(
-            FaultEvent::Compromise { flavor: 0 },
-            FaultEvent::Compromise { flavor: 1 }
-        );
-        assert_ne!(FaultEvent::Recover, FaultEvent::Crash);
     }
 }

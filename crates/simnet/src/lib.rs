@@ -15,11 +15,12 @@
 //!   messages, broadcasting, setting timers, reading the clock, drawing
 //!   randomness. The engine applies the [`NetworkConfig`] (latency model,
 //!   drop probability, partitions) to every send.
-//! * Faults are injected by scheduling [`FaultEvent`]s (crash /
-//!   Byzantine-compromise); the node's `on_fault` hook decides what the
-//!   compromise means for its protocol (in `fi-bft` it swaps in a Byzantine
-//!   behaviour — the paper's "one vulnerability flips all replicas sharing
-//!   the component").
+//! * Faults are injected by scheduling values of the node's own
+//!   [`Node::Fault`] type; the simulator attaches no meaning to them, and
+//!   the node's `on_fault` hook decides what one means for its protocol (in
+//!   `fi-bft` a fault is the replica's next behaviour, Byzantine or
+//!   honest — the paper's "one vulnerability flips all replicas sharing
+//!   the component", and a recovery).
 //!
 //! ## Example
 //!
@@ -30,6 +31,7 @@
 //! struct Echo { heard: usize }
 //! impl Node for Echo {
 //!     type Message = u32;
+//!     type Fault = ();
 //!     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
 //!         if ctx.id() == NodeId::new(0) {
 //!             ctx.broadcast(7);
@@ -63,7 +65,7 @@ pub mod population;
 pub mod trace;
 
 pub use engine::Simulation;
-pub use event::{FaultEvent, TimerToken};
+pub use event::TimerToken;
 pub use latency::LatencyModel;
 pub use network::NetworkConfig;
 pub use node::{Context, Node, NodeId};

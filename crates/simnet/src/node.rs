@@ -6,7 +6,7 @@ use fi_types::SimTime;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::event::{FaultEvent, TimerToken};
+use crate::event::TimerToken;
 
 /// Index of a node within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -116,6 +116,10 @@ pub trait Node {
     /// The message type this node exchanges.
     type Message;
 
+    /// What a scheduled fault hands this node: the simulator attaches no
+    /// meaning to it (`fi-bft` uses the replica's behaviour itself).
+    type Fault;
+
     /// Called once, at simulation start (time 0), in node-id order.
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
         let _ = ctx;
@@ -134,15 +138,17 @@ pub trait Node {
         let _ = (token, ctx);
     }
 
-    /// Called when a fault is injected into this node (crash, compromise,
-    /// recovery).
-    fn on_fault(&mut self, fault: FaultEvent, ctx: &mut Context<'_, Self::Message>) {
+    /// Called when a fault scheduled with
+    /// [`Simulation::schedule_fault`](crate::Simulation::schedule_fault)
+    /// reaches this node.
+    fn on_fault(&mut self, fault: Self::Fault, ctx: &mut Context<'_, Self::Message>) {
         let _ = (fault, ctx);
     }
 }
 
 impl<T: Node + ?Sized> Node for Box<T> {
     type Message = T::Message;
+    type Fault = T::Fault;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
         (**self).on_start(ctx);
@@ -161,7 +167,7 @@ impl<T: Node + ?Sized> Node for Box<T> {
         (**self).on_timer(token, ctx);
     }
 
-    fn on_fault(&mut self, fault: FaultEvent, ctx: &mut Context<'_, Self::Message>) {
+    fn on_fault(&mut self, fault: Self::Fault, ctx: &mut Context<'_, Self::Message>) {
         (**self).on_fault(fault, ctx);
     }
 }
@@ -237,6 +243,7 @@ mod tests {
         }
         impl Node for Probe {
             type Message = u8;
+            type Fault = ();
             fn on_message(&mut self, _f: NodeId, _m: u8, _c: &mut Context<'_, u8>) {
                 self.messages += 1;
             }
@@ -253,7 +260,7 @@ mod tests {
         Node::on_message(&mut boxed, NodeId::new(0), 1, &mut ctx);
         Node::on_start(&mut boxed, &mut ctx);
         Node::on_timer(&mut boxed, TimerToken::new(0), &mut ctx);
-        Node::on_fault(&mut boxed, FaultEvent::Crash, &mut ctx);
+        Node::on_fault(&mut boxed, (), &mut ctx);
         assert_eq!(boxed.messages, 1);
     }
 }

@@ -16,6 +16,7 @@ struct Gossip {
 
 impl Node for Gossip {
     type Message = u32; // remaining hops
+    type Fault = ();
 
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         if ctx.id() == NodeId::new(0) {

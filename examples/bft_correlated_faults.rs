@@ -3,9 +3,7 @@
 //!
 //! Run with: `cargo run --example bft_correlated_faults`
 
-use fault_independence::fi_bft::harness::{
-    faults_from_vulnerability, run_cluster_with_faults, ClusterConfig,
-};
+use fault_independence::fi_bft::harness::{faults_from_vulnerability, run_cluster, ClusterConfig};
 use fault_independence::fi_bft::Behavior;
 use fault_independence::prelude::*;
 
@@ -14,7 +12,7 @@ fn run_scenario(name: &str, assignment: &Assignment, vuln: &Vulnerability) {
     let config = ClusterConfig::new(assignment.replica_count())
         .requests(10)
         .max_time(SimTime::from_secs(20));
-    let report = run_cluster_with_faults(&config, 42, &faults);
+    let report = run_cluster(&config, 42, &faults);
     println!("\nscenario: {name}");
     println!(
         "  replicas compromised by the vulnerability: {}",

@@ -47,7 +47,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     describe(
         "stake sortition",
-        &random_weighted(&candidates, k, &mut rng),
+        &two_tier_weighted(&candidates, k, TwoTierWeights::flat(), &mut rng),
     );
 
     describe("greedy diverse", &greedy_diverse(&candidates, k));

@@ -3,8 +3,7 @@
 //! safety audit, across `fi-config`, `fi-simnet`, `fi-bft`, and the facade.
 
 use fault_independence::fi_bft::harness::{
-    faults_from_vulnerability, run_cluster_with_faults, ClusterConfig, ClusterReport,
-    ScheduledFault,
+    faults_from_vulnerability, run_cluster, ClusterConfig, ClusterReport, ScheduledFault,
 };
 use fault_independence::fi_bft::Behavior;
 use fault_independence::prelude::*;
@@ -35,7 +34,7 @@ fn analyzer_predicts_bft_outcome_diverse_vs_monoculture() {
 
     let faults = faults_from_vulnerability(&diverse, &vuln, Behavior::Equivocate);
     assert_eq!(faults.len(), 1);
-    let report = run_cluster_with_faults(
+    let report = run_cluster(
         &ClusterConfig::for_assignment(&diverse)
             .requests(8)
             .max_time(SimTime::from_secs(30)),
@@ -82,7 +81,7 @@ fn analyzer_predicts_bft_outcome_diverse_vs_monoculture() {
 
     let faults = faults_from_vulnerability(&shared_two, &vuln, Behavior::Equivocate);
     assert_eq!(faults.len(), 2);
-    let report = run_cluster_with_faults(
+    let report = run_cluster(
         &ClusterConfig::for_assignment(&shared_two)
             .requests(6)
             .max_time(SimTime::from_secs(30)),
@@ -110,7 +109,7 @@ fn vulnerability_window_gates_the_compromise() {
     .with_window(SimTime::from_secs(3_000), SimTime::from_secs(4_000));
     let faults = faults_from_vulnerability(&assignment, &late, Behavior::Equivocate);
     // Faults are scheduled at disclosure (t = 3000s), beyond max_time.
-    let report = run_cluster_with_faults(
+    let report = run_cluster(
         &ClusterConfig::for_assignment(&assignment)
             .requests(6)
             .max_time(SimTime::from_secs(10)),
@@ -130,7 +129,7 @@ fn crash_flavor_from_vulnerability_degrades_liveness_not_safety() {
     let vuln = zero_day(&catalog::operating_systems()[0]);
     let faults = faults_from_vulnerability(&assignment, &vuln, Behavior::Crashed);
     assert_eq!(faults.len(), 2);
-    let report = run_cluster_with_faults(
+    let report = run_cluster(
         &ClusterConfig::for_assignment(&assignment)
             .requests(6)
             .max_time(SimTime::from_secs(8)),
@@ -166,13 +165,13 @@ fn quorums_count_power_not_heads() {
     // The 3-unit replica crashed: the other four are a head-count quorum
     // of five, but hold 4 units, one short of 5. Nothing executes, and
     // nothing forks.
-    let report = run_cluster_with_faults(&config, 31, &[crash(1)]);
+    let report = run_cluster(&config, 31, &[crash(1)]);
     assert!(report.safety.holds(), "{report:?}");
     assert_eq!(report.liveness.executed_requests, 0, "{report:?}");
 
     // One 1-unit replica crashed: 6 units remain, and every request
     // executes.
-    let report = run_cluster_with_faults(&config, 32, &[crash(4)]);
+    let report = run_cluster(&config, 32, &[crash(4)]);
     assert!(report.safety.holds(), "{report:?}");
     assert!(report.liveness.all_executed(), "{report:?}");
 }
@@ -185,7 +184,7 @@ fn message_overhead_grows_quadratically_with_n() {
         let config = ClusterConfig::new(n)
             .requests(5)
             .max_time(SimTime::from_secs(20));
-        let report = run_cluster_with_faults(&config, 9, &[]);
+        let report = run_cluster(&config, 9, &[]);
         assert!(report.liveness.all_executed());
         report.messages_sent as f64 / 5.0
     };
@@ -218,7 +217,7 @@ fn zero_day_verdict(
     let config = ClusterConfig::for_assignment(assignment)
         .requests(4)
         .max_time(SimTime::from_secs(10));
-    let report = run_cluster_with_faults(&config, seed, &faults);
+    let report = run_cluster(&config, seed, &faults);
     (
         prediction.safety_condition_holds && report.safety.holds(),
         report,

@@ -78,7 +78,7 @@ fn two_tier_lottery_raises_attested_share_without_killing_entropy() {
     let (mut tiered_attested, mut tiered_entropy) = (0.0f64, 0.0f64);
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
-        let flat = random_weighted(&pool, k, &mut rng);
+        let flat = two_tier_weighted(&pool, k, TwoTierWeights::flat(), &mut rng);
         flat_attested += flat.attested_share();
         flat_entropy += flat.entropy_bits();
         let mut rng = StdRng::seed_from_u64(seed);

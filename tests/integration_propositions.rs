@@ -2,7 +2,7 @@
 //! (not just the entropy algebra) — abundance vs entropy vs BFT/Nakamoto
 //! outcomes.
 
-use fault_independence::fi_bft::harness::{run_cluster_with_faults, ClusterConfig, ScheduledFault};
+use fault_independence::fi_bft::harness::{run_cluster, ClusterConfig, ScheduledFault};
 use fault_independence::fi_bft::Behavior;
 use fault_independence::fi_entropy::propositions::{
     check_proposition1, check_proposition2, proposition3_tradeoff,
@@ -82,7 +82,7 @@ fn proposition3_operational_omega_absorbs_malicious_operator() {
         replica: 0,
         behavior: Behavior::Equivocate,
     }];
-    let report = run_cluster_with_faults(&config, 21, &one_operator);
+    let report = run_cluster(&config, 21, &one_operator);
     assert!(report.safety.holds());
     assert!(report.liveness.all_executed(), "{report:?}");
 
@@ -95,7 +95,7 @@ fn proposition3_operational_omega_absorbs_malicious_operator() {
             behavior: Behavior::Equivocate,
         })
         .collect();
-    let report = run_cluster_with_faults(&config, 22, &one_vuln_two_replicas);
+    let report = run_cluster(&config, 22, &one_vuln_two_replicas);
     assert!(report.safety.holds(), "{report:?}");
 
     // A nuance worth recording: with n = 8 our quorum is n − f = 6 (not the
@@ -111,7 +111,7 @@ fn proposition3_operational_omega_absorbs_malicious_operator() {
             behavior: Behavior::Equivocate,
         })
         .collect();
-    let report = run_cluster_with_faults(
+    let report = run_cluster(
         &ClusterConfig::new(8)
             .requests(6)
             .max_time(SimTime::from_secs(20)),
@@ -130,7 +130,7 @@ fn proposition3_operational_omega_absorbs_malicious_operator() {
             behavior: Behavior::Equivocate,
         })
         .collect();
-    let report = run_cluster_with_faults(
+    let report = run_cluster(
         &ClusterConfig::new(8)
             .requests(6)
             .max_time(SimTime::from_secs(20)),

@@ -33,7 +33,7 @@ fn bft_survives_a_healing_partition() {
         .requests(6)
         .network(network)
         .max_time(SimTime::from_secs(30));
-    let report = run_cluster(&config, 77);
+    let report = run_cluster(&config, 77, &[]);
     assert!(report.safety.holds(), "{report:?}");
     assert!(
         report.liveness.all_executed(),
@@ -54,7 +54,7 @@ fn minority_partition_does_not_stall_the_majority() {
         .requests(6)
         .network(network)
         .max_time(SimTime::from_secs(20));
-    let report = run_cluster(&config, 78);
+    let report = run_cluster(&config, 78, &[]);
     assert!(report.safety.holds());
     assert!(report.liveness.all_executed(), "{report:?}");
 }
