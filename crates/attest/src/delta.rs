@@ -5,16 +5,15 @@
 //! [`AttestedRegistry`](crate::AttestedRegistry) accumulates, alongside its
 //! incremental buckets, the *net* effect of every mutation since the delta
 //! was last drained — dirty measurement buckets with signed power and
-//! member-count deltas, every touched device's roster row before and after,
-//! the net change to the roster's row-digest aggregate,
-//! and the signed opaque-power delta. A sealer drains each shard's delta at
-//! the epoch cut
+//! member-count deltas, and every touched device's roster row before and
+//! after. A sealer drains each shard's delta at the epoch cut
 //! ([`AttestedRegistry::take_delta`](crate::AttestedRegistry::take_delta),
 //! a `mem::take` plus, if a row names a bucket handle, a copy of the
 //! shard's handle → measurement table — nothing is merged while the cut
-//! holds its locks) and, with the locks
-//! dropped, merges them once ([`CanonicalDelta::merge`]): bucket deltas
-//! summed per measurement and sorted, each shard's roster rows kept as
+//! holds its locks), which stamps it with the shard's unattested power and
+//! roster aggregate at the cut. With the locks dropped it merges them once
+//! ([`CanonicalDelta::merge`]): bucket deltas summed per measurement and
+//! sorted, the two shard sums added up, each shard's roster rows kept as
 //! drained. That form is what patches the previous canonical snapshot, row
 //! by row, instead of rebuilding it.
 //!
@@ -54,12 +53,14 @@
 //!   at the drain: a bucket cannot die while the device is in it. A
 //!   `before` row keeps its measurement, since its bucket may have died and
 //!   its handle been recycled since.
-//! * **Row digests travel with the delta.** The registry hashes each roster
-//!   row once, when it writes it
-//!   ([`device_row_digest`](crate::device_row_digest)), and records here the
-//!   sum of digests written minus digests overwritten or removed, modulo
-//!   2²⁵⁶. The sealer adds that one 256-bit value to the previous snapshot's
-//!   device aggregate; it never hashes a roster row itself.
+//! * **The roster aggregate travels with the delta.** The registry hashes
+//!   each roster row once, when it writes it
+//!   ([`device_row_digest`](crate::device_row_digest)), and keeps the sum of
+//!   its rows' digests modulo 2²⁵⁶; the drain stamps that sum here, beside
+//!   the shard's unattested power. The sealer adds the shards' sums up and
+//!   takes them as the patched snapshot's own — a modular or integer sum
+//!   over the same rows whatever the order — and never hashes a roster row
+//!   itself.
 
 use std::collections::hash_map::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -309,9 +310,10 @@ impl<'a, T: Copy, F: FnMut(&Digest) -> T> Iterator for Walk<'a, T, F> {
 }
 
 /// The net effect of all churn since the last epoch cut, in the form the
-/// registry writes it: dirty measurement buckets, touched devices with
-/// their roster row before and after, and the opaque (unattested-tier)
-/// power delta, keyed for one update per churn op and in no order.
+/// registry writes it: dirty measurement buckets and touched devices with
+/// their roster row before and after, keyed for one update per churn op
+/// and in no order. The drain adds the registry's unattested power and
+/// roster aggregate at the cut, which no op updates here.
 /// [`CanonicalDelta::merge`] turns one or more of these into the rows a
 /// sealer reads.
 ///
@@ -335,7 +337,8 @@ impl<'a, T: Copy, F: FnMut(&Digest) -> T> Iterator for Walk<'a, T, F> {
 ///     VotingPower::new(40),
 /// ));
 /// let delta = CanonicalDelta::merge(vec![reg.take_delta()]);
-/// assert_eq!(delta.opaque_delta(), 0);
+/// assert_eq!(delta.unattested_power(), Some(VotingPower::ZERO));
+/// assert_eq!(delta.roster_digest(), reg.roster_digest());
 /// let buckets = delta.buckets();
 /// assert_eq!(buckets.len(), 1);
 /// assert_eq!(buckets[0].1.power, 40);
@@ -352,11 +355,11 @@ pub struct ChurnDelta {
     /// `roster`: a registered device keeps its position in its registry
     /// entry, and a deregistered one has no entry.
     gone: UniformKeyMap<ReplicaId, u32>,
-    /// Signed change in total unattested-tier effective power.
-    opaque: i128,
-    /// Net change to the roster's row-digest aggregate: digests of rows
-    /// written minus digests of rows overwritten or removed, mod 2²⁵⁶.
-    rows: SetDigest,
+    /// The registry's unattested-tier effective power at the drain; zero
+    /// before it.
+    unattested: VotingPower,
+    /// The registry's roster aggregate at the drain; empty before it.
+    roster_digest: SetDigest,
 }
 
 impl ChurnDelta {
@@ -366,11 +369,6 @@ impl ChurnDelta {
         let entry = self.buckets.entry(measurement).or_default();
         entry.power += power;
         entry.members += members;
-    }
-
-    /// Records a change to the opaque (unattested-tier) power.
-    pub(crate) fn record_opaque(&mut self, power: i128) {
-        self.opaque += power;
     }
 
     /// Records one write to `replica`'s roster row — `power` under bucket
@@ -425,22 +423,17 @@ impl ChurnDelta {
         at
     }
 
-    /// Records one roster row leaving the registry (deregistered, or
-    /// about to be overwritten) by its write-time digest.
-    pub(crate) fn record_row_out(&mut self, row_digest: &Digest) {
-        self.rows.remove(row_digest);
-    }
-
-    /// Records one roster row entering the registry by its write-time
-    /// digest.
-    pub(crate) fn record_row_in(&mut self, row_digest: &Digest) {
-        self.rows.insert(row_digest);
-    }
-
-    /// Hands the drained delta the registry's measurement by bucket handle,
-    /// which its rows' handles name — if some row names one; otherwise the
-    /// table is not built.
-    pub(crate) fn resolve_with(&mut self, measurements: impl FnOnce() -> Vec<Digest>) {
+    /// Stamps the drained delta with the registry's unattested power and
+    /// roster aggregate at the drain, and hands it the registry's
+    /// measurement by bucket handle, which its rows' handles name — if some
+    /// row names one; otherwise the table is not built.
+    pub(crate) fn drained(
+        &mut self,
+        unattested: VotingPower,
+        roster_digest: SetDigest,
+        measurements: impl FnOnce() -> Vec<Digest>,
+    ) {
+        (self.unattested, self.roster_digest) = (unattested, roster_digest);
         if self.roster.names_handles {
             self.roster.measurements = measurements();
         }
@@ -452,12 +445,12 @@ impl ChurnDelta {
         self.roster.heap_bytes() + map_heap_bytes(&self.gone) + map_heap_bytes(&self.buckets)
     }
 
-    /// Whether no net change has been recorded. Buckets whose power and
-    /// member deltas both cancelled still count as touched here; they are
-    /// pruned by [`CanonicalDelta::merge`].
+    /// Whether no churn has been recorded. Buckets whose power and member
+    /// deltas both cancelled still count as touched here; they are pruned
+    /// by [`CanonicalDelta::merge`].
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty() && self.roster.rows.is_empty() && self.opaque == 0
+        self.buckets.is_empty() && self.roster.rows.is_empty()
     }
 
     /// Number of touched devices.
@@ -465,27 +458,12 @@ impl ChurnDelta {
     pub fn touched_devices(&self) -> usize {
         self.roster.rows.len()
     }
-
-    /// The signed opaque-power delta, in power units.
-    #[must_use]
-    pub fn opaque_delta(&self) -> i128 {
-        self.opaque
-    }
-
-    /// The net change to the roster's row-digest aggregate since the last
-    /// drain: `aggregate_now = aggregate_at_last_drain + this`, as
-    /// [`SetDigest::add`]. It is exactly the change the touched devices'
-    /// final states describe — a device whose row was rewritten to
-    /// identical content contributes zero.
-    #[must_use]
-    pub fn row_digest_change(&self) -> SetDigest {
-        self.rows
-    }
 }
 
 /// One or more [`ChurnDelta`]s as a sealer reads them: the rows a snapshot
-/// patch must visit. Built only by [`merge`](Self::merge), so the bucket
-/// ordering and uniqueness below hold for every value of this type.
+/// patch must visit, and the inputs' unattested power and roster aggregate
+/// summed. Built only by [`merge`](Self::merge), so the bucket ordering
+/// and uniqueness below hold for every value of this type.
 ///
 /// Two deltas are equal when they say the same: the same bucket rows, sums
 /// and touched rows in drain order, each `after` row by the measurement
@@ -497,21 +475,22 @@ pub struct CanonicalDelta {
     buckets: Vec<(Digest, BucketDelta)>,
     /// Each input's touched devices as drained, in drain order.
     inputs: Vec<DrainedRoster>,
-    /// Signed change in total unattested-tier effective power.
-    opaque: i128,
-    /// Net change to the roster's row-digest aggregate, mod 2²⁵⁶.
-    rows: SetDigest,
+    /// The inputs' unattested-tier effective power summed, in power units:
+    /// wide enough that no sum of `u64`s wraps.
+    unattested: u128,
+    /// The inputs' roster aggregates summed, mod 2²⁵⁶.
+    roster_digest: SetDigest,
 }
 
 impl CanonicalDelta {
     /// Merges `deltas` — the drained deltas of one cut, one per shard —
-    /// with no intermediate map. Bucket, opaque and row-digest deltas are
-    /// integer or modular sums, so the order of `deltas` cannot change
-    /// them; bucket rows are summed per digest and sorted. Roster rows are
-    /// moved, not copied: each input keeps its rows and handle table, in
-    /// drain order, neither sorted nor deduplicated. Shards own disjoint
-    /// devices, so each replica comes from one input, and a replica in two
-    /// is passed through for the sealer to refuse.
+    /// with no intermediate map. Bucket deltas, unattested powers and
+    /// roster aggregates are integer or modular sums, so the order of
+    /// `deltas` cannot change them; bucket rows are summed per digest and
+    /// sorted. Roster rows are moved, not copied: each input keeps its rows
+    /// and handle table, in drain order, neither sorted nor deduplicated.
+    /// Shards own disjoint devices, so each replica comes from one input,
+    /// and a replica in two is passed through for the sealer to refuse.
     #[must_use]
     pub fn merge(deltas: Vec<ChurnDelta>) -> CanonicalDelta {
         let mut merged = CanonicalDelta {
@@ -522,8 +501,8 @@ impl CanonicalDelta {
         for delta in deltas {
             merged.buckets.extend(delta.buckets);
             merged.inputs.push(delta.roster);
-            merged.opaque += delta.opaque;
-            merged.rows.add(delta.rows);
+            merged.unattested += u128::from(delta.unattested.as_units());
+            merged.roster_digest.add(delta.roster_digest);
         }
         merged.buckets.sort_unstable_by_key(|&(m, _)| m);
         merged.buckets.dedup_by(|later, kept| {
@@ -581,25 +560,27 @@ impl CanonicalDelta {
         }
     }
 
-    /// The signed opaque-power delta, in power units.
+    /// The inputs' unattested-tier effective power at their drains,
+    /// summed; `None` if the sum overflows `u64`.
     #[must_use]
-    pub fn opaque_delta(&self) -> i128 {
-        self.opaque
+    pub fn unattested_power(&self) -> Option<VotingPower> {
+        u64::try_from(self.unattested).ok().map(VotingPower::new)
     }
 
-    /// The net change to the roster's row-digest aggregate — the sum of
-    /// the inputs' [`ChurnDelta::row_digest_change`].
+    /// The inputs' roster aggregates at their drains, summed: the
+    /// [`SetDigest`] of every row the drained registries hold. Shards own
+    /// disjoint devices, so a cut's sum is the fleet's aggregate.
     #[must_use]
-    pub fn row_digest_change(&self) -> SetDigest {
-        self.rows
+    pub fn roster_digest(&self) -> SetDigest {
+        self.roster_digest
     }
 }
 
 impl PartialEq for CanonicalDelta {
     fn eq(&self, other: &Self) -> bool {
         self.buckets == other.buckets
-            && self.opaque == other.opaque
-            && self.rows == other.rows
+            && self.unattested == other.unattested
+            && self.roster_digest == other.roster_digest
             && self.walk(|&m| m).eq(other.walk(|&m| m))
     }
 }
@@ -617,16 +598,25 @@ mod tests {
         }
     }
 
+    /// A set digest over the rows `rows` names.
+    fn aggregate(rows: &[&[u8]]) -> SetDigest {
+        let mut agg = SetDigest::EMPTY;
+        for row in rows {
+            agg.insert(&sha256(row));
+        }
+        agg
+    }
+
     #[test]
     fn merge_sums_buckets_and_opaque() {
         let m = sha256(b"cfg-a");
         let mut a = ChurnDelta::default();
         a.record_bucket(m, 30, 1);
-        a.record_opaque(5);
+        a.drained(VotingPower::new(5), aggregate(&[b"r1"]), Vec::new);
         let mut b = ChurnDelta::default();
         b.record_bucket(m, -10, 1);
         b.record_bucket(sha256(b"cfg-b"), 7, 1);
-        b.record_opaque(-2);
+        b.drained(VotingPower::new(2), aggregate(&[b"r2", b"r3"]), Vec::new);
         let merged = CanonicalDelta::merge(vec![a, b]);
         let rows = merged.buckets();
         assert_eq!(rows.len(), 2);
@@ -640,7 +630,20 @@ mod tests {
                 members: 2
             }
         );
-        assert_eq!(merged.opaque_delta(), 3);
+        // The shards' sums at their drains, added up: absolute values, not
+        // changes.
+        assert_eq!(merged.unattested_power(), Some(VotingPower::new(7)));
+        assert_eq!(merged.roster_digest(), aggregate(&[b"r1", b"r2", b"r3"]));
+
+        // Sums past `u64` are reported, not wrapped.
+        let halves: Vec<ChurnDelta> = (0..2)
+            .map(|_| {
+                let mut d = ChurnDelta::default();
+                d.drained(VotingPower::new(1 << 63), SetDigest::EMPTY, Vec::new);
+                d
+            })
+            .collect();
+        assert_eq!(CanonicalDelta::merge(halves).unattested_power(), None);
     }
 
     #[test]
@@ -717,7 +720,7 @@ mod tests {
         for (id, &handle) in (first..).zip(handles) {
             d.record_roster(ReplicaId::new(id), None, VotingPower::new(1), handle);
         }
-        d.resolve_with(|| table.to_vec());
+        d.drained(VotingPower::ZERO, SetDigest::EMPTY, || table.to_vec());
         d
     }
 

@@ -179,12 +179,12 @@ pub struct AttestedRegistry {
     free: Vec<u32>,
     /// Total effective power of the unattested tier (the opaque bucket).
     opaque: VotingPower,
-    /// Sum of `row_digest` over `entries` — absolute, so it survives
-    /// [`take_delta`](Self::take_delta) drains.
+    /// Sum of `row_digest` over `entries`.
     roster_digest: SetDigest,
     /// Net churn since [`take_delta`](Self::take_delta) last drained it —
     /// the O(churn) feed for differential epoch sealing. Every mutation
-    /// path maintains it alongside the buckets.
+    /// path maintains it alongside the buckets; the drain stamps it with
+    /// `opaque` and `roster_digest`.
     delta: ChurnDelta,
 }
 
@@ -290,12 +290,9 @@ impl AttestedRegistry {
     fn unindex(&mut self, replica: ReplicaId) -> Option<(RegisteredDevice, u32)> {
         let old = *self.entries.get(&replica)?;
         self.roster_digest.remove(&old.row_digest);
-        self.delta.record_row_out(&old.row_digest);
         let device = self.device(replica, &old);
         if old.bucket == UNATTESTED {
-            let effective = old.power.scaled(self.weights.unattested());
-            self.opaque -= effective;
-            self.delta.record_opaque(-i128::from(effective.as_units()));
+            self.opaque -= old.power.scaled(self.weights.unattested());
         } else {
             let effective = old.power.scaled(self.weights.attested());
             let bucket = &mut self.slots[old.bucket as usize];
@@ -350,9 +347,9 @@ impl AttestedRegistry {
     /// Writes `device`'s new row under bucket handle `bucket` (its old
     /// row, `before`, already un-indexed, its bucket already indexed):
     /// hashes it — the one SHA-256 the row ever costs — folds the digest
-    /// into the running aggregate and the pending delta, records the write
-    /// in the delta's roster — `before` sticks only on the device's first
-    /// touch this epoch, the new row always does (last write wins) — and
+    /// into the running aggregate, records the write in the delta's
+    /// roster — `before` sticks only on the device's first touch this
+    /// epoch, the new row always does (last write wins) — and
     /// stores the entry with the delta row's position, over the old entry
     /// in place when the device was registered.
     fn write_row(
@@ -363,7 +360,6 @@ impl AttestedRegistry {
     ) {
         let row_digest = device_row_digest(&device);
         self.roster_digest.insert(&row_digest);
-        self.delta.record_row_in(&row_digest);
         let touched_at = self
             .delta
             .record_roster(device.replica, before, device.power, bucket);
@@ -483,9 +479,7 @@ impl AttestedRegistry {
     /// Registers an unattested replica (power only; configuration opaque).
     fn register_unattested(&mut self, replica: ReplicaId, power: VotingPower) {
         let before = self.unindex(replica);
-        let effective = power.scaled(self.weights.unattested());
-        self.opaque += effective;
-        self.delta.record_opaque(i128::from(effective.as_units()));
+        self.opaque += power.scaled(self.weights.unattested());
         self.write_row(
             before,
             RegisteredDevice {
@@ -543,11 +537,14 @@ impl AttestedRegistry {
     }
 
     /// Drains the net churn accumulated since the previous drain (or since
-    /// construction), leaving an empty delta behind. This is the epoch
-    /// cut's read: a `mem::take`, plus — if some row the delta holds names
-    /// its bucket by handle — a copy of the measurement by bucket handle,
-    /// O(buckets ever live at once), not O(churn). A sealer drains every
-    /// shard under its consistent cut, merges the deltas after it
+    /// construction), leaving an empty delta behind, and stamps it with
+    /// the registry's [`unattested_power`](Self::unattested_power) and
+    /// [`roster_digest`](Self::roster_digest) as of the drain. This is the
+    /// epoch cut's one read of the registry's sums: a `mem::take`, plus —
+    /// if some row the delta holds names its bucket by handle — a copy of
+    /// the measurement by bucket handle, O(buckets ever live at once), not
+    /// O(churn). A sealer drains every shard under its consistent cut,
+    /// merges the deltas after it
     /// ([`CanonicalDelta::merge`](crate::CanonicalDelta::merge)), and
     /// patches the previous epoch snapshot instead of re-merging the whole
     /// registry. The entries keep the delta positions they held, which the
@@ -555,18 +552,13 @@ impl AttestedRegistry {
     ///
     /// Draining is part of the sealing contract even on full-rebuild
     /// epochs: the delta is always relative to the registry state at the
-    /// *last* drain, so every cut must drain it — and one that throws the
-    /// delta away calls [`discard_delta`](Self::discard_delta) instead.
+    /// *last* drain, so every cut must drain it.
     pub fn take_delta(&mut self) -> ChurnDelta {
         let mut delta = std::mem::take(&mut self.delta);
-        delta.resolve_with(|| self.slots.iter().map(|b| b.measurement).collect());
+        delta.drained(self.opaque, self.roster_digest, || {
+            self.slots.iter().map(|b| b.measurement).collect()
+        });
         delta
-    }
-
-    /// Drains the pending delta and drops it, copying no handle table: the
-    /// drain of a cut that reads the registry whole.
-    pub fn discard_delta(&mut self) {
-        self.delta = ChurnDelta::default();
     }
 
     /// The bytes the registry holds on the heap, by capacity: the entries
@@ -992,6 +984,24 @@ mod tests {
         reg.register_attested_preverified(ReplicaId::new(0), sha256(b"cfg-a"), VotingPower::ZERO);
         let rows: Vec<_> = reg.bucket_rows().collect();
         assert_eq!(rows, vec![(sha256(b"cfg-a"), VotingPower::ZERO)]);
+    }
+
+    #[test]
+    fn draining_twice_with_no_churn_between_carries_the_same_sums() {
+        let mut reg = AttestedRegistry::new(TwoTierWeights::new(1.0, 0.5));
+        attest(&mut reg, 0, b"cfg-a", 40);
+        unattested(&mut reg, 1, 30);
+        let sums = |delta: crate::ChurnDelta| {
+            let merged = crate::CanonicalDelta::merge(vec![delta]);
+            (merged.unattested_power(), merged.roster_digest())
+        };
+        let first = sums(reg.take_delta());
+        let second = reg.take_delta();
+        assert!(second.is_empty(), "no churn between the drains");
+        // The sums are the registry's, not the churn's: an empty drain
+        // carries them too.
+        assert_eq!(sums(second), first);
+        assert_eq!(first, (Some(VotingPower::new(15)), reg.roster_digest()));
     }
 
     #[test]

@@ -244,12 +244,12 @@ fn roster_of(delta: &CanonicalDelta) -> Vec<(ReplicaId, RosterChange)> {
         .collect()
 }
 
-/// A merged delta's buckets, opaque delta, row-digest change and roster
+/// A merged delta's buckets, unattested power, roster aggregate and roster
 /// rows — the last as a copy sorted by replica: a merge keeps them in
 /// drain order, which follows the sharding.
 type Rows = (
     Vec<(Digest, BucketDelta)>,
-    i128,
+    Option<VotingPower>,
     SetDigest,
     Vec<(ReplicaId, RosterChange)>,
 );
@@ -259,8 +259,8 @@ fn rows(delta: &CanonicalDelta) -> Rows {
     roster.sort_by_key(|&(replica, _)| replica);
     (
         delta.buckets().to_vec(),
-        delta.opaque_delta(),
-        delta.row_digest_change(),
+        delta.unattested_power(),
+        delta.roster_digest(),
         roster,
     )
 }
@@ -295,8 +295,10 @@ fn take_delta_reflects_net_churn_and_drains() {
     assert_eq!(buckets[0].0, sha256(b"cfg-a"));
     assert_eq!(buckets[0].1.power, 40);
     assert_eq!(buckets[0].1.members, 1);
-    // Opaque: +100 at the 0.5 unattested weight.
-    assert_eq!(delta.opaque_delta(), 50);
+    // Opaque: 100 at the 0.5 unattested weight, the registry's at the
+    // drain.
+    assert_eq!(delta.unattested_power(), Some(VotingPower::new(50)));
+    assert_eq!(delta.roster_digest(), reg.roster_digest());
     // Roster: every *touched* device with its row before and after. None
     // of the three was registered when the epoch began.
     let roster = roster_of(&delta);
@@ -418,6 +420,15 @@ fn refold(reg: &AttestedRegistry) -> SetDigest {
     agg
 }
 
+/// The unattested tier's effective power re-derived from scratch, from
+/// the rows `devices()` yields.
+fn unattested_recount(reg: &AttestedRegistry) -> VotingPower {
+    reg.devices()
+        .filter(|d| d.tier() == ReplicaTier::Unattested)
+        .map(|d| d.power.scaled(reg.weights().unattested()))
+        .sum()
+}
+
 /// Churn over a deliberately tiny id / measurement / power space, so
 /// random interleavings keep hitting the collapsing cases: re-registration
 /// with an identical row, deregister of an absent device,
@@ -446,8 +457,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The write-time aggregate never drifts from a from-scratch fold, and
-    /// the drained deltas' row changes account for every move it makes —
-    /// per shard, and summed across shards merged in either order.
+    /// every drain carries its registry's refolded aggregate and recounted
+    /// unattested power — per shard, and summed across shards merged in
+    /// either order, where the fleet's sums are the shards' and the single
+    /// registry's.
     #[test]
     fn roster_digest_equals_refold_and_drained_row_changes(
         epochs in proptest::collection::vec(
@@ -461,10 +474,6 @@ proptest! {
         let mut whole = AttestedRegistry::new(weights);
         let mut shards: Vec<AttestedRegistry> =
             (0..SHARDS).map(|_| AttestedRegistry::new(weights)).collect();
-        // What a sealer would hold: the aggregate as of the last cut.
-        let mut sealed_whole = SetDigest::EMPTY;
-        let mut sealed_fleet = SetDigest::EMPTY;
-
         for ops in &epochs {
             for op in ops {
                 whole.apply(op);
@@ -472,23 +481,30 @@ proptest! {
                 prop_assert_eq!(whole.roster_digest(), refold(&whole));
             }
 
-            sealed_whole.add(whole.take_delta().row_digest_change());
-            prop_assert_eq!(sealed_whole, whole.roster_digest());
+            let sealed_whole = drain(&mut whole);
+            prop_assert_eq!(sealed_whole.roster_digest(), refold(&whole));
+            prop_assert_eq!(sealed_whole.unattested_power(), Some(unattested_recount(&whole)));
             prop_assert_eq!(whole.roster_digest(), refold(&whole), "draining moved the aggregate");
 
             let mut drained: Vec<ChurnDelta> =
                 shards.iter_mut().map(AttestedRegistry::take_delta).collect();
+            let mut shard_agg = SetDigest::EMPTY;
+            let mut shard_power = VotingPower::ZERO;
+            for (shard, delta) in shards.iter().zip(&drained) {
+                let sealed_shard = CanonicalDelta::merge(vec![delta.clone()]);
+                prop_assert_eq!(sealed_shard.roster_digest(), refold(shard));
+                prop_assert_eq!(sealed_shard.unattested_power(), Some(unattested_recount(shard)));
+                shard_agg.add(refold(shard));
+                shard_power += unattested_recount(shard);
+            }
             if merge_reversed {
                 drained.reverse();
             }
-            sealed_fleet.add(CanonicalDelta::merge(drained).row_digest_change());
-            let mut shard_sum = SetDigest::EMPTY;
-            for shard in &shards {
-                prop_assert_eq!(shard.roster_digest(), refold(shard));
-                shard_sum.add(shard.roster_digest());
-            }
-            prop_assert_eq!(sealed_fleet, shard_sum);
-            prop_assert_eq!(shard_sum, whole.roster_digest());
+            let sealed_fleet = CanonicalDelta::merge(drained);
+            prop_assert_eq!(sealed_fleet.roster_digest(), shard_agg);
+            prop_assert_eq!(sealed_fleet.unattested_power(), Some(shard_power));
+            prop_assert_eq!(sealed_fleet.roster_digest(), sealed_whole.roster_digest());
+            prop_assert_eq!(sealed_fleet.unattested_power(), sealed_whole.unattested_power());
         }
     }
 
@@ -535,8 +551,8 @@ proptest! {
     /// shards the canonical merge of the drained shard deltas equals the
     /// un-sharded registry's canonical delta row for row — buckets with
     /// the no-ops pruned (a bucket one shard fills and another empties
-    /// included), register→deregister inside one epoch, the row-digest
-    /// change and the opaque delta — in whatever order the shards are
+    /// included), register→deregister inside one epoch, the roster
+    /// aggregate and the unattested power — in whatever order the shards are
     /// handed over; the roster rows as a set, one a replica.
     #[test]
     fn canonical_merge_of_shard_deltas_equals_the_unsharded_delta(
@@ -631,19 +647,22 @@ fn collapsing_churn_leaves_no_row_digest_residue() {
     let r = ReplicaId::new(4);
     let mut reg = AttestedRegistry::new(TwoTierWeights::flat());
     reg.apply(&ChurnOp::attest(r, m, VotingPower::new(10)));
-    let _ = reg.take_delta();
+    let sealed = drain(&mut reg).roster_digest();
+    assert_eq!(sealed, refold(&reg));
 
-    // Identical re-registration: a touched device, a zero row change.
+    // Identical re-registration: a touched device, the aggregate unmoved.
     reg.apply(&ChurnOp::attest(r, m, VotingPower::new(10)));
-    let delta = reg.take_delta();
+    let delta = drain(&mut reg);
     assert_eq!(delta.touched_devices(), 1);
-    assert_eq!(delta.row_digest_change(), SetDigest::EMPTY);
+    assert_eq!(delta.roster_digest(), sealed);
 
     // Deregistering an absent device touches nothing at all.
     reg.apply(&ChurnOp::Deregister {
         replica: ReplicaId::new(99),
     });
-    assert!(reg.take_delta().is_empty());
+    let delta = reg.take_delta();
+    assert!(delta.is_empty());
+    assert_eq!(CanonicalDelta::merge(vec![delta]).roster_digest(), sealed);
 
     // Register → deregister inside one epoch nets to zero.
     let visitor = ReplicaId::new(5);
@@ -652,14 +671,16 @@ fn collapsing_churn_leaves_no_row_digest_residue() {
         power: VotingPower::new(7),
     });
     reg.apply(&ChurnOp::Deregister { replica: visitor });
-    assert_eq!(reg.take_delta().row_digest_change(), SetDigest::EMPTY);
+    let delta = drain(&mut reg);
+    assert_eq!(delta.roster_digest(), sealed);
+    assert_eq!(delta.unattested_power(), Some(VotingPower::ZERO));
 
     // A tier flip swaps one row digest for another.
     reg.apply(&ChurnOp::Unattested {
         replica: r,
         power: VotingPower::new(10),
     });
-    let mut expected = SetDigest::EMPTY;
+    let mut expected = sealed;
     expected.remove(&device_row_digest(&RegisteredDevice {
         replica: r,
         measurement: Some(m),
@@ -670,7 +691,7 @@ fn collapsing_churn_leaves_no_row_digest_residue() {
         measurement: None,
         power: VotingPower::new(10),
     }));
-    assert_eq!(reg.take_delta().row_digest_change(), expected);
+    assert_eq!(drain(&mut reg).roster_digest(), expected);
     assert_eq!(reg.roster_digest(), refold(&reg));
 }
 

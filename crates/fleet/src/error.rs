@@ -35,20 +35,30 @@ impl std::error::Error for FleetConfigError {}
 ///
 /// Returned by [`ShardedFleet::try_ingest_batch`](crate::ShardedFleet::try_ingest_batch)
 /// and the serving hooks. A failed ingest is **clean**: no shard observed
-/// any op from the batch, the batch gate is released un-poisoned, and
-/// reads and seals keep working. Callers retry once the underlying fault
-/// (full disk, missing directory…) is repaired.
+/// any op from the batch, the log holds none of it, the batch gate is
+/// released un-poisoned, and reads and seals keep working.
 #[derive(Debug)]
 pub enum IngestError {
+    /// The batch's registrations could carry the fleet's total effective
+    /// power past `u64`, where a shard's or a seal's sums of it would
+    /// overflow. The batch was neither logged nor applied; retrying it is
+    /// refused again until a seal retires enough power.
+    PowerOverflow,
     /// The write-ahead churn log could not persist the batch. The batch
     /// was not applied to any shard — durability is decided before the
-    /// in-memory state moves.
+    /// in-memory state moves. Callers retry once the underlying fault
+    /// (full disk, missing directory…) is repaired.
     WalAppend(WalError),
 }
 
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            IngestError::PowerOverflow => write!(
+                f,
+                "churn batch rejected before apply: it could carry the fleet's \
+                 effective voting power past u64"
+            ),
             IngestError::WalAppend(e) => {
                 write!(f, "churn batch rejected before apply: {e}")
             }
@@ -59,6 +69,7 @@ impl fmt::Display for IngestError {
 impl std::error::Error for IngestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            IngestError::PowerOverflow => None,
             IngestError::WalAppend(e) => Some(e),
         }
     }

@@ -45,8 +45,8 @@
 //! compare against or to time. Both paths produce the bit-identical snapshot —
 //! buckets, rosters, content hash, entropy accumulator. Neither
 //! hashes a roster row: each shard's registry hashes a row when it writes
-//! it, so the differential seal adds the drained deltas' net row-digest
-//! change and the full rebuild adds up the shards' running aggregates (see
+//! it, and both paths drain every shard's delta, which carries the shard's
+//! roster aggregate and unattested power at the cut, and add those up (see
 //! [`crate::snapshot`]).
 //!
 //! A seal has one owner. It takes the seal mutex and holds it through four
@@ -54,7 +54,7 @@
 //! makes whole batches atomic with respect to the cut even when their
 //! sub-batches touch different shards; lock all shards; append the cut
 //! marker, unsynced; drain the deltas — one `mem::take` a shard, nothing
-//! merged or sorted — or copy the full rows on re-anchor epochs), **build**
+//! merged or sorted — and on re-anchor epochs copy the full rows), **build**
 //! (with the gate and the shard guards already dropped, so neither
 //! canonicalising the deltas nor a slow rebuild stalls ingest), **record +
 //! fsync** (on a durable fleet, the seal record and the epoch's one fsync,
@@ -76,39 +76,18 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use fi_attest::{
-    AttestedRegistry, CanonicalDelta, ChurnDelta, ChurnOp, RegisteredDevice, TwoTierWeights,
-};
-use fi_types::hash::SetDigest;
-use fi_types::{Digest, ReplicaId, VotingPower};
+use fi_attest::{AttestedRegistry, CanonicalDelta, ChurnDelta, ChurnOp, TwoTierWeights};
+use fi_types::{ReplicaId, VotingPower};
 
 use crate::cache::SelectionCache;
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::{CheckpointError, IngestError, SealError};
 use crate::publish::{SnapshotCell, SnapshotHandle};
-use crate::snapshot::{roster_aggregate, EpochSnapshot};
+use crate::snapshot::{cut_sums, roster_aggregate, EpochSnapshot};
 use crate::wal::{ChurnLog, WalRecord};
-
-/// One shard's bucket rows, opaque power and the roster's write-time
-/// row-digest aggregate, as copied at a re-anchor cut.
-type ShardRows = (Vec<(Digest, VotingPower)>, VotingPower, SetDigest);
-
-/// What the epoch cut captured for one seal under the batch gate and the
-/// shard guards, built into a snapshot after they are dropped.
-enum SealWork {
-    /// Re-anchor epochs: a complete copy of every shard's rows, the
-    /// shards' device rows copied into one table.
-    Full {
-        per_shard: Vec<ShardRows>,
-        devices: Vec<RegisteredDevice>,
-    },
-    /// Ordinary epochs: each shard's churn delta since the last cut, as
-    /// drained — merged after the cut.
-    Differential(Vec<ChurnDelta>),
-}
 
 /// A sharded, epoch-based fleet of attested devices.
 ///
@@ -171,6 +150,15 @@ pub struct ShardedFleet {
     /// lock at all. Signed because a batch's net effect can be negative
     /// (deregistrations).
     device_total: AtomicI64,
+    /// An upper bound on the fleet's total effective power, which keeps
+    /// every sum a seal or a shard takes of it inside `u64`. A batch
+    /// reserves what its registrations can add before it is logged, and
+    /// is refused if the bound cannot hold it; each publication tightens
+    /// the bound to the sealed total plus what batches reserved since the
+    /// cut. `u64::MAX` is a bound that
+    /// [`apply_shard_batch`](Self::apply_shard_batch) saturated, which
+    /// bounds nothing and stays.
+    power_bound: AtomicU64,
 }
 
 /// A durable fleet's write-ahead state: the open churn log and the
@@ -269,6 +257,7 @@ impl ShardedFleet {
             selection_cache: SelectionCache::default(),
             durability: None,
             device_total: AtomicI64::new(0),
+            power_bound: AtomicU64::new(0),
         }
     }
 
@@ -287,27 +276,32 @@ impl ShardedFleet {
 
     /// Rewinds this (fresh, unshared) fleet onto a checkpointed epoch:
     /// the shards must already hold the checkpoint's devices (re-ingested
-    /// by recovery); this drains their accumulated deltas and publishes
-    /// the verified `snapshot` — which fast-forwards the epoch counter —
-    /// so the next seal is differential and chains onto it.
+    /// by recovery); this drains their accumulated deltas, sets the power
+    /// bound to the snapshot's total and publishes the verified `snapshot`
+    /// — which fast-forwards the epoch counter — so the next seal is
+    /// differential and chains onto it.
     pub(crate) fn restore_published(&self, snapshot: Arc<EpochSnapshot>) {
         let mut st = lock_recover(&self.seal);
         for shard in &self.shards {
-            lock_recover(shard).discard_delta();
+            drop(lock_recover(shard).take_delta());
         }
         st.reanchor_due = false;
         // relaxed: recovery runs single-threaded, before the fleet is
         // handed to any ingest or seal thread; nothing races this store.
         self.device_total
             .store(snapshot.device_count() as i64, Ordering::Relaxed);
+        self.power_bound.store(
+            snapshot.total_effective_power().as_units(),
+            Ordering::SeqCst,
+        );
         self.current.publish(&snapshot);
     }
 
     /// The sum of the shards' write-time roster aggregates — what the next
     /// re-anchor would seal over.
     #[cfg(test)]
-    pub(crate) fn shard_roster_digest_sum(&self) -> SetDigest {
-        let mut sum = SetDigest::EMPTY;
+    pub(crate) fn shard_roster_digest_sum(&self) -> fi_types::hash::SetDigest {
+        let mut sum = fi_types::hash::SetDigest::EMPTY;
         for shard in &self.shards {
             sum.add(lock_recover(shard).roster_digest());
         }
@@ -327,6 +321,45 @@ impl ShardedFleet {
             }
         }
         Ok(())
+    }
+
+    /// The most effective power `ops` can add to the fleet: the sum of its
+    /// registrations' tier-scaled powers, `None` past `u64`. A
+    /// registration adds at most its own power, since the row it replaces
+    /// leaves, and a deregistration adds none.
+    fn power_added(&self, ops: &[ChurnOp]) -> Option<u64> {
+        ops.iter().try_fold(0u64, |sum, op| {
+            let (power, weight) = match *op {
+                ChurnOp::Attest { power, .. } => (power, self.weights.attested()),
+                ChurnOp::Unattested { power, .. } => (power, self.weights.unattested()),
+                ChurnOp::Deregister { .. } => return Some(sum),
+            };
+            sum.checked_add(power.checked_scaled(weight)?.as_units())
+        })
+    }
+
+    /// Reserves room under the power bound for `ops`, or refuses them if
+    /// the bound cannot hold what they add. Returns what it reserved; ops
+    /// that add no power reserve nothing and pass. The caller holds the
+    /// batch gate shared, so a reservation and the apply it covers land on
+    /// one side of a cut.
+    fn reserve_power(&self, ops: &[ChurnOp]) -> Result<u64, IngestError> {
+        let added = self.power_added(ops).ok_or(IngestError::PowerOverflow)?;
+        if added == 0 || self.move_power_bound(|b| b.checked_add(added).filter(|&b| b < u64::MAX)) {
+            Ok(added)
+        } else {
+            Err(IngestError::PowerOverflow)
+        }
+    }
+
+    /// Moves the power bound to `to(bound)`, unless `to` refuses or the
+    /// bound is saturated; returns whether it moved.
+    fn move_power_bound(&self, to: impl Fn(u64) -> Option<u64>) -> bool {
+        self.power_bound
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
+                (b < u64::MAX).then(|| to(b)).flatten()
+            })
+            .is_ok()
     }
 
     /// Applies `ops` (all routed to `shard`) under that shard's lock and
@@ -374,16 +407,21 @@ impl ShardedFleet {
     /// [`try_seal_epoch`](Self::try_seal_epoch): a concurrent seal observes
     /// either none or all of it.
     ///
-    /// A failure is **clean**: the batch is framed into the log *before*
-    /// it lands on any shard, so on `Err` no shard observed any op, the
-    /// batch gate is released un-poisoned, and reads and seals keep
-    /// working. The caller retries once the disk fault is repaired.
+    /// A failure is **clean**: the batch is checked and framed into the
+    /// log *before* it lands on any shard, so on `Err` no shard observed
+    /// any op, the log holds none of it, the batch gate is released
+    /// un-poisoned, and reads and seals keep working.
     ///
     /// # Errors
     ///
-    /// Returns [`IngestError::WalAppend`] when the write-ahead log could
-    /// not persist the batch (durable fleets only; an in-memory fleet
-    /// never fails).
+    /// Returns [`IngestError::PowerOverflow`] when the batch's
+    /// registrations could carry the fleet's total effective power past
+    /// `u64` — the fleet's power as of the last seal, plus what batches
+    /// since then registered, plus this batch's registrations, each at its
+    /// tier weight. A seal that retires power makes room again. Returns
+    /// [`IngestError::WalAppend`] when the write-ahead log could not
+    /// persist the batch (durable fleets only); the caller retries once the
+    /// disk fault is repaired.
     pub fn try_ingest_batch(&self, ops: &[ChurnOp]) -> Result<(), IngestError> {
         // The gate guards no data (`()`): recover from poisoning rather
         // than letting one panicked holder refuse every future batch.
@@ -391,11 +429,17 @@ impl ShardedFleet {
             .batch_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
+        // A batch that could overflow the fleet's power is refused before
+        // it is logged, so no reopen replays it.
+        let reserved = self.reserve_power(ops)?;
         // Write-ahead: the batch is framed into the log *before* it lands
         // on any shard, inside the same gate hold — so the epoch-cut
         // marker (written gate-exclusive) partitions the log into epochs
         // exactly as the shards observed them.
-        self.wal_append_batch(ops)?;
+        if let Err(e) = self.wal_append_batch(ops) {
+            self.move_power_bound(|b| b.checked_sub(reserved));
+            return Err(e);
+        }
         // The shards' net roster changes are folded into the fleet counter
         // as ONE atomic add after the whole batch applied (and before the
         // gate is released), so monitoring reads only ever see
@@ -472,6 +516,12 @@ impl ShardedFleet {
     /// moves once per sub-batch; through `try_ingest_batch` it moves once
     /// per batch.
     ///
+    /// The sub-batch reserves its power as `try_ingest_batch` does, but is
+    /// not refused: a seam checks nothing, and its caller answers for what
+    /// it applies. A reservation the power bound cannot hold saturates it,
+    /// and `try_ingest_batch` then refuses every registration of non-zero
+    /// power.
+    ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range. Debug builds also assert every
@@ -482,6 +532,9 @@ impl ShardedFleet {
             .batch_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
+        if self.reserve_power(ops).is_err() {
+            self.power_bound.store(u64::MAX, Ordering::SeqCst);
+        }
         // relaxed: batch-boundary monitoring counter (see try_ingest_batch).
         self.device_total
             .fetch_add(self.apply_to_shard(shard, ops), Ordering::Relaxed);
@@ -543,8 +596,11 @@ impl ShardedFleet {
         // `mem::take` per shard, microseconds whatever the churn. Ingest
         // holds the gate shared and then locks one shard at a time; the
         // sealer takes the gate exclusively *before* any shard lock, so
-        // the orderings cannot deadlock.
-        let work = {
+        // the orderings cannot deadlock. The cut yields each shard's delta
+        // as drained — with the shard's unattested power and roster
+        // aggregate — and on re-anchor epochs every shard's bucket rows and
+        // the shards' device rows copied into one table.
+        let (drained, full, bound_at_cut) = {
             // Held exclusively through the cut-marker write *and* the
             // drain: ingest appends its batch to the log and applies it to
             // the shards under one shared hold, so with the gate held
@@ -575,50 +631,45 @@ impl ShardedFleet {
             // From the first drain until publication the drained churn
             // lives only in this call's locals.
             st.reanchor_due = true;
-            if full {
-                // The one copy of the device rows, sized once: it is what
-                // lets the gate and the guards drop before construction.
+            // Every cut drains: the *next* differential seal's delta must
+            // be relative to this cut, and the drain is the one read of a
+            // shard's unattested power and roster aggregate.
+            let drained: Vec<ChurnDelta> =
+                guards.iter_mut().map(|shard| shard.take_delta()).collect();
+            // The one copy of the device rows, sized once: it is what lets
+            // the gate and the guards drop before construction.
+            let full = full.then(|| {
                 let mut devices = Vec::with_capacity(guards.iter().map(|shard| shard.len()).sum());
-                let per_shard = guards
-                    .iter_mut()
+                let per_shard: Vec<Vec<_>> = guards
+                    .iter()
                     .map(|shard| {
-                        // Re-baseline: the full copy captures everything,
-                        // so the pending delta is drained and discarded —
-                        // the *next* differential seal's delta must be
-                        // relative to this cut.
-                        shard.discard_delta();
                         devices.extend(shard.devices());
-                        (
-                            shard.bucket_rows().collect(),
-                            shard.unattested_power(),
-                            shard.roster_digest(),
-                        )
+                        shard.bucket_rows().collect()
                     })
                     .collect();
-                SealWork::Full { per_shard, devices }
-            } else {
-                SealWork::Differential(guards.iter_mut().map(|shard| shard.take_delta()).collect())
-            }
+                (per_shard, devices)
+            });
+            // No batch holds the gate, so no reservation is in flight.
+            let bound_at_cut = self.power_bound.load(Ordering::SeqCst);
+            (drained, full, bound_at_cut)
         };
 
         // Phase 2 — construction, with the gate and the shard guards
         // dropped: ingest proceeds on the shards while this merges the
         // drained deltas and builds.
-        let snapshot = Arc::new(match work {
-            SealWork::Full { per_shard, devices } => {
+        let delta = CanonicalDelta::merge(drained);
+        let snapshot = Arc::new(match full {
+            Some((per_shard, devices)) => {
                 let mut rows = BTreeMap::new();
-                let mut opaque = VotingPower::ZERO;
+                for (m, p) in per_shard.into_iter().flatten() {
+                    *rows.entry(m).or_insert(VotingPower::ZERO) += p;
+                }
                 // Shards own disjoint devices, so the fleet's roster
                 // aggregate is the sum of theirs: the re-anchor hashes no
                 // roster row.
-                let mut device_agg = SetDigest::EMPTY;
-                for (shard_rows, shard_opaque, shard_agg) in per_shard {
-                    for (m, p) in shard_rows {
-                        *rows.entry(m).or_insert(VotingPower::ZERO) += p;
-                    }
-                    opaque += shard_opaque;
-                    device_agg.add(shard_agg);
-                }
+                let (opaque, device_agg) = cut_sums(epoch, &delta)?;
+                // A full build reads none of the drained rows.
+                drop(delta);
                 debug_assert_eq!(
                     device_agg,
                     roster_aggregate(&devices),
@@ -626,13 +677,13 @@ impl ShardedFleet {
                 );
                 EpochSnapshot::build(epoch, self.weights, rows, opaque, &devices, device_agg)
             }
-            SealWork::Differential(per_shard) => {
+            None => {
                 // The deltas were cut on top of the published snapshot,
                 // and only a sealer (this one) can replace that. A delta
                 // that does not chain returns here with `reanchor_due` set.
                 let prev = self.current.load();
                 debug_assert_eq!(prev.epoch() + 1, epoch);
-                prev.try_apply_delta(epoch, &CanonicalDelta::merge(per_shard))?
+                prev.try_apply_delta(epoch, &delta)?
             }
         });
 
@@ -652,7 +703,11 @@ impl ShardedFleet {
             log.sync()?;
         }
 
-        // Phase 4 — publication, and with it the epoch commit.
+        // Phase 4 — publication, and with it the epoch commit. The power
+        // bound drops to the sealed total plus what batches reserved since
+        // the cut; a saturated bound stays.
+        let slack = bound_at_cut.saturating_sub(snapshot.total_effective_power().as_units());
+        self.move_power_bound(|b| b.checked_sub(slack));
         self.current.publish(&snapshot);
         st.reanchor_due = false;
         Ok(snapshot)

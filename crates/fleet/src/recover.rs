@@ -77,8 +77,10 @@ use crate::wal::{self, ChurnLog, RecordPos, WalRecord, DEFAULT_SEGMENT_BYTES};
 /// holds one chunk of synthetic ops rather than a copy of the roster.
 const RESTORE_CHUNK: usize = 4096;
 
-/// Why recovery's ingests cannot fail: only a log append fails an
-/// ingest, and the log is attached after replay.
+/// Why recovery's ingests cannot fail: a log append fails an ingest, and
+/// the log is attached after replay; the power guard refuses an ingest,
+/// and a logged batch passed it when it was logged, against a bound no
+/// tighter than the one replay holds.
 const NO_LOG_YET: &str = "recovery ingests before the log is attached";
 
 /// Where a durable fleet persists its state. When to checkpoint is the

@@ -83,12 +83,13 @@
 //! defined in `fi-attest` ([`device_row_digest`]) and computed by the
 //! [`AttestedRegistry`] exactly once per row, when the row is written;
 //! the registry keeps a running sum over its rows
-//! ([`AttestedRegistry::roster_digest`]) and records the net change since
-//! the last cut in its [`ChurnDelta`](fi_attest::ChurnDelta). Sealing is
-//! then arithmetic: a differential seal adds the merged delta's
-//! [`row_digest_change`](CanonicalDelta::row_digest_change) to the previous
-//! device aggregate, and a fleet re-anchor hands `build`
-//! the sum of the shards' running sums. The only hashing left at a seal is
+//! ([`AttestedRegistry::roster_digest`]), which the drain at a cut stamps
+//! on its [`ChurnDelta`](fi_attest::ChurnDelta) beside its unattested
+//! power. Sealing is then arithmetic: a fleet seal, differential or
+//! re-anchor, takes the merged delta's
+//! [`roster_digest`](CanonicalDelta::roster_digest) and
+//! [`unattested_power`](CanonicalDelta::unattested_power) — the shards'
+//! sums added up — as its own. The only hashing left at a seal is
 //! the bucket rows (dozens, and only the dirty ones on the differential
 //! path) and the final fold. The oracle paths deliberately do *not* trust
 //! that bookkeeping: [`EpochSnapshot::from_registry`] and checkpoint
@@ -166,8 +167,6 @@ pub struct EpochSnapshot {
     /// Order-independent aggregate of per-bucket row digests — the
     /// incrementally maintainable half of the content hash.
     bucket_agg: SetDigest,
-    /// Order-independent aggregate of per-device row digests.
-    device_agg: SetDigest,
     content_hash: Digest,
 }
 
@@ -187,6 +186,22 @@ fn bucket_row_digest(measurement: &Digest, power: VotingPower) -> Digest {
 fn canonical_accumulator(buckets: &[(Digest, VotingPower)]) -> EntropyAccumulator {
     let units: Vec<u64> = buckets.iter().map(|&(_, p)| p.as_units()).collect();
     EntropyAccumulator::from_weights(&units)
+}
+
+/// The unattested power and roster aggregate a seal at `delta`'s cut takes
+/// as its own: the drained shards' sums, added up. A power sum past `u64`
+/// is a [`SealError::CorruptDelta`].
+pub(crate) fn cut_sums(
+    epoch: u64,
+    delta: &CanonicalDelta,
+) -> Result<(VotingPower, SetDigest), SealError> {
+    let opaque = delta
+        .unattested_power()
+        .ok_or_else(|| SealError::CorruptDelta {
+            epoch,
+            detail: "the drained shards' unattested power overflows u64".to_string(),
+        })?;
+    Ok((opaque, delta.roster_digest()))
 }
 
 /// The device-roster aggregate computed from scratch: one
@@ -311,7 +326,6 @@ impl EpochSnapshot {
             roster: OnceLock::new(),
             parent_hash: None,
             bucket_agg,
-            device_agg,
             content_hash,
         }
     }
@@ -399,10 +413,12 @@ impl EpochSnapshot {
     /// the roster, 16 B a device — list by list, untouched runs as slices.
     /// The replica-sorted view is not built here (see
     /// [`candidates`](Self::candidates)).
-    /// No roster row is hashed here: the registry hashed each touched row
-    /// when it wrote it, and the delta carries the net of those digests
-    /// ([`CanonicalDelta::row_digest_change`]), which is added to this
-    /// snapshot's device aggregate. Only dirty bucket rows are hashed.
+    /// No roster row is hashed here, and neither the opaque power nor the
+    /// device aggregate is carried over from `self`: the delta carries the
+    /// drained shards' unattested power and roster aggregate, summed
+    /// ([`CanonicalDelta::unattested_power`],
+    /// [`CanonicalDelta::roster_digest`]), and the patched snapshot takes
+    /// those as its own. Only dirty bucket rows are hashed.
     ///
     /// **Bit-identity invariant.** Bucket powers, member counts, the
     /// roster, and the opaque power are integer sums and the row aggregates
@@ -420,15 +436,16 @@ impl EpochSnapshot {
     ///
     /// [`SealError::CorruptDelta`] for a delta that does not chain onto
     /// this snapshot's fleet content: a bucket delta that underflows its
-    /// bucket, a member count going negative, an opaque delta driving the
-    /// opaque power negative, a new bucket arriving without members, an
-    /// overflow past the integer domains, a replica listed twice (two
-    /// shards drained it), a device row citing a measurement with no bucket
-    /// on its side of the patch, an `after` row naming a bucket handle its
-    /// shard's handle table lacks, a `before` row that is not the row this
-    /// snapshot holds for the device (wrong power, wrong bucket, never
-    /// registered), a bucket dying with devices still in it, or a bucket
-    /// whose devices no longer add up to its member count. `self` is never
+    /// bucket, a member count going negative, a new bucket arriving
+    /// without members, an overflow past the integer domains (an
+    /// unattested power summed past `u64` included), a replica listed
+    /// twice (two shards drained it), a device row citing a measurement
+    /// with no bucket on its side of the patch, an `after` row naming a
+    /// bucket handle its shard's handle table lacks, a `before` row that
+    /// is not the row this snapshot holds for the device (wrong power,
+    /// wrong bucket, never registered, an unattested departure included),
+    /// a bucket dying with devices still in it, or a bucket whose devices
+    /// no longer add up to its member count. `self` is never
     /// mutated — a rejected delta leaves this snapshot serving — and none
     /// of it panics. What this cannot see is a delta whose rows and bucket
     /// sums are wrong *together* (a lost delta that removed a device,
@@ -465,10 +482,6 @@ impl EpochSnapshot {
         let mut removals: Vec<usize> = Vec::new();
         let mut insertions: Vec<usize> = Vec::new();
         let mut bucket_agg = self.bucket_agg;
-        // The roster rows were hashed where they were written; their net
-        // change is the delta's to report.
-        let mut device_agg = self.device_agg;
-        device_agg.add(delta.row_digest_change());
 
         let (mut i, mut j) = (0, 0);
         while i < old_buckets.len() || j < dirty.len() {
@@ -529,16 +542,10 @@ impl EpochSnapshot {
             }
         }
 
-        // 2. The other integer sum, the opaque power (range-checked), and
-        //    the accumulator, from the patched buckets as `build` makes it.
-        let opaque_units = i128::from(self.opaque.as_units()) + delta.opaque_delta();
-        if opaque_units < 0 {
-            return Err(unchained("opaque power driven negative".to_string()));
-        }
-        let Ok(opaque_units) = u64::try_from(opaque_units) else {
-            return Err(unchained("opaque power overflows u64".to_string()));
-        };
-        let opaque = VotingPower::new(opaque_units);
+        // 2. The opaque power and the roster aggregate, as the shards held
+        //    them at the cut, and the accumulator, from the patched buckets
+        //    as `build` makes it.
+        let (opaque, device_agg) = cut_sums(epoch, delta)?;
         let acc = canonical_accumulator(&buckets);
 
         // 3. Stage the touched devices — departures from `before`, in this
@@ -630,7 +637,6 @@ impl EpochSnapshot {
             roster: OnceLock::new(),
             parent_hash: Some(self.content_hash),
             bucket_agg,
-            device_agg,
             content_hash,
         })
     }
@@ -940,8 +946,8 @@ mod tests {
         );
         assert!(err.to_string().contains("not chained"), "got {err}");
 
-        // Likewise for the unattested tier: its departure would drive the
-        // empty snapshot's opaque power negative.
+        // Likewise for the unattested tier: the departing row is no entry
+        // of the empty snapshot's roster.
         reg.apply(&ChurnOp::Unattested {
             replica: ReplicaId::new(1),
             power: VotingPower::new(10),
@@ -954,7 +960,11 @@ mod tests {
             .try_apply_delta(1, &drain(&mut reg))
             .unwrap_err();
         assert!(matches!(&err, SealError::CorruptDelta { .. }), "got {err}");
-        assert!(err.to_string().contains("opaque power"), "got {err}");
+        assert!(
+            err.to_string()
+                .contains("departing row of replica r1 matches no entry"),
+            "got {err}"
+        );
     }
 
     fn attest(id: u64, cfg: &[u8], power: u64) -> ChurnOp {

@@ -5,6 +5,10 @@
 //! gate hold: one `ENOSPC` took down every ingester and poisoned the batch
 //! gate for the fleet's lifetime. The same holds for a seal: a
 //! [`SealError::Wal`] leaves the served epoch and snapshot as they were.
+//! So does a batch whose power could overflow the fleet's sums
+//! ([`IngestError::PowerOverflow`]): it was an overflow panic under a shard
+//! lock, or in every later seal, and since it had been logged, in every
+//! reopen too.
 //!
 //! Fault injection: the WAL's segment size is configured tiny, so every
 //! append past the first rotates into a fresh segment file; deleting the
@@ -220,4 +224,192 @@ fn serving_hooks_reject_unloggable_flushes_before_any_apply() {
         .expect_err("flush must be rejected before any sub-batch is enqueued");
     assert!(matches!(err, IngestError::WalAppend(WalError::Io(_))));
     assert_eq!(fleet.device_count(), 6, "rejected flush applied nothing");
+}
+
+// --- Batches whose power could overflow the fleet's sums ---------------
+//
+// A batch is refused before it is logged when its registrations could
+// carry the fleet's total effective power past `u64`. Unrefused, each of
+// the three batches below panics under a shard lock or in a seal: two
+// unattested registrations of 2⁶³ in one shard overflow the shard's
+// unattested power; two attestations of 2⁶³ to one measurement in two
+// shards overflow the bucket the seal merges them into; and one of 2⁶³ at
+// an attested weight of 4 overflows its own scaling.
+
+const HALF: u64 = 1 << 63;
+
+fn unattested(id: u64, power: u64) -> ChurnOp {
+    ChurnOp::Unattested {
+        replica: ReplicaId::new(id),
+        power: VotingPower::new(power),
+    }
+}
+
+fn attest(id: u64, power: u64) -> ChurnOp {
+    ChurnOp::attest(
+        ReplicaId::new(id),
+        sha256(b"cfg-wide"),
+        VotingPower::new(power),
+    )
+}
+
+/// On a 4-shard durable fleet with one sealed epoch: `bad` is refused as
+/// [`IngestError::PowerOverflow`], the log is not written, no shard is
+/// poisoned, the fleet ingests and seals on as if it never saw the batch,
+/// and a reopen serves the last sealed epoch and seals on too.
+fn assert_refused_cleanly(tag: &str, weights: TwoTierWeights, bad: &[ChurnOp]) {
+    let dir = tmpdir(tag);
+    let (fleet, _) = ShardedFleet::open_durable(4, weights, 0, DurabilityConfig::new(&dir))
+        .expect("cold start on an empty directory");
+    fleet.try_ingest_batch(&registrations(0, 8)).unwrap();
+    fleet.try_seal_epoch().expect("healthy seal");
+    let logged = dir_bytes(&dir);
+
+    let err = fleet
+        .try_ingest_batch(bad)
+        .expect_err("the batch could overflow the fleet's power");
+    assert!(matches!(err, IngestError::PowerOverflow), "got {err}");
+    assert_eq!(dir_bytes(&dir), logged, "a refused batch is not logged");
+    assert_eq!(fleet.device_count(), 8, "a refused batch applies nothing");
+
+    // No shard lock is poisoned: every shard takes ops and the cut locks
+    // them all.
+    fleet.try_ingest_batch(&registrations(100, 8)).unwrap();
+    let sealed = fleet.try_seal_epoch().expect("the fleet keeps sealing");
+    assert_eq!(sealed.epoch(), 2);
+    let control = ShardedFleet::new(4, weights);
+    control.try_ingest_batch(&registrations(0, 8)).unwrap();
+    control.try_seal_epoch().unwrap();
+    control.try_ingest_batch(&registrations(100, 8)).unwrap();
+    assert_eq!(
+        sealed.content_hash(),
+        control.try_seal_epoch().unwrap().content_hash(),
+        "a refused batch leaves no trace in the sealed state"
+    );
+
+    drop(fleet);
+    let (reopened, report) = ShardedFleet::open_durable(4, weights, 0, DurabilityConfig::new(&dir))
+        .expect("the log replays");
+    assert_eq!(report.recovered_epoch, 2);
+    assert_eq!(reopened.snapshot().content_hash(), sealed.content_hash());
+    reopened.try_ingest_batch(&registrations(200, 4)).unwrap();
+    assert_eq!(reopened.try_seal_epoch().unwrap().epoch(), 3);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_unattested_halves_in_one_shard_are_refused_before_the_log() {
+    // Replicas 1 and 5 both land on shard 1 of 4.
+    assert_refused_cleanly(
+        "opaque-halves",
+        TwoTierWeights::flat(),
+        &[unattested(1, HALF), unattested(5, HALF)],
+    );
+}
+
+#[test]
+fn two_attested_halves_of_one_measurement_in_two_shards_are_refused() {
+    // Each shard alone holds its half; the seal's merged bucket would not.
+    assert_refused_cleanly(
+        "bucket-halves",
+        TwoTierWeights::flat(),
+        &[attest(0, HALF), attest(1, HALF)],
+    );
+}
+
+#[test]
+fn a_power_that_its_tier_weight_scales_past_u64_is_refused() {
+    assert_refused_cleanly(
+        "scaled-half",
+        TwoTierWeights::new(4.0, 0.5),
+        &[attest(0, HALF)],
+    );
+}
+
+#[test]
+fn a_seal_that_retires_power_makes_room_again() {
+    // The bound counts what batches registered since the last seal, and a
+    // seal tightens it to what the fleet holds.
+    let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
+    fleet.try_ingest_batch(&[unattested(1, HALF)]).unwrap();
+    fleet.try_seal_epoch().unwrap();
+    assert!(matches!(
+        fleet.try_ingest_batch(&[unattested(2, HALF)]),
+        Err(IngestError::PowerOverflow)
+    ));
+    // A deregistration frees no room until a seal: the bound learns what
+    // the fleet holds only from a sealed total.
+    fleet
+        .try_ingest_batch(&[ChurnOp::Deregister {
+            replica: ReplicaId::new(1),
+        }])
+        .unwrap();
+    assert!(matches!(
+        fleet.try_ingest_batch(&[unattested(2, HALF)]),
+        Err(IngestError::PowerOverflow)
+    ));
+    let retired = fleet.try_seal_epoch().unwrap();
+    assert_eq!(retired.total_effective_power(), VotingPower::ZERO);
+    fleet
+        .try_ingest_batch(&[unattested(2, HALF)])
+        .expect("the seal retired the first half");
+    let sealed = fleet.try_seal_epoch().unwrap();
+    assert_eq!(sealed.total_effective_power(), VotingPower::new(HALF));
+}
+
+#[test]
+fn the_shard_seam_reserves_what_it_applies() {
+    let fleet = ShardedFleet::new(4, TwoTierWeights::flat());
+    fleet.apply_shard_batch(1, &[unattested(1, HALF)]);
+    assert!(matches!(
+        fleet.try_ingest_batch(&[unattested(2, HALF)]),
+        Err(IngestError::PowerOverflow)
+    ));
+    // The seam applies what the bound cannot hold, and saturates it: from
+    // then on only batches that add no power pass.
+    fleet.apply_shard_batch(2, &[unattested(2, HALF)]);
+    assert!(matches!(
+        fleet.try_ingest_batch(&[unattested(3, 1)]),
+        Err(IngestError::PowerOverflow)
+    ));
+    fleet
+        .try_ingest_batch(&[ChurnOp::Deregister {
+            replica: ReplicaId::new(2),
+        }])
+        .expect("a deregistration adds no power");
+    let sealed = fleet.try_seal_epoch().unwrap();
+    assert_eq!(sealed.device_count(), 1);
+    assert_eq!(sealed.total_effective_power(), VotingPower::new(HALF));
+}
+
+#[test]
+fn a_batch_the_log_refuses_releases_its_reservation() {
+    // A quarter of u64 sealed, then a half that cannot be logged: once the
+    // disk is back, the same half still fits beside the quarter.
+    let dir = tmpdir("power-wal");
+    let (fleet, _) =
+        ShardedFleet::open_durable(2, TwoTierWeights::flat(), 0, rotating_config(&dir))
+            .expect("cold start on an empty directory");
+    fleet.try_ingest_batch(&[unattested(0, HALF / 2)]).unwrap();
+    fleet.try_seal_epoch().unwrap();
+    fs::remove_dir_all(&dir).expect("inject: drop the durability dir");
+    let half = [unattested(1, HALF)];
+    assert!(matches!(
+        fleet.try_ingest_batch(&half),
+        Err(IngestError::WalAppend(_))
+    ));
+    fs::create_dir_all(&dir).expect("repair the durability dir");
+    fleet
+        .try_ingest_batch(&half)
+        .expect("the refused append reserved nothing");
+    let sealed = fleet.try_seal_epoch().unwrap();
+    assert_eq!(
+        sealed.total_effective_power(),
+        VotingPower::new(HALF / 2 + HALF)
+    );
+    assert!(matches!(
+        fleet.try_ingest_batch(&[unattested(2, HALF)]),
+        Err(IngestError::PowerOverflow)
+    ));
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -130,7 +130,8 @@ impl std::error::Error for Overloaded {}
 /// told.
 #[derive(Debug)]
 pub enum ServeError {
-    /// A flush could not be write-ahead logged; its ops were dropped
+    /// A flush was refused — the write-ahead log could not persist it, or
+    /// its power could overflow the fleet's — and its ops were dropped
     /// before touching any shard.
     Ingest(IngestError),
     /// A tick-driven seal failed; its epoch was not committed and the
@@ -192,8 +193,10 @@ pub struct ServeStats {
     /// Always equal to `flushed_ops`: a flush returns only once its ops
     /// are applied. Kept because the benchmark's output check reads it.
     pub applied_ops: u64,
-    /// Flushes rejected by the write-ahead log (dropped cleanly).
-    pub wal_rejected_flushes: u64,
+    /// Flushes refused before any apply and dropped cleanly: the
+    /// write-ahead log could not persist them, or their power could
+    /// overflow the fleet's ([`IngestError`]).
+    pub rejected_flushes: u64,
     /// Epochs sealed by the tick driver.
     pub epochs_sealed: u64,
     /// Tick-driven seals that failed (epoch not committed).
@@ -209,7 +212,7 @@ struct Counters {
     coalesced_away: AtomicU64,
     flushes: AtomicU64,
     flushed_ops: AtomicU64,
-    wal_rejected_flushes: AtomicU64,
+    rejected_flushes: AtomicU64,
     epochs_sealed: AtomicU64,
     seal_failures: AtomicU64,
 }
@@ -337,9 +340,11 @@ impl FleetServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Ingest`] if a flush could not be write-ahead logged;
-    /// that flush's ops are dropped cleanly (never applied), queued
-    /// requests stay queued, and the server keeps serving.
+    /// [`ServeError::Ingest`] if the fleet refused a flush — the log could
+    /// not persist it, or its power could overflow the fleet's
+    /// ([`IngestError`]); that flush's window is dropped cleanly (never
+    /// logged or applied), queued requests stay queued, and the server
+    /// keeps serving.
     pub fn pump(&self) -> Result<(), ServeError> {
         loop {
             // Locked before the pop: whichever thread pops a request also
@@ -450,7 +455,7 @@ impl FleetServer {
         if let Err(e) = self.fleet.try_ingest_batch(&ops) {
             // relaxed: monotonic stat counter, read only by monitoring.
             self.counters
-                .wal_rejected_flushes
+                .rejected_flushes
                 .fetch_add(1, Ordering::Relaxed);
             return Err(e.into());
         }
@@ -513,7 +518,7 @@ impl FleetServer {
             flushes: c.flushes.load(Ordering::Relaxed),
             flushed_ops,
             applied_ops: flushed_ops,
-            wal_rejected_flushes: c.wal_rejected_flushes.load(Ordering::Relaxed),
+            rejected_flushes: c.rejected_flushes.load(Ordering::Relaxed),
             epochs_sealed: c.epochs_sealed.load(Ordering::Relaxed),
             seal_failures: c.seal_failures.load(Ordering::Relaxed),
         }

@@ -9,14 +9,16 @@
 //! segment limit makes every append rotate into a fresh segment file, so
 //! removing the durability directory fails the next append — a batch
 //! record or a cut marker — with a real `io::Error`. A directory where a
-//! checkpoint stages its file fails that checkpoint alone.
+//! checkpoint stages its file fails that checkpoint alone. A request whose
+//! power could overflow the fleet's sums is refused at its flush the same
+//! way, with no fault injected.
 
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use fi_attest::ChurnOp;
-use fi_fleet::{DurabilityConfig, ShardedFleet};
+use fi_attest::{ChurnOp, TwoTierWeights};
+use fi_fleet::{DurabilityConfig, IngestError, ShardedFleet};
 use fi_serve::{scenario_weights, FleetServer, ServeConfig, ServeError};
 use fi_types::{sha256, ReplicaId, VotingPower};
 
@@ -67,7 +69,7 @@ fn a_disk_fault_is_typed_counted_and_leaves_no_trace_after_repair() {
     let err = server.drain().expect_err("the flush cannot be logged");
     assert!(matches!(err, ServeError::Ingest(_)), "got {err}");
     let stats = server.stats();
-    assert_eq!(stats.wal_rejected_flushes, 1);
+    assert_eq!(stats.rejected_flushes, 1);
     assert_eq!((stats.flushes, stats.flushed_ops), (1, 8));
     assert_eq!(fleet.device_count(), 8);
     assert_eq!(fleet.snapshot().content_hash(), served);
@@ -92,7 +94,7 @@ fn a_disk_fault_is_typed_counted_and_leaves_no_trace_after_repair() {
     assert_eq!(second.epoch(), 2);
     assert_eq!(fleet.device_count(), 16);
     let stats = server.stats();
-    assert_eq!((stats.wal_rejected_flushes, stats.seal_failures), (1, 1));
+    assert_eq!((stats.rejected_flushes, stats.seal_failures), (1, 1));
     assert_eq!((stats.flushes, stats.epochs_sealed), (2, 2));
     assert_eq!(stats.applied_ops, stats.flushed_ops);
 
@@ -168,6 +170,63 @@ fn a_failed_checkpoint_is_not_a_failed_seal() {
         (report.recovered_epoch, report.checkpoint_epoch),
         (16, Some(16))
     );
+    assert_eq!(reopened.snapshot().content_hash(), sealed.content_hash());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_that_could_overflow_the_fleets_power_is_refused_at_its_flush() {
+    let dir = std::env::temp_dir().join(format!("fi-serve-power-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let flat = TwoTierWeights::flat();
+    let open = || ShardedFleet::open_durable(4, flat, 0, DurabilityConfig::new(&dir));
+    let (fleet, _) = open().expect("cold start on an empty directory");
+    let server = FleetServer::new(
+        Arc::new(fleet),
+        ServeConfig {
+            epoch_ticks: 1,
+            max_seal_lag_epochs: 0,
+            ..ServeConfig::default()
+        },
+    );
+    server.submit(request(0, 8)).expect("admitted");
+    server.tick().expect("healthy seal").expect("seal tick");
+
+    // Two unattested registrations of 2⁶³ at full weight, both on shard 1
+    // of 4: applied, they overflowed the shard's unattested power under
+    // its lock.
+    let half = VotingPower::new(1 << 63);
+    server
+        .submit(vec![
+            ChurnOp::Unattested {
+                replica: ReplicaId::new(1),
+                power: half,
+            },
+            ChurnOp::Unattested {
+                replica: ReplicaId::new(5),
+                power: half,
+            },
+        ])
+        .expect("admitted");
+    let err = server.drain().expect_err("the flush is refused");
+    assert!(
+        matches!(err, ServeError::Ingest(IngestError::PowerOverflow)),
+        "got {err}"
+    );
+    let stats = server.stats();
+    assert_eq!((stats.rejected_flushes, stats.flushes), (1, 1));
+    assert_eq!(server.fleet().device_count(), 8);
+
+    // The refused window is gone, and the next tick seals what came after.
+    server.submit(request(100, 8)).expect("admitted");
+    let sealed = server
+        .tick()
+        .expect("the fleet keeps sealing")
+        .expect("seal tick");
+    assert_eq!((sealed.epoch(), sealed.device_count()), (2, 16));
+    server.shutdown().expect("nothing pending");
+    let (reopened, report) = open().expect("the directory recovers");
+    assert_eq!(report.recovered_epoch, 2);
     assert_eq!(reopened.snapshot().content_hash(), sealed.content_hash());
     let _ = fs::remove_dir_all(&dir);
 }

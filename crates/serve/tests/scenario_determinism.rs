@@ -106,7 +106,7 @@ impl ScenarioReport {
         let s = &self.stats;
         text.push_str(&format!(
             "submitted:{} admitted_ops:{} shed_q:{} shed_lag:{} coalesced:{} \
-             flushes:{} flushed_ops:{} applied_ops:{} wal_rej:{} sealed:{} seal_fail:{}",
+             flushes:{} flushed_ops:{} applied_ops:{} rej:{} sealed:{} seal_fail:{}",
             s.submitted_requests,
             s.admitted_ops,
             s.shed_queue_full,
@@ -115,7 +115,7 @@ impl ScenarioReport {
             s.flushes,
             s.flushed_ops,
             s.applied_ops,
-            s.wal_rejected_flushes,
+            s.rejected_flushes,
             s.epochs_sealed,
             s.seal_failures,
         ));

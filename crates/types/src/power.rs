@@ -105,16 +105,24 @@ impl VotingPower {
     /// Panics if `factor` is negative, NaN, or the product overflows `u64`.
     #[must_use]
     pub fn scaled(self, factor: f64) -> VotingPower {
+        self.checked_scaled(factor)
+            .expect("scaled voting power overflows u64")
+    }
+
+    /// [`scaled`](Self::scaled), but `None` where the product overflows
+    /// `u64`: what a caller checks before it scales power it was handed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is negative or not finite.
+    #[must_use]
+    pub fn checked_scaled(self, factor: f64) -> Option<VotingPower> {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scaling factor must be finite and non-negative, got {factor}"
         );
         let scaled = self.0 as f64 * factor;
-        assert!(
-            scaled <= u64::MAX as f64,
-            "scaled voting power overflows u64"
-        );
-        VotingPower(scaled.round() as u64)
+        (scaled <= u64::MAX as f64).then(|| VotingPower(scaled.round() as u64))
     }
 
     /// Splits this power into `parts` near-equal integer chunks
@@ -380,6 +388,18 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn scaled_rejects_negative() {
         let _ = VotingPower::new(10).scaled(-0.5);
+    }
+
+    #[test]
+    fn checked_scaled_reports_what_scaled_would_panic_on() {
+        let half = VotingPower::new(1 << 63);
+        assert_eq!(half.checked_scaled(1.0), Some(half));
+        assert_eq!(half.checked_scaled(0.5), Some(VotingPower::new(1 << 62)));
+        assert_eq!(half.checked_scaled(4.0), None);
+        assert_eq!(
+            VotingPower::new(7).checked_scaled(0.5),
+            Some(VotingPower::new(4))
+        );
     }
 
     #[test]
